@@ -16,10 +16,15 @@ attached to every operation for auditability.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import repro.obs as obs
-from repro.errors import GlobalValidationError, UpdateError
+from repro.errors import (
+    GlobalValidationError,
+    LocalValidationError,
+    UpdateError,
+)
 from repro.core.dependency_island import analyze_island
 from repro.core.instance import Instance, build_instance
 from repro.core.instantiation import Instantiator
@@ -28,6 +33,20 @@ from repro.core.updates.compiled import CompiledCache, CompiledTranslator
 from repro.core.updates.context import TranslationContext
 from repro.core.updates.deletion import translate_complete_deletion
 from repro.core.updates.insertion import translate_complete_insertion
+from repro.core.updates.operations import (
+    CompleteDeletion,
+    CompleteInsertion,
+    PartialDeletion,
+    PartialInsertion,
+    PartialUpdate,
+    Replacement,
+    UpdateRequest,
+)
+from repro.core.updates.partial import (
+    translate_partial_deletion,
+    translate_partial_insertion,
+    translate_partial_update,
+)
 from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.replacement import translate_replacement
 from repro.core.view_object import ViewObjectDefinition
@@ -40,6 +59,8 @@ from repro.relational.engine import Engine
 from repro.relational.journal import (
     Images,
     PlanJournal,
+    encode_images,
+    encode_plan,
     images_from_records,
     plan_images,
 )
@@ -191,22 +212,11 @@ class Translator:
         authorizations": when the policy names authorized users, updates
         from anyone else are rejected before translation starts.
         """
-        bound = Translator.__new__(Translator)
-        bound.view_object = self.view_object
-        bound.policy = self.policy
-        bound.analysis = self.analysis
-        bound.verify_integrity = self.verify_integrity
+        # A shallow copy: every bound copy shares the analysis, the risk
+        # report and — by reference — the lazily compiled program, so
+        # nothing is recomputed (or recompiled) per user.
+        bound = copy.copy(self)
         bound.user = user
-        bound.journal = self.journal
-        bound.audit = self.audit
-        bound._policy_dict = self._policy_dict
-        bound._instantiator = self._instantiator
-        bound._checker = self._checker
-        bound.strictness = self.strictness
-        bound._risk_report = self._risk_report
-        # Shared *by reference*: every bound copy dispatches through the
-        # same lazily built program instead of recompiling per user.
-        bound._compiled = self._compiled
         return bound
 
     # -- compiled dispatch ---------------------------------------------------
@@ -245,7 +255,7 @@ class Translator:
             program.run_replacement(ctx, old, new)
 
     def translate(
-        self, engine: Engine, request: "UpdateRequest"
+        self, engine: Engine, request: UpdateRequest
     ) -> UpdatePlan:
         """Translate one request into its plan without applying it.
 
@@ -353,7 +363,7 @@ class Translator:
         )
 
     def apply_plan_batch(
-        self, engine: Engine, requests: Iterable["UpdateRequest"]
+        self, engine: Engine, requests: Iterable[UpdateRequest]
     ) -> UpdatePlan:
         """Translate a batch of :class:`UpdateRequest` objects into one
         coalesced plan and apply it atomically.
@@ -378,119 +388,52 @@ class Translator:
     def apply_plan(
         self,
         engine: Engine,
-        plan: UpdatePlan,
+        plan: Union[UpdatePlan, Any],
         op: str = "update",
         items: int = 1,
     ) -> UpdatePlan:
         """Journal, apply, and audit an already-translated coalesced plan.
 
-        The flush half of :meth:`_run_batch`, for callers that produced
+        The public face of :meth:`_commit`, for callers that produced
         the plan elsewhere — :meth:`explain` / :meth:`explain_batch` run
         the full translation pipeline over a buffer, and a shard
         coordinator partitions the result before applying each piece on
         its owning engine through this method. The base engine must be
         in the same state translation observed (the plan's before-images
         are read here, ahead of the first operation).
+
+        ``plan`` may also be a record of a plan committed elsewhere (a
+        replica's ``ShippedRecord``: anything carrying ``plan()``,
+        ``plan_records`` and ``image_records``). Its journal-encoded
+        payloads are then journaled and audited verbatim — no image
+        reads, no re-encoding — and the audit record carries no island,
+        policy or user, because this translator translated nothing.
         """
+        shipped = None
+        if not isinstance(plan, UpdatePlan):
+            shipped, plan = plan, plan.plan()
         journal = self._active_journal(engine, need_changelog=False)
         audit = self._active_audit(engine)
-        registry = obs.metrics()
         with obs.tracer().span(
             "apply_plan", object=self.view_object.name, op=op, ops=len(plan)
         ):
-            images = (
-                plan_images(engine, plan)
-                if journal is not None or audit is not None
-                else None
+            images = None
+            if shipped is None and (journal is not None or audit is not None):
+                images = plan_images(engine, plan)
+            self._commit(
+                journal, audit,
+                lambda: engine.apply_batch(plan.operations),
+                plan, images, op, items, shipped=shipped,
             )
-            entry_id = None
-            if journal is not None:
-                entry_id = journal.begin(
-                    plan, images, label=self.view_object.name
-                )
-            try:
-                engine.apply_batch(plan.operations)
-            except Exception as exc:
-                # apply_batch rolled its transaction back: nothing landed.
-                if entry_id is not None:
-                    journal.mark_aborted(entry_id)
-                registry.counter("translation_failures_total", op=op).inc()
-                if audit is not None:
-                    self._audit(
-                        audit, op, AUDIT_ROLLED_BACK, plan=plan, items=items,
-                        error=exc, journal_entry=entry_id,
-                    )
-                raise
-            except BaseException as exc:
-                if audit is not None:
-                    self._audit(
-                        audit, op, AUDIT_CRASHED, plan=plan, images=images,
-                        items=items, error=exc, journal_entry=entry_id,
-                    )
-                raise
-            if entry_id is not None:
-                journal.mark_committed(entry_id)
-            if audit is not None:
-                self._audit(
-                    audit, op, AUDIT_COMMITTED, plan=plan, images=images,
-                    items=items, journal_entry=entry_id,
-                )
-            registry.counter("translations_total", op=op).inc()
-            registry.histogram("plan_ops", op=op).observe(len(plan))
         return plan
 
     def _translate_request(
-        self, ctx: TranslationContext, request: "UpdateRequest"
+        self, ctx: TranslationContext, request: UpdateRequest
     ) -> None:
-        """Dispatch one request against an in-flight batch context."""
-        from repro.core.updates.operations import (
-            CompleteDeletion,
-            CompleteInsertion,
-            PartialDeletion,
-            PartialInsertion,
-            PartialUpdate,
-            Replacement,
-        )
-
-        def resolve(instance):
-            if isinstance(instance, (Instance, Mapping)):
-                return self._coerce_instance(instance)
-            # Resolve keys against the buffer so earlier requests in the
-            # batch are visible.
-            return self.instantiate(ctx.engine, instance)
-
-        if isinstance(request, CompleteInsertion):
-            self._translate_insertion(ctx, resolve(request.instance))
-        elif isinstance(request, CompleteDeletion):
-            self._translate_deletion(ctx, resolve(request.instance))
-        elif isinstance(request, Replacement):
-            self._translate_replacement(
-                ctx, resolve(request.old), self._coerce_instance(request.new)
-            )
-        elif isinstance(request, PartialInsertion):
-            from repro.core.updates.partial import translate_partial_insertion
-
-            translate_partial_insertion(
-                ctx, resolve(request.instance), request.node_id, request.values
-            )
-        elif isinstance(request, PartialDeletion):
-            from repro.core.updates.partial import translate_partial_deletion
-
-            translate_partial_deletion(
-                ctx, resolve(request.instance), request.node_id, request.values
-            )
-        elif isinstance(request, PartialUpdate):
-            from repro.core.updates.partial import translate_partial_update
-
-            translate_partial_update(
-                ctx,
-                resolve(request.instance),
-                request.node_id,
-                request.old_values,
-                request.new_values,
-            )
-        else:
-            raise UpdateError(f"unknown update request: {request!r}")
+        """Dispatch one request against an in-flight context; keys are
+        resolved against ``ctx.engine``, so inside a batch the effects
+        of earlier requests are visible."""
+        _request_entry(request)[1](self, ctx, request)
 
     def _run_batch(
         self,
@@ -500,15 +443,10 @@ class Translator:
         prewarm: Optional[List[Instance]] = None,
         op: str = "batch",
     ) -> UpdatePlan:
-        if not self.policy.authorizes(self.user):
-            from repro.errors import LocalValidationError
-
-            raise LocalValidationError(
-                f"user {self.user!r} is not authorized to update through "
-                f"view object {self.view_object.name!r}"
-            )
+        """The overlay translate half: translate every item over a
+        :class:`BufferedEngine`, coalesce, then :meth:`_commit`."""
+        self._check_authorized()
         tracer = obs.tracer()
-        registry = obs.metrics()
         with tracer.span(
             "translate.batch",
             object=self.view_object.name,
@@ -520,6 +458,7 @@ class Translator:
                 item for item in items if isinstance(item, Instance)
             ]
             self._prewarm(buffered, warm)
+            audit = self._active_audit(engine)
             plans = []
             try:
                 for item in items:
@@ -539,18 +478,15 @@ class Translator:
                             + "; ".join(v.message for v in violations[:5])
                         )
             except Exception as exc:
-                registry.counter("translation_failures_total", op=op).inc()
-                audit = self._active_audit(engine)
+                obs.metrics().counter(
+                    "translation_failures_total", op=op
+                ).inc()
                 if audit is not None:
-                    self._audit(
-                        audit, op, AUDIT_ROLLED_BACK, items=len(items),
-                        error=exc,
-                    )
+                    self._audit(audit, op, items=len(items), error=exc)
                 raise
             # Nothing touched the real engine yet: a failure above simply
             # discards the overlay. The flush below is one transaction.
             journal = self._active_journal(engine, need_changelog=False)
-            audit = self._active_audit(engine)
             with tracer.span("coalesce") as fold:
                 combined = coalesce_plans(plans, engine.schema)
                 fold.set(
@@ -558,55 +494,19 @@ class Translator:
                     ops_after=len(combined),
                 )
             root.set(ops=len(combined), journaled=journal is not None)
-            if journal is None and audit is None:
+            # The base engine is still unmutated, so the before-images
+            # can be read directly.
+            images = None
+            if journal is not None or audit is not None:
+                images = plan_images(engine, combined)
+
+            def land() -> None:
                 with tracer.span("engine.apply", ops=len(combined)):
                     engine.apply_batch(combined.operations)
-                registry.counter("translations_total", op=op).inc()
-                registry.histogram("plan_ops", op=op).observe(len(combined))
-                return combined
-            # Journaled/audited flush: the base engine is still
-            # unmutated, so the before-images can be read directly; the
-            # intent is durable before the first operation lands.
-            images = plan_images(engine, combined)
-            entry_id = None
-            if journal is not None:
-                entry_id = journal.begin(
-                    combined, images, label=self.view_object.name
-                )
-            try:
-                with tracer.span("engine.apply", ops=len(combined)):
-                    engine.apply_batch(combined.operations)
-            except Exception as exc:
-                # apply_batch rolled the transaction back: nothing landed.
-                if entry_id is not None:
-                    journal.mark_aborted(entry_id)
-                registry.counter("translation_failures_total", op=op).inc()
-                if audit is not None:
-                    self._audit(
-                        audit, op, AUDIT_ROLLED_BACK, plan=combined,
-                        items=len(items), error=exc, journal_entry=entry_id,
-                    )
-                raise
-            except BaseException as exc:
-                # A crash mid-apply: the journal entry (if any) stays
-                # PENDING for recovery; the audit record says ``crashed``
-                # until reconciliation settles it.
-                if audit is not None:
-                    self._audit(
-                        audit, op, AUDIT_CRASHED, plan=combined,
-                        images=images, items=len(items), error=exc,
-                        journal_entry=entry_id,
-                    )
-                raise
-            if entry_id is not None:
-                journal.mark_committed(entry_id)
-            if audit is not None:
-                self._audit(
-                    audit, op, AUDIT_COMMITTED, plan=combined, images=images,
-                    items=len(items), journal_entry=entry_id,
-                )
-            registry.counter("translations_total", op=op).inc()
-            registry.histogram("plan_ops", op=op).observe(len(combined))
+
+            self._commit(
+                journal, audit, land, combined, images, op, len(items)
+            )
             return combined
 
     def _prewarm(self, buffered: BufferedEngine, instances: List[Instance]) -> None:
@@ -642,16 +542,8 @@ class Translator:
         values: Dict[str, Any],
     ) -> UpdatePlan:
         """Partial insertion: add one component tuple at ``node_id``."""
-        from repro.core.updates.partial import translate_partial_insertion
-
         instance = self._resolve_instance(engine, instance)
-        return self._run(
-            engine,
-            lambda ctx: translate_partial_insertion(
-                ctx, instance, node_id, values
-            ),
-            op="partial_insert",
-        )
+        return self.apply(engine, PartialInsertion(instance, node_id, values))
 
     def delete_component(
         self,
@@ -661,16 +553,8 @@ class Translator:
         values: Dict[str, Any],
     ) -> UpdatePlan:
         """Partial deletion: remove one component tuple at ``node_id``."""
-        from repro.core.updates.partial import translate_partial_deletion
-
         instance = self._resolve_instance(engine, instance)
-        return self._run(
-            engine,
-            lambda ctx: translate_partial_deletion(
-                ctx, instance, node_id, values
-            ),
-            op="partial_delete",
-        )
+        return self.apply(engine, PartialDeletion(instance, node_id, values))
 
     def update_component(
         self,
@@ -681,18 +565,20 @@ class Translator:
         new_values: Dict[str, Any],
     ) -> UpdatePlan:
         """Partial update: modify one component tuple's nonkey attributes."""
-        from repro.core.updates.partial import translate_partial_update
-
         instance = self._resolve_instance(engine, instance)
-        return self._run(
-            engine,
-            lambda ctx: translate_partial_update(
-                ctx, instance, node_id, old_values, new_values
-            ),
-            op="partial_update",
+        return self.apply(
+            engine, PartialUpdate(instance, node_id, old_values, new_values)
         )
 
     # -- helpers -----------------------------------------------------------------
+
+    def _check_authorized(self) -> None:
+        """Step 1's user authorization, ahead of either translate half."""
+        if not self.policy.authorizes(self.user):
+            raise LocalValidationError(
+                f"user {self.user!r} is not authorized to update through "
+                f"view object {self.view_object.name!r}"
+            )
 
     def _resolve_instance(
         self, engine: Engine, instance: Union[InstanceLike, Sequence[Any]]
@@ -762,25 +648,45 @@ class Translator:
         self,
         audit: AuditLog,
         op: str,
-        outcome: str,
-        plan: Optional[UpdatePlan] = None,
-        images: Optional[Images] = None,
         items: int = 1,
         error: Optional[BaseException] = None,
         journal_entry: Optional[int] = None,
+        translated: bool = True,
+        **payload: Any,
     ) -> int:
+        """Append one audit record; the outcome follows from ``error``.
+
+        No error is ``committed``. An ``Exception`` means the update was
+        rejected or rolled back: nothing landed, so no images are
+        recorded. Any other ``BaseException`` is a (simulated) crash:
+        the record says ``crashed`` until reconciliation against the
+        journal settles it. ``payload`` is :meth:`AuditLog.append`'s
+        ``plan``/``images`` or their already-encoded ``plan_records``/
+        ``image_records``. ``translated=False`` (a shipped plan) leaves
+        out the island, policy and user of a translation that did not
+        happen here.
+        """
+        outcome = AUDIT_COMMITTED
+        if isinstance(error, Exception):
+            outcome = AUDIT_ROLLED_BACK
+            payload.pop("images", None)
+            payload.pop("image_records", None)
+        elif error is not None:
+            outcome = AUDIT_CRASHED
+        if translated:
+            payload.update(
+                island=self.analysis.island_relations,
+                policy=self._policy_answers(),
+                user=self.user,
+            )
         asn = audit.append(
             op=op,
             object_name=self.view_object.name,
             outcome=outcome,
-            plan=plan,
-            images=images,
-            island=self.analysis.island_relations,
-            policy=self._policy_answers(),
-            user=self.user,
             items=items,
             error=None if error is None else f"{type(error).__name__}: {error}",
             journal_entry=journal_entry,
+            **payload,
         )
         # Trace -> audit cross-link: the record already carries the
         # ambient trace id; stamping the ASN on the enclosing span lets
@@ -790,56 +696,69 @@ class Translator:
             span.set(asn=asn)
         return asn
 
-    def _finalize(
+    def _commit(
         self,
-        engine: Engine,
         journal: Optional[PlanJournal],
         audit: Optional[AuditLog],
-        images: Optional[Images],
+        land: Callable[[], Any],
         plan: UpdatePlan,
+        images: Optional[Images],
         op: str,
         items: int = 1,
+        shipped: Any = None,
     ) -> None:
-        """Write the PENDING intent, commit, then record the outcome.
+        """The one commit step of every write path: write the PENDING
+        intent, land the plan, mark the entry, record the outcome.
 
-        Called with the transaction still open and every effect already
-        applied; ``images`` carry the before/after cells (reconstructed
-        from the changelog since the live engine can no longer provide
-        them). A failed commit (already rolled back by
-        ``_finish_commit``) marks the journal entry ABORTED and audits
-        the update as rolled back; a simulated crash — a
-        ``BaseException`` — leaves the entry PENDING for recovery and
-        audits the update as crashed, to be reconciled once recovery
-        settles its fate.
+        ``land`` makes the effects durable and must be all-or-nothing
+        for an ``Exception`` — ``engine.apply_batch`` for a plan
+        translated over an overlay, ``engine._finish_commit`` for the
+        eager transaction whose effects are already applied (both roll
+        back on failure). ``images`` are the plan's before/after cells;
+        plan and images are encoded once here, or taken verbatim from
+        ``shipped``, and the same payloads go to journal and audit log.
+
+        A failed landing marks the entry ABORTED and audits the update
+        as rolled back; a simulated crash — a ``BaseException`` — leaves
+        the entry PENDING for recovery and audits the update as crashed,
+        to be reconciled once recovery settles its fate.
         """
+        registry = obs.metrics()
+        plan_records = image_records = None
+        if shipped is not None:
+            plan_records = shipped.plan_records
+            image_records = shipped.image_records
+        elif journal is not None or audit is not None:
+            plan_records = encode_plan(plan)
+            image_records = [] if images is None else encode_images(images)
         entry_id = None
         if journal is not None:
-            entry_id = journal.begin(plan, images, label=self.view_object.name)
+            entry_id = journal.begin_encoded(
+                plan_records, image_records, label=self.view_object.name
+            )
+        record = dict(
+            items=items,
+            journal_entry=entry_id,
+            translated=shipped is None,
+            plan_records=plan_records,
+            image_records=image_records,
+        )
         try:
-            engine._finish_commit()
-        except Exception as exc:
-            if entry_id is not None:
-                journal.mark_aborted(entry_id)
-            if audit is not None:
-                self._audit(
-                    audit, op, AUDIT_ROLLED_BACK, plan=plan, items=items,
-                    error=exc, journal_entry=entry_id,
-                )
-            raise
+            land()
         except BaseException as exc:
+            if isinstance(exc, Exception):
+                if entry_id is not None:
+                    journal.mark_aborted(entry_id)
+                registry.counter("translation_failures_total", op=op).inc()
             if audit is not None:
-                self._audit(
-                    audit, op, AUDIT_CRASHED, plan=plan, images=images,
-                    items=items, error=exc, journal_entry=entry_id,
-                )
+                self._audit(audit, op, error=exc, **record)
             raise
         if entry_id is not None:
             journal.mark_committed(entry_id)
         if audit is not None:
-            self._audit(
-                audit, op, AUDIT_COMMITTED, plan=plan, images=images,
-                items=items, journal_entry=entry_id,
-            )
+            self._audit(audit, op, **record)
+        registry.counter("translations_total", op=op).inc()
+        registry.histogram("plan_ops", op=op).observe(len(plan))
 
     def _run(
         self,
@@ -848,13 +767,9 @@ class Translator:
         preview: bool = False,
         op: str = "update",
     ) -> UpdatePlan:
-        if not self.policy.authorizes(self.user):
-            from repro.errors import LocalValidationError
-
-            raise LocalValidationError(
-                f"user {self.user!r} is not authorized to update through "
-                f"view object {self.view_object.name!r}"
-            )
+        """The eager translate half: translate one request on the live
+        engine inside one transaction, then :meth:`_commit` it."""
+        self._check_authorized()
         ctx = TranslationContext(
             self.view_object, engine, self.policy, self.analysis
         )
@@ -886,24 +801,21 @@ class Translator:
                             f"violations: "
                             + "; ".join(v.message for v in violations[:5])
                         )
-            except Exception as exc:
-                engine.rollback()
-                registry.counter("translation_failures_total", op=op).inc()
-                if audit is not None:
-                    self._audit(
-                        audit, op, AUDIT_ROLLED_BACK, plan=ctx.plan, error=exc
-                    )
-                raise
             except BaseException as exc:
-                # A (simulated) crash mid-translation: no rollback — the
-                # state is left torn for recovery, and the audit record
-                # says so. No journal entry exists yet, so the record
-                # stays ``crashed`` (recovery discards the transaction,
-                # reverting the effects; replay rightly excludes it).
+                # An Exception rejects the update: roll back, nothing is
+                # left behind. Anything else is a (simulated) crash
+                # mid-translation: no rollback — the state is left torn
+                # for recovery, and the audit record says so. No journal
+                # entry exists yet, so that record stays ``crashed``
+                # (recovery discards the transaction, reverting the
+                # effects; replay rightly excludes it).
+                if isinstance(exc, Exception):
+                    engine.rollback()
+                    registry.counter(
+                        "translation_failures_total", op=op
+                    ).inc()
                 if audit is not None:
-                    self._audit(
-                        audit, op, AUDIT_CRASHED, plan=ctx.plan, error=exc
-                    )
+                    self._audit(audit, op, plan=ctx.plan, error=exc)
                 raise
             span.set(ops=len(ctx.plan), journaled=journal is not None)
             if preview:
@@ -916,9 +828,10 @@ class Translator:
                         engine, engine.changelog.since(mark)
                     )
                 with tracer.span("commit", ops=len(ctx.plan)):
-                    self._finalize(engine, journal, audit, images, ctx.plan, op)
-                registry.counter("translations_total", op=op).inc()
-                registry.histogram("plan_ops", op=op).observe(len(ctx.plan))
+                    self._commit(
+                        journal, audit, engine._finish_commit,
+                        ctx.plan, images, op,
+                    )
         return ctx.plan
 
     # -- previews (translate, report the plan, change nothing) ----------------
@@ -973,7 +886,7 @@ class Translator:
     # -- EXPLAIN (translate over an overlay, execute nothing) ------------------
 
     def explain(
-        self, engine: Engine, request: "UpdateRequest"
+        self, engine: Engine, request: UpdateRequest
     ) -> TranslationExplanation:
         """The would-be plan of one update request, without executing it.
 
@@ -987,13 +900,13 @@ class Translator:
         return self._explain(engine, [request])
 
     def explain_batch(
-        self, engine: Engine, requests: Iterable["UpdateRequest"]
+        self, engine: Engine, requests: Iterable[UpdateRequest]
     ) -> TranslationExplanation:
         """The coalesced would-be plan of a batch, without executing it."""
         return self._explain(engine, list(requests))
 
     def _explain(
-        self, engine: Engine, requests: List["UpdateRequest"]
+        self, engine: Engine, requests: List[UpdateRequest]
     ) -> TranslationExplanation:
         operation = self._describe_requests(requests)
         with obs.tracer().span(
@@ -1034,18 +947,11 @@ class Translator:
         )
 
     @staticmethod
-    def _describe_requests(requests: Sequence["UpdateRequest"]) -> str:
+    def _describe_requests(requests: Sequence[UpdateRequest]) -> str:
         """One op label for a request list: its kind, or "mixed"."""
-        names = {
-            "CompleteInsertion": "insert",
-            "CompleteDeletion": "delete",
-            "Replacement": "replace",
-            "PartialInsertion": "partial_insert",
-            "PartialDeletion": "partial_delete",
-            "PartialUpdate": "partial_update",
-        }
         kinds = {
-            names.get(type(request).__name__, "update") for request in requests
+            _REQUESTS.get(type(request), ("update",))[0]
+            for request in requests
         }
         if not kinds:
             return "empty"
@@ -1107,41 +1013,67 @@ class Translator:
 
     # -- request-object dispatch ------------------------------------------------
 
-    def apply(self, engine: Engine, request: "UpdateRequest") -> UpdatePlan:
+    def apply(self, engine: Engine, request: UpdateRequest) -> UpdatePlan:
         """Apply a first-class :class:`UpdateRequest` (Section 5's
         operation taxonomy) through this translator."""
-        from repro.core.updates.operations import (
-            CompleteDeletion,
-            CompleteInsertion,
-            PartialDeletion,
-            PartialInsertion,
-            PartialUpdate,
-            Replacement,
+        op, translate = _request_entry(request)
+        return self._run(
+            engine, lambda ctx: translate(self, ctx, request), op=op
         )
-
-        if isinstance(request, CompleteInsertion):
-            return self.insert(engine, request.instance)
-        if isinstance(request, CompleteDeletion):
-            return self.delete(engine, request.instance)
-        if isinstance(request, Replacement):
-            return self.replace(engine, request.old, request.new)
-        if isinstance(request, PartialInsertion):
-            return self.insert_component(
-                engine, request.instance, request.node_id, request.values
-            )
-        if isinstance(request, PartialDeletion):
-            return self.delete_component(
-                engine, request.instance, request.node_id, request.values
-            )
-        if isinstance(request, PartialUpdate):
-            return self.update_component(
-                engine,
-                request.instance,
-                request.node_id,
-                request.old_values,
-                request.new_values,
-            )
-        raise UpdateError(f"unknown update request: {request!r}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Translator({self.view_object.name!r})"
+
+
+# Section 5's operation taxonomy, once: request class -> (op label,
+# translate function). Translator.apply, apply_plan_batch and explain all
+# dispatch through it.
+_REQUESTS: Dict[type, Any] = {
+    CompleteInsertion: (
+        "insert",
+        lambda t, ctx, r: t._translate_insertion(
+            ctx, t._resolve_instance(ctx.engine, r.instance)
+        ),
+    ),
+    CompleteDeletion: (
+        "delete",
+        lambda t, ctx, r: t._translate_deletion(
+            ctx, t._resolve_instance(ctx.engine, r.instance)
+        ),
+    ),
+    Replacement: (
+        "replace",
+        lambda t, ctx, r: t._translate_replacement(
+            ctx, t._resolve_instance(ctx.engine, r.old), t._coerce_instance(r.new)
+        ),
+    ),
+    PartialInsertion: (
+        "partial_insert",
+        lambda t, ctx, r: translate_partial_insertion(
+            ctx, t._resolve_instance(ctx.engine, r.instance), r.node_id, r.values
+        ),
+    ),
+    PartialDeletion: (
+        "partial_delete",
+        lambda t, ctx, r: translate_partial_deletion(
+            ctx, t._resolve_instance(ctx.engine, r.instance), r.node_id, r.values
+        ),
+    ),
+    PartialUpdate: (
+        "partial_update",
+        lambda t, ctx, r: translate_partial_update(
+            ctx,
+            t._resolve_instance(ctx.engine, r.instance),
+            r.node_id,
+            r.old_values,
+            r.new_values,
+        ),
+    ),
+}
+
+
+def _request_entry(request: UpdateRequest):
+    try:
+        return _REQUESTS[type(request)]
+    except KeyError:
+        raise UpdateError(f"unknown update request: {request!r}") from None

@@ -386,7 +386,9 @@ class Penguin:
     ) -> UpdatePlan:
         """Apply a plan produced by :meth:`explain_update` (or a shard
         coordinator), journaled and audited exactly like a translated
-        update — without re-running translation."""
+        update — without re-running translation. A replica passes the
+        shipped record in place of the plan (see
+        :meth:`Translator.apply_plan`)."""
         return self.translator(name).apply_plan(
             self.engine, plan, op=op, items=items
         )

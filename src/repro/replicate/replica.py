@@ -5,7 +5,9 @@ journal, audit log, breaker, and materialized caches — identical in
 shape to the shard primary it shadows. It stays in sync by receiving
 :class:`ShippedRecord`\\ s in stream order and applying each through
 ``ConcurrentPenguin.apply_plan``, the same flush-half entry point the
-sharded write path uses: journaled, audited, never re-translated.
+sharded write path uses: journaled, audited, never re-translated. The
+record itself is passed in place of the plan, so the translator's one
+commit step journals and audits the primary's encoded payloads verbatim.
 
 The receive/apply split is the heart of the replication overhead
 story. **Receive** is durable receipt — an epoch check, a position
@@ -32,7 +34,7 @@ from repro.errors import (
     ReplicationError,
     TransientEngineError,
 )
-from repro.obs.audit import COMMITTED, ROLLED_BACK, MemoryAuditLog
+from repro.obs.audit import ROLLED_BACK, MemoryAuditLog
 from repro.penguin import Penguin
 from repro.relational.journal import (
     Images,
@@ -323,13 +325,11 @@ class ReplicaStack:
     def _apply(self, record: ShippedRecord) -> None:
         """Commit one shipped record: journaled, audited, breaker-guarded.
 
-        Runs the lean twin of ``translator.apply_plan``: the shipped
-        payloads are already in the journal's encoded form and carry the
-        primary's before/after images, so the replica journals and
-        audits them verbatim instead of recomputing images and
-        re-encoding a plan it just decoded. Still goes through
-        ``serving._write`` for the breaker and the write lock — stale
-        reads never observe a half-applied record.
+        ``ConcurrentPenguin.apply_plan`` takes the record itself, so the
+        translator's commit step journals and audits the shipped
+        payloads verbatim instead of recomputing images and re-encoding
+        a plan it just decoded; the facade keeps the breaker and the
+        write lock — stale reads never observe a half-applied record.
         """
         # Re-attach the originating request's trace context: the applier
         # thread has no ambient context of its own, and the journal
@@ -348,57 +348,14 @@ class ReplicaStack:
                 op=record.op,
                 object=record.object_name,
             ):
-                self._apply_record(record)
-
-    def _apply_record(self, record: ShippedRecord) -> None:
-        penguin = self.serving.penguin
-        plan = record.plan()
-
-        def lean_apply():
-            journal = penguin.journal
-            audit = penguin.audit
-            entry_id = None
-            if journal is not None:
-                entry_id = journal.begin_encoded(
-                    record.plan_records,
-                    record.image_records,
-                    label=record.object_name,
+                self.serving.apply_plan(
+                    record.object_name, record,
+                    op=record.op, items=record.items,
                 )
-            try:
-                penguin.engine.apply_batch(plan.operations)
-            except Exception as exc:
-                if entry_id is not None:
-                    journal.mark_aborted(entry_id)
-                if audit is not None:
-                    audit.append(
-                        op=record.op,
-                        object_name=record.object_name,
-                        outcome=ROLLED_BACK,
-                        items=record.items,
-                        error=f"{type(exc).__name__}: {exc}",
-                        journal_entry=entry_id,
-                        plan_records=record.plan_records,
-                    )
-                raise
-            if entry_id is not None:
-                journal.mark_committed(entry_id)
-            if audit is not None:
-                audit.append(
-                    op=record.op,
-                    object_name=record.object_name,
-                    outcome=COMMITTED,
-                    items=record.items,
-                    journal_entry=entry_id,
-                    plan_records=record.plan_records,
-                    image_records=record.image_records,
-                )
-            return plan
+                if self.verify_images:
+                    self._verify_images(record)
 
-        self.serving._write(
-            lean_apply, op=record.op, object_name=record.object_name
-        )
-        if not self.verify_images:
-            return
+    def _verify_images(self, record: ShippedRecord) -> None:
         for (relation, key), (_before, after) in record.images().items():
             current = self.engine.get(relation, key)
             if current != after:

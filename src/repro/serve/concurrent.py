@@ -421,7 +421,8 @@ class ConcurrentPenguin:
         The sharded write path translates on the owning shard via the
         side-effect-free explain pipeline and then lands the plan here,
         under this facade's breaker and write lock — the plan is not
-        re-translated.
+        re-translated. A replica stack lands each shipped record the
+        same way, passing the record in place of the plan.
         """
         return self._write(
             lambda: self.penguin.apply_translated_plan(

@@ -44,8 +44,6 @@ from repro.core.updates.operations import (
     UpdateRequest,
 )
 from repro.errors import DegradedServiceError, ReplicationQuorumError
-from repro.obs.audit import COMMITTED as AUDIT_COMMITTED
-from repro.obs.audit import ROLLED_BACK as AUDIT_ROLLED_BACK
 from repro.obs.audit import AuditLog, MemoryAuditLog
 from repro.obs.explain import TranslationExplanation
 from repro.penguin import Penguin
@@ -633,8 +631,7 @@ class ShardedPenguin:
             audit = owner.penguin.audit
             if audit is not None:
                 translator._audit(
-                    audit, op, AUDIT_ROLLED_BACK,
-                    items=len(requests), error=exc,
+                    audit, op, items=len(requests), error=exc
                 )
             raise
 
@@ -730,8 +727,8 @@ class ShardedPenguin:
         except Exception as exc:
             if audit is not None:
                 translator._audit(
-                    audit, op, AUDIT_ROLLED_BACK,
-                    plan=explanation.coalesced, items=items, error=exc,
+                    audit, op, plan=explanation.coalesced, items=items,
+                    error=exc,
                 )
             obs.metrics().counter(
                 "shard_updates_total", outcome="aborted", shard=str(owner_id)
@@ -739,8 +736,8 @@ class ShardedPenguin:
             raise
         if audit is not None:
             asn = translator._audit(
-                audit, op, AUDIT_COMMITTED,
-                plan=explanation.coalesced, images=images, items=items,
+                audit, op, plan=explanation.coalesced, images=images,
+                items=items,
             )
             if owner.replica_set is not None:
                 # The owner's replicas already got their sub-plan above;

@@ -28,7 +28,7 @@ from repro.errors import UpdateRejectedError
 from repro.obs.audit import MemoryAuditLog
 from repro.penguin import Penguin
 from repro.relational.faults import FaultInjectingEngine, FaultPlan, SimulatedCrash
-from repro.relational.journal import COMMITTED, MemoryJournal
+from repro.relational.journal import MemoryJournal
 from repro.relational.memory_engine import MemoryEngine
 from repro.shard.router import HashRouter, Placement, partition_plan
 from repro.workloads.hospital import (
@@ -220,6 +220,10 @@ class TestCompiledCacheSharing:
         _, view_object, _ = random_chain_case(engine, 11)
         translator = Translator(view_object, compile_plans=True)
         bound = translator.for_user("alice")
+        assert bound.user == "alice" and translator.user is None
+        # A bound copy carries every attribute of its base (none may be
+        # forgotten when one is added), and shares the cache by identity.
+        assert vars(bound).keys() == vars(translator).keys()
         assert bound._compiled is translator._compiled
         # The program built through either handle is the same object.
         assert bound.compiled().program is translator.compiled().program
@@ -328,22 +332,6 @@ class TestWhereBatchSemantics:
             )
         session.register_object(patient_chart_object(graph))
         return session
-
-    def test_delete_where_is_one_journaled_audited_request(self):
-        journal, audit = MemoryJournal(), MemoryAuditLog()
-        session = self.build_session(journal=journal, audit=audit)
-        matched = len(session.query("patient_chart", "birth_year > 0"))
-        assert matched >= 2
-        plan = session.delete_where("patient_chart", "birth_year > 0")
-        assert plan.count("delete") >= matched
-        entries = journal.entries()
-        assert len(entries) == 1  # one write-ahead intent for the batch
-        assert entries[0].status == COMMITTED
-        records = audit.records()
-        assert len(records) == 1  # one audit record for the view request
-        assert records[0].op == "delete_where"
-        assert records[0].items == matched
-        assert session.query("patient_chart") == []
 
     def test_update_where_coalesces_per_instance_plans(self):
         audit = MemoryAuditLog()

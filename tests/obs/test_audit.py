@@ -40,9 +40,9 @@ def new_course(course_id="CS999", title="View Objects"):
     }
 
 
-def audited_session(audit=None, journal=None):
+def audited_session(audit=None):
     audit = audit if audit is not None else MemoryAuditLog()
-    session = Penguin(university_schema(), journal=journal, audit=audit)
+    session = Penguin(university_schema(), audit=audit)
     populate_university(session.engine)
     session.register_object(course_info_object(session.graph))
     return session
@@ -268,16 +268,6 @@ class TestTranslatorRecording:
         # inner per-instance deletes ran inside the transaction and
         # must not produce their own records
         assert len(records) == 4
-
-    def test_journaled_path_links_audit_to_journal_entry(self):
-        journal = MemoryJournal()
-        session = audited_session(journal=journal)
-        session.insert("course_info", new_course())
-        record = session.audit.record(1)
-        assert record.outcome == COMMITTED
-        assert record.journal_entry is not None
-        entry_ids = {entry.entry_id for entry in journal.entries()}
-        assert record.journal_entry in entry_ids
 
     def test_for_user_attribution_lands_in_records(self):
         session = audited_session()
