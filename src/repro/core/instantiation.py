@@ -10,20 +10,88 @@ starting from pivot tuples selected by a relational predicate, it walks
 every tree edge — including composite multi-connection paths (Figure 3)
 — collecting the connected tuples at each node, then projects them onto
 the node's projection.
+
+Everything about that walk except the data is fixed when the object is
+defined (Section 6), so it is compiled once into a plan of positions:
+per node the projected attribute names and where they sit in a base
+tuple, per child edge the steps of its path. Assembly is then tuple
+indexing plus ``engine.find_by``. The plan holds no engine — it takes
+one per call — so the same plan runs over a backend, a
+``BufferedEngine`` overlay or any delegating proxy. Use
+``view_object.instantiator`` to share one compiled plan per object;
+``tests/reference_walk.py`` keeps the uncompiled walk as the oracle.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.instance import ComponentTuple, Instance
 from repro.core.view_object import ViewObjectDefinition
 from repro.relational.engine import Engine
 from repro.relational.expressions import Expression, TRUE
-from repro.structural.integrity import connected_tuples
-from repro.structural.paths import ConnectionPath
+from repro.relational.schema import tuple_getter
+from repro.structural.connections import Traversal
+from repro.structural.schema_graph import StructuralSchema
 
-__all__ = ["Instantiator"]
+__all__ = ["Instantiator", "compile_path", "follow_path"]
+
+Values = Tuple[Any, ...]
+Getter = Callable[[Sequence[Any]], Values]
+# One traversal resolved against the schemas: (connecting values of a
+# start tuple, end relation, end attributes, key of an end tuple).
+Step = Tuple[Getter, str, Tuple[str, ...], Getter]
+# (node id, projected attribute names, their values in a base tuple,
+# ((child plan, steps of the edge path), ...)).
+NodePlan = Tuple[str, Tuple[str, ...], Getter, Tuple[Any, ...]]
+
+
+def compile_path(
+    graph: StructuralSchema, traversals: Sequence[Traversal]
+) -> Tuple[Step, ...]:
+    """Resolve a connection path's attribute names to positions."""
+    steps = []
+    for traversal in traversals:
+        start = graph.relation(traversal.start)
+        end = graph.relation(traversal.end)
+        steps.append(
+            (
+                tuple_getter(start.positions(traversal.start_attributes)),
+                traversal.end,
+                traversal.end_attributes,
+                tuple_getter(end.positions(end.key)),
+            )
+        )
+    return tuple(steps)
+
+
+def follow_path(
+    engine: Engine, steps: Sequence[Step], frontier: Sequence[Values]
+) -> Sequence[Values]:
+    """All tuples at the end of a compiled path connected to any tuple
+    of ``frontier``.
+
+    Two tuples are connected iff the values of the connecting attributes
+    match, and a null never matches (Definition 2.1). Composite paths
+    chain the per-connection matching; duplicates (several routes to the
+    same end tuple) collapse by key at every step.
+    """
+    for entry_of, end, end_attributes, key_of in steps:
+        reached: List[Values] = []
+        seen = set()
+        for values in frontier:
+            entry = entry_of(values)
+            if None in entry:
+                continue
+            for matched in engine.find_by(end, end_attributes, entry):
+                key = key_of(matched)
+                if key not in seen:
+                    seen.add(key)
+                    reached.append(matched)
+        frontier = reached
+        if not frontier:
+            break
+    return frontier
 
 
 class Instantiator:
@@ -32,6 +100,22 @@ class Instantiator:
     def __init__(self, view_object: ViewObjectDefinition) -> None:
         self.view_object = view_object
         self.graph = view_object.graph
+        self._plan = self._compile(view_object.pivot_node_id)
+
+    def _compile(self, node_id: str) -> NodePlan:
+        view_object = self.view_object
+        schema = self.graph.relation(view_object.node(node_id).relation)
+        attributes = view_object.projection(node_id).attributes
+        edges = tuple(
+            (self._compile(child.node_id), compile_path(self.graph, child.path))
+            for child in view_object.tree.children(node_id)
+        )
+        return (
+            node_id,
+            attributes,
+            tuple_getter(schema.positions(attributes)),
+            edges,
+        )
 
     # -- public API ---------------------------------------------------------------
 
@@ -66,55 +150,19 @@ class Instantiator:
         instance, for example — can reuse the walk without a redundant
         key lookup.
         """
-        root = self._bind(engine, self.view_object.pivot_node_id, pivot_values)
-        return Instance(self.view_object, root)
+        return Instance(
+            self.view_object, _bind(engine, self._plan, pivot_values)
+        )
 
-    def _bind(
-        self, engine: Engine, node_id: str, base_values: Tuple[Any, ...]
-    ) -> ComponentTuple:
-        node = self.view_object.node(node_id)
-        schema = self.graph.relation(node.relation)
-        projection = self.view_object.projection(node_id)
-        values = {
-            name: value
-            for name, value in zip(
-                projection.attributes,
-                schema.project(base_values, projection.attributes),
-            )
-        }
-        children: Dict[str, List[ComponentTuple]] = {}
-        for child in self.view_object.tree.children(node_id):
-            bound = self._follow_path(engine, child.path, base_values)
-            children[child.node_id] = [
-                self._bind(engine, child.node_id, child_values)
-                for child_values in bound
-            ]
-        return ComponentTuple(node_id, values, children)
 
-    def _follow_path(
-        self,
-        engine: Engine,
-        path: ConnectionPath,
-        start_values: Tuple[Any, ...],
-    ) -> List[Tuple[Any, ...]]:
-        """All tuples at the end of ``path`` connected to ``start_values``.
-
-        Composite paths chain the per-connection matching; duplicates
-        (several routes to the same end tuple) collapse by key.
-        """
-        frontier = [start_values]
-        for traversal in path:
-            next_frontier: List[Tuple[Any, ...]] = []
-            seen = set()
-            end_schema = engine.schema(traversal.end)
-            for values in frontier:
-                for matched in connected_tuples(engine, traversal, values):
-                    key = end_schema.key_of(matched)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    next_frontier.append(matched)
-            frontier = next_frontier
-            if not frontier:
-                break
-        return frontier
+def _bind(engine: Engine, plan: NodePlan, base_values: Values) -> ComponentTuple:
+    node_id, attributes, values_of, edges = plan
+    children = {}
+    for child, steps in edges:
+        children[child[0]] = [
+            _bind(engine, child, child_values)
+            for child_values in follow_path(engine, steps, (base_values,))
+        ]
+    return ComponentTuple(
+        node_id, dict(zip(attributes, values_of(base_values))), children
+    )

@@ -10,7 +10,6 @@ from typing import List
 from repro.errors import QueryError
 
 from repro.core.instance import Instance
-from repro.core.instantiation import Instantiator
 from repro.core.query.ast import (
     QAnd,
     QAttr,
@@ -74,7 +73,7 @@ def execute_query(
     validate_against(statement.condition, view_object)
     plan = plan_query(statement.condition)
     if instantiator is None:
-        instantiator = Instantiator(view_object)
+        instantiator = view_object.instantiator
     instances = instantiator.where(engine, plan.pushed)
     if plan.residual is not None:
         instances = [i for i in instances if evaluate(plan.residual, i)]

@@ -27,7 +27,6 @@ from repro.errors import (
 )
 from repro.core.dependency_island import analyze_island
 from repro.core.instance import Instance, build_instance
-from repro.core.instantiation import Instantiator
 from repro.core.updates.bulk import BufferedEngine
 from repro.core.updates.compiled import CompiledCache, CompiledTranslator
 from repro.core.updates.context import TranslationContext
@@ -148,7 +147,8 @@ class Translator:
         self.journal = journal
         self.audit = audit
         self._policy_dict: Optional[Dict[str, Any]] = None
-        self._instantiator = Instantiator(view_object)
+        # Compiled here, at definition time, so no update or read pays it.
+        self._instantiator = view_object.instantiator
         self._checker = IntegrityChecker(view_object.graph)
         if compile_plans is None:
             compile_plans = COMPILE_PLANS_DEFAULT

@@ -51,6 +51,7 @@ class ViewObjectDefinition:
         self.updatable = updatable
         self.subgraph = subgraph
         self.maximal_tree = maximal_tree
+        self._instantiator = None
         self._validate()
 
     # -- Definition 3.1 / 3.2 --------------------------------------------------
@@ -88,6 +89,21 @@ class ViewObjectDefinition:
     def relations(self) -> Tuple[str, ...]:
         """d(ω): the distinct base relations the object draws from."""
         return self.tree.relations()
+
+    @property
+    def instantiator(self):
+        """The object's one :class:`~repro.core.instantiation.Instantiator`.
+
+        Its plan is compiled from this (immutable) definition on first
+        use and shared by every reader — facade reads, queries, the
+        translator and materialized views — so no read recompiles it.
+        """
+        if self._instantiator is None:
+            # Imported here: instantiation builds on this module.
+            from repro.core.instantiation import Instantiator
+
+            self._instantiator = Instantiator(self)
+        return self._instantiator
 
     # -- validation -----------------------------------------------------------------
 

@@ -3,59 +3,66 @@
 A view object's instance for pivot key ``k`` is assembled by walking the
 projection tree downward from the pivot tuple (Figure 4). Conversely, a
 changed base tuple can only alter the instances whose downward walk
-*reaches* it — so the affected pivot keys are found by walking the same
-connection paths in the opposite direction, from the changed tuple up to
-the pivot relation.
+*reaches* it — so the affected pivot keys are found by following the
+same connection paths in the opposite direction, from the changed tuple
+up to the pivot relation.
 
-:class:`DependencyIndex` precomputes, for every relation that appears
+:class:`DependencyIndex` compiles, for every relation that appears
 anywhere in the tree — including relations that only occur as pruned
 intermediates of composite edge paths (Figure 3's ``COURSES --* GRADES
 *-- STUDENT`` with GRADES elided) — the list of *anchors*: positions in
-the tree where a tuple of that relation can sit, each with the inverse
-connection path that climbs from it to the tree. Resolution then follows
-those inverse paths through the live engine, exactly mirroring
-instantiation's ``find_by`` joins, and projects the reached pivot tuples
-onto their keys.
+the tree where a tuple of that relation can sit, each with its climb to
+the pivot.
+
+Most climbs need no engine. Ownership and subset connections put the
+owner's key inside the owned tuple (X1 = K(R1), Definitions 2.2 and
+2.4), and a reference holds the referenced key (X2 = K(R2), Definition
+2.3): a climb step along any of them lands on the end relation's *key*,
+and when the next step starts from key attributes again the end tuple
+itself is never needed. For the whole dependency island (Definition
+5.1), and for a referencing tuple's way up to what it references, the
+pivot key is therefore a **projection of the changed tuple**, read off
+the changelog record by position. Only a step that fans out — from a
+referenced tuple to the tuples referencing it (a changed DEPARTMENT to
+its COURSES) — has to ask the engine; the climb is split into those
+leading engine steps and the projection that finishes it.
+
+The projection names the pivot the changed tuple *belongs under*,
+whether or not every owner in between still exists; the engine walk it
+replaced returned nothing once an intermediate owner was gone. The
+result is thus a superset of the walked one, equal whenever the walked
+tuples exist. That is sound — more invalidation never serves a stale
+instance — and unobservable: ``MaterializedView.evict`` and
+``reassemble`` are no-ops for keys that are not cached or no longer
+exist, and ``stats.invalidations`` counts only cached keys.
 
 The index is deliberately *not* a stored map from ``(relation, key)`` to
 pivot keys: a stored map cannot answer for freshly *inserted* tuples
-(they were never part of any cached instance), whereas the reverse walk
-handles inserts, deletes, and replaces uniformly from the tuple values
-carried by the changelog record.
+(they were never part of any cached instance), whereas the climb handles
+inserts, deletes, and replaces uniformly from the tuple values carried
+by the changelog record.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
+from repro.core.instantiation import Getter, Step, compile_path, follow_path
 from repro.core.view_object import ViewObjectDefinition
 from repro.relational.changelog import ChangeRecord
 from repro.relational.engine import Engine
-from repro.structural.integrity import connected_tuples
-from repro.structural.paths import ConnectionPath
+from repro.relational.schema import tuple_getter
+from repro.structural.connections import Traversal
+from repro.structural.schema_graph import StructuralSchema
 
 __all__ = ["DependencyIndex"]
 
 PivotKey = Tuple[Any, ...]
-
-
-class _Anchor:
-    """One place in the tree where a tuple of some relation can occur.
-
-    ``climb`` is the inverse path from the tuple to the relation of the
-    tree node ``node_id`` (``None`` when the tuple *is* at that node —
-    only the root anchor, whose tuples are already pivot tuples).
-    """
-
-    __slots__ = ("node_id", "climb")
-
-    def __init__(self, node_id: str, climb: Optional[ConnectionPath]) -> None:
-        self.node_id = node_id
-        self.climb = climb
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        via = "direct" if self.climb is None else self.climb.describe()
-        return f"_Anchor(at={self.node_id!r}, via {via})"
+# One place in the tree where a tuple of some relation can occur, as its
+# compiled climb: (engine steps to follow first, connecting values the
+# projection starts from — a null among them matches nothing —, pivot
+# key of a tuple those steps reached).
+Anchor = Tuple[Tuple[Step, ...], Getter, Getter]
 
 
 class DependencyIndex:
@@ -63,29 +70,31 @@ class DependencyIndex:
 
     def __init__(self, view_object: ViewObjectDefinition) -> None:
         self.view_object = view_object
+        graph = view_object.graph
         tree = view_object.tree
-        self._anchors: Dict[str, List[_Anchor]] = {}
-        # Inverse of each tree edge: child relation -> parent relation.
-        self._up_paths: Dict[str, ConnectionPath] = {}
-        root = tree.root
-        self._add_anchor(root.relation, _Anchor(root.node_id, None))
+        pivot = tree.root.relation
+        self._anchors: Dict[str, List[Anchor]] = {
+            pivot: [_compile_climb(graph, pivot, [])]
+        }
         for node in tree.nodes():
             if node.path is None:
                 continue
-            traversals = node.path.traversals
-            self._up_paths[node.node_id] = _inverse(traversals)
+            above = _inverse(
+                t
+                for n in tree.path_to_root(node.parent_id)
+                if n.path is not None
+                for t in reversed(n.path.traversals)
+            )
             # A tuple may sit at the end of any traversal prefix: the
             # final position is the node's own relation, earlier ones
-            # are pruned intermediates. Each climbs to the parent node.
+            # are pruned intermediates. Each climbs to the parent node
+            # and on to the root.
+            traversals = node.path.traversals
             for stop in range(1, len(traversals) + 1):
-                relation = traversals[stop - 1].end
-                self._add_anchor(
-                    relation,
-                    _Anchor(node.parent_id, _inverse(traversals[:stop])),
+                climb = _inverse(reversed(traversals[:stop])) + above
+                self._anchors.setdefault(traversals[stop - 1].end, []).append(
+                    _compile_climb(graph, pivot, climb)
                 )
-
-    def _add_anchor(self, relation: str, anchor: _Anchor) -> None:
-        self._anchors.setdefault(relation, []).append(anchor)
 
     @property
     def relations(self) -> Tuple[str, ...]:
@@ -114,54 +123,63 @@ class DependencyIndex:
     def pivots_for(
         self, engine: Engine, relation: str, values: Sequence[Any]
     ) -> Set[PivotKey]:
-        """Pivot keys reachable upward from one tuple of ``relation``."""
+        """Pivot keys reachable upward from one tuple of ``relation``.
+
+        A superset of what walking the engine all the way would reach:
+        see the module docstring. No engine read happens for a relation
+        whose every anchor climbs by projection.
+        """
         pivots: Set[PivotKey] = set()
-        for anchor in self._anchors.get(relation, ()):
-            frontier: List[Tuple[Any, ...]] = [tuple(values)]
-            if anchor.climb is not None:
-                frontier = _follow(engine, anchor.climb, frontier)
-            pivots |= self._climb_tree(engine, anchor.node_id, frontier)
+        for steps, entry_of, pivot_of in self._anchors.get(relation, ()):
+            for reached in follow_path(engine, steps, (values,)):
+                if None not in entry_of(reached):
+                    pivots.add(pivot_of(reached))
         return pivots
 
-    def _climb_tree(
-        self, engine: Engine, node_id: str, frontier: List[Tuple[Any, ...]]
-    ) -> Set[PivotKey]:
-        tree = self.view_object.tree
-        node = tree.node(node_id)
-        while frontier and not node.is_root:
-            frontier = _follow(engine, self._up_paths[node.node_id], frontier)
-            node = tree.node(node.parent_id)
-        if not frontier:
-            return set()
-        schema = self.view_object.graph.relation(node.relation)
-        return {schema.key_of(values) for values in frontier}
+
+def _inverse(traversals) -> List[Traversal]:
+    return [t.inverse() for t in traversals]
 
 
-def _inverse(traversals: Sequence) -> ConnectionPath:
-    return ConnectionPath([t.inverse() for t in reversed(tuple(traversals))])
+def _compile_climb(
+    graph: StructuralSchema, pivot: str, climb: Sequence[Traversal]
+) -> Anchor:
+    """Split a climb into engine steps and the projection finishing it.
 
-
-def _follow(
-    engine: Engine, path: ConnectionPath, starts: List[Tuple[Any, ...]]
-) -> List[Tuple[Any, ...]]:
-    """All tuples at the end of ``path`` connected to any start tuple.
-
-    Multi-source variant of instantiation's path walk; duplicates
-    collapse by key at every step so diamond routes stay linear.
+    The projection takes over at the longest suffix of ``climb`` in
+    which every step lands on its end relation's key and every step
+    after the first starts from key attributes: along it each end tuple
+    is determined, key and all, by the tuple the suffix starts from.
     """
-    frontier = starts
-    for traversal in path:
-        next_frontier: List[Tuple[Any, ...]] = []
-        seen = set()
-        end_schema = engine.schema(traversal.end)
-        for values in frontier:
-            for matched in connected_tuples(engine, traversal, values):
-                key = end_schema.key_of(matched)
-                if key in seen:
-                    continue
-                seen.add(key)
-                next_frontier.append(matched)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return frontier
+    split = len(climb)
+    while split and _lands_on_key(graph, climb[split - 1]) and (
+        split == len(climb) or _starts_from_key(graph, climb[split])
+    ):
+        split -= 1
+    projected = climb[split:]
+    start = graph.relation(projected[0].start if projected else pivot)
+    # Attribute of the relation the climb has reached -> where its value
+    # sits in the tuple the projection starts from.
+    source = {name: start.position(name) for name in start.attribute_names}
+    entry = None
+    for step in projected:
+        source = {
+            end: source[begin]
+            for begin, end in zip(step.start_attributes, step.end_attributes)
+        }
+        if entry is None:
+            entry = tuple(source.values())
+    key = tuple(source[name] for name in graph.relation(pivot).key)
+    return (
+        compile_path(graph, climb[:split]),
+        tuple_getter(entry or key),
+        tuple_getter(key),
+    )
+
+
+def _lands_on_key(graph: StructuralSchema, step: Traversal) -> bool:
+    return set(step.end_attributes) == set(graph.relation(step.end).key)
+
+
+def _starts_from_key(graph: StructuralSchema, step: Traversal) -> bool:
+    return set(step.start_attributes) <= set(graph.relation(step.start).key)

@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 import repro.obs as obs
 from repro.errors import ViewObjectError
 from repro.core.instance import Instance
-from repro.core.instantiation import Instantiator
 from repro.core.view_object import ViewObjectDefinition
 from repro.materialize.dependency import DependencyIndex
 from repro.materialize.maintainer import LAZY, Maintainer
@@ -61,7 +60,7 @@ class MaterializedView:
         # When an audit log is attached, the maintainer attributes each
         # maintenance round to the audit head ASN that triggered it.
         self.audit = audit
-        self.instantiator = Instantiator(view_object)
+        self.instantiator = view_object.instantiator
         self.dependencies = DependencyIndex(view_object)
         self.stats = CacheStats()
         self.maintainer = Maintainer(self, policy)

@@ -26,7 +26,6 @@ import repro.obs as obs
 from repro.errors import ViewObjectError
 from repro.core.information_metric import InformationMetric
 from repro.core.instance import Instance
-from repro.core.instantiation import Instantiator
 from repro.core.query import execute_query
 from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.translator import Translator
@@ -290,7 +289,7 @@ class Penguin:
                 if view is not None:
                     results = view.all()
                 else:
-                    results = Instantiator(view_object).all(self.engine)
+                    results = view_object.instantiator.all(self.engine)
             else:
                 results = execute_query(
                     view_object, self.engine, text, instantiator=view
@@ -308,7 +307,7 @@ class Penguin:
             if view is not None:
                 instance = view.get(key)
             else:
-                instance = Instantiator(self.object(name)).by_key(
+                instance = self.object(name).instantiator.by_key(
                     self.engine, key
                 )
             span.set(found=instance is not None)

@@ -8,12 +8,28 @@ connection definitions are phrased in terms of (Section 2 of the paper).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError, UnknownAttributeError
 from repro.relational.domains import Domain
 
-__all__ = ["Attribute", "RelationSchema"]
+__all__ = ["Attribute", "RelationSchema", "tuple_getter"]
+
+
+def tuple_getter(
+    positions: Sequence[int],
+) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
+    """A callable projecting a value tuple onto ``positions``.
+
+    The definition-time form of :meth:`RelationSchema.project`: plans
+    resolve names to positions once and keep the getter. Always returns
+    a tuple (``itemgetter`` alone yields a scalar for one position).
+    """
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda values: (values[position],)
+    return itemgetter(*positions)
 
 
 class Attribute:

@@ -46,6 +46,98 @@ def _quote(identifier: str) -> str:
     return '"' + identifier.replace('"', '""') + '"'
 
 
+class _RelationSql:
+    """Everything one relation's statements and rows need from its
+    schema, derived once: the point-operation templates, which columns
+    (and key parts) hold DATE or BOOLEAN values — the only ones sqlite
+    cannot store as they are — and the ``find_by`` statements seen so
+    far, keyed by (attribute names, null mask)."""
+
+    __slots__ = (
+        "insert",
+        "delete",
+        "replace",
+        "get",
+        "dates",
+        "booleans",
+        "key_dates",
+        "key_booleans",
+        "find_by",
+    )
+
+    def __init__(self, schema: RelationSchema) -> None:
+        name = _quote(schema.name)
+        placeholders = ", ".join("?" for _ in schema.attributes)
+        key_clause = " AND ".join(f"{_quote(k)} = ?" for k in schema.key)
+        assignments = ", ".join(
+            f"{_quote(a.name)} = ?" for a in schema.attributes
+        )
+        self.insert = f"INSERT INTO {name} VALUES ({placeholders})"
+        self.delete = f"DELETE FROM {name} WHERE {key_clause}"
+        self.replace = f"UPDATE {name} SET {assignments} WHERE {key_clause}"
+        self.get = f"SELECT * FROM {name} WHERE {key_clause}"
+        domains = [a.domain for a in schema.attributes]
+        self.dates = _positions_of(DATE, domains)
+        self.booleans = _positions_of(BOOLEAN, domains)
+        key_domains = schema.domains_of(schema.key)
+        self.key_dates = _positions_of(DATE, key_domains)
+        self.key_booleans = _positions_of(BOOLEAN, key_domains)
+        self.find_by: Dict[Any, Tuple[str, Tuple[int, ...], Tuple[int, ...]]] = {}
+
+    def encode(self, values: Sequence[Any]) -> Sequence[Any]:
+        return _to_sqlite(values, self.dates, self.booleans)
+
+    def encode_key(self, key: Sequence[Any]) -> Sequence[Any]:
+        return _to_sqlite(key, self.key_dates, self.key_booleans)
+
+    def decode(self, cursor) -> List[Tuple[Any, ...]]:
+        """The cursor's rows as Python values. sqlite already hands back
+        tuples, so a relation with no DATE/BOOLEAN column converts
+        nothing."""
+        rows = cursor.fetchall()
+        dates, booleans = self.dates, self.booleans
+        if not (dates or booleans):
+            return rows
+        fromisoformat = datetime.date.fromisoformat
+        decoded = []
+        for row in rows:
+            values = list(row)
+            for i in dates:
+                if values[i] is not None:
+                    values[i] = fromisoformat(values[i])
+            for i in booleans:
+                if values[i] is not None:
+                    values[i] = bool(values[i])
+            decoded.append(tuple(values))
+        return decoded
+
+
+def _positions_of(domain, domains: Sequence) -> Tuple[int, ...]:
+    return tuple(i for i, d in enumerate(domains) if d == domain)
+
+
+def _to_sqlite(
+    values: Sequence[Any], dates: Sequence[int], booleans: Sequence[int]
+) -> Sequence[Any]:
+    """``values`` with the DATE positions as ISO text and the BOOLEAN
+    positions as 0/1 (nulls stay null); untouched when there are none."""
+    if not (dates or booleans):
+        return values
+    encoded = list(values)
+    for i in dates:
+        value = encoded[i]
+        if value is not None:
+            # Narrow datetimes defensively: a time suffix in the stored
+            # text would break date.fromisoformat on decode.
+            if isinstance(value, datetime.datetime):
+                value = value.date()
+            encoded[i] = value.isoformat()
+    for i in booleans:
+        if encoded[i] is not None:
+            encoded[i] = int(encoded[i])
+    return tuple(encoded)
+
+
 class SqliteEngine(Engine):
     """Engine storing relations as sqlite tables.
 
@@ -67,12 +159,12 @@ class SqliteEngine(Engine):
         # align sqlite with it for cross-backend parity.
         self._execute("PRAGMA case_sensitive_like = ON")
         self._schemas: Dict[str, RelationSchema] = {}
-        # Per-relation prepared statement templates (insert / delete /
-        # replace / get), built lazily on first use or eagerly through
-        # prepare_relation(). sqlite3 keeps a compiled-statement cache
-        # keyed by SQL text, so handing it byte-identical strings lets
-        # every point operation skip re-deriving the SQL from the schema.
-        self._sql_cache: Dict[str, Dict[str, str]] = {}
+        # Per-relation statement templates and row codec, built lazily
+        # on first use or eagerly through prepare_relation(). sqlite3
+        # keeps a compiled-statement cache keyed by SQL text, so handing
+        # it byte-identical strings lets every operation skip
+        # re-deriving the SQL — and the conversions — from the schema.
+        self._sql_cache: Dict[str, _RelationSql] = {}
         self._savepoint_depth = 0
         self._savepoint_marks: List[int] = []
         self._log = ChangeLog()
@@ -103,54 +195,6 @@ class SqliteEngine(Engine):
             return TransientEngineError(str(exc))
         return exc
 
-    # -- value conversion ----------------------------------------------------
-
-    @staticmethod
-    def _encode(schema: RelationSchema, values: Sequence[Any]) -> Tuple[Any, ...]:
-        encoded = []
-        for attr, value in zip(schema.attributes, values):
-            if value is None:
-                encoded.append(None)
-            elif attr.domain == DATE:
-                # Narrow datetimes defensively: a time suffix in the
-                # stored text would break date.fromisoformat on decode.
-                if isinstance(value, datetime.datetime):
-                    value = value.date()
-                encoded.append(value.isoformat())
-            elif attr.domain == BOOLEAN:
-                encoded.append(int(value))
-            else:
-                encoded.append(value)
-        return tuple(encoded)
-
-    @staticmethod
-    def _decode(schema: RelationSchema, values: Sequence[Any]) -> Tuple[Any, ...]:
-        decoded = []
-        for attr, value in zip(schema.attributes, values):
-            if value is None:
-                decoded.append(None)
-            elif attr.domain == DATE:
-                decoded.append(datetime.date.fromisoformat(value))
-            elif attr.domain == BOOLEAN:
-                decoded.append(bool(value))
-            else:
-                decoded.append(value)
-        return tuple(decoded)
-
-    def _encode_key(self, schema: RelationSchema, key: Sequence[Any]) -> Tuple[Any, ...]:
-        encoded = []
-        for name, value in zip(schema.key, key):
-            domain = schema.attribute(name).domain
-            if domain == DATE and value is not None:
-                if isinstance(value, datetime.datetime):
-                    value = value.date()
-                encoded.append(value.isoformat())
-            elif domain == BOOLEAN and value is not None:
-                encoded.append(int(value))
-            else:
-                encoded.append(value)
-        return tuple(encoded)
-
     # -- catalog -----------------------------------------------------------------
 
     def create_relation(self, schema: RelationSchema) -> None:
@@ -173,7 +217,8 @@ class SqliteEngine(Engine):
         self._schema_for(name)
         self._execute(f"DROP TABLE {_quote(name)}")
         del self._schemas[name]
-        # A later relation of the same name may have a different shape.
+        # A later relation of the same name may have a different shape:
+        # its templates, codec and find_by statements all go.
         self._sql_cache.pop(name, None)
 
     def relation_names(self) -> Tuple[str, ...]:
@@ -193,45 +238,23 @@ class SqliteEngine(Engine):
 
     # -- mutation ----------------------------------------------------------------
 
-    def _statements(self, name: str, schema: RelationSchema) -> Dict[str, str]:
-        """The relation's prepared statement templates, built once."""
-        statements = self._sql_cache.get(name)
-        if statements is None:
-            placeholders = ", ".join("?" for _ in schema.attributes)
-            key_clause = " AND ".join(
-                f"{_quote(k)} = ?" for k in schema.key
-            )
-            assignments = ", ".join(
-                f"{_quote(a.name)} = ?" for a in schema.attributes
-            )
-            statements = self._sql_cache[name] = {
-                "insert": (
-                    f"INSERT INTO {_quote(name)} VALUES ({placeholders})"
-                ),
-                "delete": (
-                    f"DELETE FROM {_quote(name)} WHERE {key_clause}"
-                ),
-                "replace": (
-                    f"UPDATE {_quote(name)} SET {assignments} "
-                    f"WHERE {key_clause}"
-                ),
-                "get": (
-                    f"SELECT * FROM {_quote(name)} WHERE {key_clause}"
-                ),
-            }
-        return statements
+    def _sql(self, schema: RelationSchema) -> _RelationSql:
+        """The relation's statements and codec, built once."""
+        sql = self._sql_cache.get(schema.name)
+        if sql is None:
+            sql = self._sql_cache[schema.name] = _RelationSql(schema)
+        return sql
 
     def prepare_relation(self, name: str) -> None:
-        """Eagerly build the relation's statement templates.
+        """Eagerly build the relation's statement templates and codec.
 
         Called by the compiled translator's ``prepare_engine`` so the
         first update after definition time pays no SQL-building cost;
-        statements are otherwise built lazily on first use.
+        they are otherwise built lazily on first use. (``find_by``
+        statements depend on the attributes asked for and are kept as
+        they are first seen.)
         """
-        self._statements(name, self._schema_for(name))
-
-    def _insert_sql(self, name: str, schema: RelationSchema) -> str:
-        return self._statements(name, schema)["insert"]
+        self._sql(self._schema_for(name))
 
     @staticmethod
     def _map_integrity_error(
@@ -256,9 +279,9 @@ class SqliteEngine(Engine):
     def insert(self, name: str, values: ValuesLike) -> Tuple[Any, ...]:
         schema = self._schema_for(name)
         row = self._coerce_values(name, values)
-        sql = self._insert_sql(name, schema)
+        sql = self._sql(schema)
         try:
-            self._execute(sql, self._encode(schema, row))
+            self._execute(sql.insert, sql.encode(row))
         except sqlite3.IntegrityError as exc:
             raise self._map_integrity_error(
                 name, exc, schema.key_of(row)
@@ -278,15 +301,17 @@ class SqliteEngine(Engine):
         """
         schema = self._schema_for(name)
         coerced = [self._coerce_values(name, values) for values in rows]
-        sql = self._insert_sql(name, schema)
-        encoded = [self._encode(schema, row) for row in coerced]
+        sql = self._sql(schema)
+        encoded = coerced
+        if sql.dates or sql.booleans:
+            encoded = [sql.encode(row) for row in coerced]
 
         def attempt() -> List[Tuple[Any, ...]]:
             # Statement-level retry: a transient failure (busy/locked)
             # rolls the savepoint back and re-runs the whole batch.
             self.begin()
             try:
-                self._executemany(sql, encoded)
+                self._executemany(sql.insert, encoded)
             except sqlite3.IntegrityError as exc:
                 self.rollback()
                 raise self._map_integrity_error(
@@ -365,8 +390,8 @@ class SqliteEngine(Engine):
         old = self.get(name, key)
         if old is None:
             raise NoSuchRowError(name, tuple(key))
-        sql = self._statements(name, schema)["delete"]
-        cursor = self._execute(sql, self._encode_key(schema, key))
+        sql = self._sql(schema)
+        cursor = self._execute(sql.delete, sql.encode_key(key))
         if cursor.rowcount == 0:
             raise NoSuchRowError(name, tuple(key))
         self._log.record_delete(name, tuple(key), old)
@@ -383,9 +408,9 @@ class SqliteEngine(Engine):
         new_key = schema.key_of(row)
         if tuple(key) != new_key and self.contains(name, new_key):
             raise DuplicateKeyError(name, new_key)
-        sql = self._statements(name, schema)["replace"]
-        params = self._encode(schema, row) + self._encode_key(schema, key)
-        cursor = self._execute(sql, params)
+        sql = self._sql(schema)
+        params = sql.encode(row) + sql.encode_key(key)
+        cursor = self._execute(sql.replace, params)
         if cursor.rowcount == 0:
             raise NoSuchRowError(name, tuple(key))
         self._log.record_replace(name, tuple(key), old, row)
@@ -400,13 +425,9 @@ class SqliteEngine(Engine):
     # -- reads ---------------------------------------------------------------------
 
     def get(self, name: str, key: Sequence[Any]) -> Optional[Tuple[Any, ...]]:
-        schema = self._schema_for(name)
-        sql = self._statements(name, schema)["get"]
-        cursor = self._execute(sql, self._encode_key(schema, key))
-        row = cursor.fetchone()
-        if row is None:
-            return None
-        return self._decode(schema, row)
+        sql = self._sql(self._schema_for(name))
+        rows = sql.decode(self._execute(sql.get, sql.encode_key(key)))
+        return rows[0] if rows else None
 
     def get_many(
         self, name: str, keys: Iterable[Sequence[Any]]
@@ -421,52 +442,70 @@ class SqliteEngine(Engine):
         if len(schema.key) != 1:
             return super().get_many(name, key_list)
         found: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+        sql = self._sql(schema)
         column = _quote(schema.key[0])
         chunk_size = 500  # stay well under sqlite's host-parameter limit
         for start in range(0, len(key_list), chunk_size):
             chunk = key_list[start:start + chunk_size]
             placeholders = ", ".join("?" for _ in chunk)
-            sql = (
+            statement = (
                 f"SELECT * FROM {_quote(name)} "
                 f"WHERE {column} IN ({placeholders})"
             )
-            params = [self._encode_key(schema, key)[0] for key in chunk]
-            for raw in self._execute(sql, params).fetchall():
-                row = self._decode(schema, raw)
+            params = [sql.encode_key(key)[0] for key in chunk]
+            for row in sql.decode(self._execute(statement, params)):
                 found[schema.key_of(row)] = row
         return found
 
     def scan(self, name: str) -> Iterator[Tuple[Any, ...]]:
-        schema = self._schema_for(name)  # eager: unknown names raise here
+        sql = self._sql(self._schema_for(name))  # unknown names raise here
         cursor = self._execute(f"SELECT * FROM {_quote(name)}")
-        return iter([self._decode(schema, row) for row in cursor.fetchall()])
+        return iter(sql.decode(cursor))
 
     def find_by(
         self, name: str, attribute_names: Sequence[str], entry: Sequence[Any]
     ) -> List[Tuple[Any, ...]]:
         schema = self._schema_for(name)
-        entry = self._coerce_entry(name, attribute_names, entry)
+        sql = self._sql(schema)
+        names = tuple(attribute_names)
+        # The statement depends on which attributes are asked for and
+        # which of the values are null (IS NULL takes no parameter);
+        # _to_sqlite narrows datetimes where the attribute is a DATE.
+        nulls = tuple(v is None for v in entry) if None in entry else None
+        found = sql.find_by.get((names, nulls))
+        if found is None:
+            found = sql.find_by[(names, nulls)] = self._find_by_statement(
+                schema, names, entry
+            )
+        statement, dates, booleans = found
+        params = entry if nulls is None else [v for v in entry if v is not None]
+        cursor = self._execute(statement, _to_sqlite(params, dates, booleans))
+        return sql.decode(cursor)
+
+    @staticmethod
+    def _find_by_statement(
+        schema: RelationSchema, names: Sequence[str], entry: Sequence[Any]
+    ) -> Tuple[str, Tuple[int, ...], Tuple[int, ...]]:
+        """SQL text for one (attributes, null mask), with the positions
+        of its DATE and BOOLEAN parameters."""
         conditions = []
-        params: List[Any] = []
-        for attr_name, value in zip(attribute_names, entry):
+        domains = []
+        for attr_name, value in zip(names, entry):
             domain = schema.attribute(attr_name).domain
             if value is None:
                 conditions.append(f"{_quote(attr_name)} IS NULL")
             else:
                 conditions.append(f"{_quote(attr_name)} = ?")
-                if domain == DATE:
-                    params.append(value.isoformat())
-                elif domain == BOOLEAN:
-                    params.append(int(value))
-                else:
-                    params.append(value)
+                domains.append(domain)
         where = " AND ".join(conditions) if conditions else "1 = 1"
-        sql = f"SELECT * FROM {_quote(name)} WHERE {where}"
-        cursor = self._execute(sql, params)
-        return [self._decode(schema, row) for row in cursor.fetchall()]
+        return (
+            f"SELECT * FROM {_quote(schema.name)} WHERE {where}",
+            _positions_of(DATE, domains),
+            _positions_of(BOOLEAN, domains),
+        )
 
     def select(self, name: str, predicate: Expression) -> List[Tuple[Any, ...]]:
-        schema = self._schema_for(name)
+        sql = self._sql(self._schema_for(name))
         fragment, params = predicate.to_sql()
         # DATE/BOOLEAN parameters need encoding for comparison in SQL;
         # datetimes narrow to dates so they compare against stored text.
@@ -478,9 +517,10 @@ class SqliteEngine(Engine):
             else p
             for p in params
         ]
-        sql = f"SELECT * FROM {_quote(name)} WHERE {fragment}"
-        cursor = self._execute(sql, encoded_params)
-        return [self._decode(schema, row) for row in cursor.fetchall()]
+        cursor = self._execute(
+            f"SELECT * FROM {_quote(name)} WHERE {fragment}", encoded_params
+        )
+        return sql.decode(cursor)
 
     def count(self, name: str) -> int:
         self._schema_for(name)

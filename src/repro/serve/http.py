@@ -497,10 +497,17 @@ class PenguinServer:
                 method, target = request_line
                 ctx = self._trace_context(headers)
                 request_id = ctx.request_id
-                length = int(headers.get("content-length", "0") or "0")
-                if length > MAX_BODY_BYTES:
+                length = _content_length(headers)
+                if length is None or length > MAX_BODY_BYTES:
+                    # Without a usable length the rest of the stream
+                    # cannot be framed: answer and close.
+                    error = (
+                        "malformed Content-Length"
+                        if length is None
+                        else "body too large"
+                    )
                     await self._respond(
-                        writer, 400, {"error": "body too large"},
+                        writer, 400, {"error": error},
                         close=True, request_id=request_id, trace=ctx,
                     )
                     break
@@ -817,14 +824,19 @@ class PenguinServer:
         deadline: Optional[_Deadline] = None,
     ) -> Dict[str, Any]:
         text = self._query_text(query_string)
-        served: ServedRead = await self._run(
-            lambda: self.session.query_served(name, text), deadline
-        )
-        return {
-            "instances": [instance.to_dict() for instance in served.value],
-            "count": len(served.value),
-            "meta": served.meta(),
-        }
+
+        def read() -> Dict[str, Any]:
+            # Rendered in the same executor call as the read: a large
+            # result must not hold the event loop (and every other
+            # connection) while it is turned into dictionaries.
+            served: ServedRead = self.session.query_served(name, text)
+            return {
+                "instances": [i.to_dict() for i in served.value],
+                "count": len(served.value),
+                "meta": served.meta(),
+            }
+
+        return await self._run(read, deadline)
 
     async def _get(
         self,
@@ -832,12 +844,17 @@ class PenguinServer:
         key: Tuple[Any, ...],
         deadline: Optional[_Deadline] = None,
     ) -> Dict[str, Any]:
-        served: ServedRead = await self._run(
-            lambda: self.session.get_served(name, key), deadline
-        )
-        if served.value is None:
+
+        def read() -> Optional[Dict[str, Any]]:
+            served: ServedRead = self.session.get_served(name, key)
+            if served.value is None:
+                return None
+            return {"instance": served.value.to_dict(), "meta": served.meta()}
+
+        payload = await self._run(read, deadline)
+        if payload is None:
             raise _HttpError(404, f"no instance {key!r} of {name!r}")
-        return {"instance": served.value.to_dict(), "meta": served.meta()}
+        return payload
 
     @staticmethod
     def _query_text(query_string: str) -> Optional[str]:
@@ -940,6 +957,21 @@ def _consume_result(future: "asyncio.Future") -> None:
     """Retrieve an abandoned write future's outcome (silences warnings)."""
     if not future.cancelled():
         future.exception()
+
+
+def _content_length(headers: Dict[str, str]) -> Optional[int]:
+    """The request's body length; ``None`` when the header is malformed.
+
+    Only plain decimal digits count (``int`` would also take ``-5``,
+    ``+5`` or ``1_0``, and ``readexactly`` rejects a negative length
+    with ``ValueError``); an absent or empty header means no body.
+    """
+    raw = headers.get("content-length", "")
+    if not raw:
+        return 0
+    if not (raw.isascii() and raw.isdigit()):
+        return None
+    return int(raw)
 
 
 _HEX = set("0123456789abcdefABCDEF")

@@ -119,3 +119,35 @@ class TestHospitalDepth:
             for diagnosis in visit.child_tuples("DIAGNOSIS"):
                 assert diagnosis["visit_no"] == visit["visit_no"]
                 assert diagnosis["patient_id"] == 100
+
+
+class TestOneInstantiatorPerObject:
+    """The plan is compiled once per definition and shared by every
+    reader; a per-read compile cost durable-write +9 % read p50 when the
+    prototype tried it (ISSUE 13)."""
+
+    def test_accessor_returns_the_same_instantiator(self, omega):
+        assert omega.instantiator is omega.instantiator
+        assert omega.instantiator.view_object is omega
+
+    def test_every_reader_shares_it(self, omega, university_engine, monkeypatch):
+        from repro.core.updates.translator import Translator
+        from repro.materialize.store import MaterializedView
+        from repro.penguin import Penguin
+
+        shared = omega.instantiator
+        penguin = Penguin(omega.graph, engine=university_engine, install=False)
+        penguin.register_object(omega)
+        # Any further compile would be a second plan.
+        monkeypatch.setattr(
+            Instantiator, "__init__",
+            lambda *a, **k: pytest.fail("compiled a second plan"),
+        )
+        course_id = next(iter(university_engine.scan("COURSES")))[0]
+        assert penguin.get(omega.name, (course_id,)) is not None
+        assert penguin.query(omega.name)
+        assert penguin.query(omega.name, "units > 0")
+        assert Translator(omega).instantiate(university_engine, (course_id,))
+        view = MaterializedView(omega, university_engine)
+        assert view.instantiator is shared
+        view.close()

@@ -1,0 +1,292 @@
+"""The compiled read path against the readable Figure-4 walks.
+
+``src/`` compiles instantiation into a plan of tuple positions and the
+materialized view's dependency climb into a projection of the changed
+tuple. ``tests/reference_walk.py`` keeps the walks they replaced. Over
+seeded random members of the chain family — plain and ``adversarial=``
+(shared peninsula, circuit), each as three view objects including one
+whose intermediates are pruned into composite multi-connection paths —
+these properties hold:
+
+* the compiled instance ``==`` the reference instance, on the memory
+  engine, on sqlite, and on a ``BufferedEngine`` with pending writes;
+* for every changelog record of a random write sequence the projected
+  pivots contain every pivot whose instance really held the tuple, and
+  contain the walked pivots; while every tuple has its owners the two
+  are equal;
+* a materialized view equals recomputation after ``sync`` under every
+  maintenance policy.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.projection import Projection
+from repro.core.tree_builder import prune_tree
+from repro.core.updates.bulk import BufferedEngine
+from repro.core.view_object import ViewObjectDefinition
+from repro.materialize import POLICIES
+from repro.materialize.dependency import DependencyIndex
+from repro.materialize.store import MaterializedView
+from repro.relational.domains import INTEGER, TEXT
+from repro.structural.integrity import IntegrityChecker, connected_tuples
+from repro.workloads.synthetic import random_chain_case
+from tests.conftest import make_engine
+from tests.reference_walk import ReferenceDependencyIndex, ReferenceInstantiator
+
+OPS = ("insert", "delete", "touch", "move", "nullify")
+
+cases = st.tuples(st.integers(min_value=0, max_value=5000), st.booleans())
+write_sequences = st.lists(
+    st.tuples(
+        st.sampled_from(OPS),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=40),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def view_objects(spanning):
+    """Three view objects over one chain case.
+
+    ``spanning`` is the generator's own object (with a circuit it
+    already reaches R2 through a pruned copy of R1); ``everything``
+    keeps every node of the maximal tree, so SHARER hangs under the
+    shared PENINSULA and the circuit's second route to R1 is a node of
+    its own; ``pruned`` keeps only the pivot and the leaves, so every
+    intermediate relation sits inside a composite path.
+    """
+    graph, maximal = spanning.graph, spanning.maximal_tree
+    pivot = maximal.root.relation
+
+    def over(name, keep):
+        tree = prune_tree(maximal, keep)
+        projections = {
+            node.node_id: Projection(
+                node.relation, graph.relation(node.relation).attribute_names
+            )
+            for node in tree.nodes()
+        }
+        return ViewObjectDefinition(name, graph, tree, projections)
+
+    # Definition 3.2: only the pivot's projection may sit on the pivot
+    # relation, so a circuit's copies of it stay out.
+    eligible = [
+        n.node_id for n in maximal.nodes() if n.is_root or n.relation != pivot
+    ]
+    leaves = [
+        n.node_id
+        for n in maximal.leaves()
+        if n.node_id in eligible and not n.is_root
+    ]
+    return [
+        spanning,
+        over("everything", eligible),
+        over("pruned", [maximal.root_id] + leaves),
+    ]
+
+
+def apply_op(engine, op, a, b, c, counter):
+    """One single-tuple write on some relation, chosen by index.
+
+    Schema-generic on purpose: ``move`` overwrites any integer
+    attribute, so it re-keys, re-parents and re-references; ``delete``
+    takes any tuple, leaf or not, so owners disappear from under their
+    tuples; ``nullify`` leaves composite references partially null. The
+    read path must agree with its oracle on whatever state results.
+    """
+    names = sorted(engine.relation_names())
+    name = names[a % len(names)]
+    schema = engine.schema(name)
+    rows = sorted(engine.scan(name), key=repr)
+    if not rows:
+        return
+    row = rows[b % len(rows)]
+    key = schema.key_of(row)
+    new = list(row)
+    if op == "delete":
+        engine.delete(name, key)
+        return
+    if op == "insert":
+        new[schema.position(schema.key[-1])] = 100 + counter
+        engine.insert(name, new)
+        return
+    if op == "touch":
+        candidates = [
+            i for i, attr in enumerate(schema.attributes)
+            if attr.domain == TEXT and attr.name not in schema.key
+        ]
+        value = f"touched-{counter}"
+    elif op == "move":
+        candidates = [
+            i for i, attr in enumerate(schema.attributes)
+            if attr.domain == INTEGER
+        ]
+        value = c % 4
+    else:  # nullify
+        candidates = [
+            i for i, attr in enumerate(schema.attributes) if attr.nullable
+        ]
+        value = None
+    if not candidates:
+        return
+    new[candidates[c % len(candidates)]] = value
+    new_key = schema.key_of(new)
+    if tuple(new) == row or (new_key != key and engine.contains(name, new_key)):
+        return
+    engine.replace(name, key, new)
+
+
+# -- instantiation ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["memory", "sqlite", "buffered"])
+@settings(max_examples=20, deadline=None)
+@given(case=cases, writes=write_sequences)
+def test_compiled_instance_equals_reference_instance(kind, case, writes):
+    seed, adversarial = case
+    engine = make_engine("sqlite" if kind == "buffered" else kind)
+    _, spanning, _ = random_chain_case(engine, seed, adversarial=adversarial)
+    if kind == "buffered":
+        engine = BufferedEngine(engine)  # the writes stay pending
+    for counter, (op, a, b, c) in enumerate(writes):
+        apply_op(engine, op, a, b, c, counter)
+    for view_object in view_objects(spanning):
+        compiled = view_object.instantiator
+        reference = ReferenceInstantiator(view_object)
+        # == on instances is exact: values, nesting and sibling order.
+        assert compiled.all(engine) == reference.all(engine)
+        for values in engine.scan(view_object.pivot_relation):
+            key = engine.schema(view_object.pivot_relation).key_of(values)
+            assert compiled.by_key(engine, key) == reference.by_key(engine, key)
+        assert compiled.by_key(engine, (-1,)) is None
+
+
+# -- dependency climb ---------------------------------------------------------
+
+
+def held_tuples(engine, view_object):
+    """pivot key -> every (relation, key) its downward walk passes
+    through, pruned intermediates included: by definition the tuples
+    whose change can alter that instance."""
+    tree = view_object.tree
+    pivot = view_object.pivot_relation
+    held = {}
+
+    def walk(node_id, values, into):
+        for child in tree.children(node_id):
+            frontier = [values]
+            for traversal in child.path:
+                schema = engine.schema(traversal.end)
+                reached = []
+                for start in frontier:
+                    for matched in connected_tuples(engine, traversal, start):
+                        into.add((traversal.end, schema.key_of(matched)))
+                        reached.append(matched)
+                frontier = reached
+            for reached in frontier:
+                walk(child.node_id, reached, into)
+
+    for values in engine.scan(pivot):
+        key = engine.schema(pivot).key_of(values)
+        held[key] = {(pivot, key)}
+        walk(tree.root_id, values, held[key])
+    return held
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@settings(max_examples=20, deadline=None)
+@given(case=cases, writes=write_sequences)
+def test_projected_pivots_cover_walked_and_held(backend, case, writes):
+    seed, adversarial = case
+    engine = make_engine(backend)
+    graph, spanning, _ = random_chain_case(engine, seed, adversarial=adversarial)
+    checker = IntegrityChecker(graph)
+    objects = view_objects(spanning)
+    compiled = [DependencyIndex(v) for v in objects]
+    walked = [ReferenceDependencyIndex(v) for v in objects]
+    log = engine.changelog
+    for counter, (op, a, b, c) in enumerate(writes):
+        mark = len(log)
+        before = [held_tuples(engine, v) for v in objects]
+        owners_exist = checker.is_consistent(engine)
+        apply_op(engine, op, a, b, c, counter)
+        after = [held_tuples(engine, v) for v in objects]
+        owners_exist = owners_exist and checker.is_consistent(engine)
+        for record in log.since(mark):
+            schema = engine.schema(record.relation)
+            for n, (index, reference) in enumerate(zip(compiled, walked)):
+                assert index.tracks(record.relation) == reference.tracks(
+                    record.relation
+                )
+                for values, held in (
+                    (record.old_values, before[n]),
+                    (record.new_values, after[n]),
+                ):
+                    if values is None:
+                        continue
+                    tuple_id = (record.relation, schema.key_of(values))
+                    projected = index.pivots_for(engine, record.relation, values)
+                    assert projected >= {
+                        pivot for pivot, tuples in held.items()
+                        if tuple_id in tuples
+                    }
+                    climbed = reference.pivots_for(
+                        engine, record.relation, values
+                    )
+                    if owners_exist:
+                        assert projected == climbed
+                    else:
+                        # An owner is gone somewhere: the walk may stop
+                        # short of a pivot the projection still names.
+                        assert projected >= climbed
+                assert index.affected_pivots(engine, record) >= (
+                    reference.affected_pivots(engine, record)
+                )
+
+
+# -- cache maintenance --------------------------------------------------------
+
+
+def canonical(instances):
+    """Order-insensitive (extensional) form of an instance list; values
+    may be null, so siblings sort by their rendering."""
+
+    def freeze(value):
+        if isinstance(value, dict):
+            return tuple(sorted((k, freeze(v)) for k, v in value.items()))
+        if isinstance(value, list):
+            return tuple(sorted((freeze(v) for v in value), key=repr))
+        return value
+
+    return {instance.key: freeze(instance.to_dict()) for instance in instances}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=15, deadline=None)
+@given(case=cases, writes=write_sequences)
+def test_cache_equals_recompute_after_sync(policy, case, writes):
+    seed, adversarial = case
+    engine = make_engine("memory")
+    _, spanning, _ = random_chain_case(engine, seed, adversarial=adversarial)
+    views = [
+        MaterializedView(view_object, engine, policy)
+        for view_object in view_objects(spanning)
+    ]
+    for view in views:
+        view.all()  # warm the cache before the stream
+    for counter, (op, a, b, c) in enumerate(writes):
+        apply_op(engine, op, a, b, c, counter)
+        if counter % 2 == 0:  # maintenance must also run mid-stream
+            for view in views:
+                view.get((a % 4,))
+    for view in views:
+        view.sync()
+        assert canonical(view.all()) == canonical(
+            ReferenceInstantiator(view.view_object).all(engine)
+        )
+        assert view.staleness() == 0

@@ -1,7 +1,8 @@
 """Engine contract: every engine implementation must behave identically.
 
-Every test here runs against four engines — the in-memory engine, the
-sqlite backend, the ``BufferedEngine`` overlay, and a no-fault
+Every test here runs against five engines — the in-memory engine, the
+sqlite backend (statements built lazily, and eagerly through
+``prepare_relation``), the ``BufferedEngine`` overlay, and a no-fault
 ``FaultInjectingEngine`` wrapper — pinning down the behaviour the
 upper layers rely on.  The overlay engine deliberately refuses DDL and
 rollback (it defers both to its base); those tests skip it with the
@@ -55,6 +56,25 @@ def engine(request):
     if kind == "buffered":
         return BufferedEngine(base)
     return FaultInjectingEngine(base, FaultPlan())  # no rules: passthrough
+
+
+# A DATE inside a composite key: key lookups must convert it too.
+DATED_SCHEMA = (
+    relation("E")
+    .date("day")
+    .integer("seq")
+    .boolean("open", nullable=True)
+    .text("note", nullable=True)
+    .key("day", "seq")
+    .build()
+)
+
+
+def create(engine, schema):
+    """Create a relation through the engine, or under an overlay (which
+    defers DDL to its base by design)."""
+    target = engine.base if isinstance(engine, BufferedEngine) else engine
+    target.create_relation(schema)
 
 
 def skip_if_overlay(engine, capability):
@@ -152,6 +172,68 @@ class TestValueRoundTrip:
         assert engine.get("T", ("a",)) == ("a", None, None, None)
 
 
+    def test_null_date_and_boolean_cells_round_trip(self, engine):
+        """Nulls in converted columns stay null, in the same row as
+        converted non-null cells, through get, scan and find_by."""
+        day = datetime.date(1991, 5, 29)
+        rows = [
+            ("a", 1, None, day),
+            ("b", 2, False, None),
+            ("c", 3, None, None),
+        ]
+        for row in rows:
+            engine.insert("T", row)
+        assert [engine.get("T", (r[0],)) for r in rows] == rows
+        assert sorted(engine.scan("T")) == rows
+        assert engine.find_by("T", ("k",), ("b",)) == [rows[1]]
+        assert type(engine.get("T", ("b",))[2]) is bool
+
+    def test_datetime_narrows_to_date_on_write(self, engine):
+        stamp = datetime.datetime(1991, 5, 29, 13, 45)
+        engine.insert("T", ("a", None, None, stamp))
+        stored = engine.get("T", ("a",))[3]
+        assert stored == datetime.date(1991, 5, 29)
+        assert type(stored) is datetime.date
+
+
+class TestDateKey:
+    """``get`` / ``delete`` / ``replace`` address rows by a key holding a
+    DATE (stored as text by sqlite)."""
+
+    DAY = datetime.date(1991, 5, 29)
+
+    def test_get_by_date_key(self, engine):
+        create(engine, DATED_SCHEMA)
+        engine.insert("E", (self.DAY, 1, True, "x"))
+        engine.insert("E", (self.DAY, 2, None, None))
+        assert engine.get("E", (self.DAY, 1)) == (self.DAY, 1, True, "x")
+        assert engine.get("E", (self.DAY, 2)) == (self.DAY, 2, None, None)
+        assert engine.get("E", (datetime.date(1991, 5, 30), 1)) is None
+        assert engine.contains("E", (self.DAY, 2))
+
+    def test_get_by_datetime_narrowed_key(self, engine):
+        create(engine, DATED_SCHEMA)
+        engine.insert("E", (self.DAY, 1, False, None))
+        stamp = datetime.datetime(1991, 5, 29, 8, 0)
+        assert engine.get("E", (stamp, 1)) == (self.DAY, 1, False, None)
+
+    def test_replace_and_delete_by_date_key(self, engine):
+        create(engine, DATED_SCHEMA)
+        engine.insert("E", (self.DAY, 1, True, "x"))
+        moved = datetime.date(1992, 1, 1)
+        engine.replace("E", (self.DAY, 1), (moved, 1, False, "y"))
+        assert engine.get("E", (self.DAY, 1)) is None
+        assert engine.get("E", (moved, 1)) == (moved, 1, False, "y")
+        engine.delete("E", (moved, 1))
+        assert engine.count("E") == 0
+
+    def test_get_many_by_date_key(self, engine):
+        create(engine, DATED_SCHEMA)
+        engine.insert("E", (self.DAY, 1, True, None))
+        found = engine.get_many("E", [(self.DAY, 1), (self.DAY, 9)])
+        assert found == {(self.DAY, 1): (self.DAY, 1, True, None)}
+
+
 class TestReads:
     def test_scan(self, engine):
         engine.insert("T", ("a", 1, None, None))
@@ -168,6 +250,51 @@ class TestReads:
         engine.insert("T", ("a", None, None, None))
         engine.insert("T", ("b", 1, None, None))
         assert len(engine.find_by("T", ("n",), (None,))) == 1
+
+    def test_find_by_converted_entries(self, engine):
+        """DATE, ``datetime``-narrowed, BOOLEAN and NULL entries, alone
+        and mixed; asked twice, so a statement kept from the first call
+        answers the second."""
+        day = datetime.date(1991, 5, 29)
+        other = datetime.date(1991, 6, 1)
+        rows = [
+            ("a", 1, True, day),
+            ("b", 1, False, day),
+            ("c", 2, True, other),
+            ("d", 2, None, None),
+            ("e", None, True, None),
+        ]
+        for row in rows:
+            engine.insert("T", row)
+
+        def keys(names, entry):
+            return sorted(v[0] for v in engine.find_by("T", names, entry))
+
+        stamp = datetime.datetime(1991, 5, 29, 23, 59)
+        for _ in range(2):
+            assert keys(("d",), (day,)) == ["a", "b"]
+            assert keys(("d",), (stamp,)) == ["a", "b"]
+            assert keys(("flag",), (True,)) == ["a", "c", "e"]
+            assert keys(("flag",), (False,)) == ["b"]
+            assert keys(("flag",), (None,)) == ["d"]
+            assert keys(("d",), (None,)) == ["d", "e"]
+            assert keys(("flag", "d"), (True, day)) == ["a"]
+            assert keys(("d", "flag"), (other, True)) == ["c"]
+            assert keys(("flag", "d"), (True, None)) == ["e"]
+            assert keys(("flag", "d"), (None, None)) == ["d"]
+            assert keys(("n", "flag", "d"), (None, True, None)) == ["e"]
+            assert keys(("n", "d"), (1, stamp)) == ["a", "b"]
+        # Whole rows come back converted, not just their keys.
+        assert engine.find_by("T", ("flag", "d"), (False, day)) == [rows[1]]
+
+    def test_find_by_date_key_prefix(self, engine):
+        create(engine, DATED_SCHEMA)
+        day = datetime.date(1991, 5, 29)
+        engine.insert("E", (day, 1, True, None))
+        engine.insert("E", (day, 2, None, "n"))
+        engine.insert("E", (datetime.date(1991, 5, 30), 1, None, None))
+        found = engine.find_by("E", ("day",), (day,))
+        assert sorted(found) == [(day, 1, True, None), (day, 2, None, "n")]
 
     def test_select(self, engine):
         engine.insert("T", ("a", 1, None, None))
@@ -264,6 +391,41 @@ class TestTransactions:
         assert engine.in_transaction
         engine.commit()
         assert not engine.in_transaction
+
+
+class TestRecreate:
+    def test_recreated_relation_sees_no_stale_codec_or_statement(self, engine):
+        """Drop ``T`` and create it again with another column order and
+        other types: everything kept per relation name (statement
+        templates, DATE/BOOLEAN positions, find_by statements) must go
+        with the old relation."""
+        skip_if_overlay(engine, "DDL")
+        day = datetime.date(1991, 5, 29)
+        engine.insert("T", ("a", 1, True, day))
+        assert engine.get("T", ("a",)) == ("a", 1, True, day)
+        assert engine.find_by("T", ("flag", "d"), (True, day))
+        assert engine.find_by("T", ("n",), (1,))
+        engine.drop_relation("T")
+        engine.create_relation(
+            relation("T")
+            .date("n")                       # was INTEGER, position 1 -> 0
+            .boolean("d", nullable=True)     # was DATE
+            .text("flag", nullable=True)     # was BOOLEAN
+            .integer("k")                    # was TEXT, the key, position 0
+            .key("k", "n")
+            .build()
+        )
+        row = (day, False, "true", 7)
+        assert engine.insert("T", row) == (7, day)
+        assert engine.get("T", (7, day)) == row
+        assert list(engine.scan("T")) == [row]
+        assert engine.find_by("T", ("flag", "d"), ("true", False)) == [row]
+        assert engine.find_by("T", ("n",), (day,)) == [row]
+        assert engine.find_by("T", ("flag", "d"), (None, False)) == []
+        engine.replace("T", (7, day), (day, None, None, 8))
+        assert engine.get("T", (8, day)) == (day, None, None, 8)
+        engine.delete("T", (8, day))
+        assert engine.count("T") == 0
 
 
 class TestIndexes:

@@ -153,6 +153,28 @@ class TestRoutes:
         assert keys == sorted(keys)
         assert body["meta"]["stale"] is False
 
+    def test_instances_render_off_the_event_loop(self, served, monkeypatch):
+        """Payload dictionaries are built in the executor call that did
+        the read: a 2000-instance query rendered on the loop thread
+        would stall every other connection."""
+        import threading
+
+        from repro.core.instance import Instance
+
+        rendered_on = []
+        to_dict = Instance.to_dict
+
+        def recording(instance):
+            rendered_on.append(threading.current_thread().name)
+            return to_dict(instance)
+
+        monkeypatch.setattr(Instance, "to_dict", recording)
+        _, url = served
+        assert request(f"{url}/objects/{OBJECT}/100")[0] == 200
+        assert request(f"{url}/objects/{OBJECT}")[0] == 200
+        assert len(rendered_on) > 1
+        assert "penguin-serve" not in rendered_on
+
     def test_filtered_query(self, served):
         _, url = served
         status, body = request(
@@ -468,6 +490,68 @@ class TestUrlUnquote:
         )
         assert status == 200
         assert len(body) > 0
+
+
+class TestContentLength:
+    """A malformed ``Content-Length`` is the client's error: 400 with a
+    correlation id, then close — never a dead handler task and an empty
+    reply (``int`` raised on ``abc``; ``readexactly(-5)`` on ``-5``)."""
+
+    @staticmethod
+    def raw_exchange(url, head):
+        import socket
+
+        host, port = url.rsplit("/", 1)[-1].split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(head.encode("latin-1"))
+            chunks = []
+            while True:  # the server closes after answering
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        return b"".join(chunks).decode("latin-1")
+
+    @pytest.mark.parametrize(
+        "value", ["abc", "1e3", "-5", "+5", "1_0", "0x10", "12 34", "\xb2"]
+    )
+    def test_malformed_length_is_a_400_and_close(self, served, value):
+        _, url = served
+        reply = self.raw_exchange(
+            url,
+            f"POST /objects/{OBJECT} HTTP/1.1\r\n"
+            f"Content-Length: {value}\r\n\r\n",
+        )
+        head, _, body = reply.partition("\r\n\r\n")
+        assert head.startswith("HTTP/1.1 400 ")
+        lines = head.split("\r\n")
+        assert "Connection: close" in lines
+        assert any(
+            line.startswith("X-Request-Id: ") and line[14:] for line in lines
+        )
+        assert json.loads(body) == {"error": "malformed Content-Length"}
+        # The server itself is unharmed.
+        assert request(f"{url}/health")[0] == 200
+
+    def test_client_request_id_is_echoed(self, served):
+        _, url = served
+        reply = self.raw_exchange(
+            url,
+            "GET /health HTTP/1.1\r\nX-Request-Id: mine-1\r\n"
+            "Content-Length: nope\r\n\r\n",
+        )
+        assert reply.startswith("HTTP/1.1 400 ")
+        assert "X-Request-Id: mine-1\r\n" in reply
+
+    @pytest.mark.parametrize("value", ["", "0", "00"])
+    def test_empty_and_zero_mean_no_body(self, served, value):
+        _, url = served
+        reply = self.raw_exchange(
+            url,
+            f"GET /health HTTP/1.1\r\nContent-Length: {value}\r\n"
+            "Connection: close\r\n\r\n",
+        )
+        assert reply.startswith("HTTP/1.1 200 ")
 
 
 class TestLoadGenerator:
