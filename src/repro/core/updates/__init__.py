@@ -3,12 +3,13 @@
 The four logical steps of a view-object update — local validation,
 propagation within the object, translation into database operations,
 global validation against the structural model — live here, along with
-the translator policies that the Section 6 dialog configures.
+the translator policies that the Section 6 dialog configures. Steps 3
+and 4 are compiled once per view object
+(:class:`~repro.core.updates.compiled.CompiledProgram`); the readable
+walk they are checked against is ``tests/reference_translate.py``.
 """
 
 from repro.core.updates.context import TranslationContext
-from repro.core.updates.deletion import translate_complete_deletion
-from repro.core.updates.insertion import translate_complete_insertion
 from repro.core.updates.local_validation import (
     validate_deletion,
     validate_insertion,
@@ -36,7 +37,6 @@ from repro.core.updates.policy import (
     null_completer,
 )
 from repro.core.updates.propagation import propagate_within_object
-from repro.core.updates.replacement import translate_replacement
 from repro.core.updates.translator import Translator
 
 __all__ = [
@@ -54,9 +54,6 @@ __all__ = [
     "PartialInsertion",
     "PartialDeletion",
     "PartialUpdate",
-    "translate_complete_insertion",
-    "translate_complete_deletion",
-    "translate_replacement",
     "translate_partial_insertion",
     "translate_partial_deletion",
     "translate_partial_update",

@@ -98,21 +98,17 @@ class BufferedEngine(Engine):
         key = self.schema(name).key_of(row)
         if self.get(name, key) is not None:
             raise DuplicateKeyError(name, key)
-        self._overlay.setdefault(name, {})[key] = row
-        self._tombstones.get(name, set()).discard(key)
+        self.insert_validated(name, row, key)
         return key
 
     def delete(self, name: str, key: Sequence[Any]) -> None:
         key = self._coerce_key(name, key)
-        overlay = self._overlay.setdefault(name, {})
-        if key in overlay:
-            del overlay[key]
-            if self._base_get(name, key) is not None:
-                self._tombstones.setdefault(name, set()).add(key)
-            return
-        if key in self._tombstones.get(name, ()) or self._base_get(name, key) is None:
+        if key not in self._overlay.get(name, ()) and (
+            key in self._tombstones.get(name, ())
+            or self._base_get(name, key) is None
+        ):
             raise NoSuchRowError(name, key)
-        self._tombstones.setdefault(name, set()).add(key)
+        self.delete_validated(name, key)
 
     def replace(self, name: str, key: Sequence[Any], values: ValuesLike) -> None:
         key = self._coerce_key(name, key)
@@ -193,14 +189,13 @@ class BufferedEngine(Engine):
                     result.append(row)
         return result
 
-    # -- compiled fast paths -----------------------------------------------
+    # -- the bookkeeping of insert()/delete(), without their checks ---------
     #
-    # The compiled translator proves preconditions in its own loop (the
-    # key was just probed absent / the row just read present, the row is
-    # already validated and date-normalized, the key contains no DATE
-    # attribute needing narrowing) and then skips the re-checks the
-    # generic mutators would repeat. Overlay and tombstone bookkeeping
-    # are bit-for-bit the same as insert()/delete().
+    # The compiled translator proves the preconditions in its own loop
+    # (the key was just probed absent / the row just read present, the
+    # row is already validated and date-normalized, the key contains no
+    # DATE attribute needing narrowing) and calls these directly,
+    # skipping the re-checks insert()/delete() make before they do.
 
     def insert_validated(
         self, name: str, row: Tuple[Any, ...], key: Tuple[Any, ...]

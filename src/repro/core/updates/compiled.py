@@ -1,16 +1,32 @@
-"""Definition-time compilation of the update translator (§6).
+"""The update translator, compiled at definition time (§5, §6).
 
 "Once the DBA has chosen the translator, users can specify updates
 through the view object" — the translator is *fixed* when the object is
-defined, yet the interpreted algorithms re-derive everything per call:
-each update re-walks the projection tree through ``tree.bfs()``, re-asks
-the island analysis for membership, re-flattens ``instance.tuples_at``
-from the root for every node (O(depth) per node), rebuilds the
-``connections_from`` / ``connections_to`` lists for every inserted or
-deleted tuple, and re-resolves attribute positions through per-name
-dictionary lookups.
+defined, so everything the Section 5 algorithms derive from the view
+object, its dependency island and the structural schema is derived once,
+here, and a :class:`CompiledProgram` is the only implementation of the
+complete operations in ``src/``:
 
-A :class:`CompiledProgram` hoists all of that to definition time:
+* **VO-CI** (:meth:`CompiledProgram.run_insertion`, §5.2) — per tuple
+  of each projection, breadth-first: CASE 1, an identical tuple exists
+  (reject inside the island, nothing outside); CASE 2, no tuple has the
+  key (insert, extended by the policy's completer); CASE 3, the key
+  exists with other values (reject inside the island, replace outside);
+* **VO-CD** (:meth:`CompiledProgram.run_deletion`, §5.1) — delete the
+  matching tuples of every island projection, pivot first; the deletion
+  pass below repairs peninsulas, cascades and other references;
+* **VO-R** (:meth:`CompiledProgram.run_replacement`, §5.3) — depth-first,
+  state R inside the island (R-1 equal, R-2 same key, R-3 key change —
+  or, the dialog permitting, delete-and-overwrite of an existing tuple)
+  and state I outside (I-1 same key, I-2 insert, I-3 present, I-4
+  conflicting: replace); components pair by key, leftovers by position;
+* **global integrity** (``maintain_*``, step 4) — deletions cascade
+  along ownership/subset and repair incoming references per policy;
+  insertions get their missing owner, general and referenced tuples,
+  recursively; key changes retarget references and rewrite inherited
+  keys — to a joint fixpoint.
+
+What is compiled:
 
 * the projection tree is flattened into a BFS-ordered tuple of
   :class:`CompiledNode` records carrying the relation schema, key
@@ -28,23 +44,24 @@ A :class:`CompiledProgram` hoists all of that to definition time:
   the engine boundary, where every backend re-validates through
   ``_coerce_values`` before mutating — same errors, same messages).
 
-The compiled twins are **byte-identical** to the interpreted tree walk:
-identical operations and reason strings in identical order, identical
-tracer span structure, identical rejection messages. Policy questions
-are still answered through ``policy.for_relation`` at the interpreted
-call sites (the lazy insertion into ``policy.relations`` feeds the audit
-log's policy answers and must not diverge).
+The readable tree walk this replaced lives in
+``tests/reference_translate.py`` as the oracle: the program must produce
+**byte-identical** plans — identical operations and reason strings in
+identical order, identical tracer span structure, identical rejection
+messages (``tests/core/updates/test_compiled.py``). Policy questions are
+answered through ``policy.for_relation`` at the same points as the walk
+(the lazy insertion into ``policy.relations`` feeds the audit log's
+policy answers and must not diverge).
 
 The one thing deliberately *not* frozen is the policy object itself:
-callers may flip relation switches after construction, and both paths
-observe the change. What is frozen is the structure — tree, island,
+callers may flip relation switches after construction, and the program
+observes the change. What is frozen is the structure — tree, island,
 schemas, connections — exactly the part the paper fixes at definition
 time.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 import repro.obs as obs
@@ -65,17 +82,30 @@ from repro.relational.engine import _normalize_row_dates
 from repro.relational.operations import Delete, Insert
 from repro.structural.connections import ConnectionKind
 
-__all__ = [
-    "CompiledCache",
-    "CompiledNode",
-    "CompiledProgram",
-    "CompiledTranslator",
-]
+__all__ = ["CompiledNode", "CompiledProgram"]
 
-# CASE R-3 merge reasons carry no node placeholder in the interpreted
-# source; they are shared constants.
+# CASE R-3 merge reasons name no node; they are shared constants.
 _R3_MERGE_DELETE = "CASE R-3 merge: old island tuple removed (VO-R)"
 _R3_MERGE_REPLACE = "CASE R-3 merge: existing tuple overwritten (VO-R)"
+
+
+def _null_completed(relation: str, attr_plan, values: Dict[str, Any]) -> List[Any]:
+    """``null_completer`` over a precomputed ``(name, nullable)`` plan:
+    the given values in schema order, nulls for what was projected out."""
+    row = []
+    for name, nullable in attr_plan:
+        if name in values:
+            row.append(values[name])
+        elif nullable:
+            row.append(None)
+        else:
+            raise UpdateRejectedError(
+                f"cannot extend view-object tuple for {relation!r}: "
+                f"attribute {name!r} was projected out and is "
+                f"not nullable (supply a completer)",
+                relation=relation,
+            )
+    return row
 
 
 class CompiledNode:
@@ -89,7 +119,6 @@ class CompiledNode:
         "is_pivot",
         "in_island",
         "attr_plan",
-        "known_names",
         "positions",
         "proj_pairs",
         "has_dates",
@@ -116,7 +145,6 @@ class CompiledNode:
         self.is_pivot = node_id == view_object.pivot_node_id
         self.in_island = in_island
         self.attr_plan = tuple((a.name, a.nullable) for a in schema.attributes)
-        self.known_names = frozenset(a.name for a in schema.attributes)
         self.positions = {a.name: i for i, a in enumerate(schema.attributes)}
         projection = view_object.projection(node_id)
         self.proj_pairs = tuple(
@@ -171,7 +199,7 @@ class CompiledNode:
     ) -> Tuple[Any, ...]:
         """Fused ``ctx.complete``: completer fill + row build in one pass.
 
-        Mirrors the interpreted error order exactly: a projected-out
+        Keeps the reference walk's error order exactly: a projected-out
         non-nullable attribute without a completer, then an unknown
         attribute name, then domain validation (``row_from_mapping``
         validates before the engine gets the row, so validating here
@@ -181,24 +209,10 @@ class CompiledNode:
         """
         if ctx.policy.completer is not null_completer:
             return ctx.complete(self.node_id, values)
-        row = []
-        hits = 0
-        for name, nullable in self.attr_plan:
-            if name in values:
-                row.append(values[name])
-                hits += 1
-            elif nullable:
-                row.append(None)
-            else:
-                raise UpdateRejectedError(
-                    f"cannot extend view-object tuple for {self.relation!r}: "
-                    f"attribute {name!r} was projected out and is "
-                    f"not nullable (supply a completer)",
-                    relation=self.relation,
-                )
-        if hits != len(values):
+        row = _null_completed(self.relation, self.attr_plan, values)
+        if not values.keys() <= self.positions.keys():
             for given in values:
-                if given not in self.known_names:
+                if given not in self.positions:
                     raise UnknownAttributeError(self.schema.name, given)
         return self.schema.validate_row(row)
 
@@ -237,8 +251,7 @@ class _RelationRules:
     __slots__ = (
         "cascade",
         "incoming_refs",
-        "parents",
-        "forward_refs",
+        "dependencies",
         "ref_change_positions",
         "retarget",
         "propagate",
@@ -298,8 +311,9 @@ class _RelationRules:
             )
         self.incoming_refs = tuple(incoming)
 
-        # Inverse ownership/subset: every inserted tuple needs its owner
-        # or general tuple.
+        # What every inserted tuple needs to find (or gets a skeleton
+        # of): along inverse ownership/subset its owner or general
+        # tuple, then along forward references the referenced tuple.
         # A probe whose attribute list IS the probed relation's primary
         # key (in key order) degenerates from find_by to an existence
         # get: same truth value, but memoized O(1) instead of an overlay
@@ -307,10 +321,10 @@ class _RelationRules:
         def probes_by_key(name: str, attrs) -> bool:
             return tuple(attrs) == tuple(graph.relation(name).key)
 
-        parents = []
+        dependencies = []
         for kind in (ConnectionKind.OWNERSHIP, ConnectionKind.SUBSET):
             for connection in graph.connections_to(relation, kind):
-                parents.append(
+                dependencies.append(
                     (
                         connection.source,
                         connection.source_attributes,
@@ -322,14 +336,10 @@ class _RelationRules:
                         ),
                     )
                 )
-        self.parents = tuple(parents)
-
-        # Forward references: the referenced tuple must exist.
-        forward = []
         ref_change = []
         for connection in graph.connections_from(relation, ConnectionKind.REFERENCE):
             positions = schema.positions(connection.source_attributes)
-            forward.append(
+            dependencies.append(
                 (
                     connection.target,
                     connection.target_attributes,
@@ -342,7 +352,7 @@ class _RelationRules:
                 )
             )
             ref_change.append(positions)
-        self.forward_refs = tuple(forward)
+        self.dependencies = tuple(dependencies)
         self.ref_change_positions = tuple(ref_change)
 
         # Key changes: retarget incoming references, propagate inherited
@@ -398,9 +408,11 @@ class CompiledProgram:
     """The fixed translator of one view object, specialized per node.
 
     Everything derivable from the view object, the island analysis, and
-    the structural schema is computed once here; the ``run_*`` twins
-    then execute the paper's algorithms over the precomputed records,
-    producing plans byte-identical to the interpreted walk.
+    the structural schema is computed once here; ``run_*`` then execute
+    the paper's algorithms over the precomputed records. Built once by
+    :class:`~repro.core.updates.translator.Translator` and shared by
+    reference across its ``for_user`` copies; read-only after
+    construction, so concurrent translations need no lock.
     """
 
     def __init__(
@@ -447,32 +459,21 @@ class CompiledProgram:
 
     # -- instance flattening -----------------------------------------------
 
-    def _levels(self, instance: Instance) -> Dict[str, List[ComponentTuple]]:
+    def _levels(
+        self, instance: Instance, island_only: bool = False
+    ) -> Dict[str, List[ComponentTuple]]:
         """Components per node, flattened top-down in one O(tree) pass.
 
-        Produces exactly ``instance.tuples_at(node_id)`` for every node,
-        without re-walking the root path per node.
+        Produces exactly ``instance.tuples_at(node_id)`` for every node
+        — or every island node (island parents are always island nodes,
+        so the prefix is closed) — without re-walking the root path per
+        node.
         """
         levels: Dict[str, List[ComponentTuple]] = {
             self.root.node_id: [instance.root]
         }
-        for cn, parent_id in self._level_steps:
-            flat: List[ComponentTuple] = []
-            node_id = cn.node_id
-            for component in levels[parent_id]:
-                children = component.children.get(node_id)
-                if children:
-                    flat.extend(children)
-            levels[node_id] = flat
-        return levels
-
-    def _island_levels(self, instance: Instance) -> Dict[str, List[ComponentTuple]]:
-        """Like :meth:`_levels`, restricted to the dependency island
-        (island parents are always island nodes, so the prefix is closed)."""
-        levels: Dict[str, List[ComponentTuple]] = {
-            self.root.node_id: [instance.root]
-        }
-        for cn, parent_id in self._island_level_steps:
+        steps = self._island_level_steps if island_only else self._level_steps
+        for cn, parent_id in steps:
             flat: List[ComponentTuple] = []
             node_id = cn.node_id
             for component in levels[parent_id]:
@@ -485,7 +486,7 @@ class CompiledProgram:
     # -- VO-CI --------------------------------------------------------------
 
     def run_insertion(self, ctx: TranslationContext, instance: Instance) -> None:
-        """Compiled twin of ``translate_complete_insertion``."""
+        """Algorithm VO-CI; mutations are recorded in ``ctx``."""
         with obs.tracer().span("validate", algorithm="VO-CI"):
             validate_insertion(ctx, instance)
         with obs.tracer().span("propagate", algorithm="VO-CI") as span:
@@ -575,12 +576,12 @@ class CompiledProgram:
                         cn.merge_row(values, existing),
                         cn.reason_ci_replace,
                     )
-        self._maintain_after_insertions(ctx)
+        self.maintain_after_insertions(ctx)
 
     # -- VO-CD --------------------------------------------------------------
 
     def run_deletion(self, ctx: TranslationContext, instance: Instance) -> None:
-        """Compiled twin of ``translate_complete_deletion``."""
+        """Algorithm VO-CD; mutations are recorded in ``ctx``."""
         with obs.tracer().span("validate", algorithm="VO-CD"):
             validate_deletion(ctx, instance)
         with obs.tracer().span("propagate", algorithm="VO-CD") as span:
@@ -591,7 +592,7 @@ class CompiledProgram:
         self, ctx: TranslationContext, instance: Instance
     ) -> None:
         engine = ctx.engine
-        levels = self._island_levels(instance)
+        levels = self._levels(instance, island_only=True)
         # Fast deletes: the existence probe just returned the row, so the
         # re-read inside ctx.delete is redundant; gated on keys that need
         # no datetime narrowing (the probe coerces, the overlay must see
@@ -621,20 +622,20 @@ class CompiledProgram:
                     deleted.append((relation, old))
                 else:
                     ctx.delete(relation, key, cn.reason_cd_delete)
-        self._maintain_after_deletions(ctx)
+        self.maintain_after_deletions(ctx)
 
     # -- VO-R ---------------------------------------------------------------
 
     def run_replacement(
         self, ctx: TranslationContext, old: Instance, new: Instance
     ) -> None:
-        """Compiled twin of ``translate_replacement``."""
+        """Algorithm VO-R; mutations are recorded in ``ctx``."""
         with obs.tracer().span("validate", algorithm="VO-R"):
             validate_replacement(ctx, old, new)
         with obs.tracer().span("propagate", algorithm="VO-R") as span:
             new = propagate_within_object(ctx.view_object, new)
             self._walk(ctx, self.root, [old.root], [new.root], True)
-            self._maintain_all(ctx)
+            self.maintain_all(ctx)
             span.set(ops=len(ctx.plan))
 
     def _walk(
@@ -854,7 +855,9 @@ class CompiledProgram:
 
     # -- global integrity (pre-resolved rules) -------------------------------
 
-    def _maintain_after_deletions(self, ctx: TranslationContext) -> None:
+    def maintain_after_deletions(self, ctx: TranslationContext) -> None:
+        """Cascade deletions and repair incoming references, to fixpoint.
+        Resumable: only deletions recorded since the last run are seen."""
         engine = ctx.engine
         deleted = ctx.deleted
         while ctx.deletion_cursor < len(deleted):
@@ -901,7 +904,9 @@ class CompiledProgram:
                     else:  # PROHIBIT
                         raise UpdateRejectedError(prohibit_msg, relation=source)
 
-    def _maintain_after_insertions(self, ctx: TranslationContext) -> None:
+    def maintain_after_insertions(self, ctx: TranslationContext) -> None:
+        """Insert missing owner / general / referenced tuples, recursively;
+        also re-checks replaced tuples whose referencing attributes changed."""
         inserted = ctx.inserted
         while ctx.insertion_cursor < len(inserted):
             relation, values = inserted[ctx.insertion_cursor]
@@ -926,16 +931,7 @@ class CompiledProgram:
         values: Tuple[Any, ...],
     ) -> None:
         engine = ctx.engine
-        for source, names, positions, skel, reason, by_key in rules.parents:
-            entry = tuple(values[p] for p in positions)
-            if any(v is None for v in entry):
-                continue
-            if by_key:
-                if engine.get(source, entry) is None:
-                    self._insert_skeleton(ctx, skel, names, entry, reason)
-            elif not engine.find_by(source, names, entry):
-                self._insert_skeleton(ctx, skel, names, entry, reason)
-        for target, names, positions, skel, reason, by_key in rules.forward_refs:
+        for target, names, positions, skel, reason, by_key in rules.dependencies:
             entry = tuple(values[p] for p in positions)
             if any(v is None for v in entry):
                 continue
@@ -957,29 +953,17 @@ class CompiledProgram:
         relation_policy = ctx.policy.for_relation(relation)
         if not (relation_policy.can_modify and relation_policy.can_insert):
             raise UpdateRejectedError(skel.prohibit_msg, relation=relation)
-        completer = ctx.policy.completer
-        if completer is not null_completer:
-            partial = dict(zip(attribute_names, entry))
-            completed = completer(relation, skel.schema, partial)
-            ctx.insert(relation, skel.schema.row_from_mapping(completed), reason)
-            return
         given = dict(zip(attribute_names, entry))
-        row = []
-        for name, nullable in skel.attr_plan:
-            if name in given:
-                row.append(given[name])
-            elif nullable:
-                row.append(None)
-            else:
-                raise UpdateRejectedError(
-                    f"cannot extend view-object tuple for {relation!r}: "
-                    f"attribute {name!r} was projected out and is "
-                    f"not nullable (supply a completer)",
-                    relation=relation,
-                )
-        ctx.insert(relation, tuple(row), reason)
+        completer = ctx.policy.completer
+        if completer is null_completer:
+            row = tuple(_null_completed(relation, skel.attr_plan, given))
+        else:
+            row = skel.schema.row_from_mapping(completer(relation, skel.schema, given))
+        ctx.insert(relation, row, reason)
 
-    def _maintain_after_key_changes(self, ctx: TranslationContext) -> None:
+    def maintain_after_key_changes(self, ctx: TranslationContext) -> None:
+        """Retarget references to a changed key and rewrite the inherited
+        keys of owned / subset tuples — which may change *their* keys."""
         engine = ctx.engine
         key_changes = ctx.key_changes
         while ctx.key_change_cursor < len(key_changes):
@@ -1039,11 +1023,14 @@ class CompiledProgram:
                     else:
                         ctx.replace(target, key, new_values, reason_replace)
 
-    def _maintain_all(self, ctx: TranslationContext) -> None:
+    def maintain_all(self, ctx: TranslationContext) -> None:
+        """The three passes to a joint fixpoint; each runs at least once
+        (a key-change collision may drop tuples the deletion pass must
+        then cascade from)."""
         while True:
-            self._maintain_after_deletions(ctx)
-            self._maintain_after_key_changes(ctx)
-            self._maintain_after_insertions(ctx)
+            self.maintain_after_deletions(ctx)
+            self.maintain_after_key_changes(ctx)
+            self.maintain_after_insertions(ctx)
             if (
                 ctx.deletion_cursor >= len(ctx.deleted)
                 and ctx.key_change_cursor >= len(ctx.key_changes)
@@ -1051,15 +1038,34 @@ class CompiledProgram:
             ):
                 break
 
-    # -- introspection -------------------------------------------------------
+    # -- engine preparation and introspection --------------------------------
+
+    def prepare_engine(self, engine) -> None:
+        """Warm ``engine`` for this view object's update workload:
+        prepared statement templates on the sqlite backend and secondary
+        hash indexes on the attributes the assembly joins and the
+        integrity rules probe through ``find_by``.
+
+        Deliberately explicit — creating an index changes the row order
+        ``find_by`` returns on the in-memory backend, so plans
+        translated against a prepared engine are only comparable with
+        plans translated against the same prepared engine.
+        """
+        graph = self.view_object.graph
+        prepare_relation = getattr(engine, "prepare_relation", None)
+        if prepare_relation is not None:
+            for name in graph.relation_names:
+                prepare_relation(name)
+        for connection in graph.connections:
+            engine.create_index(connection.source, connection.source_attributes)
+            engine.create_index(connection.target, connection.target_attributes)
 
     def describe(self) -> str:
         """A readable summary of what was precomputed."""
         rule_count = sum(
             len(rules.cascade)
             + len(rules.incoming_refs)
-            + len(rules.parents)
-            + len(rules.forward_refs)
+            + len(rules.dependencies)
             + len(rules.retarget)
             + len(rules.propagate)
             for rules in self.rules.values()
@@ -1068,87 +1074,9 @@ class CompiledProgram:
             f"compiled translator for {self.view_object.name!r}:",
             f"  nodes: {len(self.nodes_bfs)} "
             f"(island: {len(self.island_bfs)})",
-            f"  visit order: "
+            "  visit order: "
             + " -> ".join(cn.node_id for cn in self.nodes_bfs),
             f"  pre-resolved integrity rules: {rule_count} "
             f"across {len(self.rules)} relations",
         ]
         return "\n".join(lines)
-
-
-class CompiledCache:
-    """Lazily built, shared holder of one translator's compiled program.
-
-    One cache instance is shared by reference across every
-    ``Translator.for_user`` copy, so the program is compiled at most
-    once per view object regardless of how many bound copies serve
-    concurrent requests. Safe under concurrent readers: the build is
-    guarded by a lock and published via a single attribute store.
-    """
-
-    __slots__ = ("enabled", "program", "_lock")
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self.program: Optional[CompiledProgram] = None
-        self._lock = threading.Lock()
-
-    def program_for(
-        self, view_object: ViewObjectDefinition, analysis: IslandAnalysis
-    ) -> Optional[CompiledProgram]:
-        """The compiled program, or None when compilation is disabled."""
-        if not self.enabled:
-            return None
-        return self.ensure(view_object, analysis)
-
-    def ensure(
-        self, view_object: ViewObjectDefinition, analysis: IslandAnalysis
-    ) -> CompiledProgram:
-        """Build (once) and return the program, even when dispatch is off."""
-        program = self.program
-        if program is None:
-            with self._lock:
-                program = self.program
-                if program is None:
-                    program = CompiledProgram(view_object, analysis)
-                    self.program = program
-        return program
-
-
-class CompiledTranslator:
-    """Front door onto a translator's compiled program.
-
-    Obtained via :meth:`Translator.compiled`. Exposes the program for
-    inspection and :meth:`prepare_engine`, which warms a *specific
-    engine* for this view object: prepared statement templates on the
-    sqlite backend and secondary hash indexes on the assembly-join
-    attributes. Engine preparation is deliberately explicit — creating
-    an index changes the row order ``find_by`` returns on the in-memory
-    backend, so plans translated against a prepared engine are only
-    comparable with plans translated against the same prepared engine.
-    """
-
-    def __init__(self, translator) -> None:
-        self.translator = translator
-        self.program = translator._compiled.ensure(
-            translator.view_object, translator.analysis
-        )
-
-    def prepare_engine(self, engine) -> None:
-        """Warm ``engine`` for this view object's update workload."""
-        graph = self.translator.view_object.graph
-        prepare_relation = getattr(engine, "prepare_relation", None)
-        if prepare_relation is not None:
-            for name in graph.relation_names:
-                prepare_relation(name)
-        # Hash indexes on the attributes the assembly joins and the
-        # integrity rules probe through find_by.
-        for connection in graph.connections:
-            engine.create_index(connection.source, connection.source_attributes)
-            engine.create_index(connection.target, connection.target_attributes)
-
-    def describe(self) -> str:
-        return self.program.describe()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompiledTranslator({self.translator.view_object.name!r})"

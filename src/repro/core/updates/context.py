@@ -113,44 +113,3 @@ class TranslationContext:
         schema = self.schema(node.relation)
         completed = self.policy.completer(node.relation, schema, dict(values))
         return schema.row_from_mapping(completed)
-
-    def merge_with_existing(
-        self,
-        node_id: str,
-        values: Dict[str, Any],
-        existing: Tuple[Any, ...],
-    ) -> Tuple[Any, ...]:
-        """Overlay projected attributes onto an existing full tuple."""
-        node = self.view_object.node(node_id)
-        schema = self.schema(node.relation)
-        mapping = schema.as_mapping(existing)
-        mapping.update(values)
-        return schema.row_from_mapping(mapping)
-
-    def key_from_values(
-        self, node_id: str, values: Dict[str, Any]
-    ) -> Tuple[Any, ...]:
-        """Primary key from a projected tuple (projections retain keys)."""
-        node = self.view_object.node(node_id)
-        schema = self.schema(node.relation)
-        try:
-            return tuple(values[k] for k in schema.key)
-        except KeyError as error:
-            raise UpdateRejectedError(
-                f"component tuple for {node_id!r} lacks key attribute "
-                f"{error.args[0]!r}",
-                relation=node.relation,
-            ) from None
-
-    def projected_values_match(
-        self, node_id: str, values: Dict[str, Any], existing: Tuple[Any, ...]
-    ) -> bool:
-        """Does the database tuple agree on every projected attribute?"""
-        node = self.view_object.node(node_id)
-        schema = self.schema(node.relation)
-        projection = self.view_object.projection(node_id)
-        existing_map = schema.as_mapping(existing)
-        return all(
-            existing_map[name] == values.get(name)
-            for name in projection.attributes
-        )

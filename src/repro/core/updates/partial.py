@@ -18,7 +18,11 @@ cases of the complete machinery:
 * **partial update** — modify nonkey attributes of one component tuple
   in place.
 
-Each function records into a :class:`TranslationContext`; the
+Each function takes the translator's
+:class:`~repro.core.updates.compiled.CompiledProgram` — its node records
+supply keys, projections and row building, its pre-resolved rules the
+global-integrity passes — and records into a
+:class:`TranslationContext`; the
 :class:`~repro.core.updates.translator.Translator` wrappers add the
 transaction boundary.
 """
@@ -28,9 +32,8 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.errors import LocalValidationError, UpdateRejectedError
-from repro.core.dependency_island import NodeRole
 from repro.core.instance import Instance
-from repro.core.updates import global_integrity
+from repro.core.updates.compiled import CompiledProgram
 from repro.core.updates.context import TranslationContext
 
 __all__ = [
@@ -40,7 +43,9 @@ __all__ = [
 ]
 
 
-def _node_and_role(ctx: TranslationContext, node_id: str):
+def _tree_and_compiled_node(
+    program: CompiledProgram, ctx: TranslationContext, node_id: str
+):
     node = ctx.view_object.node(node_id)
     if node.path is not None and len(node.path) > 1:
         raise LocalValidationError(
@@ -48,7 +53,7 @@ def _node_and_role(ctx: TranslationContext, node_id: str):
             f"collapses {len(node.path)} connections; update the "
             f"intermediate relations' object instead"
         )
-    return node, ctx.analysis.role(node_id)
+    return node, program.nodes[node_id]
 
 
 def _inherit_from_parent(
@@ -78,6 +83,7 @@ def _inherit_from_parent(
 
 
 def translate_partial_insertion(
+    program: CompiledProgram,
     ctx: TranslationContext,
     instance: Instance,
     node_id: str,
@@ -88,18 +94,18 @@ def translate_partial_insertion(
             f"translator for {ctx.view_object.name!r} does not allow "
             f"insertions"
         )
-    node, role = _node_and_role(ctx, node_id)
+    node, cn = _tree_and_compiled_node(program, ctx, node_id)
     if node.path is None:
         raise LocalValidationError(
             "partial insertion at the pivot is a complete insertion; use "
             "Translator.insert"
         )
     values = _inherit_from_parent(ctx, instance, node_id, values)
-    key = ctx.key_from_values(node_id, values)
+    key = cn.key_from(values)
     existing = ctx.engine.get(node.relation, key)
     relation_policy = ctx.policy.for_relation(node.relation)
     if existing is None:
-        if role is not NodeRole.ISLAND and not (
+        if not cn.in_island and not (
             relation_policy.can_modify and relation_policy.can_insert
         ):
             raise UpdateRejectedError(
@@ -109,18 +115,18 @@ def translate_partial_insertion(
             )
         ctx.insert(
             node.relation,
-            ctx.complete(node_id, values),
+            cn.complete_row(ctx, values),
             reason=f"partial insertion at node {node_id!r}",
         )
-    elif ctx.projected_values_match(node_id, values, existing):
-        if role is NodeRole.ISLAND:
+    elif cn.projected_match(values, existing):
+        if cn.in_island:
             raise UpdateRejectedError(
                 f"partial insertion: identical tuple {key!r} already part "
                 f"of the entity at {node_id!r}",
                 relation=node.relation,
             )
     else:
-        if role is NodeRole.ISLAND:
+        if cn.in_island:
             raise UpdateRejectedError(
                 f"partial insertion: tuple {key!r} exists at {node_id!r} "
                 f"with different values",
@@ -137,13 +143,14 @@ def translate_partial_insertion(
         ctx.replace(
             node.relation,
             key,
-            ctx.merge_with_existing(node_id, values, existing),
+            cn.merge_row(values, existing),
             reason=f"partial insertion reconciliation at node {node_id!r}",
         )
-    global_integrity.maintain_after_insertions(ctx)
+    program.maintain_after_insertions(ctx)
 
 
 def translate_partial_deletion(
+    program: CompiledProgram,
     ctx: TranslationContext,
     instance: Instance,
     node_id: str,
@@ -154,26 +161,25 @@ def translate_partial_deletion(
             f"translator for {ctx.view_object.name!r} does not allow "
             f"deletions"
         )
-    node, role = _node_and_role(ctx, node_id)
+    node, cn = _tree_and_compiled_node(program, ctx, node_id)
     if node.path is None:
         raise LocalValidationError(
             "partial deletion of the pivot is a complete deletion; use "
             "Translator.delete"
         )
-    key = ctx.key_from_values(node_id, values)
-    if role is NodeRole.ISLAND:
+    key = cn.key_from(values)
+    if cn.in_island:
         ctx.delete(
             node.relation, key, reason=f"partial deletion at node {node_id!r}"
         )
-        global_integrity.maintain_after_deletions(ctx)
+        program.maintain_after_deletions(ctx)
         return
     # Outside the island, the base tuple survives; removing the component
     # means severing the linkage. For a forward-reference edge we nullify
     # the parent's connecting attributes; anything else is ambiguous.
     traversal = node.path.traversals[0]
     if traversal.forward and traversal.kind.value == "reference":
-        parent = ctx.view_object.tree.node(node.parent_id)
-        parent_schema = ctx.schema(parent.relation)
+        parent = program.nodes[node.parent_id]
         pivot_key = instance.key
         existing = ctx.engine.get(parent.relation, pivot_key)
         if existing is None:
@@ -181,19 +187,19 @@ def translate_partial_deletion(
                 f"partial deletion: parent tuple {pivot_key!r} missing",
                 relation=parent.relation,
             )
-        mapping = parent_schema.as_mapping(existing)
         for name in traversal.start_attributes:
-            if not parent_schema.attribute(name).nullable:
+            if not parent.schema.attribute(name).nullable:
                 raise UpdateRejectedError(
                     f"partial deletion of {node_id!r} would nullify "
                     f"non-nullable attribute {parent.relation}.{name}",
                     relation=parent.relation,
                 )
-            mapping[name] = None
         ctx.replace(
             parent.relation,
             pivot_key,
-            parent_schema.row_from_mapping(mapping),
+            parent.merge_row(
+                dict.fromkeys(traversal.start_attributes), existing
+            ),
             reason=f"sever reference to {node_id!r} (partial deletion)",
         )
         return
@@ -205,6 +211,7 @@ def translate_partial_deletion(
 
 
 def translate_partial_update(
+    program: CompiledProgram,
     ctx: TranslationContext,
     instance: Instance,
     node_id: str,
@@ -216,9 +223,9 @@ def translate_partial_update(
             f"translator for {ctx.view_object.name!r} does not allow "
             f"replacements"
         )
-    node, role = _node_and_role(ctx, node_id)
-    old_key = ctx.key_from_values(node_id, old_values)
-    new_key = ctx.key_from_values(node_id, new_values)
+    node, cn = _tree_and_compiled_node(program, ctx, node_id)
+    old_key = cn.key_from(old_values)
+    new_key = cn.key_from(new_values)
     if old_key != new_key:
         raise LocalValidationError(
             f"partial update may not change keys ({old_key!r} -> "
@@ -231,7 +238,7 @@ def translate_partial_update(
             relation=node.relation,
         )
     relation_policy = ctx.policy.for_relation(node.relation)
-    if role is not NodeRole.ISLAND and not (
+    if not cn.in_island and not (
         relation_policy.can_modify and relation_policy.can_replace_existing
     ):
         raise UpdateRejectedError(
@@ -242,7 +249,7 @@ def translate_partial_update(
     ctx.replace(
         node.relation,
         old_key,
-        ctx.merge_with_existing(node_id, new_values, existing),
+        cn.merge_row(new_values, existing),
         reason=f"partial update at node {node_id!r}",
     )
-    global_integrity.maintain_after_insertions(ctx)
+    program.maintain_after_insertions(ctx)

@@ -28,10 +28,8 @@ from repro.errors import (
 from repro.core.dependency_island import analyze_island
 from repro.core.instance import Instance, build_instance
 from repro.core.updates.bulk import BufferedEngine
-from repro.core.updates.compiled import CompiledCache, CompiledTranslator
+from repro.core.updates.compiled import CompiledProgram
 from repro.core.updates.context import TranslationContext
-from repro.core.updates.deletion import translate_complete_deletion
-from repro.core.updates.insertion import translate_complete_insertion
 from repro.core.updates.operations import (
     CompleteDeletion,
     CompleteInsertion,
@@ -47,7 +45,6 @@ from repro.core.updates.partial import (
     translate_partial_update,
 )
 from repro.core.updates.policy import TranslatorPolicy
-from repro.core.updates.replacement import translate_replacement
 from repro.core.view_object import ViewObjectDefinition
 from repro.obs.audit import AuditLog
 from repro.obs.audit import COMMITTED as AUDIT_COMMITTED
@@ -69,13 +66,6 @@ from repro.structural.integrity import IntegrityChecker
 __all__ = ["Translator"]
 
 InstanceLike = Union[Instance, Mapping[str, Any]]
-
-# The process-wide default for Translator(compile_plans=None): True runs
-# complete operations through the compiled plan builders, False forces
-# the interpreted tree walk everywhere. An explicit argument always
-# wins; the flag is the operational kill switch, and lets the test
-# suite sweep every semantic test across both implementations.
-COMPILE_PLANS_DEFAULT = True
 
 # The process-wide default for Translator(strictness=None). "warn"
 # runs the static strategy checker at construction and emits a
@@ -116,16 +106,12 @@ class Translator:
         outcome (committed / rolled back / crashed) — the provenance
         trail behind :class:`~repro.obs.lineage.LineageIndex` and
         :func:`~repro.obs.history.replay`.
-    compile_plans:
-        When True, the complete operations run through a
-        :class:`~repro.core.updates.compiled.CompiledProgram` built
-        lazily once per view object — the translator is fixed at
-        definition time (§6), so the tree walk, island membership, and
-        integrity rules are precomputed instead of re-derived per call.
-        The compiled path produces byte-identical plans; set False to
-        force the interpreted tree walk (the equivalence oracle). The
-        default ``None`` defers to the module-level
-        :data:`COMPILE_PLANS_DEFAULT` (True).
+
+    The translator is fixed at definition time (§6), so construction
+    compiles it: :attr:`program` is the view object's
+    :class:`~repro.core.updates.compiled.CompiledProgram` — tree walk,
+    island membership and integrity rules precomputed — and every
+    operation runs through it.
     """
 
     def __init__(
@@ -136,7 +122,6 @@ class Translator:
         user: Optional[str] = None,
         journal: Optional[PlanJournal] = None,
         audit: Optional[AuditLog] = None,
-        compile_plans: Optional[bool] = None,
         strictness: Optional[str] = None,
     ) -> None:
         self.view_object = view_object
@@ -150,9 +135,6 @@ class Translator:
         # Compiled here, at definition time, so no update or read pays it.
         self._instantiator = view_object.instantiator
         self._checker = IntegrityChecker(view_object.graph)
-        if compile_plans is None:
-            compile_plans = COMPILE_PLANS_DEFAULT
-        self._compiled = CompiledCache(enabled=compile_plans)
         if strictness is None:
             strictness = STRICTNESS_DEFAULT
         if strictness not in _STRICTNESS_VALUES:
@@ -164,11 +146,13 @@ class Translator:
         self._risk_report = None
         if strictness != "off":
             self._enforce_strictness()
+        # Past the gate: a refused configuration never gets a program.
+        self.program = CompiledProgram(view_object, self.analysis)
 
     def _enforce_strictness(self) -> None:
         """Definition-time strategy validation (§6 happens once; so does
         this): compute the risk report, then warn or refuse on CRITICAL
-        before any plan — compiled or interpreted — can be built."""
+        before the program is compiled or any plan can be built."""
         report = self.risk()
         if not report.is_critical:
             return
@@ -213,46 +197,17 @@ class Translator:
         from anyone else are rejected before translation starts.
         """
         # A shallow copy: every bound copy shares the analysis, the risk
-        # report and — by reference — the lazily compiled program, so
-        # nothing is recomputed (or recompiled) per user.
+        # report and — by reference — the compiled program, so nothing
+        # is recomputed (or recompiled) per user.
         bound = copy.copy(self)
         bound.user = user
         return bound
 
-    # -- compiled dispatch ---------------------------------------------------
-
-    def compiled(self) -> CompiledTranslator:
-        """The compiled front door: program introspection and explicit
-        engine preparation (prepared sqlite statements, assembly-join
-        hash indexes). Forces compilation even when dispatch is off."""
-        return CompiledTranslator(self)
-
-    def _translate_insertion(
-        self, ctx: TranslationContext, instance: Instance
-    ) -> None:
-        program = self._compiled.program_for(self.view_object, self.analysis)
-        if program is None:
-            translate_complete_insertion(ctx, instance)
-        else:
-            program.run_insertion(ctx, instance)
-
-    def _translate_deletion(
-        self, ctx: TranslationContext, instance: Instance
-    ) -> None:
-        program = self._compiled.program_for(self.view_object, self.analysis)
-        if program is None:
-            translate_complete_deletion(ctx, instance)
-        else:
-            program.run_deletion(ctx, instance)
-
-    def _translate_replacement(
-        self, ctx: TranslationContext, old: Instance, new: Instance
-    ) -> None:
-        program = self._compiled.program_for(self.view_object, self.analysis)
-        if program is None:
-            translate_replacement(ctx, old, new)
-        else:
-            program.run_replacement(ctx, old, new)
+    def compiled(self) -> CompiledProgram:
+        """The compiled program: introspection (``describe``) and
+        explicit engine preparation (``prepare_engine``: prepared sqlite
+        statements, assembly-join hash indexes)."""
+        return self.program
 
     def translate(
         self, engine: Engine, request: UpdateRequest
@@ -262,14 +217,16 @@ class Translator:
         The request runs over a :class:`BufferedEngine` overlay — the
         base engine is never touched, no transaction is opened, nothing
         is journaled or audited. This is the bare per-update translate
-        path (and what :file:`benchmarks/bench_translate.py` measures);
-        :meth:`apply_plan` is the matching flush half.
+        path; the ``preview_*`` methods are its keyword-argument faces
+        and :meth:`apply_plan` is the matching flush half.
         """
+        self._check_authorized()
         buffered = BufferedEngine(engine)
         ctx = TranslationContext(
             self.view_object, buffered, self.policy, self.analysis
         )
         self._translate_request(ctx, request)
+        self._verify(buffered, "translation")
         return ctx.plan
 
     # -- public operations ---------------------------------------------------
@@ -279,7 +236,7 @@ class Translator:
         instance = self._coerce_instance(instance)
         return self._run(
             engine,
-            lambda ctx: self._translate_insertion(ctx, instance),
+            lambda ctx: self.program.run_insertion(ctx, instance),
             op="insert",
         )
 
@@ -290,14 +247,12 @@ class Translator:
         key: Optional[Sequence[Any]] = None,
     ) -> UpdatePlan:
         """Complete deletion, by instance or by object key."""
-        if key is not None:
-            instance = self.instantiate(engine, key)
-        elif not isinstance(instance, (Instance, Mapping)):
-            instance = self.instantiate(engine, instance)
-        instance = self._coerce_instance(instance)
+        instance = self._resolve_instance(
+            engine, instance if key is None else key
+        )
         return self._run(
             engine,
-            lambda ctx: self._translate_deletion(ctx, instance),
+            lambda ctx: self.program.run_deletion(ctx, instance),
             op="delete",
         )
 
@@ -308,13 +263,11 @@ class Translator:
         new: InstanceLike,
     ) -> UpdatePlan:
         """Replacement: old instance (or its key) and its replacement."""
-        if not isinstance(old, (Instance, Mapping)):
-            old = self.instantiate(engine, old)
-        old = self._coerce_instance(old)
+        old = self._resolve_instance(engine, old)
         new = self._coerce_instance(new)
         return self._run(
             engine,
-            lambda ctx: self._translate_replacement(ctx, old, new),
+            lambda ctx: self.program.run_replacement(ctx, old, new),
             op="replace",
         )
 
@@ -334,12 +287,7 @@ class Translator:
         leaves the database untouched.
         """
         items = [self._coerce_instance(instance) for instance in instances]
-        return self._run_batch(
-            engine,
-            items,
-            lambda ctx, instance: self._translate_insertion(ctx, instance),
-            op="insert",
-        )
+        return self._run_batch(engine, items, self.program.run_insertion, op="insert")
 
     def delete_many(
         self,
@@ -348,19 +296,11 @@ class Translator:
         keys: Optional[Iterable[Sequence[Any]]] = None,
     ) -> UpdatePlan:
         """Complete deletion of a batch (by instance or by object key)."""
-        if keys is not None:
-            items = [self.instantiate(engine, key) for key in keys]
-        else:
-            items = [
-                self._resolve_instance(engine, instance)
-                for instance in (instances or [])
-            ]
-        return self._run_batch(
-            engine,
-            items,
-            lambda ctx, instance: self._translate_deletion(ctx, instance),
-            op="delete",
-        )
+        items = [
+            self._resolve_instance(engine, item)
+            for item in (instances or [] if keys is None else keys)
+        ]
+        return self._run_batch(engine, items, self.program.run_deletion, op="delete")
 
     def apply_plan_batch(
         self, engine: Engine, requests: Iterable[UpdateRequest]
@@ -407,11 +347,14 @@ class Translator:
         ``plan_records`` and ``image_records``). Its journal-encoded
         payloads are then journaled and audited verbatim — no image
         reads, no re-encoding — and the audit record carries no island,
-        policy or user, because this translator translated nothing.
+        policy or user, because this translator translated nothing (the
+        user was authorized where the plan was translated).
         """
         shipped = None
         if not isinstance(plan, UpdatePlan):
             shipped, plan = plan, plan.plan()
+        else:
+            self._check_authorized()
         journal = self._active_journal(engine, need_changelog=False)
         audit = self._active_audit(engine)
         with obs.tracer().span(
@@ -445,7 +388,6 @@ class Translator:
     ) -> UpdatePlan:
         """The overlay translate half: translate every item over a
         :class:`BufferedEngine`, coalesce, then :meth:`_commit`."""
-        self._check_authorized()
         tracer = obs.tracer()
         with tracer.span(
             "translate.batch",
@@ -461,6 +403,7 @@ class Translator:
             audit = self._active_audit(engine)
             plans = []
             try:
+                self._check_authorized()
                 for item in items:
                     ctx = TranslationContext(
                         self.view_object, buffered, self.policy, self.analysis
@@ -468,15 +411,7 @@ class Translator:
                     with tracer.span("translate", op=op):
                         translate_one(ctx, item)
                     plans.append(ctx.plan)
-                if self.verify_integrity:
-                    with tracer.span("verify"):
-                        violations = self._checker.check(buffered)
-                    if violations:
-                        raise GlobalValidationError(
-                            f"batch translation left {len(violations)} "
-                            f"integrity violations: "
-                            + "; ".join(v.message for v in violations[:5])
-                        )
+                self._verify(buffered, "batch translation")
             except Exception as exc:
                 obs.metrics().counter(
                     "translation_failures_total", op=op
@@ -573,11 +508,25 @@ class Translator:
     # -- helpers -----------------------------------------------------------------
 
     def _check_authorized(self) -> None:
-        """Step 1's user authorization, ahead of either translate half."""
+        """Step 1's user authorization: the first thing every translate
+        half (:meth:`_run`, :meth:`_run_batch`, :meth:`translate`,
+        :meth:`_explain`) and :meth:`apply_plan` do."""
         if not self.policy.authorizes(self.user):
             raise LocalValidationError(
                 f"user {self.user!r} is not authorized to update through "
                 f"view object {self.view_object.name!r}"
+            )
+
+    def _verify(self, engine: Engine, subject: str) -> None:
+        """The belt-and-braces structural check of ``verify_integrity``."""
+        if not self.verify_integrity:
+            return
+        with obs.tracer().span("verify"):
+            violations = self._checker.check(engine)
+        if violations:
+            raise GlobalValidationError(
+                f"{subject} left {len(violations)} integrity violations: "
+                + "; ".join(v.message for v in violations[:5])
             )
 
     def _resolve_instance(
@@ -589,6 +538,11 @@ class Translator:
 
     def instantiate(self, engine: Engine, key: Sequence[Any]) -> Instance:
         """Fetch the current instance with object key ``key``."""
+        if key is None:
+            raise UpdateError(
+                f"view object {self.view_object.name!r}: an instance or an "
+                f"object key is required"
+            )
         instance = self._instantiator.by_key(engine, key)
         if instance is None:
             raise UpdateError(
@@ -764,17 +718,15 @@ class Translator:
         self,
         engine: Engine,
         translation,
-        preview: bool = False,
         op: str = "update",
     ) -> UpdatePlan:
         """The eager translate half: translate one request on the live
         engine inside one transaction, then :meth:`_commit` it."""
-        self._check_authorized()
         ctx = TranslationContext(
             self.view_object, engine, self.policy, self.analysis
         )
-        journal = None if preview else self._active_journal(engine)
-        audit = None if preview else self._active_audit(engine)
+        journal = self._active_journal(engine)
+        audit = self._active_audit(engine)
         # The eager path needs the changelog to reconstruct before/after
         # images; both the journal and the audit log consume them.
         use_changelog = journal is not None or (
@@ -783,24 +735,19 @@ class Translator:
         mark = engine.changelog.mark() if use_changelog else None
         tracer = obs.tracer()
         registry = obs.metrics()
+        # preview=False tells this span from the one _preview opens; the
+        # golden traces pin the attribute.
         with tracer.span(
             "translate",
             object=self.view_object.name,
             op=op,
-            preview=preview,
+            preview=False,
         ) as span:
             engine.begin()
             try:
+                self._check_authorized()
                 translation(ctx)
-                if self.verify_integrity:
-                    with tracer.span("verify"):
-                        violations = self._checker.check(engine)
-                    if violations:
-                        raise GlobalValidationError(
-                            f"translation left {len(violations)} integrity "
-                            f"violations: "
-                            + "; ".join(v.message for v in violations[:5])
-                        )
+                self._verify(engine, "translation")
             except BaseException as exc:
                 # An Exception rejects the update: roll back, nothing is
                 # left behind. Anything else is a (simulated) crash
@@ -818,33 +765,23 @@ class Translator:
                     self._audit(audit, op, plan=ctx.plan, error=exc)
                 raise
             span.set(ops=len(ctx.plan), journaled=journal is not None)
-            if preview:
-                engine.rollback()
-                registry.counter("translation_previews_total", op=op).inc()
-            else:
-                images = None
-                if use_changelog:
-                    images = images_from_records(
-                        engine, engine.changelog.since(mark)
-                    )
-                with tracer.span("commit", ops=len(ctx.plan)):
-                    self._commit(
-                        journal, audit, engine._finish_commit,
-                        ctx.plan, images, op,
-                    )
+            images = None
+            if use_changelog:
+                images = images_from_records(
+                    engine, engine.changelog.since(mark)
+                )
+            with tracer.span("commit", ops=len(ctx.plan)):
+                self._commit(
+                    journal, audit, engine._finish_commit,
+                    ctx.plan, images, op,
+                )
         return ctx.plan
 
     # -- previews (translate, report the plan, change nothing) ----------------
 
     def preview_insert(self, engine: Engine, instance: InstanceLike) -> UpdatePlan:
         """The plan :meth:`insert` would apply, with the database untouched."""
-        instance = self._coerce_instance(instance)
-        return self._run(
-            engine,
-            lambda ctx: self._translate_insertion(ctx, instance),
-            preview=True,
-            op="insert",
-        )
+        return self._preview(engine, CompleteInsertion(instance))
 
     def preview_delete(
         self,
@@ -853,16 +790,8 @@ class Translator:
         key: Optional[Sequence[Any]] = None,
     ) -> UpdatePlan:
         """The plan :meth:`delete` would apply, with the database untouched."""
-        if key is not None:
-            instance = self.instantiate(engine, key)
-        elif not isinstance(instance, (Instance, Mapping)):
-            instance = self.instantiate(engine, instance)
-        instance = self._coerce_instance(instance)
-        return self._run(
-            engine,
-            lambda ctx: self._translate_deletion(ctx, instance),
-            preview=True,
-            op="delete",
+        return self._preview(
+            engine, CompleteDeletion(instance if key is None else key)
         )
 
     def preview_replace(
@@ -872,16 +801,18 @@ class Translator:
         new: InstanceLike,
     ) -> UpdatePlan:
         """The plan :meth:`replace` would apply, with the database untouched."""
-        if not isinstance(old, (Instance, Mapping)):
-            old = self.instantiate(engine, old)
-        old = self._coerce_instance(old)
-        new = self._coerce_instance(new)
-        return self._run(
-            engine,
-            lambda ctx: self._translate_replacement(ctx, old, new),
-            preview=True,
-            op="replace",
-        )
+        return self._preview(engine, Replacement(old, new))
+
+    def _preview(self, engine: Engine, request: UpdateRequest) -> UpdatePlan:
+        """:meth:`translate` under the ``translate`` span, counted."""
+        op = _request_entry(request)[0]
+        with obs.tracer().span(
+            "translate", object=self.view_object.name, op=op, preview=True
+        ) as span:
+            plan = self.translate(engine, request)
+            span.set(ops=len(plan), journaled=False)
+        obs.metrics().counter("translation_previews_total", op=op).inc()
+        return plan
 
     # -- EXPLAIN (translate over an overlay, execute nothing) ------------------
 
@@ -908,6 +839,7 @@ class Translator:
     def _explain(
         self, engine: Engine, requests: List[UpdateRequest]
     ) -> TranslationExplanation:
+        self._check_authorized()
         operation = self._describe_requests(requests)
         with obs.tracer().span(
             "explain",
@@ -978,10 +910,7 @@ class Translator:
 
         instances = execute_query(self.view_object, engine, query)
         return self._run_batch(
-            engine,
-            instances,
-            lambda ctx, instance: self._translate_deletion(ctx, instance),
-            op="delete_where",
+            engine, instances, self.program.run_deletion, op="delete_where"
         )
 
     def update_where(
@@ -1003,7 +932,7 @@ class Translator:
 
         def translate_one(ctx: TranslationContext, instance: Instance) -> None:
             new_data = transform(instance.to_dict())
-            self._translate_replacement(
+            self.program.run_replacement(
                 ctx, instance, self._coerce_instance(new_data)
             )
 
@@ -1031,37 +960,38 @@ class Translator:
 _REQUESTS: Dict[type, Any] = {
     CompleteInsertion: (
         "insert",
-        lambda t, ctx, r: t._translate_insertion(
+        lambda t, ctx, r: t.program.run_insertion(
             ctx, t._resolve_instance(ctx.engine, r.instance)
         ),
     ),
     CompleteDeletion: (
         "delete",
-        lambda t, ctx, r: t._translate_deletion(
+        lambda t, ctx, r: t.program.run_deletion(
             ctx, t._resolve_instance(ctx.engine, r.instance)
         ),
     ),
     Replacement: (
         "replace",
-        lambda t, ctx, r: t._translate_replacement(
+        lambda t, ctx, r: t.program.run_replacement(
             ctx, t._resolve_instance(ctx.engine, r.old), t._coerce_instance(r.new)
         ),
     ),
     PartialInsertion: (
         "partial_insert",
         lambda t, ctx, r: translate_partial_insertion(
-            ctx, t._resolve_instance(ctx.engine, r.instance), r.node_id, r.values
+            t.program, ctx, t._resolve_instance(ctx.engine, r.instance), r.node_id, r.values
         ),
     ),
     PartialDeletion: (
         "partial_delete",
         lambda t, ctx, r: translate_partial_deletion(
-            ctx, t._resolve_instance(ctx.engine, r.instance), r.node_id, r.values
+            t.program, ctx, t._resolve_instance(ctx.engine, r.instance), r.node_id, r.values
         ),
     ),
     PartialUpdate: (
         "partial_update",
         lambda t, ctx, r: translate_partial_update(
+            t.program,
             ctx,
             t._resolve_instance(ctx.engine, r.instance),
             r.node_id,

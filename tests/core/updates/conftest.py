@@ -1,24 +1,34 @@
-"""Run every update-translation test under BOTH translator builds.
+"""Run every update-translation test against BOTH the compiled program
+and its oracle.
 
-The compiled plan builders are the default; the interpreted tree walk
-is the reference semantics. Sweeping the whole directory across the
-module default turns each semantic test into its own small equivalence
-check — anything the compiled path gets wrong fails the same test that
-pins the interpreted behaviour. Tests that pass ``compile_plans``
-explicitly (the equivalence properties in ``test_compiled.py``) are
-unaffected: the explicit argument wins over the default.
+``src/`` has one translator, the compiled program; the readable tree
+walk it replaced is ``tests/reference_translate.py``. Sweeping the whole
+directory across the two turns each semantic test into its own small
+equivalence check — anything the program gets wrong fails the same test
+that pins the walk's behaviour. For the ``reference`` parameter
+:func:`tests.reference_translate.install` patches the walk over
+``CompiledProgram.run_*`` / ``maintain_*`` and the partial operations.
+Tests that compare the two themselves carry the ``compares_translators``
+mark: the sweep leaves them alone and they enter
+:func:`tests.reference_translate.installed` for their reference half.
+
+The reference parameter keeps the test id ``interpreted`` it has had
+since the walk lived in ``src/``, so test ids stay comparable across
+commits.
 """
 
 import pytest
 
-import repro.core.updates.translator as translator_mod
+from tests import reference_translate
 
 
-@pytest.fixture(autouse=True, params=["compiled", "interpreted"])
+@pytest.fixture(
+    autouse=True,
+    params=["compiled", pytest.param("reference", id="interpreted")],
+)
 def translation_mode(request, monkeypatch):
-    monkeypatch.setattr(
-        translator_mod,
-        "COMPILE_PLANS_DEFAULT",
-        request.param == "compiled",
-    )
+    if request.param == "reference" and not request.node.get_closest_marker(
+        "compares_translators"
+    ):
+        reference_translate.install(monkeypatch)
     return request.param

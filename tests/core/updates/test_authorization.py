@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.updates.operations import CompleteDeletion
 from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.errors import LocalValidationError
@@ -82,3 +83,112 @@ def test_policy_authorizes():
     assert closed.authorizes("a")
     assert not closed.authorizes("b")
     assert not closed.authorizes(None)
+
+
+# -- every entry point, not only the eager one ---------------------------------
+
+ENTRY_POINTS = {
+    "translate": lambda t, engine, request: t.translate(engine, request),
+    "explain": lambda t, engine, request: t.explain(engine, request),
+    "explain_batch": lambda t, engine, request: t.explain_batch(engine, [request]),
+    "apply_plan_batch": lambda t, engine, request: t.apply_plan_batch(
+        engine, [request]
+    ),
+}
+
+
+def snapshot(engine, graph):
+    return {name: sorted(engine.scan(name)) for name in graph.relation_names}
+
+
+@pytest.mark.parametrize("user", [None, "eve"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_translate_half_checks_authorization(
+    restricted, university_engine, university_graph, entry, user
+):
+    request = CompleteDeletion((any_course(university_engine),))
+    before = snapshot(university_engine, university_graph)
+    with pytest.raises(LocalValidationError, match="not authorized"):
+        ENTRY_POINTS[entry](restricted.for_user(user), university_engine, request)
+    assert snapshot(university_engine, university_graph) == before
+    # The same call by a listed user goes through.
+    ENTRY_POINTS[entry](restricted.for_user("registrar"), university_engine, request)
+
+
+def test_apply_plan_does_not_trust_its_caller(
+    restricted, university_engine, university_graph
+):
+    """The flush half checks too: a plan obtained elsewhere (here: from
+    an authorized user's translate) cannot be applied by anyone else."""
+    cid = any_course(university_engine)
+    plan = restricted.for_user("registrar").translate(
+        university_engine, CompleteDeletion((cid,))
+    )
+    before = snapshot(university_engine, university_graph)
+    with pytest.raises(LocalValidationError, match="'eve'"):
+        restricted.for_user("eve").apply_plan(university_engine, plan)
+    assert snapshot(university_engine, university_graph) == before
+    restricted.for_user("registrar").apply_plan(university_engine, plan)
+    assert university_engine.get("COURSES", (cid,)) is None
+
+
+def test_penguin_and_sharded_penguin_reject_alike():
+    """One policy naming authorized users, one anonymous insert: the
+    single session and the sharded one (whose write path is explain_batch
+    -> partition -> apply_plan) raise the same error class, audit the
+    rejection as rolled back on the owner, and change nothing."""
+    from repro.obs.audit import MemoryAuditLog
+    from repro.penguin import Penguin
+    from repro.shard import ShardedPenguin, sharded_loader
+    from repro.workloads.hospital import (
+        HospitalConfig,
+        hospital_schema,
+        patient_chart_object,
+        populate_hospital,
+    )
+
+    chart = {
+        "patient_id": 50_001,
+        "name": "Anonymous",
+        "birth_year": 1970,
+        "ward_name": None,
+        "VISIT": [],
+    }
+
+    def closed_policy():
+        return TranslatorPolicy(authorized_users=["dba"])
+
+    graph = hospital_schema()
+    single = Penguin(graph, audit=MemoryAuditLog())
+    populate_hospital(single.engine, HospitalConfig(patients=4))
+    single.register_object(patient_chart_object(graph))
+    single.set_policy("patient_chart", closed_policy())
+
+    graph = hospital_schema()
+    sharded = ShardedPenguin(graph, "PATIENT", num_shards=2)
+    populate_hospital(sharded_loader(sharded), HospitalConfig(patients=4))
+    sharded.register_object(patient_chart_object(graph))
+    sharded.set_policy("patient_chart", closed_policy())
+
+    def single_state():
+        return snapshot(single.engine, single.graph)
+
+    def sharded_state():
+        return [snapshot(shard.engine, sharded.graph) for shard in sharded.shards]
+
+    errors = []
+    for session, state in ((single, single_state), (sharded, sharded_state)):
+        before = state()
+        with pytest.raises(LocalValidationError, match="not authorized") as caught:
+            session.insert("patient_chart", dict(chart))
+        errors.append((type(caught.value), str(caught.value)))
+        assert state() == before
+    assert errors[0] == errors[1]
+
+    def outcomes(audit):
+        return [(record.op, record.outcome) for record in audit.records()]
+
+    assert outcomes(single.audit) == [("insert", "rolled_back")]
+    owner = sharded.shard(sharded.owner_of("patient_chart", (50_001,)))
+    assert outcomes(owner.penguin.audit) == [("insert", "rolled_back")]
+    assert sharded.audit_outcomes() == [("insert", "rolled_back")]

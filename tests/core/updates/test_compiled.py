@@ -1,36 +1,45 @@
-"""The compiled translator: byte-identical plans, shared cache, and the
-batch-path stragglers.
+"""The compiled program against its oracle: byte-identical plans, one
+compile per translator, the fast paths, and the batch-path stragglers.
 
 The central contract is the BIRDS-style equivalence discipline: for any
-schema in the synthetic chain family and any complete operation, the
-compiled program and the interpreted tree walk must produce the *same*
-plan — same operations, same order, same CASE reason strings — and
-reject the same requests with the same messages. Everything else
-(speed, prepared statements, cache sharing) rides on that guarantee.
+schema in the synthetic chain family and any operation — complete or
+partial, accepted or rejected — the compiled program and the reference
+walk of ``tests/reference_translate.py`` must produce the *same* outcome:
+same operations, same order, same CASE reason strings, or the same error
+class with the same message. Everything else (speed, prepared
+statements, program sharing) rides on that guarantee.
 """
 
 import copy
-import threading
+import datetime
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.updates.compiled as compiled_mod
+import repro.core.updates.translator as translator_module
+from repro.core.instance import build_instance
+from repro.core.updates.bulk import BufferedEngine
 from repro.core.updates.compiled import CompiledProgram
+from repro.core.updates.context import TranslationContext
 from repro.core.updates.operations import (
     CompleteDeletion,
     CompleteInsertion,
     Replacement,
 )
+from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.translator import Translator
-from repro.errors import UpdateRejectedError
+from repro.core.view_object import define_view_object
+from repro.errors import ReproError
 from repro.obs.audit import MemoryAuditLog
 from repro.penguin import Penguin
+from repro.relational.ddl import relation
 from repro.relational.faults import FaultInjectingEngine, FaultPlan, SimulatedCrash
 from repro.relational.journal import MemoryJournal
 from repro.relational.memory_engine import MemoryEngine
 from repro.shard.router import HashRouter, Placement, partition_plan
+from repro.strategy.laws import random_policy
+from repro.structural.schema_graph import StructuralSchema
 from repro.workloads.hospital import (
     HospitalConfig,
     hospital_schema,
@@ -38,8 +47,11 @@ from repro.workloads.hospital import (
     populate_hospital,
 )
 from repro.workloads.synthetic import random_chain_case
+from tests import reference_translate
+from tests.core.updates.test_global_integrity import lenient_completer
 
 FRESH_ROOT = 4711
+DANGLING_ROOT = 4712
 REHOMED_ROOT = 7777
 
 
@@ -59,151 +71,332 @@ def snapshot(engine):
     return {name: set(engine.scan(name)) for name in engine.relation_names()}
 
 
-def assert_same_plan(interpreted, compiled):
-    assert interpreted.operations == compiled.operations
-    assert interpreted.reasons == compiled.reasons
+def outcome(call):
+    """What a translation did, comparably: the plan's operations and
+    reasons in order, or the rejection's class and message."""
+    try:
+        plan = call()
+    except ReproError as exc:
+        return type(exc).__name__, str(exc)
+    return plan.operations, plan.reasons
 
 
-def twin_setups(seed):
-    """Two identical engines over the same seeded random schema, one
-    translator interpreted, one compiled."""
-    engine_i, engine_c = MemoryEngine(), MemoryEngine()
-    _, object_i, params = random_chain_case(engine_i, seed)
-    _, object_c, _ = random_chain_case(engine_c, seed)
-    interp = Translator(object_i, compile_plans=False)
-    comp = Translator(object_c, compile_plans=True)
-    return engine_i, engine_c, interp, comp, params
+class Twins:
+    """Two identical databases over one schema and two translators with
+    equal policies. Operations run on the ``compiled`` side as shipped
+    and on the ``reference`` side under the oracle."""
+
+    def __init__(self, build, policy_for=lambda view_object: None):
+        self.engine_c, self.engine_r = MemoryEngine(), MemoryEngine()
+        object_c, object_r = build(self.engine_c), build(self.engine_r)
+        self.compiled = Translator(
+            object_c, policy=policy_for(object_c), strictness="off"
+        )
+        self.reference = Translator(
+            object_r, policy=policy_for(object_r), strictness="off"
+        )
+        self.view_object = object_c
+
+    def same(self, call):
+        """``call(translator, engine)`` on both sides must have the
+        identical outcome, which is returned."""
+        compiled = outcome(lambda: call(self.compiled, self.engine_c))
+        with reference_translate.installed():
+            reference = outcome(lambda: call(self.reference, self.engine_r))
+        assert compiled == reference
+        return compiled
+
+    def same_databases(self):
+        assert snapshot(self.engine_c) == snapshot(self.engine_r)
 
 
+def chain_twins(seed, adversarial=False, policy_for=lambda view_object: None):
+    return Twins(
+        lambda engine: random_chain_case(engine, seed, adversarial)[1],
+        policy_for,
+    )
+
+
+def run_complete_operations(twins):
+    """Rejection, fresh insert, insert with a dangling reference,
+    nonkey replace, key re-homing replace, delete — each compared."""
+    template = twins.compiled.instantiate(twins.engine_c, (0,)).to_dict()
+
+    # Re-inserting a resident island instance is CASE 1 on both.
+    twins.same(lambda t, e: t.insert(e, copy.deepcopy(template)))
+
+    # Fresh insert: the resident instance re-keyed to a new root.
+    fresh = rekey(copy.deepcopy(template), FRESH_ROOT)
+    twins.same(lambda t, e: t.insert(e, copy.deepcopy(fresh)))
+
+    # A referenced tuple nobody supplied: global integrity fabricates
+    # the skeleton (or the completer refuses), identically.
+    dangling = rekey(copy.deepcopy(template), DANGLING_ROOT)
+    if "lookup_id" in dangling:
+        dangling["lookup_id"] = 31337
+        dangling["LOOKUP"] = []
+    twins.same(lambda t, e: t.insert(e, copy.deepcopy(dangling)))
+
+    # Nonkey replacement at the pivot (CASE R-2).
+    renamed = dict(copy.deepcopy(fresh), payload="compiled check")
+    twins.same(lambda t, e: t.replace(e, (FRESH_ROOT,), copy.deepcopy(renamed)))
+
+    # Replacement with key re-homing: root 0 moves to a new pivot key,
+    # dragging the owned subtree and peninsula repairs along.
+    rehomed = rekey(copy.deepcopy(template), REHOMED_ROOT)
+    twins.same(lambda t, e: t.replace(e, (0,), copy.deepcopy(rehomed)))
+
+    # Deletion of the re-homed instance (island + peninsula repair); an
+    # UpdateError on both sides when the re-homing was rejected.
+    twins.same(lambda t, e: t.delete(e, key=(REHOMED_ROOT,)))
+    twins.same_databases()
+
+
+def run_partial_operations(twins):
+    """Every node of the object: partial insert (fresh, orphaned,
+    identical, conflicting), partial update, partial delete."""
+    view_object = twins.view_object
+    roots = sorted(twins.engine_c.scan(view_object.pivot_relation))
+    if not roots:
+        return
+    root = (roots[0][0],)
+    for node in list(view_object.tree.bfs()):
+        node_id = node.node_id
+        schema = view_object.graph.relation(node.relation)
+        instance = twins.compiled.instantiate(twins.engine_c, root)
+        components = instance.tuples_at(node_id)
+        if not components:
+            continue
+        values = dict(components[0].values)
+        nonkey = next(
+            (
+                name
+                for name in view_object.projection(node_id).attributes
+                if name not in schema.key
+            ),
+            None,
+        )
+        fresh = dict(values, **{name: 99 for name in schema.key})
+        orphan = dict(values, **{name: 88 for name in schema.key[1:]})
+        variants = [fresh, orphan, values]
+        if nonkey is not None:
+            variants.append(dict(values, **{nonkey: "conflicting"}))
+        for variant in variants:
+            twins.same(
+                lambda t, e: t.insert_component(e, root, node_id, dict(variant))
+            )
+        if nonkey is not None:
+            twins.same(
+                lambda t, e: t.update_component(
+                    e, root, node_id, dict(values), dict(values, **{nonkey: "updated"})
+                )
+            )
+        # A key-changing partial update is refused at step 1.
+        twins.same(
+            lambda t, e: t.update_component(e, root, node_id, dict(values), dict(fresh))
+        )
+        twins.same(lambda t, e: t.delete_component(e, root, node_id, dict(values)))
+        twins.same(lambda t, e: t.delete_component(e, root, node_id, dict(fresh)))
+    twins.same_databases()
+
+
+def dated_case(engine):
+    """WARD(ward, opened DATE) --* STAY(ward, day DATE, note): a node
+    whose key holds a DATE (STAY) under one that merely carries one."""
+    graph = StructuralSchema("dated")
+    graph.add_relation(
+        relation("WARD").text("ward").date("opened").key("ward").build()
+    )
+    graph.add_relation(
+        relation("STAY")
+        .text("ward")
+        .date("day")
+        .text("note", nullable=True)
+        .key("ward", "day")
+        .build()
+    )
+    graph.ownership("ward_stay", "WARD", "STAY", ["ward"], ["ward"])
+    graph.install(engine)
+    engine.insert("WARD", ("icu", datetime.date(2020, 1, 1)))
+    engine.insert("STAY", ("icu", datetime.date(2020, 2, 2), "first"))
+    return define_view_object(
+        graph,
+        "ward_stays",
+        pivot="WARD",
+        selections={"WARD": ["ward", "opened"], "STAY": ["ward", "day", "note"]},
+    )
+
+
+@pytest.mark.compares_translators
 class TestCompiledEquivalence:
-    """compiled ≡ interpreted over the randomized chain family.
+    """compiled ≡ reference over the randomized chain family, plain and
+    adversarial. One example of the first property compares six complete
+    operations, one of the second up to nine partial ones per node."""
 
-    Each Hypothesis example runs four comparisons — rejection parity,
-    fresh insert, key re-homing replace, delete — so 70 examples cover
-    280 schema/op cases (the acceptance floor is 200).
-    """
-
-    @given(seed=st.integers(min_value=0, max_value=100_000))
+    @given(seed=st.integers(min_value=0, max_value=100_000), adversarial=st.booleans())
     @settings(max_examples=70, deadline=None)
-    def test_plans_and_rejections_identical(self, seed):
-        engine_i, engine_c, interp, comp, params = twin_setups(seed)
+    def test_plans_and_rejections_identical(self, seed, adversarial):
+        run_complete_operations(chain_twins(seed, adversarial))
 
-        # Rejection parity: re-inserting a resident island instance is
-        # CASE 1 on both paths, with the identical message.
-        template = interp.instantiate(engine_i, (0,)).to_dict()
-        with pytest.raises(UpdateRejectedError) as rej_i:
-            interp.insert(engine_i, copy.deepcopy(template))
-        with pytest.raises(UpdateRejectedError) as rej_c:
-            comp.insert(engine_c, copy.deepcopy(template))
-        assert str(rej_i.value) == str(rej_c.value)
+    @given(seed=st.integers(min_value=0, max_value=100_000), adversarial=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_partial_operations_identical(self, seed, adversarial):
+        run_partial_operations(chain_twins(seed, adversarial))
 
-        # Fresh insert: the resident instance re-keyed to a new root.
-        fresh = rekey(copy.deepcopy(template), FRESH_ROOT)
-        assert_same_plan(
-            interp.insert(engine_i, copy.deepcopy(fresh)),
-            comp.insert(engine_c, copy.deepcopy(fresh)),
+    @given(seed=st.integers(min_value=0, max_value=100_000), adversarial=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_random_policies_reject_identically(self, seed, adversarial):
+        """Switches off at random: most operations now reject, and the
+        messages must match to the byte."""
+        twins = chain_twins(
+            seed, adversarial, lambda view_object: random_policy(view_object, seed)
         )
+        run_complete_operations(twins)
+        run_partial_operations(twins)
 
-        # Replacement with key re-homing: root 0 moves to a new pivot
-        # key, dragging the owned subtree and peninsula repairs along.
-        old_i = interp.instantiate(engine_i, (0,))
-        rehomed = rekey(old_i.to_dict(), REHOMED_ROOT)
-        old_c = comp.instantiate(engine_c, (0,))
-        assert_same_plan(
-            interp.replace(engine_i, old_i, copy.deepcopy(rehomed)),
-            comp.replace(engine_c, old_c, copy.deepcopy(rehomed)),
+    @given(seed=st.integers(min_value=0, max_value=100_000), adversarial=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_custom_completer_identical(self, seed, adversarial):
+        """A custom completer turns the fused row building and the fast
+        insert off; the generic path must agree with the walk too."""
+        twins = chain_twins(
+            seed,
+            adversarial,
+            lambda view_object: TranslatorPolicy(completer=lenient_completer),
         )
+        run_complete_operations(twins)
+        run_partial_operations(twins)
 
-        # Deletion of the re-homed instance (island + peninsula repair).
-        assert_same_plan(
-            interp.delete(engine_i, key=(REHOMED_ROOT,)),
-            comp.delete(engine_c, key=(REHOMED_ROOT,)),
+    @pytest.mark.parametrize("as_datetime", [False, True])
+    def test_date_keyed_relation_identical(self, as_datetime):
+        """DATE keys take the checked mutators (the overlay must see the
+        narrowed key); a ``datetime`` in the request narrows to the same
+        stored ``date`` on both sides."""
+
+        def day(year, month, dom):
+            if as_datetime:
+                return datetime.datetime(year, month, dom, 13, 30)
+            return datetime.date(year, month, dom)
+
+        twins = Twins(dated_case)
+        fresh = {
+            "ward": "er",
+            "opened": day(2021, 3, 4),
+            "STAY": [
+                {"ward": "er", "day": day(2021, 3, 5), "note": "a"},
+                {"ward": "er", "day": day(2021, 3, 6), "note": None},
+            ],
+        }
+        twins.same(lambda t, e: t.insert(e, copy.deepcopy(fresh)))
+        twins.same(lambda t, e: t.insert(e, copy.deepcopy(fresh)))
+        twins.same(
+            lambda t, e: t.insert_many(
+                e, [rekey_ward(copy.deepcopy(fresh), "b1"), rekey_ward(copy.deepcopy(fresh), "b2")]
+            )
         )
-
-        # After identical plans, the databases are byte-identical too.
-        assert snapshot(engine_i) == snapshot(engine_c)
+        twins.same(
+            lambda t, e: t.insert_component(
+                e, ("er",), "STAY", {"day": day(2021, 3, 7), "note": "late"}
+            )
+        )
+        twins.same(
+            lambda t, e: t.update_component(
+                e,
+                ("er",),
+                "STAY",
+                {"ward": "er", "day": day(2021, 3, 5), "note": "a"},
+                {"ward": "er", "day": day(2021, 3, 5), "note": "b"},
+            )
+        )
+        moved = rekey_ward(copy.deepcopy(fresh), "er2")
+        twins.same(lambda t, e: t.replace(e, ("er",), copy.deepcopy(moved)))
+        twins.same(
+            lambda t, e: t.delete_component(
+                e, ("er2",), "STAY", {"ward": "er2", "day": day(2021, 3, 6)}
+            )
+        )
+        twins.same(lambda t, e: t.delete_many(e, keys=[("er2",), ("b1",)]))
+        twins.same(lambda t, e: t.delete(e, key=("icu",)))
+        twins.same_databases()
 
     @given(seed=st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=25, deadline=None)
     def test_cross_shard_partition_identical(self, seed):
         """The owner-shard fast path: partitioning a compiled plan (incl.
         a pivot-key re-home that crosses shards) equals partitioning the
-        interpreted plan, shard by shard."""
-        engine_i, engine_c, interp, comp, _ = twin_setups(seed)
-        old_i = interp.instantiate(engine_i, (0,))
-        rehomed = rekey(old_i.to_dict(), REHOMED_ROOT)
-        plan_i = interp.preview_replace(engine_i, old_i, copy.deepcopy(rehomed))
-        old_c = comp.instantiate(engine_c, (0,))
-        plan_c = comp.preview_replace(engine_c, old_c, copy.deepcopy(rehomed))
-
-        graph = interp.view_object.graph
-        placement = Placement(graph, "R0")
+        reference plan, shard by shard."""
+        twins = chain_twins(seed)
+        old = twins.compiled.instantiate(twins.engine_c, (0,))
+        rehomed = rekey(old.to_dict(), REHOMED_ROOT)
+        plan_c = twins.compiled.preview_replace(
+            twins.engine_c, old, copy.deepcopy(rehomed)
+        )
+        with reference_translate.installed():
+            plan_r = twins.reference.preview_replace(
+                twins.engine_r, (0,), copy.deepcopy(rehomed)
+            )
+        placement = Placement(twins.view_object.graph, "R0")
         router = HashRouter(4)
-        parts_i = partition_plan(plan_i, placement, router, num_shards=4)
         parts_c = partition_plan(plan_c, placement, router, num_shards=4)
-        assert sorted(parts_i) == sorted(parts_c)
-        for shard in parts_i:
-            assert parts_i[shard].operations == parts_c[shard].operations
+        parts_r = partition_plan(plan_r, placement, router, num_shards=4)
+        assert sorted(parts_c) == sorted(parts_r)
+        for shard in parts_c:
+            assert parts_c[shard].operations == parts_r[shard].operations
+
+
+def rekey_ward(chart, ward):
+    chart["ward"] = ward
+    for stay in chart["STAY"]:
+        stay["ward"] = ward
+    return chart
+
+
+def hospital_translator(engine=None, patients=4):
+    graph = hospital_schema()
+    engine = engine if engine is not None else MemoryEngine()
+    graph.install(engine)
+    populate_hospital(engine, HospitalConfig(patients=patients))
+    return engine, Translator(patient_chart_object(graph))
 
 
 class TestCompiledOnHospital:
     """Spot checks on the richer hospital schema (multi-child tree,
     reference children, nullable foreign keys)."""
 
-    def setups(self):
-        engine_i, engine_c = MemoryEngine(), MemoryEngine()
-        graph_i, graph_c = hospital_schema(), hospital_schema()
-        graph_i.install(engine_i)
-        graph_c.install(engine_c)
-        populate_hospital(engine_i, HospitalConfig(patients=4))
-        populate_hospital(engine_c, HospitalConfig(patients=4))
-        interp = Translator(patient_chart_object(graph_i), compile_plans=False)
-        comp = Translator(patient_chart_object(graph_c), compile_plans=True)
-        return engine_i, engine_c, interp, comp
-
+    @pytest.mark.compares_translators
     def test_explain_renders_identically(self):
-        engine_i, engine_c, interp, comp = self.setups()
-
-        def requests_for(translator, engine):
+        def renders(translator, engine):
             chart = translator.instantiate(engine, (100,))
-            renamed = dict(
-                translator.instantiate(engine, (101,)).to_dict(),
-                name="Compiled Check",
-            )
+            other = translator.instantiate(engine, (101,))
+            renamed = dict(other.to_dict(), name="Compiled Check")
             fresh = dict(chart.to_dict(), patient_id=999, VISIT=[])
             return [
-                CompleteDeletion(chart),
-                Replacement(
-                    translator.instantiate(engine, (101,)), renamed
-                ),
-                CompleteInsertion(fresh),
+                translator.explain(engine, request).render()
+                for request in (
+                    CompleteDeletion(chart),
+                    Replacement(other, renamed),
+                    CompleteInsertion(fresh),
+                )
             ]
 
-        for req_i, req_c in zip(
-            requests_for(interp, engine_i), requests_for(comp, engine_c)
-        ):
-            explain_i = interp.explain(engine_i, req_i)
-            explain_c = comp.explain(engine_c, req_c)
-            assert explain_i.render() == explain_c.render()
+        compiled = renders(*reversed(hospital_translator()))
+        with reference_translate.installed():
+            reference = renders(*reversed(hospital_translator()))
+        assert compiled == reference
 
     def test_program_describe_names_every_node(self):
-        _, _, _, comp = self.setups()
-        front = comp.compiled()
-        text = front.describe()
+        _, translator = hospital_translator()
+        text = translator.compiled().describe()
         assert "PATIENT" in text
         assert "island" in text
-        assert front.program is comp.compiled().program  # cached
+        assert translator.compiled() is translator.program  # no wrapper
 
     def test_prepared_engine_plans_unchanged(self):
         """prepare_engine builds sqlite statements and hash indexes
         without changing the plans the translator produces."""
         from repro.relational.sqlite_engine import SqliteEngine
 
-        graph = hospital_schema()
-        engine = SqliteEngine()
-        graph.install(engine)
-        populate_hospital(engine, HospitalConfig(patients=3))
-        comp = Translator(patient_chart_object(graph), compile_plans=True)
+        engine, comp = hospital_translator(SqliteEngine(), patients=3)
         baseline = comp.preview_delete(engine, key=(100,))
         comp.compiled().prepare_engine(engine)
         assert engine._sql_cache  # statements were built eagerly
@@ -215,70 +408,50 @@ class TestCompiledOnHospital:
 
 
 class TestCompiledCacheSharing:
+    """One program per translator. (The class and its first test keep the
+    names they had when a lazily filled cache object held the program.)"""
+
     def test_for_user_shares_the_cache_object(self):
         engine = MemoryEngine()
         _, view_object, _ = random_chain_case(engine, 11)
-        translator = Translator(view_object, compile_plans=True)
+        translator = Translator(view_object)
         bound = translator.for_user("alice")
         assert bound.user == "alice" and translator.user is None
         # A bound copy carries every attribute of its base (none may be
-        # forgotten when one is added), and shares the cache by identity.
+        # forgotten when one is added), and shares the program by identity.
         assert vars(bound).keys() == vars(translator).keys()
-        assert bound._compiled is translator._compiled
-        # The program built through either handle is the same object.
-        assert bound.compiled().program is translator.compiled().program
+        assert bound.program is translator.program
+        assert bound.compiled() is translator.compiled()
 
-    def test_concurrent_first_compile_builds_once(self, monkeypatch):
-        """Eight threads race the first translation through for_user
-        copies; the program must be compiled exactly once (the
-        ConcurrentPenguin reader/writer regression)."""
+    def test_compiles_once_all_share(self, monkeypatch):
+        """Constructing a Translator compiles exactly once — there is no
+        lazy first-use build left to race — and no later call, bound
+        copy or thread compiles again."""
         builds = []
         real = CompiledProgram
 
         def counting(view_object, analysis):
-            builds.append(threading.get_ident())
+            builds.append(view_object.name)
             return real(view_object, analysis)
 
-        monkeypatch.setattr(compiled_mod, "CompiledProgram", counting)
-        seeds = list(range(8))
-        engines = []
-        for _ in seeds:
-            engine = MemoryEngine()
-            random_chain_case(engine, 23)
-            engines.append(engine)
-        shared_engine = MemoryEngine()
-        _, view_object, _ = random_chain_case(shared_engine, 23)
-        translator = Translator(view_object, compile_plans=True)
-        barrier = threading.Barrier(len(seeds))
-        plans = [None] * len(seeds)
-        errors = []
-
-        def worker(index):
-            bound = translator.for_user(f"user{index}")
-            barrier.wait()
-            try:
-                plans[index] = bound.preview_delete(
-                    engines[index], key=(0,)
-                )
-            except Exception as exc:  # pragma: no cover - diagnostic
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in seeds
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert len(builds) == 1
-        reference = plans[0]
-        for plan in plans[1:]:
-            assert plan.operations == reference.operations
+        monkeypatch.setattr(translator_module, "CompiledProgram", counting)
+        engine = MemoryEngine()
+        _, view_object, _ = random_chain_case(engine, 23)
+        translator = Translator(view_object)
+        assert builds == [view_object.name]
+        copies = [translator.for_user(f"user{i}") for i in range(8)]
+        for bound in copies:
+            assert bound.program is translator.program
+            bound.preview_delete(engine, key=(0,))
+            bound.compiled().describe()
+        translator.delete(engine, key=(0,))
+        assert builds == [view_object.name]
 
     def test_concurrent_penguin_serves_compiled_updates(self):
         """Writer threads insert distinct charts through the serving
-        lock while the shared compiled cache is warm."""
+        lock, all through the one shared program."""
+        import threading
+
         from repro.serve.concurrent import ConcurrentPenguin
 
         graph = hospital_schema()
@@ -309,14 +482,199 @@ class TestCompiledCacheSharing:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
         for i in range(6):
             assert serving.get("patient_chart", (60_000 + i,)) is not None
 
 
+class _Checked:
+    """An overlay that hides the fast mutators: the program falls back
+    to the checked ``ctx.insert`` / ``ctx.delete`` everywhere."""
+
+    def __init__(self, base):
+        self._inner = BufferedEngine(base)
+
+    def __getattr__(self, name):
+        if name in ("insert_validated", "delete_validated"):
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+
+class _Spy(BufferedEngine):
+    """An overlay that records which relations the program wrote through
+    a fast mutator directly (``insert`` / ``delete`` use them too, after
+    their checks; those calls do not count)."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.fast_inserts, self.fast_deletes = [], []
+        self._checking = False
+
+    def _checked(self, mutate, *args):
+        self._checking = True
+        try:
+            return mutate(*args)
+        finally:
+            self._checking = False
+
+    def insert(self, name, values):
+        return self._checked(super().insert, name, values)
+
+    def delete(self, name, key):
+        return self._checked(super().delete, name, key)
+
+    def insert_validated(self, name, row, key):
+        if not self._checking:
+            self.fast_inserts.append(name)
+        super().insert_validated(name, row, key)
+
+    def delete_validated(self, name, key):
+        if not self._checking:
+            self.fast_deletes.append(name)
+        super().delete_validated(name, key)
+
+
+def overlay_state(overlay):
+    return (
+        copy.deepcopy(overlay._overlay),
+        copy.deepcopy(overlay._tombstones),
+        {name: sorted(overlay.scan(name), key=repr) for name in overlay.relation_names()},
+    )
+
+
+def translate_over(overlay, translator, run, *instances):
+    ctx = TranslationContext(
+        translator.view_object, overlay, translator.policy, translator.analysis
+    )
+    getattr(translator.program, run)(ctx, *instances)
+    return ctx.plan.operations, ctx.plan.reasons, overlay_state(overlay)
+
+
+@pytest.mark.compares_translators
+class TestFastPaths:
+    """Each shortcut of the compiled program against the checked path it
+    skips (ROADMAP item 3: a fast path keeps a named test or goes)."""
+
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=25, deadline=None)
+    def test_fast_insert_matches_checked_insert(self, seed):
+        """``insert_validated`` skips the duplicate probe and the row
+        re-validation ``BufferedEngine.insert`` would repeat: same plan,
+        same reasons, same overlay and tombstones without it."""
+        engine = MemoryEngine()
+        _, view_object, _ = random_chain_case(engine, seed)
+        translator = Translator(view_object)
+        fresh = build_instance(
+            view_object,
+            rekey(translator.instantiate(engine, (0,)).to_dict(), FRESH_ROOT),
+        )
+        spy = _Spy(engine)
+        fast = translate_over(spy, translator, "run_insertion", fresh)
+        checked = translate_over(_Checked(engine), translator, "run_insertion", fresh)
+        assert fast == checked
+        assert "R0" in spy.fast_inserts
+
+    def test_fast_insert_leaves_date_keys_and_custom_completers_checked(self):
+        engine = MemoryEngine()
+        view_object = dated_case(engine)
+        fresh = {
+            "ward": "er",
+            "opened": datetime.datetime(2021, 3, 4, 9, 0),
+            "STAY": [{"ward": "er", "day": datetime.datetime(2021, 3, 5, 9, 0), "note": None}],
+        }
+        for policy, expected in (
+            # WARD carries a DATE (normalized, then fast); STAY is keyed
+            # by one, so the overlay key must come from the checked path.
+            (None, ["WARD"]),
+            # A custom completer may rewrite key attributes: never fast.
+            (TranslatorPolicy(completer=lenient_completer), []),
+        ):
+            translator = Translator(view_object, policy=policy)
+            instance = build_instance(view_object, copy.deepcopy(fresh))
+            spy = _Spy(engine)
+            fast = translate_over(spy, translator, "run_insertion", instance)
+            checked = translate_over(
+                _Checked(engine), translator, "run_insertion", instance
+            )
+            assert fast == checked
+            assert spy.fast_inserts == expected
+            assert spy.get("STAY", ("er", datetime.date(2021, 3, 5))) is not None
+
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=25, deadline=None)
+    def test_fast_delete_matches_checked_delete(self, seed):
+        """``delete_validated`` skips the re-read inside ``ctx.delete``
+        (the existence probe just returned the row): same plan, reasons,
+        overlay and tombstones — also for rows the overlay itself holds."""
+        engine = MemoryEngine()
+        _, view_object, _ = random_chain_case(engine, seed)
+        translator = Translator(view_object)
+        resident = translator.instantiate(engine, (0,))
+        fresh = build_instance(
+            view_object, rekey(resident.to_dict(), FRESH_ROOT)
+        )
+        results = []
+        for overlay in (_Spy(engine), _Checked(engine)):
+            translate_over(overlay, translator, "run_insertion", fresh)
+            buffered = translate_over(overlay, translator, "run_deletion", fresh)
+            based = translate_over(overlay, translator, "run_deletion", resident)
+            results.append((buffered, based))
+            if isinstance(overlay, _Spy):
+                assert overlay.fast_deletes.count("R0") == 2
+        assert results[0] == results[1]
+
+    def test_fast_delete_leaves_date_keys_checked(self):
+        engine = MemoryEngine()
+        view_object = dated_case(engine)
+        translator = Translator(view_object)
+        resident = translator.instantiate(engine, ("icu",))
+        spy = _Spy(engine)
+        fast = translate_over(spy, translator, "run_deletion", resident)
+        checked = translate_over(
+            _Checked(engine), translator, "run_deletion", resident
+        )
+        assert fast == checked
+        assert spy.fast_deletes == ["WARD"]
+
+    @given(seed=st.integers(min_value=0, max_value=100_000), adversarial=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_key_probe_matches_find_by_probe(self, seed, adversarial):
+        """Where a dependency probe's attributes are exactly the probed
+        relation's key, the program asks ``get`` instead of ``find_by``
+        (``probes_by_key``): same plans and rejections with the elision
+        switched off, and it is only on where the attributes are the key."""
+        engine = MemoryEngine()
+        graph, view_object, _ = random_chain_case(engine, seed, adversarial)
+        elided = Translator(view_object, strictness="off")
+        probing = Translator(view_object, strictness="off")
+        for rules in probing.program.rules.values():
+            for target, attributes, *_, by_key in rules.dependencies:
+                assert by_key == (
+                    tuple(attributes) == tuple(graph.relation(target).key)
+                )
+            rules.dependencies = tuple(
+                entry[:-1] + (False,) for entry in rules.dependencies
+            )
+        template = elided.instantiate(engine, (0,)).to_dict()
+        dangling = rekey(copy.deepcopy(template), DANGLING_ROOT)
+        if "lookup_id" in dangling:
+            dangling["lookup_id"] = 31337
+            dangling["LOOKUP"] = []
+        requests = [
+            CompleteInsertion(rekey(copy.deepcopy(template), FRESH_ROOT)),
+            CompleteInsertion(dangling),
+            Replacement((0,), rekey(copy.deepcopy(template), REHOMED_ROOT)),
+        ]
+        for request in requests:
+            assert outcome(lambda: elided.translate(engine, request)) == outcome(
+                lambda: probing.translate(engine, request)
+            )
+
+
 class TestWhereBatchSemantics:
-    """delete_where / update_where now ride the _run_batch pipeline:
+    """delete_where / update_where ride the _run_batch pipeline:
     coalesced plan, one journal intent, one audit record, all-or-nothing."""
 
     def build_session(self, journal=None, audit=None, engine=None):

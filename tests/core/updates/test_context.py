@@ -1,15 +1,47 @@
 """Translation context: recorded mutations and helpers."""
 
+from functools import partial
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import UpdateRejectedError
+from repro.core.updates.compiled import CompiledProgram
 from repro.core.updates.context import TranslationContext
 from repro.core.updates.policy import TranslatorPolicy
+from tests import reference_translate
 
 
 @pytest.fixture
 def ctx(omega, university_engine):
     return TranslationContext(omega, university_engine, TranslatorPolicy())
+
+
+@pytest.fixture
+def helpers(ctx, translation_mode):
+    """Key / merge / match for one node, from whichever implementation
+    the sweep selected: the program's :class:`CompiledNode` records, or
+    the walk's context helpers they replaced."""
+    if translation_mode == "reference":
+        return SimpleNamespace(
+            merge_with_existing=partial(
+                reference_translate.merge_with_existing, ctx
+            ),
+            key_from_values=partial(reference_translate.key_from_values, ctx),
+            projected_values_match=partial(
+                reference_translate.projected_values_match, ctx
+            ),
+        )
+    nodes = CompiledProgram(ctx.view_object, ctx.analysis).nodes
+    return SimpleNamespace(
+        merge_with_existing=lambda node_id, values, existing: nodes[
+            node_id
+        ].merge_row(values, existing),
+        key_from_values=lambda node_id, values: nodes[node_id].key_from(values),
+        projected_values_match=lambda node_id, values, existing: nodes[
+            node_id
+        ].projected_match(values, existing),
+    )
 
 
 def any_course(engine):
@@ -67,24 +99,24 @@ class TestHelpers:
         )
         assert values == ("X", "t", 1, "g", "Physics", None)
 
-    def test_merge_with_existing(self, ctx, university_engine):
+    def test_merge_with_existing(self, helpers, university_engine):
         course = any_course(university_engine)
-        merged = ctx.merge_with_existing(
+        merged = helpers.merge_with_existing(
             "COURSES", {"title": "Patched"}, course
         )
         assert merged[1] == "Patched"
         assert merged[5] == course[5]  # projected-out attr preserved
 
-    def test_key_from_values(self, ctx):
-        assert ctx.key_from_values("GRADES", {
+    def test_key_from_values(self, helpers):
+        assert helpers.key_from_values("GRADES", {
             "course_id": "C", "student_id": 3, "grade": "A",
         }) == ("C", 3)
 
-    def test_key_from_values_missing(self, ctx):
+    def test_key_from_values_missing(self, helpers):
         with pytest.raises(UpdateRejectedError):
-            ctx.key_from_values("GRADES", {"course_id": "C"})
+            helpers.key_from_values("GRADES", {"course_id": "C"})
 
-    def test_projected_values_match(self, ctx, university_engine):
+    def test_projected_values_match(self, helpers, university_engine):
         course = any_course(university_engine)
         values = {
             "course_id": course[0],
@@ -93,6 +125,6 @@ class TestHelpers:
             "level": course[3],
             "dept_name": course[4],
         }
-        assert ctx.projected_values_match("COURSES", values, course)
+        assert helpers.projected_values_match("COURSES", values, course)
         values["title"] = "other"
-        assert not ctx.projected_values_match("COURSES", values, course)
+        assert not helpers.projected_values_match("COURSES", values, course)

@@ -1,9 +1,14 @@
-"""Step 4: global integrity maintenance primitives."""
+"""Step 4: global integrity maintenance primitives.
+
+Driven through the compiled program's ``maintain_*`` passes; under the
+directory's ``interpreted`` parameter those are the reference walk's
+(``tests/reference_translate.py``), so each test pins both.
+"""
 
 import pytest
 
 from repro.errors import UpdateRejectedError
-from repro.core.updates import global_integrity
+from repro.core.updates.compiled import CompiledProgram
 from repro.core.updates.context import TranslationContext
 from repro.core.updates.policy import (
     ReferenceRepair,
@@ -18,6 +23,10 @@ def ctx(omega, university_engine):
     return TranslationContext(omega, university_engine, TranslatorPolicy())
 
 
+def program(ctx):
+    return CompiledProgram(ctx.view_object, ctx.analysis)
+
+
 def course_with_grades(engine):
     for values in engine.scan("COURSES"):
         if engine.find_by("GRADES", ("course_id",), (values[0],)):
@@ -29,7 +38,7 @@ class TestDeletionMaintenance:
     def test_cascade_to_owned(self, ctx, university_engine):
         course = course_with_grades(university_engine)
         ctx.delete("COURSES", (course[0],), reason="seed")
-        global_integrity.maintain_after_deletions(ctx)
+        program(ctx).maintain_after_deletions(ctx)
         assert (
             university_engine.find_by("GRADES", ("course_id",), (course[0],))
             == []
@@ -42,7 +51,7 @@ class TestDeletionMaintenance:
             chart, hospital_engine, TranslatorPolicy()
         )
         ctx.delete("PATIENT", (101,), reason="seed")
-        global_integrity.maintain_after_deletions(ctx)
+        program(ctx).maintain_after_deletions(ctx)
         assert hospital_engine.find_by("VISIT", ("patient_id",), (101,)) == []
         assert (
             hospital_engine.find_by("DIAGNOSIS", ("patient_id",), (101,))
@@ -54,7 +63,7 @@ class TestDeletionMaintenance:
         ctx = TranslationContext(bom, cad_engine, TranslatorPolicy())
         released = next(iter(cad_engine.scan("RELEASED_ASSEMBLY")))[0]
         ctx.delete("ASSEMBLY", (released,), reason="seed")
-        global_integrity.maintain_after_deletions(ctx)
+        program(ctx).maintain_after_deletions(ctx)
         assert cad_engine.get("RELEASED_ASSEMBLY", (released,)) is None
 
     def test_reference_repair_auto_deletes_key_fk(self, ctx, university_engine):
@@ -64,7 +73,7 @@ class TestDeletionMaintenance:
             {"degree": "TESTDEG", "course_id": course[0], "category": "x"},
         )
         ctx.delete("COURSES", (course[0],), reason="seed")
-        global_integrity.maintain_after_deletions(ctx)
+        program(ctx).maintain_after_deletions(ctx)
         assert (
             university_engine.find_by(
                 "CURRICULUM", ("course_id",), (course[0],)
@@ -90,7 +99,7 @@ class TestDeletionMaintenance:
             v for v in university_engine.scan("COURSES") if v[5] is not None
         )
         ctx.delete("FACULTY", (course[5],), reason="seed")
-        global_integrity.maintain_after_deletions(ctx)
+        program(ctx).maintain_after_deletions(ctx)
         assert university_engine.get("COURSES", (course[0],))[5] is None
 
     def test_prohibit_raises(self, omega, university_engine):
@@ -107,7 +116,7 @@ class TestDeletionMaintenance:
         )
         ctx.delete("COURSES", (course[0],), reason="seed")
         with pytest.raises(UpdateRejectedError):
-            global_integrity.maintain_after_deletions(ctx)
+            program(ctx).maintain_after_deletions(ctx)
 
 
 def lenient_completer(relation, schema, partial):
@@ -138,13 +147,13 @@ class TestInsertionMaintenance:
     def test_missing_owner_inserted(self, lenient_ctx, university_engine):
         lenient_ctx.insert("GRADES", ("NEWC1", 1001, "A"), reason="seed")
         # 1001 is not a student in the generated data; NEWC1 not a course.
-        global_integrity.maintain_after_insertions(lenient_ctx)
+        program(lenient_ctx).maintain_after_insertions(lenient_ctx)
         assert university_engine.get("COURSES", ("NEWC1",)) is not None
         assert university_engine.get("STUDENT", (1001,)) is not None
 
     def test_recursion_to_people(self, lenient_ctx, university_engine):
         lenient_ctx.insert("GRADES", ("NEWC2", 777777, "A"), reason="seed")
-        global_integrity.maintain_after_insertions(lenient_ctx)
+        program(lenient_ctx).maintain_after_insertions(lenient_ctx)
         assert university_engine.get("PEOPLE", (777777,)) is not None
 
     def test_default_completer_rejects_unskeletonizable(
@@ -154,7 +163,7 @@ class TestInsertionMaintenance:
         is impossible (title is non-nullable) and must be rejected."""
         ctx.insert("GRADES", ("NEWC9", 1001, "A"), reason="seed")
         with pytest.raises(UpdateRejectedError, match="title"):
-            global_integrity.maintain_after_insertions(ctx)
+            program(ctx).maintain_after_insertions(ctx)
 
     def test_missing_reference_inserted(self, ctx, university_engine):
         ctx.insert(
@@ -162,7 +171,7 @@ class TestInsertionMaintenance:
             ("NEWC3", "t", 1, "graduate", "Mystery Dept", None),
             reason="seed",
         )
-        global_integrity.maintain_after_insertions(ctx)
+        program(ctx).maintain_after_insertions(ctx)
         assert university_engine.get("DEPARTMENT", ("Mystery Dept",)) is not None
 
     def test_null_reference_needs_nothing(self, ctx, university_engine):
@@ -172,14 +181,14 @@ class TestInsertionMaintenance:
             ("NEWC4", "t", 1, "graduate", "Physics", None),
             reason="seed",
         )
-        global_integrity.maintain_after_insertions(ctx)
+        program(ctx).maintain_after_insertions(ctx)
         assert university_engine.count("FACULTY") == before
 
     def test_replacement_with_changed_fk_checked(self, ctx, university_engine):
         course = next(iter(university_engine.scan("COURSES")))
         new_values = course[:4] + ("Phantom Dept",) + course[5:]
         ctx.replace("COURSES", (course[0],), new_values, reason="seed")
-        global_integrity.maintain_after_insertions(ctx)
+        program(ctx).maintain_after_insertions(ctx)
         assert university_engine.get("DEPARTMENT", ("Phantom Dept",)) is not None
 
 
@@ -191,7 +200,7 @@ class TestKeyChangeMaintenance:
         )
         new_values = ("RENAMED",) + course[1:]
         ctx.replace("COURSES", (course[0],), new_values, reason="seed")
-        global_integrity.maintain_after_key_changes(ctx)
+        program(ctx).maintain_after_key_changes(ctx)
         assert (
             len(
                 university_engine.find_by(
@@ -209,7 +218,7 @@ class TestKeyChangeMaintenance:
         ctx.replace(
             "COURSES", (course[0],), ("RENAMED2",) + course[1:], reason="seed"
         )
-        global_integrity.maintain_after_key_changes(ctx)
+        program(ctx).maintain_after_key_changes(ctx)
         assert len(
             university_engine.find_by("GRADES", ("course_id",), ("RENAMED2",))
         ) == len(grades)
@@ -230,7 +239,7 @@ class TestKeyChangeMaintenance:
             "COURSES", (course[0],), ("RENAMED3",) + course[1:], reason="seed"
         )
         with pytest.raises(UpdateRejectedError):
-            global_integrity.maintain_after_key_changes(ctx)
+            program(ctx).maintain_after_key_changes(ctx)
 
     def test_chained_key_propagation(self, chart, hospital_engine):
         """Re-keying a patient propagates through VISIT to DIAGNOSIS,
@@ -238,7 +247,7 @@ class TestKeyChangeMaintenance:
         ctx = TranslationContext(chart, hospital_engine, TranslatorPolicy())
         patient = hospital_engine.get("PATIENT", (100,))
         ctx.replace("PATIENT", (100,), (55555,) + patient[1:], reason="seed")
-        global_integrity.maintain_after_key_changes(ctx)
+        program(ctx).maintain_after_key_changes(ctx)
         assert hospital_engine.find_by("VISIT", ("patient_id",), (100,)) == []
         assert hospital_engine.find_by(
             "DIAGNOSIS", ("patient_id",), (100,)

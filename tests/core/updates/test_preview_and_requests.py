@@ -85,6 +85,28 @@ class TestPreviews:
         assert not university_engine.in_transaction
 
 
+class TestMissingKey:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t, engine: t.delete(engine),
+            lambda t, engine: t.preview_delete(engine),
+            lambda t, engine: t.delete_many(engine, keys=[None]),
+        ],
+        ids=["delete", "preview_delete", "delete_many"],
+    )
+    def test_neither_instance_nor_key_is_an_update_error(
+        self, translator, university_engine, university_graph, call
+    ):
+        """Not a bare ``TypeError`` from ``tuple(None)``: an UpdateError
+        that names the view object."""
+        before = snapshot(university_engine, university_graph)
+        with pytest.raises(UpdateError, match="course_info") as caught:
+            call(translator, university_engine)
+        assert "key" in str(caught.value)
+        assert snapshot(university_engine, university_graph) == before
+
+
 class TestRequestDispatch:
     def test_complete_insertion_request(self, translator, omega, university_engine):
         instance = build_instance(

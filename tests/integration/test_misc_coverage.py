@@ -3,7 +3,8 @@
 
 import pytest
 
-from repro.core.updates import global_integrity
+from repro.core.dependency_island import analyze_island
+from repro.core.updates.compiled import CompiledProgram
 from repro.core.updates.context import TranslationContext
 from repro.core.updates.operations import PartialDeletion
 from repro.core.updates.policy import TranslatorPolicy
@@ -12,22 +13,35 @@ from repro.relational.csv_io import dump_csv, load_csv
 from repro.relational.sqlite_engine import SqliteEngine
 from repro.structural.connections import Traversal
 from repro.structural.integrity import connection_entry
+from tests import reference_translate
 
 
 def test_maintain_all_runs_every_pass(omega, university_engine):
-    """maintain_all = deletions, then key changes, then insertions."""
-    ctx = TranslationContext(omega, university_engine, TranslatorPolicy())
-    course = next(
-        v
-        for v in university_engine.scan("COURSES")
-        if university_engine.find_by("GRADES", ("course_id",), (v[0],))
-    )
-    ctx.delete("COURSES", (course[0],), reason="seed")
-    global_integrity.maintain_all(ctx)
-    assert (
-        university_engine.find_by("GRADES", ("course_id",), (course[0],))
-        == []
-    )
+    """maintain_all = deletions, then key changes, then insertions —
+    through the compiled program, then through its oracle."""
+    program = CompiledProgram(omega, analyze_island(omega))
+    for reference in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if reference:
+                reference_translate.install(patch)
+            ctx = TranslationContext(
+                omega, university_engine, TranslatorPolicy()
+            )
+            course = next(
+                v
+                for v in university_engine.scan("COURSES")
+                if university_engine.find_by(
+                    "GRADES", ("course_id",), (v[0],)
+                )
+            )
+            ctx.delete("COURSES", (course[0],), reason="seed")
+            program.maintain_all(ctx)
+            assert (
+                university_engine.find_by(
+                    "GRADES", ("course_id",), (course[0],)
+                )
+                == []
+            )
 
 
 def test_connection_entry(university_graph, university_engine):

@@ -86,20 +86,30 @@ class TestStrictnessKnob:
         with pytest.raises(ValueError):
             Translator(view_object, strictness="paranoid")
 
-    def test_no_critical_config_reaches_compiled_program(self, chain):
+    def test_no_critical_config_reaches_compiled_program(
+        self, chain, monkeypatch
+    ):
         """Acceptance: under refuse, the constructor raises before the
-        compiled-plan cache (or any plan) can exist."""
+        program is compiled (or any plan can exist)."""
+        import repro.core.updates.translator as translator_module
+
+        compiled = []
+        real = translator_module.CompiledProgram
+
+        def counting(view_object, analysis):
+            compiled.append(view_object.name)
+            return real(view_object, analysis)
+
+        monkeypatch.setattr(translator_module, "CompiledProgram", counting)
         _, view_object, _ = chain
-        try:
-            translator = Translator(
-                view_object,
-                policy=critical_policy(),
-                strictness="refuse",
-                compile_plans=True,
+        with pytest.raises(UnsafeTranslatorError):
+            Translator(
+                view_object, policy=critical_policy(), strictness="refuse"
             )
-        except UnsafeTranslatorError:
-            translator = None
-        assert translator is None
+        assert compiled == []
+        with pytest.warns(StrategyWarning):
+            Translator(view_object, policy=critical_policy(), strictness="warn")
+        assert compiled == [view_object.name]
 
     def test_penguin_threads_strictness(self, chain):
         graph, view_object, engine = chain
