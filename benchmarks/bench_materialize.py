@@ -9,11 +9,15 @@ one pivot selection plus dictionary lookups. These benches quantify:
   acceptance bar is >= 10x; measured well above it on both the
   university and hospital workloads),
 * the cost profile of the three maintenance policies under a mixed
-  read/write loop.
+  read/write loop,
+* an update-heavy loop — zipf reads interleaved with in-place replaces
+  all over the chart — in which the maintainer must patch every write
+  into the cached instances: no eviction, no re-assembly.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_materialize.py
---benchmark-only -q``; the two ``test_speedup_*`` checks also run (and
-assert the 10x bar) without ``--benchmark-only``.
+--benchmark-only -q``; the two ``test_speedup_*`` checks (the 10x bar)
+and ``test_update_heavy_replaces_are_patched`` also run without
+``--benchmark-only``.
 """
 
 import time
@@ -29,6 +33,7 @@ from repro.workloads.hospital import (
     patient_chart_object,
     populate_hospital,
 )
+from repro.workloads.synthetic import ZipfianWorkload
 from repro.workloads.university import populate_university, university_schema
 
 SPEEDUP_FLOOR = 10.0
@@ -95,6 +100,69 @@ def test_speedup_read_heavy(workload):
         f"{workload}: materialized speedup {speedup:.1f}x below the "
         f"{SPEEDUP_FLOOR}x acceptance bar"
     )
+
+
+def _replace_in_place(engine, patient_id, turn):
+    """One single-attribute replace somewhere in the patient's chart:
+    the pivot, a visit, an island leaf, or the referenced physician
+    (which every chart showing that physician shares)."""
+    relation, key, attribute = (
+        ("PATIENT", (patient_id,), "name"),
+        ("VISIT", (patient_id, 1), "reason"),
+        ("DIAGNOSIS", (patient_id, 1, 1), "severity"),
+        ("PHYSICIAN", (engine.get("VISIT", (patient_id, 1))[3],), "name"),
+    )[turn % 4]
+    schema = engine.schema(relation)
+    row = dict(zip(schema.attribute_names, engine.get(relation, key)))
+    row[attribute] = f"changed {turn}"
+    engine.replace(relation, key, row)
+
+
+def test_update_heavy_replaces_are_patched():
+    """35% in-place replaces between zipf reads: all of them patched,
+    so after the warm-up nothing is evicted and every read is a hit."""
+    session, name = hospital_session()
+    view = session.materialize(name, policy=LAZY)
+    session.query(name)  # warm
+    patients = sorted(v[0] for v in session.engine.scan("PATIENT"))
+    workload = ZipfianWorkload(
+        len(patients), skew=0.9, seed=7, read_fraction=0.65, insert_fraction=0.0
+    )
+    assembled, hits = view.stats.misses, view.stats.hits
+    reads, writes = [], 0
+    for op in workload.ops(2000):
+        patient_id = patients[op.rank]
+        if op.kind == "read":
+            started = time.perf_counter()
+            instance = session.get(name, (patient_id,))
+            reads.append(time.perf_counter() - started)
+            assert instance.key == (patient_id,)
+        else:
+            _replace_in_place(session.engine, patient_id, op.sequence)
+            writes += 1
+    stats = view.stats
+    hit_rate = (stats.hits - hits) / len(reads)
+    write_bench_json(
+        "materialize",
+        {
+            "update_heavy_read_s": summarize(reads),
+            "update_heavy_writes": writes,
+            "update_heavy_patched": stats.patched,
+            "update_heavy_invalidations": stats.invalidations,
+            "update_heavy_hit_rate": hit_rate,
+        },
+    )
+    print(
+        f"\n[update-heavy] {len(reads)} reads / {writes} in-place replaces: "
+        f"patched {stats.patched}, invalidations {stats.invalidations}, "
+        f"hit rate {hit_rate:.3f}"
+    )
+    assert writes and stats.patched >= writes
+    assert (stats.invalidations, stats.refreshes) == (0, 0)
+    assert stats.misses == assembled, "an in-place replace caused a re-assembly"
+    assert hit_rate == 1.0
+    dynamic = session.object(name).instantiator.all(session.engine)
+    assert session.query(name) == dynamic
 
 
 @pytest.mark.benchmark(group="materialize-read")

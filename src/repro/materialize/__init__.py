@@ -5,8 +5,9 @@ The paper assembles view-object instances dynamically on every request
 by *delta propagation*: the engine's changelog supplies the stream of
 base-table changes, a :class:`DependencyIndex` maps each change to the
 affected pivot keys by walking the projection tree's connection paths in
-reverse, and a :class:`Maintainer` repairs the cache under a selectable
-policy (``lazy``, ``eager``, ``full-refresh``). Transactions compose
+reverse, and a :class:`Maintainer` repairs the cache — patching in-place
+replacements into the cached instances, evicting for everything else —
+under a selectable policy (``lazy``, ``eager``, ``full-refresh``). Transactions compose
 correctly: a rollback truncates the changelog, which rolls the cache
 back too.
 """

@@ -36,6 +36,21 @@ instance — and unobservable: ``MaterializedView.evict`` and
 ``reassemble`` are no-ops for keys that are not cached or no longer
 exist, and ``stats.invalidations`` counts only cached keys.
 
+The same definition-time knowledge says what a record can do to an
+instance that is already cached. Which tuples an instance holds depends
+only on connecting attributes: the walk matches the attributes a
+traversal starts from against the ones it ends at, and nothing else.
+Per relation the index therefore also compiles its **frozen positions**
+— the key plus every attribute any traversal of any edge path starts
+from or ends at on that relation, pruned intermediates included — and
+its **patch sites**, the tree nodes whose tuples come from it.
+A ``replace`` record whose old and new tuples agree on the frozen
+positions changed no instance's membership or shape, only the values
+shown at those sites, and the record carries them: see
+:meth:`DependencyIndex.patch_sites`. A tuple is found in a cached
+instance by its key, so a relation with a node whose projection drops
+the key is never patched.
+
 The index is deliberately *not* a stored map from ``(relation, key)`` to
 pivot keys: a stored map cannot answer for freshly *inserted* tuples
 (they were never part of any cached instance), whereas the climb handles
@@ -45,7 +60,7 @@ by the changelog record.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instantiation import Getter, Step, compile_path, follow_path
 from repro.core.view_object import ViewObjectDefinition
@@ -63,6 +78,10 @@ PivotKey = Tuple[Any, ...]
 # projection starts from — a null among them matches nothing —, pivot
 # key of a tuple those steps reached).
 Anchor = Tuple[Tuple[Step, ...], Getter, Getter]
+# One tree node showing tuples of some relation: (node ids from below
+# the pivot down to it, key of a bound tuple's values, projected
+# attribute names, their values in a base tuple).
+PatchSite = Tuple[Tuple[str, ...], Getter, Tuple[str, ...], Getter]
 
 
 class DependencyIndex:
@@ -95,6 +114,38 @@ class DependencyIndex:
                 self._anchors.setdefault(traversals[stop - 1].end, []).append(
                     _compile_climb(graph, pivot, climb)
                 )
+        frozen = {name: set(graph.relation(name).key) for name in self._anchors}
+        sites: Dict[str, List[PatchSite]] = {name: [] for name in self._anchors}
+        keyless = set()
+        for node in tree.nodes():
+            for traversal in node.path.traversals if node.path else ():
+                frozen[traversal.start].update(traversal.start_attributes)
+                frozen[traversal.end].update(traversal.end_attributes)
+            schema = graph.relation(node.relation)
+            projection = view_object.projection(node.node_id)
+            attributes = projection.attributes
+            if not projection.covers(schema.key):
+                keyless.add(node.relation)
+            trail = [n.node_id for n in reversed(tree.path_to_root(node.node_id))]
+            sites[node.relation].append(
+                (
+                    tuple(trail[1:]),
+                    tuple_getter(schema.key),
+                    attributes,
+                    tuple_getter(schema.positions(attributes)),
+                )
+            )
+        # relation -> (frozen values of a tuple, its patch sites; None
+        # where a node drops the key, so the relation always evicts).
+        self._patches: Dict[
+            str, Tuple[Getter, Optional[Tuple[PatchSite, ...]]]
+        ] = {
+            name: (
+                tuple_getter(graph.relation(name).positions(sorted(frozen[name]))),
+                None if name in keyless else tuple(sites[name]),
+            )
+            for name in self._anchors
+        }
 
     @property
     def relations(self) -> Tuple[str, ...]:
@@ -103,6 +154,29 @@ class DependencyIndex:
 
     def tracks(self, relation: str) -> bool:
         return relation in self._anchors
+
+    # -- classification ---------------------------------------------------------
+
+    def patch_sites(
+        self, record: ChangeRecord
+    ) -> Optional[Tuple[PatchSite, ...]]:
+        """Where a tracked ``record`` overwrites cached values in place.
+
+        ``None`` means evict: an insert, a delete, a replace that moved
+        the key or a connecting attribute, or a relation whose tuples
+        cannot be found by key. Otherwise the instances under
+        ``pivots_for(new_values)`` hold the same tuples as before and
+        differ only at the returned sites — none at all for a relation
+        that only occurs as a pruned intermediate.
+        """
+        frozen_of, sites = self._patches[record.relation]
+        if (
+            sites is None
+            or record.kind != "replace"
+            or frozen_of(record.old_values) != frozen_of(record.new_values)
+        ):
+            return None
+        return sites
 
     # -- resolution -------------------------------------------------------------
 

@@ -5,13 +5,27 @@ The maintainer owns a *high-water mark* into the engine's
 the records appended since that mark and repairs the cache under one of
 three policies:
 
-* ``lazy`` — affected pivot keys are evicted; the next request for one
+* ``lazy`` — evicted pivot keys stay out; the next request for one
   re-assembles it (pay-per-read).
-* ``eager`` — affected instances are re-assembled immediately, so reads
-  after a sync never pay assembly cost (pay-per-write).
+* ``eager`` — evicted instances are re-assembled at the end of the
+  round, so reads after a sync never pay assembly cost (pay-per-write).
 * ``full-refresh`` — any change rebuilds the whole extent; no dependency
   analysis at all. The baseline the incremental policies must beat, kept
   selectable because for tiny extents it can genuinely win.
+
+Under ``lazy`` and ``eager`` each record, in log order, does one of
+three things, decided by what the record itself shows
+(:meth:`~repro.materialize.dependency.DependencyIndex.patch_sites`):
+
+* a ``replace`` that kept the key and every connecting attribute
+  **patches** the cached instances under its pivots with the new values
+  it carries — copy-on-write, no engine read inside the island;
+* the same on a relation that only occurs as a pruned intermediate does
+  **nothing**: no instance shows it;
+* everything else — insert, delete, re-key, re-link, a relation some
+  node shows without its key — **evicts** the affected pivots, as it
+  always did. A pivot evicted earlier in the round is not cached, so a
+  later patch passes it by.
 
 Rollbacks arrive as changelog *truncations* below the high-water mark:
 everything the cache absorbed past the truncation point was undone
@@ -80,15 +94,24 @@ class Maintainer:
         if self.policy == FULL_REFRESH:
             view.rebuild()
             return len(records)
-        affected = set()
+        evicted = set()
         index = view.dependencies
         for record in records:
-            if index.tracks(record.relation):
-                affected |= index.affected_pivots(view.engine, record)
-        for pivot_key in affected:
-            view.evict(pivot_key)
+            if not index.tracks(record.relation):
+                continue
+            sites = index.patch_sites(record)
+            if sites is None:
+                affected = index.affected_pivots(view.engine, record)
+                evicted |= affected
+                for pivot_key in affected:
+                    view.evict(pivot_key)
+            elif sites:
+                for pivot_key in index.pivots_for(
+                    view.engine, record.relation, record.new_values
+                ):
+                    view.patch(pivot_key, sites, record.new_values)
         if self.policy == EAGER:
-            for pivot_key in affected:
+            for pivot_key in evicted:
                 view.reassemble(pivot_key)
         return len(records)
 

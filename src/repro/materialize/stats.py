@@ -3,8 +3,11 @@
 The numbers answer the operational questions the ROADMAP's "fast as the
 hardware allows" goal raises: how often does the cache actually serve a
 request (``hits`` vs ``misses``), how much maintenance work does the
-changelog stream cause (``records_applied``, ``invalidations``,
-``refreshes``, ``full_refreshes``), and how far behind the base tables
+changelog stream cause (``records_applied``; ``patched`` — cached
+instances overwritten in place from a record, no engine read;
+``invalidations`` — cached instances evicted; ``refreshes``,
+``full_refreshes`` — instances and extents re-assembled by the
+maintainer), and how far behind the base tables
 the cache currently is (``staleness`` — pending, unconsumed changelog
 records).
 """
@@ -22,6 +25,7 @@ class CacheStats:
     __slots__ = (
         "hits",
         "misses",
+        "patched",
         "invalidations",
         "refreshes",
         "full_refreshes",
@@ -33,6 +37,7 @@ class CacheStats:
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
+        self.patched = 0
         self.invalidations = 0
         self.refreshes = 0
         self.full_refreshes = 0

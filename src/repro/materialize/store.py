@@ -25,9 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 import repro.obs as obs
 from repro.errors import ViewObjectError
-from repro.core.instance import Instance
+from repro.core.instance import ComponentTuple, Instance
+from repro.core.instantiation import Getter
 from repro.core.view_object import ViewObjectDefinition
-from repro.materialize.dependency import DependencyIndex
+from repro.materialize.dependency import DependencyIndex, PatchSite
 from repro.materialize.maintainer import LAZY, Maintainer
 from repro.materialize.stats import CacheStats
 from repro.relational.engine import Engine
@@ -97,14 +98,22 @@ class MaterializedView:
             pending = self.maintainer.staleness()
             if not pending:
                 return self.maintainer.sync()
+            stats = self.stats
+            patched, evicted = stats.patched, stats.invalidations
             with obs.tracer().span(
                 "view.sync", object=self.view_object.name
             ) as span:
                 applied = self.maintainer.sync()
-                span.set(records=applied)
-            obs.metrics().counter(
+                patched = stats.patched - patched
+                evicted = stats.invalidations - evicted
+                span.set(records=applied, patched=patched, evicted=evicted)
+            metrics = obs.metrics()
+            metrics.counter(
                 "cache_sync_records_total", object=self.view_object.name
             ).inc(applied)
+            metrics.counter(
+                "cache_patches_total", object=self.view_object.name
+            ).inc(patched)
             return applied
 
     def get(self, key: Sequence[Any]) -> Optional[Instance]:
@@ -112,17 +121,14 @@ class MaterializedView:
         with self._lock:
             self.sync()
             pivot_key = tuple(key)
-            self._count_lookup()
             cached = self._instances.get(pivot_key)
+            self._count_lookup(hit=cached is not None)
             if cached is not None:
-                self.stats.hits += 1
-                self._count_hit()
                 return cached
             values = self.engine.get(self.view_object.pivot_relation, pivot_key)
             if values is None:
-                self._count_miss()
                 return None
-            return self._assemble_into_cache(pivot_key, values, count_miss=True)
+            return self._assemble_into_cache(pivot_key, values)
 
     def where(self, engine: Engine, predicate: Expression = TRUE) -> List[Instance]:
         """Drop-in for ``Instantiator.where``: serve assembly from cache.
@@ -142,18 +148,11 @@ class MaterializedView:
                 self.view_object.pivot_relation, predicate
             ):
                 pivot_key = self._pivot_schema.key_of(values)
-                self._count_lookup()
                 cached = self._instances.get(pivot_key)
-                if cached is not None:
-                    self.stats.hits += 1
-                    self._count_hit()
-                    instances.append(cached)
-                else:
-                    instances.append(
-                        self._assemble_into_cache(
-                            pivot_key, values, count_miss=True
-                        )
-                    )
+                self._count_lookup(hit=cached is not None)
+                if cached is None:
+                    cached = self._assemble_into_cache(pivot_key, values)
+                instances.append(cached)
             return instances
 
     def all(self) -> List[Instance]:
@@ -201,34 +200,56 @@ class MaterializedView:
     # -- cache primitives (driven by the maintainer) ------------------------------
 
     def _assemble_into_cache(
-        self, pivot_key: PivotKey, values: Tuple[Any, ...], count_miss: bool
+        self, pivot_key: PivotKey, values: Tuple[Any, ...]
     ) -> Instance:
-        if count_miss:
-            self.stats.misses += 1
-            self._count_miss()
         instance = self.instantiator.assemble(self.engine, values)
         self._instances[pivot_key] = instance
         return instance
 
-    def _count_lookup(self) -> None:
-        obs.metrics().counter(
-            "cache_lookups_total", object=self.view_object.name
-        ).inc()
-
-    def _count_hit(self) -> None:
-        obs.metrics().counter(
-            "cache_hits_total", object=self.view_object.name
-        ).inc()
-
-    def _count_miss(self) -> None:
-        obs.metrics().counter(
-            "cache_misses_total", object=self.view_object.name
+    def _count_lookup(self, hit: bool) -> None:
+        """One request for an instance, in ``stats`` and the registry
+        alike — a lookup that finds neither a cached instance nor a
+        pivot tuple is a miss in both."""
+        if hit:
+            self.stats.hits += 1
+        else:
+            self.stats.misses += 1
+        metrics = obs.metrics()
+        name = self.view_object.name
+        metrics.counter("cache_lookups_total", object=name).inc()
+        metrics.counter(
+            "cache_hits_total" if hit else "cache_misses_total", object=name
         ).inc()
 
     def evict(self, pivot_key: PivotKey) -> None:
         with self._lock:
             if self._instances.pop(pivot_key, None) is not None:
                 self.stats.invalidations += 1
+
+    def patch(
+        self,
+        pivot_key: PivotKey,
+        sites: Sequence[PatchSite],
+        new_values: Tuple[Any, ...],
+    ) -> None:
+        """Show ``new_values`` wherever the cached instance under
+        ``pivot_key`` shows the tuple with their key (no-op if it is
+        not cached, or shows nothing that changed).
+
+        Copy-on-write: the instance handed out before stays as it was;
+        the new one shares every subtree off the way to a patched tuple.
+        """
+        with self._lock:
+            cached = self._instances.get(pivot_key)
+            if cached is None:
+                return
+            root = cached.root
+            for trail, key_of, attributes, values_of in sites:
+                values = dict(zip(attributes, values_of(new_values)))
+                root = _patched(root, trail, key_of, key_of(values), values)
+            if root is not cached.root:
+                self._instances[pivot_key] = Instance(self.view_object, root)
+                self.stats.patched += 1
 
     def reassemble(self, pivot_key: PivotKey) -> None:
         """Eagerly rebuild one instance (no-op if its pivot is gone)."""
@@ -238,7 +259,7 @@ class MaterializedView:
                 self._instances.pop(pivot_key, None)
                 return
             self.stats.refreshes += 1
-            self._assemble_into_cache(pivot_key, values, count_miss=False)
+            self._assemble_into_cache(pivot_key, values)
 
     def rebuild(self) -> None:
         """Recompute the entire extent (the full-refresh policy)."""
@@ -247,7 +268,7 @@ class MaterializedView:
             self.stats.full_refreshes += 1
             for values in self.engine.scan(self.view_object.pivot_relation):
                 pivot_key = self._pivot_schema.key_of(values)
-                self._assemble_into_cache(pivot_key, values, count_miss=False)
+                self._assemble_into_cache(pivot_key, values)
 
     def drop_all(self) -> None:
         with self._lock:
@@ -262,6 +283,28 @@ class MaterializedView:
             f"MaterializedView({self.view_object.name!r}, "
             f"policy={self.policy!r}, cached={len(self)})"
         )
+
+
+def _patched(
+    component: ComponentTuple,
+    trail: Sequence[str],
+    key_of: Getter,
+    key: Tuple[Any, ...],
+    values: Dict[str, Any],
+) -> ComponentTuple:
+    """``component`` with ``values`` on every tuple down ``trail`` that
+    has ``key`` and other values; ``component`` itself if there is none."""
+    if not trail:
+        if key_of(component.values) != key or component.values == values:
+            return component
+        return ComponentTuple(component.node_id, dict(values), component.children)
+    siblings = component.children.get(trail[0], ())
+    patched = [_patched(c, trail[1:], key_of, key, values) for c in siblings]
+    if all(new is old for new, old in zip(patched, siblings)):
+        return component
+    children = dict(component.children)
+    children[trail[0]] = patched
+    return ComponentTuple(component.node_id, component.values, children)
 
 
 class MaterializedStore:

@@ -81,6 +81,7 @@ def test_materialize_command(capsys):
     assert "dynamic instantiation" in out
     assert "speedup" in out
     assert "hits" in out
+    assert "patched" in out
     assert "staleness" in out
 
 

@@ -78,6 +78,7 @@ def test_get_served_from_cache():
     assert penguin.get("course_info", key) is not None
     assert view.stats.hits == 1
     assert penguin.get("course_info", ("NOPE",)) is None
+    assert (view.stats.hits, view.stats.misses) == (1, 2)  # absent: a miss
 
 
 def test_staleness_counts_pending_records():
@@ -93,19 +94,45 @@ def test_staleness_counts_pending_records():
 # -- maintenance policies ------------------------------------------------------
 
 
+def move_department(penguin, values):
+    """Re-link the course: ``dept_name`` connects COURSES to DEPARTMENT."""
+    schema = penguin.engine.schema("COURSES")
+    row = dict(zip((a.name for a in schema.attributes), values))
+    row["dept_name"] = next(
+        d[0] for d in sorted(penguin.engine.scan("DEPARTMENT"))
+        if d[0] != row["dept_name"]
+    )
+    penguin.engine.replace("COURSES", schema.key_of(values), row)
+    return row["dept_name"]
+
+
 def test_lazy_policy_evicts_and_reassembles_on_demand():
     penguin = make_penguin()
     view = penguin.materialize("course_info", policy=LAZY)
     penguin.query("course_info")
     cached_before = len(view)
     values = course_row(penguin)
+    key = (values[0],)
+    # A value-only replace is patched into the cached instance.
     retitle(penguin, values, "Lazily Retitled")
     view.sync()
-    assert len(view) == cached_before - 1
-    assert view.stats.invalidations == 1
-    assert view.stats.refreshes == 0
-    instance = penguin.get("course_info", (values[0],))
+    assert len(view) == cached_before
+    assert (view.stats.patched, view.stats.invalidations) == (1, 0)
+    misses = view.stats.misses
+    instance = penguin.get("course_info", key)
     assert instance.root.values["title"] == "Lazily Retitled"
+    assert view.stats.misses == misses  # served from the cache
+    # A connecting attribute decides what the instance holds: evict.
+    dept_name = move_department(penguin, penguin.engine.get("COURSES", key))
+    view.sync()
+    assert len(view) == cached_before - 1
+    assert (view.stats.patched, view.stats.invalidations) == (1, 1)
+    assert view.stats.refreshes == 0
+    instance = penguin.get("course_info", key)
+    assert view.stats.misses == misses + 1  # re-assembled on demand
+    assert [d["dept_name"] for d in instance.tuples_at("DEPARTMENT")] == [
+        dept_name
+    ]
     assert fresh_extent(penguin) == {
         i.key: i.to_dict() for i in penguin.query("course_info")
     }
@@ -116,12 +143,19 @@ def test_eager_policy_reassembles_at_sync():
     view = penguin.materialize("course_info", policy=EAGER)
     penguin.query("course_info")
     values = course_row(penguin)
+    key = (values[0],)
     retitle(penguin, values, "Eagerly Retitled")
     view.sync()
-    assert view.stats.refreshes == 1
+    assert (view.stats.patched, view.stats.refreshes) == (1, 0)
+    dept_name = move_department(penguin, penguin.engine.get("COURSES", key))
+    view.sync()
+    assert (view.stats.invalidations, view.stats.refreshes) == (1, 1)
     hits_before = view.stats.hits
-    instance = penguin.get("course_info", (values[0],))
+    instance = penguin.get("course_info", key)
     assert instance.root.values["title"] == "Eagerly Retitled"
+    assert [d["dept_name"] for d in instance.tuples_at("DEPARTMENT")] == [
+        dept_name
+    ]
     assert view.stats.hits == hits_before + 1  # no assembly on read
 
 

@@ -3,8 +3,9 @@
 Two families of law:
 
 * metric invariants — for any workload, cache hits + misses equal
-  lookups, translations counted equal plans executed, and a
-  histogram's count equals the number of observations;
+  lookups in the registry and in ``CacheStats`` alike, translations
+  counted equal plans executed, and a histogram's count equals the
+  number of observations;
 * transparency — a traced run and an untraced run of the same workload
   end in the identical database state.
 """
@@ -108,6 +109,10 @@ class TestMetricInvariants:
             hits = metrics.counter_total("cache_hits_total")
             misses = metrics.counter_total("cache_misses_total")
         assert hits + misses == lookups
+        # The registry and ``cache_stats()`` count the same events: a
+        # lookup of an absent pivot key is a miss in both.
+        assert (hits, misses) == (view.stats.hits, view.stats.misses)
+        assert view.stats.requests == lookups
 
     @settings(max_examples=20, deadline=None)
     @given(script=actions)

@@ -15,7 +15,11 @@ these properties hold:
   contain the walked pivots; while every tuple has its owners the two
   are equal;
 * a materialized view equals recomputation after ``sync`` under every
-  maintenance policy.
+  maintenance policy, on memory and on sqlite, over streams weighted
+  towards in-place replaces (the records the maintainer patches into
+  cached instances rather than evicting them), with reads, unread
+  stretches (several records per round: a patch and an eviction of one
+  pivot) and rollbacks before and after the cache absorbed the write.
 """
 
 import pytest
@@ -38,9 +42,12 @@ from tests.reference_walk import ReferenceDependencyIndex, ReferenceInstantiator
 OPS = ("insert", "delete", "touch", "move", "nullify")
 
 cases = st.tuples(st.integers(min_value=0, max_value=5000), st.booleans())
+# ``touch`` is the in-place replace, on whichever relation the indices
+# pick — pivot, island, referenced, shared or pruned away: half of the
+# stream, so most cached instances are patched before anything evicts.
 write_sequences = st.lists(
     st.tuples(
-        st.sampled_from(OPS),
+        st.sampled_from(OPS + ("touch",) * 3),
         st.integers(min_value=0, max_value=40),
         st.integers(min_value=0, max_value=40),
         st.integers(min_value=0, max_value=40),
@@ -266,27 +273,73 @@ def canonical(instances):
     return {instance.key: freeze(instance.to_dict()) for instance in instances}
 
 
+# What becomes of one write: left unread (the next round sees several
+# records), read back, rolled back while still pending, or rolled back
+# after a read made the cache absorb it.
+FATES = ("unread", "unread", "read", "read", "rollback", "read+rollback")
+
+
+streams = dict(
+    case=cases,
+    writes=write_sequences,
+    fates=st.lists(st.sampled_from(FATES), min_size=8, max_size=8),
+)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 @settings(max_examples=15, deadline=None)
-@given(case=cases, writes=write_sequences)
-def test_cache_equals_recompute_after_sync(policy, case, writes):
+@given(**streams)
+def test_cache_equals_recompute_after_sync(policy, case, writes, fates):
+    check_cache_equals_recompute("memory", policy, case, writes, fates)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=15, deadline=None)
+@given(**streams)
+def test_cache_equals_recompute_after_sync_on_sqlite(policy, case, writes, fates):
+    check_cache_equals_recompute("sqlite", policy, case, writes, fates)
+
+
+def check_cache_equals_recompute(backend, policy, case, writes, fates):
     seed, adversarial = case
-    engine = make_engine("memory")
+    engine = make_engine(backend)
     _, spanning, _ = random_chain_case(engine, seed, adversarial=adversarial)
     views = [
         MaterializedView(view_object, engine, policy)
         for view_object in view_objects(spanning)
     ]
+    references = [ReferenceInstantiator(v.view_object) for v in views]
+
+    def read(key):
+        for view, reference in zip(views, references):
+            cached, fresh = view.get(key), reference.by_key(engine, key)
+            assert canonical(filter(None, [cached])) == canonical(
+                filter(None, [fresh])
+            )
+
     for view in views:
         view.all()  # warm the cache before the stream
-    for counter, (op, a, b, c) in enumerate(writes):
+    for counter, ((op, a, b, c), fate) in enumerate(zip(writes, fates)):
+        aborted = fate.endswith("rollback")
+        if aborted:
+            engine.begin()
         apply_op(engine, op, a, b, c, counter)
-        if counter % 2 == 0:  # maintenance must also run mid-stream
-            for view in views:
-                view.get((a % 4,))
-    for view in views:
+        if fate.startswith("read"):
+            read((a % 4,))
+        if aborted:
+            rollbacks = [view.stats.rollbacks for view in views]
+            absorbed = [view.staleness() == 0 for view in views]
+            truncated = len(engine.changelog)
+            engine.rollback()
+            truncated -= len(engine.changelog)
+            for view, before, consumed in zip(views, rollbacks, absorbed):
+                # Truncation below the high-water mark drops the cache,
+                # patched instances included.
+                if consumed and truncated:
+                    assert view.stats.rollbacks == before + 1
+                    assert len(view) == 0
+                    view.all()
+    for view, reference in zip(views, references):
         view.sync()
-        assert canonical(view.all()) == canonical(
-            ReferenceInstantiator(view.view_object).all(engine)
-        )
+        assert canonical(view.all()) == canonical(reference.all(engine))
         assert view.staleness() == 0
