@@ -10,7 +10,10 @@ implementation. Two sweeps:
   must grow with the island size, the shape claim implied by Section 5
   ("any update operation on the view object should have consistent
   repercussions throughout the components of that object's dependency
-  island").
+  island") — for deletions and re-keys, which touch every island tuple.
+  A *leaf edit* is the counter-series: VO-R's CASE R-1 says an unchanged
+  tuple needs nothing, so one edited leaf costs one operation and a
+  constant number of engine probes however tall the island is.
 """
 
 import copy
@@ -208,6 +211,60 @@ def test_bench_rekey_vs_island_depth(benchmark, depth):
         f"operations={len(plan)}"
     )
     assert plan.count("replace") >= expected_island
+
+
+class _CountingEngine(MemoryEngine):
+    """Counts the reads a translation makes."""
+
+    probes = 0
+
+    def get(self, name, key):
+        self.probes += 1
+        return super().get(name, key)
+
+    def find_by(self, name, attribute_names, entry):
+        self.probes += 1
+        return super().find_by(name, attribute_names, entry)
+
+    def contains(self, name, key):
+        self.probes += 1
+        return super().contains(name, key)
+
+
+@pytest.mark.benchmark(group="translate-depth-sweep")
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_bench_leaf_edit_vs_island_depth(benchmark, depth):
+    """Series: one nonkey edit of one deepest leaf vs island height
+    (4 ... 121 island tuples). The bar is on counts, not time: one
+    operation, and the same two probes of the edited tuple (the R-2 read
+    and the recorded replace's own) at every depth."""
+    graph, __, view_object = build_chain(depth)
+    translator = Translator(view_object)
+
+    def setup():
+        engine = _CountingEngine()
+        graph.install(engine)
+        populate_chain(engine, depth=depth, roots=3, fanout=FANOUT)
+        old = translator.instantiate(engine, (0,))
+        new = old.to_dict()
+        leaf = new
+        for level in range(1, depth + 1):
+            leaf = leaf[f"R{level}"][-1]
+        leaf["payload"] = "edited"
+        engine.probes = 0
+        return (engine, old, new), {}
+
+    def run(engine, old, new):
+        return translator.replace(engine, old, new), engine.probes
+
+    plan, probes = benchmark.pedantic(run, setup=setup, rounds=5)
+    island = sum(FANOUT ** level for level in range(depth + 1))
+    print(
+        f"depth={depth}: island tuples={island}, "
+        f"operations={len(plan)}, engine probes={probes}"
+    )
+    assert len(plan) == plan.count("replace") == 1
+    assert probes == 2
 
 
 def _rekey(data, new_k0):

@@ -3,10 +3,12 @@
 The four logical steps of a view-object update — local validation,
 propagation within the object, translation into database operations,
 global validation against the structural model — live here, along with
-the translator policies that the Section 6 dialog configures. Steps 3
-and 4 are compiled once per view object
-(:class:`~repro.core.updates.compiled.CompiledProgram`); the readable
-walk they are checked against is ``tests/reference_translate.py``.
+the translator policies that the Section 6 dialog configures. The
+steps are compiled once per view object
+(:class:`~repro.core.updates.compiled.CompiledProgram`; of step 1 the
+gates stay in :mod:`~repro.core.updates.local_validation`); the readable
+full-instance passes they are checked against are
+``tests/reference_translate.py``.
 """
 
 from repro.core.updates.context import TranslationContext

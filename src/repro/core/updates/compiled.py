@@ -19,7 +19,14 @@ complete operations in ``src/``:
   state R inside the island (R-1 equal, R-2 same key, R-3 key change —
   or, the dialog permitting, delete-and-overwrite of an existing tuple)
   and state I outside (I-1 same key, I-2 insert, I-3 present, I-4
-  conflicting: replace); components pair by key, leftovers by position;
+  conflicting: replace). It is delta-driven: one pass
+  (:meth:`CompiledProgram._delta`) pairs the components of ``old`` and
+  ``new`` — by key, leftovers by position, Figure 4's components being
+  sets — with step 2 (each child's connecting attributes follow its new
+  parent's) applied on the way and step 1 (the key disciplines) checked
+  on those same pairs; the state machine then visits only the pairs that
+  differ, so an edit costs the instance's size once (a dictionary
+  comparison per tuple) plus work proportional to what changed;
 * **global integrity** (``maintain_*``, step 4) — deletions cascade
   along ownership/subset and repair incoming references per policy;
   insertions get their missing owner, general and referenced tuples,
@@ -31,7 +38,9 @@ What is compiled:
 * the projection tree is flattened into a BFS-ordered tuple of
   :class:`CompiledNode` records carrying the relation schema, key
   attribute names, projection ``(name, position)`` pairs, island
-  membership, precomputed CASE reason strings, and child links;
+  membership, the connecting attribute pairs of a single-connection
+  edge, a peninsula's key outside its foreign key, precomputed CASE
+  reason strings, and child links;
 * component tuples are flattened level-by-level in one O(tree) pass
   (:meth:`CompiledProgram._levels`) instead of per-node root walks;
 * the global-integrity rules — cascade targets, incoming reference
@@ -51,7 +60,10 @@ identical order, identical tracer span structure, identical rejection
 messages (``tests/core/updates/test_compiled.py``). Policy questions are
 answered through ``policy.for_relation`` at the same points as the walk
 (the lazy insertion into ``policy.relations`` feeds the audit log's
-policy answers and must not diverge).
+policy answers and must not diverge) — with one exception by design: a
+subtree VO-R skips is never asked about, where the walk, visiting an
+equal pair outside the island, would create a default entry for a
+relation the policy does not mention.
 
 The one thing deliberately *not* frozen is the policy object itself:
 callers may flip relation switches after construction, and the program
@@ -62,20 +74,24 @@ time.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Any, Dict, List, Optional, Tuple
 
 import repro.obs as obs
-from repro.errors import UnknownAttributeError, UpdateRejectedError
-from repro.core.dependency_island import IslandAnalysis
+from repro.errors import (
+    LocalValidationError,
+    UnknownAttributeError,
+    UpdateRejectedError,
+)
+from repro.core.dependency_island import IslandAnalysis, NodeRole
 from repro.core.instance import ComponentTuple, Instance
 from repro.core.updates.context import TranslationContext
 from repro.core.updates.local_validation import (
     validate_deletion,
     validate_insertion,
-    validate_replacement,
+    validate_replacement_request,
 )
 from repro.core.updates.policy import ReferenceRepair, null_completer
-from repro.core.updates.propagation import propagate_within_object
 from repro.core.view_object import ViewObjectDefinition
 from repro.relational.domains import DATE
 from repro.relational.engine import _normalize_row_dates
@@ -87,6 +103,12 @@ __all__ = ["CompiledNode", "CompiledProgram"]
 # CASE R-3 merge reasons name no node; they are shared constants.
 _R3_MERGE_DELETE = "CASE R-3 merge: old island tuple removed (VO-R)"
 _R3_MERGE_REPLACE = "CASE R-3 merge: existing tuple overwritten (VO-R)"
+
+_ABSENT = object()  # a connecting attribute the child tuple does not carry
+
+# One aligned (old, new) pair the R/I walk must visit, with the deltas of
+# its child lists; either side is None for a leftover without a partner.
+_Delta = List[Tuple[Optional[ComponentTuple], Optional[ComponentTuple], Any]]
 
 
 def _null_completed(relation: str, attr_plan, values: Dict[str, Any]) -> List[Any]:
@@ -124,6 +146,8 @@ class CompiledNode:
         "has_dates",
         "key_has_dates",
         "children",
+        "edge",
+        "free_key",
         "reason_ci_insert",
         "reason_ci_replace",
         "reason_cd_delete",
@@ -135,7 +159,7 @@ class CompiledNode:
         "reason_removed",
     )
 
-    def __init__(self, view_object: ViewObjectDefinition, node, in_island: bool) -> None:
+    def __init__(self, view_object: ViewObjectDefinition, node, role: NodeRole) -> None:
         node_id = node.node_id
         schema = view_object.graph.relation(node.relation)
         self.node_id = node_id
@@ -143,7 +167,7 @@ class CompiledNode:
         self.schema = schema
         self.key_names = tuple(schema.key)
         self.is_pivot = node_id == view_object.pivot_node_id
-        self.in_island = in_island
+        self.in_island = role is NodeRole.ISLAND
         self.attr_plan = tuple((a.name, a.nullable) for a in schema.attributes)
         self.positions = {a.name: i for i, a in enumerate(schema.attributes)}
         projection = view_object.projection(node_id)
@@ -158,6 +182,24 @@ class CompiledNode:
             schema.attribute(name).domain == DATE for name in schema.key
         )
         self.children: Tuple["CompiledNode", ...] = ()
+        # Step 2 follows single-connection edges only: (parent attribute,
+        # own attribute) pairs. A composite edge (Figure 3) has none —
+        # its intermediate relations are not part of the object, so it
+        # is reconciled during global validation instead.
+        hop = node.path.traversals[0] if node.path is not None else None
+        self.edge: Tuple[Tuple[str, str], ...] = (
+            tuple(zip(hop.start_attributes, hop.end_attributes))
+            if hop is not None and len(node.path) == 1
+            else ()
+        )
+        # A referencing peninsula's key outside the connecting (foreign
+        # key) attributes, which the system itself rewrites when the
+        # referenced island key changes; None on every other node.
+        self.free_key: Optional[Tuple[str, ...]] = (
+            tuple(a for a in schema.key if a not in hop.start_attributes)
+            if role is NodeRole.PENINSULA
+            else None
+        )
         self.reason_ci_insert = f"CASE 2 insertion at node {node_id!r} (VO-CI)"
         self.reason_ci_replace = f"CASE 3 replacement at node {node_id!r} (VO-CI)"
         self.reason_cd_delete = f"island deletion at node {node_id!r} (VO-CD)"
@@ -184,6 +226,22 @@ class CompiledNode:
                 f"{error.args[0]!r}",
                 relation=self.relation,
             ) from None
+
+    def inherit(
+        self, component: ComponentTuple, parent_values: Dict[str, Any]
+    ) -> ComponentTuple:
+        """Step 2 for one tuple: its connecting attributes follow the
+        (new) parent's. A tuple that already agrees — the fixpoint — is
+        returned as it came; otherwise a rewritten copy sharing its
+        children, so the caller's instance is never touched."""
+        values = component.values
+        for start, end in self.edge:
+            if values.get(end, _ABSENT) != parent_values.get(start):
+                values = dict(values)
+                for start, end in self.edge:
+                    values[end] = parent_values.get(start)
+                return ComponentTuple(self.node_id, values, component.children)
+        return component
 
     def projected_match(
         self, values: Dict[str, Any], existing: Tuple[Any, ...]
@@ -425,7 +483,7 @@ class CompiledProgram:
         nodes: Dict[str, CompiledNode] = {}
         for node in order:
             nodes[node.node_id] = CompiledNode(
-                view_object, node, analysis.is_island(node.node_id)
+                view_object, node, analysis.role(node.node_id)
             )
         for node in order:
             nodes[node.node_id].children = tuple(
@@ -631,74 +689,172 @@ class CompiledProgram:
     ) -> None:
         """Algorithm VO-R; mutations are recorded in ``ctx``."""
         with obs.tracer().span("validate", algorithm="VO-R"):
-            validate_replacement(ctx, old, new)
+            delta = self.replacement_delta(ctx, old, new)
         with obs.tracer().span("propagate", algorithm="VO-R") as span:
-            new = propagate_within_object(ctx.view_object, new)
-            self._walk(ctx, self.root, [old.root], [new.root], True)
+            self._walk(ctx, self.root, delta)
             self.maintain_all(ctx)
             span.set(ops=len(ctx.plan))
 
-    def _walk(
+    def replacement_delta(
+        self, ctx: TranslationContext, old: Instance, new: Instance
+    ) -> _Delta:
+        """Steps 1 and 2 of a replacement: what is left for step 3."""
+        validate_replacement_request(ctx, old, new)
+        return self._delta(ctx, self.root, (old.root,), (new.root,), None)
+
+    def _delta(
         self,
         ctx: TranslationContext,
         cn: CompiledNode,
-        old_components: List[ComponentTuple],
-        new_components: List[ComponentTuple],
-        in_island: bool,
-    ) -> None:
-        pairs = self._align(cn, old_components, new_components)
-        for old_component, new_component in pairs:
-            if old_component is not None and new_component is not None:
-                if in_island:
-                    self._replace_case(ctx, cn, old_component, new_component)
-                else:
-                    self._insert_case(ctx, cn, old_component, new_component)
-            elif new_component is None:
-                self._removed_component(ctx, cn, old_component, in_island)
+        olds,
+        news,
+        parent_values: Optional[Dict[str, Any]],
+    ) -> _Delta:
+        """Align one sibling list — by key, leftovers by position — with
+        each new tuple's connecting attributes already following its
+        parent (step 2), check the key disciplines of every pair whose
+        key the user may have changed (step 1), and return the pairs
+        step 3 has to visit.
+
+        A pair is dropped, subtree and all, when the new tuple equals its
+        partner and every list below it came back empty: R-1 there, and
+        I-1 with equal values, emit nothing and probe nothing. Outside
+        the island a list the new instance does not carry is dropped
+        unread — those tuples survive, only the linkage went.
+        """
+        if not news and not (olds and cn.in_island):
+            return []
+        key_from = cn.key_from
+        old_keys = [key_from(old.values) for old in olds]
+        old_by_key = dict(zip(old_keys, olds))
+        pairs = []  # (old, new as sent, new after step 2)
+        unmatched = []
+        for raw in news:
+            new = cn.inherit(raw, parent_values) if cn.edge else raw
+            match = old_by_key.pop(key_from(new.values), None)
+            if match is None:
+                unmatched.append((raw, new))
             else:
-                self._added_component(ctx, cn, new_component, in_island)
-            for child in cn.children:
-                old_children = (
-                    old_component.children.get(child.node_id, [])
-                    if old_component is not None
-                    else []
-                )
-                new_children = (
-                    new_component.children.get(child.node_id, [])
-                    if new_component is not None
-                    else []
-                )
-                self._walk(ctx, child, old_children, new_children, child.in_island)
+                pairs.append((match, raw, new))
+        matched = len(pairs)
+        if old_by_key or unmatched:
+            leftovers = [o for k, o in zip(old_keys, olds) if k in old_by_key]
+            for old, sent in zip_longest(leftovers, unmatched):
+                raw, new = sent or (None, None)
+                pairs.append((old, raw, new))
+        delta: _Delta = []
+        for index, (old, raw, new) in enumerate(pairs):
+            if old is None:
+                delta.append((None, self.propagated(cn, new, parent_values), ()))
+            elif new is None:
+                if cn.in_island:
+                    delta.append((old, None, ()))
+            else:
+                # A pair matched on the key it was sent with kept its key.
+                if index >= matched or new is not raw:
+                    self._check_key_discipline(ctx, cn, old.values, raw.values)
+                below = []
+                for child in cn.children:
+                    child_delta = self._delta(
+                        ctx,
+                        child,
+                        old.children.get(child.node_id, ()),
+                        new.children.get(child.node_id, ()),
+                        new.values,
+                    )
+                    if child_delta:
+                        below.append((child, child_delta))
+                if below or old.values != new.values:
+                    delta.append((old, new, below))
+        return delta
 
     @staticmethod
-    def _align(
+    def _check_key_discipline(
+        ctx: TranslationContext,
         cn: CompiledNode,
-        old_components: List[ComponentTuple],
-        new_components: List[ComponentTuple],
-    ) -> List[Tuple[Optional[ComponentTuple], Optional[ComponentTuple]]]:
-        old_by_key: Dict[Tuple[Any, ...], ComponentTuple] = {}
-        for component in old_components:
-            old_by_key[cn.key_from(component.values)] = component
-        pairs: List[Tuple[Optional[ComponentTuple], Optional[ComponentTuple]]] = []
-        unmatched_new: List[ComponentTuple] = []
-        for component in new_components:
-            key = cn.key_from(component.values)
-            match = old_by_key.pop(key, None)
-            if match is not None:
-                pairs.append((match, component))
-            else:
-                unmatched_new.append(component)
-        leftovers_old = [
-            c for c in old_components if cn.key_from(c.values) in old_by_key
-        ]
-        for index in range(max(len(leftovers_old), len(unmatched_new))):
-            pairs.append(
-                (
-                    leftovers_old[index] if index < len(leftovers_old) else None,
-                    unmatched_new[index] if index < len(unmatched_new) else None,
+        old_values: Dict[str, Any],
+        new_values: Dict[str, Any],
+    ) -> None:
+        """Section 5.3's key-replacement rules for one pair, on the key
+        the user sent (``new_values`` before step 2)."""
+        if not cn.in_island and cn.free_key is None:
+            return
+        try:
+            new_key = tuple(new_values[k] for k in cn.key_names)
+        except KeyError:
+            return  # step 2 supplies it: not a change the user made
+        old_key = cn.key_from(old_values)
+        if old_key == new_key:
+            return
+        if cn.in_island:
+            if not ctx.policy.for_relation(cn.relation).allow_key_replacement:
+                raise LocalValidationError(
+                    f"replacement changes the key of island relation "
+                    f"{cn.relation!r} ({old_key!r} -> {new_key!r}) but the "
+                    f"translator prohibits key modification there"
                 )
+        elif any(old_values.get(a) != new_values.get(a) for a in cn.free_key):
+            raise LocalValidationError(
+                f"replacement changes the key of referencing peninsula "
+                f"{cn.relation!r}; such replacements are inherently "
+                f"ambiguous and prohibited"
             )
-        return pairs
+
+    def propagated(
+        self,
+        cn: CompiledNode,
+        component: ComponentTuple,
+        parent_values: Optional[Dict[str, Any]] = None,
+    ) -> ComponentTuple:
+        """Step 2 for a whole subtree (a component the replacement adds,
+        or a stand-alone :func:`propagate_within_object`)."""
+        component = cn.inherit(component, parent_values)
+        return ComponentTuple(
+            cn.node_id,
+            component.values,
+            {
+                child.node_id: [
+                    self.propagated(child, below, component.values)
+                    for below in component.children.get(child.node_id, ())
+                ]
+                for child in cn.children
+            },
+        )
+
+    def _walk(self, ctx: TranslationContext, cn: CompiledNode, delta: _Delta) -> None:
+        """Step 3, depth-first over the pairs step 1 and 2 left."""
+        case = self._replace_case if cn.in_island else self._insert_case
+        for old, new, below in delta:
+            if new is None:
+                self._walk_removed(ctx, cn, (old,))
+            elif old is None:
+                self._walk_added(ctx, cn, (new,))
+            else:
+                case(ctx, cn, old, new)
+                for child, child_delta in below:
+                    self._walk(ctx, child, child_delta)
+
+    def _walk_removed(self, ctx: TranslationContext, cn: CompiledNode, olds) -> None:
+        """Island tuples with no counterpart in the new instance go, and
+        the island below them; outside tuples survive a lost linkage."""
+        relation = cn.relation
+        for key, old in [(cn.key_from(old.values), old) for old in olds]:
+            if ctx.engine.get(relation, key) is not None:
+                ctx.delete(relation, key, cn.reason_removed)
+            for child in cn.children:
+                if child.in_island:
+                    self._walk_removed(
+                        ctx, child, old.children.get(child.node_id, ())
+                    )
+
+    def _walk_added(self, ctx: TranslationContext, cn: CompiledNode, news) -> None:
+        """New tuples with no old counterpart, and everything below."""
+        for new in news:
+            cn.key_from(new.values)  # a keyless sibling rejects the list first
+        for new in news:
+            self._added_component(ctx, cn, new, cn.in_island)
+            for child in cn.children:
+                self._walk_added(ctx, child, new.children.get(child.node_id, ()))
 
     def _replace_case(
         self,
@@ -791,19 +947,6 @@ class CompiledProgram:
             )
             return
         self._added_component(ctx, cn, new_component, in_island=False)
-
-    def _removed_component(
-        self,
-        ctx: TranslationContext,
-        cn: CompiledNode,
-        old_component: ComponentTuple,
-        in_island: bool,
-    ) -> None:
-        if not in_island:
-            return  # outside tuples survive; only the linkage changed
-        key = cn.key_from(old_component.values)
-        if ctx.engine.get(cn.relation, key) is not None:
-            ctx.delete(cn.relation, key, cn.reason_removed)
 
     def _added_component(
         self,

@@ -11,21 +11,25 @@ the structural restrictions of Section 5.3 hold:
 * key replacements on referencing peninsulas are prohibited
   ("inherently ambiguous"), modulo the connecting attributes that the
   system itself rewrites when the referenced island key changes.
+
+The gates live here. The key disciplines are judged on (old, new) pairs,
+and which tuple is whose partner is the compiled program's alignment —
+siblings by key, never by list position — so that half is
+:meth:`~repro.core.updates.compiled.CompiledProgram.replacement_delta`;
+:func:`validate_replacement` runs it stand-alone.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
-
 from repro.errors import LocalValidationError
-from repro.core.dependency_island import NodeRole
-from repro.core.instance import ComponentTuple, Instance
+from repro.core.instance import Instance
 from repro.core.updates.context import TranslationContext
 
 __all__ = [
     "validate_instance_shape",
     "validate_insertion",
     "validate_deletion",
+    "validate_replacement_request",
     "validate_replacement",
 ]
 
@@ -64,7 +68,7 @@ def validate_deletion(ctx: TranslationContext, instance: Instance) -> None:
         )
 
 
-def validate_replacement(
+def validate_replacement_request(
     ctx: TranslationContext, old: Instance, new: Instance
 ) -> None:
     validate_instance_shape(ctx, old)
@@ -74,61 +78,13 @@ def validate_replacement(
             f"translator for {ctx.view_object.name!r} does not allow "
             f"replacements (the dialog's first answer was no)"
         )
-    _validate_key_disciplines(ctx, old.root, new.root)
 
 
-def _validate_key_disciplines(
-    ctx: TranslationContext,
-    old_component: ComponentTuple,
-    new_component: ComponentTuple,
+def validate_replacement(
+    ctx: TranslationContext, old: Instance, new: Instance
 ) -> None:
-    """Recursive check of Section 5.3's key-replacement rules."""
-    node_id = old_component.node_id
-    role = ctx.analysis.role(node_id)
-    node = ctx.view_object.node(node_id)
-    schema = ctx.schema(node.relation)
-    old_key = _key_or_none(ctx, node_id, old_component)
-    new_key = _key_or_none(ctx, node_id, new_component)
-    keys_differ = (
-        old_key is not None and new_key is not None and old_key != new_key
-    )
-    if keys_differ and role is NodeRole.ISLAND:
-        relation_policy = ctx.policy.for_relation(node.relation)
-        if not relation_policy.allow_key_replacement:
-            raise LocalValidationError(
-                f"replacement changes the key of island relation "
-                f"{node.relation!r} ({old_key!r} -> {new_key!r}) but the "
-                f"translator prohibits key modification there"
-            )
-    if keys_differ and role is NodeRole.PENINSULA:
-        # The connecting (foreign-key) attributes are rewritten by the
-        # system when the referenced island key changes; a *user* key
-        # change is any difference beyond those attributes.
-        connecting = set(node.path.traversals[0].start_attributes)
-        changed_outside_fk = any(
-            old_component.values.get(a) != new_component.values.get(a)
-            for a in schema.key
-            if a not in connecting
-        )
-        if changed_outside_fk:
-            raise LocalValidationError(
-                f"replacement changes the key of referencing peninsula "
-                f"{node.relation!r}; such replacements are inherently "
-                f"ambiguous and prohibited"
-            )
-    for child in ctx.view_object.tree.children(node_id):
-        old_children = old_component.child_tuples(child.node_id)
-        new_children = new_component.child_tuples(child.node_id)
-        for old_child, new_child in zip(old_children, new_children):
-            _validate_key_disciplines(ctx, old_child, new_child)
+    """Step 1 of a replacement on its own: compiles ``ctx``'s view
+    object and runs the pass ``run_replacement`` starts with."""
+    from repro.core.updates.compiled import CompiledProgram
 
-
-def _key_or_none(
-    ctx: TranslationContext, node_id: str, component: ComponentTuple
-) -> Optional[Tuple[Any, ...]]:
-    node = ctx.view_object.node(node_id)
-    schema = ctx.schema(node.relation)
-    try:
-        return tuple(component.values[k] for k in schema.key)
-    except KeyError:
-        return None
+    CompiledProgram(ctx.view_object, ctx.analysis).replacement_delta(ctx, old, new)

@@ -16,15 +16,18 @@ multi-connection edges (Figure 3) cannot be propagated at the instance
 level — the intermediate relations are not part of the object — and are
 reconciled during global validation instead.
 
-The pass returns a rewritten instance; the caller's original is left
-untouched.
+The rule itself is :meth:`CompiledNode.inherit
+<repro.core.updates.compiled.CompiledNode.inherit>`, applied by VO-R
+while it aligns old and new; :func:`propagate_within_object` applies it
+to a whole instance on its own. It returns a rewritten instance (tuples
+that already agree are shared, not copied); the caller's original is
+left untouched.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from repro.core.instance import ComponentTuple, Instance
+from repro.core.dependency_island import analyze_island
+from repro.core.instance import Instance
 from repro.core.view_object import ViewObjectDefinition
 
 __all__ = ["propagate_within_object"]
@@ -34,29 +37,9 @@ def propagate_within_object(
     view_object: ViewObjectDefinition, new_instance: Instance
 ) -> Instance:
     """Rewrite connecting attributes downward; return a new Instance."""
+    from repro.core.updates.compiled import CompiledProgram
 
-    def rewrite(component: ComponentTuple) -> ComponentTuple:
-        node = view_object.node(component.node_id)
-        children: Dict[str, List[ComponentTuple]] = {}
-        for child_node in view_object.tree.children(component.node_id):
-            rebuilt: List[ComponentTuple] = []
-            single_hop = len(child_node.path) == 1
-            traversal = child_node.path.traversals[0]
-            for child in component.child_tuples(child_node.node_id):
-                if single_hop:
-                    parent_entry = [
-                        component.values.get(a)
-                        for a in traversal.start_attributes
-                    ]
-                    values = dict(child.values)
-                    values.update(
-                        zip(traversal.end_attributes, parent_entry)
-                    )
-                    child = ComponentTuple(
-                        child.node_id, values, child.children
-                    )
-                rebuilt.append(rewrite(child))
-            children[child_node.node_id] = rebuilt
-        return ComponentTuple(component.node_id, dict(component.values), children)
-
-    return Instance(view_object, rewrite(new_instance.root))
+    program = CompiledProgram(view_object, analyze_island(view_object))
+    return Instance(
+        view_object, program.propagated(program.root, new_instance.root)
+    )

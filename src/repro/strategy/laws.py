@@ -17,10 +17,12 @@ must satisfy (the BIRDS/lens laws, transposed to view objects):
   :class:`~repro.errors.UpdateError`, never an engine error);
 * **reject-zero-trace** — a rejected update leaves no trace in the
   engine, the journal, the audit log, or the materialized cache;
-* **replace-getput** — replacing an instance with itself is a no-op;
+* **replace-getput** — replacing an instance with itself is a no-op,
+  in whatever order the copy lists its siblings (Figure 4's components
+  are sets);
 * **replace-putget** — a non-key replacement is reflected on read-back;
 * **replace-idempotent** — re-translating the already-applied
-  replacement coalesces to the empty plan;
+  replacement coalesces to the empty plan, siblings reversed or not;
 * **key-rehome** — an allowed pivot key change rehomes the instance and
   retargets references, keeping integrity intact.
 
@@ -750,35 +752,47 @@ def _law_reject_zero_trace(session: _Session) -> LawResult:
     return LawResult(law, HELD)
 
 
+def _siblings_reversed(data: Dict[str, Any]) -> Dict[str, Any]:
+    """The same instance dict with every component list back to front."""
+    return {
+        name: [_siblings_reversed(child) for child in reversed(value)]
+        if isinstance(value, list)
+        else value
+        for name, value in data.items()
+    }
+
+
 def _law_replace_getput(session: _Session) -> LawResult:
     law = "replace-getput"
     instance = session.first_instance()
     if instance is None:
         return LawResult(law, SKIPPED, "empty database")
     before = session.fingerprint()
-    try:
-        plan = session.translator.replace(
-            session.engine, instance, instance.to_dict()
-        )
-    except UpdateError as exc:
-        if session.policy.allow_replacement and not _replace_reject_justified(
-            session
-        ):
+    same = instance.to_dict()
+    for how, payload in (
+        ("identity", same),
+        ("reordered identity", _siblings_reversed(same)),
+    ):
+        try:
+            plan = session.translator.replace(session.engine, instance, payload)
+        except UpdateError as exc:
+            if session.policy.allow_replacement and not _replace_reject_justified(
+                session
+            ):
+                return LawResult(
+                    law, FALSIFIED, f"{how} replacement rejected: {exc}"
+                )
+            return LawResult(law, REJECTED, str(exc))
+        except ReproError as exc:
             return LawResult(
-                law, FALSIFIED, f"identity replacement rejected: {exc}"
+                law, FALSIFIED, f"unclean failure ({type(exc).__name__}): {exc}"
             )
-        return LawResult(law, REJECTED, str(exc))
-    except ReproError as exc:
-        return LawResult(
-            law, FALSIFIED, f"unclean failure ({type(exc).__name__}): {exc}"
-        )
-    if len(plan) != 0:
-        return LawResult(
-            law, FALSIFIED, f"identity replacement emitted {len(plan)} op(s)"
-        )
-    after = session.fingerprint()
-    if after[0] != before[0]:
-        return LawResult(law, FALSIFIED, "identity replacement changed data")
+        if len(plan) != 0:
+            return LawResult(
+                law, FALSIFIED, f"{how} replacement emitted {len(plan)} op(s)"
+            )
+        if session.fingerprint()[0] != before[0]:
+            return LawResult(law, FALSIFIED, f"{how} replacement changed data")
     return LawResult(law, HELD)
 
 
@@ -840,17 +854,18 @@ def _law_replace_idempotent(session: _Session) -> LawResult:
     applied = session.penguin.get(session.name, key)
     if applied is None:
         return LawResult(law, FALSIFIED, "instance vanished after replacement")
-    explanation = session.translator.explain(
-        session.engine, Replacement(applied, applied)
-    )
-    if explanation.coalesced_ops != 0:
-        return LawResult(
-            law,
-            FALSIFIED,
-            f"translate∘translate is not idempotent: re-translating the "
-            f"applied replacement still emits "
-            f"{explanation.coalesced_ops} op(s)",
+    for again in (applied, _siblings_reversed(applied.to_dict())):
+        explanation = session.translator.explain(
+            session.engine, Replacement(applied, again)
         )
+        if explanation.coalesced_ops != 0:
+            return LawResult(
+                law,
+                FALSIFIED,
+                f"translate∘translate is not idempotent: re-translating the "
+                f"applied replacement still emits "
+                f"{explanation.coalesced_ops} op(s)",
+            )
     return LawResult(law, HELD)
 
 

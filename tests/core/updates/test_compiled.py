@@ -12,12 +12,14 @@ statements, program sharing) rides on that guarantee.
 
 import copy
 import datetime
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.updates.translator as translator_module
+from repro.core.dependency_island import analyze_island
 from repro.core.instance import build_instance
 from repro.core.updates.bulk import BufferedEngine
 from repro.core.updates.compiled import CompiledProgram
@@ -152,6 +154,128 @@ def run_complete_operations(twins):
     twins.same_databases()
 
 
+def rearranged(node, arrange):
+    """A deep copy of a nested instance dict with every sibling list
+    passed through ``arrange(node_id, siblings) -> siblings``."""
+    return {
+        name: (
+            arrange(name, [rearranged(child, arrange) for child in value])
+            if isinstance(value, list)
+            else value
+        )
+        for name, value in node.items()
+    }
+
+
+def shuffled(node, rng, lists=None):
+    """:func:`rearranged` into a seeded random order — every sibling
+    list, or only those of the node ids in ``lists``."""
+
+    def arrange(name, siblings):
+        if lists is None or name in lists:
+            rng.shuffle(siblings)
+        return siblings
+
+    return rearranged(node, arrange)
+
+
+def without_outside(node, view_object, unless_changed_from=None):
+    """A deep copy without the child lists of nodes outside the
+    dependency island (what an HTTP client's payload leaves out). With
+    ``unless_changed_from`` — the instance dict ``node`` was derived
+    from, siblings in the same order — only the lists equal to its are
+    left out."""
+    analysis = analyze_island(view_object)
+    before = unless_changed_from
+    out = {}
+    for name, value in node.items():
+        if not isinstance(value, list):
+            out[name] = value
+        elif analysis.is_island(name):
+            out[name] = [
+                without_outside(
+                    child, view_object, before and before[name][at]
+                )
+                for at, child in enumerate(value)
+            ]
+        elif before is not None and value != before[name]:
+            out[name] = copy.deepcopy(value)
+    return out
+
+
+def nonkey_edits(template, view_object):
+    """One replacement per node of the object: the first tuple there
+    with one nonkey attribute changed. Yields ``(node_id, new)``."""
+
+    def first_at(node, trail):
+        for step in trail:
+            children = node.get(step) or []
+            if not children:
+                return None
+            node = children[0]
+        return node
+
+    for tree_node in view_object.tree.bfs():
+        trail = [
+            n.node_id
+            for n in reversed(view_object.tree.path_to_root(tree_node.node_id))
+        ][1:]
+        new = copy.deepcopy(template)
+        target = first_at(new, trail)
+        key = view_object.graph.relation(tree_node.relation).key
+        nonkey = next(
+            (
+                name
+                for name in view_object.projection(tree_node.node_id).attributes
+                if name not in key
+            ),
+            None,
+        )
+        if target is None or nonkey is None or isinstance(target[nonkey], int):
+            continue
+        target[nonkey] = f"edited at {tree_node.node_id}"
+        yield tree_node.node_id, new
+
+
+def run_replacement_variants(twins, seed):
+    """Replacements as clients really send them — siblings in any order,
+    unchanged references left out, ``old`` read before a concurrent
+    write — previewed (database untouched) and then applied."""
+    rng = random.Random(seed)
+    view_object = twins.view_object
+    template = twins.compiled.instantiate(twins.engine_c, (0,)).to_dict()
+    payloads = [("identity", template)]
+    payloads += list(nonkey_edits(template, view_object))
+    payloads.append(("re-key", rekey(copy.deepcopy(template), REHOMED_ROOT)))
+    # Re-keyed at the pivot only: everything below is stale (step 2).
+    payloads.append(("stale re-key", dict(copy.deepcopy(template), k0=REHOMED_ROOT)))
+    for _, new in payloads:
+        for shape in (
+            copy.deepcopy(new),
+            shuffled(new, rng),
+            without_outside(new, view_object),
+            shuffled(without_outside(new, view_object), rng),
+        ):
+            twins.same(lambda t, e: t.preview_replace(e, (0,), copy.deepcopy(shape)))
+    # A stale ``old``: the database moved on after it was read.
+    edits = dict(nonkey_edits(template, view_object))
+    deepest = max(edits, default=None)
+    if deepest is not None:
+        twins.same(lambda t, e: t.replace(e, (0,), copy.deepcopy(edits[deepest])))
+        for _, new in payloads:
+            shape = shuffled(new, rng)
+            twins.same(
+                lambda t, e: t.preview_replace(
+                    e, copy.deepcopy(template), copy.deepcopy(shape)
+                )
+            )
+    rehomed = shuffled(payloads[-2][1], rng)
+    twins.same(
+        lambda t, e: t.replace(e, copy.deepcopy(template), copy.deepcopy(rehomed))
+    )
+    twins.same_databases()
+
+
 def run_partial_operations(twins):
     """Every node of the object: partial insert (fresh, orphaned,
     identical, conflicting), partial update, partial delete."""
@@ -237,6 +361,22 @@ class TestCompiledEquivalence:
     @settings(max_examples=70, deadline=None)
     def test_plans_and_rejections_identical(self, seed, adversarial):
         run_complete_operations(chain_twins(seed, adversarial))
+
+    @given(seed=st.integers(min_value=0, max_value=100_000), adversarial=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_replacement_variants_identical(self, seed, adversarial):
+        """Permuted siblings, omitted outside components and a stale
+        ``old``: step 1 and step 2 of the oracle are its own full-instance
+        passes, so a pairing bug in the program's shows here."""
+        run_replacement_variants(chain_twins(seed, adversarial), seed)
+
+    @given(seed=st.integers(min_value=0, max_value=100_000), adversarial=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_replacement_variants_reject_identically(self, seed, adversarial):
+        twins = chain_twins(
+            seed, adversarial, lambda view_object: random_policy(view_object, seed)
+        )
+        run_replacement_variants(twins, seed)
 
     @given(seed=st.integers(min_value=0, max_value=100_000), adversarial=st.booleans())
     @settings(max_examples=40, deadline=None)

@@ -7,7 +7,10 @@ partial operations use its node records and pre-resolved integrity rules.
 This module keeps the tree walk it replaced, verbatim: the three complete
 algorithms, the three partial operations, the global-integrity passes and
 the three ``TranslationContext`` helpers only they used (here functions
-taking the context). It looks every node, schema, projection and
+taking the context) — and VO-R's step 1 (the key disciplines) and step 2
+(propagation within the object) as the full-instance recursions they
+were, which the program fuses into one aligned pass; of ``src/``'s
+local validation only the request gates are imported. It looks every node, schema, projection and
 connection up by name per tuple and builds every reason string on the
 spot. Slow, and obviously the paper's procedure — which is what an oracle
 is for.
@@ -36,10 +39,10 @@ from repro.core.updates.context import TranslationContext
 from repro.core.updates.local_validation import (
     validate_deletion,
     validate_insertion,
-    validate_replacement,
+    validate_replacement_request,
 )
 from repro.core.updates.policy import ReferenceRepair
-from repro.core.updates.propagation import propagate_within_object
+from repro.core.view_object import ViewObjectDefinition
 from repro.errors import LocalValidationError, UpdateRejectedError
 from repro.structural.connections import Connection, ConnectionKind
 
@@ -227,20 +230,30 @@ def _propagate_deletion(ctx: TranslationContext, instance: Instance) -> None:
 #
 # Old/new component tuples at each node are aligned by key first and
 # positionally for the remainder, so key-changing pairs (R-3) stay
-# aligned. Steps 2 (in-object propagation) and 4 (validation against the
-# structural model) wrap the walk, per the paper: "all three steps ...
-# have to be executed sequentially".
+# aligned — Figure 4's components are *sets*, so sibling order carries no
+# meaning, in step 1 as little as in step 3. Steps 2 (in-object
+# propagation) and 4 (validation against the structural model) wrap the
+# walk, per the paper: "all three steps ... have to be executed
+# sequentially". Here each is its own pass over the whole instance; the
+# program under test fuses steps 1 and 2 into one pass and hands step 3
+# only what they left.
 
 def translate_replacement(
     ctx: TranslationContext, old: Instance, new: Instance
 ) -> None:
     """Run VO-R; mutations are recorded in ``ctx``."""
-    # Step 1: local validation.
     with obs.tracer().span("validate", algorithm="VO-R"):
-        validate_replacement(ctx, old, new)
+        validate_replacement_request(ctx, old, new)
+        # Step 2: propagation within the view object. It runs ahead of
+        # step 1 because the pairs step 1 judges are step 3's — aligned
+        # on the keys the tuples will carry — while the key change it
+        # judges is the one the user sent.
+        sent, new = new, propagate_within_object(ctx.view_object, new)
+        # Step 1: local validation (the key disciplines).
+        _validate_key_disciplines(
+            ctx, ctx.view_object.tree.root, [old.root], [sent.root], [new.root]
+        )
     with obs.tracer().span("propagate", algorithm="VO-R") as span:
-        # Step 2: propagation within the view object.
-        new = propagate_within_object(ctx.view_object, new)
         # Step 3: translation into database operations (the state machine).
         _walk_node(
             ctx,
@@ -257,7 +270,140 @@ def translate_replacement(
 
 
 # ---------------------------------------------------------------------------
-# Tree walk
+# Step 1 — the key disciplines of Section 5.3
+# ---------------------------------------------------------------------------
+#
+# * keys may change only inside the dependency island (when the policy's
+#   island answers allow it);
+# * key replacements on referencing peninsulas are prohibited
+#   ("inherently ambiguous"), modulo the connecting attributes that the
+#   system itself rewrites when the referenced island key changes.
+
+
+def _validate_key_disciplines(
+    ctx: TranslationContext,
+    node: TreeNode,
+    old_components: List[ComponentTuple],
+    sent_components: List[ComponentTuple],
+    new_components: List[ComponentTuple],
+) -> None:
+    """``sent_components`` are the user's tuples, ``new_components`` the
+    same tuples after step 2, in the same order."""
+    if not new_components and not ctx.analysis.is_island(node.node_id):
+        return
+    sent_of = {id(new): sent for new, sent in zip(new_components, sent_components)}
+    for old, new in _align(ctx, node.node_id, old_components, new_components):
+        if old is None or new is None:
+            continue
+        sent = sent_of[id(new)]
+        _validate_pair(ctx, node, old, sent)
+        for child in ctx.view_object.tree.children(node.node_id):
+            _validate_key_disciplines(
+                ctx,
+                child,
+                old.child_tuples(child.node_id),
+                sent.child_tuples(child.node_id),
+                new.child_tuples(child.node_id),
+            )
+
+
+def _validate_pair(
+    ctx: TranslationContext,
+    node: TreeNode,
+    old_component: ComponentTuple,
+    new_component: ComponentTuple,
+) -> None:
+    role = ctx.analysis.role(node.node_id)
+    schema = ctx.schema(node.relation)
+    old_key = _key_or_none(ctx, node.node_id, old_component)
+    new_key = _key_or_none(ctx, node.node_id, new_component)
+    keys_differ = (
+        old_key is not None and new_key is not None and old_key != new_key
+    )
+    if keys_differ and role is NodeRole.ISLAND:
+        relation_policy = ctx.policy.for_relation(node.relation)
+        if not relation_policy.allow_key_replacement:
+            raise LocalValidationError(
+                f"replacement changes the key of island relation "
+                f"{node.relation!r} ({old_key!r} -> {new_key!r}) but the "
+                f"translator prohibits key modification there"
+            )
+    if keys_differ and role is NodeRole.PENINSULA:
+        # The connecting (foreign-key) attributes are rewritten by the
+        # system when the referenced island key changes; a *user* key
+        # change is any difference beyond those attributes.
+        connecting = set(node.path.traversals[0].start_attributes)
+        changed_outside_fk = any(
+            old_component.values.get(a) != new_component.values.get(a)
+            for a in schema.key
+            if a not in connecting
+        )
+        if changed_outside_fk:
+            raise LocalValidationError(
+                f"replacement changes the key of referencing peninsula "
+                f"{node.relation!r}; such replacements are inherently "
+                f"ambiguous and prohibited"
+            )
+
+
+def _key_or_none(
+    ctx: TranslationContext, node_id: str, component: ComponentTuple
+) -> Optional[Tuple[Any, ...]]:
+    node = ctx.view_object.node(node_id)
+    schema = ctx.schema(node.relation)
+    try:
+        return tuple(component.values[k] for k in schema.key)
+    except KeyError:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# Step 2 — propagation within the view object
+# ---------------------------------------------------------------------------
+#
+# Section 5.3 decomposes each island relation's key into the part
+# inherited from its parent and the complement ``A_j``; only the
+# complement is accessible at the child's level, and "a change to A_j has
+# to be propagated down to R_j's children in the dependency island".
+# Uniformly for every single-connection tree edge: each child tuple's
+# connecting attributes are rewritten to match its parent tuple's (new)
+# connecting values. Composite multi-connection edges (Figure 3) cannot be
+# propagated at the instance level and are reconciled in step 4.
+
+
+def propagate_within_object(
+    view_object: ViewObjectDefinition, new_instance: Instance
+) -> Instance:
+    """Rewrite connecting attributes downward; return a new Instance."""
+
+    def rewrite(component: ComponentTuple) -> ComponentTuple:
+        children: Dict[str, List[ComponentTuple]] = {}
+        for child_node in view_object.tree.children(component.node_id):
+            rebuilt: List[ComponentTuple] = []
+            single_hop = len(child_node.path) == 1
+            traversal = child_node.path.traversals[0]
+            for child in component.child_tuples(child_node.node_id):
+                if single_hop:
+                    parent_entry = [
+                        component.values.get(a)
+                        for a in traversal.start_attributes
+                    ]
+                    values = dict(child.values)
+                    values.update(
+                        zip(traversal.end_attributes, parent_entry)
+                    )
+                    child = ComponentTuple(
+                        child.node_id, values, child.children
+                    )
+                rebuilt.append(rewrite(child))
+            children[child_node.node_id] = rebuilt
+        return ComponentTuple(component.node_id, dict(component.values), children)
+
+    return Instance(view_object, rewrite(new_instance.root))
+
+
+# ---------------------------------------------------------------------------
+# Step 3 — the tree walk
 # ---------------------------------------------------------------------------
 
 
@@ -268,6 +414,11 @@ def _walk_node(
     new_components: List[ComponentTuple],
     in_island: bool,
 ) -> None:
+    if not new_components and not in_island:
+        # A list the new instance does not carry, outside the island:
+        # "outside tuples survive; only the linkage changed" for every
+        # tuple of it, and for everything below.
+        return
     pairs = _align(ctx, node.node_id, old_components, new_components)
     for old_component, new_component in pairs:
         if old_component is not None and new_component is not None:
