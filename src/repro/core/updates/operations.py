@@ -29,6 +29,12 @@ class UpdateRequest:
 
     kind = "abstract"
 
+    @property
+    def anchor(self):
+        """The existing instance (or its object key) the request is
+        about — what routes it to a shard and what it reads first."""
+        return self.instance
+
 
 class CompleteInsertion(UpdateRequest):
     """Add a fully specified instance to the database."""
@@ -65,6 +71,8 @@ class Replacement(UpdateRequest):
     def __init__(self, old: Instance, new: Instance) -> None:
         self.old = old
         self.new = new
+
+    anchor = property(lambda self: self.old)
 
     def __repr__(self) -> str:
         return f"Replacement({self.old.key!r} -> {self.new.key!r})"

@@ -214,30 +214,21 @@ class Translator:
     ) -> UpdatePlan:
         """Translate one request into its plan without applying it.
 
-        The request runs over a :class:`BufferedEngine` overlay — the
-        base engine is never touched, no transaction is opened, nothing
-        is journaled or audited. This is the bare per-update translate
-        path; the ``preview_*`` methods are its keyword-argument faces
-        and :meth:`apply_plan` is the matching flush half.
+        The overlay half (:meth:`_overlay`) for one request: the base
+        engine is never touched, no transaction is opened, nothing is
+        journaled or audited. The ``preview_*`` methods are its
+        keyword-argument faces and :meth:`apply_plan` is the matching
+        flush half.
         """
-        self._check_authorized()
-        buffered = BufferedEngine(engine)
-        ctx = TranslationContext(
-            self.view_object, buffered, self.policy, self.analysis
-        )
-        self._translate_request(ctx, request)
-        self._verify(buffered, "translation")
-        return ctx.plan
+        return self._overlay(engine, [request], _request_entry(request)[0])[0]
 
-    # -- public operations ---------------------------------------------------
+    # -- public operations: one request goes to the eager half (apply), a
+    # list to the overlay half (apply_plan_batch)
 
     def insert(self, engine: Engine, instance: InstanceLike) -> UpdatePlan:
         """Complete insertion of a fully specified instance."""
-        instance = self._coerce_instance(instance)
-        return self._run(
-            engine,
-            lambda ctx: self.program.run_insertion(ctx, instance),
-            op="insert",
+        return self.apply(
+            engine, CompleteInsertion(self._coerce_instance(instance))
         )
 
     def delete(
@@ -246,14 +237,10 @@ class Translator:
         instance: Union[InstanceLike, Sequence[Any], None] = None,
         key: Optional[Sequence[Any]] = None,
     ) -> UpdatePlan:
-        """Complete deletion, by instance or by object key."""
-        instance = self._resolve_instance(
-            engine, instance if key is None else key
-        )
-        return self._run(
-            engine,
-            lambda ctx: self.program.run_deletion(ctx, instance),
-            op="delete",
+        """Complete deletion, by instance or by object key (``key=`` is
+        the older spelling of the same argument)."""
+        return self.apply(
+            engine, CompleteDeletion(instance if key is None else key)
         )
 
     def replace(
@@ -263,15 +250,9 @@ class Translator:
         new: InstanceLike,
     ) -> UpdatePlan:
         """Replacement: old instance (or its key) and its replacement."""
-        old = self._resolve_instance(engine, old)
-        new = self._coerce_instance(new)
-        return self._run(
-            engine,
-            lambda ctx: self.program.run_replacement(ctx, old, new),
-            op="replace",
+        return self.apply(
+            engine, Replacement(old, self._coerce_instance(new))
         )
-
-    # -- batched operations --------------------------------------------------------
 
     def insert_many(
         self, engine: Engine, instances: Iterable[InstanceLike]
@@ -286,8 +267,11 @@ class Translator:
         transaction: the batch is all-or-nothing, and any rejection
         leaves the database untouched.
         """
-        items = [self._coerce_instance(instance) for instance in instances]
-        return self._run_batch(engine, items, self.program.run_insertion, op="insert")
+        return self.apply_plan_batch(
+            engine,
+            [CompleteInsertion(self._coerce_instance(i)) for i in instances],
+            op="insert",
+        )
 
     def delete_many(
         self,
@@ -295,35 +279,60 @@ class Translator:
         instances: Optional[Iterable[Union[InstanceLike, Sequence[Any]]]] = None,
         keys: Optional[Iterable[Sequence[Any]]] = None,
     ) -> UpdatePlan:
-        """Complete deletion of a batch (by instance or by object key)."""
-        items = [
-            self._resolve_instance(engine, item)
-            for item in (instances or [] if keys is None else keys)
-        ]
-        return self._run_batch(engine, items, self.program.run_deletion, op="delete")
+        """Complete deletion of a batch, each item an instance or an
+        object key (``keys=`` is the older spelling of the same argument)."""
+        items = (instances or []) if keys is None else keys
+        return self.apply_plan_batch(
+            engine, [CompleteDeletion(item) for item in items], op="delete"
+        )
 
     def apply_plan_batch(
-        self, engine: Engine, requests: Iterable[UpdateRequest]
+        self,
+        engine: Engine,
+        requests: Iterable[UpdateRequest],
+        op: str = "batch",
     ) -> UpdatePlan:
         """Translate a batch of :class:`UpdateRequest` objects into one
-        coalesced plan and apply it atomically.
+        coalesced plan and apply it atomically, labelled ``op``.
 
         Requests may mix kinds (insertions, deletions, replacements, and
         the partial operations); each is translated in order over the
-        shared buffer, so later requests see earlier effects.
+        shared overlay (:meth:`_overlay`), so later requests see earlier
+        effects. Nothing touches the real engine until the plan is
+        complete; the flush is one :meth:`_commit`.
         """
         requests = list(requests)
-        instances = [
-            getattr(request, "instance", None) or getattr(request, "old", None)
-            for request in requests
-        ]
-        return self._run_batch(
-            engine,
-            requests,
-            self._translate_request,
-            prewarm=[i for i in instances if isinstance(i, Instance)],
-            op="batch",
-        )
+        tracer = obs.tracer()
+        with tracer.span(
+            "translate.batch",
+            object=self.view_object.name,
+            op=op,
+            items=len(requests),
+        ) as root:
+            plans = self._overlay(engine, requests, op, write=True)
+            journal = self._active_journal(engine, need_changelog=False)
+            audit = self._active_audit(engine)
+            with tracer.span("coalesce") as fold:
+                combined = coalesce_plans(plans, engine.schema)
+                fold.set(
+                    ops_before=sum(len(plan) for plan in plans),
+                    ops_after=len(combined),
+                )
+            root.set(ops=len(combined), journaled=journal is not None)
+            # The base engine is still unmutated, so the before-images
+            # can be read directly.
+            images = None
+            if journal is not None or audit is not None:
+                images = plan_images(engine, combined)
+
+            def land() -> None:
+                with tracer.span("engine.apply", ops=len(combined)):
+                    engine.apply_batch(combined.operations)
+
+            self._commit(
+                journal, audit, land, combined, images, op, len(requests)
+            )
+            return combined
 
     def apply_plan(
         self,
@@ -370,81 +379,63 @@ class Translator:
             )
         return plan
 
-    def _translate_request(
-        self, ctx: TranslationContext, request: UpdateRequest
-    ) -> None:
-        """Dispatch one request against an in-flight context; keys are
-        resolved against ``ctx.engine``, so inside a batch the effects
-        of earlier requests are visible."""
-        _request_entry(request)[1](self, ctx, request)
-
-    def _run_batch(
+    def _overlay(
         self,
         engine: Engine,
-        items: List[Any],
-        translate_one: Callable[[TranslationContext, Any], None],
-        prewarm: Optional[List[Instance]] = None,
-        op: str = "batch",
-    ) -> UpdatePlan:
-        """The overlay translate half: translate every item over a
-        :class:`BufferedEngine`, coalesce, then :meth:`_commit`."""
+        requests: List[UpdateRequest],
+        op: str,
+        write: bool = False,
+    ) -> List[UpdatePlan]:
+        """The overlay translate half: one plan per request, translated
+        in order over one :class:`BufferedEngine`, so later requests see
+        earlier effects and ``engine`` itself is never touched.
+
+        Every overlay translation runs here — a batch write, a preview,
+        an explain, and the sharded write (:meth:`explain_batch` with
+        ``op=``, then :meth:`apply_plan`) — so each gets step 1's
+        authorization, the key pre-load, one ``translate`` span per
+        request and the ``verify_integrity`` check. A *write*'s rejection
+        also bumps ``translation_failures_total`` and leaves one
+        ``rolled_back`` audit record; an explain's or a preview's does not.
+        """
         tracer = obs.tracer()
-        with tracer.span(
-            "translate.batch",
-            object=self.view_object.name,
-            op=op,
-            items=len(items),
-        ) as root:
+        plans = []
+        try:
+            self._check_authorized()
             buffered = BufferedEngine(engine)
-            warm = prewarm if prewarm is not None else [
-                item for item in items if isinstance(item, Instance)
-            ]
-            self._prewarm(buffered, warm)
-            audit = self._active_audit(engine)
-            plans = []
-            try:
-                self._check_authorized()
-                for item in items:
-                    ctx = TranslationContext(
-                        self.view_object, buffered, self.policy, self.analysis
-                    )
-                    with tracer.span("translate", op=op):
-                        translate_one(ctx, item)
-                    plans.append(ctx.plan)
-                self._verify(buffered, "batch translation")
-            except Exception as exc:
+            self._prewarm(buffered, requests)
+            for request in requests:
+                ctx = TranslationContext(
+                    self.view_object, buffered, self.policy, self.analysis
+                )
+                with tracer.span("translate", op=op):
+                    self._translate(ctx, request)
+                plans.append(ctx.plan)
+            self._verify(buffered)
+        except Exception as exc:
+            if write:
                 obs.metrics().counter(
                     "translation_failures_total", op=op
                 ).inc()
+                audit = self._active_audit(engine)
                 if audit is not None:
-                    self._audit(audit, op, items=len(items), error=exc)
-                raise
-            # Nothing touched the real engine yet: a failure above simply
-            # discards the overlay. The flush below is one transaction.
-            journal = self._active_journal(engine, need_changelog=False)
-            with tracer.span("coalesce") as fold:
-                combined = coalesce_plans(plans, engine.schema)
-                fold.set(
-                    ops_before=sum(len(plan) for plan in plans),
-                    ops_after=len(combined),
-                )
-            root.set(ops=len(combined), journaled=journal is not None)
-            # The base engine is still unmutated, so the before-images
-            # can be read directly.
-            images = None
-            if journal is not None or audit is not None:
-                images = plan_images(engine, combined)
+                    self.audit_update(
+                        audit, op, items=len(requests), error=exc
+                    )
+            raise
+        return plans
 
-            def land() -> None:
-                with tracer.span("engine.apply", ops=len(combined)):
-                    engine.apply_batch(combined.operations)
+    def _translate(self, ctx: TranslationContext, request: UpdateRequest) -> None:
+        """Translate one request against an in-flight context; its anchor
+        is resolved against ``ctx.engine``, so inside a batch the effects
+        of earlier requests are visible."""
+        _request_entry(request)[1](
+            self, ctx, self._resolve_instance(ctx.engine, request.anchor), request
+        )
 
-            self._commit(
-                journal, audit, land, combined, images, op, len(items)
-            )
-            return combined
-
-    def _prewarm(self, buffered: BufferedEngine, instances: List[Instance]) -> None:
+    def _prewarm(
+        self, buffered: BufferedEngine, requests: List[UpdateRequest]
+    ) -> None:
         """Batch-load every component key the translations will probe.
 
         Only worthwhile when the base engine actually batches lookups
@@ -454,8 +445,10 @@ class Translator:
         if type(buffered.base).get_many is Engine.get_many:
             return
         keys_by_relation: Dict[str, List[Any]] = {}
-        for instance in instances:
-            for node_id, components in instance.iter_nodes():
+        for request in requests:
+            if not isinstance(request.anchor, Instance):
+                continue
+            for node_id, components in request.anchor.iter_nodes():
                 node = self.view_object.node(node_id)
                 schema = self.view_object.graph.relation(node.relation)
                 for component in components:
@@ -477,7 +470,6 @@ class Translator:
         values: Dict[str, Any],
     ) -> UpdatePlan:
         """Partial insertion: add one component tuple at ``node_id``."""
-        instance = self._resolve_instance(engine, instance)
         return self.apply(engine, PartialInsertion(instance, node_id, values))
 
     def delete_component(
@@ -488,7 +480,6 @@ class Translator:
         values: Dict[str, Any],
     ) -> UpdatePlan:
         """Partial deletion: remove one component tuple at ``node_id``."""
-        instance = self._resolve_instance(engine, instance)
         return self.apply(engine, PartialDeletion(instance, node_id, values))
 
     def update_component(
@@ -500,7 +491,6 @@ class Translator:
         new_values: Dict[str, Any],
     ) -> UpdatePlan:
         """Partial update: modify one component tuple's nonkey attributes."""
-        instance = self._resolve_instance(engine, instance)
         return self.apply(
             engine, PartialUpdate(instance, node_id, old_values, new_values)
         )
@@ -508,16 +498,15 @@ class Translator:
     # -- helpers -----------------------------------------------------------------
 
     def _check_authorized(self) -> None:
-        """Step 1's user authorization: the first thing every translate
-        half (:meth:`_run`, :meth:`_run_batch`, :meth:`translate`,
-        :meth:`_explain`) and :meth:`apply_plan` do."""
+        """Step 1's user authorization: the first thing both translate
+        halves (:meth:`_run`, :meth:`_overlay`) and :meth:`apply_plan` do."""
         if not self.policy.authorizes(self.user):
             raise LocalValidationError(
                 f"user {self.user!r} is not authorized to update through "
                 f"view object {self.view_object.name!r}"
             )
 
-    def _verify(self, engine: Engine, subject: str) -> None:
+    def _verify(self, engine: Engine) -> None:
         """The belt-and-braces structural check of ``verify_integrity``."""
         if not self.verify_integrity:
             return
@@ -525,7 +514,7 @@ class Translator:
             violations = self._checker.check(engine)
         if violations:
             raise GlobalValidationError(
-                f"{subject} left {len(violations)} integrity violations: "
+                f"translation left {len(violations)} integrity violations: "
                 + "; ".join(v.message for v in violations[:5])
             )
 
@@ -579,10 +568,9 @@ class Translator:
         """The audit log to record into, or None when auditing is off.
 
         Mirrors :meth:`_active_journal`: only *top-level* updates are
-        audited. Inside an enclosing transaction (``delete_where`` /
-        ``update_where`` looping over :meth:`delete` / :meth:`replace`,
-        or a user-opened :meth:`Penguin.transaction` block) the outer
-        scope owns the view-level operation and audits it once.
+        audited. Inside an enclosing transaction (a user-opened
+        :meth:`Penguin.transaction` block) the outer scope owns the
+        view-level operation.
         """
         if self.audit is None:
             return None
@@ -598,7 +586,7 @@ class Translator:
             self._policy_dict = policy_to_dict(self.policy)
         return self._policy_dict
 
-    def _audit(
+    def audit_update(
         self,
         audit: AuditLog,
         op: str,
@@ -705,23 +693,19 @@ class Translator:
                     journal.mark_aborted(entry_id)
                 registry.counter("translation_failures_total", op=op).inc()
             if audit is not None:
-                self._audit(audit, op, error=exc, **record)
+                self.audit_update(audit, op, error=exc, **record)
             raise
         if entry_id is not None:
             journal.mark_committed(entry_id)
         if audit is not None:
-            self._audit(audit, op, **record)
+            self.audit_update(audit, op, **record)
         registry.counter("translations_total", op=op).inc()
         registry.histogram("plan_ops", op=op).observe(len(plan))
 
-    def _run(
-        self,
-        engine: Engine,
-        translation,
-        op: str = "update",
-    ) -> UpdatePlan:
+    def _run(self, engine: Engine, request: UpdateRequest) -> UpdatePlan:
         """The eager translate half: translate one request on the live
         engine inside one transaction, then :meth:`_commit` it."""
+        op = _request_entry(request)[0]
         ctx = TranslationContext(
             self.view_object, engine, self.policy, self.analysis
         )
@@ -746,8 +730,8 @@ class Translator:
             engine.begin()
             try:
                 self._check_authorized()
-                translation(ctx)
-                self._verify(engine, "translation")
+                self._translate(ctx, request)
+                self._verify(engine)
             except BaseException as exc:
                 # An Exception rejects the update: roll back, nothing is
                 # left behind. Anything else is a (simulated) crash
@@ -762,7 +746,7 @@ class Translator:
                         "translation_failures_total", op=op
                     ).inc()
                 if audit is not None:
-                    self._audit(audit, op, plan=ctx.plan, error=exc)
+                    self.audit_update(audit, op, plan=ctx.plan, error=exc)
                 raise
             span.set(ops=len(ctx.plan), journaled=journal is not None)
             images = None
@@ -828,18 +812,23 @@ class Translator:
         never touched. The counterpart of
         :func:`repro.core.query.explain_query` for updates.
         """
-        return self._explain(engine, [request])
+        return self.explain_batch(engine, [request])
 
     def explain_batch(
-        self, engine: Engine, requests: Iterable[UpdateRequest]
+        self,
+        engine: Engine,
+        requests: Iterable[UpdateRequest],
+        op: Optional[str] = None,
     ) -> TranslationExplanation:
-        """The coalesced would-be plan of a batch, without executing it."""
-        return self._explain(engine, list(requests))
+        """The coalesced would-be plan of a batch, without executing it.
 
-    def _explain(
-        self, engine: Engine, requests: List[UpdateRequest]
-    ) -> TranslationExplanation:
-        self._check_authorized()
+        ``op`` labels the translate half of a *write* whose flush half
+        is :meth:`apply_plan` (the sharded path: translate on the owner,
+        partition, land each piece): a rejection is then counted and
+        audited as that write's, exactly as :meth:`apply_plan_batch`
+        would. Without it nothing is recorded.
+        """
+        requests = list(requests)
         operation = self._describe_requests(requests)
         with obs.tracer().span(
             "explain",
@@ -847,32 +836,22 @@ class Translator:
             op=operation,
             items=len(requests),
         ) as span:
-            buffered = BufferedEngine(engine)
-            plans: List[UpdatePlan] = []
-            for request in requests:
-                ctx = TranslationContext(
-                    self.view_object, buffered, self.policy, self.analysis
-                )
-                self._translate_request(ctx, request)
-                plans.append(ctx.plan)
+            plans = self._overlay(
+                engine, requests, op or operation, write=op is not None
+            )
             combined = UpdatePlan()
             for plan in plans:
                 combined.extend(plan)
             coalesced = coalesce_plans(plans, engine.schema)
             span.set(ops=len(combined))
         obs.metrics().counter("explains_total", op=operation).inc()
-        touched = set(combined.relations_touched())
-        rules = []
-        for connection in self.view_object.graph.connections:
-            if connection.source in touched or connection.target in touched:
-                rules.append(f"{connection.name}: {connection.describe()}")
         return TranslationExplanation(
             object_name=self.view_object.name,
             operation=operation,
             plan=combined,
             coalesced=coalesced,
             island_relations=tuple(self.analysis.island_relations),
-            connections=tuple(rules),
+            graph=self.view_object.graph,
             verify_integrity=self.verify_integrity,
             items=len(requests),
             risk=self.risk(),
@@ -897,20 +876,20 @@ class Translator:
         """Complete deletion of every instance matching an object query.
 
         "The query representation can also be used to formulate update
-        requests" — this is that formulation for deletions. The matched
-        instances go through the same batch pipeline as
-        :meth:`delete_many`: each is translated over a
-        :class:`BufferedEngine` overlay, the per-instance plans are
-        coalesced per relation, and the flush is a single journaled
-        write-ahead intent with one audit record for the whole
-        view-level request — all-or-nothing, with the base engine
-        untouched until the plan is complete.
+        requests" — this is that formulation for deletions: select, then
+        one :meth:`apply_plan_batch` labelled ``delete_where`` — one
+        coalesced plan, one journal intent, one audit record for the
+        whole view-level request, all-or-nothing.
         """
         from repro.core.query import execute_query
 
-        instances = execute_query(self.view_object, engine, query)
-        return self._run_batch(
-            engine, instances, self.program.run_deletion, op="delete_where"
+        return self.apply_plan_batch(
+            engine,
+            [
+                CompleteDeletion(instance)
+                for instance in execute_query(self.view_object, engine, query)
+            ],
+            op="delete_where",
         )
 
     def update_where(
@@ -922,22 +901,20 @@ class Translator:
         """Replace every matching instance by ``transform(instance_dict)``.
 
         The transform receives each matched instance's nested-dictionary
-        form and returns the replacement's. Like :meth:`delete_where`,
-        the batch runs through :meth:`_run_batch`: coalesced plan, one
-        journal intent, one audit record, atomic flush.
+        form and returns the replacement's. Like :meth:`delete_where`:
+        select, then one batch labelled ``update_where``.
         """
         from repro.core.query import execute_query
 
-        instances = execute_query(self.view_object, engine, query)
-
-        def translate_one(ctx: TranslationContext, instance: Instance) -> None:
-            new_data = transform(instance.to_dict())
-            self.program.run_replacement(
-                ctx, instance, self._coerce_instance(new_data)
-            )
-
-        return self._run_batch(
-            engine, instances, translate_one, op="update_where"
+        return self.apply_plan_batch(
+            engine,
+            [
+                Replacement(
+                    instance, self._coerce_instance(transform(instance.to_dict()))
+                )
+                for instance in execute_query(self.view_object, engine, query)
+            ],
+            op="update_where",
         )
 
     # -- request-object dispatch ------------------------------------------------
@@ -945,58 +922,44 @@ class Translator:
     def apply(self, engine: Engine, request: UpdateRequest) -> UpdatePlan:
         """Apply a first-class :class:`UpdateRequest` (Section 5's
         operation taxonomy) through this translator."""
-        op, translate = _request_entry(request)
-        return self._run(
-            engine, lambda ctx: translate(self, ctx, request), op=op
-        )
+        return self._run(engine, request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Translator({self.view_object.name!r})"
 
 
 # Section 5's operation taxonomy, once: request class -> (op label,
-# translate function). Translator.apply, apply_plan_batch and explain all
-# dispatch through it.
+# translate function over the request's resolved anchor). Both translate
+# halves dispatch through it (Translator._translate).
 _REQUESTS: Dict[type, Any] = {
     CompleteInsertion: (
-        "insert",
-        lambda t, ctx, r: t.program.run_insertion(
-            ctx, t._resolve_instance(ctx.engine, r.instance)
-        ),
+        "insert", lambda t, ctx, i, r: t.program.run_insertion(ctx, i)
     ),
     CompleteDeletion: (
-        "delete",
-        lambda t, ctx, r: t.program.run_deletion(
-            ctx, t._resolve_instance(ctx.engine, r.instance)
-        ),
+        "delete", lambda t, ctx, i, r: t.program.run_deletion(ctx, i)
     ),
     Replacement: (
         "replace",
-        lambda t, ctx, r: t.program.run_replacement(
-            ctx, t._resolve_instance(ctx.engine, r.old), t._coerce_instance(r.new)
+        lambda t, ctx, i, r: t.program.run_replacement(
+            ctx, i, t._coerce_instance(r.new)
         ),
     ),
     PartialInsertion: (
         "partial_insert",
-        lambda t, ctx, r: translate_partial_insertion(
-            t.program, ctx, t._resolve_instance(ctx.engine, r.instance), r.node_id, r.values
+        lambda t, ctx, i, r: translate_partial_insertion(
+            t.program, ctx, i, r.node_id, r.values
         ),
     ),
     PartialDeletion: (
         "partial_delete",
-        lambda t, ctx, r: translate_partial_deletion(
-            t.program, ctx, t._resolve_instance(ctx.engine, r.instance), r.node_id, r.values
+        lambda t, ctx, i, r: translate_partial_deletion(
+            t.program, ctx, i, r.node_id, r.values
         ),
     ),
     PartialUpdate: (
         "partial_update",
-        lambda t, ctx, r: translate_partial_update(
-            t.program,
-            ctx,
-            t._resolve_instance(ctx.engine, r.instance),
-            r.node_id,
-            r.old_values,
-            r.new_values,
+        lambda t, ctx, i, r: translate_partial_update(
+            t.program, ctx, i, r.node_id, r.old_values, r.new_values
         ),
     ),
 }

@@ -279,3 +279,39 @@ class UnsafeTranslatorError(StrategyError):
     def __init__(self, message: str, report=None) -> None:
         super().__init__(message)
         self.report = report
+
+
+# ---------------------------------------------------------------------------
+# HTTP mapping
+# ---------------------------------------------------------------------------
+
+#: Error class -> HTTP status; first match wins, so a subclass that
+#: answers differently sits above its base. 503 goes out with
+#: ``Retry-After`` (the condition clears by itself); a fault in the
+#: server's own logs or replication stream is never the client's doing.
+#: An unknown object name is a 404 at the route, like any unknown path.
+HTTP_STATUS = (
+    (DegradedServiceError, 503),
+    (TransientEngineError, 503),
+    (TransactionError, 503),
+    (JournalError, 500),
+    (AuditError, 500),
+    (ReplicationError, 500),
+    (InstantiationError, 500),
+    (RelationalError, 400),
+    (StructuralError, 400),
+    (ViewObjectError, 400),
+    (UpdateError, 400),
+    (DialogError, 400),
+    (StrategyError, 400),
+    ((KeyError, ValueError, TypeError), 400),
+)
+
+
+def http_status(exc: BaseException) -> int:
+    """The status an HTTP front end answers ``exc`` with; 500 for
+    anything :data:`HTTP_STATUS` does not name."""
+    for classes, status in HTTP_STATUS:
+        if isinstance(exc, classes):
+            return status
+    return 500

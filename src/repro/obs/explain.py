@@ -40,7 +40,7 @@ class TranslationExplanation:
         plan: UpdatePlan,
         coalesced: UpdatePlan,
         island_relations: Tuple[str, ...],
-        connections: Tuple[str, ...],
+        graph: Any,
         verify_integrity: bool,
         items: int = 1,
         risk: Any = None,
@@ -50,7 +50,7 @@ class TranslationExplanation:
         self.plan = plan
         self.coalesced = coalesced
         self.island_relations = island_relations
-        self.connections = connections
+        self._graph = graph
         self.verify_integrity = verify_integrity
         self.items = items
         # The definition-time RiskReport of the translator that produced
@@ -62,6 +62,18 @@ class TranslationExplanation:
     @property
     def relations_touched(self) -> Tuple[str, ...]:
         return self.plan.relations_touched()
+
+    @property
+    def connections(self) -> Tuple[str, ...]:
+        """The structural connections incident to a touched relation —
+        built when the report is read, not on every translation (the
+        sharded write path only wants :attr:`coalesced`)."""
+        touched = set(self.relations_touched)
+        return tuple(
+            f"{connection.name}: {connection.describe()}"
+            for connection in self._graph.connections
+            if connection.source in touched or connection.target in touched
+        )
 
     @property
     def op_kinds(self) -> Dict[str, int]:

@@ -20,13 +20,19 @@ True
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import repro.obs as obs
 from repro.errors import ViewObjectError
 from repro.core.information_metric import InformationMetric
-from repro.core.instance import Instance
+from repro.core.instance import Instance, build_instance
 from repro.core.query import execute_query
+from repro.core.updates.operations import (
+    CompleteDeletion,
+    CompleteInsertion,
+    Replacement,
+    UpdateRequest,
+)
 from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.core.view_object import ViewObjectDefinition, define_view_object
@@ -41,6 +47,7 @@ from repro.dialog.transcript import Transcript
 from repro.materialize.maintainer import LAZY
 from repro.materialize.store import MaterializedStore, MaterializedView
 from repro.obs.audit import AuditLog
+from repro.obs.cluster import ClusterMetrics
 from repro.obs.explain import TranslationExplanation
 from repro.obs.history import ReplayReport, as_of, replay
 from repro.obs.lineage import LineageIndex, LineageLink
@@ -52,12 +59,130 @@ from repro.relational.sqlite_engine import SqliteEngine
 from repro.structural.integrity import IntegrityChecker, Violation
 from repro.structural.schema_graph import StructuralSchema
 
-__all__ = ["Penguin"]
+__all__ = ["Penguin", "ViewObjectSession"]
 
 AnswersLike = Union[AnswerSource, Sequence[bool], Mapping[str, bool], bool, None]
+InstanceLike = Union[Instance, Mapping[str, Any]]
+KeyOrInstance = Union[Instance, Mapping[str, Any], Sequence[Any]]
 
 
-class Penguin:
+class ViewObjectSession:
+    """The view-object write surface, declared once.
+
+    Section 6 fixes one translator per view object, so what a request
+    validates, emits and records must not depend on which session
+    carried it there. Every verb below is *request construction only* —
+    coerce the payload, build the request list, name the op label the
+    write is counted and audited under — over what a session
+    (:class:`Penguin`, ``ConcurrentPenguin``, ``ShardedPenguin``) really
+    differs in: ``object(name)`` / ``query(name, text)`` (how reads are
+    served), :meth:`_apply` (how a labelled request list is applied),
+    and :meth:`_apply_one` / :meth:`_select_apply` where one request or
+    a select-then-apply is more than that. DESIGN.md "One surface".
+    """
+
+    def _apply(
+        self, name: str, requests: List[UpdateRequest], op: str
+    ) -> UpdatePlan:
+        """Apply ``requests`` as the write labelled ``op``."""
+        raise NotImplementedError
+
+    def _apply_one(
+        self, name: str, request: UpdateRequest, op: str
+    ) -> UpdatePlan:
+        return self._apply(name, [request], op)
+
+    def _select_apply(
+        self,
+        name: str,
+        query: str,
+        request_of: Callable[[Instance], UpdateRequest],
+        op: str,
+    ) -> UpdatePlan:
+        """A query-driven verb: select, then one labelled batch."""
+        matches = self.query(name, query)
+        return self._apply(name, [request_of(i) for i in matches], op)
+
+    def coerce(self, name: str, instance: InstanceLike) -> Instance:
+        """``instance`` as an :class:`Instance` of view object ``name``."""
+        if isinstance(instance, Instance):
+            return instance
+        return build_instance(self.object(name), instance)
+
+    def insert(self, name: str, instance: InstanceLike) -> UpdatePlan:
+        request = CompleteInsertion(self.coerce(name, instance))
+        return self._apply_one(name, request, "insert")
+
+    def delete(self, name: str, key_or_instance: KeyOrInstance) -> UpdatePlan:
+        return self._apply_one(name, CompleteDeletion(key_or_instance), "delete")
+
+    def replace(
+        self, name: str, old: KeyOrInstance, new: InstanceLike
+    ) -> UpdatePlan:
+        request = Replacement(old, self.coerce(name, new))
+        return self._apply_one(name, request, "replace")
+
+    def insert_many(
+        self, name: str, instances: Iterable[InstanceLike]
+    ) -> UpdatePlan:
+        """Insert a batch of instances as one coalesced, atomic plan:
+        translated over a write buffer (later instances see earlier
+        ones), deduplicated per (relation, key), flushed through the
+        engine's batch primitives in one transaction."""
+        requests = [CompleteInsertion(self.coerce(name, i)) for i in instances]
+        return self._apply(name, requests, "insert")
+
+    def delete_many(
+        self, name: str, keys_or_instances: Iterable[KeyOrInstance]
+    ) -> UpdatePlan:
+        """Delete a batch of instances (or object keys) atomically."""
+        requests = [CompleteDeletion(i) for i in keys_or_instances]
+        return self._apply(name, requests, "delete")
+
+    def apply_plan_batch(
+        self, name: str, requests: Iterable[UpdateRequest], op: str = "batch"
+    ) -> UpdatePlan:
+        """Translate a mixed batch of :class:`UpdateRequest` objects into
+        one coalesced plan and apply it atomically. (Sharded: atomic per
+        owner shard; a request whose own plan crosses shards still goes
+        through the two-phase coordinator.)"""
+        return self._apply(name, list(requests), op)
+
+    def delete_where(self, name: str, query: str) -> UpdatePlan:
+        """Complete deletion of every instance matching an object query,
+        as one atomic batch (sharded: one per owner shard)."""
+        return self._select_apply(name, query, CompleteDeletion, "delete_where")
+
+    def update_where(self, name: str, query: str, transform) -> UpdatePlan:
+        """Replace every matching instance by ``transform(instance_dict)``,
+        as one atomic batch (sharded: one per owner shard)."""
+
+        def request_of(instance: Instance) -> Replacement:
+            new = self.coerce(name, transform(instance.to_dict()))
+            return Replacement(instance, new)
+
+        return self._select_apply(name, query, request_of, "update_where")
+
+    def describe(self) -> Optional[str]:
+        """The deployment's topology in one line; None when there is
+        only one engine to describe."""
+        return None
+
+    def metrics_snapshot(
+        self, component: Optional[str] = None
+    ) -> Dict[str, Any]:
+        """The merged metrics (global registry + every shard / replica
+        component's); ``component`` narrows it to one registry.
+        Registries take no session-wide lock, so this never blocks
+        readers or writers."""
+        return ClusterMetrics().snapshot(component)
+
+    def metrics_text(self, component: Optional[str] = None) -> str:
+        """:meth:`metrics_snapshot`, rendered for scraping."""
+        return ClusterMetrics().render_text(component)
+
+
+class Penguin(ViewObjectSession):
     """A session over one structural schema and one storage engine.
 
     Parameters
@@ -314,33 +439,22 @@ class Penguin:
         obs.metrics().counter("gets_total", object=name).inc()
         return instance
 
-    # -- updates ----------------------------------------------------------------------
+    # -- updates (the verbs are ViewObjectSession's) ----------------------------
 
-    def insert(self, name: str, instance: Union[Instance, Mapping]) -> UpdatePlan:
-        return self.translator(name).insert(self.engine, instance)
-
-    def delete(
-        self, name: str, key_or_instance: Union[Instance, Mapping, Sequence[Any]]
+    def _apply(
+        self, name: str, requests: List[UpdateRequest], op: str
     ) -> UpdatePlan:
-        if isinstance(key_or_instance, (Instance, Mapping)):
-            return self.translator(name).delete(self.engine, key_or_instance)
-        return self.translator(name).delete(self.engine, key=key_or_instance)
+        return self.translator(name).apply_plan_batch(
+            self.engine, requests, op=op
+        )
 
-    def replace(
-        self,
-        name: str,
-        old: Union[Instance, Mapping, Sequence[Any]],
-        new: Union[Instance, Mapping],
+    def _apply_one(
+        self, name: str, request: UpdateRequest, op: str
     ) -> UpdatePlan:
-        return self.translator(name).replace(self.engine, old, new)
-
-    def delete_where(self, name: str, query: str) -> UpdatePlan:
-        """Complete deletion of every instance matching an object query."""
-        return self.translator(name).delete_where(self.engine, query)
-
-    def update_where(self, name: str, query: str, transform) -> UpdatePlan:
-        """Replace every matching instance by ``transform(instance_dict)``."""
-        return self.translator(name).update_where(self.engine, query, transform)
+        # One request translates eagerly on the live engine: a batch of
+        # one would validate and apply every tuple twice (DESIGN.md
+        # "Write path"). The translator reads the label off the request.
+        return self.translator(name).apply(self.engine, request)
 
     def explain_update(self, name: str, request) -> TranslationExplanation:
         """The would-be plan of one update request, without executing it.
@@ -349,48 +463,6 @@ class Penguin:
         query planner's ``explain_query``.
         """
         return self.translator(name).explain(self.engine, request)
-
-    # -- batched updates ---------------------------------------------------------------
-
-    def insert_many(
-        self, name: str, instances: Iterable[Union[Instance, Mapping]]
-    ) -> UpdatePlan:
-        """Insert a batch of instances as one coalesced, atomic plan.
-
-        The batch is translated over a write buffer (later instances see
-        earlier ones), deduplicated per (relation, key), validated once,
-        and flushed through the engine's batch primitives — one
-        transaction, ``executemany`` on sqlite.
-        """
-        return self.translator(name).insert_many(self.engine, instances)
-
-    def delete_many(
-        self,
-        name: str,
-        keys_or_instances: Iterable[Union[Instance, Mapping, Sequence[Any]]],
-    ) -> UpdatePlan:
-        """Delete a batch of instances (or object keys) atomically."""
-        items = list(keys_or_instances)
-        if items and not isinstance(items[0], (Instance, Mapping)):
-            return self.translator(name).delete_many(self.engine, keys=items)
-        return self.translator(name).delete_many(self.engine, items)
-
-    def apply_plan_batch(self, name: str, requests: Iterable) -> UpdatePlan:
-        """Translate a mixed batch of :class:`UpdateRequest` objects into
-        one coalesced plan and apply it atomically."""
-        return self.translator(name).apply_plan_batch(self.engine, requests)
-
-    def apply_translated_plan(
-        self, name: str, plan: UpdatePlan, op: str = "update", items: int = 1
-    ) -> UpdatePlan:
-        """Apply a plan produced by :meth:`explain_update` (or a shard
-        coordinator), journaled and audited exactly like a translated
-        update — without re-running translation. A replica passes the
-        shipped record in place of the plan (see
-        :meth:`Translator.apply_plan`)."""
-        return self.translator(name).apply_plan(
-            self.engine, plan, op=op, items=items
-        )
 
     # -- transactions ----------------------------------------------------------------
 

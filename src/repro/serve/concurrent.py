@@ -20,17 +20,17 @@ The wrapper owns its lock but not the session: the underlying
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import repro.obs as obs
 from repro.core.instance import Instance
 from repro.errors import DegradedServiceError, TransactionError
-from repro.penguin import Penguin
+from repro.core.updates.operations import UpdateRequest
+from repro.penguin import Penguin, ViewObjectSession
 from repro.relational.operations import UpdatePlan
 from repro.relational.retry import is_transient_error
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.locks import ReadWriteLock
-from repro.structural.integrity import Violation
 from repro.structural.schema_graph import StructuralSchema
 
 __all__ = ["ConcurrentPenguin", "ServedRead"]
@@ -98,7 +98,26 @@ def _is_engine_fault(exc: BaseException) -> bool:
     return is_transient_error(exc) or isinstance(exc, TransactionError)
 
 
-class ConcurrentPenguin:
+#: The wrapped session's names this facade hands through, and the side
+#: of its lock each is called under: none for read-only introspection,
+#: shared for whole-database reads, exclusive for definition-time
+#: operations and materialization changes (they reshape what readers see).
+_PASSTHROUGH: Dict[str, Optional[str]] = {
+    **dict.fromkeys((
+        "engine", "graph", "object", "object_names", "translator",
+        "materialized", "materialized_names", "risk_summary",
+    )),
+    **dict.fromkeys(
+        ("check_integrity", "is_consistent", "cache_stats"), "read_locked"
+    ),
+    **dict.fromkeys((
+        "define_object", "register_object", "choose_translator",
+        "set_policy", "materialize", "dematerialize",
+    ), "write_locked"),
+}
+
+
+class ConcurrentPenguin(ViewObjectSession):
     """Readers-writer concurrency control around a ``Penguin`` session.
 
     Accepts an existing session, or a :class:`StructuralSchema` plus
@@ -149,13 +168,6 @@ class ConcurrentPenguin:
         return obs.component_metrics(self.component)
 
     # -- health-routed execution --------------------------------------------
-
-    def _read(
-        self,
-        engine_read: Callable[[], Any],
-        stale_read: Callable[[], Any],
-    ) -> Any:
-        return self._read_traced(engine_read, stale_read)[0]
 
     def _read_traced(
         self,
@@ -213,7 +225,7 @@ class ConcurrentPenguin:
             self._registry().counter(
                 "serve_writes_total", mode="refused", **self.metric_labels
             ).inc()
-            self._audit_refusal(op, object_name)
+            self.audit_refusal(op, object_name)
             raise DegradedServiceError(
                 "service is degraded: writes are refused while the "
                 "engine is unhealthy"
@@ -237,7 +249,7 @@ class ConcurrentPenguin:
     def _refuse_stale(self, reason: str) -> Any:
         raise DegradedServiceError(f"service is degraded: {reason}")
 
-    def _audit_refusal(self, op: str, object_name: str) -> None:
+    def audit_refusal(self, op: str, object_name: str) -> None:
         audit = getattr(self.penguin, "audit", None)
         if audit is None:
             return
@@ -262,16 +274,10 @@ class ConcurrentPenguin:
     # -- shared (read-side) operations -------------------------------------
 
     def query(self, name: str, text: Optional[str] = None) -> List[Instance]:
-        return self._read(
-            lambda: self.penguin.query(name, text),
-            lambda: self._stale_query(name, text),
-        )
+        return self.query_served(name, text).value
 
     def get(self, name: str, key: Sequence[Any]) -> Optional[Instance]:
-        return self._read(
-            lambda: self.penguin.get(name, key),
-            lambda: self._stale_get(name, key),
-        )
+        return self.get_served(name, key).value
 
     def query_served(
         self, name: str, text: Optional[str] = None
@@ -331,86 +337,30 @@ class ConcurrentPenguin:
             )
         return instance
 
-    def check_integrity(self) -> List[Violation]:
-        with self.lock.read_locked():
-            return self.penguin.check_integrity()
+    # -- exclusive (write-side) operations: the verbs are ViewObjectSession's,
+    # this session guards the inner session's primitives — a query-driven
+    # verb from its select to its commit, so no writer can interleave
 
-    def is_consistent(self) -> bool:
-        with self.lock.read_locked():
-            return self.penguin.is_consistent()
-
-    def cache_stats(self) -> Dict[str, Dict[str, float]]:
-        with self.lock.read_locked():
-            return self.penguin.cache_stats()
-
-    def metrics_snapshot(
-        self, component: Optional[str] = None
-    ) -> Dict[str, Any]:
-        """The merged cluster metrics snapshot (global + components).
-
-        Safe under concurrent serving: registries take no facade-wide
-        lock, so this never blocks readers or writers. ``component``
-        narrows the view to one shard/replica registry.
-        """
-        from repro.obs.cluster import ClusterMetrics
-
-        return ClusterMetrics().snapshot(component)
-
-    def metrics_text(self, component: Optional[str] = None) -> str:
-        """The merged cluster metrics, rendered for scraping."""
-        from repro.obs.cluster import ClusterMetrics
-
-        return ClusterMetrics().render_text(component)
-
-    # -- exclusive (write-side) operations ----------------------------------
-
-    def insert(self, name: str, instance: Union[Instance, Mapping]) -> UpdatePlan:
-        return self._write(
-            lambda: self.penguin.insert(name, instance),
-            op="insert", object_name=name,
-        )
-
-    def delete(
-        self, name: str, key_or_instance: Union[Instance, Mapping, Sequence[Any]]
+    def _apply(
+        self, name: str, requests: List[UpdateRequest], op: str
     ) -> UpdatePlan:
         return self._write(
-            lambda: self.penguin.delete(name, key_or_instance),
-            op="delete", object_name=name,
+            lambda: self.penguin._apply(name, requests, op), op, name
         )
 
-    def replace(
-        self,
-        name: str,
-        old: Union[Instance, Mapping, Sequence[Any]],
-        new: Union[Instance, Mapping],
+    def _apply_one(
+        self, name: str, request: UpdateRequest, op: str
     ) -> UpdatePlan:
         return self._write(
-            lambda: self.penguin.replace(name, old, new),
-            op="replace", object_name=name,
+            lambda: self.penguin._apply_one(name, request, op), op, name
         )
 
-    def insert_many(
-        self, name: str, instances: Iterable[Union[Instance, Mapping]]
+    def _select_apply(
+        self, name: str, query: str, request_of: Callable, op: str
     ) -> UpdatePlan:
         return self._write(
-            lambda: self.penguin.insert_many(name, instances),
-            op="insert", object_name=name,
-        )
-
-    def delete_many(
-        self,
-        name: str,
-        keys_or_instances: Iterable[Union[Instance, Mapping, Sequence[Any]]],
-    ) -> UpdatePlan:
-        return self._write(
-            lambda: self.penguin.delete_many(name, keys_or_instances),
-            op="delete", object_name=name,
-        )
-
-    def apply_plan_batch(self, name: str, requests: Iterable) -> UpdatePlan:
-        return self._write(
-            lambda: self.penguin.apply_plan_batch(name, requests),
-            op="batch", object_name=name,
+            lambda: self.penguin._select_apply(name, query, request_of, op),
+            op, name,
         )
 
     def apply_plan(
@@ -425,35 +375,11 @@ class ConcurrentPenguin:
         same way, passing the record in place of the plan.
         """
         return self._write(
-            lambda: self.penguin.apply_translated_plan(
-                name, plan, op=op, items=items
+            lambda: self.penguin.translator(name).apply_plan(
+                self.penguin.engine, plan, op=op, items=items
             ),
             op=op, object_name=name,
         )
-
-    def delete_where(self, name: str, query: str) -> UpdatePlan:
-        return self._write(
-            lambda: self.penguin.delete_where(name, query),
-            op="delete_where", object_name=name,
-        )
-
-    def update_where(self, name: str, query: str, transform) -> UpdatePlan:
-        return self._write(
-            lambda: self.penguin.update_where(name, query, transform),
-            op="update_where", object_name=name,
-        )
-
-    # -- materialization (write-side: reshapes what readers see) -------------
-
-    def materialize(self, name: str, policy: Optional[str] = None):
-        with self.lock.write_locked():
-            if policy is None:
-                return self.penguin.materialize(name)
-            return self.penguin.materialize(name, policy)
-
-    def dematerialize(self, name: str) -> None:
-        with self.lock.write_locked():
-            self.penguin.dematerialize(name)
 
     def sync(self, name: Optional[str] = None) -> int:
         """Bring one (or every) materialized cache up to date, exclusively."""
@@ -463,53 +389,22 @@ class ConcurrentPenguin:
                 return view.sync() if view is not None else 0
             return self.penguin._materialized.sync_all()
 
-    # -- definition-time operations (write-side) ------------------------------
+    def __getattr__(self, attr: str) -> Any:
+        try:
+            mode = _PASSTHROUGH[attr]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {attr!r}"
+            ) from None
+        target = getattr(self.penguin, attr)
+        if mode is None:
+            return target
 
-    def define_object(self, *args: Any, **kwargs: Any):
-        with self.lock.write_locked():
-            return self.penguin.define_object(*args, **kwargs)
+        def locked(*args: Any, **kwargs: Any) -> Any:
+            with getattr(self.lock, mode)():
+                return target(*args, **kwargs)
 
-    def register_object(self, view_object) -> None:
-        with self.lock.write_locked():
-            self.penguin.register_object(view_object)
-
-    def choose_translator(self, name: str, answers=None):
-        with self.lock.write_locked():
-            return self.penguin.choose_translator(name, answers)
-
-    def set_policy(self, name: str, policy):
-        with self.lock.write_locked():
-            return self.penguin.set_policy(name, policy)
-
-    # -- passthrough introspection -------------------------------------------
-
-    @property
-    def engine(self):
-        return self.penguin.engine
-
-    @property
-    def graph(self) -> StructuralSchema:
-        return self.penguin.graph
-
-    @property
-    def object_names(self) -> Tuple[str, ...]:
-        return self.penguin.object_names
-
-    @property
-    def materialized_names(self) -> Tuple[str, ...]:
-        return self.penguin.materialized_names
-
-    def object(self, name: str):
-        return self.penguin.object(name)
-
-    def translator(self, name: str):
-        return self.penguin.translator(name)
-
-    def materialized(self, name: str):
-        return self.penguin.materialized(name)
-
-    def risk_summary(self):
-        return self.penguin.risk_summary()
+        return locked
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ConcurrentPenguin({self.penguin!r})"

@@ -22,9 +22,11 @@ poisoning its whole window.
 Read responses carry the :class:`~repro.serve.concurrent.ServedRead`
 metadata (``stale``, ``shard``, ``staleness``), so a DEGRADED-mode
 answer is visibly marked at the HTTP surface rather than passed off
-as fresh. Error mapping: unknown objects are 404, validation and
-translation rejections 400, DEGRADED refusals 503 with a
-``Retry-After`` hint, deadline expiries 504, everything else 500.
+as fresh. Error mapping: unknown objects and paths are 404, deadline
+expiries 504, and every library error answers what the one table in
+:mod:`repro.errors` says (rejections 400, DEGRADED refusals and engine
+faults 503 with a ``Retry-After`` hint, log and replication faults
+500); anything else is 500.
 
 Overload protection is explicit. Each request runs under a
 **deadline** — client-supplied via ``X-Deadline-Ms`` or the server's
@@ -48,7 +50,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import repro.obs as obs
-from repro.obs.cluster import ClusterMetrics, SloTarget, SloTracker
+from repro.obs.cluster import SloTarget, SloTracker
 from repro.obs.context import (
     TraceContext,
     attach,
@@ -64,16 +66,7 @@ from repro.core.updates.operations import (
     Replacement,
     UpdateRequest,
 )
-from repro.errors import (
-    DegradedServiceError,
-    QueryError,
-    RelationalError,
-    ReproError,
-    TransactionError,
-    TransientEngineError,
-    UpdateError,
-    ViewObjectError,
-)
+from repro.errors import http_status
 from repro.serve.concurrent import ServedRead
 
 __all__ = ["MicroBatcher", "PenguinServer", "ServerHandle", "parse_key"]
@@ -126,21 +119,11 @@ def _classify(exc: BaseException) -> _HttpError:
         return exc
     if isinstance(exc, asyncio.TimeoutError):
         return _HttpError(504, "deadline exceeded")
-    if isinstance(exc, DegradedServiceError):
-        return _HttpError(503, str(exc))
-    if isinstance(exc, ViewObjectError) and not isinstance(exc, QueryError):
-        # Unknown object names raise ViewObjectError from the registry.
-        return _HttpError(404, str(exc))
-    if isinstance(exc, QueryError):
-        return _HttpError(400, str(exc))
-    if isinstance(exc, UpdateError):
-        return _HttpError(400, str(exc))
-    if isinstance(exc, (TransientEngineError, TransactionError)):
-        return _HttpError(503, str(exc))
-    if isinstance(exc, (RelationalError, ReproError, KeyError, ValueError,
-                        TypeError)):
-        return _HttpError(400, str(exc))
-    return _HttpError(500, f"{type(exc).__name__}: {exc}")
+    status = http_status(exc)
+    # A server fault names its class; a refusal's message speaks for itself.
+    return _HttpError(
+        status, f"{type(exc).__name__}: {exc}" if status == 500 else str(exc)
+    )
 
 
 class _Deadline:
@@ -373,8 +356,10 @@ class PenguinServer:
     DELETE    /objects/<name>/<key>           delete by object key
     ========  ==============================  =================================
 
-    ``session`` is anything with the shared read/write surface —
-    a :class:`~repro.shard.sharded.ShardedPenguin` or a single
+    ``session`` is a :class:`~repro.penguin.ViewObjectSession` that
+    also serves reads with their metadata (``get_served`` /
+    ``query_served``) and reports ``health()`` — a
+    :class:`~repro.shard.sharded.ShardedPenguin` or a single
     :class:`~repro.serve.concurrent.ConcurrentPenguin`.
     """
 
@@ -687,17 +672,17 @@ class PenguinServer:
                 component = params.get("component")
                 if params.get("format") == "json":
                     snapshot = await self._run(
-                        lambda: self._metrics_snapshot(component), deadline
+                        lambda: self.session.metrics_snapshot(component), deadline
                     )
                     return 200, snapshot, "application/json"
                 text = await self._run(
-                    lambda: self._metrics_text(component), deadline
+                    lambda: self.session.metrics_text(component), deadline
                 )
                 return 200, text, "text/plain; version=0.0.4"
             if path == "/objects" and method == "GET":
                 return 200, await self._objects_index(), "application/json"
             if segments[:1] == ["objects"] and len(segments) == 2:
-                name = segments[1]
+                name = self._known(segments[1])
                 if method == "GET":
                     return (
                         200,
@@ -712,7 +697,7 @@ class PenguinServer:
                     )
                 raise _HttpError(405, f"{method} not allowed here")
             if segments[:1] == ["objects"] and len(segments) == 3:
-                name, key = segments[1], parse_key(segments[2])
+                name, key = self._known(segments[1]), parse_key(segments[2])
                 if method == "GET":
                     return (
                         200,
@@ -744,20 +729,6 @@ class PenguinServer:
         if self.slo is not None:
             payload["slo"] = self.slo.sample()
         return payload
-
-    def _metrics_text(self, component: Optional[str] = None) -> str:
-        fn = getattr(self.session, "metrics_text", None)
-        if fn is not None:
-            return fn(component)
-        return ClusterMetrics().render_text(component)
-
-    def _metrics_snapshot(
-        self, component: Optional[str] = None
-    ) -> Dict[str, Any]:
-        fn = getattr(self.session, "metrics_snapshot", None)
-        if fn is not None:
-            return fn(component)
-        return ClusterMetrics().snapshot(component)
 
     @staticmethod
     def _query_params(query_string: str) -> Dict[str, str]:
@@ -805,15 +776,19 @@ class PenguinServer:
         )
 
     async def _objects_index(self) -> Dict[str, Any]:
-        names = list(self.session.object_names)
-        payload: Dict[str, Any] = {"objects": names}
-        describe = getattr(self.session, "describe", None)
-        if describe is not None:
-            payload["topology"] = describe()
-        risk_summary = getattr(self.session, "risk_summary", None)
-        if risk_summary is not None:
-            payload["risk"] = await self._run(risk_summary)
+        payload: Dict[str, Any] = {"objects": list(self.session.object_names)}
+        topology = self.session.describe()
+        if topology is not None:
+            payload["topology"] = topology
+        payload["risk"] = await self._run(self.session.risk_summary)
         return payload
+
+    def _known(self, name: str) -> str:
+        """``name`` if it is a registered view object; 404 like any
+        other unknown path otherwise."""
+        if name not in self.session.object_names:
+            raise _HttpError(404, f"unknown view object: {name!r}")
+        return name
 
     # -- reads ---------------------------------------------------------------
 
@@ -823,7 +798,7 @@ class PenguinServer:
         query_string: str,
         deadline: Optional[_Deadline] = None,
     ) -> Dict[str, Any]:
-        text = self._query_text(query_string)
+        text = self._query_params(query_string).get("q") or None
 
         def read() -> Dict[str, Any]:
             # Rendered in the same executor call as the read: a large
@@ -856,16 +831,6 @@ class PenguinServer:
             raise _HttpError(404, f"no instance {key!r} of {name!r}")
         return payload
 
-    @staticmethod
-    def _query_text(query_string: str) -> Optional[str]:
-        if not query_string:
-            return None
-        for pair in query_string.split("&"):
-            key, _, value = pair.partition("=")
-            if key == "q":
-                return _url_unquote(value) or None
-        return None
-
     # -- writes (batched) ----------------------------------------------------
 
     def _instance_body(self, body: bytes) -> Dict[str, Any]:
@@ -879,14 +844,6 @@ class PenguinServer:
         if not isinstance(instance, dict):
             raise _HttpError(400, '"instance" must be an object')
         return instance
-
-    def _coerce(self, name: str, mapping: Dict[str, Any]):
-        coerce = getattr(self.session, "_coerce", None)
-        if coerce is not None:  # ShardedPenguin
-            return coerce(name, mapping)
-        from repro.core.instance import build_instance
-
-        return build_instance(self.session.object(name), mapping)
 
     async def _submit(
         self,
@@ -930,7 +887,7 @@ class PenguinServer:
         self, name: str, body: bytes, deadline: Optional[_Deadline] = None
     ) -> Dict[str, Any]:
         mapping = self._instance_body(body)
-        instance = await self._run(lambda: self._coerce(name, mapping), deadline)
+        instance = await self._run(lambda: self.session.coerce(name, mapping), deadline)
         return await self._submit(name, CompleteInsertion(instance), deadline)
 
     async def _replace(
@@ -941,7 +898,7 @@ class PenguinServer:
         deadline: Optional[_Deadline] = None,
     ) -> Dict[str, Any]:
         mapping = self._instance_body(body)
-        new = await self._run(lambda: self._coerce(name, mapping), deadline)
+        new = await self._run(lambda: self.session.coerce(name, mapping), deadline)
         return await self._submit(name, Replacement(key, new), deadline)
 
     async def _delete(

@@ -33,24 +33,24 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import repro.obs as obs
-from repro.core.instance import Instance, build_instance
-from repro.core.updates.operations import (
-    CompleteDeletion,
-    CompleteInsertion,
-    Replacement,
-    UpdateRequest,
-)
+from repro.core.instance import Instance
+from repro.core.updates.operations import UpdateRequest
 from repro.errors import DegradedServiceError, ReplicationQuorumError
+from repro.materialize.maintainer import LAZY
 from repro.obs.audit import AuditLog, MemoryAuditLog
-from repro.obs.explain import TranslationExplanation
-from repro.penguin import Penguin
+from repro.penguin import Penguin, ViewObjectSession
 from repro.relational.engine import Engine
 from repro.relational.journal import MemoryJournal, PlanJournal, plan_images
 from repro.relational.operations import UpdatePlan
-from repro.replicate import ReplicaSet, ReplicationConfig, ShippedRecord
+from repro.replicate import (
+    ReplicaSet,
+    ReplicaStack,
+    ReplicationConfig,
+    ShippedRecord,
+)
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.concurrent import ConcurrentPenguin, ServedRead
 from repro.serve.locks import ReadWriteLock
@@ -105,41 +105,29 @@ class Shard:
 
     # -- replication-aware routing ------------------------------------------
 
+    @property
+    def replicas(self) -> List[ReplicaStack]:
+        return [] if self.replica_set is None else self.replica_set.replicas
+
     def each_serving(self):
         """The primary's facade, then every replica's (definition fan-out)."""
         yield self.serving
-        if self.replica_set is not None:
-            for replica in self.replica_set.replicas:
-                yield replica.serving
+        for replica in self.replicas:
+            yield replica.serving
 
     def seed_engines(self) -> List[Engine]:
         """Every engine that must hold this shard's seed data."""
-        engines = [self.engine]
-        if self.replica_set is not None:
-            engines.extend(
-                replica.engine for replica in self.replica_set.replicas
-            )
-        return engines
+        return [self.engine] + [replica.engine for replica in self.replicas]
 
-    def apply_plan(
-        self, name: str, plan: UpdatePlan, op: str = "update", items: int = 1
-    ) -> UpdatePlan:
-        """The shard-local write entry point, quorum-replicated if so configured."""
+    @property
+    def front(self) -> Union[ReplicaSet, ConcurrentPenguin]:
+        """What a routed request talks to: the replica set when there is
+        one (quorum-replicated ``apply_plan``, replica fallback for
+        ``get_served`` / ``query_served``), else the facade itself —
+        the three calls have one signature on both."""
         if self.replica_set is not None:
-            return self.replica_set.apply_plan(name, plan, op=op, items=items)
-        return self.serving.apply_plan(name, plan, op=op, items=items)
-
-    def get_served(self, name: str, key: Sequence[Any]) -> ServedRead:
-        if self.replica_set is not None:
-            return self.replica_set.get_served(name, key)
-        return self.serving.get_served(name, key)
-
-    def query_served(
-        self, name: str, text: Optional[str] = None
-    ) -> ServedRead:
-        if self.replica_set is not None:
-            return self.replica_set.query_served(name, text)
-        return self.serving.query_served(name, text)
+            return self.replica_set
+        return self._serving
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Shard({self.shard_id}, {self.serving!r})"
@@ -166,7 +154,7 @@ class ShardedRecovery:
         }
 
 
-class ShardedPenguin:
+class ShardedPenguin(ViewObjectSession):
     """Horizontal partitioning of one structural schema across N shards.
 
     Parameters
@@ -290,25 +278,25 @@ class ShardedPenguin:
 
     def owner_of(self, name: str, key: Sequence[Any]) -> int:
         """The shard owning the instance with object key ``key``."""
-        self._object_of(name)  # validates the object exists
+        self.object(name)  # validates the object exists
         return self.router.shard_of(tuple(key))
 
     def describe(self) -> str:
         return f"{self.router.describe()} over {self.placement.describe()}"
 
-    def _object_of(self, name: str):
+    def object(self, name: str):
         return self._shards[0].penguin.object(name)
 
     # -- definition-time fan-out --------------------------------------------
 
-    def _fan_out(self, call) -> List[Any]:
-        """Apply a definition-time call to every stack (primaries first
+    def _fan_out(self, method: str, *args: Any, **kwargs: Any) -> List[Any]:
+        """Make a definition-time call on every stack (primaries first
         within each shard, then replicas); returns the primaries'
         results, one per shard."""
         results = []
         for shard in self.shards:
             for index, serving in enumerate(shard.each_serving()):
-                result = call(serving)
+                result = getattr(serving, method)(*args, **kwargs)
                 if index == 0:
                     results.append(result)
         return results
@@ -316,34 +304,24 @@ class ShardedPenguin:
     def define_object(self, *args: Any, **kwargs: Any):
         """Define the object on every shard (and every replica stack);
         returns shard 0's definition."""
-        return self._fan_out(
-            lambda serving: serving.define_object(*args, **kwargs)
-        )[0]
+        return self._fan_out("define_object", *args, **kwargs)[0]
 
     def register_object(self, view_object) -> None:
-        self._fan_out(
-            lambda serving: serving.register_object(view_object)
-        )
+        self._fan_out("register_object", view_object)
 
     def choose_translator(self, name: str, answers=None):
         """Run the dialog once per shard with identical answers, so every
         shard binds the same translator; returns shard 0's result."""
-        return self._fan_out(
-            lambda serving: serving.choose_translator(name, answers)
-        )[0]
+        return self._fan_out("choose_translator", name, answers)[0]
 
     def set_policy(self, name: str, policy):
-        return self._fan_out(
-            lambda serving: serving.set_policy(name, policy)
-        )[0]
+        return self._fan_out("set_policy", name, policy)[0]
 
-    def materialize(self, name: str, policy: Optional[str] = None):
-        return self._fan_out(
-            lambda serving: serving.materialize(name, policy)
-        )
+    def materialize(self, name: str, policy: str = LAZY):
+        return self._fan_out("materialize", name, policy)
 
     def dematerialize(self, name: str) -> None:
-        self._fan_out(lambda serving: serving.dematerialize(name))
+        self._fan_out("dematerialize", name)
 
     @property
     def object_names(self) -> Tuple[str, ...]:
@@ -411,7 +389,7 @@ class ShardedPenguin:
     def get_served(self, name: str, key: Sequence[Any]) -> ServedRead:
         """One instance by object key, with serving metadata attached."""
         owner = self.owner_of(name, key)
-        served = self._shards[owner].get_served(name, key)
+        served = self._shards[owner].front.get_served(name, key)
         served.shard = owner
         return served
 
@@ -431,7 +409,7 @@ class ShardedPenguin:
         stale = False
         staleness = None
         for shard in self.shards:
-            served = shard.query_served(name, text)
+            served = shard.front.query_served(name, text)
             merged.extend(served.value)
             if served.stale:
                 stale = True
@@ -446,65 +424,14 @@ class ShardedPenguin:
             object_name=name,
         )
 
-    # -- writes --------------------------------------------------------------
+    # -- writes (the verbs are ViewObjectSession's) --------------------------
 
-    def insert(
-        self, name: str, instance: Union[Instance, Mapping]
+    def _apply(
+        self, name: str, requests: List[UpdateRequest], op: str
     ) -> UpdatePlan:
-        coerced = self._coerce(name, instance)
-        return self._update(name, "insert", CompleteInsertion(coerced))
-
-    def delete(
-        self,
-        name: str,
-        key_or_instance: Union[Instance, Mapping, Sequence[Any]],
-    ) -> UpdatePlan:
-        return self._update(
-            name, "delete", CompleteDeletion(key_or_instance)
-        )
-
-    def replace(
-        self,
-        name: str,
-        old: Union[Instance, Mapping, Sequence[Any]],
-        new: Union[Instance, Mapping],
-    ) -> UpdatePlan:
-        return self._update(
-            name, "replace", Replacement(old, self._coerce(name, new))
-        )
-
-    def insert_many(
-        self, name: str, instances: Iterable[Union[Instance, Mapping]]
-    ) -> UpdatePlan:
-        requests = [
-            CompleteInsertion(self._coerce(name, instance))
-            for instance in instances
-        ]
-        return self.apply_plan_batch(name, requests, op="insert")
-
-    def delete_many(
-        self,
-        name: str,
-        keys_or_instances: Iterable[Union[Instance, Mapping, Sequence[Any]]],
-    ) -> UpdatePlan:
-        requests = [
-            CompleteDeletion(item) for item in keys_or_instances
-        ]
-        return self.apply_plan_batch(name, requests, op="delete")
-
-    def apply_plan_batch(
-        self,
-        name: str,
-        requests: Iterable[UpdateRequest],
-        op: str = "batch",
-    ) -> UpdatePlan:
-        """Apply a mixed batch, grouped by owning shard.
-
-        Each owner group is translated and applied as one atomic
-        coalesced plan on its shard (the PR-2 bulk path); groups for
-        different shards are independent units. A request whose plan
-        itself crosses shards still escalates to the coordinator.
-        """
+        """Group by owning shard; each group is translated and applied
+        as one atomic coalesced plan there, groups for different shards
+        are independent units."""
         groups: Dict[int, List[UpdateRequest]] = {}
         for request in requests:
             groups.setdefault(self._route_request(name, request), []).append(
@@ -512,140 +439,78 @@ class ShardedPenguin:
             )
         combined = UpdatePlan()
         for owner_id in sorted(groups):
-            combined.extend(
-                self._update(name, op, groups[owner_id], owner_id=owner_id)
-            )
+            combined.extend(self._update(name, op, groups[owner_id], owner_id))
         return combined
-
-    def delete_where(self, name: str, query: str) -> UpdatePlan:
-        """Delete every matching instance; each owner shard's matches are
-        one atomic batch (no cross-shard atomicity between groups)."""
-        matches = self.query(name, query)
-        return self.delete_many(name, matches) if matches else UpdatePlan()
-
-    def update_where(self, name: str, query: str, transform) -> UpdatePlan:
-        combined = UpdatePlan()
-        for instance in self.query(name, query):
-            combined.extend(
-                self.replace(name, instance, transform(instance.to_dict()))
-            )
-        return combined
-
-    # -- the write pipeline --------------------------------------------------
-
-    def _coerce(
-        self, name: str, instance: Union[Instance, Mapping]
-    ) -> Instance:
-        if isinstance(instance, Instance):
-            return instance
-        return build_instance(self._object_of(name), instance)
 
     def _route_request(self, name: str, request: UpdateRequest) -> int:
         """The shard that must translate this request (its pivot owner)."""
-        if isinstance(request, Replacement):
-            anchor = request.old
-        else:
-            anchor = request.instance
-        if isinstance(anchor, Instance):
-            key = anchor.key
-        elif isinstance(anchor, Mapping):
-            key = self._coerce(name, anchor).key
+        anchor = request.anchor
+        if isinstance(anchor, (Instance, Mapping)):
+            key = self.coerce(name, anchor).key
         else:  # a raw object key
             key = tuple(anchor)
         return self.router.shard_of(key)
 
     def _update(
-        self,
-        name: str,
-        op: str,
-        request_or_batch: Union[UpdateRequest, List[UpdateRequest]],
-        owner_id: Optional[int] = None,
+        self, name: str, op: str, requests: List[UpdateRequest], owner_id: int
     ) -> UpdatePlan:
-        requests = (
-            request_or_batch
-            if isinstance(request_or_batch, list)
-            else [request_or_batch]
-        )
-        if owner_id is None:
-            owner_id = self._route_request(name, requests[0])
         owner = self._shards[owner_id]
-
         # Fast path: translate on the owner and, if the plan stays on a
         # single shard, apply it there under the shared coordinator
         # mode — concurrent fast-path writes on other shards proceed.
         with self._coordinator.read_locked():
-            explanation = self._explain_on(owner, name, op, requests)
-            split = partition_plan(
-                explanation.coalesced, self.placement, self.router
-            )
+            coalesced, split = self._translate_on(owner, name, op, requests)
             if len(split) <= 1:
                 return self._apply_local(
-                    owner_id if not split else next(iter(split)),
-                    name,
-                    op,
-                    split,
-                    explanation,
-                    len(requests),
+                    owner_id, name, op, split, coalesced, len(requests)
                 )
-
         # Cross-shard: retranslate under the exclusive coordinator mode
-        # (the first explanation may be stale by the time we get here)
+        # (the first translation may be stale by the time we get here)
         # and hand the split to the two-phase protocol.
         with self._coordinator.write_locked():
-            explanation = self._explain_on(owner, name, op, requests)
-            split = partition_plan(
-                explanation.coalesced, self.placement, self.router
-            )
+            coalesced, split = self._translate_on(owner, name, op, requests)
             if len(split) <= 1:
                 return self._apply_local(
-                    owner_id if not split else next(iter(split)),
-                    name,
-                    op,
-                    split,
-                    explanation,
-                    len(requests),
+                    owner_id, name, op, split, coalesced, len(requests)
                 )
             return self._apply_cross_shard(
-                owner_id, name, op, explanation, split, len(requests)
+                owner_id, name, op, coalesced, split, len(requests)
             )
 
-    def _explain_on(
+    def _translate_on(
         self, owner: Shard, name: str, op: str, requests: List[UpdateRequest]
-    ) -> TranslationExplanation:
-        """Side-effect-free translation on the owner shard.
-
-        Runs the full pipeline (validation, policy checks, propagation)
-        over a buffer; a rejection raises here and is audited on the
-        owner exactly as a single-engine session would audit it.
-        """
-        translator = owner.penguin.translator(name)
+    ) -> Tuple[UpdatePlan, Dict[int, UpdatePlan]]:
+        """The write's translate half on the owner shard — side-effect
+        free over a buffer, a rejection counted and audited there as a
+        single-engine session would — and the coalesced plan's split by
+        placement."""
         try:
             with owner.lock.read_locked():
-                return translator.explain_batch(owner.engine, requests)
-        except Exception as exc:
+                coalesced = owner.penguin.translator(name).explain_batch(
+                    owner.engine, requests, op=op
+                ).coalesced
+        except Exception:
             obs.metrics().counter(
                 "shard_updates_total",
                 outcome="rejected",
                 shard=str(owner.shard_id),
             ).inc()
-            audit = owner.penguin.audit
-            if audit is not None:
-                translator._audit(
-                    audit, op, items=len(requests), error=exc
-                )
             raise
+        return coalesced, partition_plan(coalesced, self.placement, self.router)
 
     def _apply_local(
         self,
-        shard_id: int,
+        owner_id: int,
         name: str,
         op: str,
         split: Dict[int, UpdatePlan],
-        explanation: TranslationExplanation,
+        coalesced: UpdatePlan,
         items: int,
     ) -> UpdatePlan:
-        plan = split.get(shard_id, explanation.coalesced)
-        result = self._shards[shard_id].apply_plan(
+        # An empty plan has no split; it is still applied (and audited)
+        # on the owner.
+        shard_id, plan = next(iter(split.items()), (owner_id, coalesced))
+        result = self._shards[shard_id].front.apply_plan(
             name, plan, op=op, items=items
         )
         obs.metrics().counter(
@@ -658,7 +523,7 @@ class ShardedPenguin:
         owner_id: int,
         name: str,
         op: str,
-        explanation: TranslationExplanation,
+        coalesced: UpdatePlan,
         split: Dict[int, UpdatePlan],
         items: int,
     ) -> UpdatePlan:
@@ -666,16 +531,16 @@ class ShardedPenguin:
         for shard_id in sorted(split):
             shard = self._shards[shard_id]
             if not shard.serving.breaker.allow():
-                owner.serving._audit_refusal(op, name)
+                owner.serving.audit_refusal(op, name)
                 raise DegradedServiceError(
                     f"shard {shard_id} is degraded: cross-shard update "
                     f"refused"
                 )
             if (
-                shard.replica_set is not None
+                self.replication is not None
                 and not shard.replica_set.quorum_reachable()
             ):
-                owner.serving._audit_refusal(op, name)
+                owner.serving.audit_refusal(op, name)
                 raise ReplicationQuorumError(
                     f"shard {shard_id} cannot reach its replication "
                     f"quorum: cross-shard update refused"
@@ -698,16 +563,13 @@ class ShardedPenguin:
         # the apply phase, before the commit markers, so a quorum
         # failure aborts through the ordinary 2PC inline-abort path.
         post_apply = None
-        if any(self._shards[sid].replica_set is not None for sid in split):
+        if self.replication is not None:
 
             def post_apply(images_by_shard):
                 shipped: List[int] = []
                 try:
                     for sid in sorted(split):
-                        replica_set = self._shards[sid].replica_set
-                        if replica_set is None:
-                            continue
-                        replica_set.ship_record(
+                        self._shards[sid].replica_set.ship_record(
                             ShippedRecord.from_plan(
                                 op, name, split[sid],
                                 images_by_shard[sid], items=items,
@@ -726,27 +588,25 @@ class ShardedPenguin:
             )
         except Exception as exc:
             if audit is not None:
-                translator._audit(
-                    audit, op, plan=explanation.coalesced, items=items,
-                    error=exc,
+                translator.audit_update(
+                    audit, op, plan=coalesced, items=items, error=exc
                 )
             obs.metrics().counter(
                 "shard_updates_total", outcome="aborted", shard=str(owner_id)
             ).inc()
             raise
         if audit is not None:
-            asn = translator._audit(
-                audit, op, plan=explanation.coalesced, images=images,
-                items=items,
+            asn = translator.audit_update(
+                audit, op, plan=coalesced, images=images, items=items
             )
-            if owner.replica_set is not None:
+            if self.replication is not None:
                 # The owner's replicas already got their sub-plan above;
                 # the full-plan owner audit record must not ship too.
                 owner.replica_set.skip_externally_shipped(asn)
         obs.metrics().counter(
             "shard_updates_total", outcome="cross_shard", shard=str(owner_id)
         ).inc()
-        return explanation.coalesced
+        return coalesced
 
     # -- recovery ------------------------------------------------------------
 
@@ -785,14 +645,13 @@ class ShardedPenguin:
             out["replication"] = {
                 str(shard_id): shard.replica_set.health()
                 for shard_id, shard in self._shards.items()
-                if shard.replica_set is not None
             }
         return out
 
     def close(self) -> None:
         """Stop replica applier threads (no-op without replication)."""
-        for shard in self.shards:
-            if shard.replica_set is not None:
+        if self.replication is not None:
+            for shard in self.shards:
                 shard.replica_set.close()
 
     def audit_outcomes(self) -> List[Tuple[str, str]]:
@@ -812,19 +671,6 @@ class ShardedPenguin:
             )
         return sorted(outcomes)
 
-    def metrics_text(self, component: Optional[str] = None) -> str:
-        """The cluster-wide merged exposition (every shard + replica)."""
-        from repro.obs.cluster import ClusterMetrics
-
-        return ClusterMetrics().render_text(component)
-
-    def metrics_snapshot(
-        self, component: Optional[str] = None
-    ) -> Dict[str, Any]:
-        from repro.obs.cluster import ClusterMetrics
-
-        return ClusterMetrics().snapshot(component)
-
     def attach_flight_recorder(self, recorder) -> None:
         """Register every stack's audit tail as a bundle section and
         install the recorder on the active hub."""
@@ -832,13 +678,12 @@ class ShardedPenguin:
             audit = shard.serving.penguin.audit
             if audit is not None:
                 recorder.add_audit_source(f"audit/shard{shard_id}", audit)
-            if shard.replica_set is not None:
-                for replica in shard.replica_set.replicas:
-                    if replica.audit is not None:
-                        recorder.add_audit_source(
-                            f"audit/shard{shard_id}/{replica.name}",
-                            replica.audit,
-                        )
+            for replica in shard.replicas:
+                if replica.audit is not None:
+                    recorder.add_audit_source(
+                        f"audit/shard{shard_id}/{replica.name}",
+                        replica.audit,
+                    )
         recorder.install()
 
     def cache_stats(self) -> Dict[str, Dict[str, Dict[str, float]]]:

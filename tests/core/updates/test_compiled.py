@@ -814,7 +814,7 @@ class TestFastPaths:
 
 
 class TestWhereBatchSemantics:
-    """delete_where / update_where ride the _run_batch pipeline:
+    """delete_where / update_where ride the apply_plan_batch pipeline:
     coalesced plan, one journal intent, one audit record, all-or-nothing."""
 
     def build_session(self, journal=None, audit=None, engine=None):

@@ -1,0 +1,422 @@
+"""One write surface: a request validates, emits and records the same
+thing whichever session carried it to the translator.
+
+Every verb of :class:`~repro.penguin.ViewObjectSession` x every way a
+request can end x every session shape, on memory and sqlite, compared
+against a single ``Penguin``: the operations as a multiset, the final
+database, the audit ``(op, outcome, items)`` records, the
+``translations_total`` / ``translation_failures_total`` deltas, the
+error, and the number of ``verify`` spans under
+``verify_integrity=True``.
+
+A sharded session applies a multi-item verb as one atomic batch *per
+owner shard*, so two comparisons are made. A request whose items all
+live on one shard (every single-item verb, every rejected scenario)
+must match the single session *exactly*. An accepted batch spread over
+owners must match it *up to the split*: same operations, same database,
+same items per ``(op, outcome)``, and one commit, one counter bump and
+one ``verify`` span per owner group.
+
+Not rows of the table, on purpose: a query-driven verb matching nothing
+(a ``Penguin`` commits and audits an empty batch, a sharded session has
+no owner to do it on) and a plan that crosses shards (two-phase commit
+is a different protocol with its own markers; its states and audits are
+held against a single session by ``tests/shard/test_sharded.py``).
+"""
+
+import threading
+
+import pytest
+
+import repro.obs as obs
+from repro.core.updates.operations import (
+    CompleteDeletion,
+    CompleteInsertion,
+    Replacement,
+)
+from repro.core.updates.policy import TranslatorPolicy
+from repro.errors import ReproError
+from repro.obs.audit import MemoryAuditLog
+from repro.penguin import Penguin
+from repro.relational.journal import MemoryJournal
+from repro.replicate import ReplicationConfig
+from repro.serve.concurrent import ConcurrentPenguin
+from repro.shard import ShardedPenguin, sharded_loader
+from repro.shard.router import HashRouter
+from repro.workloads.hospital import (
+    HospitalConfig,
+    hospital_schema,
+    patient_chart_object,
+    populate_hospital,
+)
+from tests.shard.test_sharded import OBJECT, RELATIONS, fresh_chart
+
+PATIENTS = 8
+RESIDENTS = range(100, 100 + PATIENTS)
+ROUTERS = (HashRouter(2), HashRouter(4))
+
+
+def owners(pid):
+    return tuple(router.shard_of((pid,)) for router in ROUTERS)
+
+
+def together(candidates, count):
+    """``count`` pids one shard owns under every router in the table."""
+    by_owner = {}
+    for pid in candidates:
+        group = by_owner.setdefault(owners(pid), [])
+        group.append(pid)
+        if len(group) == count:
+            return group
+    raise AssertionError("no co-located pids")  # pragma: no cover
+
+
+def co_located(candidates, count, like):
+    return [pid for pid in candidates if owners(pid) == owners(like)][:count]
+
+
+# Residents and fresh keys that share one owner (so a rejected batch is
+# one atomic unit in every session, and a key conflict is one the owner
+# can see), and tagged charts loaded before the measurement starts:
+# 'Same' on that owner, 'Spread' over several.
+HOME = together(RESIDENTS, 2)
+FRESH = co_located(range(50_000, 50_500), 2, HOME[0])
+ABSENT = co_located(range(90_000, 90_500), 1, HOME[0])[0]
+SAME = co_located(range(60_000, 60_500), 3, HOME[0])
+SPREAD = list(range(70_000, 70_006))
+NEW_SPREAD = list(range(81_000, 81_006))
+for spread in (SPREAD, NEW_SPREAD):
+    assert all(len({owners(pid)[i] for pid in spread}) > 1 for i in (0, 1))
+
+
+def tagged(pid, tag):
+    chart = fresh_chart(pid)
+    chart["name"] = tag
+    return chart
+
+
+def renamed(chart):
+    chart = dict(chart)
+    chart["name"] = "Renamed"
+    return chart
+
+
+# -- the sessions -------------------------------------------------------------
+
+
+def single(backend):
+    graph = hospital_schema()
+    session = Penguin(
+        graph, backend=backend, verify_integrity=True,
+        journal=MemoryJournal(), audit=MemoryAuditLog(),
+    )
+    populate_hospital(session.engine, HospitalConfig(patients=PATIENTS))
+    return session
+
+
+def sharded(num_shards, replicas=0):
+    def build(backend):
+        graph = hospital_schema()
+        replication = None
+        if replicas:
+            replication = ReplicationConfig(
+                replicas=replicas, apply_inline=True
+            )
+        session = ShardedPenguin(
+            graph, "PATIENT", num_shards=num_shards, backend=backend,
+            verify_integrity=True, replication=replication,
+        )
+        populate_hospital(
+            sharded_loader(session), HospitalConfig(patients=PATIENTS)
+        )
+        return session
+
+    return build
+
+
+SESSIONS = {
+    "penguin": single,
+    "concurrent": lambda backend: ConcurrentPenguin(single(backend)),
+    "sharded-1": sharded(1),
+    "sharded-4": sharded(4),
+    "sharded-2x1-replica": sharded(2, replicas=1),
+}
+
+
+def prepared(kind, backend, policy):
+    session = SESSIONS[kind](backend)
+    session.register_object(patient_chart_object(session.graph))
+    session.insert_many(
+        OBJECT,
+        [tagged(pid, "Same") for pid in SAME]
+        + [tagged(pid, "Spread") for pid in SPREAD],
+    )
+    if policy is not None:
+        session.set_policy(OBJECT, policy())
+    return session
+
+
+def rows(session):
+    if isinstance(session, ShardedPenguin):
+        return {name: session.all_rows(name) for name in RELATIONS}
+    return {
+        name: sorted(session.engine.scan(name), key=repr) for name in RELATIONS
+    }
+
+
+class AuditTail:
+    """The records a session's audit logs (one per shard's primary)
+    gain from here on."""
+
+    def __init__(self, session):
+        if isinstance(session, ShardedPenguin):
+            self.logs = [shard.penguin.audit for shard in session.shards]
+        else:
+            self.logs = [session.translator(OBJECT).audit]
+        self.marks = [len(log.records()) for log in self.logs]
+
+    def records(self):
+        return [
+            record
+            for log, mark in zip(self.logs, self.marks)
+            for record in log.records()[mark:]
+        ]
+
+
+def replicas_of(session):
+    replication = getattr(session, "replication", None)
+    return 0 if replication is None else replication.replicas
+
+
+# -- the verbs ------------------------------------------------------------------
+#
+# Each cell: (items one shard owns?, the call). A missing cell is a
+# combination that does not exist (an insert has no key to miss, ...).
+
+ACCEPTED, DUPLICATE, MISSING = "accepted", "duplicate-key", "missing-key"
+POLICY, UNAUTHORIZED = "rejected-by-policy", "unauthorized-user"
+
+VERBS = {
+    "insert": {
+        ACCEPTED: (True, lambda s: s.insert(OBJECT, fresh_chart(FRESH[0]))),
+        DUPLICATE: (True, lambda s: s.insert(OBJECT, fresh_chart(HOME[0]))),
+    },
+    "delete": {
+        ACCEPTED: (True, lambda s: s.delete(OBJECT, (HOME[0],))),
+        MISSING: (True, lambda s: s.delete(OBJECT, (ABSENT,))),
+    },
+    "replace": {
+        ACCEPTED: (True, lambda s: s.replace(
+            OBJECT, (SAME[0],), renamed(tagged(SAME[0], "Same"))
+        )),
+        DUPLICATE: (True, lambda s: s.replace(
+            OBJECT, (SAME[0],), tagged(SAME[1], "Moved")
+        )),
+        MISSING: (True, lambda s: s.replace(
+            OBJECT, (ABSENT,), fresh_chart(ABSENT)
+        )),
+    },
+    "insert_many": {
+        ACCEPTED: (False, lambda s: s.insert_many(
+            OBJECT, [fresh_chart(pid) for pid in NEW_SPREAD]
+        )),
+        DUPLICATE: (True, lambda s: s.insert_many(
+            OBJECT, [fresh_chart(FRESH[0]), fresh_chart(HOME[0])]
+        )),
+    },
+    "delete_many": {
+        ACCEPTED: (False, lambda s: s.delete_many(
+            OBJECT, [(pid,) for pid in SPREAD]
+        )),
+        MISSING: (True, lambda s: s.delete_many(
+            OBJECT, [(HOME[0],), (ABSENT,)]
+        )),
+    },
+    "apply_plan_batch": {
+        ACCEPTED: (False, lambda s: s.apply_plan_batch(OBJECT, [
+            CompleteInsertion(s.coerce(OBJECT, fresh_chart(NEW_SPREAD[0]))),
+            CompleteDeletion((SPREAD[1],)),
+            Replacement(
+                (SPREAD[2],),
+                s.coerce(OBJECT, renamed(tagged(SPREAD[2], "Spread"))),
+            ),
+            CompleteInsertion(s.coerce(OBJECT, fresh_chart(NEW_SPREAD[3]))),
+        ])),
+        DUPLICATE: (True, lambda s: s.apply_plan_batch(OBJECT, [
+            CompleteInsertion(s.coerce(OBJECT, fresh_chart(FRESH[0]))),
+            CompleteInsertion(s.coerce(OBJECT, fresh_chart(HOME[1]))),
+        ])),
+        MISSING: (True, lambda s: s.apply_plan_batch(OBJECT, [
+            CompleteDeletion((HOME[0],)),
+            CompleteDeletion((ABSENT,)),
+        ])),
+    },
+    "delete_where": {
+        ACCEPTED: (False, lambda s: s.delete_where(OBJECT, "name = 'Spread'")),
+    },
+    "update_where": {
+        ACCEPTED: (False, lambda s: s.update_where(
+            OBJECT, "name = 'Spread'", renamed
+        )),
+        DUPLICATE: (True, lambda s: s.update_where(
+            OBJECT, "name = 'Same'", lambda chart: tagged(HOME[0], "Moved")
+        )),
+    },
+}
+
+# Whatever the policy refuses is refused before any owner differs, but a
+# sharded session stops at the first owner group: keep those on one shard.
+ONE_SHARD = {
+    "insert_many": lambda s: s.insert_many(
+        OBJECT, [fresh_chart(pid) for pid in FRESH]
+    ),
+    "delete_many": lambda s: s.delete_many(OBJECT, [(pid,) for pid in HOME]),
+    "apply_plan_batch": VERBS["apply_plan_batch"][MISSING][1],
+    "delete_where": lambda s: s.delete_where(OBJECT, "name = 'Same'"),
+    "update_where": lambda s: s.update_where(OBJECT, "name = 'Same'", renamed),
+}
+for verb, cells in VERBS.items():
+    refused = (True, ONE_SHARD.get(verb, cells[ACCEPTED][1]))
+    cells[POLICY] = cells[UNAUTHORIZED] = refused
+
+POLICIES = {
+    POLICY: TranslatorPolicy.read_only,
+    UNAUTHORIZED: lambda: TranslatorPolicy(authorized_users=["dba"]),
+}
+
+CASES = [
+    (verb, scenario) for verb, cells in VERBS.items() for scenario in cells
+]
+
+
+class Observed:
+    """What one session did with one request."""
+
+    def __init__(self, kind, backend, scenario, call):
+        session = prepared(kind, backend, POLICIES.get(scenario))
+        tail = AuditTail(session)
+        self.replicas = replicas_of(session)
+        self.error = None
+        self.operations = []
+        try:
+            with obs.use() as hub:
+                try:
+                    plan = call(session)
+                    self.operations = sorted(
+                        op.describe() for op in plan.operations
+                    )
+                except ReproError as exc:
+                    self.error = (type(exc), str(exc))
+                self.verifies = sum(
+                    span.name == "verify"
+                    for root in hub.tracer.take()
+                    for span in root.iter_spans()
+                )
+                self.translations = hub.metrics.counter_total(
+                    "translations_total"
+                )
+                self.failures = hub.metrics.counter_total(
+                    "translation_failures_total"
+                )
+            self.rows = rows(session)
+            self.audit = sorted(
+                (record.op, record.outcome, record.items)
+                for record in tail.records()
+            )
+        finally:
+            if isinstance(session, ShardedPenguin):
+                session.close()
+
+    def items_by_outcome(self):
+        totals = {}
+        for op, outcome, items in self.audit:
+            totals[op, outcome] = totals.get((op, outcome), 0) + items
+        return totals
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("verb,scenario", CASES)
+def test_every_session_does_what_a_single_penguin_does(
+    verb, scenario, backend
+):
+    one_shard, call = VERBS[verb][scenario]
+    reference = Observed("penguin", backend, scenario, call)
+    assert (reference.error is None) == (scenario == ACCEPTED)
+    for kind in SESSIONS:
+        seen = Observed(kind, backend, scenario, call)
+        assert seen.error == reference.error, kind
+        assert seen.rows == reference.rows, kind
+        assert seen.operations == reference.operations, kind
+        assert seen.failures == reference.failures, kind
+        exact = one_shard or kind in ("penguin", "concurrent", "sharded-1")
+        commits = [record for record in seen.audit if record[1] == "committed"]
+        if exact:
+            assert seen.audit == reference.audit, kind
+            assert seen.verifies == reference.verifies, kind
+        else:
+            assert seen.items_by_outcome() == reference.items_by_outcome(), kind
+            assert seen.verifies == len(commits) > 1, kind
+        # A replica lands the shipped plan through the same commit step.
+        assert seen.translations == len(commits) * (1 + seen.replicas), kind
+
+
+def test_rejection_counted_and_audited_on_the_owner_shard():
+    """The sharded translate half is the overlay half, so a rejected
+    write leaves what `Penguin` leaves: one failure, one record, on the
+    shard that owns the key."""
+    session = prepared("sharded-4", "memory", None)
+    with obs.use() as hub:
+        with pytest.raises(ReproError):
+            session.insert(OBJECT, fresh_chart(HOME[0]))
+        assert hub.metrics.counter(
+            "translation_failures_total", op="insert"
+        ).value == 1
+    owner = session.owner_of(OBJECT, (HOME[0],))
+    for shard in session.shards:
+        rejected = [
+            record for record in shard.penguin.audit.records()
+            if record.outcome == "rolled_back"
+        ]
+        assert len(rejected) == (1 if shard.shard_id == owner else 0)
+
+
+def test_explain_and_preview_leave_no_trace_of_a_rejection():
+    session = prepared("penguin", "memory", None)
+    translator = session.translator(OBJECT)
+    tail = AuditTail(session)
+    request = CompleteInsertion(session.coerce(OBJECT, fresh_chart(HOME[0])))
+    with obs.use() as hub:
+        for attempt in (
+            lambda: translator.explain(session.engine, request),
+            lambda: translator.preview_insert(session.engine, request.instance),
+        ):
+            with pytest.raises(ReproError):
+                attempt()
+        assert hub.metrics.counter_total("translation_failures_total") == 0
+    assert tail.records() == []
+
+
+def test_update_where_holds_the_write_lock_from_select_to_commit():
+    """A writer arriving while ``update_where`` is between its select
+    and its commit waits: the batch it commits is the one it selected."""
+    serving = prepared("concurrent", "memory", None)
+    rival = threading.Thread(
+        target=serving.insert, args=(OBJECT, fresh_chart(FRESH[0]))
+    )
+    seen = []
+
+    def transform(chart):
+        if not seen:
+            rival.start()
+            rival.join(timeout=0.2)
+        seen.append(rival.is_alive())
+        return renamed(chart)
+
+    tail = AuditTail(serving)
+    serving.update_where(OBJECT, "name = 'Same'", transform)
+    rival.join(timeout=10)
+    assert seen == [True] * len(SAME)
+    assert [record.op for record in tail.records()] == [
+        "update_where", "insert"
+    ]
+    assert serving.get(OBJECT, (FRESH[0],)) is not None

@@ -306,7 +306,7 @@ class TestStaleReads:
         assert served.meta()["source"] == served.source
         assert served.value.to_dict()["name"] == "stale witness"
         # Queries fall through to replicas the same way.
-        served = sharded.shard(0).query_served(OBJECT, None)
+        served = sharded.shard(0).front.query_served(OBJECT, None)
         assert served.stale is True
         sharded.close()
 

@@ -243,6 +243,19 @@ class TestRoutes:
         assert status == 400
         assert "error" in body
 
+    def test_malformed_instance_is_400_not_404(self, served):
+        """A body the object's definition rejects is the client's error
+        on a known object — not "unknown object"."""
+        _, url = served
+        chart = fresh_chart(71_002)
+        chart["no_such_attribute"] = 1
+        status, body = request(
+            f"{url}/objects/{OBJECT}", method="POST",
+            payload={"instance": chart},
+        )
+        assert status == 400
+        assert "no_such_attribute" in body["error"]
+
     def test_wrong_method_is_405(self, served):
         _, url = served
         status, _ = request(
@@ -254,6 +267,65 @@ class TestRoutes:
         _, url = served
         status, _ = request(f"{url}/nonesuch")
         assert status == 404
+
+
+class TestStatusTable:
+    """One class -> status table (``repro.errors.HTTP_STATUS``). Every
+    exception class the library exports is named here, so a new one
+    fails this test until someone decides what it answers."""
+
+    EXPECTED = {
+        400: (
+            "RelationalError SchemaError DomainError UnknownRelationError "
+            "UnknownAttributeError DuplicateKeyError NoSuchRowError "
+            "StructuralError ConnectionError IntegrityError "
+            "ViewObjectError PivotError ProjectionError QueryError "
+            "QuerySyntaxError UpdateError LocalValidationError "
+            "PropagationError TranslationError UpdateRejectedError "
+            "GlobalValidationError DialogError AnswerError StrategyError "
+            "UnsafeTranslatorError"
+        ),
+        # The server's own logs, replication stream or data: never the
+        # client's doing. ReproError itself is raised nowhere; a bare
+        # one is unclassified.
+        500: (
+            "ReproError JournalError AuditError ReplicationError "
+            "FencedWriteError ReplicaDivergenceError InstantiationError"
+        ),
+        # Clears by itself: sent with Retry-After.
+        503: (
+            "DegradedServiceError ReplicationQuorumError PrimaryDownError "
+            "FailoverInProgressError TransientEngineError TransactionError"
+        ),
+    }
+
+    def test_every_exported_error_class_has_a_decided_status(self):
+        import repro.errors as errors
+        from repro.serve.http import _classify
+
+        exported = {
+            value.__name__: value for value in vars(errors).values()
+            if isinstance(value, type) and issubclass(value, Exception)
+            and value.__module__ == errors.__name__
+        }
+        expected = {
+            name: status
+            for status, names in self.EXPECTED.items()
+            for name in names.split()
+        }
+        assert set(expected) == set(exported)
+        for name, cls in exported.items():
+            # __new__: the constructors differ, the class is what is mapped.
+            assert _classify(cls.__new__(cls)).status == expected[name], name
+
+    def test_parsers_and_deadlines_keep_their_statuses(self):
+        from repro.serve.http import _classify, _HttpError
+
+        for exc in (KeyError("k"), ValueError("v"), TypeError("t")):
+            assert _classify(exc).status == 400
+        assert _classify(asyncio.TimeoutError()).status == 504
+        assert _classify(_HttpError(405, "no")).status == 405
+        assert _classify(RuntimeError("bug")).status == 500
 
 
 class TestDegradedServing:
