@@ -27,13 +27,13 @@ workload, and the retry jitter all derive from it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List
 
 from repro.errors import DegradedServiceError
 from repro.core.updates.translator import Translator
 from repro.materialize.maintainer import LAZY
+from repro.obs.history import snapshot
 from repro.penguin import Penguin
-from repro.relational.engine import Engine
 from repro.relational.faults import FaultInjectingEngine, FaultPlan, SimulatedCrash
 from repro.relational.journal import (
     ABORTED,
@@ -124,10 +124,6 @@ class ChaosReport:
             for message in self.failures:
                 lines.append(f"    - {message}")
         return "\n".join(lines)
-
-
-def _snapshot(engine: Engine) -> Dict[str, Set[Tuple[Any, ...]]]:
-    return {name: set(engine.scan(name)) for name in engine.relation_names()}
 
 
 def _fresh_hospital(patients: int):
@@ -225,7 +221,7 @@ def run_crash_sweep(
         for k in range(1, plan_length + 2):
             graph_k, engine_k, view_object_k = _fresh_hospital(patients)
             plan = Translator(view_object_k).preview_delete(engine_k, key=(pid,))
-            before = _snapshot(engine_k)
+            before = snapshot(engine_k)
             journal = MemoryJournal()
             faulty = FaultInjectingEngine(
                 engine_k, FaultPlan(seed).crash_at("mutation", at=k)
@@ -241,8 +237,8 @@ def run_crash_sweep(
                 report.crashes_injected += 1
             recovery = recover(engine_k, journal)
             report.recovery_conflicts += len(recovery.conflicts)
-            after = _snapshot(engine_k)
-            statuses = {entry.status for entry in journal.entries()}
+            after = snapshot(engine_k)
+            statuses = {entry.state for entry in journal.entries()}
             if crashed:
                 report.plans_reverted += 1
                 if after != before or statuses != {ABORTED}:
@@ -283,7 +279,7 @@ def run_crash_sweep(
             graph_k, engine=faulty, install=False, journal=MemoryJournal()
         )
         session.register_object(view_object_k)
-        before = _snapshot(engine_k)
+        before = snapshot(engine_k)
         report.crash_points += 1
         try:
             session.delete(OBJECT_NAME, (pid,))
@@ -293,7 +289,7 @@ def run_crash_sweep(
             recovery = session.recover()
             report.recovery_conflicts += len(recovery.conflicts)
             report.plans_reverted += 1
-            after = _snapshot(engine_k)
+            after = snapshot(engine_k)
             if after != before:
                 report.torn_plans += 1
                 report.fail(

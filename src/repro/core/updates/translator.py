@@ -55,6 +55,7 @@ from repro.relational.engine import Engine
 from repro.relational.journal import (
     Images,
     PlanJournal,
+    UpdateRecord,
     encode_images,
     encode_plan,
     images_from_records,
@@ -337,7 +338,7 @@ class Translator:
     def apply_plan(
         self,
         engine: Engine,
-        plan: Union[UpdatePlan, Any],
+        plan: Union[UpdatePlan, UpdateRecord],
         op: str = "update",
         items: int = 1,
     ) -> UpdatePlan:
@@ -351,16 +352,16 @@ class Translator:
         in the same state translation observed (the plan's before-images
         are read here, ahead of the first operation).
 
-        ``plan`` may also be a record of a plan committed elsewhere (a
-        replica's ``ShippedRecord``: anything carrying ``plan()``,
-        ``plan_records`` and ``image_records``). Its journal-encoded
-        payloads are then journaled and audited verbatim — no image
-        reads, no re-encoding — and the audit record carries no island,
-        policy or user, because this translator translated nothing (the
-        user was authorized where the plan was translated).
+        ``plan`` may also be the :class:`UpdateRecord` of a plan
+        committed elsewhere (what a primary ships to its replicas). Its
+        journal-encoded payloads are then journaled and audited
+        verbatim — no image reads, no re-encoding — and the audit record
+        carries no island, policy or user, because this translator
+        translated nothing (the user was authorized where the plan was
+        translated).
         """
         shipped = None
-        if not isinstance(plan, UpdatePlan):
+        if isinstance(plan, UpdateRecord):
             shipped, plan = plan, plan.plan()
         else:
             self._check_authorized()
@@ -647,7 +648,7 @@ class Translator:
         images: Optional[Images],
         op: str,
         items: int = 1,
-        shipped: Any = None,
+        shipped: Optional[UpdateRecord] = None,
     ) -> None:
         """The one commit step of every write path: write the PENDING
         intent, land the plan, mark the entry, record the outcome.

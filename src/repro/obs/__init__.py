@@ -87,7 +87,6 @@ __all__ = [
     "NOOP_TRACER",
     "NULL_REGISTRY",
     "AuditLog",
-    "AuditRecord",
     "MemoryAuditLog",
     "FileAuditLog",
     "LineageIndex",
@@ -109,7 +108,6 @@ __all__ = [
 # `repro.obs` alone never touches the relational layer.
 _LAZY_EXPORTS = {
     "AuditLog": "repro.obs.audit",
-    "AuditRecord": "repro.obs.audit",
     "MemoryAuditLog": "repro.obs.audit",
     "FileAuditLog": "repro.obs.audit",
     "COMMITTED": "repro.obs.audit",

@@ -22,10 +22,12 @@ increasing **audit sequence number** (ASN) and records
 Like the journal, the log is append-only: an outcome change is a
 *resolution marker* appended after the fact, never an in-place edit, so
 replaying a :class:`FileAuditLog` file reconstructs exactly the
-in-memory state. The file backend fsyncs every append and tolerates a
-torn tail line on reopen (truncated, mirroring ``journal.py``'s crash
-discipline); corruption anywhere *before* the tail raises
-:class:`~repro.errors.AuditError`.
+in-memory state. The record type
+(:class:`~repro.relational.journal.UpdateRecord`) and the file under
+the durable backend are the journal's own, so the two logs share one
+crash discipline by sharing its code: every append is fsynced, a torn
+tail line is truncated on reopen, and any other damaged line raises
+:class:`~repro.errors.AuditError` with path and line.
 
 On top of this log sit :class:`~repro.obs.lineage.LineageIndex`
 (``why`` / ``history`` per tuple) and :mod:`repro.obs.history`
@@ -34,18 +36,17 @@ On top of this log sit :class:`~repro.obs.lineage.LineageIndex`
 
 from __future__ import annotations
 
-import json
-import os
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import AuditError
 from repro.obs.context import current_trace_id
 from repro.relational.journal import (
     Images,
+    JsonLinesFile,
     PlanJournal,
-    decode_images,
-    decode_plan,
+    UpdateRecord,
     encode_images,
     encode_plan,
 )
@@ -59,7 +60,6 @@ __all__ = [
     "DEGRADED_REJECTED",
     "CRASHED",
     "OUTCOMES",
-    "AuditRecord",
     "AuditLog",
     "MemoryAuditLog",
     "FileAuditLog",
@@ -73,118 +73,12 @@ CRASHED = "crashed"
 OUTCOMES = (COMMITTED, ROLLED_BACK, DEGRADED_REJECTED, CRASHED)
 
 
-class AuditRecord:
-    """One audited view-level update.
-
-    Immutable by convention: the only field that ever changes after
-    append is :attr:`outcome` (and :attr:`error`), and only through
-    :meth:`AuditLog.resolve`, which appends a resolution marker rather
-    than rewriting the record.
-    """
-
-    __slots__ = (
-        "asn",
-        "op",
-        "object_name",
-        "outcome",
-        "plan_records",
-        "image_records",
-        "island",
-        "policy",
-        "user",
-        "items",
-        "error",
-        "journal_entry",
-        "trace_id",
-    )
-
-    def __init__(
-        self,
-        asn: int,
-        op: str,
-        object_name: str,
-        outcome: str,
-        plan_records: List[Dict[str, Any]],
-        image_records: List[List[Any]],
-        island: Tuple[str, ...] = (),
-        policy: Optional[Dict[str, Any]] = None,
-        user: Optional[str] = None,
-        items: int = 1,
-        error: Optional[str] = None,
-        journal_entry: Optional[int] = None,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        self.asn = asn
-        self.op = op
-        self.object_name = object_name
-        self.outcome = outcome
-        self.plan_records = plan_records
-        self.image_records = image_records
-        self.island = tuple(island)
-        self.policy = policy
-        self.user = user
-        self.items = items
-        self.error = error
-        self.journal_entry = journal_entry
-        self.trace_id = trace_id
-
-    def plan(self) -> UpdatePlan:
-        return decode_plan(self.plan_records)
-
-    def images(self) -> Images:
-        return decode_images(self.image_records)
-
-    def as_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "asn": self.asn,
-            "op": self.op,
-            "object": self.object_name,
-            "outcome": self.outcome,
-            "items": self.items,
-            "plan": self.plan_records,
-            "images": self.image_records,
-            "island": list(self.island),
-        }
-        if self.policy is not None:
-            out["policy"] = self.policy
-        if self.user is not None:
-            out["user"] = self.user
-        if self.error is not None:
-            out["error"] = self.error
-        if self.journal_entry is not None:
-            out["journal_entry"] = self.journal_entry
-        if self.trace_id is not None:
-            out["trace"] = self.trace_id
-        return out
-
-    def describe(self) -> str:
-        """One human-readable line (the ``audit tail`` format)."""
-        parts = [
-            f"#{self.asn}",
-            f"{self.object_name}.{self.op}",
-            self.outcome,
-            f"ops={len(self.plan_records)}",
-            f"cells={len(self.image_records)}",
-        ]
-        if self.items != 1:
-            parts.append(f"items={self.items}")
-        if self.user is not None:
-            parts.append(f"user={self.user}")
-        if self.journal_entry is not None:
-            parts.append(f"journal=#{self.journal_entry}")
-        if self.error is not None:
-            parts.append(f"error={self.error!r}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AuditRecord(#{self.asn}, {self.object_name}.{self.op}, "
-            f"{self.outcome}, {len(self.plan_records)} ops)"
-        )
-
-
 class AuditLog:
     """Common machinery of the audit backends (append-only, thread-safe).
+
+    Records are kept in append order, which is ASN order — the log
+    assigns ASNs itself — so reads never sort and a read "since ASN n"
+    starts at a position found by bisection.
 
     :attr:`version` increments on every append *and* resolution; the
     :class:`~repro.obs.lineage.LineageIndex` uses it to know when its
@@ -192,8 +86,8 @@ class AuditLog:
     """
 
     def __init__(self) -> None:
-        self._records: Dict[int, AuditRecord] = {}
-        self._next_asn = 1
+        self._records: List[UpdateRecord] = []
+        self._asns: List[int] = []  # _records[i].id, for bisection
         self._lock = threading.Lock()
         self.version = 0
 
@@ -229,10 +123,7 @@ class AuditLog:
         so every audited update inside a traced request joins the
         trace for free.
         """
-        if outcome not in OUTCOMES:
-            raise AuditError(
-                f"unknown audit outcome {outcome!r}; choose from {OUTCOMES}"
-            )
+        _check_outcome(outcome)
         if trace_id is None:
             trace_id = current_trace_id()
         if plan_records is None:
@@ -240,29 +131,15 @@ class AuditLog:
         if image_records is None:
             image_records = encode_images(images) if images is not None else []
         with self._lock:
-            asn = self._next_asn
-            self._next_asn += 1
-            record = AuditRecord(
-                asn,
-                op,
-                object_name,
-                outcome,
-                plan_records,
-                image_records,
-                island=tuple(island),
-                policy=policy,
-                user=user,
-                items=items,
-                error=error,
+            record = UpdateRecord(
+                self.head_asn() + 1, outcome, plan_records, image_records,
+                op=op, label=object_name, items=items, trace_id=trace_id,
+                island=island, policy=policy, user=user, error=error,
                 journal_entry=journal_entry,
-                trace_id=trace_id,
             )
-            self._records[asn] = record
-            self._append_payload(
-                {"event": "record", **record.as_dict()}
-            )
-            self.version += 1
-        return asn
+            self._admit(record)
+            self._append_payload({"event": "record", **record.as_dict()})
+        return record.id
 
     def resolve(
         self, asn: int, outcome: str, error: Optional[str] = None
@@ -272,22 +149,36 @@ class AuditLog:
         Used by :meth:`reconcile` when journal recovery settles the fate
         of an update audited as ``crashed``.
         """
-        if outcome not in OUTCOMES:
-            raise AuditError(
-                f"unknown audit outcome {outcome!r}; choose from {OUTCOMES}"
-            )
+        _check_outcome(outcome)
         with self._lock:
-            record = self._records.get(asn)
-            if record is None:
-                raise AuditError(f"unknown audit record #{asn}")
-            record.outcome = outcome
-            if error is not None:
-                record.error = error
+            self._settle(asn, outcome, error)
             self._append_payload(
                 {"event": "resolve", "asn": asn, "outcome": outcome,
                  **({"error": error} if error is not None else {})}
             )
-            self.version += 1
+
+    def _admit(self, record: UpdateRecord) -> None:
+        if record.id <= self.head_asn():
+            raise AuditError(
+                f"audit record #{record.id} does not follow "
+                f"#{self.head_asn()}"
+            )
+        self._records.append(record)
+        self._asns.append(record.id)
+        self.version += 1
+
+    def _settle(self, asn: int, outcome: str, error: Optional[str]) -> None:
+        record = self._find(asn)
+        record.state = outcome
+        if error is not None:
+            record.error = error
+        self.version += 1
+
+    def _find(self, asn: int) -> UpdateRecord:
+        position = bisect_right(self._asns, asn) - 1
+        if position < 0 or self._asns[position] != asn:
+            raise AuditError(f"unknown audit record #{asn}")
+        return self._records[position]
 
     def reconcile(self, journal: PlanJournal) -> int:
         """Settle every ``crashed`` record against the journal's verdict.
@@ -300,41 +191,39 @@ class AuditLog:
         ``replay``/``as_of`` see the truth. Idempotent; returns how many
         records were resolved.
         """
-        with self._lock:
-            crashed = [
-                record
-                for record in self._records.values()
-                if record.outcome == CRASHED
-                and record.journal_entry is not None
-            ]
+        crashed = [
+            record
+            for record in self.records()
+            if record.state == CRASHED and record.journal_entry is not None
+        ]
         settled = 0
-        entries = {entry.entry_id: entry for entry in journal.entries()}
+        entries = {entry.id: entry for entry in journal.entries()}
         for record in crashed:
             entry = entries.get(record.journal_entry)
             if entry is None:
                 continue
-            if entry.status == JOURNAL_COMMITTED:
-                self.resolve(record.asn, COMMITTED)
+            if entry.state == JOURNAL_COMMITTED:
+                self.resolve(record.id, COMMITTED)
                 settled += 1
-            elif entry.status == JOURNAL_ABORTED:
+            elif entry.state == JOURNAL_ABORTED:
                 self.resolve(
-                    record.asn, ROLLED_BACK, error="reverted by recovery"
+                    record.id, ROLLED_BACK, error="reverted by recovery"
                 )
                 settled += 1
         return settled
 
     # -- reading ------------------------------------------------------------
 
-    def records(self) -> List[AuditRecord]:
+    def records(self) -> List[UpdateRecord]:
         """Every record, in ASN order."""
         with self._lock:
-            return [self._records[asn] for asn in sorted(self._records)]
+            return list(self._records)
 
-    def committed(self) -> List[AuditRecord]:
+    def committed(self) -> List[UpdateRecord]:
         """The records whose effects are in the database, in ASN order."""
-        return [r for r in self.records() if r.outcome == COMMITTED]
+        return self.committed_since(0)
 
-    def committed_since(self, asn: int) -> List[AuditRecord]:
+    def committed_since(self, asn: int) -> List[UpdateRecord]:
         """Committed records with an ASN strictly greater than ``asn``.
 
         The log-shipping read: a :class:`ShippingCursor` calls this to
@@ -344,9 +233,11 @@ class AuditLog:
         shows up on the first call after the resolution, which is
         exactly when its effects become shippable.
         """
-        return [r for r in self.committed() if r.asn > asn]
+        with self._lock:
+            fresh = self._records[bisect_right(self._asns, asn):]
+        return [r for r in fresh if r.state == COMMITTED]
 
-    def records_for_trace(self, trace_id: str) -> List[AuditRecord]:
+    def records_for_trace(self, trace_id: str) -> List[UpdateRecord]:
         """Every record stamped with ``trace_id``, in ASN order.
 
         The trace→audit direction of the cross-link: given an
@@ -354,28 +245,21 @@ class AuditLog:
         committed (``why()`` provides the other direction, since a
         lineage link's record now carries the trace id).
         """
-        with self._lock:
-            records = sorted(self._records.values(), key=lambda r: r.asn)
-        return [r for r in records if r.trace_id == trace_id]
+        return [r for r in self.records() if r.trace_id == trace_id]
 
-    def tail(self, n: int = 10) -> List[AuditRecord]:
+    def tail(self, n: int = 10) -> List[UpdateRecord]:
         return self.records()[-n:]
 
-    def record(self, asn: int) -> AuditRecord:
+    def record(self, asn: int) -> UpdateRecord:
         with self._lock:
-            try:
-                return self._records[asn]
-            except KeyError:
-                raise AuditError(f"unknown audit record #{asn}") from None
+            return self._find(asn)
 
     def head_asn(self) -> int:
         """The highest assigned ASN (0 when the log is empty)."""
-        with self._lock:
-            return self._next_asn - 1
+        return self._asns[-1] if self._asns else 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
     # -- backend hook --------------------------------------------------------
 
@@ -386,13 +270,20 @@ class AuditLog:
         pass
 
 
+def _check_outcome(outcome: str) -> None:
+    if outcome not in OUTCOMES:
+        raise AuditError(
+            f"unknown audit outcome {outcome!r}; choose from {OUTCOMES}"
+        )
+
+
 class ShippingCursor:
     """Tracks how far a log-shipping consumer has read an audit log.
 
     The replication layer keeps one cursor per shard primary: each
     committed record the primary's :class:`AuditLog` gains is *taken*
-    exactly once (:meth:`take`) and turned into a shipped record for the
-    replicas. :meth:`lag` is the number of committed records not yet
+    exactly once (:meth:`take`) and shipped to the replicas as it is.
+    :meth:`lag` is the number of committed records not yet
     taken — the primary-side half of lag accounting (the replica-side
     half, received-but-unapplied, lives in the replica's inbox).
 
@@ -405,15 +296,15 @@ class ShippingCursor:
         self.log = log
         self.asn = log.head_asn() if start_asn is None else start_asn
 
-    def pending(self) -> List[AuditRecord]:
+    def pending(self) -> List[UpdateRecord]:
         """Committed records not yet taken, in ASN order."""
         return self.log.committed_since(self.asn)
 
-    def take(self) -> List[AuditRecord]:
+    def take(self) -> List[UpdateRecord]:
         """Return the pending records and advance past them."""
         fresh = self.pending()
         if fresh:
-            self.asn = fresh[-1].asn
+            self.asn = fresh[-1].id
         return fresh
 
     def skip(self, asn: int) -> None:
@@ -446,90 +337,47 @@ class FileAuditLog(AuditLog):
     """Durable audit log: append-only JSON lines, fsync'd per append.
 
     Reopening the same path reloads every record and folds the
-    resolution markers. A torn final line — the process died mid-append
-    — is detected and truncated away, exactly the crash discipline of
-    :class:`~repro.relational.journal.FileJournal`; a corrupt line
-    anywhere *before* the tail is real damage and raises
-    :class:`~repro.errors.AuditError`.
+    resolution markers. The file is a
+    :class:`~repro.relational.journal.JsonLinesFile`, the one under
+    :class:`~repro.relational.journal.FileJournal`: a torn final line —
+    the process died mid-append — is truncated away, any other damaged
+    line raises :class:`~repro.errors.AuditError`.
     """
 
     def __init__(self, path) -> None:
         super().__init__()
-        self.path = os.fspath(path)
-        self._load()
-        self._file = open(self.path, "a", encoding="utf-8")
+        self._file = JsonLinesFile(path, self._fold, AuditError, "audit")
+        self.path = self._file.path
 
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as f:
-            data = f.read()
-        offset = 0
-        torn_at: Optional[int] = None
-        for raw in data.split(b"\n"):
-            line_start = offset
-            offset += len(raw) + 1
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line.decode("utf-8"))
-                self._replay_payload(payload)
-            except (ValueError, KeyError, UnicodeDecodeError) as exc:
-                # Only the *final* non-blank line may be damaged (a
-                # crash mid-append); anything after it means mid-file
-                # corruption.
-                rest = data[min(offset, len(data)):]
-                if rest.strip():
-                    raise AuditError(
-                        f"{self.path}: corrupt audit record before the "
-                        f"tail (byte offset {line_start})"
-                    ) from exc
-                torn_at = line_start
-                break
-        if torn_at is not None:
-            with open(self.path, "r+b") as f:
-                f.truncate(torn_at)
-
-    def _replay_payload(self, payload: Dict[str, Any]) -> None:
+    def _fold(self, payload: Dict[str, Any]) -> None:
         event = payload["event"]
         if event == "record":
-            record = AuditRecord(
-                payload["asn"],
-                payload["op"],
-                payload["object"],
-                payload["outcome"],
-                payload["plan"],
-                payload["images"],
-                island=tuple(payload.get("island", ())),
-                policy=payload.get("policy"),
-                user=payload.get("user"),
-                items=payload.get("items", 1),
-                error=payload.get("error"),
-                journal_entry=payload.get("journal_entry"),
-                trace_id=payload.get("trace"),
-            )
-            self._records[record.asn] = record
-            self._next_asn = max(self._next_asn, record.asn + 1)
-            self.version += 1
-        elif event == "resolve":
-            record = self._records.get(payload["asn"])
-            if record is None:
-                raise AuditError(
-                    f"{self.path}: resolution marker for unknown "
-                    f"record #{payload['asn']}"
+            self._admit(
+                UpdateRecord(
+                    payload["asn"],
+                    payload["outcome"],
+                    payload["plan"],
+                    payload["images"],
+                    op=payload["op"],
+                    label=payload["object"],
+                    items=payload.get("items", 1),
+                    trace_id=payload.get("trace"),
+                    island=payload.get("island", ()),
+                    policy=payload.get("policy"),
+                    user=payload.get("user"),
+                    error=payload.get("error"),
+                    journal_entry=payload.get("journal_entry"),
                 )
-            record.outcome = payload["outcome"]
-            if payload.get("error") is not None:
-                record.error = payload["error"]
-            self.version += 1
+            )
+        elif event == "resolve":
+            self._settle(
+                payload["asn"], payload["outcome"], payload.get("error")
+            )
         else:
-            raise AuditError(f"{self.path}: unknown audit event {event!r}")
+            raise AuditError(f"unknown audit event {event!r}")
 
     def _append_payload(self, payload: Dict[str, Any]) -> None:
-        self._file.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        self._file.append(payload)
 
     def close(self) -> None:
         self._file.close()

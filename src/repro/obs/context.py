@@ -7,9 +7,10 @@ commit, and (later, asynchronously) each replica's applier thread. A
 :class:`TraceContext` is the correlation token that survives all of
 those hops: an immutable ``(trace_id, span_id, baggage)`` triple
 carried in a :mod:`contextvars` variable inside one domain and carried
-*explicitly* (as plain strings on :class:`~repro.replicate.replica.
-ShippedRecord`s, journal intents, and audit records) across domain
-boundaries that ``contextvars`` cannot cross.
+*explicitly* (as a plain string on every
+:class:`~repro.relational.journal.UpdateRecord` — journal intent, audit
+record, shipped record) across domain boundaries that ``contextvars``
+cannot cross.
 
 Root spans opened while a context is active stamp its ``trace_id``
 (see :mod:`repro.obs.trace`), which is what lets the
@@ -28,7 +29,7 @@ import contextlib
 import itertools
 import os
 from contextvars import ContextVar
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
 __all__ = [
     "TraceContext",

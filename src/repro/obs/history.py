@@ -27,7 +27,7 @@ from repro.errors import AuditError
 from repro.obs.audit import COMMITTED, AuditLog
 from repro.relational.engine import Engine
 
-__all__ = ["as_of", "divergence", "replay", "ReplayReport"]
+__all__ = ["as_of", "divergence", "replay", "snapshot", "ReplayReport"]
 
 RelationState = Dict[Tuple[Any, ...], Tuple[Any, ...]]
 DatabaseState = Dict[str, RelationState]
@@ -90,7 +90,7 @@ def as_of(
     """
     state = snapshot(engine)
     for record in reversed(log.committed()):
-        if record.asn <= asn:
+        if record.id <= asn:
             break
         for (rel, key), (before, after) in record.images().items():
             rows = state.setdefault(rel, {})
@@ -99,7 +99,7 @@ def as_of(
                 if current != after:
                     raise AuditError(
                         f"as_of({asn}): undoing audit record "
-                        f"#{record.asn} expected {rel}{key!r} to be "
+                        f"#{record.id} expected {rel}{key!r} to be "
                         f"{after!r} but found {current!r} — a write "
                         f"bypassed the audit trail"
                     )
@@ -192,21 +192,12 @@ def replay(
             fresh_engine.insert_many(name, list(rows.values()))
 
     for record in log.records():
-        if record.outcome == COMMITTED:
+        if record.state == COMMITTED:
             fresh_engine.apply_batch(record.plan().operations)
-            report.replayed.append(record.asn)
+            report.replayed.append(record.id)
         else:
-            report.skipped.append((record.asn, record.outcome))
+            report.skipped.append((record.id, record.state))
 
-    live = snapshot(engine)
-    replayed = snapshot(fresh_engine)
-    report.relations = len(live)
-    for name, rows in live.items():
-        other = replayed.get(name, {})
-        for key in set(rows) | set(other):
-            expected = rows.get(key)
-            got = other.get(key)
-            if expected != got:
-                report.mismatches.append((name, key, expected, got))
-    report.mismatches.sort(key=lambda m: (m[0], repr(m[1])))
+    report.relations = len(engine.relation_names())
+    report.mismatches = divergence(engine, fresh_engine)
     return report

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.audit import COMMITTED, AuditLog, AuditRecord
-from repro.relational.journal import Cell
+from repro.obs.audit import COMMITTED, AuditLog
+from repro.relational.journal import Cell, UpdateRecord
 
 __all__ = ["LineageLink", "LineageIndex"]
 
@@ -41,7 +41,7 @@ class LineageLink:
     def __init__(
         self,
         asn: int,
-        record: AuditRecord,
+        record: UpdateRecord,
         cell: Cell,
         before: Optional[Tuple[Any, ...]],
         after: Optional[Tuple[Any, ...]],
@@ -57,7 +57,7 @@ class LineageLink:
         def show(row):
             return "∅" if row is None else repr(tuple(row))
         return (
-            f"#{self.asn} {self.record.object_name}.{self.record.op} "
+            f"#{self.asn} {self.record.label}.{self.record.op} "
             f"[{relation}{tuple(key)!r}] {show(self.before)} -> "
             f"{show(self.after)}"
         )
@@ -74,7 +74,7 @@ class LineageIndex:
         self._version = -1
         self._chains: Dict[Cell, List[int]] = {}
         self._images: Dict[int, Dict[Cell, Tuple[Any, Any]]] = {}
-        self._records: Dict[int, AuditRecord] = {}
+        self._records: Dict[int, UpdateRecord] = {}
         # (asn, new_cell) -> old_cell for key-changing replacements.
         self._rehomed: Dict[Tuple[int, Cell], Cell] = {}
 
@@ -88,18 +88,18 @@ class LineageIndex:
         self._records = {}
         self._rehomed = {}
         for record in self.log.records():
-            if record.outcome != COMMITTED:
+            if record.state != COMMITTED:
                 continue
             images = record.images()
-            self._images[record.asn] = images
-            self._records[record.asn] = record
+            self._images[record.id] = images
+            self._records[record.id] = record
             for cell in images:
-                self._chains.setdefault(cell, []).append(record.asn)
+                self._chains.setdefault(cell, []).append(record.id)
             self._index_rehoming(record, images)
         self._version = self.log.version
 
     def _index_rehoming(
-        self, record: AuditRecord, images: Dict[Cell, Tuple[Any, Any]]
+        self, record: UpdateRecord, images: Dict[Cell, Tuple[Any, Any]]
     ) -> None:
         """Detect key-changing replacements from the record's own images.
 
@@ -121,7 +121,7 @@ class LineageIndex:
                     and before is None
                     and after == new_values
                 ):
-                    self._rehomed[(record.asn, cell)] = old_cell
+                    self._rehomed[(record.id, cell)] = old_cell
                     break
 
     # -- queries -------------------------------------------------------------

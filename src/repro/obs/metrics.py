@@ -24,7 +24,7 @@ only taken when an instrument is first created (or enumerated).
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",

@@ -40,12 +40,13 @@ from repro.relational.faults import (
 )
 from repro.relational.journal import (
     FileJournal,
-    JournalEntry,
     MemoryJournal,
     PlanJournal,
     RecoveryReport,
+    UpdateRecord,
     apply_journaled,
     recover,
+    restore_images,
 )
 from repro.relational.retry import RetryPolicy, is_transient_error
 from repro.relational.expressions import (
@@ -134,8 +135,9 @@ __all__ = [
     "PlanJournal",
     "MemoryJournal",
     "FileJournal",
-    "JournalEntry",
+    "UpdateRecord",
     "RecoveryReport",
     "apply_journaled",
     "recover",
+    "restore_images",
 ]

@@ -25,6 +25,13 @@ no torn plans.
 Two backends: :class:`MemoryJournal` (tests, ephemeral sessions) and
 :class:`FileJournal` (append-only JSON lines, ``fsync`` on every
 append, reloaded on open).
+
+This module also owns what every log of updates shares: the JSON codec
+for plans and images, :class:`UpdateRecord` — the one record type the
+journal, the audit log and the replication stream all hold — the
+append-only file under both durable logs (:class:`JsonLinesFile`), and
+:func:`restore_images`, the one routine that drives cells back (or
+forward) to their journaled images.
 """
 
 from __future__ import annotations
@@ -51,12 +58,14 @@ __all__ = [
     "PENDING",
     "COMMITTED",
     "ABORTED",
-    "JournalEntry",
+    "UpdateRecord",
     "PlanJournal",
     "MemoryJournal",
     "FileJournal",
     "plan_images",
     "images_from_records",
+    "restore_images",
+    "JsonLinesFile",
     "apply_journaled",
     "recover",
     "RecoveryReport",
@@ -165,40 +174,36 @@ def decode_images(rows: Iterable[Sequence[Any]]) -> Images:
 # ---------------------------------------------------------------------------
 
 
+def _cell_effects(engine: Engine, plan: UpdatePlan):
+    """``(cell, value it holds afterwards)`` per operation, in plan order.
+
+    A key-changing replacement has two effects — the vacated old key
+    and the occupied new key.
+    """
+    for operation in plan.operations:
+        relation = operation.relation
+        if operation.kind == "delete":
+            yield (relation, tuple(operation.key)), None
+            continue
+        values = tuple(operation.values)
+        new_key = tuple(engine.schema(relation).key_of(values))
+        if operation.kind == "replace" and new_key != tuple(operation.key):
+            yield (relation, tuple(operation.key)), None
+        yield (relation, new_key), values
+
+
 def plan_images(engine: Engine, plan: UpdatePlan) -> Images:
     """Net before/after images of every cell ``plan`` will touch.
 
     Must be called *before* the plan is applied: before-images are read
-    from the engine. A key-changing replacement contributes two cells —
-    the vacated old key and the occupied new key.
+    from the engine.
     """
     images: Images = {}
-
-    def cell(relation: str, key: Tuple[Any, ...]):
-        cell_key = (relation, tuple(key))
-        if cell_key not in images:
-            images[cell_key] = (engine.get(relation, key), None)
-        return cell_key
-
-    for operation in plan.operations:
-        relation = operation.relation
-        schema = engine.schema(relation)
-        if operation.kind == "insert":
-            key = schema.key_of(operation.values)
-            ck = cell(relation, key)
-            images[ck] = (images[ck][0], tuple(operation.values))
-        elif operation.kind == "delete":
-            ck = cell(relation, operation.key)
-            images[ck] = (images[ck][0], None)
-        else:  # replace
-            new_key = schema.key_of(operation.values)
-            old_ck = cell(relation, operation.key)
-            if new_key == tuple(operation.key):
-                images[old_ck] = (images[old_ck][0], tuple(operation.values))
-            else:
-                images[old_ck] = (images[old_ck][0], None)
-                new_ck = cell(relation, new_key)
-                images[new_ck] = (images[new_ck][0], tuple(operation.values))
+    for cell, value in _cell_effects(engine, plan):
+        if cell in images:
+            images[cell] = (images[cell][0], value)
+        else:
+            images[cell] = (engine.get(*cell), value)
     return images
 
 
@@ -236,37 +241,73 @@ def images_from_records(engine: Engine, records: Iterable) -> Images:
 
 
 # ---------------------------------------------------------------------------
-# Journal backends
+# The record, the file, the restore — shared by every log of updates
 # ---------------------------------------------------------------------------
 
 
-class JournalEntry:
-    """One journaled plan with its resolution state."""
+class UpdateRecord:
+    """One update as every log holds it.
+
+    The journal's intent, the audit log's record and the unit of log
+    shipping are the same thing — a coalesced plan and its cell images,
+    kept in encoded form and shared by reference between the logs —
+    under a log-assigned :attr:`id` (a journal's entry id, an audit
+    log's ASN, 0 for a record no log numbered) and a :attr:`state` that
+    only the owning log changes, by appending a marker: ``pending |
+    committed | aborted`` in a journal, an audit outcome in an audit
+    log. :attr:`label` names the view object (a 2PC intent carries its
+    transaction label there). ``op`` and ``items`` are the view-level
+    operation; ``island``, ``policy``, ``user``, ``error`` and
+    ``journal_entry`` are filled by the audit log only.
+    """
 
     __slots__ = (
-        "entry_id",
-        "status",
+        "id",
+        "state",
         "plan_records",
         "image_records",
+        "op",
         "label",
+        "items",
         "trace_id",
+        "island",
+        "policy",
+        "user",
+        "error",
+        "journal_entry",
     )
 
     def __init__(
         self,
-        entry_id: int,
+        id: int,
+        state: str,
         plan_records: List[Dict[str, Any]],
         image_records: List[List[Any]],
+        op: str = "",
         label: str = "",
-        status: str = PENDING,
+        items: int = 1,
         trace_id: Optional[str] = None,
+        island: Sequence[str] = (),
+        policy: Optional[Dict[str, Any]] = None,
+        user: Optional[str] = None,
+        error: Optional[str] = None,
+        journal_entry: Optional[int] = None,
     ) -> None:
-        self.entry_id = entry_id
-        self.status = status
+        self.id = id
+        self.state = state
         self.plan_records = plan_records
         self.image_records = image_records
+        self.op = op
         self.label = label
+        self.items = items
+        # The originating request's trace id rides the record across
+        # restarts and the thread boundary contextvars cannot cross.
         self.trace_id = trace_id
+        self.island = tuple(island)
+        self.policy = policy
+        self.user = user
+        self.error = error
+        self.journal_entry = journal_entry
 
     def plan(self) -> UpdatePlan:
         return decode_plan(self.plan_records)
@@ -274,11 +315,168 @@ class JournalEntry:
     def images(self) -> Images:
         return decode_images(self.image_records)
 
+    def as_dict(self) -> Dict[str, Any]:
+        """The record as the audit log writes and serves it."""
+        out: Dict[str, Any] = {
+            "asn": self.id,
+            "op": self.op,
+            "object": self.label,
+            "outcome": self.state,
+            "items": self.items,
+            "plan": self.plan_records,
+            "images": self.image_records,
+            "island": list(self.island),
+        }
+        if self.policy is not None:
+            out["policy"] = self.policy
+        if self.user is not None:
+            out["user"] = self.user
+        if self.error is not None:
+            out["error"] = self.error
+        if self.journal_entry is not None:
+            out["journal_entry"] = self.journal_entry
+        if self.trace_id is not None:
+            out["trace"] = self.trace_id
+        return out
+
+    def describe(self) -> str:
+        """One human-readable line (the ``audit tail`` format)."""
+        parts = [
+            f"#{self.id}",
+            f"{self.label}.{self.op}",
+            self.state,
+            f"ops={len(self.plan_records)}",
+            f"cells={len(self.image_records)}",
+        ]
+        if self.items != 1:
+            parts.append(f"items={self.items}")
+        if self.user is not None:
+            parts.append(f"user={self.user}")
+        if self.journal_entry is not None:
+            parts.append(f"journal=#{self.journal_entry}")
+        if self.error is not None:
+            parts.append(f"error={self.error!r}")
+        return " ".join(parts)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"JournalEntry(#{self.entry_id}, {self.status}, "
-            f"{len(self.plan_records)} ops)"
+            f"UpdateRecord(#{self.id}, {self.label}.{self.op}, "
+            f"{self.state}, {len(self.plan_records)} ops)"
         )
+
+
+class JsonLinesFile:
+    """The append-only JSON-lines file under both durable logs.
+
+    Opening replays every line through ``fold``, the owning log's event
+    vocabulary. An append goes out as ``line + "\\n"`` in one write, so
+    a crash mid-append can only leave a final line *without* its
+    newline: that torn tail is truncated away (the append it belongs to
+    never returned). Any newline-terminated line that is not JSON, lacks
+    a field or is refused by ``fold`` is damage and raises ``error``
+    with the path and line number.
+    """
+
+    def __init__(self, path, fold, error, what: str) -> None:
+        self.path = os.fspath(path)
+        if os.path.exists(self.path):
+            with open(self.path, "rb") as f:
+                data = f.read()
+            intact = data.rfind(b"\n") + 1
+            for line_no, line in enumerate(data[:intact].split(b"\n"), 1):
+                if not line.strip():
+                    continue
+                try:
+                    fold(json.loads(line))
+                except error as exc:
+                    raise error(f"{self.path}:{line_no}: {exc}") from None
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise error(
+                        f"{self.path}:{line_no}: corrupt {what} record"
+                    ) from exc
+            if intact < len(data):
+                with open(self.path, "r+b") as f:
+                    f.truncate(intact)
+        self._file = open(self.path, "a", encoding="utf-8")
+
+    def append(self, event: Dict[str, Any]) -> None:
+        self._file.write(json.dumps(event, separators=(",", ":")) + "\n")
+        self._file.flush()
+        os.fsync(self._file.fileno())
+
+    def close(self) -> None:
+        self._file.close()
+
+
+def _value_chains(
+    engine: Engine, images: Images, plan: UpdatePlan
+) -> Dict[Cell, List[Optional[Tuple[Any, ...]]]]:
+    """Every value each imaged cell passes through, in plan order.
+
+    A non-atomic plan that touches the same cell more than once (insert
+    then replace, say) can be interrupted with the cell at an
+    *intermediate* value matching neither net image. Simulating the
+    plan forward from the before-images recovers the full value
+    history, so :func:`restore_images` can tell a torn intermediate
+    state (restorable) from a foreign write (a conflict).
+    """
+    chains: Dict[Cell, List[Optional[Tuple[Any, ...]]]] = {
+        cell: [before] for cell, (before, _) in images.items()
+    }
+    for cell, value in _cell_effects(engine, plan):
+        chain = chains.get(cell)
+        if chain is not None and chain[-1] != value:
+            chain.append(value)
+    return chains
+
+
+def restore_images(
+    engine: Engine,
+    images: Images,
+    to_after: bool,
+    plan: Optional[UpdatePlan] = None,
+) -> List[Cell]:
+    """Drive every cell of ``images`` to its after- or before-image.
+
+    Runs in one transaction and returns the cells it left alone. A cell
+    already at its target is skipped; a cell is only moved from a value
+    the update itself can have left there — one of its two images, or,
+    when the journaled ``plan`` is given, an intermediate value of a
+    multi-touch plan (see :func:`_value_chains`; a coalesced plan has
+    none). Any other value was written by someone else after the
+    crash: the cell is reported as a conflict rather than clobbered.
+
+    Crash recovery (single-shard and two-phase), a replica's retract
+    and a primary's quorum revert all restore through here.
+    """
+    legitimate = images if plan is None else _value_chains(engine, images, plan)
+    conflicts: List[Cell] = []
+    engine.begin()
+    try:
+        for (relation, key), (before, after) in images.items():
+            target = after if to_after else before
+            current = engine.get(relation, key)
+            if current == target:
+                continue
+            if current not in legitimate[(relation, key)]:
+                conflicts.append((relation, key))
+                continue
+            if target is None:
+                engine.delete(relation, key)
+            elif current is None:
+                engine.insert(relation, target)
+            else:
+                engine.replace(relation, key, target)
+    except Exception:
+        engine.rollback()
+        raise
+    engine.commit()
+    return conflicts
+
+
+# ---------------------------------------------------------------------------
+# Journal backends
+# ---------------------------------------------------------------------------
 
 
 class PlanJournal:
@@ -292,7 +490,7 @@ class PlanJournal:
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[int, JournalEntry] = {}
+        self._entries: Dict[int, UpdateRecord] = {}  # in append order
         self._next_id = 1
         self._lock = threading.Lock()
 
@@ -323,25 +521,23 @@ class PlanJournal:
         """
         trace_id = current_trace_id()
         with self._lock:
-            entry_id = self._next_id
-            self._next_id += 1
-            entry = JournalEntry(
-                entry_id, plan_records, image_records, label,
-                trace_id=trace_id,
+            entry = UpdateRecord(
+                self._next_id, PENDING, plan_records, image_records,
+                label=label, trace_id=trace_id,
             )
-            self._entries[entry_id] = entry
-            payload = {
+            self._admit(entry)
+            event = {
                 "event": PENDING,
-                "id": entry_id,
+                "id": entry.id,
                 "label": label,
-                "plan": entry.plan_records,
-                "images": entry.image_records,
+                "plan": plan_records,
+                "images": image_records,
             }
             if trace_id is not None:
-                payload["trace"] = trace_id
-            self._append(payload)
+                event["trace"] = trace_id
+            self._append(event)
         obs.metrics().counter("journal_entries_total", label=label).inc()
-        return entry_id
+        return entry.id
 
     def mark_committed(self, entry_id: int) -> None:
         self._mark(entry_id, COMMITTED)
@@ -349,30 +545,34 @@ class PlanJournal:
     def mark_aborted(self, entry_id: int) -> None:
         self._mark(entry_id, ABORTED)
 
-    def _mark(self, entry_id: int, status: str) -> None:
+    def _mark(self, entry_id: int, state: str) -> None:
         with self._lock:
-            entry = self._entries.get(entry_id)
-            if entry is None:
-                raise JournalError(f"unknown journal entry #{entry_id}")
-            entry.status = status
-            self._append({"event": status, "id": entry_id})
+            self._find(entry_id).state = state
+            self._append({"event": state, "id": entry_id})
+
+    def _admit(self, entry: UpdateRecord) -> None:
+        self._entries[entry.id] = entry
+        self._next_id = max(self._next_id, entry.id + 1)
+
+    def _find(self, entry_id: int) -> UpdateRecord:
+        try:
+            return self._entries[entry_id]
+        except KeyError:
+            raise JournalError(f"unknown journal entry #{entry_id}") from None
 
     # -- reading ------------------------------------------------------------
 
-    def entries(self) -> List[JournalEntry]:
+    def entries(self) -> List[UpdateRecord]:
         with self._lock:
             return list(self._entries.values())
 
-    def pending(self) -> List[JournalEntry]:
+    def pending(self) -> List[UpdateRecord]:
         with self._lock:
-            return [e for e in self._entries.values() if e.status == PENDING]
+            return [e for e in self._entries.values() if e.state == PENDING]
 
-    def entry(self, entry_id: int) -> JournalEntry:
+    def entry(self, entry_id: int) -> UpdateRecord:
         with self._lock:
-            try:
-                return self._entries[entry_id]
-            except KeyError:
-                raise JournalError(f"unknown journal entry #{entry_id}") from None
+            return self._find(entry_id)
 
     def __len__(self) -> int:
         with self._lock:
@@ -380,8 +580,8 @@ class PlanJournal:
 
     # -- backend hook --------------------------------------------------------
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        """Persist one record (called under the journal lock)."""
+    def _append(self, event: Dict[str, Any]) -> None:
+        """Persist one event (called under the journal lock)."""
 
     def close(self) -> None:
         pass
@@ -400,57 +600,32 @@ class FileJournal(PlanJournal):
     Reopening the same path reloads every entry and folds the status
     markers, so a restarted process sees exactly the pre-crash journal
     — including any entry still PENDING, which :func:`recover` then
-    resolves.
+    resolves — minus a PENDING line the crash tore mid-append
+    (:class:`JsonLinesFile`): that intent was never acknowledged, so
+    nothing was applied under it.
     """
 
     def __init__(self, path) -> None:
         super().__init__()
-        self.path = os.fspath(path)
-        self._load()
-        self._file = open(self.path, "a", encoding="utf-8")
+        self._file = JsonLinesFile(path, self._fold, JournalError, "journal")
+        self.path = self._file.path
 
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", encoding="utf-8") as f:
-            for line_no, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:
-                    raise JournalError(
-                        f"{self.path}:{line_no}: corrupt journal record"
-                    ) from exc
-                event = record.get("event")
-                if event == PENDING:
-                    entry = JournalEntry(
-                        record["id"],
-                        record["plan"],
-                        record["images"],
-                        record.get("label", ""),
-                        trace_id=record.get("trace"),
-                    )
-                    self._entries[entry.entry_id] = entry
-                    self._next_id = max(self._next_id, entry.entry_id + 1)
-                elif event in (COMMITTED, ABORTED):
-                    entry = self._entries.get(record["id"])
-                    if entry is None:
-                        raise JournalError(
-                            f"{self.path}:{line_no}: marker for unknown "
-                            f"entry #{record['id']}"
-                        )
-                    entry.status = event
-                else:
-                    raise JournalError(
-                        f"{self.path}:{line_no}: unknown event {event!r}"
-                    )
+    def _fold(self, event: Dict[str, Any]) -> None:
+        kind = event["event"]
+        if kind == PENDING:
+            self._admit(
+                UpdateRecord(
+                    event["id"], PENDING, event["plan"], event["images"],
+                    label=event.get("label", ""), trace_id=event.get("trace"),
+                )
+            )
+        elif kind in (COMMITTED, ABORTED):
+            self._find(event["id"]).state = kind
+        else:
+            raise JournalError(f"unknown event {kind!r}")
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._file.flush()
-        os.fsync(self._file.fileno())
+    def _append(self, event: Dict[str, Any]) -> None:
+        self._file.append(event)
 
     def close(self) -> None:
         self._file.close()
@@ -488,46 +663,6 @@ def apply_journaled(
             operation.apply(engine)
     journal.mark_committed(entry_id)
     return entry_id
-
-
-def _value_chains(
-    engine: Engine, entry: JournalEntry
-) -> Dict[Cell, List[Optional[Tuple[Any, ...]]]]:
-    """Every value each journaled cell passes through, in plan order.
-
-    A non-atomic plan that touches the same cell more than once (insert
-    then replace, say) can be interrupted with the cell at an
-    *intermediate* value matching neither net image. Simulating the
-    journaled plan forward from the before-images recovers the full
-    value history, so :func:`recover` can tell a torn intermediate
-    state (revertible) from a foreign write (a conflict).
-    """
-    images = entry.images()
-    chains: Dict[Cell, List[Optional[Tuple[Any, ...]]]] = {
-        cell: [before] for cell, (before, _) in images.items()
-    }
-
-    def push(cell: Cell, value: Optional[Tuple[Any, ...]]) -> None:
-        chain = chains.get(cell)
-        if chain is not None and chain[-1] != value:
-            chain.append(value)
-
-    for operation in entry.plan().operations:
-        relation = operation.relation
-        schema = engine.schema(relation)
-        if operation.kind == "insert":
-            key = tuple(schema.key_of(operation.values))
-            push((relation, key), tuple(operation.values))
-        elif operation.kind == "delete":
-            push((relation, tuple(operation.key)), None)
-        else:  # replace
-            new_key = tuple(schema.key_of(operation.values))
-            if new_key == tuple(operation.key):
-                push((relation, new_key), tuple(operation.values))
-            else:
-                push((relation, tuple(operation.key)), None)
-                push((relation, new_key), tuple(operation.values))
-    return chains
 
 
 class RecoveryReport:
@@ -572,21 +707,39 @@ def recover(engine: Engine, journal: PlanJournal) -> RecoveryReport:
 
     * every cell at its after-image → the plan completed before the
       crash; mark it ``COMMITTED`` (nothing to re-apply);
-    * otherwise → revert each cell that moved back to its before-image
-      inside one transaction and mark the entry ``ABORTED``.
+    * otherwise → :func:`restore_images` puts each cell that moved back
+      to its before-image and the entry is marked ``ABORTED``.
 
-    A cell at an *intermediate* value of a multi-touch plan (the crash
-    hit between two operations on the same cell) is still revertible:
-    the journaled plan is simulated forward to learn every value the
-    cell legitimately passes through. Only a value matching none of
-    them means someone else wrote the cell after the crash; it is left
-    untouched and reported as a conflict rather than clobbered. Running
-    recover twice is a no-op the second time.
+    The entry's plan is handed to the restore, so a cell at an
+    *intermediate* value of a multi-touch plan (the crash hit between
+    two operations on the same cell) is still reverted; only a value the
+    plan never produces means someone else wrote the cell after the
+    crash, and it is reported as a conflict rather than clobbered.
+    Running recover twice is a no-op the second time.
     """
     report = RecoveryReport()
 
     with obs.tracer().span("journal.recover") as span:
-        _recover_into(engine, journal, report)
+        # A simulated crash can leave the engine mid-transaction; a real
+        # restart would discard that transaction implicitly, so do the same.
+        while getattr(engine, "in_transaction", False):
+            engine.rollback()
+            report.transactions_discarded += 1
+        for entry in journal.pending():
+            images = entry.images()
+            if all(
+                engine.get(relation, key) == after
+                for (relation, key), (_, after) in images.items()
+            ):
+                journal.mark_committed(entry.id)
+                report.replayed.append(entry.id)
+                continue
+            for relation, key in restore_images(
+                engine, images, to_after=False, plan=entry.plan()
+            ):
+                report.conflicts.append((entry.id, relation, key))
+            journal.mark_aborted(entry.id)
+            report.reverted.append(entry.id)
         span.set(
             replayed=len(report.replayed),
             reverted=len(report.reverted),
@@ -598,45 +751,3 @@ def recover(engine: Engine, journal: PlanJournal) -> RecoveryReport:
     registry.counter("journal_reverted_total").inc(len(report.reverted))
     registry.counter("journal_conflicts_total").inc(len(report.conflicts))
     return report
-
-
-def _recover_into(
-    engine: Engine, journal: PlanJournal, report: RecoveryReport
-) -> None:
-    # A simulated crash can leave the engine mid-transaction; a real
-    # restart would discard that transaction implicitly, so do the same.
-    while getattr(engine, "in_transaction", False):
-        engine.rollback()
-        report.transactions_discarded += 1
-
-    for entry in journal.pending():
-        images = entry.images()
-        live = {
-            cell: engine.get(cell[0], cell[1]) for cell in images
-        }
-        if all(live[cell] == after for cell, (_, after) in images.items()):
-            journal.mark_committed(entry.entry_id)
-            report.replayed.append(entry.entry_id)
-            continue
-        chains = _value_chains(engine, entry)
-        engine.begin()
-        try:
-            for (relation, key), (before, after) in images.items():
-                current = live[(relation, key)]
-                if current == before:
-                    continue  # this cell never moved (or already reverted)
-                if current not in chains[(relation, key)]:
-                    report.conflicts.append((entry.entry_id, relation, key))
-                    continue  # foreign write: do not clobber
-                if before is None:
-                    engine.delete(relation, key)
-                elif current is None:
-                    engine.insert(relation, before)
-                else:
-                    engine.replace(relation, key, before)
-        except Exception:
-            engine.rollback()
-            raise
-        engine.commit()
-        journal.mark_aborted(entry.entry_id)
-        report.reverted.append(entry.entry_id)

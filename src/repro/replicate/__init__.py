@@ -32,7 +32,7 @@ checkpoints and asserts zero committed-write loss.
 """
 
 from repro.replicate.link import ShippingLink
-from repro.replicate.replica import ReplicaStack, ShippedRecord
+from repro.replicate.replica import ReplicaStack
 from repro.replicate.replicaset import (
     FailureDetector,
     ReplicaSet,
@@ -45,5 +45,4 @@ __all__ = [
     "ReplicaStack",
     "ReplicationConfig",
     "ShippingLink",
-    "ShippedRecord",
 ]

@@ -43,7 +43,7 @@ from repro.errors import (
     ReplicationQuorumError,
     ReproError,
 )
-from repro.obs.history import divergence
+from repro.obs.history import divergence, snapshot
 from repro.replicate.link import ShippingLink
 from repro.replicate.replicaset import ReplicationConfig
 from repro.shard import ShardedPenguin, sharded_loader
@@ -482,13 +482,6 @@ def run_concurrent_load(
 # ---------------------------------------------------------------------------
 
 
-def _relation_states(engine) -> Dict[str, List[Tuple[Any, ...]]]:
-    return {
-        name: sorted(engine.scan(name), key=repr)
-        for name in engine.relation_names()
-    }
-
-
 def run_quorum_and_fencing(
     report: FailoverReport, seed: int = 0, patients: int = 4
 ) -> FailoverReport:
@@ -504,7 +497,7 @@ def run_quorum_and_fencing(
                 replica_set.link(replica.name).wedge()
 
     replica_set.failpoint = wedge_all
-    before = _relation_states(shard.engine)
+    before = snapshot(shard.engine)
     chart = _chart(73_000, "must revert")
     owner = sharded.router.shard_of((73_000,))
     if owner != 0:  # route the probe chart to the wedged shard
@@ -519,13 +512,13 @@ def run_quorum_and_fencing(
         report.reverted_writes += 1
     replica_set.failpoint = None
     report.require(
-        _relation_states(shard.engine) == before,
+        snapshot(shard.engine) == before,
         "revert: primary state changed after a quorum-failed write",
     )
     tail = shard.penguin.audit.records()[-1]
     report.require(
-        tail.outcome == "rolled_back",
-        f"revert: audit tail is {tail.outcome!r}, expected 'rolled_back'",
+        tail.state == "rolled_back",
+        f"revert: audit tail is {tail.state!r}, expected 'rolled_back'",
     )
     # Heal and prove the shard still works, replicas untorn.
     for replica in replica_set.replicas:
@@ -539,7 +532,7 @@ def run_quorum_and_fencing(
     # -- fail-fast path: wedged links refuse before the primary commits ----
     for replica in replica_set.replicas:
         replica_set.link(replica.name).wedge()
-    before = _relation_states(shard.engine)
+    before = snapshot(shard.engine)
     probe = _chart(chart["patient_id"] + 50, "must refuse")
     while sharded.router.shard_of((probe["patient_id"],)) != 0:
         probe["patient_id"] += 1
@@ -550,7 +543,7 @@ def run_quorum_and_fencing(
     except ReplicationQuorumError:
         report.refused_writes += 1
     report.require(
-        _relation_states(shard.engine) == before,
+        snapshot(shard.engine) == before,
         "fail-fast: refused write touched the primary",
     )
     for replica in replica_set.replicas:
@@ -697,7 +690,7 @@ def run_cross_shard(
     target_shard = sharded.shard(router.shard_of((target_pid,)))
     for replica in target_shard.replica_set.replicas:
         target_shard.replica_set.link(replica.name).wedge()
-    states = [_relation_states(s.engine) for s in sharded.shards]
+    states = [snapshot(s.engine) for s in sharded.shards]
     moved = rehome(
         sharded.get(OBJECT_NAME, (victim_pid,)).to_dict(), target_pid
     )
@@ -707,7 +700,7 @@ def run_cross_shard(
     except ReplicationQuorumError:
         report.refused_writes += 1
     report.require(
-        [_relation_states(s.engine) for s in sharded.shards] == states,
+        [snapshot(s.engine) for s in sharded.shards] == states,
         "cross-shard: aborted transaction left a torn participant",
     )
     for replica in target_shard.replica_set.replicas:
@@ -725,7 +718,7 @@ def run_cross_shard(
                 target_rs.link(replica.name).wedge()
 
     target_rs.failpoint = wedge_mid_ship
-    states = [_relation_states(s.engine) for s in sharded.shards]
+    states = [snapshot(s.engine) for s in sharded.shards]
     moved = rehome(
         sharded.get(OBJECT_NAME, (victim_pid,)).to_dict(), target_pid
     )
@@ -738,7 +731,7 @@ def run_cross_shard(
     for replica in target_rs.replicas:
         target_rs.link(replica.name).heal()
     report.require(
-        [_relation_states(s.engine) for s in sharded.shards] == states,
+        [snapshot(s.engine) for s in sharded.shards] == states,
         "cross-shard: mid-ship abort left a torn participant",
     )
     _verify_converged(report, sharded, "cross-shard mid-ship abort", oracle=False)

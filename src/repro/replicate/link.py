@@ -27,7 +27,8 @@ from typing import Optional
 
 from repro.errors import TransientEngineError
 from repro.relational.faults import FaultHook, FaultPlan
-from repro.replicate.replica import ReplicaStack, ShippedRecord
+from repro.relational.journal import UpdateRecord
+from repro.replicate.replica import ReplicaStack
 
 __all__ = ["ShippingLink"]
 
@@ -70,7 +71,7 @@ class ShippingLink:
 
     # -- shipping ------------------------------------------------------------
 
-    def send(self, epoch: int, position: int, record: ShippedRecord) -> None:
+    def send(self, epoch: int, position: int, record: UpdateRecord) -> None:
         """Deliver one stream record; raises on partition/fault/fence."""
         if self._wedged:
             raise TransientEngineError(

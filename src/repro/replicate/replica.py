@@ -1,13 +1,15 @@
-"""One replica stack and the record format the primary ships to it.
+"""One replica stack: the target the primary ships its records to.
 
 A :class:`ReplicaStack` is a full serving stack — its own engine,
 journal, audit log, breaker, and materialized caches — identical in
 shape to the shard primary it shadows. It stays in sync by receiving
-:class:`ShippedRecord`\\ s in stream order and applying each through
-``ConcurrentPenguin.apply_plan``, the same flush-half entry point the
-sharded write path uses: journaled, audited, never re-translated. The
-record itself is passed in place of the plan, so the translator's one
-commit step journals and audits the primary's encoded payloads verbatim.
+the primary's committed audit records
+(:class:`~repro.relational.journal.UpdateRecord`) in stream order and
+applying each through ``ConcurrentPenguin.apply_plan``, the same
+flush-half entry point the sharded write path uses: journaled, audited,
+never re-translated. The record itself is passed in place of the plan,
+so the translator's one commit step journals and audits the primary's
+encoded payloads verbatim.
 
 The receive/apply split is the heart of the replication overhead
 story. **Receive** is durable receipt — an epoch check, a position
@@ -24,10 +26,10 @@ excludes it from promotion.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 import repro.obs as obs
-from repro.obs.context import TraceContext, attach, current_trace_id
+from repro.obs.context import TraceContext, attach
 from repro.errors import (
     FencedWriteError,
     ReplicaDivergenceError,
@@ -37,104 +39,14 @@ from repro.errors import (
 from repro.obs.audit import ROLLED_BACK, MemoryAuditLog
 from repro.penguin import Penguin
 from repro.relational.journal import (
-    Images,
     MemoryJournal,
-    decode_images,
-    decode_plan,
-    encode_images,
-    encode_plan,
+    UpdateRecord,
+    restore_images,
 )
-from repro.relational.operations import UpdatePlan
 from repro.serve.concurrent import ConcurrentPenguin
 from repro.structural.schema_graph import StructuralSchema
 
-__all__ = ["ReplicaStack", "ShippedRecord"]
-
-
-class ShippedRecord:
-    """One unit of log shipping: a committed coalesced plan plus images.
-
-    Decoupled from :class:`~repro.obs.audit.AuditRecord` on purpose:
-    the fast path ships the primary's audit record payloads verbatim,
-    but a cross-shard transaction ships each participant its *own
-    sub-plan* while the owner audits the full coalesced plan — reusing
-    the audit record type would conflate the two. Payloads stay in the
-    journal's encoded form, so building a record from an audit record
-    is free (no re-encoding on the write path).
-    """
-
-    __slots__ = (
-        "op",
-        "object_name",
-        "plan_records",
-        "image_records",
-        "items",
-        "trace_id",
-    )
-
-    def __init__(
-        self,
-        op: str,
-        object_name: str,
-        plan_records: List[Dict[str, Any]],
-        image_records: List[List[Any]],
-        items: int = 1,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        self.op = op
-        self.object_name = object_name
-        self.plan_records = plan_records
-        self.image_records = image_records
-        self.items = items
-        # The originating request's trace id rides the shipped record
-        # across the thread boundary contextvars cannot cross, so the
-        # replica's applier-thread spans join the distributed trace.
-        self.trace_id = trace_id
-
-    @classmethod
-    def from_audit(cls, record) -> "ShippedRecord":
-        """Wrap a committed audit record's already-encoded payloads."""
-        return cls(
-            record.op,
-            record.object_name,
-            record.plan_records,
-            record.image_records,
-            items=record.items,
-            trace_id=getattr(record, "trace_id", None),
-        )
-
-    @classmethod
-    def from_plan(
-        cls,
-        op: str,
-        object_name: str,
-        plan: UpdatePlan,
-        images: Images,
-        items: int = 1,
-        trace_id: Optional[str] = None,
-    ) -> "ShippedRecord":
-        if trace_id is None:
-            trace_id = current_trace_id()
-        return cls(
-            op,
-            object_name,
-            encode_plan(plan),
-            encode_images(images),
-            items,
-            trace_id=trace_id,
-        )
-
-    def plan(self) -> UpdatePlan:
-        return decode_plan(self.plan_records)
-
-    def images(self) -> Images:
-        return decode_images(self.image_records)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShippedRecord({self.object_name}.{self.op}, "
-            f"{len(self.plan_records)} ops)"
-        )
+__all__ = ["ReplicaStack"]
 
 
 class ReplicaStack:
@@ -189,7 +101,7 @@ class ReplicaStack:
         self.apply_inline = apply_inline
         self.verify_images = verify_images
         self.fenced_ships = 0
-        self._inbox: List[ShippedRecord] = []
+        self._inbox: List[UpdateRecord] = []
         self._applied = 0
         self._lock = threading.RLock()
         # Serializes appliers with retract; held *around* each apply so
@@ -246,7 +158,7 @@ class ReplicaStack:
 
     # -- the shipping target -------------------------------------------------
 
-    def receive(self, epoch: int, position: int, record: ShippedRecord) -> None:
+    def receive(self, epoch: int, position: int, record: UpdateRecord) -> None:
         """Durably accept one stream record (this is the primary's ack).
 
         Enforces the two protocol invariants:
@@ -322,7 +234,7 @@ class ReplicaStack:
                 self.apply_error = None
         return applied
 
-    def _apply(self, record: ShippedRecord) -> None:
+    def _apply(self, record: UpdateRecord) -> None:
         """Commit one shipped record: journaled, audited, breaker-guarded.
 
         ``ConcurrentPenguin.apply_plan`` takes the record itself, so the
@@ -346,27 +258,27 @@ class ReplicaStack:
                 shard=self.shard_id,
                 replica=self.name,
                 op=record.op,
-                object=record.object_name,
+                object=record.label,
             ):
                 self.serving.apply_plan(
-                    record.object_name, record,
+                    record.label, record,
                     op=record.op, items=record.items,
                 )
                 if self.verify_images:
                     self._verify_images(record)
 
-    def _verify_images(self, record: ShippedRecord) -> None:
+    def _verify_images(self, record: UpdateRecord) -> None:
         for (relation, key), (_before, after) in record.images().items():
             current = self.engine.get(relation, key)
             if current != after:
                 self.divergent = True
                 raise ReplicaDivergenceError(
                     f"replica {self.name!r} diverged applying "
-                    f"{record.object_name}.{record.op}: {relation}{key!r} "
+                    f"{record.label}.{record.op}: {relation}{key!r} "
                     f"is {current!r}, shipped after-image says {after!r}"
                 )
 
-    def retract(self, position: int, record: ShippedRecord) -> None:
+    def retract(self, position: int, record: UpdateRecord) -> None:
         """Undo the newest stream record (primary quorum failure path).
 
         If the record is still inboxed it is simply dropped; if the
@@ -391,9 +303,7 @@ class ReplicaStack:
             if self._inbox:
                 self._inbox.pop()
                 return
-            from repro.shard.twophase import _force_images
-
-            _force_images(self.engine, record.images(), to_after=False)
+            restore_images(self.engine, record.images(), to_after=False)
             audit = self.audit
             if audit is not None and audit.head_asn() > 0:
                 audit.resolve(

@@ -43,10 +43,11 @@ from repro.errors import (
     ReplicationQuorumError,
     TransientEngineError,
 )
-from repro.obs.audit import ROLLED_BACK, AuditRecord, ShippingCursor
+from repro.obs.audit import ROLLED_BACK, ShippingCursor
+from repro.relational.journal import UpdateRecord, restore_images
 from repro.relational.operations import UpdatePlan
 from repro.replicate.link import ShippingLink
-from repro.replicate.replica import ReplicaStack, ShippedRecord
+from repro.replicate.replica import ReplicaStack
 from repro.serve.concurrent import ConcurrentPenguin, ServedRead
 from repro.structural.schema_graph import StructuralSchema
 
@@ -200,7 +201,7 @@ class ReplicaSet:
             )
             self._replicas.append(replica)
             self._links[replica.name] = ShippingLink(replica)
-        self._stream: List[ShippedRecord] = []
+        self._stream: List[UpdateRecord] = []
         self._cursor = ShippingCursor(self.primary.audit)
         # Serializes apply+ship per shard so stream positions stay
         # dense and ordered; reads never take it.
@@ -266,22 +267,20 @@ class ReplicaSet:
                     f"{self.config.quorum}; write refused"
                 )
             self._checkpoint("pre_apply")
-            audit = self.primary.audit
             result = self.primary.serving.apply_plan(
                 name, plan, op=op, items=items
             )
             self._checkpoint("post_apply")
             for record in self._cursor.take():
-                shipped = ShippedRecord.from_audit(record)
                 try:
-                    self._append_and_ship(shipped)
+                    self._append_and_ship(record)
                 except ReplicationQuorumError:
                     self._revert_primary(record)
                     raise
             self._update_lag_metrics()
             return result
 
-    def ship_record(self, record: ShippedRecord) -> None:
+    def ship_record(self, record: UpdateRecord) -> None:
         """Ship an externally built record (the 2PC sub-plan path).
 
         Appends to the stream and requires the same quorum as a local
@@ -363,16 +362,16 @@ class ReplicaSet:
                 )
             self._failover()
 
-    def _append_and_ship(self, shipped: ShippedRecord) -> None:
+    def _append_and_ship(self, shipped: UpdateRecord) -> None:
         with obs.tracer().span(
             "replicate.ship",
             shard=self.shard_id,
-            object=shipped.object_name,
+            object=shipped.label,
         ) as span:
             self._append_and_ship_traced(shipped, span)
 
     def _append_and_ship_traced(
-        self, shipped: ShippedRecord, span
+        self, shipped: UpdateRecord, span
     ) -> None:
         self._stream.append(shipped)
         position = len(self._stream)
@@ -420,7 +419,7 @@ class ReplicaSet:
                 shard=self.shard_id,
                 acks=acks,
                 quorum=self.config.quorum,
-                object=shipped.object_name,
+                object=shipped.label,
             )
             raise ReplicationQuorumError(
                 f"shard {self.shard_id}: write reached {acks} replica(s), "
@@ -437,7 +436,7 @@ class ReplicaSet:
             link.send(self.epoch, link.cursor + 1, record)
             link.cursor += 1
 
-    def _retract(self, position: int, record: ShippedRecord) -> None:
+    def _retract(self, position: int, record: UpdateRecord) -> None:
         if position != len(self._stream):
             raise ReplicationError(
                 f"shard {self.shard_id}: can only retract the stream head"
@@ -449,13 +448,11 @@ class ReplicaSet:
                 replica.retract(position, record)
                 link.cursor = position - 1
 
-    def _revert_primary(self, record: AuditRecord) -> None:
+    def _revert_primary(self, record: UpdateRecord) -> None:
         """Roll the primary's own commit back after a quorum failure."""
-        from repro.shard.twophase import _force_images
-
-        _force_images(self.primary.engine, record.images(), to_after=False)
+        restore_images(self.primary.engine, record.images(), to_after=False)
         self.primary.audit.resolve(
-            record.asn,
+            record.id,
             ROLLED_BACK,
             error="replication quorum not reached",
         )

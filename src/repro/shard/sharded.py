@@ -41,16 +41,20 @@ from repro.core.updates.operations import UpdateRequest
 from repro.errors import DegradedServiceError, ReplicationQuorumError
 from repro.materialize.maintainer import LAZY
 from repro.obs.audit import AuditLog, MemoryAuditLog
+from repro.obs.context import current_trace_id
 from repro.penguin import Penguin, ViewObjectSession
 from repro.relational.engine import Engine
-from repro.relational.journal import MemoryJournal, PlanJournal, plan_images
-from repro.relational.operations import UpdatePlan
-from repro.replicate import (
-    ReplicaSet,
-    ReplicaStack,
-    ReplicationConfig,
-    ShippedRecord,
+from repro.relational.journal import (
+    COMMITTED,
+    MemoryJournal,
+    PlanJournal,
+    UpdateRecord,
+    encode_images,
+    encode_plan,
+    plan_images,
 )
+from repro.relational.operations import UpdatePlan
+from repro.replicate import ReplicaSet, ReplicaStack, ReplicationConfig
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.concurrent import ConcurrentPenguin, ServedRead
 from repro.serve.locks import ReadWriteLock
@@ -557,6 +561,7 @@ class ShardedPenguin(ViewObjectSession):
             )
         translator = owner.penguin.translator(name)
         audit = owner.penguin.audit
+        registry = obs.metrics()
 
         # With replication attached, each participant's replicas must
         # receive exactly that participant's sub-plan — shipped after
@@ -569,10 +574,14 @@ class ShardedPenguin(ViewObjectSession):
                 shipped: List[int] = []
                 try:
                     for sid in sorted(split):
+                        # A fresh record per participant: each ships
+                        # its own sub-plan, the owner audits the whole.
                         self._shards[sid].replica_set.ship_record(
-                            ShippedRecord.from_plan(
-                                op, name, split[sid],
-                                images_by_shard[sid], items=items,
+                            UpdateRecord(
+                                0, COMMITTED, encode_plan(split[sid]),
+                                encode_images(images_by_shard[sid]),
+                                op=op, label=name, items=items,
+                                trace_id=current_trace_id(),
                             )
                         )
                         shipped.append(sid)
@@ -587,14 +596,19 @@ class ShardedPenguin(ViewObjectSession):
                 post_apply=post_apply,
             )
         except Exception as exc:
+            registry.counter("translation_failures_total", op=op).inc()
             if audit is not None:
                 translator.audit_update(
                     audit, op, plan=coalesced, items=items, error=exc
                 )
-            obs.metrics().counter(
+            registry.counter(
                 "shard_updates_total", outcome="aborted", shard=str(owner_id)
             ).inc()
             raise
+        # The owner's committed record: count the write as every other
+        # commit step does (Translator._commit).
+        registry.counter("translations_total", op=op).inc()
+        registry.histogram("plan_ops", op=op).observe(len(coalesced))
         if audit is not None:
             asn = translator.audit_update(
                 audit, op, plan=coalesced, images=images, items=items
@@ -603,7 +617,7 @@ class ShardedPenguin(ViewObjectSession):
                 # The owner's replicas already got their sub-plan above;
                 # the full-plan owner audit record must not ship too.
                 owner.replica_set.skip_externally_shipped(asn)
-        obs.metrics().counter(
+        registry.counter(
             "shard_updates_total", outcome="cross_shard", shard=str(owner_id)
         ).inc()
         return coalesced
@@ -667,7 +681,7 @@ class ShardedPenguin(ViewObjectSession):
             if audit is None:
                 continue
             outcomes.extend(
-                (record.op, record.outcome) for record in audit.records()
+                (record.op, record.state) for record in audit.records()
             )
         return sorted(outcomes)
 

@@ -44,8 +44,9 @@ from repro.relational.journal import (
     COMMITTED,
     PENDING,
     Images,
-    JournalEntry,
+    UpdateRecord,
     plan_images,
+    restore_images,
 )
 from repro.relational.operations import UpdatePlan
 
@@ -81,41 +82,6 @@ def parse_twophase_label(label: str) -> Optional[Tuple[str, int, int]]:
         raise JournalError(f"malformed two-phase label {label!r}")
     txn_id, participants, shard_id = parts
     return txn_id, int(participants), int(shard_id)
-
-
-def _force_images(
-    engine, images: Images, to_after: bool
-) -> List[Tuple[str, Tuple[Any, ...]]]:
-    """Drive every journaled cell to its before- or after-image.
-
-    A 2PC sub-plan is coalesced, so each cell is touched by at most one
-    operation and legitimately holds either its before- or after-image;
-    a cell matching neither was overwritten by someone else after the
-    crash — it is left alone and reported as a conflict rather than
-    clobbered (mirroring single-shard recovery).
-    """
-    conflicts: List[Tuple[str, Tuple[Any, ...]]] = []
-    engine.begin()
-    try:
-        for (relation, key), (before, after) in images.items():
-            target = after if to_after else before
-            current = engine.get(relation, key)
-            if current == target:
-                continue
-            if current not in (before, after):
-                conflicts.append((relation, key))
-                continue
-            if target is None:
-                engine.delete(relation, key)
-            elif current is None:
-                engine.insert(relation, target)
-            else:
-                engine.replace(relation, key, target)
-    except Exception:
-        engine.rollback()
-        raise
-    engine.commit()
-    return conflicts
 
 
 def two_phase_apply(
@@ -194,7 +160,7 @@ def two_phase_apply(
                     post_apply(images_by_shard)
             except Exception:
                 for shard_id in applied:
-                    _force_images(
+                    restore_images(
                         participants[shard_id].engine,
                         images_by_shard[shard_id],
                         to_after=False,
@@ -271,7 +237,7 @@ def recover_two_phase(
     # before the crash, so a sibling still PENDING elsewhere must roll
     # forward even though its own journal alone could not tell.
     # txn_id -> (declared participant count, {shard_id: entry})
-    groups: Dict[str, Tuple[int, Dict[int, JournalEntry]]] = {}
+    groups: Dict[str, Tuple[int, Dict[int, UpdateRecord]]] = {}
     for shard_id, shard in participants.items():
         for entry in shard.journal.entries():
             parsed = parse_twophase_label(entry.label)
@@ -293,7 +259,7 @@ def recover_two_phase(
 
     for txn_id in sorted(groups):
         declared, members = groups[txn_id]
-        statuses = {entry.status for entry in members.values()}
+        statuses = {entry.state for entry in members.values()}
         if PENDING not in statuses:
             continue  # fully settled in a previous pass
         if COMMITTED in statuses:
@@ -306,18 +272,19 @@ def recover_two_phase(
             commit = len(members) == declared
         for shard_id in sorted(members):
             entry = members[shard_id]
-            if entry.status != PENDING:
+            if entry.state != PENDING:
                 continue
             shard = participants[shard_id]
-            conflicts = _force_images(
+            # A sub-plan is coalesced: each cell holds its before- or
+            # its after-image, anything else is a foreign write.
+            for relation, key in restore_images(
                 shard.engine, entry.images(), to_after=commit
-            )
-            for relation, key in conflicts:
+            ):
                 report.conflicts.append((txn_id, shard_id, relation, key))
             if commit:
-                shard.journal.mark_committed(entry.entry_id)
+                shard.journal.mark_committed(entry.id)
             else:
-                shard.journal.mark_aborted(entry.entry_id)
+                shard.journal.mark_aborted(entry.id)
         if commit:
             report.rolled_forward.append(txn_id)
         else:

@@ -346,12 +346,12 @@ class _Session:
         # records are the audit trail working as designed); the trace a
         # rejected update must never leave is a *committed* entry.
         committed_journal = sum(
-            1 for entry in self.journal.entries() if entry.status == "committed"
+            1 for entry in self.journal.entries() if entry.state == "committed"
         )
         committed_audit = sum(
             1
             for record in self.audit.records()
-            if record.outcome == "committed"
+            if record.state == "committed"
         )
         return (dump, committed_journal, committed_audit, cached)
 

@@ -186,7 +186,7 @@ def test_penguin_and_sharded_penguin_reject_alike():
     assert errors[0] == errors[1]
 
     def outcomes(audit):
-        return [(record.op, record.outcome) for record in audit.records()]
+        return [(record.op, record.state) for record in audit.records()]
 
     assert outcomes(single.audit) == [("insert", "rolled_back")]
     owner = sharded.shard(sharded.owner_of("patient_chart", (50_001,)))

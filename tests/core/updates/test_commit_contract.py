@@ -152,24 +152,24 @@ def test_commit_contract(stack, entry_point, fault):
         "translation_failures_total": failures,
     }
     entries = translator.journal.entries()
-    assert [e.status for e in entries] == ([] if status is None else [status])
+    assert [e.state for e in entries] == ([] if status is None else [status])
     (record,) = translator.audit.records()
-    assert (record.op, record.outcome, record.items) == (op, outcome, items)
+    assert (record.op, record.state, record.items) == (op, outcome, items)
     if raised is None:
         assert record.error is None
     else:
         assert raised.__name__ in record.error
     if entries:
         # The audit record names the journal entry it rode on.
-        assert record.journal_entry == entries[0].entry_id
+        assert record.journal_entry == entries[0].id
 
     if raised is SimulatedCrash:
         # The intent stays PENDING until recovery settles it: nothing
         # was committed, so it is reverted and the audit trail follows.
         recover(engine.base, translator.journal)
         assert translator.audit.reconcile(translator.journal) == 1
-        assert [e.status for e in translator.journal.entries()] == [ABORTED]
-        assert translator.audit.record(record.asn).outcome == "rolled_back"
+        assert [e.state for e in translator.journal.entries()] == [ABORTED]
+        assert translator.audit.record(record.id).state == "rolled_back"
     assert not engine.base.in_transaction
     if raised is None:
         assert snapshot(engine.base) != before

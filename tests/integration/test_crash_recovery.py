@@ -9,6 +9,8 @@ must leave the database exactly all-applied or all-reverted — never
 torn — with structural integrity intact.
 """
 
+import json
+
 import pytest
 
 from repro.core.updates.translator import Translator
@@ -83,7 +85,31 @@ class TestNonAtomicCrashSweep:
         report = recover(engine, journal)
         assert report.clean
         assert snapshot(engine) == before
-        assert {e.status for e in journal.entries()} == {ABORTED}
+        assert {e.state for e in journal.entries()} == {ABORTED}
+        assert not IntegrityChecker(graph).check(engine)
+
+    def test_a_backlog_of_torn_plans_resolves_in_one_pass(self):
+        """A crash loop left many interrupted plans PENDING: one
+        recovery pass resolves every one of them, cleanly."""
+        graph, engine, view_object = fresh_hospital()
+        before = snapshot(engine)
+        journal = MemoryJournal()
+        backlog = 0
+        for pid in sorted(row[0] for row in engine.scan("PATIENT")):
+            plan = Translator(view_object).preview_delete(engine, key=(pid,))
+            faulty = FaultInjectingEngine(
+                engine, FaultPlan().crash_at("mutation", at=1 + backlog)
+            )
+            with pytest.raises(SimulatedCrash):
+                apply_journaled(faulty, journal, plan, atomic=False)
+            backlog += 1
+        assert len(journal.pending()) == backlog == PATIENTS
+        assert snapshot(engine) != before
+        report = recover(engine, journal)
+        assert report.pending_resolved == backlog
+        assert report.clean
+        assert journal.pending() == []
+        assert snapshot(engine) == before
         assert not IntegrityChecker(graph).check(engine)
 
     def test_no_crash_control_point_commits(self):
@@ -95,7 +121,7 @@ class TestNonAtomicCrashSweep:
             engine, FaultPlan().crash_at("mutation", at=PLAN_LEN + 1)
         )
         apply_journaled(faulty, journal, plan, atomic=False)
-        assert {e.status for e in journal.entries()} == {COMMITTED}
+        assert {e.state for e in journal.entries()} == {COMMITTED}
         assert engine.get("PATIENT", (PID,)) is None
         assert recover(engine, journal).pending_resolved == 0
         assert not IntegrityChecker(graph).check(engine)
@@ -115,7 +141,7 @@ class TestNonAtomicCrashSweep:
         report = recover(engine, journal)
         assert report.clean
         assert snapshot(engine) == before
-        assert {e.status for e in journal.entries()} == {ABORTED}
+        assert {e.state for e in journal.entries()} == {ABORTED}
 
 
 class TestTranslationCrash:
@@ -163,4 +189,67 @@ class TestTranslationCrash:
         assert session.recovery_report is not None
         assert session.recovery_report.reverted
         assert snapshot(engine) == before
+        reopened.close()
+
+    def test_restart_after_a_torn_pending_line(self, tmp_path):
+        """The crash the journal exists for, one step earlier: the
+        process died *while appending* a PENDING line, after an earlier
+        plan was left half-applied. The restarted session must open
+        both logs, drop the torn tails, resolve the whole entry and
+        come up clean (drift bug 8: the journal refused to open)."""
+        from repro.obs.audit import CRASHED, ROLLED_BACK, FileAuditLog
+        from repro.relational.journal import FileJournal
+
+        journal_path = tmp_path / "journal.log"
+        audit_path = tmp_path / "audit.log"
+        graph, engine, view_object = fresh_hospital()
+        plan = Translator(view_object).preview_delete(engine, key=(PID,))
+        before = snapshot(engine)
+        journal = FileJournal(journal_path)
+        audit = FileAuditLog(audit_path)
+        faulty = FaultInjectingEngine(
+            engine, FaultPlan().crash_at("mutation", at=3)
+        )
+        with pytest.raises(SimulatedCrash):
+            apply_journaled(faulty, journal, plan, atomic=False)
+        audit.append(
+            "delete", "patient_chart", CRASHED, plan=plan, journal_entry=1
+        )
+        journal.close()
+        audit.close()
+        whole = journal_path.read_bytes(), audit_path.read_bytes()
+        # The next write got as far as half a line in each file.
+        with open(journal_path, "ab") as f:
+            f.write(whole[0][: len(whole[0]) // 2].replace(b'"id":1', b'"id":2'))
+        with open(audit_path, "ab") as f:
+            f.write(b'{"event":"record","asn":2,"op":"ins')
+
+        session = Penguin(
+            graph,
+            engine=engine,
+            journal=FileJournal(journal_path),
+            audit=FileAuditLog(audit_path),
+            install=False,
+        )
+        assert session.recovery_report.reverted == [1]
+        assert session.recovery_report.clean
+        assert session.journal.pending() == []
+        assert snapshot(engine) == before
+        assert [(r.id, r.state) for r in session.audit.records()] == [
+            (1, ROLLED_BACK)  # reconciled against the journal's verdict
+        ]
+        assert not IntegrityChecker(graph).check(engine)
+        # Both files are whole lines again, and the next write lands on
+        # a line of its own.
+        session.register_object(view_object)
+        session.delete("patient_chart", (PID,))
+        session.journal.close()
+        session.audit.close()
+        for path in (journal_path, audit_path):
+            lines = path.read_text().splitlines()
+            assert all(json.loads(line) for line in lines)
+        reopened = FileJournal(journal_path)
+        assert [(e.id, e.state) for e in reopened.entries()] == [
+            (1, ABORTED), (2, COMMITTED),
+        ]
         reopened.close()

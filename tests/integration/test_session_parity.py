@@ -17,11 +17,15 @@ owners must match it *up to the split*: same operations, same database,
 same items per ``(op, outcome)``, and one commit, one counter bump and
 one ``verify`` span per owner group.
 
-Not rows of the table, on purpose: a query-driven verb matching nothing
+A plan that crosses shards is a row too (``replace`` re-homing its
+pivot to another shard's key): two-phase commit is a different protocol
+with its own markers, but the owner's commit is counted and audited like
+any other — one record, one ``translations_total``, one ``plan_ops``
+sample — and each participant's replicas land their own sub-plan.
+
+Not a row of the table, on purpose: a query-driven verb matching nothing
 (a ``Penguin`` commits and audits an empty batch, a sharded session has
-no owner to do it on) and a plan that crosses shards (two-phase commit
-is a different protocol with its own markers; its states and audits are
-held against a single session by ``tests/shard/test_sharded.py``).
+no owner to do it on).
 """
 
 import threading
@@ -50,6 +54,7 @@ from repro.workloads.hospital import (
     populate_hospital,
 )
 from tests.shard.test_sharded import OBJECT, RELATIONS, fresh_chart
+from tests.shard.test_twophase import rehome
 
 PATIENTS = 8
 RESIDENTS = range(100, 100 + PATIENTS)
@@ -83,6 +88,12 @@ HOME = together(RESIDENTS, 2)
 FRESH = co_located(range(50_000, 50_500), 2, HOME[0])
 ABSENT = co_located(range(90_000, 90_500), 1, HOME[0])[0]
 SAME = co_located(range(60_000, 60_500), 3, HOME[0])
+# A fresh key no router in the table gives to SAME[0]'s owner: re-keying
+# SAME[0] to it is a two-phase commit wherever there are two shards.
+ELSEWHERE = next(
+    pid for pid in range(95_000, 95_500)
+    if all(far != near for far, near in zip(owners(pid), owners(SAME[0])))
+)
 SPREAD = list(range(70_000, 70_006))
 NEW_SPREAD = list(range(81_000, 81_006))
 for spread in (SPREAD, NEW_SPREAD):
@@ -165,22 +176,35 @@ def rows(session):
 
 
 class AuditTail:
-    """The records a session's audit logs (one per shard's primary)
-    gain from here on."""
+    """The records a session's audit logs (one per shard's primary, and
+    apart from them one per replica) gain from here on."""
 
     def __init__(self, session):
+        self.replica_logs = []
         if isinstance(session, ShardedPenguin):
             self.logs = [shard.penguin.audit for shard in session.shards]
+            self.replica_logs = [
+                replica.audit
+                for shard in session.shards
+                for replica in shard.replicas
+            ]
         else:
             self.logs = [session.translator(OBJECT).audit]
-        self.marks = [len(log.records()) for log in self.logs]
+        self.marks = {
+            id(log): len(log.records())
+            for log in self.logs + self.replica_logs
+        }
+
+    def _gained(self, logs):
+        return [
+            record for log in logs for record in log.records()[self.marks[id(log)]:]
+        ]
 
     def records(self):
-        return [
-            record
-            for log, mark in zip(self.logs, self.marks)
-            for record in log.records()[mark:]
-        ]
+        return self._gained(self.logs)
+
+    def replica_records(self):
+        return self._gained(self.replica_logs)
 
 
 def replicas_of(session):
@@ -194,6 +218,7 @@ def replicas_of(session):
 # combination that does not exist (an insert has no key to miss, ...).
 
 ACCEPTED, DUPLICATE, MISSING = "accepted", "duplicate-key", "missing-key"
+CROSS_SHARD = "accepted-across-shards"
 POLICY, UNAUTHORIZED = "rejected-by-policy", "unauthorized-user"
 
 VERBS = {
@@ -214,6 +239,9 @@ VERBS = {
         )),
         MISSING: (True, lambda s: s.replace(
             OBJECT, (ABSENT,), fresh_chart(ABSENT)
+        )),
+        CROSS_SHARD: (True, lambda s: s.replace(
+            OBJECT, (SAME[0],), rehome(tagged(SAME[0], "Same"), ELSEWHERE)
         )),
     },
     "insert_many": {
@@ -278,6 +306,7 @@ ONE_SHARD = {
 for verb, cells in VERBS.items():
     refused = (True, ONE_SHARD.get(verb, cells[ACCEPTED][1]))
     cells[POLICY] = cells[UNAUTHORIZED] = refused
+SUCCEEDS = (ACCEPTED, CROSS_SHARD)
 
 POLICIES = {
     POLICY: TranslatorPolicy.read_only,
@@ -318,10 +347,15 @@ class Observed:
                 self.failures = hub.metrics.counter_total(
                     "translation_failures_total"
                 )
+                self.plan_ops = hub.metrics.histogram_total_count("plan_ops")
             self.rows = rows(session)
             self.audit = sorted(
-                (record.op, record.outcome, record.items)
+                (record.op, record.state, record.items)
                 for record in tail.records()
+            )
+            self.replica_commits = sum(
+                record.state == "committed"
+                for record in tail.replica_records()
             )
         finally:
             if isinstance(session, ShardedPenguin):
@@ -341,23 +375,33 @@ def test_every_session_does_what_a_single_penguin_does(
 ):
     one_shard, call = VERBS[verb][scenario]
     reference = Observed("penguin", backend, scenario, call)
-    assert (reference.error is None) == (scenario == ACCEPTED)
+    assert (reference.error is None) == (scenario in SUCCEEDS)
     for kind in SESSIONS:
         seen = Observed(kind, backend, scenario, call)
         assert seen.error == reference.error, kind
         assert seen.rows == reference.rows, kind
         assert seen.operations == reference.operations, kind
         assert seen.failures == reference.failures, kind
-        exact = one_shard or kind in ("penguin", "concurrent", "sharded-1")
+        one_engine = kind in ("penguin", "concurrent", "sharded-1")
+        two_phase = scenario == CROSS_SHARD and not one_engine
+        exact = one_shard or one_engine
         commits = [record for record in seen.audit if record[1] == "committed"]
         if exact:
             assert seen.audit == reference.audit, kind
-            assert seen.verifies == reference.verifies, kind
+            # A plan found to cross shards is translated again under the
+            # exclusive coordinator lock before the two-phase commit.
+            translated = 2 if two_phase else 1
+            assert seen.verifies == translated * reference.verifies, kind
         else:
             assert seen.items_by_outcome() == reference.items_by_outcome(), kind
             assert seen.verifies == len(commits) > 1, kind
-        # A replica lands the shipped plan through the same commit step.
-        assert seen.translations == len(commits) * (1 + seen.replicas), kind
+        # A replica lands the shipped plan through the same commit step:
+        # every commit once per replica — or, across shards, each of the
+        # two participants' sub-plans once per replica of that shard.
+        shipped = 2 if two_phase else len(commits)
+        assert seen.replica_commits == shipped * seen.replicas, kind
+        landed = len(commits) + seen.replica_commits
+        assert seen.translations == seen.plan_ops == landed, kind
 
 
 def test_rejection_counted_and_audited_on_the_owner_shard():
@@ -375,7 +419,7 @@ def test_rejection_counted_and_audited_on_the_owner_shard():
     for shard in session.shards:
         rejected = [
             record for record in shard.penguin.audit.records()
-            if record.outcome == "rolled_back"
+            if record.state == "rolled_back"
         ]
         assert len(rejected) == (1 if shard.shard_id == owner else 0)
 

@@ -1,6 +1,7 @@
 """AuditLog backends and the translator's recording discipline."""
 
 import json
+import random
 
 import pytest
 
@@ -8,10 +9,12 @@ from repro.errors import AuditError, UpdateError
 from repro.obs.audit import (
     COMMITTED,
     CRASHED,
+    DEGRADED_REJECTED,
     ROLLED_BACK,
     AuditLog,
     FileAuditLog,
     MemoryAuditLog,
+    ShippingCursor,
 )
 from repro.penguin import Penguin
 from repro.relational.journal import (
@@ -97,15 +100,15 @@ class TestAuditLogCore:
         asn = log.append("insert", "x", CRASHED)
         version = log.version
         log.resolve(asn, COMMITTED)
-        assert log.record(asn).outcome == COMMITTED
+        assert log.record(asn).state == COMMITTED
         assert log.version == version + 1
-        assert log.committed()[0].asn == asn
+        assert log.committed()[0].id == asn
 
     def test_tail_returns_newest_records(self):
         log = MemoryAuditLog()
         for i in range(15):
             log.append("insert", f"o{i}", COMMITTED)
-        assert [r.asn for r in log.tail(3)] == [13, 14, 15]
+        assert [r.id for r in log.tail(3)] == [13, 14, 15]
 
     def test_reconcile_folds_journal_verdicts(self):
         session = audited_session()
@@ -125,11 +128,98 @@ class TestAuditLogCore:
         )
         log.append("insert", "course_info", CRASHED)  # no journal entry
         assert log.reconcile(journal) == 2
-        assert log.record(1).outcome == COMMITTED
-        assert log.record(2).outcome == ROLLED_BACK
+        assert log.record(1).state == COMMITTED
+        assert log.record(2).state == ROLLED_BACK
         assert log.record(2).error == "reverted by recovery"
-        assert log.record(3).outcome == CRASHED  # nothing to settle against
+        assert log.record(3).state == CRASHED  # nothing to settle against
         assert log.reconcile(journal) == 0  # idempotent
+
+
+def aged_log(log, seed=18, size=500):
+    """A seeded log with every fate a record can meet: committed,
+    rolled back, refused, crashed and left so, crashed then reconciled
+    either way against a journal, and resolved by hand."""
+    rng = random.Random(seed)
+    journal = MemoryJournal()
+    for _ in range(size):
+        fate = rng.random()
+        if fate < 0.55:
+            log.append("insert", "x", COMMITTED)
+        elif fate < 0.7:
+            log.append("insert", "x", ROLLED_BACK, error="UpdateError: no")
+        elif fate < 0.75:
+            log.append("insert", "x", DEGRADED_REJECTED)
+        elif fate < 0.8:
+            log.append("insert", "x", CRASHED)  # nothing to settle against
+        else:
+            entry = journal.begin(UpdatePlan(), {})
+            asn = log.append("insert", "x", CRASHED, journal_entry=entry)
+            verdict = rng.random()
+            if verdict < 0.4:
+                journal.mark_committed(entry)
+            elif verdict < 0.8:
+                journal.mark_aborted(entry)
+            if rng.random() < 0.5:
+                log.reconcile(journal)  # settled while later appends follow
+            elif verdict >= 0.8 and rng.random() < 0.5:
+                log.resolve(asn, COMMITTED)
+    log.reconcile(journal)
+    return log
+
+
+def full_scan_since(log, asn):
+    """``committed_since`` as the parent computed it: sort, filter, filter."""
+    ordered = sorted(log.records(), key=lambda record: record.id)
+    return [r for r in ordered if r.state == COMMITTED and r.id > asn]
+
+
+class TestReadsFromAPosition:
+    @pytest.mark.parametrize("backend", ["memory", "file", "reopened"])
+    def test_committed_since_equals_the_full_scan_on_an_aged_log(
+        self, backend, tmp_path
+    ):
+        path = tmp_path / "audit.jsonl"
+        log = aged_log(MemoryAuditLog() if backend == "memory" else FileAuditLog(path))
+        if backend == "reopened":
+            log.close()
+            log = FileAuditLog(path)
+        states = {record.state for record in log.records()}
+        assert states == {COMMITTED, ROLLED_BACK, DEGRADED_REJECTED, CRASHED}
+        assert [r.id for r in log.records()] == list(range(1, 501))
+        for asn in (-3, 0, 1, 2, 17, 250, 498, 499, 500, 501, 10_000):
+            assert log.committed_since(asn) == full_scan_since(log, asn)
+        assert log.committed() == full_scan_since(log, 0)
+        assert log.tail(3) == log.records()[-3:]
+        log.close()
+
+    def test_a_cursor_takes_each_committed_record_once(self):
+        log = MemoryAuditLog()
+        log.append("insert", "x", COMMITTED)
+        cursor = ShippingCursor(log)  # starts at the head: #1 is baseline
+        crashed = log.append("insert", "x", CRASHED)
+        assert cursor.take() == [] and cursor.lag() == 0
+        third = log.append("insert", "x", COMMITTED)
+        skipped = log.append("insert", "x", COMMITTED)
+        cursor.skip(skipped)
+        assert cursor.take() == []  # skipping #4 passed #3 too
+        log.resolve(crashed, COMMITTED)
+        assert cursor.take() == []  # ...and a record resolved behind it
+        fifth = log.append("insert", "x", CRASHED)
+        assert cursor.lag() == 0
+        log.resolve(fifth, COMMITTED)  # resolved ahead of it: shippable now
+        assert [r.id for r in cursor.take()] == [fifth]
+        assert cursor.take() == [] and third < cursor.asn
+
+    def test_a_file_whose_asns_do_not_ascend_is_refused(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        log = FileAuditLog(path)
+        log.append("insert", "x", COMMITTED)
+        log.append("insert", "x", COMMITTED)
+        log.close()
+        first, second = path.read_text().splitlines()
+        path.write_text(f"{second}\n{first}\n")
+        with pytest.raises(AuditError, match=":2: .*does not follow #2"):
+            FileAuditLog(path)
 
 
 class TestFileAuditLog:
@@ -150,7 +240,7 @@ class TestFileAuditLog:
         assert len(reopened) == 2
         assert reopened.head_asn() == 2
         first, second = reopened.records()
-        assert first.outcome == COMMITTED  # the resolution marker folded
+        assert first.state == COMMITTED  # the resolution marker folded
         assert first.journal_entry == 4
         assert first.images() == images
         assert second.items == 3
@@ -210,14 +300,14 @@ class TestTranslatorRecording:
         )
         session.delete("course_info", COURSE_KEY)
         assert len(log) == 3
-        ops = [(r.op, r.outcome) for r in log.records()]
+        ops = [(r.op, r.state) for r in log.records()]
         assert ops == [
             ("insert", COMMITTED),
             ("replace", COMMITTED),
             ("delete", COMMITTED),
         ]
         for record in log.records():
-            assert record.object_name == "course_info"
+            assert record.label == "course_info"
             assert record.plan_records, "plan must be captured"
             assert record.image_records, "images must be captured"
             assert "COURSES" in record.island
@@ -240,7 +330,7 @@ class TestTranslatorRecording:
         with pytest.raises(UpdateError):
             session.insert("course_info", new_course())  # duplicate key
         records = session.audit.records()
-        assert [r.outcome for r in records] == [COMMITTED, ROLLED_BACK]
+        assert [r.state for r in records] == [COMMITTED, ROLLED_BACK]
         assert records[-1].error
         # The rollback left no trace in the database, and the audit
         # trail still replays to the live state.
@@ -253,7 +343,7 @@ class TestTranslatorRecording:
         assert len(session.audit) == 1
         record = session.audit.record(1)
         assert record.items == 4
-        assert record.outcome == COMMITTED
+        assert record.state == COMMITTED
         assert len(record.plan_records) == 4
 
     def test_query_driven_updates_audited_once(self):
@@ -264,7 +354,7 @@ class TestTranslatorRecording:
         records = session.audit.records()
         assert records[-1].op == "delete_where"
         assert records[-1].items == 3
-        assert records[-1].outcome == COMMITTED
+        assert records[-1].state == COMMITTED
         # inner per-instance deletes ran inside the transaction and
         # must not produce their own records
         assert len(records) == 4

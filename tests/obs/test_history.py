@@ -113,6 +113,25 @@ class TestReplay:
         assert "byte-identical" in report.summary()
         assert report.as_dict()["ok"] is True
 
+    def test_insert_delete_rounds_on_sqlite_replay_clean(self):
+        """Every translated update on the sqlite engine is recorded once,
+        committed, and the trail replays to the live database (reads and
+        queries leave no record)."""
+        from repro.relational.sqlite_engine import SqliteEngine
+
+        session = university_session(engine=SqliteEngine())
+        rounds = 10
+        for i in range(rounds):
+            session.insert("course_info", new_course(f"SQL{i:04d}"))
+            session.get("course_info", (f"SQL{i:04d}",))
+        session.query("course_info")
+        for i in range(rounds):
+            session.delete("course_info", (f"SQL{i:04d}",))
+        assert len(session.audit) == 2 * rounds
+        assert {r.state for r in session.audit.records()} == {COMMITTED}
+        report = session.replay_audit()
+        assert report.ok, report.summary()
+
     def test_seeded_200_op_mixed_batch(self):
         session = university_session()
         rng = random.Random(2026)
@@ -212,13 +231,13 @@ class TestChaosReplay:
         pid = sorted(row[0] for row in session.engine.scan("PATIENT"))[0]
         with pytest.raises(SimulatedCrash):
             session.delete("patient_chart", (pid,))
-        assert session.audit.record(1).outcome == CRASHED
+        assert session.audit.record(1).state == CRASHED
         session.recover()  # reverts the torn translation
         # The interrupted delete had no journal entry yet, so it stays
         # crashed — and stays out of the replay.
         session.delete("patient_chart", (pid,))  # now succeeds
         records = session.audit.records()
-        assert [r.outcome for r in records] == [CRASHED, COMMITTED]
+        assert [r.state for r in records] == [CRASHED, COMMITTED]
         report = session.replay_audit()
         assert report.ok, report.summary()
         assert report.replayed == [2]
@@ -238,7 +257,7 @@ class TestChaosReplay:
         with pytest.raises(UpdateError):
             session.insert("patient_chart", duplicate)
         session.delete("patient_chart", (pids[1],))
-        outcomes = [r.outcome for r in session.audit.records()]
+        outcomes = [r.state for r in session.audit.records()]
         assert outcomes == [COMMITTED, ROLLED_BACK, COMMITTED]
         report = session.replay_audit()
         assert report.ok, report.summary()

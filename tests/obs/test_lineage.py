@@ -48,7 +48,7 @@ def test_why_terminates_in_the_originating_view_update(session):
     for cell in lineage.cells():
         links = lineage.why(*cell)
         assert links
-        assert links[0].record.outcome == "committed"
+        assert links[0].record.state == "committed"
 
 
 def test_history_is_the_exact_cell_image_sequence(session):

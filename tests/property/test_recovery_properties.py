@@ -102,7 +102,7 @@ def test_crash_anywhere_recovers_to_all_reverted(plan_and_k):
 
     report = recover(engine, journal)
     assert report.clean
-    statuses = {e.status for e in journal.entries()}
+    statuses = {e.state for e in journal.entries()}
     assert len(statuses) == 1
     if statuses == {ABORTED}:
         assert snapshot(engine) == before

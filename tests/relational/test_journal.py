@@ -1,11 +1,16 @@
-"""The write-ahead plan journal: serialization, backends, recovery."""
+"""The write-ahead plan journal: serialization, backends, recovery —
+and what it shares with the audit log: one record type, one append-only
+file, one restore."""
 
 import datetime
 import json
 
 import pytest
 
-from repro.errors import JournalError
+import repro.relational.journal as journal_module
+from repro.errors import AuditError, JournalError
+from repro.obs import audit as audit_module
+from repro.obs.context import TraceContext, attach
 from repro.relational.ddl import relation
 from repro.relational.journal import (
     ABORTED,
@@ -14,10 +19,12 @@ from repro.relational.journal import (
     FileJournal,
     MemoryJournal,
     RecoveryReport,
+    UpdateRecord,
     apply_journaled,
     images_from_records,
     plan_images,
     recover,
+    restore_images,
 )
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.operations import Delete, Insert, Replace, UpdatePlan
@@ -118,10 +125,10 @@ class TestBackends:
         engine = make_engine()
         plan = sample_plan()
         entry_id = journal.begin(plan, plan_images(engine, plan))
-        assert journal.entry(entry_id).status == PENDING
-        assert [e.entry_id for e in journal.pending()] == [entry_id]
+        assert journal.entry(entry_id).state == PENDING
+        assert [e.id for e in journal.pending()] == [entry_id]
         journal.mark_committed(entry_id)
-        assert journal.entry(entry_id).status == COMMITTED
+        assert journal.entry(entry_id).state == COMMITTED
         assert journal.pending() == []
         with pytest.raises(JournalError):
             journal.mark_committed(999)
@@ -137,8 +144,8 @@ class TestBackends:
 
         reopened = FileJournal(path)
         assert len(reopened) == 2
-        assert reopened.entry(first).status == COMMITTED
-        assert reopened.entry(second).status == PENDING
+        assert reopened.entry(first).state == COMMITTED
+        assert reopened.entry(second).state == PENDING
         # Ids keep increasing after reload.
         third = reopened.begin(sample_plan(), {})
         assert third > second
@@ -171,7 +178,7 @@ class TestRecovery:
         engine.apply_batch(plan.operations)  # applied, but marker lost
         report = recover(engine, journal)
         assert report.replayed == [entry_id]
-        assert journal.entry(entry_id).status == COMMITTED
+        assert journal.entry(entry_id).state == COMMITTED
         assert engine.get("TAGS", (10,)) == (10, "new")
 
     def test_torn_plan_is_reverted(self):
@@ -184,7 +191,7 @@ class TestRecovery:
         plan.operations[1].apply(engine)
         report = recover(engine, journal)
         assert report.reverted == [entry_id]
-        assert journal.entry(entry_id).status == ABORTED
+        assert journal.entry(entry_id).state == ABORTED
         assert engine.get("ITEMS", (3,)) is None
         assert engine.get("TAGS", (10,)) == (10, "old")
         assert engine.get("ITEMS", (2,)) == (2, "two", None)
@@ -244,3 +251,295 @@ class TestRecovery:
         report.replayed.append(1)
         assert report.as_dict()["replayed"] == [1]
         assert report.clean
+
+
+# -- one log contract: {journal, audit} x {memory, file} ----------------------
+
+
+class JournalUnderTest:
+    """The journal, driven through the verbs both logs have."""
+
+    name = "journal"
+    error = JournalError
+    memory, file = MemoryJournal, FileJournal
+    fresh, settled = PENDING, COMMITTED
+    marker = '{"event":"committed","id":%d}'
+    # a PENDING event without its plan
+    incomplete = '{"event":"pending","id":1,"label":"t","images":[]}'
+
+    @staticmethod
+    def add(log):
+        return log.begin(sample_plan(), {}, label="t")
+
+    @staticmethod
+    def settle(log, record_id):
+        log.mark_committed(record_id)
+
+    @staticmethod
+    def records(log):
+        return log.entries()
+
+
+class AuditUnderTest:
+    name = "audit"
+    error = AuditError
+    memory, file = audit_module.MemoryAuditLog, audit_module.FileAuditLog
+    fresh, settled = audit_module.CRASHED, audit_module.COMMITTED
+    marker = '{"event":"resolve","asn":%d,"outcome":"committed"}'
+    # a record event without its object
+    incomplete = (
+        '{"event":"record","asn":1,"op":"insert","outcome":"committed",'
+        '"plan":[],"images":[]}'
+    )
+
+    @staticmethod
+    def add(log):
+        return log.append("insert", "t", audit_module.CRASHED, plan=sample_plan())
+
+    @staticmethod
+    def settle(log, record_id):
+        log.resolve(record_id, audit_module.COMMITTED)
+
+    @staticmethod
+    def records(log):
+        return log.records()
+
+
+LOGS = pytest.mark.parametrize(
+    "kind", [JournalUnderTest, AuditUnderTest], ids=lambda kind: kind.name
+)
+
+
+def shape(kind, log):
+    return [(record.id, record.state) for record in kind.records(log)]
+
+
+@LOGS
+class TestLogContract:
+    """What the journal and the audit log promise alike — because the
+    record, the file and the fold are the same code (drift bugs 8, 9)."""
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_records_keep_append_order_under_interleaved_markers(
+        self, kind, backend, tmp_path
+    ):
+        path = tmp_path / "log.jsonl"
+        log = kind.memory() if backend == "memory" else kind.file(path)
+        ids = [kind.add(log) for _ in range(3)]
+        kind.settle(log, ids[2])
+        ids += [kind.add(log), kind.add(log)]
+        kind.settle(log, ids[0])
+        kind.settle(log, ids[3])
+        assert ids == [1, 2, 3, 4, 5]
+        expected = [
+            (1, kind.settled), (2, kind.fresh), (3, kind.settled),
+            (4, kind.settled), (5, kind.fresh),
+        ]
+        assert shape(kind, log) == expected
+        assert all(isinstance(r, UpdateRecord) for r in kind.records(log))
+        log.close()
+        if backend == "file":
+            reopened = kind.file(path)
+            assert shape(kind, reopened) == expected  # the markers folded
+            assert kind.add(reopened) == 6  # ids continue past the watermark
+            reopened.close()
+
+    def test_marker_for_an_unknown_id_raises(self, kind):
+        with pytest.raises(kind.error, match="unknown"):
+            kind.settle(kind.memory(), 7)
+
+    def test_trace_id_survives_reload(self, kind, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = kind.file(path)
+        with attach(TraceContext("ab" * 16)):
+            traced = kind.add(log)
+        plain = kind.add(log)
+        log.close()
+        reopened = kind.file(path)
+        by_id = {record.id: record for record in kind.records(reopened)}
+        assert by_id[traced].trace_id == "ab" * 16
+        assert by_id[plain].trace_id is None
+        reopened.close()
+
+    def test_torn_tail_is_truncated_and_the_next_append_is_intact(
+        self, kind, tmp_path
+    ):
+        """The process died mid-append: the final line has no newline.
+        It is dropped, everything before it loads, and the next append
+        lands on a line of its own."""
+        path = tmp_path / "log.jsonl"
+        log = kind.file(path)
+        first = kind.add(log)
+        kind.settle(log, first)
+        second = kind.add(log)
+        log.close()
+        intact = path.read_bytes()
+        # Torn after any prefix of a real line, even one that parses.
+        for torn in (b'{"event":"pe', kind.incomplete.encode(), b"   "):
+            path.write_bytes(intact + torn)
+            reopened = kind.file(path)
+            assert shape(kind, reopened) == [
+                (first, kind.settled), (second, kind.fresh),
+            ]
+            assert path.read_bytes() == intact
+            reopened.close()
+        reopened = kind.file(path)
+        third = kind.add(reopened)
+        reopened.close()
+        assert third == second + 1
+        lines = path.read_text().splitlines()
+        assert len(lines) == 4
+        assert all(json.loads(line) for line in lines)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["garbage", "incomplete", "unknown_id", "unknown_event", "not_an_object"],
+    )
+    @pytest.mark.parametrize("where", ["middle", "newline_terminated_tail"])
+    def test_damage_raises_the_logs_own_error_with_path_and_line(
+        self, kind, damage, where, tmp_path
+    ):
+        """Only a tail *without* its newline is a torn append; a whole
+        damaged line — anywhere — is damage, and never a bare KeyError."""
+        path = tmp_path / "log.jsonl"
+        log = kind.file(path)
+        kind.add(log)
+        kind.add(log)
+        log.close()
+        good = path.read_text().splitlines()
+        bad = {
+            "garbage": good[1][:-5],
+            "incomplete": kind.incomplete,
+            "unknown_id": kind.marker % 99,
+            "unknown_event": '{"event":"gibberish","id":1,"asn":1}',
+            "not_an_object": "[1, 2]",
+        }[damage]
+        if where == "middle":
+            lines, line_no = [good[0], bad, good[1]], 2
+        else:
+            lines, line_no = [good[0], good[1], bad], 3
+        path.write_text("\n".join(lines) + "\n")
+        before = path.read_bytes()
+        with pytest.raises(kind.error) as caught:
+            kind.file(path)
+        assert f"{path}:{line_no}: " in str(caught.value)
+        assert path.read_bytes() == before  # nothing was truncated
+
+    def test_blank_lines_are_skipped(self, kind, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = kind.file(path)
+        kind.add(log)
+        log.close()
+        path.write_text("\n" + path.read_text() + "\n  \n")
+        reopened = kind.file(path)
+        assert shape(kind, reopened) == [(1, kind.fresh)]
+        reopened.close()
+
+
+# -- one restore ---------------------------------------------------------------
+
+OLD, NEW, MID, FOREIGN = (10, "old"), (10, "new"), (10, "mid"), (10, "foreign")
+
+# name -> (plan operations, {cell: (before, after)})
+RESTORE_CASES = {
+    "insert": ([Insert("TAGS", (30, "in"))], {(30,): (None, (30, "in"))}),
+    "delete": ([Delete("TAGS", (10,))], {(10,): (OLD, None)}),
+    "replace": ([Replace("TAGS", (10,), NEW)], {(10,): (OLD, NEW)}),
+    "rekey": (
+        [Replace("TAGS", (10,), (11, "moved"))],
+        {(10,): (OLD, None), (11,): (None, (11, "moved"))},
+    ),
+}
+
+
+def plan_of(operations):
+    plan = UpdatePlan()
+    for operation in operations:
+        plan.add(operation)
+    return plan
+
+
+def tags(engine):
+    return {row[0]: row for row in engine.scan("TAGS")}
+
+
+class TestRestoreImages:
+    @pytest.mark.parametrize("to_after", [False, True], ids=["to_before", "to_after"])
+    @pytest.mark.parametrize("start", ["before", "after"])
+    @pytest.mark.parametrize("case", sorted(RESTORE_CASES))
+    def test_every_cell_ends_at_the_asked_image(self, case, start, to_after):
+        operations, cells = RESTORE_CASES[case]
+        engine = make_engine()
+        plan = plan_of(operations)
+        images = plan_images(engine, plan)
+        assert images == {("TAGS", key): pair for key, pair in cells.items()}
+        if start == "after":
+            engine.apply_batch(plan.operations)
+        assert restore_images(engine, images, to_after=to_after) == []
+        for key, (before, after) in cells.items():
+            assert engine.get("TAGS", key) == (after if to_after else before)
+        assert not engine.in_transaction
+
+    @pytest.mark.parametrize("to_after", [False, True], ids=["to_before", "to_after"])
+    def test_a_foreign_write_is_left_alone_and_reported(self, to_after):
+        engine = make_engine()
+        plan = plan_of(
+            [Replace("TAGS", (10,), NEW), Insert("TAGS", (30, "in"))]
+        )
+        images = plan_images(engine, plan)
+        engine.apply_batch(plan.operations)
+        engine.replace("TAGS", (10,), FOREIGN)
+        conflicts = restore_images(engine, images, to_after=to_after, plan=plan)
+        assert conflicts == [("TAGS", (10,))]
+        assert engine.get("TAGS", (10,)) == FOREIGN
+        # ...while the cell nobody else wrote is still driven home.
+        expected = (30, "in") if to_after else None
+        assert engine.get("TAGS", (30,)) == expected
+
+    @pytest.mark.parametrize("to_after", [False, True], ids=["to_before", "to_after"])
+    def test_an_intermediate_value_needs_the_plan_to_be_recognised(
+        self, to_after
+    ):
+        """A multi-touch plan interrupted between two operations on one
+        cell: with the plan the value is the update's own and is moved;
+        from the two net images alone it is indistinguishable from a
+        foreign write (a coalesced plan never has such a value)."""
+        plan = plan_of(
+            [Replace("TAGS", (10,), MID), Replace("TAGS", (10,), NEW)]
+        )
+        engine = make_engine()
+        images = plan_images(engine, plan)
+        assert images == {("TAGS", (10,)): (OLD, NEW)}
+        plan.operations[0].apply(engine)
+        assert restore_images(engine, images, to_after) == [("TAGS", (10,))]
+        assert engine.get("TAGS", (10,)) == MID
+        assert restore_images(engine, images, to_after, plan=plan) == []
+        assert engine.get("TAGS", (10,)) == (NEW if to_after else OLD)
+
+    def test_a_failing_restore_rolls_its_transaction_back(self):
+        engine = make_engine()
+        images = {
+            ("TAGS", (10,)): (OLD, None),
+            ("NOWHERE", (1,)): (None, (1,)),
+        }
+        with pytest.raises(Exception):
+            restore_images(engine, images, to_after=True)
+        assert not engine.in_transaction
+        assert tags(engine) == {10: OLD}
+
+    def test_recover_restores_through_restore_images(self, monkeypatch):
+        calls = []
+
+        def spy(engine, images, to_after, plan=None):
+            calls.append((sorted(images), to_after, plan is not None))
+            return restore_images(engine, images, to_after, plan=plan)
+
+        monkeypatch.setattr(journal_module, "restore_images", spy)
+        engine = make_engine()
+        journal = MemoryJournal()
+        plan = sample_plan()
+        journal.begin(plan, plan_images(engine, plan))
+        plan.operations[0].apply(engine)
+        assert recover(engine, journal).reverted == [1]
+        assert calls == [(sorted(plan_images(engine, plan)), False, True)]
+        assert engine.get("ITEMS", (3,)) is None

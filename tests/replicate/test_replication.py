@@ -121,6 +121,7 @@ class TestShipping:
             shard.replica_set.catch_up()
             for replica in shard.replica_set.replicas:
                 assert divergence(shard.engine, replica.engine) == []
+                assert shard.replica_set.lag(replica) == 0
         sharded.close()
 
     def test_primary_reads_have_no_source_marker(self):
@@ -176,7 +177,7 @@ class TestQuorum:
             sharded.insert(OBJECT, chart)
         replica_set.failpoint = None
         assert sharded.get(OBJECT, key) is None
-        assert sharded.shard(0).penguin.audit.records()[-1].outcome == (
+        assert sharded.shard(0).penguin.audit.records()[-1].state == (
             "rolled_back"
         )
         # Healing the links restores the write path, replicas converge.
@@ -186,6 +187,51 @@ class TestQuorum:
         assert sharded.get(OBJECT, key) is not None
         for replica in replica_set.replicas:
             assert divergence(sharded.shard(0).engine, replica.engine) == []
+        sharded.close()
+
+    def test_quorum_revert_restores_primary_and_replica_through_one_routine(
+        self, monkeypatch
+    ):
+        """One replica applied the record, the other never got it, the
+        quorum is two: the replica's retract and the primary's revert
+        both go through ``restore_images`` and both trails say
+        ``rolled_back``."""
+        import repro.replicate.replica as replica_module
+        import repro.replicate.replicaset as replicaset_module
+        from repro.relational.journal import restore_images
+
+        restored = []
+
+        def spy_for(who):
+            def spy(engine, images, to_after, plan=None):
+                restored.append((who, to_after))
+                return restore_images(engine, images, to_after, plan=plan)
+
+            return spy
+
+        monkeypatch.setattr(replica_module, "restore_images", spy_for("replica"))
+        monkeypatch.setattr(
+            replicaset_module, "restore_images", spy_for("primary")
+        )
+        sharded = build(replicas=2, quorum=2)
+        replica_set = sharded.shard(0).replica_set
+        r1, r2 = replica_set.replicas
+
+        def wedge(stage, shard_id):
+            if stage == "post_apply":
+                replica_set.link(r2.name).wedge()
+
+        replica_set.failpoint = wedge
+        chart = chart_on_shard(sharded, 0)
+        with pytest.raises(ReplicationQuorumError):
+            sharded.insert(OBJECT, chart)
+        assert restored == [("replica", False), ("primary", False)]
+        assert sharded.get(OBJECT, (chart["patient_id"],)) is None
+        assert divergence(sharded.shard(0).engine, r1.engine) == []
+        assert r1.audit.records()[-1].state == "rolled_back"
+        assert sharded.shard(0).penguin.audit.records()[-1].state == (
+            "rolled_back"
+        )
         sharded.close()
 
     def test_quorum_zero_ships_best_effort(self):

@@ -1,10 +1,11 @@
-"""Trace continuity across the replication hop: the ShippedRecord
+"""Trace continuity across the replication hop: the shipped record
 carries the trace id, and the replica's async applier thread rejoins
 it — one trace from the primary's write to every replica's audit row."""
 
 import repro.obs as obs
 from repro.obs.context import activate
-from repro.replicate import ReplicationConfig, ShippedRecord
+from repro.relational.journal import UpdateRecord
+from repro.replicate import ReplicationConfig
 from repro.shard import ShardedPenguin, sharded_loader
 from repro.workloads.hospital import (
     HospitalConfig,
@@ -73,7 +74,7 @@ class TestShippedRecordTrace:
                 replica_set = shard.replica_set
                 assert replica_set.stream_length > 0
                 record = replica_set._stream[-1]
-                assert isinstance(record, ShippedRecord)
+                assert isinstance(record, UpdateRecord)
                 assert record.trace_id == ctx.trace_id
             finally:
                 sharded.close()

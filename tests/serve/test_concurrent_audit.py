@@ -62,14 +62,14 @@ def test_degraded_refusals_are_audited():
         serving.delete("course_info", ("M100",))
     assert len(log) == audited_before + 1
     refusal = log.tail(1)[0]
-    assert refusal.outcome == DEGRADED_REJECTED
+    assert refusal.state == DEGRADED_REJECTED
     assert refusal.op == "delete"
-    assert refusal.object_name == "course_info"
+    assert refusal.label == "course_info"
     assert "DegradedServiceError" in refusal.error
     # The refused update never ran, so replay must not include it.
     report = serving.penguin.replay_audit()
     assert report.ok, report.summary()
-    assert (refusal.asn, DEGRADED_REJECTED) in report.skipped
+    assert (refusal.id, DEGRADED_REJECTED) in report.skipped
 
 
 def test_unaudited_session_refuses_without_recording():
@@ -112,10 +112,10 @@ def test_concurrent_writers_get_unique_contiguous_asns():
     for thread in threads:
         thread.join()
     assert not errors
-    assert [record.asn for record in log.records()] == list(
+    assert [record.id for record in log.records()] == list(
         range(1, writers + 1)
     )
-    assert all(r.outcome == COMMITTED for r in log.records())
+    assert all(r.state == COMMITTED for r in log.records())
     report = serving.penguin.replay_audit()
     assert report.ok, report.summary()
 

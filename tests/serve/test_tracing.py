@@ -11,7 +11,7 @@ import pytest
 
 import repro.obs as obs
 from repro.obs.cluster import FlightRecorder, TraceAssembler
-from repro.obs.context import TraceContext, activate, parse_traceparent
+from repro.obs.context import TraceContext, parse_traceparent
 from repro.replicate import ReplicationConfig
 from repro.serve.http import MicroBatcher, PenguinServer
 from repro.shard import ShardedPenguin, sharded_loader

@@ -165,7 +165,7 @@ class TestEquivalence:
             ), relation
         # Audit outcome multisets match (shard-agnostic).
         single_outcomes = sorted(
-            (record.op, record.outcome) for record in single.audit.records()
+            (record.op, record.state) for record in single.audit.records()
         )
         assert sharded.audit_outcomes() == single_outcomes
         assert ("replace", "committed") in single_outcomes

@@ -8,6 +8,7 @@ all-reverted — zero torn states — and recovery must be idempotent.
 
 import pytest
 
+import repro.obs as obs
 from repro.errors import ReproError
 from repro.shard import ShardedPenguin, TwoPhaseRecoveryReport, sharded_loader
 from repro.workloads.hospital import (
@@ -248,3 +249,78 @@ def test_restart_with_clean_journals_is_a_noop():
     assert isinstance(reborn.recovery.two_phase, TwoPhaseRecoveryReport)
     assert reborn.recovery.two_phase.resolved == 0
     assert reborn.get(OBJECT, (50_010,)) is not None
+
+
+@pytest.fixture
+def restore_directions(monkeypatch):
+    """Every ``to_after`` two-phase code hands the one restore routine."""
+    import repro.shard.twophase as twophase
+    from repro.relational.journal import restore_images
+
+    directions = []
+
+    def spy(engine, images, to_after, plan=None):
+        directions.append(to_after)
+        return restore_images(engine, images, to_after, plan=plan)
+
+    monkeypatch.setattr(twophase, "restore_images", spy)
+    return directions
+
+
+@pytest.mark.parametrize(
+    "crash_stage, expected",
+    [("prepare", [False]), ("apply", [True, True]), ("commit", [True])],
+)
+def test_recovery_restores_through_restore_images(
+    crash_stage, expected, restore_directions
+):
+    """Crash before the second prepare / apply / commit marker: the lone
+    intent rolls back, two journaled intents both roll forward, the
+    unmarked sibling of a committed entry rolls forward."""
+    sharded = build_sharded()
+    old_pid, new_pid = cross_shard_pair(sharded.router)
+    moved = rehome(sharded.get(OBJECT, (old_pid,)).to_dict(), new_pid)
+    seen = []
+
+    def failpoint(stage, shard_id):
+        seen.append(stage)
+        if seen.count(crash_stage) == 2:
+            raise SimulatedCrash(f"second {crash_stage}")
+
+    sharded.failpoint = failpoint
+    with pytest.raises(SimulatedCrash):
+        sharded.replace(OBJECT, (old_pid,), moved)
+    reborn = restart(sharded)
+    assert restore_directions == expected
+    survivor = new_pid if expected[0] else old_pid
+    assert reborn.get(OBJECT, (survivor,)) is not None
+
+
+def test_inline_abort_restores_through_restore_images(restore_directions):
+    sharded = build_sharded()
+    router = sharded.router
+    # Re-home towards the higher shard id: participants apply in id
+    # order, so the source has applied when the occupied target fails.
+    old_pid, new_pid = next(
+        (pid, candidate)
+        for pid in range(100, 108)
+        for candidate in range(60_000, 60_050)
+        if router.shard_of((pid,)) < router.shard_of((candidate,))
+    )
+    sharded.shards[router.shard_of((new_pid,))].engine.insert(
+        "PATIENT",
+        {"patient_id": new_pid, "name": "Occupant", "birth_year": 1900,
+         "ward_name": None},
+    )
+    moved = rehome(sharded.get(OBJECT, (old_pid,)).to_dict(), new_pid)
+    with obs.use() as hub:
+        with pytest.raises(ReproError):
+            sharded.replace(OBJECT, (old_pid,), moved)
+        # ...and is counted as the failed write it is, like any commit
+        # step's abort branch.
+        assert hub.metrics.counter(
+            "translation_failures_total", op="replace"
+        ).value == 1
+        assert hub.metrics.counter_total("translations_total") == 0
+    assert restore_directions == [False]
+    assert sharded.get(OBJECT, (old_pid,)) is not None

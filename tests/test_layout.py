@@ -96,3 +96,69 @@ def test_no_private_reach_into_the_translator_or_the_session():
                     offenders.append(f"{path.relative_to(SRC)}: .{node.attr}")
     assert offenders == []
     assert "getattr(self.session" not in source("serve/http.py")
+
+
+# -- one record, one file, one restore (DESIGN.md "One record") ---------------
+
+
+def test_one_class_holds_an_update_as_the_logs_record_it():
+    """The journal entry, the audit record and the shipped record are
+    one type: a second class with ``plan_records`` in its slots is a
+    second declaration of the same update."""
+    holders = [
+        f"{path.relative_to(SRC)}: {node.name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.Assign)
+        and any(ast.unparse(target) == "__slots__" for target in item.targets)
+        and "plan_records" in ast.unparse(item.value)
+    ]
+    assert holders == ["relational/journal.py: UpdateRecord"]
+
+
+def test_the_durable_logs_flush_in_one_place():
+    """``write + flush + fsync`` of a log line exists once, in the file
+    both durable logs are built on."""
+    text = source("relational/journal.py") + source("obs/audit.py")
+    assert text.count("os.fsync") == 1
+    assert text.count("class JsonLinesFile") == 1
+    # FileJournal and FileAuditLog: the file plus their own fold.
+    assert text.count("JsonLinesFile(path, self._fold, ") == 2
+
+
+def test_replication_does_not_reach_up_into_sharding():
+    """``replicate/`` sits below ``shard/``; only the failover campaign,
+    a harness over the whole deployment, may import it."""
+    offenders = [
+        f"{path.relative_to(SRC)}: {module}"
+        for path in sorted((SRC / "replicate").rglob("*.py"))
+        if path.name != "campaign.py"
+        for module in imported_modules(path)
+        if module.startswith("repro.shard")
+    ]
+    assert offenders == []
+
+
+def test_no_private_name_is_imported_across_a_package_boundary():
+    """In the log layer and the layers built on it a ``_name`` stays in
+    the package that defines it."""
+    files = [SRC / "obs" / "audit.py"]
+    for package in ("shard", "replicate", "relational"):
+        files += sorted((SRC / package).rglob("*.py"))
+    offenders = []
+    for path in files:
+        here = path.relative_to(SRC).parts[0]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom) or node.level:
+                continue
+            parts = (node.module or "").split(".")
+            if parts[0] != "repro" or parts[1:2] == [here]:
+                continue
+            offenders += [
+                f"{path.relative_to(SRC)}: {node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert offenders == []
