@@ -14,10 +14,6 @@ Commands:
   query loop twice, dynamically instantiated and then served from a
   materialized view-object cache, and print the speedup plus the
   cache's maintenance statistics;
-* ``bench-bulk --count N --backend sqlite|memory`` — insert N synthetic
-  course instances through the per-instance loop and then through the
-  batched ``insert_many`` pipeline, and print both timings, the
-  speedup, and the coalesced plan's operation counts;
 * ``chaos --seed S --ops N`` — run the seeded fault-injection campaign
   over the hospital workload (crash sweep with journal recovery,
   transient-fault bulk run, degraded-mode serving) and report whether
@@ -84,6 +80,8 @@ from repro.workloads.cad import assembly_object, cad_schema, populate_cad
 from repro.workloads.figures import alternate_course_object, course_info_object
 from repro.workloads.hospital import (
     hospital_schema,
+    hospital_session,
+    new_chart,
     patient_chart_object,
     populate_hospital,
 )
@@ -266,62 +264,6 @@ def cmd_materialize(args: argparse.Namespace) -> int:
     for field, value in view.stats.as_dict().items():
         print(f"  {field:<16} {value}")
     print(f"  {'staleness':<16} {view.staleness()}")
-    return 0
-
-
-def cmd_bench_bulk(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.relational.sqlite_engine import SqliteEngine
-
-    def new_course(i: int) -> dict:
-        return {
-            "course_id": f"BULK{i:05d}",
-            "title": f"Bulk Course {i}",
-            "units": 3,
-            "level": "graduate",
-            "dept_name": "Computer Science",
-            "DEPARTMENT": [],
-            "CURRICULUM": [],
-            "GRADES": [],
-        }
-
-    def build_session(directory: str, label: str) -> Penguin:
-        graph = university_schema()
-        if args.backend == "sqlite":
-            engine = SqliteEngine(f"{directory}/{label}.db")
-        else:
-            engine = MemoryEngine()
-        session = Penguin(graph, engine=engine)
-        populate_university(session.engine)
-        session.register_object(course_info_object(graph))
-        return session
-
-    batch = [new_course(i) for i in range(args.count)]
-    with tempfile.TemporaryDirectory() as directory:
-        session = build_session(directory, "sequential")
-        started = time.perf_counter()
-        for data in batch:
-            session.insert("course_info", data)
-        sequential = time.perf_counter() - started
-
-        session = build_session(directory, "bulk")
-        started = time.perf_counter()
-        plan = session.insert_many("course_info", batch)
-        bulk = time.perf_counter() - started
-
-    print(f"backend={args.backend} instances={args.count}")
-    print(f"per-instance loop : {sequential:8.3f}s")
-    print(f"insert_many       : {bulk:8.3f}s")
-    speedup = sequential / bulk if bulk else float("inf")
-    print(f"speedup           : {speedup:8.1f}x")
-    print(
-        f"coalesced plan    : {len(plan)} operations "
-        f"({plan.count('insert')} inserts, "
-        f"{plan.count('replace')} replaces, "
-        f"{plan.count('delete')} deletes) over "
-        f"{len(plan.relations_touched())} relation(s)"
-    )
     return 0
 
 
@@ -557,50 +499,20 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def _audit_chart(pid: int, rng: random.Random) -> dict:
     """One synthetic patient chart (5 base tuples across 5 relations)."""
-    return {
-        "patient_id": pid,
-        "name": f"Audit Patient {pid}",
-        "birth_year": 1930 + rng.randrange(80),
-        "ward_name": rng.choice(["East-1", "East-2", "West-1", "ICU", None]),
-        "VISIT": [
-            {
-                "patient_id": pid,
-                "visit_no": 1,
-                "visit_date": "1991-05-29",
-                "physician_id": 9000 + rng.randrange(8),
-                "reason": "audit",
-                "DIAGNOSIS": [
-                    {
-                        "patient_id": pid,
-                        "visit_no": 1,
-                        "diag_no": 1,
-                        "code": rng.choice(["hypertension", "migraine"]),
-                        "severity": rng.choice(["mild", "moderate"]),
-                    }
-                ],
-                "PRESCRIPTION": [
-                    {
-                        "patient_id": pid,
-                        "visit_no": 1,
-                        "rx_no": 1,
-                        "med_id": "MED-01",
-                        "days": 5 + rng.randrange(25),
-                        "MEDICATION": [],
-                    }
-                ],
-                "LAB_RESULT": [
-                    {
-                        "patient_id": pid,
-                        "visit_no": 1,
-                        "test_no": 1,
-                        "test_name": "CBC",
-                        "value": round(rng.uniform(0.5, 200.0), 1),
-                    }
-                ],
-                "PHYSICIAN": [],
-            }
-        ],
-    }
+    return new_chart(
+        pid,
+        f"Audit Patient {pid}",
+        birth_year=1930 + rng.randrange(80),
+        ward_name=rng.choice(["East-1", "East-2", "West-1", "ICU", None]),
+        physician_id=9000 + rng.randrange(8),
+        reason="audit",
+        leaves=(
+            rng.choice(["hypertension", "migraine"]),
+            rng.choice(["mild", "moderate"]),
+            5 + rng.randrange(25),
+            round(rng.uniform(0.5, 200.0), 1),
+        ),
+    )
 
 
 FIGURE4_PATIENT = 77001
@@ -704,46 +616,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def _build_sharded_hospital(shards: int, patients: int, replicas: int = 0):
     """A sharded hospital deployment, loaded and object-registered."""
     from repro.replicate import ReplicationConfig
-    from repro.shard import ShardedPenguin, sharded_loader
-    from repro.workloads.hospital import HospitalConfig
 
-    graph = hospital_schema()
-    replication = (
-        ReplicationConfig(replicas=replicas) if replicas else None
+    sharded = hospital_session(
+        patients,
+        shards=shards,
+        replication=ReplicationConfig(replicas=replicas) if replicas else None,
     )
-    sharded = ShardedPenguin(
-        graph,
-        partition_by="PATIENT",
-        num_shards=shards,
-        replication=replication,
-    )
-    populate_hospital(
-        sharded_loader(sharded), HospitalConfig(patients=patients)
-    )
-    sharded.register_object(patient_chart_object(graph))
     # Materialized caches give the DEGRADED path something to serve
     # stale reads from (and exercise per-shard maintenance).
     sharded.materialize("patient_chart", "lazy")
     return sharded
-
-
-def _write_serve_bench(report) -> Path:
-    """Emit ``BENCH_serve.json``; prefers the shared bench writer."""
-    entries = {"serve": report.as_dict()}
-    try:
-        from benchmarks.bench_json import write_bench_json
-    except ImportError:
-        path = Path.cwd() / "BENCH_serve.json"
-        path.write_text(
-            json.dumps(
-                {"benchmark": "serve", "entries": entries},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        return path
-    return write_bench_json("serve", entries)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -787,8 +669,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         finally:
             handle.stop()
         print(f"load: {report.describe()}")
-        bench_path = _write_serve_bench(report)
-        print(f"wrote {bench_path}")
         degraded = sharded.health()["degraded"]
         if not args.smoke:
             return 0
@@ -971,18 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--text", default=None, help="object query text (default: all instances)"
     )
 
-    bench_bulk = commands.add_parser(
-        "bench-bulk",
-        help="compare batched insert_many against the per-instance loop",
-    )
-    bench_bulk.add_argument("--count", type=int, default=1000)
-    bench_bulk.add_argument(
-        "--backend",
-        choices=("sqlite", "memory"),
-        default="sqlite",
-        help="sqlite is file-backed so per-instance commits pay real I/O",
-    )
-
     chaos = commands.add_parser(
         "chaos",
         help="run the seeded crash/fault campaign and check invariants",
@@ -1157,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--smoke", action="store_true",
         help="CI mode: zipfian burst, assert p95 bound + clean "
-             "shutdown, emit BENCH_serve.json, exit non-zero on FAIL",
+             "shutdown, exit non-zero on FAIL",
     )
     serve.add_argument(
         "--p95-bound", type=float, default=250.0, metavar="MS",
@@ -1208,7 +1076,6 @@ def main(argv=None) -> int:
         "check": cmd_check,
         "query": cmd_query,
         "materialize": cmd_materialize,
-        "bench-bulk": cmd_bench_bulk,
         "chaos": cmd_chaos,
         "chaos-failover": cmd_chaos_failover,
         "trace": cmd_trace,

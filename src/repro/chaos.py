@@ -27,7 +27,7 @@ workload, and the retry jitter all derive from it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import List
 
 from repro.errors import DegradedServiceError
 from repro.core.updates.translator import Translator
@@ -42,30 +42,66 @@ from repro.relational.journal import (
     apply_journaled,
     recover,
 )
-from repro.relational.memory_engine import MemoryEngine
 from repro.relational.retry import RetryPolicy
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.concurrent import ConcurrentPenguin
 from repro.structural.integrity import IntegrityChecker
-from repro.workloads.hospital import (
-    HospitalConfig,
-    hospital_schema,
-    patient_chart_object,
-    populate_hospital,
-)
+from repro.workloads.hospital import hospital_session, new_chart
 from repro.workloads.synthetic import ZipfianWorkload
 
-__all__ = ["ChaosReport", "run_campaign", "run_crash_sweep",
+__all__ = ["CampaignReport", "ChaosReport", "run_campaign", "run_crash_sweep",
            "run_transient_bulk", "run_degraded_serving"]
 
 OBJECT_NAME = "patient_chart"
 
 
-class ChaosReport:
-    """Aggregated results and invariant violations of one campaign."""
+class CampaignReport:
+    """Counters plus invariant violations of one seeded campaign.
+
+    A campaign names itself (:attr:`title`) and renders its own counter
+    lines (:meth:`legs`); recording a violation, the verdict and the
+    ``invariants`` tail of the summary are the same for all of them.
+    """
+
+    title = "campaign"
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
+        # invariant violations (empty = campaign passed)
+        self.failures: List[str] = []
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def fail(self, message: str) -> None:
+        self.failures.append(message)
+
+    def require(self, condition: bool, message: str) -> None:
+        if not condition:
+            self.fail(message)
+
+    def legs(self) -> List[str]:
+        raise NotImplementedError
+
+    def summary(self) -> str:
+        lines = [f"{self.title} (seed={self.seed})", *self.legs()]
+        if self.ok:
+            lines.append("  invariants       : all held")
+        else:
+            lines.append(f"  invariants       : {len(self.failures)} VIOLATED")
+            for message in self.failures:
+                lines.append(f"    - {message}")
+        return "\n".join(lines)
+
+
+class ChaosReport(CampaignReport):
+    """Aggregated results of one chaos campaign."""
+
+    title = "chaos campaign"
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
         # crash sweep
         self.crash_points = 0
         self.crashes_injected = 0
@@ -84,23 +120,9 @@ class ChaosReport:
         self.breaker_closed = 0
         self.stale_reads = 0
         self.writes_refused = 0
-        # invariant violations (empty = campaign passed)
-        self.failures: List[str] = []
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def fail(self, message: str) -> None:
-        self.failures.append(message)
-
-    def require(self, condition: bool, message: str) -> None:
-        if not condition:
-            self.fail(message)
-
-    def summary(self) -> str:
-        lines = [
-            f"chaos campaign (seed={self.seed})",
+    def legs(self) -> List[str]:
+        return [
             f"  crash sweep      : {self.crash_points} crash points, "
             f"{self.crashes_injected} crashes injected, "
             f"{self.plans_reverted} reverted, "
@@ -117,74 +139,16 @@ class ChaosReport:
             f"{self.stale_reads} stale reads, "
             f"{self.writes_refused} writes refused",
         ]
-        if self.ok:
-            lines.append("  invariants       : all held")
-        else:
-            lines.append(f"  invariants       : {len(self.failures)} VIOLATED")
-            for message in self.failures:
-                lines.append(f"    - {message}")
-        return "\n".join(lines)
 
 
 def _fresh_hospital(patients: int):
-    graph = hospital_schema()
-    engine = MemoryEngine()
-    graph.install(engine)
-    populate_hospital(engine, HospitalConfig(patients=patients))
-    return graph, engine, patient_chart_object(graph)
+    session = hospital_session(patients)
+    return session.graph, session.engine, session.object(OBJECT_NAME)
 
 
-def _new_chart(i: int) -> Dict[str, Any]:
-    pid = 50_000 + i
-    return {
-        "patient_id": pid,
-        "name": f"Chaos Patient {i}",
-        "birth_year": 1960 + (i % 50),
-        "ward_name": None,
-        "VISIT": [
-            {
-                "patient_id": pid,
-                "visit_no": 1,
-                "visit_date": "1991-05-29",
-                "physician_id": 9000,
-                "reason": "chaos",
-                "DIAGNOSIS": [
-                    {
-                        "patient_id": pid,
-                        "visit_no": 1,
-                        "diag_no": 1,
-                        "code": "hypertension",
-                        "severity": "mild",
-                    }
-                ],
-                "PRESCRIPTION": [
-                    {
-                        "patient_id": pid,
-                        "visit_no": 1,
-                        "rx_no": 1,
-                        "med_id": "MED-01",
-                        "days": 7,
-                        "MEDICATION": [],
-                    }
-                ],
-                "LAB_RESULT": [
-                    {
-                        "patient_id": pid,
-                        "visit_no": 1,
-                        "test_no": 1,
-                        "test_name": "CBC",
-                        "value": 1.0,
-                    }
-                ],
-                "PHYSICIAN": [],
-            }
-        ],
-    }
-
-
-# Every chart generated above costs this many database operations
-# (patient + visit + diagnosis + prescription + lab result); used to
-# convert an --ops budget into a batch size.
+# Every chart of the bulk leg (``new_chart`` with leaves) costs this many
+# database operations (patient + visit + diagnosis + prescription + lab
+# result); used to convert an --ops budget into a batch size.
 _OPS_PER_CHART = 5
 
 
@@ -334,7 +298,13 @@ def run_transient_bulk(
     session.register_object(view_object)
 
     count = max(1, ops // _OPS_PER_CHART)
-    batch = [_new_chart(i) for i in range(count)]
+    batch = [
+        new_chart(
+            50_000 + i, f"Chaos Patient {i}", 1960 + (i % 50), "chaos",
+            leaves=("hypertension", "mild", 7, 1.0),
+        )
+        for i in range(count)
+    ]
     report.bulk_instances = count
     # Victim choice is zipfian (seeded): hot charts are deleted with
     # realistic skew instead of a fixed stride, so the retry path sees

@@ -827,7 +827,8 @@ class Translator:
         is :meth:`apply_plan` (the sharded path: translate on the owner,
         partition, land each piece): a rejection is then counted and
         audited as that write's, exactly as :meth:`apply_plan_batch`
-        would. Without it nothing is recorded.
+        would, and ``explains_total`` is not bumped. Without it nothing
+        is recorded.
         """
         requests = list(requests)
         operation = self._describe_requests(requests)
@@ -845,7 +846,8 @@ class Translator:
                 combined.extend(plan)
             coalesced = coalesce_plans(plans, engine.schema)
             span.set(ops=len(combined))
-        obs.metrics().counter("explains_total", op=operation).inc()
+        if op is None:  # a write's translate half is not an explain
+            obs.metrics().counter("explains_total", op=operation).inc()
         return TranslationExplanation(
             object_name=self.view_object.name,
             operation=operation,

@@ -35,6 +35,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.chaos import CampaignReport
 from repro.errors import (
     DegradedServiceError,
     FailoverInProgressError,
@@ -46,13 +47,8 @@ from repro.errors import (
 from repro.obs.history import divergence, snapshot
 from repro.replicate.link import ShippingLink
 from repro.replicate.replicaset import ReplicationConfig
-from repro.shard import ShardedPenguin, sharded_loader
-from repro.workloads.hospital import (
-    HospitalConfig,
-    hospital_schema,
-    patient_chart_object,
-    populate_hospital,
-)
+from repro.shard import ShardedPenguin
+from repro.workloads.hospital import hospital_session, new_chart
 
 __all__ = [
     "FailoverReport",
@@ -71,11 +67,13 @@ WRITE_STAGES = ("pre_apply", "post_apply", "pre_ship", "post_ship")
 PROMOTION_STAGES = ("pre_promote", "post_drain", "post_promote")
 
 
-class FailoverReport:
-    """Aggregated results and invariant violations of one campaign."""
+class FailoverReport(CampaignReport):
+    """Aggregated results of one chaos-failover campaign."""
+
+    title = "chaos-failover campaign"
 
     def __init__(self, seed: int) -> None:
-        self.seed = seed
+        super().__init__(seed)
         self.kill_points = 0
         self.kills_injected = 0
         self.failovers = 0
@@ -89,22 +87,9 @@ class FailoverReport:
         self.stale_reads = 0
         self.flaky_faults = 0
         self.oracle_replays = 0
-        self.failures: List[str] = []
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def fail(self, message: str) -> None:
-        self.failures.append(message)
-
-    def require(self, condition: bool, message: str) -> None:
-        if not condition:
-            self.fail(message)
-
-    def summary(self) -> str:
-        lines = [
-            f"chaos-failover campaign (seed={self.seed})",
+    def legs(self) -> List[str]:
+        return [
             f"  kill sweep       : {self.kill_points} kill points, "
             f"{self.kills_injected} kills injected, "
             f"{self.failovers} failovers",
@@ -121,13 +106,6 @@ class FailoverReport:
             f"  oracle           : {self.oracle_replays} audit replays "
             f"matched live state",
         ]
-        if self.ok:
-            lines.append("  invariants       : all held")
-        else:
-            lines.append(f"  invariants       : {len(self.failures)} VIOLATED")
-            for message in self.failures:
-                lines.append(f"    - {message}")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -136,50 +114,24 @@ class FailoverReport:
 
 
 def _chart(pid: int, label: str) -> Dict[str, Any]:
-    return {
-        "patient_id": pid,
-        "name": label,
-        "birth_year": 1960 + (pid % 40),
-        "ward_name": None,
-        "VISIT": [
-            {
-                "patient_id": pid,
-                "visit_no": 1,
-                "visit_date": "1991-05-29",
-                "physician_id": 9000,
-                "reason": "failover",
-                "DIAGNOSIS": [],
-                "PRESCRIPTION": [],
-                "LAB_RESULT": [],
-                "PHYSICIAN": [],
-            }
-        ],
-    }
+    return new_chart(pid, label, 1960 + (pid % 40), "failover")
 
 
 def _build(
     patients: int = 4,
-    shards: int = 2,
-    replicas: int = 2,
-    quorum: int = 1,
     miss_threshold: int = 3,
     apply_inline: bool = True,
 ) -> ShardedPenguin:
-    graph = hospital_schema()
-    sharded = ShardedPenguin(
-        graph,
-        "PATIENT",
-        num_shards=shards,
+    return hospital_session(
+        patients,
+        shards=2,
         replication=ReplicationConfig(
-            replicas=replicas,
-            quorum=quorum,
+            replicas=2,
+            quorum=1,
             miss_threshold=miss_threshold,
             apply_inline=apply_inline,
         ),
     )
-    populate_hospital(sharded_loader(sharded), HospitalConfig(patients=patients))
-    sharded.register_object(patient_chart_object(graph))
-    return sharded
 
 
 def _insert_with_retry(

@@ -30,8 +30,9 @@ the union of all replicated records: no committed-acked write is lost.
 
 from __future__ import annotations
 
+import contextlib
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 import repro.obs as obs
 from repro.errors import (
@@ -203,8 +204,10 @@ class ReplicaSet:
             self._links[replica.name] = ShippingLink(replica)
         self._stream: List[UpdateRecord] = []
         self._cursor = ShippingCursor(self.primary.audit)
-        # Serializes apply+ship per shard so stream positions stay
-        # dense and ordered; reads never take it.
+        # The shard's writer serialiser (see admitted): translate, apply
+        # and ship of one write at a time, so plans land on the state
+        # they were translated against and stream positions stay dense
+        # and ordered; reads never take it.
         self._mutex = threading.RLock()
         obs.metrics().gauge(
             "replication_epoch", shard=str(shard_id)
@@ -246,26 +249,58 @@ class ReplicaSet:
         if self.failpoint is not None:
             self.failpoint(stage, self.shard_id)
 
+    def _count(self, name: str, **labels: str) -> None:
+        obs.metrics().counter(
+            name, shard=str(self.shard_id), **labels
+        ).inc()
+
+    def _promotable(self) -> List[ReplicaStack]:
+        """Live, non-divergent replicas, most caught up first."""
+        return sorted(
+            (r for r in self._replicas if not r.killed and not r.divergent),
+            key=lambda r: (-r.received_count, r.name),
+        )
+
     # -- the replicated write path -------------------------------------------
 
-    def apply_plan(
-        self, name: str, plan: UpdatePlan, op: str = "update", items: int = 1
-    ) -> UpdatePlan:
-        """Commit on the primary, ship, ack only on quorum receipt."""
+    @contextlib.contextmanager
+    def admitted(
+        self, op: str = "update", object_name: str = ""
+    ) -> Iterator[None]:
+        """The shard's write guard; same contract and signature as
+        :meth:`ConcurrentPenguin.admitted`, entered before the translate
+        half and held to the quorum ack.
+
+        ``_mutex`` is the shard's writer serialiser. It belongs to the
+        set, not to a primary's stack: a failover inside a write
+        re-points ``primary``, and a lock owned by the old primary would
+        let a second writer in behind the promotion. It is always taken
+        first — ``_mutex`` → the primary's guard → the primary's lock —
+        so a writer that fails over here can never deadlock against one
+        already holding the new primary. Then: a live primary (failing
+        over right here when the detector says so), a reachable quorum
+        (refused before the primary is touched), the primary's own guard.
+        """
         with self._mutex:
             self._ensure_primary_up()
             if not self.quorum_reachable():
-                obs.metrics().counter(
-                    "replication_refused_total",
-                    shard=str(self.shard_id),
-                    reason="quorum_unreachable",
-                ).inc()
+                self._count(
+                    "replication_refused_total", reason="quorum_unreachable"
+                )
                 raise ReplicationQuorumError(
                     f"shard {self.shard_id}: only "
                     f"{sum(1 for r in self._replicas if self._links[r.name].reachable)}"
                     f" replica link(s) reachable, quorum is "
                     f"{self.config.quorum}; write refused"
                 )
+            with self.primary.serving.admitted(op, object_name):
+                yield
+
+    def apply_plan(
+        self, name: str, plan: UpdatePlan, op: str = "update", items: int = 1
+    ) -> UpdatePlan:
+        """Commit on the primary, ship, ack only on quorum receipt."""
+        with self.admitted(op, name):
             self._checkpoint("pre_apply")
             result = self.primary.serving.apply_plan(
                 name, plan, op=op, items=items
@@ -350,10 +385,7 @@ class ReplicaSet:
                 f"shard {self.shard_id}: failover in progress; retry"
             )
         while self.primary.killed or self.primary.fenced:
-            self.detector.record_miss()
-            obs.metrics().counter(
-                "replication_probe_misses_total", shard=str(self.shard_id)
-            ).inc()
+            self._miss()
             if not self.detector.down:
                 raise PrimaryDownError(
                     f"shard {self.shard_id}: primary unreachable "
@@ -364,70 +396,50 @@ class ReplicaSet:
 
     def _append_and_ship(self, shipped: UpdateRecord) -> None:
         with obs.tracer().span(
-            "replicate.ship",
-            shard=self.shard_id,
-            object=shipped.label,
+            "replicate.ship", shard=self.shard_id, object=shipped.label
         ) as span:
-            self._append_and_ship_traced(shipped, span)
-
-    def _append_and_ship_traced(
-        self, shipped: UpdateRecord, span
-    ) -> None:
-        self._stream.append(shipped)
-        position = len(self._stream)
-        acks = 0
-        for replica in self._replicas:
-            link = self._links[replica.name]
-            self._checkpoint("pre_ship")
-            if self.primary.killed:
-                # The primary died before this record left the box: the
-                # client is not acked. Replicas that already hold it
-                # keep it — the plan applied atomically, nothing tears.
-                self.detector.record_miss()
-                raise PrimaryDownError(
-                    f"shard {self.shard_id}: primary died mid-ship"
+            self._stream.append(shipped)
+            position = len(self._stream)
+            acks = 0
+            for replica in self._replicas:
+                link = self._links[replica.name]
+                self._checkpoint("pre_ship")
+                if self.primary.killed:
+                    # The primary died before this record left the box:
+                    # the client is not acked. Replicas that already hold
+                    # it keep it — the plan applied atomically, nothing
+                    # tears.
+                    self.detector.record_miss()
+                    raise PrimaryDownError(
+                        f"shard {self.shard_id}: primary died mid-ship"
+                    )
+                try:
+                    self._ship_backlog(link)
+                except FencedWriteError:
+                    self._count("replication_ships_total", outcome="fenced")
+                    continue
+                except (TransientEngineError, ReplicationError):
+                    self._count("replication_ships_total", outcome="fault")
+                    continue
+                if link.cursor >= position:
+                    acks += 1
+            self._checkpoint("post_ship")
+            span.set(position=position, acks=acks)
+            if acks < self.config.quorum:
+                self._retract(position, shipped)
+                self._count("replication_refused_total", reason="quorum_failed")
+                obs.anomaly(
+                    "quorum_revert",
+                    shard=self.shard_id,
+                    acks=acks,
+                    quorum=self.config.quorum,
+                    object=shipped.label,
                 )
-            try:
-                self._ship_backlog(link)
-            except FencedWriteError:
-                obs.metrics().counter(
-                    "replication_ships_total",
-                    shard=str(self.shard_id),
-                    outcome="fenced",
-                ).inc()
-                continue
-            except (TransientEngineError, ReplicationError):
-                obs.metrics().counter(
-                    "replication_ships_total",
-                    shard=str(self.shard_id),
-                    outcome="fault",
-                ).inc()
-                continue
-            if link.cursor >= position:
-                acks += 1
-        self._checkpoint("post_ship")
-        span.set(position=position, acks=acks)
-        if acks < self.config.quorum:
-            self._retract(position, shipped)
-            obs.metrics().counter(
-                "replication_refused_total",
-                shard=str(self.shard_id),
-                reason="quorum_failed",
-            ).inc()
-            obs.anomaly(
-                "quorum_revert",
-                shard=self.shard_id,
-                acks=acks,
-                quorum=self.config.quorum,
-                object=shipped.label,
-            )
-            raise ReplicationQuorumError(
-                f"shard {self.shard_id}: write reached {acks} replica(s), "
-                f"quorum is {self.config.quorum}; reverted"
-            )
-        obs.metrics().counter(
-            "replication_ships_total", shard=str(self.shard_id), outcome="ok"
-        ).inc()
+                raise ReplicationQuorumError(
+                    f"shard {self.shard_id}: write reached {acks} "
+                    f"replica(s), quorum is {self.config.quorum}; reverted"
+                )
+            self._count("replication_ships_total", outcome="ok")
 
     def _ship_backlog(self, link: ShippingLink) -> None:
         """Push everything past this link's cursor, in stream order."""
@@ -459,23 +471,29 @@ class ReplicaSet:
 
     # -- failure detection and failover --------------------------------------
 
+    def _miss(self) -> None:
+        """One missed probe: a write, a read or a heartbeat found the
+        primary dead or fenced."""
+        self.detector.record_miss()
+        self._count("replication_probe_misses_total")
+
+    def _miss_and_maybe_fail_over(self) -> None:
+        """A miss seen off the write path: promote if the detector now
+        says so; with no promotable replica the shard stays down."""
+        self._miss()
+        if self.detector.down:
+            try:
+                self._failover()
+            except DegradedServiceError:
+                pass
+
     def probe(self) -> Dict[str, Any]:
         """One heartbeat: update the detector, fail over if warranted."""
         with self._mutex:
-            up = not (self.primary.killed or self.primary.fenced)
-            if up:
-                self.detector.record_ok()
+            if self.primary.killed or self.primary.fenced:
+                self._miss_and_maybe_fail_over()
             else:
-                self.detector.record_miss()
-                obs.metrics().counter(
-                    "replication_probe_misses_total",
-                    shard=str(self.shard_id),
-                ).inc()
-                if self.detector.down:
-                    try:
-                        self._failover()
-                    except DegradedServiceError:
-                        pass  # no promotable replica; stay down
+                self.detector.record_ok()
             return self.health()
 
     def _failover(self) -> None:
@@ -490,17 +508,12 @@ class ReplicaSet:
             self._checkpoint("pre_promote")
             old = self.primary
             old.fenced = True
-            candidates = [
-                replica
-                for replica in self._replicas
-                if not replica.killed and not replica.divergent
-            ]
+            candidates = self._promotable()
             if not candidates:
                 raise PrimaryDownError(
                     f"shard {self.shard_id}: primary is down and no live "
                     f"replica can be promoted"
                 )
-            candidates.sort(key=lambda r: (-r.received_count, r.name))
             chosen = candidates[0]
             chosen.drain()  # replay the journal tail before serving
             self._checkpoint("post_drain")
@@ -520,11 +533,8 @@ class ReplicaSet:
             self._cursor = ShippingCursor(chosen.audit)
             self.detector.reset()
             self.failovers += 1
-            registry = obs.metrics()
-            registry.counter(
-                "replication_failovers_total", shard=str(self.shard_id)
-            ).inc()
-            registry.gauge(
+            self._count("replication_failovers_total")
+            obs.metrics().gauge(
                 "replication_epoch", shard=str(self.shard_id)
             ).set(self.epoch)
             self._update_lag_metrics()
@@ -542,24 +552,36 @@ class ReplicaSet:
     # -- reads ---------------------------------------------------------------
 
     def get_served(self, name: str, key: Sequence[Any]) -> ServedRead:
-        primary = self._live_primary()
-        if primary is not None:
-            try:
-                return primary.serving.get_served(name, key)
-            except DegradedServiceError:
-                pass
-        return self._replica_read("get", name, key=key)
+        return self._served("get_served", name, key)
 
     def query_served(
         self, name: str, text: Optional[str] = None
     ) -> ServedRead:
+        return self._served("query_served", name, text)
+
+    def _served(self, read: str, name: str, argument: Any) -> ServedRead:
+        """The primary's answer; when it is dead or degraded, the
+        most-caught-up live replica's, marked stale."""
         primary = self._live_primary()
         if primary is not None:
             try:
-                return primary.serving.query_served(name, text)
+                return getattr(primary.serving, read)(name, argument)
             except DegradedServiceError:
                 pass
-        return self._replica_read("query", name, text=text)
+        for replica in self._promotable():
+            try:
+                replica.drain()
+                served = getattr(replica.serving, read)(name, argument)
+            except DegradedServiceError:
+                continue
+            served.stale = True
+            served.source = f"replica:{replica.name}"
+            self._count("replication_stale_reads_total")
+            return served
+        raise DegradedServiceError(
+            f"shard {self.shard_id}: primary is unavailable and no "
+            f"replica can serve {name!r}"
+        )
 
     def _live_primary(self) -> Optional[ReplicaStack]:
         """The primary if it can serve; None routes to a replica.
@@ -575,53 +597,10 @@ class ReplicaSet:
             return self.primary
         with self._mutex:
             if self.primary.killed or self.primary.fenced:
-                self.detector.record_miss()
-                obs.metrics().counter(
-                    "replication_probe_misses_total",
-                    shard=str(self.shard_id),
-                ).inc()
-                if self.detector.down:
-                    try:
-                        self._failover()
-                    except DegradedServiceError:
-                        return None
+                self._miss_and_maybe_fail_over()
             if self.primary.killed or self.primary.fenced:
                 return None
             return self.primary
-
-    def _replica_read(
-        self,
-        mode: str,
-        name: str,
-        key: Optional[Sequence[Any]] = None,
-        text: Optional[str] = None,
-    ) -> ServedRead:
-        """Serve from the most-caught-up live replica, marked stale."""
-        candidates = [
-            replica
-            for replica in self._replicas
-            if not replica.killed and not replica.divergent
-        ]
-        candidates.sort(key=lambda r: (-r.received_count, r.name))
-        for replica in candidates:
-            try:
-                replica.drain()
-                if mode == "get":
-                    served = replica.serving.get_served(name, key)
-                else:
-                    served = replica.serving.query_served(name, text)
-            except DegradedServiceError:
-                continue
-            served.stale = True
-            served.source = f"replica:{replica.name}"
-            obs.metrics().counter(
-                "replication_stale_reads_total", shard=str(self.shard_id)
-            ).inc()
-            return served
-        raise DegradedServiceError(
-            f"shard {self.shard_id}: primary is unavailable and no "
-            f"replica can serve {name!r}"
-        )
 
     # -- observability -------------------------------------------------------
 

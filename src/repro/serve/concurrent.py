@@ -11,7 +11,10 @@
 * **exclusive** — translated updates (single, query-driven, and
   batched), materialization changes, cache syncs, and definition-time
   operations. These take the write side and therefore see no concurrent
-  readers.
+  readers. Every translated update is first *admitted* by the one write
+  guard (:meth:`ConcurrentPenguin.admitted`: breaker, writer serialiser,
+  outcome report), which a sharded or replicated session enters around
+  its translate half as well.
 
 The wrapper owns its lock but not the session: the underlying
 ``Penguin`` stays fully usable single-threaded, and is reachable via
@@ -20,12 +23,17 @@ The wrapper owns its lock but not the session: the underlying
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+import contextlib
+import threading
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Union,
+)
 
 import repro.obs as obs
 from repro.core.instance import Instance
 from repro.errors import DegradedServiceError, TransactionError
 from repro.core.updates.operations import UpdateRequest
+from repro.obs.audit import DEGRADED_REJECTED
 from repro.penguin import Penguin, ViewObjectSession
 from repro.relational.operations import UpdatePlan
 from repro.relational.retry import is_transient_error
@@ -152,6 +160,10 @@ class ConcurrentPenguin(ViewObjectSession):
             self.penguin = Penguin(session, **penguin_kwargs)
         self.lock = ReadWriteLock()
         self.breaker = breaker or CircuitBreaker()
+        # The writer serialiser of :meth:`admitted`, and the thread that
+        # holds it (the guard is re-entrant for that thread).
+        self._mutex = threading.Lock()
+        self._writer: Optional[int] = None
         #: Extra labels stamped on every serving metric this facade
         #: emits; a ShardedPenguin sets ``{"shard": "<id>"}`` here so
         #: per-shard series stay distinguishable (and bounded by the
@@ -167,20 +179,25 @@ class ConcurrentPenguin(ViewObjectSession):
     def _registry(self):
         return obs.component_metrics(self.component)
 
+    def _count(self, name: str, mode: str) -> None:
+        self._registry().counter(name, mode=mode, **self.metric_labels).inc()
+
     # -- health-routed execution --------------------------------------------
 
     def _read_traced(
         self,
+        name: str,
         engine_read: Callable[[], Any],
         stale_read: Callable[[], Any],
-    ) -> Tuple[Any, bool]:
+    ) -> ServedRead:
         """Serve a read: engine when healthy (or probing), stale otherwise.
 
-        Returns ``(value, stale)`` so callers can surface the serving
-        mode instead of silently passing off a possibly-outdated answer
-        as fresh. ``stale_read`` raises :class:`DegradedServiceError`
-        itself when it cannot answer (no materialized cache, filtered
-        query).
+        The answer says which (``stale``, and how many changelog records
+        the answering cache is behind), so callers can surface the
+        serving mode instead of silently passing off a possibly-outdated
+        answer as fresh. ``stale_read`` raises
+        :class:`DegradedServiceError` itself when it cannot answer (no
+        materialized cache, filtered query).
         """
         if self.breaker.allow():
             try:
@@ -190,21 +207,71 @@ class ConcurrentPenguin(ViewObjectSession):
                 if not _is_engine_fault(exc):
                     raise
                 self.breaker.record_failure()
-                if self.breaker.degraded:
-                    self._registry().counter(
-                        "serve_reads_total", mode="stale", **self.metric_labels
-                    ).inc()
-                    return stale_read(), True
+                if not self.breaker.degraded:
+                    raise
+            else:
+                self.breaker.record_success()
+                self._count("serve_reads_total", "engine")
+                return ServedRead(result, False, object_name=name)
+        self._count("serve_reads_total", "stale")
+        return ServedRead(
+            stale_read(), True, object_name=name,
+            staleness=self.penguin.materialized(name).staleness(),
+        )
+
+    @contextlib.contextmanager
+    def admitted(
+        self, op: str = "update", object_name: str = ""
+    ) -> Iterator[None]:
+        """The write guard: admit, serialise, run the body, report.
+
+        Entered once per write, *before* its translate half, and held to
+        its commit. The breaker is consulted first, so a degraded facade
+        refuses at once — no engine read, no queueing behind a writer —
+        and the refusal is audited (outcome ``degraded_rejected``: the
+        trail records updates that were *asked for* and never ran).
+        Then the writer serialiser: Section 5's algorithms read the
+        database to decide, so a plan is the translator's plan only for
+        the state it was translated against, and no other writer may
+        change that state before the plan lands. Readers are not
+        excluded here; the body takes :attr:`lock`'s exclusive side
+        where it lands. An engine fault from any half of the body
+        reaches the breaker, and ``serve_writes_total{mode}`` counts the
+        write once: the thread that holds the guard re-enters it freely
+        (``ReplicaSet.apply_plan`` → :meth:`apply_plan` inside a sharded
+        write) without consulting or reporting again.
+        """
+        me = threading.get_ident()
+        if self._writer == me:
+            yield
+            return
+        if not self.breaker.allow():
+            self._count("serve_writes_total", "refused")
+            audit = getattr(self.penguin, "audit", None)
+            if audit is not None:
+                audit.append(
+                    op=op,
+                    object_name=object_name,
+                    outcome=DEGRADED_REJECTED,
+                    error="DegradedServiceError: writes refused while degraded",
+                )
+            raise DegradedServiceError(
+                "service is degraded: writes are refused while the "
+                "engine is unhealthy"
+            )
+        with self._mutex:
+            self._writer = me
+            try:
+                yield
+            except Exception as exc:
+                if _is_engine_fault(exc):
+                    self.breaker.record_failure()
+                self._count("serve_writes_total", "failed")
                 raise
-            self.breaker.record_success()
-            self._registry().counter(
-                "serve_reads_total", mode="engine", **self.metric_labels
-            ).inc()
-            return result, False
-        self._registry().counter(
-            "serve_reads_total", mode="stale", **self.metric_labels
-        ).inc()
-        return stale_read(), True
+            finally:
+                self._writer = None
+        self.breaker.record_success()
+        self._count("serve_writes_total", "applied")
 
     def _write(
         self,
@@ -212,55 +279,14 @@ class ConcurrentPenguin(ViewObjectSession):
         op: str = "update",
         object_name: str = "",
     ) -> Any:
-        """Run a translated update, fail-fast while degraded.
-
-        The breaker is consulted *before* taking the write lock, so a
-        degraded facade refuses immediately instead of queueing callers
-        behind the writer lock. Refusals are audited (outcome
-        ``degraded_rejected``) when the session carries an audit log —
-        the trail records updates that were *asked for* and never ran,
-        not just the ones that did.
-        """
-        if not self.breaker.allow():
-            self._registry().counter(
-                "serve_writes_total", mode="refused", **self.metric_labels
-            ).inc()
-            self.audit_refusal(op, object_name)
-            raise DegradedServiceError(
-                "service is degraded: writes are refused while the "
-                "engine is unhealthy"
-            )
-        with self.lock.write_locked():
-            try:
-                result = engine_write()
-            except Exception as exc:
-                if _is_engine_fault(exc):
-                    self.breaker.record_failure()
-                self._registry().counter(
-                    "serve_writes_total", mode="failed", **self.metric_labels
-                ).inc()
-                raise
-        self.breaker.record_success()
-        self._registry().counter(
-            "serve_writes_total", mode="applied", **self.metric_labels
-        ).inc()
-        return result
+        """A write on this facade alone: the guard, and the exclusive
+        side for the whole body — an eager translate lands as it goes,
+        so readers are excluded from its first engine touch."""
+        with self.admitted(op, object_name), self.lock.write_locked():
+            return engine_write()
 
     def _refuse_stale(self, reason: str) -> Any:
         raise DegradedServiceError(f"service is degraded: {reason}")
-
-    def audit_refusal(self, op: str, object_name: str) -> None:
-        audit = getattr(self.penguin, "audit", None)
-        if audit is None:
-            return
-        from repro.obs.audit import DEGRADED_REJECTED
-
-        audit.append(
-            op=op,
-            object_name=object_name,
-            outcome=DEGRADED_REJECTED,
-            error="DegradedServiceError: writes refused while degraded",
-        )
 
     def health(self) -> Dict[str, Any]:
         """The breaker's state and counters, plus total stale reads."""
@@ -283,37 +309,31 @@ class ConcurrentPenguin(ViewObjectSession):
         self, name: str, text: Optional[str] = None
     ) -> ServedRead:
         """Like :meth:`query`, with the serving metadata attached."""
-        value, stale = self._read_traced(
+        return self._read_traced(
+            name,
             lambda: self.penguin.query(name, text),
             lambda: self._stale_query(name, text),
         )
-        return self._served(name, value, stale)
 
     def get_served(self, name: str, key: Sequence[Any]) -> ServedRead:
         """Like :meth:`get`, with the serving metadata attached."""
-        value, stale = self._read_traced(
+        return self._read_traced(
+            name,
             lambda: self.penguin.get(name, key),
             lambda: self._stale_get(name, key),
         )
-        return self._served(name, value, stale)
 
-    def _served(self, name: str, value: Any, stale: bool) -> ServedRead:
-        staleness = None
-        if stale:
-            view = self.penguin.materialized(name)
-            if view is not None:
-                staleness = view.staleness()
-        return ServedRead(
-            value=value, stale=stale, staleness=staleness, object_name=name
-        )
-
-    def _stale_query(self, name: str, text: Optional[str]) -> List[Instance]:
+    def _stale_view(self, name: str):
         view = self.penguin.materialized(name)
         if view is None:
-            return self._refuse_stale(
+            self._refuse_stale(
                 f"view object {name!r} has no materialized cache to "
                 f"serve stale reads from"
             )
+        return view
+
+    def _stale_query(self, name: str, text: Optional[str]) -> List[Instance]:
+        view = self._stale_view(name)
         if text:
             return self._refuse_stale(
                 "filtered queries need the engine; only full-extent "
@@ -322,13 +342,7 @@ class ConcurrentPenguin(ViewObjectSession):
         return view.stale_all()
 
     def _stale_get(self, name: str, key: Sequence[Any]) -> Instance:
-        view = self.penguin.materialized(name)
-        if view is None:
-            return self._refuse_stale(
-                f"view object {name!r} has no materialized cache to "
-                f"serve stale reads from"
-            )
-        instance = view.stale_get(key)
+        instance = self._stale_view(name).stale_get(key)
         if instance is None:
             # Not cached — absence cannot be proven without the engine,
             # so refusing beats answering a possibly-wrong None.

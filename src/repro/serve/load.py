@@ -34,6 +34,7 @@ import statistics
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.workloads.hospital import new_chart
 from repro.workloads.synthetic import ZipfianWorkload
 
 __all__ = ["LoadReport", "run_load", "http_request"]
@@ -181,29 +182,6 @@ class LoadReport:
         )
 
 
-def _fresh_chart(pid: int) -> Dict[str, Any]:
-    """A minimal valid patient chart for inserts (one visit, no leaves)."""
-    return {
-        "patient_id": pid,
-        "name": f"Load Patient {pid}",
-        "birth_year": 1960 + (pid % 50),
-        "ward_name": None,
-        "VISIT": [
-            {
-                "patient_id": pid,
-                "visit_no": 1,
-                "visit_date": "1991-05-29",
-                "physician_id": 9000,
-                "reason": "load",
-                "DIAGNOSIS": [],
-                "PRESCRIPTION": [],
-                "LAB_RESULT": [],
-                "PHYSICIAN": [],
-            }
-        ],
-    }
-
-
 async def run_load(
     host: str,
     port: int,
@@ -255,7 +233,9 @@ async def run_load(
         if op.kind == "insert":
             pid = insert_base + op.sequence
             body = json.dumps(
-                {"instance": _fresh_chart(pid)}
+                {"instance": new_chart(
+                    pid, f"Load Patient {pid}", 1960 + (pid % 50), "load"
+                )}
             ).encode("utf-8")
             status, _ = await http_request(
                 reader, writer, "POST", f"/objects/{object_name}",

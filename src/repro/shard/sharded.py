@@ -23,22 +23,29 @@ plan is partitioned, and:
   the write locks of every participant and leaves each shard's journal
   able to finish the transaction after a crash.
 
+Either way the write is admitted first — once, before its translate
+half, by its owner's write guard (``Shard.front.admitted``: breaker,
+the shard's writer serialiser, outcome report) — and holds the guard to
+its commit, so the plan lands on the state it was translated against.
 Coordination between the two paths uses a second readers-writer lock:
 fast-path writes on *different* shards share it and run concurrently;
-a cross-shard transaction takes it exclusively, so it can never
-interleave with a fast-path write on one of its participants.
+a cross-shard transaction (and a query-driven verb, from its select to
+its commit) takes it exclusively, so it can never interleave with a
+fast-path write on one of its participants. Lock order: coordinator →
+guard (a replica set's ``_mutex``, then its primary's) → the shard's
+readers-writer lock; several guards only under the exclusive mode, in
+shard-id order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import repro.obs as obs
 from repro.core.instance import Instance
 from repro.core.updates.operations import UpdateRequest
-from repro.errors import DegradedServiceError, ReplicationQuorumError
 from repro.materialize.maintainer import LAZY
 from repro.obs.audit import AuditLog, MemoryAuditLog
 from repro.obs.context import current_trace_id
@@ -63,6 +70,12 @@ from repro.shard.twophase import recover_two_phase, two_phase_apply
 from repro.structural.schema_graph import StructuralSchema
 
 __all__ = ["Shard", "ShardedPenguin", "ShardedRecovery", "sharded_loader"]
+
+
+def _count_update(outcome: str, shard_id: int) -> None:
+    obs.metrics().counter(
+        "shard_updates_total", outcome=outcome, shard=str(shard_id)
+    ).inc()
 
 
 class Shard:
@@ -128,7 +141,8 @@ class Shard:
         """What a routed request talks to: the replica set when there is
         one (quorum-replicated ``apply_plan``, replica fallback for
         ``get_served`` / ``query_served``), else the facade itself —
-        the three calls have one signature on both."""
+        those three and the write guard, ``admitted``, have one
+        signature on both."""
         if self.replica_set is not None:
             return self.replica_set
         return self._serving
@@ -265,7 +279,6 @@ class ShardedPenguin(ViewObjectSession):
         # transaction takes it exclusively. Reads never touch it.
         self._coordinator = ReadWriteLock()
         self._txn_counter = itertools.count(1)
-        self._txn_lock = threading.Lock()
         #: Optional (stage, shard_id) hook for crash-point tests;
         #: forwarded to :func:`two_phase_apply`.
         self.failpoint = None
@@ -455,31 +468,58 @@ class ShardedPenguin(ViewObjectSession):
             key = tuple(anchor)
         return self.router.shard_of(key)
 
+    def _select_apply(
+        self, name: str, query: str, request_of, op: str
+    ) -> UpdatePlan:
+        # The batch committed is the one selected: no other write, on any
+        # shard, between a query-driven verb's select and its commit.
+        with self._coordinator.write_locked():
+            return super()._select_apply(name, query, request_of, op)
+
     def _update(
         self, name: str, op: str, requests: List[UpdateRequest], owner_id: int
     ) -> UpdatePlan:
         owner = self._shards[owner_id]
-        # Fast path: translate on the owner and, if the plan stays on a
-        # single shard, apply it there under the shared coordinator
-        # mode — concurrent fast-path writes on other shards proceed.
-        with self._coordinator.read_locked():
-            coalesced, split = self._translate_on(owner, name, op, requests)
-            if len(split) <= 1:
-                return self._apply_local(
-                    owner_id, name, op, split, coalesced, len(requests)
-                )
-        # Cross-shard: retranslate under the exclusive coordinator mode
-        # (the first translation may be stale by the time we get here)
-        # and hand the split to the two-phase protocol.
-        with self._coordinator.write_locked():
-            coalesced, split = self._translate_on(owner, name, op, requests)
-            if len(split) <= 1:
-                return self._apply_local(
-                    owner_id, name, op, split, coalesced, len(requests)
-                )
-            return self._apply_cross_shard(
-                owner_id, name, op, coalesced, split, len(requests)
+        # Fast path first: admitted by the owner, translated there and,
+        # if the plan stays on a single shard, landed under the shared
+        # coordinator mode — concurrent fast-path writes on other shards
+        # proceed. A plan found to cross shards is admitted and
+        # translated again under the exclusive mode (the guard cannot be
+        # held while waiting for it, and the first translation may be
+        # stale by then), admitted by every participant and handed to
+        # the two-phase protocol.
+        for exclusive in (False, True):
+            coordinator = (
+                self._coordinator.write_locked if exclusive
+                else self._coordinator.read_locked
             )
+            with coordinator(), self._admitted([owner_id], op, name):
+                coalesced, split = self._translate_on(owner, name, op, requests)
+                # Local means *this* owner: a second shard's guard is
+                # only ever taken under the exclusive mode.
+                if set(split) <= {owner_id}:
+                    return self._apply_local(
+                        owner, name, op, coalesced, len(requests)
+                    )
+                if exclusive:
+                    with self._admitted(split, op, name):
+                        return self._apply_cross_shard(
+                            owner, name, op, coalesced, split, len(requests)
+                        )
+
+    @contextlib.contextmanager
+    def _admitted(self, shard_ids, op: str, name: str):
+        """The write guard (``Shard.front.admitted``) of every listed
+        shard, in id order: breaker, writer serialiser and — replicated
+        — live primary and reachable quorum, each outcome reported to
+        the shard that admitted. Re-entrant, so an owner that is also a
+        participant is admitted once."""
+        with contextlib.ExitStack() as guards:
+            for shard_id in sorted(shard_ids):
+                guards.enter_context(
+                    self._shards[shard_id].front.admitted(op, name)
+                )
+            yield
 
     def _translate_on(
         self, owner: Shard, name: str, op: str, requests: List[UpdateRequest]
@@ -487,70 +527,37 @@ class ShardedPenguin(ViewObjectSession):
         """The write's translate half on the owner shard — side-effect
         free over a buffer, a rejection counted and audited there as a
         single-engine session would — and the coalesced plan's split by
-        placement."""
+        placement. The caller holds the owner's guard, so nothing lands
+        on this engine meanwhile and the shard's lock is not taken:
+        readers wait only while the plan lands."""
         try:
-            with owner.lock.read_locked():
-                coalesced = owner.penguin.translator(name).explain_batch(
-                    owner.engine, requests, op=op
-                ).coalesced
+            coalesced = owner.penguin.translator(name).explain_batch(
+                owner.engine, requests, op=op
+            ).coalesced
         except Exception:
-            obs.metrics().counter(
-                "shard_updates_total",
-                outcome="rejected",
-                shard=str(owner.shard_id),
-            ).inc()
+            _count_update("rejected", owner.shard_id)
             raise
         return coalesced, partition_plan(coalesced, self.placement, self.router)
 
     def _apply_local(
-        self,
-        owner_id: int,
-        name: str,
-        op: str,
-        split: Dict[int, UpdatePlan],
-        coalesced: UpdatePlan,
-        items: int,
+        self, owner: Shard, name: str, op: str, plan: UpdatePlan, items: int
     ) -> UpdatePlan:
-        # An empty plan has no split; it is still applied (and audited)
-        # on the owner.
-        shard_id, plan = next(iter(split.items()), (owner_id, coalesced))
-        result = self._shards[shard_id].front.apply_plan(
-            name, plan, op=op, items=items
-        )
-        obs.metrics().counter(
-            "shard_updates_total", outcome="local", shard=str(shard_id)
-        ).inc()
+        # An empty plan is still applied (and audited) on the owner.
+        result = owner.front.apply_plan(name, plan, op=op, items=items)
+        _count_update("local", owner.shard_id)
         return result
 
     def _apply_cross_shard(
         self,
-        owner_id: int,
+        owner: Shard,
         name: str,
         op: str,
         coalesced: UpdatePlan,
         split: Dict[int, UpdatePlan],
         items: int,
     ) -> UpdatePlan:
-        owner = self._shards[owner_id]
-        for shard_id in sorted(split):
-            shard = self._shards[shard_id]
-            if not shard.serving.breaker.allow():
-                owner.serving.audit_refusal(op, name)
-                raise DegradedServiceError(
-                    f"shard {shard_id} is degraded: cross-shard update "
-                    f"refused"
-                )
-            if (
-                self.replication is not None
-                and not shard.replica_set.quorum_reachable()
-            ):
-                owner.serving.audit_refusal(op, name)
-                raise ReplicationQuorumError(
-                    f"shard {shard_id} cannot reach its replication "
-                    f"quorum: cross-shard update refused"
-                )
-        with self._txn_lock:
-            txn_id = f"txn{next(self._txn_counter)}"
+        # One transaction at a time: the coordinator is held exclusively.
+        txn_id = f"txn{next(self._txn_counter)}"
         # Before-images for the audit record, read before anything is
         # applied (replicated cells appear once per shard with
         # identical images, so the union is well defined).
@@ -601,9 +608,7 @@ class ShardedPenguin(ViewObjectSession):
                 translator.audit_update(
                     audit, op, plan=coalesced, items=items, error=exc
                 )
-            registry.counter(
-                "shard_updates_total", outcome="aborted", shard=str(owner_id)
-            ).inc()
+            _count_update("aborted", owner.shard_id)
             raise
         # The owner's committed record: count the write as every other
         # commit step does (Translator._commit).
@@ -617,9 +622,7 @@ class ShardedPenguin(ViewObjectSession):
                 # The owner's replicas already got their sub-plan above;
                 # the full-plan owner audit record must not ship too.
                 owner.replica_set.skip_externally_shipped(asn)
-        registry.counter(
-            "shard_updates_total", outcome="cross_shard", shard=str(owner_id)
-        ).inc()
+        _count_update("cross_shard", owner.shard_id)
         return coalesced
 
     # -- recovery ------------------------------------------------------------

@@ -97,8 +97,10 @@ def two_phase_apply(
     ``journal``, and a ``lock`` with ``write_locked()`` (the
     :class:`~repro.shard.sharded.Shard` wrapper); ``split`` maps the
     same ids to their sub-plans. Returns the journal entry id per
-    shard. Shard locks are taken in id order (a global order, so two
-    coordinators can never deadlock) and held across all three phases.
+    shard. The caller has been admitted by every participant's write
+    guard; here the shard locks — the readers' exclusion — are taken in
+    id order (a global order, so two coordinators can never deadlock)
+    and held across all three phases.
 
     ``post_apply`` runs after every sub-plan has applied but *before*
     the commit markers, with the per-shard before/after images; raising
@@ -110,9 +112,7 @@ def two_phase_apply(
     order = sorted(split)
     registry = obs.metrics()
 
-    def checkpoint(stage: str, shard_id: int) -> None:
-        if failpoint is not None:
-            failpoint(stage, shard_id)
+    checkpoint = failpoint or (lambda stage, shard_id: None)
 
     with obs.tracer().span(
         "shard.two_phase", txn=txn_id, shards=len(order)

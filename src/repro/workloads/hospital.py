@@ -19,7 +19,7 @@ Schema:
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.information_metric import InformationMetric
 from repro.core.view_object import ViewObjectDefinition, define_view_object
@@ -32,6 +32,8 @@ __all__ = [
     "populate_hospital",
     "patient_chart_object",
     "HospitalConfig",
+    "new_chart",
+    "hospital_session",
 ]
 
 _WARDS = [("East-1", 1), ("East-2", 2), ("West-1", 1), ("ICU", 3)]
@@ -300,3 +302,81 @@ def patient_chart_object(
         },
         metric=metric,
     )
+
+
+def new_chart(
+    pid: int,
+    name: str,
+    birth_year: int,
+    reason: str,
+    ward_name: Optional[str] = None,
+    physician_id: int = 9000,
+    leaves: Optional[Tuple[str, str, int, float]] = None,
+) -> Dict[str, Any]:
+    """A valid one-visit ``patient_chart`` payload for an insert.
+
+    The visit is bare (two base tuples) unless ``leaves`` —
+    ``(code, severity, days, value)`` — hangs one diagnosis, one
+    ``MED-01`` prescription and one ``CBC`` lab result off it (five
+    base tuples across five relations). The campaigns, the load
+    generator and the CLI all write charts of this one shape.
+    """
+    visit = {"patient_id": pid, "visit_no": 1}
+    diagnoses, prescriptions, labs = [], [], []
+    if leaves is not None:
+        code, severity, days, value = leaves
+        diagnoses.append(
+            {**visit, "diag_no": 1, "code": code, "severity": severity}
+        )
+        prescriptions.append(
+            {**visit, "rx_no": 1, "med_id": "MED-01", "days": days,
+             "MEDICATION": []}
+        )
+        labs.append(
+            {**visit, "test_no": 1, "test_name": "CBC", "value": value}
+        )
+    return {
+        "patient_id": pid,
+        "name": name,
+        "birth_year": birth_year,
+        "ward_name": ward_name,
+        "VISIT": [
+            {
+                "patient_id": pid,
+                "visit_no": 1,
+                "visit_date": "1991-05-29",
+                "physician_id": physician_id,
+                "reason": reason,
+                "DIAGNOSIS": diagnoses,
+                "PRESCRIPTION": prescriptions,
+                "LAB_RESULT": labs,
+                "PHYSICIAN": [],
+            }
+        ],
+    }
+
+
+def hospital_session(patients: int, shards: int = 0, replication=None):
+    """A loaded hospital with ``patient_chart`` registered, as a session.
+
+    One :class:`~repro.penguin.Penguin` over a memory engine, or — given
+    ``shards`` — a :class:`~repro.shard.ShardedPenguin` partitioned by
+    ``PATIENT`` (with a :class:`~repro.replicate.ReplicationConfig`,
+    replicated). The scaffold the chaos campaigns and the CLI's cluster
+    commands stand on.
+    """
+    from repro.penguin import Penguin
+    from repro.shard import ShardedPenguin, sharded_loader
+
+    graph = hospital_schema()
+    if shards:
+        session = ShardedPenguin(
+            graph, "PATIENT", num_shards=shards, replication=replication
+        )
+        loader = sharded_loader(session)
+    else:
+        session = Penguin(graph)
+        loader = session.engine
+    populate_hospital(loader, HospitalConfig(patients=patients))
+    session.register_object(patient_chart_object(graph))
+    return session

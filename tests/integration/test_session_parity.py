@@ -5,9 +5,11 @@ Every verb of :class:`~repro.penguin.ViewObjectSession` x every way a
 request can end x every session shape, on memory and sqlite, compared
 against a single ``Penguin``: the operations as a multiset, the final
 database, the audit ``(op, outcome, items)`` records, the
-``translations_total`` / ``translation_failures_total`` deltas, the
-error, and the number of ``verify`` spans under
-``verify_integrity=True``.
+``translations_total`` / ``translation_failures_total`` /
+``explains_total`` / ``serve_writes_total`` deltas, the error, and the
+number of ``verify`` spans under ``verify_integrity=True``. (How two
+writers and a sick engine are treated is the sibling table,
+``test_write_guard.py``.)
 
 A sharded session applies a multi-item verb as one atomic batch *per
 owner shard*, so two comparisons are made. A request whose items all
@@ -41,6 +43,7 @@ from repro.core.updates.operations import (
 from repro.core.updates.policy import TranslatorPolicy
 from repro.errors import ReproError
 from repro.obs.audit import MemoryAuditLog
+from repro.obs.cluster import ClusterMetrics
 from repro.penguin import Penguin
 from repro.relational.journal import MemoryJournal
 from repro.replicate import ReplicationConfig
@@ -125,17 +128,18 @@ def single(backend):
     return session
 
 
-def sharded(num_shards, replicas=0):
-    def build(backend):
+def sharded(num_shards, replicas=0, miss_threshold=3):
+    def build(backend, **kwargs):
         graph = hospital_schema()
         replication = None
         if replicas:
             replication = ReplicationConfig(
-                replicas=replicas, apply_inline=True
+                replicas=replicas, apply_inline=True,
+                miss_threshold=miss_threshold,
             )
         session = ShardedPenguin(
             graph, "PATIENT", num_shards=num_shards, backend=backend,
-            verify_integrity=True, replication=replication,
+            verify_integrity=True, replication=replication, **kwargs,
         )
         populate_hospital(
             sharded_loader(session), HospitalConfig(patients=PATIENTS)
@@ -154,8 +158,8 @@ SESSIONS = {
 }
 
 
-def prepared(kind, backend, policy):
-    session = SESSIONS[kind](backend)
+def prepared(kind, backend, policy, sessions=None, **kwargs):
+    session = (sessions or SESSIONS)[kind](backend, **kwargs)
     session.register_object(patient_chart_object(session.graph))
     session.insert_many(
         OBJECT,
@@ -348,6 +352,15 @@ class Observed:
                     "translation_failures_total"
                 )
                 self.plan_ops = hub.metrics.histogram_total_count("plan_ops")
+                self.explains = hub.metrics.counter_total("explains_total")
+                # What the primaries' guards counted (a standalone
+                # facade counts on the global registry; a replica stack
+                # counts its own applies on "shardN/rM").
+                self.admissions = sum(
+                    registry.counter_total("serve_writes_total")
+                    for component, registry in ClusterMetrics(hub).sources()
+                    if "/" not in component
+                )
             self.rows = rows(session)
             self.audit = sorted(
                 (record.op, record.state, record.items)
@@ -402,6 +415,19 @@ def test_every_session_does_what_a_single_penguin_does(
         assert seen.replica_commits == shipped * seen.replicas, kind
         landed = len(commits) + seen.replica_commits
         assert seen.translations == seen.plan_ops == landed, kind
+        # A write's translate half is not an explain; and the guard
+        # counts a write once per admission: one per owner group (a
+        # rejected request stops at its first), and for a two-phase
+        # commit the owner's two — it is admitted again, as it is
+        # translated again — plus the other participant's.
+        assert seen.explains == 0, kind
+        if kind == "penguin":
+            admitted = 0
+        elif two_phase:
+            admitted = 3
+        else:
+            admitted = max(1, len(commits))
+        assert seen.admissions == admitted, kind
 
 
 def test_rejection_counted_and_audited_on_the_owner_shard():

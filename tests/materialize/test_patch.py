@@ -457,3 +457,46 @@ def test_patch_on_sqlite_equals_recompute():
     patched, evicted, _ = counters(view)
     assert patched >= 3 and evicted == 0
     assert_equals_recompute(view)
+
+
+def test_update_heavy_replaces_are_patched():
+    """35% in-place replaces — pivot, visit, island leaf, the physician
+    every chart showing them shares — between zipf reads through a
+    ``Penguin``: all of them patched, so after the warm-up nothing is
+    evicted, nothing re-assembled and every read is a hit."""
+    from repro.penguin import Penguin
+    from repro.workloads.hospital import hospital_schema, populate_hospital
+    from repro.workloads.synthetic import ZipfianWorkload
+
+    session = Penguin(hospital_schema())
+    populate_hospital(session.engine)
+    session.register_object(patient_chart_object(session.graph))
+    engine, name = session.engine, "patient_chart"
+    view = session.materialize(name, policy=LAZY)
+    session.query(name)  # warm
+    patients = sorted(v[0] for v in engine.scan("PATIENT"))
+    workload = ZipfianWorkload(
+        len(patients), skew=0.9, seed=7, read_fraction=0.65, insert_fraction=0.0
+    )
+    assembled, hits = view.stats.misses, view.stats.hits
+    reads = writes = 0
+    for op in workload.ops(2000):
+        pid = patients[op.rank]
+        if op.kind == "read":
+            assert session.get(name, (pid,)).key == (pid,)
+            reads += 1
+            continue
+        relation, key, attribute = (
+            ("PATIENT", (pid,), "name"),
+            ("VISIT", (pid, 1), "reason"),
+            ("DIAGNOSIS", (pid, 1, 1), "severity"),
+            ("PHYSICIAN", (engine.get("VISIT", (pid, 1))[3],), "name"),
+        )[op.sequence % 4]
+        replace(engine, relation, key, **{attribute: f"changed {op.sequence}"})
+        writes += 1
+    stats = view.stats
+    assert writes and stats.patched >= writes
+    assert (stats.invalidations, stats.refreshes) == (0, 0)
+    assert stats.misses == assembled, "an in-place replace caused a re-assembly"
+    assert stats.hits - hits == reads
+    assert_equals_recompute(view)

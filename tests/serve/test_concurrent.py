@@ -1,7 +1,6 @@
 """ReadWriteLock semantics and the ConcurrentPenguin stress test."""
 
 import threading
-import time
 
 import pytest
 

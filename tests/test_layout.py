@@ -23,12 +23,13 @@ def imported_modules(path):
 
 def test_nothing_under_src_imports_from_tests():
     """``tests/reference_walk.py`` and ``tests/reference_translate.py``
-    are oracles, not fallbacks: production code cannot reach them."""
+    are oracles, not fallbacks: production code cannot reach them — nor
+    the bench fleet, which measures ``src/`` from outside."""
     offenders = [
         f"{path.relative_to(SRC)}: {module}"
         for path in sorted(SRC.rglob("*.py"))
         for module in imported_modules(path)
-        if module.split(".")[0] == "tests"
+        if module.split(".")[0] in ("tests", "benchmarks")
     ]
     assert offenders == []
 
@@ -96,6 +97,68 @@ def test_no_private_reach_into_the_translator_or_the_session():
                     offenders.append(f"{path.relative_to(SRC)}: .{node.attr}")
     assert offenders == []
     assert "getattr(self.session" not in source("serve/http.py")
+
+
+# -- one write guard (DESIGN.md "One guard") -----------------------------------
+
+
+def test_sharding_admits_through_the_guard_and_takes_no_shard_lock():
+    """No second copy of the refusal half, and no hand-taken side of a
+    shard's readers-writer lock outside the two-phase participants'."""
+    for path in sorted((SRC / "shard").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "breaker.allow(" not in text, path.name
+        assert "audit_refusal(" not in text, path.name
+        if path.name != "twophase.py":
+            assert ".lock.write_locked(" not in text, path.name
+            assert ".lock.read_locked(" not in text, path.name
+    assert source("shard/twophase.py").count(".lock.write_locked(") == 1
+
+
+def test_the_breaker_hears_outcomes_from_the_two_guards_only():
+    reporters = set()
+    for package in ("serve", "shard", "replicate"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(function, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("record_failure", "record_success")
+                    for node in ast.walk(function)
+                ):
+                    reporters.add(f"{path.relative_to(SRC)}: {function.name}")
+    assert reporters == {
+        "serve/concurrent.py: _read_traced",  # the read guard
+        "serve/concurrent.py: admitted",  # the write guard
+    }
+
+
+def test_the_guard_has_one_name_and_one_signature_on_both_fronts():
+    from repro.replicate import ReplicaSet
+    from repro.serve.concurrent import ConcurrentPenguin
+
+    assert inspect.signature(ReplicaSet.admitted) == inspect.signature(
+        ConcurrentPenguin.admitted
+    )
+
+
+def test_the_minimal_chart_is_spelled_once():
+    """One hospital scaffold: the one-visit chart literal (``"reason"``
+    beside ``"visit_no": 1``) occurs once under ``src/``."""
+    literals = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Dict)
+        for keys in [{
+            key.value: value for key, value in zip(node.keys, node.values)
+            if isinstance(key, ast.Constant)
+        }]
+        if "reason" in keys
+        and isinstance(keys.get("visit_no"), ast.Constant)
+        and keys["visit_no"].value == 1
+    ]
+    assert len(literals) == 1 and literals[0].startswith("workloads/hospital.py")
 
 
 # -- one record, one file, one restore (DESIGN.md "One record") ---------------
