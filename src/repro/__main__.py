@@ -14,15 +14,13 @@ Commands:
   query loop twice, dynamically instantiated and then served from a
   materialized view-object cache, and print the speedup plus the
   cache's maintenance statistics;
-* ``chaos --seed S --ops N`` — run the seeded fault-injection campaign
-  over the hospital workload (crash sweep with journal recovery,
-  transient-fault bulk run, degraded-mode serving) and report whether
-  every resilience invariant held;
-* ``chaos-failover --seed S`` — run the seeded replication chaos
-  campaign: primaries are killed at every shipping and promotion
-  checkpoint (and mid-way through a concurrent load), and the report
-  asserts zero committed-write loss, zero torn states, byte-identical
-  promoted replicas, and a clean audit-replay oracle;
+* ``simulate --preset NAME|all --seed S --steps N`` — drive a seeded
+  stream of view-object operations, with a seeded schedule of faults
+  (crashes, transient faults, primary and promotion-target kills,
+  partitions, a second writer on the same key), against a single,
+  concurrent, sharded or replicated deployment and check every step
+  against one in-memory ``Penguin`` (:mod:`repro.simulate`); exit 0 iff
+  every invariant held and every armed fault fired;
 * ``trace`` — run the canonical Figure-4 workload (query, EXPLAIN,
   insert, get, delete) with tracing on and print the span trees, the
   update EXPLAIN, and any slow-log entries; ``--jsonl FILE`` exports
@@ -267,24 +265,13 @@ def cmd_materialize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import run_campaign
+def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.simulate import PRESETS, simulate
 
-    report = run_campaign(
-        seed=args.seed, ops=args.ops, patients=args.patients
-    )
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
-def cmd_chaos_failover(args: argparse.Namespace) -> int:
-    from repro.replicate.campaign import run_failover_campaign
-
-    report = run_failover_campaign(
-        seed=args.seed, patients=args.patients, writes=args.writes
-    )
-    print(report.summary())
-    return 0 if report.ok else 1
+    presets = list(PRESETS) if args.preset == "all" else [args.preset]
+    reports = [simulate(name, args.seed, args.steps) for name in presets]
+    print("\n".join(report.summary() for report in reports))
+    return 0 if all(report.ok for report in reports) else 1
 
 
 def _observed_session() -> Penguin:
@@ -851,43 +838,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--text", default=None, help="object query text (default: all instances)"
     )
 
-    chaos = commands.add_parser(
-        "chaos",
-        help="run the seeded crash/fault campaign and check invariants",
+    simulate = commands.add_parser(
+        "simulate",
+        help="seeded operations and faults against a deployment, every "
+        "step checked against one in-memory Penguin",
     )
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument(
-        "--ops",
-        type=int,
-        default=200,
-        metavar="N",
-        help="operation budget for the transient-fault bulk leg",
+    simulate.add_argument(
+        "--preset", default="all",
+        help="crash, degraded, twophase, race, failover, quorum, or all",
     )
-    chaos.add_argument(
-        "--patients",
-        type=int,
-        default=4,
-        help="hospital workload size (each chart adds crash points)",
-    )
-
-    chaos_failover = commands.add_parser(
-        "chaos-failover",
-        help="kill primaries at every replication checkpoint; "
-        "assert zero committed-write loss",
-    )
-    chaos_failover.add_argument("--seed", type=int, default=0)
-    chaos_failover.add_argument(
-        "--writes",
-        type=int,
-        default=8,
-        metavar="N",
-        help="write-stream length per kill point in the sweep leg",
-    )
-    chaos_failover.add_argument(
-        "--patients",
-        type=int,
-        default=4,
-        help="hospital workload size per replicated deployment",
+    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument(
+        "--steps", type=int, default=40, metavar="N",
+        help="operations per preset",
     )
 
     trace = commands.add_parser(
@@ -1076,8 +1039,7 @@ def main(argv=None) -> int:
         "check": cmd_check,
         "query": cmd_query,
         "materialize": cmd_materialize,
-        "chaos": cmd_chaos,
-        "chaos-failover": cmd_chaos_failover,
+        "simulate": cmd_simulate,
         "trace": cmd_trace,
         "flight": cmd_flight,
         "metrics": cmd_metrics,

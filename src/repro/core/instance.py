@@ -168,6 +168,11 @@ def build_instance(
     """
 
     def build_component(node_id: str, payload: Mapping[str, Any]) -> ComponentTuple:
+        if not isinstance(payload, Mapping):
+            raise ViewObjectError(
+                f"component {node_id!r}: expected a mapping of attributes "
+                f"and child lists, got {type(payload).__name__}"
+            )
         node = view_object.node(node_id)
         projection = view_object.projection(node_id)
         child_ids = set(node.children)

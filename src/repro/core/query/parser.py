@@ -45,10 +45,18 @@ from repro.core.query.lexer import Token, tokenize
 __all__ = ["parse_query", "parse_statement"]
 
 
+#: Deepest ``not`` / parenthesis nesting a condition may have. The
+#: parser (and every walk of the tree it builds) recurses once per level;
+#: a query past this is refused as a syntax error, not by the
+#: interpreter's recursion limit.
+MAX_NESTING = 64
+
+
 class _Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._index = 0
+        self._depth = 0
 
     # -- token helpers -----------------------------------------------------
 
@@ -100,16 +108,27 @@ class _Parser:
             parts.append(self._not_expr())
         return parts[0] if len(parts) == 1 else QAnd(parts)
 
+    def _nested(self, parse) -> QueryNode:
+        """``parse()`` one level further down; refuses past MAX_NESTING."""
+        token = self._advance()
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise QuerySyntaxError(
+                f"condition nested more than {MAX_NESTING} levels deep",
+                position=token.position,
+            )
+        node = parse()
+        self._depth -= 1
+        return node
+
     def _not_expr(self) -> QueryNode:
         if self._at_keyword("not"):
-            self._advance()
-            return QNot(self._not_expr())
+            return QNot(self._nested(self._not_expr))
         return self._primary()
 
     def _primary(self) -> QueryNode:
         if self._peek().kind == "LPAREN":
-            self._advance()
-            node = self._condition()
+            node = self._nested(self._condition)
             self._expect("RPAREN")
             return node
         return self._comparison()

@@ -99,8 +99,14 @@ class ViewObjectSession:
         request_of: Callable[[Instance], UpdateRequest],
         op: str,
     ) -> UpdatePlan:
-        """A query-driven verb: select, then one labelled batch."""
+        """A query-driven verb: select, then one labelled batch. Section 5
+        maps an update to a *set of operations*; a select that matches
+        nothing asks for the empty set, which is no update — nothing to
+        commit, so nothing is journaled, audited or counted, on any
+        session, and the empty plan is returned."""
         matches = self.query(name, query)
+        if not matches:
+            return UpdatePlan()
         return self._apply(name, [request_of(i) for i in matches], op)
 
     def coerce(self, name: str, instance: InstanceLike) -> Instance:

@@ -6,11 +6,17 @@ transient ``database is locked``, a process crash between ``begin()``
 and ``commit()``, an I/O stall — requires being able to *produce* those
 failure modes on demand. :class:`FaultInjectingEngine` wraps any
 :class:`~repro.relational.engine.Engine` and executes a seeded
-:class:`FaultPlan`, so every failure scenario in the test suite, the
-chaos campaign (``python -m repro chaos``), and the benchmarks is
-reproducible from a seed.
+:class:`FaultPlan`, so every failure scenario in the test suite and the
+simulation checker (``python -m repro simulate``) is reproducible from a
+seed.
 
-Three fault kinds are supported:
+The same rule language drives every yield point that is *not* an engine
+call: a deployment's ``failpoint`` attribute holds one :class:`FaultHook`
+and each point — the replication stages, the two-phase steps, ``ship`` /
+``probe``, ``translated`` — ticks it with the point's name and the shard
+it fired on (DESIGN.md "One fault surface, one checker").
+
+Four fault kinds are supported:
 
 * ``transient`` — raise :class:`~repro.errors.TransientEngineError`;
   the condition clears by itself, so a retry of the same call succeeds
@@ -21,6 +27,9 @@ Three fault kinds are supported:
   the journal's job (:mod:`repro.relational.journal`).
 * ``latency`` — sleep before the call proceeds, for tail-latency and
   timeout experiments.
+* ``call`` — run the rule's ``action(point, shard)`` and proceed: kill
+  this primary, wedge these links, or (:class:`SecondOperation`) run a
+  second client operation beside the one parked at the point.
 
 Rules match engine calls by operation name or by the groups
 ``"mutation"`` (insert/delete/replace/clear), ``"read"``
@@ -31,19 +40,21 @@ Rules match engine calls by operation name or by the groups
 from __future__ import annotations
 
 import random
+import threading
 import time
 from typing import (
     Any,
+    Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.errors import TransientEngineError
-from repro.relational.engine import Engine, ValuesLike
+from repro.relational.engine import Engine
 from repro.relational.schema import RelationSchema
 
 __all__ = [
@@ -52,6 +63,7 @@ __all__ = [
     "FaultPlan",
     "FaultHook",
     "FaultInjectingEngine",
+    "SecondOperation",
     "TransientEngineError",
 ]
 
@@ -59,6 +71,8 @@ MUTATION_OPS = ("insert", "delete", "replace", "clear")
 READ_OPS = ("get", "get_many", "scan", "find_by", "select", "count", "contains")
 TXN_OPS = ("begin", "commit", "rollback")
 SHIP_OPS = ("ship", "probe")
+
+KINDS = ("transient", "crash", "latency", "call")
 
 _GROUPS: Dict[str, Tuple[str, ...]] = {
     "mutation": MUTATION_OPS,
@@ -103,9 +117,17 @@ class FaultRule:
         (``at`` implies ``times=1``).
     delay:
         Sleep duration for ``latency`` rules, seconds.
+    action:
+        What a ``call`` rule runs, as ``action(point, shard)``.
+    shard:
+        Match only ticks fired on this shard; ``None`` = any (engine
+        calls carry no shard).
     """
 
-    __slots__ = ("kind", "operations", "at", "rate", "times", "delay", "seen", "fired")
+    __slots__ = (
+        "kind", "operations", "at", "rate", "times", "delay", "action",
+        "shard", "seen", "fired",
+    )
 
     def __init__(
         self,
@@ -115,8 +137,10 @@ class FaultRule:
         rate: Optional[float] = None,
         times: Optional[int] = None,
         delay: float = 0.0,
+        action: Optional[Callable[[str, Optional[int]], None]] = None,
+        shard: Optional[int] = None,
     ) -> None:
-        if kind not in ("transient", "crash", "latency"):
+        if kind not in KINDS:
             raise ValueError(f"unknown fault kind {kind!r}")
         if at is None and rate is None:
             rate = 1.0  # fire on every matching call (subject to `times`)
@@ -126,10 +150,14 @@ class FaultRule:
         self.rate = rate
         self.times = 1 if (at is not None and times is None) else times
         self.delay = delay
+        self.action = action
+        self.shard = shard
         self.seen = 0  # matching calls observed
         self.fired = 0  # faults actually injected
 
-    def matches(self, operation: str) -> bool:
+    def matches(self, operation: str, shard: Optional[int] = None) -> bool:
+        if self.shard is not None and shard != self.shard:
+            return False
         for target in self.operations:
             if target == "*" or target == operation:
                 return True
@@ -180,6 +208,7 @@ class FaultPlan:
         FaultPlan(seed=7).transient_burst(5, ("read",))  # next 5 reads fail
         FaultPlan(seed=7).crash_at("commit", 1)          # die inside commit
         FaultPlan(seed=7).latency("get", 0.005)          # slow point reads
+        FaultPlan().call_at("post_apply", kill, shard=0) # run kill("post_apply", 0)
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -212,8 +241,22 @@ class FaultPlan:
         """The next ``count`` matching calls all fail transiently."""
         return self.add(FaultRule("transient", operations, rate=1.0, times=count))
 
-    def crash_at(self, operation: str, at: int) -> "FaultPlan":
-        return self.add(FaultRule("crash", (operation,), at=at))
+    def crash_at(
+        self, operation: str, at: int, shard: Optional[int] = None
+    ) -> "FaultPlan":
+        return self.add(FaultRule("crash", (operation,), at=at, shard=shard))
+
+    def call_at(
+        self,
+        operation: str,
+        action: Callable[[str, Optional[int]], None],
+        at: int = 1,
+        shard: Optional[int] = None,
+    ) -> "FaultPlan":
+        """Run ``action(point, shard)`` on the ``at``-th matching tick."""
+        return self.add(
+            FaultRule("call", (operation,), at=at, action=action, shard=shard)
+        )
 
     def latency(
         self,
@@ -228,10 +271,14 @@ class FaultPlan:
 
     # -- execution ----------------------------------------------------------
 
-    def decide(self, operation: str) -> Optional[FaultRule]:
+    def decide(
+        self, operation: str, shard: Optional[int] = None
+    ) -> Optional[FaultRule]:
         """The first rule firing on this call, or None."""
         for rule in self.rules:
-            if rule.matches(operation) and rule.decide(operation, self._rng):
+            if rule.matches(operation, shard) and rule.decide(
+                operation, self._rng
+            ):
                 return rule
         return None
 
@@ -251,52 +298,97 @@ class FaultPlan:
 
 
 class FaultHook:
-    """Tick a :class:`FaultPlan` at arbitrary call sites.
+    """The one tick: a :class:`FaultPlan` consulted at a named point.
 
-    :class:`FaultInjectingEngine` covers engine calls; infrastructure
-    that is *not* an engine — the replication shipping link, the failure
-    detector's probes — needs the same seeded injection discipline. A
-    hook wraps a plan and exposes :meth:`tick`, with the identical
-    semantics (latency sleeps, ``crash`` raises
-    :class:`SimulatedCrash`, ``transient`` raises
-    :class:`~repro.errors.TransientEngineError`). Operation names are
-    free-form; the replication layer uses ``"ship"`` and ``"probe"``
-    (group ``"ship"``).
+    :class:`FaultInjectingEngine` ticks it with the engine operation it
+    is about to delegate; a deployment's ``failpoint`` is ticked with
+    the name of the yield point and ``shard=`` the shard it fired on.
+    Either way the first firing rule is recorded and carried out:
+    ``latency`` sleeps, ``call`` runs the rule's action, ``crash``
+    raises :class:`SimulatedCrash`, ``transient`` raises
+    :class:`~repro.errors.TransientEngineError`.
     """
 
     def __init__(self, plan: Optional[FaultPlan] = None) -> None:
         self.plan = plan or FaultPlan()
-        self.injected: Dict[str, int] = {"transient": 0, "crash": 0, "latency": 0}
+        self.injected: Dict[str, int] = dict.fromkeys(KINDS, 0)
         self.history: List[Tuple[str, int, str]] = []
         self._op_counts: Dict[str, int] = {}
         self._sleep = time.sleep
 
-    def tick(self, operation: str) -> None:
+    def tick(self, operation: str, shard: Optional[int] = None) -> None:
         index = self._op_counts.get(operation, 0) + 1
         self._op_counts[operation] = index
-        rule = self.plan.decide(operation)
+        rule = self.plan.decide(operation, shard)
         if rule is None:
             return
         self.injected[rule.kind] += 1
         self.history.append((operation, index, rule.kind))
         if rule.kind == "latency":
             self._sleep(rule.delay)
-            return
-        if rule.kind == "crash":
+        elif rule.kind == "call":
+            rule.action(operation, shard)
+        elif rule.kind == "crash":
             raise SimulatedCrash(operation, index)
-        raise TransientEngineError(
-            f"injected transient fault during {operation!r} #{index}"
-        )
+        else:
+            raise TransientEngineError(
+                f"injected transient fault during {operation!r} #{index}"
+            )
 
     def operation_count(self, operation: str) -> int:
+        """How many times ``operation`` has been ticked so far."""
         return self._op_counts.get(operation, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultHook({self.plan!r})"
 
 
+class SecondOperation:
+    """A ``call`` action: run a second client operation beside the one
+    parked at the point.
+
+    The first operation stays parked until the second has finished *or
+    is queued behind it* — ``queued()`` is read off the deployment's
+    write guard, nothing is slept for — so what the pair ends as does
+    not depend on thread timing. :meth:`join` returns the second's
+    outcome (what it returned, or the exception it raised) once the
+    first has moved on.
+    """
+
+    def __init__(
+        self, call: Callable[[], Any], queued: Callable[[], Any]
+    ) -> None:
+        self.call = call
+        self.queued = queued
+        self.outcome: Any = None
+        self.held_back = False
+        self._thread = threading.Thread(
+            target=self._run, name="second", daemon=True
+        )
+
+    def _run(self) -> None:
+        try:
+            self.outcome = self.call()
+        except (Exception, SimulatedCrash) as exc:  # noqa: BLE001 - its outcome
+            self.outcome = exc
+
+    def __call__(self, point: str, shard: Optional[int]) -> None:
+        self._thread.start()
+        for _ in range(60_000):  # a bound, not a pace: see join()
+            if not self._thread.is_alive() or self.queued():
+                break
+            self._thread.join(0.001)
+        self.held_back = self._thread.is_alive()
+
+    def join(self) -> Any:
+        self._thread.join(60)  # a bound, not a pace: finished or deadlocked
+        if self._thread.is_alive():
+            return TimeoutError("the second operation never finished")
+        return self.outcome
+
+
 class FaultInjectingEngine(Engine):
-    """An engine wrapper that executes a :class:`FaultPlan`.
+    """An engine wrapper that ticks a :class:`FaultHook` per call.
 
     Every delegated call first *ticks*: the plan decides whether to
     inject, and the injection (if any) is recorded in :attr:`injected`
@@ -308,39 +400,21 @@ class FaultInjectingEngine(Engine):
 
     The wrapper shares the base engine's transaction state and
     changelog, so journals, materialized views, and recovery all work
-    unchanged on top of it.
+    unchanged on top of it. Given a :class:`FaultHook` instead of a
+    plan it ticks that one — a deployment's ``failpoint`` and its
+    engines can then share one plan and one history.
     """
 
-    def __init__(self, base: Engine, plan: Optional[FaultPlan] = None) -> None:
+    def __init__(
+        self, base: Engine, plan: Union[FaultPlan, FaultHook, None] = None
+    ) -> None:
         self.base = base
-        self.plan = plan or FaultPlan()
-        self.injected: Dict[str, int] = {"transient": 0, "crash": 0, "latency": 0}
-        self.history: List[Tuple[str, int, str]] = []
-        self._op_counts: Dict[str, int] = {}
-        self._sleep = time.sleep
+        self.hook = plan if isinstance(plan, FaultHook) else FaultHook(plan)
+        self.operation_count = self.hook.operation_count
 
-    # -- fault dispatch -----------------------------------------------------
-
-    def _tick(self, operation: str) -> None:
-        index = self._op_counts.get(operation, 0) + 1
-        self._op_counts[operation] = index
-        rule = self.plan.decide(operation)
-        if rule is None:
-            return
-        self.injected[rule.kind] += 1
-        self.history.append((operation, index, rule.kind))
-        if rule.kind == "latency":
-            self._sleep(rule.delay)
-            return
-        if rule.kind == "crash":
-            raise SimulatedCrash(operation, index)
-        raise TransientEngineError(
-            f"injected transient fault during {operation!r} #{index}"
-        )
-
-    def operation_count(self, operation: str) -> int:
-        """How many times ``operation`` has been ticked so far."""
-        return self._op_counts.get(operation, 0)
+    plan = property(lambda self: self.hook.plan)
+    injected = property(lambda self: self.hook.injected)
+    history = property(lambda self: self.hook.history)
 
     # -- catalog (not ticked: DDL is setup, not workload) -------------------
 
@@ -362,70 +436,11 @@ class FaultInjectingEngine(Engine):
     def create_index(self, name: str, attribute_names: Sequence[str]) -> None:
         self.base.create_index(name, attribute_names)
 
-    # -- mutation -----------------------------------------------------------
-
-    def insert(self, name: str, values: ValuesLike) -> Tuple[Any, ...]:
-        self._tick("insert")
-        return self.base.insert(name, values)
-
-    def delete(self, name: str, key: Sequence[Any]) -> None:
-        self._tick("delete")
-        self.base.delete(name, key)
-
-    def replace(self, name: str, key: Sequence[Any], values: ValuesLike) -> None:
-        self._tick("replace")
-        self.base.replace(name, key, values)
-
-    def clear(self, name: str) -> None:
-        self._tick("clear")
-        self.base.clear(name)
-
-    # insert_many / apply_batch: inherited generic loops over the ticked
-    # primitives, wrapped in this engine's retry policy.
-
-    # -- reads --------------------------------------------------------------
-
-    def get(self, name: str, key: Sequence[Any]) -> Optional[Tuple[Any, ...]]:
-        self._tick("get")
-        return self.base.get(name, key)
-
-    def contains(self, name: str, key: Sequence[Any]) -> bool:
-        self._tick("contains")
-        return self.base.contains(name, key)
-
-    def get_many(
-        self, name: str, keys
-    ) -> Dict[Tuple[Any, ...], Tuple[Any, ...]]:
-        self._tick("get_many")
-        return self.base.get_many(name, keys)
-
-    def scan(self, name: str) -> Iterator[Tuple[Any, ...]]:
-        self._tick("scan")
-        return self.base.scan(name)
-
-    def find_by(
-        self, name: str, attribute_names: Sequence[str], entry: Sequence[Any]
-    ) -> List[Tuple[Any, ...]]:
-        self._tick("find_by")
-        return self.base.find_by(name, attribute_names, entry)
-
-    def select(self, name: str, predicate) -> List[Tuple[Any, ...]]:
-        self._tick("select")
-        return self.base.select(name, predicate)
-
-    def count(self, name: str) -> int:
-        self._tick("count")
-        return self.base.count(name)
-
-    # -- transactions --------------------------------------------------------
-
-    def begin(self) -> None:
-        self._tick("begin")
-        self.base.begin()
-
-    def commit(self) -> None:
-        self._tick("commit")
-        self.base.commit()
+    # -- mutations, reads, begin / commit: tick, then delegate ---------------
+    # (installed below the class, one per name in MUTATION_OPS, READ_OPS
+    # and "begin" / "commit"; insert_many / apply_batch stay the inherited
+    # generic loops over the ticked primitives, wrapped in this engine's
+    # retry policy)
 
     def rollback(self) -> None:
         # Never ticked: rollback is the recovery path; injecting faults
@@ -448,3 +463,16 @@ class FaultInjectingEngine(Engine):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultInjectingEngine({self.base!r}, {self.plan!r})"
+
+
+def _ticked(operation: str):
+    def call(self, *args, **kwargs):
+        self.hook.tick(operation)
+        return getattr(self.base, operation)(*args, **kwargs)
+
+    call.__name__ = operation
+    return call
+
+
+for _operation in MUTATION_OPS + READ_OPS + ("begin", "commit"):
+    setattr(FaultInjectingEngine, _operation, _ticked(_operation))

@@ -64,7 +64,7 @@ class RetryPolicy:
         deterministic.
     seed:
         Seeds the jitter source, for reproducible schedules in tests
-        and the chaos campaign.
+        and the simulation checker.
     classify:
         Replacement for :func:`is_transient_error`.
     sleep:

@@ -25,10 +25,10 @@ carry a stale epoch and are rejected.
 :class:`~repro.replicate.replicaset.ReplicaSet` coordinates one
 shard's stacks; :class:`~repro.shard.sharded.ShardedPenguin` grows a
 ``replication=ReplicationConfig(...)`` parameter that attaches one set
-per shard and re-points routing through it. The
-``python -m repro chaos-failover`` campaign
-(:mod:`repro.replicate.campaign`) kills primaries mid-load at seeded
-checkpoints and asserts zero committed-write loss.
+per shard and re-points routing through it. ``python -m repro
+simulate --preset failover`` (:mod:`repro.simulate`) kills primaries and
+promotion targets at every checkpoint of a seeded write stream and
+holds every step to a single in-memory ``Penguin``.
 """
 
 from repro.replicate.link import ShippingLink

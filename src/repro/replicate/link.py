@@ -1,18 +1,12 @@
 """The shipping link: the fault surface between primary and replica.
 
 A :class:`ShippingLink` is the only path a shipped record takes to its
-replica, which makes it the natural place to model network failure.
-Two mechanisms cover the failure modes the tests and the chaos
-campaign need:
-
-* an explicit partition — :meth:`ShippingLink.wedge` makes every send
-  fail with :class:`~repro.errors.TransientEngineError` until
-  :meth:`ShippingLink.heal`; deterministic, no rule bookkeeping;
-* a seeded :class:`~repro.relational.faults.FaultPlan`, ticked through
-  a :class:`~repro.relational.faults.FaultHook` under the operation
-  name ``"ship"`` — the same rule language the engines use
-  (``transient_rate``, ``transient_burst``, ``latency``, ...), so a
-  flaky link is reproducible from a seed.
+replica, which makes it the natural place to model network failure: a
+partition is *state* — :meth:`ShippingLink.wedge` makes every send fail
+with :class:`~repro.errors.TransientEngineError` until
+:meth:`ShippingLink.heal`. A flaky link is a *rule*: the replica set
+ticks its ``failpoint`` at ``"ship"`` before every send, in the rule
+language the engines use (``transient_rate``, ``call_at``, ...).
 
 A failed send does not lose the record: the primary's
 :class:`~repro.replicate.replicaset.ReplicaSet` keeps the stream and
@@ -23,10 +17,7 @@ idempotent.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import TransientEngineError
-from repro.relational.faults import FaultHook, FaultPlan
 from repro.relational.journal import UpdateRecord
 from repro.replicate.replica import ReplicaStack
 
@@ -34,7 +25,7 @@ __all__ = ["ShippingLink"]
 
 
 class ShippingLink:
-    """One primary-to-replica shipping channel with injectable faults.
+    """One primary-to-replica shipping channel that can be partitioned.
 
     :attr:`cursor` is the primary-side shipping position: how many
     stream records this replica has confirmed durable receipt of. It
@@ -42,11 +33,8 @@ class ShippingLink:
     backlog intact for redelivery.
     """
 
-    def __init__(
-        self, replica: ReplicaStack, plan: Optional[FaultPlan] = None
-    ) -> None:
+    def __init__(self, replica: ReplicaStack) -> None:
         self.replica = replica
-        self.hook = FaultHook(plan)
         self.cursor = 0
         self.sends = 0
         self._wedged = False
@@ -72,13 +60,12 @@ class ShippingLink:
     # -- shipping ------------------------------------------------------------
 
     def send(self, epoch: int, position: int, record: UpdateRecord) -> None:
-        """Deliver one stream record; raises on partition/fault/fence."""
+        """Deliver one stream record; raises on partition or fence."""
         if self._wedged:
             raise TransientEngineError(
                 f"shipping link to replica {self.replica.name!r} is "
                 f"partitioned"
             )
-        self.hook.tick("ship")
         self.replica.receive(epoch, position, record)
         self.sends += 1
 

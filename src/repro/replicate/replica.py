@@ -147,14 +147,11 @@ class ReplicaStack:
         with self._lock:
             return len(self._inbox)
 
-    # -- lifecycle (chaos surface) -------------------------------------------
+    # -- lifecycle (fault surface) -------------------------------------------
 
     def kill(self) -> None:
         """Model process death: receives and reads start failing."""
         self.killed = True
-
-    def revive(self) -> None:
-        self.killed = False
 
     # -- the shipping target -------------------------------------------------
 

@@ -31,7 +31,6 @@ the union of all replicated records: no committed-acked write is lost.
 from __future__ import annotations
 
 import contextlib
-import threading
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 import repro.obs as obs
@@ -45,20 +44,20 @@ from repro.errors import (
     TransientEngineError,
 )
 from repro.obs.audit import ROLLED_BACK, ShippingCursor
+from repro.relational.faults import FaultHook
 from repro.relational.journal import UpdateRecord, restore_images
 from repro.relational.operations import UpdatePlan
 from repro.replicate.link import ShippingLink
 from repro.replicate.replica import ReplicaStack
 from repro.serve.concurrent import ConcurrentPenguin, ServedRead
+from repro.serve.locks import ReadWriteLock
 from repro.structural.schema_graph import StructuralSchema
 
 __all__ = ["FailureDetector", "ReplicaSet", "ReplicationConfig"]
 
-#: Checkpoint hook: called with (stage, shard_id) at every shipping and
-#: promotion step; the chaos-failover campaign kills primaries from it.
-Checkpoint = Callable[[str, int], None]
-
-#: The stages a checkpoint hook sees, in write-path then failover order.
+#: The yield points of the write path, then of a failover, in order; the
+#: set ticks its ``failpoint`` at each of them, at ``"ship"`` before
+#: every send and at ``"probe"`` on every heartbeat.
 CHECKPOINT_STAGES = (
     "pre_apply",
     "post_apply",
@@ -84,7 +83,7 @@ class ReplicationConfig:
     miss_threshold:
         Consecutive missed probes/attempts before the failure detector
         declares the primary down and failover runs. Count-based, like
-        the circuit breaker, so chaos runs are deterministic.
+        the circuit breaker, so simulated runs are deterministic.
     apply_inline:
         Apply shipped records synchronously inside receive instead of
         on the applier thread — deterministic tests only; production
@@ -184,8 +183,9 @@ class ReplicaSet:
         self.epoch = 1
         self.failovers = 0
         self.failing_over = False
-        #: Optional (stage, shard_id) hook; see :data:`CHECKPOINT_STAGES`.
-        self.failpoint: Optional[Checkpoint] = None
+        #: The deployment's fault hook (``ShardedPenguin.failpoint`` hands
+        #: it down), ticked with the point's name and ``shard=`` this id.
+        self.failpoint: Optional[FaultHook] = None
         self.primary = ReplicaStack(shard_id, "primary", serving=primary_serving)
         self.detector = FailureDetector(self.config.miss_threshold)
         self._replicas: List[ReplicaStack] = []
@@ -207,8 +207,9 @@ class ReplicaSet:
         # The shard's writer serialiser (see admitted): translate, apply
         # and ship of one write at a time, so plans land on the state
         # they were translated against and stream positions stay dense
-        # and ordered; reads never take it.
-        self._mutex = threading.RLock()
+        # and ordered; reads never take it. Only the lock's exclusive
+        # side is used: a re-entrant mutex whose waiters can be counted.
+        self._mutex = ReadWriteLock()
         obs.metrics().gauge(
             "replication_epoch", shard=str(shard_id)
         ).set(self.epoch)
@@ -245,9 +246,18 @@ class ReplicaSet:
         )
         return reachable >= self.config.quorum
 
-    def _checkpoint(self, stage: str) -> None:
+    @property
+    def queued(self) -> int:
+        """Writers waiting on the guard behind the one that holds it."""
+        return self._mutex.waiting_writers
+
+    def _primary_down(self) -> bool:
+        """A killed or fenced primary takes no further action."""
+        return self.primary.killed or self.primary.fenced
+
+    def _checkpoint(self, point: str) -> None:
         if self.failpoint is not None:
-            self.failpoint(stage, self.shard_id)
+            self.failpoint.tick(point, shard=self.shard_id)
 
     def _count(self, name: str, **labels: str) -> None:
         obs.metrics().counter(
@@ -352,11 +362,16 @@ class ReplicaSet:
 
         The heal path after a partition: wedged links accumulate
         backlog, :meth:`catch_up` (or the next write) pushes it, and
-        the lag gauge returns to zero.
+        the lag gauge returns to zero. A killed or fenced primary takes
+        no further action — it ships nothing, here as in
+        :meth:`_append_and_ship`: what it committed and never shipped
+        was never acked, and the replicas are about to be promoted
+        without it — so only the drain below runs.
         """
         shipped = 0
         with self._mutex:
-            for replica in self._replicas:
+            senders = [] if self._primary_down() else self._replicas
+            for replica in senders:
                 link = self._links[replica.name]
                 before = link.cursor
                 try:
@@ -384,7 +399,7 @@ class ReplicaSet:
             raise FailoverInProgressError(
                 f"shard {self.shard_id}: failover in progress; retry"
             )
-        while self.primary.killed or self.primary.fenced:
+        while self._primary_down():
             self._miss()
             if not self.detector.down:
                 raise PrimaryDownError(
@@ -404,7 +419,7 @@ class ReplicaSet:
             for replica in self._replicas:
                 link = self._links[replica.name]
                 self._checkpoint("pre_ship")
-                if self.primary.killed:
+                if self._primary_down():
                     # The primary died before this record left the box:
                     # the client is not acked. Replicas that already hold
                     # it keep it — the plan applied atomically, nothing
@@ -445,6 +460,7 @@ class ReplicaSet:
         """Push everything past this link's cursor, in stream order."""
         while link.cursor < len(self._stream):
             record = self._stream[link.cursor]
+            self._checkpoint("ship")
             link.send(self.epoch, link.cursor + 1, record)
             link.cursor += 1
 
@@ -490,7 +506,8 @@ class ReplicaSet:
     def probe(self) -> Dict[str, Any]:
         """One heartbeat: update the detector, fail over if warranted."""
         with self._mutex:
-            if self.primary.killed or self.primary.fenced:
+            self._checkpoint("probe")
+            if self._primary_down():
                 self._miss_and_maybe_fail_over()
             else:
                 self.detector.record_ok()
@@ -593,12 +610,12 @@ class ReplicaSet:
             raise FailoverInProgressError(
                 f"shard {self.shard_id}: failover in progress; retry"
             )
-        if not (self.primary.killed or self.primary.fenced):
+        if not self._primary_down():
             return self.primary
         with self._mutex:
-            if self.primary.killed or self.primary.fenced:
+            if self._primary_down():
                 self._miss_and_maybe_fail_over()
-            if self.primary.killed or self.primary.fenced:
+            if self._primary_down():
                 return None
             return self.primary
 
@@ -617,7 +634,7 @@ class ReplicaSet:
         return {
             "epoch": self.epoch,
             "primary": self.primary.name,
-            "primary_up": not (self.primary.killed or self.primary.fenced),
+            "primary_up": not self._primary_down(),
             "failing_over": self.failing_over,
             "failovers": self.failovers,
             "missed_probes": self.detector.misses,

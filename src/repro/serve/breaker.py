@@ -12,9 +12,9 @@ budget. The breaker turns repeated failures into an explicit state:
   from materialized caches. Every ``probe_interval``-th request is let
   through as a *probe* — one success closes the breaker again.
 
-Probing is count-based rather than clock-based on purpose: the chaos
-campaign and the tests need deterministic behaviour, and a served
-request is as good a signal source as a timer.
+Probing is count-based rather than clock-based on purpose: the
+simulation checker and the tests need deterministic behaviour, and a
+served request is as good a signal source as a timer.
 """
 
 from __future__ import annotations

@@ -160,9 +160,10 @@ class ConcurrentPenguin(ViewObjectSession):
             self.penguin = Penguin(session, **penguin_kwargs)
         self.lock = ReadWriteLock()
         self.breaker = breaker or CircuitBreaker()
-        # The writer serialiser of :meth:`admitted`, and the thread that
-        # holds it (the guard is re-entrant for that thread).
-        self._mutex = threading.Lock()
+        # The writer serialiser of :meth:`admitted` (only its exclusive
+        # side is used; :attr:`queued` reads its waiters), and the thread
+        # that holds it (the guard is re-entrant for that thread).
+        self._mutex = ReadWriteLock()
         self._writer: Optional[int] = None
         #: Extra labels stamped on every serving metric this facade
         #: emits; a ShardedPenguin sets ``{"shard": "<id>"}`` here so
@@ -272,6 +273,11 @@ class ConcurrentPenguin(ViewObjectSession):
                 self._writer = None
         self.breaker.record_success()
         self._count("serve_writes_total", "applied")
+
+    @property
+    def queued(self) -> int:
+        """Writers waiting on the guard behind the one that holds it."""
+        return self._mutex.waiting_writers
 
     def _write(
         self,

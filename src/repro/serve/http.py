@@ -77,6 +77,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -470,6 +471,14 @@ class PenguinServer:
                     head = await reader.readuntil(b"\r\n\r\n")
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
+                except asyncio.LimitOverrunError:
+                    # A head past the stream's limit cannot be framed,
+                    # but the client still gets an answer.
+                    await self._respond(
+                        writer, 431, {"error": "request head too large"},
+                        close=True, request_id=new_request_id(),
+                    )
+                    break
                 request_line, headers = self._parse_head(head)
                 if request_line is None:
                     # Even an unparseable request gets a correlation id
@@ -496,7 +505,10 @@ class PenguinServer:
                         close=True, request_id=request_id, trace=ctx,
                     )
                     break
-                body = await reader.readexactly(length) if length else b""
+                try:
+                    body = await reader.readexactly(length) if length else b""
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    break  # the client hung up mid-body
                 keep_alive = headers.get("connection", "").lower() != "close"
                 if self._draining:
                     # Requests received after stop() began are refused;
@@ -836,7 +848,7 @@ class PenguinServer:
     def _instance_body(self, body: bytes) -> Dict[str, Any]:
         try:
             payload = json.loads(body.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, ValueError):
+        except (UnicodeDecodeError, ValueError, RecursionError):
             raise _HttpError(400, "body is not valid JSON")
         if not isinstance(payload, dict) or "instance" not in payload:
             raise _HttpError(400, 'body must be {"instance": {...}}')

@@ -107,6 +107,16 @@ class ReadWriteLock:
         finally:
             self.release_write()
 
+    # Used as a plain context manager the lock is its exclusive side: a
+    # re-entrant mutex that can say how many threads are queued on it
+    # (the write guards' serialisers are this).
+
+    def __enter__(self) -> None:
+        self.acquire_write()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.release_write()
+
     # -- introspection (for tests) -----------------------------------------
 
     @property

@@ -51,6 +51,7 @@ from repro.obs.audit import AuditLog, MemoryAuditLog
 from repro.obs.context import current_trace_id
 from repro.penguin import Penguin, ViewObjectSession
 from repro.relational.engine import Engine
+from repro.relational.faults import FaultHook
 from repro.relational.journal import (
     COMMITTED,
     MemoryJournal,
@@ -278,11 +279,44 @@ class ShardedPenguin(ViewObjectSession):
         # Fast-path writes (one shard) share this lock; a cross-shard
         # transaction takes it exclusively. Reads never touch it.
         self._coordinator = ReadWriteLock()
-        self._txn_counter = itertools.count(1)
-        #: Optional (stage, shard_id) hook for crash-point tests;
-        #: forwarded to :func:`two_phase_apply`.
         self.failpoint = None
         self.recovery = self.recover()
+        # A transaction id must not come back after a restart: recovery
+        # groups the journals' two-phase entries by id, and a reused one
+        # would adopt a settled transaction's COMMITTED marker and roll a
+        # lone new intent forward. The journals only grow, so their
+        # length at startup names this process's transactions apart.
+        boot = sum(len(shard.journal.entries()) for shard in self.shards)
+        self._txn_ids = (f"txn{boot}.{n}" for n in itertools.count(1))
+
+    # -- the fault surface ---------------------------------------------------
+
+    @property
+    def failpoint(self) -> Optional[FaultHook]:
+        """The deployment's one fault hook, or None (the default: every
+        yield point then costs one ``is not None`` test). Setting it
+        hands the hook down to every replica set; the two-phase
+        coordinator is passed it per transaction; this session itself
+        ticks ``"translated"`` — a write's translate half is done, its
+        plan has not landed — with ``shard=`` the owner."""
+        return self._failpoint
+
+    @failpoint.setter
+    def failpoint(self, hook: Optional[FaultHook]) -> None:
+        self._failpoint = hook
+        for shard in self.shards:
+            if shard.replica_set is not None:
+                shard.replica_set.failpoint = hook
+
+    @property
+    def queued(self) -> int:
+        """Operations waiting on the coordinator or on a shard's write
+        guard behind the write that holds it."""
+        return (
+            self._coordinator.waiting_readers
+            + self._coordinator.waiting_writers
+            + sum(shard.front.queued for shard in self.shards)
+        )
 
     # -- shard access --------------------------------------------------------
 
@@ -495,6 +529,8 @@ class ShardedPenguin(ViewObjectSession):
             )
             with coordinator(), self._admitted([owner_id], op, name):
                 coalesced, split = self._translate_on(owner, name, op, requests)
+                if self.failpoint is not None:
+                    self.failpoint.tick("translated", shard=owner_id)
                 # Local means *this* owner: a second shard's guard is
                 # only ever taken under the exclusive mode.
                 if set(split) <= {owner_id}:
@@ -557,7 +593,7 @@ class ShardedPenguin(ViewObjectSession):
         items: int,
     ) -> UpdatePlan:
         # One transaction at a time: the coordinator is held exclusively.
-        txn_id = f"txn{next(self._txn_counter)}"
+        txn_id = next(self._txn_ids)
         # Before-images for the audit record, read before anything is
         # applied (replicated cells appear once per shard with
         # identical images, so the union is well defined).

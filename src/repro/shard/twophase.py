@@ -39,6 +39,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import repro.obs as obs
 from repro.errors import JournalError
+from repro.relational.faults import FaultHook
 from repro.relational.journal import (
     ABORTED,
     COMMITTED,
@@ -60,11 +61,6 @@ __all__ = [
 ]
 
 TWO_PHASE_PREFIX = "2pc:"
-
-#: Failpoint hook: called with (stage, shard_id) immediately *before*
-#: each prepare/apply/commit step; raising from it models a coordinator
-#: crash at that point (the crash-point sweep drives this).
-Failpoint = Callable[[str, int], None]
 
 
 def twophase_label(txn_id: str, participants: int, shard_id: int) -> str:
@@ -88,7 +84,7 @@ def two_phase_apply(
     participants: Mapping[int, Any],
     split: Mapping[int, UpdatePlan],
     txn_id: str,
-    failpoint: Optional[Failpoint] = None,
+    failpoint: Optional[FaultHook] = None,
     post_apply: Optional[Callable[[Dict[int, Images]], None]] = None,
 ) -> Dict[int, int]:
     """Apply a partitioned plan atomically across its shards.
@@ -102,6 +98,12 @@ def two_phase_apply(
     id order (a global order, so two coordinators can never deadlock)
     and held across all three phases.
 
+    ``failpoint`` is the deployment's one fault hook: ticked with
+    ``prepare`` / ``apply`` / ``commit`` and ``shard=`` the participant
+    immediately *before* each step (``replicate``, shard -1, before
+    ``post_apply``); a ``crash`` rule there is a coordinator crash at that
+    point (the crash-point sweep drives this).
+
     ``post_apply`` runs after every sub-plan has applied but *before*
     the commit markers, with the per-shard before/after images; raising
     from it aborts the transaction through the ordinary inline-abort
@@ -112,7 +114,9 @@ def two_phase_apply(
     order = sorted(split)
     registry = obs.metrics()
 
-    checkpoint = failpoint or (lambda stage, shard_id: None)
+    def checkpoint(point: str, shard_id: int) -> None:
+        if failpoint is not None:
+            failpoint.tick(point, shard=shard_id)
 
     with obs.tracer().span(
         "shard.two_phase", txn=txn_id, shards=len(order)

@@ -33,7 +33,9 @@ __all__ = [
     "patient_chart_object",
     "HospitalConfig",
     "new_chart",
+    "rehome",
     "hospital_session",
+    "restarted",
 ]
 
 _WARDS = [("East-1", 1), ("East-2", 2), ("West-1", 1), ("ICU", 3)]
@@ -318,7 +320,7 @@ def new_chart(
     The visit is bare (two base tuples) unless ``leaves`` —
     ``(code, severity, days, value)`` — hangs one diagnosis, one
     ``MED-01`` prescription and one ``CBC`` lab result off it (five
-    base tuples across five relations). The campaigns, the load
+    base tuples across five relations). The simulation checker, the load
     generator and the CLI all write charts of this one shape.
     """
     visit = {"patient_id": pid, "visit_no": 1}
@@ -356,13 +358,28 @@ def new_chart(
     }
 
 
+def rehome(chart: Dict[str, Any], new_pid: int) -> Dict[str, Any]:
+    """``chart`` under another pivot key: ``patient_id`` rewritten on the
+    patient and on every tuple below it — the payload of a re-keying
+    ``replace`` (sharded: a cross-shard one when the owners differ)."""
+    out: Dict[str, Any] = {}
+    for key, value in chart.items():
+        if key == "patient_id":
+            out[key] = new_pid
+        elif isinstance(value, list):
+            out[key] = [rehome(child, new_pid) for child in value]
+        else:
+            out[key] = value
+    return out
+
+
 def hospital_session(patients: int, shards: int = 0, replication=None):
     """A loaded hospital with ``patient_chart`` registered, as a session.
 
     One :class:`~repro.penguin.Penguin` over a memory engine, or — given
     ``shards`` — a :class:`~repro.shard.ShardedPenguin` partitioned by
     ``PATIENT`` (with a :class:`~repro.replicate.ReplicationConfig`,
-    replicated). The scaffold the chaos campaigns and the CLI's cluster
+    replicated). The scaffold the simulation checker and the CLI's cluster
     commands stand on.
     """
     from repro.penguin import Penguin
@@ -380,3 +397,37 @@ def hospital_session(patients: int, shards: int = 0, replication=None):
     populate_hospital(loader, HospitalConfig(patients=patients))
     session.register_object(patient_chart_object(graph))
     return session
+
+
+def restarted(session, **parts):
+    """A process restart: a new session over ``session``'s engines,
+    journals and audit logs, its objects registered again. The
+    constructor runs recovery, exactly like a reboot; the old session is
+    abandoned wherever it stopped. For a single ``Penguin``, ``parts``
+    (``engine=`` / ``journal=`` / ``audit=``) replace what it restarts
+    on — how a loaded session gets a journal or a fault-injecting engine.
+    """
+    from repro.penguin import Penguin
+    from repro.shard import ShardedPenguin
+
+    if isinstance(session, ShardedPenguin):
+        shards = session.shards
+        reborn = ShardedPenguin(
+            session.graph,
+            session.placement.partition_by,
+            router=session.router,
+            engines=[shard.engine for shard in shards],
+            journals=[shard.journal for shard in shards],
+            audits=[shard.penguin.audit for shard in shards],
+            install=False,
+        )
+    else:
+        stack = {
+            "engine": session.engine,
+            "journal": session.journal,
+            "audit": session.audit,
+        }
+        reborn = Penguin(session.graph, install=False, **{**stack, **parts})
+    for name in session.object_names:
+        reborn.register_object(session.object(name))
+    return reborn

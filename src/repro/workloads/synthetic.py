@@ -292,7 +292,7 @@ class WorkloadOp:
 
     ``rank`` indexes the key *population* (0 = hottest); callers map it
     into their own key space — the serve load generator maps ranks to
-    patient ids, the chaos campaign to chart indices. ``kind`` is one
+    patient ids, the simulation checker to its key population. ``kind`` is one
     of ``"read"``, ``"update"``, ``"insert"``, ``"delete"``.
     """
 
@@ -324,7 +324,7 @@ class ZipfianWorkload:
 
     Everything derives from ``seed``: two instances with the same
     parameters produce identical streams, which is what lets the serve
-    load test and the chaos campaign replay a run exactly.
+    load test and the simulation checker replay a run exactly.
     """
 
     def __init__(

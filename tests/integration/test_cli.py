@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 
 
 def test_demo_prints_all_figures(capsys):
@@ -167,11 +167,23 @@ def test_metrics_command_json_snapshot(capsys):
     assert sum(totals.values()) >= 2  # the insert and the delete
 
 
-def test_chaos_command(capsys):
-    assert main(["chaos", "--seed", "0", "--ops", "60", "--patients", "2"]) == 0
+def test_simulate_command(capsys):
+    assert main(["simulate", "--preset", "crash", "--seed", "0", "--steps", "20"]) == 0
     out = capsys.readouterr().out
-    assert "chaos campaign (seed=0)" in out
-    assert "crash sweep" in out
-    assert "transient bulk" in out
-    assert "degraded serving" in out
+    assert "simulate crash (seed=0, steps=20, deployment=single)" in out
+    assert "crash@mutation#1 fired" in out
     assert "all held" in out
+
+
+def test_the_campaign_commands_are_gone_with_no_alias():
+    parser = build_parser()
+    (commands,) = [
+        action for action in parser._actions if isinstance(action.choices, dict)
+    ]
+    assert len(commands.choices) == 12  # 16 parsers with ``audit``'s own five
+    assert not {"chaos", "chaos-failover"} & set(commands.choices)
+    simulate = commands.choices["simulate"]
+    assert sorted(
+        option for action in simulate._actions for option in action.option_strings
+        if option.startswith("--")
+    ) == ["--help", "--preset", "--seed", "--steps"]

@@ -1,8 +1,8 @@
 """Failure injection: translations must be all-or-nothing under faults.
 
-A wrapper engine fails after a configurable number of mutations; at
-every possible failure point, the translator must roll back completely
-and leave the database byte-identical and structurally consistent.
+A transient fault is injected at the Nth mutation, for every N; at every
+possible failure point the translator must roll back completely and
+leave the database byte-identical and structurally consistent.
 """
 
 import copy
@@ -10,6 +10,8 @@ import copy
 import pytest
 
 from repro.core.updates.translator import Translator
+from repro.errors import TransientEngineError
+from repro.relational.faults import FaultInjectingEngine
 from repro.relational.memory_engine import MemoryEngine
 from repro.structural.integrity import IntegrityChecker
 from repro.workloads.figures import course_info_object
@@ -22,47 +24,10 @@ from repro.workloads.university import (
 pytestmark = pytest.mark.chaos
 
 
-class InjectedFault(Exception):
-    """The synthetic storage failure."""
-
-
-class FaultyEngine(MemoryEngine):
-    """Fails the Nth mutation (insert/delete/replace) after arming."""
-
-    def __init__(self):
-        super().__init__()
-        self._fail_at = None
-        self._mutations = 0
-
-    def arm(self, fail_at: int) -> None:
-        self._fail_at = fail_at
-        self._mutations = 0
-
-    def _tick(self) -> None:
-        if self._fail_at is None:
-            return
-        self._mutations += 1
-        if self._mutations >= self._fail_at:
-            self._fail_at = None
-            raise InjectedFault(f"injected fault at mutation {self._mutations}")
-
-    def insert(self, name, values):
-        self._tick()
-        return super().insert(name, values)
-
-    def delete(self, name, key):
-        self._tick()
-        return super().delete(name, key)
-
-    def replace(self, name, key, values):
-        self._tick()
-        return super().replace(name, key, values)
-
-
 @pytest.fixture
 def setup():
     graph = university_schema()
-    engine = FaultyEngine()
+    engine = FaultInjectingEngine(MemoryEngine())
     graph.install(engine)
     populate_university(
         engine, UniversityConfig(students=12, courses=8)
@@ -90,10 +55,11 @@ def run_at_every_fault_point(graph, engine, action, max_points=50):
     baseline = snapshot(engine, graph)
     fault_points = 0
     for index in range(1, max_points + 1):
-        engine.arm(index)
+        del engine.plan.rules[:]
+        engine.plan.transient_at("mutation", index)
         try:
             action()
-        except InjectedFault:
+        except TransientEngineError:
             fault_points += 1
             assert snapshot(engine, graph) == baseline, (
                 f"fault at mutation {index} leaked state"
@@ -104,7 +70,7 @@ def run_at_every_fault_point(graph, engine, action, max_points=50):
         # The action completed before the fault fired: undo it for the
         # next iteration by restoring from the snapshot is impossible —
         # instead we stop; all earlier indices covered every real point.
-        engine._fail_at = None
+        del engine.plan.rules[:]
         return index - 1
     raise AssertionError("action never completed")
 

@@ -25,9 +25,10 @@ with its own markers, but the owner's commit is counted and audited like
 any other — one record, one ``translations_total``, one ``plan_ops``
 sample — and each participant's replicas land their own sub-plan.
 
-Not a row of the table, on purpose: a query-driven verb matching nothing
-(a ``Penguin`` commits and audits an empty batch, a sharded session has
-no owner to do it on).
+A query-driven verb whose select matches nothing is a row as well: the
+empty set of operations is no update, so no session journals, audits or
+counts anything and all of them return the empty plan (a guarded facade
+still admits the request once — it cannot know before it has selected).
 """
 
 import threading
@@ -55,9 +56,9 @@ from repro.workloads.hospital import (
     hospital_schema,
     patient_chart_object,
     populate_hospital,
+    rehome,
 )
 from tests.shard.test_sharded import OBJECT, RELATIONS, fresh_chart
-from tests.shard.test_twophase import rehome
 
 PATIENTS = 8
 RESIDENTS = range(100, 100 + PATIENTS)
@@ -428,6 +429,27 @@ def test_every_session_does_what_a_single_penguin_does(
         else:
             admitted = max(1, len(commits))
         assert seen.admissions == admitted, kind
+
+
+NOTHING = {
+    "delete_where": lambda s: s.delete_where(OBJECT, "name = 'Nobody'"),
+    "update_where": lambda s: s.update_where(OBJECT, "name = 'Nobody'", renamed),
+}
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("verb", sorted(NOTHING))
+def test_a_select_matching_nothing_is_no_update_on_any_session(verb, backend):
+    reference = Observed("penguin", backend, ACCEPTED, NOTHING[verb])
+    for kind in SESSIONS:
+        seen = Observed(kind, backend, ACCEPTED, NOTHING[verb])
+        assert seen.error is None and seen.operations == [], kind
+        assert seen.rows == reference.rows, kind
+        assert seen.audit == [] and seen.replica_commits == 0, kind
+        assert seen.translations == seen.failures == seen.plan_ops == 0, kind
+        # One facade admits before it selects; a sharded session selects
+        # under its coordinator and has no owner to admit on.
+        assert seen.admissions == (1 if kind == "concurrent" else 0), kind
 
 
 def test_rejection_counted_and_audited_on_the_owner_shard():

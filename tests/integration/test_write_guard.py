@@ -6,8 +6,9 @@ guarded session therefore admits a write once, *before* its translate
 half, and keeps the shard's other writers out until it commits
 (DESIGN.md "One guard"). Each row below forces the interleaving that
 used to slip between a sharded write's translate half and its landing —
-writer 1 is parked inside its translate half, writer 2 is started and
-must not have begun translating — and then compares the errors, the
+writer 1 is parked on the fault surface's yield point past its translate
+half, writer 2 is started and must be queued on the guard, its own
+translate half not begun — and then compares the errors, the
 final database, the audit ``(op, outcome)`` sequence and
 ``check_integrity()`` with the serial order on a single ``Penguin``.
 
@@ -25,7 +26,6 @@ import time
 import pytest
 
 import repro.obs as obs
-from repro.core.updates.translator import Translator
 from repro.errors import (
     DegradedServiceError,
     PrimaryDownError,
@@ -33,7 +33,14 @@ from repro.errors import (
     TransientEngineError,
     UpdateError,
 )
-from repro.relational.faults import READ_OPS, FaultInjectingEngine
+from repro.relational.faults import (
+    READ_OPS,
+    FaultHook,
+    FaultInjectingEngine,
+    FaultPlan,
+    FaultRule,
+    SecondOperation,
+)
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.concurrent import ConcurrentPenguin
 from repro.shard import ShardedPenguin
@@ -49,8 +56,8 @@ from tests.integration.test_session_parity import (
     single,
     tagged,
 )
+from repro.workloads.hospital import rehome
 from tests.shard.test_sharded import OBJECT, fresh_chart
-from tests.shard.test_twophase import rehome
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -78,30 +85,53 @@ def closing():
             session.close()
 
 
-class TranslateGate:
-    """Every translate half, by thread name, in the order it began; with
-    ``park`` the first one waits inside it until released."""
+class Race:
+    """Writer 1 runs on this thread. Where it first reaches the yield
+    point past its translate half — ``translated`` on a sharded session;
+    on a facade over one engine its first engine read, which is inside
+    the eager translate — writer 2 is started and writer 1 held until
+    writer 2 has finished *or is queued on the write guard* (read off
+    the guard, not slept for); it must be queued. ``started``: thread
+    names in the order their translate halves were reached."""
 
-    def __init__(self, monkeypatch, park=True):
+    def __init__(self, session, second, meanwhile=None):
+        self.session, self.meanwhile = session, meanwhile
         self.started = []
-        self.parked = threading.Event()
-        self.release = threading.Event()
-        lock = threading.Lock()
-        translate = Translator._translate
+        self.rival = None
+        self.second = second
+        hook = FaultHook(FaultPlan().add(
+            FaultRule("call", ("translated", "read"), action=self.reached)
+        ))
+        if isinstance(session, ShardedPenguin):
+            session.failpoint = hook
+        else:
+            penguin = session.penguin
+            penguin.engine = FaultInjectingEngine(penguin.engine, hook)
 
-        def gated(translator, ctx, request):
-            with lock:
-                first = park and not self.started
-                self.started.append(threading.current_thread().name)
-            if first:
-                self.wait()
-            return translate(translator, ctx, request)
+    def reached(self, point, shard):
+        name = threading.current_thread().name
+        if name not in self.started:
+            self.started.append(name)
+            self.beside()
 
-        monkeypatch.setattr(Translator, "_translate", gated)
+    def beside(self):
+        """Start writer 2 (once) beside the writer on this thread."""
+        if self.rival is None:
+            self.rival = SecondOperation(
+                lambda: outcome_of(self.second, self.session),
+                lambda: self.session.queued,
+            )
+            self.rival("beside", None)
+            if self.meanwhile is not None:
+                self.meanwhile()
 
-    def wait(self):
-        self.parked.set()
-        assert self.release.wait(30)
+    def run(self, first):
+        """Both outcomes; writer 2 must have been held back — alive, its
+        translate half not begun — until writer 1 was through."""
+        outcomes = outcome_of(first, self.session), self.rival.join()
+        assert self.rival.held_back, "the second writer translated beside the first"
+        assert self.started[0] == threading.current_thread().name
+        return outcomes
 
 
 def outcome_of(call, session):
@@ -110,35 +140,6 @@ def outcome_of(call, session):
     except Exception as exc:  # noqa: BLE001 - the outcome is the row
         return type(exc), str(exc)
     return None
-
-
-def race(session, gate, first, second, meanwhile=None):
-    """Start ``first``; once it is parked, run ``meanwhile`` and start
-    ``second``, which must be held back — alive, its translate half not
-    begun — until ``first`` is released. Returns both outcomes."""
-    outcomes = {}
-    threads = {
-        name: threading.Thread(
-            target=lambda name=name, call=call: outcomes.__setitem__(
-                name, outcome_of(call, session)
-            ),
-            name=name, daemon=True,
-        )
-        for name, call in (("first", first), ("second", second))
-    }
-    threads["first"].start()
-    assert gate.parked.wait(30)
-    if meanwhile is not None:
-        meanwhile()
-    threads["second"].start()
-    threads["second"].join(timeout=0.2)
-    held_back = threads["second"].is_alive() and "second" not in gate.started
-    gate.release.set()
-    for thread in threads.values():
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-    assert held_back, "the second writer translated beside the first"
-    return outcomes["first"], outcomes["second"]
 
 
 class Seen:
@@ -194,7 +195,7 @@ WRITER_PAIRS = {
 @pytest.mark.parametrize("kind", SESSIONS)
 @pytest.mark.parametrize("pair", sorted(WRITER_PAIRS))
 def test_two_writers_on_one_key_end_as_the_serial_order(
-    pair, kind, backend, monkeypatch, closing
+    pair, kind, backend, closing
 ):
     first, second = WRITER_PAIRS[pair]
     reference = serially(backend, first, second)
@@ -203,13 +204,13 @@ def test_two_writers_on_one_key_end_as_the_serial_order(
     session = guarded(kind, backend)
     closing(session)
     tail = AuditTail(session)
-    outcomes = race(session, TranslateGate(monkeypatch), first, second)
+    outcomes = Race(session, second).run(first)
     assert Seen(session, tail, outcomes) == reference
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @pytest.mark.parametrize("kind", SESSIONS)
-def test_update_where_loses_no_update(kind, backend, monkeypatch, closing):
+def test_update_where_loses_no_update(kind, backend, closing):
     """(c) A query-driven verb holds its session from select to commit:
     a ``replace`` arriving in between waits, so the snapshot
     ``update_where`` writes back is never stale."""
@@ -229,14 +230,13 @@ def test_update_where_loses_no_update(kind, backend, monkeypatch, closing):
     session = guarded(kind, backend)
     closing(session)
     tail = AuditTail(session)
-    gate = TranslateGate(monkeypatch, park=False)
+    race = Race(session, replace_chart)
 
     def parking(chart):
-        if not gate.parked.is_set():
-            gate.wait()  # selected, not yet translated
+        race.beside()  # selected, not yet translated
         return renamed(chart)
 
-    outcomes = race(session, gate, update_where(parking), replace_chart)
+    outcomes = race.run(update_where(parking))
     assert Seen(session, tail, outcomes) == reference
     assert session.get(OBJECT, (SAME[0],)).to_dict()["birth_year"] == 1901
 
@@ -358,9 +358,7 @@ def test_a_degraded_shard_refuses_before_it_reads_its_engine(
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_a_failover_inside_a_write_lets_nobody_past_it(
-    backend, monkeypatch, closing
-):
+def test_a_failover_inside_a_write_lets_nobody_past_it(backend, closing):
     """(f) The primary dies while writer 1 is translating and writer 2
     is queued: the serialiser is the shard's, not the dead primary's, so
     writer 1 fails over and lands, then writer 2 — no deadlock, in
@@ -371,15 +369,13 @@ def test_a_failover_inside_a_write_lets_nobody_past_it(
         session.owner_of(OBJECT, (FRESH[0],))
     ).replica_set
     doomed = replica_set.primary
-    gate = TranslateGate(monkeypatch)
-    outcomes = race(
-        session, gate,
-        insert_chart,
+    race = Race(
+        session,
         lambda s: s.insert(OBJECT, fresh_chart(FRESH[1])),
         meanwhile=doomed.kill,
     )
-    assert outcomes == (None, None)
-    assert gate.started == ["first", "second"]
+    assert race.run(insert_chart) == (None, None)
+    assert race.started == [threading.current_thread().name, "second"]
     assert replica_set.failovers == 1 and replica_set.primary is not doomed
     landed = [
         record.plan().operations[0].values[0]
@@ -407,11 +403,9 @@ def test_a_retry_after_the_primary_died_is_not_translated_on_its_corpse(
     ).replica_set
     doomed = replica_set.primary
 
-    def die_before_shipping(stage, shard_id):
-        if stage == "pre_ship":
-            doomed.kill()
-
-    replica_set.failpoint = die_before_shipping
+    replica_set.failpoint = FaultHook(
+        FaultPlan().call_at("pre_ship", lambda point, shard: doomed.kill())
+    )
     assert outcome_of(insert_chart, session)[0] is PrimaryDownError
     assert doomed.engine.get("PATIENT", (FRESH[0],)) is not None
     assert outcome_of(insert_chart, session) is None

@@ -101,7 +101,7 @@ class TestLatency:
         plan = FaultPlan().latency("insert", 0.01, times=1)
         _, engine = make_engine(plan)
         slept = []
-        engine._sleep = slept.append
+        engine.hook._sleep = slept.append
         engine.insert("ITEMS", (1, "a"))
         engine.insert("ITEMS", (2, "b"))
         assert slept == [0.01]

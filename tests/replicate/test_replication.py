@@ -12,6 +12,7 @@ from repro.errors import (
     ReplicationQuorumError,
 )
 from repro.obs.history import divergence
+from repro.relational.faults import FaultHook, FaultPlan
 from repro.replicate import ReplicationConfig, ShippingLink
 from repro.shard import ShardedPenguin, sharded_loader
 from repro.workloads.hospital import (
@@ -66,10 +67,7 @@ def build(replicas=2, quorum=1, miss_threshold=3, apply_inline=True,
 
 
 def pid_on_shard(sharded, shard_id, start=90_000):
-    pid = start
-    while sharded.router.shard_of((pid,)) != shard_id:
-        pid += 1
-    return pid
+    return sharded.router.key_on(shard_id, start)
 
 
 def chart_on_shard(sharded, shard_id, name="Replicated Patient", start=90_000):
@@ -165,12 +163,11 @@ class TestQuorum:
         sharded = build()
         replica_set = sharded.shard(0).replica_set
 
-        def wedge(stage, shard_id):
-            if stage == "post_apply":
-                for replica in replica_set.replicas:
-                    replica_set.link(replica.name).wedge()
+        def wedge(point, shard_id):
+            for replica in replica_set.replicas:
+                replica_set.link(replica.name).wedge()
 
-        replica_set.failpoint = wedge
+        replica_set.failpoint = FaultHook(FaultPlan().call_at("post_apply", wedge))
         chart = chart_on_shard(sharded, 0)
         key = (chart["patient_id"],)
         with pytest.raises(ReplicationQuorumError):
@@ -217,11 +214,9 @@ class TestQuorum:
         replica_set = sharded.shard(0).replica_set
         r1, r2 = replica_set.replicas
 
-        def wedge(stage, shard_id):
-            if stage == "post_apply":
-                replica_set.link(r2.name).wedge()
-
-        replica_set.failpoint = wedge
+        replica_set.failpoint = FaultHook(FaultPlan().call_at(
+            "post_apply", lambda point, shard: replica_set.link(r2.name).wedge()
+        ))
         chart = chart_on_shard(sharded, 0)
         with pytest.raises(ReplicationQuorumError):
             sharded.insert(OBJECT, chart)
@@ -320,14 +315,13 @@ class TestFailover:
         pid = pid_on_shard(sharded, 0, start=100)
         seen = {}
 
-        def hook(stage, shard_id):
-            if stage == "post_drain":
-                try:
-                    replica_set.get_served(OBJECT, (pid,))
-                except FailoverInProgressError:
-                    seen["blocked"] = True
+        def read(point, shard_id):
+            try:
+                replica_set.get_served(OBJECT, (pid,))
+            except FailoverInProgressError:
+                seen["blocked"] = True
 
-        replica_set.failpoint = hook
+        replica_set.failpoint = FaultHook(FaultPlan().call_at("post_drain", read))
         replica_set.primary.kill()
         for _ in range(replica_set.config.miss_threshold):
             try:
@@ -416,6 +410,35 @@ class TestPartitionCatchUp:
             assert replica_set.lag(lagging) == 0
             assert gauge.value == 0
             sharded.close()
+
+    def test_a_killed_primary_ships_nothing_on_catch_up(self):
+        """A killed stack takes no further action. The primary dies at
+        ``post_apply`` — committed, not shipped, the client told so —
+        and ``catch_up()`` (the campaigns' own checker called it before
+        comparing) used to hand the unacked chart to both replicas, so
+        the promoted stack served a write nobody was acked for."""
+        sharded = build(miss_threshold=2)
+        replica_set = sharded.shard(0).replica_set
+        doomed = replica_set.primary
+        replica_set.failpoint = FaultHook(
+            FaultPlan().call_at("post_apply", lambda point, shard: doomed.kill())
+        )
+        chart = chart_on_shard(sharded, 0, "never acked", 98_000)
+        with pytest.raises(PrimaryDownError):
+            sharded.insert(OBJECT, chart)
+        held = [replica.received_count for replica in replica_set.replicas]
+        sends = [replica_set.link(r.name).sends for r in replica_set.replicas]
+        assert replica_set.catch_up() == 0
+        assert [r.received_count for r in replica_set.replicas] == held
+        assert [replica_set.link(r.name).sends for r in replica_set.replicas] == sends
+        replica_set.probe()
+        assert replica_set.failovers == 1 and replica_set.primary is not doomed
+        assert sharded.get(OBJECT, (chart["patient_id"],)) is None
+        sharded.insert(OBJECT, chart)  # the retry lands on the promoted stack
+        assert replica_set.catch_up() == 0  # (nothing was left behind)
+        for replica in replica_set.replicas:
+            assert divergence(replica_set.primary.engine, replica.engine) == []
+        sharded.close()
 
     def test_next_write_also_heals_the_backlog(self):
         sharded = build()

@@ -221,17 +221,31 @@ class TestRoutes:
             "Renamed Over HTTP"
         )
 
-    def test_bad_json_is_400(self, served):
+    def test_bad_json_is_400(self, served, body=b"{not json"):
         _, url = served
         req = urllib.request.Request(
             f"{url}/objects/{OBJECT}",
-            data=b"{not json",
+            data=body,
             method="POST",
             headers={"Content-Type": "application/json"},
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(req, timeout=10)
         assert excinfo.value.code == 400
+        assert "error" in json.loads(excinfo.value.read())
+        assert request(f"{url}/health")[0] == 200
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\xff\xfe",                       # not UTF-8
+            b"[" * 100_000,                    # RecursionError in the decoder
+            b'{"instance": ' + b'{"a": ' * 5_000 + b"1" + b"}" * 5_001,
+        ],
+        ids=["encoding", "deep-array", "deep-object"],
+    )
+    def test_undecodable_json_is_400_too(self, served, body):
+        self.test_bad_json_is_400(served, body)
 
     def test_duplicate_insert_is_400(self, served):
         _, url = served
@@ -544,11 +558,21 @@ class TestUrlUnquote:
             _url_unquote(encoded)
         assert excinfo.value.status == 400
 
-    def test_malformed_query_is_a_400_response(self, served):
+    def test_malformed_query_is_a_400_response(self, served, query="%4"):
         _, url = served
-        status, body = request(f"{url}/objects/{OBJECT}?q=%4")
+        status, body = request(f"{url}/objects/{OBJECT}?q={query}")
         assert status == 400
         assert "error" in body
+        assert request(f"{url}/health")[0] == 200
+
+    @pytest.mark.parametrize("opener", ["not%20", "%28"], ids=["not", "parens"])
+    def test_a_query_nested_past_the_recursion_limit_is_a_400_too(
+        self, served, opener
+    ):
+        """(a ``RecursionError`` in the query parser, a 500, on the parent)"""
+        self.test_malformed_query_is_a_400_response(
+            served, opener * 3_000 + "birth_year%20%3E%200"
+        )
 
     def test_invalid_utf8_query_is_a_400_response(self, served):
         _, url = served
@@ -615,6 +639,24 @@ class TestContentLength:
         assert reply.startswith("HTTP/1.1 400 ")
         assert "X-Request-Id: mine-1\r\n" in reply
 
+    def test_a_head_over_the_stream_limit_still_gets_an_answer(
+        self, served, caplog
+    ):
+        """``readuntil`` gives up at asyncio's 64 KiB limit; the handler
+        used to die with it ("Unhandled exception in client_connected_cb")
+        and the client saw a reset, no status line."""
+        _, url = served
+        with caplog.at_level("ERROR", logger="asyncio"):
+            reply = self.raw_exchange(
+                url, "GET /health HTTP/1.1\r\nX-Padding: " + "x" * 70_000 + "\r\n\r\n"
+            )
+            assert request(f"{url}/health")[0] == 200
+        head, _, body = reply.partition("\r\n\r\n")
+        assert head.startswith(("HTTP/1.1 431 ", "HTTP/1.1 400 "))
+        assert "Connection: close" in head.split("\r\n")
+        assert "error" in json.loads(body)
+        assert "Unhandled exception" not in caplog.text
+
     @pytest.mark.parametrize("value", ["", "0", "00"])
     def test_empty_and_zero_mean_no_body(self, served, value):
         _, url = served
@@ -624,6 +666,115 @@ class TestContentLength:
             "Connection: close\r\n\r\n",
         )
         assert reply.startswith("HTTP/1.1 200 ")
+
+
+class TestMalformedInputFuzz:
+    """ROADMAP: "no 500 from malformed input". 320 seeded malformed
+    requests — mutated charts, wrong types, bad escapes, bad
+    ``Content-Length`` / ``traceparent`` / deadline headers, unknown
+    methods, nesting past every recursion limit, a head past the stream
+    limit — each answered 4xx (or 503 / 504), and the server serves on."""
+
+    @staticmethod
+    def malformed(rng, number):
+        """(request bytes, what was done to it)."""
+        chart = fresh_chart(40_000 + number)
+        target, method, headers = f"/objects/{OBJECT}", "POST", {}
+        body = None
+        kind = rng.choice((
+            "drop-key", "wrong-type", "truncated", "bytes", "deep-body",
+            "not-an-object", "escape", "query", "deep-query", "key",
+            "length", "deadline", "method", "request-line", "big-head",
+        ))
+        if kind == "drop-key":
+            victim = rng.choice((chart, chart["VISIT"][0]))
+            del victim[rng.choice([k for k in victim if k.islower()])]
+        elif kind == "wrong-type":
+            where = rng.choice(("patient_id", "VISIT", "birth_year"))
+            chart[where] = rng.choice(("x", [[]], {"a": 1}, [1, 2], 1e400, True))
+            if where != "VISIT":
+                chart["VISIT"] = rng.choice((7, "visits", [3], [None], {}))
+        elif kind == "truncated":
+            text = json.dumps({"instance": chart})
+            body = text[: rng.randrange(1, len(text) - 1)].encode()
+        elif kind == "bytes":
+            body = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 64)))
+            body = b"\xff" + body
+        elif kind == "deep-body":
+            body = rng.choice((b"[", b'{"instance":', b'{"a":[')) * 20_000
+        elif kind == "not-an-object":
+            body = rng.choice((b"null", b"[]", b'"chart"', b"12", b'{"instance": 3}'))
+        elif kind == "escape":
+            method = "GET"
+            target += "?q=" + rng.choice(("%", "%zz", "%E9", "%C3%28", "a%4"))
+        elif kind == "query":
+            method = "GET"
+            target += "?q=" + rng.choice((
+                "((((", "name%20%3D%20%3D%201", "name%20%3D%20%27open",
+                "order%20by", "count(%20", "limit%20-1", "%00",
+            ))
+        elif kind == "deep-query":
+            method = "GET"
+            target += "?q=" + rng.choice(("not%20", "%28")) * 4_000 + "x%20%3D%201"
+        elif kind == "key":
+            method = rng.choice(("PUT", "DELETE"))
+            target += "/" + rng.choice(("%zz", "1,2,3", "nobody", "1e400", ",", "%00"))
+            body = b"{not json" if method == "PUT" else None
+        elif kind == "length":
+            headers["Content-Length"] = rng.choice(("abc", "-1", "1e3", "99999999999"))
+        elif kind == "deadline":
+            headers["X-Deadline-Ms"] = rng.choice(("abc", "-5", "0", "nan", "1e-320"))
+            headers["traceparent"] = rng.choice(("zz", "00-" + "g" * 32, "00-1-2-3", ""))
+        elif kind == "method":
+            method = rng.choice(("BREW", "get ", "PATCH", "G" * 300, "OPTIONS"))
+        elif kind == "request-line":
+            return rng.choice((b"GET\r\n\r\n", b"\r\n\r\n", b"GET / \r\n\r\n")), kind
+        elif kind == "big-head":
+            headers["X-Padding"] = "x" * 70_000
+        if body is None and method in ("POST", "PUT"):
+            body = json.dumps({"instance": chart}).encode()
+        body = body or b""
+        headers.setdefault("Content-Length", str(len(body)))
+        headers["Connection"] = "close"
+        head = f"{method} {target} HTTP/1.1\r\n" + "".join(
+            f"{name}: {value}\r\n" for name, value in headers.items()
+        )
+        return head.encode("latin-1") + b"\r\n" + body, kind
+
+    def test_every_malformed_request_is_answered_and_never_with_a_500(
+        self, served, caplog
+    ):
+        import random
+        import socket
+
+        _, url = served
+        host, port = url.rsplit("/", 1)[-1].split(":")
+        rng = random.Random(20)
+        answers = {}
+        with caplog.at_level("ERROR", logger="asyncio"):
+            for number in range(320):
+                payload, kind = self.malformed(rng, number)
+                with socket.create_connection((host, int(port)), timeout=10) as sock:
+                    try:
+                        sock.sendall(payload)
+                    except OSError:
+                        pass  # answered and closed before the tail was sent
+                    reply = b""
+                    while b"\r\n" not in reply:
+                        chunk = sock.recv(65536)
+                        if not chunk:
+                            break
+                        reply += chunk
+                line = reply.split(b"\r\n")[0].decode("latin-1")
+                assert line.startswith("HTTP/1.1 "), (kind, payload[:80], reply[:80])
+                status = int(line.split()[1])
+                answers.setdefault(kind, set()).add(status)
+                assert 400 <= status < 500 or status in (503, 504), (
+                    kind, payload[:200], line
+                )
+            assert request(f"{url}/health")[0] == 200
+        assert len(answers) == 15, sorted(answers)
+        assert "Unhandled exception" not in caplog.text
 
 
 class TestLoadGenerator:

@@ -10,66 +10,22 @@ import pytest
 
 import repro.obs as obs
 from repro.errors import ReproError
-from repro.shard import ShardedPenguin, TwoPhaseRecoveryReport, sharded_loader
-from repro.workloads.hospital import (
-    HospitalConfig,
-    hospital_schema,
-    patient_chart_object,
-    populate_hospital,
-)
+from repro.relational.faults import FaultHook, FaultPlan, SimulatedCrash
+from repro.shard import TwoPhaseRecoveryReport
+from repro.simulate import PRESETS
+from repro.workloads.hospital import hospital_session, new_chart, rehome, restarted
 
 pytestmark = pytest.mark.chaos
 
 OBJECT = "patient_chart"
 
 
-class SimulatedCrash(BaseException):
-    """A process death: not an Exception, so no inline abort runs."""
-
-
 def fresh_chart(pid):
-    return {
-        "patient_id": pid,
-        "name": f"Chart {pid}",
-        "birth_year": 1960,
-        "ward_name": None,
-        "VISIT": [
-            {
-                "patient_id": pid,
-                "visit_no": 1,
-                "visit_date": "1991-05-29",
-                "physician_id": 9000,
-                "reason": "test",
-                "DIAGNOSIS": [],
-                "PRESCRIPTION": [],
-                "LAB_RESULT": [],
-                "PHYSICIAN": [],
-            }
-        ],
-    }
-
-
-def rehome(chart, new_pid):
-    def walk(node):
-        out = {}
-        for key, value in node.items():
-            if key == "patient_id":
-                out[key] = new_pid
-            elif isinstance(value, list):
-                out[key] = [walk(child) for child in value]
-            else:
-                out[key] = value
-        return out
-
-    return walk(chart)
+    return new_chart(pid, f"Chart {pid}", 1960, "test")
 
 
 def build_sharded(num_shards=4):
-    graph = hospital_schema()
-    sharded = ShardedPenguin(graph, "PATIENT", num_shards=num_shards)
-    populate_hospital(sharded_loader(sharded), HospitalConfig(patients=8))
-    sharded.register_object(patient_chart_object(graph))
-    return sharded
+    return hospital_session(8, shards=num_shards)
 
 
 def cross_shard_pair(router):
@@ -80,24 +36,9 @@ def cross_shard_pair(router):
     raise AssertionError("no cross-shard pair")  # pragma: no cover
 
 
-def restart(sharded):
-    """A new facade over the same engines/journals — a process restart.
-
-    The constructor runs recovery, exactly like a real reboot; the old
-    facade is abandoned mid-transaction.
-    """
-    graph = sharded.graph
-    reborn = ShardedPenguin(
-        graph,
-        "PATIENT",
-        router=sharded.router,
-        engines=[shard.engine for shard in sharded.shards],
-        journals=[shard.journal for shard in sharded.shards],
-        audits=[shard.penguin.audit for shard in sharded.shards],
-        install=False,
-    )
-    reborn.register_object(patient_chart_object(graph))
-    return reborn
+def crash_at(sharded, stage, nth):
+    """A coordinator crash at the ``nth`` ``stage`` checkpoint."""
+    sharded.failpoint = FaultHook(FaultPlan().crash_at(stage, nth))
 
 
 def patient_rows(sharded, pid):
@@ -109,13 +50,11 @@ def patient_rows(sharded, pid):
     ]
 
 
-# Every checkpoint a 2-participant transaction passes through, in
-# order: prepare on each shard, apply on each, commit markers on each.
-CRASH_POINTS = [
-    ("prepare", 0), ("prepare", 1),
-    ("apply", 0), ("apply", 1),
-    ("commit", 0), ("commit", 1),
-]
+# Every checkpoint a 2-participant transaction passes through, in order
+# (prepare on each shard, apply on each, commit markers on each): the
+# ``twophase`` preset's fault menu, as (stage, ordinal).
+CRASH_POINTS = [(fault.point, fault.at - 1) for fault in PRESETS["twophase"][1]]
+assert len(CRASH_POINTS) == 6
 
 
 @pytest.mark.parametrize("stage,ordinal", CRASH_POINTS)
@@ -131,19 +70,11 @@ def test_crash_sweep_never_tears(stage, ordinal):
         for name in sharded.graph.relation_names
     }
 
-    hits = {"count": 0}
-
-    def failpoint(fp_stage, shard_id):
-        if fp_stage == stage:
-            if hits["count"] == ordinal:
-                raise SimulatedCrash(f"crash at {stage}#{ordinal}")
-            hits["count"] += 1
-
-    sharded.failpoint = failpoint
+    crash_at(sharded, stage, ordinal + 1)
     with pytest.raises(SimulatedCrash):
         sharded.replace(OBJECT, (old_pid,), moved)
 
-    reborn = restart(sharded)
+    reborn = restarted(sharded)
     report = reborn.recovery.two_phase
     assert report.clean
 
@@ -187,21 +118,37 @@ def test_recovery_is_ordered_before_per_shard_recovery():
     old_pid, new_pid = cross_shard_pair(sharded.router)
     moved = rehome(sharded.get(OBJECT, (old_pid,)).to_dict(), new_pid)
 
-    def crash_between_commits(stage, shard_id):
-        if stage == "commit":
-            if crash_between_commits.armed:
-                raise SimulatedCrash("second commit marker")
-            crash_between_commits.armed = True
-
-    crash_between_commits.armed = False
-    sharded.failpoint = crash_between_commits
+    crash_at(sharded, "commit", 2)
     with pytest.raises(SimulatedCrash):
         sharded.replace(OBJECT, (old_pid,), moved)
 
-    reborn = restart(sharded)
+    reborn = restarted(sharded)
     assert reborn.recovery.two_phase.rolled_forward
     assert reborn.get(OBJECT, (new_pid,)) is not None
     assert reborn.get(OBJECT, (old_pid,)) is None
+
+
+def test_a_transaction_id_does_not_come_back_after_a_restart():
+    """Found by ``simulate --preset twophase --seed 0``: the id counter
+    restarted at ``txn1`` with the process, so a crash before the second
+    intent of the *next* process's first transaction found the settled
+    ``txn1``'s COMMITTED marker in its group and rolled the lone intent
+    forward — the chart deleted on one shard, inserted on neither."""
+    sharded = build_sharded(2)
+    old_pid, new_pid = cross_shard_pair(sharded.router)
+    moved = rehome(sharded.get(OBJECT, (old_pid,)).to_dict(), new_pid)
+    sharded.replace(OBJECT, (old_pid,), moved)  # settles as this process's first
+    reborn = restarted(sharded)
+    back = rehome(reborn.get(OBJECT, (new_pid,)).to_dict(), old_pid)
+    crash_at(reborn, "prepare", 2)
+    with pytest.raises(SimulatedCrash):
+        reborn.replace(OBJECT, (new_pid,), back)
+    again = restarted(reborn)
+    assert again.recovery.two_phase.rolled_back
+    assert not again.recovery.two_phase.rolled_forward
+    assert again.get(OBJECT, (new_pid,)) is not None
+    assert again.get(OBJECT, (old_pid,)) is None
+    assert again.check_integrity() == []
 
 
 def test_inline_abort_reverts_applied_participants():
@@ -245,7 +192,7 @@ def test_inline_abort_reverts_applied_participants():
 def test_restart_with_clean_journals_is_a_noop():
     sharded = build_sharded()
     sharded.insert(OBJECT, fresh_chart(50_010))
-    reborn = restart(sharded)
+    reborn = restarted(sharded)
     assert isinstance(reborn.recovery.two_phase, TwoPhaseRecoveryReport)
     assert reborn.recovery.two_phase.resolved == 0
     assert reborn.get(OBJECT, (50_010,)) is not None
@@ -280,17 +227,10 @@ def test_recovery_restores_through_restore_images(
     sharded = build_sharded()
     old_pid, new_pid = cross_shard_pair(sharded.router)
     moved = rehome(sharded.get(OBJECT, (old_pid,)).to_dict(), new_pid)
-    seen = []
-
-    def failpoint(stage, shard_id):
-        seen.append(stage)
-        if seen.count(crash_stage) == 2:
-            raise SimulatedCrash(f"second {crash_stage}")
-
-    sharded.failpoint = failpoint
+    crash_at(sharded, crash_stage, 2)
     with pytest.raises(SimulatedCrash):
         sharded.replace(OBJECT, (old_pid,), moved)
-    reborn = restart(sharded)
+    reborn = restarted(sharded)
     assert restore_directions == expected
     survivor = new_pid if expected[0] else old_pid
     assert reborn.get(OBJECT, (survivor,)) is not None

@@ -4,6 +4,7 @@ once selected between two translators stays gone."""
 import ast
 import inspect
 import pathlib
+import re
 
 import repro
 from repro.core.updates.translator import Translator
@@ -192,16 +193,77 @@ def test_the_durable_logs_flush_in_one_place():
 
 
 def test_replication_does_not_reach_up_into_sharding():
-    """``replicate/`` sits below ``shard/``; only the failover campaign,
-    a harness over the whole deployment, may import it."""
+    """``replicate/`` sits below ``shard/``, with no exception: the
+    harness over the whole deployment is ``repro/simulate.py``."""
     offenders = [
         f"{path.relative_to(SRC)}: {module}"
         for path in sorted((SRC / "replicate").rglob("*.py"))
-        if path.name != "campaign.py"
         for module in imported_modules(path)
         if module.startswith("repro.shard")
     ]
     assert offenders == []
+    assert not (SRC / "replicate" / "campaign.py").exists()
+    assert not (SRC / "chaos.py").exists()
+
+
+# -- one fault surface, one checker (DESIGN.md) ---------------------------------
+
+REPO = SRC.parent.parent
+
+
+def python_files(*roots):
+    return [path for root in roots for path in sorted(root.rglob("*.py"))]
+
+
+def test_one_failpoint_attribute_with_one_call_signature():
+    """Every yield point outside an engine fires through an attribute
+    called ``failpoint`` holding the one hook, as ``tick(point, shard=)``;
+    no second hook attribute, callback type or parameter of its own."""
+    names, calls = set(), []
+    for path in python_files(SRC):
+        text = path.read_text(encoding="utf-8")
+        names |= set(re.findall(r"\b\w*failpoint\w*\b", text))
+        calls += re.findall(r"failpoint\.(\w+)\(([^)]*)\)", text)
+    assert names == {"failpoint", "_failpoint"}  # the property and its slot
+    assert calls and all(
+        method == "tick" and "shard=" in arguments for method, arguments in calls
+    )
+    from repro.replicate import ShippingLink
+    from repro.shard.twophase import two_phase_apply
+
+    assert "FaultHook" in str(
+        inspect.signature(two_phase_apply).parameters["failpoint"].annotation
+    )
+    assert "hook" not in vars(ShippingLink(None))
+
+
+def test_the_crash_type_and_the_tick_body_exist_once_in_the_repository():
+    files = python_files(SRC, REPO / "tests", REPO / "benchmarks")
+    texts = {path: path.read_text(encoding="utf-8") for path in files}
+    here = pathlib.Path(__file__).resolve()
+    crash = [p.name for p, text in texts.items()
+             if "class SimulatedCrash" in text and p != here]
+    assert crash == ["faults.py"]
+    # The tick body: the one place a plan is consulted and a fired rule
+    # turned into its effect.
+    ticking = [p.name for p, text in texts.items()
+               if ".decide(operation" in text and p != here]
+    assert ticking == ["faults.py"]
+    assert texts[SRC / "relational" / "faults.py"].count(".decide(operation") == 1
+    for path, text in texts.items():
+        if REPO / "tests" in path.parents and path != here:
+            # No test brings a fault-injecting engine, a crash exception or
+            # a patch of the translator's private translate step of its own.
+            assert not re.search(r"class \w*(Fault|Crash)\w*\(", text), path
+            assert 'Translator, "_translate"' not in text, path
+
+
+def test_no_campaign_report_hierarchy_is_left():
+    for path in python_files(SRC):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases = [ast.unparse(base) for base in node.bases]
+                assert "CampaignReport" not in bases + [node.name], path
 
 
 def test_no_private_name_is_imported_across_a_package_boundary():
