@@ -33,8 +33,9 @@ def test_figure4_query(benchmark, university_engine, omega):
 
 
 @pytest.mark.benchmark(group="figure4")
-def test_bench_parse_and_plan(benchmark):
-    plan = benchmark(lambda: plan_query(parse_query(FIGURE4_QUERY)))
+def test_bench_parse_and_plan(benchmark, university_graph):
+    pivot = university_graph.relation("COURSES")
+    plan = benchmark(lambda: plan_query(parse_query(FIGURE4_QUERY), pivot))
     assert plan.residual is not None
 
 

@@ -69,6 +69,7 @@ def test_bench_without_pushdown(benchmark, size):
 
 
 @pytest.mark.benchmark(group="query-pushdown")
-def test_bench_planner_overhead(benchmark):
-    plan = benchmark(lambda: plan_query(parse_query(QUERY)))
+def test_bench_planner_overhead(benchmark, university_graph):
+    pivot = university_graph.relation("COURSES")
+    plan = benchmark(lambda: plan_query(parse_query(QUERY), pivot))
     assert plan.residual is not None

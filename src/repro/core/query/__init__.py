@@ -5,7 +5,7 @@ point: parse, validate, push pivot conditions into the engine, assemble
 instances, and filter by the residual condition.
 """
 
-from typing import List
+from typing import List, Tuple
 
 from repro.errors import QueryError
 
@@ -20,6 +20,7 @@ from repro.core.query.ast import (
     QNot,
     QOr,
     QueryNode,
+    QueryStatement,
 )
 from repro.core.query.evaluator import evaluate, validate_against
 from repro.core.query.lexer import Token, tokenize
@@ -51,6 +52,18 @@ __all__ = [
 ]
 
 
+def _planned(
+    view_object: ViewObjectDefinition, text: str
+) -> Tuple[QueryStatement, QueryPlan]:
+    """Everything about a query that is settled before an engine is
+    asked: parsed, its references checked against the object, its pushed
+    literals typed against the pivot relation."""
+    statement = parse_statement(text)
+    validate_against(statement.condition, view_object)
+    pivot = view_object.graph.relation(view_object.pivot_relation)
+    return statement, plan_query(statement.condition, pivot)
+
+
 def execute_query(
     view_object: ViewObjectDefinition,
     engine: Engine,
@@ -69,9 +82,7 @@ def execute_query(
     :class:`~repro.materialize.MaterializedView`, which serves assembly
     from its cache.
     """
-    statement = parse_statement(text)
-    validate_against(statement.condition, view_object)
-    plan = plan_query(statement.condition)
+    statement, plan = _planned(view_object, text)
     if instantiator is None:
         instantiator = view_object.instantiator
     instances = instantiator.where(engine, plan.pushed)
@@ -111,9 +122,7 @@ def explain_query(view_object: ViewObjectDefinition, text: str) -> str:
     instances — the "composition" of the query with the object's
     structure that the paper's query model describes.
     """
-    statement = parse_statement(text)
-    validate_against(statement.condition, view_object)
-    plan = plan_query(statement.condition)
+    statement, plan = _planned(view_object, text)
     sql, params = plan.pushed.to_sql()
     lines = [
         f"object query on {view_object.name!r} "

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+from repro.relational.expressions import like_regex
+
 __all__ = [
     "QueryNode",
     "QueryStatement",
@@ -151,12 +153,13 @@ class QIn(QueryNode):
 class QLike(QueryNode):
     """``operand like 'pattern'`` with SQL ``%``/``_`` wildcards."""
 
-    __slots__ = ("operand", "pattern", "negated")
+    __slots__ = ("operand", "pattern", "negated", "regex")
 
     def __init__(self, operand: QueryNode, pattern: str, negated: bool) -> None:
         self.operand = operand
         self.pattern = pattern
         self.negated = negated
+        self.regex = like_regex(pattern)
 
     def children(self) -> Tuple[QueryNode, ...]:
         return (self.operand,)

@@ -135,17 +135,7 @@ def evaluate(node: QueryNode, instance: Instance) -> bool:
             return any(v is not None and v not in node.values for v in values)
         return any(v is not None and v in node.values for v in values)
     if isinstance(node, QLike):
-        import re
-
-        fragments = []
-        for ch in node.pattern:
-            if ch == "%":
-                fragments.append(".*")
-            elif ch == "_":
-                fragments.append(".")
-            else:
-                fragments.append(re.escape(ch))
-        regex = re.compile("^" + "".join(fragments) + "$", re.DOTALL)
+        regex = node.regex
         values = _operand_values(node.operand, instance)
         if node.negated:
             return any(

@@ -6,11 +6,16 @@ database." The planner decomposes the query's top-level conjunction and
 pushes every conjunct that touches only pivot attributes and literals
 down to the storage engine as a relational predicate; the residual
 (component references, counts) is evaluated on assembled instances.
+
+Pushing a comparison down hands it to whichever engine is underneath,
+and the engines order values of different types differently (Python
+refuses, sqlite ranks storage classes). So a literal is typed here,
+once, against the pivot attribute it meets: :func:`_literal`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import QueryError
 from repro.core.query.ast import (
@@ -28,6 +33,8 @@ from repro.core.query.ast import (
     QueryNode,
 )
 from repro.relational import expressions as rel
+from repro.relational.domains import DATE, INTEGER, REAL
+from repro.relational.schema import RelationSchema
 
 __all__ = ["plan_query", "QueryPlan"]
 
@@ -57,41 +64,84 @@ def _is_pivot_only(node: QueryNode) -> bool:
     return all(_is_pivot_only(child) for child in node.children())
 
 
-def _to_relational(node: QueryNode) -> rel.Expression:
+_ORDERINGS = ("<", "<=", ">", ">=")
+
+
+def _literal(pivot: RelationSchema, name: str, value: Any, ordered: bool) -> Any:
+    """The literal a pushed-down test of pivot attribute ``name`` uses.
+
+    The language has no date literal, so a string meeting a DATE
+    attribute is read as one. An ordering against a literal outside the
+    attribute's domain has no answer the engines agree on and is
+    refused; equality with one simply matches nothing, on both.
+    """
+    domain = pivot.attribute(name).domain
+
+    def refusal() -> QueryError:
+        return QueryError(
+            f"cannot compare {domain.name.upper()} attribute {name!r} "
+            f"with {value!r}"
+        )
+
+    if domain == DATE and isinstance(value, str):
+        try:
+            return DATE.parse(value)
+        except ValueError:
+            raise refusal() from None
+    # Numbers order alike in Python and sqlite, whichever kind is stored.
+    comparable = REAL if domain == INTEGER else domain
+    if ordered and value is not None and not comparable.contains(value):
+        raise refusal()
+    return value
+
+
+def _to_relational(node: QueryNode, pivot: RelationSchema) -> rel.Expression:
     if isinstance(node, QAttr):
         return rel.Attr(node.name)
     if isinstance(node, QLiteral):
         return rel.Const(node.value)
     if isinstance(node, QCompare):
-        return rel.Comparison(
-            node.op, _to_relational(node.left), _to_relational(node.right)
-        )
+        left = _to_relational(node.left, pivot)
+        right = _to_relational(node.right, pivot)
+        ordered = node.op in _ORDERINGS
+        if isinstance(left, rel.Attr) and isinstance(right, rel.Const):
+            right = rel.Const(_literal(pivot, left.name, right.value, ordered))
+        elif isinstance(left, rel.Const) and isinstance(right, rel.Attr):
+            left = rel.Const(_literal(pivot, right.name, left.value, ordered))
+        return rel.Comparison(node.op, left, right)
     if isinstance(node, QIsNull):
-        test = rel.IsNull(_to_relational(node.operand))
+        test = rel.IsNull(_to_relational(node.operand, pivot))
         return rel.Not(test) if node.negated else test
     if isinstance(node, QIn):
-        test = rel.In(_to_relational(node.operand), node.values)
+        values = node.values
+        if isinstance(node.operand, QAttr):
+            values = [
+                _literal(pivot, node.operand.name, value, ordered=False)
+                for value in values
+            ]
+        test = rel.In(_to_relational(node.operand, pivot), values)
         return rel.Not(test) if node.negated else test
     if isinstance(node, QLike):
-        test = rel.Like(_to_relational(node.operand), node.pattern)
+        test = rel.Like(_to_relational(node.operand, pivot), node.pattern)
         return rel.Not(test) if node.negated else test
     if isinstance(node, QAnd):
-        return rel.And(*[_to_relational(part) for part in node.parts])
+        return rel.And(*[_to_relational(part, pivot) for part in node.parts])
     if isinstance(node, QOr):
-        return rel.Or(*[_to_relational(part) for part in node.parts])
+        return rel.Or(*[_to_relational(part, pivot) for part in node.parts])
     if isinstance(node, QNot):
-        return rel.Not(_to_relational(node.part))
+        return rel.Not(_to_relational(node.part, pivot))
     raise QueryError(f"cannot push down query node {node!r}")
 
 
-def plan_query(node: QueryNode) -> QueryPlan:
-    """Split a query into pushed-down and residual parts."""
+def plan_query(node: QueryNode, pivot: RelationSchema) -> QueryPlan:
+    """Split a query on an object whose pivot relation is ``pivot``
+    into pushed-down and residual parts."""
     conjuncts = node.parts if isinstance(node, QAnd) else [node]
     pushed: List[rel.Expression] = []
     residual: List[QueryNode] = []
     for conjunct in conjuncts:
         if _is_pivot_only(conjunct):
-            pushed.append(_to_relational(conjunct))
+            pushed.append(_to_relational(conjunct, pivot))
         else:
             residual.append(conjunct)
     pushed_expression = rel.And(*pushed) if pushed else rel.TRUE

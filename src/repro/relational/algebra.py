@@ -47,7 +47,8 @@ class DerivedRelation:
 
     def mappings(self) -> List[Dict[str, Any]]:
         """All tuples rendered as attribute-name dictionaries."""
-        return [self.schema.as_mapping(t) for t in self.tuples]
+        names = self.schema.attribute_names
+        return [dict(zip(names, t)) for t in self.tuples]
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -66,11 +67,10 @@ def from_engine(engine, name: str) -> DerivedRelation:
 
 def select(relation: DerivedRelation, predicate: Expression) -> DerivedRelation:
     """Tuples of ``relation`` satisfying ``predicate``."""
-    schema = relation.schema
-    kept = [
-        t for t in relation.tuples if predicate.evaluate(schema.as_mapping(t))
-    ]
-    return DerivedRelation(schema, kept)
+    test = predicate.bind(relation.schema)
+    return DerivedRelation(
+        relation.schema, [t for t in relation.tuples if test(t)]
+    )
 
 
 def project(

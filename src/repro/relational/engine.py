@@ -167,13 +167,10 @@ class Engine:
         raise NotImplementedError
 
     def select(self, name: str, predicate: Expression) -> List[Tuple[Any, ...]]:
-        """All value tuples satisfying ``predicate``."""
-        schema = self.schema(name)
-        result = []
-        for values in self.scan(name):
-            if predicate.evaluate(schema.as_mapping(values)):
-                result.append(values)
-        return result
+        """All value tuples satisfying ``predicate``: bind it to the
+        relation's tuple positions once, then filter the scan."""
+        test = predicate.bind(self.schema(name))
+        return [values for values in self.scan(name) if test(values)]
 
     def count(self, name: str) -> int:
         return sum(1 for _ in self.scan(name))

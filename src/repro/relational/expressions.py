@@ -4,21 +4,40 @@ The object query language, the relational algebra, and the Keller
 baseline all select rows with predicates. An :class:`Expression` is a
 small immutable AST that can be
 
-* evaluated against an attribute-name mapping (``evaluate``),
+* compiled to a closure over a row (``compile``) — bound to a schema's
+  tuple positions (``bind``, what the engines filter a scan with) or to
+  attribute names (``evaluate``),
 * compiled to a SQL fragment with bound parameters for the sqlite
   backend (``to_sql``), and
 * inspected for the attributes it mentions (``attributes``).
 
 Comparisons against ``None`` follow SQL semantics: any comparison with a
-null operand is false, except the explicit ``IsNull`` test.
+null operand is false, except the explicit ``IsNull`` test. Each node's
+``compile`` is the one place its semantics are written; ``bind`` and
+``evaluate`` differ only in how a row hands over an attribute.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Sequence, Tuple
+import re
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Pattern,
+    Sequence,
+    TYPE_CHECKING,
+    Tuple,
+)
 
-from repro.errors import QueryError
+from repro.errors import QueryError, UnknownAttributeError
+
+if TYPE_CHECKING:
+    from repro.relational.schema import RelationSchema
 
 __all__ = [
     "Expression",
@@ -34,7 +53,14 @@ __all__ = [
     "TRUE",
     "attr",
     "const",
+    "like_regex",
 ]
+
+Test = Callable[[Any], Any]
+"""A compiled node: row in, value (for a predicate, truth) out."""
+
+Access = Callable[[str], Test]
+"""How a row hands over an attribute: name in, getter over a row out."""
 
 _OPERATORS: Dict[str, Callable[[Any, Any], bool]] = {
     "=": operator.eq,
@@ -58,8 +84,32 @@ _SQL_OPERATORS = {
 class Expression:
     """Base class of the predicate AST."""
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
+    def compile(self, access: Access) -> Test:
+        """This expression as a closure over one row.
+
+        ``access(name)`` returns the getter of one attribute; it is
+        called once per attribute reference here, never per row.
+        """
         raise NotImplementedError
+
+    def bind(self, schema: "RelationSchema") -> Test:
+        """:meth:`compile` over value tuples laid out as ``schema``.
+
+        An unknown attribute is a :class:`QueryError` here, before any
+        row is read.
+        """
+
+        def access(name: str) -> Test:
+            try:
+                return operator.itemgetter(schema.position(name))
+            except UnknownAttributeError as exc:
+                raise QueryError(str(exc)) from None
+
+        return self.compile(access)
+
+    def evaluate(self, row: Mapping[str, Any]) -> Any:
+        """The value of this expression on an attribute-name mapping."""
+        return self.compile(_by_name)(row)
 
     def attributes(self) -> FrozenSet[str]:
         """Names of all attributes mentioned in this expression."""
@@ -80,6 +130,16 @@ class Expression:
         return Not(self)
 
 
+def _by_name(name: str) -> Test:
+    def get(row: Mapping[str, Any]) -> Any:
+        try:
+            return row[name]
+        except KeyError:
+            raise QueryError(f"row has no attribute {name!r}") from None
+
+    return get
+
+
 class Attr(Expression):
     """Reference to an attribute of the row being tested."""
 
@@ -88,11 +148,8 @@ class Attr(Expression):
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        try:
-            return row[self.name]
-        except KeyError:
-            raise QueryError(f"row has no attribute {self.name!r}") from None
+    def compile(self, access: Access) -> Test:
+        return access(self.name)
 
     def attributes(self) -> FrozenSet[str]:
         return frozenset((self.name,))
@@ -137,8 +194,9 @@ class Const(Expression):
     def __init__(self, value: Any) -> None:
         self.value = value
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        return self.value
+    def compile(self, access: Access) -> Test:
+        value = self.value
+        return lambda row: value
 
     def attributes(self) -> FrozenSet[str]:
         return frozenset()
@@ -166,12 +224,27 @@ class Comparison(Expression):
         self.left = left
         self.right = right
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        lhs = self.left.evaluate(row)
-        rhs = self.right.evaluate(row)
-        if lhs is None or rhs is None:
-            return False
-        return _OPERATORS[self.op](lhs, rhs)
+    def compile(self, access: Access) -> Test:
+        compare = _OPERATORS[self.op]
+        left = self.left.compile(access)
+        if isinstance(self.right, Const) and self.right.value is not None:
+            # The shape nearly every pushed-down conjunct has: one null
+            # test and one comparison per row, no call for the literal.
+            rhs = self.right.value
+
+            def test(row: Any) -> bool:
+                lhs = left(row)
+                return lhs is not None and compare(lhs, rhs)
+
+            return test
+        right = self.right.compile(access)
+
+        def test(row: Any) -> bool:
+            lhs = left(row)
+            rhs = right(row)
+            return lhs is not None and rhs is not None and compare(lhs, rhs)
+
+        return test
 
     def attributes(self) -> FrozenSet[str]:
         return self.left.attributes() | self.right.attributes()
@@ -198,8 +271,18 @@ class And(Expression):
     def __init__(self, *parts: Expression) -> None:
         self.parts = tuple(parts)
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return all(part.evaluate(row) for part in self.parts)
+    def compile(self, access: Access) -> Test:
+        tests = [part.compile(access) for part in self.parts]
+        if len(tests) == 1:
+            return tests[0]
+
+        def test(row: Any) -> bool:
+            for part in tests:
+                if not part(row):
+                    return False
+            return True
+
+        return test
 
     def attributes(self) -> FrozenSet[str]:
         result: FrozenSet[str] = frozenset()
@@ -227,8 +310,16 @@ class Or(Expression):
     def __init__(self, *parts: Expression) -> None:
         self.parts = tuple(parts)
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return any(part.evaluate(row) for part in self.parts)
+    def compile(self, access: Access) -> Test:
+        tests = [part.compile(access) for part in self.parts]
+
+        def test(row: Any) -> bool:
+            for part in tests:
+                if part(row):
+                    return True
+            return False
+
+        return test
 
     def attributes(self) -> FrozenSet[str]:
         result: FrozenSet[str] = frozenset()
@@ -256,8 +347,9 @@ class Not(Expression):
     def __init__(self, part: Expression) -> None:
         self.part = part
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return not self.part.evaluate(row)
+    def compile(self, access: Access) -> Test:
+        part = self.part.compile(access)
+        return lambda row: not part(row)
 
     def attributes(self) -> FrozenSet[str]:
         return self.part.attributes()
@@ -278,8 +370,9 @@ class IsNull(Expression):
     def __init__(self, part: Expression) -> None:
         self.part = part
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return self.part.evaluate(row) is None
+    def compile(self, access: Access) -> Test:
+        part = self.part.compile(access)
+        return lambda row: part(row) is None
 
     def attributes(self) -> FrozenSet[str]:
         return self.part.attributes()
@@ -292,6 +385,20 @@ class IsNull(Expression):
         return f"IsNull({self.part!r})"
 
 
+def like_regex(pattern: str) -> Pattern[str]:
+    """A SQL ``LIKE`` pattern (``%`` any run, ``_`` one character,
+    case-sensitive, whole string) as a compiled regular expression."""
+    fragments = []
+    for ch in pattern:
+        if ch == "%":
+            fragments.append(".*")
+        elif ch == "_":
+            fragments.append(".")
+        else:
+            fragments.append(re.escape(ch))
+    return re.compile("^" + "".join(fragments) + "$", re.DOTALL)
+
+
 class Like(Expression):
     """SQL ``LIKE`` pattern match (``%`` any run, ``_`` one character).
 
@@ -301,25 +408,19 @@ class Like(Expression):
     __slots__ = ("operand", "pattern", "_regex")
 
     def __init__(self, operand: Expression, pattern: str) -> None:
-        import re
-
         self.operand = operand
         self.pattern = pattern
-        fragments = []
-        for ch in pattern:
-            if ch == "%":
-                fragments.append(".*")
-            elif ch == "_":
-                fragments.append(".")
-            else:
-                fragments.append(re.escape(ch))
-        self._regex = re.compile("^" + "".join(fragments) + "$", re.DOTALL)
+        self._regex = like_regex(pattern)
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        value = self.operand.evaluate(row)
-        if value is None or not isinstance(value, str):
-            return False
-        return self._regex.match(value) is not None
+    def compile(self, access: Access) -> Test:
+        operand = self.operand.compile(access)
+        match = self._regex.match
+
+        def test(row: Any) -> bool:
+            value = operand(row)
+            return isinstance(value, str) and match(value) is not None
+
+        return test
 
     def attributes(self) -> FrozenSet[str]:
         return self.operand.attributes()
@@ -341,11 +442,15 @@ class In(Expression):
         self.operand = operand
         self.values = tuple(values)
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        value = self.operand.evaluate(row)
-        if value is None:
-            return False
-        return value in self.values
+    def compile(self, access: Access) -> Test:
+        operand = self.operand.compile(access)
+        values = self.values
+
+        def test(row: Any) -> bool:
+            value = operand(row)
+            return value is not None and value in values
+
+        return test
 
     def attributes(self) -> FrozenSet[str]:
         return self.operand.attributes()

@@ -127,8 +127,11 @@ class TestAggregates:
         with pytest.raises(QueryError):
             validate_against(parse_query("avg(STUDENT.gpa) > 1"), omega)
 
-    def test_aggregate_never_pushed(self):
-        plan = plan_query(parse_query("sum(STUDENT.year) > 4"))
+    def test_aggregate_never_pushed(self, university_graph):
+        plan = plan_query(
+            parse_query("sum(STUDENT.year) > 4"),
+            university_graph.relation("COURSES"),
+        )
         assert plan.residual is not None
 
 

@@ -29,6 +29,11 @@ A query-driven verb whose select matches nothing is a row as well: the
 empty set of operations is no update, so no session journals, audits or
 counts anything and all of them return the empty plan (a guarded facade
 still admits the request once — it cannot know before it has selected).
+
+So is one whose select cannot be answered alike by every engine (an
+ordering against a literal outside the attribute's domain, drift bug
+16): the same ``QueryError`` on every session and backend, before any
+engine is asked, and nothing deleted, audited or counted.
 """
 
 import threading
@@ -42,7 +47,7 @@ from repro.core.updates.operations import (
     Replacement,
 )
 from repro.core.updates.policy import TranslatorPolicy
-from repro.errors import ReproError
+from repro.errors import QueryError, ReproError
 from repro.obs.audit import MemoryAuditLog
 from repro.obs.cluster import ClusterMetrics
 from repro.penguin import Penguin
@@ -450,6 +455,33 @@ def test_a_select_matching_nothing_is_no_update_on_any_session(verb, backend):
         # One facade admits before it selects; a sharded session selects
         # under its coordinator and has no owner to admit on.
         assert seen.admissions == (1 if kind == "concurrent" else 0), kind
+
+
+ILL_TYPED = "birth_year < 'x'"
+UNANSWERABLE = {
+    "query": lambda s: s.query(OBJECT, ILL_TYPED),
+    "delete_where": lambda s: s.delete_where(OBJECT, ILL_TYPED),
+    "update_where": lambda s: s.update_where(OBJECT, ILL_TYPED, renamed),
+}
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("verb", sorted(UNANSWERABLE))
+def test_an_ordering_no_engine_may_answer_is_refused_on_any_session(
+    verb, backend
+):
+    """sqlite would rank every INTEGER below the text ``'x'`` and delete
+    all charts; Python would raise ``TypeError``. Neither is asked."""
+    untouched = Observed("penguin", backend, ACCEPTED, NOTHING["delete_where"])
+    for kind in SESSIONS:
+        seen = Observed(kind, backend, ACCEPTED, UNANSWERABLE[verb])
+        assert seen.error == (
+            QueryError,
+            "cannot compare INTEGER attribute 'birth_year' with 'x'",
+        ), kind
+        assert seen.rows == untouched.rows, kind
+        assert seen.audit == [] and seen.replica_commits == 0, kind
+        assert seen.translations == seen.failures == seen.plan_ops == 0, kind
 
 
 def test_rejection_counted_and_audited_on_the_owner_shard():

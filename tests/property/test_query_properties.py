@@ -13,6 +13,7 @@ from repro.workloads.university import university_schema
 
 GRAPH = university_schema()
 OMEGA = course_info_object(GRAPH)
+PIVOT = GRAPH.relation(OMEGA.pivot_relation)
 
 
 def make_instance(units, level, n_grades):
@@ -116,7 +117,7 @@ def test_planner_split_preserves_semantics(text, units, n_grades):
     """pushed(pivot_row) AND residual(instance) == full(instance)."""
     instance = make_instance(units, "graduate", n_grades)
     ast = parse_query(text)
-    plan = plan_query(ast)
+    plan = plan_query(ast, PIVOT)
     pushed_holds = plan.pushed.evaluate(instance.root.values)
     residual_holds = (
         True if plan.residual is None else evaluate(plan.residual, instance)

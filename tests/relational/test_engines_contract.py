@@ -13,10 +13,13 @@ import datetime
 
 import pytest
 
+from repro.core.query import execute_query
 from repro.core.updates.bulk import BufferedEngine
+from repro.core.view_object import define_view_object
 from repro.errors import (
     DuplicateKeyError,
     NoSuchRowError,
+    QueryError,
     SchemaError,
     TransactionError,
     UnknownRelationError,
@@ -25,6 +28,7 @@ from repro.relational.ddl import relation
 from repro.relational.expressions import attr
 from repro.relational.faults import FaultInjectingEngine, FaultPlan
 from repro.relational.memory_engine import MemoryEngine
+from repro.structural.schema_graph import StructuralSchema
 from tests.conftest import make_engine
 
 CONTRACT_SCHEMA = (
@@ -318,6 +322,70 @@ class TestReads:
         engine.insert("T", ("a", 1, None, None))
         assert engine.contains("T", ("a",))
         assert not engine.contains("T", ("b",))
+
+
+class TestPushedLiterals:
+    """An object query's pivot conjuncts are handed to the engine, so
+    the literal in one is typed before any engine sees it (drift bug 16:
+    sqlite ranked storage classes where Python raised ``TypeError``, and
+    compared DATE columns as ISO text where Python compared nothing)."""
+
+    ROWS = [
+        ("a", 1, True, datetime.date(1990, 1, 1)),
+        ("b", 2, False, datetime.date(1999, 12, 31)),
+        ("c", None, None, None),
+    ]
+
+    @pytest.fixture
+    def ask(self, engine):
+        graph = StructuralSchema("contract")
+        graph.add_relation(CONTRACT_SCHEMA)
+        view_object = define_view_object(
+            graph, "t", "T", {"T": CONTRACT_SCHEMA.attribute_names}
+        )
+        for row in self.ROWS:
+            engine.insert("T", row)
+
+        def ask(text):
+            found = execute_query(view_object, engine, text)
+            return sorted(instance.key[0] for instance in found)
+
+        return ask
+
+    @pytest.mark.parametrize("text,keys", [
+        ("d < '1995-01-01'", ["a"]),
+        ("'1995-01-01' > d", ["a"]),
+        ("not d < '1995-01-01'", ["b", "c"]),
+        ("d = '1990-01-01'", ["a"]),
+        ("d != '1990-01-01'", ["b"]),
+        ("d in ('1990-01-01', '1999-12-31')", ["a", "b"]),
+        ("d not in ('1990-01-01')", ["b", "c"]),
+        ("n < 1.5", ["a"]),          # numbers order alike on both
+        ("n = 'x'", []),             # equality: matches nothing, on both
+        ("n in ('x', 2)", ["b"]),
+        ("flag = true", ["a"]),
+    ])
+    def test_answered_alike(self, ask, text, keys):
+        assert ask(text) == keys
+
+    @pytest.mark.parametrize("text,refusal", [
+        ("n < 'x'", "cannot compare INTEGER attribute 'n' with 'x'"),
+        ("'x' >= n", "cannot compare INTEGER attribute 'n' with 'x'"),
+        ("k > 5", "cannot compare TEXT attribute 'k' with 5"),
+        ("flag <= 2", "cannot compare BOOLEAN attribute 'flag' with 2"),
+        ("d < 5", "cannot compare DATE attribute 'd' with 5"),
+        ("d < 'soon'", "cannot compare DATE attribute 'd' with 'soon'"),
+        ("d = 'soon'", "cannot compare DATE attribute 'd' with 'soon'"),
+        ("d in ('1990-01-01', 'soon')",
+         "cannot compare DATE attribute 'd' with 'soon'"),
+    ])
+    def test_refused_alike_and_before_any_row(self, ask, engine, text, refusal):
+        with pytest.raises(QueryError, match=refusal):
+            ask(text)
+        for row in self.ROWS:
+            engine.delete("T", row[:1])
+        with pytest.raises(QueryError, match=refusal):
+            ask(text)  # not a matter of which rows happen to be there
 
 
 class TestTransactions:

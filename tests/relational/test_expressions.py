@@ -3,9 +3,19 @@
 import pytest
 
 from repro.errors import QueryError
+from repro.relational.ddl import relation
 from repro.relational.expressions import Attr, Comparison, Const, IsNull, Not, Or, TRUE, attr, const
+from repro.relational.memory_engine import MemoryEngine
 
 ROW = {"units": 4, "level": "graduate", "instructor": None}
+SCHEMA = (
+    relation("COURSES")
+    .text("level")
+    .integer("units")
+    .text("instructor", nullable=True)
+    .key("level")
+    .build()
+)
 
 
 class TestEvaluation:
@@ -39,6 +49,23 @@ class TestEvaluation:
 
     def test_attr_to_attr_comparison(self):
         assert Comparison("=", Attr("units"), Attr("units")).evaluate(ROW)
+
+
+class TestBinding:
+    def test_bound_test_reads_tuple_positions(self):
+        test = ((attr("units") > 3) & attr("instructor").is_null()).bind(SCHEMA)
+        assert test(("graduate", 4, None))
+        assert not test(("graduate", 4, "Keller"))
+        assert not test(("graduate", 2, None))
+
+    def test_unknown_attribute_raises_at_bind_on_an_empty_relation(self):
+        predicate = (attr("units") > 3) & (attr("missing") == 1)
+        with pytest.raises(QueryError, match="'COURSES' has no attribute 'missing'"):
+            predicate.bind(SCHEMA)
+        engine = MemoryEngine()
+        engine.create_relation(SCHEMA)
+        with pytest.raises(QueryError):
+            engine.select("COURSES", predicate)  # no row to trip over
 
 
 class TestNullSemantics:

@@ -574,6 +574,16 @@ class TestUrlUnquote:
             served, opener * 3_000 + "birth_year%20%3E%200"
         )
 
+    def test_an_ordering_against_a_foreign_literal_is_a_400_too(self, served):
+        """``birth_year < 'x'`` (drift bug 16: a 500 from a ``TypeError``
+        on memory, every chart on sqlite)."""
+        _, url = served
+        status, body = request(
+            f"{url}/objects/{OBJECT}?q=birth_year+%3C+%27x%27"
+        )
+        assert status == 400
+        assert "cannot compare INTEGER attribute 'birth_year'" in body["error"]
+
     def test_invalid_utf8_query_is_a_400_response(self, served):
         _, url = served
         status, _ = request(f"{url}/objects/{OBJECT}?q=%E9")

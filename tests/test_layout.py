@@ -23,9 +23,10 @@ def imported_modules(path):
 
 
 def test_nothing_under_src_imports_from_tests():
-    """``tests/reference_walk.py`` and ``tests/reference_translate.py``
-    are oracles, not fallbacks: production code cannot reach them — nor
-    the bench fleet, which measures ``src/`` from outside."""
+    """``tests/reference_walk.py``, ``tests/reference_translate.py`` and
+    ``tests/reference_predicate.py`` are oracles, not fallbacks:
+    production code cannot reach them — nor the bench fleet, which
+    measures ``src/`` from outside."""
     offenders = [
         f"{path.relative_to(SRC)}: {module}"
         for path in sorted(SRC.rglob("*.py"))
@@ -42,6 +43,25 @@ def test_translator_has_one_implementation_and_no_switch():
     assert not hasattr(
         inspect.getmodule(Translator), removed_option.upper() + "_DEFAULT"
     )
+
+
+# -- selection is compiled (DESIGN.md "Read path") ----------------------------
+
+
+def test_a_predicate_is_written_once_and_never_handed_a_dictionary_per_row():
+    """One ``compile`` per node carries the null / ``In`` / ``Like``
+    semantics; ``evaluate`` is its by-name spelling, declared once on
+    the base class; the scan-based selections bind and filter."""
+    assert source("relational/expressions.py").count("def evaluate") == 1
+    for scanning in ("relational/engine.py", "relational/algebra.py"):
+        assert ".as_mapping(" not in source(scanning), scanning
+    like_translations = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if '".*"' in path.read_text(encoding="utf-8")
+    ]
+    assert like_translations == ["relational/expressions.py"]
+    assert source("relational/expressions.py").count('".*"') == 1
 
 
 # -- one write surface (DESIGN.md "One surface") ------------------------------
