@@ -12,6 +12,7 @@ import copy
 
 import pytest
 
+from repro.core.updates.operations import CompleteDeletion, Replacement
 from repro.core.updates.translator import Translator
 from repro.workloads.figures import course_info_object
 from repro.workloads.university import UniversityConfig
@@ -47,7 +48,7 @@ def test_bench_deletion_index_ablation(benchmark, with_indexes):
         return (engine,), {}
 
     def run(engine):
-        return translator.delete(engine, key=(course_id,))
+        return translator.apply(engine, CompleteDeletion((course_id,)))
 
     plan = benchmark.pedantic(run, setup=setup, rounds=3)
     assert plan.count("delete") >= 1
@@ -71,7 +72,7 @@ def test_bench_integrity_verification_ablation(benchmark, verify):
         return (engine, old, new), {}
 
     def run(engine, old, new):
-        return translator.replace(engine, old, new)
+        return translator.apply(engine, Replacement(old, new))
 
     plan = benchmark.pedantic(run, setup=setup, rounds=3)
     assert plan.count("replace") == 1
@@ -90,7 +91,7 @@ def test_bench_backend_ablation(benchmark, backend):
         return (engine,), {}
 
     def run(engine):
-        return translator.delete(engine, key=(course_id,))
+        return translator.apply(engine, CompleteDeletion((course_id,)))
 
     plan = benchmark.pedantic(run, setup=setup, rounds=3)
     assert plan.count("delete") >= 1

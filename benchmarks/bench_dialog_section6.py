@@ -10,6 +10,7 @@ import copy
 
 import pytest
 
+from repro.core.updates.operations import Replacement
 from repro.core.updates.policy import TranslatorPolicy
 from repro.dialog.answers import ConstantAnswers, MappingAnswers, ScriptedAnswers
 from repro.dialog.drivers import (
@@ -73,7 +74,7 @@ def test_amortization_updates_after_dialog(benchmark, omega):
         return (engine, old, new), {}
 
     def run(engine, old, new):
-        return translator.replace(engine, old, new)
+        return translator.apply(engine, Replacement(old, new))
 
     plan = benchmark.pedantic(run, setup=setup, rounds=10)
     assert plan.count("replace") == 1
@@ -110,7 +111,7 @@ def test_restrictive_translator_rejects_ees_example(benchmark, omega):
 
     def run(engine, old, new):
         try:
-            translator.replace(engine, old, new)
+            translator.apply(engine, Replacement(old, new))
             return False
         except UpdateRejectedError:
             return True

@@ -20,6 +20,11 @@ import copy
 
 import pytest
 
+from repro.core.updates.operations import (
+    CompleteDeletion,
+    CompleteInsertion,
+    Replacement,
+)
 from repro.core.updates.translator import Translator
 from repro.relational.memory_engine import MemoryEngine
 from repro.workloads.figures import course_info_object
@@ -66,7 +71,9 @@ def test_bench_complete_insertion(benchmark):
         return (engine,), {}
 
     def run(engine):
-        return translator.insert(engine, copy.deepcopy(instance))
+        return translator.apply(
+            engine, CompleteInsertion(copy.deepcopy(instance))
+        )
 
     plan = benchmark.pedantic(run, setup=setup, rounds=10)
     print(f"VO-CI: {len(plan)} operations ({plan.count('insert')} inserts)")
@@ -85,7 +92,7 @@ def test_bench_complete_deletion(benchmark):
         return (engine,), {}
 
     def run(engine):
-        return translator.delete(engine, key=(course_id,))
+        return translator.apply(engine, CompleteDeletion((course_id,)))
 
     plan = benchmark.pedantic(run, setup=setup, rounds=10)
     print(f"VO-CD: {len(plan)} operations ({plan.count('delete')} deletes)")
@@ -107,7 +114,7 @@ def test_bench_replacement_nonkey(benchmark):
         return (engine, old, new), {}
 
     def run(engine, old, new):
-        return translator.replace(engine, old, new)
+        return translator.apply(engine, Replacement(old, new))
 
     plan = benchmark.pedantic(run, setup=setup, rounds=10)
     print(f"VO-R (nonkey): {len(plan)} operations")
@@ -133,7 +140,7 @@ def test_bench_replacement_key_change(benchmark):
         return (engine, old, new), {}
 
     def run(engine, old, new):
-        return translator.replace(engine, old, new)
+        return translator.apply(engine, Replacement(old, new))
 
     plan = benchmark.pedantic(run, setup=setup, rounds=10)
     print(f"VO-R (key change): {len(plan)} operations")
@@ -174,7 +181,7 @@ def test_bench_deletion_vs_island_depth(benchmark, depth):
         return (engine,), {}
 
     def run(engine):
-        return translator.delete(engine, key=(0,))
+        return translator.apply(engine, CompleteDeletion((0,)))
 
     plan = benchmark.pedantic(run, setup=setup, rounds=5)
     expected_island = sum(FANOUT ** level for level in range(depth + 1))
@@ -202,7 +209,7 @@ def test_bench_rekey_vs_island_depth(benchmark, depth):
         return (engine, old, new), {}
 
     def run(engine, old, new):
-        return translator.replace(engine, old, new)
+        return translator.apply(engine, Replacement(old, new))
 
     plan = benchmark.pedantic(run, setup=setup, rounds=5)
     expected_island = sum(FANOUT ** level for level in range(depth + 1))
@@ -255,7 +262,7 @@ def test_bench_leaf_edit_vs_island_depth(benchmark, depth):
         return (engine, old, new), {}
 
     def run(engine, old, new):
-        return translator.replace(engine, old, new), engine.probes
+        return translator.apply(engine, Replacement(old, new)), engine.probes
 
     plan, probes = benchmark.pedantic(run, setup=setup, rounds=5)
     island = sum(FANOUT ** level for level in range(depth + 1))

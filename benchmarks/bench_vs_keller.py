@@ -18,6 +18,7 @@ import copy
 
 import pytest
 
+from repro.core.updates.operations import CompleteDeletion, Replacement
 from repro.core.updates.translator import Translator
 from repro.keller.translator import KellerTranslator
 from repro.keller.views import JoinEdge, RelationalView
@@ -92,7 +93,7 @@ def test_bench_retitle_view_object(benchmark):
         return (engine, old, new), {}
 
     def run(engine, old, new):
-        return translator.replace(engine, old, new)
+        return translator.apply(engine, Replacement(old, new))
 
     plan = benchmark.pedantic(run, setup=setup, rounds=10)
     print(f"view-object retitle: {len(plan)} operations")
@@ -146,7 +147,7 @@ def test_bench_delete_view_object_consistent(benchmark):
         return (engine,), {}
 
     def run(engine):
-        return translator.delete(engine, key=(course_id,))
+        return translator.apply(engine, CompleteDeletion((course_id,)))
 
     plan = benchmark.pedantic(run, setup=setup, rounds=5)
     engine = observed["engine"]

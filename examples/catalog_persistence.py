@@ -16,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 from repro import Penguin
+from repro.core.updates.operations import CompleteDeletion
 from repro.relational.persistence import dump_database, load_database
 from repro.structural.serialization import graph_from_dict, graph_to_dict
 from repro.workloads import populate_university, university_schema
@@ -65,7 +66,8 @@ def main() -> None:
 
     # Preview an update without touching the database.
     course_id = next(iter(second.engine.scan("COURSES")))[0]
-    plan = translator.preview_delete(second.engine, key=(course_id,))
+    request = CompleteDeletion((course_id,))
+    plan = second.explain_update("course_info", request).plan
     print(f"\npreview: deleting {course_id} would apply {len(plan)} operations:")
     print(plan.describe())
     print(

@@ -9,12 +9,21 @@ Demonstrates the full update vocabulary on ω (Figure 2c):
   automatic insertion of a brand-new DEPARTMENT tuple;
 * a restrictive translator that rejects exactly that scenario.
 
+The partial operations are Section 5's update requests, handed to the
+bound translator's eager door (``translator.apply``); the complete ones
+go through the session verbs.
+
 Run:  python examples/university_registrar.py
 """
 
 import copy
 
 from repro import Penguin, UpdateRejectedError
+from repro.core.updates.operations import (
+    PartialDeletion,
+    PartialInsertion,
+    PartialUpdate,
+)
 from repro.workloads import populate_university, university_schema
 from repro.workloads.figures import course_info_object
 
@@ -45,33 +54,30 @@ def main() -> None:
         s for s in engine.scan("STUDENT")
         if engine.get("GRADES", (course_id, s[0])) is None
     )
-    plan = translator.insert_component(
-        engine,
+    plan = translator.apply(engine, PartialInsertion(
         (course_id,),
         "GRADES",
         {"course_id": course_id, "student_id": student[0], "grade": "B"},
-    )
+    ))
     print(f"\nenrolled student {student[0]}:")
     print(plan.describe())
 
     # --- grade correction (partial update) ----------------------------
-    plan = translator.update_component(
-        engine,
+    plan = translator.apply(engine, PartialUpdate(
         (course_id,),
         "GRADES",
         {"course_id": course_id, "student_id": student[0], "grade": "B"},
         {"course_id": course_id, "student_id": student[0], "grade": "A"},
-    )
+    ))
     print(f"\ncorrected the grade:")
     print(plan.describe())
 
     # --- withdraw (partial deletion) ----------------------------------
-    plan = translator.delete_component(
-        engine,
+    plan = translator.apply(engine, PartialDeletion(
         (course_id,),
         "GRADES",
         {"course_id": course_id, "student_id": student[0], "grade": "A"},
-    )
+    ))
     print(f"\nwithdrew student {student[0]}:")
     print(plan.describe())
 
@@ -107,7 +113,7 @@ def main() -> None:
 
     # --- a more restrictive translator rejects the same request -------
     print("\n--- restrictive translator: DEPARTMENT may not be modified ---")
-    restrictive, __ = penguin.choose_translator(
+    penguin.choose_translator(
         "course_info", {"modify.DEPARTMENT.allowed": False}
     )
     old = penguin.get("course_info", ("EES345",))
@@ -116,7 +122,7 @@ def main() -> None:
     for dept in blocked.get("DEPARTMENT", []):
         dept["dept_name"] = "Symbolic Systems"
     try:
-        restrictive.replace(engine, old, blocked)
+        penguin.replace("course_info", old, blocked)
     except UpdateRejectedError as error:
         print("request rejected, as the DBA intended:")
         print("   ", error)

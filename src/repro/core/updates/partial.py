@@ -23,8 +23,8 @@ Each function takes the translator's
 supply keys, projections and row building, its pre-resolved rules the
 global-integrity passes — and records into a
 :class:`TranslationContext`; the
-:class:`~repro.core.updates.translator.Translator` wrappers add the
-transaction boundary.
+:class:`~repro.core.updates.translator.Translator` doors (``apply``,
+``apply_plan_batch``) add the transaction boundary.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def translate_partial_insertion(
     node, cn = _tree_and_compiled_node(program, ctx, node_id)
     if node.path is None:
         raise LocalValidationError(
-            "partial insertion at the pivot is a complete insertion; use "
-            "Translator.insert"
+            "partial insertion at the pivot is a complete insertion; send "
+            "a CompleteInsertion request"
         )
     values = _inherit_from_parent(ctx, instance, node_id, values)
     key = cn.key_from(values)
@@ -164,8 +164,8 @@ def translate_partial_deletion(
     node, cn = _tree_and_compiled_node(program, ctx, node_id)
     if node.path is None:
         raise LocalValidationError(
-            "partial deletion of the pivot is a complete deletion; use "
-            "Translator.delete"
+            "partial deletion of the pivot is a complete deletion; send "
+            "a CompleteDeletion request"
         )
     key = cn.key_from(values)
     if cn.in_island:

@@ -3,13 +3,17 @@
 "Once the DBA has chosen the translator, users can specify updates
 through the view object, which are then translated into database update
 operations." A :class:`Translator` binds a view object to a
-:class:`~repro.core.updates.policy.TranslatorPolicy` and exposes the
-three complete operations plus the partial ones. Every call runs inside
-an engine transaction: if any step rejects the update, the transaction
-is rolled back and nothing is left behind — the paper's all-or-nothing
-behaviour.
+:class:`~repro.core.updates.policy.TranslatorPolicy` and takes Section
+5's update requests (:class:`~repro.core.updates.operations.UpdateRequest`)
+through four doors: :meth:`~Translator.apply` (one request, eager),
+:meth:`~Translator.apply_plan_batch` (a list, over an overlay),
+:meth:`~Translator.apply_plan` (a plan translated elsewhere) and
+:meth:`~Translator.explain_batch` (a list, nothing committed). The
+requests themselves are built by the session verbs
+(:class:`~repro.penguin.ViewObjectSession`). Every write is
+all-or-nothing: if any step rejects the update, nothing is left behind.
 
-Each call returns the :class:`~repro.relational.operations.UpdatePlan`
+Each write returns the :class:`~repro.relational.operations.UpdatePlan`
 that was applied (the "set of database operations"), with a reason
 attached to every operation for auditability.
 """
@@ -210,82 +214,63 @@ class Translator:
         statements, assembly-join hash indexes)."""
         return self.program
 
-    def translate(
-        self, engine: Engine, request: UpdateRequest
-    ) -> UpdatePlan:
-        """Translate one request into its plan without applying it.
+    # -- the four doors: one request goes to the eager half (apply), a list
+    # to the overlay half (apply_plan_batch, explain_batch), a plan
+    # translated elsewhere straight to the commit (apply_plan)
 
-        The overlay half (:meth:`_overlay`) for one request: the base
-        engine is never touched, no transaction is opened, nothing is
-        journaled or audited. The ``preview_*`` methods are its
-        keyword-argument faces and :meth:`apply_plan` is the matching
-        flush half.
-        """
-        return self._overlay(engine, [request], _request_entry(request)[0])[0]
-
-    # -- public operations: one request goes to the eager half (apply), a
-    # list to the overlay half (apply_plan_batch)
-
-    def insert(self, engine: Engine, instance: InstanceLike) -> UpdatePlan:
-        """Complete insertion of a fully specified instance."""
-        return self.apply(
-            engine, CompleteInsertion(self._coerce_instance(instance))
+    def apply(self, engine: Engine, request: UpdateRequest) -> UpdatePlan:
+        """The eager half: translate one :class:`UpdateRequest` on the
+        live engine inside one transaction, then :meth:`_commit` it."""
+        op = _request_entry(request)[0]
+        ctx = TranslationContext(
+            self.view_object, engine, self.policy, self.analysis
         )
-
-    def delete(
-        self,
-        engine: Engine,
-        instance: Union[InstanceLike, Sequence[Any], None] = None,
-        key: Optional[Sequence[Any]] = None,
-    ) -> UpdatePlan:
-        """Complete deletion, by instance or by object key (``key=`` is
-        the older spelling of the same argument)."""
-        return self.apply(
-            engine, CompleteDeletion(instance if key is None else key)
+        journal = self._active_journal(engine)
+        audit = self._active_audit(engine)
+        # The eager path needs the changelog to reconstruct before/after
+        # images; both the journal and the audit log consume them.
+        use_changelog = journal is not None or (
+            audit is not None and engine.changelog is not None
         )
-
-    def replace(
-        self,
-        engine: Engine,
-        old: Union[InstanceLike, Sequence[Any]],
-        new: InstanceLike,
-    ) -> UpdatePlan:
-        """Replacement: old instance (or its key) and its replacement."""
-        return self.apply(
-            engine, Replacement(old, self._coerce_instance(new))
-        )
-
-    def insert_many(
-        self, engine: Engine, instances: Iterable[InstanceLike]
-    ) -> UpdatePlan:
-        """Complete insertion of a batch, as one coalesced plan.
-
-        Each instance is translated by the standard VO-CI algorithm over
-        a :class:`BufferedEngine` overlay, so instances later in the
-        batch observe the effects of earlier ones exactly as a
-        sequential loop would. The per-instance plans are then coalesced
-        and flushed to ``engine`` through its batch primitives in one
-        transaction: the batch is all-or-nothing, and any rejection
-        leaves the database untouched.
-        """
-        return self.apply_plan_batch(
-            engine,
-            [CompleteInsertion(self._coerce_instance(i)) for i in instances],
-            op="insert",
-        )
-
-    def delete_many(
-        self,
-        engine: Engine,
-        instances: Optional[Iterable[Union[InstanceLike, Sequence[Any]]]] = None,
-        keys: Optional[Iterable[Sequence[Any]]] = None,
-    ) -> UpdatePlan:
-        """Complete deletion of a batch, each item an instance or an
-        object key (``keys=`` is the older spelling of the same argument)."""
-        items = (instances or []) if keys is None else keys
-        return self.apply_plan_batch(
-            engine, [CompleteDeletion(item) for item in items], op="delete"
-        )
+        mark = engine.changelog.mark() if use_changelog else None
+        tracer = obs.tracer()
+        registry = obs.metrics()
+        with tracer.span(
+            "translate", object=self.view_object.name, op=op
+        ) as span:
+            engine.begin()
+            try:
+                self._check_authorized()
+                self._translate(ctx, request)
+                self._verify(engine)
+            except BaseException as exc:
+                # An Exception rejects the update: roll back, nothing is
+                # left behind. Anything else is a (simulated) crash
+                # mid-translation: no rollback — the state is left torn
+                # for recovery, and the audit record says so. No journal
+                # entry exists yet, so that record stays ``crashed``
+                # (recovery discards the transaction, reverting the
+                # effects; replay rightly excludes it).
+                if isinstance(exc, Exception):
+                    engine.rollback()
+                    registry.counter(
+                        "translation_failures_total", op=op
+                    ).inc()
+                if audit is not None:
+                    self.audit_update(audit, op, plan=ctx.plan, error=exc)
+                raise
+            span.set(ops=len(ctx.plan), journaled=journal is not None)
+            images = None
+            if use_changelog:
+                images = images_from_records(
+                    engine, engine.changelog.since(mark)
+                )
+            with tracer.span("commit", ops=len(ctx.plan)):
+                self._commit(
+                    journal, audit, engine._finish_commit,
+                    ctx.plan, images, op,
+                )
+        return ctx.plan
 
     def apply_plan_batch(
         self,
@@ -301,8 +286,18 @@ class Translator:
         shared overlay (:meth:`_overlay`), so later requests see earlier
         effects. Nothing touches the real engine until the plan is
         complete; the flush is one :meth:`_commit`.
+
+        Section 5 maps an update to a *set of operations*, and the empty
+        list of requests asks for the empty set: that is no update, so
+        nothing is translated, journaled, audited, counted or traced and
+        the empty plan is returned. Every session's batch verbs — and a
+        query-driven verb whose select matched nothing — end here. A
+        non-empty batch whose coalesced plan is empty (an insert then a
+        delete of one key) is still an update and is committed as one.
         """
         requests = list(requests)
+        if not requests:
+            return UpdatePlan()
         tracer = obs.tracer()
         with tracer.span(
             "translate.batch",
@@ -345,8 +340,8 @@ class Translator:
         """Journal, apply, and audit an already-translated coalesced plan.
 
         The public face of :meth:`_commit`, for callers that produced
-        the plan elsewhere — :meth:`explain` / :meth:`explain_batch` run
-        the full translation pipeline over a buffer, and a shard
+        the plan elsewhere — :meth:`explain_batch` runs the full
+        translation pipeline over a buffer, and a shard
         coordinator partitions the result before applying each piece on
         its owning engine through this method. The base engine must be
         in the same state translation observed (the plan's before-images
@@ -380,6 +375,71 @@ class Translator:
             )
         return plan
 
+    def explain_batch(
+        self,
+        engine: Engine,
+        requests: Iterable[UpdateRequest],
+        op: Optional[str] = None,
+    ) -> TranslationExplanation:
+        """The would-be plan of a batch, without executing it.
+
+        The requests run through the real VO-CI / VO-CD / VO-R code over
+        a :class:`BufferedEngine` overlay, so the reported operations,
+        relations and CASE reasons are exactly what :meth:`apply` /
+        :meth:`apply_plan_batch` would produce against the current
+        database — but the base engine is never touched. The counterpart
+        of :func:`repro.core.query.explain_query` for updates.
+
+        ``op`` labels the translate half of a *write* whose flush half
+        is :meth:`apply_plan` (the sharded path: translate on the owner,
+        partition, land each piece): a rejection is then counted and
+        audited as that write's, exactly as :meth:`apply_plan_batch`
+        would, and ``explains_total`` is not bumped. Without it nothing
+        is recorded.
+        """
+        requests = list(requests)
+        operation = self._describe_requests(requests)
+        with obs.tracer().span(
+            "explain",
+            object=self.view_object.name,
+            op=operation,
+            items=len(requests),
+        ) as span:
+            plans = self._overlay(
+                engine, requests, op or operation, write=op is not None
+            )
+            combined = UpdatePlan()
+            for plan in plans:
+                combined.extend(plan)
+            coalesced = coalesce_plans(plans, engine.schema)
+            span.set(ops=len(combined))
+        if op is None:  # a write's translate half is not an explain
+            obs.metrics().counter("explains_total", op=operation).inc()
+        return TranslationExplanation(
+            object_name=self.view_object.name,
+            operation=operation,
+            plan=combined,
+            coalesced=coalesced,
+            island_relations=tuple(self.analysis.island_relations),
+            graph=self.view_object.graph,
+            verify_integrity=self.verify_integrity,
+            items=len(requests),
+            risk=self.risk(),
+        )
+
+    @staticmethod
+    def _describe_requests(requests: Sequence[UpdateRequest]) -> str:
+        """One op label for a request list: its kind, or "mixed"."""
+        kinds = {
+            _REQUESTS.get(type(request), ("update",))[0]
+            for request in requests
+        }
+        if not kinds:
+            return "empty"
+        if len(kinds) == 1:
+            return next(iter(kinds))
+        return "mixed"
+
     def _overlay(
         self,
         engine: Engine,
@@ -391,13 +451,13 @@ class Translator:
         in order over one :class:`BufferedEngine`, so later requests see
         earlier effects and ``engine`` itself is never touched.
 
-        Every overlay translation runs here — a batch write, a preview,
-        an explain, and the sharded write (:meth:`explain_batch` with
-        ``op=``, then :meth:`apply_plan`) — so each gets step 1's
-        authorization, the key pre-load, one ``translate`` span per
-        request and the ``verify_integrity`` check. A *write*'s rejection
-        also bumps ``translation_failures_total`` and leaves one
-        ``rolled_back`` audit record; an explain's or a preview's does not.
+        Every overlay translation runs here — a batch write, an explain,
+        and the sharded write (:meth:`explain_batch` with ``op=``, then
+        :meth:`apply_plan`) — so each gets step 1's authorization, the
+        key pre-load, one ``translate`` span per request and the
+        ``verify_integrity`` check. A *write*'s rejection also bumps
+        ``translation_failures_total`` and leaves one ``rolled_back``
+        audit record; an explain's does not.
         """
         tracer = obs.tracer()
         plans = []
@@ -461,46 +521,11 @@ class Translator:
         for relation, keys in keys_by_relation.items():
             buffered.prime(relation, keys)
 
-    # -- partial operations --------------------------------------------------------
-
-    def insert_component(
-        self,
-        engine: Engine,
-        instance: Union[InstanceLike, Sequence[Any]],
-        node_id: str,
-        values: Dict[str, Any],
-    ) -> UpdatePlan:
-        """Partial insertion: add one component tuple at ``node_id``."""
-        return self.apply(engine, PartialInsertion(instance, node_id, values))
-
-    def delete_component(
-        self,
-        engine: Engine,
-        instance: Union[InstanceLike, Sequence[Any]],
-        node_id: str,
-        values: Dict[str, Any],
-    ) -> UpdatePlan:
-        """Partial deletion: remove one component tuple at ``node_id``."""
-        return self.apply(engine, PartialDeletion(instance, node_id, values))
-
-    def update_component(
-        self,
-        engine: Engine,
-        instance: Union[InstanceLike, Sequence[Any]],
-        node_id: str,
-        old_values: Dict[str, Any],
-        new_values: Dict[str, Any],
-    ) -> UpdatePlan:
-        """Partial update: modify one component tuple's nonkey attributes."""
-        return self.apply(
-            engine, PartialUpdate(instance, node_id, old_values, new_values)
-        )
-
     # -- helpers -----------------------------------------------------------------
 
     def _check_authorized(self) -> None:
         """Step 1's user authorization: the first thing both translate
-        halves (:meth:`_run`, :meth:`_overlay`) and :meth:`apply_plan` do."""
+        halves (:meth:`apply`, :meth:`_overlay`) and :meth:`apply_plan` do."""
         if not self.policy.authorizes(self.user):
             raise LocalValidationError(
                 f"user {self.user!r} is not authorized to update through "
@@ -702,230 +727,6 @@ class Translator:
             self.audit_update(audit, op, **record)
         registry.counter("translations_total", op=op).inc()
         registry.histogram("plan_ops", op=op).observe(len(plan))
-
-    def _run(self, engine: Engine, request: UpdateRequest) -> UpdatePlan:
-        """The eager translate half: translate one request on the live
-        engine inside one transaction, then :meth:`_commit` it."""
-        op = _request_entry(request)[0]
-        ctx = TranslationContext(
-            self.view_object, engine, self.policy, self.analysis
-        )
-        journal = self._active_journal(engine)
-        audit = self._active_audit(engine)
-        # The eager path needs the changelog to reconstruct before/after
-        # images; both the journal and the audit log consume them.
-        use_changelog = journal is not None or (
-            audit is not None and engine.changelog is not None
-        )
-        mark = engine.changelog.mark() if use_changelog else None
-        tracer = obs.tracer()
-        registry = obs.metrics()
-        # preview=False tells this span from the one _preview opens; the
-        # golden traces pin the attribute.
-        with tracer.span(
-            "translate",
-            object=self.view_object.name,
-            op=op,
-            preview=False,
-        ) as span:
-            engine.begin()
-            try:
-                self._check_authorized()
-                self._translate(ctx, request)
-                self._verify(engine)
-            except BaseException as exc:
-                # An Exception rejects the update: roll back, nothing is
-                # left behind. Anything else is a (simulated) crash
-                # mid-translation: no rollback — the state is left torn
-                # for recovery, and the audit record says so. No journal
-                # entry exists yet, so that record stays ``crashed``
-                # (recovery discards the transaction, reverting the
-                # effects; replay rightly excludes it).
-                if isinstance(exc, Exception):
-                    engine.rollback()
-                    registry.counter(
-                        "translation_failures_total", op=op
-                    ).inc()
-                if audit is not None:
-                    self.audit_update(audit, op, plan=ctx.plan, error=exc)
-                raise
-            span.set(ops=len(ctx.plan), journaled=journal is not None)
-            images = None
-            if use_changelog:
-                images = images_from_records(
-                    engine, engine.changelog.since(mark)
-                )
-            with tracer.span("commit", ops=len(ctx.plan)):
-                self._commit(
-                    journal, audit, engine._finish_commit,
-                    ctx.plan, images, op,
-                )
-        return ctx.plan
-
-    # -- previews (translate, report the plan, change nothing) ----------------
-
-    def preview_insert(self, engine: Engine, instance: InstanceLike) -> UpdatePlan:
-        """The plan :meth:`insert` would apply, with the database untouched."""
-        return self._preview(engine, CompleteInsertion(instance))
-
-    def preview_delete(
-        self,
-        engine: Engine,
-        instance: Union[InstanceLike, Sequence[Any], None] = None,
-        key: Optional[Sequence[Any]] = None,
-    ) -> UpdatePlan:
-        """The plan :meth:`delete` would apply, with the database untouched."""
-        return self._preview(
-            engine, CompleteDeletion(instance if key is None else key)
-        )
-
-    def preview_replace(
-        self,
-        engine: Engine,
-        old: Union[InstanceLike, Sequence[Any]],
-        new: InstanceLike,
-    ) -> UpdatePlan:
-        """The plan :meth:`replace` would apply, with the database untouched."""
-        return self._preview(engine, Replacement(old, new))
-
-    def _preview(self, engine: Engine, request: UpdateRequest) -> UpdatePlan:
-        """:meth:`translate` under the ``translate`` span, counted."""
-        op = _request_entry(request)[0]
-        with obs.tracer().span(
-            "translate", object=self.view_object.name, op=op, preview=True
-        ) as span:
-            plan = self.translate(engine, request)
-            span.set(ops=len(plan), journaled=False)
-        obs.metrics().counter("translation_previews_total", op=op).inc()
-        return plan
-
-    # -- EXPLAIN (translate over an overlay, execute nothing) ------------------
-
-    def explain(
-        self, engine: Engine, request: UpdateRequest
-    ) -> TranslationExplanation:
-        """The would-be plan of one update request, without executing it.
-
-        The request runs through the real VO-CI / VO-CD / VO-R code over
-        a :class:`BufferedEngine` overlay, so the reported operations,
-        relations, and CASE reasons are exactly what :meth:`apply` would
-        produce against the current database — but the base engine is
-        never touched. The counterpart of
-        :func:`repro.core.query.explain_query` for updates.
-        """
-        return self.explain_batch(engine, [request])
-
-    def explain_batch(
-        self,
-        engine: Engine,
-        requests: Iterable[UpdateRequest],
-        op: Optional[str] = None,
-    ) -> TranslationExplanation:
-        """The coalesced would-be plan of a batch, without executing it.
-
-        ``op`` labels the translate half of a *write* whose flush half
-        is :meth:`apply_plan` (the sharded path: translate on the owner,
-        partition, land each piece): a rejection is then counted and
-        audited as that write's, exactly as :meth:`apply_plan_batch`
-        would, and ``explains_total`` is not bumped. Without it nothing
-        is recorded.
-        """
-        requests = list(requests)
-        operation = self._describe_requests(requests)
-        with obs.tracer().span(
-            "explain",
-            object=self.view_object.name,
-            op=operation,
-            items=len(requests),
-        ) as span:
-            plans = self._overlay(
-                engine, requests, op or operation, write=op is not None
-            )
-            combined = UpdatePlan()
-            for plan in plans:
-                combined.extend(plan)
-            coalesced = coalesce_plans(plans, engine.schema)
-            span.set(ops=len(combined))
-        if op is None:  # a write's translate half is not an explain
-            obs.metrics().counter("explains_total", op=operation).inc()
-        return TranslationExplanation(
-            object_name=self.view_object.name,
-            operation=operation,
-            plan=combined,
-            coalesced=coalesced,
-            island_relations=tuple(self.analysis.island_relations),
-            graph=self.view_object.graph,
-            verify_integrity=self.verify_integrity,
-            items=len(requests),
-            risk=self.risk(),
-        )
-
-    @staticmethod
-    def _describe_requests(requests: Sequence[UpdateRequest]) -> str:
-        """One op label for a request list: its kind, or "mixed"."""
-        kinds = {
-            _REQUESTS.get(type(request), ("update",))[0]
-            for request in requests
-        }
-        if not kinds:
-            return "empty"
-        if len(kinds) == 1:
-            return next(iter(kinds))
-        return "mixed"
-
-    # -- query-driven bulk operations ---------------------------------------------
-
-    def delete_where(self, engine: Engine, query: str) -> UpdatePlan:
-        """Complete deletion of every instance matching an object query.
-
-        "The query representation can also be used to formulate update
-        requests" — this is that formulation for deletions: select, then
-        one :meth:`apply_plan_batch` labelled ``delete_where`` — one
-        coalesced plan, one journal intent, one audit record for the
-        whole view-level request, all-or-nothing.
-        """
-        from repro.core.query import execute_query
-
-        return self.apply_plan_batch(
-            engine,
-            [
-                CompleteDeletion(instance)
-                for instance in execute_query(self.view_object, engine, query)
-            ],
-            op="delete_where",
-        )
-
-    def update_where(
-        self,
-        engine: Engine,
-        query: str,
-        transform: Callable[[Dict[str, Any]], Dict[str, Any]],
-    ) -> UpdatePlan:
-        """Replace every matching instance by ``transform(instance_dict)``.
-
-        The transform receives each matched instance's nested-dictionary
-        form and returns the replacement's. Like :meth:`delete_where`:
-        select, then one batch labelled ``update_where``.
-        """
-        from repro.core.query import execute_query
-
-        return self.apply_plan_batch(
-            engine,
-            [
-                Replacement(
-                    instance, self._coerce_instance(transform(instance.to_dict()))
-                )
-                for instance in execute_query(self.view_object, engine, query)
-            ],
-            op="update_where",
-        )
-
-    # -- request-object dispatch ------------------------------------------------
-
-    def apply(self, engine: Engine, request: UpdateRequest) -> UpdatePlan:
-        """Apply a first-class :class:`UpdateRequest` (Section 5's
-        operation taxonomy) through this translator."""
-        return self._run(engine, request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Translator({self.view_object.name!r})"

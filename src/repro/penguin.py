@@ -99,14 +99,10 @@ class ViewObjectSession:
         request_of: Callable[[Instance], UpdateRequest],
         op: str,
     ) -> UpdatePlan:
-        """A query-driven verb: select, then one labelled batch. Section 5
-        maps an update to a *set of operations*; a select that matches
-        nothing asks for the empty set, which is no update — nothing to
-        commit, so nothing is journaled, audited or counted, on any
-        session, and the empty plan is returned."""
+        """A query-driven verb: select, then one labelled batch. A select
+        that matches nothing is an empty batch, which the translator
+        commits as no update (``Translator.apply_plan_batch``)."""
         matches = self.query(name, query)
-        if not matches:
-            return UpdatePlan()
         return self._apply(name, [request_of(i) for i in matches], op)
 
     def coerce(self, name: str, instance: InstanceLike) -> Instance:
@@ -465,10 +461,10 @@ class Penguin(ViewObjectSession):
     def explain_update(self, name: str, request) -> TranslationExplanation:
         """The would-be plan of one update request, without executing it.
 
-        See :meth:`Translator.explain` — the update counterpart of the
-        query planner's ``explain_query``.
+        See :meth:`Translator.explain_batch` — the update counterpart of
+        the query planner's ``explain_query``.
         """
-        return self.translator(name).explain(self.engine, request)
+        return self.translator(name).explain_batch(self.engine, [request])
 
     # -- transactions ----------------------------------------------------------------
 

@@ -12,7 +12,7 @@ Placement follows the paper's structure (see
 their primary keys and are partitioned by it; referenced lookups are
 replicated to every shard. A view-object update therefore translates
 entirely on the shard that owns its pivot key — translation runs
-side-effect-free there (:meth:`Translator.explain`), the coalesced
+side-effect-free there (:meth:`Translator.explain_batch`), the coalesced
 plan is partitioned, and:
 
 * a plan confined to one shard takes the **fast path**: journaled,

@@ -324,9 +324,8 @@ class _Session:
         )
         self.penguin.register_object(self.view_object)
         self.name = self.view_object.name
-        self.translator = self.penguin.set_policy(self.name, policy)
         self.policy = policy
-        self.analysis = self.translator.analysis
+        self.analysis = self.penguin.set_policy(self.name, policy).analysis
 
     def fingerprint(self) -> Tuple[Any, ...]:
         dump = tuple(
@@ -604,7 +603,7 @@ def _law_insert_putget(session: _Session) -> LawResult:
         return LawResult(law, SKIPPED, "no source instance")
     before = session.fingerprint()
     try:
-        session.translator.insert(session.engine, fresh)
+        session.penguin.insert(session.name, fresh)
     except UpdateError as exc:
         if session.fingerprint() != before:
             return LawResult(law, FALSIFIED, f"rejection left a trace: {exc}")
@@ -638,7 +637,7 @@ def _law_insert_putget(session: _Session) -> LawResult:
                 f"{value!r}",
             )
     try:
-        session.translator.insert(session.engine, fresh)
+        session.penguin.insert(session.name, fresh)
     except UpdateError:
         return LawResult(law, HELD)
     except ReproError as exc:
@@ -656,12 +655,12 @@ def _law_delete_fresh(session: _Session) -> LawResult:
     if fresh is None:
         return LawResult(law, SKIPPED, "no source instance")
     try:
-        session.translator.insert(session.engine, fresh)
+        session.penguin.insert(session.name, fresh)
     except ReproError:
         return LawResult(law, SKIPPED, "insertion unavailable under policy")
     key = _key_of(session, fresh)
     try:
-        session.translator.delete(session.engine, key=key)
+        session.penguin.delete(session.name, key)
     except UpdateError as exc:
         if session.policy.allow_deletion and not _delete_reject_justified(
             session
@@ -693,7 +692,7 @@ def _law_delete_populated(session: _Session) -> LawResult:
         return LawResult(law, SKIPPED, "empty database")
     before = session.fingerprint()
     try:
-        session.translator.delete(session.engine, instance)
+        session.penguin.delete(session.name, instance)
     except UpdateError as exc:
         if session.fingerprint() != before:
             return LawResult(law, FALSIFIED, f"rejection left a trace: {exc}")
@@ -731,7 +730,7 @@ def _law_reject_zero_trace(session: _Session) -> LawResult:
     before = session.fingerprint()
     duplicate = instance.to_dict()
     try:
-        session.translator.insert(session.engine, duplicate)
+        session.penguin.insert(session.name, duplicate)
     except UpdateError:
         pass
     except ReproError as exc:
@@ -774,7 +773,7 @@ def _law_replace_getput(session: _Session) -> LawResult:
         ("reordered identity", _siblings_reversed(same)),
     ):
         try:
-            plan = session.translator.replace(session.engine, instance, payload)
+            plan = session.penguin.replace(session.name, instance, payload)
         except UpdateError as exc:
             if session.policy.allow_replacement and not _replace_reject_justified(
                 session
@@ -807,7 +806,7 @@ def _law_replace_putget(session: _Session) -> LawResult:
     mutated = instance.to_dict()
     mutated[attr] = "strategy-law-mutation"
     try:
-        session.translator.replace(session.engine, instance, mutated)
+        session.penguin.replace(session.name, instance, mutated)
     except UpdateError as exc:
         if session.policy.allow_replacement and not _replace_reject_justified(
             session
@@ -847,7 +846,7 @@ def _law_replace_idempotent(session: _Session) -> LawResult:
     mutated = instance.to_dict()
     mutated[attr] = "strategy-law-mutation"
     try:
-        session.translator.replace(session.engine, instance, mutated)
+        session.penguin.replace(session.name, instance, mutated)
     except ReproError:
         return LawResult(law, SKIPPED, "replacement unavailable under policy")
     key = _key_of(session, mutated)
@@ -855,8 +854,8 @@ def _law_replace_idempotent(session: _Session) -> LawResult:
     if applied is None:
         return LawResult(law, FALSIFIED, "instance vanished after replacement")
     for again in (applied, _siblings_reversed(applied.to_dict())):
-        explanation = session.translator.explain(
-            session.engine, Replacement(applied, again)
+        explanation = session.penguin.explain_update(
+            session.name, Replacement(applied, again)
         )
         if explanation.coalesced_ops != 0:
             return LawResult(
@@ -880,7 +879,7 @@ def _law_key_rehome(session: _Session) -> LawResult:
     if old_key == new_key:
         return LawResult(law, SKIPPED, "pivot key not rewritable")
     try:
-        session.translator.replace(session.engine, old, new)
+        session.penguin.replace(session.name, old, new)
     except UpdateError as exc:
         if (
             session.policy.allow_replacement

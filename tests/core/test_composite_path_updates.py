@@ -19,6 +19,11 @@ import copy
 import pytest
 
 from repro.core.instantiation import Instantiator
+from repro.core.updates.operations import (
+    CompleteDeletion,
+    CompleteInsertion,
+    Replacement,
+)
 from repro.core.updates.translator import Translator
 from repro.structural.integrity import IntegrityChecker
 
@@ -40,7 +45,7 @@ class TestDeletion:
         self, translator, university_engine
     ):
         cid = course_with_students(university_engine)
-        translator.delete(university_engine, key=(cid,))
+        translator.apply(university_engine, CompleteDeletion((cid,)))
         assert university_engine.get("COURSES", (cid,)) is None
         # GRADES go via the global ownership cascade even though GRADES
         # is not part of ω'.
@@ -56,7 +61,7 @@ class TestDeletion:
                 "GRADES", ("course_id",), (cid,)
             )
         }
-        translator.delete(university_engine, key=(cid,))
+        translator.apply(university_engine, CompleteDeletion((cid,)))
         for sid in students:
             assert university_engine.get("STUDENT", (sid,)) is not None
 
@@ -86,23 +91,25 @@ class TestInsertion:
             verify_integrity=True,
         )
         student = next(iter(university_engine.scan("STUDENT")))
-        translator.insert(
+        translator.apply(
             university_engine,
-            {
-                "course_id": "OP1",
-                "title": "t",
-                "units": 1,
-                "level": "graduate",
-                "instructor_id": None,
-                "FACULTY": [],
-                "STUDENT": [
-                    {
-                        "person_id": student[0],
-                        "degree_program": student[1],
-                        "year": student[2],
-                    }
-                ],
-            },
+            CompleteInsertion(
+                {
+                    "course_id": "OP1",
+                    "title": "t",
+                    "units": 1,
+                    "level": "graduate",
+                    "instructor_id": None,
+                    "FACULTY": [],
+                    "STUDENT": [
+                        {
+                            "person_id": student[0],
+                            "degree_program": student[1],
+                            "year": student[2],
+                        }
+                    ],
+                },
+            ),
         )
         assert university_engine.get("COURSES", ("OP1",)) is not None
         assert (
@@ -128,7 +135,7 @@ class TestReplacement:
         )
         new = copy.deepcopy(old.to_dict())
         new["title"] = "Through Omega Prime"
-        translator.replace(university_engine, old, new)
+        translator.apply(university_engine, Replacement(old, new))
         assert (
             university_engine.get("COURSES", (cid,))[1]
             == "Through Omega Prime"
@@ -150,7 +157,7 @@ class TestReplacement:
         new["FACULTY"] = [
             {"person_id": values[0], "rank": values[1], "office": values[2]}
         ]
-        translator.replace(university_engine, old, new)
+        translator.apply(university_engine, Replacement(old, new))
         assert university_engine.get("COURSES", (cid,))[5] == other_faculty
 
     def test_rekey_propagates_to_elided_grades(
@@ -167,7 +174,7 @@ class TestReplacement:
         )
         new = copy.deepcopy(old.to_dict())
         new["course_id"] = "OPKEY"
-        translator.replace(university_engine, old, new)
+        translator.apply(university_engine, Replacement(old, new))
         migrated = university_engine.find_by(
             "GRADES", ("course_id",), ("OPKEY",)
         )

@@ -6,6 +6,11 @@ import pytest
 
 from repro.core.dependency_island import analyze_island
 from repro.core.instantiation import Instantiator
+from repro.core.updates.operations import (
+    CompleteDeletion,
+    CompleteInsertion,
+    Replacement,
+)
 from repro.core.updates.policy import ReferenceRepair, RelationPolicy, TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.structural.integrity import IntegrityChecker
@@ -65,7 +70,7 @@ class TestDeletion:
     ):
         sid = find_person(university_engine, "STUDENT")
         assert university_engine.find_by("GRADES", ("student_id",), (sid,))
-        translator.delete(university_engine, key=(sid,))
+        translator.apply(university_engine, CompleteDeletion((sid,)))
         assert university_engine.get("PEOPLE", (sid,)) is None
         assert university_engine.get("STUDENT", (sid,)) is None
         assert university_engine.find_by("GRADES", ("student_id",), (sid,)) == []
@@ -80,7 +85,7 @@ class TestDeletion:
             v for v in university_engine.scan("COURSES") if v[5] is not None
         )
         instructor = course[5]
-        translator.delete(university_engine, key=(instructor,))
+        translator.apply(university_engine, CompleteDeletion((instructor,)))
         assert university_engine.get("FACULTY", (instructor,)) is None
         assert university_engine.get("COURSES", (course[0],))[5] is None
 
@@ -94,7 +99,7 @@ class TestDeletion:
                 "GRADES", ("student_id",), (sid,)
             )
         ]
-        translator.delete(university_engine, key=(sid,))
+        translator.apply(university_engine, CompleteDeletion((sid,)))
         for cid in courses:
             assert university_engine.get("COURSES", (cid,)) is not None
 
@@ -120,7 +125,7 @@ class TestRekey:
                         rekey(child)
             return node
 
-        translator.replace(university_engine, old, rekey(new))
+        translator.apply(university_engine, Replacement(old, rekey(new)))
         assert university_engine.get("PEOPLE", (sid,)) is None
         assert university_engine.get("PEOPLE", (555555,)) is not None
         assert university_engine.get("STUDENT", (555555,)) is not None
@@ -137,23 +142,25 @@ class TestInsertion:
     def test_insert_new_staff_member(
         self, translator, university_engine, university_graph
     ):
-        translator.insert(
+        translator.apply(
             university_engine,
-            {
-                "person_id": 777001,
-                "name": "New Hire",
-                "dept_name": "Physics",
-                "STAFF": [
-                    {
-                        "person_id": 777001,
-                        "position": "librarian",
-                        "salary": 50000,
-                    }
-                ],
-                "STUDENT": [],
-                "FACULTY": [],
-                "DEPARTMENT": [],
-            },
+            CompleteInsertion(
+                {
+                    "person_id": 777001,
+                    "name": "New Hire",
+                    "dept_name": "Physics",
+                    "STAFF": [
+                        {
+                            "person_id": 777001,
+                            "position": "librarian",
+                            "salary": 50000,
+                        }
+                    ],
+                    "STUDENT": [],
+                    "FACULTY": [],
+                    "DEPARTMENT": [],
+                },
+            ),
         )
         assert university_engine.get("PEOPLE", (777001,)) is not None
         assert university_engine.get("STAFF", (777001,)) is not None

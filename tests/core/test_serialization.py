@@ -14,6 +14,7 @@ from repro.core.serialization import (
     view_object_to_dict,
     view_object_to_json,
 )
+from repro.core.updates.operations import CompleteDeletion
 from repro.core.updates.policy import (
     ReferenceRepair,
     RelationPolicy,
@@ -70,7 +71,7 @@ class TestViewObjectRoundTrip:
         populate_university(engine)
         translator = Translator(rebuilt, verify_integrity=True)
         cid = next(iter(engine.scan("COURSES")))[0]
-        translator.delete(engine, key=(cid,))
+        translator.apply(engine, CompleteDeletion((cid,)))
         assert engine.get("COURSES", (cid,)) is None
 
 

@@ -20,26 +20,32 @@ def any_course(engine):
 
 def test_open_policy_allows_anonymous(omega, university_engine):
     translator = Translator(omega)
-    translator.delete(university_engine, key=(any_course(university_engine),))
+    translator.apply(
+        university_engine, CompleteDeletion((any_course(university_engine),))
+    )
 
 
 def test_unbound_user_rejected(restricted, university_engine):
     with pytest.raises(LocalValidationError, match="not authorized"):
-        restricted.delete(
-            university_engine, key=(any_course(university_engine),)
+        restricted.apply(
+            university_engine,
+            CompleteDeletion((any_course(university_engine),)),
         )
 
 
 def test_unauthorized_user_rejected(restricted, university_engine):
     eve = restricted.for_user("eve")
     with pytest.raises(LocalValidationError, match="'eve'"):
-        eve.delete(university_engine, key=(any_course(university_engine),))
+        eve.apply(
+            university_engine,
+            CompleteDeletion((any_course(university_engine),)),
+        )
 
 
 def test_authorized_user_allowed(restricted, university_engine):
     registrar = restricted.for_user("registrar")
     cid = any_course(university_engine)
-    registrar.delete(university_engine, key=(cid,))
+    registrar.apply(university_engine, CompleteDeletion((cid,)))
     assert university_engine.get("COURSES", (cid,)) is None
 
 
@@ -51,8 +57,9 @@ def test_rejection_happens_before_any_mutation(
         for name in university_graph.relation_names
     }
     with pytest.raises(LocalValidationError):
-        restricted.for_user("eve").delete(
-            university_engine, key=(any_course(university_engine),)
+        restricted.for_user("eve").apply(
+            university_engine,
+            CompleteDeletion((any_course(university_engine),)),
         )
     after = {
         name: sorted(university_engine.scan(name))
@@ -63,8 +70,9 @@ def test_rejection_happens_before_any_mutation(
 
 def test_previews_also_gated(restricted, university_engine):
     with pytest.raises(LocalValidationError):
-        restricted.for_user("eve").preview_delete(
-            university_engine, key=(any_course(university_engine),)
+        restricted.for_user("eve").explain_batch(
+            university_engine,
+            [CompleteDeletion((any_course(university_engine),))],
         )
 
 
@@ -87,10 +95,19 @@ def test_policy_authorizes():
 
 # -- every entry point, not only the eager one ---------------------------------
 
+def last_course(engine):
+    return [values[0] for values in engine.scan("COURSES")][-1]
+
+
 ENTRY_POINTS = {
-    "translate": lambda t, engine, request: t.translate(engine, request),
-    "explain": lambda t, engine, request: t.explain(engine, request),
-    "explain_batch": lambda t, engine, request: t.explain_batch(engine, [request]),
+    # A write's translate half: what the sharded path runs before apply_plan.
+    "translate": lambda t, engine, request: t.explain_batch(
+        engine, [request], op="delete"
+    ),
+    "explain": lambda t, engine, request: t.explain_batch(engine, [request]),
+    "explain_batch": lambda t, engine, request: t.explain_batch(
+        engine, [request, CompleteDeletion((last_course(engine),))]
+    ),
     "apply_plan_batch": lambda t, engine, request: t.apply_plan_batch(
         engine, [request]
     ),
@@ -121,9 +138,9 @@ def test_apply_plan_does_not_trust_its_caller(
     """The flush half checks too: a plan obtained elsewhere (here: from
     an authorized user's translate) cannot be applied by anyone else."""
     cid = any_course(university_engine)
-    plan = restricted.for_user("registrar").translate(
-        university_engine, CompleteDeletion((cid,))
-    )
+    plan = restricted.for_user("registrar").explain_batch(
+        university_engine, [CompleteDeletion((cid,))]
+    ).plan
     before = snapshot(university_engine, university_graph)
     with pytest.raises(LocalValidationError, match="'eve'"):
         restricted.for_user("eve").apply_plan(university_engine, plan)

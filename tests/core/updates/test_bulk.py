@@ -1,29 +1,39 @@
-"""Query-driven bulk operations (delete_where / update_where)."""
+"""Query-driven bulk operations (delete_where / update_where).
+
+The verbs are the session's (``ViewObjectSession``); the translator only
+sees the labelled request batch they build."""
 
 import pytest
 
 from repro.core.updates.policy import RelationPolicy, TranslatorPolicy
-from repro.core.updates.translator import Translator
 from repro.errors import UpdateRejectedError
+from repro.penguin import Penguin
 from repro.structural.integrity import IntegrityChecker
 
 
+def session_over(omega, engine, policy=None):
+    """A Penguin over ``engine`` with ω registered (and ``policy`` bound)."""
+    penguin = Penguin(omega.graph, engine=engine, install=False)
+    penguin.register_object(omega)
+    if policy is not None:
+        penguin.set_policy(omega.name, policy)
+    return penguin
+
+
 @pytest.fixture
-def translator(omega):
-    return Translator(omega)
+def penguin(omega, university_engine):
+    return session_over(omega, university_engine)
 
 
 class TestDeleteWhere:
-    def test_deletes_all_matching(self, translator, university_engine):
+    def test_deletes_all_matching(self, penguin, omega, university_engine):
         doomed = {
             v[0]
             for v in university_engine.scan("COURSES")
             if v[4] == "Philosophy"
         }
         assert doomed
-        plan = translator.delete_where(
-            university_engine, "dept_name = 'Philosophy'"
-        )
+        plan = penguin.delete_where(omega.name, "dept_name = 'Philosophy'")
         for cid in doomed:
             assert university_engine.get("COURSES", (cid,)) is None
         survivors = {v[0] for v in university_engine.scan("COURSES")}
@@ -31,16 +41,16 @@ class TestDeleteWhere:
         assert plan.count("delete") >= len(doomed)
 
     def test_leaves_consistent_state(
-        self, translator, university_engine, university_graph
+        self, penguin, omega, university_engine, university_graph
     ):
-        translator.delete_where(university_engine, "units <= 2")
+        penguin.delete_where(omega.name, "units <= 2")
         assert IntegrityChecker(university_graph).is_consistent(
             university_engine
         )
 
-    def test_no_matches_is_noop(self, translator, university_engine):
+    def test_no_matches_is_noop(self, penguin, omega, university_engine):
         before = university_engine.count("COURSES")
-        plan = translator.delete_where(university_engine, "units > 999")
+        plan = penguin.delete_where(omega.name, "units > 999")
         assert len(plan) == 0
         assert university_engine.count("COURSES") == before
 
@@ -52,17 +62,17 @@ class TestDeleteWhere:
             "CURRICULUM",
             RelationPolicy(on_reference_delete=ReferenceRepair.PROHIBIT),
         )
-        translator = Translator(omega, policy=policy)
+        penguin = session_over(omega, university_engine, policy)
         before = sorted(university_engine.scan("COURSES"))
         # Some course in the batch has curriculum references -> the whole
         # batch must roll back, including earlier successful deletions.
         with pytest.raises(UpdateRejectedError):
-            translator.delete_where(university_engine, "units >= 1")
+            penguin.delete_where(omega.name, "units >= 1")
         assert sorted(university_engine.scan("COURSES")) == before
 
 
 class TestUpdateWhere:
-    def test_transforms_all_matching(self, translator, university_engine):
+    def test_transforms_all_matching(self, penguin, omega, university_engine):
         def bump_units(data):
             data = dict(data)
             data["units"] = data["units"] + 10
@@ -71,23 +81,23 @@ class TestUpdateWhere:
         matched = [
             v[0] for v in university_engine.scan("COURSES") if v[3] == "graduate"
         ]
-        plan = translator.update_where(
-            university_engine, "level = 'graduate'", bump_units
+        plan = penguin.update_where(
+            omega.name, "level = 'graduate'", bump_units
         )
         assert plan.count("replace") == len(matched)
         for cid in matched:
             assert university_engine.get("COURSES", (cid,))[2] > 10
 
-    def test_identity_transform_is_noop(self, translator, university_engine):
-        plan = translator.update_where(
-            university_engine, "level = 'graduate'", lambda data: data
+    def test_identity_transform_is_noop(self, penguin, omega, university_engine):
+        plan = penguin.update_where(
+            omega.name, "level = 'graduate'", lambda data: data
         )
         assert len(plan) == 0
 
     def test_atomic_on_rejection(self, omega, university_engine):
         policy = TranslatorPolicy()
         policy.set_relation("DEPARTMENT", RelationPolicy(can_modify=False))
-        translator = Translator(omega, policy=policy)
+        penguin = session_over(omega, university_engine, policy)
         before = sorted(university_engine.scan("COURSES"))
 
         def reroute(data):
@@ -97,7 +107,5 @@ class TestUpdateWhere:
             return data
 
         with pytest.raises(UpdateRejectedError):
-            translator.update_where(
-                university_engine, "units >= 1", reroute
-            )
+            penguin.update_where(omega.name, "units >= 1", reroute)
         assert sorted(university_engine.scan("COURSES")) == before

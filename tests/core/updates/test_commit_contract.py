@@ -4,16 +4,23 @@ Every write path ends in the same step — journal PENDING, land the
 plan, status marker, audit record — so one table states what each
 entry point must leave behind under each fault: the journal entry's
 status, the audit outcome, the translation counters, and the engine
-state. The eager entry points (``insert``, ``replace``) apply tuples
-while translating, so an ``Exception`` at the first mutation strikes
-before any intent is journaled; the overlay entry points touch the
+state. Each row is the request (or request batch) a session verb hands
+the translator. The eager door (``apply``: ``insert``, ``replace``)
+applies tuples while translating, so an ``Exception`` at the first
+mutation strikes before any intent is journaled; the overlay doors
+(``apply_plan_batch``, ``explain_batch`` + ``apply_plan``) touch the
 engine only inside the commit step.
 """
 
 import pytest
 
 import repro.obs as obs
-from repro.core.updates.operations import CompleteDeletion, CompleteInsertion
+from repro.core.query import execute_query
+from repro.core.updates.operations import (
+    CompleteDeletion,
+    CompleteInsertion,
+    Replacement,
+)
 from repro.core.updates.translator import Translator
 from repro.errors import TransactionError, TransientEngineError
 from repro.obs.audit import MemoryAuditLog
@@ -45,15 +52,16 @@ def course(course_id, title="View Objects"):
 
 
 def run_insert(t, engine):
-    t.insert(engine, course("CS999"))
+    t.apply(engine, CompleteInsertion(course("CS999")))
 
 
 def run_replace(t, engine):
-    t.replace(engine, ("CS901",), course("CS901", title="Replaced"))
+    t.apply(engine, Replacement(("CS901",), course("CS901", title="Replaced")))
 
 
 def run_insert_many(t, engine):
-    t.insert_many(engine, [course("CS990"), course("CS991")])
+    requests = [CompleteInsertion(course(c)) for c in ("CS990", "CS991")]
+    t.apply_plan_batch(engine, requests, op="insert")
 
 
 def run_apply_plan_batch(t, engine):
@@ -67,12 +75,18 @@ def run_apply_plan_batch(t, engine):
 
 
 def run_apply_plan(t, engine):
+    # The sharded write: translate half on the owner, then the commit.
     request = CompleteInsertion(t._coerce_instance(course("CS999")))
-    t.apply_plan(engine, t.translate(engine, request), op="insert")
+    plan = t.explain_batch(engine, [request], op="insert").coalesced
+    t.apply_plan(engine, plan, op="insert")
 
 
 def run_delete_where(t, engine):
-    t.delete_where(engine, "title = 'View Objects'")
+    # What the session's delete_where does: select, then one batch.
+    matches = execute_query(t.view_object, engine, "title = 'View Objects'")
+    t.apply_plan_batch(
+        engine, [CompleteDeletion(i) for i in matches], op="delete_where"
+    )
 
 
 # entry point -> (translate half, op label, items, call)
@@ -115,7 +129,7 @@ def stack(omega, university_engine):
     seeded (fault-free, unlogged) with the rows the entry points use."""
     seeder = Translator(omega)
     for course_id in SEEDED:
-        seeder.insert(university_engine, course(course_id))
+        seeder.apply(university_engine, CompleteInsertion(course(course_id)))
     plan = FaultPlan(seed=1)
     engine = FaultInjectingEngine(university_engine, plan)
     translator = Translator(

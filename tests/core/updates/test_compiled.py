@@ -27,6 +27,9 @@ from repro.core.updates.context import TranslationContext
 from repro.core.updates.operations import (
     CompleteDeletion,
     CompleteInsertion,
+    PartialDeletion,
+    PartialInsertion,
+    PartialUpdate,
     Replacement,
 )
 from repro.core.updates.policy import TranslatorPolicy
@@ -125,11 +128,13 @@ def run_complete_operations(twins):
     template = twins.compiled.instantiate(twins.engine_c, (0,)).to_dict()
 
     # Re-inserting a resident island instance is CASE 1 on both.
-    twins.same(lambda t, e: t.insert(e, copy.deepcopy(template)))
+    twins.same(
+        lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(template)))
+    )
 
     # Fresh insert: the resident instance re-keyed to a new root.
     fresh = rekey(copy.deepcopy(template), FRESH_ROOT)
-    twins.same(lambda t, e: t.insert(e, copy.deepcopy(fresh)))
+    twins.same(lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(fresh))))
 
     # A referenced tuple nobody supplied: global integrity fabricates
     # the skeleton (or the completer refuses), identically.
@@ -137,20 +142,28 @@ def run_complete_operations(twins):
     if "lookup_id" in dangling:
         dangling["lookup_id"] = 31337
         dangling["LOOKUP"] = []
-    twins.same(lambda t, e: t.insert(e, copy.deepcopy(dangling)))
+    twins.same(
+        lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(dangling)))
+    )
 
     # Nonkey replacement at the pivot (CASE R-2).
     renamed = dict(copy.deepcopy(fresh), payload="compiled check")
-    twins.same(lambda t, e: t.replace(e, (FRESH_ROOT,), copy.deepcopy(renamed)))
+    twins.same(
+        lambda t, e: t.apply(
+            e, Replacement((FRESH_ROOT,), copy.deepcopy(renamed))
+        )
+    )
 
     # Replacement with key re-homing: root 0 moves to a new pivot key,
     # dragging the owned subtree and peninsula repairs along.
     rehomed = rekey(copy.deepcopy(template), REHOMED_ROOT)
-    twins.same(lambda t, e: t.replace(e, (0,), copy.deepcopy(rehomed)))
+    twins.same(
+        lambda t, e: t.apply(e, Replacement((0,), copy.deepcopy(rehomed)))
+    )
 
     # Deletion of the re-homed instance (island + peninsula repair); an
     # UpdateError on both sides when the re-homing was rejected.
-    twins.same(lambda t, e: t.delete(e, key=(REHOMED_ROOT,)))
+    twins.same(lambda t, e: t.apply(e, CompleteDeletion((REHOMED_ROOT,))))
     twins.same_databases()
 
 
@@ -256,22 +269,37 @@ def run_replacement_variants(twins, seed):
             without_outside(new, view_object),
             shuffled(without_outside(new, view_object), rng),
         ):
-            twins.same(lambda t, e: t.preview_replace(e, (0,), copy.deepcopy(shape)))
+            twins.same(
+                lambda t, e: t.explain_batch(
+                    e, [Replacement((0,), copy.deepcopy(shape))]
+                ).plan
+            )
     # A stale ``old``: the database moved on after it was read.
     edits = dict(nonkey_edits(template, view_object))
     deepest = max(edits, default=None)
     if deepest is not None:
-        twins.same(lambda t, e: t.replace(e, (0,), copy.deepcopy(edits[deepest])))
+        twins.same(
+            lambda t, e: t.apply(
+                e, Replacement((0,), copy.deepcopy(edits[deepest]))
+            )
+        )
         for _, new in payloads:
             shape = shuffled(new, rng)
             twins.same(
-                lambda t, e: t.preview_replace(
-                    e, copy.deepcopy(template), copy.deepcopy(shape)
-                )
+                lambda t, e: t.explain_batch(
+                    e,
+                    [
+                        Replacement(
+                            copy.deepcopy(template), copy.deepcopy(shape)
+                        ),
+                    ],
+                ).plan
             )
     rehomed = shuffled(payloads[-2][1], rng)
     twins.same(
-        lambda t, e: t.replace(e, copy.deepcopy(template), copy.deepcopy(rehomed))
+        lambda t, e: t.apply(
+            e, Replacement(copy.deepcopy(template), copy.deepcopy(rehomed))
+        )
     )
     twins.same_databases()
 
@@ -307,20 +335,38 @@ def run_partial_operations(twins):
             variants.append(dict(values, **{nonkey: "conflicting"}))
         for variant in variants:
             twins.same(
-                lambda t, e: t.insert_component(e, root, node_id, dict(variant))
+                lambda t, e: t.apply(
+                    e, PartialInsertion(root, node_id, dict(variant))
+                )
             )
         if nonkey is not None:
             twins.same(
-                lambda t, e: t.update_component(
-                    e, root, node_id, dict(values), dict(values, **{nonkey: "updated"})
+                lambda t, e: t.apply(
+                    e,
+                    PartialUpdate(
+                        root,
+                        node_id,
+                        dict(values),
+                        dict(values, **{nonkey: "updated"}),
+                    ),
                 )
             )
         # A key-changing partial update is refused at step 1.
         twins.same(
-            lambda t, e: t.update_component(e, root, node_id, dict(values), dict(fresh))
+            lambda t, e: t.apply(
+                e, PartialUpdate(root, node_id, dict(values), dict(fresh))
+            )
         )
-        twins.same(lambda t, e: t.delete_component(e, root, node_id, dict(values)))
-        twins.same(lambda t, e: t.delete_component(e, root, node_id, dict(fresh)))
+        twins.same(
+            lambda t, e: t.apply(
+                e, PartialDeletion(root, node_id, dict(values))
+            )
+        )
+        twins.same(
+            lambda t, e: t.apply(
+                e, PartialDeletion(root, node_id, dict(fresh))
+            )
+        )
     twins.same_databases()
 
 
@@ -427,36 +473,59 @@ class TestCompiledEquivalence:
                 {"ward": "er", "day": day(2021, 3, 6), "note": None},
             ],
         }
-        twins.same(lambda t, e: t.insert(e, copy.deepcopy(fresh)))
-        twins.same(lambda t, e: t.insert(e, copy.deepcopy(fresh)))
         twins.same(
-            lambda t, e: t.insert_many(
-                e, [rekey_ward(copy.deepcopy(fresh), "b1"), rekey_ward(copy.deepcopy(fresh), "b2")]
-            )
+            lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(fresh)))
         )
         twins.same(
-            lambda t, e: t.insert_component(
-                e, ("er",), "STAY", {"day": day(2021, 3, 7), "note": "late"}
-            )
+            lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(fresh)))
         )
         twins.same(
-            lambda t, e: t.update_component(
+            lambda t, e: t.apply_plan_batch(
                 e,
-                ("er",),
-                "STAY",
-                {"ward": "er", "day": day(2021, 3, 5), "note": "a"},
-                {"ward": "er", "day": day(2021, 3, 5), "note": "b"},
+                [
+                    CompleteInsertion(rekey_ward(copy.deepcopy(fresh), ward))
+                    for ward in ("b1", "b2")
+                ],
+                op="insert",
+            )
+        )
+        twins.same(
+            lambda t, e: t.apply(
+                e,
+                PartialInsertion(
+                    ("er",), "STAY", {"day": day(2021, 3, 7), "note": "late"}
+                ),
+            )
+        )
+        twins.same(
+            lambda t, e: t.apply(
+                e,
+                PartialUpdate(
+                    ("er",),
+                    "STAY",
+                    {"ward": "er", "day": day(2021, 3, 5), "note": "a"},
+                    {"ward": "er", "day": day(2021, 3, 5), "note": "b"},
+                ),
             )
         )
         moved = rekey_ward(copy.deepcopy(fresh), "er2")
-        twins.same(lambda t, e: t.replace(e, ("er",), copy.deepcopy(moved)))
         twins.same(
-            lambda t, e: t.delete_component(
-                e, ("er2",), "STAY", {"ward": "er2", "day": day(2021, 3, 6)}
+            lambda t, e: t.apply(e, Replacement(("er",), copy.deepcopy(moved)))
+        )
+        twins.same(
+            lambda t, e: t.apply(
+                e,
+                PartialDeletion(
+                    ("er2",), "STAY", {"ward": "er2", "day": day(2021, 3, 6)}
+                ),
             )
         )
-        twins.same(lambda t, e: t.delete_many(e, keys=[("er2",), ("b1",)]))
-        twins.same(lambda t, e: t.delete(e, key=("icu",)))
+        twins.same(
+            lambda t, e: t.apply_plan_batch(
+                e, [CompleteDeletion(k) for k in (("er2",), ("b1",))], op="delete"
+            )
+        )
+        twins.same(lambda t, e: t.apply(e, CompleteDeletion(("icu",))))
         twins.same_databases()
 
     @given(seed=st.integers(min_value=0, max_value=100_000))
@@ -468,13 +537,13 @@ class TestCompiledEquivalence:
         twins = chain_twins(seed)
         old = twins.compiled.instantiate(twins.engine_c, (0,))
         rehomed = rekey(old.to_dict(), REHOMED_ROOT)
-        plan_c = twins.compiled.preview_replace(
-            twins.engine_c, old, copy.deepcopy(rehomed)
-        )
+        plan_c = twins.compiled.explain_batch(
+            twins.engine_c, [Replacement(old, copy.deepcopy(rehomed))]
+        ).plan
         with reference_translate.installed():
-            plan_r = twins.reference.preview_replace(
-                twins.engine_r, (0,), copy.deepcopy(rehomed)
-            )
+            plan_r = twins.reference.explain_batch(
+                twins.engine_r, [Replacement((0,), copy.deepcopy(rehomed))]
+            ).plan
         placement = Placement(twins.view_object.graph, "R0")
         router = HashRouter(4)
         parts_c = partition_plan(plan_c, placement, router, num_shards=4)
@@ -511,7 +580,7 @@ class TestCompiledOnHospital:
             renamed = dict(other.to_dict(), name="Compiled Check")
             fresh = dict(chart.to_dict(), patient_id=999, VISIT=[])
             return [
-                translator.explain(engine, request).render()
+                translator.explain_batch(engine, [request]).render()
                 for request in (
                     CompleteDeletion(chart),
                     Replacement(other, renamed),
@@ -537,12 +606,12 @@ class TestCompiledOnHospital:
         from repro.relational.sqlite_engine import SqliteEngine
 
         engine, comp = hospital_translator(SqliteEngine(), patients=3)
-        baseline = comp.preview_delete(engine, key=(100,))
+        baseline = comp.explain_batch(engine, [CompleteDeletion((100,))]).plan
         comp.compiled().prepare_engine(engine)
         assert engine._sql_cache  # statements were built eagerly
-        prepared = comp.preview_delete(engine, key=(100,))
+        prepared = comp.explain_batch(engine, [CompleteDeletion((100,))]).plan
         assert baseline.operations == prepared.operations
-        applied = comp.delete(engine, key=(100,))
+        applied = comp.apply(engine, CompleteDeletion((100,)))
         assert applied.operations == baseline.operations
         assert engine.get("PATIENT", (100,)) is None
 
@@ -582,9 +651,9 @@ class TestCompiledCacheSharing:
         copies = [translator.for_user(f"user{i}") for i in range(8)]
         for bound in copies:
             assert bound.program is translator.program
-            bound.preview_delete(engine, key=(0,))
+            bound.explain_batch(engine, [CompleteDeletion((0,))])
             bound.compiled().describe()
-        translator.delete(engine, key=(0,))
+        translator.apply(engine, CompleteDeletion((0,)))
         assert builds == [view_object.name]
 
     def test_concurrent_penguin_serves_compiled_updates(self):
@@ -808,9 +877,9 @@ class TestFastPaths:
             Replacement((0,), rekey(copy.deepcopy(template), REHOMED_ROOT)),
         ]
         for request in requests:
-            assert outcome(lambda: elided.translate(engine, request)) == outcome(
-                lambda: probing.translate(engine, request)
-            )
+            assert outcome(
+                lambda: elided.explain_batch(engine, [request]).plan
+            ) == outcome(lambda: probing.explain_batch(engine, [request]).plan)
 
 
 class TestWhereBatchSemantics:

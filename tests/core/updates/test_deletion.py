@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import UpdateError, UpdateRejectedError
+from repro.core.updates.operations import CompleteDeletion
 from repro.core.updates.policy import (
     ReferenceRepair,
     RelationPolicy,
@@ -33,12 +34,12 @@ def pick_course(engine, with_curriculum=True):
 class TestIslandDeletion:
     def test_pivot_tuple_deleted(self, translator, university_engine):
         course_id = pick_course(university_engine)
-        translator.delete(university_engine, key=(course_id,))
+        translator.apply(university_engine, CompleteDeletion((course_id,)))
         assert university_engine.get("COURSES", (course_id,)) is None
 
     def test_island_grades_deleted(self, translator, university_engine):
         course_id = pick_course(university_engine)
-        translator.delete(university_engine, key=(course_id,))
+        translator.apply(university_engine, CompleteDeletion((course_id,)))
         assert (
             university_engine.find_by("GRADES", ("course_id",), (course_id,))
             == []
@@ -52,14 +53,14 @@ class TestIslandDeletion:
                 "GRADES", ("course_id",), (course_id,)
             )
         ]
-        translator.delete(university_engine, key=(course_id,))
+        translator.apply(university_engine, CompleteDeletion((course_id,)))
         for sid in sids:
             assert university_engine.get("STUDENT", (sid,)) is not None
 
     def test_department_survives(self, translator, university_engine):
         course_id = pick_course(university_engine)
         dept = university_engine.get("COURSES", (course_id,))[4]
-        translator.delete(university_engine, key=(course_id,))
+        translator.apply(university_engine, CompleteDeletion((course_id,)))
         assert university_engine.get("DEPARTMENT", (dept,)) is not None
 
     def test_plan_contents(self, translator, university_engine):
@@ -72,7 +73,9 @@ class TestIslandDeletion:
                 "CURRICULUM", ("course_id",), (course_id,)
             )
         )
-        plan = translator.delete(university_engine, key=(course_id,))
+        plan = translator.apply(
+            university_engine, CompleteDeletion((course_id,))
+        )
         # pivot + grades + curriculum repairs (AUTO resolves to DELETE
         # because course_id sits in CURRICULUM's key).
         assert plan.count("delete") == 1 + n_grades + n_curriculum
@@ -81,7 +84,7 @@ class TestIslandDeletion:
         self, translator, university_engine, university_graph
     ):
         course_id = pick_course(university_engine)
-        translator.delete(university_engine, key=(course_id,))
+        translator.apply(university_engine, CompleteDeletion((course_id,)))
         assert IntegrityChecker(university_graph).is_consistent(
             university_engine
         )
@@ -90,7 +93,7 @@ class TestIslandDeletion:
 class TestPeninsulaRepair:
     def test_curriculum_rows_removed(self, translator, university_engine):
         course_id = pick_course(university_engine, with_curriculum=True)
-        translator.delete(university_engine, key=(course_id,))
+        translator.apply(university_engine, CompleteDeletion((course_id,)))
         assert (
             university_engine.find_by(
                 "CURRICULUM", ("course_id",), (course_id,)
@@ -108,7 +111,7 @@ class TestPeninsulaRepair:
         course_id = pick_course(university_engine, with_curriculum=True)
         before = university_engine.count("COURSES")
         with pytest.raises(UpdateRejectedError):
-            translator.delete(university_engine, key=(course_id,))
+            translator.apply(university_engine, CompleteDeletion((course_id,)))
         # "the transaction cannot be completed and has to be rolled back"
         assert university_engine.count("COURSES") == before
         assert university_engine.get("COURSES", (course_id,)) is not None
@@ -136,7 +139,7 @@ class TestPeninsulaRepair:
             v for v in university_engine.scan("COURSES") if v[5] is not None
         )
         instructor = course[5]
-        translator.delete(university_engine, key=(instructor,))
+        translator.apply(university_engine, CompleteDeletion((instructor,)))
         refreshed = university_engine.get("COURSES", (course[0],))
         assert refreshed[5] is None
 
@@ -148,7 +151,7 @@ class TestPeninsulaRepair:
         )
         translator = Translator(omega, policy=policy)
         course_id = pick_course(university_engine, with_curriculum=True)
-        translator.delete(university_engine, key=(course_id,))
+        translator.apply(university_engine, CompleteDeletion((course_id,)))
         assert (
             university_engine.find_by(
                 "CURRICULUM", ("course_id",), (course_id,)
@@ -166,23 +169,23 @@ class TestGateAndErrors:
         )
         course_id = pick_course(university_engine)
         with pytest.raises(LocalValidationError):
-            translator.delete(university_engine, key=(course_id,))
+            translator.apply(university_engine, CompleteDeletion((course_id,)))
 
     def test_missing_instance(self, translator, university_engine):
         with pytest.raises(UpdateError):
-            translator.delete(university_engine, key=("GHOST",))
+            translator.apply(university_engine, CompleteDeletion(("GHOST",)))
 
     def test_delete_by_instance(self, translator, university_engine):
         course_id = pick_course(university_engine)
         instance = translator.instantiate(university_engine, (course_id,))
-        translator.delete(university_engine, instance)
+        translator.apply(university_engine, CompleteDeletion(instance))
         assert university_engine.get("COURSES", (course_id,)) is None
 
 
 class TestCascadesDeep:
     def test_hospital_chart_deletion(self, chart, hospital_engine, hospital_graph):
         translator = Translator(chart, verify_integrity=True)
-        plan = translator.delete(hospital_engine, key=(100,))
+        plan = translator.apply(hospital_engine, CompleteDeletion((100,)))
         assert hospital_engine.get("PATIENT", (100,)) is None
         assert (
             hospital_engine.find_by("VISIT", ("patient_id",), (100,)) == []
@@ -203,7 +206,7 @@ class TestCascadesDeep:
     def test_cad_deletion_cascades_subset(self, bom, cad_engine):
         translator = Translator(bom, verify_integrity=True)
         released = next(iter(cad_engine.scan("RELEASED_ASSEMBLY")))[0]
-        translator.delete(cad_engine, key=(released,))
+        translator.apply(cad_engine, CompleteDeletion((released,)))
         assert cad_engine.get("ASSEMBLY", (released,)) is None
         assert cad_engine.get("RELEASED_ASSEMBLY", (released,)) is None
         assert cad_engine.find_by("COMPONENT", ("asm_id",), (released,)) == []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import LocalValidationError, UpdateRejectedError
+from repro.core.updates.operations import CompleteInsertion
 from repro.core.updates.policy import RelationPolicy, TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.structural.integrity import IntegrityChecker
@@ -56,14 +57,16 @@ def new_course(engine, course_id="CS999", student=None, dept="Computer Science")
 
 class TestCase2Insertions:
     def test_pivot_inserted(self, translator, university_engine):
-        translator.insert(university_engine, new_course(university_engine))
+        translator.apply(
+            university_engine, CompleteInsertion(new_course(university_engine))
+        )
         assert university_engine.get("COURSES", ("CS999",)) is not None
 
     def test_island_children_inserted(self, translator, university_engine):
         student = existing_student(university_engine)
-        translator.insert(
+        translator.apply(
             university_engine,
-            new_course(university_engine, student=student),
+            CompleteInsertion(new_course(university_engine, student=student)),
         )
         assert (
             university_engine.get("GRADES", ("CS999", student[0]))
@@ -73,14 +76,17 @@ class TestCase2Insertions:
     def test_projected_out_attributes_completed(
         self, translator, university_engine
     ):
-        translator.insert(university_engine, new_course(university_engine))
+        translator.apply(
+            university_engine, CompleteInsertion(new_course(university_engine))
+        )
         # instructor_id was projected out of ω: completed with null.
         assert university_engine.get("COURSES", ("CS999",))[5] is None
 
     def test_consistency(self, translator, university_engine, university_graph):
         student = existing_student(university_engine)
-        translator.insert(
-            university_engine, new_course(university_engine, student=student)
+        translator.apply(
+            university_engine,
+            CompleteInsertion(new_course(university_engine, student=student)),
         )
         assert IntegrityChecker(university_graph).is_consistent(
             university_engine
@@ -90,17 +96,17 @@ class TestCase2Insertions:
 class TestCase1Rejections:
     def test_identical_pivot_rejected(self, translator, university_engine):
         data = new_course(university_engine)
-        translator.insert(university_engine, data)
+        translator.apply(university_engine, CompleteInsertion(data))
         with pytest.raises(UpdateRejectedError, match="CASE 1"):
-            translator.insert(university_engine, data)
+            translator.apply(university_engine, CompleteInsertion(data))
 
     def test_identical_outside_tuple_is_noop(
         self, translator, university_engine
     ):
         # DEPARTMENT already exists identically: CASE 1 outside island.
         before = university_engine.count("DEPARTMENT")
-        plan = translator.insert(
-            university_engine, new_course(university_engine)
+        plan = translator.apply(
+            university_engine, CompleteInsertion(new_course(university_engine))
         )
         assert university_engine.count("DEPARTMENT") == before
         assert all(op.relation != "DEPARTMENT" for op in plan)
@@ -109,17 +115,17 @@ class TestCase1Rejections:
 class TestCase3:
     def test_island_conflict_rejected(self, translator, university_engine):
         data = new_course(university_engine)
-        translator.insert(university_engine, data)
+        translator.apply(university_engine, CompleteInsertion(data))
         data["title"] = "Different Title"
         with pytest.raises(UpdateRejectedError, match="CASE 3"):
-            translator.insert(university_engine, data)
+            translator.apply(university_engine, CompleteInsertion(data))
 
     def test_outside_conflict_replaces(self, translator, university_engine):
         data = new_course(university_engine)
         data["DEPARTMENT"] = [
             {"dept_name": "Computer Science", "building": "New Gates"}
         ]
-        plan = translator.insert(university_engine, data)
+        plan = translator.apply(university_engine, CompleteInsertion(data))
         assert university_engine.get(
             "DEPARTMENT", ("Computer Science",)
         )[1] == "New Gates"
@@ -136,7 +142,7 @@ class TestCase3:
             {"dept_name": "Computer Science", "building": "New Gates"}
         ]
         with pytest.raises(UpdateRejectedError):
-            translator.insert(university_engine, data)
+            translator.apply(university_engine, CompleteInsertion(data))
         assert university_engine.get("COURSES", ("CS999",)) is None  # rollback
 
 
@@ -145,7 +151,7 @@ class TestGlobalIntegrityInsertions:
         data = new_course(
             university_engine, dept="Engineering Economic Systems"
         )
-        translator.insert(university_engine, data)
+        translator.apply(university_engine, CompleteInsertion(data))
         assert (
             university_engine.get(
                 "DEPARTMENT", ("Engineering Economic Systems",)
@@ -161,7 +167,7 @@ class TestGlobalIntegrityInsertions:
         data = new_course(
             university_engine, student=(424242, "MSCS", 1)
         )
-        translator.insert(university_engine, data)
+        translator.apply(university_engine, CompleteInsertion(data))
         assert university_engine.get("STUDENT", (424242,)) is not None
         assert university_engine.get("PEOPLE", (424242,)) is not None
         assert IntegrityChecker(university_graph).is_consistent(
@@ -174,7 +180,7 @@ class TestGlobalIntegrityInsertions:
         translator = Translator(omega, policy=policy)
         data = new_course(university_engine, student=(424242, "MSCS", 1))
         with pytest.raises(UpdateRejectedError, match="PEOPLE"):
-            translator.insert(university_engine, data)
+            translator.apply(university_engine, CompleteInsertion(data))
         assert university_engine.get("STUDENT", (424242,)) is None
 
 
@@ -184,8 +190,9 @@ class TestPolicyGates:
             omega, policy=TranslatorPolicy(allow_insertion=False)
         )
         with pytest.raises(LocalValidationError):
-            translator.insert(
-                university_engine, new_course(university_engine)
+            translator.apply(
+                university_engine,
+                CompleteInsertion(new_course(university_engine)),
             )
 
     def test_outside_insert_blocked(self, omega, university_engine):
@@ -194,7 +201,7 @@ class TestPolicyGates:
         translator = Translator(omega, policy=policy)
         data = new_course(university_engine, dept="Brand New Dept")
         with pytest.raises(UpdateRejectedError):
-            translator.insert(university_engine, data)
+            translator.apply(university_engine, CompleteInsertion(data))
 
     def test_can_modify_gate_blocks_insert(self, omega, university_engine):
         policy = TranslatorPolicy()
@@ -202,4 +209,4 @@ class TestPolicyGates:
         translator = Translator(omega, policy=policy)
         data = new_course(university_engine, dept="Brand New Dept")
         with pytest.raises(UpdateRejectedError):
-            translator.insert(university_engine, data)
+            translator.apply(university_engine, CompleteInsertion(data))

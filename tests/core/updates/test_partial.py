@@ -3,6 +3,11 @@
 import pytest
 
 from repro.errors import LocalValidationError, UpdateRejectedError
+from repro.core.updates.operations import (
+    PartialDeletion,
+    PartialInsertion,
+    PartialUpdate,
+)
 from repro.core.updates.policy import RelationPolicy, TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.structural.integrity import IntegrityChecker
@@ -32,11 +37,13 @@ class TestPartialInsertion:
     def test_add_grade(self, translator, university_engine):
         cid = course_with_grades(university_engine)
         student = unenrolled_student(university_engine, cid)
-        plan = translator.insert_component(
+        plan = translator.apply(
             university_engine,
-            (cid,),
-            "GRADES",
-            {"course_id": cid, "student_id": student[0], "grade": "A"},
+            PartialInsertion(
+                (cid,),
+                "GRADES",
+                {"course_id": cid, "student_id": student[0], "grade": "A"},
+            ),
         )
         assert university_engine.get("GRADES", (cid, student[0])) is not None
         assert plan.count("insert") == 1
@@ -48,11 +55,13 @@ class TestPartialInsertion:
         insertion inherits it from the instance's pivot."""
         cid = course_with_grades(university_engine)
         student = unenrolled_student(university_engine, cid)
-        translator.insert_component(
+        translator.apply(
             university_engine,
-            (cid,),
-            "GRADES",
-            {"course_id": "IGNORED", "student_id": student[0], "grade": "B"},
+            PartialInsertion(
+                (cid,),
+                "GRADES",
+                {"course_id": "IGNORED", "student_id": student[0], "grade": "B"},
+            ),
         )
         assert university_engine.get("GRADES", (cid, student[0])) is not None
 
@@ -62,15 +71,17 @@ class TestPartialInsertion:
         cid = course_with_grades(university_engine)
         grade = university_engine.find_by("GRADES", ("course_id",), (cid,))[0]
         with pytest.raises(UpdateRejectedError, match="already part"):
-            translator.insert_component(
+            translator.apply(
                 university_engine,
-                (cid,),
-                "GRADES",
-                {
-                    "course_id": cid,
-                    "student_id": grade[1],
-                    "grade": grade[2],
-                },
+                PartialInsertion(
+                    (cid,),
+                    "GRADES",
+                    {
+                        "course_id": cid,
+                        "student_id": grade[1],
+                        "grade": grade[2],
+                    },
+                ),
             )
 
     def test_partial_insert_triggers_global_integrity(
@@ -94,11 +105,13 @@ class TestPartialInsertion:
             verify_integrity=True,
         )
         cid = course_with_grades(university_engine)
-        translator.insert_component(
+        translator.apply(
             university_engine,
-            (cid,),
-            "GRADES",
-            {"course_id": cid, "student_id": 888888, "grade": "C"},
+            PartialInsertion(
+                (cid,),
+                "GRADES",
+                {"course_id": cid, "student_id": 888888, "grade": "C"},
+            ),
         )
         assert university_engine.get("STUDENT", (888888,)) is not None
         assert university_engine.get("PEOPLE", (888888,)) is not None
@@ -109,8 +122,9 @@ class TestPartialInsertion:
     def test_pivot_partial_insert_redirected(self, translator, university_engine):
         cid = course_with_grades(university_engine)
         with pytest.raises(LocalValidationError, match="complete insertion"):
-            translator.insert_component(
-                university_engine, (cid,), "COURSES", {"course_id": "X"}
+            translator.apply(
+                university_engine,
+                PartialInsertion((cid,), "COURSES", {"course_id": "X"}),
             )
 
 
@@ -118,11 +132,13 @@ class TestPartialDeletion:
     def test_remove_grade(self, translator, university_engine):
         cid = course_with_grades(university_engine)
         grade = university_engine.find_by("GRADES", ("course_id",), (cid,))[0]
-        translator.delete_component(
+        translator.apply(
             university_engine,
-            (cid,),
-            "GRADES",
-            {"course_id": cid, "student_id": grade[1], "grade": grade[2]},
+            PartialDeletion(
+                (cid,),
+                "GRADES",
+                {"course_id": cid, "student_id": grade[1], "grade": grade[2]},
+            ),
         )
         assert university_engine.get("GRADES", (cid, grade[1])) is None
         # The student survives (outside the island).
@@ -151,15 +167,17 @@ class TestPartialDeletion:
             v for v in university_engine.scan("COURSES") if v[5] is not None
         )
         faculty = university_engine.get("FACULTY", (course[5],))
-        translator.delete_component(
+        translator.apply(
             university_engine,
-            (course[0],),
-            "FACULTY",
-            {
-                "person_id": faculty[0],
-                "rank": faculty[1],
-                "office": faculty[2],
-            },
+            PartialDeletion(
+                (course[0],),
+                "FACULTY",
+                {
+                    "person_id": faculty[0],
+                    "rank": faculty[1],
+                    "office": faculty[2],
+                },
+            ),
         )
         assert university_engine.get("COURSES", (course[0],))[5] is None
         assert university_engine.get("FACULTY", (faculty[0],)) is not None
@@ -171,15 +189,17 @@ class TestPartialDeletion:
         grade = university_engine.find_by("GRADES", ("course_id",), (cid,))[0]
         student = university_engine.get("STUDENT", (grade[1],))
         with pytest.raises(UpdateRejectedError, match="ambiguous"):
-            translator.delete_component(
+            translator.apply(
                 university_engine,
-                (cid,),
-                "STUDENT",
-                {
-                    "person_id": student[0],
-                    "degree_program": student[1],
-                    "year": student[2],
-                },
+                PartialDeletion(
+                    (cid,),
+                    "STUDENT",
+                    {
+                        "person_id": student[0],
+                        "degree_program": student[1],
+                        "year": student[2],
+                    },
+                ),
             )
 
 
@@ -187,12 +207,14 @@ class TestPartialUpdate:
     def test_change_grade_value(self, translator, university_engine):
         cid = course_with_grades(university_engine)
         grade = university_engine.find_by("GRADES", ("course_id",), (cid,))[0]
-        translator.update_component(
+        translator.apply(
             university_engine,
-            (cid,),
-            "GRADES",
-            {"course_id": cid, "student_id": grade[1], "grade": grade[2]},
-            {"course_id": cid, "student_id": grade[1], "grade": "A+"},
+            PartialUpdate(
+                (cid,),
+                "GRADES",
+                {"course_id": cid, "student_id": grade[1], "grade": grade[2]},
+                {"course_id": cid, "student_id": grade[1], "grade": "A+"},
+            ),
         )
         assert university_engine.get("GRADES", (cid, grade[1]))[2] == "A+"
 
@@ -200,12 +222,14 @@ class TestPartialUpdate:
         cid = course_with_grades(university_engine)
         grade = university_engine.find_by("GRADES", ("course_id",), (cid,))[0]
         with pytest.raises(LocalValidationError, match="keys"):
-            translator.update_component(
+            translator.apply(
                 university_engine,
-                (cid,),
-                "GRADES",
-                {"course_id": cid, "student_id": grade[1], "grade": grade[2]},
-                {"course_id": cid, "student_id": 999, "grade": grade[2]},
+                PartialUpdate(
+                    (cid,),
+                    "GRADES",
+                    {"course_id": cid, "student_id": grade[1], "grade": grade[2]},
+                    {"course_id": cid, "student_id": 999, "grade": grade[2]},
+                ),
             )
 
     def test_outside_update_respects_policy(self, omega, university_engine):
@@ -218,20 +242,22 @@ class TestPartialUpdate:
         grade = university_engine.find_by("GRADES", ("course_id",), (cid,))[0]
         student = university_engine.get("STUDENT", (grade[1],))
         with pytest.raises(UpdateRejectedError):
-            translator.update_component(
+            translator.apply(
                 university_engine,
-                (cid,),
-                "STUDENT",
-                {
-                    "person_id": student[0],
-                    "degree_program": student[1],
-                    "year": student[2],
-                },
-                {
-                    "person_id": student[0],
-                    "degree_program": "CHANGED",
-                    "year": student[2],
-                },
+                PartialUpdate(
+                    (cid,),
+                    "STUDENT",
+                    {
+                        "person_id": student[0],
+                        "degree_program": student[1],
+                        "year": student[2],
+                    },
+                    {
+                        "person_id": student[0],
+                        "degree_program": "CHANGED",
+                        "year": student[2],
+                    },
+                ),
             )
 
     def test_composite_path_component_rejected(
@@ -240,10 +266,12 @@ class TestPartialUpdate:
         translator = Translator(omega_prime)
         cid = next(iter(university_engine.scan("COURSES")))[0]
         with pytest.raises(LocalValidationError, match="collapses"):
-            translator.update_component(
+            translator.apply(
                 university_engine,
-                (cid,),
-                "STUDENT",
-                {"person_id": 1, "degree_program": "a", "year": 1},
-                {"person_id": 1, "degree_program": "b", "year": 1},
+                PartialUpdate(
+                    (cid,),
+                    "STUDENT",
+                    {"person_id": 1, "degree_program": "a", "year": 1},
+                    {"person_id": 1, "degree_program": "b", "year": 1},
+                ),
             )

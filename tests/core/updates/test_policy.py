@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import UpdateRejectedError
+from repro.core.updates.operations import CompleteInsertion
 from repro.core.updates.policy import (
     ReferenceRepair,
     RelationPolicy,
@@ -103,15 +104,17 @@ class TestCustomCompleter:
 
         policy = TranslatorPolicy(completer=completer)
         translator = Translator(omega, policy=policy)
-        translator.insert(
+        translator.apply(
             university_engine,
-            {
-                "course_id": "COMP1",
-                "title": "t",
-                "units": 1,
-                "level": "graduate",
-                "dept_name": "Never Seen Before",
-            },
+            CompleteInsertion(
+                {
+                    "course_id": "COMP1",
+                    "title": "t",
+                    "units": 1,
+                    "level": "graduate",
+                    "dept_name": "Never Seen Before",
+                },
+            ),
         )
         skeleton = university_engine.get(
             "DEPARTMENT", ("Never Seen Before",)

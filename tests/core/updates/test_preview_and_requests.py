@@ -1,4 +1,7 @@
-"""Previews (plan without side effects) and request-object dispatch."""
+"""Previews (plan without side effects) and request-object dispatch.
+
+A preview is ``Translator.explain_batch``: the would-be plan of the same
+requests ``apply`` / ``apply_plan_batch`` take, the database untouched."""
 
 import copy
 
@@ -38,14 +41,18 @@ class TestPreviews:
     ):
         before = snapshot(university_engine, university_graph)
         cid = any_course(university_engine)
-        plan = translator.preview_delete(university_engine, key=(cid,))
+        plan = translator.explain_batch(
+            university_engine, [CompleteDeletion((cid,))]
+        ).plan
         assert len(plan) >= 2
         assert snapshot(university_engine, university_graph) == before
 
     def test_preview_equals_applied_plan(self, translator, university_engine):
         cid = any_course(university_engine)
-        previewed = translator.preview_delete(university_engine, key=(cid,))
-        applied = translator.delete(university_engine, key=(cid,))
+        previewed = translator.explain_batch(
+            university_engine, [CompleteDeletion((cid,))]
+        ).plan
+        applied = translator.apply(university_engine, CompleteDeletion((cid,)))
         # Rollback re-inserts rows in reverse, permuting scan order, so
         # compare the plans as operation multisets.
         assert sorted(op.describe() for op in previewed) == sorted(
@@ -54,16 +61,20 @@ class TestPreviews:
 
     def test_preview_insert(self, translator, university_engine, university_graph):
         before = snapshot(university_engine, university_graph)
-        plan = translator.preview_insert(
+        plan = translator.explain_batch(
             university_engine,
-            {
-                "course_id": "PREVIEW1",
-                "title": "t",
-                "units": 1,
-                "level": "graduate",
-                "dept_name": "Physics",
-            },
-        )
+            [
+                CompleteInsertion(
+                    {
+                        "course_id": "PREVIEW1",
+                        "title": "t",
+                        "units": 1,
+                        "level": "graduate",
+                        "dept_name": "Physics",
+                    }
+                )
+            ],
+        ).plan
         assert plan.count("insert") == 1
         assert university_engine.get("COURSES", ("PREVIEW1",)) is None
         assert snapshot(university_engine, university_graph) == before
@@ -73,7 +84,9 @@ class TestPreviews:
         old = translator.instantiate(university_engine, (cid,))
         new = copy.deepcopy(old.to_dict())
         new["title"] = "Previewed Title"
-        plan = translator.preview_replace(university_engine, old, new)
+        plan = translator.explain_batch(
+            university_engine, [Replacement(old, new)]
+        ).plan
         assert plan.count("replace") == 1
         assert university_engine.get("COURSES", (cid,))[1] != "Previewed Title"
 
@@ -81,7 +94,7 @@ class TestPreviews:
         self, translator, university_engine
     ):
         cid = any_course(university_engine)
-        translator.preview_delete(university_engine, key=(cid,))
+        translator.explain_batch(university_engine, [CompleteDeletion((cid,))])
         assert not university_engine.in_transaction
 
 
@@ -89,9 +102,11 @@ class TestMissingKey:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda t, engine: t.delete(engine),
-            lambda t, engine: t.preview_delete(engine),
-            lambda t, engine: t.delete_many(engine, keys=[None]),
+            lambda t, engine: t.apply(engine, CompleteDeletion(None)),
+            lambda t, engine: t.explain_batch(engine, [CompleteDeletion(None)]),
+            lambda t, engine: t.apply_plan_batch(
+                engine, [CompleteDeletion(None)], op="delete"
+            ),
         ],
         ids=["delete", "preview_delete", "delete_many"],
     )

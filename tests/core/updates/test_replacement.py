@@ -5,6 +5,7 @@ import copy
 import pytest
 
 from repro.errors import LocalValidationError, UpdateRejectedError
+from repro.core.updates.operations import Replacement
 from repro.core.updates.policy import RelationPolicy, TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.structural.integrity import IntegrityChecker
@@ -44,7 +45,9 @@ class TestCaseR1R2:
     def test_identical_replacement_is_noop(self, translator, university_engine):
         cid = course_with_everything(university_engine)
         old = translator.instantiate(university_engine, (cid,))
-        plan = translator.replace(university_engine, old, old.to_dict())
+        plan = translator.apply(
+            university_engine, Replacement(old, old.to_dict())
+        )
         assert len(plan) == 0
 
     def test_nonkey_change_single_replace(self, translator, university_engine):
@@ -52,7 +55,7 @@ class TestCaseR1R2:
         old = translator.instantiate(university_engine, (cid,))
         new = old.to_dict()
         new["title"] = "Renamed Title"
-        plan = translator.replace(university_engine, old, new)
+        plan = translator.apply(university_engine, Replacement(old, new))
         assert plan.count("replace") == 1
         assert plan.count("insert") == plan.count("delete") == 0
         assert university_engine.get("COURSES", (cid,))[1] == "Renamed Title"
@@ -63,7 +66,7 @@ class TestCaseR1R2:
         new = old.to_dict()
         new["GRADES"][0]["grade"] = "A+"
         sid = new["GRADES"][0]["student_id"]
-        translator.replace(university_engine, old, new)
+        translator.apply(university_engine, Replacement(old, new))
         assert university_engine.get("GRADES", (cid, sid))[2] == "A+"
 
 
@@ -78,7 +81,7 @@ class TestCaseR3KeyChange:
         new = renamed(
             old.to_dict(), "EES345", new_dept="Engineering Economic Systems"
         )
-        plan = translator.replace(university_engine, old, new)
+        plan = translator.apply(university_engine, Replacement(old, new))
         assert university_engine.get("COURSES", (cid,)) is None
         assert university_engine.get("COURSES", ("EES345",)) is not None
         assert (
@@ -99,8 +102,8 @@ class TestCaseR3KeyChange:
             "GRADES", ("course_id",), (cid,)
         )
         old = translator.instantiate(university_engine, (cid,))
-        translator.replace(
-            university_engine, old, renamed(old.to_dict(), "NEW1")
+        translator.apply(
+            university_engine, Replacement(old, renamed(old.to_dict(), "NEW1"))
         )
         assert university_engine.find_by("GRADES", ("course_id",), (cid,)) == []
         migrated = university_engine.find_by(
@@ -116,8 +119,8 @@ class TestCaseR3KeyChange:
             university_engine.find_by("CURRICULUM", ("course_id",), (cid,))
         )
         old = translator.instantiate(university_engine, (cid,))
-        translator.replace(
-            university_engine, old, renamed(old.to_dict(), "NEW2")
+        translator.apply(
+            university_engine, Replacement(old, renamed(old.to_dict(), "NEW2"))
         )
         assert (
             university_engine.find_by("CURRICULUM", ("course_id",), (cid,))
@@ -136,10 +139,12 @@ class TestCaseR3KeyChange:
         cid = course_with_everything(university_engine)
         old_dept = university_engine.get("COURSES", (cid,))[4]
         old = translator.instantiate(university_engine, (cid,))
-        translator.replace(
+        translator.apply(
             university_engine,
-            old,
-            renamed(old.to_dict(), "NEW3", new_dept="Engineering Economic Systems"),
+            Replacement(
+                old,
+                renamed(old.to_dict(), "NEW3", new_dept="Engineering Economic Systems"),
+            ),
         )
         assert university_engine.get("DEPARTMENT", (old_dept,)) is not None
 
@@ -152,8 +157,9 @@ class TestCaseR3KeyChange:
         cid = course_with_everything(university_engine)
         old = translator.instantiate(university_engine, (cid,))
         with pytest.raises(LocalValidationError, match="key"):
-            translator.replace(
-                university_engine, old, renamed(old.to_dict(), "NEW4")
+            translator.apply(
+                university_engine,
+                Replacement(old, renamed(old.to_dict(), "NEW4")),
             )
         assert university_engine.get("COURSES", (cid,)) is not None
 
@@ -169,8 +175,9 @@ class TestCaseR3KeyChange:
         cid = course_with_everything(university_engine)
         old = translator.instantiate(university_engine, (cid,))
         with pytest.raises(UpdateRejectedError, match="database key"):
-            translator.replace(
-                university_engine, old, renamed(old.to_dict(), "NEW5")
+            translator.apply(
+                university_engine,
+                Replacement(old, renamed(old.to_dict(), "NEW5")),
             )
 
     def test_merge_on_conflict_requires_permission(
@@ -184,8 +191,9 @@ class TestCaseR3KeyChange:
         target, victim = ids[0], ids[1]
         old = translator.instantiate(university_engine, (victim,))
         with pytest.raises(UpdateRejectedError, match="merge"):
-            translator.replace(
-                university_engine, old, renamed(old.to_dict(), target)
+            translator.apply(
+                university_engine,
+                Replacement(old, renamed(old.to_dict(), target)),
             )
 
     def test_merge_on_conflict_when_allowed(self, omega, university_engine):
@@ -201,7 +209,7 @@ class TestCaseR3KeyChange:
         target, victim = ids[0], ids[1]
         old = translator.instantiate(university_engine, (victim,))
         new = renamed(old.to_dict(), target)
-        translator.replace(university_engine, old, new)
+        translator.apply(university_engine, Replacement(old, new))
         assert university_engine.get("COURSES", (victim,)) is None
         merged = university_engine.get("COURSES", (target,))
         assert merged[1] == old.root.values["title"]
@@ -219,7 +227,7 @@ class TestPropagation:
         new["course_id"] = "PROP1"  # GRADES entries still carry old id
         for entry in new.get("CURRICULUM", []):
             entry["course_id"] = "PROP1"
-        translator.replace(university_engine, old, new)
+        translator.apply(university_engine, Replacement(old, new))
         assert university_engine.find_by("GRADES", ("course_id",), (cid,)) == []
         assert university_engine.find_by(
             "GRADES", ("course_id",), ("PROP1",)
@@ -245,7 +253,7 @@ class TestStateI:
             {"dept_name": other_values[0], "building": other_values[1]}
         ]
         before = university_engine.count("DEPARTMENT")
-        plan = translator.replace(university_engine, old, new)
+        plan = translator.apply(university_engine, Replacement(old, new))
         assert university_engine.count("DEPARTMENT") == before
         assert all(op.relation != "DEPARTMENT" for op in plan)
         assert university_engine.get("COURSES", (cid,))[4] == other
@@ -255,7 +263,7 @@ class TestStateI:
         old = translator.instantiate(university_engine, (cid,))
         new = old.to_dict()
         new["DEPARTMENT"][0]["building"] = "Relocated Hall"
-        plan = translator.replace(university_engine, old, new)
+        plan = translator.apply(university_engine, Replacement(old, new))
         dept = new["DEPARTMENT"][0]["dept_name"]
         assert university_engine.get("DEPARTMENT", (dept,))[1] == "Relocated Hall"
 
@@ -264,7 +272,7 @@ class TestStateI:
         old = translator.instantiate(university_engine, (cid,))
         new = old.to_dict()
         removed = new["GRADES"].pop()
-        translator.replace(university_engine, old, new)
+        translator.apply(university_engine, Replacement(old, new))
         assert (
             university_engine.get(
                 "GRADES", (cid, removed["student_id"])
@@ -295,7 +303,7 @@ class TestStateI:
                 ],
             }
         )
-        translator.replace(university_engine, old, new)
+        translator.apply(university_engine, Replacement(old, new))
         assert (
             university_engine.get("GRADES", (cid, student[0]))
             is not None
@@ -310,7 +318,9 @@ class TestGatesAndGuards:
         cid = course_with_everything(university_engine)
         old = translator.instantiate(university_engine, (cid,))
         with pytest.raises(LocalValidationError):
-            translator.replace(university_engine, old, old.to_dict())
+            translator.apply(
+                university_engine, Replacement(old, old.to_dict())
+            )
 
     def test_peninsula_key_change_prohibited(
         self, translator, university_engine
@@ -322,7 +332,7 @@ class TestGatesAndGuards:
         new = old.to_dict()
         new["CURRICULUM"][0]["degree"] = "BRANDNEW"
         with pytest.raises(LocalValidationError, match="peninsula"):
-            translator.replace(university_engine, old, new)
+            translator.apply(university_engine, Replacement(old, new))
 
     def test_rejection_rolls_everything_back(self, omega, university_engine):
         policy = TranslatorPolicy()
@@ -332,9 +342,11 @@ class TestGatesAndGuards:
         old = translator.instantiate(university_engine, (cid,))
         snapshot = sorted(university_engine.scan("COURSES"))
         with pytest.raises(UpdateRejectedError):
-            translator.replace(
+            translator.apply(
                 university_engine,
-                old,
-                renamed(old.to_dict(), "ROLLBACK1", new_dept="No Such Dept"),
+                Replacement(
+                    old,
+                    renamed(old.to_dict(), "ROLLBACK1", new_dept="No Such Dept"),
+                ),
             )
         assert sorted(university_engine.scan("COURSES")) == snapshot

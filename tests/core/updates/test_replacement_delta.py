@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.instance import build_instance
 from repro.core.updates.compiled import CompiledProgram
-from repro.core.updates.operations import Replacement
+from repro.core.updates.operations import CompleteInsertion, Replacement
 from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.errors import LocalValidationError, UpdateRejectedError
@@ -129,7 +129,7 @@ def hospital(engine=None, policy=None):
     graph.install(engine)
     populate_hospital(engine, HospitalConfig(patients=1))
     translator = Translator(patient_chart_object(graph), policy=policy)
-    translator.insert(engine, deep_chart())
+    translator.apply(engine, CompleteInsertion(deep_chart()))
     return translator, engine
 
 
@@ -139,7 +139,7 @@ def chain():
     graph.install(engine)
     populate_chain(engine, depth=CHAIN_DEPTH, roots=0)
     translator = Translator(chain_object(graph, CHAIN_DEPTH))
-    translator.insert(engine, deep_chain())
+    translator.apply(engine, CompleteInsertion(deep_chain()))
     return translator, engine
 
 
@@ -201,11 +201,13 @@ class TestSiblingOrderIsNotAKeyChange:
         policy.for_relation("VISIT").allow_key_replacement = False
         translator, engine = hospital(make_engine(backend), policy)
         payload = deep_chart(visits=3, leaves=1)
-        translator.replace(engine, (PATIENT,), copy.deepcopy(payload))
+        translator.apply(
+            engine, Replacement((PATIENT,), copy.deepcopy(payload))
+        )
         stored = translator.instantiate(engine, (PATIENT,)).to_dict()
         renamed = dict(copy.deepcopy(stored), name="Renamed")
         renamed["VISIT"] = [renamed["VISIT"][at] for at in order]
-        plan = translator.replace(engine, (PATIENT,), renamed)
+        plan = translator.apply(engine, Replacement((PATIENT,), renamed))
         assert steps(plan) == [
             (
                 Replace("PATIENT", (PATIENT,), (PATIENT, "Renamed", 1970, None)),
@@ -230,7 +232,7 @@ class TestSiblingOrderIsNotAKeyChange:
         stored = translator.instantiate(engine, course[:1]).to_dict()
         renamed = dict(copy.deepcopy(stored), title="Renamed")
         renamed["CURRICULUM"] = [renamed["CURRICULUM"][at] for at in order]
-        plan = translator.replace(engine, course[:1], renamed)
+        plan = translator.apply(engine, Replacement(course[:1], renamed))
         assert steps(plan) == [
             (
                 Replace("COURSES", course[:1], course[:1] + ("Renamed",) + course[2:]),
@@ -250,7 +252,7 @@ class TestSiblingOrderIsNotAKeyChange:
             for leaf in moved[leaf_kind]:
                 leaf["visit_no"] = 9
         with pytest.raises(LocalValidationError, match=r"\(5000, 2\) -> \(5000, 9\)"):
-            translator.replace(engine, old, renumbered)
+            translator.apply(engine, Replacement(old, renumbered))
 
 
 class TestLeafEdit:
@@ -262,7 +264,7 @@ class TestLeafEdit:
         new = deep_chart()
         new["VISIT"][3]["DIAGNOSIS"][1]["severity"] = "severe"
         engine.reads.clear()
-        plan = translator.translate(engine, Replacement(old, new))
+        plan = translator.explain_batch(engine, [Replacement(old, new)]).plan
         assert engine.reads == [("get", "DIAGNOSIS", (PATIENT, 4, 2))]
         assert steps(plan) == [
             (
@@ -283,7 +285,7 @@ class TestLeafEdit:
         leaf["payload"] = "edited"
         key = (1000, 1) + (0,) * (CHAIN_DEPTH - 1)
         engine.reads.clear()
-        plan = translator.translate(engine, Replacement(old, new))
+        plan = translator.explain_batch(engine, [Replacement(old, new)]).plan
         assert engine.reads == [("get", f"R{CHAIN_DEPTH}", key)]
         assert steps(plan) == [
             (
@@ -298,7 +300,7 @@ class TestLeafEdit:
         new = deep_chart()
         new["VISIT"][0]["LAB_RESULT"][2]["value"] = 9.5
         engine.reads.clear()
-        translator.replace(engine, old, new)
+        translator.apply(engine, Replacement(old, new))
         assert set(engine.reads) == {("get", "LAB_RESULT", (PATIENT, 1, 3))}
         assert engine.get("LAB_RESULT", (PATIENT, 1, 3))[-1] == 9.5
 
@@ -309,7 +311,7 @@ class TestLeafEdit:
         old = translator.instantiate(engine, (PATIENT,))
         new = deep_chart()
         new["VISIT"][5]["PRESCRIPTION"][0]["days"] = 30
-        translator.translate(engine, Replacement(old, new))
+        translator.explain_batch(engine, [Replacement(old, new)])
         assert visits == {"PATIENT": 1, "VISIT": 1, "PRESCRIPTION": 1}
 
         visits.clear()
@@ -317,7 +319,7 @@ class TestLeafEdit:
         old = translator.instantiate(engine, (1000,))
         new = deep_chain()
         new["R1"][0]["R2"][0]["R3"][0]["payload"] = "edited"
-        translator.translate(engine, Replacement(old, new))
+        translator.explain_batch(engine, [Replacement(old, new)])
         assert visits == {"R0": 1, "R1": 1, "R2": 1, "R3": 1}
 
 
@@ -331,9 +333,9 @@ class TestIdentityReplacement:
         old = translator.instantiate(engine, (PATIENT,))
         same = deep_chart() if references == "omitted" else old.to_dict()
         engine.reads.clear()
-        plan = translator.translate(
-            engine, Replacement(old, reorder(same, arrange))
-        )
+        plan = translator.explain_batch(
+            engine, [Replacement(old, reorder(same, arrange))]
+        ).plan
         assert len(plan) == 0
         assert engine.reads == []
 
@@ -345,9 +347,9 @@ class TestIdentityReplacement:
         loader, engine = hospital()
         translator = Translator(loader.view_object)  # a policy nobody asked yet
         old = translator.instantiate(engine, (PATIENT,))
-        plan = translator.translate(
-            engine, Replacement(old, dict(old.to_dict(), name="N"))
-        )
+        plan = translator.explain_batch(
+            engine, [Replacement(old, dict(old.to_dict(), name="N"))]
+        ).plan
         assert len(plan) == 1
         assert translator.policy.relations == {}
 
@@ -356,7 +358,9 @@ class TestIdentityReplacement:
         visits = spy_on_cases(monkeypatch)
         translator, engine = hospital()
         old = translator.instantiate(engine, (PATIENT,))
-        translator.translate(engine, Replacement(old, reorder(deep_chart(), reverse)))
+        translator.explain_batch(
+            engine, [Replacement(old, reorder(deep_chart(), reverse))]
+        )
         assert not visits
 
 
@@ -369,7 +373,9 @@ class TestWhatIsNotSkipped:
     def test_pivot_rekey_rewrites_every_island_tuple(self):
         translator, engine = hospital()
         old = translator.instantiate(engine, (PATIENT,))
-        plan = translator.replace(engine, old, rekey_chart(deep_chart(), 6000))
+        plan = translator.apply(
+            engine, Replacement(old, rekey_chart(deep_chart(), 6000))
+        )
         assert plan.count("replace") == len(plan) == 61
         assert translator.instantiate(engine, (6000,)).count_at("LAB_RESULT") == 18
 
@@ -385,7 +391,9 @@ class TestWhatIsNotSkipped:
         for payload in (stale, consistent):
             translator, engine = hospital()
             old = build_instance(translator.view_object, deep_chart())
-            plans.append(steps(translator.replace(engine, old, payload)))
+            plans.append(steps(translator.apply(
+                engine, Replacement(old, payload)
+            )))
         assert plans[0] == plans[1]
         assert {reason.split(" at ")[0] for _, reason in plans[0]} == {
             "CASE R-3 key-changing replacement"
@@ -397,7 +405,7 @@ class TestWhatIsNotSkipped:
         old = translator.instantiate(engine, (PATIENT,))
         new = deep_chart()
         del new["VISIT"][2]
-        plan = translator.replace(engine, old, new)
+        plan = translator.apply(engine, Replacement(old, new))
         assert plan.count("delete") == len(plan) == 10
         assert plan.operations[0].relation == "VISIT"
 
@@ -405,7 +413,7 @@ class TestWhatIsNotSkipped:
         translator, engine = hospital()
         old = translator.instantiate(engine, (PATIENT,))
         new = deep_chart(visits=7)
-        plan = translator.replace(engine, old, new)
+        plan = translator.apply(engine, Replacement(old, new))
         assert plan.count("insert") == len(plan) == 10
 
     def test_added_subtree_inherits_the_parents_key(self):
@@ -415,7 +423,7 @@ class TestWhatIsNotSkipped:
         new = deep_chart(visits=7)
         for leaf in new["VISIT"][6]["DIAGNOSIS"]:
             leaf["visit_no"] = 99  # stale: the visit is number 7
-        translator.replace(engine, old, new)
+        translator.apply(engine, Replacement(old, new))
         assert len(engine.find_by("DIAGNOSIS", ("visit_no",), (7,))) == 3
 
     def test_changed_reference_outside_the_island_is_visited(self):
@@ -423,7 +431,7 @@ class TestWhatIsNotSkipped:
         old = translator.instantiate(engine, (PATIENT,))
         new = old.to_dict()
         new["VISIT"][1]["PHYSICIAN"][0]["specialty"] = "rewritten"
-        plan = translator.replace(engine, old, new)
+        plan = translator.apply(engine, Replacement(old, new))
         assert [reason for _, reason in steps(plan)] == [
             "CASE I-1 nonkey replacement at node 'PHYSICIAN' (VO-R)"
         ]
@@ -433,7 +441,9 @@ class TestWhatIsNotSkipped:
         old = translator.instantiate(engine, (PATIENT,))
         physicians = engine.count("PHYSICIAN")
         assert old.count_at("PHYSICIAN") == 6
-        plan = translator.replace(engine, old, dict(deep_chart(), name="Kept"))
+        plan = translator.apply(
+            engine, Replacement(old, dict(deep_chart(), name="Kept"))
+        )
         assert len(plan) == 1
         assert engine.count("PHYSICIAN") == physicians
 
@@ -444,7 +454,7 @@ class TestWhatIsNotSkipped:
             translator.view_object, dict(deep_chart(), patient_id=6000)
         )
         sent = copy.deepcopy(stale.to_dict())
-        translator.replace(engine, old, stale)
+        translator.apply(engine, Replacement(old, stale))
         assert stale.to_dict() == sent
 
 
@@ -461,7 +471,7 @@ class TestMalformedInstances:
             broken = old if side == "old" else new
             del broken.tuples_at("DIAGNOSIS")[4].values["diag_no"]
             with pytest.raises(UpdateRejectedError) as rejection:
-                translator.replace(engine, old, new)
+                translator.apply(engine, Replacement(old, new))
             assert str(rejection.value) == message
 
     def test_duplicate_sibling_key_in_new(self):
@@ -472,9 +482,11 @@ class TestMalformedInstances:
         old = translator.instantiate(engine, (PATIENT,))
         new = deep_chart()
         new["VISIT"][0]["DIAGNOSIS"].append(dict(new["VISIT"][0]["DIAGNOSIS"][0]))
-        assert len(translator.translate(engine, Replacement(old, new))) == 0
+        assert len(translator.explain_batch(
+            engine, [Replacement(old, new)]
+        ).plan) == 0
         new["VISIT"][0]["DIAGNOSIS"][-1]["severity"] = "other"
-        plan = translator.translate(engine, Replacement(old, new))
+        plan = translator.explain_batch(engine, [Replacement(old, new)]).plan
         assert steps(plan) == [
             (
                 Replace("DIAGNOSIS", (PATIENT, 1, 1), (PATIENT, 1, 1, "flu", "other")),
@@ -487,4 +499,6 @@ class TestMalformedInstances:
         old = translator.instantiate(engine, (PATIENT,))
         visit = old.tuples_at("VISIT")[0]
         visit.children["LAB_RESULT"].append(visit.children["LAB_RESULT"][0])
-        assert len(translator.translate(engine, Replacement(old, deep_chart()))) == 0
+        assert len(translator.explain_batch(
+            engine, [Replacement(old, deep_chart())]
+        ).plan) == 0

@@ -4,6 +4,7 @@ components, and facade bulk wrappers."""
 import copy
 
 
+from repro.core.updates.operations import Replacement
 from repro.core.updates.translator import Translator
 
 
@@ -30,7 +31,7 @@ def test_identical_pair_with_vanished_row_is_noop(omega, university_engine):
     sid = _vanish_student(university_engine, old)
     new = copy.deepcopy(old.to_dict())
     new["title"] = "Changed"
-    plan = translator.replace(university_engine, old, new)
+    plan = translator.apply(university_engine, Replacement(old, new))
     assert university_engine.get("STUDENT", (sid,)) is None
     assert all(op.relation != "STUDENT" for op in plan)
 
@@ -49,7 +50,7 @@ def test_changed_pair_with_vanished_row_is_reinserted(
         for student in grade["STUDENT"]:
             if student["person_id"] == sid:
                 student["year"] = 9
-    plan = translator.replace(university_engine, old, new)
+    plan = translator.apply(university_engine, Replacement(old, new))
     revived = university_engine.get("STUDENT", (sid,))
     assert revived is not None and revived[2] == 9
     inserted = {op.relation for op in plan if op.kind == "insert"}
@@ -65,7 +66,7 @@ def test_removed_outside_component_is_noop(omega, university_engine):
     dept = old.root.values["dept_name"]
     new = copy.deepcopy(old.to_dict())
     new["DEPARTMENT"] = []
-    plan = translator.replace(university_engine, old, new)
+    plan = translator.apply(university_engine, Replacement(old, new))
     assert university_engine.get("DEPARTMENT", (dept,)) is not None
     assert all(op.relation != "DEPARTMENT" for op in plan)
 

@@ -5,6 +5,7 @@ import copy
 import pytest
 
 from repro.errors import UpdateError, UpdateRejectedError
+from repro.core.updates.operations import CompleteDeletion, Replacement
 from repro.core.updates.policy import RelationPolicy, TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.structural.integrity import IntegrityChecker
@@ -19,14 +20,14 @@ class TestPlans:
     def test_plan_has_reasons(self, omega, university_engine):
         translator = Translator(omega)
         cid = any_course(university_engine)
-        plan = translator.delete(university_engine, key=(cid,))
+        plan = translator.apply(university_engine, CompleteDeletion((cid,)))
         assert len(plan.reasons) == len(plan.operations)
         assert any("VO-CD" in reason for reason in plan.reasons)
 
     def test_plan_relations_touched(self, omega, university_engine):
         translator = Translator(omega)
         cid = any_course(university_engine)
-        plan = translator.delete(university_engine, key=(cid,))
+        plan = translator.apply(university_engine, CompleteDeletion((cid,)))
         assert plan.relations_touched()[0] == "COURSES"
 
 
@@ -35,7 +36,10 @@ class TestTransactionBoundary:
         self, omega, university_engine
     ):
         translator = Translator(omega)
-        translator.delete(university_engine, key=(any_course(university_engine),))
+        translator.apply(
+            university_engine,
+            CompleteDeletion((any_course(university_engine),)),
+        )
         assert not university_engine.in_transaction
 
     def test_no_dangling_transaction_after_failure(
@@ -43,7 +47,7 @@ class TestTransactionBoundary:
     ):
         translator = Translator(omega)
         with pytest.raises(UpdateError):
-            translator.delete(university_engine, key=("GHOST",))
+            translator.apply(university_engine, CompleteDeletion(("GHOST",)))
         assert not university_engine.in_transaction
 
 
@@ -66,7 +70,7 @@ class TestSqliteBackend:
     def test_delete_on_sqlite(self, omega, university_sqlite, university_graph):
         translator = Translator(omega, verify_integrity=True)
         cid = any_course(university_sqlite)
-        translator.delete(university_sqlite, key=(cid,))
+        translator.apply(university_sqlite, CompleteDeletion((cid,)))
         assert university_sqlite.get("COURSES", (cid,)) is None
         assert IntegrityChecker(university_graph).is_consistent(
             university_sqlite
@@ -78,7 +82,7 @@ class TestSqliteBackend:
         old = translator.instantiate(university_sqlite, (cid,))
         new = copy.deepcopy(old.to_dict())
         new["title"] = "Changed on sqlite"
-        translator.replace(university_sqlite, old, new)
+        translator.apply(university_sqlite, Replacement(old, new))
         assert university_sqlite.get("COURSES", (cid,))[1] == "Changed on sqlite"
 
     def test_rejection_rolls_back_on_sqlite(self, omega, university_sqlite):
@@ -92,7 +96,7 @@ class TestSqliteBackend:
         for dept in new.get("DEPARTMENT", []):
             dept["dept_name"] = "No Such Dept"
         with pytest.raises(UpdateRejectedError):
-            translator.replace(university_sqlite, old, new)
+            translator.apply(university_sqlite, Replacement(old, new))
         assert university_sqlite.get("COURSES", (cid,)) is not None
         assert university_sqlite.get("DEPARTMENT", ("No Such Dept",)) is None
 
@@ -104,8 +108,12 @@ class TestSqliteBackend:
         omega = course_info_object(university_graph)
         translator = Translator(omega)
         cid = any_course(university_engine)
-        plan_memory = translator.delete(university_engine, key=(cid,))
-        plan_sqlite = translator.delete(university_sqlite, key=(cid,))
+        plan_memory = translator.apply(
+            university_engine, CompleteDeletion((cid,))
+        )
+        plan_sqlite = translator.apply(
+            university_sqlite, CompleteDeletion((cid,))
+        )
         assert sorted(op.describe() for op in plan_memory) == sorted(
             op.describe() for op in plan_sqlite
         )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.updates.operations import Replacement
 from repro.core.updates.policy import ReferenceRepair
 from repro.dialog.answers import ConstantAnswers, MappingAnswers
 from repro.dialog.drivers import choose_translator, run_definition_dialog
@@ -101,7 +102,7 @@ class TestChooseTranslator:
             }
         ]
         with pytest.raises(UpdateRejectedError):
-            translator.replace(university_engine, old, new)
+            translator.apply(university_engine, Replacement(old, new))
         assert (
             university_engine.get(
                 "DEPARTMENT", ("Engineering Economic Systems",)
@@ -115,7 +116,7 @@ class TestChooseTranslator:
         old = translator.instantiate(university_engine, (course_id,))
         new = old.to_dict()
         new["title"] = "After Dialog"
-        translator.replace(university_engine, old, new)
+        translator.apply(university_engine, Replacement(old, new))
         assert university_engine.get("COURSES", (course_id,))[1] == "After Dialog"
 
     def test_amortization(self, omega, university_engine):
@@ -127,5 +128,5 @@ class TestChooseTranslator:
             old = translator.instantiate(university_engine, (values[0],))
             new = old.to_dict()
             new["units"] = (new["units"] % 5) + 1
-            translator.replace(university_engine, old, new)
+            translator.apply(university_engine, Replacement(old, new))
         assert len(transcript) == asked_before

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.core.updates.operations import CompleteDeletion
 from repro.core.updates.translator import Translator
 from repro.penguin import Penguin
 from repro.relational.faults import FaultInjectingEngine, FaultPlan, SimulatedCrash
@@ -49,11 +50,18 @@ def snapshot(engine):
     return {name: set(engine.scan(name)) for name in engine.relation_names()}
 
 
+def deletion_plan(view_object, engine, pid):
+    """The plan deleting chart ``pid`` would apply, the database untouched."""
+    return Translator(view_object).explain_batch(
+        engine, [CompleteDeletion((pid,))]
+    ).plan
+
+
 def _sweep_bounds():
     """(patient id, plan length) of the chart whose deletion we sweep."""
     _, engine, view_object = fresh_hospital()
     pid = min(row[0] for row in engine.scan("PATIENT"))
-    plan = Translator(view_object).preview_delete(engine, key=(pid,))
+    plan = deletion_plan(view_object, engine, pid)
     return pid, len(plan)
 
 
@@ -65,7 +73,7 @@ class TestNonAtomicCrashSweep:
 
     def test_plan_is_multi_relation(self):
         _, engine, view_object = fresh_hospital()
-        plan = Translator(view_object).preview_delete(engine, key=(PID,))
+        plan = deletion_plan(view_object, engine, PID)
         relations = {op.relation for op in plan.operations}
         assert len(relations) >= 3  # patient, visits, and their children
         assert len(plan) == PLAN_LEN >= 5
@@ -73,7 +81,7 @@ class TestNonAtomicCrashSweep:
     @pytest.mark.parametrize("k", range(1, PLAN_LEN + 1))
     def test_crash_at_op_k_recovers_to_all_reverted(self, k):
         graph, engine, view_object = fresh_hospital()
-        plan = Translator(view_object).preview_delete(engine, key=(PID,))
+        plan = deletion_plan(view_object, engine, PID)
         before = snapshot(engine)
         journal = MemoryJournal()
         faulty = FaultInjectingEngine(
@@ -96,7 +104,7 @@ class TestNonAtomicCrashSweep:
         journal = MemoryJournal()
         backlog = 0
         for pid in sorted(row[0] for row in engine.scan("PATIENT")):
-            plan = Translator(view_object).preview_delete(engine, key=(pid,))
+            plan = deletion_plan(view_object, engine, pid)
             faulty = FaultInjectingEngine(
                 engine, FaultPlan().crash_at("mutation", at=1 + backlog)
             )
@@ -115,7 +123,7 @@ class TestNonAtomicCrashSweep:
     def test_no_crash_control_point_commits(self):
         """One index past the end: the plan completes and stays applied."""
         graph, engine, view_object = fresh_hospital()
-        plan = Translator(view_object).preview_delete(engine, key=(PID,))
+        plan = deletion_plan(view_object, engine, PID)
         journal = MemoryJournal()
         faulty = FaultInjectingEngine(
             engine, FaultPlan().crash_at("mutation", at=PLAN_LEN + 1)
@@ -130,7 +138,7 @@ class TestNonAtomicCrashSweep:
         """Crash inside commit: the rollback already undid the batch;
         recovery just has to notice nothing moved and mark ABORTED."""
         graph, engine, view_object = fresh_hospital()
-        plan = Translator(view_object).preview_delete(engine, key=(PID,))
+        plan = deletion_plan(view_object, engine, PID)
         before = snapshot(engine)
         journal = MemoryJournal()
         faulty = FaultInjectingEngine(
@@ -172,7 +180,7 @@ class TestTranslationCrash:
 
         path = tmp_path / "plans.journal"
         graph, engine, view_object = fresh_hospital()
-        plan = Translator(view_object).preview_delete(engine, key=(PID,))
+        plan = deletion_plan(view_object, engine, PID)
         before = snapshot(engine)
         journal = FileJournal(path)
         faulty = FaultInjectingEngine(
@@ -203,7 +211,7 @@ class TestTranslationCrash:
         journal_path = tmp_path / "journal.log"
         audit_path = tmp_path / "audit.log"
         graph, engine, view_object = fresh_hospital()
-        plan = Translator(view_object).preview_delete(engine, key=(PID,))
+        plan = deletion_plan(view_object, engine, PID)
         before = snapshot(engine)
         journal = FileJournal(journal_path)
         audit = FileAuditLog(audit_path)

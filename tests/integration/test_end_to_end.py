@@ -3,6 +3,12 @@
 import copy
 
 
+from repro.core.updates.operations import (
+    CompleteDeletion,
+    CompleteInsertion,
+    PartialInsertion,
+    Replacement,
+)
 from repro.core.updates.translator import Translator
 from repro.dialog.answers import ConstantAnswers
 from repro.dialog.drivers import choose_translator
@@ -17,57 +23,61 @@ class TestHospitalScenario:
         checker = IntegrityChecker(hospital_graph)
 
         # 1. Admit a new patient with one visit and a diagnosis.
-        translator.insert(
+        translator.apply(
             hospital_engine,
-            {
-                "patient_id": 9001,
-                "name": "New Patient",
-                "birth_year": 1970,
-                "ward_name": "ICU",
-                "VISIT": [
-                    {
-                        "patient_id": 9001,
-                        "visit_no": 1,
-                        "visit_date": "1991-05-29",
-                        "physician_id": 9000,
-                        "reason": "checkup",
-                        "DIAGNOSIS": [
-                            {
-                                "patient_id": 9001,
-                                "visit_no": 1,
-                                "diag_no": 1,
-                                "code": "hypertension",
-                                "severity": "mild",
-                            }
-                        ],
-                        "PRESCRIPTION": [],
-                        "LAB_RESULT": [],
-                        "PHYSICIAN": [
-                            {
-                                "physician_id": 9000,
-                                "name": "Dr. #9000",
-                                "specialty": "cardiology",
-                            }
-                        ],
-                    }
-                ],
-            },
+            CompleteInsertion(
+                {
+                    "patient_id": 9001,
+                    "name": "New Patient",
+                    "birth_year": 1970,
+                    "ward_name": "ICU",
+                    "VISIT": [
+                        {
+                            "patient_id": 9001,
+                            "visit_no": 1,
+                            "visit_date": "1991-05-29",
+                            "physician_id": 9000,
+                            "reason": "checkup",
+                            "DIAGNOSIS": [
+                                {
+                                    "patient_id": 9001,
+                                    "visit_no": 1,
+                                    "diag_no": 1,
+                                    "code": "hypertension",
+                                    "severity": "mild",
+                                }
+                            ],
+                            "PRESCRIPTION": [],
+                            "LAB_RESULT": [],
+                            "PHYSICIAN": [
+                                {
+                                    "physician_id": 9000,
+                                    "name": "Dr. #9000",
+                                    "specialty": "cardiology",
+                                }
+                            ],
+                        }
+                    ],
+                },
+            ),
         )
         assert hospital_engine.get("PATIENT", (9001,)) is not None
         assert checker.is_consistent(hospital_engine)
 
         # 2. Add a prescription through a partial insertion.
-        translator.insert_component(
+        translator.apply(
             hospital_engine,
-            (9001,),
-            "PRESCRIPTION",
-            {
-                "patient_id": 9001,
-                "visit_no": 1,
-                "rx_no": 1,
-                "med_id": "MED-01",
-                "days": 10,
-            },
+            PartialInsertion(
+                (9001,),
+                "PRESCRIPTION",
+                {
+                    "patient_id": 9001,
+                    "visit_no": 1,
+                    "rx_no": 1,
+                    "med_id": "MED-01",
+                    "days": 10,
+                },
+            ),
         )
         assert hospital_engine.get("PRESCRIPTION", (9001, 1, 1)) is not None
 
@@ -87,12 +97,12 @@ class TestHospitalScenario:
                 "PHYSICIAN": [],
             }
         )
-        translator.replace(hospital_engine, old, new)
+        translator.apply(hospital_engine, Replacement(old, new))
         assert hospital_engine.get("VISIT", (9001, 2)) is not None
         assert checker.is_consistent(hospital_engine)
 
         # 4. Discharge: complete deletion cascades the whole chart.
-        translator.delete(hospital_engine, key=(9001,))
+        translator.apply(hospital_engine, CompleteDeletion((9001,)))
         assert hospital_engine.get("PATIENT", (9001,)) is None
         assert hospital_engine.find_by("VISIT", ("patient_id",), (9001,)) == []
         assert checker.is_consistent(hospital_engine)
@@ -111,7 +121,7 @@ class TestCadScenario:
             component["asm_id"] = "ASM-RENAMED"
         for release in new.get("RELEASED_ASSEMBLY", []):
             release["asm_id"] = "ASM-RENAMED"
-        translator.replace(cad_engine, old, new)
+        translator.apply(cad_engine, Replacement(old, new))
         assert cad_engine.get("ASSEMBLY", (released,)) is None
         assert cad_engine.get("ASSEMBLY", ("ASM-RENAMED",)) is not None
         assert cad_engine.get("RELEASED_ASSEMBLY", ("ASM-RENAMED",)) is not None
@@ -124,7 +134,7 @@ class TestCadScenario:
         old = translator.instantiate(cad_engine, (asm,))
         new = copy.deepcopy(old.to_dict())
         new["project"] = "renamed-project"
-        translator.replace(cad_engine, old, new)
+        translator.apply(cad_engine, Replacement(old, new))
         assert cad_engine.get("ASSEMBLY", (asm,))[2] == "renamed-project"
 
 
@@ -143,19 +153,24 @@ class TestCrossBackendEquivalence:
             old = translator.instantiate(engine, (cid,))
             new = copy.deepcopy(old.to_dict())
             new["title"] = "Cross Backend"
-            translator.replace(engine, old, new)
-            translator.insert(
+            translator.apply(engine, Replacement(old, new))
+            translator.apply(
                 engine,
-                {
-                    "course_id": "XB1",
-                    "title": "t",
-                    "units": 1,
-                    "level": "graduate",
-                    "dept_name": "Physics",
-                },
+                CompleteInsertion(
+                    {
+                        "course_id": "XB1",
+                        "title": "t",
+                        "units": 1,
+                        "level": "graduate",
+                        "dept_name": "Physics",
+                    },
+                ),
             )
-            translator.delete(
-                engine, key=(sorted(v[0] for v in engine.scan("COURSES"))[1],)
+            translator.apply(
+                engine,
+                CompleteDeletion(
+                    (sorted(v[0] for v in engine.scan("COURSES"))[1],)
+                ),
             )
         for relation in university_graph.relation_names:
             assert sorted(university_engine.scan(relation)) == sorted(

@@ -9,6 +9,11 @@ import copy
 
 import pytest
 
+from repro.core.updates.operations import (
+    CompleteDeletion,
+    CompleteInsertion,
+    Replacement,
+)
 from repro.core.updates.translator import Translator
 from repro.errors import TransientEngineError
 from repro.relational.faults import FaultInjectingEngine
@@ -79,7 +84,9 @@ def test_deletion_atomic_under_faults(setup):
     graph, engine, translator = setup
     cid = connected_course(engine)
     points = run_at_every_fault_point(
-        graph, engine, lambda: translator.delete(engine, key=(cid,))
+        graph, engine, lambda: translator.apply(
+            engine, CompleteDeletion((cid,))
+        )
     )
     assert points >= 2  # deletion is genuinely multi-operation
     assert engine.get("COURSES", (cid,)) is None  # final run applied
@@ -112,7 +119,9 @@ def test_insertion_atomic_under_faults(setup):
     points = run_at_every_fault_point(
         graph,
         engine,
-        lambda: translator.insert(engine, copy.deepcopy(instance)),
+        lambda: translator.apply(
+            engine, CompleteInsertion(copy.deepcopy(instance))
+        ),
     )
     assert points >= 2
     assert engine.get("COURSES", ("FAULT1",)) is not None
@@ -130,7 +139,7 @@ def test_replacement_atomic_under_faults(setup):
             grade["course_id"] = "FAULTKEY"
         for entry in new.get("CURRICULUM", []):
             entry["course_id"] = "FAULTKEY"
-        translator.replace(engine, old, new)
+        translator.apply(engine, Replacement(old, new))
 
     points = run_at_every_fault_point(graph, engine, action)
     assert points >= 2

@@ -25,10 +25,17 @@ with its own markers, but the owner's commit is counted and audited like
 any other — one record, one ``translations_total``, one ``plan_ops``
 sample — and each participant's replicas land their own sub-plan.
 
-A query-driven verb whose select matches nothing is a row as well: the
-empty set of operations is no update, so no session journals, audits or
-counts anything and all of them return the empty plan (a guarded facade
-still admits the request once — it cannot know before it has selected).
+A partial request (Section 5's node-local operations on a resident
+chart's ``VISIT``) is a row too: every session carries it through
+``apply_plan_batch``, routed by its anchor like any other request.
+
+An empty batch is a row as well — ``insert_many`` / ``delete_many`` /
+``apply_plan_batch`` of nothing, or a query-driven verb whose select
+matches nothing: the empty set of operations is no update, so no session
+journals, audits or counts anything and all of them return the empty
+plan (a guarded facade still admits the request once — it cannot know
+before it has run the verb). The translator's batch commit owns the
+rule, so no session restates it (drift bug 17).
 
 So is one whose select cannot be answered alike by every engine (an
 ordering against a literal outside the attribute's domain, drift bug
@@ -44,6 +51,9 @@ import repro.obs as obs
 from repro.core.updates.operations import (
     CompleteDeletion,
     CompleteInsertion,
+    PartialDeletion,
+    PartialInsertion,
+    PartialUpdate,
     Replacement,
 )
 from repro.core.updates.policy import TranslatorPolicy
@@ -302,6 +312,26 @@ VERBS = {
     },
 }
 
+# Partial requests on the one VISIT of a resident 'Same' chart.
+VISIT = dict(fresh_chart(SAME[0])["VISIT"][0])
+for child in ("DIAGNOSIS", "PRESCRIPTION", "LAB_RESULT", "PHYSICIAN"):
+    del VISIT[child]
+PARTIALS = {
+    "partial_insert": lambda: PartialInsertion(
+        (SAME[0],), "VISIT", dict(VISIT, visit_no=2, reason="follow-up")
+    ),
+    "partial_update": lambda: PartialUpdate(
+        (SAME[0],), "VISIT", dict(VISIT), dict(VISIT, reason="revised")
+    ),
+    "partial_delete": lambda: PartialDeletion((SAME[0],), "VISIT", dict(VISIT)),
+}
+for verb, request in PARTIALS.items():
+    VERBS[verb] = {
+        ACCEPTED: (True, lambda s, request=request: s.apply_plan_batch(
+            OBJECT, [request()]
+        )),
+    }
+
 # Whatever the policy refuses is refused before any owner differs, but a
 # sharded session stops at the first owner group: keep those on one shard.
 ONE_SHARD = {
@@ -439,6 +469,9 @@ def test_every_session_does_what_a_single_penguin_does(
 NOTHING = {
     "delete_where": lambda s: s.delete_where(OBJECT, "name = 'Nobody'"),
     "update_where": lambda s: s.update_where(OBJECT, "name = 'Nobody'", renamed),
+    "insert_many": lambda s: s.insert_many(OBJECT, []),
+    "delete_many": lambda s: s.delete_many(OBJECT, []),
+    "apply_plan_batch": lambda s: s.apply_plan_batch(OBJECT, []),
 }
 
 
@@ -452,8 +485,8 @@ def test_a_select_matching_nothing_is_no_update_on_any_session(verb, backend):
         assert seen.rows == reference.rows, kind
         assert seen.audit == [] and seen.replica_commits == 0, kind
         assert seen.translations == seen.failures == seen.plan_ops == 0, kind
-        # One facade admits before it selects; a sharded session selects
-        # under its coordinator and has no owner to admit on.
+        # One facade admits before it runs the verb; a sharded session
+        # has no owner to admit an empty batch on.
         assert seen.admissions == (1 if kind == "concurrent" else 0), kind
 
 
@@ -504,6 +537,25 @@ def test_rejection_counted_and_audited_on_the_owner_shard():
         assert len(rejected) == (1 if shard.shard_id == owner else 0)
 
 
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("verb", sorted(PARTIALS))
+def test_a_partial_request_plans_alike_eager_and_batched(verb, backend):
+    """``translator.apply`` (the eager half) and ``apply_plan_batch`` of
+    that one request emit the same plan and leave the same database."""
+    seen = []
+    for door in (
+        lambda t, engine, request: t.apply(engine, request),
+        lambda t, engine, request: t.apply_plan_batch(engine, [request]),
+    ):
+        session = prepared("penguin", backend, None)
+        plan = door(session.translator(OBJECT), session.engine, PARTIALS[verb]())
+        seen.append((
+            sorted(op.describe() for op in plan.operations), rows(session)
+        ))
+    assert seen[0] == seen[1]
+    assert seen[0][0]
+
+
 def test_explain_and_preview_leave_no_trace_of_a_rejection():
     session = prepared("penguin", "memory", None)
     translator = session.translator(OBJECT)
@@ -511,8 +563,8 @@ def test_explain_and_preview_leave_no_trace_of_a_rejection():
     request = CompleteInsertion(session.coerce(OBJECT, fresh_chart(HOME[0])))
     with obs.use() as hub:
         for attempt in (
-            lambda: translator.explain(session.engine, request),
-            lambda: translator.preview_insert(session.engine, request.instance),
+            lambda: translator.explain_batch(session.engine, [request]),
+            lambda: session.explain_update(OBJECT, request),
         ):
             with pytest.raises(ReproError):
                 attempt()

@@ -24,6 +24,7 @@ from repro.relational.journal import (
 from repro.relational.operations import UpdatePlan
 from repro.workloads.figures import course_info_object
 from repro.workloads.university import populate_university, university_schema
+from repro.core.updates.operations import CompleteInsertion
 
 pytestmark = pytest.mark.audit
 
@@ -53,9 +54,9 @@ def audited_session(audit=None):
 
 def sample_plan(session):
     """A real translated plan + images (without applying anything)."""
-    plan = session.translator("course_info").preview_insert(
-        session.engine, new_course()
-    )
+    plan = session.translator("course_info").explain_batch(
+        session.engine, [CompleteInsertion(new_course())]
+    ).plan
     return plan, plan_images(session.engine, plan)
 
 
@@ -318,7 +319,9 @@ class TestTranslatorRecording:
 
         session = audited_session()
         translator = session.translator("course_info")
-        translator.preview_insert(session.engine, new_course())
+        translator.explain_batch(
+            session.engine, [CompleteInsertion(new_course())]
+        )
         session.explain_update("course_info", CompleteInsertion(new_course()))
         session.query("course_info")
         session.get("course_info", ("M100",))
@@ -364,7 +367,7 @@ class TestTranslatorRecording:
         translator = session.translator("course_info").for_user("keller")
         plan = UpdatePlan()  # reuse the session's engine directly
         del plan
-        translator.insert(session.engine, new_course())
+        translator.apply(session.engine, CompleteInsertion(new_course()))
         assert session.audit.record(1).user == "keller"
 
 

@@ -41,34 +41,38 @@ class TestExplainAgreesWithExecution:
         data = new_course(
             university_engine, student=existing_student(university_engine)
         )
-        explanation = translator.explain(
-            university_engine, CompleteInsertion(data)
+        explanation = translator.explain_batch(
+            university_engine, [CompleteInsertion(data)]
         )
-        executed = translator.insert(university_engine, data)
+        executed = translator.apply(university_engine, CompleteInsertion(data))
         assert explanation.relations_touched == executed.relations_touched()
         assert explanation.op_kinds == kinds_of(executed)
 
     def test_delete(self, translator, university_engine):
-        translator.insert(
-            university_engine, new_course(university_engine)
+        translator.apply(
+            university_engine, CompleteInsertion(new_course(university_engine))
         )
         instance = translator.instantiate(university_engine, ("CS999",))
-        explanation = translator.explain(
+        explanation = translator.explain_batch(
+            university_engine, [CompleteDeletion(instance)]
+        )
+        executed = translator.apply(
             university_engine, CompleteDeletion(instance)
         )
-        executed = translator.delete(university_engine, instance)
         assert explanation.relations_touched == executed.relations_touched()
         assert explanation.op_kinds == kinds_of(executed)
 
     def test_replace(self, translator, university_engine):
-        translator.insert(university_engine, new_course(university_engine))
+        translator.apply(
+            university_engine, CompleteInsertion(new_course(university_engine))
+        )
         old = translator.instantiate(university_engine, ("CS999",))
         new = old.to_dict()
         new["title"] = "Renamed"
-        explanation = translator.explain(
-            university_engine, Replacement(old, new)
+        explanation = translator.explain_batch(
+            university_engine, [Replacement(old, new)]
         )
-        executed = translator.replace(university_engine, old, new)
+        executed = translator.apply(university_engine, Replacement(old, new))
         assert explanation.relations_touched == executed.relations_touched()
         assert explanation.op_kinds == kinds_of(executed)
 
@@ -76,17 +80,17 @@ class TestExplainAgreesWithExecution:
 class TestExplainIsSideEffectFree:
     def test_engine_untouched(self, translator, university_engine):
         before = snapshot(university_engine)
-        translator.explain(
+        translator.explain_batch(
             university_engine,
-            CompleteInsertion(new_course(university_engine)),
+            [CompleteInsertion(new_course(university_engine))],
         )
         assert snapshot(university_engine) == before
 
     def test_changelog_untouched(self, translator, university_engine):
         mark = university_engine.changelog.mark()
-        translator.explain(
+        translator.explain_batch(
             university_engine,
-            CompleteInsertion(new_course(university_engine)),
+            [CompleteInsertion(new_course(university_engine))],
         )
         assert university_engine.changelog.mark() == mark
 
@@ -95,23 +99,25 @@ class TestExplainIsSideEffectFree:
     ):
         from repro.errors import UpdateRejectedError
 
-        translator.insert(university_engine, new_course(university_engine))
+        translator.apply(
+            university_engine, CompleteInsertion(new_course(university_engine))
+        )
         before = snapshot(university_engine)
         with pytest.raises(UpdateRejectedError):
             # Inserting the identical course again hits CASE 1 in the
             # island: the explanation raises like the execution would.
-            translator.explain(
+            translator.explain_batch(
                 university_engine,
-                CompleteInsertion(new_course(university_engine)),
+                [CompleteInsertion(new_course(university_engine))],
             )
         assert snapshot(university_engine) == before
 
 
 class TestExplainReporting:
     def test_render_sections(self, translator, university_engine):
-        explanation = translator.explain(
+        explanation = translator.explain_batch(
             university_engine,
-            CompleteInsertion(new_course(university_engine)),
+            [CompleteInsertion(new_course(university_engine))],
         )
         text = explanation.render()
         assert text.startswith("update translation on 'course_info'")
@@ -122,9 +128,9 @@ class TestExplainReporting:
         assert "coalescing" in text
 
     def test_to_dict_round_trips_the_facts(self, translator, university_engine):
-        explanation = translator.explain(
+        explanation = translator.explain_batch(
             university_engine,
-            CompleteInsertion(new_course(university_engine)),
+            [CompleteInsertion(new_course(university_engine))],
         )
         data = explanation.to_dict()
         assert data["object"] == "course_info"
@@ -133,9 +139,9 @@ class TestExplainReporting:
         assert data["raw_ops"] == len(explanation.plan)
 
     def test_islands_and_rules_reported(self, translator, university_engine):
-        explanation = translator.explain(
+        explanation = translator.explain_batch(
             university_engine,
-            CompleteInsertion(new_course(university_engine)),
+            [CompleteInsertion(new_course(university_engine))],
         )
         assert explanation.island_relations == ("COURSES", "GRADES")
         assert any(

@@ -55,28 +55,32 @@ class TestGoldenTraces:
         translator, engine, hub = traced
         course = new_course(engine, student=existing_student(engine))
         hub.tracer.clear()
-        translator.insert(engine, course)
+        translator.apply(engine, CompleteInsertion(course))
         check_golden("figure4_insert_trace.txt", take_normalized(hub))
 
     def test_delete_span_tree(self, traced):
         translator, engine, hub = traced
         course = new_course(engine, student=existing_student(engine))
-        translator.insert(engine, course)
+        translator.apply(engine, CompleteInsertion(course))
         instance = translator.instantiate(engine, ("CS999",))
         hub.tracer.clear()
-        translator.delete(engine, instance)
+        translator.apply(engine, CompleteDeletion(instance))
         check_golden("figure4_delete_trace.txt", take_normalized(hub))
 
     def test_insert_explain_text(self, traced):
         translator, engine, hub = traced
         course = new_course(engine, student=existing_student(engine))
-        explanation = translator.explain(engine, CompleteInsertion(course))
+        explanation = translator.explain_batch(
+            engine, [CompleteInsertion(course)]
+        )
         check_golden("figure4_insert_explain.txt", explanation.render())
 
     def test_delete_explain_text(self, traced):
         translator, engine, hub = traced
         course = new_course(engine, student=existing_student(engine))
-        translator.insert(engine, course)
+        translator.apply(engine, CompleteInsertion(course))
         instance = translator.instantiate(engine, ("CS999",))
-        explanation = translator.explain(engine, CompleteDeletion(instance))
+        explanation = translator.explain_batch(
+            engine, [CompleteDeletion(instance)]
+        )
         check_golden("figure4_delete_explain.txt", explanation.render())

@@ -13,6 +13,7 @@ fanout) configuration:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.updates.operations import CompleteDeletion, Replacement
 from repro.core.updates.translator import Translator
 from repro.relational.memory_engine import MemoryEngine
 from repro.structural.integrity import IntegrityChecker
@@ -45,7 +46,7 @@ def test_deletion_operation_count(config):
     depth, fanout, peninsula_refs = config
     graph, engine, view_object = build(depth, fanout, peninsula_refs)
     translator = Translator(view_object)
-    plan = translator.delete(engine, key=(0,))
+    plan = translator.apply(engine, CompleteDeletion((0,)))
     island_tuples = sum(fanout ** level for level in range(depth + 1))
     assert plan.count("delete") == island_tuples + peninsula_refs
     assert plan.count("insert") == 0
@@ -57,7 +58,7 @@ def test_deletion_operation_count(config):
 def test_deletion_leaves_no_orphans(config):
     depth, fanout, peninsula_refs = config
     graph, engine, view_object = build(depth, fanout, peninsula_refs)
-    Translator(view_object).delete(engine, key=(0,))
+    Translator(view_object).apply(engine, CompleteDeletion((0,)))
     for name in graph.relation_names:
         if name == "LOOKUP":
             continue
@@ -86,7 +87,7 @@ def test_rekey_operation_count(config):
                         rekey(child)
         return node
 
-    plan = translator.replace(engine, old, rekey(old.to_dict()))
+    plan = translator.apply(engine, Replacement(old, rekey(old.to_dict())))
     island_tuples = sum(fanout ** level for level in range(depth + 1))
     # One replacement per island tuple; the in-object peninsula tuples
     # are re-pointed by step 4 (replace or insert+drop, depending on

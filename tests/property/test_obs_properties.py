@@ -17,6 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import repro.obs as obs
+from repro.core.updates.operations import CompleteInsertion
 from repro.penguin import Penguin
 from repro.workloads.figures import course_info_object
 from repro.workloads.university import populate_university, university_schema
@@ -144,15 +145,14 @@ class TestMetricInvariants:
         with obs.use() as hub:
             for index, action in enumerate(script):
                 if action == "insert":
-                    session.translator("course_info").preview_insert(
-                        session.engine, course(index)
+                    session.translator("course_info").explain_batch(
+                        session.engine, [CompleteInsertion(course(index))]
                     )
-            previews = hub.metrics.counter_total(
-                "translation_previews_total"
-            )
+            # explains_total is the one "what would this do" counter.
+            explains = hub.metrics.counter_total("explains_total")
             translations = hub.metrics.counter_total("translations_total")
         assert translations == 0
-        assert previews == sum(1 for a in script if a == "insert")
+        assert explains == sum(1 for a in script if a == "insert")
 
 
 class TestTracingTransparency:

@@ -33,6 +33,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.updates.operations import Replacement
 from repro.core.updates.translator import Translator
 from repro.errors import ReproError
 from repro.relational.memory_engine import MemoryEngine
@@ -75,7 +76,7 @@ def shapes(new, template, view_object, rng):
 def translated(translator, engine, new):
     """The plan as a multiset, or the class of the rejection."""
     try:
-        plan = translator.preview_replace(engine, (0,), new)
+        plan = translator.explain_batch(engine, [Replacement((0,), new)]).plan
     except ReproError as rejection:
         return type(rejection).__name__
     return sorted(zip(map(repr, plan.operations), plan.reasons))
@@ -114,7 +115,7 @@ def test_rekeying_replacement_has_an_order_invariant_effect(case):
     for shape in [rehomed] + [shuffled(rehomed, rng, island) for _ in range(3)]:
         translator, engine = build(seed, adversarial, restricted)
         try:
-            translator.replace(engine, (0,), shape)
+            translator.apply(engine, Replacement((0,), shape))
         except ReproError as rejection:
             effects.append(type(rejection).__name__)
         else:

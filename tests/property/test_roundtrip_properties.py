@@ -11,6 +11,7 @@ from repro.core.serialization import (
     view_object_from_dict,
     view_object_to_dict,
 )
+from repro.core.updates.operations import Replacement
 from repro.core.updates.translator import Translator
 from repro.relational.memory_engine import MemoryEngine
 from repro.workloads.figures import course_info_object
@@ -60,9 +61,9 @@ def test_replacement_is_invertible(seed):
     new = copy.deepcopy(old.to_dict())
     new["title"] = "Temporarily Different"
     new["units"] = (new["units"] % 5) + 1
-    translator.replace(engine, old, new)
+    translator.apply(engine, Replacement(old, new))
     current = translator.instantiate(engine, (cid,))
-    translator.replace(engine, current, old.to_dict())
+    translator.apply(engine, Replacement(current, old.to_dict()))
     after = {
         name: sorted(engine.scan(name)) for name in GRAPH.relation_names
     }
@@ -90,9 +91,9 @@ def test_key_change_round_trip(seed):
         return data
 
     old = translator.instantiate(engine, (cid,))
-    translator.replace(engine, old, rekey(old.to_dict(), "TMPKEY"))
+    translator.apply(engine, Replacement(old, rekey(old.to_dict(), "TMPKEY")))
     temp = translator.instantiate(engine, ("TMPKEY",))
-    translator.replace(engine, temp, rekey(temp.to_dict(), cid))
+    translator.apply(engine, Replacement(temp, rekey(temp.to_dict(), cid)))
     after = {name: sorted(engine.scan(name)) for name in watched}
     assert after == before
 

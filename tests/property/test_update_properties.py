@@ -8,6 +8,7 @@ the exact database state, and (c) a rejected update leaves no trace.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.updates.operations import CompleteDeletion, CompleteInsertion
 from repro.core.updates.translator import Translator
 from repro.errors import ReproError
 from repro.relational.memory_engine import MemoryEngine
@@ -85,8 +86,9 @@ def test_insert_keeps_integrity(course_id, units, level, grades):
     engine = fresh_engine()
     translator = Translator(OMEGA)
     try:
-        translator.insert(
-            engine, instance_for(course_id, units, level, grades)
+        translator.apply(
+            engine,
+            CompleteInsertion(instance_for(course_id, units, level, grades)),
         )
     except ReproError:
         return  # rejected updates are covered by the rollback property
@@ -106,12 +108,15 @@ def test_insert_then_delete_roundtrip(course_id, units, grades):
     }
     translator = Translator(OMEGA)
     try:
-        translator.insert(
-            engine, instance_for(course_id, units, "graduate", grades)
+        translator.apply(
+            engine,
+            CompleteInsertion(
+                instance_for(course_id, units, "graduate", grades)
+            ),
         )
     except ReproError:
         return
-    translator.delete(engine, key=(course_id,))
+    translator.apply(engine, CompleteDeletion((course_id,)))
     # Inserted STUDENT/PEOPLE skeletons survive deletion of the course
     # (they are outside the island), so compare island relations plus
     # the peninsulas only.
@@ -137,8 +142,9 @@ def test_rejected_update_leaves_no_trace(course_id, grades):
         name: sorted(engine.scan(name)) for name in GRAPH.relation_names
     }
     try:
-        translator.insert(
-            engine, instance_for(course_id, 3, "graduate", grades)
+        translator.apply(
+            engine,
+            CompleteInsertion(instance_for(course_id, 3, "graduate", grades)),
         )
     except ReproError:
         after = {

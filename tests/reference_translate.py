@@ -744,8 +744,8 @@ def translate_partial_insertion(
     node, role = _node_and_role(ctx, node_id)
     if node.path is None:
         raise LocalValidationError(
-            "partial insertion at the pivot is a complete insertion; use "
-            "Translator.insert"
+            "partial insertion at the pivot is a complete insertion; send "
+            "a CompleteInsertion request"
         )
     values = _inherit_from_parent(ctx, instance, node_id, values)
     key = key_from_values(ctx, node_id, values)
@@ -810,8 +810,8 @@ def translate_partial_deletion(
     node, role = _node_and_role(ctx, node_id)
     if node.path is None:
         raise LocalValidationError(
-            "partial deletion of the pivot is a complete deletion; use "
-            "Translator.delete"
+            "partial deletion of the pivot is a complete deletion; send "
+            "a CompleteDeletion request"
         )
     key = key_from_values(ctx, node_id, values)
     if role is NodeRole.ISLAND:

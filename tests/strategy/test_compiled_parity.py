@@ -59,7 +59,7 @@ def requests_of(session):
 def explained(session, request):
     """Explain never mutates, so one session serves both sides."""
     try:
-        return session.translator.explain(session.engine, request).render()
+        return session.penguin.explain_update(session.name, request).render()
     except ReproError as exc:
         return f"{type(exc).__name__}: {exc}"
 

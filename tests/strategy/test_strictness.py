@@ -133,7 +133,9 @@ class TestExplainCarriesRisk:
         _, view_object, engine = chain
         translator = Translator(view_object, strictness="warn")
         instance = translator.instantiate(engine, (0,))
-        explanation = translator.explain(engine, CompleteDeletion(instance))
+        explanation = translator.explain_batch(
+            engine, [CompleteDeletion(instance)]
+        )
         rendered = explanation.render()
         assert "strategy risk" in rendered
         assert translator.risk().level.value.upper() in rendered
@@ -143,7 +145,9 @@ class TestExplainCarriesRisk:
         _, view_object, engine = chain
         translator = Translator(view_object, strictness="off")
         instance = translator.instantiate(engine, (1,))
-        explanation = translator.explain(engine, CompleteDeletion(instance))
+        explanation = translator.explain_batch(
+            engine, [CompleteDeletion(instance)]
+        )
         # strictness="off" defers the check, but explain() still
         # computes the report lazily — never "unchecked" here.
         assert "strategy risk" in explanation.render()

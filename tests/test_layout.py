@@ -96,6 +96,59 @@ def test_each_verb_is_defined_in_exactly_one_session_class():
     assert defined == {verb: ["ViewObjectSession"] for verb in VERBS}
 
 
+WRITE_VERBS = (
+    "insert", "delete", "replace", "insert_many", "delete_many",
+    "delete_where", "update_where",
+)
+
+
+def test_a_write_verb_is_declared_on_the_session_and_nowhere_else():
+    """Request construction exists once. Outside the engine primitives
+    (``relational/``) and Keller's flat-view baseline (``keller/``), a
+    method with a write verb's name belongs to ``ViewObjectSession`` —
+    or is itself engine-shaped: an ``Engine`` overlay, or a method whose
+    first argument is a relation."""
+    declared = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).parts[0] in ("relational", "keller"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            engine_shaped = "Engine" in [ast.unparse(b) for b in node.bases]
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name in WRITE_VERBS:
+                    first = [a.arg for a in item.args.args[1:2]]
+                    if not engine_shaped and first != ["relation"]:
+                        declared.append((node.name, item.name))
+        assert not [
+            node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in WRITE_VERBS
+        ], path
+    assert sorted(declared) == sorted(
+        ("ViewObjectSession", verb) for verb in WRITE_VERBS
+    )
+
+
+def test_the_translator_takes_requests_through_four_doors():
+    """``apply`` (eager), ``apply_plan_batch`` (overlay, then commit),
+    ``apply_plan`` (commit only), ``explain_batch`` (overlay, nothing
+    committed) — plus the definition-time accessors; no verb of its own."""
+    public = {
+        name for name, value in vars(Translator).items()
+        if not name.startswith("_") and callable(value)
+    }
+    assert public == {
+        "apply", "apply_plan_batch", "apply_plan", "explain_batch",
+        "compiled", "risk", "for_user", "instantiate", "audit_update",
+    }
+    # explains_total is the one "what would this do" counter.
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text(encoding="utf-8").lower()
+        assert "preview" not in text, path.relative_to(SRC)
+
+
 def test_the_overlay_half_is_built_in_one_place():
     assert source("core/updates/translator.py").count("BufferedEngine(") == 1
 

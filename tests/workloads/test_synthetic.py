@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.dependency_island import analyze_island
+from repro.core.updates.operations import CompleteDeletion
 from repro.relational.memory_engine import MemoryEngine
 from repro.structural.integrity import IntegrityChecker
 from repro.workloads.synthetic import (
@@ -63,7 +64,7 @@ def test_deletion_cascades_full_chain():
     populate_chain(engine, depth=3, roots=2, fanout=2)
     view_object = chain_object(graph, 3)
     translator = Translator(view_object, verify_integrity=True)
-    translator.delete(engine, key=(0,))
+    translator.apply(engine, CompleteDeletion((0,)))
     assert engine.find_by("R3", ("k0",), (0,)) == []
     assert engine.find_by("PENINSULA", ("k0",), (0,)) == []
     assert engine.count("R0") == 1
