@@ -21,19 +21,16 @@ Layers, bottom-up:
 from repro.errors import (
     DegradedServiceError,
     GlobalValidationError,
-    IntegrityError,
     JournalError,
     LocalValidationError,
     QueryError,
     ReproError,
     TransientEngineError,
-    TranslationError,
     UpdateError,
     UpdateRejectedError,
     ViewObjectError,
 )
 from repro.core import (
-    ComponentChange,
     InformationMetric,
     Instance,
     Instantiator,
@@ -101,7 +98,6 @@ __all__ = [
     "Instantiator",
     "diff_instances",
     "render_diff",
-    "ComponentChange",
     "execute_query",
     "parse_query",
     "Translator",
@@ -117,9 +113,7 @@ __all__ = [
     "UpdateError",
     "UpdateRejectedError",
     "LocalValidationError",
-    "TranslationError",
     "GlobalValidationError",
-    "IntegrityError",
     "QueryError",
     "TransientEngineError",
     "JournalError",
@@ -131,5 +125,4 @@ __all__ = [
     "MemoryJournal",
     "FileJournal",
     "CircuitBreaker",
-    "__version__",
 ]

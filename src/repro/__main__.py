@@ -550,6 +550,14 @@ def _run_audit_workload(ops: int, seed: int) -> Penguin:
     return session
 
 
+def _non_negative(text: str) -> int:
+    """An argparse type: a count, refused below zero at parse time."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
 def _coerce_key(tokens) -> tuple:
     """CLI key tokens to tuple values (ints where they parse as ints)."""
     key = []
@@ -620,61 +628,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     import repro.obs as obs
     from repro.serve.http import PenguinServer
-    from repro.serve.load import run_load
 
     obs.configure()  # live metrics so /metrics has content
     sharded = _build_sharded_hospital(
         args.shards, args.patients, replicas=args.replicas
     )
-    port = args.port
-    if port is None:
-        port = 0 if (args.smoke or args.load_ops) else 8642
     server = PenguinServer(
         sharded,
         host=args.host,
-        port=port,
+        port=args.port,
         batch_window=args.batch_window,
     )
-
-    if args.smoke or args.load_ops:
-        handle = server.in_background()
-        try:
-            print(f"topology: {sharded.describe()}")
-            print(f"listening on {handle.url}")
-            ops = args.load_ops or 400
-            report = asyncio.run(
-                run_load(
-                    server.host,
-                    server.port,
-                    ops=ops,
-                    workers=args.workers,
-                    population=args.patients,
-                    skew=args.skew,
-                    seed=args.seed,
-                )
-            )
-        finally:
-            handle.stop()
-        print(f"load: {report.describe()}")
-        degraded = sharded.health()["degraded"]
-        if not args.smoke:
-            return 0
-        p95 = report.summary().get("p95", 0.0)
-        checks = [
-            ("all ops answered", report.ops == ops),
-            ("no 5xx errors", report.errors == 0),
-            (
-                f"p95 {p95:.2f}ms <= {args.p95_bound:.0f}ms",
-                p95 <= args.p95_bound,
-            ),
-            ("no shard degraded", not degraded),
-            ("clean shutdown", not server.running),
-        ]
-        ok = all(passed for _, passed in checks)
-        for label, passed in checks:
-            print(f"  [{'PASS' if passed else 'FAIL'}] {label}")
-        print("serve-smoke:", "PASS" if ok else "FAIL")
-        return 0 if ok else 1
 
     async def _serve_forever() -> None:
         await server.start()
@@ -926,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit_tail = audit_commands.add_parser(
         "tail", help="print the newest audit records"
     )
-    audit_tail.add_argument("-n", "--count", type=int, default=10)
+    audit_tail.add_argument("-n", "--count", type=_non_negative, default=10)
 
     for name, help_text in (
         ("why", "print a tuple's provenance chain (follows re-homing)"),
@@ -961,9 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=None,
-        help="listen port (default 8642; load/smoke modes default to "
-             "an ephemeral port)",
+        "--port", type=int, default=8642,
+        help="listen port (default 8642; 0 = an ephemeral port)",
     )
     serve.add_argument("--shards", type=int, default=4)
     serve.add_argument(
@@ -972,27 +935,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--patients", type=int, default=25,
-        help="resident hospital population (zipfian reads target it)",
+        help="resident hospital population (patient charts loaded at start)",
     )
     serve.add_argument(
         "--batch-window", type=float, default=0.005, metavar="SECONDS",
         help="micro-batch window folding concurrent writes per object",
-    )
-    serve.add_argument(
-        "--load-ops", type=int, default=0, metavar="N",
-        help="run the zipfian load generator for N ops and exit",
-    )
-    serve.add_argument("--workers", type=int, default=8)
-    serve.add_argument("--skew", type=float, default=1.1)
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: zipfian burst, assert p95 bound + clean "
-             "shutdown, exit non-zero on FAIL",
-    )
-    serve.add_argument(
-        "--p95-bound", type=float, default=250.0, metavar="MS",
-        help="smoke-mode p95 latency bound in milliseconds",
     )
 
     validate = commands.add_parser(

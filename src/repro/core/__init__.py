@@ -8,7 +8,7 @@ and the VO-CD / VO-CI / VO-R translation algorithms behind
 """
 
 from repro.core.dependency_island import IslandAnalysis, NodeRole, analyze_island
-from repro.core.diff import ComponentChange, diff_instances, render_diff
+from repro.core.diff import diff_instances, render_diff
 from repro.core.information_metric import (
     InformationMetric,
     MetricWeights,
@@ -41,5 +41,4 @@ __all__ = [
     "Instantiator",
     "diff_instances",
     "render_diff",
-    "ComponentChange",
 ]

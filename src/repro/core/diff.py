@@ -15,7 +15,7 @@ from repro.errors import ViewObjectError
 from repro.core.instance import ComponentTuple, Instance
 from repro.core.view_object import ViewObjectDefinition
 
-__all__ = ["ComponentChange", "diff_instances", "render_diff"]
+__all__ = ["diff_instances", "render_diff"]
 
 
 class ComponentChange:

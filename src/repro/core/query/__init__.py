@@ -33,11 +33,8 @@ __all__ = [
     "parse_query",
     "plan_query",
     "evaluate",
-    "validate_against",
     "execute_query",
     "explain_query",
-    "parse_statement",
-    "QueryPlan",
     "QueryNode",
     "QAttr",
     "QCount",

@@ -35,7 +35,7 @@ from repro.core.query.ast import (
     QueryNode,
 )
 
-__all__ = ["evaluate", "validate_against"]
+__all__ = ["evaluate"]
 
 _OPERATORS = {
     "=": operator.eq,

@@ -42,7 +42,7 @@ from repro.core.query.ast import (
 )
 from repro.core.query.lexer import Token, tokenize
 
-__all__ = ["parse_query", "parse_statement"]
+__all__ = ["parse_query"]
 
 
 #: Deepest ``not`` / parenthesis nesting a condition may have. The

@@ -36,7 +36,7 @@ from repro.relational import expressions as rel
 from repro.relational.domains import DATE, INTEGER, REAL
 from repro.relational.schema import RelationSchema
 
-__all__ = ["plan_query", "QueryPlan"]
+__all__ = ["plan_query"]
 
 
 class QueryPlan:

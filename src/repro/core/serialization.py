@@ -14,7 +14,6 @@ application completers after loading.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Mapping
 
 from repro.errors import ViewObjectError
@@ -33,8 +32,6 @@ from repro.structural.schema_graph import StructuralSchema
 __all__ = [
     "view_object_to_dict",
     "view_object_from_dict",
-    "view_object_to_json",
-    "view_object_from_json",
     "policy_to_dict",
     "policy_from_dict",
 ]
@@ -135,16 +132,6 @@ def view_object_from_dict(
         projections,
         updatable=bool(data.get("updatable", True)),
     )
-
-
-def view_object_to_json(view_object: ViewObjectDefinition, indent: int = 2) -> str:
-    return json.dumps(view_object_to_dict(view_object), indent=indent)
-
-
-def view_object_from_json(
-    graph: StructuralSchema, text: str
-) -> ViewObjectDefinition:
-    return view_object_from_dict(graph, json.loads(text))
 
 
 # ---------------------------------------------------------------------------

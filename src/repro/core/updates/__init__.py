@@ -15,7 +15,6 @@ from repro.core.updates.context import TranslationContext
 from repro.core.updates.local_validation import (
     validate_deletion,
     validate_insertion,
-    validate_replacement,
 )
 from repro.core.updates.operations import (
     CompleteDeletion,
@@ -32,13 +31,11 @@ from repro.core.updates.partial import (
     translate_partial_update,
 )
 from repro.core.updates.policy import (
-    Completer,
     ReferenceRepair,
     RelationPolicy,
     TranslatorPolicy,
     null_completer,
 )
-from repro.core.updates.propagation import propagate_within_object
 from repro.core.updates.translator import Translator
 
 __all__ = [
@@ -46,7 +43,6 @@ __all__ = [
     "TranslatorPolicy",
     "RelationPolicy",
     "ReferenceRepair",
-    "Completer",
     "null_completer",
     "TranslationContext",
     "UpdateRequest",
@@ -59,8 +55,6 @@ __all__ = [
     "translate_partial_insertion",
     "translate_partial_deletion",
     "translate_partial_update",
-    "propagate_within_object",
     "validate_insertion",
     "validate_deletion",
-    "validate_replacement",
 ]

@@ -239,18 +239,5 @@ class BufferedEngine(Engine):
     def in_transaction(self) -> bool:
         return self._depth > 0
 
-    # -- introspection -----------------------------------------------------
-
-    def buffered_counts(self) -> Dict[str, Tuple[int, int]]:
-        """Per-relation (overlaid rows, tombstoned keys) — debugging aid."""
-        names = set(self._overlay) | set(self._tombstones)
-        return {
-            name: (
-                len(self._overlay.get(name, ())),
-                len(self._tombstones.get(name, ())),
-            )
-            for name in sorted(names)
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BufferedEngine(base={self.base!r})"

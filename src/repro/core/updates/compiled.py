@@ -98,7 +98,7 @@ from repro.relational.engine import _normalize_row_dates
 from repro.relational.operations import Delete, Insert
 from repro.structural.connections import ConnectionKind
 
-__all__ = ["CompiledNode", "CompiledProgram"]
+__all__ = ["CompiledProgram"]
 
 # CASE R-3 merge reasons name no node; they are shared constants.
 _R3_MERGE_DELETE = "CASE R-3 merge: old island tuple removed (VO-R)"
@@ -806,8 +806,15 @@ class CompiledProgram:
         component: ComponentTuple,
         parent_values: Optional[Dict[str, Any]] = None,
     ) -> ComponentTuple:
-        """Step 2 for a whole subtree (a component the replacement adds,
-        or a stand-alone :func:`propagate_within_object`)."""
+        """Step 2 for a whole subtree (a component the replacement adds).
+
+        Section 5.3: "a change to A_j has to be propagated down to R_j's
+        children in the dependency island". Every single-connection edge
+        propagates alike — an island child's inherited key, a
+        peninsula's system-maintained foreign key, a referenced
+        relation's connecting attributes. A composite multi-connection
+        edge (Figure 3) cannot be propagated at instance level; global
+        validation reconciles it."""
         component = cn.inherit(component, parent_values)
         return ComponentTuple(
             cn.node_id,

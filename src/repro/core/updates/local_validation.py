@@ -15,8 +15,7 @@ the structural restrictions of Section 5.3 hold:
 The gates live here. The key disciplines are judged on (old, new) pairs,
 and which tuple is whose partner is the compiled program's alignment —
 siblings by key, never by list position — so that half is
-:meth:`~repro.core.updates.compiled.CompiledProgram.replacement_delta`;
-:func:`validate_replacement` runs it stand-alone.
+:meth:`~repro.core.updates.compiled.CompiledProgram.replacement_delta`.
 """
 
 from __future__ import annotations
@@ -26,11 +25,9 @@ from repro.core.instance import Instance
 from repro.core.updates.context import TranslationContext
 
 __all__ = [
-    "validate_instance_shape",
     "validate_insertion",
     "validate_deletion",
     "validate_replacement_request",
-    "validate_replacement",
 ]
 
 
@@ -78,13 +75,3 @@ def validate_replacement_request(
             f"translator for {ctx.view_object.name!r} does not allow "
             f"replacements (the dialog's first answer was no)"
         )
-
-
-def validate_replacement(
-    ctx: TranslationContext, old: Instance, new: Instance
-) -> None:
-    """Step 1 of a replacement on its own: compiles ``ctx``'s view
-    object and runs the pass ``run_replacement`` starts with."""
-    from repro.core.updates.compiled import CompiledProgram
-
-    CompiledProgram(ctx.view_object, ctx.analysis).replacement_delta(ctx, old, new)

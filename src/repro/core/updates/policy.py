@@ -23,7 +23,6 @@ __all__ = [
     "RelationPolicy",
     "TranslatorPolicy",
     "null_completer",
-    "Completer",
 ]
 
 

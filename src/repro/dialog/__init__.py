@@ -16,8 +16,6 @@ from repro.dialog.answers import (
 from repro.dialog.drivers import (
     choose_translator,
     run_definition_dialog,
-    run_deletion_dialog,
-    run_insertion_dialog,
     run_replacement_dialog,
 )
 from repro.dialog.questions import Question
@@ -35,6 +33,4 @@ __all__ = [
     "choose_translator",
     "run_definition_dialog",
     "run_replacement_dialog",
-    "run_insertion_dialog",
-    "run_deletion_dialog",
 ]

@@ -38,8 +38,6 @@ from repro.structural.connections import ConnectionKind
 
 __all__ = [
     "run_replacement_dialog",
-    "run_insertion_dialog",
-    "run_deletion_dialog",
     "run_definition_dialog",
     "choose_translator",
 ]

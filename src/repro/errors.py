@@ -164,14 +164,6 @@ class ConnectionError(StructuralError):
 StructuralConnectionError = ConnectionError
 
 
-class IntegrityError(StructuralError):
-    """Data violates the integrity rules carried by a connection."""
-
-    def __init__(self, message: str, violations: Optional[list] = None) -> None:
-        super().__init__(message)
-        self.violations = violations or []
-
-
 # ---------------------------------------------------------------------------
 # View objects
 # ---------------------------------------------------------------------------
@@ -216,10 +208,6 @@ class UpdateError(ReproError):
 
 class LocalValidationError(UpdateError):
     """Step 1 failed: the request violates the view-object definition."""
-
-
-class PropagationError(UpdateError):
-    """Step 2 failed: in-object propagation of key changes is impossible."""
 
 
 class TranslationError(UpdateError):

@@ -1,24 +1,14 @@
 """Keller's relational-view update framework: the paper's baseline.
 
 Flat select-project-join views, the five validity criteria, candidate
-enumeration, and a definition-time-chosen translator — the approach the
+enumeration, and a configured flat translator — the approach the
 view-object algorithms of Section 5 extend.
 """
 
-from repro.keller.criteria import (
-    no_delete_insert_pairs,
-    no_side_effects,
-    no_unnecessary_changes,
-    one_step_changes,
-    satisfies_all,
-    simplest_replacements,
-)
-from repro.keller.dialog import choose_flat_translator
+from repro.keller.criteria import satisfies_all
 from repro.keller.enumeration import (
     contributing_rows,
     enumerate_deletions,
-    enumerate_insertions,
-    enumerate_replacements,
     valid_translations,
 )
 from repro.keller.translator import KellerTranslator
@@ -28,16 +18,8 @@ __all__ = [
     "RelationalView",
     "JoinEdge",
     "KellerTranslator",
-    "choose_flat_translator",
     "contributing_rows",
     "enumerate_deletions",
-    "enumerate_insertions",
-    "enumerate_replacements",
     "valid_translations",
-    "one_step_changes",
-    "no_delete_insert_pairs",
-    "simplest_replacements",
-    "no_side_effects",
-    "no_unnecessary_changes",
     "satisfies_all",
 ]

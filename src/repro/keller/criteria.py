@@ -37,15 +37,7 @@ from repro.relational.operations import (
     Replace,
 )
 
-__all__ = [
-    "touched_keys",
-    "one_step_changes",
-    "no_delete_insert_pairs",
-    "simplest_replacements",
-    "no_side_effects",
-    "no_unnecessary_changes",
-    "satisfies_all",
-]
+__all__ = ["satisfies_all"]
 
 
 def touched_keys(plan: Sequence[DatabaseOperation]) -> List[Tuple[str, Tuple]]:

@@ -38,8 +38,6 @@ from repro.relational.operations import (
 __all__ = [
     "contributing_rows",
     "enumerate_deletions",
-    "enumerate_insertions",
-    "enumerate_replacements",
     "valid_translations",
 ]
 

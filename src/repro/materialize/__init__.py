@@ -13,13 +13,7 @@ back too.
 """
 
 from repro.materialize.dependency import DependencyIndex
-from repro.materialize.maintainer import (
-    EAGER,
-    FULL_REFRESH,
-    LAZY,
-    Maintainer,
-    POLICIES,
-)
+from repro.materialize.maintainer import LAZY, Maintainer, POLICIES
 from repro.materialize.stats import CacheStats
 from repro.materialize.store import MaterializedStore, MaterializedView
 
@@ -31,6 +25,4 @@ __all__ = [
     "MaterializedView",
     "POLICIES",
     "LAZY",
-    "EAGER",
-    "FULL_REFRESH",
 ]

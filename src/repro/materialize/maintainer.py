@@ -42,7 +42,7 @@ from repro.errors import ViewObjectError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.materialize.store import MaterializedView
 
-__all__ = ["Maintainer", "POLICIES", "LAZY", "EAGER", "FULL_REFRESH"]
+__all__ = ["Maintainer", "POLICIES", "LAZY"]
 
 LAZY = "lazy"
 EAGER = "eager"

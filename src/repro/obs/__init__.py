@@ -11,10 +11,10 @@ strategy first-class too. One :class:`Observability` hub bundles
 * a :class:`~repro.obs.slowlog.SlowLog` (threshold-gated outliers),
 
 and the library's layers consult the *active* hub through the
-module-level accessors :func:`tracer` / :func:`metrics` /
-:func:`slow_log`. By default the hub is disabled: the accessors hand
-out shared no-op objects, so instrumented code paths cost one function
-call and nothing else. :func:`configure` swaps in a live hub;
+module-level accessors :func:`tracer` / :func:`metrics` (the slow log is
+``active().slow_log``). By default the hub is disabled: the accessors
+hand out shared no-op objects, so instrumented code paths cost one
+function call and nothing else. :func:`configure` swaps in a live hub;
 :func:`disable` restores the no-op one; :func:`use` scopes a hub to a
 ``with`` block (tests, benchmarks, property-based equivalence checks).
 
@@ -38,39 +38,29 @@ from repro.obs.context import (
     activate,
     attach,
     current_context,
-    current_request_id,
     current_trace_id,
     format_traceparent,
     new_request_id,
     new_trace_id,
     parse_traceparent,
 )
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.slowlog import SlowEntry, SlowLog
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.slowlog import SlowLog
 from repro.obs.trace import NOOP_TRACER, Span, Tracer
 
 __all__ = [
-    "Observability",
     "configure",
     "disable",
     "use",
     "active",
     "tracer",
     "metrics",
-    "slow_log",
     "component_metrics",
     "anomaly",
     "TraceContext",
     "activate",
     "attach",
     "current_context",
-    "current_request_id",
     "current_trace_id",
     "format_traceparent",
     "new_request_id",
@@ -79,13 +69,6 @@ __all__ = [
     "Tracer",
     "Span",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "SlowLog",
-    "SlowEntry",
-    "NOOP_TRACER",
-    "NULL_REGISTRY",
     "AuditLog",
     "MemoryAuditLog",
     "FileAuditLog",
@@ -121,11 +104,9 @@ _LAZY_EXPORTS = {
     "replay": "repro.obs.history",
     "ClusterMetrics": "repro.obs.cluster",
     "TraceAssembler": "repro.obs.cluster",
-    "AssembledTrace": "repro.obs.cluster",
     "FlightRecorder": "repro.obs.cluster",
     "SloTarget": "repro.obs.cluster",
     "SloTracker": "repro.obs.cluster",
-    "histogram_quantile": "repro.obs.cluster",
 }
 
 
@@ -226,10 +207,6 @@ def tracer() -> Tracer:
 
 def metrics() -> MetricsRegistry:
     return _active.metrics
-
-
-def slow_log() -> Optional[SlowLog]:
-    return _active.slow_log
 
 
 def component_metrics(name: str) -> MetricsRegistry:

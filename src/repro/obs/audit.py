@@ -59,7 +59,6 @@ __all__ = [
     "ROLLED_BACK",
     "DEGRADED_REJECTED",
     "CRASHED",
-    "OUTCOMES",
     "AuditLog",
     "MemoryAuditLog",
     "FileAuditLog",
@@ -248,7 +247,10 @@ class AuditLog:
         return [r for r in self.records() if r.trace_id == trace_id]
 
     def tail(self, n: int = 10) -> List[UpdateRecord]:
-        return self.records()[-n:]
+        """The newest ``n`` records, oldest first (none for ``n == 0``)."""
+        if n < 0:
+            raise ValueError(f"tail needs a count >= 0, not {n}")
+        return self.records()[-n:] if n else []
 
     def record(self, asn: int) -> UpdateRecord:
         with self._lock:

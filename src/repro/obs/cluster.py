@@ -50,10 +50,8 @@ from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "ClusterMetrics",
-    "histogram_quantile",
     "SloTarget",
     "SloTracker",
-    "AssembledTrace",
     "TraceAssembler",
     "FlightRecorder",
 ]

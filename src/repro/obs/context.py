@@ -35,7 +35,6 @@ __all__ = [
     "TraceContext",
     "current_context",
     "current_trace_id",
-    "current_request_id",
     "attach",
     "activate",
     "new_trace_id",
@@ -176,11 +175,6 @@ def current_context() -> Optional[TraceContext]:
 def current_trace_id() -> Optional[str]:
     ctx = _CURRENT.get()
     return ctx.trace_id if ctx is not None else None
-
-
-def current_request_id() -> Optional[str]:
-    ctx = _CURRENT.get()
-    return ctx.baggage.get("request_id") if ctx is not None else None
 
 
 @contextlib.contextmanager

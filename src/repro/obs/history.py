@@ -27,7 +27,7 @@ from repro.errors import AuditError
 from repro.obs.audit import COMMITTED, AuditLog
 from repro.relational.engine import Engine
 
-__all__ = ["as_of", "divergence", "replay", "snapshot", "ReplayReport"]
+__all__ = ["as_of", "divergence", "replay", "ReplayReport"]
 
 RelationState = Dict[Tuple[Any, ...], Tuple[Any, ...]]
 DatabaseState = Dict[str, RelationState]

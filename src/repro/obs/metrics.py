@@ -26,14 +26,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_REGISTRY",
-    "DEFAULT_BUCKETS",
-]
+__all__ = ["MetricsRegistry"]
 
 LabelPairs = Tuple[Tuple[str, str], ...]
 

@@ -15,8 +15,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.trace import Span
 
-__all__ = ["SlowLog", "SlowEntry"]
-
 
 class SlowEntry:
     """One retained slow operation."""

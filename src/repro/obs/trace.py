@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, IO, Iterator, List, Optional, Tuple, Uni
 
 from repro.obs.context import current_context, new_span_id
 
-__all__ = ["Span", "Tracer", "NOOP_TRACER"]
+__all__ = ["Span", "Tracer"]
 
 Clock = Callable[[], float]
 

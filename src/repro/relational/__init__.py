@@ -10,15 +10,11 @@ undo-log transactions and hash indexes) and :class:`SqliteEngine`
 
 from repro.relational.algebra import (
     DerivedRelation,
-    aggregate,
-    cross,
-    difference,
     from_engine,
     join,
     project,
     rename,
     select,
-    union,
 )
 from repro.relational.changelog import ChangeLog, ChangeRecord
 from repro.relational.ddl import SchemaBuilder, relation
@@ -44,7 +40,6 @@ from repro.relational.journal import (
     PlanJournal,
     RecoveryReport,
     UpdateRecord,
-    apply_journaled,
     recover,
     restore_images,
 )
@@ -61,8 +56,6 @@ from repro.relational.expressions import (
     Not,
     Or,
     TRUE,
-    attr,
-    const,
 )
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.operations import (
@@ -71,7 +64,6 @@ from repro.relational.operations import (
     Insert,
     Replace,
     UpdatePlan,
-    apply_plan,
 )
 from repro.relational.row import Row
 from repro.relational.schema import Attribute, RelationSchema
@@ -104,14 +96,11 @@ __all__ = [
     "Like",
     "In",
     "TRUE",
-    "attr",
-    "const",
     "DatabaseOperation",
     "Insert",
     "Delete",
     "Replace",
     "UpdatePlan",
-    "apply_plan",
     "ChangeLog",
     "ChangeRecord",
     "DerivedRelation",
@@ -119,11 +108,7 @@ __all__ = [
     "select",
     "project",
     "join",
-    "cross",
     "rename",
-    "union",
-    "difference",
-    "aggregate",
     "SchemaBuilder",
     "relation",
     "FaultInjectingEngine",
@@ -137,7 +122,6 @@ __all__ = [
     "FileJournal",
     "UpdateRecord",
     "RecoveryReport",
-    "apply_journaled",
     "recover",
     "restore_images",
 ]

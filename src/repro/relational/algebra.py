@@ -27,10 +27,6 @@ __all__ = [
     "project",
     "join",
     "rename",
-    "union",
-    "difference",
-    "cross",
-    "aggregate",
 ]
 
 

@@ -15,8 +15,6 @@ from typing import TextIO
 from repro.errors import SchemaError
 from repro.relational.engine import Engine
 
-__all__ = ["load_csv", "dump_csv", "loads_csv", "dumps_csv"]
-
 
 def load_csv(engine: Engine, relation: str, stream: TextIO) -> int:
     """Load rows from ``stream`` into ``relation``; return the row count."""

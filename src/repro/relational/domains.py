@@ -26,7 +26,6 @@ __all__ = [
     "BOOLEAN",
     "DATE",
     "domain_by_name",
-    "BUILTIN_DOMAINS",
 ]
 
 

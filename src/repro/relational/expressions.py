@@ -51,8 +51,6 @@ __all__ = [
     "Like",
     "In",
     "TRUE",
-    "attr",
-    "const",
     "like_regex",
 ]
 
@@ -471,13 +469,3 @@ class In(Expression):
 
 TRUE = And()
 """The always-true predicate (an empty conjunction)."""
-
-
-def attr(name: str) -> Attr:
-    """Shorthand constructor for :class:`Attr`."""
-    return Attr(name)
-
-
-def const(value: Any) -> Const:
-    """Shorthand constructor for :class:`Const`."""
-    return Const(value)

@@ -66,13 +66,10 @@ __all__ = [
     "images_from_records",
     "restore_images",
     "JsonLinesFile",
-    "apply_journaled",
     "recover",
     "RecoveryReport",
     "encode_plan",
-    "decode_plan",
     "encode_images",
-    "decode_images",
 ]
 
 PENDING = "pending"
@@ -637,32 +634,6 @@ class FileJournal(PlanJournal):
 # ---------------------------------------------------------------------------
 # Journaled application and recovery
 # ---------------------------------------------------------------------------
-
-
-def apply_journaled(
-    engine: Engine,
-    journal: PlanJournal,
-    plan: UpdatePlan,
-    atomic: bool = True,
-    label: str = "",
-) -> int:
-    """Apply ``plan`` under journal protection; returns the entry id.
-
-    With ``atomic=True`` the plan runs through the engine's batched
-    transaction path. ``atomic=False`` applies each operation in
-    autocommit mode — modelling a storage layer without multi-operation
-    atomicity — which is exactly the regime where a mid-plan crash
-    leaves a torn state for :func:`recover` to repair.
-    """
-    images = plan_images(engine, plan)
-    entry_id = journal.begin(plan, images, label=label)
-    if atomic:
-        engine.apply_batch(plan.operations)
-    else:
-        for operation in plan.operations:
-            operation.apply(engine)
-    journal.mark_committed(entry_id)
-    return entry_id
 
 
 class RecoveryReport:

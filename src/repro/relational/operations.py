@@ -6,10 +6,11 @@ This module defines those operations — :class:`Insert`, :class:`Delete`,
 and :class:`Replace` — as immutable records, so a translator can build,
 inspect, count, and optimize a plan before a single row is touched.
 
-:func:`apply_plan` executes a plan against any engine inside a
-transaction; if any operation fails, the transaction is rolled back and
-the error re-raised, matching the paper's all-or-nothing semantics
-("the transaction cannot be completed and has to be rolled back").
+:meth:`Engine.apply_batch <repro.relational.engine.Engine.apply_batch>`
+executes a plan inside one transaction; if any operation fails, the
+transaction is rolled back and the error re-raised, matching the paper's
+all-or-nothing semantics ("the transaction cannot be completed and has
+to be rolled back").
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ __all__ = [
     "Delete",
     "Replace",
     "UpdatePlan",
-    "apply_plan",
-    "apply_plan_batch",
     "coalesce_plans",
 ]
 
@@ -205,25 +204,6 @@ class UpdatePlan:
         return f"UpdatePlan({len(self.operations)} operations)"
 
 
-def apply_plan(engine, plan: Iterable[DatabaseOperation]) -> int:
-    """Apply every operation of ``plan`` in one transaction.
-
-    Returns the number of operations applied. On any failure the
-    transaction is rolled back and the exception re-raised.
-    """
-    count = 0
-    engine.begin()
-    try:
-        for operation in plan:
-            operation.apply(engine)
-            count += 1
-    except Exception:
-        engine.rollback()
-        raise
-    engine.commit()
-    return count
-
-
 class _Entry:
     """Mutable per-key cell used while coalescing (one final operation)."""
 
@@ -336,16 +316,3 @@ def _fold(
         f"cannot coalesce delete then {second.kind} on the same key in "
         f"{relation!r}"
     )
-
-
-def apply_plan_batch(engine, plans: Iterable[UpdatePlan]) -> UpdatePlan:
-    """Coalesce several plans and execute the result atomically.
-
-    The combined plan runs through :meth:`Engine.apply_batch`, which
-    backends implement with batched statements (``executemany`` runs on
-    sqlite, a single lock acquisition in memory). Returns the coalesced
-    plan that was applied.
-    """
-    combined = coalesce_plans(plans, engine.schema)
-    engine.apply_batch(combined.operations)
-    return combined

@@ -9,7 +9,6 @@ losslessly.
 from __future__ import annotations
 
 import datetime
-import json
 from typing import Any, Dict, List, Mapping
 
 from repro.errors import SchemaError
@@ -22,8 +21,6 @@ __all__ = [
     "schema_from_dict",
     "dump_database",
     "load_database",
-    "dumps_database",
-    "loads_database",
 ]
 
 FORMAT_VERSION = 1
@@ -111,11 +108,3 @@ def load_database(engine: Engine, data: Mapping[str, Any]) -> Dict[str, int]:
             count += 1
         counts[schema.name] = count
     return counts
-
-
-def dumps_database(engine: Engine, indent: int = None) -> str:
-    return json.dumps(dump_database(engine), indent=indent)
-
-
-def loads_database(engine: Engine, text: str) -> Dict[str, int]:
-    return load_database(engine, json.loads(text))

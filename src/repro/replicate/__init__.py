@@ -33,14 +33,9 @@ holds every step to a single in-memory ``Penguin``.
 
 from repro.replicate.link import ShippingLink
 from repro.replicate.replica import ReplicaStack
-from repro.replicate.replicaset import (
-    FailureDetector,
-    ReplicaSet,
-    ReplicationConfig,
-)
+from repro.replicate.replicaset import ReplicaSet, ReplicationConfig
 
 __all__ = [
-    "FailureDetector",
     "ReplicaSet",
     "ReplicaStack",
     "ReplicationConfig",

@@ -142,11 +142,6 @@ class ReplicaStack:
         with self._lock:
             return self._applied + len(self._inbox)
 
-    @property
-    def inbox_size(self) -> int:
-        with self._lock:
-            return len(self._inbox)
-
     # -- lifecycle (fault surface) -------------------------------------------
 
     def kill(self) -> None:

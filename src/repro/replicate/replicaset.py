@@ -53,20 +53,7 @@ from repro.serve.concurrent import ConcurrentPenguin, ServedRead
 from repro.serve.locks import ReadWriteLock
 from repro.structural.schema_graph import StructuralSchema
 
-__all__ = ["FailureDetector", "ReplicaSet", "ReplicationConfig"]
-
-#: The yield points of the write path, then of a failover, in order; the
-#: set ticks its ``failpoint`` at each of them, at ``"ship"`` before
-#: every send and at ``"probe"`` on every heartbeat.
-CHECKPOINT_STAGES = (
-    "pre_apply",
-    "post_apply",
-    "pre_ship",
-    "post_ship",
-    "pre_promote",
-    "post_drain",
-    "post_promote",
-)
+__all__ = ["ReplicaSet", "ReplicationConfig"]
 
 
 class ReplicationConfig:
@@ -256,6 +243,10 @@ class ReplicaSet:
         return self.primary.killed or self.primary.fenced
 
     def _checkpoint(self, point: str) -> None:
+        """Tick ``failpoint``: in order, ``pre_apply``, ``post_apply``,
+        ``pre_ship``, ``post_ship`` on the write path, ``pre_promote``,
+        ``post_drain``, ``post_promote`` in a failover; ``ship`` before
+        every send and ``probe`` on every heartbeat."""
         if self.failpoint is not None:
             self.failpoint.tick(point, shard=self.shard_id)
 

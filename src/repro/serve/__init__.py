@@ -9,22 +9,15 @@ concurrently, while translated updates, materialization, and cache
 syncs get exclusive access.
 """
 
-from repro.serve.breaker import DEGRADED, HEALTHY, CircuitBreaker
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.concurrent import ConcurrentPenguin, ServedRead
-from repro.serve.http import MicroBatcher, PenguinServer, ServerHandle
-from repro.serve.load import LoadReport, run_load
+from repro.serve.http import PenguinServer
 from repro.serve.locks import ReadWriteLock
 
 __all__ = [
     "ConcurrentPenguin",
     "ReadWriteLock",
     "CircuitBreaker",
-    "HEALTHY",
-    "DEGRADED",
-    "LoadReport",
-    "MicroBatcher",
     "PenguinServer",
     "ServedRead",
-    "ServerHandle",
-    "run_load",
 ]

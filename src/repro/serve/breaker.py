@@ -24,7 +24,7 @@ from typing import Any, Dict
 
 import repro.obs as obs
 
-__all__ = ["CircuitBreaker", "HEALTHY", "DEGRADED"]
+__all__ = ["CircuitBreaker"]
 
 HEALTHY = "healthy"
 DEGRADED = "degraded"

@@ -206,6 +206,8 @@ class ConcurrentPenguin(ViewObjectSession):
                     result = engine_read()
             except Exception as exc:
                 if not _is_engine_fault(exc):
+                    # A rejection is an answer: the engine was reached.
+                    self.breaker.record_success()
                     raise
                 self.breaker.record_failure()
                 if not self.breaker.degraded:
@@ -236,11 +238,13 @@ class ConcurrentPenguin(ViewObjectSession):
         the state it was translated against, and no other writer may
         change that state before the plan lands. Readers are not
         excluded here; the body takes :attr:`lock`'s exclusive side
-        where it lands. An engine fault from any half of the body
-        reaches the breaker, and ``serve_writes_total{mode}`` counts the
-        write once: the thread that holds the guard re-enters it freely
-        (``ReplicaSet.apply_plan`` → :meth:`apply_plan` inside a sharded
-        write) without consulting or reporting again.
+        where it lands. The breaker hears how the body ended: an engine
+        fault from any half is a failure, anything else — a rejection
+        included, since the engine answered — a success; and
+        ``serve_writes_total{mode}`` counts the write once: the thread
+        that holds the guard re-enters it freely (``ReplicaSet.apply_plan``
+        → :meth:`apply_plan` inside a sharded write) without consulting
+        or reporting again.
         """
         me = threading.get_ident()
         if self._writer == me:
@@ -267,6 +271,8 @@ class ConcurrentPenguin(ViewObjectSession):
             except Exception as exc:
                 if _is_engine_fault(exc):
                     self.breaker.record_failure()
+                else:
+                    self.breaker.record_success()  # a rejection is an answer
                 self._count("serve_writes_total", "failed")
                 raise
             finally:

@@ -69,7 +69,7 @@ from repro.core.updates.operations import (
 from repro.errors import http_status
 from repro.serve.concurrent import ServedRead
 
-__all__ = ["MicroBatcher", "PenguinServer", "ServerHandle", "parse_key"]
+__all__ = ["PenguinServer"]
 
 _REASONS = {
     200: "OK",

@@ -120,11 +120,6 @@ class ReadWriteLock:
     # -- introspection (for tests) -----------------------------------------
 
     @property
-    def active_readers(self) -> int:
-        with self._cond:
-            return self._readers
-
-    @property
     def write_held(self) -> bool:
         with self._cond:
             return self._writer_owner is not None

@@ -13,32 +13,18 @@ from repro.shard.router import (
     RangeRouter,
     Router,
     partition_plan,
-    stable_hash,
 )
-from repro.shard.sharded import (
-    Shard,
-    ShardedPenguin,
-    ShardedRecovery,
-    sharded_loader,
-)
-from repro.shard.twophase import (
-    TwoPhaseRecoveryReport,
-    recover_two_phase,
-    two_phase_apply,
-)
+from repro.shard.sharded import ShardedPenguin, sharded_loader
+from repro.shard.twophase import recover_two_phase, two_phase_apply
 
 __all__ = [
     "HashRouter",
     "Placement",
     "RangeRouter",
     "Router",
-    "Shard",
     "ShardedPenguin",
-    "ShardedRecovery",
-    "TwoPhaseRecoveryReport",
     "partition_plan",
     "recover_two_phase",
     "sharded_loader",
-    "stable_hash",
     "two_phase_apply",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "HashRouter",
     "RangeRouter",
     "partition_plan",
-    "stable_hash",
 ]
 
 RoutingKey = Tuple[Any, ...]

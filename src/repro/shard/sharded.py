@@ -70,7 +70,7 @@ from repro.shard.router import HashRouter, Placement, Router, partition_plan
 from repro.shard.twophase import recover_two_phase, two_phase_apply
 from repro.structural.schema_graph import StructuralSchema
 
-__all__ = ["Shard", "ShardedPenguin", "ShardedRecovery", "sharded_loader"]
+__all__ = ["ShardedPenguin", "sharded_loader"]
 
 
 def _count_update(outcome: str, shard_id: int) -> None:

@@ -51,14 +51,7 @@ from repro.relational.journal import (
 )
 from repro.relational.operations import UpdatePlan
 
-__all__ = [
-    "TWO_PHASE_PREFIX",
-    "two_phase_apply",
-    "recover_two_phase",
-    "TwoPhaseRecoveryReport",
-    "twophase_label",
-    "parse_twophase_label",
-]
+__all__ = ["two_phase_apply", "recover_two_phase"]
 
 TWO_PHASE_PREFIX = "2pc:"
 

@@ -60,7 +60,7 @@ from repro.shard import ShardedPenguin
 from repro.workloads.hospital import hospital_session, new_chart, rehome, restarted
 from repro.workloads.synthetic import ZipfianWorkload
 
-__all__ = ["Fault", "Op", "PRESETS", "Report", "Step", "replay", "simulate"]
+__all__ = ["PRESETS", "replay", "simulate"]
 
 OBJECT = "patient_chart"
 #: The four resident charts and eight free keys: small enough to collide.

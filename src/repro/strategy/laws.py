@@ -63,10 +63,7 @@ __all__ = [
     "chain_case",
     "workload_case",
     "random_policy",
-    "LawResult",
-    "LawReport",
     "run_laws",
-    "LAW_NAMES",
 ]
 
 LAW_NAMES = (

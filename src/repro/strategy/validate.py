@@ -24,7 +24,7 @@ from repro.strategy.laws import (
 )
 from repro.strategy.risk import RiskLevel
 
-__all__ = ["validate_case", "validate_workload", "sweep", "render_result"]
+__all__ = ["validate_workload", "sweep", "render_result"]
 
 WORKLOADS = ("hospital", "university", "cad")
 

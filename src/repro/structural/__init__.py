@@ -7,13 +7,8 @@ plus an integrity checker and path utilities.
 """
 
 from repro.structural.connections import Connection, ConnectionKind, Traversal
-from repro.structural.integrity import (
-    IntegrityChecker,
-    Violation,
-    connected_tuples,
-    connection_entry,
-)
-from repro.structural.paths import ConnectionPath, shortest_path, simple_paths
+from repro.structural.integrity import IntegrityChecker, Violation
+from repro.structural.paths import ConnectionPath
 from repro.structural.rendering import to_ascii, to_dot
 from repro.structural.schema_graph import StructuralSchema
 from repro.structural.validation import validate_connection
@@ -26,11 +21,7 @@ __all__ = [
     "validate_connection",
     "IntegrityChecker",
     "Violation",
-    "connected_tuples",
-    "connection_entry",
     "ConnectionPath",
-    "simple_paths",
-    "shortest_path",
     "to_ascii",
     "to_dot",
 ]

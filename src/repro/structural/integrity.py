@@ -22,7 +22,7 @@ from repro.relational.engine import Engine
 from repro.structural.connections import Connection, ConnectionKind, Traversal
 from repro.structural.schema_graph import StructuralSchema
 
-__all__ = ["Violation", "IntegrityChecker", "connected_tuples", "connection_entry"]
+__all__ = ["Violation", "IntegrityChecker"]
 
 
 def connection_entry(

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.structural.connections import ConnectionKind, Traversal
 from repro.structural.schema_graph import StructuralSchema
 
-__all__ = ["ConnectionPath", "simple_paths", "shortest_path"]
+__all__ = ["ConnectionPath"]
 
 
 class ConnectionPath:

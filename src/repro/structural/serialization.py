@@ -7,7 +7,6 @@ reconstructed offline (schema → objects → policies → data).
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Mapping
 
 from repro.errors import StructuralError
@@ -15,7 +14,7 @@ from repro.relational.persistence import schema_from_dict, schema_to_dict
 from repro.structural.connections import Connection, ConnectionKind
 from repro.structural.schema_graph import StructuralSchema
 
-__all__ = ["graph_to_dict", "graph_from_dict", "graph_to_json", "graph_from_json"]
+__all__ = ["graph_to_dict", "graph_from_dict"]
 
 FORMAT_VERSION = 1
 
@@ -62,11 +61,3 @@ def graph_from_dict(data: Mapping[str, Any]) -> StructuralSchema:
             )
         )
     return graph
-
-
-def graph_to_json(graph: StructuralSchema, indent: int = 2) -> str:
-    return json.dumps(graph_to_dict(graph), indent=indent)
-
-
-def graph_from_json(text: str) -> StructuralSchema:
-    return graph_from_dict(json.loads(text))

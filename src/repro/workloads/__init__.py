@@ -8,12 +8,8 @@
   scaling benches.
 """
 
-from repro.workloads.cad import CadConfig, assembly_object, cad_schema, populate_cad
-from repro.workloads.figures import (
-    alternate_course_object,
-    course_info_object,
-    person_object,
-)
+from repro.workloads.cad import assembly_object, cad_schema, populate_cad
+from repro.workloads.figures import alternate_course_object, course_info_object
 from repro.workloads.hospital import (
     HospitalConfig,
     hospital_schema,
@@ -23,7 +19,6 @@ from repro.workloads.hospital import (
 from repro.workloads.synthetic import (
     chain_object,
     chain_schema,
-    chain_selections,
     populate_chain,
     random_chain_case,
 )
@@ -39,7 +34,6 @@ __all__ = [
     "UniversityConfig",
     "course_info_object",
     "alternate_course_object",
-    "person_object",
     "hospital_schema",
     "populate_hospital",
     "patient_chart_object",
@@ -47,10 +41,8 @@ __all__ = [
     "cad_schema",
     "populate_cad",
     "assembly_object",
-    "CadConfig",
     "chain_schema",
     "populate_chain",
     "chain_object",
-    "chain_selections",
     "random_chain_case",
 ]

@@ -29,7 +29,6 @@ __all__ = [
     "cad_schema",
     "populate_cad",
     "assembly_object",
-    "CadConfig",
 ]
 
 _MATERIALS = [

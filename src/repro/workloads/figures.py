@@ -16,7 +16,7 @@ from repro.core.information_metric import InformationMetric
 from repro.core.view_object import ViewObjectDefinition, define_view_object
 from repro.structural.schema_graph import StructuralSchema
 
-__all__ = ["course_info_object", "alternate_course_object", "person_object"]
+__all__ = ["course_info_object", "alternate_course_object"]
 
 
 def course_info_object(
@@ -37,36 +37,6 @@ def course_info_object(
             "CURRICULUM": ("degree", "course_id", "category"),
             "GRADES": ("course_id", "student_id", "grade"),
             "STUDENT": ("person_id", "degree_program", "year"),
-        },
-        metric=metric,
-    )
-
-
-def person_object(
-    graph: StructuralSchema,
-    metric: Optional[InformationMetric] = None,
-    name: str = "person_record",
-) -> ViewObjectDefinition:
-    """A person-centered object (not a paper figure, but the natural
-    third perspective on the Figure 1 schema).
-
-    Its dependency island contains the *subset* specializations —
-    PEOPLE ==>o STUDENT/FACULTY/STAFF — and, through STUDENT's forward
-    ownership, the student's GRADES: deleting a person removes their
-    specialization tuples and grades; re-keying a person propagates
-    through all of them.
-    """
-    return define_view_object(
-        graph,
-        name,
-        pivot="PEOPLE",
-        selections={
-            "PEOPLE": ("person_id", "name", "dept_name"),
-            "STUDENT": ("person_id", "degree_program", "year"),
-            "FACULTY": ("person_id", "rank", "office"),
-            "STAFF": ("person_id", "position", "salary"),
-            "GRADES": ("course_id", "student_id", "grade"),
-            "DEPARTMENT": ("dept_name", "building"),
         },
         metric=metric,
     )

@@ -30,13 +30,10 @@ from repro.relational.engine import Engine
 from repro.structural.schema_graph import StructuralSchema
 
 __all__ = [
-    "ADVERSARIAL_FEATURES",
     "chain_schema",
     "populate_chain",
     "chain_object",
-    "chain_selections",
     "random_chain_case",
-    "WorkloadOp",
     "ZipfianWorkload",
 ]
 
@@ -290,10 +287,9 @@ def random_chain_case(
 class WorkloadOp:
     """One operation of a generated multi-tenant stream.
 
-    ``rank`` indexes the key *population* (0 = hottest); callers map it
-    into their own key space — the serve load generator maps ranks to
-    patient ids, the simulation checker to its key population. ``kind`` is one
-    of ``"read"``, ``"update"``, ``"insert"``, ``"delete"``.
+    ``rank`` indexes the key *population* (0 = hottest); a caller maps
+    it into its own key space. ``kind`` is one of ``"read"``,
+    ``"update"``, ``"insert"``, ``"delete"``.
     """
 
     __slots__ = ("kind", "tenant", "rank", "sequence")
@@ -323,8 +319,8 @@ class ZipfianWorkload:
     reproducible.
 
     Everything derives from ``seed``: two instances with the same
-    parameters produce identical streams, which is what lets the serve
-    load test and the simulation checker replay a run exactly.
+    parameters produce identical streams, which is what lets the
+    simulation checker replay a run exactly.
     """
 
     def __init__(

@@ -43,12 +43,12 @@ def test_instance_is_hierarchical(results):
 
 def test_result_matches_manual_filter(omega, university_engine, results):
     from repro.core.instantiation import Instantiator
-    from repro.relational.expressions import attr
+    from repro.relational.expressions import Attr
 
     manual = [
         i
         for i in Instantiator(omega).where(
-            university_engine, attr("level") == "graduate"
+            university_engine, Attr("level") == "graduate"
         )
         if i.count_at("STUDENT") < 5
     ]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.instantiation import Instantiator
-from repro.relational.expressions import TRUE, attr
+from repro.relational.expressions import TRUE, Attr
 
 
 @pytest.fixture
@@ -55,7 +55,7 @@ class TestByKey:
 class TestWhere:
     def test_predicate_filters(self, instantiator, university_engine):
         graduate = instantiator.where(
-            university_engine, attr("level") == "graduate"
+            university_engine, Attr("level") == "graduate"
         )
         assert graduate
         assert all(

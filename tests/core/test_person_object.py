@@ -13,13 +13,34 @@ from repro.core.updates.operations import (
 )
 from repro.core.updates.policy import ReferenceRepair, RelationPolicy, TranslatorPolicy
 from repro.core.updates.translator import Translator
+from repro.core.view_object import define_view_object
 from repro.structural.integrity import IntegrityChecker
-from repro.workloads.figures import person_object
 
 
 @pytest.fixture
 def person_vo(university_graph):
-    return person_object(university_graph)
+    """A person-centered object (not a paper figure, but the natural
+    third perspective on the Figure 1 schema).
+
+    Its dependency island contains the *subset* specializations —
+    PEOPLE ==>o STUDENT/FACULTY/STAFF — and, through STUDENT's forward
+    ownership, the student's GRADES: deleting a person removes their
+    specialization tuples and grades; re-keying a person propagates
+    through all of them.
+    """
+    return define_view_object(
+        university_graph,
+        "person_record",
+        pivot="PEOPLE",
+        selections={
+            "PEOPLE": ("person_id", "name", "dept_name"),
+            "STUDENT": ("person_id", "degree_program", "year"),
+            "FACULTY": ("person_id", "rank", "office"),
+            "STAFF": ("person_id", "position", "salary"),
+            "GRADES": ("course_id", "student_id", "grade"),
+            "DEPARTMENT": ("dept_name", "building"),
+        },
+    )
 
 
 @pytest.fixture

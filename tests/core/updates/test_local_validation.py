@@ -5,13 +5,19 @@ import pytest
 from repro.errors import LocalValidationError
 from repro.core.instance import build_instance
 from repro.core.updates.context import TranslationContext
+from repro.core.updates.compiled import CompiledProgram
 from repro.core.updates.local_validation import (
     validate_deletion,
     validate_insertion,
-    validate_replacement,
 )
 from repro.core.updates.policy import RelationPolicy, TranslatorPolicy
 from repro.core.view_object import define_view_object
+
+
+def validate_replacement(ctx, old, new):
+    """Step 1 of a replacement on its own: the pass ``run_replacement``
+    starts with."""
+    CompiledProgram(ctx.view_object, ctx.analysis).replacement_delta(ctx, old, new)
 
 
 def ctx_for(view_object, engine, policy=None):

@@ -2,8 +2,18 @@
 
 import pytest
 
-from repro.core.instance import build_instance
-from repro.core.updates.propagation import propagate_within_object
+from repro.core.dependency_island import analyze_island
+from repro.core.instance import Instance, build_instance
+from repro.core.updates.compiled import CompiledProgram
+
+
+def propagate_within_object(view_object, new_instance):
+    """Step 2 over a whole instance: connecting attributes rewritten
+    downward into a new Instance; the caller's is left untouched."""
+    program = CompiledProgram(view_object, analyze_island(view_object))
+    return Instance(
+        view_object, program.propagated(program.root, new_instance.root)
+    )
 
 
 @pytest.fixture

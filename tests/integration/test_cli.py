@@ -1,10 +1,21 @@
 """The ``python -m repro`` command-line interface."""
 
+import asyncio
 import json
+import os
+import queue
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import build_parser, main
+from repro.serve.load import http_request
+from repro.workloads.hospital import new_chart
 
 
 def test_demo_prints_all_figures(capsys):
@@ -173,6 +184,101 @@ def test_simulate_command(capsys):
     assert "simulate crash (seed=0, steps=20, deployment=single)" in out
     assert "crash@mutation#1 fired" in out
     assert "all held" in out
+
+
+def test_audit_tail_prints_the_newest_records(capsys):
+    assert main(["audit", "--ops", "3", "--seed", "0", "tail", "-n", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "audit log: 6 record(s), head ASN 6"
+    assert [line.split()[0] for line in lines[1:]] == ["#5", "#6"]
+    assert main(["audit", "--ops", "3", "tail", "-n", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    with pytest.raises(SystemExit) as refused:
+        main(["audit", "tail", "-n", "-1"])
+    assert refused.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_audit_lineage_commands(capsys):
+    assert main(
+        ["audit", "--ops", "3", "why", "--relation", "PATIENT", "--key", "77001"]
+    ) == 0
+    assert "provenance of PATIENT(77001,): 3 link(s)" in capsys.readouterr().out
+    assert main(
+        ["audit", "--ops", "3", "history", "--relation", "VISIT", "--key", "77001", "1"]
+    ) == 0
+    assert "history of VISIT(77001, 1): 2 link(s)" in capsys.readouterr().out
+    assert main(["audit", "--ops", "3", "as-of", "2", "--relation", "PATIENT"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "state as of ASN 2:",
+        "  PATIENT        26 tuple(s)",
+    ]
+
+
+def test_materialize_query_text(capsys):
+    assert main(
+        ["materialize", "--queries", "3", "--update-every", "0", "--text", "units >= 4"]
+    ) == 0
+    assert "queries=3 update_every=never" in capsys.readouterr().out
+
+
+async def _every_verb(host, port):
+    """GET, PUT, POST and DELETE on patient charts, then ``/health``."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        async def call(method, path, payload=None):
+            body = json.dumps(payload).encode() if payload is not None else None
+            status, answer = await http_request(reader, writer, method, path, body, host)
+            return status, json.loads(answer or b"{}")
+
+        status, got = await call("GET", "/objects/patient_chart/100")
+        assert status == 200
+        chart = got["instance"]
+        chart["name"] = "Renamed Patient"
+        assert (await call("PUT", "/objects/patient_chart/100", {"instance": chart}))[0] == 200
+        fresh = new_chart(90_001, "Served Patient", 1970, "smoke")
+        assert (await call("POST", "/objects/patient_chart", {"instance": fresh}))[0] == 201
+        assert (await call("DELETE", "/objects/patient_chart/90001"))[0] == 200
+        status, health = await call("GET", "/health")
+        assert status == 200
+        return health
+    finally:
+        writer.close()
+
+
+@pytest.mark.timeout(120)
+def test_serve_answers_every_verb_and_stops_cleanly_on_sigint():
+    """The foreground server: it listens, answers each verb with no
+    shard degraded, and SIGINT is a clean exit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--shards", "4", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    ) as server:
+        lines = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: [lines.put(line) for line in server.stdout], daemon=True
+        )
+        reader.start()
+        output = []
+        try:
+            while not output or "listening on" not in output[-1]:
+                output.append(lines.get(timeout=60))
+            host, port = output[-1].split("http://")[1].strip().rsplit(":", 1)
+            health = asyncio.run(_every_verb(host, int(port)))
+            assert health["num_shards"] == 4
+            assert health["degraded"] == []
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=30) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=30)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+    while not lines.empty():
+        output.append(lines.get())
+    assert output[-1].strip() == "shutting down"
 
 
 def test_the_campaign_commands_are_gone_with_no_alias():

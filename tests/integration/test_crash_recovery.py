@@ -21,7 +21,6 @@ from repro.relational.journal import (
     ABORTED,
     COMMITTED,
     MemoryJournal,
-    apply_journaled,
     recover,
 )
 from repro.relational.memory_engine import MemoryEngine
@@ -32,6 +31,7 @@ from repro.workloads.hospital import (
     patient_chart_object,
     populate_hospital,
 )
+from tests.journal_harness import apply_journaled
 
 pytestmark = pytest.mark.chaos
 

@@ -1,10 +1,8 @@
-"""The flat-view translator and its dialog."""
+"""The flat-view translator."""
 
 import pytest
 
-from repro.errors import DialogError, UpdateError, UpdateRejectedError
-from repro.dialog.answers import ConstantAnswers, ScriptedAnswers
-from repro.keller.dialog import choose_flat_translator
+from repro.errors import UpdateError, UpdateRejectedError
 from repro.keller.translator import KellerTranslator
 from repro.keller.views import JoinEdge, RelationalView
 
@@ -134,20 +132,3 @@ class TestReplacement:
     def test_bad_side_rejected(self, view):
         with pytest.raises(UpdateError):
             KellerTranslator(view, join_change_side="middle")
-
-
-class TestFlatDialog:
-    def test_choices_applied(self, view, university_engine):
-        translator, transcript = choose_flat_translator(
-            view,
-            ScriptedAnswers([False, True, True, False, True]),
-        )
-        # First deletion-target question answered NO -> DEPARTMENT chosen.
-        assert translator.delete_target == "DEPARTMENT"
-        assert translator.insertable == {"COURSES"}
-        assert translator.join_change_side == "left"
-        assert len(transcript) == 5
-
-    def test_all_targets_rejected(self, view):
-        with pytest.raises(DialogError):
-            choose_flat_translator(view, ConstantAnswers(False))

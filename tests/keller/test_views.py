@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.keller.views import JoinEdge, RelationalView
-from repro.relational.expressions import attr
+from repro.relational.expressions import Attr
 
 
 @pytest.fixture
@@ -13,7 +13,7 @@ def view():
         "course_dept",
         ["COURSES", "DEPARTMENT"],
         [JoinEdge("COURSES", "DEPARTMENT", [("dept_name", "dept_name")])],
-        selection=attr("COURSES.level") == "graduate",
+        selection=Attr("COURSES.level") == "graduate",
         projection=[
             "COURSES.course_id",
             "COURSES.title",
@@ -59,7 +59,7 @@ def test_unprojected_view(university_engine):
     view = RelationalView(
         "all_courses",
         ["COURSES"],
-        selection=attr("COURSES.units") >= 3,
+        selection=Attr("COURSES.units") >= 3,
     )
     rows = view.tuples(university_engine)
     expected = [

@@ -10,7 +10,8 @@ rule, each under its own name.
 import pytest
 
 from repro.core.view_object import define_view_object
-from repro.materialize import EAGER, LAZY, CacheStats
+from repro.materialize import LAZY, CacheStats
+from repro.materialize.maintainer import EAGER
 from repro.materialize.dependency import DependencyIndex
 from repro.materialize.store import MaterializedView
 from repro.relational.changelog import ChangeRecord

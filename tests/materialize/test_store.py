@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.instantiation import Instantiator
 from repro.errors import ViewObjectError
-from repro.materialize import EAGER, FULL_REFRESH, LAZY, MaterializedStore
+from repro.materialize import LAZY, MaterializedStore
+from repro.materialize.maintainer import EAGER, FULL_REFRESH
 from repro.penguin import Penguin
 from repro.relational.engine import Engine
 from repro.relational.sqlite_engine import SqliteEngine

@@ -110,6 +110,9 @@ class TestAuditLogCore:
         for i in range(15):
             log.append("insert", f"o{i}", COMMITTED)
         assert [r.id for r in log.tail(3)] == [13, 14, 15]
+        assert log.tail(0) == []
+        with pytest.raises(ValueError):
+            log.tail(-1)
 
     def test_reconcile_folds_journal_verdicts(self):
         session = audited_session()

@@ -11,7 +11,6 @@ from repro.obs.context import (
     activate,
     attach,
     current_context,
-    current_request_id,
     current_trace_id,
     format_traceparent,
     new_request_id,
@@ -88,7 +87,6 @@ class TestAmbientContext:
     def test_default_is_none(self):
         assert current_context() is None
         assert current_trace_id() is None
-        assert current_request_id() is None
 
     def test_attach_none_is_noop(self):
         with attach(None) as got:
@@ -100,8 +98,8 @@ class TestAmbientContext:
         inner = TraceContext.new("req-inner")
         with attach(outer):
             with attach(inner):
-                assert current_request_id() == "req-inner"
-            assert current_request_id() == "req-outer"
+                assert current_context().request_id == "req-inner"
+            assert current_context().request_id == "req-outer"
         assert current_context() is None
 
     def test_activate_mints_trace(self):

@@ -10,7 +10,7 @@ class TestDefaultState:
         obs.disable()
         assert obs.tracer() is NOOP_TRACER
         assert obs.metrics() is NULL_REGISTRY
-        assert obs.slow_log() is None
+        assert obs.active().slow_log is None
         assert not obs.active().is_enabled
 
 

@@ -14,7 +14,6 @@ from repro.relational.faults import (  # noqa: E402
 from repro.relational.journal import (  # noqa: E402
     ABORTED,
     MemoryJournal,
-    apply_journaled,
     recover,
 )
 from repro.relational.memory_engine import MemoryEngine  # noqa: E402
@@ -24,6 +23,7 @@ from repro.relational.operations import (  # noqa: E402
     Replace,
     UpdatePlan,
 )
+from tests.journal_harness import apply_journaled  # noqa: E402
 
 pytestmark = pytest.mark.chaos
 

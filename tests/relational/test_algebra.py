@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SchemaError
 from repro.relational import algebra
 from repro.relational.domains import INTEGER, TEXT
-from repro.relational.expressions import attr
+from repro.relational.expressions import Attr
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.schema import Attribute, RelationSchema
 
@@ -46,7 +46,7 @@ def test_from_engine(engine):
 
 def test_select(engine):
     rel = algebra.from_engine(engine, "COURSES")
-    assert len(algebra.select(rel, attr("units") == 4)) == 2
+    assert len(algebra.select(rel, Attr("units") == 4)) == 2
 
 
 def test_project_dedupes(engine):
@@ -110,8 +110,8 @@ def test_cross(engine):
 
 def test_union_and_difference(engine):
     rel = algebra.from_engine(engine, "COURSES")
-    cs = algebra.select(rel, attr("dept") == "cs")
-    math = algebra.select(rel, attr("dept") == "math")
+    cs = algebra.select(rel, Attr("dept") == "cs")
+    math = algebra.select(rel, Attr("dept") == "math")
     assert len(algebra.union(cs, math)) == 3
     assert len(algebra.union(cs, cs)) == 2  # dedupes
     assert len(algebra.difference(rel, cs)) == 1

@@ -12,7 +12,6 @@ from repro.relational.operations import (
     Insert,
     Replace,
     UpdatePlan,
-    apply_plan_batch,
     coalesce_plans,
 )
 from repro.relational.sqlite_engine import SqliteEngine
@@ -252,7 +251,8 @@ class TestApplyPlanBatch:
             plan_of(Replace("T", ("k1",), ("k1", 42, None))),
             plan_of(Delete("T", ("k0",))),
         ]
-        combined = apply_plan_batch(engine, plans)
+        combined = coalesce_plans(plans, engine.schema)
+        engine.apply_batch(combined.operations)
         # insert+replace folded into one insert of the final values
         assert combined.count("insert") == 1
         assert combined.count("replace") == 0

@@ -25,7 +25,7 @@ from repro.errors import (
     UnknownRelationError,
 )
 from repro.relational.ddl import relation
-from repro.relational.expressions import attr
+from repro.relational.expressions import Attr
 from repro.relational.faults import FaultInjectingEngine, FaultPlan
 from repro.relational.memory_engine import MemoryEngine
 from repro.structural.schema_graph import StructuralSchema
@@ -303,13 +303,13 @@ class TestReads:
     def test_select(self, engine):
         engine.insert("T", ("a", 1, None, None))
         engine.insert("T", ("b", 5, None, None))
-        matched = engine.select("T", attr("n") > 2)
+        matched = engine.select("T", Attr("n") > 2)
         assert [v[0] for v in matched] == ["b"]
 
     def test_select_date_parameter(self, engine):
         day = datetime.date(1991, 5, 29)
         engine.insert("T", ("a", None, None, day))
-        matched = engine.select("T", attr("d") == day)
+        matched = engine.select("T", Attr("d") == day)
         assert len(matched) == 1
 
     def test_rows_and_get_row(self, engine):

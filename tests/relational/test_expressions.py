@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import QueryError
 from repro.relational.ddl import relation
-from repro.relational.expressions import Attr, Comparison, Const, IsNull, Not, Or, TRUE, attr, const
+from repro.relational.expressions import Attr, Comparison, Const, IsNull, Not, Or, TRUE
 from repro.relational.memory_engine import MemoryEngine
 
 ROW = {"units": 4, "level": "graduate", "instructor": None}
@@ -20,20 +20,20 @@ SCHEMA = (
 
 class TestEvaluation:
     def test_equality(self):
-        assert (attr("level") == "graduate").evaluate(ROW)
-        assert not (attr("level") == "undergraduate").evaluate(ROW)
+        assert (Attr("level") == "graduate").evaluate(ROW)
+        assert not (Attr("level") == "undergraduate").evaluate(ROW)
 
     def test_ordering_operators(self):
-        assert (attr("units") > 3).evaluate(ROW)
-        assert (attr("units") >= 4).evaluate(ROW)
-        assert (attr("units") < 5).evaluate(ROW)
-        assert (attr("units") <= 4).evaluate(ROW)
-        assert (attr("units") != 3).evaluate(ROW)
+        assert (Attr("units") > 3).evaluate(ROW)
+        assert (Attr("units") >= 4).evaluate(ROW)
+        assert (Attr("units") < 5).evaluate(ROW)
+        assert (Attr("units") <= 4).evaluate(ROW)
+        assert (Attr("units") != 3).evaluate(ROW)
 
     def test_and_or_not(self):
-        p = (attr("units") > 3) & (attr("level") == "graduate")
+        p = (Attr("units") > 3) & (Attr("level") == "graduate")
         assert p.evaluate(ROW)
-        q = (attr("units") > 9) | (attr("level") == "graduate")
+        q = (Attr("units") > 9) | (Attr("level") == "graduate")
         assert q.evaluate(ROW)
         assert not (~q).evaluate(ROW)
 
@@ -45,7 +45,7 @@ class TestEvaluation:
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(QueryError):
-            (attr("missing") == 1).evaluate(ROW)
+            (Attr("missing") == 1).evaluate(ROW)
 
     def test_attr_to_attr_comparison(self):
         assert Comparison("=", Attr("units"), Attr("units")).evaluate(ROW)
@@ -53,13 +53,13 @@ class TestEvaluation:
 
 class TestBinding:
     def test_bound_test_reads_tuple_positions(self):
-        test = ((attr("units") > 3) & attr("instructor").is_null()).bind(SCHEMA)
+        test = ((Attr("units") > 3) & Attr("instructor").is_null()).bind(SCHEMA)
         assert test(("graduate", 4, None))
         assert not test(("graduate", 4, "Keller"))
         assert not test(("graduate", 2, None))
 
     def test_unknown_attribute_raises_at_bind_on_an_empty_relation(self):
-        predicate = (attr("units") > 3) & (attr("missing") == 1)
+        predicate = (Attr("units") > 3) & (Attr("missing") == 1)
         with pytest.raises(QueryError, match="'COURSES' has no attribute 'missing'"):
             predicate.bind(SCHEMA)
         engine = MemoryEngine()
@@ -70,36 +70,36 @@ class TestBinding:
 
 class TestNullSemantics:
     def test_null_comparison_false(self):
-        assert not (attr("instructor") == "Keller").evaluate(ROW)
-        assert not (attr("instructor") != "Keller").evaluate(ROW)
+        assert not (Attr("instructor") == "Keller").evaluate(ROW)
+        assert not (Attr("instructor") != "Keller").evaluate(ROW)
 
     def test_is_null(self):
-        assert attr("instructor").is_null().evaluate(ROW)
-        assert not attr("units").is_null().evaluate(ROW)
+        assert Attr("instructor").is_null().evaluate(ROW)
+        assert not Attr("units").is_null().evaluate(ROW)
 
     def test_not_is_null(self):
-        assert Not(attr("instructor").is_null()).evaluate(ROW) is False
+        assert Not(Attr("instructor").is_null()).evaluate(ROW) is False
 
 
 class TestSqlCompilation:
     def test_comparison_sql(self):
-        sql, params = (attr("units") >= 3).to_sql()
+        sql, params = (Attr("units") >= 3).to_sql()
         # COALESCE pins SQL's three-valued logic to our two-valued
         # semantics (null comparisons are definite false).
         assert sql == '(COALESCE(("units" >= ?), 0))'
         assert params == [3]
 
     def test_not_equal_sql(self):
-        sql, __ = (attr("units") != 3).to_sql()
+        sql, __ = (Attr("units") != 3).to_sql()
         assert "<>" in sql
 
     def test_and_sql(self):
-        sql, params = ((attr("a") == 1) & (attr("b") == 2)).to_sql()
+        sql, params = ((Attr("a") == 1) & (Attr("b") == 2)).to_sql()
         assert sql.count("AND") == 1
         assert params == [1, 2]
 
     def test_or_not_sql(self):
-        sql, __ = (~((attr("a") == 1) | (attr("b") == 2))).to_sql()
+        sql, __ = (~((Attr("a") == 1) | (Attr("b") == 2))).to_sql()
         assert "NOT" in sql and "OR" in sql
 
     def test_empty_and_sql(self):
@@ -114,11 +114,11 @@ class TestSqlCompilation:
 
 class TestIntrospection:
     def test_attributes(self):
-        p = ((attr("a") == 1) & (attr("b") == Attr("c"))) | IsNull(attr("d"))
+        p = ((Attr("a") == 1) & (Attr("b") == Attr("c"))) | IsNull(Attr("d"))
         assert p.attributes() == frozenset({"a", "b", "c", "d"})
 
     def test_const_has_no_attributes(self):
-        assert const(5).attributes() == frozenset()
+        assert Const(5).attributes() == frozenset()
 
     def test_bad_operator_rejected(self):
         with pytest.raises(QueryError):

@@ -20,7 +20,6 @@ from repro.relational.journal import (
     MemoryJournal,
     RecoveryReport,
     UpdateRecord,
-    apply_journaled,
     images_from_records,
     plan_images,
     recover,
@@ -28,6 +27,7 @@ from repro.relational.journal import (
 )
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.operations import Delete, Insert, Replace, UpdatePlan
+from tests.journal_harness import apply_journaled
 
 ITEMS = (
     relation("ITEMS")

@@ -10,7 +10,6 @@ from repro.relational.operations import (
     Insert,
     Replace,
     UpdatePlan,
-    apply_plan,
 )
 
 
@@ -84,7 +83,7 @@ class TestApplyPlan:
             Replace("T", ("a",), ("a", 2)),
             Delete("T", ("seed",)),
         ]
-        assert apply_plan(engine, plan) == 3
+        assert engine.apply_batch(plan) == 3
         assert engine.get("T", ("a",)) == ("a", 2)
         assert engine.get("T", ("seed",)) is None
 
@@ -94,6 +93,6 @@ class TestApplyPlan:
             Insert("T", ("seed", 9)),  # duplicate key -> fails
         ]
         with pytest.raises(DuplicateKeyError):
-            apply_plan(engine, plan)
+            engine.apply_batch(plan)
         assert engine.get("T", ("a",)) is None
         assert engine.get("T", ("seed",)) == ("seed", 0)

@@ -9,9 +9,7 @@ from repro.errors import SchemaError
 from repro.relational.ddl import relation
 from repro.relational.persistence import (
     dump_database,
-    dumps_database,
     load_database,
-    loads_database,
     schema_from_dict,
     schema_to_dict,
 )
@@ -45,9 +43,9 @@ def test_dump_is_json_safe(engine):
 
 
 def test_round_trip_same_backend(engine, backend):
-    dumped = dumps_database(engine)
+    dumped = json.dumps(dump_database(engine))
     fresh = make_engine(backend)
-    counts = loads_database(fresh, dumped)
+    counts = load_database(fresh, json.loads(dumped))
     assert counts == {"T": 2}
     assert sorted(fresh.scan("T")) == sorted(engine.scan("T"))
 

@@ -2,12 +2,18 @@
 
 import pytest
 
-from repro.errors import DegradedServiceError, TransientEngineError
+from repro.errors import (
+    DegradedServiceError,
+    QueryError,
+    TransientEngineError,
+    UpdateError,
+)
 from repro.materialize.maintainer import LAZY
 from repro.penguin import Penguin
 from repro.relational.faults import FaultInjectingEngine, FaultPlan
 from repro.relational.memory_engine import MemoryEngine
-from repro.serve import CircuitBreaker, ConcurrentPenguin, DEGRADED, HEALTHY
+from repro.serve import CircuitBreaker, ConcurrentPenguin
+from repro.serve.breaker import DEGRADED, HEALTHY
 from repro.workloads.hospital import (
     HospitalConfig,
     hospital_schema,
@@ -182,6 +188,36 @@ class TestDegradedServing:
         plan = serving.delete(OBJECT, (pids[0],))
         assert len(plan) > 0
         assert base.get("PATIENT", (pids[0],)) is None
+
+    def test_a_rejected_probe_closes_the_breaker(self):
+        """A rejection is an answer: the probe that carried it reached
+        the engine, write or read."""
+        for probe in (
+            lambda serving: serving.delete(OBJECT, (999_999,)),
+            lambda serving: serving.query(OBJECT, "nosuch = 1"),
+        ):
+            base, serving = degraded_serving(
+                burst=1, failure_threshold=1, probe_interval=1
+            )
+            trip(base, serving)
+            with pytest.raises((UpdateError, QueryError)):
+                probe(serving)
+            assert serving.breaker.healthy
+            assert serving.breaker.closed == 1
+
+    def test_a_rejection_between_two_faults_breaks_the_streak(self):
+        base, serving = degraded_serving(
+            burst=2, failure_threshold=2, probe_interval=1
+        )
+        pids = sorted(row[0] for row in base.scan("PATIENT"))
+        with pytest.raises(TransientEngineError):
+            serving.delete(OBJECT, (pids[0],))
+        with pytest.raises(UpdateError):
+            serving.delete(OBJECT, (999_999,))
+        with pytest.raises(TransientEngineError):
+            serving.delete(OBJECT, (pids[1],))
+        assert serving.breaker.healthy
+        assert serving.breaker.opened == 0
 
     def test_validation_errors_do_not_trip_the_breaker(self):
         base, serving = degraded_serving(burst=0)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import UpdateError
 from repro.relational.operations import Delete, Insert, Replace, UpdatePlan
-from repro.shard import HashRouter, Placement, RangeRouter, partition_plan, stable_hash
+from repro.shard import HashRouter, Placement, RangeRouter, partition_plan
+from repro.shard.router import stable_hash
 from repro.workloads.hospital import hospital_schema
 
 

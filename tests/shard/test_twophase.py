@@ -11,7 +11,7 @@ import pytest
 import repro.obs as obs
 from repro.errors import ReproError
 from repro.relational.faults import FaultHook, FaultPlan, SimulatedCrash
-from repro.shard import TwoPhaseRecoveryReport
+from repro.shard.twophase import TwoPhaseRecoveryReport
 from repro.simulate import PRESETS
 from repro.workloads.hospital import hospital_session, new_chart, rehome, restarted
 
