@@ -43,7 +43,7 @@ def main() -> None:
     (workdir / "data.json").write_text(
         json.dumps(dump_database(first.engine))
     )
-    print("saved session to", workdir)
+    print("saved session to a temporary directory:")
     for name in ("schema.json", "catalog.json", "data.json"):
         print(f"  {name}: {(workdir / name).stat().st_size} bytes")
 

@@ -2,9 +2,10 @@
 
 ``diff_instances`` reports, per tree node, which component tuples a
 replacement would add, remove, or modify — the object-level view of
-what VO-R is about to translate. The alignment mirrors the translation
-algorithm's: by key first, leftovers pairwise, so a key change shows as
-one ``rekeyed`` entry rather than an add/remove pair.
+what VO-R is about to translate. The alignment is the translation
+algorithm's own, :func:`~repro.core.instance.align_siblings`: by key
+first, leftovers in key order, so a key change shows as one ``rekeyed``
+entry rather than an add/remove pair.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ViewObjectError
-from repro.core.instance import ComponentTuple, Instance
-from repro.core.view_object import ViewObjectDefinition
+from repro.core.instance import ComponentTuple, Instance, align_siblings
 
 __all__ = ["diff_instances", "render_diff"]
 
@@ -38,50 +38,30 @@ class ComponentChange:
         self.changes = changes or {}
 
     def describe(self) -> str:
-        if self.kind == "added":
-            return f"{self.node_id}: + {self.key!r}"
-        if self.kind == "removed":
-            return f"{self.node_id}: - {self.key!r}"
-        if self.kind == "rekeyed":
-            extra = _render_changes(self.changes)
-            return (
-                f"{self.node_id}: {self.key!r} => {self.new_key!r}{extra}"
-            )
-        return f"{self.node_id}: ~ {self.key!r}{_render_changes(self.changes)}"
+        head = {"added": "+ ", "removed": "- ", "modified": "~ "}.get(self.kind)
+        if head is None:  # rekeyed
+            head = f"{self.key!r} => "
+            key = self.new_key
+        else:
+            key = self.key
+        parts = [f"{n}: {old!r} -> {new!r}" for n, (old, new) in self.changes.items()]
+        extra = "  (" + ", ".join(parts) + ")" if parts else ""
+        return f"{self.node_id}: {head}{key!r}{extra}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ComponentChange({self.describe()})"
 
 
-def _render_changes(changes: Dict[str, Tuple[Any, Any]]) -> str:
-    if not changes:
-        return ""
-    parts = [
-        f"{name}: {old!r} -> {new!r}" for name, (old, new) in changes.items()
-    ]
-    return "  (" + ", ".join(parts) + ")"
-
-
-def _key_of(
-    view_object: ViewObjectDefinition, component: ComponentTuple
-) -> Tuple[Any, ...]:
-    node = view_object.node(component.node_id)
-    schema = view_object.graph.relation(node.relation)
-    return tuple(component.values.get(k) for k in schema.key)
-
-
 def _changed_attributes(
     old: ComponentTuple, new: ComponentTuple
 ) -> Dict[str, Tuple[Any, Any]]:
-    changed = {}
-    for name in new.values:
-        if old.values.get(name) != new.values.get(name):
-            changed[name] = (old.values.get(name), new.values.get(name))
-    return changed
+    get = old.values.get
+    return {n: (get(n), v) for n, v in new.values.items() if get(n) != v}
 
 
 def diff_instances(old: Instance, new: Instance) -> List[ComponentChange]:
-    """All component-level differences, in BFS node order."""
+    """All component-level differences, depth-first from the pivot; at
+    each node the re-keyed, removed and added tuples first, in key order."""
     if old.view_object is not new.view_object and (
         old.view_object.name != new.view_object.name
     ):
@@ -92,69 +72,38 @@ def diff_instances(old: Instance, new: Instance) -> List[ComponentChange]:
     view_object = old.view_object
     result: List[ComponentChange] = []
 
-    def walk(
-        node_id: str,
-        old_components: List[ComponentTuple],
-        new_components: List[ComponentTuple],
-    ) -> None:
-        old_by_key = {
-            _key_of(view_object, c): c for c in old_components
-        }
-        unmatched_new: List[ComponentTuple] = []
-        pairs: List[Tuple[ComponentTuple, ComponentTuple]] = []
-        for component in new_components:
-            key = _key_of(view_object, component)
-            match = old_by_key.pop(key, None)
-            if match is None:
-                unmatched_new.append(component)
-            else:
-                pairs.append((match, component))
-        leftovers_old = list(old_by_key.values())
-        while leftovers_old and unmatched_new:
-            old_component = leftovers_old.pop(0)
-            new_component = unmatched_new.pop(0)
-            result.append(
-                ComponentChange(
-                    node_id,
-                    "rekeyed",
-                    _key_of(view_object, old_component),
-                    new_key=_key_of(view_object, new_component),
-                    changes=_changed_attributes(old_component, new_component),
+    def walk(node_id: str, olds, news) -> None:
+        relation = view_object.node(node_id).relation
+        key_names = view_object.graph.relation(relation).key
+        old_keys, new_keys = (
+            [tuple(c.values.get(k) for k in key_names) for c in side]
+            for side in (olds, news)
+        )
+        pairs, matched = align_siblings(
+            list(zip(old_keys, olds)), old_keys, list(zip(new_keys, news)), new_keys
+        )
+        for index, (before, after) in enumerate(pairs):
+            if after is None:
+                result.append(ComponentChange(node_id, "removed", before[0]))
+            elif before is None:
+                result.append(ComponentChange(node_id, "added", after[0]))
+            elif index >= matched:
+                changes = _changed_attributes(before[1], after[1])
+                result.append(
+                    ComponentChange(node_id, "rekeyed", before[0], after[0], changes)
                 )
-            )
-            pairs.append((old_component, new_component))
-        for old_component in leftovers_old:
-            result.append(
-                ComponentChange(
-                    node_id, "removed", _key_of(view_object, old_component)
-                )
-            )
-        for new_component in unmatched_new:
-            result.append(
-                ComponentChange(
-                    node_id, "added", _key_of(view_object, new_component)
-                )
-            )
-        for old_component, new_component in pairs:
-            if (
-                _key_of(view_object, old_component)
-                == _key_of(view_object, new_component)
-            ):
-                changed = _changed_attributes(old_component, new_component)
-                if changed:
-                    result.append(
-                        ComponentChange(
-                            node_id,
-                            "modified",
-                            _key_of(view_object, old_component),
-                            changes=changed,
-                        )
-                    )
+        for index, (before, after) in enumerate(pairs):
+            if before is None or after is None:
+                continue
+            (key, old_c), (_, new_c) = before, after
+            changed = index < matched and _changed_attributes(old_c, new_c)
+            if changed:
+                result.append(ComponentChange(node_id, "modified", key, changes=changed))
             for child in view_object.tree.children(node_id):
                 walk(
                     child.node_id,
-                    old_component.child_tuples(child.node_id),
-                    new_component.child_tuples(child.node_id),
+                    old_c.child_tuples(child.node_id),
+                    new_c.child_tuples(child.node_id),
                 )
 
     walk(view_object.pivot_node_id, [old.root], [new.root])

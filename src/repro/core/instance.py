@@ -18,16 +18,30 @@ becomes::
     })
 
 where child lists are keyed by tree node id and may nest further.
+
+The lists are sets, and their order is fixed at definition time: an
+instance read from any engine lists siblings in primary-key order
+(``Engine.find_by``), and :func:`align_siblings` reads two lists of one
+node — a replacement's old and new, or any two instances being diffed —
+by key, never by how they happen to be listed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+import datetime
+from itertools import zip_longest
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import InstantiationError, ViewObjectError
 from repro.core.view_object import ViewObjectDefinition
 
-__all__ = ["ComponentTuple", "Instance", "build_instance"]
+__all__ = [
+    "ComponentTuple",
+    "Instance",
+    "align_siblings",
+    "build_instance",
+    "in_key_order",
+]
 
 
 class ComponentTuple:
@@ -207,3 +221,69 @@ def build_instance(
 
     root = build_component(view_object.pivot_node_id, data)
     return Instance(view_object, root)
+
+
+def align_siblings(
+    olds: Sequence[Any],
+    old_keys: Sequence[Tuple[Any, ...]],
+    news: Sequence[Any],
+    new_keys: Sequence[Tuple[Any, ...]],
+) -> Tuple[List[Tuple[Any, Any]], int]:
+    """Pair the old and new tuples of one sibling list (VO-R, §5.3).
+
+    Both lists are read in key order. A new tuple pairs with the old
+    tuple of its key; the leftovers pair up in key order on both sides,
+    the surplus of either side with ``None``. Returns the pairs — those
+    matched by key first, then the leftovers, each in key order — and how
+    many matched. Within one list the inherited key part is shared, so
+    leftovers pair on their own part (``A_j``); and the pairs depend on
+    the sets the lists hold, never on the order they were listed in.
+    """
+    if len(olds) < 2 and len(news) < 2:  # nothing to order
+        pairs = list(zip_longest(olds, news))
+        return pairs, int(bool(olds and news) and old_keys[0] == new_keys[0])
+    olds, old_keys = in_key_order(olds, old_keys)
+    news, new_keys = in_key_order(news, new_keys)
+    old_by_key = dict(zip(old_keys, olds))
+    pairs: List[Tuple[Any, Any]] = []
+    unmatched = []
+    for key, new in zip(new_keys, news):
+        old = old_by_key.pop(key, None)
+        if old is None:
+            unmatched.append(new)
+        else:
+            pairs.append((old, new))
+    matched = len(pairs)
+    if old_by_key or unmatched:
+        leftovers = [old for key, old in zip(old_keys, olds) if key in old_by_key]
+        pairs.extend(zip_longest(leftovers, unmatched))
+    return pairs, matched
+
+
+def in_key_order(
+    items: Sequence[Any], keys: Sequence[Tuple[Any, ...]]
+) -> Tuple[Sequence[Any], Sequence[Tuple[Any, ...]]]:
+    """``items`` and their ``keys`` (one per item), both in key order,
+    stably; as they came when they already are. Stored keys compare as
+    they are; a payload's may hold nulls or values of another domain,
+    which rank by kind first (the request is refused later, not here)."""
+    if len(keys) < 2:
+        return items, keys
+    positions = range(len(keys))
+    try:
+        if keys == sorted(keys):
+            return items, keys
+        order = sorted(positions, key=keys.__getitem__)
+    except TypeError:
+        order = sorted(positions, key=lambda i: tuple(map(_ranked, keys[i])))
+    return [items[i] for i in order], [keys[i] for i in order]
+
+
+def _ranked(value: Any) -> Tuple[Any, ...]:
+    if value is None:
+        return (0, "", 0)
+    if isinstance(value, (int, float)):
+        return (1, "", value)
+    if isinstance(value, (str, datetime.date)):
+        return (2, type(value).__name__, value)
+    return (3, type(value).__name__, repr(value))

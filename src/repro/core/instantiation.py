@@ -74,7 +74,8 @@ def follow_path(
     Two tuples are connected iff the values of the connecting attributes
     match, and a null never matches (Definition 2.1). Composite paths
     chain the per-connection matching; duplicates (several routes to the
-    same end tuple) collapse by key at every step.
+    same end tuple) collapse by key at every step. The answer is in key
+    order, as ``find_by``'s is: a composite path sorts once at its end.
     """
     for entry_of, end, end_attributes, key_of in steps:
         reached: List[Values] = []
@@ -91,6 +92,8 @@ def follow_path(
         frontier = reached
         if not frontier:
             break
+    if len(steps) > 1:
+        frontier.sort(key=steps[-1][3])
     return frontier
 
 

@@ -10,7 +10,9 @@ down to the storage engine as a relational predicate; the residual
 Pushing a comparison down hands it to whichever engine is underneath,
 and the engines order values of different types differently (Python
 refuses, sqlite ranks storage classes). So a literal is typed here,
-once, against the pivot attribute it meets: :func:`_literal`.
+once, against the pivot attribute it meets (:func:`_literal`), and an
+ordering between two pivot attributes of different domains is refused
+(:func:`_check_orderable`).
 """
 
 from __future__ import annotations
@@ -67,6 +69,25 @@ def _is_pivot_only(node: QueryNode) -> bool:
 _ORDERINGS = ("<", "<=", ">", ">=")
 
 
+def _comparable(domain):
+    """What ``domain``'s values order against: numbers order alike in
+    Python and sqlite, whichever kind is stored."""
+    return REAL if domain == INTEGER else domain
+
+
+def _check_orderable(pivot: RelationSchema, left: str, right: str) -> None:
+    """An ordering between two pivot attributes needs one domain (up to
+    the numbers): across domains, Python refuses and sqlite ranks
+    storage classes, so it is refused before any engine is asked."""
+    left_domain = pivot.attribute(left).domain
+    right_domain = pivot.attribute(right).domain
+    if _comparable(left_domain) != _comparable(right_domain):
+        raise QueryError(
+            f"cannot compare {left_domain.name.upper()} attribute {left!r} "
+            f"with {right_domain.name.upper()} attribute {right!r}"
+        )
+
+
 def _literal(pivot: RelationSchema, name: str, value: Any, ordered: bool) -> Any:
     """The literal a pushed-down test of pivot attribute ``name`` uses.
 
@@ -88,9 +109,7 @@ def _literal(pivot: RelationSchema, name: str, value: Any, ordered: bool) -> Any
             return DATE.parse(value)
         except ValueError:
             raise refusal() from None
-    # Numbers order alike in Python and sqlite, whichever kind is stored.
-    comparable = REAL if domain == INTEGER else domain
-    if ordered and value is not None and not comparable.contains(value):
+    if ordered and value is not None and not _comparable(domain).contains(value):
         raise refusal()
     return value
 
@@ -108,6 +127,8 @@ def _to_relational(node: QueryNode, pivot: RelationSchema) -> rel.Expression:
             right = rel.Const(_literal(pivot, left.name, right.value, ordered))
         elif isinstance(left, rel.Const) and isinstance(right, rel.Attr):
             left = rel.Const(_literal(pivot, right.name, left.value, ordered))
+        elif ordered and isinstance(left, rel.Attr) and isinstance(right, rel.Attr):
+            _check_orderable(pivot, left.name, right.name)
         return rel.Comparison(node.op, left, right)
     if isinstance(node, QIsNull):
         test = rel.IsNull(_to_relational(node.operand, pivot))

@@ -183,10 +183,15 @@ class BufferedEngine(Engine):
                 continue
             result.append(row)
         if overlay:
+            # The base answers in key order; buffered rows joining it
+            # put the answer back into key order.
+            base_count = len(result)
             positions = schema.positions(names)
             for row in overlay.values():
                 if tuple(row[i] for i in positions) == entry:
                     result.append(row)
+            if len(result) > base_count:
+                result.sort(key=schema.key_of)
         return result
 
     # -- the bookkeeping of insert()/delete(), without their checks ---------

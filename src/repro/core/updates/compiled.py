@@ -21,9 +21,10 @@ complete operations in ``src/``:
   and state I outside (I-1 same key, I-2 insert, I-3 present, I-4
   conflicting: replace). It is delta-driven: one pass
   (:meth:`CompiledProgram._delta`) pairs the components of ``old`` and
-  ``new`` — by key, leftovers by position, Figure 4's components being
-  sets — with step 2 (each child's connecting attributes follow its new
-  parent's) applied on the way and step 1 (the key disciplines) checked
+  ``new`` (:func:`~repro.core.instance.align_siblings`: by key,
+  leftovers in key order, Figure 4's components being sets) with step
+  2 (each child's connecting attributes follow its new parent's)
+  applied on the way and step 1 (the key disciplines) checked
   on those same pairs; the state machine then visits only the pairs that
   differ, so an edit costs the instance's size once (a dictionary
   comparison per tuple) plus work proportional to what changed;
@@ -74,7 +75,6 @@ time.
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from typing import Any, Dict, List, Optional, Tuple
 
 import repro.obs as obs
@@ -84,7 +84,12 @@ from repro.errors import (
     UpdateRejectedError,
 )
 from repro.core.dependency_island import IslandAnalysis, NodeRole
-from repro.core.instance import ComponentTuple, Instance
+from repro.core.instance import (
+    ComponentTuple,
+    Instance,
+    align_siblings,
+    in_key_order,
+)
 from repro.core.updates.context import TranslationContext
 from repro.core.updates.local_validation import (
     validate_deletion,
@@ -710,11 +715,11 @@ class CompiledProgram:
         news,
         parent_values: Optional[Dict[str, Any]],
     ) -> _Delta:
-        """Align one sibling list — by key, leftovers by position — with
-        each new tuple's connecting attributes already following its
-        parent (step 2), check the key disciplines of every pair whose
-        key the user may have changed (step 1), and return the pairs
-        step 3 has to visit.
+        """Align one sibling list with :func:`align_siblings` — by key
+        after step 2 (each new tuple's connecting attributes follow its
+        parent), leftovers in key order — check the key disciplines of
+        every pair whose key the user may have changed (step 1), and
+        return the pairs step 3 has to visit, in key order.
 
         A pair is dropped, subtree and all, when the new tuple equals its
         partner and every list below it came back empty: R-1 there, and
@@ -726,24 +731,16 @@ class CompiledProgram:
             return []
         key_from = cn.key_from
         old_keys = [key_from(old.values) for old in olds]
-        old_by_key = dict(zip(old_keys, olds))
-        pairs = []  # (old, new as sent, new after step 2)
-        unmatched = []
+        sent = []  # (new as sent, new after step 2)
+        new_keys = []
         for raw in news:
             new = cn.inherit(raw, parent_values) if cn.edge else raw
-            match = old_by_key.pop(key_from(new.values), None)
-            if match is None:
-                unmatched.append((raw, new))
-            else:
-                pairs.append((match, raw, new))
-        matched = len(pairs)
-        if old_by_key or unmatched:
-            leftovers = [o for k, o in zip(old_keys, olds) if k in old_by_key]
-            for old, sent in zip_longest(leftovers, unmatched):
-                raw, new = sent or (None, None)
-                pairs.append((old, raw, new))
+            sent.append((raw, new))
+            new_keys.append(key_from(new.values))
+        pairs, matched = align_siblings(olds, old_keys, sent, new_keys)
         delta: _Delta = []
-        for index, (old, raw, new) in enumerate(pairs):
+        for index, (old, pair) in enumerate(pairs):
+            raw, new = pair or (None, None)
             if old is None:
                 delta.append((None, self.propagated(cn, new, parent_values), ()))
             elif new is None:
@@ -845,7 +842,8 @@ class CompiledProgram:
         """Island tuples with no counterpart in the new instance go, and
         the island below them; outside tuples survive a lost linkage."""
         relation = cn.relation
-        for key, old in [(cn.key_from(old.values), old) for old in olds]:
+        olds, keys = in_key_order(olds, [cn.key_from(old.values) for old in olds])
+        for key, old in zip(keys, olds):
             if ctx.engine.get(relation, key) is not None:
                 ctx.delete(relation, key, cn.reason_removed)
             for child in cn.children:
@@ -856,8 +854,8 @@ class CompiledProgram:
 
     def _walk_added(self, ctx: TranslationContext, cn: CompiledNode, news) -> None:
         """New tuples with no old counterpart, and everything below."""
-        for new in news:
-            cn.key_from(new.values)  # a keyless sibling rejects the list first
+        # A keyless sibling rejects the list first.
+        news, _ = in_key_order(news, [cn.key_from(new.values) for new in news])
         for new in news:
             self._added_component(ctx, cn, new, cn.in_island)
             for child in cn.children:
@@ -1195,11 +1193,6 @@ class CompiledProgram:
         prepared statement templates on the sqlite backend and secondary
         hash indexes on the attributes the assembly joins and the
         integrity rules probe through ``find_by``.
-
-        Deliberately explicit — creating an index changes the row order
-        ``find_by`` returns on the in-memory backend, so plans
-        translated against a prepared engine are only comparable with
-        plans translated against the same prepared engine.
         """
         graph = self.view_object.graph
         prepare_relation = getattr(engine, "prepare_relation", None)

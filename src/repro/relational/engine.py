@@ -163,7 +163,9 @@ class Engine:
     def find_by(
         self, name: str, attribute_names: Sequence[str], entry: Sequence[Any]
     ) -> List[Tuple[Any, ...]]:
-        """All value tuples whose listed attributes equal ``entry``."""
+        """All value tuples whose listed attributes equal ``entry``, in
+        primary-key order on every backend: siblings in an instance come
+        in the order of their keys, whatever the engine and its indexes."""
         raise NotImplementedError
 
     def select(self, name: str, predicate: Expression) -> List[Tuple[Any, ...]]:

@@ -10,7 +10,7 @@ difference).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Set, Tuple
+from typing import Any, Dict, Iterable, List, Set, Tuple
 
 from repro.relational.schema import RelationSchema
 
@@ -55,9 +55,10 @@ class HashIndex:
         self.remove(old)
         self.add(new)
 
-    def lookup(self, entry: Tuple[Any, ...]) -> Set[Tuple[Any, ...]]:
-        """Primary keys of all rows whose indexed attributes equal ``entry``."""
-        return set(self._buckets.get(tuple(entry), ()))
+    def lookup(self, entry: Tuple[Any, ...]) -> List[Tuple[Any, ...]]:
+        """Primary keys of all rows whose indexed attributes equal
+        ``entry``, in key order."""
+        return sorted(self._buckets.get(tuple(entry), ()))
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())

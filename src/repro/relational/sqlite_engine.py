@@ -486,8 +486,8 @@ class SqliteEngine(Engine):
     def _find_by_statement(
         schema: RelationSchema, names: Sequence[str], entry: Sequence[Any]
     ) -> Tuple[str, Tuple[int, ...], Tuple[int, ...]]:
-        """SQL text for one (attributes, null mask), with the positions
-        of its DATE and BOOLEAN parameters."""
+        """SQL text for one (attributes, null mask), answering in key
+        order, with the positions of its DATE and BOOLEAN parameters."""
         conditions = []
         domains = []
         for attr_name, value in zip(names, entry):
@@ -498,8 +498,9 @@ class SqliteEngine(Engine):
                 conditions.append(f"{_quote(attr_name)} = ?")
                 domains.append(domain)
         where = " AND ".join(conditions) if conditions else "1 = 1"
+        order = ", ".join(_quote(k) for k in schema.key)
         return (
-            f"SELECT * FROM {_quote(schema.name)} WHERE {where}",
+            f"SELECT * FROM {_quote(schema.name)} WHERE {where} ORDER BY {order}",
             _positions_of(DATE, domains),
             _positions_of(BOOLEAN, domains),
         )

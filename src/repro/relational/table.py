@@ -126,7 +126,8 @@ class Table:
     def find_by(
         self, attribute_names: Sequence[str], entry: Sequence[Any]
     ) -> List[Tuple[Any, ...]]:
-        """All value tuples whose ``attribute_names`` equal ``entry``.
+        """All value tuples whose ``attribute_names`` equal ``entry``, in
+        primary-key order.
 
         Uses a secondary index when one exists for exactly these
         attributes; falls back to a scan otherwise.
@@ -134,15 +135,18 @@ class Table:
         names = tuple(attribute_names)
         entry = tuple(entry)
         index = self._indexes.get(names)
+        rows = self._rows
         if index is not None:
-            keys = index.lookup(entry)
-            return [self._rows[k] for k in keys if k in self._rows]
+            return [rows[k] for k in index.lookup(entry) if k in rows]
         positions = self.schema.positions(names)
-        return [
-            values
-            for values in self._rows.values()
-            if tuple(values[i] for i in positions) == entry
-        ]
+        return sorted(
+            (
+                values
+                for values in rows.values()
+                if tuple(values[i] for i in positions) == entry
+            ),
+            key=self.schema.key_of,
+        )
 
     def keys(self) -> Iterator[Tuple[Any, ...]]:
         return iter(list(self._rows.keys()))

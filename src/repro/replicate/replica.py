@@ -71,7 +71,6 @@ class ReplicaStack:
         serving: Optional[ConcurrentPenguin] = None,
         metric=None,
         apply_inline: bool = False,
-        verify_images: bool = True,
         engine_factory=None,
     ) -> None:
         if serving is None:
@@ -99,7 +98,6 @@ class ReplicaStack:
         self.divergent = False
         self.apply_error: Optional[BaseException] = None
         self.apply_inline = apply_inline
-        self.verify_images = verify_images
         self.fenced_ships = 0
         self._inbox: List[UpdateRecord] = []
         self._applied = 0
@@ -256,8 +254,7 @@ class ReplicaStack:
                     record.label, record,
                     op=record.op, items=record.items,
                 )
-                if self.verify_images:
-                    self._verify_images(record)
+                self._verify_images(record)
 
     def _verify_images(self, record: UpdateRecord) -> None:
         for (relation, key), (_before, after) in record.images().items():

@@ -75,10 +75,6 @@ class ReplicationConfig:
         Apply shipped records synchronously inside receive instead of
         on the applier thread — deterministic tests only; production
         keeps apply off the ack path.
-    verify_images:
-        Replicas verify every applied record against its shipped
-        after-images byte for byte (divergent stacks are excluded from
-        promotion). On by default.
     engine_factory:
         Zero-argument callable producing the relational engine each
         fresh replica stack stores into (e.g. ``SqliteEngine``). A
@@ -92,7 +88,6 @@ class ReplicationConfig:
         quorum: Optional[int] = None,
         miss_threshold: int = 3,
         apply_inline: bool = False,
-        verify_images: bool = True,
         engine_factory: Optional[Callable[[], Any]] = None,
     ) -> None:
         if replicas < 1:
@@ -109,7 +104,6 @@ class ReplicationConfig:
         self.quorum = quorum
         self.miss_threshold = miss_threshold
         self.apply_inline = apply_inline
-        self.verify_images = verify_images
         self.engine_factory = engine_factory
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -184,7 +178,6 @@ class ReplicaSet:
                 graph=graph,
                 metric=metric,
                 apply_inline=self.config.apply_inline,
-                verify_images=self.config.verify_images,
                 engine_factory=self.config.engine_factory,
             )
             self._replicas.append(replica)

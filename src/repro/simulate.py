@@ -176,13 +176,19 @@ class _Undo(Exception):  # rolls the model's look-ahead transaction back
 
 
 def canon(value: Any) -> Any:
-    """An instance (list, dict) as an order-free, hashable value."""
-    if isinstance(value, Instance):
-        value = value.to_dict()
-    if isinstance(value, dict):
-        return tuple(sorted((k, canon(v)) for k, v in value.items()))
+    """A read's answer as a hashable value: a query's instances in any
+    order, each instance exactly — siblings come in key order on every
+    engine, so their order is part of what must agree."""
     if isinstance(value, list):
-        return tuple(sorted((canon(v) for v in value), key=repr))
+        return tuple(sorted(map(canon, value), key=repr))
+    return _frozen(value.to_dict() if isinstance(value, Instance) else value)
+
+
+def _frozen(value: Any) -> Any:
+    if isinstance(value, dict):
+        return tuple(sorted((k, _frozen(v)) for k, v in value.items()))
+    if isinstance(value, list):
+        return tuple(map(_frozen, value))
     return value
 
 

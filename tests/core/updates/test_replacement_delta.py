@@ -1,7 +1,7 @@
 """VO-R is delta-driven (§5.3, CASE R-1 taken seriously).
 
 Steps 1 and 2 of a replacement align ``old`` and ``new`` once — siblings
-by key, leftovers by position — and hand step 3 only the pairs that
+by key, leftovers in key order — and hand step 3 only the pairs that
 differ. These tests pin what that buys (a leaf edit costs one probe and
 one visit per node on its trail, whatever the size of the chart), what it
 must not lose (re-keys still rewrite the island; a subtree is skipped
@@ -26,7 +26,7 @@ from repro.core.updates.compiled import CompiledProgram
 from repro.core.updates.operations import CompleteInsertion, Replacement
 from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.translator import Translator
-from repro.errors import LocalValidationError, UpdateRejectedError
+from repro.errors import LocalValidationError, ReproError, UpdateRejectedError
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.operations import Replace
 from repro.workloads.figures import course_info_object
@@ -382,9 +382,9 @@ class TestWhatIsNotSkipped:
     def test_subtree_equal_to_old_under_a_rekeyed_parent_is_not_skipped(self):
         """The payload re-keys only the pivot; every tuple below still
         equals its partner in ``old`` — and disagrees with its new
-        parent, so step 2 rewrites it and step 3 visits it. (``old``
-        lists its siblings as the payloads do, so that the positional
-        pairs of the re-key are the equal ones.)"""
+        parent, so step 2 rewrites it and step 3 visits it. (Leftovers
+        pair in key order, and within one list the key's inherited part
+        is shared, so the pairs of the re-key are the equal ones.)"""
         stale = dict(deep_chart(), patient_id=6000)
         consistent = rekey_chart(deep_chart(), 6000)
         plans = []
@@ -459,8 +459,8 @@ class TestWhatIsNotSkipped:
 
 
 class TestMalformedInstances:
-    """Duplicate sibling keys and keyless components behave as they did
-    before the walk learned to skip."""
+    """Duplicate sibling keys, keyless components and keys of another
+    kind behave as they did before the walk learned to skip."""
 
     def test_component_lacking_a_key_attribute(self):
         translator, engine = hospital()
@@ -473,6 +473,24 @@ class TestMalformedInstances:
             with pytest.raises(UpdateRejectedError) as rejection:
                 translator.apply(engine, Replacement(old, new))
             assert str(rejection.value) == message
+
+    @pytest.mark.parametrize("value,error", [
+        (None, "attribute 'visit_no' is not nullable"),
+        ("seven", "value 'seven' is not in domain 'integer'"),
+    ])
+    def test_sibling_key_of_another_kind_is_refused_not_mis_sorted(
+        self, value, error
+    ):
+        """Siblings pair in key order, and a payload's key may hold a
+        null or a value of another domain, which no stored key compares
+        with: it ranks by kind and is refused where it always was, by
+        domain validation — never a ``TypeError`` from the sort."""
+        translator, engine = hospital()
+        old = translator.instantiate(engine, (PATIENT,))
+        new = deep_chart(visits=7)
+        new["VISIT"][0]["visit_no"] = value
+        with pytest.raises(ReproError, match=error):
+            translator.apply(engine, Replacement(old, new))
 
     def test_duplicate_sibling_key_in_new(self):
         """The first duplicate pairs with the old tuple; the second has

@@ -39,7 +39,7 @@ rule, so no session restates it (drift bug 17).
 
 So is one whose select cannot be answered alike by every engine (an
 ordering against a literal outside the attribute's domain, drift bug
-16): the same ``QueryError`` on every session and backend, before any
+16, or between two attributes of incomparable domains): the same ``QueryError`` on every session and backend, before any
 engine is asked, and nothing deleted, audited or counted.
 """
 
@@ -490,11 +490,17 @@ def test_a_select_matching_nothing_is_no_update_on_any_session(verb, backend):
         assert seen.admissions == (1 if kind == "concurrent" else 0), kind
 
 
-ILL_TYPED = "birth_year < 'x'"
+ILL_TYPED = {
+    "birth_year < 'x'":
+        "cannot compare INTEGER attribute 'birth_year' with 'x'",
+    "birth_year < name":
+        "cannot compare INTEGER attribute 'birth_year' "
+        "with TEXT attribute 'name'",
+}
 UNANSWERABLE = {
-    "query": lambda s: s.query(OBJECT, ILL_TYPED),
-    "delete_where": lambda s: s.delete_where(OBJECT, ILL_TYPED),
-    "update_where": lambda s: s.update_where(OBJECT, ILL_TYPED, renamed),
+    "query": lambda text: lambda s: s.query(OBJECT, text),
+    "delete_where": lambda text: lambda s: s.delete_where(OBJECT, text),
+    "update_where": lambda text: lambda s: s.update_where(OBJECT, text, renamed),
 }
 
 
@@ -503,18 +509,17 @@ UNANSWERABLE = {
 def test_an_ordering_no_engine_may_answer_is_refused_on_any_session(
     verb, backend
 ):
-    """sqlite would rank every INTEGER below the text ``'x'`` and delete
-    all charts; Python would raise ``TypeError``. Neither is asked."""
+    """sqlite would rank every INTEGER below the text ``'x'`` (or below
+    every ``name``) and delete all charts; Python would raise
+    ``TypeError``. Neither is asked."""
     untouched = Observed("penguin", backend, ACCEPTED, NOTHING["delete_where"])
-    for kind in SESSIONS:
-        seen = Observed(kind, backend, ACCEPTED, UNANSWERABLE[verb])
-        assert seen.error == (
-            QueryError,
-            "cannot compare INTEGER attribute 'birth_year' with 'x'",
-        ), kind
-        assert seen.rows == untouched.rows, kind
-        assert seen.audit == [] and seen.replica_commits == 0, kind
-        assert seen.translations == seen.failures == seen.plan_ops == 0, kind
+    for text, refusal in ILL_TYPED.items():
+        for kind in SESSIONS:
+            seen = Observed(kind, backend, ACCEPTED, UNANSWERABLE[verb](text))
+            assert seen.error == (QueryError, refusal), (text, kind)
+            assert seen.rows == untouched.rows, (text, kind)
+            assert seen.audit == [] and seen.replica_commits == 0, kind
+            assert seen.translations == seen.failures == seen.plan_ops == 0, kind
 
 
 def test_rejection_counted_and_audited_on_the_owner_shard():

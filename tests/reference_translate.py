@@ -27,6 +27,7 @@ directory pins both implementations; ``test_compiled.py`` and
 from __future__ import annotations
 
 import contextlib
+import datetime
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -229,9 +230,9 @@ def _propagate_deletion(ctx: TranslationContext, instance: Instance) -> None:
 # * I-4 — keys differ, tuple present with conflicting values: replacement.
 #
 # Old/new component tuples at each node are aligned by key first and
-# positionally for the remainder, so key-changing pairs (R-3) stay
-# aligned — Figure 4's components are *sets*, so sibling order carries no
-# meaning, in step 1 as little as in step 3. Steps 2 (in-object
+# the remainder in key order on both sides, so key-changing pairs (R-3)
+# stay aligned — Figure 4's components are *sets*, so sibling order
+# carries no meaning, in step 1 as little as in step 3. Steps 2 (in-object
 # propagation) and 4 (validation against the structural model) wrap the
 # walk, per the paper: "all three steps ... have to be executed
 # sequentially". Here each is its own pass over the whole instance; the
@@ -453,7 +454,10 @@ def _align(
     old_components: List[ComponentTuple],
     new_components: List[ComponentTuple],
 ) -> List[Tuple[Optional[ComponentTuple], Optional[ComponentTuple]]]:
-    """Pair old and new tuples: by key first, leftovers positionally."""
+    """Pair old and new tuples: by key first, leftovers in key order on
+    both sides; the pairs in key order (the lists are sets)."""
+    old_components = _in_key_order(ctx, node_id, old_components)
+    new_components = _in_key_order(ctx, node_id, new_components)
     old_by_key: Dict[Tuple[Any, ...], ComponentTuple] = {}
     for component in old_components:
         old_by_key[key_from_values(ctx, node_id, component.values)] = component
@@ -478,6 +482,31 @@ def _align(
             )
         )
     return pairs
+
+
+def _in_key_order(
+    ctx: TranslationContext, node_id: str, components: List[ComponentTuple]
+) -> List[ComponentTuple]:
+    """Siblings sorted by key. A payload's key may hold a null or a value
+    of another domain: then values rank by kind (null, number, text or
+    date, anything else) before they compare."""
+    keys = [key_from_values(ctx, node_id, c.values) for c in components]
+
+    def ranked(value: Any) -> Tuple[Any, ...]:
+        if value is None:
+            return (0, "", 0)
+        if isinstance(value, (int, float)):
+            return (1, "", value)
+        if isinstance(value, (str, datetime.date)):
+            return (2, type(value).__name__, value)
+        return (3, type(value).__name__, repr(value))
+
+    order = range(len(components))
+    try:
+        order = sorted(order, key=keys.__getitem__)
+    except TypeError:
+        order = sorted(order, key=lambda i: tuple(map(ranked, keys[i])))
+    return [components[i] for i in order]
 
 
 # ---------------------------------------------------------------------------

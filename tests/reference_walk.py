@@ -83,7 +83,8 @@ class ReferenceInstantiator:
         """All tuples at the end of ``path`` connected to ``start_values``.
 
         Composite paths chain the per-connection matching; duplicates
-        (several routes to the same end tuple) collapse by key.
+        (several routes to the same end tuple) collapse by key. Siblings
+        come in key order.
         """
         frontier = [start_values]
         for traversal in path:
@@ -100,7 +101,7 @@ class ReferenceInstantiator:
             frontier = next_frontier
             if not frontier:
                 break
-        return frontier
+        return sorted(frontier, key=engine.schema(path.end).key_of)
 
 
 # -- upward: which pivots a changed tuple can reach ---------------------------

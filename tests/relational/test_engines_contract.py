@@ -272,7 +272,7 @@ class TestReads:
             engine.insert("T", row)
 
         def keys(names, entry):
-            return sorted(v[0] for v in engine.find_by("T", names, entry))
+            return [v[0] for v in engine.find_by("T", names, entry)]
 
         stamp = datetime.datetime(1991, 5, 29, 23, 59)
         for _ in range(2):
@@ -298,7 +298,7 @@ class TestReads:
         engine.insert("E", (day, 2, None, "n"))
         engine.insert("E", (datetime.date(1991, 5, 30), 1, None, None))
         found = engine.find_by("E", ("day",), (day,))
-        assert sorted(found) == [(day, 1, True, None), (day, 2, None, "n")]
+        assert found == [(day, 1, True, None), (day, 2, None, "n")]
 
     def test_select(self, engine):
         engine.insert("T", ("a", 1, None, None))
@@ -324,11 +324,54 @@ class TestReads:
         assert not engine.contains("T", ("b",))
 
 
+class TestKeyOrder:
+    """``find_by`` answers in primary-key order: siblings in an instance
+    come in the order of their keys on every engine, through an index
+    or a scan, and under the overlay with pending inserts, re-keys and
+    tombstones mixed into its base's answer."""
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["scan", "index"])
+    def test_find_by_answers_in_primary_key_order(self, engine, indexed):
+        base = engine.base if isinstance(engine, BufferedEngine) else engine
+        if indexed:
+            base.create_index("T", ("n",))
+        for k in ("m", "c", "x", "a", "z"):
+            base.insert("T", (k, 1, None, None))
+        engine.insert("T", ("q", 1, None, None))
+        engine.insert("T", ("d", 2, None, None))
+        engine.replace("T", ("x",), ("b", 1, None, None))  # re-keyed
+        engine.replace("T", ("z",), ("z", 2, None, None))  # moved away
+        engine.delete("T", ("c",))
+        assert [v[0] for v in engine.find_by("T", ("n",), (1,))] == [
+            "a", "b", "m", "q",
+        ]
+        assert [v[0] for v in engine.find_by("T", ("n",), (2,))] == ["d", "z"]
+
+    def test_composite_key_order_is_by_value_not_by_text(self, engine):
+        create(engine, DATED_SCHEMA)
+        day, earlier = datetime.date(1991, 5, 29), datetime.date(1990, 12, 1)
+        for row in [(day, 10), (day, 2), (earlier, 5), (day, 1)]:
+            engine.insert("E", row + (True, None))
+        found = engine.find_by("E", ("open",), (True,))
+        assert [v[:2] for v in found] == [
+            (earlier, 5), (day, 1), (day, 2), (day, 10),
+        ]
+
+    def test_unindexed_memory_engine(self):
+        engine = MemoryEngine(use_indexes=False)
+        engine.create_relation(CONTRACT_SCHEMA)
+        engine.create_index("T", ("n",))  # a no-op: every find_by scans
+        for k in ("m", "c", "a"):
+            engine.insert("T", (k, 1, None, None))
+        assert [v[0] for v in engine.find_by("T", ("n",), (1,))] == ["a", "c", "m"]
+
+
 class TestPushedLiterals:
     """An object query's pivot conjuncts are handed to the engine, so
     the literal in one is typed before any engine sees it (drift bug 16:
     sqlite ranked storage classes where Python raised ``TypeError``, and
-    compared DATE columns as ISO text where Python compared nothing)."""
+    compared DATE columns as ISO text where Python compared nothing),
+    and an ordering between two attributes needs comparable domains."""
 
     ROWS = [
         ("a", 1, True, datetime.date(1990, 1, 1)),
@@ -364,6 +407,8 @@ class TestPushedLiterals:
         ("n = 'x'", []),             # equality: matches nothing, on both
         ("n in ('x', 2)", ["b"]),
         ("flag = true", ["a"]),
+        ("n = k", []),               # equality across domains: nothing
+        ("n <= n", ["a", "b"]),      # one domain orders on both
     ])
     def test_answered_alike(self, ask, text, keys):
         assert ask(text) == keys
@@ -378,6 +423,10 @@ class TestPushedLiterals:
         ("d = 'soon'", "cannot compare DATE attribute 'd' with 'soon'"),
         ("d in ('1990-01-01', 'soon')",
          "cannot compare DATE attribute 'd' with 'soon'"),
+        ("n < k", "cannot compare INTEGER attribute 'n' with TEXT attribute 'k'"),
+        ("d >= k", "cannot compare DATE attribute 'd' with TEXT attribute 'k'"),
+        ("flag > n",
+         "cannot compare BOOLEAN attribute 'flag' with INTEGER attribute 'n'"),
     ])
     def test_refused_alike_and_before_any_row(self, ask, engine, text, refusal):
         with pytest.raises(QueryError, match=refusal):

@@ -584,6 +584,17 @@ class TestUrlUnquote:
         assert status == 400
         assert "cannot compare INTEGER attribute 'birth_year'" in body["error"]
 
+    def test_an_ordering_across_attribute_domains_is_a_400_too(self, served):
+        """``birth_year < name`` (a 400 carrying the ``TypeError`` text on
+        memory, every chart on sqlite, until the planner refused it)."""
+        _, url = served
+        status, body = request(f"{url}/objects/{OBJECT}?q=birth_year+%3C+name")
+        assert status == 400
+        assert body["error"].endswith(
+            "cannot compare INTEGER attribute 'birth_year' "
+            "with TEXT attribute 'name'"
+        )
+
     def test_invalid_utf8_query_is_a_400_response(self, served):
         _, url = served
         status, _ = request(f"{url}/objects/{OBJECT}?q=%E9")
