@@ -178,18 +178,18 @@ def build_instance(
     """Build an :class:`Instance` from nested dictionaries.
 
     Attribute keys must match each node's projection exactly; child
-    lists are keyed by child node id and default to empty.
+    lists are keyed by child node id and default to empty. Each node's
+    shape comes from ``view_object.shapes``, derived once per definition.
     """
+    shapes = view_object.shapes
 
     def build_component(node_id: str, payload: Mapping[str, Any]) -> ComponentTuple:
-        if not isinstance(payload, Mapping):
+        if type(payload) is not dict and not isinstance(payload, Mapping):
             raise ViewObjectError(
                 f"component {node_id!r}: expected a mapping of attributes "
                 f"and child lists, got {type(payload).__name__}"
             )
-        node = view_object.node(node_id)
-        projection = view_object.projection(node_id)
-        child_ids = set(node.children)
+        attributes, projected, child_ids = shapes[node_id]
         values: Dict[str, Any] = {}
         children: Dict[str, List[ComponentTuple]] = {}
         for key, value in payload.items():
@@ -202,15 +202,15 @@ def build_instance(
                 children[key] = [
                     build_component(key, element) for element in value
                 ]
-            elif key in projection.attributes:
+            elif key in projected:
                 values[key] = value
             else:
                 raise ViewObjectError(
                     f"component {node_id!r}: {key!r} is neither a projected "
                     f"attribute nor a child node of {node_id!r}"
                 )
-        missing = [a for a in projection.attributes if a not in values]
-        if missing:
+        if len(values) != len(attributes):
+            missing = [a for a in attributes if a not in values]
             raise ViewObjectError(
                 f"component {node_id!r}: missing values for projected "
                 f"attributes {missing!r}"

@@ -15,11 +15,15 @@ Everything about that walk except the data is fixed when the object is
 defined (Section 6), so it is compiled once into a plan of positions:
 per node the projected attribute names and where they sit in a base
 tuple, per child edge the steps of its path. Assembly is then tuple
-indexing plus ``engine.find_by``. The plan holds no engine — it takes
-one per call — so the same plan runs over a backend, a
-``BufferedEngine`` overlay or any delegating proxy. Use
-``view_object.instantiator`` to share one compiled plan per object;
-``tests/reference_walk.py`` keeps the uncompiled walk as the oracle.
+indexing plus engine probes, one per sibling list and child edge: a
+tuple alone in its list follows each edge with ``engine.find_by``, and
+a list of two or more asks ``engine.find_by_many`` once per single-step
+edge for all its tuples (Horn/Perera/Cheney's join of a delta *as a
+relation*, PAPERS.md). The plan holds no engine — it takes one per
+call — so the same plan runs over a backend, a ``BufferedEngine``
+overlay or any delegating proxy. Use ``view_object.instantiator`` to
+share one compiled plan per object; ``tests/reference_walk.py`` keeps
+the uncompiled walk as the oracle.
 """
 
 from __future__ import annotations
@@ -159,13 +163,58 @@ class Instantiator:
 
 
 def _bind(engine: Engine, plan: NodePlan, base_values: Values) -> ComponentTuple:
+    """A tuple alone in its sibling list (the pivot, or an only child):
+    each child edge is one :func:`follow_path`. The short-list test is
+    inlined: a flat instance is all only children, and a call per edge
+    showed in its read latency."""
     node_id, attributes, values_of, edges = plan
     children = {}
     for child, steps in edges:
-        children[child[0]] = [
-            _bind(engine, child, child_values)
-            for child_values in follow_path(engine, steps, (base_values,))
-        ]
+        found = follow_path(engine, steps, (base_values,))
+        children[child[0]] = (
+            [_bind(engine, child, values) for values in found]
+            if len(found) < 2
+            else _bind_siblings(engine, child, found)
+        )
     return ComponentTuple(
         node_id, dict(zip(attributes, values_of(base_values))), children
     )
+
+
+def _bind_siblings(
+    engine: Engine, plan: NodePlan, siblings: Sequence[Values]
+) -> List[ComponentTuple]:
+    """One sibling list. Two or more tuples share one ``find_by_many``
+    per single-step child edge — the edge joined with the list as a
+    relation — and each tuple takes its answer, which is exactly what
+    :func:`follow_path` would have found for it alone. A composite
+    (Figure 3) edge is followed per tuple. A shorter list is bound tuple
+    by tuple, as :func:`_bind` binds it: batching it would only add work
+    (DESIGN.md "Read path": a level-wise walk of every node made flat
+    charts slower to read)."""
+    if len(siblings) < 2:
+        return [_bind(engine, plan, values) for values in siblings]
+    node_id, attributes, values_of, edges = plan
+    bound = [
+        ComponentTuple(node_id, dict(zip(attributes, values_of(values))), {})
+        for values in siblings
+    ]
+    for child, steps in edges:
+        child_id = child[0]
+        if len(steps) > 1:
+            for component, values in zip(bound, siblings):
+                component.children[child_id] = _bind_siblings(
+                    engine, child, follow_path(engine, steps, (values,))
+                )
+            continue
+        entry_of, end, end_attributes, _ = steps[0]
+        entries = [entry_of(values) for values in siblings]
+        # A null never matches (Definition 2.1): such a tuple has no
+        # children along this edge, and its entry is not asked.
+        asked = [entry for entry in entries if None not in entry]
+        found = engine.find_by_many(end, end_attributes, asked) if asked else {}
+        for component, entry in zip(bound, entries):
+            component.children[child_id] = _bind_siblings(
+                engine, child, found.get(entry, ())
+            )
+    return bound

@@ -50,9 +50,17 @@ What is compiled:
   and key-change retarget/propagation — are pre-resolved into
   per-relation adjacency lists with attribute positions baked in;
 * the ``null_completer`` + ``row_from_mapping`` tuple-building pair is
-  fused into a single positional pass (domain validation is deferred to
-  the engine boundary, where every backend re-validates through
-  ``_coerce_values`` before mutating — same errors, same messages).
+  fused into a single positional pass, :meth:`CompiledNode.complete_row`.
+
+Where a row is validated: a row the program builds for an insertion is
+checked in ``complete_row`` (where the walk's ``row_from_mapping``
+raised, so the error surfaces at the same point) and once more at the
+engine boundary, ``Engine._coerce_values``, which every backend runs
+before it mutates; a replacement's merged row only there. Storage checks
+nothing: ``MemoryEngine``'s ``Table`` takes the row as the boundary
+passed it, and an overlay write the program proved (``insert_validated``)
+is checked when the batch reaches the real engine. Same errors, same
+messages (``RelationSchema.validate_row``).
 
 The readable tree walk this replaced lives in
 ``tests/reference_translate.py`` as the oracle: the program must produce

@@ -19,7 +19,7 @@ enforces the paper's structural conditions:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import PivotError, ProjectionError, ViewObjectError
 from repro.core.information_metric import InformationMetric, RelevantSubgraph
@@ -52,6 +52,7 @@ class ViewObjectDefinition:
         self.subgraph = subgraph
         self.maximal_tree = maximal_tree
         self._instantiator = None
+        self._shapes = None
         self._validate()
 
     # -- Definition 3.1 / 3.2 --------------------------------------------------
@@ -104,6 +105,22 @@ class ViewObjectDefinition:
 
             self._instantiator = Instantiator(self)
         return self._instantiator
+
+    @property
+    def shapes(self) -> Dict[str, Tuple[Tuple[str, ...], FrozenSet[str], Tuple[str, ...]]]:
+        """Per node id: its projected attribute names, the same as a set,
+        and its child node ids — what a payload is read against
+        (:func:`~repro.core.instance.build_instance`), derived once."""
+        if self._shapes is None:
+            self._shapes = {
+                node_id: (
+                    projection.attributes,
+                    frozenset(projection.attributes),
+                    tuple(self.tree.node(node_id).children),
+                )
+                for node_id, projection in self.projections.items()
+            }
+        return self._shapes
 
     # -- validation -----------------------------------------------------------------
 

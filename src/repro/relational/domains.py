@@ -46,7 +46,7 @@ class Domain:
         Optional extra predicate applied after the type check.
     """
 
-    __slots__ = ("name", "pytypes", "parse", "sql_type", "_validate")
+    __slots__ = ("name", "pytypes", "parse", "sql_type", "_validate", "exact_types")
 
     def __init__(
         self,
@@ -61,6 +61,11 @@ class Domain:
         self.parse = parse
         self.sql_type = sql_type
         self._validate = validate
+        # The types every instance of which belongs, read off the type
+        # alone: the domain's own, exactly (a subclass — a bool in
+        # INTEGER, a datetime in DATE — takes contains()), and none when
+        # a predicate has to see the value.
+        self.exact_types = frozenset(pytypes) if validate is None else frozenset()
 
     def contains(self, value: Any) -> bool:
         """Return True if ``value`` belongs to this domain.

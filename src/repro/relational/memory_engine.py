@@ -100,8 +100,8 @@ class MemoryEngine(Engine):
 
     def clear(self, name: str) -> None:
         table = self._table(name)
-        for key in list(table.keys()):
-            self.delete(name, key)
+        for values in table.scan():
+            self.delete(name, table.schema.key_of(values))
 
     # -- batched mutation --------------------------------------------------------
 
@@ -146,6 +146,16 @@ class MemoryEngine(Engine):
     ) -> List[Tuple[Any, ...]]:
         return self._table(name).find_by(
             attribute_names, self._coerce_entry(name, attribute_names, entry)
+        )
+
+    def find_by_many(
+        self, name: str, attribute_names: Sequence[str], entries: Iterable[Sequence[Any]]
+    ) -> Dict[Tuple[Any, ...], List[Tuple[Any, ...]]]:
+        """One pass: an index lookup per entry, or one scan of the table."""
+        names = tuple(attribute_names)
+        coerce = self._coerce_entry
+        return self._table(name).find_by_many(
+            names, [coerce(name, names, entry) for entry in entries]
         )
 
     def count(self, name: str) -> int:

@@ -4,16 +4,17 @@ A :class:`Table` stores the rows of one relation keyed by primary key,
 maintains any number of secondary :class:`~repro.relational.indexes.HashIndex`
 objects, and exposes exactly the operation vocabulary the paper's
 translation algorithms emit: **insert**, **delete**, and **replace**.
+Rows are stored as given: ``MemoryEngine``, the only writer, checked
+each against the schema at the engine boundary before it got here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DuplicateKeyError, NoSuchRowError
 from repro.relational.indexes import HashIndex
-from repro.relational.row import Row
-from repro.relational.schema import RelationSchema
+from repro.relational.schema import RelationSchema, tuple_getter
 
 __all__ = ["Table"]
 
@@ -53,9 +54,8 @@ class Table:
 
     # -- mutation -------------------------------------------------------------
 
-    def insert(self, values: Sequence[Any]) -> Tuple[Any, ...]:
+    def insert(self, values: Tuple[Any, ...]) -> Tuple[Any, ...]:
         """Insert a value tuple; raise :class:`DuplicateKeyError` on clash."""
-        values = self.schema.validate_row(values)
         key = self.schema.key_of(values)
         if key in self._rows:
             raise DuplicateKeyError(self.schema.name, key)
@@ -75,7 +75,7 @@ class Table:
             index.remove(values)
         return values
 
-    def replace(self, key: Sequence[Any], new_values: Sequence[Any]) -> Tuple[Any, ...]:
+    def replace(self, key: Sequence[Any], new_values: Tuple[Any, ...]) -> Tuple[Any, ...]:
         """Replace the row with key ``key`` by ``new_values``.
 
         The new values may change the primary key (the paper's CASE R-3);
@@ -88,7 +88,6 @@ class Table:
             old_values = self._rows[key]
         except KeyError:
             raise NoSuchRowError(self.schema.name, key) from None
-        new_values = self.schema.validate_row(new_values)
         new_key = self.schema.key_of(new_values)
         if new_key != key and new_key in self._rows:
             raise DuplicateKeyError(self.schema.name, new_key)
@@ -114,48 +113,47 @@ class Table:
     def contains_key(self, key: Sequence[Any]) -> bool:
         return tuple(key) in self._rows
 
+    __contains__ = contains_key
+
     def scan(self) -> Iterator[Tuple[Any, ...]]:
         """Iterate over all value tuples (snapshot; safe to mutate during)."""
         return iter(list(self._rows.values()))
-
-    def rows(self) -> Iterator[Row]:
-        """Iterate over all rows as :class:`Row` objects."""
-        for values in self.scan():
-            yield Row(self.schema, values)
 
     def find_by(
         self, attribute_names: Sequence[str], entry: Sequence[Any]
     ) -> List[Tuple[Any, ...]]:
         """All value tuples whose ``attribute_names`` equal ``entry``, in
-        primary-key order.
-
-        Uses a secondary index when one exists for exactly these
-        attributes; falls back to a scan otherwise.
-        """
-        names = tuple(attribute_names)
+        primary-key order: through a secondary index on exactly these
+        attributes, else :meth:`find_by_many`'s scan."""
         entry = tuple(entry)
+        index = self._indexes.get(tuple(attribute_names))
+        if index is None:
+            return self.find_by_many(attribute_names, (entry,))[entry]
+        rows = self._rows
+        return [rows[k] for k in index.lookup(entry)]
+
+    def find_by_many(
+        self, attribute_names: Sequence[str], entries: Iterable[Tuple[Any, ...]]
+    ) -> Dict[Tuple[Any, ...], List[Tuple[Any, ...]]]:
+        """``{entry: find_by(attribute_names, entry)}`` for every entry:
+        one index lookup each, or one scan grouping the rows by entry."""
+        names = tuple(attribute_names)
         index = self._indexes.get(names)
         rows = self._rows
         if index is not None:
-            return [rows[k] for k in index.lookup(entry) if k in rows]
-        positions = self.schema.positions(names)
-        return sorted(
-            (
-                values
-                for values in rows.values()
-                if tuple(values[i] for i in positions) == entry
-            ),
-            key=self.schema.key_of,
-        )
-
-    def keys(self) -> Iterator[Tuple[Any, ...]]:
-        return iter(list(self._rows.keys()))
+            return {e: [rows[k] for k in index.lookup(e)] for e in entries}
+        found = {entry: [] for entry in entries}
+        entry_of = tuple_getter(self.schema.positions(names))
+        for values in rows.values():
+            matched = found.get(entry_of(values))
+            if matched is not None:
+                matched.append(values)
+        for matched in found.values():
+            matched.sort(key=self.schema.key_of)
+        return found
 
     def __len__(self) -> int:
         return len(self._rows)
-
-    def __contains__(self, key: Tuple[Any, ...]) -> bool:
-        return tuple(key) in self._rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.schema.name}, {len(self._rows)} rows)"

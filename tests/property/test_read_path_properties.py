@@ -9,7 +9,9 @@ whose intermediates are pruned into composite multi-connection paths —
 these properties hold:
 
 * the compiled instance ``==`` the reference instance, on the memory
-  engine, on sqlite, and on a ``BufferedEngine`` with pending writes;
+  engine, on sqlite, and on a ``BufferedEngine`` with pending writes —
+  with two pinned cases whose sibling lists of two or more tuples under
+  a single-step edge are assembled through ``find_by_many``;
 * for every changelog record of a random write sequence the projected
   pivots contain every pivot whose instance really held the tuple, and
   contain the walked pivots; while every tuple has its owners the two
@@ -23,7 +25,7 @@ these properties hold:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.projection import Projection
@@ -34,6 +36,7 @@ from repro.materialize import POLICIES
 from repro.materialize.dependency import DependencyIndex
 from repro.materialize.store import MaterializedView
 from repro.relational.domains import INTEGER, TEXT
+from repro.relational.memory_engine import MemoryEngine
 from repro.structural.integrity import IntegrityChecker, connected_tuples
 from repro.workloads.synthetic import random_chain_case
 from tests.conftest import make_engine
@@ -150,10 +153,16 @@ def apply_op(engine, op, a, b, c, counter):
 
 # -- instantiation ------------------------------------------------------------
 
+# Depth 3, fan-out 2: every view object but ``pruned`` batches its
+# sibling lists (test_pinned_cases_batch_sibling_lists holds that).
+BATCHED_CASES = [(5, False), (5, True)]
+
 
 @pytest.mark.parametrize("kind", ["memory", "sqlite", "buffered"])
 @settings(max_examples=20, deadline=None)
 @given(case=cases, writes=write_sequences)
+@example(case=BATCHED_CASES[0], writes=[("touch", 0, 0, 0)])
+@example(case=BATCHED_CASES[1], writes=[("move", 1, 2, 3)])
 def test_compiled_instance_equals_reference_instance(kind, case, writes):
     seed, adversarial = case
     engine = make_engine("sqlite" if kind == "buffered" else kind)
@@ -171,6 +180,30 @@ def test_compiled_instance_equals_reference_instance(kind, case, writes):
             key = engine.schema(view_object.pivot_relation).key_of(values)
             assert compiled.by_key(engine, key) == reference.by_key(engine, key)
         assert compiled.by_key(engine, (-1,)) is None
+
+
+class _BatchCounting(MemoryEngine):
+    """Counts the ``find_by_many`` calls that carried two or more entries."""
+
+    batched = 0
+
+    def find_by_many(self, name, attribute_names, entries):
+        entries = list(entries)
+        if len(entries) >= 2:
+            self.batched += 1
+        return super().find_by_many(name, attribute_names, entries)
+
+
+@pytest.mark.parametrize("case", BATCHED_CASES)
+def test_pinned_cases_batch_sibling_lists(case):
+    seed, adversarial = case
+    engine = _BatchCounting()
+    _, spanning, _ = random_chain_case(engine, seed, adversarial=adversarial)
+    for view_object in view_objects(spanning)[:2]:
+        engine.batched = 0
+        instances = view_object.instantiator.all(engine)
+        assert engine.batched > 0
+        assert instances == ReferenceInstantiator(view_object).all(engine)
 
 
 # -- dependency climb ---------------------------------------------------------

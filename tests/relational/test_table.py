@@ -86,11 +86,6 @@ class TestReads:
         table.delete(("CS1", 1))  # mutation during iteration is safe
         assert len(list(scan)) == 2
 
-    def test_rows_wrapper(self, table):
-        table.insert(("CS1", 1, "A"))
-        rows = list(table.rows())
-        assert rows[0]["grade"] == "A"
-
     def test_find_by_scan(self, table):
         table.insert(("CS1", 1, "A"))
         table.insert(("CS1", 2, "B"))
