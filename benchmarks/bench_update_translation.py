@@ -233,6 +233,11 @@ class _CountingEngine(MemoryEngine):
         self.probes += 1
         return super().find_by(name, attribute_names, entry)
 
+    def find_by_many(self, name, attribute_names, entries):
+        entries = list(entries)
+        self.probes += len(entries)
+        return super().find_by_many(name, attribute_names, entries)
+
     def contains(self, name, key):
         self.probes += 1
         return super().contains(name, key)

@@ -60,6 +60,11 @@ class CountingEngine(MemoryEngine):
         self.reads.append(("find_by", name, tuple(entry)))
         return super().find_by(name, attribute_names, entry)
 
+    def find_by_many(self, name, attribute_names, entries):
+        entries = [tuple(entry) for entry in entries]
+        self.reads.extend(("find_by_many", name, entry) for entry in entries)
+        return super().find_by_many(name, attribute_names, entries)
+
     def contains(self, name, key):
         self.reads.append(("contains", name, tuple(key)))
         return super().contains(name, key)
