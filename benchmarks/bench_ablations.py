@@ -2,17 +2,13 @@
 
 * **connection-attribute indexes** — update propagation is lookup-bound;
   with indexes off, every ``find_by`` is a scan;
-* **post-update integrity verification** — the belt-and-braces full
-  check the Translator can run after every translation;
 * **storage backend** — identical translations on the from-scratch
   engine vs sqlite3.
 """
 
-import copy
-
 import pytest
 
-from repro.core.updates.operations import CompleteDeletion, Replacement
+from repro.core.updates.operations import CompleteDeletion
 from repro.core.updates.translator import Translator
 from repro.workloads.figures import course_info_object
 from repro.workloads.university import UniversityConfig
@@ -52,30 +48,6 @@ def test_bench_deletion_index_ablation(benchmark, with_indexes):
 
     plan = benchmark.pedantic(run, setup=setup, rounds=3)
     assert plan.count("delete") >= 1
-
-
-@pytest.mark.benchmark(group="ablation-verify")
-@pytest.mark.parametrize(
-    "verify", [False, True], ids=["no-verify", "full-verify"]
-)
-def test_bench_integrity_verification_ablation(benchmark, verify):
-    graph, probe = build()
-    omega = course_info_object(graph)
-    translator = Translator(omega, verify_integrity=verify)
-    course_id = connected_course(probe)
-
-    def setup():
-        __, engine = build()
-        old = translator.instantiate(engine, (course_id,))
-        new = copy.deepcopy(old.to_dict())
-        new["title"] = "Ablated"
-        return (engine, old, new), {}
-
-    def run(engine, old, new):
-        return translator.apply(engine, Replacement(old, new))
-
-    plan = benchmark.pedantic(run, setup=setup, rounds=3)
-    assert plan.count("replace") == 1
 
 
 @pytest.mark.benchmark(group="ablation-backend")

@@ -13,9 +13,7 @@ a whole batch while touching the real engine almost never:
   plus tombstone sets for deleted base rows);
 * reads consult the overlay first and fall back to the base engine,
   memoizing every base read — safe because the base is never mutated
-  while a batch is being translated;
-* :meth:`prime` pre-warms the read cache for a set of keys with one
-  batched :meth:`~repro.relational.engine.Engine.get_many` call.
+  while a batch is being translated.
 
 After translation, the recorded per-instance plans are coalesced
 (:func:`repro.relational.operations.coalesce_plans`) and flushed to the
@@ -26,7 +24,7 @@ is nothing to roll back.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DuplicateKeyError, NoSuchRowError, TransactionError
 from repro.relational.engine import Engine, ValuesLike
@@ -75,21 +73,6 @@ class BufferedEngine(Engine):
 
     def has_relation(self, name: str) -> bool:
         return self.base.has_relation(name)
-
-    # -- cache pre-warming -------------------------------------------------
-
-    def prime(self, name: str, keys: Iterable[Sequence[Any]]) -> None:
-        """Warm the read cache for ``keys`` with one batched lookup."""
-        missing = []
-        for key in keys:
-            key = self._coerce_key(name, key)
-            if (name, key) not in self._get_cache:
-                missing.append(key)
-        if not missing:
-            return
-        found = self.base.get_many(name, missing)
-        for key in missing:
-            self._get_cache[(name, key)] = found.get(key)
 
     # -- mutation (overlay only) -------------------------------------------
 

@@ -92,12 +92,6 @@ class Translator:
     policy:
         The semantics chosen at definition time (dialog output). The
         default is fully permissive.
-    verify_integrity:
-        When True, every successful translation is followed by a full
-        structural-integrity check of the database; a violation raises
-        :class:`GlobalValidationError` and rolls the transaction back.
-        This is the belt-and-braces mode used by the test suite and the
-        integrity ablation.
     journal:
         An optional :class:`~repro.relational.journal.PlanJournal`.
         When set, every top-level translated plan is journaled as a
@@ -123,7 +117,6 @@ class Translator:
         self,
         view_object: ViewObjectDefinition,
         policy: Optional[TranslatorPolicy] = None,
-        verify_integrity: bool = False,
         user: Optional[str] = None,
         journal: Optional[PlanJournal] = None,
         audit: Optional[AuditLog] = None,
@@ -132,7 +125,6 @@ class Translator:
         self.view_object = view_object
         self.policy = policy or TranslatorPolicy.permissive()
         self.analysis = analyze_island(view_object)
-        self.verify_integrity = verify_integrity
         self.user = user
         self.journal = journal
         self.audit = audit
@@ -242,7 +234,7 @@ class Translator:
             try:
                 self._check_authorized()
                 self._translate(ctx, request)
-                self._verify(engine)
+                self._verify(engine, ctx.plan.operations)
             except BaseException as exc:
                 # An Exception rejects the update: roll back, nothing is
                 # left behind. Anything else is a (simulated) crash
@@ -422,7 +414,6 @@ class Translator:
             coalesced=coalesced,
             island_relations=tuple(self.analysis.island_relations),
             graph=self.view_object.graph,
-            verify_integrity=self.verify_integrity,
             items=len(requests),
             risk=self.risk(),
         )
@@ -453,9 +444,9 @@ class Translator:
 
         Every overlay translation runs here — a batch write, an explain,
         and the sharded write (:meth:`explain_batch` with ``op=``, then
-        :meth:`apply_plan`) — so each gets step 1's authorization, the
-        key pre-load, one ``translate`` span per request and the
-        ``verify_integrity`` check. A *write*'s rejection also bumps
+        :meth:`apply_plan`) — so each gets step 1's authorization, one
+        ``translate`` span per request and the plan check
+        (:meth:`_verify`). A *write*'s rejection also bumps
         ``translation_failures_total`` and leaves one ``rolled_back``
         audit record; an explain's does not.
         """
@@ -464,7 +455,6 @@ class Translator:
         try:
             self._check_authorized()
             buffered = BufferedEngine(engine)
-            self._prewarm(buffered, requests)
             for request in requests:
                 ctx = TranslationContext(
                     self.view_object, buffered, self.policy, self.analysis
@@ -472,7 +462,7 @@ class Translator:
                 with tracer.span("translate", op=op):
                     self._translate(ctx, request)
                 plans.append(ctx.plan)
-            self._verify(buffered)
+            self._verify(buffered, [o for plan in plans for o in plan])
         except Exception as exc:
             if write:
                 obs.metrics().counter(
@@ -494,33 +484,6 @@ class Translator:
             self, ctx, self._resolve_instance(ctx.engine, request.anchor), request
         )
 
-    def _prewarm(
-        self, buffered: BufferedEngine, requests: List[UpdateRequest]
-    ) -> None:
-        """Batch-load every component key the translations will probe.
-
-        Only worthwhile when the base engine actually batches lookups
-        (sqlite's ``IN`` queries); against a plain dict-backed engine the
-        pre-pass would just double the number of point reads.
-        """
-        if type(buffered.base).get_many is Engine.get_many:
-            return
-        keys_by_relation: Dict[str, List[Any]] = {}
-        for request in requests:
-            if not isinstance(request.anchor, Instance):
-                continue
-            for node_id, components in request.anchor.iter_nodes():
-                node = self.view_object.node(node_id)
-                schema = self.view_object.graph.relation(node.relation)
-                for component in components:
-                    try:
-                        key = tuple(component.values[k] for k in schema.key)
-                    except KeyError:
-                        continue
-                    keys_by_relation.setdefault(node.relation, []).append(key)
-        for relation, keys in keys_by_relation.items():
-            buffered.prime(relation, keys)
-
     # -- helpers -----------------------------------------------------------------
 
     def _check_authorized(self) -> None:
@@ -532,12 +495,13 @@ class Translator:
                 f"view object {self.view_object.name!r}"
             )
 
-    def _verify(self, engine: Engine) -> None:
-        """The belt-and-braces structural check of ``verify_integrity``."""
-        if not self.verify_integrity:
-            return
+    def _verify(self, engine: Engine, operations: List[Any]) -> None:
+        """Every translated plan is valid: the existence rules of its
+        connections hold over ``engine``, which holds the plan's effects
+        (:meth:`IntegrityChecker.check_plan`). Both translate halves end
+        here; a violation rejects the update."""
         with obs.tracer().span("verify"):
-            violations = self._checker.check(engine)
+            violations = self._checker.check_plan(engine, operations)
         if violations:
             raise GlobalValidationError(
                 f"translation left {len(violations)} integrity violations: "

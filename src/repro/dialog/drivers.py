@@ -213,7 +213,6 @@ def run_definition_dialog(
 def choose_translator(
     view_object: ViewObjectDefinition,
     source: AnswerSource,
-    verify_integrity: bool = False,
     strictness: Optional[str] = None,
 ) -> Tuple[Translator, Transcript]:
     """Run the dialog and return the configured translator.
@@ -226,7 +225,6 @@ def choose_translator(
     translator = Translator(
         view_object,
         policy=policy,
-        verify_integrity=verify_integrity,
         strictness=strictness,
     )
     return translator, transcript

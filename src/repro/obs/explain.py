@@ -14,9 +14,8 @@ A :class:`TranslationExplanation` reports, in the spirit of the paper's
 
 * the operations with their recorded reasons (which CASE emitted each);
 * the relations touched and the operation-kind tally;
-* the integrity context consulted — the dependency island, the
-  structural connections incident to the touched relations, and whether
-  a full integrity verification would run;
+* the integrity context consulted — the dependency island and the
+  structural connections incident to the touched relations;
 * the coalescing decision the batch pipeline would make (raw operation
   count vs the folded plan).
 """
@@ -41,7 +40,6 @@ class TranslationExplanation:
         coalesced: UpdatePlan,
         island_relations: Tuple[str, ...],
         graph: Any,
-        verify_integrity: bool,
         items: int = 1,
         risk: Any = None,
     ) -> None:
@@ -51,7 +49,6 @@ class TranslationExplanation:
         self.coalesced = coalesced
         self.island_relations = island_relations
         self._graph = graph
-        self.verify_integrity = verify_integrity
         self.items = items
         # The definition-time RiskReport of the translator that produced
         # this plan (None when the strategy checker never ran).
@@ -111,7 +108,6 @@ class TranslationExplanation:
             "op_kinds": self.op_kinds,
             "island_relations": list(self.island_relations),
             "connections": list(self.connections),
-            "verify_integrity": self.verify_integrity,
             "raw_ops": self.raw_ops,
             "coalesced_ops": self.coalesced_ops,
             "risk": None if self.risk is None else self.risk.to_dict(),
@@ -144,10 +140,6 @@ class TranslationExplanation:
             lines.extend(f"    {rule}" for rule in self.connections)
         else:
             lines.append("  integrity rules  : none consulted")
-        lines.append(
-            "  verify integrity : "
-            + ("full post-translation check" if self.verify_integrity else "off")
-        )
         if self.risk is None:
             lines.append("  strategy risk    : unchecked")
         else:

@@ -222,7 +222,6 @@ class Penguin(ViewObjectSession):
         backend: str = "memory",
         metric: Optional[InformationMetric] = None,
         install: bool = True,
-        verify_integrity: bool = False,
         journal: Optional[PlanJournal] = None,
         audit: Optional[AuditLog] = None,
         strictness: Optional[str] = None,
@@ -237,7 +236,6 @@ class Penguin(ViewObjectSession):
                 raise ValueError(f"unknown backend {backend!r}")
         self.engine = engine
         self.metric = metric or InformationMetric()
-        self.verify_integrity = verify_integrity
         self.journal = journal
         self.audit = audit
         # Definition-time strategy validation ("off" / "warn" /
@@ -314,7 +312,6 @@ class Penguin(ViewObjectSession):
         translator, transcript = choose_translator(
             view_object,
             source,
-            verify_integrity=self.verify_integrity,
             strictness=self.strictness,
         )
         translator.journal = self.journal
@@ -334,7 +331,6 @@ class Penguin(ViewObjectSession):
         translator = Translator(
             self.object(name),
             policy=policy,
-            verify_integrity=self.verify_integrity,
             journal=self.journal,
             audit=self.audit,
             strictness=self.strictness,
@@ -347,7 +343,6 @@ class Penguin(ViewObjectSession):
         if name not in self._translators:
             self._translators[name] = Translator(
                 self.object(name),
-                verify_integrity=self.verify_integrity,
                 journal=self.journal,
                 audit=self.audit,
                 strictness=self.strictness,

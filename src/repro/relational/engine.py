@@ -149,8 +149,7 @@ class Engine:
 
         Keyed by each key as the engine normalises it (a ``datetime`` in
         a DATE attribute by its ``date``), which is the stored key on
-        every backend. The default loops over :meth:`get`; the sqlite
-        backend batches the lookups into ``IN`` queries.
+        every backend. Every backend inherits this loop over :meth:`get`.
         """
         found = {}
         for key in keys:

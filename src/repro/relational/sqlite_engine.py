@@ -429,34 +429,6 @@ class SqliteEngine(Engine):
         rows = sql.decode(self._execute(sql.get, sql.encode_key(key)))
         return rows[0] if rows else None
 
-    def get_many(
-        self, name: str, keys: Iterable[Sequence[Any]]
-    ) -> Dict[Tuple[Any, ...], Tuple[Any, ...]]:
-        """Batched point lookups.
-
-        Single-attribute keys collapse into chunked ``IN`` queries; the
-        composite-key fallback loops like the base implementation.
-        """
-        schema = self._schema_for(name)
-        key_list = [self._coerce_key(name, key) for key in keys]
-        if len(schema.key) != 1:
-            return super().get_many(name, key_list)
-        found: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
-        sql = self._sql(schema)
-        column = _quote(schema.key[0])
-        chunk_size = 500  # stay well under sqlite's host-parameter limit
-        for start in range(0, len(key_list), chunk_size):
-            chunk = key_list[start:start + chunk_size]
-            placeholders = ", ".join("?" for _ in chunk)
-            statement = (
-                f"SELECT * FROM {_quote(name)} "
-                f"WHERE {column} IN ({placeholders})"
-            )
-            params = [sql.encode_key(key)[0] for key in chunk]
-            for row in sql.decode(self._execute(statement, params)):
-                found[schema.key_of(row)] = row
-        return found
-
     def scan(self, name: str) -> Iterator[Tuple[Any, ...]]:
         sql = self._sql(self._schema_for(name))  # unknown names raise here
         cursor = self._execute(f"SELECT * FROM {_quote(name)}")

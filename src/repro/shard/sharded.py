@@ -219,7 +219,6 @@ class ShardedPenguin(ViewObjectSession):
         router: Optional[Router] = None,
         backend: str = "memory",
         metric=None,
-        verify_integrity: bool = False,
         engines: Optional[Sequence[Engine]] = None,
         journals: Optional[Sequence[PlanJournal]] = None,
         audits: Optional[Sequence[AuditLog]] = None,
@@ -250,7 +249,6 @@ class ShardedPenguin(ViewObjectSession):
                 backend=backend,
                 metric=metric,
                 install=install,
-                verify_integrity=verify_integrity,
                 audit=audits[shard_id] if audits else MemoryAuditLog(),
             )
             # Attached after construction so recovery is NOT run per

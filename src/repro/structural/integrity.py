@@ -8,50 +8,53 @@ Definitions 2.2-2.4):
   referenced tuple in R2 or holds nulls in X1;
 * subset ``R1 ==>o R2``: every tuple of R2 connects to a tuple in R1.
 
-:class:`IntegrityChecker` verifies all of them against live data. The
-module also provides :func:`connected_tuples`, the lookup primitive used
-throughout update propagation ("two tuples are connected iff the values
-of the connecting attributes match", Definition 2.1).
+All three have one shape, a :class:`Rule`: every row of a *child*
+relation names a row of a *parent* relation by the parent's key (the
+parent side of a connection is always its key, see
+:mod:`~repro.structural.connections`):
+
+=============  =====  ======  =========================================
+kind           child  parent  nulls in the child attributes
+=============  =====  ======  =========================================
+ownership      R2     R1      refused
+reference      R1     R2      all-null allowed, part-null refused
+subset         R2     R1      refused
+=============  =====  ======  =========================================
+
+:class:`IntegrityChecker` builds that table once from the schema and
+reads it two ways: :meth:`~IntegrityChecker.check` scans the whole
+database, :meth:`~IntegrityChecker.check_plan` checks only what one
+translated plan wrote and removed.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.relational.domains import DATE
 from repro.relational.engine import Engine
-from repro.structural.connections import Connection, ConnectionKind, Traversal
+from repro.relational.schema import RelationSchema
+from repro.structural.connections import Connection, ConnectionKind
 from repro.structural.schema_graph import StructuralSchema
 
 __all__ = ["Violation", "IntegrityChecker"]
 
-
-def connection_entry(
-    engine: Engine,
-    relation: str,
-    values: Sequence[Any],
-    attribute_names: Sequence[str],
-) -> Tuple[Any, ...]:
-    """Project a value tuple of ``relation`` onto connecting attributes."""
-    schema = engine.schema(relation)
-    return schema.project(values, attribute_names)
+Known = Dict[str, Dict[Tuple[Any, ...], Any]]  # relation -> key -> row
+_UNSEEN = object()  # a key not read yet
 
 
-def connected_tuples(
-    engine: Engine,
-    traversal: Traversal,
-    start_values: Sequence[Any],
-) -> List[Tuple[Any, ...]]:
-    """Tuples at ``traversal.end`` connected to one tuple at ``traversal.start``.
+def _dated(schema: RelationSchema) -> bool:
+    """Whether a key of ``schema`` needs ``Engine._coerce_key``."""
+    return any(schema.attribute(a).domain == DATE for a in schema.key)
 
-    Returns the empty list when any connecting value is null (a null
-    never matches).
-    """
-    entry = connection_entry(
-        engine, traversal.start, start_values, traversal.start_attributes
-    )
-    if any(v is None for v in entry):
-        return []
-    return engine.find_by(traversal.end, traversal.end_attributes, entry)
+
+def _getter(positions: Sequence[int]) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
+    """A projection onto ``positions`` that always answers a tuple."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda values: (values[position],)
+    return itemgetter(*positions)
 
 
 class Violation:
@@ -77,99 +80,177 @@ class Violation:
         return f"Violation({self.rule}: {self.message})"
 
 
+class Rule:
+    """One connection's existence rule, with its projections baked in."""
+
+    __slots__ = (
+        "connection", "name", "child", "parent", "child_attributes",
+        "nullable", "in_key", "dated", "entry", "parent_key", "child_entry",
+        "child_key", "nulls", "missing",
+    )
+
+    def __init__(self, connection: Connection, graph: StructuralSchema) -> None:
+        kind = connection.kind
+        self.connection = connection
+        self.name = f"{kind.value}-1"
+        self.nullable = kind is ConnectionKind.REFERENCE
+        if self.nullable:
+            self.child, self.parent = connection.source, connection.target
+            child_attrs = connection.source_attributes
+            parent_attrs = connection.target_attributes
+        else:
+            self.child, self.parent = connection.target, connection.source
+            child_attrs = connection.target_attributes
+            parent_attrs = connection.source_attributes
+        child = graph.relation(self.child)
+        parent = graph.relation(self.parent)
+        self.child_attributes = child_attrs
+        self.in_key = set(child_attrs) <= set(child.key)
+        self.dated = _dated(parent)
+        # child row -> entry (connection order); child row -> parent
+        # key; parent key -> entry
+        self.entry = _getter(child.positions(child_attrs))
+        self.parent_key = _getter([
+            child.position(child_attrs[parent_attrs.index(a)])
+            for a in parent.key
+        ])
+        self.child_entry = _getter([parent.key.index(a) for a in parent_attrs])
+        self.child_key = child.key_of
+        self.nulls = (None,) * len(child_attrs)
+        self.missing = (
+            f"has no owning tuple in {self.parent}"
+            if kind is ConnectionKind.OWNERSHIP
+            else f"has no general tuple in {self.parent}"
+        )
+
+    def judge(
+        self, values: Sequence[Any], known: Known, engine: Engine
+    ) -> Optional[Violation]:
+        """The violation child row ``values`` makes, or None. ``known``
+        maps relation -> key -> row (None: no row); a parent key it
+        lacks is read from ``engine`` and remembered."""
+        key = self.parent_key(values)
+        if None in key:
+            if self.nullable and key == self.nulls:
+                return None
+        else:
+            if self.dated:
+                key = engine._coerce_key(self.parent, key)
+            rows = known[self.parent]
+            row = rows.get(key, _UNSEEN)
+            if row is _UNSEEN:
+                row = rows[key] = engine.get(self.parent, key)
+            if row is not None:
+                return None
+        return self.violation(values)
+
+    def violation(self, values: Sequence[Any]) -> Violation:
+        entry = self.entry(values)
+        key = self.child_key(values)
+        if not self.nullable:
+            detail = self.missing
+        elif None in entry:
+            detail = f"has partially null reference {entry!r}"
+        else:
+            detail = f"references missing {self.parent} tuple {entry!r}"
+        name = self.connection.name
+        return Violation(
+            self.connection, self.name, self.child, key,
+            f"{self.child} tuple {key!r} {detail} (connection {name!r})",
+        )
+
+
 class IntegrityChecker:
-    """Checks live data against every connection's existence rule."""
+    """Checks data against every connection's existence rule."""
 
     def __init__(self, graph: StructuralSchema) -> None:
         self.graph = graph
+        self.rules = tuple(Rule(c, graph) for c in graph.connections)
+        self._as_child: Dict[str, List[Rule]] = {}
+        self._as_parent: Dict[str, List[Rule]] = {}
+        self._key_of = {}
+        self._dated = set()
+        for name in graph.relation_names:
+            schema = graph.relation(name)
+            self._as_child[name] = [r for r in self.rules if r.child == name]
+            self._as_parent[name] = [r for r in self.rules if r.parent == name]
+            self._key_of[name] = _getter(schema.positions(schema.key))
+            if _dated(schema):
+                self._dated.add(name)
 
     def check(self, engine: Engine) -> List[Violation]:
         """All violations in the database, across every connection."""
-        violations: List[Violation] = []
-        for connection in self.graph.connections:
-            violations.extend(self.check_connection(engine, connection))
+        known: Known = {name: {} for name in self._key_of}
+        violations = []
+        for rule in self.rules:
+            for values in engine.scan(rule.child):
+                violation = rule.judge(values, known, engine)
+                if violation is not None:
+                    violations.append(violation)
         return violations
 
     def is_consistent(self, engine: Engine) -> bool:
         return not self.check(engine)
 
-    def check_connection(
-        self, engine: Engine, connection: Connection
+    def check_plan(
+        self, engine: Engine, operations: Iterable[Any]
     ) -> List[Violation]:
-        if connection.kind is ConnectionKind.OWNERSHIP:
-            return self._check_child_existence(
-                engine, connection, rule="ownership-1",
-                description="has no owning tuple",
-            )
-        if connection.kind is ConnectionKind.SUBSET:
-            return self._check_child_existence(
-                engine, connection, rule="subset-1",
-                description="has no general tuple",
-            )
-        return self._check_reference(engine, connection)
+        """The violations ``operations`` cause; ``engine`` already holds
+        their effects.
 
-    def _check_child_existence(
-        self,
-        engine: Engine,
-        connection: Connection,
-        rule: str,
-        description: str,
-    ) -> List[Violation]:
-        """Every R2 tuple must connect upward to an R1 tuple."""
-        violations = []
-        schema2 = engine.schema(connection.target)
-        backward = Traversal(connection, forward=False)
-        for values in engine.scan(connection.target):
-            if not connected_tuples(engine, backward, values):
-                key = schema2.key_of(values)
-                violations.append(
-                    Violation(
-                        connection,
-                        rule,
-                        connection.target,
-                        key,
-                        f"{connection.target} tuple {key!r} {description} "
-                        f"in {connection.source} (connection {connection.name!r})",
-                    )
-                )
-        return violations
+        A plan can break a rule only by writing a row (that row's child
+        rules) or by removing a parent key (the rows still pointing at
+        it). So the operations are folded, in order, into a net state per
+        (relation, key) cell; every row still written is judged, reading
+        only parents the plan does not decide (memoised), and every key
+        still removed is looked up once per rule naming it as parent. A
+        row whose key was there before the plan keeps the child
+        attributes its key holds, so those rules are not judged again.
+        Violations the plan did not cause are :meth:`check`'s to find.
+        """
+        dated = self._dated
+        key_of = self._key_of
+        known: Known = {name: {} for name in key_of}
+        kept = set()  # (relation, key) whose first operation found a row
+        for op in operations:
+            relation = op.relation
+            rows = known[relation]
+            if op.kind != "insert":
+                key = op.key
+                if relation in dated:
+                    key = engine._coerce_key(relation, key)
+                if key not in rows:
+                    kept.add((relation, key))
+                rows[key] = None
+                if op.kind == "delete":
+                    continue
+            key = key_of[relation](op.values)
+            if relation in dated:
+                key = engine._coerce_key(relation, key)
+            rows[key] = op.values
 
-    def _check_reference(
-        self, engine: Engine, connection: Connection
-    ) -> List[Violation]:
-        """Every R1 tuple with non-null X1 must connect to an R2 tuple."""
-        violations = []
-        schema1 = engine.schema(connection.source)
-        forward = Traversal(connection, forward=True)
-        for values in engine.scan(connection.source):
-            entry = schema1.project(values, connection.source_attributes)
-            if all(v is None for v in entry):
-                continue
-            if any(v is None for v in entry):
-                key = schema1.key_of(values)
-                violations.append(
-                    Violation(
-                        connection,
-                        "reference-1",
-                        connection.source,
-                        key,
-                        f"{connection.source} tuple {key!r} has partially "
-                        f"null reference {entry!r} "
-                        f"(connection {connection.name!r})",
-                    )
-                )
-                continue
-            if not connected_tuples(engine, forward, values):
-                key = schema1.key_of(values)
-                violations.append(
-                    Violation(
-                        connection,
-                        "reference-1",
-                        connection.source,
-                        key,
-                        f"{connection.source} tuple {key!r} references "
-                        f"missing {connection.target} tuple {entry!r} "
-                        f"(connection {connection.name!r})",
-                    )
-                )
-        return violations
+        # The plan's keys, taken before judging adds the parents it reads.
+        decided = [(name, rows, list(rows)) for name, rows in known.items() if rows]
+        found: Dict[Tuple[Rule, Tuple[Any, ...]], Violation] = {}
+        for relation, rows, keys in decided:
+            for key in keys:
+                values = rows[key]
+                if values is None:
+                    for rule in self._as_parent[relation]:
+                        for child in engine.find_by(
+                            rule.child, rule.child_attributes,
+                            rule.child_entry(key),
+                        ):
+                            found.setdefault(
+                                (rule, rule.child_key(child)),
+                                rule.violation(child),
+                            )
+                    continue
+                old_key = bool(kept) and (relation, key) in kept
+                for rule in self._as_child[relation]:
+                    if old_key and rule.in_key:
+                        continue
+                    violation = rule.judge(values, known, engine)
+                    if violation is not None:
+                        found.setdefault((rule, violation.key), violation)
+        return list(found.values())

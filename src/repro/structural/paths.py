@@ -4,16 +4,14 @@ The view-object model needs paths in two places: the tree builder
 "expands all the paths in G emanating from the pivot relation" (Section
 3), and Figure 3 notes that an elided intermediate relation turns a
 structural connection into "a path of two connections". A
-:class:`ConnectionPath` is an ordered list of traversals; the module
-enumerates simple paths between relations.
+:class:`ConnectionPath` is an ordered list of traversals.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from repro.structural.connections import ConnectionKind, Traversal
-from repro.structural.schema_graph import StructuralSchema
 
 __all__ = ["ConnectionPath"]
 
@@ -68,55 +66,3 @@ class ConnectionPath:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ConnectionPath({self.describe()})"
-
-
-def simple_paths(
-    graph: StructuralSchema,
-    start: str,
-    end: str,
-    max_length: Optional[int] = None,
-    kinds: Optional[Iterable[ConnectionKind]] = None,
-) -> List[ConnectionPath]:
-    """All simple paths (no repeated relation) from ``start`` to ``end``.
-
-    Traverses connections in both directions. ``kinds`` restricts which
-    connection kinds may appear; ``max_length`` bounds the hop count.
-    """
-    graph.relation(start)
-    graph.relation(end)
-    results: List[ConnectionPath] = []
-    kind_set = set(kinds) if kinds is not None else None
-
-    def walk(node: str, visited: Set[str], trail: List[Traversal]) -> None:
-        if max_length is not None and len(trail) >= max_length:
-            return
-        for traversal in graph.traversals_from(node, kinds=kind_set):
-            nxt = traversal.end
-            if nxt in visited:
-                continue
-            trail.append(traversal)
-            if nxt == end:
-                results.append(ConnectionPath(list(trail)))
-            else:
-                visited.add(nxt)
-                walk(nxt, visited, trail)
-                visited.discard(nxt)
-            trail.pop()
-
-    if start == end:
-        return []
-    walk(start, {start}, [])
-    return results
-
-
-def shortest_path(
-    graph: StructuralSchema,
-    start: str,
-    end: str,
-    kinds: Optional[Iterable[ConnectionKind]] = None,
-) -> Optional[ConnectionPath]:
-    """A minimum-hop path from ``start`` to ``end``, or ``None``."""
-    paths = simple_paths(graph, start, end, kinds=kinds)
-    if not paths:
-        return None
-    return min(paths, key=len)

@@ -30,7 +30,7 @@ from repro.structural.integrity import IntegrityChecker
 
 @pytest.fixture
 def translator(omega_prime):
-    return Translator(omega_prime, verify_integrity=True)
+    return Translator(omega_prime)
 
 
 def course_with_students(engine):
@@ -88,7 +88,6 @@ class TestInsertion:
         translator = Translator(
             omega_prime,
             policy=TranslatorPolicy(completer=completer),
-            verify_integrity=True,
         )
         student = next(iter(university_engine.scan("STUDENT")))
         translator.apply(

@@ -51,7 +51,7 @@ def translator(person_vo):
     policy.set_relation(
         "COURSES", RelationPolicy(on_reference_delete=ReferenceRepair.NULLIFY)
     )
-    return Translator(person_vo, policy=policy, verify_integrity=True)
+    return Translator(person_vo, policy=policy)
 
 
 def find_person(engine, specialization):

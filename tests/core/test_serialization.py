@@ -66,7 +66,7 @@ class TestViewObjectRoundTrip:
         engine = MemoryEngine()
         university_graph.install(engine)
         populate_university(engine)
-        translator = Translator(rebuilt, verify_integrity=True)
+        translator = Translator(rebuilt)
         cid = next(iter(engine.scan("COURSES")))[0]
         translator.apply(engine, CompleteDeletion((cid,)))
         assert engine.get("COURSES", (cid,)) is None

@@ -15,7 +15,7 @@ from repro.structural.integrity import IntegrityChecker
 
 @pytest.fixture
 def translator(omega):
-    return Translator(omega, verify_integrity=True)
+    return Translator(omega)
 
 
 def pick_course(engine, with_curriculum=True):
@@ -184,7 +184,7 @@ class TestGateAndErrors:
 
 class TestCascadesDeep:
     def test_hospital_chart_deletion(self, chart, hospital_engine, hospital_graph):
-        translator = Translator(chart, verify_integrity=True)
+        translator = Translator(chart)
         plan = translator.apply(hospital_engine, CompleteDeletion((100,)))
         assert hospital_engine.get("PATIENT", (100,)) is None
         assert (
@@ -204,7 +204,7 @@ class TestCascadesDeep:
         assert plan.count("insert") == 0
 
     def test_cad_deletion_cascades_subset(self, bom, cad_engine):
-        translator = Translator(bom, verify_integrity=True)
+        translator = Translator(bom)
         released = next(iter(cad_engine.scan("RELEASED_ASSEMBLY")))[0]
         translator.apply(cad_engine, CompleteDeletion((released,)))
         assert cad_engine.get("ASSEMBLY", (released,)) is None

@@ -15,7 +15,7 @@ from repro.structural.integrity import IntegrityChecker
 
 @pytest.fixture
 def translator(omega):
-    return Translator(omega, verify_integrity=True)
+    return Translator(omega)
 
 
 def course_with_grades(engine):
@@ -102,7 +102,6 @@ class TestPartialInsertion:
         translator = Translator(
             omega,
             policy=TranslatorPolicy(completer=completer),
-            verify_integrity=True,
         )
         cid = course_with_grades(university_engine)
         translator.apply(

@@ -13,7 +13,7 @@ from repro.structural.integrity import IntegrityChecker
 
 @pytest.fixture
 def translator(omega):
-    return Translator(omega, verify_integrity=True)
+    return Translator(omega)
 
 
 def course_with_everything(engine):

@@ -19,7 +19,7 @@ from repro.structural.integrity import IntegrityChecker
 
 @pytest.fixture
 def translator(omega):
-    return Translator(omega, verify_integrity=True)
+    return Translator(omega)
 
 
 def course_with_grades(engine):
@@ -43,7 +43,7 @@ def test_deletion_of_vanished_pivot_rejected(translator, university_engine):
     cid = course_with_grades(university_engine)
     instance = translator.instantiate(university_engine, (cid,))
     university_engine.delete("COURSES", (cid,))
-    # Clean up dependents so verify_integrity doesn't trip on setup.
+    # Clean up dependents so the setup leaves no dangling reference.
     for grade in university_engine.find_by("GRADES", ("course_id",), (cid,)):
         university_engine.delete("GRADES", (grade[0], grade[1]))
     for entry in university_engine.find_by(
@@ -96,7 +96,7 @@ def test_preexisting_corruption_surfaces_in_verify_mode(
     attributes are involved in the replacement")."""
     from repro.errors import GlobalValidationError
 
-    translator = Translator(omega, verify_integrity=True)
+    translator = Translator(omega)
     cid = next(
         v[0]
         for v in university_engine.scan("COURSES")
@@ -118,7 +118,7 @@ def test_changed_reference_to_vanished_tuple_reinserts(
 ):
     """When the replacement *does* change the reference, the missing
     referenced tuple is inserted (skeleton), restoring consistency."""
-    translator = Translator(omega, verify_integrity=True)
+    translator = Translator(omega)
     cid = next(
         v[0]
         for v in university_engine.scan("COURSES")

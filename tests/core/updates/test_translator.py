@@ -68,7 +68,7 @@ class TestSqliteBackend:
     """The same translator drives the sqlite engine unchanged."""
 
     def test_delete_on_sqlite(self, omega, university_sqlite, university_graph):
-        translator = Translator(omega, verify_integrity=True)
+        translator = Translator(omega)
         cid = any_course(university_sqlite)
         translator.apply(university_sqlite, CompleteDeletion((cid,)))
         assert university_sqlite.get("COURSES", (cid,)) is None
@@ -77,7 +77,7 @@ class TestSqliteBackend:
         )
 
     def test_replace_on_sqlite(self, omega, university_sqlite):
-        translator = Translator(omega, verify_integrity=True)
+        translator = Translator(omega)
         cid = any_course(university_sqlite)
         old = translator.instantiate(university_sqlite, (cid,))
         new = copy.deepcopy(old.to_dict())

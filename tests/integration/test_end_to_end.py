@@ -19,7 +19,7 @@ class TestHospitalScenario:
     """A patient chart evolves through a sequence of updates."""
 
     def test_chart_lifecycle(self, chart, hospital_engine, hospital_graph):
-        translator = Translator(chart, verify_integrity=True)
+        translator = Translator(chart)
         checker = IntegrityChecker(hospital_graph)
 
         # 1. Admit a new patient with one visit and a diagnosis.
@@ -112,7 +112,7 @@ class TestCadScenario:
     def test_assembly_rekey(self, bom, cad_engine, cad_graph):
         """Renaming an assembly propagates to components and the
         released-assembly subset tuple."""
-        translator = Translator(bom, verify_integrity=True)
+        translator = Translator(bom)
         released = next(iter(cad_engine.scan("RELEASED_ASSEMBLY")))[0]
         old = translator.instantiate(cad_engine, (released,))
         new = copy.deepcopy(old.to_dict())

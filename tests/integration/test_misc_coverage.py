@@ -9,11 +9,10 @@ from repro.core.updates.context import TranslationContext
 from repro.core.updates.operations import PartialDeletion
 from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.translator import Translator
-from repro.relational.csv_io import dump_csv, load_csv
 from repro.relational.sqlite_engine import SqliteEngine
 from repro.structural.connections import Traversal
-from repro.structural.integrity import connection_entry
 from tests import reference_translate
+from tests.reference_walk import connection_entry
 
 
 def test_maintain_all_runs_every_pass(omega, university_engine):
@@ -61,24 +60,6 @@ def test_traversal_end_attributes(university_graph):
     inverse = forward.inverse()
     assert inverse.start_attributes == ("student_id",)
     assert inverse.end_attributes == ("person_id",)
-
-
-def test_csv_stream_variants(university_engine, tmp_path):
-    path = tmp_path / "grades.csv"
-    with open(path, "w", newline="") as stream:
-        count = dump_csv(university_engine, "GRADES", stream)
-    assert count == university_engine.count("GRADES")
-
-    from repro.relational.memory_engine import MemoryEngine
-
-    fresh = MemoryEngine()
-    fresh.create_relation(university_engine.schema("GRADES"))
-    with open(path, newline="") as stream:
-        loaded = load_csv(fresh, "GRADES", stream)
-    assert loaded == count
-    assert sorted(fresh.scan("GRADES")) == sorted(
-        university_engine.scan("GRADES")
-    )
 
 
 def test_sqlite_close():

@@ -7,7 +7,8 @@ against a single ``Penguin``: the operations as a multiset, the final
 database, the audit ``(op, outcome, items)`` records, the
 ``translations_total`` / ``translation_failures_total`` /
 ``explains_total`` / ``serve_writes_total`` deltas, the error, and the
-number of ``verify`` spans under ``verify_integrity=True``. (How two
+number of ``verify`` spans (the plan check every translation ends
+with). (How two
 writers and a sick engine are treated is the sibling table,
 ``test_write_guard.py``.)
 
@@ -137,7 +138,7 @@ def renamed(chart):
 def single(backend):
     graph = hospital_schema()
     session = Penguin(
-        graph, backend=backend, verify_integrity=True,
+        graph, backend=backend,
         journal=MemoryJournal(), audit=MemoryAuditLog(),
     )
     populate_hospital(session.engine, HospitalConfig(patients=PATIENTS))
@@ -155,7 +156,7 @@ def sharded(num_shards, replicas=0, miss_threshold=3):
             )
         session = ShardedPenguin(
             graph, "PATIENT", num_shards=num_shards, backend=backend,
-            verify_integrity=True, replication=replication, **kwargs,
+            replication=replication, **kwargs,
         )
         populate_hospital(
             sharded_loader(session), HospitalConfig(patients=PATIENTS)

@@ -19,7 +19,7 @@ from tests.core.updates.test_insertion import existing_student, new_course
 
 @pytest.fixture
 def translator(omega):
-    return Translator(omega, verify_integrity=True)
+    return Translator(omega)
 
 
 def kinds_of(plan):
@@ -124,7 +124,7 @@ class TestExplainReporting:
         assert "relations        : COURSES" in text
         assert "island           : COURSES, GRADES" in text
         assert "courses_department" in text
-        assert "verify integrity : full post-translation check" in text
+        assert "verify integrity" not in text
         assert "coalescing" in text
 
     def test_to_dict_round_trips_the_facts(self, translator, university_engine):

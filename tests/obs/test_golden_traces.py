@@ -40,7 +40,7 @@ def check_golden(name, actual):
 
 @pytest.fixture
 def traced(omega, university_engine):
-    translator = Translator(omega, verify_integrity=True)
+    translator = Translator(omega)
     with obs.use() as hub:
         yield translator, university_engine, hub
 

@@ -37,10 +37,14 @@ from repro.materialize.dependency import DependencyIndex
 from repro.materialize.store import MaterializedView
 from repro.relational.domains import INTEGER, TEXT
 from repro.relational.memory_engine import MemoryEngine
-from repro.structural.integrity import IntegrityChecker, connected_tuples
+from repro.structural.integrity import IntegrityChecker
 from repro.workloads.synthetic import random_chain_case
 from tests.conftest import make_engine
-from tests.reference_walk import ReferenceDependencyIndex, ReferenceInstantiator
+from tests.reference_walk import (
+    ReferenceDependencyIndex,
+    ReferenceInstantiator,
+    connected_tuples,
+)
 
 OPS = ("insert", "delete", "touch", "move", "nullify")
 

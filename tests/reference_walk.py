@@ -20,10 +20,37 @@ from repro.core.instance import ComponentTuple, Instance
 from repro.core.view_object import ViewObjectDefinition
 from repro.relational.changelog import ChangeRecord
 from repro.relational.engine import Engine
-from repro.structural.integrity import connected_tuples
+from repro.structural.connections import Traversal
 from repro.structural.paths import ConnectionPath
 
 PivotKey = Tuple[Any, ...]
+
+
+def connection_entry(
+    engine: Engine,
+    relation: str,
+    values: Sequence[Any],
+    attribute_names: Sequence[str],
+) -> Tuple[Any, ...]:
+    """Project a value tuple of ``relation`` onto connecting attributes."""
+    return engine.schema(relation).project(values, attribute_names)
+
+
+def connected_tuples(
+    engine: Engine,
+    traversal: Traversal,
+    start_values: Sequence[Any],
+) -> List[Tuple[Any, ...]]:
+    """Tuples at ``traversal.end`` connected to one tuple at
+    ``traversal.start`` ("two tuples are connected iff the values of the
+    connecting attributes match", Definition 2.1); none when any
+    connecting value is null (a null never matches)."""
+    entry = connection_entry(
+        engine, traversal.start, start_values, traversal.start_attributes
+    )
+    if any(v is None for v in entry):
+        return []
+    return engine.find_by(traversal.end, traversal.end_attributes, entry)
 
 
 # -- downward: instantiation (Figure 4) ---------------------------------------

@@ -4,8 +4,9 @@ import pytest
 
 from repro.relational.memory_engine import MemoryEngine
 from repro.structural.connections import Traversal
-from repro.structural.integrity import IntegrityChecker, connected_tuples
+from repro.structural.integrity import IntegrityChecker
 from repro.workloads.university import populate_university, university_schema
+from tests.reference_walk import connected_tuples
 
 
 @pytest.fixture

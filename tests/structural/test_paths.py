@@ -1,9 +1,9 @@
-"""Path enumeration over the structural graph."""
+"""Connection paths over the structural graph."""
 
 import pytest
 
-from repro.structural.connections import ConnectionKind
-from repro.structural.paths import ConnectionPath, shortest_path, simple_paths
+from repro.structural.connections import Traversal
+from repro.structural.paths import ConnectionPath
 from repro.workloads.university import university_schema
 
 
@@ -12,56 +12,33 @@ def graph():
     return university_schema()
 
 
+def path(graph, *hops):
+    """A path of ``(connection name, forward)`` hops."""
+    return ConnectionPath(
+        [Traversal(graph.connection(name), forward) for name, forward in hops]
+    )
+
+
 def test_paths_courses_to_student(graph):
-    paths = simple_paths(graph, "COURSES", "STUDENT")
-    descriptions = {p.describe() for p in paths}
-    # The two-hop path of Figure 3 must be among them.
-    assert "COURSES --* GRADES *-- STUDENT" in descriptions
+    # The two-hop path of Figure 3.
+    figure3 = path(graph, ("courses_grades", True), ("student_grades", False))
+    assert figure3.describe() == "COURSES --* GRADES *-- STUDENT"
 
 
-def test_paths_courses_to_people_two_short_routes(graph):
-    paths = simple_paths(graph, "COURSES", "PEOPLE", max_length=3)
-    assert len(paths) >= 2
-    via = {p.relations[1] for p in paths}
-    assert {"DEPARTMENT", "GRADES"} <= via
-
-
-def test_shortest_path(graph):
-    path = shortest_path(graph, "COURSES", "STUDENT")
-    assert len(path) == 2
-    assert path.relations == ("COURSES", "GRADES", "STUDENT")
-
-
-def test_kind_filter(graph):
-    only_ownership = simple_paths(
-        graph, "COURSES", "STUDENT", kinds=[ConnectionKind.OWNERSHIP]
-    )
-    assert all(
-        t.kind is ConnectionKind.OWNERSHIP for p in only_ownership for t in p
-    )
-    assert len(only_ownership) == 1
-
-
-def test_max_length_bounds(graph):
-    assert simple_paths(graph, "COURSES", "PEOPLE", max_length=1) == []
-
-
-def test_no_path(graph):
-    assert shortest_path(graph, "CURRICULUM", "STAFF", kinds=[ConnectionKind.SUBSET]) is None
-
-
-def test_identical_endpoints(graph):
-    assert simple_paths(graph, "COURSES", "COURSES") == []
+def test_two_hop_path_length_and_relations(graph):
+    figure3 = path(graph, ("courses_grades", True), ("student_grades", False))
+    assert len(figure3) == 2
+    assert figure3.relations == ("COURSES", "GRADES", "STUDENT")
 
 
 def test_path_relations_property(graph):
-    path = shortest_path(graph, "CURRICULUM", "GRADES")
-    assert path.relations[0] == "CURRICULUM"
-    assert path.relations[-1] == "GRADES"
+    curriculum = path(
+        graph, ("curriculum_courses", True), ("courses_grades", True)
+    )
+    assert curriculum.relations[0] == "CURRICULUM"
+    assert curriculum.relations[-1] == "GRADES"
 
 
 def test_bad_chain_rejected(graph):
-    p1 = shortest_path(graph, "COURSES", "GRADES")
-    p2 = shortest_path(graph, "PEOPLE", "STUDENT")
     with pytest.raises(ValueError):
-        ConnectionPath(list(p1.traversals) + list(p2.traversals))
+        path(graph, ("courses_grades", True), ("people_student", True))

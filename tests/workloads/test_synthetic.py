@@ -63,7 +63,7 @@ def test_deletion_cascades_full_chain():
     graph.install(engine)
     populate_chain(engine, depth=3, roots=2, fanout=2)
     view_object = chain_object(graph, 3)
-    translator = Translator(view_object, verify_integrity=True)
+    translator = Translator(view_object)
     translator.apply(engine, CompleteDeletion((0,)))
     assert engine.find_by("R3", ("k0",), (0,)) == []
     assert engine.find_by("PENINSULA", ("k0",), (0,)) == []
