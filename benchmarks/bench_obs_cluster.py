@@ -1,13 +1,14 @@
 """Cluster observability overhead: the plane must be nearly free.
 
-The cluster PR widens the instrumented surface — trace contexts ride
-every request, spans are stamped with trace ids at the roots, shipped
-records carry the trace across the replication hop, per-component
-registries take the serving counters, and the flight recorder's
-anomaly hook sits on the failover and breaker paths. The acceptance
-bar stays where the single-node observability PR set it: the whole
-plane enabled must cost **less than 5%** wall-clock versus disabled
-on the replicated sharded write workload.
+A replicated sharded deployment widens the instrumented surface —
+trace contexts ride every request, spans are stamped with trace ids at
+the roots, shipped records carry the trace across the replication hop,
+every primary and replica stack counts its serving traffic in the one
+registry under ``shard=`` / ``replica=`` labels, and the flight
+recorder's anomaly hook sits on the failover and breaker paths. The
+acceptance bar stays where the single-node plane's is: the whole plane
+enabled must cost **less than 5%** wall-clock versus disabled on the
+replicated sharded write workload.
 
 Methodology matches ``bench_obs``: short paired runs, alternating
 order inside each pair so both sides share a throttle window; the
@@ -99,8 +100,8 @@ def fresh_chart(pid):
 
 def workload(sharded, rounds):
     """Replicated writes + reads: every insert ships to two replicas
-    with the trace context riding the record; every read goes through
-    the per-component serving counters."""
+    with the trace context riding the record; every read counts on the
+    shard-labelled serving counters."""
     base = 80_000
     for i in range(rounds):
         for offset in range(4):

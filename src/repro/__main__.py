@@ -67,7 +67,6 @@ from repro.dialog.answers import ScriptedAnswers
 from repro.dialog.drivers import run_replacement_dialog
 from repro.dialog.transcript import Transcript
 from repro.core.updates.policy import TranslatorPolicy
-from repro.materialize.maintainer import POLICIES
 from repro.penguin import Penguin
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.persistence import dump_database, load_database
@@ -242,7 +241,7 @@ def cmd_materialize(args: argparse.Namespace) -> int:
     uncached = run_loop(baseline)
 
     session = build_session()
-    session.materialize(args.object, policy=args.policy)
+    session.materialize(args.object)
     cached = run_loop(session)
 
     rate = lambda seconds: args.queries / seconds if seconds else float("inf")
@@ -251,10 +250,7 @@ def cmd_materialize(args: argparse.Namespace) -> int:
         f"queries={args.queries} update_every={args.update_every or 'never'}"
     )
     print(f"dynamic instantiation : {uncached:8.3f}s  ({rate(uncached):8.1f} q/s)")
-    print(
-        f"materialized ({args.policy:12s}): {cached:8.3f}s  "
-        f"({rate(cached):8.1f} q/s)"
-    )
+    print(f"materialized          : {cached:8.3f}s  ({rate(cached):8.1f} q/s)")
     speedup = uncached / cached if cached else float("inf")
     print(f"speedup               : {speedup:8.1f}x")
     view = session.materialized(args.object)
@@ -789,7 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="view object name (default: the workload's first object)",
     )
-    materialize.add_argument("--policy", choices=POLICIES, default="lazy")
     materialize.add_argument("--queries", type=int, default=100)
     materialize.add_argument(
         "--update-every",

@@ -6,14 +6,14 @@ by *delta propagation*: the engine's changelog supplies the stream of
 base-table changes, a :class:`DependencyIndex` maps each change to the
 affected pivot keys by walking the projection tree's connection paths in
 reverse, and a :class:`Maintainer` repairs the cache — patching in-place
-replacements into the cached instances, evicting for everything else —
-under a selectable policy (``lazy``, ``eager``, ``full-refresh``). Transactions compose
+replacements into the cached instances, evicting for everything else,
+an evicted instance re-assembled on its next read. Transactions compose
 correctly: a rollback truncates the changelog, which rolls the cache
 back too.
 """
 
 from repro.materialize.dependency import DependencyIndex
-from repro.materialize.maintainer import LAZY, Maintainer, POLICIES
+from repro.materialize.maintainer import LAZY, Maintainer
 from repro.materialize.stats import CacheStats
 from repro.materialize.store import MaterializedStore, MaterializedView
 
@@ -23,6 +23,5 @@ __all__ = [
     "Maintainer",
     "MaterializedStore",
     "MaterializedView",
-    "POLICIES",
     "LAZY",
 ]

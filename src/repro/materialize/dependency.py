@@ -32,9 +32,9 @@ whether or not every owner in between still exists; the engine walk it
 replaced returned nothing once an intermediate owner was gone. The
 result is thus a superset of the walked one, equal whenever the walked
 tuples exist. That is sound — more invalidation never serves a stale
-instance — and unobservable: ``MaterializedView.evict`` and
-``reassemble`` are no-ops for keys that are not cached or no longer
-exist, and ``stats.invalidations`` counts only cached keys.
+instance — and unobservable: ``MaterializedView.evict`` is a no-op
+for a key that is not cached, and ``stats.invalidations`` counts only
+cached keys.
 
 The same definition-time knowledge says what a record can do to an
 instance that is already cached. Which tuples an instance holds depends

@@ -2,20 +2,11 @@
 
 The maintainer owns a *high-water mark* into the engine's
 :class:`~repro.relational.changelog.ChangeLog`. Each ``sync`` consumes
-the records appended since that mark and repairs the cache under one of
-three policies:
-
-* ``lazy`` — evicted pivot keys stay out; the next request for one
-  re-assembles it (pay-per-read).
-* ``eager`` — evicted instances are re-assembled at the end of the
-  round, so reads after a sync never pay assembly cost (pay-per-write).
-* ``full-refresh`` — any change rebuilds the whole extent; no dependency
-  analysis at all. The baseline the incremental policies must beat, kept
-  selectable because for tiny extents it can genuinely win.
-
-Under ``lazy`` and ``eager`` each record, in log order, does one of
-three things, decided by what the record itself shows
-(:meth:`~repro.materialize.dependency.DependencyIndex.patch_sites`):
+the records appended since that mark and repairs the cache under its
+one policy, ``lazy``: an evicted pivot key stays out until the next
+request for it re-assembles it (pay-per-read). Each record, in log
+order, does one of three things, decided by what the record itself
+shows (:meth:`~repro.materialize.dependency.DependencyIndex.patch_sites`):
 
 * a ``replace`` that kept the key and every connecting attribute
   **patches** the cached instances under its pivots with the new values
@@ -37,29 +28,20 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
-from repro.errors import ViewObjectError
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.materialize.store import MaterializedView
 
-__all__ = ["Maintainer", "POLICIES", "LAZY"]
+__all__ = ["Maintainer", "LAZY"]
 
+#: The maintenance policy's name, the one value ``materialize`` accepts.
 LAZY = "lazy"
-EAGER = "eager"
-FULL_REFRESH = "full-refresh"
-POLICIES = (LAZY, EAGER, FULL_REFRESH)
 
 
 class Maintainer:
     """Applies pending changelog records to one materialized view."""
 
-    def __init__(self, view: "MaterializedView", policy: str = LAZY) -> None:
-        if policy not in POLICIES:
-            raise ViewObjectError(
-                f"unknown maintenance policy {policy!r}; choose from {POLICIES}"
-            )
+    def __init__(self, view: "MaterializedView") -> None:
         self.view = view
-        self.policy = policy
         self.high_water = len(view.changelog)
         # Audit attribution: when the view carries an audit log, each
         # sync round is attributed to the audit head ASN at the time —
@@ -91,28 +73,19 @@ class Maintainer:
             self.attributions[asn] = (
                 self.attributions.get(asn, 0) + len(records)
             )
-        if self.policy == FULL_REFRESH:
-            view.rebuild()
-            return len(records)
-        evicted = set()
         index = view.dependencies
         for record in records:
             if not index.tracks(record.relation):
                 continue
             sites = index.patch_sites(record)
             if sites is None:
-                affected = index.affected_pivots(view.engine, record)
-                evicted |= affected
-                for pivot_key in affected:
+                for pivot_key in index.affected_pivots(view.engine, record):
                     view.evict(pivot_key)
             elif sites:
                 for pivot_key in index.pivots_for(
                     view.engine, record.relation, record.new_values
                 ):
                     view.patch(pivot_key, sites, record.new_values)
-        if self.policy == EAGER:
-            for pivot_key in evicted:
-                view.reassemble(pivot_key)
         return len(records)
 
     # -- rollback ----------------------------------------------------------------

@@ -5,11 +5,9 @@ hardware allows" goal raises: how often does the cache actually serve a
 request (``hits`` vs ``misses``), how much maintenance work does the
 changelog stream cause (``records_applied``; ``patched`` — cached
 instances overwritten in place from a record, no engine read;
-``invalidations`` — cached instances evicted; ``refreshes``,
-``full_refreshes`` — instances and extents re-assembled by the
-maintainer), and how far behind the base tables
-the cache currently is (``staleness`` — pending, unconsumed changelog
-records).
+``invalidations`` — cached instances evicted), and how far behind the
+base tables the cache currently is (``staleness`` — pending, unconsumed
+changelog records).
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ class CacheStats:
         "misses",
         "patched",
         "invalidations",
-        "refreshes",
-        "full_refreshes",
         "records_applied",
         "rollbacks",
         "stale_reads",
@@ -39,8 +35,6 @@ class CacheStats:
         self.misses = 0
         self.patched = 0
         self.invalidations = 0
-        self.refreshes = 0
-        self.full_refreshes = 0
         self.records_applied = 0
         self.rollbacks = 0
         # Requests answered from the cache *without* consulting the

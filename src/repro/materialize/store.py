@@ -29,7 +29,7 @@ from repro.core.instance import ComponentTuple, Instance
 from repro.core.instantiation import Getter
 from repro.core.view_object import ViewObjectDefinition
 from repro.materialize.dependency import DependencyIndex, PatchSite
-from repro.materialize.maintainer import LAZY, Maintainer
+from repro.materialize.maintainer import Maintainer
 from repro.materialize.stats import CacheStats
 from repro.relational.engine import Engine
 from repro.relational.expressions import Expression, TRUE
@@ -46,7 +46,6 @@ class MaterializedView:
         self,
         view_object: ViewObjectDefinition,
         engine: Engine,
-        policy: str = LAZY,
         audit: Optional["AuditLog"] = None,
     ) -> None:
         changelog = engine.changelog
@@ -64,7 +63,7 @@ class MaterializedView:
         self.instantiator = view_object.instantiator
         self.dependencies = DependencyIndex(view_object)
         self.stats = CacheStats()
-        self.maintainer = Maintainer(self, policy)
+        self.maintainer = Maintainer(self)
         self._instances: Dict[PivotKey, Instance] = {}
         self._pivot_schema = view_object.graph.relation(
             view_object.pivot_relation
@@ -85,10 +84,6 @@ class MaterializedView:
 
     # -- reads -------------------------------------------------------------------
 
-    @property
-    def policy(self) -> str:
-        return self.maintainer.policy
-
     def staleness(self) -> int:
         return self.maintainer.staleness()
 
@@ -107,11 +102,7 @@ class MaterializedView:
                 patched = stats.patched - patched
                 evicted = stats.invalidations - evicted
                 span.set(records=applied, patched=patched, evicted=evicted)
-            metrics = obs.metrics()
-            metrics.counter(
-                "cache_sync_records_total", object=self.view_object.name
-            ).inc(applied)
-            metrics.counter(
+            obs.metrics().counter(
                 "cache_patches_total", object=self.view_object.name
             ).inc(patched)
             return applied
@@ -172,9 +163,6 @@ class MaterializedView:
             instance = self._instances.get(tuple(key))
             if instance is not None:
                 self.stats.stale_reads += 1
-                obs.metrics().counter(
-                    "cache_stale_reads_total", object=self.view_object.name
-                ).inc()
             return instance
 
     def stale_all(self) -> List[Instance]:
@@ -185,9 +173,6 @@ class MaterializedView:
         """
         with self._lock:
             self.stats.stale_reads += 1
-            obs.metrics().counter(
-                "cache_stale_reads_total", object=self.view_object.name
-            ).inc()
             return list(self._instances.values())
 
     @property
@@ -217,9 +202,10 @@ class MaterializedView:
         metrics = obs.metrics()
         name = self.view_object.name
         metrics.counter("cache_lookups_total", object=name).inc()
-        metrics.counter(
-            "cache_hits_total" if hit else "cache_misses_total", object=name
-        ).inc()
+        if hit:
+            metrics.counter("cache_hits_total", object=name).inc()
+        else:
+            metrics.counter("cache_misses_total", object=name).inc()
 
     def evict(self, pivot_key: PivotKey) -> None:
         with self._lock:
@@ -251,25 +237,6 @@ class MaterializedView:
                 self._instances[pivot_key] = Instance(self.view_object, root)
                 self.stats.patched += 1
 
-    def reassemble(self, pivot_key: PivotKey) -> None:
-        """Eagerly rebuild one instance (no-op if its pivot is gone)."""
-        with self._lock:
-            values = self.engine.get(self.view_object.pivot_relation, pivot_key)
-            if values is None:
-                self._instances.pop(pivot_key, None)
-                return
-            self.stats.refreshes += 1
-            self._assemble_into_cache(pivot_key, values)
-
-    def rebuild(self) -> None:
-        """Recompute the entire extent (the full-refresh policy)."""
-        with self._lock:
-            self._instances.clear()
-            self.stats.full_refreshes += 1
-            for values in self.engine.scan(self.view_object.pivot_relation):
-                pivot_key = self._pivot_schema.key_of(values)
-                self._assemble_into_cache(pivot_key, values)
-
     def drop_all(self) -> None:
         with self._lock:
             self._instances.clear()
@@ -281,7 +248,7 @@ class MaterializedView:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MaterializedView({self.view_object.name!r}, "
-            f"policy={self.policy!r}, cached={len(self)})"
+            f"cached={len(self)})"
         )
 
 
@@ -317,16 +284,12 @@ class MaterializedStore:
         self.audit = audit
         self._views: Dict[str, MaterializedView] = {}
 
-    def materialize(
-        self, view_object: ViewObjectDefinition, policy: str = LAZY
-    ) -> MaterializedView:
+    def materialize(self, view_object: ViewObjectDefinition) -> MaterializedView:
         if view_object.name in self._views:
             raise ViewObjectError(
                 f"view object {view_object.name!r} is already materialized"
             )
-        view = MaterializedView(
-            view_object, self.engine, policy, audit=self.audit
-        )
+        view = MaterializedView(view_object, self.engine, audit=self.audit)
         self._views[view_object.name] = view
         return view
 

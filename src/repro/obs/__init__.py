@@ -29,8 +29,6 @@ function call and nothing else. :func:`configure` swaps in a live hub;
 from __future__ import annotations
 
 import contextlib
-import threading
-from collections import OrderedDict
 from typing import Iterator, Optional
 
 from repro.obs.context import (
@@ -55,7 +53,6 @@ __all__ = [
     "active",
     "tracer",
     "metrics",
-    "component_metrics",
     "anomaly",
     "TraceContext",
     "activate",
@@ -102,7 +99,6 @@ _LAZY_EXPORTS = {
     "ReplayReport": "repro.obs.history",
     "as_of": "repro.obs.history",
     "replay": "repro.obs.history",
-    "ClusterMetrics": "repro.obs.cluster",
     "TraceAssembler": "repro.obs.cluster",
     "FlightRecorder": "repro.obs.cluster",
     "SloTarget": "repro.obs.cluster",
@@ -124,10 +120,9 @@ def __getattr__(name: str):
 class Observability:
     """One tracer + one metrics registry + one slow log, as a unit.
 
-    A live hub additionally hands out *component* registries
-    (:meth:`component`) — per-shard / per-replica metric namespaces a
-    :class:`~repro.obs.cluster.ClusterMetrics` view merges back into
-    one labeled render — and may carry a
+    The registry is the deployment's only one: every shard and replica
+    records into it, its series told apart by ``shard=`` / ``replica=``
+    labels. A live hub may also carry a
     :class:`~repro.obs.cluster.FlightRecorder` that :func:`anomaly`
     triggers dump to.
     """
@@ -141,27 +136,9 @@ class Observability:
         self.tracer = tracer
         self.metrics = metrics
         self.slow_log = slow_log
-        self.components: "OrderedDict[str, MetricsRegistry]" = OrderedDict()
-        self._components_lock = threading.Lock()
         self.flight = None  # Optional[FlightRecorder], set via install
         if slow_log is not None and tracer.enabled:
             tracer.on_root.append(slow_log.consider)
-
-    def component(self, name: str) -> MetricsRegistry:
-        """The named component's registry (created on first use).
-
-        On a disabled hub this is the shared null registry, keeping the
-        instrumented path cost identical to the global accessors.
-        """
-        if not self.is_enabled:
-            return NULL_REGISTRY
-        if not name:
-            return self.metrics
-        registry = self.components.get(name)
-        if registry is None:
-            with self._components_lock:
-                registry = self.components.setdefault(name, MetricsRegistry())
-        return registry
 
     @classmethod
     def disabled(cls) -> "Observability":
@@ -207,16 +184,6 @@ def tracer() -> Tracer:
 
 def metrics() -> MetricsRegistry:
     return _active.metrics
-
-
-def component_metrics(name: str) -> MetricsRegistry:
-    """The active hub's registry for one cluster component.
-
-    Component names follow topology: ``shard0`` for a primary stack,
-    ``shard0/r1`` for its second replica. The empty name is the global
-    (cross-cutting) registry.
-    """
-    return _active.component(name)
 
 
 def anomaly(kind: str, **detail) -> None:

@@ -1,18 +1,16 @@
 """The cluster-wide observability plane.
 
-PR 4's hub is strictly per-process scoped to one stack; a sharded,
-replicated deployment (PRs 6/8) runs a dozen stacks inside one process
-and a single write crosses four of them. This module aggregates what
-:mod:`repro.obs.context` correlates:
+A sharded, replicated deployment runs a dozen stacks inside one
+process and a single write crosses four of them. Their metrics already
+meet in the hub's one registry, told apart by the ``shard=`` /
+``replica=`` labels each serving facade stamps on its series; this
+module reads across what :mod:`repro.obs.context` correlates:
 
-* :class:`ClusterMetrics` — merges the hub's global registry and every
-  per-component registry (``shard0``, ``shard1/r2``, ...) into one
-  labeled render, Prometheus text or JSON, filterable per component;
 * :func:`histogram_quantile` — Prometheus-style linear interpolation
-  over the fixed buckets the registries already keep;
+  over the fixed buckets a histogram already keeps;
 * :class:`SloTarget` / :class:`SloTracker` — declared objectives (p95
   write latency, availability) with multi-window burn rates computed
-  from counter/histogram deltas, surfaced on ``/health`` and as gauges;
+  from counter/histogram deltas, surfaced on ``/health``;
 * :class:`TraceAssembler` — stitches the tracer's ring-buffer root
   spans (HTTP task, micro-batch executor thread, 2PC coordinator,
   replica applier threads) into one causal timeline per trace id;
@@ -45,163 +43,15 @@ from typing import (
 )
 
 import repro.obs as obs
-from repro.obs.metrics import LabelPairs, MetricsRegistry, _render_labels
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Span, Tracer
 
 __all__ = [
-    "ClusterMetrics",
     "SloTarget",
     "SloTracker",
     "TraceAssembler",
     "FlightRecorder",
 ]
-
-Series = Tuple[str, str, LabelPairs, Any]
-
-
-# ---------------------------------------------------------------------------
-# Metrics aggregation
-# ---------------------------------------------------------------------------
-
-
-class ClusterMetrics:
-    """One merged view over the global and every component registry.
-
-    Series from a component registry gain a ``component="..."`` label;
-    series from the global registry pass through unlabeled. The merge
-    is performed lazily at render time — recording stays entirely on
-    the per-registry fast paths.
-    """
-
-    def __init__(self, hub: Optional["obs.Observability"] = None) -> None:
-        self._hub = hub
-
-    def _active_hub(self) -> "obs.Observability":
-        return self._hub if self._hub is not None else obs.active()
-
-    def components(self) -> List[str]:
-        """The component names seen so far, sorted."""
-        return sorted(self._active_hub().components)
-
-    def sources(
-        self, component: Optional[str] = None
-    ) -> List[Tuple[str, MetricsRegistry]]:
-        hub = self._active_hub()
-        out: List[Tuple[str, MetricsRegistry]] = []
-        if component is None or component == "":
-            out.append(("", hub.metrics))
-        for name in sorted(hub.components):
-            if component is None or name == component:
-                out.append((name, hub.components[name]))
-        return out
-
-    def series(self, component: Optional[str] = None) -> List[Series]:
-        """Every series cluster-wide as ``(kind, name, labels, value)``."""
-        merged: List[Series] = []
-        for comp, registry in self.sources(component):
-            for kind, name, labels, value in registry.series():
-                if comp:
-                    labels = tuple(
-                        sorted(labels + (("component", comp),))
-                    )
-                merged.append((kind, name, labels, value))
-        return merged
-
-    def counter_total(
-        self, name: str, component: Optional[str] = None
-    ) -> float:
-        """Sum of one counter family across every component."""
-        return sum(
-            value
-            for kind, family, _labels, value in self.series(component)
-            if kind == "counter" and family == name
-        )
-
-    def label_values(self, name: str, label: str) -> List[str]:
-        """Distinct values one label takes across the merged family."""
-        return sorted(
-            {
-                value
-                for _kind, family, labels, _v in self.series()
-                if family == name
-                for pair_label, value in labels
-                if pair_label == label
-            }
-        )
-
-    def merged_histogram(
-        self, name: str, component: Optional[str] = None
-    ) -> Optional[Dict[str, Any]]:
-        """One histogram family folded across labels and components.
-
-        Bucket-aligned addition (every registry uses the same fixed
-        bounds per family), which is exactly what quantile estimation
-        over the cluster needs.
-        """
-        total: Optional[Dict[str, Any]] = None
-        for kind, family, _labels, value in self.series(component):
-            if kind != "histogram" or family != name:
-                continue
-            if total is None:
-                total = {
-                    "count": value["count"],
-                    "sum": value["sum"],
-                    "bounds": tuple(value["bounds"]),
-                    "buckets": dict(value["buckets"]),
-                }
-            else:
-                total["count"] += value["count"]
-                total["sum"] += value["sum"]
-                for bucket, count in value["buckets"].items():
-                    total["buckets"][bucket] = (
-                        total["buckets"].get(bucket, 0) + count
-                    )
-        return total
-
-    def snapshot(self, component: Optional[str] = None) -> Dict[str, Any]:
-        """The merged series as plain data (the JSON exposition body)."""
-        out: Dict[str, Any] = {
-            "components": self.components(),
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
-        for kind, name, labels, value in self.series(component):
-            key = name + _render_labels(labels)
-            if kind == "counter":
-                out["counters"][key] = value
-            elif kind == "gauge":
-                out["gauges"][key] = value
-            else:
-                out["histograms"][key] = {
-                    "count": value["count"],
-                    "sum": value["sum"],
-                    "buckets": dict(value["buckets"]),
-                }
-        return out
-
-    def render_text(self, component: Optional[str] = None) -> str:
-        """Prometheus-style text exposition of the merged series."""
-        snap = self.snapshot(component)
-        lines: List[str] = []
-        for kind in ("counters", "gauges"):
-            type_name = kind[:-1]
-            for key in sorted(snap[kind]):
-                lines.append(f"# TYPE {key.split('{')[0]} {type_name}")
-                lines.append(f"{key} {snap[kind][key]:g}")
-        for key in sorted(snap["histograms"]):
-            data = snap["histograms"][key]
-            base, brace, labels = key.partition("{")
-            lines.append(f"# TYPE {base} histogram")
-            for bucket, count in data["buckets"].items():
-                bound = bucket.split("=", 1)[1]
-                label_text = labels[:-1] + "," if brace else ""
-                lines.append(
-                    f'{base}_bucket{{{label_text}le="{bound}"}} {count}'
-                )
-            lines.append(f"{base}_sum{brace}{labels} {data['sum']:g}")
-            lines.append(f"{base}_count{brace}{labels} {data['count']}")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -209,32 +59,19 @@ class ClusterMetrics:
 # ---------------------------------------------------------------------------
 
 
-def histogram_quantile(histogram: Any, q: float) -> Optional[float]:
-    """Estimate the ``q``-quantile from fixed-bucket counts.
+def histogram_quantile(histogram: Histogram, q: float) -> Optional[float]:
+    """Estimate the ``q``-quantile of a histogram from its bucket counts.
 
-    ``histogram`` is either a live :class:`~repro.obs.metrics.Histogram`
-    or the ``{"count", "buckets", "bounds"}`` dict produced by
-    ``MetricsRegistry.series()`` / :meth:`ClusterMetrics.merged_histogram`.
     Linear interpolation within the winning bucket, Prometheus style;
     observations in the ``+Inf`` bucket clamp to the largest finite
     bound. Returns ``None`` on an empty histogram.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
-    if isinstance(histogram, dict):
-        bounds = tuple(histogram["bounds"])
-        bucket_map = histogram["buckets"]
-        counts = [
-            bucket_map.get(f"le={bound:g}", 0) for bound in bounds
-        ]
-        counts.append(bucket_map.get("le=+Inf", 0))
-    else:
-        bounds = histogram.buckets
-        bucket_map = histogram.bucket_counts()
-        counts = [
-            bucket_map.get(f"le={bound:g}", 0) for bound in bounds
-        ]
-        counts.append(bucket_map.get("le=+Inf", 0))
+    bounds = histogram.buckets
+    bucket_map = histogram.bucket_counts()
+    counts = [bucket_map.get(f"le={bound:g}", 0) for bound in bounds]
+    counts.append(bucket_map.get("le=+Inf", 0))
     total = sum(counts)
     if total == 0:
         return None
@@ -349,38 +186,47 @@ class SloTarget:
             description=description,
         )
 
-    def good_bad(self, cluster: ClusterMetrics) -> Tuple[float, float]:
+    def _folded(self, registry: MetricsRegistry) -> Optional[Histogram]:
+        """The latency family folded across its label sets (every shard
+        and replica observes into the same bounds), or None."""
+        parts = registry.histograms(self.family)
+        if not parts:
+            return None
+        folded = Histogram(self.family, buckets=parts[0].buckets)
+        for part in parts:
+            folded.merge(part)
+        return folded
+
+    def good_bad(self, registry: MetricsRegistry) -> Tuple[float, float]:
         """Cumulative (good, bad) event counts for this objective."""
         if self.kind == "latency":
-            merged = cluster.merged_histogram(self.family)
-            if merged is None:
+            folded = self._folded(registry)
+            if folded is None:
                 return 0.0, 0.0
+            counts = folded.bucket_counts()
             good = sum(
-                merged["buckets"].get(f"le={bound:g}", 0)
-                for bound in merged["bounds"]
+                counts[f"le={bound:g}"]
+                for bound in folded.buckets
                 if bound <= self.threshold
             )
-            return float(good), float(merged["count"] - good)
+            return float(good), float(folded.count - good)
         good = bad = 0.0
-        for kind, family, labels, value in cluster.series():
-            if kind != "counter" or family != self.family:
-                continue
-            label_map = dict(labels)
-            status = label_map.get(self.bad_label, "")
-            if any(status.startswith(p) for p in self.bad_prefixes):
-                bad += value
+        for counter in registry.counters(self.family):
+            status = dict(counter.labels).get(self.bad_label, "")
+            if status.startswith(self.bad_prefixes):
+                bad += counter.value
             else:
-                good += value
+                good += counter.value
         return good, bad
 
-    def estimate(self, cluster: ClusterMetrics) -> Optional[float]:
+    def estimate(self, registry: MetricsRegistry) -> Optional[float]:
         """The display estimate: latency quantile, or None."""
         if self.kind != "latency":
             return None
-        merged = cluster.merged_histogram(self.family)
-        if merged is None:
+        folded = self._folded(registry)
+        if folded is None:
             return None
-        return histogram_quantile(merged, self.quantile)
+        return histogram_quantile(folded, self.quantile)
 
 
 class SloTracker:
@@ -445,26 +291,23 @@ class SloTracker:
         return out
 
     def sample(
-        self,
-        cluster: Optional[ClusterMetrics] = None,
-        hub: Optional["obs.Observability"] = None,
+        self, hub: Optional["obs.Observability"] = None
     ) -> Dict[str, Any]:
         """Take one sample and return the SLO report.
 
-        Also exports ``slo_burn_rate{slo=,window=}`` and
-        ``slo_attainment{slo=}`` gauges and fires the
+        Also exports an ``slo_attainment{slo=}`` gauge and fires the
         ``slo_fast_burn`` anomaly on the *transition* into fast burn
         (so a long incident produces one flight bundle, not one per
         health poll).
         """
         hub = hub if hub is not None else obs.active()
-        cluster = cluster if cluster is not None else ClusterMetrics(hub)
+        registry = hub.metrics
         now = self.clock()
         report: Dict[str, Any] = {}
         fired: List[str] = []
         with self._lock:
             for target in self.targets:
-                good, bad = target.good_bad(cluster)
+                good, bad = target.good_bad(registry)
                 samples = self._samples[target.name]
                 samples.append((now, good, bad))
                 while samples and samples[0][0] < now - self.slow_window:
@@ -493,23 +336,17 @@ class SloTracker:
                     "burn": burn,
                     "fast_burn": fast_burning,
                 }
-                estimate = target.estimate(cluster)
+                estimate = target.estimate(registry)
                 if estimate is not None:
                     entry[f"p{int(target.quantile * 100)}_ms"] = round(
                         estimate, 3
                     )
                     entry["threshold_ms"] = target.threshold
                 report[target.name] = entry
-                registry = hub.metrics
                 if attainment is not None:
                     registry.gauge(
                         "slo_attainment", slo=target.name
                     ).set(attainment)
-                for label, value in burn.items():
-                    if value is not None:
-                        registry.gauge(
-                            "slo_burn_rate", slo=target.name, window=label
-                        ).set(value)
         for name in fired:
             obs.anomaly(
                 "slo_fast_burn",
@@ -667,7 +504,7 @@ class TraceAssembler:
 class FlightRecorder:
     """Always-on bounded recorder dumped on anomaly triggers.
 
-    The ring buffers it reads (tracer roots, metrics registries, audit
+    The ring buffers it reads (tracer roots, the metrics registry, audit
     tails) are already maintained by the live system, so "always-on"
     costs nothing extra; :meth:`trigger` freezes them into one
     timestamped JSONL bundle, written atomically (temp file +
@@ -783,7 +620,7 @@ class FlightRecorder:
         lines.append(
             {
                 "section": "metrics",
-                "snapshot": ClusterMetrics(hub).snapshot(),
+                "snapshot": hub.metrics.snapshot(),
             }
         )
         for name in sorted(self._sources):
@@ -841,8 +678,7 @@ class FlightRecorder:
                     "  metrics: "
                     f"{len(snap.get('counters', {}))} counters, "
                     f"{len(snap.get('gauges', {}))} gauges, "
-                    f"{len(snap.get('histograms', {}))} histograms, "
-                    f"components={snap.get('components', [])}"
+                    f"{len(snap.get('histograms', {}))} histograms"
                 )
             else:
                 data = section.get("data")

@@ -182,6 +182,17 @@ class Histogram:
             out["le=+Inf"] = self._counts[-1]
             return out
 
+    def merge(self, other: "Histogram") -> None:
+        """Add ``other``'s observations into this histogram (same bounds)."""
+        if other.buckets != self.buckets:
+            raise ValueError("only histograms with the same bounds merge")
+        with other._lock:
+            counts, total, count = list(other._counts), other._sum, other._count
+        with self._lock:
+            self._counts = [a + b for a, b in zip(self._counts, counts)]
+            self._sum += total
+            self._count += count
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name}, count={self.count}, sum={self.sum})"
 
@@ -236,17 +247,23 @@ class MetricsRegistry:
 
     # -- aggregation ---------------------------------------------------------
 
+    def counters(self, name: str) -> List[Counter]:
+        """One counter family, one instrument per label set."""
+        with self._lock:
+            return [c for (n, _), c in self._counters.items() if n == name]
+
+    def histograms(self, name: str) -> List[Histogram]:
+        """One histogram family, one instrument per label set."""
+        with self._lock:
+            return [h for (n, _), h in self._histograms.items() if n == name]
+
     def counter_total(self, name: str) -> float:
         """Sum of one counter family across every label set."""
-        with self._lock:
-            instruments = [c for (n, _), c in self._counters.items() if n == name]
-        return sum(c.value for c in instruments)
+        return sum(c.value for c in self.counters(name))
 
     def histogram_total_count(self, name: str) -> int:
         """Total observations of one histogram family."""
-        with self._lock:
-            instruments = [h for (n, _), h in self._histograms.items() if n == name]
-        return sum(h.count for h in instruments)
+        return sum(h.count for h in self.histograms(name))
 
     def label_values(self, name: str, label: str) -> List[str]:
         """Distinct values one label takes across a family, sorted.
@@ -273,40 +290,6 @@ class MetricsRegistry:
         )
 
     # -- export --------------------------------------------------------------
-
-    def series(self) -> List[Tuple[str, str, LabelPairs, Any]]:
-        """Every instrument as structured ``(kind, name, labels, value)``.
-
-        ``value`` is a float for counters/gauges and a ``{"count",
-        "sum", "buckets", "bounds"}`` dict for histograms. This is the
-        merge-friendly form :class:`~repro.obs.cluster.ClusterMetrics`
-        consumes: unlike :meth:`snapshot`, labels stay structured so a
-        ``component`` label can be injected before rendering.
-        """
-        with self._lock:
-            counters = list(self._counters.values())
-            gauges = list(self._gauges.values())
-            histograms = list(self._histograms.values())
-        out: List[Tuple[str, str, LabelPairs, Any]] = []
-        for counter in counters:
-            out.append(("counter", counter.name, counter.labels, counter.value))
-        for gauge in gauges:
-            out.append(("gauge", gauge.name, gauge.labels, gauge.value))
-        for histogram in histograms:
-            out.append(
-                (
-                    "histogram",
-                    histogram.name,
-                    histogram.labels,
-                    {
-                        "count": histogram.count,
-                        "sum": histogram.sum,
-                        "buckets": histogram.bucket_counts(),
-                        "bounds": histogram.buckets,
-                    },
-                )
-            )
-        return out
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Every instrument's current value, as plain data."""

@@ -47,7 +47,6 @@ from repro.dialog.transcript import Transcript
 from repro.materialize.maintainer import LAZY
 from repro.materialize.store import MaterializedStore, MaterializedView
 from repro.obs.audit import AuditLog
-from repro.obs.cluster import ClusterMetrics
 from repro.obs.explain import TranslationExplanation
 from repro.obs.history import ReplayReport, as_of, replay
 from repro.obs.lineage import LineageIndex, LineageLink
@@ -170,18 +169,16 @@ class ViewObjectSession:
         only one engine to describe."""
         return None
 
-    def metrics_snapshot(
-        self, component: Optional[str] = None
-    ) -> Dict[str, Any]:
-        """The merged metrics (global registry + every shard / replica
-        component's); ``component`` narrows it to one registry.
-        Registries take no session-wide lock, so this never blocks
-        readers or writers."""
-        return ClusterMetrics().snapshot(component)
+    def metrics_snapshot(self) -> Dict[str, Any]:
+        """The active registry as plain data: every shard's and
+        replica's series, told apart by their ``shard`` / ``replica``
+        labels. The registry takes no session-wide lock, so this never
+        blocks readers or writers."""
+        return obs.metrics().snapshot()
 
-    def metrics_text(self, component: Optional[str] = None) -> str:
+    def metrics_text(self) -> str:
         """:meth:`metrics_snapshot`, rendered for scraping."""
-        return ClusterMetrics().render_text(component)
+        return obs.metrics().render_text()
 
 
 class Penguin(ViewObjectSession):
@@ -373,10 +370,15 @@ class Penguin(ViewObjectSession):
         Afterwards :meth:`query` and :meth:`get` serve instance assembly
         from the cache; the engine's changelog keeps it consistent under
         base updates, translated view updates, and transaction
-        rollbacks. ``policy`` is one of ``"lazy"``, ``"eager"``, or
-        ``"full-refresh"`` (see :mod:`repro.materialize.maintainer`).
+        rollbacks. ``policy`` names the maintenance policy; ``"lazy"``
+        is the only one (see :mod:`repro.materialize.maintainer`).
         """
-        return self._materialized.materialize(self.object(name), policy)
+        if policy != LAZY:
+            raise ViewObjectError(
+                f"unknown maintenance policy {policy!r}; the only one is "
+                f"{LAZY!r}"
+            )
+        return self._materialized.materialize(self.object(name))
 
     def dematerialize(self, name: str) -> None:
         """Drop the object's cache and stop maintaining it."""
@@ -417,7 +419,6 @@ class Penguin(ViewObjectSession):
                     view_object, self.engine, text, instantiator=view
                 )
             span.set(results=len(results))
-        obs.metrics().counter("queries_total", object=name).inc()
         return results
 
     def get(self, name: str, key: Sequence[Any]) -> Optional[Instance]:
@@ -433,7 +434,6 @@ class Penguin(ViewObjectSession):
                     self.engine, key
                 )
             span.set(found=instance is not None)
-        obs.metrics().counter("gets_total", object=name).inc()
         return instance
 
     # -- updates (the verbs are ViewObjectSession's) ----------------------------

@@ -166,124 +166,3 @@ def join(
         for rt in buckets.get(entry, ()):
             result.append(lt + rt)
     return DerivedRelation(schema, result)
-
-
-def cross(
-    left: DerivedRelation,
-    right: DerivedRelation,
-    new_name: Optional[str] = None,
-) -> DerivedRelation:
-    """Cartesian product (used by the Keller baseline's view bodies)."""
-    name = new_name or f"{left.schema.name}x{right.schema.name}"
-    schema, __ = _joined_schema(left.schema, right.schema, name, right.schema.name)
-    result = [lt + rt for lt in left.tuples for rt in right.tuples]
-    return DerivedRelation(schema, result)
-
-
-_AGGREGATE_FUNCS = ("count", "min", "max", "sum", "avg")
-
-
-def aggregate(
-    relation: DerivedRelation,
-    group_by: Sequence[str],
-    aggregations: Dict[str, Tuple[str, Optional[str]]],
-    new_name: Optional[str] = None,
-) -> DerivedRelation:
-    """Group-by aggregation with SQL null semantics.
-
-    ``aggregations`` maps output attribute names to ``(func, attr)``
-    pairs; ``func`` is one of count/min/max/sum/avg, and ``attr`` may be
-    None for ``count`` (count of rows). Nulls are ignored by every
-    aggregate; min/max/sum/avg over an empty group yield null.
-
-    >>> # doctest-style illustration; see tests for executable examples
-    """
-    from repro.relational.domains import INTEGER, REAL
-
-    source = relation.schema
-    for name in group_by:
-        source.attribute(name)
-    attributes = [
-        Attribute(
-            name,
-            source.attribute(name).domain,
-            source.attribute(name).nullable,
-        )
-        for name in group_by
-    ]
-    for output, (func, attr_name) in aggregations.items():
-        if func not in _AGGREGATE_FUNCS:
-            raise SchemaError(f"unknown aggregate function {func!r}")
-        if func == "count":
-            domain = INTEGER
-        elif func in ("sum", "avg"):
-            domain = REAL
-        else:
-            if attr_name is None:
-                raise SchemaError(f"{func!r} needs an attribute")
-            domain = source.attribute(attr_name).domain
-        attributes.append(Attribute(output, domain, nullable=func != "count"))
-    key = tuple(group_by) if group_by else tuple(aggregations)
-    schema = RelationSchema(
-        new_name or f"agg({source.name})", attributes, key=key
-    )
-
-    group_positions = source.positions(group_by)
-    groups: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in relation.tuples:
-        entry = tuple(row[i] for i in group_positions)
-        groups.setdefault(entry, []).append(row)
-
-    def compute(func: str, attr_name: Optional[str], rows) -> Any:
-        if func == "count" and attr_name is None:
-            return len(rows)
-        position = source.position(attr_name)
-        values = [r[position] for r in rows if r[position] is not None]
-        if func == "count":
-            return len(values)
-        if not values:
-            return None
-        if func == "min":
-            return min(values)
-        if func == "max":
-            return max(values)
-        if func == "sum":
-            return float(sum(values))
-        return float(sum(values)) / len(values)
-
-    result = []
-    for entry, rows in groups.items():
-        out = list(entry)
-        for output, (func, attr_name) in aggregations.items():
-            out.append(compute(func, attr_name, rows))
-        result.append(tuple(out))
-    return DerivedRelation(schema, result)
-
-
-def _check_compatible(left: DerivedRelation, right: DerivedRelation) -> None:
-    if left.schema.arity != right.schema.arity:
-        raise SchemaError(
-            "set operation requires identical arity: "
-            f"{left.schema.arity} vs {right.schema.arity}"
-        )
-
-
-def union(left: DerivedRelation, right: DerivedRelation) -> DerivedRelation:
-    """Set union (deduplicated), keeping the left schema."""
-    _check_compatible(left, right)
-    seen = set()
-    result: List[Tuple[Any, ...]] = []
-    for t in list(left.tuples) + list(right.tuples):
-        if t not in seen:
-            seen.add(t)
-            result.append(t)
-    return DerivedRelation(left.schema, result)
-
-
-def difference(left: DerivedRelation, right: DerivedRelation) -> DerivedRelation:
-    """Set difference, keeping the left schema."""
-    _check_compatible(left, right)
-    removed = set(right.tuples)
-    return DerivedRelation(
-        left.schema, [t for t in left.tuples if t not in removed]
-    )

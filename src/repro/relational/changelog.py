@@ -1,17 +1,17 @@
 """Change log: an audit trail of applied database operations.
 
 The memory engine records every applied mutation here. The log serves
-three purposes:
+four purposes:
 
 * **undo** — transactions roll back by replaying inverse entries,
 * **audit** — tests assert on exactly which operations a translation
   produced and applied,
 * **metrics** — the benchmark harness counts operations per kind to
   report translation cost independently of wall-clock noise,
-* **change feed** — subscribers (the materialized-view maintainer) are
-  notified of appended records and of truncations, so caches can follow
-  the base tables incrementally and roll back with aborted
-  transactions.
+* **change feed** — subscribers (the materialized-view maintainer) read
+  the records past their own mark and are notified of truncations, so
+  caches can follow the base tables incrementally and roll back with
+  aborted transactions.
 """
 
 from __future__ import annotations
@@ -50,12 +50,11 @@ class ChangeRecord:
 class ChangeLog:
     """Append-only log of :class:`ChangeRecord` with per-kind counters.
 
-    Subscribers registered via :meth:`subscribe` may define two optional
-    methods: ``on_append(record)``, called after a record is appended,
-    and ``on_truncate(mark)``, called after the log is cut back to
-    ``mark`` (i.e. a rollback). Both are best-effort notifications on
-    the mutation path, so they must be cheap and must not mutate the
-    engine.
+    Subscribers registered via :meth:`subscribe` may define
+    ``on_truncate(mark)``, called after the log is cut back to ``mark``
+    (i.e. a rollback). It is a notification on the mutation path, so it
+    must be cheap and must not mutate the engine. Appends notify no
+    one: a subscriber reads :meth:`since` its own mark when it needs to.
     """
 
     __slots__ = ("records", "counters", "_subscribers", "_subscriber_lock")
@@ -73,7 +72,7 @@ class ChangeLog:
     # -- subscriptions ------------------------------------------------------
 
     def subscribe(self, subscriber: Any) -> None:
-        """Register a listener for appends and truncations."""
+        """Register a listener for truncations."""
         with self._subscriber_lock:
             if subscriber not in self._subscribers:
                 self._subscribers.append(subscriber)
@@ -89,29 +88,23 @@ class ChangeLog:
         with self._subscriber_lock:
             return tuple(self._subscribers)
 
-    def _appended(self, record: ChangeRecord) -> None:
-        for subscriber in self._snapshot_subscribers():
-            on_append = getattr(subscriber, "on_append", None)
-            if on_append is not None:
-                on_append(record)
-
     # -- recording ----------------------------------------------------------
 
     def record_insert(
         self, relation: str, key: Tuple[Any, ...], values: Tuple[Any, ...]
     ) -> None:
-        record = ChangeRecord("insert", relation, key, new_values=values)
-        self.records.append(record)
+        self.records.append(
+            ChangeRecord("insert", relation, key, new_values=values)
+        )
         self.counters["insert"] += 1
-        self._appended(record)
 
     def record_delete(
         self, relation: str, key: Tuple[Any, ...], old_values: Tuple[Any, ...]
     ) -> None:
-        record = ChangeRecord("delete", relation, key, old_values=old_values)
-        self.records.append(record)
+        self.records.append(
+            ChangeRecord("delete", relation, key, old_values=old_values)
+        )
         self.counters["delete"] += 1
-        self._appended(record)
 
     def record_replace(
         self,
@@ -120,12 +113,10 @@ class ChangeLog:
         old_values: Tuple[Any, ...],
         new_values: Tuple[Any, ...],
     ) -> None:
-        record = ChangeRecord(
+        self.records.append(ChangeRecord(
             "replace", relation, key, new_values=new_values, old_values=old_values
-        )
-        self.records.append(record)
+        ))
         self.counters["replace"] += 1
-        self._appended(record)
 
     def mark(self) -> int:
         """A position marker for later truncation or undo."""
@@ -144,12 +135,6 @@ class ChangeLog:
                 on_truncate = getattr(subscriber, "on_truncate", None)
                 if on_truncate is not None:
                     on_truncate(mark)
-
-    def reset_counters(self) -> None:
-        self.counters = {"insert": 0, "delete": 0, "replace": 0}
-
-    def total(self) -> int:
-        return sum(self.counters.values())
 
     def __len__(self) -> int:
         return len(self.records)

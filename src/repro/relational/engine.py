@@ -24,7 +24,6 @@ from typing import (
     Union,
 )
 
-import repro.obs as obs
 from repro.errors import TransactionError
 from repro.relational.domains import DATE
 from repro.relational.expressions import Expression
@@ -106,7 +105,6 @@ class Engine:
             self.rollback()
             raise
         self._finish_commit()
-        self._record_batch("engine_insert_rows_total", len(keys))
         return keys
 
     def apply_batch(self, operations: Iterable["DatabaseOperation"]) -> int:  # noqa: F821
@@ -126,13 +124,7 @@ class Engine:
             self.rollback()
             raise
         self._finish_commit()
-        self._record_batch("engine_apply_ops_total", count)
         return count
-
-    def _record_batch(self, metric: str, count: int) -> None:
-        """Count a completed batch primitive against this backend."""
-        if count:
-            obs.metrics().counter(metric, engine=type(self).__name__).inc(count)
 
     # -- reads -------------------------------------------------------------
 

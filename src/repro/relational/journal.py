@@ -533,7 +533,6 @@ class PlanJournal:
             if trace_id is not None:
                 event["trace"] = trace_id
             self._append(event)
-        obs.metrics().counter("journal_entries_total", label=label).inc()
         return entry.id
 
     def mark_committed(self, entry_id: int) -> None:
@@ -716,9 +715,4 @@ def recover(engine: Engine, journal: PlanJournal) -> RecoveryReport:
             reverted=len(report.reverted),
             conflicts=len(report.conflicts),
         )
-    registry = obs.metrics()
-    registry.counter("journal_recoveries_total").inc()
-    registry.counter("journal_replayed_total").inc(len(report.replayed))
-    registry.counter("journal_reverted_total").inc(len(report.reverted))
-    registry.counter("journal_conflicts_total").inc(len(report.conflicts))
     return report

@@ -121,10 +121,8 @@ class RetryPolicy:
                 failures += 1
                 if failures >= self.max_attempts:
                     self.gave_up += 1
-                    obs.metrics().counter("retry_gave_up_total").inc()
                     raise
                 self.retries += 1
-                obs.metrics().counter("retries_total").inc()
                 span = obs.tracer().current
                 if span is not None:
                     span.set(retries=failures)
@@ -132,7 +130,6 @@ class RetryPolicy:
                 continue
             if failures:
                 self.absorbed += failures
-                obs.metrics().counter("retry_absorbed_total").inc(failures)
             return result
 
     def stats(self) -> dict:

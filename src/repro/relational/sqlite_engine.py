@@ -329,9 +329,7 @@ class SqliteEngine(Engine):
             return keys
 
         with self._lock:
-            keys = self._retry(attempt)
-        self._record_batch("engine_insert_rows_total", len(keys))
-        return keys
+            return self._retry(attempt)
 
     def _first_duplicate(
         self,
@@ -381,7 +379,6 @@ class SqliteEngine(Engine):
                 self.rollback()
                 raise
             self._finish_commit()
-        self._record_batch("engine_apply_ops_total", count)
         return count
 
     def delete(self, name: str, key: Sequence[Any]) -> None:

@@ -88,7 +88,6 @@ class ReplicaStack:
             penguin.journal = MemoryJournal()
             serving = ConcurrentPenguin(penguin)
             serving.metric_labels = {"shard": str(shard_id), "replica": name}
-            serving.component = f"shard{shard_id}/{name}"
         self.shard_id = shard_id
         self.name = name
         self.serving = serving
@@ -167,11 +166,6 @@ class ReplicaStack:
         with self._lock:
             if epoch < self.epoch:
                 self.fenced_ships += 1
-                obs.metrics().counter(
-                    "replication_fenced_ships_total",
-                    shard=str(self.shard_id),
-                    replica=self.name,
-                ).inc()
                 raise FencedWriteError(
                     f"replica {self.name!r} is at epoch {self.epoch}; "
                     f"rejecting ship from fenced epoch {epoch}"

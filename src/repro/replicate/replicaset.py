@@ -37,7 +37,6 @@ import repro.obs as obs
 from repro.errors import (
     DegradedServiceError,
     FailoverInProgressError,
-    FencedWriteError,
     PrimaryDownError,
     ReplicationError,
     ReplicationQuorumError,
@@ -190,9 +189,6 @@ class ReplicaSet:
         # and ordered; reads never take it. Only the lock's exclusive
         # side is used: a re-entrant mutex whose waiters can be counted.
         self._mutex = ReadWriteLock()
-        obs.metrics().gauge(
-            "replication_epoch", shard=str(shard_id)
-        ).set(self.epoch)
 
     # -- topology accessors --------------------------------------------------
 
@@ -217,14 +213,18 @@ class ReplicaSet:
         """Stream records this replica has not applied yet."""
         return max(0, len(self._stream) - replica.applied_count)
 
-    def quorum_reachable(self) -> bool:
-        """Whether enough replicas could plausibly ack a write now."""
-        reachable = sum(
+    def _reachable(self) -> int:
+        """Replicas that could ack a write now: link reachable, not
+        divergent."""
+        return sum(
             1
             for replica in self._replicas
             if not replica.divergent and self._links[replica.name].reachable
         )
-        return reachable >= self.config.quorum
+
+    def quorum_reachable(self) -> bool:
+        """Whether enough replicas could plausibly ack a write now."""
+        return self._reachable() >= self.config.quorum
 
     @property
     def queued(self) -> int:
@@ -277,15 +277,15 @@ class ReplicaSet:
         """
         with self._mutex:
             self._ensure_primary_up()
-            if not self.quorum_reachable():
+            reachable = self._reachable()
+            if reachable < self.config.quorum:
                 self._count(
                     "replication_refused_total", reason="quorum_unreachable"
                 )
                 raise ReplicationQuorumError(
-                    f"shard {self.shard_id}: only "
-                    f"{sum(1 for r in self._replicas if self._links[r.name].reachable)}"
-                    f" replica link(s) reachable, quorum is "
-                    f"{self.config.quorum}; write refused"
+                    f"shard {self.shard_id}: only {reachable} replica "
+                    f"link(s) reachable, quorum is {self.config.quorum}; "
+                    f"write refused"
                 )
             with self.primary.serving.admitted(op, object_name):
                 yield
@@ -414,11 +414,7 @@ class ReplicaSet:
                     )
                 try:
                     self._ship_backlog(link)
-                except FencedWriteError:
-                    self._count("replication_ships_total", outcome="fenced")
-                    continue
                 except (TransientEngineError, ReplicationError):
-                    self._count("replication_ships_total", outcome="fault")
                     continue
                 if link.cursor >= position:
                     acks += 1
@@ -438,7 +434,6 @@ class ReplicaSet:
                     f"shard {self.shard_id}: write reached {acks} "
                     f"replica(s), quorum is {self.config.quorum}; reverted"
                 )
-            self._count("replication_ships_total", outcome="ok")
 
     def _ship_backlog(self, link: ShippingLink) -> None:
         """Push everything past this link's cursor, in stream order."""
@@ -475,7 +470,6 @@ class ReplicaSet:
         """One missed probe: a write, a read or a heartbeat found the
         primary dead or fenced."""
         self.detector.record_miss()
-        self._count("replication_probe_misses_total")
 
     def _miss_and_maybe_fail_over(self) -> None:
         """A miss seen off the write path: promote if the detector now
@@ -534,10 +528,6 @@ class ReplicaSet:
             self._cursor = ShippingCursor(chosen.audit)
             self.detector.reset()
             self.failovers += 1
-            self._count("replication_failovers_total")
-            obs.metrics().gauge(
-                "replication_epoch", shard=str(self.shard_id)
-            ).set(self.epoch)
             self._update_lag_metrics()
             obs.anomaly(
                 "failover",
@@ -577,7 +567,6 @@ class ReplicaSet:
                 continue
             served.stale = True
             served.source = f"replica:{replica.name}"
-            self._count("replication_stale_reads_total")
             return served
         raise DegradedServiceError(
             f"shard {self.shard_id}: primary is unavailable and no "

@@ -94,10 +94,8 @@ class CircuitBreaker:
             if self._refused_since_probe >= self.probe_interval:
                 self._refused_since_probe = 0
                 self.probes += 1
-                obs.metrics().counter("breaker_probes_total").inc()
                 return True
             self.refusals += 1
-            obs.metrics().counter("breaker_refusals_total").inc()
             return False
 
     def record_success(self) -> None:
@@ -107,7 +105,6 @@ class CircuitBreaker:
             if self._state == DEGRADED:
                 self._state = HEALTHY
                 self.closed += 1
-                obs.metrics().counter("breaker_closed_total").inc()
                 obs.metrics().gauge("breaker_state").set(0)
 
     def record_failure(self) -> None:
@@ -123,7 +120,6 @@ class CircuitBreaker:
                 self.opened += 1
                 self._refused_since_probe = 0
                 opened = True
-                obs.metrics().counter("breaker_opened_total").inc()
                 obs.metrics().gauge("breaker_state").set(1)
         if opened:
             # Outside the lock: the flight-recorder dump this may

@@ -166,22 +166,14 @@ class ConcurrentPenguin(ViewObjectSession):
         self._mutex = ReadWriteLock()
         self._writer: Optional[int] = None
         #: Extra labels stamped on every serving metric this facade
-        #: emits; a ShardedPenguin sets ``{"shard": "<id>"}`` here so
-        #: per-shard series stay distinguishable (and bounded by the
-        #: shard count).
+        #: emits; a ShardedPenguin sets ``{"shard": "<id>"}`` here, and
+        #: a replica stack adds ``"replica": "<name>"``, so each stack's
+        #: series stay distinguishable in the one registry (and bounded
+        #: by the topology).
         self.metric_labels: Dict[str, str] = {}
-        #: The cluster component this facade's serving metrics belong
-        #: to (``"shard0"``, ``"shard0/r1"``, ...). Empty means the
-        #: global registry — a standalone facade behaves exactly as
-        #: before. :class:`~repro.obs.cluster.ClusterMetrics` merges
-        #: component registries back into one labeled render.
-        self.component: str = ""
-
-    def _registry(self):
-        return obs.component_metrics(self.component)
 
     def _count(self, name: str, mode: str) -> None:
-        self._registry().counter(name, mode=mode, **self.metric_labels).inc()
+        obs.metrics().counter(name, mode=mode, **self.metric_labels).inc()
 
     # -- health-routed execution --------------------------------------------
 

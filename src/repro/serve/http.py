@@ -203,7 +203,6 @@ class MicroBatcher:
             return
         self.batches_flushed += 1
         self.requests_batched += len(queue)
-        obs.metrics().histogram("serve_batch_size").observe(len(queue))
         asyncio.ensure_future(self._apply(name, queue), loop=self.loop)
 
     async def _apply(
@@ -533,7 +532,6 @@ class PenguinServer:
                 self._active += 1
                 if self._idle is not None:
                     self._idle.clear()
-                obs.metrics().gauge("serve_in_flight").set(self._active)
                 try:
                     started = time.perf_counter()
                     with attach(ctx):
@@ -549,21 +547,13 @@ class PenguinServer:
                                 )
                             )
                             span.set(status=status)
-                    elapsed_ms = (time.perf_counter() - started) * 1000
-                    op = (
-                        "write"
-                        if method in ("POST", "PUT", "DELETE")
-                        else "read"
-                    )
-                    obs.metrics().histogram(f"serve_{op}_ms").observe(
-                        elapsed_ms
-                    )
+                    if method in ("POST", "PUT", "DELETE"):
+                        obs.metrics().histogram("serve_write_ms").observe(
+                            (time.perf_counter() - started) * 1000
+                        )
                     self.requests_served += 1
                     if status == 504:
                         self.deadlines_exceeded += 1
-                        obs.metrics().counter(
-                            "serve_deadline_exceeded_total", method=method
-                        ).inc()
                     obs.metrics().counter(
                         "serve_http_requests_total",
                         method=method,
@@ -581,7 +571,6 @@ class PenguinServer:
                     # The response is already on the wire: a concurrent
                     # drain waiting on _idle never drops this request.
                     self._active -= 1
-                    obs.metrics().gauge("serve_in_flight").set(self._active)
                     if self._active == 0 and self._idle is not None:
                         self._idle.set()
                 if not keep_alive:
@@ -680,16 +669,12 @@ class PenguinServer:
                     "application/json",
                 )
             if path == "/metrics" and method == "GET":
-                params = self._query_params(query_string)
-                component = params.get("component")
-                if params.get("format") == "json":
+                if self._query_params(query_string).get("format") == "json":
                     snapshot = await self._run(
-                        lambda: self.session.metrics_snapshot(component), deadline
+                        self.session.metrics_snapshot, deadline
                     )
                     return 200, snapshot, "application/json"
-                text = await self._run(
-                    lambda: self.session.metrics_text(component), deadline
-                )
+                text = await self._run(self.session.metrics_text, deadline)
                 return 200, text, "text/plain; version=0.0.4"
             if path == "/objects" and method == "GET":
                 return 200, await self._objects_index(), "application/json"

@@ -263,7 +263,6 @@ class ShardedPenguin(ViewObjectSession):
                 breaker=breakers[shard_id] if breakers else CircuitBreaker(),
             )
             serving.metric_labels = {"shard": str(shard_id)}
-            serving.component = f"shard{shard_id}"
             replica_set = None
             if replication is not None:
                 replica_set = ReplicaSet(

@@ -105,7 +105,6 @@ def two_phase_apply(
     and enforce "commit on the replication quorum or abort".
     """
     order = sorted(split)
-    registry = obs.metrics()
 
     def checkpoint(point: str, shard_id: int) -> None:
         if failpoint is not None:
@@ -166,7 +165,6 @@ def two_phase_apply(
                     participants[shard_id].journal.mark_aborted(
                         entry_ids[shard_id]
                     )
-                registry.counter("shard_txns_total", outcome="aborted").inc()
                 raise
 
             # Phase 3: commit markers.
@@ -176,7 +174,6 @@ def two_phase_apply(
                     entry_ids[shard_id]
                 )
         span.set(shards=len(order))
-    registry.counter("shard_txns_total", outcome="committed").inc()
     return entry_ids
 
 
@@ -293,12 +290,4 @@ def recover_two_phase(
             conflicts=len(report.conflicts),
             transactions=sorted({c[0] for c in report.conflicts}),
         )
-    registry = obs.metrics()
-    registry.counter("shard_recoveries_total").inc()
-    registry.counter("shard_txns_rolled_forward_total").inc(
-        len(report.rolled_forward)
-    )
-    registry.counter("shard_txns_rolled_back_total").inc(
-        len(report.rolled_back)
-    )
     return report

@@ -82,7 +82,7 @@ def test_rollback_rolls_materialized_cache_back(penguin):
 
 
 def test_commit_keeps_materialized_cache_consistent(penguin):
-    penguin.materialize("course_info", policy="eager")
+    penguin.materialize("course_info")
     first, second = some_courses(penguin, 2)
     penguin.query("course_info")
     with penguin.transaction():

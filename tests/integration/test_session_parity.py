@@ -60,7 +60,6 @@ from repro.core.updates.operations import (
 from repro.core.updates.policy import TranslatorPolicy
 from repro.errors import QueryError, ReproError
 from repro.obs.audit import MemoryAuditLog
-from repro.obs.cluster import ClusterMetrics
 from repro.penguin import Penguin
 from repro.relational.journal import MemoryJournal
 from repro.replicate import ReplicationConfig
@@ -390,13 +389,12 @@ class Observed:
                 )
                 self.plan_ops = hub.metrics.histogram_total_count("plan_ops")
                 self.explains = hub.metrics.counter_total("explains_total")
-                # What the primaries' guards counted (a standalone
-                # facade counts on the global registry; a replica stack
-                # counts its own applies on "shardN/rM").
+                # What the primaries' guards counted (a replica stack
+                # counts its own applies under its "replica" label).
                 self.admissions = sum(
-                    registry.counter_total("serve_writes_total")
-                    for component, registry in ClusterMetrics(hub).sources()
-                    if "/" not in component
+                    counter.value
+                    for counter in hub.metrics.counters("serve_writes_total")
+                    if "replica" not in dict(counter.labels)
                 )
             self.rows = rows(session)
             self.audit = sorted(

@@ -7,11 +7,8 @@ patch site on the hospital objects, then the soundness points of the
 rule, each under its own name.
 """
 
-import pytest
-
 from repro.core.view_object import define_view_object
 from repro.materialize import LAZY, CacheStats
-from repro.materialize.maintainer import EAGER
 from repro.materialize.dependency import DependencyIndex
 from repro.materialize.store import MaterializedView
 from repro.relational.changelog import ChangeRecord
@@ -25,8 +22,8 @@ from repro.workloads.university import (
 from tests.materialize.test_dependency import _NoReads, _hospital
 
 
-def warm(view_object, engine, policy=LAZY):
-    view = MaterializedView(view_object, engine, policy)
+def warm(view_object, engine):
+    view = MaterializedView(view_object, engine)
     view.all()
     return view
 
@@ -40,7 +37,7 @@ def replace(engine, relation, key, **changes):
 
 def counters(view):
     stats = view.stats
-    return stats.patched, stats.invalidations, stats.refreshes
+    return stats.patched, stats.invalidations
 
 
 def assert_equals_recompute(view):
@@ -75,7 +72,7 @@ def test_pivot_attribute_is_patched_in_place():
     view.engine = _NoReads()  # a patch inside the island reads nothing
     assert view.sync() == 1
     view.engine = engine
-    assert counters(view) == (1, 0, 0)
+    assert counters(view) == (1, 0)
     after = view.get(key)
     assert after.root.values["name"] == "Renamed"
     assert after.root.children is before.root.children
@@ -90,7 +87,7 @@ def test_island_leaf_attribute_is_patched_with_no_engine_read():
     view.engine = _NoReads()
     assert view.sync() == 1
     view.engine = engine
-    assert counters(view) == (1, 0, 0)
+    assert counters(view) == (1, 0)
     misses = view.stats.misses
     shown = [
         d.values
@@ -119,7 +116,7 @@ def test_referenced_tuple_patches_every_chart_showing_it():
     view.sync()
     view.engine = engine
     assert set(recording.calls) == {"find_by"}
-    assert counters(view) == (len(attended), 0, 0)
+    assert counters(view) == (len(attended), 0)
     for patient_id in attended:
         names = {
             p["name"]
@@ -167,7 +164,7 @@ def test_relation_at_two_nodes_is_patched_at_both():
     )
     replace(engine, "PEOPLE", (person_id,), name="Renamed")
     view.sync()
-    patched, evicted, _ = counters(view)
+    patched, evicted = counters(view)
     assert patched >= 1 and evicted == 0
     instance = view.get(key)
     for node_id in ("PEOPLE", "PEOPLE#2"):
@@ -202,13 +199,13 @@ def test_pruned_intermediate_relation_neither_patches_nor_evicts():
     view.engine = _NoReads()
     assert view.sync() == 2
     view.engine = engine
-    assert counters(view) == (0, 0, 0)
+    assert counters(view) == (0, 0)
     assert {key: view.get(key) for key in view.cached_keys} == cached
     assert all(view.get(key) is instance for key, instance in cached.items())
     # Deleting the visit cuts its diagnoses off the patient: that evicts.
     engine.delete("VISIT", visit[:2])
     view.sync()
-    assert counters(view) == (0, 1, 0)
+    assert counters(view) == (0, 1)
     assert_equals_recompute(view)
 
 
@@ -236,24 +233,22 @@ def test_node_projection_without_the_key_always_evicts():
     diagnosis = next(iter(engine.scan("DIAGNOSIS")))
     replace(engine, "DIAGNOSIS", diagnosis[:3], severity="critical")
     view.sync()
-    assert counters(view) == (0, 1, 0)
+    assert counters(view) == (0, 1)
     # The other relations of the same object still patch.
     view.get(diagnosis[:1])
     replace(engine, "VISIT", diagnosis[:2], reason="patched")
     view.sync()
-    assert counters(view) == (1, 1, 0)
+    assert counters(view) == (1, 1)
     assert_equals_recompute(view)
 
 
-@pytest.mark.parametrize("policy", [LAZY, EAGER])
-def test_rekey_and_relink_evict(policy):
+def test_rekey_and_relink_evict():
     _, engine, chart = _hospital()
-    view = warm(chart, engine, policy)
+    view = warm(chart, engine)
     diagnosis = next(iter(engine.scan("DIAGNOSIS")))
     replace(engine, "DIAGNOSIS", diagnosis[:3], diag_no=99)  # re-key
     view.sync()
-    refreshed = 1 if policy == EAGER else 0
-    assert counters(view) == (0, 1, refreshed)
+    assert counters(view) == (0, 1)
     visit = engine.get("VISIT", diagnosis[:2])
     other = next(
         p[0] for p in sorted(engine.scan("PHYSICIAN")) if p[0] != visit[3]
@@ -261,8 +256,8 @@ def test_rekey_and_relink_evict(policy):
     view.get(diagnosis[:1])
     replace(engine, "VISIT", visit[:2], physician_id=other)  # re-link
     view.sync()
-    assert counters(view) == (0, 2, 2 * refreshed)
-    assert ((diagnosis[0],) in view.cached_keys) == (policy == EAGER)
+    assert counters(view) == (0, 2)
+    assert (diagnosis[0],) not in view.cached_keys
     assert_equals_recompute(view)
 
 
@@ -328,13 +323,12 @@ def test_patched_component_is_what_bind_would_build_and_keeps_its_children():
     assert_equals_recompute(view)
 
 
-@pytest.mark.parametrize("policy", [LAZY, EAGER])
-def test_records_apply_in_log_order_and_an_eviction_ends_the_round(policy):
+def test_records_apply_in_log_order_and_an_eviction_ends_the_round():
     """Soundness (4): a patch before or after an eviction of the same
-    pivot in one round leaves it uncached (lazy) or re-assembled from
-    the engine (eager), never a patched copy of an outdated instance."""
+    pivot in one round leaves it uncached, never a patched copy of an
+    outdated instance."""
     _, engine, chart = _hospital()
-    view = warm(chart, engine, policy)
+    view = warm(chart, engine)
     first, second = sorted(engine.scan("DIAGNOSIS"))[:2]
     assert first[:1] == second[:1]
     key = (first[0],)
@@ -342,9 +336,8 @@ def test_records_apply_in_log_order_and_an_eviction_ends_the_round(policy):
     replace(engine, "DIAGNOSIS", first[:3], severity="patched first")
     engine.delete("DIAGNOSIS", second[:3])
     assert view.sync() == 2
-    refreshed = 1 if policy == EAGER else 0
-    assert counters(view) == (1, 1, refreshed)
-    assert (key in view.cached_keys) == (policy == EAGER)
+    assert counters(view) == (1, 1)
+    assert key not in view.cached_keys
     assert_equals_recompute(view)
     # evict, then patch: the patch finds nothing cached
     view.get(key)
@@ -352,8 +345,8 @@ def test_records_apply_in_log_order_and_an_eviction_ends_the_round(policy):
     replace(engine, "DIAGNOSIS", first[:3], severity="patched second")
     replace(engine, "PATIENT", key, name="and the pivot")
     assert view.sync() == 3
-    assert counters(view) == (1, 2, 2 * refreshed)
-    assert (key in view.cached_keys) == (policy == EAGER)
+    assert counters(view) == (1, 2)
+    assert key not in view.cached_keys
     assert_equals_recompute(view)
 
 
@@ -455,7 +448,7 @@ def test_patch_on_sqlite_equals_recompute():
         values = next(iter(engine.scan(relation)))
         replace(engine, relation, graph.relation(relation).key_of(values), **changes)
     assert view.sync() == 3
-    patched, evicted, _ = counters(view)
+    patched, evicted = counters(view)
     assert patched >= 3 and evicted == 0
     assert_equals_recompute(view)
 
@@ -497,7 +490,7 @@ def test_update_heavy_replaces_are_patched():
         writes += 1
     stats = view.stats
     assert writes and stats.patched >= writes
-    assert (stats.invalidations, stats.refreshes) == (0, 0)
+    assert stats.invalidations == 0
     assert stats.misses == assembled, "an in-place replace caused a re-assembly"
     assert stats.hits - hits == reads
     assert_equals_recompute(view)

@@ -1,11 +1,10 @@
-"""MaterializedStore / MaterializedView behavior and policies."""
+"""MaterializedStore / MaterializedView behavior and maintenance."""
 
 import pytest
 
 from repro.core.instantiation import Instantiator
 from repro.errors import ViewObjectError
 from repro.materialize import LAZY, MaterializedStore
-from repro.materialize.maintainer import EAGER, FULL_REFRESH
 from repro.penguin import Penguin
 from repro.relational.engine import Engine
 from repro.relational.sqlite_engine import SqliteEngine
@@ -92,7 +91,7 @@ def test_staleness_counts_pending_records():
     assert view.staleness() == 0
 
 
-# -- maintenance policies ------------------------------------------------------
+# -- maintenance ------------------------------------------------------
 
 
 def move_department(penguin, values):
@@ -128,7 +127,6 @@ def test_lazy_policy_evicts_and_reassembles_on_demand():
     view.sync()
     assert len(view) == cached_before - 1
     assert (view.stats.patched, view.stats.invalidations) == (1, 1)
-    assert view.stats.refreshes == 0
     instance = penguin.get("course_info", key)
     assert view.stats.misses == misses + 1  # re-assembled on demand
     assert [d["dept_name"] for d in instance.tuples_at("DEPARTMENT")] == [
@@ -139,70 +137,37 @@ def test_lazy_policy_evicts_and_reassembles_on_demand():
     }
 
 
-def test_eager_policy_reassembles_at_sync():
-    penguin = make_penguin()
-    view = penguin.materialize("course_info", policy=EAGER)
-    penguin.query("course_info")
-    values = course_row(penguin)
-    key = (values[0],)
-    retitle(penguin, values, "Eagerly Retitled")
-    view.sync()
-    assert (view.stats.patched, view.stats.refreshes) == (1, 0)
-    dept_name = move_department(penguin, penguin.engine.get("COURSES", key))
-    view.sync()
-    assert (view.stats.invalidations, view.stats.refreshes) == (1, 1)
-    hits_before = view.stats.hits
-    instance = penguin.get("course_info", key)
-    assert instance.root.values["title"] == "Eagerly Retitled"
-    assert [d["dept_name"] for d in instance.tuples_at("DEPARTMENT")] == [
-        dept_name
-    ]
-    assert view.stats.hits == hits_before + 1  # no assembly on read
-
-
-def test_full_refresh_policy_rebuilds_extent():
-    penguin = make_penguin()
-    view = penguin.materialize("course_info", policy=FULL_REFRESH)
-    penguin.query("course_info")
-    retitle(penguin, course_row(penguin), "Rebuilt")
-    view.sync()
-    assert view.stats.full_refreshes == 1
-    assert len(view) == penguin.engine.count("COURSES")
-    assert fresh_extent(penguin) == {
-        i.key: i.to_dict() for i in penguin.query("course_info")
-    }
-
-
 def test_unknown_policy_rejected():
     penguin = make_penguin()
     with pytest.raises(ViewObjectError):
         penguin.materialize("course_info", policy="psychic")
+    with pytest.raises(ViewObjectError, match="the only one is 'lazy'"):
+        penguin.materialize("course_info", "eager")
 
 
 # -- extent membership ---------------------------------------------------------
 
 
-def test_pivot_insert_and_delete_visible(policy=LAZY):
-    for policy in (LAZY, EAGER, FULL_REFRESH):
-        penguin = make_penguin()
-        penguin.materialize("course_info", policy=policy)
-        baseline = {i.key for i in penguin.query("course_info")}
-        penguin.engine.insert(
-            "COURSES",
-            {
-                "course_id": "NEW1",
-                "title": "Fresh",
-                "units": 3,
-                "level": "graduate",
-                "dept_name": course_row(penguin)[4],
-                "instructor_id": None,
-            },
-        )
-        keys = {i.key for i in penguin.query("course_info")}
-        assert keys == baseline | {("NEW1",)}
-        penguin.engine.delete("COURSES", ("NEW1",))
-        keys = {i.key for i in penguin.query("course_info")}
-        assert keys == baseline
+def test_pivot_insert_and_delete_visible():
+    penguin = make_penguin()
+    penguin.materialize("course_info", policy=LAZY)
+    baseline = {i.key for i in penguin.query("course_info")}
+    penguin.engine.insert(
+        "COURSES",
+        {
+            "course_id": "NEW1",
+            "title": "Fresh",
+            "units": 3,
+            "level": "graduate",
+            "dept_name": course_row(penguin)[4],
+            "instructor_id": None,
+        },
+    )
+    keys = {i.key for i in penguin.query("course_info")}
+    assert keys == baseline | {("NEW1",)}
+    penguin.engine.delete("COURSES", ("NEW1",))
+    keys = {i.key for i in penguin.query("course_info")}
+    assert keys == baseline
 
 
 def test_component_insert_reflected():

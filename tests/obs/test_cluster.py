@@ -1,5 +1,5 @@
-"""Cluster observability: merged metrics, quantiles, SLOs, assembly,
-and the flight recorder."""
+"""Cluster observability: one registry across the topology,
+quantiles, SLOs, assembly, and the flight recorder."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 import repro.obs as obs
 from repro.obs.cluster import (
-    ClusterMetrics,
     FlightRecorder,
     SloTarget,
     SloTracker,
@@ -15,64 +14,51 @@ from repro.obs.cluster import (
     histogram_quantile,
 )
 from repro.obs.context import TraceContext, activate, attach
+from repro.obs.metrics import Histogram
 
 
-class TestClusterMetrics:
-    def test_component_series_gain_label(self):
+class TestOneRegistry:
+    def test_label_values_across_shards_and_replicas(self):
         with obs.use() as hub:
-            hub.metrics.counter("writes_total").inc(3)
-            obs.component_metrics("shard0").counter("writes_total").inc(2)
-            obs.component_metrics("shard1").counter("writes_total").inc(5)
-            cluster = ClusterMetrics(hub)
-            assert cluster.components() == ["shard0", "shard1"]
-            assert cluster.counter_total("writes_total") == 10
-            text = cluster.render_text()
-            assert 'writes_total{component="shard0"} 2' in text
-            assert "# TYPE writes_total counter" in text
-            # the global series passes through unlabeled
-            assert "\nwrites_total 3" in text
-
-    def test_component_filter(self):
-        with obs.use() as hub:
-            hub.metrics.counter("ops_total").inc()
-            obs.component_metrics("shard0").counter("ops_total").inc(7)
-            cluster = ClusterMetrics(hub)
-            assert cluster.counter_total("ops_total", "shard0") == 7
-            snap = cluster.snapshot("shard0")
-            assert list(snap["counters"]) == ['ops_total{component="shard0"}']
-
-    def test_merged_histogram_adds_buckets(self):
-        with obs.use():
-            obs.component_metrics("a").histogram("lat_ms").observe(4)
-            obs.component_metrics("b").histogram("lat_ms").observe(4)
-            obs.component_metrics("b").histogram("lat_ms").observe(700)
-            merged = ClusterMetrics().merged_histogram("lat_ms")
-            assert merged["count"] == 3
-            assert merged["buckets"]["le=5"] == 2
-
-    def test_label_values_across_components(self):
-        with obs.use():
-            obs.component_metrics("shard0").counter(
-                "serve_reads_total", shard="0"
-            ).inc()
-            obs.component_metrics("shard1").counter(
-                "serve_reads_total", shard="1"
-            ).inc()
-            cluster = ClusterMetrics()
-            assert cluster.label_values("serve_reads_total", "shard") == [
+            hub.metrics.counter("reads_total", shard="0").inc()
+            hub.metrics.counter("reads_total", shard="1").inc()
+            hub.metrics.counter("reads_total", shard="1", replica="r1").inc()
+            assert hub.metrics.label_values("reads_total", "shard") == [
                 "0",
                 "1",
             ]
+            assert hub.metrics.label_values("reads_total", "replica") == [
+                "r1"
+            ]
+            assert hub.metrics.counter_total("reads_total") == 3
+
+    def test_merged_histogram_adds_buckets(self):
+        with obs.use() as hub:
+            hub.metrics.histogram("lat_ms", shard="0").observe(4)
+            hub.metrics.histogram("lat_ms", shard="1").observe(4)
+            hub.metrics.histogram("lat_ms", shard="1").observe(700)
+            merged = Histogram("lat_ms")
+            for part in hub.metrics.histograms("lat_ms"):
+                merged.merge(part)
+            assert merged.count == 3
+            assert merged.bucket_counts()["le=5"] == 2
+            with pytest.raises(ValueError):
+                merged.merge(Histogram("lat_ms", buckets=(1, 2)))
+
+
+def histogram_of(bounds, counts):
+    """A histogram with ``counts[i]`` observations at ``bounds[i]`` and
+    the rest (one past the bounds) in the +Inf bucket."""
+    histogram = Histogram("h", buckets=bounds)
+    for bound, count in zip(tuple(bounds) + (bounds[-1] * 10,), counts):
+        for _ in range(count):
+            histogram.observe(bound)
+    return histogram
 
 
 class TestHistogramQuantile:
     def histogram(self):
-        return {
-            "count": 100,
-            "sum": 0.0,
-            "bounds": (1.0, 10.0, 100.0),
-            "buckets": {"le=1": 50, "le=10": 40, "le=100": 10, "le=+Inf": 0},
-        }
+        return histogram_of((1.0, 10.0, 100.0), (50, 40, 10, 0))
 
     def test_interpolates_within_bucket(self):
         # rank 50 lands exactly at the first bucket's upper bound
@@ -81,17 +67,11 @@ class TestHistogramQuantile:
         assert histogram_quantile(self.histogram(), 0.9) == pytest.approx(10.0)
 
     def test_inf_bucket_clamps(self):
-        data = {
-            "count": 10,
-            "sum": 0.0,
-            "bounds": (1.0, 10.0),
-            "buckets": {"le=1": 0, "le=10": 0, "le=+Inf": 10},
-        }
+        data = histogram_of((1.0, 10.0), (0, 0, 10))
         assert histogram_quantile(data, 0.99) == 10.0
 
     def test_empty_is_none(self):
-        data = {"count": 0, "sum": 0.0, "bounds": (1.0,), "buckets": {}}
-        assert histogram_quantile(data, 0.5) is None
+        assert histogram_quantile(Histogram("h", buckets=(1.0,)), 0.5) is None
 
     def test_live_histogram(self):
         with obs.use() as hub:

@@ -3,9 +3,7 @@
 For any sequence of base-table inserts, deletes, and replaces — with
 cache reads interleaved so incremental maintenance actually runs
 mid-stream — a materialized view object must remain *equal* to a fresh
-re-instantiation, sibling order included, under every maintenance
-policy. The
-streams lean towards in-place replaces on every kind of node, which the
+re-instantiation, sibling order included. The streams lean towards in-place replaces on every kind of node, which the
 maintainer patches into cached instances instead of evicting them, so
 a round regularly holds a patch and an eviction of the same course.
 """
@@ -15,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.instantiation import Instantiator
-from repro.materialize import POLICIES
+from repro.materialize import LAZY
 from repro.penguin import Penguin
 from repro.workloads.figures import course_info_object
 from repro.workloads.university import (
@@ -176,7 +174,7 @@ def extent(instances):
     return {instance.key: instance.to_dict() for instance in instances}
 
 
-@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("policy", [LAZY])
 @settings(max_examples=30, deadline=None)
 @given(ops=operations)
 def test_cache_extensionally_equal_to_recompute(policy, ops):

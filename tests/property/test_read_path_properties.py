@@ -17,7 +17,7 @@ these properties hold:
   contain the walked pivots; while every tuple has its owners the two
   are equal;
 * a materialized view equals recomputation after ``sync``, sibling
-  order included, under every maintenance policy, on memory and on sqlite, over streams weighted
+  order included, on memory and on sqlite, over streams weighted
   towards in-place replaces (the records the maintainer patches into
   cached instances rather than evicting them), with reads, unread
   stretches (several records per round: a patch and an eviction of one
@@ -32,7 +32,6 @@ from repro.core.projection import Projection
 from repro.core.tree_builder import prune_tree
 from repro.core.updates.bulk import BufferedEngine
 from repro.core.view_object import ViewObjectDefinition
-from repro.materialize import POLICIES
 from repro.materialize.dependency import DependencyIndex
 from repro.materialize.store import MaterializedView
 from repro.relational.domains import INTEGER, TEXT
@@ -315,26 +314,24 @@ streams = dict(
 )
 
 
-@pytest.mark.parametrize("policy", POLICIES)
 @settings(max_examples=15, deadline=None)
 @given(**streams)
-def test_cache_equals_recompute_after_sync(policy, case, writes, fates):
-    check_cache_equals_recompute("memory", policy, case, writes, fates)
+def test_cache_equals_recompute_after_sync(case, writes, fates):
+    check_cache_equals_recompute("memory", case, writes, fates)
 
 
-@pytest.mark.parametrize("policy", POLICIES)
 @settings(max_examples=15, deadline=None)
 @given(**streams)
-def test_cache_equals_recompute_after_sync_on_sqlite(policy, case, writes, fates):
-    check_cache_equals_recompute("sqlite", policy, case, writes, fates)
+def test_cache_equals_recompute_after_sync_on_sqlite(case, writes, fates):
+    check_cache_equals_recompute("sqlite", case, writes, fates)
 
 
-def check_cache_equals_recompute(backend, policy, case, writes, fates):
+def check_cache_equals_recompute(backend, case, writes, fates):
     seed, adversarial = case
     engine = make_engine(backend)
     _, spanning, _ = random_chain_case(engine, seed, adversarial=adversarial)
     views = [
-        MaterializedView(view_object, engine, policy)
+        MaterializedView(view_object, engine)
         for view_object in view_objects(spanning)
     ]
     references = [ReferenceInstantiator(v.view_object) for v in views]

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import SchemaError
 from repro.relational import algebra
 from repro.relational.domains import INTEGER, TEXT
 from repro.relational.expressions import Attr
@@ -100,25 +99,3 @@ def test_join_null_never_matches(engine):
     depts = algebra.from_engine(engine, "DEPT")
     joined = algebra.join(left, depts, on=[("dept", "dept")])
     assert len(joined) == 0
-
-
-def test_cross(engine):
-    courses = algebra.from_engine(engine, "COURSES")
-    depts = algebra.from_engine(engine, "DEPT")
-    assert len(algebra.cross(courses, depts)) == 6
-
-
-def test_union_and_difference(engine):
-    rel = algebra.from_engine(engine, "COURSES")
-    cs = algebra.select(rel, Attr("dept") == "cs")
-    math = algebra.select(rel, Attr("dept") == "math")
-    assert len(algebra.union(cs, math)) == 3
-    assert len(algebra.union(cs, cs)) == 2  # dedupes
-    assert len(algebra.difference(rel, cs)) == 1
-
-
-def test_set_ops_arity_checked(engine):
-    rel = algebra.from_engine(engine, "COURSES")
-    dept = algebra.from_engine(engine, "DEPT")
-    with pytest.raises(SchemaError):
-        algebra.union(rel, dept)

@@ -9,7 +9,6 @@ def test_counters():
     log.record_delete("T", ("a",), ("a", 1))
     log.record_replace("T", ("b",), ("b", 1), ("b", 2))
     assert log.counters == {"insert": 1, "delete": 1, "replace": 1}
-    assert log.total() == 3
     assert len(log) == 3
 
 
@@ -31,10 +30,3 @@ def test_truncate_restores_counters():
     assert log.counters == {"insert": 1, "delete": 0, "replace": 0}
     assert len(log) == 1
 
-
-def test_reset_counters_keeps_records():
-    log = ChangeLog()
-    log.record_insert("T", ("a",), ("a", 1))
-    log.reset_counters()
-    assert log.total() == 0
-    assert len(log) == 1

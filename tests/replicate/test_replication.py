@@ -159,6 +159,19 @@ class TestQuorum:
         assert len(sharded.shard(0).penguin.audit.records()) == audited
         sharded.close()
 
+    def test_a_divergent_replica_is_not_counted_toward_the_quorum(self):
+        """Both links reachable, one replica divergent: the refusal names
+        the one replica that could ack, the count the check refused on."""
+        sharded = build(replicas=2, quorum=2)
+        replica_set = sharded.shard(0).replica_set
+        replica_set.replicas[1].divergent = True
+        with pytest.raises(
+            ReplicationQuorumError,
+            match=r"only 1 replica link\(s\) reachable, quorum is 2",
+        ):
+            sharded.insert(OBJECT, chart_on_shard(sharded, 0))
+        sharded.close()
+
     def test_mid_write_quorum_loss_reverts_the_primary(self):
         sharded = build()
         replica_set = sharded.shard(0).replica_set

@@ -180,19 +180,55 @@ class TestMetricsFormats:
         assert "counters" in body
 
     def test_component_filter(self, cluster):
+        """There is no per-component registry to narrow to: the old
+        ``?component=`` parameter is ignored and the one registry comes
+        back whole."""
         _, sharded, url = cluster
-        # touch a populated key on each shard so both components exist
+        pid = next(
+            p for p in range(100, 106) if sharded.router.shard_of((p,)) == 1
+        )
+        request(f"{url}/objects/{OBJECT}/{pid}")
+        _, whole, _ = request(f"{url}/metrics?format=json")
+        _, narrowed, _ = request(f"{url}/metrics?format=json&component=shard0")
+        assert set(narrowed) == set(whole) == {"counters", "gauges", "histograms"}
+        assert 'mode="engine",shard="1"' in "".join(narrowed["counters"])
+
+    def test_shard_and_replica_labels_tell_stacks_apart(self, cluster):
+        _, sharded, url = cluster
+        # a read and a write on each shard, so every primary and every
+        # replica stack has counted something
         for shard_id in (0, 1):
             pid = next(
                 p for p in range(100, 106)
                 if sharded.router.shard_of((p,)) == shard_id
             )
             request(f"{url}/objects/{OBJECT}/{pid}")
-        status, text, headers = request(f"{url}/metrics?component=shard0")
+            status, _, _ = request(
+                f"{url}/objects/{OBJECT}",
+                method="POST",
+                payload={"instance": fresh_chart(
+                    pid_on_shard(sharded, shard_id, start=93_000)
+                )},
+            )
+            assert status == 201
+        status, text, headers = request(f"{url}/metrics")
         assert status == 200
         assert headers["content-type"].startswith("text/plain")
-        assert 'component="shard0"' in text
-        assert 'component="shard1"' not in text
+        assert "component=" not in text
+        for shard_id in (0, 1):
+            assert (
+                f'serve_reads_total{{mode="engine",shard="{shard_id}"}}'
+                in text
+            )
+            assert (
+                f'serve_writes_total{{mode="applied",shard="{shard_id}"}}'
+                in text
+            )
+            for replica in ("r1", "r2"):
+                assert (
+                    f'serve_writes_total{{mode="applied",replica="{replica}",'
+                    f'shard="{shard_id}"}}' in text
+                )
 
     def test_cluster_render_includes_replicas(self, cluster):
         _, sharded, url = cluster
@@ -205,7 +241,7 @@ class TestMetricsFormats:
         )
         assert status == 201
         _, text, _ = request(f"{url}/metrics")
-        assert 'component="shard0/r1"' in text
+        assert 'replica="r1",shard="0"' in text
 
     def test_health_carries_slo(self, cluster):
         _, _, url = cluster

@@ -12,7 +12,6 @@ import pytest
 
 import repro.obs as obs
 from repro.errors import ReproError
-from repro.obs.cluster import ClusterMetrics
 from repro.obs.audit import MemoryAuditLog
 from repro.penguin import Penguin
 from repro.relational.journal import MemoryJournal
@@ -273,25 +272,24 @@ class TestMetricsLabels:
             run_workload(sharded, sharded.router)
             for _ in range(20):
                 sharded.query(OBJECT)
-            cluster = ClusterMetrics(hub)
-            read_shards = cluster.label_values(
+            read_shards = hub.metrics.label_values(
                 "serve_reads_total", "shard"
             )
-            write_shards = cluster.label_values(
+            write_shards = hub.metrics.label_values(
                 "serve_writes_total", "shard"
             )
-            update_shards = cluster.label_values(
+            update_shards = hub.metrics.label_values(
                 "shard_updates_total", "shard"
             )
             all_ids = {str(i) for i in range(sharded.num_shards)}
             assert set(read_shards) == all_ids  # queries scatter everywhere
             assert set(write_shards) <= all_ids and write_shards
             assert set(update_shards) <= all_ids and update_shards
-            text = cluster.render_text()
+            text = hub.metrics.render_text()
             assert 'shard="0"' in text
             assert "serve_reads_total" in text
-            # serving counters live on per-shard component registries
-            assert 'component="shard0"' in text
+            # one registry: the shard is a label, never a namespace
+            assert "component=" not in text
 
     def test_render_text_escapes_and_groups_shard_labels(self):
         with obs.use() as hub:
