@@ -3,11 +3,11 @@
 The numbers answer the operational questions the ROADMAP's "fast as the
 hardware allows" goal raises: how often does the cache actually serve a
 request (``hits`` vs ``misses``), how much maintenance work does the
-changelog stream cause (``records_applied``; ``patched`` — cached
+committed records cause (``records_applied``; ``patched`` — cached
 instances overwritten in place from a record, no engine read;
-``invalidations`` — cached instances evicted), and how far behind the
-base tables the cache currently is (``staleness`` — pending, unconsumed
-changelog records).
+``invalidations`` — cached instances evicted). How far behind the base
+tables the cache is, is the view's ``staleness()``: committed records
+handed over and not yet applied.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class CacheStats:
         "patched",
         "invalidations",
         "records_applied",
-        "rollbacks",
         "stale_reads",
     )
 
@@ -36,7 +35,6 @@ class CacheStats:
         self.patched = 0
         self.invalidations = 0
         self.records_applied = 0
-        self.rollbacks = 0
         # Requests answered from the cache *without* consulting the
         # engine — degraded-mode serving. Possibly out of date.
         self.stale_reads = 0

@@ -1,8 +1,12 @@
 """Caches of assembled view-object instances.
 
 A :class:`MaterializedView` memoizes the ``Instance`` tree of each pivot
-key and keeps itself consistent with the base tables by consuming the
-engine's changelog through a :class:`~repro.materialize.maintainer.Maintainer`.
+key and keeps itself consistent with the base tables: the engine's
+changelog hands it every committed transaction's records, and a
+:class:`~repro.materialize.maintainer.Maintainer` applies them on the
+next read. While the engine is inside a transaction a read assembles
+from the engine and leaves the cache alone, so a session reads its own
+uncommitted writes and a rollback never reaches the cache.
 Membership of the extent is never cached: queries always select pivot
 tuples from the live engine (one indexed relation access) and only the
 expensive part — assembling the tree of component tuples underneath each
@@ -18,10 +22,7 @@ chose to accelerate.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.audit import AuditLog
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
 from repro.errors import ViewObjectError
@@ -31,6 +32,7 @@ from repro.core.view_object import ViewObjectDefinition
 from repro.materialize.dependency import DependencyIndex, PatchSite
 from repro.materialize.maintainer import Maintainer
 from repro.materialize.stats import CacheStats
+from repro.relational.changelog import ChangeRecord
 from repro.relational.engine import Engine
 from repro.relational.expressions import Expression, TRUE
 
@@ -42,12 +44,7 @@ PivotKey = Tuple[Any, ...]
 class MaterializedView:
     """One view object's instance cache over one engine."""
 
-    def __init__(
-        self,
-        view_object: ViewObjectDefinition,
-        engine: Engine,
-        audit: Optional["AuditLog"] = None,
-    ) -> None:
+    def __init__(self, view_object: ViewObjectDefinition, engine: Engine) -> None:
         changelog = engine.changelog
         if changelog is None:
             raise ViewObjectError(
@@ -57,48 +54,51 @@ class MaterializedView:
         self.view_object = view_object
         self.engine = engine
         self.changelog = changelog
-        # When an audit log is attached, the maintainer attributes each
-        # maintenance round to the audit head ASN that triggered it.
-        self.audit = audit
         self.instantiator = view_object.instantiator
         self.dependencies = DependencyIndex(view_object)
         self.stats = CacheStats()
         self.maintainer = Maintainer(self)
         self._instances: Dict[PivotKey, Instance] = {}
+        # Committed records handed over and not yet applied.
+        self._pending: List[ChangeRecord] = []
         self._pivot_schema = view_object.graph.relation(
             view_object.pivot_relation
         )
-        # Serializes cache maintenance against reads: sync/get/where
-        # mutate the instance map (applying pending records, memoizing
-        # assemblies), so two threads sharing this view must not
-        # interleave inside them. Reentrant because sync() runs inside
-        # locked get()/where() calls.
+        # Serializes cache maintenance against reads and commits:
+        # absorb/sync/get/where touch the pending list or the instance
+        # map, so two threads sharing this view must not interleave
+        # inside them. Reentrant because sync() runs inside locked
+        # get()/where() calls.
         self._lock = threading.RLock()
         changelog.subscribe(self)
 
-    # -- changelog subscriber protocol -----------------------------------------
+    # -- the commit feed ----------------------------------------------------------
 
-    def on_truncate(self, mark: int) -> None:
+    def absorb(self, records: List[ChangeRecord]) -> None:
+        """Keep one commit's records for the next :meth:`sync` (called
+        by the engine's changelog once the commit succeeded)."""
         with self._lock:
-            self.maintainer.rewind(mark)
-
-    # -- reads -------------------------------------------------------------------
+            self._pending.extend(records)
 
     def staleness(self) -> int:
-        return self.maintainer.staleness()
+        """Committed records this cache has not applied yet."""
+        return len(self._pending)
 
     def sync(self) -> int:
-        """Bring the cache up to the changelog head; returns records applied."""
+        """Apply the committed records handed over since the last sync;
+        returns how many. Inside a transaction it applies nothing: a
+        record's pivots are resolved against the engine, whose
+        uncommitted state may still roll back."""
         with self._lock:
-            pending = self.maintainer.staleness()
-            if not pending:
-                return self.maintainer.sync()
+            if not self._pending or self.changelog.depth:
+                return 0
+            records, self._pending = self._pending, []
             stats = self.stats
             patched, evicted = stats.patched, stats.invalidations
             with obs.tracer().span(
                 "view.sync", object=self.view_object.name
             ) as span:
-                applied = self.maintainer.sync()
+                applied = self.maintainer.sync(records)
                 patched = stats.patched - patched
                 evicted = stats.invalidations - evicted
                 span.set(records=applied, patched=patched, evicted=evicted)
@@ -111,12 +111,20 @@ class MaterializedView:
         """The instance with pivot key ``key``, or None."""
         with self._lock:
             self.sync()
+            if self.changelog.depth:  # the engine is inside a transaction
+                return self.instantiator.by_key(self.engine, key)
             pivot_key = tuple(key)
             cached = self._instances.get(pivot_key)
+            if cached is None:
+                # Cached under the key as the engine stores it (a datetime
+                # in a DATE attribute by its date), as committed records are.
+                pivot = self.view_object.pivot_relation
+                pivot_key = self.engine._coerce_key(pivot, pivot_key)
+                cached = self._instances.get(pivot_key)
             self._count_lookup(hit=cached is not None)
             if cached is not None:
                 return cached
-            values = self.engine.get(self.view_object.pivot_relation, pivot_key)
+            values = self.engine.get(pivot, pivot_key)
             if values is None:
                 return None
             return self._assemble_into_cache(pivot_key, values)
@@ -134,6 +142,8 @@ class MaterializedView:
             )
         with self._lock:
             self.sync()
+            if self.changelog.depth:  # the engine is inside a transaction
+                return self.instantiator.where(engine, predicate)
             instances = []
             for values in engine.select(
                 self.view_object.pivot_relation, predicate
@@ -160,7 +170,9 @@ class MaterializedView:
         *does not exist* — the cache cannot tell without the engine.
         """
         with self._lock:
-            instance = self._instances.get(tuple(key))
+            instance = self._instances.get(
+                self.engine._coerce_key(self.view_object.pivot_relation, key)
+            )
             if instance is not None:
                 self.stats.stale_reads += 1
             return instance
@@ -237,10 +249,6 @@ class MaterializedView:
                 self._instances[pivot_key] = Instance(self.view_object, root)
                 self.stats.patched += 1
 
-    def drop_all(self) -> None:
-        with self._lock:
-            self._instances.clear()
-
     def close(self) -> None:
         """Detach from the changelog (the cache stops maintaining itself)."""
         self.changelog.unsubscribe(self)
@@ -277,11 +285,8 @@ def _patched(
 class MaterializedStore:
     """The materialized views of one engine, keyed by object name."""
 
-    def __init__(
-        self, engine: Engine, audit: Optional["AuditLog"] = None
-    ) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.audit = audit
         self._views: Dict[str, MaterializedView] = {}
 
     def materialize(self, view_object: ViewObjectDefinition) -> MaterializedView:
@@ -289,7 +294,7 @@ class MaterializedStore:
             raise ViewObjectError(
                 f"view object {view_object.name!r} is already materialized"
             )
-        view = MaterializedView(view_object, self.engine, audit=self.audit)
+        view = MaterializedView(view_object, self.engine)
         self._views[view_object.name] = view
         return view
 

@@ -242,7 +242,7 @@ class Penguin(ViewObjectSession):
         self._objects: Dict[str, ViewObjectDefinition] = {}
         self._translators: Dict[str, Translator] = {}
         self._checker = IntegrityChecker(graph)
-        self._materialized = MaterializedStore(engine, audit=audit)
+        self._materialized = MaterializedStore(engine)
         self._lineage: Optional[LineageIndex] = None
         if install:
             graph.install(engine)
@@ -368,10 +368,11 @@ class Penguin(ViewObjectSession):
         """Cache the object's assembled instances, maintained incrementally.
 
         Afterwards :meth:`query` and :meth:`get` serve instance assembly
-        from the cache; the engine's changelog keeps it consistent under
-        base updates, translated view updates, and transaction
-        rollbacks. ``policy`` names the maintenance policy; ``"lazy"``
-        is the only one (see :mod:`repro.materialize.maintainer`).
+        from the cache; the engine's changelog hands it every committed
+        change — base updates and translated view updates alike — and
+        a rolled-back one never reaches it. ``policy`` names the
+        maintenance policy; ``"lazy"`` is the only one (see
+        :mod:`repro.materialize.maintainer`).
         """
         if policy != LAZY:
             raise ViewObjectError(

@@ -1,140 +1,100 @@
-"""Change log: an audit trail of applied database operations.
+"""Change log: the applied operations of the open transaction.
 
-The memory engine records every applied mutation here. The log serves
-four purposes:
-
-* **undo** — transactions roll back by replaying inverse entries,
-* **audit** — tests assert on exactly which operations a translation
-  produced and applied,
-* **metrics** — the benchmark harness counts operations per kind to
-  report translation cost independently of wall-clock noise,
-* **change feed** — subscribers (the materialized-view maintainer) read
-  the records past their own mark and are notified of truncations, so
-  caches can follow the base tables incrementally and roll back with
-  aborted transactions.
+Both engines record every mutation here; the log owns their savepoint
+marks. A rollback drops the innermost transaction's records and hands
+them back (the memory engine undoes them); the eager translator reads
+the records since its mark for before/after images. The outermost
+commit, or a write outside any transaction, hands its records in apply
+order to each subscriber's ``absorb(records)`` and forgets them.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = ["ChangeRecord", "ChangeLog"]
 
+Values = Optional[Tuple[Any, ...]]
 
-class ChangeRecord:
+
+class ChangeRecord(NamedTuple):
     """One applied mutation, with enough state to undo it."""
 
-    __slots__ = ("kind", "relation", "key", "new_values", "old_values")
-
-    def __init__(
-        self,
-        kind: str,
-        relation: str,
-        key: Tuple[Any, ...],
-        new_values: Optional[Tuple[Any, ...]] = None,
-        old_values: Optional[Tuple[Any, ...]] = None,
-    ) -> None:
-        self.kind = kind
-        self.relation = relation
-        self.key = key
-        self.new_values = new_values
-        self.old_values = old_values
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ChangeRecord({self.kind}, {self.relation}, key={self.key!r})"
-        )
+    kind: str
+    relation: str
+    key: Tuple[Any, ...]
+    new_values: Values = None
+    old_values: Values = None
 
 
 class ChangeLog:
-    """Append-only log of :class:`ChangeRecord` with per-kind counters.
+    """The open transaction's records, its savepoint marks, op counters."""
 
-    Subscribers registered via :meth:`subscribe` may define
-    ``on_truncate(mark)``, called after the log is cut back to ``mark``
-    (i.e. a rollback). It is a notification on the mutation path, so it
-    must be cheap and must not mutate the engine. Appends notify no
-    one: a subscriber reads :meth:`since` its own mark when it needs to.
-    """
-
-    __slots__ = ("records", "counters", "_subscribers", "_subscriber_lock")
+    __slots__ = ("records", "counters", "_marks", "_subscribers", "_lock")
 
     def __init__(self) -> None:
         self.records: List[ChangeRecord] = []
         self.counters: Dict[str, int] = {"insert": 0, "delete": 0, "replace": 0}
-        self._subscribers: List[Any] = []
-        # Guards the subscriber list only. Appends/truncations themselves
-        # are serialized by whoever mutates the engine; subscriptions may
-        # legitimately race with them (e.g. a reader thread materializing
-        # while a writer commits), so dispatch iterates over a snapshot.
-        self._subscriber_lock = threading.Lock()
-
-    # -- subscriptions ------------------------------------------------------
+        self._marks: List[int] = []
+        # Swapped whole under the lock; a commit iterates over a snapshot.
+        self._subscribers: Tuple[Any, ...] = ()
+        self._lock = threading.Lock()
 
     def subscribe(self, subscriber: Any) -> None:
-        """Register a listener for truncations."""
-        with self._subscriber_lock:
+        """Hand every committed record list to ``subscriber.absorb``."""
+        with self._lock:
             if subscriber not in self._subscribers:
-                self._subscribers.append(subscriber)
+                self._subscribers += (subscriber,)
 
     def unsubscribe(self, subscriber: Any) -> None:
-        with self._subscriber_lock:
-            try:
-                self._subscribers.remove(subscriber)
-            except ValueError:
-                pass
+        with self._lock:
+            self._subscribers = tuple(s for s in self._subscribers if s is not subscriber)
 
-    def _snapshot_subscribers(self) -> Tuple[Any, ...]:
-        with self._subscriber_lock:
-            return tuple(self._subscribers)
+    def record(self, kind: str, relation: str, key: Tuple[Any, ...],
+               new_values: Values = None, old_values: Values = None) -> None:
+        """Append one mutation; outside a transaction, publish it at once."""
+        self.records.append(ChangeRecord(kind, relation, key, new_values, old_values))
+        self.counters[kind] += 1
+        if not self._marks:
+            self._publish()
 
-    # -- recording ----------------------------------------------------------
+    @property
+    def depth(self) -> int:
+        """How many transactions are open, nested ones included."""
+        return len(self._marks)
 
-    def record_insert(
-        self, relation: str, key: Tuple[Any, ...], values: Tuple[Any, ...]
-    ) -> None:
-        self.records.append(
-            ChangeRecord("insert", relation, key, new_values=values)
-        )
-        self.counters["insert"] += 1
+    def begin(self) -> None:
+        self._marks.append(len(self.records))
 
-    def record_delete(
-        self, relation: str, key: Tuple[Any, ...], old_values: Tuple[Any, ...]
-    ) -> None:
-        self.records.append(
-            ChangeRecord("delete", relation, key, old_values=old_values)
-        )
-        self.counters["delete"] += 1
+    def commit(self) -> None:
+        """Close the innermost transaction; the outermost publishes."""
+        self._marks.pop()
+        if not self._marks:
+            self._publish()
 
-    def record_replace(
-        self,
-        relation: str,
-        key: Tuple[Any, ...],
-        old_values: Tuple[Any, ...],
-        new_values: Tuple[Any, ...],
-    ) -> None:
-        self.records.append(ChangeRecord(
-            "replace", relation, key, new_values=new_values, old_values=old_values
-        ))
-        self.counters["replace"] += 1
+    def rollback(self) -> List[ChangeRecord]:
+        """Close the innermost transaction; drop and return its records."""
+        mark = self._marks.pop()
+        dropped = self.records[mark:]
+        del self.records[mark:]
+        for record in dropped:
+            self.counters[record.kind] -= 1
+        return dropped
+
+    def _publish(self) -> None:
+        records = self.records
+        if records:
+            self.records = []
+            for subscriber in self._subscribers:
+                subscriber.absorb(records)
 
     def mark(self) -> int:
-        """A position marker for later truncation or undo."""
+        """A position in the open transaction, for :meth:`since`."""
         return len(self.records)
 
     def since(self, mark: int) -> List[ChangeRecord]:
         return self.records[mark:]
-
-    def truncate(self, mark: int) -> None:
-        dropped = self.records[mark:]
-        for record in dropped:
-            self.counters[record.kind] -= 1
-        del self.records[mark:]
-        if dropped:
-            for subscriber in self._snapshot_subscribers():
-                on_truncate = getattr(subscriber, "on_truncate", None)
-                if on_truncate is not None:
-                    on_truncate(mark)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -216,9 +216,10 @@ class Engine:
 
     @property
     def changelog(self):
-        """The engine's audit/undo log, or ``None`` for backends that
-        keep none. Materialized views require a changelog-bearing
-        engine; both built-in backends provide one."""
+        """The engine's :class:`~repro.relational.changelog.ChangeLog`
+        (the open transaction's records; its outermost commit feeds the
+        subscribers), or ``None`` for backends that keep none.
+        Materialized views require one; both built-in backends have it."""
         return None
 
     # -- transactions --------------------------------------------------------

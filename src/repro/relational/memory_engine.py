@@ -2,16 +2,10 @@
 
 Rows live in :class:`~repro.relational.table.Table` objects; every
 mutation is recorded in a :class:`~repro.relational.changelog.ChangeLog`
-that doubles as the undo log for (nested) transactions. Nested
-transactions are implemented as savepoints: each ``begin`` pushes the
-current log position, ``rollback`` undoes the entries recorded since the
-matching position in reverse order.
-
-The changelog is also the engine's change feed: materialized views
-subscribe to it to follow mutations incrementally, and the rollback
-path's ``truncate`` notifies them so caches rewind together with the
-data (undo itself bypasses the log on purpose — compensation must not
-be observed as new history).
+that doubles as the undo log for (nested) transactions: ``begin`` opens
+a savepoint in the log, and ``rollback`` undoes, in reverse order, the
+records the log drops for it. Undo bypasses the log on purpose, so a
+subscriber (a materialized view) hears only what a commit published.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ class MemoryEngine(Engine):
     def __init__(self, use_indexes: bool = True) -> None:
         self._tables: Dict[str, Table] = {}
         self._log = ChangeLog()
-        self._savepoints: List[int] = []
         self.use_indexes = use_indexes
         # Serializes batched mutations. Individual operations are not
         # locked — callers that share an engine across threads must
@@ -82,21 +75,21 @@ class MemoryEngine(Engine):
         table = self._table(name)
         row = self._coerce_values(name, values)
         key = table.insert(row)
-        self._log.record_insert(name, key, row)
+        self._log.record("insert", name, key, row)
         return key
 
     def delete(self, name: str, key: Sequence[Any]) -> None:
         table = self._table(name)
         key = self._coerce_key(name, key)
         old = table.delete(key)
-        self._log.record_delete(name, key, old)
+        self._log.record("delete", name, key, None, old)
 
     def replace(self, name: str, key: Sequence[Any], values: ValuesLike) -> None:
         table = self._table(name)
         key = self._coerce_key(name, key)
         row = self._coerce_values(name, values)
         old = table.replace(key, row)
-        self._log.record_replace(name, key, old, row)
+        self._log.record("replace", name, key, row, old)
 
     def clear(self, name: str) -> None:
         table = self._table(name)
@@ -118,7 +111,7 @@ class MemoryEngine(Engine):
             try:
                 for row in coerced:
                     key = table.insert(row)
-                    self._log.record_insert(name, key, row)
+                    self._log.record("insert", name, key, row)
                     keys.append(key)
             except Exception:
                 self.rollback()
@@ -170,20 +163,18 @@ class MemoryEngine(Engine):
     # -- transactions --------------------------------------------------------------
 
     def begin(self) -> None:
-        self._savepoints.append(self._log.mark())
+        self._log.begin()
 
     def commit(self) -> None:
-        if not self._savepoints:
+        if not self._log.depth:
             raise TransactionError("commit without matching begin")
-        self._savepoints.pop()
+        self._log.commit()
 
     def rollback(self) -> None:
-        if not self._savepoints:
+        if not self._log.depth:
             raise TransactionError("rollback without matching begin")
-        mark = self._savepoints.pop()
-        for record in reversed(self._log.since(mark)):
+        for record in reversed(self._log.rollback()):
             self._undo(record)
-        self._log.truncate(mark)
 
     def _undo(self, record: ChangeRecord) -> None:
         table = self._table(record.relation)
@@ -199,13 +190,14 @@ class MemoryEngine(Engine):
 
     @property
     def in_transaction(self) -> bool:
-        return bool(self._savepoints)
+        return bool(self._log.depth)
 
     # -- introspection -----------------------------------------------------------
 
     @property
     def changelog(self) -> ChangeLog:
-        """The engine's audit/undo log (read-only use recommended)."""
+        """The open transaction's log and the commit feed (read-only use
+        recommended)."""
         return self._log
 
     def operation_counters(self) -> Dict[str, int]:

@@ -10,12 +10,11 @@ attributes are stored as ISO strings and BOOLEAN attributes as 0/1;
 conversion happens at the engine boundary so callers always see Python
 ``datetime.date`` and ``bool`` values.
 
-Like the in-memory engine, this backend keeps a :class:`ChangeLog` of
-applied mutations (decoded, Python-value rows) so materialized views can
-follow the database incrementally. sqlite itself performs undo via
-savepoints, so the log is *not* used for rollback — but a rollback still
-truncates it to the savepoint's position, keeping the log (and any cache
-subscribed to it) an exact history of the surviving state.
+Like the in-memory engine, this backend records applied mutations
+(decoded, Python-value rows) in a :class:`ChangeLog`, which also holds
+its savepoint marks. sqlite itself performs undo via savepoints, so a
+rollback only drops the transaction's records; the outermost commit
+hands them to the log's subscribers once sqlite has released it.
 """
 
 from __future__ import annotations
@@ -165,8 +164,6 @@ class SqliteEngine(Engine):
         # it byte-identical strings lets every operation skip
         # re-deriving the SQL — and the conversions — from the schema.
         self._sql_cache: Dict[str, _RelationSql] = {}
-        self._savepoint_depth = 0
-        self._savepoint_marks: List[int] = []
         self._log = ChangeLog()
         # Serializes batched mutations; see MemoryEngine._lock.
         self._lock = threading.RLock()
@@ -287,7 +284,7 @@ class SqliteEngine(Engine):
                 name, exc, schema.key_of(row)
             ) from None
         key = schema.key_of(row)
-        self._log.record_insert(name, key, row)
+        self._log.record("insert", name, key, row)
         return key
 
     def insert_many(
@@ -323,7 +320,7 @@ class SqliteEngine(Engine):
             keys = []
             for row in coerced:
                 key = schema.key_of(row)
-                self._log.record_insert(name, key, row)
+                self._log.record("insert", name, key, row)
                 keys.append(key)
             self._finish_commit()
             return keys
@@ -391,7 +388,7 @@ class SqliteEngine(Engine):
         cursor = self._execute(sql.delete, sql.encode_key(key))
         if cursor.rowcount == 0:
             raise NoSuchRowError(name, tuple(key))
-        self._log.record_delete(name, tuple(key), old)
+        self._log.record("delete", name, key, None, old)
 
     def replace(self, name: str, key: Sequence[Any], values: ValuesLike) -> None:
         schema = self._schema_for(name)
@@ -410,14 +407,14 @@ class SqliteEngine(Engine):
         cursor = self._execute(sql.replace, params)
         if cursor.rowcount == 0:
             raise NoSuchRowError(name, tuple(key))
-        self._log.record_replace(name, tuple(key), old, row)
+        self._log.record("replace", name, key, row, old)
 
     def clear(self, name: str) -> None:
         schema = self._schema_for(name)
         rows = list(self.scan(name))
         self._execute(f"DELETE FROM {_quote(name)}")
         for row in rows:
-            self._log.record_delete(name, schema.key_of(row), row)
+            self._log.record("delete", name, schema.key_of(row), None, row)
 
     # -- reads ---------------------------------------------------------------------
 
@@ -515,36 +512,34 @@ class SqliteEngine(Engine):
     # -- transactions -------------------------------------------------------------------
 
     def begin(self) -> None:
-        self._savepoint_depth += 1
-        self._savepoint_marks.append(self._log.mark())
-        self._execute(f"SAVEPOINT sp_{self._savepoint_depth}")
+        self._execute(f"SAVEPOINT sp_{self._log.depth + 1}")
+        self._log.begin()
 
     def commit(self) -> None:
-        if self._savepoint_depth == 0:
+        depth = self._log.depth
+        if depth == 0:
             raise TransactionError("commit without matching begin")
-        self._execute(f"RELEASE SAVEPOINT sp_{self._savepoint_depth}")
-        self._savepoint_depth -= 1
-        self._savepoint_marks.pop()
+        self._execute(f"RELEASE SAVEPOINT sp_{depth}")
+        self._log.commit()
 
     def rollback(self) -> None:
-        if self._savepoint_depth == 0:
+        depth = self._log.depth
+        if depth == 0:
             raise TransactionError("rollback without matching begin")
-        self._execute(
-            f"ROLLBACK TO SAVEPOINT sp_{self._savepoint_depth}"
-        )
-        self._execute(f"RELEASE SAVEPOINT sp_{self._savepoint_depth}")
-        self._savepoint_depth -= 1
-        self._log.truncate(self._savepoint_marks.pop())
+        self._execute(f"ROLLBACK TO SAVEPOINT sp_{depth}")
+        self._execute(f"RELEASE SAVEPOINT sp_{depth}")
+        self._log.rollback()
 
     @property
     def in_transaction(self) -> bool:
-        return self._savepoint_depth > 0
+        return self._log.depth > 0
 
     # -- introspection -----------------------------------------------------------
 
     @property
     def changelog(self) -> ChangeLog:
-        """The engine's audit log (read-only use recommended)."""
+        """The open transaction's log and the commit feed (read-only use
+        recommended)."""
         return self._log
 
     def operation_counters(self) -> Dict[str, int]:

@@ -49,8 +49,8 @@ class ServedRead:
 
     Before this type existed, a DEGRADED-mode stale read was
     indistinguishable from a fresh one at the API surface; ``stale``
-    makes the difference explicit, ``staleness`` counts how many
-    changelog records the answering cache is behind, and ``shard``
+    makes the difference explicit, ``staleness`` counts the committed
+    changes the answering cache has not applied, and ``shard``
     identifies the answering shard when served by a
     :class:`~repro.shard.sharded.ShardedPenguin` (None otherwise).
     ``source`` names a non-default answering stack — a replication
@@ -185,8 +185,8 @@ class ConcurrentPenguin(ViewObjectSession):
     ) -> ServedRead:
         """Serve a read: engine when healthy (or probing), stale otherwise.
 
-        The answer says which (``stale``, and how many changelog records
-        the answering cache is behind), so callers can surface the
+        The answer says which (``stale``, and how many committed changes
+        the answering cache has not applied), so callers can surface the
         serving mode instead of silently passing off a possibly-outdated
         answer as fresh. ``stale_read`` raises
         :class:`DegradedServiceError` itself when it cannot answer (no

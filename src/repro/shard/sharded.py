@@ -462,7 +462,7 @@ class ShardedPenguin(ViewObjectSession):
             if served.stale:
                 stale = True
                 if served.staleness is not None:
-                    staleness = max(staleness or 0.0, served.staleness)
+                    staleness = max(staleness or 0, served.staleness)
         merged.sort(key=lambda instance: repr(instance.key))
         return ServedRead(
             value=merged,

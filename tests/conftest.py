@@ -43,6 +43,24 @@ def make_engine(backend: str):
     raise ValueError(backend)
 
 
+class Heard:
+    """A changelog subscriber that keeps what each commit hands it:
+    ``batches`` is one list of records per delivery, in delivery order."""
+
+    def __init__(self, engine) -> None:
+        self.batches = []
+        engine.changelog.subscribe(self)
+
+    def absorb(self, records) -> None:
+        self.batches.append(list(records))
+
+    def take(self):
+        """Every record heard since the last ``take``, in apply order."""
+        records = [record for batch in self.batches for record in batch]
+        self.batches = []
+        return records
+
+
 @pytest.fixture(params=["memory", "sqlite"])
 def backend(request):
     """Both storage backends; engine-contract tests run on each."""

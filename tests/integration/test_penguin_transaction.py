@@ -50,20 +50,22 @@ def test_rollback_on_error(penguin):
     assert penguin.is_consistent()
 
 
-def test_rollback_rolls_materialized_cache_back(penguin):
-    """No stale instance survives an aborted translation: the changelog
-    truncate performed by rollback must rewind the cache too. Rollback
-    restores rows at the end of their tables, yet siblings still come
-    back in key order, so the instances are equal as they are."""
+def test_rollback_never_reaches_the_cache(penguin):
+    """No stale instance survives an aborted translation, and none is
+    dropped: inside the transaction a read goes to the engine (so it sees
+    the uncommitted deletion) and leaves the cache alone, and the
+    rollback hands the cache nothing. Rollback restores rows at the end
+    of their tables, yet siblings still come back in key order, so the
+    instances are equal as they are."""
     view = penguin.materialize("course_info")
     before = {i.key: i.to_dict() for i in penguin.query("course_info")}
+    cached = len(view)
     first, second = some_courses(penguin, 2)
     with pytest.raises(UpdateRejectedError):
         with penguin.transaction():
             penguin.delete("course_info", (first,))
-            # Mid-transaction read: the cache absorbs the uncommitted
-            # deletion, making the rollback's cache rewind observable.
             assert (first,) not in {i.key for i in penguin.query("course_info")}
+            assert penguin.get("course_info", (first,)) is None
             penguin.insert(
                 "course_info",
                 {
@@ -74,11 +76,34 @@ def test_rollback_rolls_materialized_cache_back(penguin):
                     "dept_name": "Physics",
                 },
             )
-    assert view.stats.rollbacks == 1
+    assert len(view) == cached
+    hits = view.stats.hits
+    assert penguin.get("course_info", (first,)) is not None
+    assert view.stats.hits == hits + 1
     after = {i.key: i.to_dict() for i in penguin.query("course_info")}
     assert after == before
-    assert penguin.get("course_info", (first,)) is not None
     assert view.staleness() == 0
+
+
+def test_a_read_inside_a_transaction_shows_its_write_and_caches_nothing(penguin):
+    view = penguin.materialize("course_info")
+    penguin.query("course_info")
+    cached = len(view)
+    first = some_courses(penguin, 1)[0]
+    title = penguin.get("course_info", (first,)).root.values["title"]
+    schema = penguin.engine.schema("COURSES")
+    row = dict(zip(schema.attribute_names, penguin.engine.get("COURSES", (first,))))
+    with pytest.raises(RuntimeError):
+        with penguin.transaction():
+            penguin.engine.replace("COURSES", (first,), {**row, "title": "Uncommitted"})
+            instance = penguin.get("course_info", (first,))
+            assert instance.root.values["title"] == "Uncommitted"
+            raise RuntimeError("abort")
+    assert len(view) == cached
+    hits = view.stats.hits
+    assert penguin.get("course_info", (first,)).root.values["title"] == title
+    assert view.stats.hits == hits + 1
+    assert view.stats.patched == view.stats.invalidations == 0
 
 
 def test_commit_keeps_materialized_cache_consistent(penguin):

@@ -268,7 +268,6 @@ def test_projection_still_names_the_pivot_after_an_owner_is_gone():
 
     view = MaterializedView(chart, engine)
     view.all()
-    engine.begin()
     try:
         engine.delete("VISIT", (patient_id, visit_no))
         engine.delete("PATIENT", (patient_id,))
@@ -291,4 +290,3 @@ def test_projection_still_names_the_pivot_after_an_owner_is_gone():
         assert len(view) == cached
     finally:
         view.close()
-        engine.rollback()

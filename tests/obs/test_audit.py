@@ -374,30 +374,6 @@ class TestTranslatorRecording:
         assert session.audit.record(1).user == "keller"
 
 
-class TestMaintenanceAttribution:
-    def test_sync_attributed_to_triggering_asn(self):
-        session = audited_session()
-        view = session.materialize("course_info")
-        session.query("course_info")  # initial fill, head ASN 0
-        session.insert("course_info", new_course())
-        session.query("course_info")  # sync absorbs the insert's records
-        maintainer = view.maintainer
-        head = session.audit.head_asn()
-        assert head == 1
-        assert maintainer.last_attributed_asn == head
-        assert maintainer.attributions[head] >= 1
-
-    def test_unaudited_view_keeps_no_attributions(self):
-        session = Penguin(university_schema())
-        populate_university(session.engine)
-        session.register_object(course_info_object(session.graph))
-        view = session.materialize("course_info")
-        session.insert("course_info", new_course())
-        session.query("course_info")
-        assert view.maintainer.attributions == {}
-        assert view.maintainer.last_attributed_asn == 0
-
-
 def test_base_class_append_payload_is_noop():
     log = AuditLog()
     log.append("insert", "x", COMMITTED)

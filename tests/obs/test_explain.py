@@ -14,6 +14,7 @@ from repro.core.updates.operations import (
 )
 from repro.core.updates.translator import Translator
 from repro.penguin import Penguin
+from tests.conftest import Heard
 from tests.core.updates.test_insertion import existing_student, new_course
 
 
@@ -87,12 +88,14 @@ class TestExplainIsSideEffectFree:
         assert snapshot(university_engine) == before
 
     def test_changelog_untouched(self, translator, university_engine):
-        mark = university_engine.changelog.mark()
+        heard = Heard(university_engine)
+        counters = university_engine.operation_counters()
         translator.explain_batch(
             university_engine,
             [CompleteInsertion(new_course(university_engine))],
         )
-        assert university_engine.changelog.mark() == mark
+        assert heard.take() == []
+        assert university_engine.operation_counters() == counters
 
     def test_rejection_surfaces_without_side_effects(
         self, translator, university_engine

@@ -12,16 +12,17 @@ these properties hold:
   engine, on sqlite, and on a ``BufferedEngine`` with pending writes —
   with two pinned cases whose sibling lists of two or more tuples under
   a single-step edge are assembled through ``find_by_many``;
-* for every changelog record of a random write sequence the projected
-  pivots contain every pivot whose instance really held the tuple, and
-  contain the walked pivots; while every tuple has its owners the two
-  are equal;
+* for every committed record of a random write sequence (each write
+  delivers at least one) the projected pivots contain every pivot whose
+  instance really held the tuple, and contain the walked pivots; while
+  every tuple has its owners the two are equal;
 * a materialized view equals recomputation after ``sync``, sibling
   order included, on memory and on sqlite, over streams weighted
   towards in-place replaces (the records the maintainer patches into
   cached instances rather than evicting them), with reads, unread
   stretches (several records per round: a patch and an eviction of one
-  pivot) and rollbacks before and after the cache absorbed the write.
+  pivot) and rollbacks, with and without a read of the uncommitted
+  write; a rollback never drops a cached instance.
 """
 
 import pytest
@@ -38,7 +39,7 @@ from repro.relational.domains import INTEGER, TEXT
 from repro.relational.memory_engine import MemoryEngine
 from repro.structural.integrity import IntegrityChecker
 from repro.workloads.synthetic import random_chain_case
-from tests.conftest import make_engine
+from tests.conftest import Heard, make_engine
 from tests.reference_walk import (
     ReferenceDependencyIndex,
     ReferenceInstantiator,
@@ -111,23 +112,24 @@ def apply_op(engine, op, a, b, c, counter):
     takes any tuple, leaf or not, so owners disappear from under their
     tuples; ``nullify`` leaves composite references partially null. The
     read path must agree with its oracle on whatever state results.
+    Returns whether it wrote anything.
     """
     names = sorted(engine.relation_names())
     name = names[a % len(names)]
     schema = engine.schema(name)
     rows = sorted(engine.scan(name), key=repr)
     if not rows:
-        return
+        return False
     row = rows[b % len(rows)]
     key = schema.key_of(row)
     new = list(row)
     if op == "delete":
         engine.delete(name, key)
-        return
+        return True
     if op == "insert":
         new[schema.position(schema.key[-1])] = 100 + counter
         engine.insert(name, new)
-        return
+        return True
     if op == "touch":
         candidates = [
             i for i, attr in enumerate(schema.attributes)
@@ -146,12 +148,13 @@ def apply_op(engine, op, a, b, c, counter):
         ]
         value = None
     if not candidates:
-        return
+        return False
     new[candidates[c % len(candidates)]] = value
     new_key = schema.key_of(new)
     if tuple(new) == row or (new_key != key and engine.contains(name, new_key)):
-        return
+        return False
     engine.replace(name, key, new)
+    return True
 
 
 # -- instantiation ------------------------------------------------------------
@@ -252,15 +255,16 @@ def test_projected_pivots_cover_walked_and_held(backend, case, writes):
     objects = view_objects(spanning)
     compiled = [DependencyIndex(v) for v in objects]
     walked = [ReferenceDependencyIndex(v) for v in objects]
-    log = engine.changelog
+    heard = Heard(engine)
     for counter, (op, a, b, c) in enumerate(writes):
-        mark = len(log)
         before = [held_tuples(engine, v) for v in objects]
         owners_exist = checker.is_consistent(engine)
-        apply_op(engine, op, a, b, c, counter)
+        wrote = apply_op(engine, op, a, b, c, counter)
         after = [held_tuples(engine, v) for v in objects]
         owners_exist = owners_exist and checker.is_consistent(engine)
-        for record in log.since(mark):
+        records = heard.take()
+        assert len(records) == wrote  # a write commits one record at once
+        for record in records:
             schema = engine.schema(record.relation)
             for n, (index, reference) in enumerate(zip(compiled, walked)):
                 assert index.tracks(record.relation) == reference.tracks(
@@ -302,8 +306,8 @@ def extent(instances):
 
 
 # What becomes of one write: left unread (the next round sees several
-# records), read back, rolled back while still pending, or rolled back
-# after a read made the cache absorb it.
+# records), read back, rolled back unread, or read inside its transaction
+# (the read shows the uncommitted write) and then rolled back.
 FATES = ("unread", "unread", "read", "read", "rollback", "read+rollback")
 
 
@@ -351,18 +355,13 @@ def check_cache_equals_recompute(backend, case, writes, fates):
         if fate.startswith("read"):
             read((a % 4,))
         if aborted:
-            rollbacks = [view.stats.rollbacks for view in views]
-            absorbed = [view.staleness() == 0 for view in views]
-            truncated = len(engine.changelog)
+            cached = [len(view) for view in views]
             engine.rollback()
-            truncated -= len(engine.changelog)
-            for view, before, consumed in zip(views, rollbacks, absorbed):
-                # Truncation below the high-water mark drops the cache,
-                # patched instances included.
-                if consumed and truncated:
-                    assert view.stats.rollbacks == before + 1
-                    assert len(view) == 0
-                    view.all()
+            # A rollback never reaches a cache: no instance is dropped,
+            # and what the cache holds still equals a recompute.
+            assert [len(view) for view in views] == cached
+            for view, reference in zip(views, references):
+                assert extent(view.all()) == extent(reference.all(engine))
     for view, reference in zip(views, references):
         view.sync()
         assert extent(view.all()) == extent(reference.all(engine))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.relational.ddl import relation
 from repro.relational.memory_engine import MemoryEngine
+from tests.conftest import Heard
 
 
 @pytest.fixture
@@ -34,8 +35,9 @@ def test_counters_shrink_on_rollback(engine):
 
 def test_changelog_records_old_values(engine):
     engine.insert("T", ("a", 1))
+    heard = Heard(engine)
     engine.replace("T", ("a",), ("a", 9))
-    record = engine.changelog.records[-1]
+    (record,) = heard.take()
     assert record.kind == "replace"
     assert record.old_values == ("a", 1)
     assert record.new_values == ("a", 9)

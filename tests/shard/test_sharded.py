@@ -302,3 +302,35 @@ class TestMetricsLabels:
             text = hub.metrics.render_text()
             assert 'serve_reads_total{mode="engine",shard="0"} 3' in text
             assert 'serve_reads_total{mode="engine",shard="1"} 1' in text
+
+
+class TestStaleness:
+    """``staleness`` is the count of committed changes the answering
+    cache has not applied: an int on every read path, merged or not."""
+
+    @pytest.mark.parametrize(
+        "path, pending",
+        [("get", 0), ("get", 1), ("query", 0), ("query", 1)],
+    )
+    def test_stale_read_reports_unapplied_commits(self, path, pending):
+        sharded = build_sharded(num_shards=2)
+        sharded.materialize(OBJECT, "lazy")
+        sharded.query(OBJECT)  # every cache filled and synced
+        pid = 100
+        owner = sharded.shard(sharded.owner_of(OBJECT, (pid,)))
+        engine = owner.penguin.engine
+        for _ in range(pending):
+            row = list(engine.get("PATIENT", (pid,)))
+            row[1] = "renamed while degraded"
+            engine.replace("PATIENT", (pid,), row)
+        for shard in sharded.shards:
+            breaker = shard.serving.breaker
+            for _ in range(breaker.failure_threshold):
+                breaker.record_failure()
+        if path == "get":
+            served = sharded.get_served(OBJECT, (pid,))
+        else:
+            served = sharded.query_served(OBJECT)
+        assert served.stale is True
+        assert served.staleness == pending
+        assert type(served.staleness) is int
