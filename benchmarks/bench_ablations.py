@@ -1,7 +1,9 @@
 """Ablations of the design choices DESIGN.md calls out.
 
 * **connection-attribute indexes** — update propagation is lookup-bound;
-  with indexes off, every ``find_by`` is a scan;
+  with indexes off, every ``find_by`` is a scan, except one on exactly a
+  relation's key attributes, which the row map answers on both arms (the
+  key is its own index, so no arm builds a secondary index on it);
 * **storage backend** — identical translations on the from-scratch
   engine vs sqlite3.
 """

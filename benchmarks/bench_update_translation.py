@@ -248,8 +248,8 @@ class _CountingEngine(MemoryEngine):
 def test_bench_leaf_edit_vs_island_depth(benchmark, depth):
     """Series: one nonkey edit of one deepest leaf vs island height
     (4 ... 121 island tuples). The bar is on counts, not time: one
-    operation, and the same two probes of the edited tuple (the R-2 read
-    and the recorded replace's own) at every depth."""
+    operation, and the same one probe of the edited tuple (the R-2 read,
+    whose row the recorded replace takes) at every depth."""
     graph, __, view_object = build_chain(depth)
     translator = Translator(view_object)
 
@@ -276,7 +276,7 @@ def test_bench_leaf_edit_vs_island_depth(benchmark, depth):
         f"operations={len(plan)}, engine probes={probes}"
     )
     assert len(plan) == plan.count("replace") == 1
-    assert probes == 2
+    assert probes == 1
 
 
 def _rekey(data, new_k0):

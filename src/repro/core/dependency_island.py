@@ -38,13 +38,20 @@ class NodeRole(enum.Enum):
 class IslandAnalysis:
     """Roles of every node of a view object."""
 
-    __slots__ = ("view_object", "roles")
+    __slots__ = ("view_object", "roles", "island_relations")
 
     def __init__(
         self, view_object: ViewObjectDefinition, roles: Dict[str, NodeRole]
     ) -> None:
         self.view_object = view_object
         self.roles = roles
+        #: Distinct relation names inside the island, pivot first; fixed
+        #: with the roles (every audited write reads it), so read-only.
+        self.island_relations: List[str] = []
+        for node_id in self.island_nodes:
+            relation = view_object.node(node_id).relation
+            if relation not in self.island_relations:
+                self.island_relations.append(relation)
 
     @property
     def island_nodes(self) -> List[str]:
@@ -70,16 +77,6 @@ class IslandAnalysis:
             for node in self.view_object.tree.bfs()
             if self.roles[node.node_id] is NodeRole.OUTSIDE
         ]
-
-    @property
-    def island_relations(self) -> List[str]:
-        """Distinct relation names inside the island, pivot first."""
-        seen: List[str] = []
-        for node_id in self.island_nodes:
-            relation = self.view_object.node(node_id).relation
-            if relation not in seen:
-                seen.append(relation)
-        return seen
 
     def role(self, node_id: str) -> NodeRole:
         return self.roles[node_id]

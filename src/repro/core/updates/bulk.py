@@ -28,7 +28,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DuplicateKeyError, NoSuchRowError, TransactionError
 from repro.relational.engine import Engine, ValuesLike
-from repro.relational.schema import RelationSchema
+from repro.relational.schema import RelationSchema, tuple_getter
 
 __all__ = ["BufferedEngine"]
 
@@ -169,9 +169,9 @@ class BufferedEngine(Engine):
             # The base answers in key order; buffered rows joining it
             # put the answer back into key order.
             base_count = len(result)
-            positions = schema.positions(names)
+            entry_of = tuple_getter(schema.positions(names))
             for row in overlay.values():
-                if tuple(row[i] for i in positions) == entry:
+                if entry_of(row) == entry:
                     result.append(row)
             if len(result) > base_count:
                 result.sort(key=schema.key_of)

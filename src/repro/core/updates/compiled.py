@@ -83,7 +83,7 @@ time.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import repro.obs as obs
 from repro.errors import (
@@ -109,6 +109,7 @@ from repro.core.view_object import ViewObjectDefinition
 from repro.relational.domains import DATE
 from repro.relational.engine import _normalize_row_dates
 from repro.relational.operations import Delete, Insert
+from repro.relational.schema import tuple_getter
 from repro.structural.connections import ConnectionKind
 
 __all__ = ["CompiledProgram"]
@@ -151,6 +152,7 @@ class CompiledNode:
         "relation",
         "schema",
         "key_names",
+        "key_getter",
         "is_pivot",
         "in_island",
         "attr_plan",
@@ -179,6 +181,8 @@ class CompiledNode:
         self.relation = node.relation
         self.schema = schema
         self.key_names = tuple(schema.key)
+        # A component's key from its attribute dict (KeyError if absent).
+        self.key_getter = tuple_getter(self.key_names)
         self.is_pivot = node_id == view_object.pivot_node_id
         self.in_island = role is NodeRole.ISLAND
         self.attr_plan = tuple((a.name, a.nullable) for a in schema.attributes)
@@ -232,7 +236,7 @@ class CompiledNode:
 
     def key_from(self, values: Dict[str, Any]) -> Tuple[Any, ...]:
         try:
-            return tuple(values[k] for k in self.key_names)
+            return self.key_getter(values)
         except KeyError as error:
             raise UpdateRejectedError(
                 f"component tuple for {self.node_id!r} lacks key attribute "
@@ -323,7 +327,7 @@ class _RelationRules:
         "cascade",
         "incoming_refs",
         "dependencies",
-        "ref_change_positions",
+        "ref_change",
         "retarget",
         "propagate",
     )
@@ -345,7 +349,7 @@ class _RelationRules:
                     (
                         connection.target,
                         connection.target_attributes,
-                        schema.positions(connection.source_attributes),
+                        tuple_getter(schema.positions(connection.source_attributes)),
                         graph.relation(connection.target).key_of,
                         f"cascade {kind.value} via {connection.name}",
                     )
@@ -362,7 +366,7 @@ class _RelationRules:
                 (
                     connection.source,
                     connection.source_attributes,
-                    schema.positions(connection.target_attributes),
+                    tuple_getter(schema.positions(connection.target_attributes)),
                     source_schema.key_of,
                     source_schema.positions(connection.source_attributes),
                     all(
@@ -399,7 +403,7 @@ class _RelationRules:
                     (
                         connection.source,
                         connection.source_attributes,
-                        schema.positions(connection.target_attributes),
+                        tuple_getter(schema.positions(connection.target_attributes)),
                         skeleton(connection.source),
                         f"missing {kind.value} parent via {connection.name}",
                         probes_by_key(
@@ -409,12 +413,12 @@ class _RelationRules:
                 )
         ref_change = []
         for connection in graph.connections_from(relation, ConnectionKind.REFERENCE):
-            positions = schema.positions(connection.source_attributes)
+            entry_of = tuple_getter(schema.positions(connection.source_attributes))
             dependencies.append(
                 (
                     connection.target,
                     connection.target_attributes,
-                    positions,
+                    entry_of,
                     skeleton(connection.target),
                     f"missing referenced tuple via {connection.name}",
                     probes_by_key(
@@ -422,13 +426,13 @@ class _RelationRules:
                     ),
                 )
             )
-            ref_change.append(positions)
+            ref_change.append(entry_of)
         self.dependencies = tuple(dependencies)
-        self.ref_change_positions = tuple(ref_change)
+        self.ref_change = tuple(ref_change)
 
         # Key changes: retarget incoming references, propagate inherited
         # keys to owned/subset dependents. Entries are built straight
-        # from the old/new key tuples via key-index positions.
+        # from the old/new key tuples by getters over key-index positions.
         key_index = {name: i for i, name in enumerate(schema.key)}
         retarget = []
         for connection in graph.connections_to(relation, ConnectionKind.REFERENCE):
@@ -437,7 +441,7 @@ class _RelationRules:
                 (
                     connection.source,
                     connection.source_attributes,
-                    tuple(key_index[a] for a in connection.target_attributes),
+                    tuple_getter([key_index[a] for a in connection.target_attributes]),
                     source_schema.key_of,
                     source_schema.positions(connection.source_attributes),
                     (
@@ -462,7 +466,9 @@ class _RelationRules:
                     (
                         connection.target,
                         connection.target_attributes,
-                        tuple(key_index[a] for a in connection.source_attributes),
+                        tuple_getter(
+                            [key_index[a] for a in connection.source_attributes]
+                        ),
                         child_schema.key_of,
                         child_schema.positions(connection.target_attributes),
                         (
@@ -646,6 +652,7 @@ class CompiledProgram:
                         key,
                         cn.merge_row(values, existing),
                         cn.reason_ci_replace,
+                        existing,
                     )
         self.maintain_after_insertions(ctx)
 
@@ -665,9 +672,9 @@ class CompiledProgram:
         engine = ctx.engine
         levels = self._levels(instance, island_only=True)
         # Fast deletes: the existence probe just returned the row, so the
-        # re-read inside ctx.delete is redundant; gated on keys that need
-        # no datetime narrowing (the probe coerces, the overlay must see
-        # the same key).
+        # overlay's own presence check is redundant; gated on keys that
+        # need no datetime narrowing (the probe coerces, the overlay must
+        # see the same key).
         fast_delete = getattr(engine, "delete_validated", None)
         plan = ctx.plan
         deleted = ctx.deleted
@@ -692,7 +699,7 @@ class CompiledProgram:
                     plan.add(Delete(relation, key), cn.reason_cd_delete)
                     deleted.append((relation, old))
                 else:
-                    ctx.delete(relation, key, cn.reason_cd_delete)
+                    ctx.delete(relation, key, cn.reason_cd_delete, old)
         self.maintain_after_deletions(ctx)
 
     # -- VO-R ---------------------------------------------------------------
@@ -785,7 +792,7 @@ class CompiledProgram:
         if not cn.in_island and cn.free_key is None:
             return
         try:
-            new_key = tuple(new_values[k] for k in cn.key_names)
+            new_key = cn.key_getter(new_values)
         except KeyError:
             return  # step 2 supplies it: not a change the user made
         old_key = cn.key_from(old_values)
@@ -852,8 +859,9 @@ class CompiledProgram:
         relation = cn.relation
         olds, keys = in_key_order(olds, [cn.key_from(old.values) for old in olds])
         for key, old in zip(keys, olds):
-            if ctx.engine.get(relation, key) is not None:
-                ctx.delete(relation, key, cn.reason_removed)
+            existing = ctx.engine.get(relation, key)
+            if existing is not None:
+                ctx.delete(relation, key, cn.reason_removed, existing)
             for child in cn.children:
                 if child.in_island:
                     self._walk_removed(
@@ -895,6 +903,7 @@ class CompiledProgram:
                 old_key,
                 cn.merge_row(new_component.values, existing),
                 cn.reason_r2,
+                existing,
             )
             return
         # CASE R-3: the projections differ and the keys differ.
@@ -915,12 +924,13 @@ class CompiledProgram:
                     f"the translator prohibits this merge",
                     relation=relation,
                 )
-            ctx.delete(relation, old_key, _R3_MERGE_DELETE)
+            ctx.delete(relation, old_key, _R3_MERGE_DELETE, existing)
             ctx.replace(
                 relation,
                 new_key,
                 cn.merge_row(new_component.values, conflicting),
                 _R3_MERGE_REPLACE,
+                conflicting,
             )
             return
         ctx.replace(
@@ -928,6 +938,7 @@ class CompiledProgram:
             old_key,
             cn.merge_row(new_component.values, existing),
             cn.reason_r3_key,
+            existing,
         )
 
     def _insert_case(
@@ -957,6 +968,7 @@ class CompiledProgram:
                 old_key,
                 cn.merge_row(new_component.values, existing),
                 cn.reason_i1,
+                existing,
             )
             return
         self._added_component(ctx, cn, new_component, in_island=False)
@@ -998,6 +1010,7 @@ class CompiledProgram:
                 key,
                 cn.merge_row(new_component.values, existing),
                 cn.reason_i4,
+                existing,
             )
 
     @staticmethod
@@ -1020,14 +1033,13 @@ class CompiledProgram:
             relation, old_values = deleted[ctx.deletion_cursor]
             ctx.deletion_cursor += 1
             rules = self.rules[relation]
-            for target, names, positions, key_of, reason in rules.cascade:
-                entry = tuple(old_values[p] for p in positions)
-                for values in engine.find_by(target, names, entry):
-                    ctx.delete(target, key_of(values), reason)
+            for target, names, entry_of, key_of, reason in rules.cascade:
+                for values in engine.find_by(target, names, entry_of(old_values)):
+                    ctx.delete(target, key_of(values), reason, values)
             for (
                 source,
                 names,
-                positions,
+                entry_of,
                 key_of,
                 source_positions,
                 auto_nullify,
@@ -1035,8 +1047,8 @@ class CompiledProgram:
                 reason_nullify,
                 prohibit_msg,
             ) in rules.incoming_refs:
-                entry = tuple(old_values[p] for p in positions)
-                if any(v is None for v in entry):
+                entry = entry_of(old_values)
+                if None in entry:
                     continue
                 referencing = engine.find_by(source, names, entry)
                 if not referencing:
@@ -1051,33 +1063,32 @@ class CompiledProgram:
                 for values in referencing:
                     key = key_of(values)
                     if action is ReferenceRepair.DELETE:
-                        ctx.delete(source, key, reason_delete)
+                        ctx.delete(source, key, reason_delete, values)
                     elif action is ReferenceRepair.NULLIFY:
                         row = list(values)
                         for p in source_positions:
                             row[p] = None
-                        ctx.replace(source, key, tuple(row), reason_nullify)
+                        ctx.replace(source, key, tuple(row), reason_nullify, values)
                     else:  # PROHIBIT
                         raise UpdateRejectedError(prohibit_msg, relation=source)
 
     def maintain_after_insertions(self, ctx: TranslationContext) -> None:
         """Insert missing owner / general / referenced tuples, recursively;
-        also re-checks replaced tuples whose referencing attributes changed."""
+        also re-checks replaced tuples whose referencing attributes changed.
+
+        A dependency found (or supplied) once is not probed again within
+        one call: nothing is deleted inside it, so it stays present."""
+        proven: Set[Tuple[str, Tuple[str, ...], Tuple[Any, ...]]] = set()
         inserted = ctx.inserted
         while ctx.insertion_cursor < len(inserted):
             relation, values = inserted[ctx.insertion_cursor]
             ctx.insertion_cursor += 1
-            self._ensure_dependencies(ctx, self.rules[relation], values)
+            self._ensure_dependencies(ctx, self.rules[relation], values, proven)
         for relation, old_values, new_values in ctx.replaced:
             rules = self.rules[relation]
-            for positions in rules.ref_change_positions:
-                changed = False
-                for p in positions:
-                    if old_values[p] != new_values[p]:
-                        changed = True
-                        break
-                if changed:
-                    self._ensure_dependencies(ctx, rules, new_values)
+            for entry_of in rules.ref_change:
+                if entry_of(old_values) != entry_of(new_values):
+                    self._ensure_dependencies(ctx, rules, new_values, proven)
                     break
 
     def _ensure_dependencies(
@@ -1085,12 +1096,17 @@ class CompiledProgram:
         ctx: TranslationContext,
         rules: _RelationRules,
         values: Tuple[Any, ...],
+        proven: Set[Tuple[str, Tuple[str, ...], Tuple[Any, ...]]],
     ) -> None:
         engine = ctx.engine
-        for target, names, positions, skel, reason, by_key in rules.dependencies:
-            entry = tuple(values[p] for p in positions)
-            if any(v is None for v in entry):
+        for target, names, entry_of, skel, reason, by_key in rules.dependencies:
+            entry = entry_of(values)
+            if None in entry:
                 continue
+            probe = (target, names, entry)
+            if probe in proven:
+                continue
+            proven.add(probe)
             if by_key:
                 if engine.get(target, entry) is None:
                     self._insert_skeleton(ctx, skel, names, entry, reason)
@@ -1129,15 +1145,15 @@ class CompiledProgram:
             for (
                 source,
                 names,
-                key_positions,
+                entry_of,
                 key_of,
                 source_positions,
                 prohibit_msg,
                 reason_collide,
                 reason_replace,
             ) in rules.retarget:
-                old_entry = tuple(old_key[i] for i in key_positions)
-                new_entry = tuple(new_key[i] for i in key_positions)
+                old_entry = entry_of(old_key)
+                new_entry = entry_of(new_key)
                 referencing = engine.find_by(source, names, old_entry)
                 if not referencing:
                     continue
@@ -1151,20 +1167,20 @@ class CompiledProgram:
                     new_values = tuple(row)
                     target_key = key_of(new_values)
                     if target_key != key and engine.contains(source, target_key):
-                        ctx.delete(source, key, reason_collide)
+                        ctx.delete(source, key, reason_collide, values)
                     else:
-                        ctx.replace(source, key, new_values, reason_replace)
+                        ctx.replace(source, key, new_values, reason_replace, values)
             for (
                 target,
                 names,
-                key_positions,
+                entry_of,
                 key_of,
                 target_positions,
                 reason_collide,
                 reason_replace,
             ) in rules.propagate:
-                old_entry = tuple(old_key[i] for i in key_positions)
-                new_entry = tuple(new_key[i] for i in key_positions)
+                old_entry = entry_of(old_key)
+                new_entry = entry_of(new_key)
                 if old_entry == new_entry:
                     continue
                 for values in engine.find_by(target, names, old_entry):
@@ -1175,9 +1191,9 @@ class CompiledProgram:
                     new_values = tuple(row)
                     target_key = key_of(new_values)
                     if target_key != key and engine.contains(target, target_key):
-                        ctx.delete(target, key, reason_collide)
+                        ctx.delete(target, key, reason_collide, values)
                     else:
-                        ctx.replace(target, key, new_values, reason_replace)
+                        ctx.replace(target, key, new_values, reason_replace, values)
 
     def maintain_all(self, ctx: TranslationContext) -> None:
         """The three passes to a joint fixpoint; each runs at least once

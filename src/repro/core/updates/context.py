@@ -67,13 +67,23 @@ class TranslationContext:
         self.plan.add(Insert(relation, values), reason)
         self.inserted.append((relation, values))
 
-    def delete(self, relation: str, key: Tuple[Any, ...], reason: str) -> Tuple[Any, ...]:
-        old = self.engine.get(relation, key)
+    # ``delete`` and ``replace`` take ``old``, the row the caller has just
+    # read under ``key``; without it they read the row themselves.
+
+    def delete(
+        self,
+        relation: str,
+        key: Tuple[Any, ...],
+        reason: str,
+        old: Optional[Tuple[Any, ...]] = None,
+    ) -> Tuple[Any, ...]:
         if old is None:
-            raise UpdateRejectedError(
-                f"cannot delete {relation!r} tuple {key!r}: not found",
-                relation=relation,
-            )
+            old = self.engine.get(relation, key)
+            if old is None:
+                raise UpdateRejectedError(
+                    f"cannot delete {relation!r} tuple {key!r}: not found",
+                    relation=relation,
+                )
         self.engine.delete(relation, key)
         self.plan.add(Delete(relation, key), reason)
         self.deleted.append((relation, old))
@@ -85,13 +95,15 @@ class TranslationContext:
         key: Tuple[Any, ...],
         new_values: Tuple[Any, ...],
         reason: str,
+        old: Optional[Tuple[Any, ...]] = None,
     ) -> Tuple[Any, ...]:
-        old = self.engine.get(relation, key)
         if old is None:
-            raise UpdateRejectedError(
-                f"cannot replace {relation!r} tuple {key!r}: not found",
-                relation=relation,
-            )
+            old = self.engine.get(relation, key)
+            if old is None:
+                raise UpdateRejectedError(
+                    f"cannot replace {relation!r} tuple {key!r}: not found",
+                    relation=relation,
+                )
         self.engine.replace(relation, key, new_values)
         self.plan.add(Replace(relation, key, new_values), reason)
         self.replaced.append((relation, old, new_values))

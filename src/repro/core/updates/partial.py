@@ -145,6 +145,7 @@ def translate_partial_insertion(
             key,
             cn.merge_row(values, existing),
             reason=f"partial insertion reconciliation at node {node_id!r}",
+            old=existing,
         )
     program.maintain_after_insertions(ctx)
 
@@ -201,6 +202,7 @@ def translate_partial_deletion(
                 dict.fromkeys(traversal.start_attributes), existing
             ),
             reason=f"sever reference to {node_id!r} (partial deletion)",
+            old=existing,
         )
         return
     raise UpdateRejectedError(
@@ -251,5 +253,6 @@ def translate_partial_update(
         old_key,
         cn.merge_row(new_values, existing),
         reason=f"partial update at node {node_id!r}",
+        old=existing,
     )
     program.maintain_after_insertions(ctx)

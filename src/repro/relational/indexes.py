@@ -5,14 +5,16 @@ form "all tuples of R whose attributes X equal these values" (matching
 tuples across a connection). A :class:`HashIndex` makes those lookups
 O(1) instead of a scan; the integrity engine creates one per connection
 endpoint unless indexes are disabled (the ablation benches measure the
-difference).
+difference). An endpoint that *is* the primary key gets none: the table's
+row map already answers it. Entries and keys are extracted by getters
+compiled when the index is built.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Set, Tuple
 
-from repro.relational.schema import RelationSchema
+from repro.relational.schema import RelationSchema, tuple_getter
 
 __all__ = ["HashIndex"]
 
@@ -24,16 +26,13 @@ class HashIndex:
     nonkey replacements that do not touch the indexed attributes.
     """
 
-    __slots__ = ("schema", "attribute_names", "_positions", "_buckets")
+    __slots__ = ("schema", "attribute_names", "_entry", "_buckets")
 
     def __init__(self, schema: RelationSchema, attribute_names: Iterable[str]) -> None:
         self.schema = schema
         self.attribute_names = tuple(attribute_names)
-        self._positions = schema.positions(self.attribute_names)
+        self._entry = tuple_getter(schema.positions(self.attribute_names))
         self._buckets: Dict[Tuple[Any, ...], Set[Tuple[Any, ...]]] = {}
-
-    def _entry(self, values: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        return tuple(values[i] for i in self._positions)
 
     def add(self, values: Tuple[Any, ...]) -> None:
         """Index a freshly inserted value tuple."""

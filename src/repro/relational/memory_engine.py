@@ -29,9 +29,10 @@ class MemoryEngine(Engine):
     ----------
     use_indexes:
         When False, ``create_index`` becomes a no-op, so every
-        ``find_by`` is a scan. The ablation benches flip this switch to
-        measure how much connection-attribute indexes matter to update
-        propagation.
+        ``find_by`` is a scan — except one on exactly the key attributes,
+        which the row map answers either way. The ablation benches flip
+        this switch to measure how much connection-attribute indexes
+        matter to update propagation.
     """
 
     def __init__(self, use_indexes: bool = True) -> None:

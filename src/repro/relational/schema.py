@@ -17,10 +17,9 @@ from repro.relational.domains import Domain
 __all__ = ["Attribute", "RelationSchema", "tuple_getter"]
 
 
-def tuple_getter(
-    positions: Sequence[int],
-) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
-    """A callable projecting a value tuple onto ``positions``.
+def tuple_getter(positions: Sequence[Any]) -> Callable[[Any], Tuple[Any, ...]]:
+    """A callable projecting a value tuple onto ``positions`` (or a
+    mapping onto those keys).
 
     The definition-time form of :meth:`RelationSchema.project`: plans
     resolve names to positions once and keep the getter. Always returns
@@ -100,8 +99,8 @@ class RelationSchema:
         "key",
         "_by_name",
         "_positions",
-        "_key_positions",
         "_accepted",
+        "key_of",
     )
 
     def __init__(
@@ -148,7 +147,8 @@ class RelationSchema:
         self.key = key
         self._by_name = {a.name: a for a in normalized}
         self._positions = {a.name: i for i, a in enumerate(normalized)}
-        self._key_positions = tuple(self._positions[k] for k in key)
+        #: ``key_of(values)``: the primary-key tuple of a full value tuple.
+        self.key_of = tuple_getter(tuple(self._positions[k] for k in key))
         # Per attribute, the exact value types validate_row accepts on
         # their type alone; NoneType where the attribute is nullable.
         self._accepted = tuple(
@@ -253,10 +253,6 @@ class RelationSchema:
                         )
                     attr.domain.check(value, context=f"{self.name}.{attr.name}")
         return tuple(values)
-
-    def key_of(self, values: Sequence[Any]) -> Tuple[Any, ...]:
-        """Extract the primary-key tuple from a full value tuple."""
-        return tuple(values[i] for i in self._key_positions)
 
     def project(self, values: Sequence[Any], names: Sequence[str]) -> Tuple[Any, ...]:
         """Project a value tuple onto the listed attribute names."""

@@ -497,7 +497,8 @@ class SqliteEngine(Engine):
     # -- indexes ----------------------------------------------------------------------
 
     def create_index(self, name: str, attribute_names: Sequence[str]) -> None:
-        self._schema_for(name)
+        if tuple(attribute_names) == self._schema_for(name).key:
+            return  # the PRIMARY KEY's own index already serves these columns
         # Derive the index name from the column list so repeated calls
         # (e.g. reinstalling a schema graph) dedupe via IF NOT EXISTS
         # instead of piling up identical indexes under fresh names.

@@ -6,6 +6,10 @@ objects, and exposes exactly the operation vocabulary the paper's
 translation algorithms emit: **insert**, **delete**, and **replace**.
 Rows are stored as given: ``MemoryEngine``, the only writer, checked
 each against the schema at the engine boundary before it got here.
+
+The row map is the primary-key index: ``find_by`` on exactly the key
+attributes is a dictionary lookup, and ``create_index`` builds no
+secondary index on them.
 """
 
 from __future__ import annotations
@@ -31,11 +35,14 @@ class Table:
 
     # -- index management ---------------------------------------------------
 
-    def create_index(self, attribute_names: Sequence[str]) -> HashIndex:
-        """Create (or return an existing) secondary index."""
+    def create_index(self, attribute_names: Sequence[str]) -> Optional[HashIndex]:
+        """Create (or return an existing) secondary index; None for the
+        key attributes, which the row map already indexes."""
         names = tuple(attribute_names)
         if names in self._indexes:
             return self._indexes[names]
+        if names == self.schema.key:
+            return None
         index = HashIndex(self.schema, names)
         for values in self._rows.values():
             index.add(values)
@@ -123,12 +130,17 @@ class Table:
         self, attribute_names: Sequence[str], entry: Sequence[Any]
     ) -> List[Tuple[Any, ...]]:
         """All value tuples whose ``attribute_names`` equal ``entry``, in
-        primary-key order: through a secondary index on exactly these
-        attributes, else :meth:`find_by_many`'s scan."""
+        primary-key order: from the row map when the attributes are the
+        key, through a secondary index on exactly these attributes, else
+        :meth:`find_by_many`'s scan."""
+        names = tuple(attribute_names)
         entry = tuple(entry)
-        index = self._indexes.get(tuple(attribute_names))
+        if names == self.schema.key:
+            row = self._rows.get(entry)
+            return [] if row is None else [row]
+        index = self._indexes.get(names)
         if index is None:
-            return self.find_by_many(attribute_names, (entry,))[entry]
+            return self.find_by_many(names, (entry,))[entry]
         rows = self._rows
         return [rows[k] for k in index.lookup(entry)]
 
@@ -136,10 +148,17 @@ class Table:
         self, attribute_names: Sequence[str], entries: Iterable[Tuple[Any, ...]]
     ) -> Dict[Tuple[Any, ...], List[Tuple[Any, ...]]]:
         """``{entry: find_by(attribute_names, entry)}`` for every entry:
-        one index lookup each, or one scan grouping the rows by entry."""
+        one row-map or index lookup each, or one scan grouping the rows
+        by entry."""
         names = tuple(attribute_names)
-        index = self._indexes.get(names)
         rows = self._rows
+        if names == self.schema.key:
+            found = {}
+            for entry in entries:
+                row = rows.get(entry)
+                found[entry] = [] if row is None else [row]
+            return found
+        index = self._indexes.get(names)
         if index is not None:
             return {e: [rows[k] for k in index.lookup(e)] for e in entries}
         found = {entry: [] for entry in entries}

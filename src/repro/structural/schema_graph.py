@@ -227,7 +227,8 @@ class StructuralSchema:
 
         Each connection endpoint gets a secondary index on its
         connecting attributes, since update propagation looks tuples up
-        by those attributes constantly.
+        by those attributes constantly — unless they are exactly the
+        relation's key, which the engine already indexes.
         """
         for schema in self._relations.values():
             engine.create_relation(schema)

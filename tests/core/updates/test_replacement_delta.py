@@ -23,7 +23,11 @@ import pytest
 
 from repro.core.instance import build_instance
 from repro.core.updates.compiled import CompiledProgram
-from repro.core.updates.operations import CompleteInsertion, Replacement
+from repro.core.updates.operations import (
+    CompleteDeletion,
+    CompleteInsertion,
+    Replacement,
+)
 from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.errors import LocalValidationError, ReproError, UpdateRejectedError
@@ -525,3 +529,65 @@ class TestMalformedInstances:
         assert len(translator.explain_batch(
             engine, [Replacement(old, deep_chart())]
         ).plan) == 0
+
+
+@pytest.mark.compares_translators
+class TestReadsPerRequest:
+    """What one applied request of the 61-tuple chart reads, end to end
+    (assembly, translation and the plan check), on the eager path.
+
+    A row the translation has just read is handed to the mutation that
+    removes or rewrites it instead of being read again, and one
+    insertion pass proves each referenced parent once, however many of
+    the chart's tuples name it."""
+
+    def test_insert(self):
+        graph = hospital_schema()
+        engine = CountingEngine()
+        graph.install(engine)
+        populate_hospital(engine, HospitalConfig(patients=1))
+        translator = Translator(patient_chart_object(graph))
+        translator.apply(engine, CompleteInsertion(deep_chart()))
+        reads = collections.Counter(read[:2] for read in engine.reads)
+        assert len(engine.reads) == 80
+        # One dependency probe per distinct parent: 6 visits, the patient,
+        # 3 physicians and 3 medications (again in the plan check).
+        assert reads[("get", "VISIT")] == 6 + 6
+        assert reads[("get", "PATIENT")] == 1 + 1
+        assert reads[("get", "PHYSICIAN")] == 3 + 3
+        assert reads[("get", "MEDICATION")] == 3 + 3
+
+    def test_replace(self):
+        translator, engine = hospital()
+        old = translator.instantiate(engine, (PATIENT,))
+        new = deep_chart()
+        new["name"] = "Renamed"
+        for visit in new["VISIT"]:
+            visit["physician_id"] = 9001
+            visit["reason"] = "follow-up"
+        engine.reads.clear()
+        plan = translator.apply(engine, Replacement(old, new))
+        assert len(plan) == 7
+        assert engine.reads == (
+            # CASE R-2 probes of the pivot and the six visits, each row
+            # read once: the probe's row is the one the replace records.
+            [("get", "PATIENT", (PATIENT,))]
+            + [("get", "VISIT", (PATIENT, n)) for n in range(1, 7)]
+            # The re-pointed visits' parents, proven once for all six.
+            + [("get", "PATIENT", (PATIENT,)), ("get", "PHYSICIAN", (9001,))]
+            # The plan check.
+            + [("get", "PHYSICIAN", (9001,))]
+        )
+
+    def test_delete(self):
+        translator, engine = hospital()
+        engine.reads.clear()
+        plan = translator.apply(engine, CompleteDeletion((PATIENT,)))
+        assert len(plan) == 61
+        island_gets = [
+            read
+            for read in engine.reads
+            if read[0] == "get" and read[1] != "PATIENT"
+        ]
+        assert len(island_gets) == len(set(island_gets)) == 60
+        assert len(engine.reads) == 143
