@@ -27,7 +27,12 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DuplicateKeyError, NoSuchRowError, TransactionError
-from repro.relational.engine import Engine, ValuesLike
+from repro.relational.engine import (
+    Engine,
+    ValuesLike,
+    _holds_datetime,
+    _normalize_row_dates,
+)
 from repro.relational.schema import RelationSchema, tuple_getter
 
 __all__ = ["BufferedEngine"]
@@ -81,7 +86,7 @@ class BufferedEngine(Engine):
         key = self.schema(name).key_of(row)
         if self.get(name, key) is not None:
             raise DuplicateKeyError(name, key)
-        self.insert_validated(name, row, key)
+        self._put(name, row, key)
         return key
 
     def delete(self, name: str, key: Sequence[Any]) -> None:
@@ -91,7 +96,7 @@ class BufferedEngine(Engine):
             or self._base_get(name, key) is None
         ):
             raise NoSuchRowError(name, key)
-        self.delete_validated(name, key)
+        self._drop(name, key)
 
     def replace(self, name: str, key: Sequence[Any], values: ValuesLike) -> None:
         key = self._coerce_key(name, key)
@@ -177,23 +182,30 @@ class BufferedEngine(Engine):
                 result.sort(key=schema.key_of)
         return result
 
-    # -- the bookkeeping of insert()/delete(), without their checks ---------
+    # -- insert()/delete() without their checks -----------------------------
     #
-    # The compiled translator proves the preconditions in its own loop
-    # (the key was just probed absent / the row just read present, the
-    # row is already validated and date-normalized, the key contains no
-    # DATE attribute needing narrowing) and calls these directly,
-    # skipping the re-checks insert()/delete() make before they do.
+    # For a write the caller has proved (the key was just probed absent /
+    # the row just read present, the row is already validated, the key
+    # contains no DATE attribute needing narrowing): TranslationContext
+    # calls these when the compiled translator says so.
 
     def insert_validated(
         self, name: str, row: Tuple[Any, ...], key: Tuple[Any, ...]
     ) -> None:
+        if _holds_datetime(row):
+            row = _normalize_row_dates(self.schema(name), row)
+        self._put(name, row, key)
+
+    def delete_validated(self, name: str, key: Tuple[Any, ...]) -> None:
+        self._drop(name, key)
+
+    def _put(self, name: str, row: Tuple[Any, ...], key: Tuple[Any, ...]) -> None:
         self._overlay.setdefault(name, {})[key] = row
         tombstones = self._tombstones.get(name)
         if tombstones is not None:
             tombstones.discard(key)
 
-    def delete_validated(self, name: str, key: Tuple[Any, ...]) -> None:
+    def _drop(self, name: str, key: Tuple[Any, ...]) -> None:
         overlay = self._overlay.setdefault(name, {})
         if key in overlay:
             del overlay[key]

@@ -58,8 +58,9 @@ raised, so the error surfaces at the same point) and once more at the
 engine boundary, ``Engine._coerce_values``, which every backend runs
 before it mutates; a replacement's merged row only there. Storage checks
 nothing: ``MemoryEngine``'s ``Table`` takes the row as the boundary
-passed it, and an overlay write the program proved (``insert_validated``)
-is checked when the batch reaches the real engine. Same errors, same
+passed it, and an overlay write the program proved (``ctx.insert`` given
+the probed key, which takes ``insert_validated``) is checked when the
+batch reaches the real engine. Same errors, same
 messages (``RelationSchema.validate_row``).
 
 The readable tree walk this replaced lives in
@@ -107,8 +108,6 @@ from repro.core.updates.local_validation import (
 from repro.core.updates.policy import ReferenceRepair, null_completer
 from repro.core.view_object import ViewObjectDefinition
 from repro.relational.domains import DATE
-from repro.relational.engine import _normalize_row_dates
-from repro.relational.operations import Delete, Insert
 from repro.relational.schema import tuple_getter
 from repro.structural.connections import ConnectionKind
 
@@ -158,7 +157,6 @@ class CompiledNode:
         "attr_plan",
         "positions",
         "proj_pairs",
-        "has_dates",
         "key_has_dates",
         "children",
         "edge",
@@ -191,10 +189,8 @@ class CompiledNode:
         self.proj_pairs = tuple(
             (name, self.positions[name]) for name in projection.attributes
         )
-        # DATE attributes need datetime->date narrowing before storage
-        # (the engines do it inside _coerce_values); the fast mutation
-        # paths are gated on these flags.
-        self.has_dates = any(a.domain == DATE for a in schema.attributes)
+        # A DATE key may need datetime->date narrowing (the engines do it
+        # inside _coerce_key), so a write to it is never proved.
         self.key_has_dates = any(
             schema.attribute(name).domain == DATE for name in schema.key
         )
@@ -576,22 +572,16 @@ class CompiledProgram:
         engine = ctx.engine
         policy = ctx.policy
         levels = self._levels(instance)
-        # Fast CASE-2 inserts: the probe above the branch just proved the
-        # key absent and complete_row validated the row, so the overlay
-        # can be written directly. Only sound with the null completer (a
-        # custom completer may rewrite key attributes) and with keys
-        # needing no datetime narrowing.
-        fast_insert = (
-            getattr(engine, "insert_validated", None)
-            if policy.completer is null_completer
-            else None
-        )
-        plan = ctx.plan
-        inserted = ctx.inserted
+        # A CASE-2 insert is proved: the probe above the branch just
+        # found the key absent and complete_row validated the row. Only
+        # with the null completer (a custom one may rewrite key
+        # attributes) and a key needing no datetime narrowing.
+        proves = policy.completer is null_completer
         for cn in self.nodes_bfs:
             relation = cn.relation
             in_island = cn.in_island
             relation_policy = policy.for_relation(relation)
+            proved = proves and not cn.key_has_dates
             for component in levels[cn.node_id]:
                 values = component.values
                 key = cn.key_from(values)
@@ -607,19 +597,12 @@ class CompiledProgram:
                             f"there",
                             relation=relation,
                         )
-                    row = cn.complete_row(ctx, values)
-                    if fast_insert is not None and not cn.key_has_dates:
-                        fast_insert(
-                            relation,
-                            _normalize_row_dates(cn.schema, row)
-                            if cn.has_dates
-                            else row,
-                            key,
-                        )
-                        plan.add(Insert(relation, row), cn.reason_ci_insert)
-                        inserted.append((relation, row))
-                    else:
-                        ctx.insert(relation, row, cn.reason_ci_insert)
+                    ctx.insert(
+                        relation,
+                        cn.complete_row(ctx, values),
+                        cn.reason_ci_insert,
+                        key if proved else None,
+                    )
                 elif cn.projected_match(values, existing):
                     # CASE 1: an identical tuple already exists.
                     if in_island:
@@ -671,16 +654,12 @@ class CompiledProgram:
     ) -> None:
         engine = ctx.engine
         levels = self._levels(instance, island_only=True)
-        # Fast deletes: the existence probe just returned the row, so the
-        # overlay's own presence check is redundant; gated on keys that
-        # need no datetime narrowing (the probe coerces, the overlay must
-        # see the same key).
-        fast_delete = getattr(engine, "delete_validated", None)
-        plan = ctx.plan
-        deleted = ctx.deleted
         for cn in self.island_bfs:
             relation = cn.relation
-            use_fast = fast_delete is not None and not cn.key_has_dates
+            # The existence probe just returned the row: a delete is
+            # proved where the key needs no datetime narrowing (the probe
+            # coerces, the overlay must see the same key).
+            proved = not cn.key_has_dates
             for component in levels[cn.node_id]:
                 key = cn.key_from(component.values)
                 old = engine.get(relation, key)
@@ -694,12 +673,7 @@ class CompiledProgram:
                     # A non-pivot island tuple may already be gone (stale
                     # instance); the cascade would have removed it anyway.
                     continue
-                if use_fast:
-                    fast_delete(relation, key)
-                    plan.add(Delete(relation, key), cn.reason_cd_delete)
-                    deleted.append((relation, old))
-                else:
-                    ctx.delete(relation, key, cn.reason_cd_delete, old)
+                ctx.delete(relation, key, cn.reason_cd_delete, old, proved)
         self.maintain_after_deletions(ctx)
 
     # -- VO-R ---------------------------------------------------------------

@@ -8,7 +8,10 @@ global-integrity pass consumes.
 
 All database mutations go through the context's ``insert`` / ``delete``
 / ``replace`` so that the plan faithfully records what the translation
-did — the paper's "output is the set of database operations".
+did — the paper's "output is the set of database operations" — and
+:attr:`TranslationContext.mutations` records what each did to its cell:
+the before/after images a journal or audit log stores are folded from
+that record (``Translator``), never re-read.
 """
 
 from __future__ import annotations
@@ -42,6 +45,13 @@ class TranslationContext:
         self.analysis = analysis or analyze_island(view_object)
         self.graph = view_object.graph
         self.plan = UpdatePlan()
+        # What each mutation did, in apply order: raw ``(relation, key,
+        # before, after)`` — ``key`` is None for an insert, ``after``
+        # None for a delete.
+        self.mutations: List[Tuple[str, Any, Any, Any]] = []
+        # An overlay's unchecked writes, for what the caller has proved.
+        self._insert_validated = getattr(engine, "insert_validated", None)
+        self._delete_validated = getattr(engine, "delete_validated", None)
         # Work lists consumed by global-integrity maintenance. Tuples are
         # full value tuples in schema order.
         self.deleted: List[Tuple[str, Tuple[Any, ...]]] = []
@@ -62,10 +72,27 @@ class TranslationContext:
 
     # -- recorded mutations ------------------------------------------------------
 
-    def insert(self, relation: str, values: Tuple[Any, ...], reason: str) -> None:
-        self.engine.insert(relation, values)
+    # A caller that has proved a write sound says so: ``insert`` with the
+    # ``key`` it just probed absent (``values`` validated, the key needing
+    # no date narrowing), ``delete`` with ``proved`` for the row ``old``
+    # it just read (same key condition). An overlay then writes without
+    # re-checking (``BufferedEngine.insert_validated`` /
+    # ``delete_validated``); any other engine runs its checked write.
+
+    def insert(
+        self,
+        relation: str,
+        values: Tuple[Any, ...],
+        reason: str,
+        key: Optional[Tuple[Any, ...]] = None,
+    ) -> None:
+        if key is not None and self._insert_validated is not None:
+            self._insert_validated(relation, values, key)
+        else:
+            self.engine.insert(relation, values)
         self.plan.add(Insert(relation, values), reason)
         self.inserted.append((relation, values))
+        self.mutations.append((relation, None, None, values))
 
     # ``delete`` and ``replace`` take ``old``, the row the caller has just
     # read under ``key``; without it they read the row themselves.
@@ -76,6 +103,7 @@ class TranslationContext:
         key: Tuple[Any, ...],
         reason: str,
         old: Optional[Tuple[Any, ...]] = None,
+        proved: bool = False,
     ) -> Tuple[Any, ...]:
         if old is None:
             old = self.engine.get(relation, key)
@@ -84,9 +112,13 @@ class TranslationContext:
                     f"cannot delete {relation!r} tuple {key!r}: not found",
                     relation=relation,
                 )
-        self.engine.delete(relation, key)
+        if proved and self._delete_validated is not None:
+            self._delete_validated(relation, key)
+        else:
+            self.engine.delete(relation, key)
         self.plan.add(Delete(relation, key), reason)
         self.deleted.append((relation, old))
+        self.mutations.append((relation, key, old, None))
         return old
 
     def replace(
@@ -107,6 +139,7 @@ class TranslationContext:
         self.engine.replace(relation, key, new_values)
         self.plan.add(Replace(relation, key, new_values), reason)
         self.replaced.append((relation, old, new_values))
+        self.mutations.append((relation, key, old, new_values))
         new_key = self.schema(relation).key_of(new_values)
         if new_key != tuple(key):
             self.key_changes.append((relation, tuple(key), new_key))

@@ -21,7 +21,7 @@ attached to every operation for auditability.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import repro.obs as obs
 from repro.errors import (
@@ -55,14 +55,14 @@ from repro.obs.audit import COMMITTED as AUDIT_COMMITTED
 from repro.obs.audit import CRASHED as AUDIT_CRASHED
 from repro.obs.audit import ROLLED_BACK as AUDIT_ROLLED_BACK
 from repro.obs.explain import TranslationExplanation
-from repro.relational.engine import Engine
+from repro.relational.engine import Engine, _normalize_row_dates
 from repro.relational.journal import (
     Images,
     PlanJournal,
     UpdateRecord,
+    _cell_effects,
     encode_images,
     encode_plan,
-    images_from_records,
     plan_images,
 )
 from repro.relational.operations import UpdatePlan, coalesce_plans
@@ -217,14 +217,8 @@ class Translator:
         ctx = TranslationContext(
             self.view_object, engine, self.policy, self.analysis
         )
-        journal = self._active_journal(engine)
-        audit = self._active_audit(engine)
-        # The eager path needs the changelog to reconstruct before/after
-        # images; both the journal and the audit log consume them.
-        use_changelog = journal is not None or (
-            audit is not None and engine.changelog is not None
-        )
-        mark = engine.changelog.mark() if use_changelog else None
+        journal = _top_level(engine, self.journal)
+        audit = _top_level(engine, self.audit)
         tracer = obs.tracer()
         registry = obs.metrics()
         with tracer.span(
@@ -253,10 +247,8 @@ class Translator:
                 raise
             span.set(ops=len(ctx.plan), journaled=journal is not None)
             images = None
-            if use_changelog:
-                images = images_from_records(
-                    engine, engine.changelog.since(mark)
-                )
+            if journal is not None or audit is not None:
+                images = _images(engine, ctx.mutations)
             with tracer.span("commit", ops=len(ctx.plan)):
                 self._commit(
                     journal, audit, engine._finish_commit,
@@ -297,9 +289,9 @@ class Translator:
             op=op,
             items=len(requests),
         ) as root:
-            plans = self._overlay(engine, requests, op, write=True)
-            journal = self._active_journal(engine, need_changelog=False)
-            audit = self._active_audit(engine)
+            plans, mutations = self._overlay(engine, requests, op, write=True)
+            journal = _top_level(engine, self.journal)
+            audit = _top_level(engine, self.audit)
             with tracer.span("coalesce") as fold:
                 combined = coalesce_plans(plans, engine.schema)
                 fold.set(
@@ -307,11 +299,15 @@ class Translator:
                     ops_after=len(combined),
                 )
             root.set(ops=len(combined), journaled=journal is not None)
-            # The base engine is still unmutated, so the before-images
-            # can be read directly.
+            # The overlay's record, restricted to the coalesced plan's
+            # cells (a cell the batch put back as it was is no update).
             images = None
             if journal is not None or audit is not None:
-                images = plan_images(engine, combined)
+                folded = _images(engine, mutations)
+                images = {}
+                for (relation, key), _ in _cell_effects(engine, combined):
+                    cell = (relation, engine._coerce_key(relation, key))
+                    images[cell] = folded[cell]
 
             def land() -> None:
                 with tracer.span("engine.apply", ops=len(combined)):
@@ -352,8 +348,8 @@ class Translator:
             shipped, plan = plan, plan.plan()
         else:
             self._check_authorized()
-        journal = self._active_journal(engine, need_changelog=False)
-        audit = self._active_audit(engine)
+        journal = _top_level(engine, self.journal)
+        audit = _top_level(engine, self.audit)
         with obs.tracer().span(
             "apply_plan", object=self.view_object.name, op=op, ops=len(plan)
         ):
@@ -397,7 +393,7 @@ class Translator:
             op=operation,
             items=len(requests),
         ) as span:
-            plans = self._overlay(
+            plans, _ = self._overlay(
                 engine, requests, op or operation, write=op is not None
             )
             combined = UpdatePlan()
@@ -437,10 +433,11 @@ class Translator:
         requests: List[UpdateRequest],
         op: str,
         write: bool = False,
-    ) -> List[UpdatePlan]:
+    ) -> Tuple[List[UpdatePlan], List[Any]]:
         """The overlay translate half: one plan per request, translated
         in order over one :class:`BufferedEngine`, so later requests see
-        earlier effects and ``engine`` itself is never touched.
+        earlier effects and ``engine`` itself is never touched; and the
+        requests' mutation records, end to end.
 
         Every overlay translation runs here — a batch write, an explain,
         and the sharded write (:meth:`explain_batch` with ``op=``, then
@@ -451,7 +448,7 @@ class Translator:
         audit record; an explain's does not.
         """
         tracer = obs.tracer()
-        plans = []
+        plans, mutations = [], []
         try:
             self._check_authorized()
             buffered = BufferedEngine(engine)
@@ -462,19 +459,20 @@ class Translator:
                 with tracer.span("translate", op=op):
                     self._translate(ctx, request)
                 plans.append(ctx.plan)
+                mutations += ctx.mutations
             self._verify(buffered, [o for plan in plans for o in plan])
         except Exception as exc:
             if write:
                 obs.metrics().counter(
                     "translation_failures_total", op=op
                 ).inc()
-                audit = self._active_audit(engine)
+                audit = _top_level(engine, self.audit)
                 if audit is not None:
                     self.audit_update(
                         audit, op, items=len(requests), error=exc
                     )
             raise
-        return plans
+        return plans, mutations
 
     def _translate(self, ctx: TranslationContext, request: UpdateRequest) -> None:
         """Translate one request against an in-flight context; its anchor
@@ -534,39 +532,6 @@ class Translator:
         if isinstance(instance, Instance):
             return instance
         return build_instance(self.view_object, instance)
-
-    def _active_journal(
-        self, engine: Engine, need_changelog: bool = True
-    ) -> Optional[PlanJournal]:
-        """The journal to write through, or None when journaling is off.
-
-        Only *top-level* plans are journaled: inside an enclosing
-        transaction the outer scope owns atomicity (and could roll an
-        inner entry's effects back after it was marked COMMITTED). The
-        eager path additionally needs the engine's changelog to
-        reconstruct before-images.
-        """
-        if self.journal is None:
-            return None
-        if getattr(engine, "in_transaction", False):
-            return None
-        if need_changelog and engine.changelog is None:
-            return None
-        return self.journal
-
-    def _active_audit(self, engine: Engine) -> Optional[AuditLog]:
-        """The audit log to record into, or None when auditing is off.
-
-        Mirrors :meth:`_active_journal`: only *top-level* updates are
-        audited. Inside an enclosing transaction (a user-opened
-        :meth:`Penguin.transaction` block) the outer scope owns the
-        view-level operation.
-        """
-        if self.audit is None:
-            return None
-        if getattr(engine, "in_transaction", False):
-            return None
-        return self.audit
 
     def _policy_answers(self) -> Dict[str, Any]:
         """The policy's dialog answers as JSON-safe data, cached."""
@@ -731,6 +696,46 @@ _REQUESTS: Dict[type, Any] = {
         ),
     ),
 }
+
+
+def _top_level(engine: Engine, log):
+    """``log`` (the journal or the audit log) if this update is top-level,
+    else None.
+
+    Only *top-level* updates are journaled and audited: inside an
+    enclosing transaction (a user-opened :meth:`Penguin.transaction`
+    block) the outer scope owns atomicity — it could roll an inner
+    entry's effects back after it was marked COMMITTED — and the
+    view-level operation.
+    """
+    if log is None or getattr(engine, "in_transaction", False):
+        return None
+    return log
+
+
+def _images(engine: Engine, mutations: Iterable) -> Images:
+    """Net before/after images of a translation's record
+    (:attr:`TranslationContext.mutations`): a cell's first touch gives
+    its before-image, its last touch its after-image. A key-changing
+    replacement vacates the old key and occupies the new one. Dates are
+    narrowed and keys coerced here, as the engine stores them.
+    """
+    images: Images = {}
+    for relation, key, before, after in mutations:
+        if after is not None:
+            schema = engine.schema(relation)
+            after = _normalize_row_dates(schema, after)
+            new_key = schema.key_of(after)
+        if key is not None:
+            key = engine._coerce_key(relation, key)
+            if after is None or key != new_key:
+                cell = (relation, key)
+                images[cell] = (images[cell][0] if cell in images else before, None)
+                before = None
+        if after is not None:
+            cell = (relation, new_key)
+            images[cell] = (images[cell][0] if cell in images else before, after)
+    return images
 
 
 def _request_entry(request: UpdateRequest):

@@ -1,11 +1,13 @@
-"""Change log: the applied operations of the open transaction.
+"""Change log: rollback records and subscribers.
 
-Both engines record every mutation here; the log owns their savepoint
-marks. A rollback drops the innermost transaction's records and hands
-them back (the memory engine undoes them); the eager translator reads
-the records since its mark for before/after images. The outermost
-commit, or a write outside any transaction, hands its records in apply
-order to each subscriber's ``absorb(records)`` and forgets them.
+Both engines record every mutation of the open transaction here; the
+log owns their savepoint marks. A rollback drops the innermost
+transaction's records and hands them back (the memory engine undoes
+them). The outermost commit, or a write outside any transaction, hands
+its records in apply order to each subscriber's ``absorb(records)`` and
+forgets them. Nothing else reads them: the images a journal or audit
+log stores come from the translation's own record
+(``TranslationContext.mutations``).
 """
 
 from __future__ import annotations
@@ -88,13 +90,6 @@ class ChangeLog:
             self.records = []
             for subscriber in self._subscribers:
                 subscriber.absorb(records)
-
-    def mark(self) -> int:
-        """A position in the open transaction, for :meth:`since`."""
-        return len(self.records)
-
-    def since(self, mark: int) -> List[ChangeRecord]:
-        return self.records[mark:]
 
     def __len__(self) -> int:
         return len(self.records)

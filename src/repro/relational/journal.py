@@ -63,7 +63,6 @@ __all__ = [
     "MemoryJournal",
     "FileJournal",
     "plan_images",
-    "images_from_records",
     "restore_images",
     "JsonLinesFile",
     "recover",
@@ -193,7 +192,9 @@ def plan_images(engine: Engine, plan: UpdatePlan) -> Images:
     """Net before/after images of every cell ``plan`` will touch.
 
     Must be called *before* the plan is applied: before-images are read
-    from the engine.
+    from the engine. Only for a plan landing on an engine that did not
+    translate it (``Translator.apply_plan``, a two-phase participant's
+    prepare); a translated write folds its images from its own record.
     """
     images: Images = {}
     for cell, value in _cell_effects(engine, plan):
@@ -201,39 +202,6 @@ def plan_images(engine: Engine, plan: UpdatePlan) -> Images:
             images[cell] = (images[cell][0], value)
         else:
             images[cell] = (engine.get(*cell), value)
-    return images
-
-
-def images_from_records(engine: Engine, records: Iterable) -> Images:
-    """Net images from changelog records of one (uncommitted) transaction.
-
-    Used by the eager translation path, where effects are already
-    applied when the journal entry is written: the changelog preserved
-    the before-images the engine can no longer provide.
-    """
-    images: Images = {}
-
-    def touch(relation: str, key: Tuple[Any, ...], before, after) -> None:
-        cell_key = (relation, tuple(key))
-        if cell_key in images:
-            images[cell_key] = (images[cell_key][0], after)
-        else:
-            images[cell_key] = (before, after)
-
-    for record in records:
-        if record.kind == "insert":
-            touch(record.relation, record.key, None, record.new_values)
-        elif record.kind == "delete":
-            touch(record.relation, record.key, record.old_values, None)
-        else:  # replace
-            schema = engine.schema(record.relation)
-            new_key = schema.key_of(record.new_values)
-            if new_key == tuple(record.key):
-                touch(record.relation, record.key, record.old_values,
-                      record.new_values)
-            else:
-                touch(record.relation, record.key, record.old_values, None)
-                touch(record.relation, new_key, None, record.new_values)
     return images
 
 

@@ -54,12 +54,12 @@ from repro.relational.engine import Engine
 from repro.relational.faults import FaultHook
 from repro.relational.journal import (
     COMMITTED,
+    Images,
     MemoryJournal,
     PlanJournal,
     UpdateRecord,
     encode_images,
     encode_plan,
-    plan_images,
 )
 from repro.relational.operations import UpdatePlan
 from repro.replicate import ReplicaSet, ReplicaStack, ReplicationConfig
@@ -591,14 +591,6 @@ class ShardedPenguin(ViewObjectSession):
     ) -> UpdatePlan:
         # One transaction at a time: the coordinator is held exclusively.
         txn_id = next(self._txn_ids)
-        # Before-images for the audit record, read before anything is
-        # applied (replicated cells appear once per shard with
-        # identical images, so the union is well defined).
-        images: Dict[Tuple[str, Tuple[Any, ...]], Any] = {}
-        for shard_id in sorted(split):
-            images.update(
-                plan_images(self._shards[shard_id].engine, split[shard_id])
-            )
         translator = owner.penguin.translator(name)
         audit = owner.penguin.audit
         registry = obs.metrics()
@@ -631,7 +623,7 @@ class ShardedPenguin(ViewObjectSession):
                     raise
 
         try:
-            two_phase_apply(
+            images_by_shard = two_phase_apply(
                 self._shards, split, txn_id, failpoint=self.failpoint,
                 post_apply=post_apply,
             )
@@ -648,6 +640,12 @@ class ShardedPenguin(ViewObjectSession):
         registry.counter("translations_total", op=op).inc()
         registry.histogram("plan_ops", op=op).observe(len(coalesced))
         if audit is not None:
+            # The images each participant journaled, in shard order
+            # (replicated cells appear once per shard with identical
+            # images, so the union is well defined).
+            images: Images = {}
+            for shard_images in images_by_shard.values():
+                images.update(shard_images)
             asn = translator.audit_update(
                 audit, op, plan=coalesced, images=images, items=items
             )

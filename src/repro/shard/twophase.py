@@ -79,14 +79,15 @@ def two_phase_apply(
     txn_id: str,
     failpoint: Optional[FaultHook] = None,
     post_apply: Optional[Callable[[Dict[int, Images]], None]] = None,
-) -> Dict[int, int]:
+) -> Dict[int, Images]:
     """Apply a partitioned plan atomically across its shards.
 
     ``participants`` maps shard id to an object exposing ``engine``,
     ``journal``, and a ``lock`` with ``write_locked()`` (the
     :class:`~repro.shard.sharded.Shard` wrapper); ``split`` maps the
-    same ids to their sub-plans. Returns the journal entry id per
-    shard. The caller has been admitted by every participant's write
+    same ids to their sub-plans. Returns, per shard in id order, the
+    before/after images its prepare phase read and journaled — the only
+    read of a participant's cells. The caller has been admitted by every participant's write
     guard; here the shard locks — the readers' exclusion — are taken in
     id order (a global order, so two coordinators can never deadlock)
     and held across all three phases.
@@ -174,7 +175,7 @@ def two_phase_apply(
                     entry_ids[shard_id]
                 )
         span.set(shards=len(order))
-    return entry_ids
+    return images_by_shard
 
 
 class TwoPhaseRecoveryReport:

@@ -32,6 +32,8 @@ from repro.relational.journal import (
     MemoryJournal,
     recover,
 )
+from repro.relational.memory_engine import MemoryEngine
+from repro.workloads.university import populate_university
 
 pytestmark = pytest.mark.audit
 
@@ -236,3 +238,36 @@ def test_plan_and_images_are_encoded_once(stack, entry_point, monkeypatch):
     assert entry.plan_records == record.plan_records
     assert entry.image_records == record.image_records
     assert record.plan_records and record.image_records
+
+
+class _NoChangelog(MemoryEngine):
+    """A backend that keeps no change log (``Engine.changelog`` is None)."""
+
+    @property
+    def changelog(self):
+        return None
+
+
+def test_engine_without_changelog_is_journaled_with_images(
+    omega, university_graph
+):
+    """Images come from the translation, not the engine's change log: a
+    single write and a batch write on a backend without one are both
+    journaled, and both audit records carry their images."""
+    engine = _NoChangelog()
+    university_graph.install(engine)
+    populate_university(engine)
+    translator = Translator(
+        omega, journal=MemoryJournal(), audit=MemoryAuditLog()
+    )
+    translator.apply(engine, CompleteInsertion(course("CS990")))
+    translator.apply_plan_batch(
+        engine, [CompleteInsertion(course("CS991"))], op="insert"
+    )
+    entries = translator.journal.entries()
+    records = translator.audit.records()
+    assert [e.state for e in entries] == [COMMITTED, COMMITTED]
+    assert all(e.image_records for e in entries)
+    assert [r.image_records for r in records] == [
+        e.image_records for e in entries
+    ]

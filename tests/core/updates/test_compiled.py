@@ -713,35 +713,18 @@ class _Checked:
 
 class _Spy(BufferedEngine):
     """An overlay that records which relations the program wrote through
-    a fast mutator directly (``insert`` / ``delete`` use them too, after
-    their checks; those calls do not count)."""
+    a fast mutator (a write ``TranslationContext`` was told is proved)."""
 
     def __init__(self, base):
         super().__init__(base)
         self.fast_inserts, self.fast_deletes = [], []
-        self._checking = False
-
-    def _checked(self, mutate, *args):
-        self._checking = True
-        try:
-            return mutate(*args)
-        finally:
-            self._checking = False
-
-    def insert(self, name, values):
-        return self._checked(super().insert, name, values)
-
-    def delete(self, name, key):
-        return self._checked(super().delete, name, key)
 
     def insert_validated(self, name, row, key):
-        if not self._checking:
-            self.fast_inserts.append(name)
+        self.fast_inserts.append(name)
         super().insert_validated(name, row, key)
 
     def delete_validated(self, name, key):
-        if not self._checking:
-            self.fast_deletes.append(name)
+        self.fast_deletes.append(name)
         super().delete_validated(name, key)
 
 

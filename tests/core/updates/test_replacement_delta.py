@@ -31,6 +31,8 @@ from repro.core.updates.operations import (
 from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.errors import LocalValidationError, ReproError, UpdateRejectedError
+from repro.obs.audit import MemoryAuditLog
+from repro.relational.journal import MemoryJournal
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.operations import Replace
 from repro.workloads.figures import course_info_object
@@ -591,3 +593,65 @@ class TestReadsPerRequest:
         ]
         assert len(island_gets) == len(set(island_gets)) == 60
         assert len(engine.reads) == 143
+
+
+def _rename(chart):
+    chart["name"] = "Renamed"
+    return chart
+
+
+# write -> what it does to a hospital holding the charts of PATIENT and
+# PATIENT + 1 (the session verb each stands for, through its door).
+LOGGED_WRITES = {
+    "insert": lambda t, e: t.apply(
+        e, CompleteInsertion(deep_chart(PATIENT + 2))
+    ),
+    "replace": lambda t, e: t.apply(
+        e,
+        Replacement(t.instantiate(e, (PATIENT,)), _rename(deep_chart())),
+    ),
+    "re-key": lambda t, e: t.apply(
+        e,
+        Replacement(
+            t.instantiate(e, (PATIENT,)), rekey_chart(deep_chart(), PATIENT + 9)
+        ),
+    ),
+    "delete": lambda t, e: t.apply(e, CompleteDeletion((PATIENT,))),
+    "insert_many": lambda t, e: t.apply_plan_batch(
+        e,
+        [CompleteInsertion(deep_chart(PATIENT + n)) for n in (2, 3, 4)],
+        op="insert",
+    ),
+    "delete_many": lambda t, e: t.apply_plan_batch(
+        e,
+        [CompleteDeletion((PATIENT + n,)) for n in (0, 1)],
+        op="delete",
+    ),
+}
+
+
+@pytest.mark.parametrize("write", LOGGED_WRITES)
+def test_journaling_adds_no_engine_reads(write):
+    """A journal and an audit log take a write's images from what the
+    translation recorded: the write reads exactly what it reads unlogged."""
+    reads = {}
+    for logged in (False, True):
+        graph = hospital_schema()
+        engine = CountingEngine()
+        graph.install(engine)
+        populate_hospital(engine, HospitalConfig(patients=1))
+        logs = (
+            dict(journal=MemoryJournal(), audit=MemoryAuditLog())
+            if logged else {}
+        )
+        translator = Translator(patient_chart_object(graph), **logs)
+        seeder = Translator(patient_chart_object(graph))
+        for pid in (PATIENT, PATIENT + 1):
+            seeder.apply(engine, CompleteInsertion(deep_chart(pid)))
+        engine.reads.clear()
+        LOGGED_WRITES[write](translator, engine)
+        reads[logged] = engine.reads
+        if logged:
+            (entry,) = translator.journal.entries()
+            assert entry.image_records
+    assert reads[True] == reads[False]

@@ -21,15 +21,6 @@ def test_counters():
     assert len(log) == 0  # outside a transaction nothing is kept
 
 
-def test_mark_and_since():
-    log = ChangeLog()
-    log.begin()
-    log.record("insert", "T", ("a",), ("a", 1))
-    mark = log.mark()
-    log.record("insert", "T", ("b",), ("b", 1))
-    assert [r.key for r in log.since(mark)] == [("b",)]
-
-
 def test_rollback_restores_counters():
     log = ChangeLog()
     log.record("insert", "T", ("a",), ("a", 1))

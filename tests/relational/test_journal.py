@@ -20,7 +20,6 @@ from repro.relational.journal import (
     MemoryJournal,
     RecoveryReport,
     UpdateRecord,
-    images_from_records,
     plan_images,
     recover,
     restore_images,
@@ -101,22 +100,6 @@ class TestImages:
         images = plan_images(engine, plan)
         assert images[("TAGS", (10,))] == ((10, "old"), None)
         assert images[("TAGS", (11,))] == (None, (11, "moved"))
-
-    def test_images_from_records_nets_a_transaction(self):
-        engine = make_engine()
-        mark = engine.changelog.mark()
-        engine.begin()
-        engine.insert("TAGS", (20, "temp"))
-        engine.replace("TAGS", (20,), (20, "final"))
-        engine.delete("ITEMS", (1,))
-        images = images_from_records(engine, engine.changelog.since(mark))
-        # insert+replace net to one cell: None -> final values.
-        assert images[("TAGS", (20,))] == (None, (20, "final"))
-        assert images[("ITEMS", (1,))] == (
-            (1, "one", datetime.date(2020, 1, 2)),
-            None,
-        )
-        engine.rollback()
 
 
 class TestBackends:

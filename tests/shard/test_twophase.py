@@ -6,6 +6,8 @@ followed by recovery, must leave the multi-shard update all-applied or
 all-reverted — zero torn states — and recovery must be idempotent.
 """
 
+import json
+
 import pytest
 
 import repro.obs as obs
@@ -264,3 +266,28 @@ def test_inline_abort_restores_through_restore_images(restore_directions):
         assert hub.metrics.counter_total("translations_total") == 0
     assert restore_directions == [False]
     assert sharded.get(OBJECT, (old_pid,)) is not None
+
+
+def test_owner_audit_images_are_the_participants_journaled_images():
+    """Each participant's cells are read once, in its prepare phase: the
+    owner's audit record carries exactly the images the participants
+    journaled, in shard order (a replicated cell, journaled by every
+    shard with identical images, appears once)."""
+    sharded = build_sharded()
+    old_pid, new_pid = cross_shard_pair(sharded.router)
+    moved = rehome(sharded.get(OBJECT, (old_pid,)).to_dict(), new_pid)
+    sharded.replace(OBJECT, (old_pid,), moved)
+
+    journaled = {}
+    for shard in sharded.shards:  # in shard order
+        for entry in shard.journal.entries():
+            if entry.label.startswith("2pc:"):
+                for row in entry.image_records:
+                    journaled.setdefault(json.dumps(row[:2]), row)
+    assert len({json.dumps(row[:2]) for row in journaled.values()}) > 1
+    owner = sharded.shards[sharded.owner_of(OBJECT, (old_pid,))]
+    record = owner.penguin.audit.records()[-1]
+    assert (record.op, record.state) == ("replace", "committed")
+    assert json.dumps(record.image_records) == json.dumps(
+        list(journaled.values())
+    )
