@@ -4,8 +4,8 @@ A per-instance ``insert()`` pays, for every instance: a transaction
 (savepoint + commit), the VO-CI dependency probes against the live
 engine, and one statement per produced operation. The bulk pipeline
 translates the whole batch over a :class:`BufferedEngine` overlay
-(memoized reads, batched pre-warm), coalesces the per-instance plans,
-and flushes once through ``executemany`` inside a single transaction.
+(memoized reads), concatenates the per-instance plans, and flushes once
+through ``executemany`` inside a single transaction.
 
 The headline check asserts the acceptance bar: inserting 1000 instances
 through ``insert_many`` must be >= 5x faster than the sequential loop on

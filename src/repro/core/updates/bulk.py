@@ -9,22 +9,21 @@ costs one engine round-trip per read *and* per write.
 :class:`BufferedEngine` lets the very same algorithms run unchanged over
 a whole batch while touching the real engine almost never:
 
-* writes land in an in-memory overlay (per-relation ``key -> row`` maps
-  plus tombstone sets for deleted base rows);
-* reads consult the overlay first and fall back to the base engine,
+* writes land in one pending map per relation, ``key -> row``, where a
+  None row means the key was deleted here;
+* reads consult the pending map first and fall back to the base engine,
   memoizing every base read — safe because the base is never mutated
   while a batch is being translated.
 
-After translation, the recorded per-instance plans are coalesced
-(:func:`repro.relational.operations.coalesce_plans`) and flushed to the
-real engine through its batch primitives. Any failure during translation
-simply discards the overlay: the base engine was never touched, so there
-is nothing to roll back.
+After translation, the requests' plans are concatenated, in request
+order, and flushed to the real engine through its batch primitives. Any
+failure during translation simply discards the overlay: the base engine
+was never touched, so there is nothing to roll back.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DuplicateKeyError, NoSuchRowError, TransactionError
 from repro.relational.engine import (
@@ -48,8 +47,10 @@ class BufferedEngine(Engine):
 
     def __init__(self, base: Engine) -> None:
         self.base = base
-        self._overlay: Dict[str, Dict[Tuple[Any, ...], Tuple[Any, ...]]] = {}
-        self._tombstones: Dict[str, Set[Tuple[Any, ...]]] = {}
+        # relation -> {key: row, or None for a key deleted here}
+        self._pending: Dict[
+            str, Dict[Tuple[Any, ...], Optional[Tuple[Any, ...]]]
+        ] = {}
         self._get_cache: Dict[Tuple[str, Tuple[Any, ...]], Optional[Tuple[Any, ...]]] = {}
         self._find_cache: Dict[
             Tuple[str, Tuple[str, ...], Tuple[Any, ...]], List[Tuple[Any, ...]]
@@ -91,10 +92,7 @@ class BufferedEngine(Engine):
 
     def delete(self, name: str, key: Sequence[Any]) -> None:
         key = self._coerce_key(name, key)
-        if key not in self._overlay.get(name, ()) and (
-            key in self._tombstones.get(name, ())
-            or self._base_get(name, key) is None
-        ):
+        if self.get(name, key) is None:
             raise NoSuchRowError(name, key)
         self._drop(name, key)
 
@@ -106,15 +104,9 @@ class BufferedEngine(Engine):
         new_key = self.schema(name).key_of(row)
         if new_key != key and self.get(name, new_key) is not None:
             raise DuplicateKeyError(name, new_key)
-        overlay = self._overlay.setdefault(name, {})
-        was_buffered = overlay.pop(key, None) is not None
-        if new_key != key and (
-            not was_buffered or self._base_get(name, key) is not None
-        ):
-            # The base row under the old key must stay hidden.
-            self._tombstones.setdefault(name, set()).add(key)
-        overlay[new_key] = row
-        self._tombstones.get(name, set()).discard(new_key)
+        if new_key != key:
+            self._drop(name, key)
+        self._put(name, row, new_key)
 
     def clear(self, name: str) -> None:
         for row in list(self.scan(name)):
@@ -132,24 +124,20 @@ class BufferedEngine(Engine):
 
     def get(self, name: str, key: Sequence[Any]) -> Optional[Tuple[Any, ...]]:
         key = self._coerce_key(name, key)
-        overlay = self._overlay.get(name)
-        if overlay is not None and key in overlay:
-            return overlay[key]
-        if key in self._tombstones.get(name, ()):
-            return None
+        pending = self._pending.get(name)
+        if pending is not None and key in pending:
+            return pending[key]
         return self._base_get(name, key)
 
     def scan(self, name: str) -> Iterator[Tuple[Any, ...]]:
         schema = self.schema(name)
-        overlay = self._overlay.get(name, {})
-        tombstones = self._tombstones.get(name, ())
+        pending = self._pending.get(name, {})
         for row in self.base.scan(name):
-            key = schema.key_of(row)
-            if key in tombstones or key in overlay:
-                continue
-            yield row
-        for row in overlay.values():
-            yield row
+            if schema.key_of(row) not in pending:
+                yield row
+        for row in pending.values():
+            if row is not None:
+                yield row
 
     def find_by(
         self, name: str, attribute_names: Sequence[str], entry: Sequence[Any]
@@ -161,25 +149,23 @@ class BufferedEngine(Engine):
         if base_rows is None:
             base_rows = self.base.find_by(name, names, entry)
             self._find_cache[cache_key] = base_rows
+        pending = self._pending.get(name)
+        if not pending:
+            # Every caller only reads an answer, so the memoized list is
+            # handed out as is.
+            return base_rows
         schema = self.schema(name)
-        overlay = self._overlay.get(name, {})
-        tombstones = self._tombstones.get(name, ())
-        result = []
-        for row in base_rows:
-            key = schema.key_of(row)
-            if key in tombstones or key in overlay:
-                continue
-            result.append(row)
-        if overlay:
-            # The base answers in key order; buffered rows joining it
-            # put the answer back into key order.
-            base_count = len(result)
-            entry_of = tuple_getter(schema.positions(names))
-            for row in overlay.values():
-                if entry_of(row) == entry:
-                    result.append(row)
-            if len(result) > base_count:
-                result.sort(key=schema.key_of)
+        key_of = schema.key_of
+        result = [row for row in base_rows if key_of(row) not in pending]
+        # The base answers in key order; buffered rows joining it put
+        # the answer back into key order.
+        base_count = len(result)
+        entry_of = tuple_getter(schema.positions(names))
+        for row in pending.values():
+            if row is not None and entry_of(row) == entry:
+                result.append(row)
+        if len(result) > base_count:
+            result.sort(key=key_of)
         return result
 
     # -- insert()/delete() without their checks -----------------------------
@@ -200,19 +186,14 @@ class BufferedEngine(Engine):
         self._drop(name, key)
 
     def _put(self, name: str, row: Tuple[Any, ...], key: Tuple[Any, ...]) -> None:
-        self._overlay.setdefault(name, {})[key] = row
-        tombstones = self._tombstones.get(name)
-        if tombstones is not None:
-            tombstones.discard(key)
+        pending = self._pending.setdefault(name, {})
+        # A row put (back) goes last, so scan() yields buffered rows in
+        # the order they were written.
+        pending.pop(key, None)
+        pending[key] = row
 
     def _drop(self, name: str, key: Tuple[Any, ...]) -> None:
-        overlay = self._overlay.setdefault(name, {})
-        if key in overlay:
-            del overlay[key]
-            if self._base_get(name, key) is not None:
-                self._tombstones.setdefault(name, set()).add(key)
-            return
-        self._tombstones.setdefault(name, set()).add(key)
+        self._pending.setdefault(name, {})[key] = None
 
     # -- indexes -----------------------------------------------------------
 

@@ -1047,23 +1047,33 @@ class CompiledProgram:
                         raise UpdateRejectedError(prohibit_msg, relation=source)
 
     def maintain_after_insertions(self, ctx: TranslationContext) -> None:
-        """Insert missing owner / general / referenced tuples, recursively;
-        also re-checks replaced tuples whose referencing attributes changed.
+        """Insert missing owner / general / referenced tuples, recursively,
+        for every inserted tuple and every replaced tuple whose referencing
+        attributes changed — the skeletons a replaced tuple needs get
+        theirs too, so the pass ends with nothing new to insert.
 
         A dependency found (or supplied) once is not probed again within
         one call: nothing is deleted inside it, so it stays present."""
         proven: Set[Tuple[str, Tuple[str, ...], Tuple[Any, ...]]] = set()
-        inserted = ctx.inserted
-        while ctx.insertion_cursor < len(inserted):
-            relation, values = inserted[ctx.insertion_cursor]
-            ctx.insertion_cursor += 1
-            self._ensure_dependencies(ctx, self.rules[relation], values, proven)
+        self._drain_insertions(ctx, proven)
         for relation, old_values, new_values in ctx.replaced:
             rules = self.rules[relation]
             for entry_of in rules.ref_change:
                 if entry_of(old_values) != entry_of(new_values):
                     self._ensure_dependencies(ctx, rules, new_values, proven)
                     break
+        self._drain_insertions(ctx, proven)
+
+    def _drain_insertions(
+        self,
+        ctx: TranslationContext,
+        proven: Set[Tuple[str, Tuple[str, ...], Tuple[Any, ...]]],
+    ) -> None:
+        inserted = ctx.inserted
+        while ctx.insertion_cursor < len(inserted):
+            relation, values = inserted[ctx.insertion_cursor]
+            ctx.insertion_cursor += 1
+            self._ensure_dependencies(ctx, self.rules[relation], values, proven)
 
     def _ensure_dependencies(
         self,

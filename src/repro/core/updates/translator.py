@@ -60,12 +60,11 @@ from repro.relational.journal import (
     Images,
     PlanJournal,
     UpdateRecord,
-    _cell_effects,
     encode_images,
     encode_plan,
     plan_images,
 )
-from repro.relational.operations import UpdatePlan, coalesce_plans
+from repro.relational.operations import UpdatePlan
 from repro.structural.integrity import IntegrityChecker
 
 __all__ = ["Translator"]
@@ -100,7 +99,7 @@ class Translator:
         :func:`repro.relational.journal.recover`.
     audit:
         An optional :class:`~repro.obs.audit.AuditLog`. When set, every
-        top-level view-level update is recorded with its coalesced plan,
+        top-level view-level update is recorded with its plan,
         before/after images, dependency island, policy answers, and
         outcome (committed / rolled back / crashed) — the provenance
         trail behind :class:`~repro.obs.lineage.LineageIndex` and
@@ -262,22 +261,24 @@ class Translator:
         requests: Iterable[UpdateRequest],
         op: str = "batch",
     ) -> UpdatePlan:
-        """Translate a batch of :class:`UpdateRequest` objects into one
-        coalesced plan and apply it atomically, labelled ``op``.
+        """Translate a batch of :class:`UpdateRequest` objects and apply
+        their plans, concatenated in request order, atomically, labelled
+        ``op``.
 
         Requests may mix kinds (insertions, deletions, replacements, and
         the partial operations); each is translated in order over the
         shared overlay (:meth:`_overlay`), so later requests see earlier
         effects. Nothing touches the real engine until the plan is
-        complete; the flush is one :meth:`_commit`.
+        complete; the flush is one :meth:`_commit`. The batch lands,
+        journals and audits exactly the operations its translations
+        emitted — the same plan :meth:`apply` would return for each
+        request in turn.
 
         Section 5 maps an update to a *set of operations*, and the empty
         list of requests asks for the empty set: that is no update, so
         nothing is translated, journaled, audited, counted or traced and
         the empty plan is returned. Every session's batch verbs — and a
-        query-driven verb whose select matched nothing — end here. A
-        non-empty batch whose coalesced plan is empty (an insert then a
-        delete of one key) is still an update and is committed as one.
+        query-driven verb whose select matched nothing — end here.
         """
         requests = list(requests)
         if not requests:
@@ -289,34 +290,22 @@ class Translator:
             op=op,
             items=len(requests),
         ) as root:
-            plans, mutations = self._overlay(engine, requests, op, write=True)
+            plan, mutations = self._overlay(engine, requests, op, write=True)
             journal = _top_level(engine, self.journal)
             audit = _top_level(engine, self.audit)
-            with tracer.span("coalesce") as fold:
-                combined = coalesce_plans(plans, engine.schema)
-                fold.set(
-                    ops_before=sum(len(plan) for plan in plans),
-                    ops_after=len(combined),
-                )
-            root.set(ops=len(combined), journaled=journal is not None)
-            # The overlay's record, restricted to the coalesced plan's
-            # cells (a cell the batch put back as it was is no update).
+            root.set(ops=len(plan), journaled=journal is not None)
             images = None
             if journal is not None or audit is not None:
-                folded = _images(engine, mutations)
-                images = {}
-                for (relation, key), _ in _cell_effects(engine, combined):
-                    cell = (relation, engine._coerce_key(relation, key))
-                    images[cell] = folded[cell]
+                images = _images(engine, mutations)
 
             def land() -> None:
-                with tracer.span("engine.apply", ops=len(combined)):
-                    engine.apply_batch(combined.operations)
+                with tracer.span("engine.apply", ops=len(plan)):
+                    engine.apply_batch(plan.operations)
 
             self._commit(
-                journal, audit, land, combined, images, op, len(requests)
+                journal, audit, land, plan, images, op, len(requests)
             )
-            return combined
+            return plan
 
     def apply_plan(
         self,
@@ -325,7 +314,7 @@ class Translator:
         op: str = "update",
         items: int = 1,
     ) -> UpdatePlan:
-        """Journal, apply, and audit an already-translated coalesced plan.
+        """Journal, apply, and audit an already-translated plan.
 
         The public face of :meth:`_commit`, for callers that produced
         the plan elsewhere — :meth:`explain_batch` runs the full
@@ -393,21 +382,16 @@ class Translator:
             op=operation,
             items=len(requests),
         ) as span:
-            plans, _ = self._overlay(
+            plan, _ = self._overlay(
                 engine, requests, op or operation, write=op is not None
             )
-            combined = UpdatePlan()
-            for plan in plans:
-                combined.extend(plan)
-            coalesced = coalesce_plans(plans, engine.schema)
-            span.set(ops=len(combined))
+            span.set(ops=len(plan))
         if op is None:  # a write's translate half is not an explain
             obs.metrics().counter("explains_total", op=operation).inc()
         return TranslationExplanation(
             object_name=self.view_object.name,
             operation=operation,
-            plan=combined,
-            coalesced=coalesced,
+            plan=plan,
             island_relations=tuple(self.analysis.island_relations),
             graph=self.view_object.graph,
             items=len(requests),
@@ -433,11 +417,11 @@ class Translator:
         requests: List[UpdateRequest],
         op: str,
         write: bool = False,
-    ) -> Tuple[List[UpdatePlan], List[Any]]:
-        """The overlay translate half: one plan per request, translated
-        in order over one :class:`BufferedEngine`, so later requests see
-        earlier effects and ``engine`` itself is never touched; and the
-        requests' mutation records, end to end.
+    ) -> Tuple[UpdatePlan, List[Any]]:
+        """The overlay translate half: the requests' plans, translated
+        in order over one :class:`BufferedEngine` (so later requests see
+        earlier effects and ``engine`` itself is never touched) and
+        concatenated; and their mutation records, end to end.
 
         Every overlay translation runs here — a batch write, an explain,
         and the sharded write (:meth:`explain_batch` with ``op=``, then
@@ -448,7 +432,7 @@ class Translator:
         audit record; an explain's does not.
         """
         tracer = obs.tracer()
-        plans, mutations = [], []
+        plan, mutations = UpdatePlan(), []
         try:
             self._check_authorized()
             buffered = BufferedEngine(engine)
@@ -458,9 +442,9 @@ class Translator:
                 )
                 with tracer.span("translate", op=op):
                     self._translate(ctx, request)
-                plans.append(ctx.plan)
+                plan.extend(ctx.plan)
                 mutations += ctx.mutations
-            self._verify(buffered, [o for plan in plans for o in plan])
+            self._verify(buffered, plan.operations)
         except Exception as exc:
             if write:
                 obs.metrics().counter(
@@ -472,7 +456,7 @@ class Translator:
                         audit, op, items=len(requests), error=exc
                     )
             raise
-        return plans, mutations
+        return plan, mutations
 
     def _translate(self, ctx: TranslationContext, request: UpdateRequest) -> None:
         """Translate one request against an in-flight context; its anchor

@@ -9,8 +9,8 @@ increasing **audit sequence number** (ASN) and records
 * the view operation as submitted (op kind, object name, item count,
   requesting user),
 * the dependency island the translator computed at definition time,
-* the coalesced :class:`~repro.relational.operations.UpdatePlan` that
-  was applied,
+* the :class:`~repro.relational.operations.UpdatePlan` that was
+  applied, as translated,
 * the per-cell before/after images (reusing the journal's image
   machinery — one serialization format for both subsystems),
 * the translator policy answers in force, and
@@ -315,7 +315,7 @@ class ShippingCursor:
         Used for records whose effects were already replicated by
         another channel — a cross-shard transaction ships each
         participant's sub-plan during the two-phase commit, then audits
-        the full coalesced plan on the owner; shipping that owner record
+        the full plan on the owner; shipping that owner record
         too would apply foreign sub-plans to the owner's replicas.
         """
         self.asn = max(self.asn, asn)

@@ -15,9 +15,10 @@ A :class:`TranslationExplanation` reports, in the spirit of the paper's
 * the operations with their recorded reasons (which CASE emitted each);
 * the relations touched and the operation-kind tally;
 * the integrity context consulted — the dependency island and the
-  structural connections incident to the touched relations;
-* the coalescing decision the batch pipeline would make (raw operation
-  count vs the folded plan).
+  structural connections incident to the touched relations.
+
+A batch's plan is its requests' plans concatenated, in request order —
+exactly what the batch would land.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class TranslationExplanation:
         object_name: str,
         operation: str,
         plan: UpdatePlan,
-        coalesced: UpdatePlan,
         island_relations: Tuple[str, ...],
         graph: Any,
         items: int = 1,
@@ -46,7 +46,6 @@ class TranslationExplanation:
         self.object_name = object_name
         self.operation = operation
         self.plan = plan
-        self.coalesced = coalesced
         self.island_relations = island_relations
         self._graph = graph
         self.items = items
@@ -64,7 +63,7 @@ class TranslationExplanation:
     def connections(self) -> Tuple[str, ...]:
         """The structural connections incident to a touched relation —
         built when the report is read, not on every translation (the
-        sharded write path only wants :attr:`coalesced`)."""
+        sharded write path only wants :attr:`plan`)."""
         touched = set(self.relations_touched)
         return tuple(
             f"{connection.name}: {connection.describe()}"
@@ -74,7 +73,7 @@ class TranslationExplanation:
 
     @property
     def op_kinds(self) -> Dict[str, int]:
-        """Operation-kind tally of the raw (uncoalesced) plan."""
+        """Operation-kind tally of the plan."""
         kinds: Dict[str, int] = {}
         for op in self.plan.operations:
             kinds[op.kind] = kinds.get(op.kind, 0) + 1
@@ -83,15 +82,6 @@ class TranslationExplanation:
     @property
     def raw_ops(self) -> int:
         return len(self.plan)
-
-    @property
-    def coalesced_ops(self) -> int:
-        return len(self.coalesced)
-
-    @property
-    def folds(self) -> int:
-        """Operations the coalescer removes (0 = nothing to fold)."""
-        return self.raw_ops - self.coalesced_ops
 
     # -- export --------------------------------------------------------------
 
@@ -109,7 +99,6 @@ class TranslationExplanation:
             "island_relations": list(self.island_relations),
             "connections": list(self.connections),
             "raw_ops": self.raw_ops,
-            "coalesced_ops": self.coalesced_ops,
             "risk": None if self.risk is None else self.risk.to_dict(),
         }
 
@@ -149,15 +138,6 @@ class TranslationExplanation:
             )
             lines.extend(
                 f"    {finding.describe()}" for finding in self.risk.findings
-            )
-        if self.folds:
-            lines.append(
-                f"  coalescing       : {self.raw_ops} -> {self.coalesced_ops} "
-                f"operations ({self.folds} folded)"
-            )
-        else:
-            lines.append(
-                f"  coalescing       : nothing to fold ({self.raw_ops} operations)"
             )
         return "\n".join(lines)
 

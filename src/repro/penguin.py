@@ -126,10 +126,10 @@ class ViewObjectSession:
     def insert_many(
         self, name: str, instances: Iterable[InstanceLike]
     ) -> UpdatePlan:
-        """Insert a batch of instances as one coalesced, atomic plan:
-        translated over a write buffer (later instances see earlier
-        ones), deduplicated per (relation, key), flushed through the
-        engine's batch primitives in one transaction."""
+        """Insert a batch of instances as one atomic plan: translated
+        over a write buffer (later instances see earlier ones), their
+        plans concatenated and flushed through the engine's batch
+        primitives in one transaction."""
         requests = [CompleteInsertion(self.coerce(name, i)) for i in instances]
         return self._apply(name, requests, "insert")
 
@@ -143,10 +143,10 @@ class ViewObjectSession:
     def apply_plan_batch(
         self, name: str, requests: Iterable[UpdateRequest], op: str = "batch"
     ) -> UpdatePlan:
-        """Translate a mixed batch of :class:`UpdateRequest` objects into
-        one coalesced plan and apply it atomically. (Sharded: atomic per
-        owner shard; a request whose own plan crosses shards still goes
-        through the two-phase coordinator.)"""
+        """Translate a mixed batch of :class:`UpdateRequest` objects and
+        apply their plans, concatenated in request order, atomically.
+        (Sharded: atomic per owner shard; a request whose own plan
+        crosses shards still goes through the two-phase coordinator.)"""
         return self._apply(name, list(requests), op)
 
     def delete_where(self, name: str, query: str) -> UpdatePlan:

@@ -214,7 +214,7 @@ class UpdateRecord:
     """One update as every log holds it.
 
     The journal's intent, the audit log's record and the unit of log
-    shipping are the same thing — a coalesced plan and its cell images,
+    shipping are the same thing — a translated plan and its cell images,
     kept in encoded form and shared by reference between the logs —
     under a log-assigned :attr:`id` (a journal's entry id, an audit
     log's ASN, 0 for a record no log numbered) and a :attr:`state` that
@@ -378,8 +378,9 @@ def _value_chains(
 ) -> Dict[Cell, List[Optional[Tuple[Any, ...]]]]:
     """Every value each imaged cell passes through, in plan order.
 
-    A non-atomic plan that touches the same cell more than once (insert
-    then replace, say) can be interrupted with the cell at an
+    A plan lands what its translation emitted, so it may touch a cell
+    more than once (insert then replace, say — within one request or
+    across a batch's requests); interrupted, it can leave the cell at an
     *intermediate* value matching neither net image. Simulating the
     plan forward from the before-images recovers the full value
     history, so :func:`restore_images` can tell a torn intermediate
@@ -407,9 +408,10 @@ def restore_images(
     already at its target is skipped; a cell is only moved from a value
     the update itself can have left there — one of its two images, or,
     when the journaled ``plan`` is given, an intermediate value of a
-    multi-touch plan (see :func:`_value_chains`; a coalesced plan has
-    none). Any other value was written by someone else after the
-    crash: the cell is reported as a conflict rather than clobbered.
+    plan that touches the cell more than once (see
+    :func:`_value_chains`). Any other value was written by someone else
+    after the crash: the cell is reported as a conflict rather than
+    clobbered. Every restore that can meet a torn plan passes it.
 
     Crash recovery (single-shard and two-phase), a replica's retract
     and a primary's quorum revert all restore through here.

@@ -4,7 +4,7 @@ The paper's translation algorithms all have the same signature: "The
 output is the set of database operations that implement that request."
 This module defines those operations — :class:`Insert`, :class:`Delete`,
 and :class:`Replace` — as immutable records, so a translator can build,
-inspect, count, and optimize a plan before a single row is touched.
+inspect and count a plan before a single row is touched.
 
 :meth:`Engine.apply_batch <repro.relational.engine.Engine.apply_batch>`
 executes a plan inside one transaction; if any operation fails, the
@@ -15,7 +15,7 @@ to be rolled back").
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 __all__ = [
     "DatabaseOperation",
@@ -23,7 +23,6 @@ __all__ = [
     "Delete",
     "Replace",
     "UpdatePlan",
-    "coalesce_plans",
 ]
 
 
@@ -202,117 +201,3 @@ class UpdatePlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UpdatePlan({len(self.operations)} operations)"
-
-
-class _Entry:
-    """Mutable per-key cell used while coalescing (one final operation)."""
-
-    __slots__ = ("operation", "reason")
-
-    def __init__(self, operation: DatabaseOperation, reason: str) -> None:
-        self.operation = operation
-        self.reason = reason
-
-
-def coalesce_plans(
-    plans: Iterable[UpdatePlan],
-    schema_of: Callable[[str], "RelationSchema"],  # noqa: F821 - doc reference
-) -> UpdatePlan:
-    """Merge a sequence of plans into one equivalent, smaller plan.
-
-    Operations touching the same (relation, primary key) are folded into
-    a single net operation, in first-touch order:
-
-    * ``Insert`` then ``Replace`` → one ``Insert`` with the final values;
-    * ``Insert`` then ``Delete``  → nothing (the row never existed);
-    * ``Replace`` then ``Replace`` → one ``Replace`` with the final values;
-    * ``Replace`` then ``Delete``  → ``Delete`` of the original key;
-    * ``Delete`` then ``Insert`` of the same key → one ``Replace``;
-    * an exact duplicate ``Insert`` or ``Delete`` (as arises when
-      independently translated plans share a skeleton tuple) collapses
-      into one occurrence.
-
-    ``schema_of`` supplies each relation's schema (pass
-    ``engine.schema``); it is needed to extract primary keys from insert
-    values. Key-changing replacements re-home their cell, so later
-    operations on the new key keep folding into the same chain.
-    """
-    entries: List[_Entry] = []
-    by_key = {}
-
-    def key_of(relation: str, values: Sequence[Any]) -> Tuple[Any, ...]:
-        return schema_of(relation).key_of(values)
-
-    def current_cell(operation: DatabaseOperation) -> Tuple[str, Tuple[Any, ...]]:
-        # Where the row lives *after* the operation: inserts and
-        # replacements are addressed by the key of their new values (a
-        # key-changing replace re-homes the chain); a deleted row stays
-        # addressable under its old key so a re-insert folds into it.
-        if operation.kind == "delete":
-            return (operation.relation, operation.key)
-        return (operation.relation, key_of(operation.relation, operation.values))
-
-    for plan in plans:
-        for operation, reason in zip(plan.operations, plan.reasons):
-            relation = operation.relation
-            if operation.kind == "insert":
-                cell_key = (relation, key_of(relation, operation.values))
-            else:
-                cell_key = (relation, operation.key)
-            entry: Optional[_Entry] = by_key.get(cell_key)
-            if entry is None:
-                entry = _Entry(operation, reason)
-                entries.append(entry)
-                by_key.pop(cell_key, None)
-                by_key[current_cell(operation)] = entry
-                continue
-            folded = _fold(entry.operation, operation)
-            if folded is entry.operation:
-                continue  # exact duplicate collapsed
-            entry.operation = folded
-            entry.reason = reason or entry.reason
-            del by_key[cell_key]
-            if folded is not None:
-                by_key[current_cell(folded)] = entry
-
-    combined = UpdatePlan()
-    for entry in entries:
-        if entry.operation is not None:
-            combined.add(entry.operation, entry.reason)
-    return combined
-
-
-def _fold(
-    first: DatabaseOperation, second: DatabaseOperation
-) -> Optional[DatabaseOperation]:
-    """Net effect of two same-key operations; None means they cancel."""
-    relation = first.relation
-    if first.kind == "insert":
-        if second.kind == "insert":
-            if first.values == second.values:
-                return first  # duplicate skeleton insert
-            raise ValueError(
-                f"cannot coalesce two inserts with key "
-                f"{second.describe()!r} in {relation!r}"
-            )
-        if second.kind == "replace":
-            return Insert(relation, second.values)
-        return None  # insert then delete: the row never existed
-    if first.kind == "replace":
-        if second.kind == "replace":
-            return Replace(relation, first.key, second.values)
-        if second.kind == "delete":
-            return Delete(relation, first.key)
-        raise ValueError(
-            f"cannot coalesce replace then insert on the same key in "
-            f"{relation!r}"
-        )
-    # first is a delete
-    if second.kind == "insert":
-        return Replace(relation, first.key, second.values)
-    if second.kind == "delete" and first.key == second.key:
-        return first  # duplicate delete
-    raise ValueError(
-        f"cannot coalesce delete then {second.kind} on the same key in "
-        f"{relation!r}"
-    )

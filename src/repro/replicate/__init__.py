@@ -3,7 +3,7 @@
 PR 6 made every shard a full stack — and a single point of failure.
 This package gives each shard a **primary** and N **replica** stacks
 kept in sync by *log shipping*: the primary's committed audit records
-(ASN-ordered coalesced plans, PR 5) are streamed over a
+(ASN-ordered translated plans) are streamed over a
 :class:`~repro.replicate.link.ShippingLink` and applied on the replica
 through the same ``apply_plan`` flush-half entry point the sharded
 write path uses — plans propagate as deltas, never re-translated

@@ -333,7 +333,7 @@ class ReplicaSet:
         """Mark a primary audit record as replicated by another channel.
 
         The cross-shard path ships each participant its sub-plan during
-        the transaction, then audits the *full* coalesced plan on the
+        the transaction, then audits the *full* plan on the
         owner; the shipping cursor must skip that owner record or the
         next local write would ship foreign sub-plans to this shard's
         replicas.

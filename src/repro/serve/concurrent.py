@@ -384,7 +384,7 @@ class ConcurrentPenguin(ViewObjectSession):
     def apply_plan(
         self, name: str, plan: UpdatePlan, op: str = "update", items: int = 1
     ) -> UpdatePlan:
-        """Apply an already-translated coalesced plan, journaled and audited.
+        """Apply an already-translated plan, journaled and audited.
 
         The sharded write path translates on the owning shard via the
         side-effect-free explain pipeline and then lands the plan here,

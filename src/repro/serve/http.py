@@ -12,8 +12,8 @@ stays free to accept and parse connections.
 
 Writes additionally pass through a :class:`MicroBatcher`: concurrent
 requests arriving within one ``batch_window`` for the same view object
-are folded into a single ``apply_plan_batch`` call — one translation,
-one coalesced plan, one journal entry per owner shard — which is where
+are folded into a single ``apply_plan_batch`` call — one translation
+pass, one plan, one journal entry per owner shard — which is where
 the serving layer earns back the per-request overhead under zipfian
 contention on a hot object. A failed batch falls back to applying its
 requests individually so one bad request rejects alone instead of
@@ -146,7 +146,7 @@ class _Deadline:
 
 
 class MicroBatcher:
-    """Fold concurrent writes per view object into one coalesced batch.
+    """Fold concurrent writes per view object into one batch.
 
     Callers :meth:`submit` an :class:`UpdateRequest` and await the
     returned future. The first request for an object opens a window

@@ -19,9 +19,10 @@ partitionable *by pivot key*:
 schema; :class:`HashRouter` and :class:`RangeRouter` map routing keys
 to shard ids deterministically (stable across processes — no reliance
 on Python's randomized ``hash``); :func:`partition_plan` splits a
-coalesced :class:`~repro.relational.operations.UpdatePlan` into
-per-shard sub-plans, turning a pivot-key re-homing replacement into a
-delete on the old owner plus an insert on the new one.
+translated :class:`~repro.relational.operations.UpdatePlan` into
+per-shard sub-plans, in plan order, turning a pivot-key re-homing
+replacement into a delete on the old owner plus an insert on the new
+one.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def partition_plan(
     router: Router,
     num_shards: Optional[int] = None,
 ) -> Dict[int, UpdatePlan]:
-    """Split a coalesced plan into per-shard sub-plans.
+    """Split a plan into per-shard sub-plans, each in plan order.
 
     * operations on replicated relations go to **every** shard (the
       replicas must stay in lockstep — this is what lets island-local

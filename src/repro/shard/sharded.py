@@ -12,8 +12,8 @@ Placement follows the paper's structure (see
 their primary keys and are partitioned by it; referenced lookups are
 replicated to every shard. A view-object update therefore translates
 entirely on the shard that owns its pivot key — translation runs
-side-effect-free there (:meth:`Translator.explain_batch`), the coalesced
-plan is partitioned, and:
+side-effect-free there (:meth:`Translator.explain_batch`), its plan is
+partitioned, and:
 
 * a plan confined to one shard takes the **fast path**: journaled,
   audited, breaker-guarded apply on that shard alone;
@@ -478,7 +478,7 @@ class ShardedPenguin(ViewObjectSession):
         self, name: str, requests: List[UpdateRequest], op: str
     ) -> UpdatePlan:
         """Group by owning shard; each group is translated and applied
-        as one atomic coalesced plan there, groups for different shards
+        as one atomic plan there, groups for different shards
         are independent units."""
         groups: Dict[int, List[UpdateRequest]] = {}
         for request in requests:
@@ -525,19 +525,19 @@ class ShardedPenguin(ViewObjectSession):
                 else self._coordinator.read_locked
             )
             with coordinator(), self._admitted([owner_id], op, name):
-                coalesced, split = self._translate_on(owner, name, op, requests)
+                plan, split = self._translate_on(owner, name, op, requests)
                 if self.failpoint is not None:
                     self.failpoint.tick("translated", shard=owner_id)
                 # Local means *this* owner: a second shard's guard is
                 # only ever taken under the exclusive mode.
                 if set(split) <= {owner_id}:
                     return self._apply_local(
-                        owner, name, op, coalesced, len(requests)
+                        owner, name, op, plan, len(requests)
                     )
                 if exclusive:
                     with self._admitted(split, op, name):
                         return self._apply_cross_shard(
-                            owner, name, op, coalesced, split, len(requests)
+                            owner, name, op, plan, split, len(requests)
                         )
 
     @contextlib.contextmanager
@@ -559,18 +559,18 @@ class ShardedPenguin(ViewObjectSession):
     ) -> Tuple[UpdatePlan, Dict[int, UpdatePlan]]:
         """The write's translate half on the owner shard — side-effect
         free over a buffer, a rejection counted and audited there as a
-        single-engine session would — and the coalesced plan's split by
+        single-engine session would — and the plan's split by
         placement. The caller holds the owner's guard, so nothing lands
         on this engine meanwhile and the shard's lock is not taken:
         readers wait only while the plan lands."""
         try:
-            coalesced = owner.penguin.translator(name).explain_batch(
+            plan = owner.penguin.translator(name).explain_batch(
                 owner.engine, requests, op=op
-            ).coalesced
+            ).plan
         except Exception:
             _count_update("rejected", owner.shard_id)
             raise
-        return coalesced, partition_plan(coalesced, self.placement, self.router)
+        return plan, partition_plan(plan, self.placement, self.router)
 
     def _apply_local(
         self, owner: Shard, name: str, op: str, plan: UpdatePlan, items: int
@@ -585,7 +585,7 @@ class ShardedPenguin(ViewObjectSession):
         owner: Shard,
         name: str,
         op: str,
-        coalesced: UpdatePlan,
+        plan: UpdatePlan,
         split: Dict[int, UpdatePlan],
         items: int,
     ) -> UpdatePlan:
@@ -631,14 +631,14 @@ class ShardedPenguin(ViewObjectSession):
             registry.counter("translation_failures_total", op=op).inc()
             if audit is not None:
                 translator.audit_update(
-                    audit, op, plan=coalesced, items=items, error=exc
+                    audit, op, plan=plan, items=items, error=exc
                 )
             _count_update("aborted", owner.shard_id)
             raise
         # The owner's committed record: count the write as every other
         # commit step does (Translator._commit).
         registry.counter("translations_total", op=op).inc()
-        registry.histogram("plan_ops", op=op).observe(len(coalesced))
+        registry.histogram("plan_ops", op=op).observe(len(plan))
         if audit is not None:
             # The images each participant journaled, in shard order
             # (replicated cells appear once per shard with identical
@@ -647,14 +647,14 @@ class ShardedPenguin(ViewObjectSession):
             for shard_images in images_by_shard.values():
                 images.update(shard_images)
             asn = translator.audit_update(
-                audit, op, plan=coalesced, images=images, items=items
+                audit, op, plan=plan, images=images, items=items
             )
             if self.replication is not None:
                 # The owner's replicas already got their sub-plan above;
                 # the full-plan owner audit record must not ship too.
                 owner.replica_set.skip_externally_shipped(asn)
         _count_update("cross_shard", owner.shard_id)
-        return coalesced
+        return plan
 
     # -- recovery ------------------------------------------------------------
 

@@ -270,10 +270,12 @@ def recover_two_phase(
             if entry.state != PENDING:
                 continue
             shard = participants[shard_id]
-            # A sub-plan is coalesced: each cell holds its before- or
-            # its after-image, anything else is a foreign write.
+            # A sub-plan may touch a cell more than once: a value it
+            # passes through is restorable, anything else is a foreign
+            # write.
             for relation, key in restore_images(
-                shard.engine, entry.images(), to_after=commit
+                shard.engine, entry.images(), to_after=commit,
+                plan=entry.plan(),
             ):
                 report.conflicts.append((txn_id, shard_id, relation, key))
             if commit:

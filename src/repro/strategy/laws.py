@@ -22,7 +22,7 @@ must satisfy (the BIRDS/lens laws, transposed to view objects):
   are sets);
 * **replace-putget** — a non-key replacement is reflected on read-back;
 * **replace-idempotent** — re-translating the already-applied
-  replacement coalesces to the empty plan, siblings reversed or not;
+  replacement emits the empty plan, siblings reversed or not;
 * **key-rehome** — an allowed pivot key change rehomes the instance and
   retargets references, keeping integrity intact.
 
@@ -854,13 +854,13 @@ def _law_replace_idempotent(session: _Session) -> LawResult:
         explanation = session.penguin.explain_update(
             session.name, Replacement(applied, again)
         )
-        if explanation.coalesced_ops != 0:
+        if len(explanation.plan):
             return LawResult(
                 law,
                 FALSIFIED,
                 f"translate∘translate is not idempotent: re-translating the "
                 f"applied replacement still emits "
-                f"{explanation.coalesced_ops} op(s)",
+                f"{len(explanation.plan)} op(s)",
             )
     return LawResult(law, HELD)
 

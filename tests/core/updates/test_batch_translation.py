@@ -9,6 +9,7 @@ from repro.core.updates.operations import (
     Replacement,
 )
 from repro.errors import UpdateError
+from repro.relational.operations import Delete, Insert
 from repro.penguin import Penguin
 from repro.workloads.figures import course_info_object
 from repro.workloads.university import populate_university, university_schema
@@ -27,6 +28,11 @@ def new_course(i, **overrides):
     }
     data.update(overrides)
     return data
+
+
+def bat_row(i):
+    """The COURSES row :func:`new_course` inserts."""
+    return (f"BAT{i:03d}", f"Batch {i}", 3, "graduate", "Computer Science", None)
 
 
 @pytest.fixture
@@ -121,6 +127,8 @@ class TestApplyPlanBatch:
         assert session.get("course_info", ("BAT001",)) is not None
 
     def test_insert_then_delete_same_instance_coalesces_away(self, session):
+        """The batch lands both requests' operations, as emitted: the
+        row is inserted and deleted again, and nothing is left."""
         translator = session.translator("course_info")
         instance = translator._coerce_instance(new_course(7))
         before = session.engine.count("COURSES")
@@ -128,10 +136,12 @@ class TestApplyPlanBatch:
             "course_info",
             [CompleteInsertion(instance), CompleteDeletion(instance)],
         )
-        # the pair annihilates before touching the engine
-        assert plan.count("insert") == 0
-        assert plan.count("delete") == 0
+        assert plan.operations == [
+            Insert("COURSES", bat_row(7)),
+            Delete("COURSES", ("BAT007",)),
+        ]
         assert session.engine.count("COURSES") == before
+        assert session.get("course_info", ("BAT007",)) is None
 
     def test_later_request_sees_earlier_effects(self, session):
         translator = session.translator("course_info")
@@ -144,7 +154,10 @@ class TestApplyPlanBatch:
                 CompleteDeletion(("BAT009",)),
             ],
         )
-        assert plan.count("insert") == 0
+        assert plan.operations == [
+            Insert("COURSES", bat_row(9)),
+            Delete("COURSES", ("BAT009",)),
+        ]
         assert session.get("course_info", ("BAT009",)) is None
 
 

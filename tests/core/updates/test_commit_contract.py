@@ -79,7 +79,7 @@ def run_apply_plan_batch(t, engine):
 def run_apply_plan(t, engine):
     # The sharded write: translate half on the owner, then the commit.
     request = CompleteInsertion(t._coerce_instance(course("CS999")))
-    plan = t.explain_batch(engine, [request], op="insert").coalesced
+    plan = t.explain_batch(engine, [request], op="insert").plan
     t.apply_plan(engine, plan, op="insert")
 
 

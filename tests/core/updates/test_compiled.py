@@ -730,8 +730,7 @@ class _Spy(BufferedEngine):
 
 def overlay_state(overlay):
     return (
-        copy.deepcopy(overlay._overlay),
-        copy.deepcopy(overlay._tombstones),
+        copy.deepcopy(overlay._pending),
         {name: sorted(overlay.scan(name), key=repr) for name in overlay.relation_names()},
     )
 
@@ -754,7 +753,7 @@ class TestFastPaths:
     def test_fast_insert_matches_checked_insert(self, seed):
         """``insert_validated`` skips the duplicate probe and the row
         re-validation ``BufferedEngine.insert`` would repeat: same plan,
-        same reasons, same overlay and tombstones without it."""
+        same reasons, same pending map without it."""
         engine = MemoryEngine()
         _, view_object, _ = random_chain_case(engine, seed)
         translator = Translator(view_object)
@@ -799,7 +798,7 @@ class TestFastPaths:
     def test_fast_delete_matches_checked_delete(self, seed):
         """``delete_validated`` skips the re-read inside ``ctx.delete``
         (the existence probe just returned the row): same plan, reasons,
-        overlay and tombstones — also for rows the overlay itself holds."""
+        pending map — also for rows the overlay itself holds."""
         engine = MemoryEngine()
         _, view_object, _ = random_chain_case(engine, seed)
         translator = Translator(view_object)
@@ -867,7 +866,7 @@ class TestFastPaths:
 
 class TestWhereBatchSemantics:
     """delete_where / update_where ride the apply_plan_batch pipeline:
-    coalesced plan, one journal intent, one audit record, all-or-nothing."""
+    one plan, one journal intent, one audit record, all-or-nothing."""
 
     def build_session(self, journal=None, audit=None, engine=None):
         graph = hospital_schema()

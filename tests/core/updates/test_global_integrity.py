@@ -10,12 +10,17 @@ import pytest
 from repro.errors import UpdateRejectedError
 from repro.core.updates.compiled import CompiledProgram
 from repro.core.updates.context import TranslationContext
+from repro.core.updates.operations import PartialUpdate
 from repro.core.updates.policy import (
     ReferenceRepair,
     RelationPolicy,
     TranslatorPolicy,
 )
+from repro.core.view_object import define_view_object
+from repro.penguin import Penguin
+from repro.relational.operations import Insert, Replace
 from repro.structural.integrity import IntegrityChecker
+from repro.workloads.university import populate_university, university_schema
 
 
 @pytest.fixture
@@ -190,6 +195,106 @@ class TestInsertionMaintenance:
         ctx.replace("COURSES", (course[0],), new_values, reason="seed")
         program(ctx).maintain_after_insertions(ctx)
         assert university_engine.get("DEPARTMENT", ("Phantom Dept",)) is not None
+
+    def test_replacement_skeletons_get_their_dependencies(
+        self, lenient_ctx, university_engine
+    ):
+        """A replaced tuple's new reference inserts a FACULTY skeleton,
+        and the same pass gives that skeleton its general PEOPLE tuple:
+        "the process must be applied recursively"."""
+        course = next(iter(university_engine.scan("COURSES")))
+        new_values = course[:5] + (99999,)
+        lenient_ctx.replace("COURSES", (course[0],), new_values, reason="seed")
+        program(lenient_ctx).maintain_after_insertions(lenient_ctx)
+        assert university_engine.get("FACULTY", (99999,)) is not None
+        assert university_engine.get("PEOPLE", (99999,)) is not None
+
+
+COURSE_ATTRIBUTES = (
+    "course_id", "title", "units", "level", "dept_name", "instructor_id",
+)
+UNKNOWN_INSTRUCTOR = 99999
+
+
+class TestRecursionAfterReplacement:
+    """A COURSES tuple re-pointed at an unknown instructor needs a
+    FACULTY skeleton and, through it, a PEOPLE one — whichever request
+    replaced it: VO-R, VO-CI's CASE 3 or a partial update all commit
+    the same operations for the COURSES tuple."""
+
+    @pytest.fixture
+    def session(self):
+        session = Penguin(university_schema())
+        populate_university(session.engine)
+        session.register_object(
+            define_view_object(
+                session.graph, "course_row", pivot="COURSES",
+                selections={"COURSES": COURSE_ATTRIBUTES},
+            )
+        )
+        session.register_object(
+            define_view_object(
+                session.graph, "curriculum_entry", pivot="CURRICULUM",
+                selections={
+                    "CURRICULUM": ("degree", "course_id", "category"),
+                    "COURSES": COURSE_ATTRIBUTES,
+                },
+            )
+        )
+        for name in ("course_row", "curriculum_entry"):
+            session.set_policy(
+                name, TranslatorPolicy(completer=lenient_completer)
+            )
+        return session
+
+    @staticmethod
+    def repointed(session):
+        """(course row, its dict with the unknown instructor)."""
+        course_id = sorted(v[0] for v in session.engine.scan("COURSES"))[0]
+        row = session.get("course_row", (course_id,))
+        new = dict(row.to_dict(), instructor_id=UNKNOWN_INSTRUCTOR)
+        return row, new
+
+    @staticmethod
+    def expected(new):
+        course = tuple(new[name] for name in COURSE_ATTRIBUTES)
+        return [
+            Replace("COURSES", course[:1], course),
+            Insert("FACULTY", (UNKNOWN_INSTRUCTOR, "?", None)),
+            Insert("PEOPLE", (UNKNOWN_INSTRUCTOR, None, None, None)),
+        ]
+
+    def test_replacement(self, session):
+        row, new = self.repointed(session)
+        plan = session.replace("course_row", row.key, new)
+        assert plan.operations == self.expected(new)
+
+    def test_partial_update(self, session):
+        row, new = self.repointed(session)
+        plan = session.apply_plan_batch(
+            "course_row",
+            [PartialUpdate(row, "COURSES", row.to_dict(), new)],
+            op="partial_update",
+        )
+        assert plan.operations == self.expected(new)
+        assert session.is_consistent()
+
+    def test_case3_insertion(self, session):
+        row, new = self.repointed(session)
+        plan = session.insert(
+            "curriculum_entry",
+            {
+                "degree": "NEWDEG",
+                "course_id": new["course_id"],
+                "category": "required",
+                "COURSES": [new],
+            },
+        )
+        assert plan.operations[0] == Insert(
+            "CURRICULUM", ("NEWDEG", new["course_id"], "required")
+        )
+        assert plan.operations[1:] == self.expected(new)
+        assert session.is_consistent()
 
 
 class TestKeyChangeMaintenance:

@@ -146,8 +146,8 @@ def chain_writes(logged, eager):
             Replacement((REHOMED_ROOT,), repay(rehomed, "again")),
         ]
     )
-    # Inserted, then deleted again in the same batch: only the root's
-    # deletion is left in the coalesced plan.
+    # Inserted, then deleted again in the same batch: the plan inserts
+    # and deletes the fresh root, and its cells image as (None, None).
     logged.batch(
         [
             CompleteInsertion(copy.deepcopy(fresh)),

@@ -128,7 +128,7 @@ class TestExplainReporting:
         assert "island           : COURSES, GRADES" in text
         assert "courses_department" in text
         assert "verify integrity" not in text
-        assert "coalescing" in text
+        assert "coalescing" not in text
 
     def test_to_dict_round_trips_the_facts(self, translator, university_engine):
         explanation = translator.explain_batch(
@@ -154,6 +154,8 @@ class TestExplainReporting:
 
 class TestExplainBatch:
     def test_batch_coalescing_reported(self, translator, university_engine):
+        """A batch reports the plan it would land: its requests' plans
+        concatenated, nothing folded."""
         requests = [
             CompleteInsertion(
                 new_course(university_engine, course_id=f"CS90{i}")
@@ -163,7 +165,14 @@ class TestExplainBatch:
         explanation = translator.explain_batch(university_engine, requests)
         assert explanation.items == 3
         assert explanation.operation == "insert"
-        assert explanation.raw_ops >= explanation.coalesced_ops
+        singles = [
+            translator.explain_batch(university_engine, [request]).plan
+            for request in requests
+        ]
+        assert explanation.plan.operations == [
+            op for plan in singles for op in plan.operations
+        ]
+        assert explanation.raw_ops == len(explanation.plan)
         assert explanation.op_kinds.get("insert", 0) >= 3
 
     def test_later_requests_see_earlier_effects(
@@ -175,10 +184,13 @@ class TestExplainBatch:
             [CompleteInsertion(data), CompleteDeletion(data)],
         )
         assert explanation.operation == "mixed"
-        # The delete translates against the buffered insert: both land
-        # in the raw plan, and coalescing annihilates the pair.
-        assert explanation.raw_ops >= 2
-        assert explanation.coalesced_ops < explanation.raw_ops
+        # The delete translates against the buffered insert: the plan
+        # inserts the course and deletes it again, and the database is
+        # left as it was.
+        kinds = [(op.kind, op.relation) for op in explanation.plan]
+        assert kinds[0] == ("insert", "COURSES")
+        assert ("delete", "COURSES") in kinds
+        assert university_engine.get("COURSES", (data["course_id"],)) is None
 
     def test_empty_batch(self, translator, university_engine):
         explanation = translator.explain_batch(university_engine, [])

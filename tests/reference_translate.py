@@ -1064,16 +1064,22 @@ def _resolve_repair(
 def maintain_after_insertions(ctx: TranslationContext) -> None:
     """Insert missing owners / generals / referenced tuples, recursively.
 
-    Also checks replaced tuples whose referencing attributes changed.
-    Resumable like the deletion pass.
+    Also checks replaced tuples whose referencing attributes changed, and
+    then the skeletons those checks inserted ("the process must be
+    applied recursively"). Resumable like the deletion pass.
     """
+    _drain_insertions(ctx)
+    for relation, old_values, new_values in ctx.replaced:
+        if _reference_attributes_changed(ctx, relation, old_values, new_values):
+            _ensure_dependencies(ctx, relation, new_values)
+    _drain_insertions(ctx)
+
+
+def _drain_insertions(ctx: TranslationContext) -> None:
     while ctx.insertion_cursor < len(ctx.inserted):
         relation, values = ctx.inserted[ctx.insertion_cursor]
         ctx.insertion_cursor += 1
         _ensure_dependencies(ctx, relation, values)
-    for relation, old_values, new_values in ctx.replaced:
-        if _reference_attributes_changed(ctx, relation, old_values, new_values):
-            _ensure_dependencies(ctx, relation, new_values)
 
 
 def _reference_attributes_changed(

@@ -1,4 +1,4 @@
-"""Engine batch primitives, plan coalescing, and cross-backend parity
+"""Engine batch primitives, multi-request plans, and cross-backend parity
 fixes (integrity-error mapping, index naming, datetime narrowing)."""
 
 import datetime
@@ -12,7 +12,6 @@ from repro.relational.operations import (
     Insert,
     Replace,
     UpdatePlan,
-    coalesce_plans,
 )
 from repro.relational.sqlite_engine import SqliteEngine
 from tests.conftest import make_engine
@@ -140,15 +139,6 @@ class TestGetMany:
         assert found == {("x", "y"): ("x", "y", 1)}
 
 
-class FakeSchema:
-    def key_of(self, values):
-        return (values[0],)
-
-
-def schema_of(_name):
-    return FakeSchema()
-
-
 def plan_of(*ops):
     plan = UpdatePlan()
     for op in ops:
@@ -156,106 +146,20 @@ def plan_of(*ops):
     return plan
 
 
-class TestCoalescePlans:
-    def test_insert_then_replace_folds_to_insert(self):
-        merged = coalesce_plans(
-            [plan_of(Insert("R", (1, "a"))), plan_of(Replace("R", (1,), (1, "b")))],
-            schema_of,
-        )
-        assert list(merged) == [Insert("R", (1, "b"))]
-
-    def test_insert_then_delete_annihilates(self):
-        merged = coalesce_plans(
-            [plan_of(Insert("R", (1, "a")), Delete("R", (1,)))], schema_of
-        )
-        assert len(merged) == 0
-
-    def test_replace_then_replace_keeps_last(self):
-        merged = coalesce_plans(
-            [
-                plan_of(
-                    Replace("R", (1,), (1, "a")), Replace("R", (1,), (1, "b"))
-                )
-            ],
-            schema_of,
-        )
-        assert list(merged) == [Replace("R", (1,), (1, "b"))]
-
-    def test_replace_then_delete_deletes_original_key(self):
-        merged = coalesce_plans(
-            [plan_of(Replace("R", (1,), (2, "a"))), plan_of(Delete("R", (2,)))],
-            schema_of,
-        )
-        assert list(merged) == [Delete("R", (1,))]
-
-    def test_delete_then_insert_becomes_replace(self):
-        merged = coalesce_plans(
-            [plan_of(Delete("R", (1,))), plan_of(Insert("R", (1, "z")))],
-            schema_of,
-        )
-        assert list(merged) == [Replace("R", (1,), (1, "z"))]
-
-    def test_duplicate_inserts_collapse(self):
-        merged = coalesce_plans(
-            [plan_of(Insert("R", (1, "a"))), plan_of(Insert("R", (1, "a")))],
-            schema_of,
-        )
-        assert list(merged) == [Insert("R", (1, "a"))]
-
-    def test_conflicting_duplicate_inserts_rejected(self):
-        with pytest.raises(ValueError):
-            coalesce_plans(
-                [plan_of(Insert("R", (1, "a"))), plan_of(Insert("R", (1, "b")))],
-                schema_of,
-            )
-
-    def test_key_changing_chain_follows_current_key(self):
-        merged = coalesce_plans(
-            [
-                plan_of(
-                    Insert("R", (1, "a")),
-                    Replace("R", (1,), (2, "b")),
-                    Replace("R", (2,), (2, "c")),
-                )
-            ],
-            schema_of,
-        )
-        assert list(merged) == [Insert("R", (2, "c"))]
-
-    def test_first_touch_order_preserved(self):
-        merged = coalesce_plans(
-            [plan_of(Insert("A", (1,)), Insert("B", (2,)), Insert("A", (3,)))],
-            schema_of,
-        )
-        assert [op.relation for op in merged] == ["A", "B", "A"]
-
-    def test_cancelled_key_can_be_reinserted(self):
-        merged = coalesce_plans(
-            [
-                plan_of(
-                    Insert("R", (1, "a")),
-                    Delete("R", (1,)),
-                    Insert("R", (1, "b")),
-                )
-            ],
-            schema_of,
-        )
-        assert list(merged) == [Insert("R", (1, "b"))]
-
-
 class TestApplyPlanBatch:
     def test_executes_coalesced(self, engine):
+        """A multi-request plan lands as its requests emitted it: the
+        insert and the replace of one row both run, in order."""
         engine.insert("T", row(0))
-        plans = [
+        combined = UpdatePlan()
+        for plan in (
             plan_of(Insert("T", row(1))),
             plan_of(Replace("T", ("k1",), ("k1", 42, None))),
             plan_of(Delete("T", ("k0",))),
-        ]
-        combined = coalesce_plans(plans, engine.schema)
+        ):
+            combined.extend(plan)
         engine.apply_batch(combined.operations)
-        # insert+replace folded into one insert of the final values
-        assert combined.count("insert") == 1
-        assert combined.count("replace") == 0
+        assert [op.kind for op in combined] == ["insert", "replace", "delete"]
         assert engine.get("T", ("k1",)) == ("k1", 42, None)
         assert engine.get("T", ("k0",)) is None
 

@@ -486,7 +486,7 @@ class TestRestoreImages:
         """A multi-touch plan interrupted between two operations on one
         cell: with the plan the value is the update's own and is moved;
         from the two net images alone it is indistinguishable from a
-        foreign write (a coalesced plan never has such a value)."""
+        foreign write."""
         plan = plan_of(
             [Replace("TAGS", (10,), MID), Replace("TAGS", (10,), NEW)]
         )

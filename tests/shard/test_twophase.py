@@ -7,13 +7,22 @@ all-reverted — zero torn states — and recovery must be idempotent.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 import repro.obs as obs
 from repro.errors import ReproError
 from repro.relational.faults import FaultHook, FaultPlan, SimulatedCrash
-from repro.shard.twophase import TwoPhaseRecoveryReport
+from repro.relational.ddl import relation
+from repro.relational.journal import MemoryJournal, plan_images
+from repro.relational.memory_engine import MemoryEngine
+from repro.relational.operations import Insert, Replace, UpdatePlan
+from repro.shard.twophase import (
+    TwoPhaseRecoveryReport,
+    recover_two_phase,
+    twophase_label,
+)
 from repro.simulate import PRESETS
 from repro.workloads.hospital import hospital_session, new_chart, rehome, restarted
 
@@ -189,6 +198,36 @@ def test_inline_abort_reverts_applied_participants():
     assert ("replace", "rolled_back") in sharded.audit_outcomes()
     # Nothing left for recovery.
     assert sharded.recover().two_phase.resolved == 0
+
+
+@pytest.mark.parametrize(
+    "declared, forward", [(1, True), (2, False)], ids=["forward", "back"]
+)
+def test_recovery_moves_a_cell_left_at_an_intermediate_value(declared, forward):
+    """A sub-plan lands what its translation emitted, so it may insert
+    and then replace one cell; a crash between the two leaves the cell
+    at the intermediate row, which is the transaction's own value, not
+    a foreign write. Every intent journaled (``declared`` 1) rolls
+    forward, a missing sibling's (``declared`` 2) rolls back."""
+    tags = relation("TAGS").integer("tag_id").text("name").key("tag_id").build()
+    shard = SimpleNamespace(engine=MemoryEngine(), journal=MemoryJournal())
+    shard.engine.create_relation(tags)
+    plan = UpdatePlan()
+    plan.add(Insert("TAGS", (30, "first")))
+    plan.add(Replace("TAGS", (30,), (30, "second")))
+    shard.journal.begin(
+        plan, plan_images(shard.engine, plan),
+        label=twophase_label("t1", declared, 0),
+    )
+    plan.operations[0].apply(shard.engine)  # crash before the replace
+
+    report = recover_two_phase({0: shard})
+    assert report.conflicts == []
+    assert (report.rolled_forward, report.rolled_back) == (
+        (["t1"], []) if forward else ([], ["t1"])
+    )
+    expected = (30, "second") if forward else None
+    assert shard.engine.get("TAGS", (30,)) == expected
 
 
 def test_restart_with_clean_journals_is_a_noop():
