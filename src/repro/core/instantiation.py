@@ -32,13 +32,14 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.instance import ComponentTuple, Instance
 from repro.core.view_object import ViewObjectDefinition
+from repro.errors import ViewObjectError
 from repro.relational.engine import Engine
 from repro.relational.expressions import Expression, TRUE
 from repro.relational.schema import tuple_getter
 from repro.structural.connections import Traversal
 from repro.structural.schema_graph import StructuralSchema
 
-__all__ = ["Instantiator", "compile_path", "follow_path"]
+__all__ = ["Instantiator", "compile_path", "follow_path", "object_key"]
 
 Values = Tuple[Any, ...]
 Getter = Callable[[Sequence[Any]], Values]
@@ -99,6 +100,18 @@ def follow_path(
     if len(steps) > 1:
         frontier.sort(key=steps[-1][3])
     return frontier
+
+
+def object_key(name: str, key: Sequence[Any]) -> Values:
+    """``key`` as an object key of view object ``name``: a tuple of
+    attribute values. A ``str`` or ``bytes`` is refused rather than split
+    into characters — ``"M100"`` is not the key ``("M100",)``."""
+    if isinstance(key, (str, bytes)):
+        raise ViewObjectError(
+            f"view object {name!r}: an object key is a sequence of "
+            f"attribute values, not {key!r}; pass ({key!r},)"
+        )
+    return tuple(key)
 
 
 class Instantiator:

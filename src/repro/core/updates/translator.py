@@ -31,6 +31,7 @@ from repro.errors import (
 )
 from repro.core.dependency_island import analyze_island
 from repro.core.instance import Instance, build_instance
+from repro.core.instantiation import object_key
 from repro.core.updates.bulk import BufferedEngine
 from repro.core.updates.compiled import CompiledProgram
 from repro.core.updates.context import TranslationContext
@@ -209,9 +210,12 @@ class Translator:
     # to the overlay half (apply_plan_batch, explain_batch), a plan
     # translated elsewhere straight to the commit (apply_plan)
 
-    def apply(self, engine: Engine, request: UpdateRequest) -> UpdatePlan:
+    def apply(self, engine: Engine, request: UpdateRequest, instantiator=None) -> UpdatePlan:
         """The eager half: translate one :class:`UpdateRequest` on the
-        live engine inside one transaction, then :meth:`_commit` it."""
+        live engine inside one transaction, then :meth:`_commit` it.
+
+        A key anchor is read through ``instantiator``: the session's
+        :class:`~repro.materialize.store.MaterializedView`, if any."""
         op = _request_entry(request)[0]
         ctx = TranslationContext(
             self.view_object, engine, self.policy, self.analysis
@@ -226,7 +230,7 @@ class Translator:
             engine.begin()
             try:
                 self._check_authorized()
-                self._translate(ctx, request)
+                self._translate(ctx, request, instantiator)
                 self._verify(engine, ctx.plan.operations)
             except BaseException as exc:
                 # An Exception rejects the update: roll back, nothing is
@@ -458,12 +462,17 @@ class Translator:
             raise
         return plan, mutations
 
-    def _translate(self, ctx: TranslationContext, request: UpdateRequest) -> None:
+    def _translate(
+        self, ctx: TranslationContext, request: UpdateRequest, instantiator=None
+    ) -> None:
         """Translate one request against an in-flight context; its anchor
         is resolved against ``ctx.engine``, so inside a batch the effects
         of earlier requests are visible."""
+        anchor = request.anchor
+        if not isinstance(anchor, (Instance, Mapping)):
+            anchor = self.instantiate(ctx.engine, anchor, instantiator)
         _request_entry(request)[1](
-            self, ctx, self._resolve_instance(ctx.engine, request.anchor), request
+            self, ctx, self._coerce_instance(anchor), request
         )
 
     # -- helpers -----------------------------------------------------------------
@@ -490,21 +499,18 @@ class Translator:
                 + "; ".join(v.message for v in violations[:5])
             )
 
-    def _resolve_instance(
-        self, engine: Engine, instance: Union[InstanceLike, Sequence[Any]]
-    ) -> Instance:
-        if isinstance(instance, (Instance, Mapping)):
-            return self._coerce_instance(instance)
-        return self.instantiate(engine, instance)
-
-    def instantiate(self, engine: Engine, key: Sequence[Any]) -> Instance:
-        """Fetch the current instance with object key ``key``."""
+    def instantiate(self, engine: Engine, key: Sequence[Any], instantiator=None) -> Instance:
+        """Fetch the current instance with object key ``key`` (through
+        ``instantiator``, the object's own by default)."""
         if key is None:
             raise UpdateError(
                 f"view object {self.view_object.name!r}: an instance or an "
                 f"object key is required"
             )
-        instance = self._instantiator.by_key(engine, key)
+        key = object_key(self.view_object.name, key)
+        if instantiator is None:
+            instantiator = self._instantiator
+        instance = instantiator.by_key(engine, key)
         if instance is None:
             raise UpdateError(
                 f"view object {self.view_object.name!r}: no instance with "

@@ -7,6 +7,10 @@ changelog hands it every committed transaction's records, and a
 next read. While the engine is inside a transaction a read assembles
 from the engine and leaves the cache alone, so a session reads its own
 uncommitted writes and a rollback never reaches the cache.
+A single translated write reads its key anchor through
+:meth:`MaterializedView.by_key`, which answers from the cache only while
+the cache is exactly the committed state, and never syncs, fills or
+counts.
 Membership of the extent is never cached: queries always select pivot
 tuples from the live engine (one indexed relation access) and only the
 expensive part — assembling the tree of component tuples underneath each
@@ -158,6 +162,29 @@ class MaterializedView:
 
     def all(self) -> List[Instance]:
         return self.where(self.engine, TRUE)
+
+    # -- the write path's reader ------------------------------------------------
+
+    def by_key(self, engine: Engine, key: Sequence[Any]) -> Optional[Instance]:
+        """Drop-in for ``Instantiator.by_key`` where a single write reads
+        its anchor (``Translator.apply``, inside its own transaction).
+
+        The cached instance answers when it is exactly what ``engine``
+        would assemble: nothing is pending, the one open transaction is
+        the writer's own, and nothing has been written in it yet. Any
+        other case — an uncached key included — assembles from
+        ``engine``. Either way nothing is synced, cached or counted, so
+        the stats, the metrics and :meth:`staleness` describe reads only.
+        """
+        log = self.changelog
+        with self._lock:
+            exact = not self._pending and log.depth == 1 and not log.records
+            if exact and engine is self.engine:
+                pivot_key = engine._coerce_key(self.view_object.pivot_relation, key)
+                cached = self._instances.get(pivot_key)
+                if cached is not None:
+                    return cached
+        return self.instantiator.by_key(engine, key)
 
     # -- stale reads (degraded-mode serving) -----------------------------------
 

@@ -26,6 +26,7 @@ import repro.obs as obs
 from repro.errors import ViewObjectError
 from repro.core.information_metric import InformationMetric
 from repro.core.instance import Instance, build_instance
+from repro.core.instantiation import object_key
 from repro.core.query import execute_query
 from repro.core.updates.operations import (
     CompleteDeletion,
@@ -424,6 +425,7 @@ class Penguin(ViewObjectSession):
 
     def get(self, name: str, key: Sequence[Any]) -> Optional[Instance]:
         """One instance by object key, or None."""
+        key = object_key(name, key)
         view = self._materialized.view(name)
         with obs.tracer().span(
             "penguin.get", object=name, materialized=view is not None
@@ -451,8 +453,12 @@ class Penguin(ViewObjectSession):
     ) -> UpdatePlan:
         # One request translates eagerly on the live engine: a batch of
         # one would validate and apply every tuple twice (DESIGN.md
-        # "Write path"). The translator reads the label off the request.
-        return self.translator(name).apply(self.engine, request)
+        # "Write path"). The translator reads the label off the request,
+        # and a key anchor's instance off the object's materialized view
+        # while that holds the committed state (MaterializedView.by_key).
+        return self.translator(name).apply(
+            self.engine, request, instantiator=self._materialized.view(name)
+        )
 
     def explain_update(self, name: str, request) -> TranslationExplanation:
         """The would-be plan of one update request, without executing it.

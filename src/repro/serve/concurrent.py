@@ -31,6 +31,7 @@ from typing import (
 
 import repro.obs as obs
 from repro.core.instance import Instance
+from repro.core.instantiation import object_key
 from repro.errors import DegradedServiceError, TransactionError
 from repro.core.updates.operations import UpdateRequest
 from repro.obs.audit import DEGRADED_REJECTED
@@ -321,6 +322,7 @@ class ConcurrentPenguin(ViewObjectSession):
 
     def get_served(self, name: str, key: Sequence[Any]) -> ServedRead:
         """Like :meth:`get`, with the serving metadata attached."""
+        key = object_key(name, key)
         return self._read_traced(
             name,
             lambda: self.penguin.get(name, key),

@@ -45,6 +45,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import repro.obs as obs
 from repro.core.instance import Instance
+from repro.core.instantiation import object_key
 from repro.core.updates.operations import UpdateRequest
 from repro.materialize.maintainer import LAZY
 from repro.obs.audit import AuditLog, MemoryAuditLog
@@ -327,7 +328,7 @@ class ShardedPenguin(ViewObjectSession):
     def owner_of(self, name: str, key: Sequence[Any]) -> int:
         """The shard owning the instance with object key ``key``."""
         self.object(name)  # validates the object exists
-        return self.router.shard_of(tuple(key))
+        return self.router.shard_of(object_key(name, key))
 
     def describe(self) -> str:
         return f"{self.router.describe()} over {self.placement.describe()}"

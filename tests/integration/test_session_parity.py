@@ -30,6 +30,12 @@ A partial request (Section 5's node-local operations on a resident
 chart's ``VISIT``) is a row too: every session carries it through
 ``apply_plan_batch``, routed by its anchor like any other request.
 
+A bare ``str`` object key is a row too: ``"100"`` was split into
+``("1", "0", "0")`` and reported missing; every session now refuses it
+with the same ``ViewObjectError``, audited like a missing key. The
+``materialized`` session is a ``Penguin`` whose charts are all cached and
+synced, so its single writes read their key anchors from the cache.
+
 An empty batch is a row as well — ``insert_many`` / ``delete_many`` /
 ``apply_plan_batch`` of nothing, or a query-driven verb whose select
 matches nothing: the empty set of operations is no update, so no session
@@ -58,7 +64,7 @@ from repro.core.updates.operations import (
     Replacement,
 )
 from repro.core.updates.policy import TranslatorPolicy
-from repro.errors import QueryError, ReproError
+from repro.errors import QueryError, ReproError, ViewObjectError
 from repro.obs.audit import MemoryAuditLog
 from repro.penguin import Penguin
 from repro.relational.journal import MemoryJournal
@@ -167,6 +173,7 @@ def sharded(num_shards, replicas=0, miss_threshold=3):
 
 SESSIONS = {
     "penguin": single,
+    "materialized": single,
     "concurrent": lambda backend: ConcurrentPenguin(single(backend)),
     "sharded-1": sharded(1),
     "sharded-4": sharded(4),
@@ -184,6 +191,11 @@ def prepared(kind, backend, policy, sessions=None, **kwargs):
     )
     if policy is not None:
         session.set_policy(OBJECT, policy())
+    if kind == "materialized":
+        # Every chart cached and synced: a single write's key anchor is
+        # read from the cache (MaterializedView.by_key).
+        session.materialize(OBJECT)
+        session.query(OBJECT)
     return session
 
 
@@ -238,6 +250,7 @@ def replicas_of(session):
 # combination that does not exist (an insert has no key to miss, ...).
 
 ACCEPTED, DUPLICATE, MISSING = "accepted", "duplicate-key", "missing-key"
+BARE_STRING = "bare-string-key"
 CROSS_SHARD = "accepted-across-shards"
 POLICY, UNAUTHORIZED = "rejected-by-policy", "unauthorized-user"
 
@@ -249,6 +262,7 @@ VERBS = {
     "delete": {
         ACCEPTED: (True, lambda s: s.delete(OBJECT, (HOME[0],))),
         MISSING: (True, lambda s: s.delete(OBJECT, (ABSENT,))),
+        BARE_STRING: (True, lambda s: s.delete(OBJECT, str(HOME[0]))),
     },
     "replace": {
         ACCEPTED: (True, lambda s: s.replace(
@@ -259,6 +273,9 @@ VERBS = {
         )),
         MISSING: (True, lambda s: s.replace(
             OBJECT, (ABSENT,), fresh_chart(ABSENT)
+        )),
+        BARE_STRING: (True, lambda s: s.replace(
+            OBJECT, str(SAME[0]), renamed(tagged(SAME[0], "Same"))
         )),
         CROSS_SHARD: (True, lambda s: s.replace(
             OBJECT, (SAME[0],), rehome(tagged(SAME[0], "Same"), ELSEWHERE)
@@ -424,13 +441,18 @@ def test_every_session_does_what_a_single_penguin_does(
     one_shard, call = VERBS[verb][scenario]
     reference = Observed("penguin", backend, scenario, call)
     assert (reference.error is None) == (scenario in SUCCEEDS)
+    if scenario == BARE_STRING:
+        assert reference.error[0] is ViewObjectError
+        assert reference.audit == [(verb, "rolled_back", 1)]
     for kind in SESSIONS:
         seen = Observed(kind, backend, scenario, call)
         assert seen.error == reference.error, kind
         assert seen.rows == reference.rows, kind
         assert seen.operations == reference.operations, kind
         assert seen.failures == reference.failures, kind
-        one_engine = kind in ("penguin", "concurrent", "sharded-1")
+        one_engine = kind in (
+            "penguin", "materialized", "concurrent", "sharded-1"
+        )
         two_phase = scenario == CROSS_SHARD and not one_engine
         exact = one_shard or one_engine
         commits = [record for record in seen.audit if record[1] == "committed"]
@@ -456,7 +478,7 @@ def test_every_session_does_what_a_single_penguin_does(
         # commit the owner's two — it is admitted again, as it is
         # translated again — plus the other participant's.
         assert seen.explains == 0, kind
-        if kind == "penguin":
+        if kind in ("penguin", "materialized"):
             admitted = 0
         elif two_phase:
             admitted = 3
@@ -519,6 +541,23 @@ def test_an_ordering_no_engine_may_answer_is_refused_on_any_session(
             assert seen.rows == untouched.rows, (text, kind)
             assert seen.audit == [] and seen.replica_commits == 0, kind
             assert seen.translations == seen.failures == seen.plan_ops == 0, kind
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_a_bare_string_key_is_refused_by_every_get(backend):
+    """``"100"`` is neither ``(100,)`` nor ``("1", "0", "0")``: every
+    session's ``get`` refuses it, as every write refuses it (the
+    ``bare-string-key`` rows above, audited like a missing key)."""
+    for kind in SESSIONS:
+        session = prepared(kind, backend, None)
+        try:
+            assert session.get(OBJECT, (HOME[0],)) is not None, kind
+            for key in (str(HOME[0]), str(HOME[0]).encode()):
+                with pytest.raises(ViewObjectError, match="pass \\("):
+                    session.get(OBJECT, key)
+        finally:
+            if isinstance(session, ShardedPenguin):
+                session.close()
 
 
 def test_rejection_counted_and_audited_on_the_owner_shard():
