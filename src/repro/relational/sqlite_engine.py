@@ -15,6 +15,18 @@ Like the in-memory engine, this backend records applied mutations
 its savepoint marks. sqlite itself performs undo via savepoints, so a
 rollback only drops the transaction's records; the outermost commit
 hands them to the log's subscribers once sqlite has released it.
+
+A run of reads is one sqlite read transaction. Outside a write, the
+first SELECT issues ``BEGIN`` and the SELECTs after it share that
+transaction, so a file-backed database takes its SHARED lock and checks
+its change counter once per run instead of once per statement. Every
+other statement — DML, DDL, the ``SAVEPOINT`` that :meth:`begin` issues,
+``PRAGMA`` — and :meth:`close` go through :meth:`SqliteEngine._execute`,
+which commits the read transaction first, under the engine lock, so no
+write ever runs inside one and a write is durable when it returns. The
+read transaction holds SHARED only (other connections still read) and is
+never a transaction to the layers above: ``in_transaction`` and the
+change log's depth count savepoints alone.
 """
 
 from __future__ import annotations
@@ -153,6 +165,11 @@ class SqliteEngine(Engine):
         # would otherwise reject every call from a worker thread.
         self._connection = sqlite3.connect(path, check_same_thread=False)
         self._connection.isolation_level = None  # explicit transactions
+        # Serializes batched mutations (see MemoryEngine._lock), and makes
+        # "end the read transaction, run the statement" and "check for a
+        # transaction, open the read one" each atomic across threads.
+        self._lock = threading.RLock()
+        self._reading = False  # the open transaction is a run of reads
         # sqlite's LIKE is case-insensitive by default; the in-memory
         # engine's pattern matching is case-sensitive (SQL standard), so
         # align sqlite with it for cross-backend parity.
@@ -165,32 +182,57 @@ class SqliteEngine(Engine):
         # re-deriving the SQL — and the conversions — from the schema.
         self._sql_cache: Dict[str, _RelationSql] = {}
         self._log = ChangeLog()
-        # Serializes batched mutations; see MemoryEngine._lock.
-        self._lock = threading.RLock()
 
     # -- statement execution -------------------------------------------------
 
-    def _execute(self, sql: str, params: Sequence[Any] = ()):
-        """Run one statement, mapping busy/locked into the transient
-        error class so :class:`~repro.relational.retry.RetryPolicy` (and
-        the serving layer's circuit breaker) can classify it."""
-        try:
-            return self._connection.execute(sql, params)
-        except sqlite3.OperationalError as exc:
-            raise self._map_operational_error(exc) from exc
+    def _execute(
+        self, sql: str, params: Sequence[Any] = (), many: bool = False
+    ):
+        """Run one statement that is not a read (``many``: through
+        ``executemany``), committing the read transaction first; both
+        under the engine lock, so no thread can open a read between
+        them."""
+        with self._lock:
+            self._end_read()
+            connection = self._connection
+            run = connection.executemany if many else connection.execute
+            return self._run(run, sql, params)
 
-    def _executemany(self, sql: str, rows: Sequence[Sequence[Any]]):
-        try:
-            return self._connection.executemany(sql, rows)
-        except sqlite3.OperationalError as exc:
-            raise self._map_operational_error(exc) from exc
+    def _end_read(self) -> None:
+        """Commit the read transaction, if one is open (the caller holds
+        the engine lock)."""
+        if self._reading:
+            # sqlite may have ended it already (it rolls back on an I/O
+            # error); COMMIT with no transaction would fail every write.
+            if self._connection.in_transaction:
+                self._run(self._connection.execute, "COMMIT", ())
+            self._reading = False
+
+    def _read(self, sql: str, params: Sequence[Any] = ()):
+        """Run one SELECT. With no transaction open it first issues
+        ``BEGIN``, which the reads after it share until the next
+        statement that is not a read; inside a write's savepoint it opens
+        nothing."""
+        if not self._connection.in_transaction:
+            with self._lock:
+                if not self._connection.in_transaction:
+                    self._run(self._connection.execute, "BEGIN", ())
+                    self._reading = True
+        return self._run(self._connection.execute, sql, params)
 
     @staticmethod
-    def _map_operational_error(exc: sqlite3.OperationalError) -> Exception:
-        message = str(exc).lower()
-        if "locked" in message or "busy" in message:
-            return TransientEngineError(str(exc))
-        return exc
+    def _run(run, sql: str, params):
+        """Call ``run(sql, params)``, mapping busy/locked into the
+        transient error class so :class:`~repro.relational.retry.RetryPolicy`
+        (and the serving layer's circuit breaker) can classify it. Any
+        other sqlite error propagates as it was raised."""
+        try:
+            return run(sql, params)
+        except sqlite3.OperationalError as exc:
+            message = str(exc).lower()
+            if "locked" in message or "busy" in message:
+                raise TransientEngineError(str(exc)) from exc
+            raise
 
     # -- catalog -----------------------------------------------------------------
 
@@ -308,7 +350,7 @@ class SqliteEngine(Engine):
             # rolls the savepoint back and re-runs the whole batch.
             self.begin()
             try:
-                self._executemany(sql.insert, encoded)
+                self._execute(sql.insert, encoded, many=True)
             except sqlite3.IntegrityError as exc:
                 self.rollback()
                 raise self._map_integrity_error(
@@ -420,12 +462,12 @@ class SqliteEngine(Engine):
 
     def get(self, name: str, key: Sequence[Any]) -> Optional[Tuple[Any, ...]]:
         sql = self._sql(self._schema_for(name))
-        rows = sql.decode(self._execute(sql.get, sql.encode_key(key)))
+        rows = sql.decode(self._read(sql.get, sql.encode_key(key)))
         return rows[0] if rows else None
 
     def scan(self, name: str) -> Iterator[Tuple[Any, ...]]:
         sql = self._sql(self._schema_for(name))  # unknown names raise here
-        cursor = self._execute(f"SELECT * FROM {_quote(name)}")
+        cursor = self._read(f"SELECT * FROM {_quote(name)}")
         return iter(sql.decode(cursor))
 
     def find_by(
@@ -445,7 +487,7 @@ class SqliteEngine(Engine):
             )
         statement, dates, booleans = found
         params = entry if nulls is None else [v for v in entry if v is not None]
-        cursor = self._execute(statement, _to_sqlite(params, dates, booleans))
+        cursor = self._read(statement, _to_sqlite(params, dates, booleans))
         return sql.decode(cursor)
 
     @staticmethod
@@ -484,14 +526,14 @@ class SqliteEngine(Engine):
             else p
             for p in params
         ]
-        cursor = self._execute(
+        cursor = self._read(
             f"SELECT * FROM {_quote(name)} WHERE {fragment}", encoded_params
         )
         return sql.decode(cursor)
 
     def count(self, name: str) -> int:
         self._schema_for(name)
-        cursor = self._execute(f"SELECT COUNT(*) FROM {_quote(name)}")
+        cursor = self._read(f"SELECT COUNT(*) FROM {_quote(name)}")
         return cursor.fetchone()[0]
 
     # -- indexes ----------------------------------------------------------------------
@@ -548,7 +590,9 @@ class SqliteEngine(Engine):
         return dict(self._log.counters)
 
     def close(self) -> None:
-        self._connection.close()
+        with self._lock:
+            self._end_read()
+            self._connection.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SqliteEngine({len(self._schemas)} relations)"

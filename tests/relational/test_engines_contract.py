@@ -1,8 +1,9 @@
 """Engine contract: every engine implementation must behave identically.
 
-Every test here runs against five engines — the in-memory engine, the
-sqlite backend (statements built lazily, and eagerly through
-``prepare_relation``), the ``BufferedEngine`` overlay, and a no-fault
+Every test here runs against six engines — the in-memory engine, the
+sqlite backend (statements built lazily, eagerly through
+``prepare_relation``, and on a database file rather than ``:memory:``),
+the ``BufferedEngine`` overlay, and a no-fault
 ``FaultInjectingEngine`` wrapper — pinning down the behaviour the
 upper layers rely on.  The overlay engine deliberately refuses DDL and
 rollback (it defers both to its base); those tests skip it with the
@@ -28,6 +29,7 @@ from repro.relational.ddl import relation
 from repro.relational.expressions import Attr
 from repro.relational.faults import FaultInjectingEngine, FaultPlan
 from repro.relational.memory_engine import MemoryEngine
+from repro.relational.sqlite_engine import SqliteEngine
 from repro.structural.schema_graph import StructuralSchema
 from tests.conftest import make_engine
 
@@ -43,10 +45,20 @@ CONTRACT_SCHEMA = (
 
 
 @pytest.fixture(
-    params=["memory", "sqlite", "sqlite-prepared", "buffered", "fault"]
+    params=[
+        "memory", "sqlite", "sqlite-prepared", "sqlite-file", "buffered",
+        "fault",
+    ]
 )
 def engine(request):
     kind = request.param
+    if kind == "sqlite-file":
+        # The only place sqlite takes file locks: a fresh database file.
+        path = request.getfixturevalue("tmp_path") / "contract.sqlite"
+        engine = SqliteEngine(str(path))
+        request.addfinalizer(engine.close)
+        engine.create_relation(CONTRACT_SCHEMA)
+        return engine
     if kind in ("memory", "sqlite", "sqlite-prepared"):
         engine = make_engine(kind.split("-")[0])
         engine.create_relation(CONTRACT_SCHEMA)
