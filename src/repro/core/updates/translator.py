@@ -56,6 +56,7 @@ from repro.obs.audit import COMMITTED as AUDIT_COMMITTED
 from repro.obs.audit import CRASHED as AUDIT_CRASHED
 from repro.obs.audit import ROLLED_BACK as AUDIT_ROLLED_BACK
 from repro.obs.explain import TranslationExplanation
+from repro.obs.history import snapshot, state_digest
 from repro.relational.engine import Engine, _normalize_row_dates
 from repro.relational.journal import (
     Images,
@@ -94,13 +95,13 @@ class Translator:
         default is fully permissive.
     journal:
         An optional :class:`~repro.relational.journal.PlanJournal`.
-        When set, every top-level translated plan is journaled as a
+        When set, every translated plan is journaled as a
         write-ahead intent (PENDING before application, COMMITTED
         after), so a crash mid-apply can be resolved by
         :func:`repro.relational.journal.recover`.
     audit:
         An optional :class:`~repro.obs.audit.AuditLog`. When set, every
-        top-level view-level update is recorded with its plan,
+        view-level update is recorded with its plan,
         before/after images, dependency island, policy answers, and
         outcome (committed / rolled back / crashed) — the provenance
         trail behind :class:`~repro.obs.lineage.LineageIndex` and
@@ -220,8 +221,8 @@ class Translator:
         ctx = TranslationContext(
             self.view_object, engine, self.policy, self.analysis
         )
-        journal = _top_level(engine, self.journal)
-        audit = _top_level(engine, self.audit)
+        journal, audit = self.journal, self.audit
+        _vouch(audit, engine)
         tracer = obs.tracer()
         registry = obs.metrics()
         with tracer.span(
@@ -295,8 +296,7 @@ class Translator:
             items=len(requests),
         ) as root:
             plan, mutations = self._overlay(engine, requests, op, write=True)
-            journal = _top_level(engine, self.journal)
-            audit = _top_level(engine, self.audit)
+            journal, audit = self.journal, self.audit
             root.set(ops=len(plan), journaled=journal is not None)
             images = None
             if journal is not None or audit is not None:
@@ -341,8 +341,8 @@ class Translator:
             shipped, plan = plan, plan.plan()
         else:
             self._check_authorized()
-        journal = _top_level(engine, self.journal)
-        audit = _top_level(engine, self.audit)
+        journal, audit = self.journal, self.audit
+        _vouch(audit, engine)
         with obs.tracer().span(
             "apply_plan", object=self.view_object.name, op=op, ops=len(plan)
         ):
@@ -437,6 +437,8 @@ class Translator:
         """
         tracer = obs.tracer()
         plan, mutations = UpdatePlan(), []
+        if write:
+            _vouch(self.audit, engine)
         try:
             self._check_authorized()
             buffered = BufferedEngine(engine)
@@ -454,10 +456,9 @@ class Translator:
                 obs.metrics().counter(
                     "translation_failures_total", op=op
                 ).inc()
-                audit = _top_level(engine, self.audit)
-                if audit is not None:
+                if self.audit is not None:
                     self.audit_update(
-                        audit, op, items=len(requests), error=exc
+                        self.audit, op, items=len(requests), error=exc
                     )
             raise
         return plan, mutations
@@ -688,19 +689,16 @@ _REQUESTS: Dict[type, Any] = {
 }
 
 
-def _top_level(engine: Engine, log):
-    """``log`` (the journal or the audit log) if this update is top-level,
-    else None.
-
-    Only *top-level* updates are journaled and audited: inside an
-    enclosing transaction (a user-opened :meth:`Penguin.transaction`
-    block) the outer scope owns atomicity — it could roll an inner
-    entry's effects back after it was marked COMMITTED — and the
-    view-level operation.
-    """
-    if log is None or getattr(engine, "in_transaction", False):
-        return None
-    return log
+def _vouch(audit: Optional[AuditLog], engine: Engine) -> None:
+    """Before an audit log's first record, the digest of the live state
+    it starts from (:func:`~repro.obs.history.state_digest`), which
+    ``replay`` holds ``as_of(0)`` to. Every write door calls this before
+    it changes anything, so the live state is the state before the
+    update; an overlay's live state is its base's."""
+    if audit is not None and not len(audit):
+        while isinstance(engine, BufferedEngine):
+            engine = engine.base
+        audit.vouch(state_digest(snapshot(engine)))
 
 
 def _images(engine: Engine, mutations: Iterable) -> Images:

@@ -89,8 +89,22 @@ class AuditLog:
         self._asns: List[int] = []  # _records[i].id, for bisection
         self._lock = threading.Lock()
         self.version = 0
+        #: The digest of the state before the first record
+        #: (:func:`~repro.obs.history.state_digest`), or None.
+        self.seed: Optional[str] = None
 
     # -- writing ------------------------------------------------------------
+
+    def vouch(self, digest: str) -> None:
+        """Record the digest of the state the log starts from; only an
+        empty log takes one, and the last one before the first record
+        stands. ``replay`` holds ``as_of(0)`` to it."""
+        with self._lock:
+            if self._records:
+                raise AuditError("only an empty audit log takes a seed digest")
+            if digest != self.seed:
+                self.seed = digest
+                self._append_payload({"event": "seed", "digest": digest})
 
     def append(
         self,
@@ -339,7 +353,7 @@ class FileAuditLog(AuditLog):
     """Durable audit log: append-only JSON lines, fsync'd per append.
 
     Reopening the same path reloads every record and folds the
-    resolution markers. The file is a
+    resolution markers and the seed digest. The file is a
     :class:`~repro.relational.journal.JsonLinesFile`, the one under
     :class:`~repro.relational.journal.FileJournal`: a torn final line —
     the process died mid-append — is truncated away, any other damaged
@@ -375,6 +389,8 @@ class FileAuditLog(AuditLog):
             self._settle(
                 payload["asn"], payload["outcome"], payload.get("error")
             )
+        elif event == "seed":
+            self.seed = payload["digest"]
         else:
             raise AuditError(f"unknown audit event {event!r}")
 

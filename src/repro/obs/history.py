@@ -21,13 +21,14 @@ correctness oracle:
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import AuditError
 from repro.obs.audit import COMMITTED, AuditLog
 from repro.relational.engine import Engine
 
-__all__ = ["as_of", "divergence", "replay", "ReplayReport"]
+__all__ = ["as_of", "divergence", "replay", "ReplayReport", "state_digest"]
 
 RelationState = Dict[Tuple[Any, ...], Tuple[Any, ...]]
 DatabaseState = Dict[str, RelationState]
@@ -43,6 +44,18 @@ def snapshot(engine: Engine) -> DatabaseState:
             for row in engine.scan(name)
         }
     return state
+
+
+def state_digest(state: DatabaseState) -> str:
+    """One hash of a database state: its non-empty relations by name,
+    each one's rows in key order, so two states have equal digests
+    exactly when they hold the same rows."""
+    canonical = [
+        (name, sorted(rows.items(), key=repr))
+        for name, rows in sorted(state.items())
+        if rows
+    ]
+    return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()
 
 
 def divergence(
@@ -120,11 +133,14 @@ class ReplayReport:
         self.skipped: List[Tuple[int, str]] = []  # (asn, outcome) excluded
         self.mismatches: List[Tuple[str, Tuple[Any, ...], Any, Any]] = []
         self.relations = 0
+        # as_of(0) is not the state the log vouched for at its first record
+        self.unvouched = False
 
     @property
     def ok(self) -> bool:
-        """True when the replayed state is byte-identical to the live one."""
-        return not self.mismatches
+        """True when the replay started from the state the log vouched
+        for and ended byte-identical to the live one."""
+        return not self.mismatches and not self.unvouched
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -136,6 +152,7 @@ class ReplayReport:
                 for rel, key, expected, got in self.mismatches
             ],
             "relations": self.relations,
+            **({"unvouched": True} if self.unvouched else {}),
         }
 
     def summary(self) -> str:
@@ -145,6 +162,11 @@ class ReplayReport:
             f"relations : {self.relations} compared",
             f"verdict   : {'byte-identical' if self.ok else 'MISMATCH'}",
         ]
+        if self.unvouched:
+            lines.append(
+                "  as_of(0) is not the state the log vouched for: a write "
+                "bypassed the audit trail"
+            )
         for rel, key, expected, got in self.mismatches[:10]:
             lines.append(
                 f"  {rel}{key!r}: live={expected!r} replayed={got!r}"
@@ -175,7 +197,11 @@ def replay(
 
     Seeding reconstructs *without* head verification: when a write has
     bypassed the trail, replay must still run so the divergence surfaces
-    as mismatches in the report instead of an exception mid-seed.
+    in the report instead of an exception mid-seed. ``as_of(0)`` is the
+    live head run backwards, so a bypassing write on a cell no record
+    touches is already in it; the digest the log took of the live state
+    before its first record (:attr:`~repro.obs.audit.AuditLog.seed`)
+    catches that one — a log with no digest is not checked.
     """
     if fresh_engine is None:
         from repro.relational.memory_engine import MemoryEngine
@@ -184,6 +210,8 @@ def replay(
     report = ReplayReport()
 
     initial = as_of(log, engine, 0, verify=False)
+    if log.seed is not None:
+        report.unvouched = state_digest(initial) != log.seed
     for name in engine.relation_names():
         if name not in fresh_engine.relation_names():
             fresh_engine.create_relation(engine.schema(name))

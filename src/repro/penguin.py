@@ -20,14 +20,16 @@ True
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import repro.obs as obs
-from repro.errors import ViewObjectError
+from repro.errors import TransactionError, ViewObjectError
 from repro.core.information_metric import InformationMetric
 from repro.core.instance import Instance, build_instance
 from repro.core.instantiation import object_key
 from repro.core.query import execute_query
+from repro.core.updates.bulk import BufferedEngine
 from repro.core.updates.operations import (
     CompleteDeletion,
     CompleteInsertion,
@@ -245,6 +247,7 @@ class Penguin(ViewObjectSession):
         self._checker = IntegrityChecker(graph)
         self._materialized = MaterializedStore(engine)
         self._lineage: Optional[LineageIndex] = None
+        self._block: Optional[_Block] = None
         if install:
             graph.install(engine)
         if journal is not None:
@@ -407,7 +410,7 @@ class Penguin(ViewObjectSession):
         (brought up to date first); others assemble dynamically.
         """
         view_object = self.object(name)
-        view = self._materialized.view(name)
+        engine, view = self._reading(name)
         with obs.tracer().span(
             "penguin.query", object=name, materialized=view is not None
         ) as span:
@@ -415,10 +418,10 @@ class Penguin(ViewObjectSession):
                 if view is not None:
                     results = view.all()
                 else:
-                    results = view_object.instantiator.all(self.engine)
+                    results = view_object.instantiator.all(engine)
             else:
                 results = execute_query(
-                    view_object, self.engine, text, instantiator=view
+                    view_object, engine, text, instantiator=view
                 )
             span.set(results=len(results))
         return results
@@ -426,31 +429,51 @@ class Penguin(ViewObjectSession):
     def get(self, name: str, key: Sequence[Any]) -> Optional[Instance]:
         """One instance by object key, or None."""
         key = object_key(name, key)
-        view = self._materialized.view(name)
+        engine, view = self._reading(name)
         with obs.tracer().span(
             "penguin.get", object=name, materialized=view is not None
         ) as span:
             if view is not None:
                 instance = view.get(key)
             else:
-                instance = self.object(name).instantiator.by_key(
-                    self.engine, key
-                )
+                instance = self.object(name).instantiator.by_key(engine, key)
             span.set(found=instance is not None)
         return instance
+
+    def _reading(self, name: Optional[str] = None) -> Tuple[Engine, Optional[MaterializedView]]:
+        """Where every session read goes: inside a transaction, the block's
+        overlay and no cache; else the engine, through ``name``'s cache."""
+        if self._block is not None:
+            return self._block.overlay, None
+        return self.engine, self._materialized.view(name)
 
     # -- updates (the verbs are ViewObjectSession's) ----------------------------
 
     def _apply(
         self, name: str, requests: List[UpdateRequest], op: str
     ) -> UpdatePlan:
-        return self.translator(name).apply_plan_batch(
-            self.engine, requests, op=op
-        )
+        block = self._block
+        if block is None:
+            return self.translator(name).apply_plan_batch(
+                self.engine, requests, op=op
+            )
+        # In a transaction: the sharded translate half, landed on the overlay.
+        if block.name not in (None, name):
+            raise ViewObjectError(f"this transaction writes {block.name!r}, not {name!r}")
+        if not requests:
+            return UpdatePlan()
+        plan = self.translator(name).explain_batch(block.overlay, requests, op=op).plan
+        block.overlay.apply_batch(plan.operations)
+        block.name = name
+        block.plan.extend(plan)
+        block.items += len(requests)
+        return plan
 
     def _apply_one(
         self, name: str, request: UpdateRequest, op: str
     ) -> UpdatePlan:
+        if self._block is not None:
+            return self._apply(name, [request], op)
         # One request translates eagerly on the live engine: a batch of
         # one would validate and apply every tuple twice (DESIGN.md
         # "Write path"). The translator reads the label off the request,
@@ -466,19 +489,36 @@ class Penguin(ViewObjectSession):
         See :meth:`Translator.explain_batch` — the update counterpart of
         the query planner's ``explain_query``.
         """
-        return self.translator(name).explain_batch(self.engine, [request])
+        return self.translator(name).explain_batch(self._reading()[0], [request])
 
     # -- transactions ----------------------------------------------------------------
 
-    def transaction(self):
-        """Group several facade operations into one atomic unit.
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Several writes on one view object as one update (DESIGN.md "A
+        transaction is a batch"): later verbs and every read in the block
+        see earlier writes; a clean exit lands them as one journaled,
+        audited update, and an exception lands nothing.
 
         >>> # with penguin.transaction():
         >>> #     penguin.delete("course_info", ("CS101",))
         >>> #     penguin.insert("course_info", {...})
-        On any exception, everything inside rolls back.
         """
-        return self.engine.transaction()
+        if self._block is not None:
+            yield
+            return
+        block = self._block = _Block(self.engine)
+        try:
+            yield
+        finally:
+            self._block = None
+        if not len(block.plan):
+            return
+        if _counters(self.engine) != block.counters:
+            raise TransactionError("the engine changed inside the transaction; nothing landed")
+        self.translator(block.name).apply_plan(
+            self.engine, block.plan, op="transaction", items=block.items
+        )
 
     # -- catalog persistence -------------------------------------------------------
 
@@ -581,10 +621,26 @@ class Penguin(ViewObjectSession):
     # -- integrity ---------------------------------------------------------------------
 
     def check_integrity(self) -> List[Violation]:
-        return self._checker.check(self.engine)
+        return self._checker.check(self._reading()[0])
 
     def is_consistent(self) -> bool:
-        return self._checker.is_consistent(self.engine)
+        return self._checker.is_consistent(self._reading()[0])
+
+
+class _Block:
+    """An open :meth:`Penguin.transaction`: the overlay its verbs
+    translate over, the one object they write, their plan so far."""
+
+    def __init__(self, engine: Engine) -> None:
+        self.overlay = BufferedEngine(engine)
+        self.name: Optional[str] = None
+        self.plan, self.items = UpdatePlan(), 0
+        self.counters = _counters(engine)
+
+
+def _counters(engine: Engine) -> Dict[str, int]:
+    """Equal at two moments only if nothing was written in between."""
+    return dict(getattr(engine.changelog, "counters", {}))
 
 
 def _coerce_answers(answers: AnswersLike) -> AnswerSource:

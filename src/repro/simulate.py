@@ -47,6 +47,7 @@ from repro.core.instance import Instance
 from repro.errors import DegradedServiceError
 from repro.obs.audit import MemoryAuditLog
 from repro.obs.history import divergence
+from repro.penguin import Penguin
 from repro.relational.faults import (
     FaultHook, FaultInjectingEngine, FaultRule, SecondOperation,
     SimulatedCrash, TransientEngineError,
@@ -171,7 +172,7 @@ class Violation(Exception):
     """A step broke the rule, or an invariant did not hold after it."""
 
 
-class _Undo(Exception):  # rolls the model's look-ahead transaction back
+class _Undo(Exception):  # discards the model's look-ahead transaction
     pass
 
 
@@ -197,7 +198,9 @@ def state(session) -> Dict[str, List[Tuple[Any, ...]]]:
     names = session.graph.relation_names
     if isinstance(session, ShardedPenguin):
         return {name: session.all_rows(name) for name in names}
-    engine = getattr(session.engine, "base", session.engine)
+    # Inside a transaction, its overlay; never through a fault injector.
+    engine = session._reading()[0] if isinstance(session, Penguin) else session.engine
+    engine = engine.base if isinstance(engine, FaultInjectingEngine) else engine
     return {name: sorted(engine.scan(name), key=repr) for name in names}
 
 
@@ -476,7 +479,8 @@ class Simulation:
 
     def _foresee(self, ops: Sequence[Op]) -> Tuple[List[Tuple[Optional[type], Any]], frozenset]:
         """[(error class, state) after each of ``ops`` in turn on the model],
-        and their keys' instances at the end — then rolled back."""
+        and their keys' instances at the end — read in one transaction
+        block on the model, which ``_Undo`` discards: nothing lands."""
         seen = []
         try:
             with self.model.transaction():

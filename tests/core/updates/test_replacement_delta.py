@@ -630,10 +630,11 @@ LOGGED_WRITES = {
 }
 
 
-@pytest.mark.parametrize("write", LOGGED_WRITES)
-def test_journaling_adds_no_engine_reads(write):
-    """A journal and an audit log take a write's images from what the
-    translation recorded: the write reads exactly what it reads unlogged."""
+def logged_write_reads(write, audited_before):
+    """``write``'s engine reads unlogged and logged (journal and audit
+    log), over the charts of PATIENT and PATIENT + 1 — inserted through
+    the logged translator when ``audited_before``, so its audit log
+    already holds records when ``write`` runs."""
     reads = {}
     for logged in (False, True):
         graph = hospital_schema()
@@ -645,13 +646,37 @@ def test_journaling_adds_no_engine_reads(write):
             if logged else {}
         )
         translator = Translator(patient_chart_object(graph), **logs)
-        seeder = Translator(patient_chart_object(graph))
+        seeder = translator if audited_before else Translator(
+            patient_chart_object(graph)
+        )
         for pid in (PATIENT, PATIENT + 1):
             seeder.apply(engine, CompleteInsertion(deep_chart(pid)))
         engine.reads.clear()
         LOGGED_WRITES[write](translator, engine)
         reads[logged] = engine.reads
         if logged:
-            (entry,) = translator.journal.entries()
-            assert entry.image_records
+            assert translator.journal.entries()[-1].image_records
+    return reads, engine.relation_names()
+
+
+@pytest.mark.parametrize("write", LOGGED_WRITES)
+def test_journaling_adds_no_engine_reads(write):
+    """A journal and an audit log take a write's images from what the
+    translation recorded: once the audit log holds a record, a write
+    reads exactly what it reads unlogged."""
+    reads, _ = logged_write_reads(write, audited_before=True)
     assert reads[True] == reads[False]
+
+
+@pytest.mark.parametrize("write", LOGGED_WRITES)
+def test_an_empty_audit_log_reads_its_seed_once(write):
+    """The first write an audit log records first reads the whole base
+    once — one scan per relation, the digest ``replay`` holds
+    ``as_of(0)`` to — before it changes anything; every other read is
+    the unlogged write's."""
+    reads, relations = logged_write_reads(write, audited_before=False)
+    seed = [("scan", name) for name in relations]
+    at = reads[True].index(seed[0])
+    assert reads[True][at:at + len(seed)] == seed
+    assert reads[True][:at] + reads[True][at + len(seed):] == reads[False]
+    assert not any(read[0] == "scan" for read in reads[False])

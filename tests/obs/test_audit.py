@@ -16,6 +16,7 @@ from repro.obs.audit import (
     MemoryAuditLog,
     ShippingCursor,
 )
+from repro.obs.history import snapshot, state_digest
 from repro.penguin import Penguin
 from repro.relational.journal import (
     MemoryJournal,
@@ -250,6 +251,28 @@ class TestFileAuditLog:
         assert second.items == 3
         # Appends continue from the reloaded ASN watermark.
         assert reopened.append("insert", "course_info", COMMITTED) == 3
+        reopened.close()
+
+    def test_the_seed_digest_survives_a_reopen(self, tmp_path):
+        """The first audited write vouches for the state before it; a
+        raw write after it makes a reopened log's replay fail too."""
+        path = tmp_path / "audit.jsonl"
+        session = audited_session(FileAuditLog(path))
+        before = state_digest(snapshot(session.engine))
+        session.insert("course_info", new_course())
+        assert session.audit.seed == before
+        session.audit.close()
+
+        reopened = FileAuditLog(path)
+        assert reopened.seed == before
+        with pytest.raises(AuditError, match="empty"):
+            reopened.vouch(before)
+        session.audit = reopened
+        assert session.replay_audit().ok
+        session.engine.delete(
+            "DEPARTMENT", next(session.engine.scan("DEPARTMENT"))[:1]
+        )
+        assert session.replay_audit().unvouched
         reopened.close()
 
     def test_torn_tail_is_truncated_on_open(self, tmp_path):

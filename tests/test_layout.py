@@ -150,7 +150,52 @@ def test_the_translator_takes_requests_through_four_doors():
 
 
 def test_the_overlay_half_is_built_in_one_place():
+    """The translator's overlay half, and the one a transaction block's
+    verbs translate over (``penguin._Block``)."""
     assert source("core/updates/translator.py").count("BufferedEngine(") == 1
+    assert source("penguin.py").count("BufferedEngine(") == 1
+
+
+def reads_of_in_transaction(tree):
+    """``(statement, enclosing function or None)`` per read of
+    ``in_transaction`` (an attribute or a ``getattr`` name) in ``tree``."""
+    def walk(node, function, statement):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node
+        if isinstance(node, ast.stmt):
+            statement = node
+        read = (
+            isinstance(node, ast.Attribute) and node.attr == "in_transaction"
+        ) or (
+            isinstance(node, ast.Constant) and node.value == "in_transaction"
+        )
+        if read:
+            yield statement, function
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function, statement)
+
+    yield from walk(tree, None, None)
+
+
+def test_nothing_decides_from_in_transaction_whether_to_journal_or_audit():
+    """Every update a verb makes is journaled and audited, whatever
+    transaction the engine has open: a read of ``in_transaction`` either
+    discards a transaction a crash left open (``while ...: rollback()``)
+    or sits in code that names no journal and no audit log."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for statement, function in reads_of_in_transaction(tree):
+            if isinstance(statement, ast.While) and "rollback()" in ast.unparse(
+                statement.body[0]
+            ):
+                continue
+            text = ast.unparse(function or tree).lower()
+            if "journal" in text or "audit" in text:
+                offenders.append(
+                    f"{path.relative_to(SRC)}:{statement.lineno}"
+                )
+    assert offenders == []
 
 
 def test_no_private_reach_into_the_translator_or_the_session():
