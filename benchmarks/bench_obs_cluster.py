@@ -66,9 +66,7 @@ def cluster_session():
         num_shards=2,
         engines=[engine(), engine()],
         install=True,
-        replication=ReplicationConfig(
-            replicas=2, apply_inline=True, engine_factory=engine
-        ),
+        replication=ReplicationConfig(replicas=2, engine_factory=engine),
     )
     populate_hospital(sharded_loader(sharded), HospitalConfig(patients=4))
     sharded.register_object(patient_chart_object(graph))
@@ -170,7 +168,7 @@ def test_cluster_plane_overhead_under_five_percent():
             "enabled_overhead": overhead,
             "ceiling": OVERHEAD_CEILING,
             "topology": (
-                "2 shards x 2 replicas, inline apply, "
+                "2 shards x 2 replicas, apply on receipt, "
                 "file-backed sqlite on every stack"
             ),
         },

@@ -340,7 +340,7 @@ TRACE_LEGS = (
     ("2pc.prepare",),               # participant intent legs
     ("2pc.apply",),                 # participant apply legs
     ("replicate.ship",),            # primary -> replica log shipping
-    ("replica.apply",),             # replica applier-thread fragments
+    ("replica.apply",),             # replica applies, inside each ship
 )
 
 
@@ -389,8 +389,9 @@ def _trace_follow(args: argparse.Namespace) -> int:
                 f"(re-homed patient {source} -> {target} across shards, "
                 f"X-Request-Id {headers.get('X-Request-Id')})"
             )
-            # Replica applies land on their applier threads after the
-            # ack; poll the assembler until both fragments arrive.
+            # The executor's fragment, which holds the ships and the
+            # replica applies, may close just after the response is
+            # written; poll the assembler until both applies arrive.
             assembler = TraceAssembler(hub.tracer)
             deadline = time.perf_counter() + 10.0
             while time.perf_counter() < deadline:

@@ -12,8 +12,8 @@ module reads across what :mod:`repro.obs.context` correlates:
   write latency, availability) with multi-window burn rates computed
   from counter/histogram deltas, surfaced on ``/health``;
 * :class:`TraceAssembler` — stitches the tracer's ring-buffer root
-  spans (HTTP task, micro-batch executor thread, 2PC coordinator,
-  replica applier threads) into one causal timeline per trace id;
+  spans (HTTP task, micro-batch executor thread, 2PC coordinator with
+  its ships and replica applies) into one causal timeline per trace id;
 * :class:`FlightRecorder` — an always-on bounded recorder that dumps
   spans + metrics + audit tails to a timestamped JSONL bundle when
   :func:`repro.obs.anomaly` fires (failover, breaker open, quorum

@@ -1,10 +1,11 @@
 """Trace-context propagation across threads, tasks, and shipping.
 
-A distributed write crosses four execution domains: the asyncio event
+A distributed write crosses three execution domains: the asyncio event
 loop that parsed the HTTP request, the executor thread folding a
-micro-batch, the coordinator thread driving a cross-shard two-phase
-commit, and (later, asynchronously) each replica's applier thread. A
-:class:`TraceContext` is the correlation token that survives all of
+micro-batch, and the coordinator thread driving a cross-shard two-phase
+commit (each replica applies inside the ship that delivered it, on
+that thread; a record applied later, by catch-up or a stale read, is
+re-joined from the trace id it carries). A :class:`TraceContext` is the correlation token that survives all of
 those hops: an immutable ``(trace_id, span_id, baggage)`` triple
 carried in a :mod:`contextvars` variable inside one domain and carried
 *explicitly* (as a plain string on every

@@ -17,10 +17,12 @@ prefix of the primary's stream, the most-caught-up replica holds the
 union of everything replicated, and — with a quorum of at least one —
 promotion after a primary kill can never lose a client-acked write.
 Acknowledgement is *durable receipt* (the record lands in the replica's
-inbox), not apply; an applier thread drains the inbox off the critical
-path, and promotion drains it synchronously ("replay the journal
-tail"). Epoch numbers fence the old primary: a zombie's late ships
-carry a stale epoch and are rejected.
+inbox), not apply; the replica then applies it on the thread that
+delivered it, an apply failure leaves it inboxed for the next receive,
+catch-up, promotion or stale read, and promotion drains the inbox
+before serving ("replay the journal tail"). Epoch numbers fence the
+old primary: a zombie's late ships carry a stale epoch and are
+rejected.
 
 :class:`~repro.replicate.replicaset.ReplicaSet` coordinates one
 shard's stacks; :class:`~repro.shard.sharded.ShardedPenguin` grows a

@@ -14,13 +14,16 @@ encoded payloads verbatim.
 The receive/apply split is the heart of the replication overhead
 story. **Receive** is durable receipt — an epoch check, a position
 check, and an inbox append of already-encoded payloads — and is what
-the primary's quorum counts; it costs the write path almost nothing.
-**Apply** happens off the critical path on an applier thread (or
-inline, for deterministic tests), and promotion drains the inbox
-synchronously, so an acked-but-unapplied record can never be lost by a
+the primary's quorum counts. **Apply** follows on the same thread,
+right after the append: the record is a plan already translated on the
+primary, so applying it is bookkeeping, and a thread of its own would
+buy an interpreter-lock convoy, not parallelism. An apply failure never
+fails the ship: the record stays inboxed and the next receive,
+catch-up, promotion or stale read retries it; promotion drains the
+inbox first, so an acked-but-unapplied record can never be lost by a
 failover. Each applied record is verified against its shipped
 after-images byte for byte; a mismatch marks the stack divergent and
-excludes it from promotion.
+excludes it from quorum and promotion.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ class ReplicaStack:
         graph: Optional[StructuralSchema] = None,
         serving: Optional[ConcurrentPenguin] = None,
         metric=None,
-        apply_inline: bool = False,
         engine_factory=None,
     ) -> None:
         if serving is None:
@@ -96,17 +98,15 @@ class ReplicaStack:
         self.fenced = False
         self.divergent = False
         self.apply_error: Optional[BaseException] = None
-        self.apply_inline = apply_inline
         self.fenced_ships = 0
         self._inbox: List[UpdateRecord] = []
         self._applied = 0
         self._lock = threading.RLock()
-        # Serializes appliers with retract; held *around* each apply so
-        # _lock (the ack path) is never taken for the apply's duration.
+        # Serializes drains with each other and with retract: a stale
+        # read drains from a reader thread, outside the set's writer
+        # mutex. Held *around* each apply so _lock (the ack path) is
+        # never taken for the apply's duration.
         self._apply_mutex = threading.RLock()
-        self._wake = threading.Event()
-        self._closing = False
-        self._thread: Optional[threading.Thread] = None
 
     # -- stack accessors -----------------------------------------------------
 
@@ -148,7 +148,8 @@ class ReplicaStack:
     # -- the shipping target -------------------------------------------------
 
     def receive(self, epoch: int, position: int, record: UpdateRecord) -> None:
-        """Durably accept one stream record (this is the primary's ack).
+        """Durably accept one stream record (this is the primary's ack),
+        then :meth:`drain` the inbox on the calling thread.
 
         Enforces the two protocol invariants:
 
@@ -180,42 +181,41 @@ class ReplicaStack:
                     f"{position}, expected {expected}"
                 )
             self._inbox.append(record)
-        if self.apply_inline:
-            self.drain()
-        else:
-            self._ensure_applier()
-            self._wake.set()
+        self.drain()
 
     # -- applying ------------------------------------------------------------
 
     def drain(self) -> int:
         """Apply every inboxed record in order; returns how many.
 
-        Called by the applier thread, by promotion ("replay the journal
-        tail"), and before a replica serves a stale read. A record is
-        only popped *after* its apply commits, so an apply failure
-        leaves it queued for retry.
+        Called by :meth:`receive` right after the append, by catch-up,
+        by promotion ("replay the journal tail"), and before a replica
+        serves a stale read. An apply failure is kept in
+        :attr:`apply_error`, never raised: a record is only popped
+        *after* its apply commits, so it stays queued for the next
+        caller to retry, and a divergent stack applies nothing more.
 
-        The apply itself runs outside ``_lock``: the primary's ack path
-        (:meth:`receive`) and its lag bookkeeping take that lock, and
-        holding it across an apply would turn deferred apply into a
-        convoy where every ship waits for the previous record's apply.
-        ``_apply_mutex`` keeps appliers and :meth:`retract` serialized.
+        The apply itself runs outside ``_lock``, which the primary's lag
+        bookkeeping reads; ``_apply_mutex`` keeps drains and
+        :meth:`retract` serialized.
         """
         applied = 0
         with self._apply_mutex:
-            while True:
+            while not self.divergent:
                 with self._lock:
                     if not self._inbox:
                         break
                     record = self._inbox[0]
-                self._apply(record)
+                try:
+                    self._apply(record)
+                except Exception as exc:
+                    self.apply_error = exc
+                    break
                 with self._lock:
                     self._inbox.pop(0)
                     self._applied += 1
-                applied += 1
-            if applied:
                 self.apply_error = None
+                applied += 1
         return applied
 
     def _apply(self, record: UpdateRecord) -> None:
@@ -227,10 +227,11 @@ class ReplicaStack:
         a plan it just decoded; the facade keeps the breaker and the
         write lock — stale reads never observe a half-applied record.
         """
-        # Re-attach the originating request's trace context: the applier
-        # thread has no ambient context of its own, and the journal
-        # intent + audit record written below stamp the ambient trace
-        # id, so the replica's trail cross-links back to the request.
+        # Re-attach the originating request's trace context: a drain
+        # from catch-up or a stale read has no ambient context of its
+        # own, and the journal intent + audit record written below stamp
+        # the ambient trace id, so the replica's trail cross-links back
+        # to the request.
         ctx = (
             TraceContext(record.trace_id)
             if record.trace_id is not None
@@ -264,8 +265,8 @@ class ReplicaStack:
     def retract(self, position: int, record: UpdateRecord) -> None:
         """Undo the newest stream record (primary quorum failure path).
 
-        If the record is still inboxed it is simply dropped; if the
-        applier already committed it, its cells are forced back to
+        If the record is still inboxed it is simply dropped; if a drain
+        already committed it, its cells are forced back to
         their before-images and its audit record is resolved to
         ``rolled_back`` — the replica's trail then matches the
         primary's own revert.
@@ -295,42 +296,6 @@ class ReplicaStack:
                     error="replication quorum not reached on the primary",
                 )
             self._applied -= 1
-
-    # -- the applier thread --------------------------------------------------
-
-    def _ensure_applier(self) -> None:
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._thread = threading.Thread(
-            target=self._applier_loop,
-            name=f"replica-applier-{self.shard_id}-{self.name}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def _applier_loop(self) -> None:
-        while True:
-            self._wake.wait()
-            self._wake.clear()
-            if self._closing:
-                return
-            try:
-                self.drain()
-            except ReplicationError as exc:
-                # Divergence is terminal for this stack; anything else
-                # stays inboxed and is retried on the next wake (or by
-                # the synchronous drain at promotion time).
-                self.apply_error = exc
-                if self.divergent:
-                    return
-            except Exception as exc:
-                self.apply_error = exc
-
-    def close(self) -> None:
-        self._closing = True
-        self._wake.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

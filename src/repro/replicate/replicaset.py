@@ -58,6 +58,10 @@ __all__ = ["ReplicaSet", "ReplicationConfig"]
 class ReplicationConfig:
     """How a :class:`~repro.shard.sharded.ShardedPenguin` replicates.
 
+    Every replica applies a shipped record on the thread that delivered
+    it, right after the durable receipt the quorum counts; there is no
+    applier thread to configure.
+
     Parameters
     ----------
     replicas:
@@ -70,10 +74,6 @@ class ReplicationConfig:
         Consecutive missed probes/attempts before the failure detector
         declares the primary down and failover runs. Count-based, like
         the circuit breaker, so simulated runs are deterministic.
-    apply_inline:
-        Apply shipped records synchronously inside receive instead of
-        on the applier thread — deterministic tests only; production
-        keeps apply off the ack path.
     engine_factory:
         Zero-argument callable producing the relational engine each
         fresh replica stack stores into (e.g. ``SqliteEngine``). A
@@ -86,7 +86,6 @@ class ReplicationConfig:
         replicas: int = 1,
         quorum: Optional[int] = None,
         miss_threshold: int = 3,
-        apply_inline: bool = False,
         engine_factory: Optional[Callable[[], Any]] = None,
     ) -> None:
         if replicas < 1:
@@ -102,7 +101,6 @@ class ReplicationConfig:
         self.replicas = replicas
         self.quorum = quorum
         self.miss_threshold = miss_threshold
-        self.apply_inline = apply_inline
         self.engine_factory = engine_factory
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -176,7 +174,6 @@ class ReplicaSet:
                 f"r{index + 1}",
                 graph=graph,
                 metric=metric,
-                apply_inline=self.config.apply_inline,
                 engine_factory=self.config.engine_factory,
             )
             self._replicas.append(replica)
@@ -511,6 +508,8 @@ class ReplicaSet:
                 )
             chosen = candidates[0]
             chosen.drain()  # replay the journal tail before serving
+            if chosen.received_count > chosen.applied_count:
+                raise chosen.apply_error
             self._checkpoint("post_drain")
             self.epoch += 1
             chosen.epoch = self.epoch
@@ -626,11 +625,6 @@ class ReplicaSet:
                 for replica in self._replicas
             ],
         }
-
-    def close(self) -> None:
-        for replica in self._replicas:
-            replica.close()
-        self.primary.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

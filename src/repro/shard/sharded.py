@@ -698,10 +698,8 @@ class ShardedPenguin(ViewObjectSession):
         return out
 
     def close(self) -> None:
-        """Stop replica applier threads (no-op without replication)."""
-        if self.replication is not None:
-            for shard in self.shards:
-                shard.replica_set.close()
+        """Releases nothing: replicas apply on receipt, so a sharded
+        deployment holds no thread of its own."""
 
     def audit_outcomes(self) -> List[Tuple[str, str]]:
         """Every shard's audited (op, outcome) pairs, sorted.

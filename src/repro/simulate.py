@@ -317,7 +317,7 @@ class Simulation:
                 session.query(OBJECT)  # warm the cache stale reads come from
         else:
             if self.kind == "replicated":
-                replication = ReplicationConfig(replicas=2, apply_inline=True)
+                replication = ReplicationConfig(replicas=2)
             session = hospital_session(4, shards=2, replication=replication)
             session.failpoint = self.hook
         self.deployment = session

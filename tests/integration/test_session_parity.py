@@ -156,8 +156,7 @@ def sharded(num_shards, replicas=0, miss_threshold=3):
         replication = None
         if replicas:
             replication = ReplicationConfig(
-                replicas=replicas, apply_inline=True,
-                miss_threshold=miss_threshold,
+                replicas=replicas, miss_threshold=miss_threshold
             )
         session = ShardedPenguin(
             graph, "PATIENT", num_shards=num_shards, backend=backend,

@@ -9,10 +9,14 @@ from repro.errors import (
     FencedWriteError,
     PrimaryDownError,
     ReplicationError,
+    ReplicaDivergenceError,
     ReplicationQuorumError,
+    TransientEngineError,
 )
 from repro.obs.history import divergence
-from repro.relational.faults import FaultHook, FaultPlan
+from repro.relational.faults import FaultHook, FaultInjectingEngine, FaultPlan
+from repro.relational.memory_engine import MemoryEngine
+from repro.relational.sqlite_engine import SqliteEngine
 from repro.replicate import ReplicationConfig, ShippingLink
 from repro.shard import ShardedPenguin, sharded_loader
 from repro.workloads.hospital import (
@@ -47,18 +51,19 @@ def fresh_chart(pid, name="Replicated Patient"):
     }
 
 
-def build(replicas=2, quorum=1, miss_threshold=3, apply_inline=True,
-          shards=2, patients=6):
+def build(replicas=2, quorum=1, miss_threshold=3, shards=2, patients=6,
+          backend="memory", engine_factory=None):
     graph = hospital_schema()
     sharded = ShardedPenguin(
         graph,
         "PATIENT",
         num_shards=shards,
+        backend=backend,
         replication=ReplicationConfig(
             replicas=replicas,
             quorum=quorum,
             miss_threshold=miss_threshold,
-            apply_inline=apply_inline,
+            engine_factory=engine_factory,
         ),
     )
     populate_hospital(sharded_loader(sharded), HospitalConfig(patients=patients))
@@ -111,12 +116,11 @@ class TestShipping:
                 assert divergence(shard.engine, replica.engine) == []
         sharded.close()
 
-    def test_background_applier_converges(self):
-        sharded = build(apply_inline=False)
+    def test_replicas_have_applied_when_the_write_returns(self):
+        sharded = build()
         for i in range(4):
             sharded.insert(OBJECT, fresh_chart(90_100 + i))
         for shard in sharded.shards:
-            shard.replica_set.catch_up()
             for replica in shard.replica_set.replicas:
                 assert divergence(shard.engine, replica.engine) == []
                 assert shard.replica_set.lag(replica) == 0
@@ -291,25 +295,65 @@ class TestFailover:
             sharded.close()
 
     def test_promotion_drains_the_inbox_first(self):
-        sharded = build(apply_inline=False)
+        """An apply that fails leaves its record inboxed and the ship
+        acked; promotion applies it before the stack serves."""
+        sharded = build(
+            engine_factory=lambda: FaultInjectingEngine(MemoryEngine())
+        )
         replica_set = sharded.shard(0).replica_set
+        chosen = replica_set.replicas[0]  # promoted: ties go by name
         charts = [
             chart_on_shard(sharded, 0, f"inbox {i}", 93_000 + i * 10)
             for i in range(3)
         ]
-        for chart in charts:
+        for chart in charts[:-1]:
             sharded.insert(OBJECT, chart)
+        chosen.engine.hook.plan = FaultPlan().transient_burst(1)
+        sharded.insert(OBJECT, charts[-1])  # acked on receipt
+        assert isinstance(chosen.apply_error, TransientEngineError)
+        assert chosen.received_count == chosen.applied_count + 1
+        assert replica_set.link(chosen.name).cursor == replica_set.stream_length
         replica_set.primary.kill()
+        # Heartbeats, not reads: a stale read would drain the inbox itself.
         for _ in range(replica_set.config.miss_threshold):
-            try:
-                sharded.get(OBJECT, (charts[0]["patient_id"],))
-            except DegradedServiceError:
-                continue
+            replica_set.probe()
         assert replica_set.failovers == 1
+        assert replica_set.primary is chosen
+        assert chosen.apply_error is None
+        assert chosen.received_count == chosen.applied_count
         # Everything acked pre-kill is applied on the promoted stack.
         for chart in charts:
             instance = sharded.get(OBJECT, (chart["patient_id"],))
             assert instance.to_dict()["name"] == chart["name"]
+        sharded.close()
+
+    def test_a_stack_whose_drain_fails_is_not_promoted_yet(self):
+        """Promotion re-raises the chosen stack's apply error rather than
+        promote it with an acked record still inboxed (the stream would
+        be cut to what it applied); the next probe promotes it whole."""
+        sharded = build(
+            engine_factory=lambda: FaultInjectingEngine(MemoryEngine())
+        )
+        replica_set = sharded.shard(0).replica_set
+        chosen = replica_set.replicas[0]
+        chart = chart_on_shard(sharded, 0, "stuck", 93_500)
+        # One failure for the receive's drain, one for the promotion's.
+        chosen.engine.hook.plan = FaultPlan().transient_burst(2)
+        sharded.insert(OBJECT, chart)
+        stream = replica_set.stream_length
+        old = replica_set.primary
+        old.kill()
+        for _ in range(replica_set.config.miss_threshold - 1):
+            replica_set.probe()
+        with pytest.raises(TransientEngineError):
+            replica_set.probe()
+        assert replica_set.failovers == 0 and replica_set.primary is old
+        assert replica_set.stream_length == stream
+        replica_set.probe()
+        assert replica_set.failovers == 1 and replica_set.primary is chosen
+        assert chosen.received_count == chosen.applied_count == stream
+        instance = sharded.get(OBJECT, (chart["patient_id"],))
+        assert instance.to_dict()["name"] == "stuck"
         sharded.close()
 
     def test_all_replicas_dead_means_shard_down(self):
@@ -343,6 +387,73 @@ class TestFailover:
             except PrimaryDownError:
                 continue
         assert seen.get("blocked") is True
+        sharded.close()
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("backend, base", [
+        ("memory", MemoryEngine),
+        ("sqlite", SqliteEngine),
+    ], ids=["memory", "sqlite"])
+    def test_a_replica_that_lands_other_rows_diverges(self, backend, base):
+        """A verbatim plan on a faithful engine always lands its
+        after-images, so the replica's copy of the row is changed as the
+        write touching it commits (a foreign writer, a lying disk): the
+        byte-for-byte check is what catches it."""
+        sharded = build(
+            backend=backend,
+            engine_factory=lambda: FaultInjectingEngine(base()),
+        )
+        replica_set = sharded.shard(0).replica_set
+        r1, r2 = replica_set.replicas
+        chart = chart_on_shard(sharded, 0, "before", 99_500)
+        pid = chart["patient_id"]
+        sharded.insert(OBJECT, chart)
+        stored = r1.engine.base
+        name_at = stored.schema("PATIENT").position("name")
+
+        def tamper(point, shard_id):
+            row = list(stored.get("PATIENT", (pid,)))
+            row[name_at] = "tampered"
+            stored.replace("PATIENT", (pid,), row)
+
+        r1.engine.hook.plan = FaultPlan().call_at("commit", tamper)
+        sharded.replace(OBJECT, (pid,), fresh_chart(pid, "after"))  # no raise
+
+        assert r1.divergent is True
+        assert isinstance(r1.apply_error, ReplicaDivergenceError)
+        assert r1.received_count == r1.applied_count + 1  # still inboxed
+        assert replica_set.link(r1.name).cursor == replica_set.stream_length
+        # The other replica acked and applied; the primary committed.
+        assert not r2.divergent and r2.apply_error is None
+        assert divergence(sharded.shard(0).engine, r2.engine) == []
+        assert sharded.get(OBJECT, (pid,)).to_dict()["name"] == "after"
+        assert sharded.shard(0).penguin.audit.records()[-1].state == (
+            "committed"
+        )
+        # A divergent stack applies nothing more, even when asked.
+        assert r1.drain() == 0
+        assert r1.received_count == r1.applied_count + 1
+
+        # Not counted toward quorum: with r2 cut off, r1's link alone is
+        # reachable and the write is refused before the primary is touched.
+        replica_set.link(r2.name).wedge()
+        with pytest.raises(
+            ReplicationQuorumError,
+            match=r"only 0 replica link\(s\) reachable, quorum is 1",
+        ):
+            sharded.insert(OBJECT, chart_on_shard(sharded, 0, start=99_600))
+        replica_set.link(r2.name).heal()
+
+        # Not promoted: r1 holds as much of the stream and wins ties by
+        # name, yet the failover promotes r2.
+        assert r1.received_count == r2.received_count
+        replica_set.primary.kill()
+        for _ in range(replica_set.config.miss_threshold):
+            replica_set.probe()
+        assert replica_set.failovers == 1
+        assert replica_set.primary is r2
+        assert replica_set.replicas == [r1]
         sharded.close()
 
 

@@ -1,6 +1,6 @@
 """Trace continuity across the replication hop: the shipped record
-carries the trace id, and the replica's async applier thread rejoins
-it — one trace from the primary's write to every replica's audit row."""
+carries the trace id, and each replica applies it on receipt inside the
+ship — one trace from the primary's write to every replica's audit row."""
 
 import repro.obs as obs
 from repro.obs.context import activate
@@ -13,7 +13,6 @@ from repro.workloads.hospital import (
     patient_chart_object,
     populate_hospital,
 )
-from tests.conftest import wait_until
 
 OBJECT = "patient_chart"
 
@@ -24,8 +23,7 @@ def build():
         graph,
         "PATIENT",
         num_shards=2,
-        # async appliers: the record crosses a real thread boundary
-        replication=ReplicationConfig(replicas=2, apply_inline=False),
+        replication=ReplicationConfig(replicas=2),
     )
     populate_hospital(sharded_loader(sharded), HospitalConfig(patients=4))
     sharded.register_object(patient_chart_object(graph))
@@ -79,7 +77,7 @@ class TestShippedRecordTrace:
             finally:
                 sharded.close()
 
-    def test_async_applier_rejoins_the_trace(self):
+    def test_apply_on_receipt_joins_the_write_trace(self):
         with obs.use() as hub:
             sharded = build()
             try:
@@ -88,29 +86,30 @@ class TestShippedRecordTrace:
                     sharded.insert(
                         OBJECT, fresh_chart(pid_on_shard(sharded, 0))
                     )
-
-                def replica_roots():
-                    return [
-                        root
-                        for root in hub.tracer.roots()
-                        if root.name == "replica.apply"
-                        and root.trace_id == ctx.trace_id
-                    ]
-
-                # the applier threads drain their queues on their own
-                # schedule; wait, never sleep
-                wait_until(lambda: len(replica_roots()) >= 2)
-                roots = replica_roots()
-                # every replica's root span rejoined the ONE trace the
-                # write started under — no new trace across the hop
-                assert {root.trace_id for root in roots} == {ctx.trace_id}
-                replicas = {root.attributes["replica"] for root in roots}
+                # No waiting: the write returned, so every replica applied.
+                in_trace = [
+                    span
+                    for root in hub.tracer.roots()
+                    if root.trace_id == ctx.trace_id
+                    for span in root.iter_spans()
+                ]
+                ships = [s for s in in_trace if s.name == "replicate.ship"]
+                assert len(ships) == 1
+                # every replica's apply sits in the ONE trace the write
+                # started under, below the ship that delivered it
+                applies = [
+                    span
+                    for span in ships[0].iter_spans()
+                    if span.name == "replica.apply"
+                ]
+                replicas = {span.attributes["replica"] for span in applies}
                 assert replicas == {"r1", "r2"}
+                assert [s for s in in_trace if s.name == "replica.apply"] == (
+                    applies
+                )
                 # ...and the replica audit rows cross-link the same trace
                 for replica in replica_set.replicas:
-                    audit = replica.serving.penguin.audit
-                    wait_until(lambda: len(audit.records()) > 0)
-                    tail = audit.records()[-1]
+                    tail = replica.serving.penguin.audit.records()[-1]
                     assert tail.trace_id == ctx.trace_id
             finally:
                 sharded.close()

@@ -89,7 +89,7 @@ def cluster():
             graph,
             "PATIENT",
             num_shards=2,
-            replication=ReplicationConfig(replicas=2, apply_inline=True),
+            replication=ReplicationConfig(replicas=2),
         )
         populate_hospital(sharded_loader(sharded), HospitalConfig(patients=6))
         sharded.register_object(patient_chart_object(graph))
@@ -328,7 +328,7 @@ class TestEndToEndAssembly:
         """The acceptance path: one HTTP write whose key re-homes the
         chart across shards produces ONE assembled trace covering the
         front end, the micro-batch, both 2PC legs, the log ship, and
-        the replica appliers — all under a single trace id."""
+        the replica applies inside it — all under a single trace id."""
         hub, sharded, url = cluster
         source = pid_on_shard(sharded, 0, start=97_000)
         target = pid_on_shard(sharded, 1, start=98_000)
@@ -381,9 +381,7 @@ class TestFailoverFlightBundle:
                 graph,
                 "PATIENT",
                 num_shards=2,
-                replication=ReplicationConfig(
-                    replicas=2, miss_threshold=2, apply_inline=True
-                ),
+                replication=ReplicationConfig(replicas=2, miss_threshold=2),
             )
             populate_hospital(
                 sharded_loader(sharded), HospitalConfig(patients=4)

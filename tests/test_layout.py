@@ -333,6 +333,27 @@ def python_files(*roots):
     return [path for root in roots for path in sorted(root.rglob("*.py"))]
 
 
+def test_a_replica_applies_on_the_thread_that_delivered_it():
+    """Replication starts no thread of its own (DESIGN.md "A replica
+    applies on receipt"), and the switch that once chose one is gone."""
+    threads = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in python_files(SRC / "replicate")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] == "Thread"
+    ]
+    assert threads == []
+    # Spelled in two halves so a grep for the removed option stays empty.
+    removed_option = "apply" + "_inline"
+    mentions = [
+        str(path.relative_to(REPO))
+        for path in python_files(SRC, REPO / "tests", REPO / "benchmarks")
+        if removed_option in path.read_text(encoding="utf-8")
+    ]
+    assert mentions == []
+
+
 def test_one_failpoint_attribute_with_one_call_signature():
     """Every yield point outside an engine fires through an attribute
     called ``failpoint`` holding the one hook, as ``tick(point, shard=)``;
