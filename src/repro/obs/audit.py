@@ -36,9 +36,10 @@ On top of this log sit :class:`~repro.obs.lineage.LineageIndex`
 
 from __future__ import annotations
 
+import json
 import threading
 from bisect import bisect_right
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import AuditError
 from repro.obs.context import current_trace_id
@@ -151,7 +152,7 @@ class AuditLog:
                 journal_entry=journal_entry,
             )
             self._admit(record)
-            self._append_payload({"event": "record", **record.as_dict()})
+            self._append_record(record)
         return record.id
 
     def resolve(
@@ -277,10 +278,14 @@ class AuditLog:
     def __len__(self) -> int:
         return len(self._records)
 
-    # -- backend hook --------------------------------------------------------
+    # -- backend hooks -------------------------------------------------------
 
     def _append_payload(self, payload: Dict[str, Any]) -> None:
         """Persist one event (called under the log lock)."""
+
+    def _append_record(self, record: UpdateRecord) -> None:
+        """Persist one record (called under the log lock)."""
+        self._append_payload({"event": "record", **record.as_dict()})
 
     def close(self) -> None:
         pass
@@ -352,22 +357,40 @@ class MemoryAuditLog(AuditLog):
 class FileAuditLog(AuditLog):
     """Durable audit log: append-only JSON lines, fsync'd per append.
 
-    Reopening the same path reloads every record and folds the
+    A translator's policy answers and dependency island are written
+    once, as a ``translator`` event appended before the first record
+    that names it; a record line carries ``"translator": id`` in their
+    place. A record line carrying them inline (the older format) still
+    folds. Reopening the same path reloads every record — those naming
+    one translator share its policy dict and island — and folds the
     resolution markers and the seed digest. The file is a
     :class:`~repro.relational.journal.JsonLinesFile`, the one under
-    :class:`~repro.relational.journal.FileJournal`: a torn final line —
-    the process died mid-append — is truncated away, any other damaged
-    line raises :class:`~repro.errors.AuditError`.
+    :class:`~repro.relational.journal.FileJournal`, read line by line:
+    a torn final line — the process died mid-append — is truncated
+    away, any other damaged line (one naming an undefined translator
+    included) raises :class:`~repro.errors.AuditError`.
     """
 
     def __init__(self, path) -> None:
         super().__init__()
+        self._translators: Dict[int, Tuple[Dict[str, Any], Tuple[str, ...]]] = {}
+        self._by_content: Dict[str, int] = {}  # canonical JSON -> id
+        # id(policy) -> (policy, island, id): a translator hands every
+        # record its one cached policy dict, so a repeat encodes nothing.
+        self._by_policy: Dict[int, Tuple[Any, Tuple[str, ...], int]] = {}
         self._file = JsonLinesFile(path, self._fold, AuditError, "audit")
         self.path = self._file.path
 
     def _fold(self, payload: Dict[str, Any]) -> None:
         event = payload["event"]
         if event == "record":
+            named = payload.get("translator")
+            if named is None:
+                policy, island = payload.get("policy"), payload.get("island", ())
+            elif named in self._translators:
+                policy, island = self._translators[named]
+            else:
+                raise AuditError(f"unknown translator #{named}")
             self._admit(
                 UpdateRecord(
                     payload["asn"],
@@ -378,8 +401,8 @@ class FileAuditLog(AuditLog):
                     label=payload["object"],
                     items=payload.get("items", 1),
                     trace_id=payload.get("trace"),
-                    island=payload.get("island", ()),
-                    policy=payload.get("policy"),
+                    island=island,
+                    policy=policy,
                     user=payload.get("user"),
                     error=payload.get("error"),
                     journal_entry=payload.get("journal_entry"),
@@ -391,8 +414,36 @@ class FileAuditLog(AuditLog):
             )
         elif event == "seed":
             self.seed = payload["digest"]
+        elif event == "translator":
+            self._define(payload["id"], payload["policy"], tuple(payload["island"]))
         else:
             raise AuditError(f"unknown audit event {event!r}")
+
+    def _define(self, translator: int, policy, island) -> None:
+        self._translators[translator] = (policy, island)
+        self._by_content[json.dumps([policy, island], sort_keys=True)] = translator
+
+    def _translator_id(self, policy: Dict[str, Any], island) -> int:
+        """The id naming ``(policy, island)`` in this file; the first
+        time, append the ``translator`` event that defines it."""
+        known = self._by_policy.get(id(policy))
+        if known is not None and known[0] is policy and known[1] == island:
+            return known[2]
+        translator = self._by_content.get(json.dumps([policy, island], sort_keys=True))
+        if translator is None:
+            translator = max(self._translators, default=0) + 1
+            self._file.append({"event": "translator", "id": translator,
+                               "policy": policy, "island": list(island)})
+            self._define(translator, policy, island)
+        self._by_policy[id(policy)] = (policy, island, translator)
+        return translator
+
+    def _append_record(self, record: UpdateRecord) -> None:
+        payload = {"event": "record", **record.as_dict()}
+        if record.policy is not None:
+            del payload["policy"], payload["island"]
+            payload["translator"] = self._translator_id(record.policy, record.island)
+        self._file.append(payload)
 
     def _append_payload(self, payload: Dict[str, Any]) -> None:
         self._file.append(payload)

@@ -333,33 +333,39 @@ class UpdateRecord:
 class JsonLinesFile:
     """The append-only JSON-lines file under both durable logs.
 
-    Opening replays every line through ``fold``, the owning log's event
-    vocabulary. An append goes out as ``line + "\\n"`` in one write, so
-    a crash mid-append can only leave a final line *without* its
-    newline: that torn tail is truncated away (the append it belongs to
-    never returned). Any newline-terminated line that is not JSON, lacks
-    a field or is refused by ``fold`` is damage and raises ``error``
-    with the path and line number.
+    Opening replays the file through ``fold``, the owning log's event
+    vocabulary, one line at a time: reopening holds one line in memory
+    besides what ``fold`` keeps, never the whole file. An append goes
+    out as ``line + "\\n"`` in one write, so a crash mid-append can only
+    leave a final line *without* its newline: that torn tail is
+    truncated away (the append it belongs to never returned), and the
+    next append starts where it began. Blank lines are skipped. Any
+    newline-terminated line that is not JSON, lacks a field or is
+    refused by ``fold`` is damage and raises ``error`` with the path and
+    line number.
     """
 
     def __init__(self, path, fold, error, what: str) -> None:
         self.path = os.fspath(path)
         if os.path.exists(self.path):
+            intact = 0
             with open(self.path, "rb") as f:
-                data = f.read()
-            intact = data.rfind(b"\n") + 1
-            for line_no, line in enumerate(data[:intact].split(b"\n"), 1):
-                if not line.strip():
-                    continue
-                try:
-                    fold(json.loads(line))
-                except error as exc:
-                    raise error(f"{self.path}:{line_no}: {exc}") from None
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise error(
-                        f"{self.path}:{line_no}: corrupt {what} record"
-                    ) from exc
-            if intact < len(data):
+                for line_no, line in enumerate(f, 1):
+                    if not line.endswith(b"\n"):
+                        break  # the torn tail
+                    intact += len(line)
+                    if not line.strip():
+                        continue
+                    try:
+                        fold(json.loads(line))
+                    except error as exc:
+                        raise error(f"{self.path}:{line_no}: {exc}") from None
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise error(
+                            f"{self.path}:{line_no}: corrupt {what} record"
+                        ) from exc
+                torn = f.tell() > intact
+            if torn:
                 with open(self.path, "r+b") as f:
                     f.truncate(intact)
         self._file = open(self.path, "a", encoding="utf-8")
@@ -563,12 +569,12 @@ class MemoryJournal(PlanJournal):
 class FileJournal(PlanJournal):
     """Durable journal: append-only JSON lines, fsync'd per append.
 
-    Reopening the same path reloads every entry and folds the status
-    markers, so a restarted process sees exactly the pre-crash journal
-    — including any entry still PENDING, which :func:`recover` then
-    resolves — minus a PENDING line the crash tore mid-append
-    (:class:`JsonLinesFile`): that intent was never acknowledged, so
-    nothing was applied under it.
+    Reopening the same path reloads every entry, line by line, and
+    folds the status markers, so a restarted process sees exactly the
+    pre-crash journal — including any entry still PENDING, which
+    :func:`recover` then resolves — minus a PENDING line the crash tore
+    mid-append (:class:`JsonLinesFile`): that intent was never
+    acknowledged, so nothing was applied under it.
     """
 
     def __init__(self, path) -> None:

@@ -1,8 +1,9 @@
 """One replica stack: the target the primary ships its records to.
 
 A :class:`ReplicaStack` is a full serving stack — its own engine,
-journal, audit log, breaker, and materialized caches — identical in
-shape to the shard primary it shadows. It stays in sync by receiving
+journal, audit log and breaker — identical in shape to the shard
+primary it shadows, except that it keeps no materialized cache until a
+promotion gives it the old primary's views. It stays in sync by receiving
 the primary's committed audit records
 (:class:`~repro.relational.journal.UpdateRecord`) in stream order and
 applying each through ``ConcurrentPenguin.apply_plan``, the same

@@ -491,9 +491,17 @@ class ReplicaSet:
     def _failover(self) -> None:
         """Promote the most-caught-up live replica; fence the old primary.
 
+        Every live replica holding the longest received prefix is tried
+        in :meth:`_promotable` order; the first whose drain empties its
+        inbox is promoted (one with an acked record still inboxed is
+        not: the stream would be cut to what it applied). The promoted
+        stack materializes the views the old primary had before it
+        serves — replicas keep no cache while they follow.
+
         Caller holds the mutex. Raises
         :class:`~repro.errors.PrimaryDownError` when no replica can be
-        promoted (all dead or divergent) — the shard is then fully down.
+        promoted (all dead or divergent, or no drain went through,
+        chained to the first apply error) — the shard is then down.
         """
         self.failing_over = True
         try:
@@ -506,10 +514,22 @@ class ReplicaSet:
                     f"shard {self.shard_id}: primary is down and no live "
                     f"replica can be promoted"
                 )
-            chosen = candidates[0]
-            chosen.drain()  # replay the journal tail before serving
-            if chosen.received_count > chosen.applied_count:
-                raise chosen.apply_error
+            chosen, failure = None, None
+            for candidate in candidates:
+                if candidate.received_count < candidates[0].received_count:
+                    break  # never promote a shorter prefix
+                candidate.drain()  # replay the journal tail before serving
+                if candidate.received_count == candidate.applied_count:
+                    chosen = candidate
+                    break
+                failure = failure or candidate.apply_error
+            if chosen is None:
+                raise PrimaryDownError(
+                    f"shard {self.shard_id}: primary is down and no fully "
+                    f"received replica could apply its inbox"
+                ) from failure
+            for name in old.penguin.materialized_names:
+                chosen.serving.materialize(name)
             self._checkpoint("post_drain")
             self.epoch += 1
             chosen.epoch = self.epoch

@@ -367,10 +367,16 @@ class ShardedPenguin(ViewObjectSession):
         return self._fan_out("set_policy", name, policy)[0]
 
     def materialize(self, name: str, policy: str = LAZY):
-        return self._fan_out("materialize", name, policy)
+        """Materialize on every shard's primary, one view per shard.
+
+        Replica stacks keep no cache while they follow: a stale read
+        from one assembles from its engine, and a promotion materializes
+        the old primary's views on the promoted stack."""
+        return [shard.serving.materialize(name, policy) for shard in self.shards]
 
     def dematerialize(self, name: str) -> None:
-        self._fan_out("dematerialize", name)
+        for shard in self.shards:
+            shard.serving.dematerialize(name)
 
     @property
     def object_names(self) -> Tuple[str, ...]:

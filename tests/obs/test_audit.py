@@ -1,7 +1,9 @@
 """AuditLog backends and the translator's recording discipline."""
 
 import json
+import os
 import random
+import shutil
 
 import pytest
 
@@ -51,6 +53,32 @@ def audited_session(audit=None):
     populate_university(session.engine)
     session.register_object(course_info_object(session.graph))
     return session
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "audit_inline_policy.jsonl")
+
+
+def golden_writes(session):
+    """The updates behind ``golden/audit_inline_policy.jsonl``: a file
+    in the format that repeated each record's policy and island."""
+    session.insert("course_info", new_course())
+    with pytest.raises(UpdateError):
+        session.insert("course_info", new_course())  # duplicate key
+    session.replace("course_info", COURSE_KEY, new_course(title="Renamed"))
+    session.insert_many("course_info", [new_course("CS901"), new_course("CS902")])
+    session.delete("course_info", COURSE_KEY)
+
+
+def later_writes(session):
+    session.insert("course_info", new_course("CS903"))
+    session.delete("course_info", ("CS901",))
+
+
+def restarted(session, audit):
+    """A new session over ``session``'s engine (a process restart)."""
+    again = Penguin(session.graph, engine=session.engine, audit=audit, install=False)
+    again.register_object(course_info_object(again.graph))
+    return again
 
 
 def sample_plan(session):
@@ -315,6 +343,120 @@ class TestFileAuditLog:
         path.write_text('{"event":"gibberish"}\n')
         with pytest.raises(AuditError, match="unknown audit event"):
             FileAuditLog(path)
+
+
+def file_events(path):
+    return [json.loads(line) for line in open(path) if line.strip()]
+
+
+def as_dicts(log):
+    return [record.as_dict() for record in log.records()]
+
+
+class TestAuditFileFormat:
+    """A record line names its translator; the translator's policy and
+    island are written once, as a ``translator`` event before it."""
+
+    def test_a_file_in_the_inline_format_reopens_to_the_live_records(
+        self, tmp_path
+    ):
+        live = audited_session()
+        golden_writes(live)
+        path = tmp_path / "audit.jsonl"
+        shutil.copy(GOLDEN, path)
+        reopened = FileAuditLog(path)
+        assert as_dicts(reopened) == as_dicts(live.audit)
+        assert restarted(live, reopened).replay_audit().ok
+        reopened.close()
+
+    def test_new_records_append_to_an_inline_format_file(self, tmp_path):
+        live = audited_session()
+        golden_writes(live)
+        later_writes(live)
+        path = tmp_path / "audit.jsonl"
+        shutil.copy(GOLDEN, path)
+        session = audited_session()
+        golden_writes(session)
+        session = restarted(session, FileAuditLog(path))
+        later_writes(session)
+        session.audit.close()
+        events = file_events(path)
+        assert events[: len(file_events(GOLDEN))] == file_events(GOLDEN)
+        added = events[len(file_events(GOLDEN)):]
+        assert [e["event"] for e in added] == ["translator", "record", "record"]
+        assert all(e["translator"] == added[0]["id"] for e in added[1:])
+        assert all("policy" not in e and "island" not in e for e in added[1:])
+        reopened = FileAuditLog(path)
+        assert as_dicts(reopened) == as_dicts(live.audit)
+        assert restarted(session, reopened).replay_audit().ok
+        reopened.close()
+
+    def test_reopened_records_share_one_policy_and_island(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        session = audited_session(FileAuditLog(path))
+        session.insert("course_info", new_course("CS901"))
+        later_writes(session)
+        session.audit.close()
+        first, *rest = FileAuditLog(path).records()
+        assert first.policy == session.translator("course_info")._policy_answers()
+        assert all(r.policy is first.policy for r in rest)
+        assert all(r.island is first.island for r in rest)
+
+    def test_a_record_naming_an_unknown_translator_raises(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        path.write_text(
+            '{"event":"record","asn":1,"op":"insert","object":"x",'
+            '"outcome":"committed","items":1,"plan":[],"images":[],'
+            '"translator":7}\n'
+        )
+        with pytest.raises(AuditError, match=f"{path}:1: unknown translator #7"):
+            FileAuditLog(path)
+
+    def test_each_chosen_translator_is_written_once(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        session = audited_session(FileAuditLog(path))
+        answers = {"replacement.COURSES.merge_on_conflict": False}
+        chosen = []
+        for n, answer in enumerate((True, answers)):
+            translator, _ = session.choose_translator("course_info", answer)
+            chosen.append(translator._policy_answers())
+            session.insert("course_info", new_course(f"CS91{n}"))
+            session.delete("course_info", (f"CS91{n}",))
+        session.audit.close()
+        assert chosen[0] != chosen[1]
+        events = file_events(path)
+        translators = {e["id"]: e for e in events if e["event"] == "translator"}
+        assert sorted(translators) == [1, 2]
+        assert [translators[n]["policy"] for n in (1, 2)] == chosen
+        named = [e["translator"] for e in events if e["event"] == "record"]
+        assert named == [1, 1, 2, 2]
+        reopened = FileAuditLog(path)
+        assert [r.policy for r in reopened.records()] == [
+            chosen[0], chosen[0], chosen[1], chosen[1]
+        ]
+        # After a reopen, the same answers name the translator written.
+        again = restarted(session, reopened)
+        again.choose_translator("course_info", True)
+        again.insert("course_info", new_course("CS920"))
+        reopened.close()
+        events = file_events(path)
+        assert sum(e["event"] == "translator" for e in events) == 2
+        assert events[-1]["translator"] == 1
+
+    def test_a_torn_record_after_its_translator_keeps_the_translator(
+        self, tmp_path
+    ):
+        path = tmp_path / "audit.jsonl"
+        session = audited_session(FileAuditLog(path))
+        session.insert("course_info", new_course())
+        session.audit.close()
+        whole = path.read_bytes()
+        record = whole.splitlines(keepends=True)[-1]
+        path.write_bytes(whole + record[: len(record) // 2])
+        reopened = FileAuditLog(path)
+        assert path.read_bytes() == whole
+        assert [r.id for r in reopened.records()] == [1]
+        reopened.close()
 
 
 class TestTranslatorRecording:

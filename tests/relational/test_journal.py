@@ -4,6 +4,7 @@ file, one restore."""
 
 import datetime
 import json
+import tracemalloc
 
 import pytest
 
@@ -249,6 +250,7 @@ class JournalUnderTest:
     marker = '{"event":"committed","id":%d}'
     # a PENDING event without its plan
     incomplete = '{"event":"pending","id":1,"label":"t","images":[]}'
+    numbered = '"id":%d,'
 
     @staticmethod
     def add(log):
@@ -274,6 +276,7 @@ class AuditUnderTest:
         '{"event":"record","asn":1,"op":"insert","outcome":"committed",'
         '"plan":[],"images":[]}'
     )
+    numbered = '"asn":%d,'
 
     @staticmethod
     def add(log):
@@ -407,6 +410,56 @@ class TestLogContract:
             kind.file(path)
         assert f"{path}:{line_no}: " in str(caught.value)
         assert path.read_bytes() == before  # nothing was truncated
+
+    def test_a_file_that_ends_on_a_newline_is_left_whole(self, kind, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = kind.file(path)
+        first = kind.add(log)
+        kind.settle(log, first)
+        log.close()
+        whole = path.read_bytes()
+        assert whole.endswith(b"\n")
+        reopened = kind.file(path)
+        assert shape(kind, reopened) == [(first, kind.settled)]
+        assert path.read_bytes() == whole
+        assert kind.add(reopened) == first + 1
+        reopened.close()
+        assert path.read_bytes().startswith(whole)
+
+    def test_a_file_that_is_only_a_torn_line_opens_empty(self, kind, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"event":"pe')
+        log = kind.file(path)
+        assert shape(kind, log) == []
+        assert path.read_bytes() == b""
+        assert kind.add(log) == 1
+        log.close()
+        (line,) = path.read_text().splitlines()
+        assert json.loads(line)
+
+    def test_reopening_holds_one_line_at_a_time(self, kind, tmp_path):
+        """Reopening a multi-MB file allocates what it keeps plus a
+        small bound; a reader of the whole file holds it several times
+        over."""
+        path = tmp_path / "log.jsonl"
+        log = kind.file(path)
+        kind.add(log)
+        log.close()
+        line = path.read_text()
+        count = 12_000
+        with open(path, "w") as f:
+            for n in range(1, count + 1):
+                f.write(line.replace(kind.numbered % 1, kind.numbered % n, 1))
+        assert path.stat().st_size > 3 * 2**20
+        tracemalloc.start()
+        try:
+            reopened = kind.file(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.id for r in kind.records(reopened)] == list(range(1, count + 1))
+        assert peak - retained < 2**20
+        reopened.close()
 
     def test_blank_lines_are_skipped(self, kind, tmp_path):
         path = tmp_path / "log.jsonl"

@@ -328,25 +328,29 @@ class TestFailover:
         sharded.close()
 
     def test_a_stack_whose_drain_fails_is_not_promoted_yet(self):
-        """Promotion re-raises the chosen stack's apply error rather than
-        promote it with an acked record still inboxed (the stream would
-        be cut to what it applied); the next probe promotes it whole."""
+        """No stack is promoted with an acked record still inboxed (the
+        stream would be cut to what it applied): when every stack that
+        holds the longest prefix fails its drain, the failover is a
+        PrimaryDownError chained to the apply error, and a later one
+        promotes the stack whole."""
         sharded = build(
             engine_factory=lambda: FaultInjectingEngine(MemoryEngine())
         )
         replica_set = sharded.shard(0).replica_set
-        chosen = replica_set.replicas[0]
+        chosen, other = replica_set.replicas
         chart = chart_on_shard(sharded, 0, "stuck", 93_500)
         # One failure for the receive's drain, one for the promotion's.
         chosen.engine.hook.plan = FaultPlan().transient_burst(2)
         sharded.insert(OBJECT, chart)
+        other.kill()  # fully applied, but it cannot serve
         stream = replica_set.stream_length
         old = replica_set.primary
         old.kill()
         for _ in range(replica_set.config.miss_threshold - 1):
             replica_set.probe()
-        with pytest.raises(TransientEngineError):
-            replica_set.probe()
+        with pytest.raises(PrimaryDownError) as refused:
+            sharded.insert(OBJECT, chart_on_shard(sharded, 0, "later", 93_600))
+        assert isinstance(refused.value.__cause__, TransientEngineError)
         assert replica_set.failovers == 0 and replica_set.primary is old
         assert replica_set.stream_length == stream
         replica_set.probe()
@@ -354,6 +358,53 @@ class TestFailover:
         assert chosen.received_count == chosen.applied_count == stream
         instance = sharded.get(OBJECT, (chart["patient_id"],))
         assert instance.to_dict()["name"] == "stuck"
+        sharded.close()
+
+    def test_failover_tries_every_fully_received_replica(self):
+        """The first candidate's drain fails; the next one holding the
+        same prefix, fully applied, is promoted on the first failover."""
+        sharded = build(
+            engine_factory=lambda: FaultInjectingEngine(MemoryEngine())
+        )
+        replica_set = sharded.shard(0).replica_set
+        first, second = replica_set.replicas  # ties go by name
+        chart = chart_on_shard(sharded, 0, "stuck", 93_500)
+        first.engine.hook.plan = FaultPlan().transient_burst(2)
+        sharded.insert(OBJECT, chart)
+        stream = replica_set.stream_length
+        replica_set.primary.kill()
+        for _ in range(replica_set.config.miss_threshold):
+            replica_set.probe()
+        assert replica_set.failovers == 1 and replica_set.primary is second
+        assert second.received_count == second.applied_count == stream
+        assert replica_set.stream_length == stream
+        assert first in replica_set.replicas
+        instance = sharded.get(OBJECT, (chart["patient_id"],))
+        assert instance.to_dict()["name"] == "stuck"
+        sharded.close()
+
+    def test_a_shorter_prefix_is_never_promoted(self):
+        """A live, fully applied replica that missed a ship is passed
+        over: the stack holding the longest prefix is the only choice."""
+        sharded = build(
+            engine_factory=lambda: FaultInjectingEngine(MemoryEngine())
+        )
+        replica_set = sharded.shard(0).replica_set
+        longest, behind = replica_set.replicas
+        behind.kill()
+        longest.engine.hook.plan = FaultPlan().transient_burst(2)
+        sharded.insert(OBJECT, chart_on_shard(sharded, 0, "missed", 93_500))
+        behind.killed = False  # back, one record short
+        assert behind.received_count == longest.received_count - 1
+        replica_set.primary.kill()
+        for _ in range(replica_set.config.miss_threshold - 1):
+            replica_set.probe()
+        with pytest.raises(PrimaryDownError) as refused:
+            sharded.insert(OBJECT, chart_on_shard(sharded, 0, "later", 93_600))
+        assert isinstance(refused.value.__cause__, TransientEngineError)
+        assert replica_set.failovers == 0
+        replica_set.probe()
+        assert replica_set.failovers == 1 and replica_set.primary is longest
         sharded.close()
 
     def test_all_replicas_dead_means_shard_down(self):
@@ -472,6 +523,64 @@ class TestStaleReads:
         # Queries fall through to replicas the same way.
         served = sharded.shard(0).front.query_served(OBJECT, None)
         assert served.stale is True
+        sharded.close()
+
+
+class TestReplicaCaches:
+    """A replica keeps no materialized cache while it follows; the
+    promoted stack takes the old primary's views before it serves."""
+
+    def test_replicas_hold_no_pending_records_after_writes(self):
+        sharded = build()
+        sharded.materialize(OBJECT)
+        for n in range(12):
+            chart = chart_on_shard(sharded, n % 2, f"w{n}", 94_000 + 10 * n)
+            sharded.insert(OBJECT, chart)
+            sharded.delete(OBJECT, (chart["patient_id"],))
+        for shard in sharded.shards:
+            assert shard.penguin.materialized_names == (OBJECT,)
+            assert shard.replicas
+            for replica in shard.replicas:
+                assert replica.applied_count == shard.replica_set.stream_length
+                assert replica.penguin.materialized_names == ()
+                assert replica.penguin.cache_stats() == {}
+        sharded.dematerialize(OBJECT)
+        assert all(s.penguin.materialized_names == () for s in sharded.shards)
+        sharded.close()
+
+    def test_a_stale_read_from_a_replica_assembles_from_its_engine(self):
+        sharded = build()
+        sharded.materialize(OBJECT)
+        chart = chart_on_shard(sharded, 0, "from the engine")
+        sharded.insert(OBJECT, chart)
+        replica_set = sharded.shard(0).replica_set
+        replica_set.primary.kill()
+        served = sharded.get_served(OBJECT, (chart["patient_id"],))
+        assert served.stale and served.source.startswith("replica:")
+        assert served.value.to_dict()["name"] == "from the engine"
+        answering = replica_set.replica(served.source.split(":", 1)[1])
+        assert answering.penguin.materialized_names == ()
+        sharded.close()
+
+    def test_the_promoted_stack_serves_reads_from_its_own_view(self):
+        sharded = build()
+        sharded.materialize(OBJECT)
+        chart = chart_on_shard(sharded, 0, "cached")
+        sharded.insert(OBJECT, chart)
+        replica_set = sharded.shard(0).replica_set
+        replica_set.primary.kill()
+        for _ in range(replica_set.config.miss_threshold):
+            replica_set.probe()
+        promoted = replica_set.primary
+        assert replica_set.failovers == 1
+        assert promoted.penguin.materialized_names == (OBJECT,)
+        for _ in range(2):
+            instance = sharded.get(OBJECT, (chart["patient_id"],))
+            assert instance.to_dict()["name"] == "cached"
+        stats = promoted.penguin.materialized(OBJECT).stats
+        assert stats.misses >= 1 and stats.hits >= 1
+        for replica in replica_set.replicas:
+            assert replica.penguin.materialized_names == ()
         sharded.close()
 
 
