@@ -1,33 +1,24 @@
 """The update audit log: every view-level update as an immutable record.
 
 The paper's translator turns one view-object update into "the set of
-database operations"; PR 4 made each execution *watchable* (spans,
-counters, EXPLAIN). This module makes executions *permanent*: an
-:class:`AuditLog` assigns every view-level update a monotonically
-increasing **audit sequence number** (ASN) and records
-
-* the view operation as submitted (op kind, object name, item count,
-  requesting user),
-* the dependency island the translator computed at definition time,
-* the :class:`~repro.relational.operations.UpdatePlan` that was
-  applied, as translated,
-* the per-cell before/after images (reusing the journal's image
-  machinery — one serialization format for both subsystems),
-* the translator policy answers in force, and
-* the **outcome**: ``committed``, ``rolled_back``, ``degraded_rejected``
-  (the serving layer refused it while the circuit breaker was open), or
-  ``crashed`` (a simulated/real crash interrupted it; recovery later
-  reconciles it to committed or rolled back via :meth:`AuditLog.reconcile`).
+database operations". An :class:`AuditLog` makes each execution
+permanent: it assigns every view-level update a monotonically
+increasing **audit sequence number** (ASN) and records the view
+operation as submitted (op kind, object name, item count, user), the
+dependency island, the :class:`~repro.relational.operations.UpdatePlan`
+as translated, the per-cell before/after images (the journal's
+encoding), the translator policy answers in force, and the
+**outcome**: ``committed``, ``rolled_back``, ``degraded_rejected`` (the
+serving layer refused it while the circuit breaker was open), or
+``crashed`` (recovery later settles it via :meth:`AuditLog.reconcile`).
 
 Like the journal, the log is append-only: an outcome change is a
-*resolution marker* appended after the fact, never an in-place edit, so
-replaying a :class:`FileAuditLog` file reconstructs exactly the
-in-memory state. The record type
-(:class:`~repro.relational.journal.UpdateRecord`) and the file under
-the durable backend are the journal's own, so the two logs share one
-crash discipline by sharing its code: every append is fsynced, a torn
-tail line is truncated on reopen, and any other damaged line raises
-:class:`~repro.errors.AuditError` with path and line.
+*resolution marker* appended after the fact, never an in-place edit.
+The record type (:class:`~repro.relational.journal.UpdateRecord`) and
+the file under the durable backend are the journal's own, so the two
+logs share one crash discipline by sharing its code: every append is
+fsynced, a torn tail line is truncated on reopen, and any other damaged
+line raises :class:`~repro.errors.AuditError` with path and line.
 
 On top of this log sit :class:`~repro.obs.lineage.LineageIndex`
 (``why`` / ``history`` per tuple) and :mod:`repro.obs.history`
@@ -37,6 +28,8 @@ On top of this log sit :class:`~repro.obs.lineage.LineageIndex`
 from __future__ import annotations
 
 import json
+import os
+import sys
 import threading
 from bisect import bisect_right
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -108,17 +101,10 @@ class AuditLog:
                 self._append_payload({"event": "seed", "digest": digest})
 
     def append(
-        self,
-        op: str,
-        object_name: str,
-        outcome: str,
-        plan: Optional[UpdatePlan] = None,
-        images: Optional[Images] = None,
-        island: Iterable[str] = (),
-        policy: Optional[Dict[str, Any]] = None,
-        user: Optional[str] = None,
-        items: int = 1,
-        error: Optional[str] = None,
+        self, op: str, object_name: str, outcome: str,
+        plan: Optional[UpdatePlan] = None, images: Optional[Images] = None,
+        island: Iterable[str] = (), policy: Optional[Dict[str, Any]] = None,
+        user: Optional[str] = None, items: int = 1, error: Optional[str] = None,
         journal_entry: Optional[int] = None,
         plan_records: Optional[List[Dict[str, Any]]] = None,
         image_records: Optional[List[List[Any]]] = None,
@@ -173,10 +159,7 @@ class AuditLog:
 
     def _admit(self, record: UpdateRecord) -> None:
         if record.id <= self.head_asn():
-            raise AuditError(
-                f"audit record #{record.id} does not follow "
-                f"#{self.head_asn()}"
-            )
+            raise AuditError(f"audit record #{record.id} does not follow #{self.head_asn()}")
         self._records.append(record)
         self._asns.append(record.id)
         self.version += 1
@@ -198,31 +181,21 @@ class AuditLog:
         """Settle every ``crashed`` record against the journal's verdict.
 
         A crash between audit append and commit leaves the record
-        ``crashed`` while the journal entry is still PENDING; after
-        :func:`~repro.relational.journal.recover` runs, the entry is
-        COMMITTED (the plan had fully landed) or ABORTED (it was
-        reverted). This folds that verdict back into the audit log so
+        ``crashed`` and its journal entry PENDING; once
+        :func:`~repro.relational.journal.recover` has marked the entry
+        COMMITTED or ABORTED, this folds that verdict back so
         ``replay``/``as_of`` see the truth. Idempotent; returns how many
-        records were resolved.
-        """
-        crashed = [
-            record
-            for record in self.records()
-            if record.state == CRASHED and record.journal_entry is not None
-        ]
+        records were resolved."""
         settled = 0
-        entries = {entry.id: entry for entry in journal.entries()}
-        for record in crashed:
-            entry = entries.get(record.journal_entry)
-            if entry is None:
+        for record in self.records():
+            if record.state != CRASHED or record.journal_entry is None:
                 continue
-            if entry.state == JOURNAL_COMMITTED:
+            verdict = journal.verdict(record.journal_entry)
+            if verdict == JOURNAL_COMMITTED:
                 self.resolve(record.id, COMMITTED)
                 settled += 1
-            elif entry.state == JOURNAL_ABORTED:
-                self.resolve(
-                    record.id, ROLLED_BACK, error="reverted by recovery"
-                )
+            elif verdict == JOURNAL_ABORTED:
+                self.resolve(record.id, ROLLED_BACK, error="reverted by recovery")
                 settled += 1
         return settled
 
@@ -252,13 +225,9 @@ class AuditLog:
         return [r for r in fresh if r.state == COMMITTED]
 
     def records_for_trace(self, trace_id: str) -> List[UpdateRecord]:
-        """Every record stamped with ``trace_id``, in ASN order.
-
-        The trace→audit direction of the cross-link: given an
-        assembled distributed trace, surface the audited updates it
-        committed (``why()`` provides the other direction, since a
-        lineage link's record now carries the trace id).
-        """
+        """Every record stamped with ``trace_id``, in ASN order: the
+        trace→audit direction of the cross-link (``why()`` gives the
+        other, since a lineage link's record carries the trace id)."""
         return [r for r in self.records() if r.trace_id == trace_id]
 
     def tail(self, n: int = 10) -> List[UpdateRecord]:
@@ -293,9 +262,7 @@ class AuditLog:
 
 def _check_outcome(outcome: str) -> None:
     if outcome not in OUTCOMES:
-        raise AuditError(
-            f"unknown audit outcome {outcome!r}; choose from {OUTCOMES}"
-        )
+        raise AuditError(f"unknown audit outcome {outcome!r}; choose from {OUTCOMES}")
 
 
 class ShippingCursor:
@@ -329,14 +296,10 @@ class ShippingCursor:
         return fresh
 
     def skip(self, asn: int) -> None:
-        """Advance past ``asn`` without shipping it.
-
-        Used for records whose effects were already replicated by
-        another channel — a cross-shard transaction ships each
-        participant's sub-plan during the two-phase commit, then audits
-        the full plan on the owner; shipping that owner record
-        too would apply foreign sub-plans to the owner's replicas.
-        """
+        """Advance past ``asn`` without shipping it: its effects went
+        by another channel (a cross-shard transaction ships each
+        participant's sub-plan during the two-phase commit; shipping the
+        owner's full record too would apply foreign sub-plans)."""
         self.asn = max(self.asn, asn)
 
     def lag(self) -> int:
@@ -354,25 +317,54 @@ class MemoryAuditLog(AuditLog):
         return f"MemoryAuditLog({len(self._records)} records)"
 
 
+class _FiledRecord(UpdateRecord):
+    """A record folded from its line on reopen: it holds the small
+    fields and the line's place, and reads the plan and images back
+    from the file on demand."""
+
+    __slots__ = ("_log", "_offset", "_length")
+
+    def __init__(self, log, offset, length, payload, policy, island) -> None:
+        self._log, self._offset, self._length = log, offset, length
+        self.id, self.items = payload["asn"], payload.get("items", 1)
+        self.state, self.op, self.label = (
+            sys.intern(payload[name]) for name in ("outcome", "op", "object")
+        )
+        self.trace_id, self.policy, self.island = payload.get("trace"), policy, island
+        self.user, self.error = payload.get("user"), payload.get("error")
+        self.journal_entry = payload.get("journal_entry")
+
+    @property
+    def plan_records(self) -> List[Dict[str, Any]]:
+        return self._log._reread(self)["plan"]
+
+    @property
+    def image_records(self) -> List[List[Any]]:
+        return self._log._reread(self)["images"]
+
+
 class FileAuditLog(AuditLog):
     """Durable audit log: append-only JSON lines, fsync'd per append.
 
     A translator's policy answers and dependency island are written
     once, as a ``translator`` event appended before the first record
     that names it; a record line carries ``"translator": id`` in their
-    place. A record line carrying them inline (the older format) still
-    folds. Reopening the same path reloads every record — those naming
-    one translator share its policy dict and island — and folds the
-    resolution markers and the seed digest. The file is a
-    :class:`~repro.relational.journal.JsonLinesFile`, the one under
-    :class:`~repro.relational.journal.FileJournal`, read line by line:
-    a torn final line — the process died mid-append — is truncated
-    away, any other damaged line (one naming an undefined translator
-    included) raises :class:`~repro.errors.AuditError`.
+    place (a line carrying them inline, the older format, still folds).
+    Reopening folds every record, resolution marker and the seed digest.
+    A reopened record holds its small fields and its line's place and
+    reads its plan and images back from the file; records of one
+    content share one policy dict and island. A record appended by this
+    process keeps the payload it was handed. The file is the
+    :class:`~repro.relational.journal.JsonLinesFile` under
+    :class:`~repro.relational.journal.FileJournal` too: a torn final
+    line is truncated away, any other damaged line (one naming an
+    undefined translator included) raises :class:`~repro.errors.AuditError`.
     """
 
     def __init__(self, path) -> None:
         super().__init__()
+        # id -> (policy, island); a negative id is content met only
+        # inline (older lines), never defined in the file.
         self._translators: Dict[int, Tuple[Dict[str, Any], Tuple[str, ...]]] = {}
         self._by_content: Dict[str, int] = {}  # canonical JSON -> id
         # id(policy) -> (policy, island, id): a translator hands every
@@ -380,38 +372,27 @@ class FileAuditLog(AuditLog):
         self._by_policy: Dict[int, Tuple[Any, Tuple[str, ...], int]] = {}
         self._file = JsonLinesFile(path, self._fold, AuditError, "audit")
         self.path = self._file.path
+        self._reader: Optional[int] = os.open(self.path, os.O_RDONLY)
 
-    def _fold(self, payload: Dict[str, Any]) -> None:
+    def _fold(self, payload: Dict[str, Any], offset: int, length: int) -> None:
         event = payload["event"]
         if event == "record":
+            payload["plan"], payload["images"]  # a line without them is damage
             named = payload.get("translator")
             if named is None:
                 policy, island = payload.get("policy"), payload.get("island", ())
+                if policy is not None:
+                    policy, island = self._shared(policy, island)
             elif named in self._translators:
                 policy, island = self._translators[named]
             else:
                 raise AuditError(f"unknown translator #{named}")
             self._admit(
-                UpdateRecord(
-                    payload["asn"],
-                    payload["outcome"],
-                    payload["plan"],
-                    payload["images"],
-                    op=payload["op"],
-                    label=payload["object"],
-                    items=payload.get("items", 1),
-                    trace_id=payload.get("trace"),
-                    island=island,
-                    policy=policy,
-                    user=payload.get("user"),
-                    error=payload.get("error"),
-                    journal_entry=payload.get("journal_entry"),
-                )
+                _FiledRecord(self, offset, length, payload, policy, tuple(island))
             )
         elif event == "resolve":
-            self._settle(
-                payload["asn"], payload["outcome"], payload.get("error")
-            )
+            outcome = sys.intern(payload["outcome"])
+            self._settle(payload["asn"], outcome, payload.get("error"))
         elif event == "seed":
             self.seed = payload["digest"]
         elif event == "translator":
@@ -423,6 +404,14 @@ class FileAuditLog(AuditLog):
         self._translators[translator] = (policy, island)
         self._by_content[json.dumps([policy, island], sort_keys=True)] = translator
 
+    def _shared(self, policy: Dict[str, Any], island):
+        """The one ``(policy, island)`` pair of an inline record's content."""
+        translator = self._by_content.get(json.dumps([policy, island], sort_keys=True))
+        if translator is None:
+            translator = -len(self._translators) - 1
+            self._define(translator, policy, tuple(island))
+        return self._translators[translator]
+
     def _translator_id(self, policy: Dict[str, Any], island) -> int:
         """The id naming ``(policy, island)`` in this file; the first
         time, append the ``translator`` event that defines it."""
@@ -430,8 +419,8 @@ class FileAuditLog(AuditLog):
         if known is not None and known[0] is policy and known[1] == island:
             return known[2]
         translator = self._by_content.get(json.dumps([policy, island], sort_keys=True))
-        if translator is None:
-            translator = max(self._translators, default=0) + 1
+        if translator is None or translator < 0:
+            translator = max([0, *self._translators]) + 1
             self._file.append({"event": "translator", "id": translator,
                                "policy": policy, "island": list(island)})
             self._define(translator, policy, island)
@@ -448,8 +437,20 @@ class FileAuditLog(AuditLog):
     def _append_payload(self, payload: Dict[str, Any]) -> None:
         self._file.append(payload)
 
+    def _reread(self, record: _FiledRecord) -> Dict[str, Any]:
+        """The line ``record`` was folded from, parsed again."""
+        try:
+            if self._reader is None:
+                raise ValueError("the log is closed")
+            return json.loads(os.pread(self._reader, record._length, record._offset))
+        except (OSError, ValueError) as exc:
+            raise AuditError(f"{self.path}: cannot read record #{record.id}: {exc}") from None
+
     def close(self) -> None:
         self._file.close()
+        if self._reader is not None:
+            os.close(self._reader)
+            self._reader = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FileAuditLog({self.path!r}, {len(self._records)} records)"

@@ -1,11 +1,10 @@
 """Write-ahead intent journal for update plans, with crash recovery.
 
-The translators promise all-or-nothing semantics, but an engine
-transaction only protects against failures *inside* the transaction
-window. A process crash between applying a plan and recording that it
-was applied — or a storage layer whose multi-operation batch is not
-atomic — leaves the question "did this plan happen?" unanswerable from
-the data alone. The journal answers it:
+An engine transaction only protects against failures *inside* its
+window. A crash between applying a plan and recording that it was
+applied — or a storage layer whose multi-operation batch is not atomic
+— leaves "did this plan happen?" unanswerable from the data alone. The
+journal answers it:
 
 1. before a plan is applied, it is serialized and appended with status
    ``PENDING`` (durably — the file-backed journal fsyncs), together
@@ -22,9 +21,11 @@ cell that moved is put back to its before-image and the entry is marked
 ``ABORTED``. Either way the database ends all-applied or all-reverted:
 no torn plans.
 
-Two backends: :class:`MemoryJournal` (tests, ephemeral sessions) and
-:class:`FileJournal` (append-only JSON lines, ``fsync`` on every
-append, reloaded on open).
+A journal holds only what is in flight: a marker drops its entry, and
+a resolved id is answered from the id counter and the set of aborted
+ids (:meth:`PlanJournal.verdict`). Two backends: :class:`MemoryJournal`
+(tests, ephemeral sessions) and :class:`FileJournal` (append-only JSON
+lines, ``fsync`` on every append, folded line by line on open).
 
 This module also owns what every log of updates shares: the JSON codec
 for plans and images, :class:`UpdateRecord` — the one record type the
@@ -40,7 +41,7 @@ import datetime
 import json
 import os
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import repro.obs as obs
 from repro.errors import JournalError
@@ -74,6 +75,8 @@ __all__ = [
 PENDING = "pending"
 COMMITTED = "committed"
 ABORTED = "aborted"
+# The label prefix of a two-phase intent (repro.shard.twophase).
+TWO_PHASE_PREFIX = "2pc:"
 
 Cell = Tuple[str, Tuple[Any, ...]]  # (relation, primary key)
 Images = Dict[Cell, Tuple[Optional[Tuple[Any, ...]], Optional[Tuple[Any, ...]]]]
@@ -227,52 +230,24 @@ class UpdateRecord:
     """
 
     __slots__ = (
-        "id",
-        "state",
-        "plan_records",
-        "image_records",
-        "op",
-        "label",
-        "items",
-        "trace_id",
-        "island",
-        "policy",
-        "user",
-        "error",
-        "journal_entry",
+        "id", "state", "plan_records", "image_records", "op", "label", "items",
+        "trace_id", "island", "policy", "user", "error", "journal_entry",
     )
 
     def __init__(
-        self,
-        id: int,
-        state: str,
-        plan_records: List[Dict[str, Any]],
-        image_records: List[List[Any]],
-        op: str = "",
-        label: str = "",
-        items: int = 1,
-        trace_id: Optional[str] = None,
-        island: Sequence[str] = (),
-        policy: Optional[Dict[str, Any]] = None,
-        user: Optional[str] = None,
-        error: Optional[str] = None,
-        journal_entry: Optional[int] = None,
+        self, id: int, state: str, plan_records: List[Dict[str, Any]],
+        image_records: List[List[Any]], op: str = "", label: str = "",
+        items: int = 1, trace_id: Optional[str] = None, island: Sequence[str] = (),
+        policy: Optional[Dict[str, Any]] = None, user: Optional[str] = None,
+        error: Optional[str] = None, journal_entry: Optional[int] = None,
     ) -> None:
-        self.id = id
-        self.state = state
-        self.plan_records = plan_records
-        self.image_records = image_records
-        self.op = op
-        self.label = label
-        self.items = items
+        self.id, self.state, self.op, self.label, self.items = id, state, op, label, items
+        self.plan_records, self.image_records = plan_records, image_records
         # The originating request's trace id rides the record across
         # restarts and the thread boundary contextvars cannot cross.
         self.trace_id = trace_id
-        self.island = tuple(island)
-        self.policy = policy
-        self.user = user
-        self.error = error
-        self.journal_entry = journal_entry
+        self.island, self.policy, self.user = tuple(island), policy, user
+        self.error, self.journal_entry = error, journal_entry
 
     def plan(self) -> UpdatePlan:
         return decode_plan(self.plan_records)
@@ -306,13 +281,8 @@ class UpdateRecord:
 
     def describe(self) -> str:
         """One human-readable line (the ``audit tail`` format)."""
-        parts = [
-            f"#{self.id}",
-            f"{self.label}.{self.op}",
-            self.state,
-            f"ops={len(self.plan_records)}",
-            f"cells={len(self.image_records)}",
-        ]
+        parts = [f"#{self.id}", f"{self.label}.{self.op}", self.state,
+                 f"ops={len(self.plan_records)}", f"cells={len(self.image_records)}"]
         if self.items != 1:
             parts.append(f"items={self.items}")
         if self.user is not None:
@@ -333,9 +303,11 @@ class UpdateRecord:
 class JsonLinesFile:
     """The append-only JSON-lines file under both durable logs.
 
-    Opening replays the file through ``fold``, the owning log's event
-    vocabulary, one line at a time: reopening holds one line in memory
-    besides what ``fold`` keeps, never the whole file. An append goes
+    Opening replays the file through ``fold(event, offset, length)``,
+    the owning log's event vocabulary, one line at a time (``offset`` and
+    ``length`` place the line in the file, for a log that reads it back):
+    reopening holds one line in memory besides what ``fold`` keeps,
+    never the whole file. An append goes
     out as ``line + "\\n"`` in one write, so a crash mid-append can only
     leave a final line *without* its newline: that torn tail is
     truncated away (the append it belongs to never returned), and the
@@ -353,11 +325,11 @@ class JsonLinesFile:
                 for line_no, line in enumerate(f, 1):
                     if not line.endswith(b"\n"):
                         break  # the torn tail
-                    intact += len(line)
+                    offset, intact = intact, intact + len(line)
                     if not line.strip():
                         continue
                     try:
-                        fold(json.loads(line))
+                        fold(json.loads(line), offset, len(line))
                     except error as exc:
                         raise error(f"{self.path}:{line_no}: {exc}") from None
                     except (ValueError, KeyError, TypeError) as exc:
@@ -460,10 +432,18 @@ class PlanJournal:
     ``mark_aborted`` append status markers referencing the entry id.
     Readers fold markers over entries, so replaying a journal file
     reconstructs exactly the in-memory state.
+
+    It holds what is still in flight. A marker, appended or folded,
+    drops its entry: what is left is the id counter and, for an abort,
+    the id in a set, so :meth:`verdict` still answers for every id. A
+    two-phase entry (a ``2pc:`` label) leaves a stub of its id, label
+    and state instead, because recovering its transaction reads a
+    resolved sibling (:func:`~repro.shard.twophase.recover_two_phase`).
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[int, UpdateRecord] = {}  # in append order
+        self._entries: Dict[int, UpdateRecord] = {}  # held, in append order
+        self._aborted: Set[int] = set()
         self._next_id = 1
         self._lock = threading.Lock()
 
@@ -499,13 +479,8 @@ class PlanJournal:
                 label=label, trace_id=trace_id,
             )
             self._admit(entry)
-            event = {
-                "event": PENDING,
-                "id": entry.id,
-                "label": label,
-                "plan": plan_records,
-                "images": image_records,
-            }
+            event = {"event": PENDING, "id": entry.id, "label": label,
+                     "plan": plan_records, "images": image_records}
             if trace_id is not None:
                 event["trace"] = trace_id
             self._append(event)
@@ -519,12 +494,21 @@ class PlanJournal:
 
     def _mark(self, entry_id: int, state: str) -> None:
         with self._lock:
-            self._find(entry_id).state = state
+            self._settle(entry_id, state)
             self._append({"event": state, "id": entry_id})
 
     def _admit(self, entry: UpdateRecord) -> None:
         self._entries[entry.id] = entry
         self._next_id = max(self._next_id, entry.id + 1)
+
+    def _settle(self, entry_id: int, state: str) -> None:
+        entry = self._find(entry_id)
+        if state == ABORTED:
+            self._aborted.add(entry_id)
+        if entry.label.startswith(TWO_PHASE_PREFIX):
+            self._entries[entry_id] = UpdateRecord(entry_id, state, [], [], label=entry.label)
+        else:
+            del self._entries[entry_id]
 
     def _find(self, entry_id: int) -> UpdateRecord:
         try:
@@ -535,6 +519,8 @@ class PlanJournal:
     # -- reading ------------------------------------------------------------
 
     def entries(self) -> List[UpdateRecord]:
+        """The held entries, in id order: every PENDING one, whole, and
+        the stub of every resolved two-phase entry."""
         with self._lock:
             return list(self._entries.values())
 
@@ -543,12 +529,33 @@ class PlanJournal:
             return [e for e in self._entries.values() if e.state == PENDING]
 
     def entry(self, entry_id: int) -> UpdateRecord:
+        """A held entry; :meth:`verdict` answers for any id."""
         with self._lock:
             return self._find(entry_id)
 
-    def __len__(self) -> int:
+    def verdict(self, entry_id: int) -> Optional[str]:
+        """What became of entry ``entry_id``: its state if held, else
+        ABORTED if it was aborted, else COMMITTED if it was ever begun;
+        None for an id this journal never issued."""
         with self._lock:
-            return len(self._entries)
+            entry = self._entries.get(entry_id)
+            if entry is not None:
+                return entry.state
+            if entry_id in self._aborted:
+                return ABORTED
+            return COMMITTED if 0 < entry_id < self._next_id else None
+
+    def counts(self) -> Dict[str, int]:
+        """How many entries are PENDING, COMMITTED and ABORTED."""
+        with self._lock:
+            pending = sum(e.state == PENDING for e in self._entries.values())
+            aborted = len(self._aborted)
+            committed = self._next_id - 1 - pending - aborted
+        return {PENDING: pending, COMMITTED: committed, ABORTED: aborted}
+
+    def __len__(self) -> int:
+        """How many entries were ever begun: the id counter's mark."""
+        return self._next_id - 1
 
     # -- backend hook --------------------------------------------------------
 
@@ -569,12 +576,12 @@ class MemoryJournal(PlanJournal):
 class FileJournal(PlanJournal):
     """Durable journal: append-only JSON lines, fsync'd per append.
 
-    Reopening the same path reloads every entry, line by line, and
-    folds the status markers, so a restarted process sees exactly the
-    pre-crash journal — including any entry still PENDING, which
-    :func:`recover` then resolves — minus a PENDING line the crash tore
-    mid-append (:class:`JsonLinesFile`): that intent was never
-    acknowledged, so nothing was applied under it.
+    Reopening the same path folds the file line by line, markers
+    included, so a restarted process holds what the pre-crash journal
+    held — every entry still PENDING, which :func:`recover` then
+    resolves, and the verdict of every resolved one — minus a PENDING
+    line the crash tore mid-append (:class:`JsonLinesFile`): that intent
+    was never acknowledged, so nothing was applied under it.
     """
 
     def __init__(self, path) -> None:
@@ -582,17 +589,15 @@ class FileJournal(PlanJournal):
         self._file = JsonLinesFile(path, self._fold, JournalError, "journal")
         self.path = self._file.path
 
-    def _fold(self, event: Dict[str, Any]) -> None:
+    def _fold(self, event: Dict[str, Any], *_line) -> None:
         kind = event["event"]
         if kind == PENDING:
-            self._admit(
-                UpdateRecord(
-                    event["id"], PENDING, event["plan"], event["images"],
-                    label=event.get("label", ""), trace_id=event.get("trace"),
-                )
-            )
+            self._admit(UpdateRecord(
+                event["id"], PENDING, event["plan"], event["images"],
+                label=event.get("label", ""), trace_id=event.get("trace"),
+            ))
         elif kind in (COMMITTED, ABORTED):
-            self._find(event["id"]).state = kind
+            self._settle(event["id"], kind)
         else:
             raise JournalError(f"unknown event {kind!r}")
 
@@ -630,19 +635,13 @@ class RecoveryReport:
         return not self.conflicts
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "replayed": list(self.replayed),
-            "reverted": list(self.reverted),
-            "conflicts": list(self.conflicts),
-            "transactions_discarded": self.transactions_discarded,
-        }
+        return {"replayed": list(self.replayed), "reverted": list(self.reverted),
+                "conflicts": list(self.conflicts),
+                "transactions_discarded": self.transactions_discarded}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RecoveryReport(replayed={len(self.replayed)}, "
-            f"reverted={len(self.reverted)}, "
-            f"conflicts={len(self.conflicts)})"
-        )
+        return (f"RecoveryReport(replayed={len(self.replayed)}, "
+                f"reverted={len(self.reverted)}, conflicts={len(self.conflicts)})")
 
 
 def recover(engine: Engine, journal: PlanJournal) -> RecoveryReport:
@@ -686,9 +685,6 @@ def recover(engine: Engine, journal: PlanJournal) -> RecoveryReport:
                 report.conflicts.append((entry.id, relation, key))
             journal.mark_aborted(entry.id)
             report.reverted.append(entry.id)
-        span.set(
-            replayed=len(report.replayed),
-            reverted=len(report.reverted),
-            conflicts=len(report.conflicts),
-        )
+        span.set(replayed=len(report.replayed), reverted=len(report.reverted),
+                 conflicts=len(report.conflicts))
     return report

@@ -282,9 +282,9 @@ class ShardedPenguin(ViewObjectSession):
         # A transaction id must not come back after a restart: recovery
         # groups the journals' two-phase entries by id, and a reused one
         # would adopt a settled transaction's COMMITTED marker and roll a
-        # lone new intent forward. The journals only grow, so their
-        # length at startup names this process's transactions apart.
-        boot = sum(len(shard.journal.entries()) for shard in self.shards)
+        # lone new intent forward. The journals' id counters only grow,
+        # so their sum at startup names this process's transactions apart.
+        boot = sum(len(shard.journal) for shard in self.shards)
         self._txn_ids = (f"txn{boot}.{n}" for n in itertools.count(1))
 
     # -- the fault surface ---------------------------------------------------

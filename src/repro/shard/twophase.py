@@ -44,6 +44,7 @@ from repro.relational.journal import (
     ABORTED,
     COMMITTED,
     PENDING,
+    TWO_PHASE_PREFIX,
     Images,
     UpdateRecord,
     plan_images,
@@ -52,8 +53,6 @@ from repro.relational.journal import (
 from repro.relational.operations import UpdatePlan
 
 __all__ = ["two_phase_apply", "recover_two_phase"]
-
-TWO_PHASE_PREFIX = "2pc:"
 
 
 def twophase_label(txn_id: str, participants: int, shard_id: int) -> str:
@@ -227,8 +226,8 @@ def recover_two_phase(
         while getattr(shard.engine, "in_transaction", False):
             shard.engine.rollback()
 
-    # Group every 2PC entry — resolved siblings included: a COMMITTED
-    # entry on one shard proves the transaction passed its commit point
+    # Group every 2PC entry — resolved siblings' stubs included: a
+    # COMMITTED entry on one shard proves the transaction passed its commit point
     # before the crash, so a sibling still PENDING elsewhere must roll
     # forward even though its own journal alone could not tell.
     # txn_id -> (declared participant count, {shard_id: entry})

@@ -341,9 +341,7 @@ class _Session:
         # Rejections are *supposed* to be journaled/audited (rolled_back
         # records are the audit trail working as designed); the trace a
         # rejected update must never leave is a *committed* entry.
-        committed_journal = sum(
-            1 for entry in self.journal.entries() if entry.state == "committed"
-        )
+        committed_journal = self.journal.counts()["committed"]
         committed_audit = sum(
             1
             for record in self.audit.records()

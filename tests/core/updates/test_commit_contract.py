@@ -29,11 +29,11 @@ from repro.relational.journal import (
     ABORTED,
     COMMITTED,
     PENDING,
-    MemoryJournal,
     recover,
 )
 from repro.relational.memory_engine import MemoryEngine
 from repro.workloads.university import populate_university
+from tests.journal_harness import RecordingJournal
 
 pytestmark = pytest.mark.audit
 
@@ -135,7 +135,7 @@ def stack(omega, university_engine):
     plan = FaultPlan(seed=1)
     engine = FaultInjectingEngine(university_engine, plan)
     translator = Translator(
-        omega, journal=MemoryJournal(), audit=MemoryAuditLog()
+        omega, journal=RecordingJournal(), audit=MemoryAuditLog()
     )
     return translator, engine, plan
 
@@ -167,7 +167,7 @@ def test_commit_contract(stack, entry_point, fault):
         "translations_total": translations,
         "translation_failures_total": failures,
     }
-    entries = translator.journal.entries()
+    entries = translator.journal.journaled()
     assert [e.state for e in entries] == ([] if status is None else [status])
     (record,) = translator.audit.records()
     assert (record.op, record.state, record.items) == (op, outcome, items)
@@ -184,7 +184,7 @@ def test_commit_contract(stack, entry_point, fault):
         # was committed, so it is reverted and the audit trail follows.
         recover(engine.base, translator.journal)
         assert translator.audit.reconcile(translator.journal) == 1
-        assert [e.state for e in translator.journal.entries()] == [ABORTED]
+        assert [e.state for e in translator.journal.journaled()] == [ABORTED]
         assert translator.audit.record(record.id).state == "rolled_back"
     assert not engine.base.in_transaction
     if raised is None:
@@ -233,7 +233,7 @@ def test_plan_and_images_are_encoded_once(stack, entry_point, monkeypatch):
     ENTRY_POINTS[entry_point][3](translator, engine)
 
     assert calls == {"encode_plan": 1, "encode_images": 1}
-    (entry,) = translator.journal.entries()
+    (entry,) = translator.journal.journaled()
     (record,) = translator.audit.records()
     assert entry.plan_records == record.plan_records
     assert entry.image_records == record.image_records
@@ -258,13 +258,13 @@ def test_engine_without_changelog_is_journaled_with_images(
     university_graph.install(engine)
     populate_university(engine)
     translator = Translator(
-        omega, journal=MemoryJournal(), audit=MemoryAuditLog()
+        omega, journal=RecordingJournal(), audit=MemoryAuditLog()
     )
     translator.apply(engine, CompleteInsertion(course("CS990")))
     translator.apply_plan_batch(
         engine, [CompleteInsertion(course("CS991"))], op="insert"
     )
-    entries = translator.journal.entries()
+    entries = translator.journal.journaled()
     records = translator.audit.records()
     assert [e.state for e in entries] == [COMMITTED, COMMITTED]
     assert all(e.image_records for e in entries)

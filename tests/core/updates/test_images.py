@@ -23,9 +23,10 @@ from repro.core.updates.operations import (
 from repro.core.updates.translator import Translator
 from repro.errors import ReproError
 from repro.obs.audit import MemoryAuditLog
-from repro.relational.journal import MemoryJournal, encode_images
+from repro.relational.journal import encode_images
 from repro.workloads.synthetic import random_chain_case
 from tests.conftest import make_engine
+from tests.journal_harness import RecordingJournal
 from tests.core.updates.test_compiled import (
     FRESH_ROOT,
     REHOMED_ROOT,
@@ -73,7 +74,7 @@ class Logged:
         self.engine = engine
         self.translator = Translator(
             view_object,
-            journal=MemoryJournal(),
+            journal=RecordingJournal(),
             audit=MemoryAuditLog(),
             strictness="off",
         )
@@ -81,18 +82,18 @@ class Logged:
 
     def write(self, call):
         before = database(self.engine)
-        entries = len(self.translator.journal.entries())
+        entries = len(self.translator.journal.journaled())
         try:
             plan = call(self.translator, self.engine)
         except ReproError:
-            assert len(self.translator.journal.entries()) == entries
+            assert len(self.translator.journal.journaled()) == entries
             return
         after = database(self.engine)
         expected = {
             cell: (before.get(cell), after.get(cell))
             for cell in plan_cells(self.engine, plan)
         }
-        entry = self.translator.journal.entries()[-1]
+        entry = self.translator.journal.journaled()[-1]
         record = self.translator.audit.records()[-1]
         assert entry.image_records == encode_images(expected)
         assert record.image_records == entry.image_records

@@ -21,9 +21,10 @@ from repro.core.updates.operations import (
     Replacement,
 )
 from repro.core.updates.translator import Translator
-from repro.relational.journal import MemoryJournal, encode_images
+from repro.relational.journal import encode_images
 from repro.workloads.synthetic import random_chain_case
 from tests.conftest import make_engine
+from tests.journal_harness import RecordingJournal
 from tests.core.updates.test_compiled import FRESH_ROOT, REHOMED_ROOT, rekey, snapshot
 
 
@@ -57,7 +58,7 @@ def journaled(backend, seed):
     engine = make_engine(backend)
     _, view_object, _ = random_chain_case(engine, seed)
     translator = Translator(
-        view_object, journal=MemoryJournal(), strictness="off"
+        view_object, journal=RecordingJournal(), strictness="off"
     )
     return translator, engine
 
@@ -79,9 +80,9 @@ def test_a_batch_lands_what_apply_lands_one_by_one(seed, backend):
     # The one insert-then-delete pair of the list lands as two operations.
     assert combined.count("insert") == sum(p.count("insert") for p in plans)
     folded = {}
-    for entry in eager.journal.entries():
+    for entry in eager.journal.journaled():
         for cell, (before, after) in entry.images().items():
             folded[cell] = (folded[cell][0] if cell in folded else before, after)
-    (entry,) = batch.journal.entries()
+    (entry,) = batch.journal.journaled()
     assert entry.image_records == encode_images(folded)
     assert snapshot(batch_engine) == snapshot(eager_engine)

@@ -32,7 +32,6 @@ from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.errors import LocalValidationError, ReproError, UpdateRejectedError
 from repro.obs.audit import MemoryAuditLog
-from repro.relational.journal import MemoryJournal
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.operations import Replace
 from repro.workloads.figures import course_info_object
@@ -45,6 +44,7 @@ from repro.workloads.hospital import (
 from repro.workloads.synthetic import chain_object, chain_schema, populate_chain
 from repro.workloads.university import populate_university, university_schema
 from tests.conftest import make_engine
+from tests.journal_harness import RecordingJournal
 from tests.core.updates.test_compiled import rearranged
 
 CHAIN_DEPTH = 7
@@ -642,7 +642,7 @@ def logged_write_reads(write, audited_before):
         graph.install(engine)
         populate_hospital(engine, HospitalConfig(patients=1))
         logs = (
-            dict(journal=MemoryJournal(), audit=MemoryAuditLog())
+            dict(journal=RecordingJournal(), audit=MemoryAuditLog())
             if logged else {}
         )
         translator = Translator(patient_chart_object(graph), **logs)
@@ -655,7 +655,7 @@ def logged_write_reads(write, audited_before):
         LOGGED_WRITES[write](translator, engine)
         reads[logged] = engine.reads
         if logged:
-            assert translator.journal.entries()[-1].image_records
+            assert translator.journal.journaled()[-1].image_records
     return reads, engine.relation_names()
 
 

@@ -31,7 +31,7 @@ from repro.workloads.hospital import (
     patient_chart_object,
     populate_hospital,
 )
-from tests.journal_harness import apply_journaled
+from tests.journal_harness import RecordingJournal, apply_journaled
 
 pytestmark = pytest.mark.chaos
 
@@ -83,7 +83,7 @@ class TestNonAtomicCrashSweep:
         graph, engine, view_object = fresh_hospital()
         plan = deletion_plan(view_object, engine, PID)
         before = snapshot(engine)
-        journal = MemoryJournal()
+        journal = RecordingJournal()
         faulty = FaultInjectingEngine(
             engine, FaultPlan().crash_at("mutation", at=k)
         )
@@ -93,7 +93,7 @@ class TestNonAtomicCrashSweep:
         report = recover(engine, journal)
         assert report.clean
         assert snapshot(engine) == before
-        assert {e.state for e in journal.entries()} == {ABORTED}
+        assert {e.state for e in journal.journaled()} == {ABORTED}
         assert not IntegrityChecker(graph).check(engine)
 
     def test_a_backlog_of_torn_plans_resolves_in_one_pass(self):
@@ -124,12 +124,12 @@ class TestNonAtomicCrashSweep:
         """One index past the end: the plan completes and stays applied."""
         graph, engine, view_object = fresh_hospital()
         plan = deletion_plan(view_object, engine, PID)
-        journal = MemoryJournal()
+        journal = RecordingJournal()
         faulty = FaultInjectingEngine(
             engine, FaultPlan().crash_at("mutation", at=PLAN_LEN + 1)
         )
         apply_journaled(faulty, journal, plan, atomic=False)
-        assert {e.state for e in journal.entries()} == {COMMITTED}
+        assert {e.state for e in journal.journaled()} == {COMMITTED}
         assert engine.get("PATIENT", (PID,)) is None
         assert recover(engine, journal).pending_resolved == 0
         assert not IntegrityChecker(graph).check(engine)
@@ -140,7 +140,7 @@ class TestNonAtomicCrashSweep:
         graph, engine, view_object = fresh_hospital()
         plan = deletion_plan(view_object, engine, PID)
         before = snapshot(engine)
-        journal = MemoryJournal()
+        journal = RecordingJournal()
         faulty = FaultInjectingEngine(
             engine, FaultPlan().crash_at("commit", at=1)
         )
@@ -149,7 +149,7 @@ class TestNonAtomicCrashSweep:
         report = recover(engine, journal)
         assert report.clean
         assert snapshot(engine) == before
-        assert {e.state for e in journal.entries()} == {ABORTED}
+        assert {e.state for e in journal.journaled()} == {ABORTED}
 
 
 class TestTranslationCrash:
@@ -257,7 +257,7 @@ class TestTranslationCrash:
             lines = path.read_text().splitlines()
             assert all(json.loads(line) for line in lines)
         reopened = FileJournal(journal_path)
-        assert [(e.id, e.state) for e in reopened.entries()] == [
+        assert [(n, reopened.verdict(n)) for n in range(1, len(reopened) + 1)] == [
             (1, ABORTED), (2, COMMITTED),
         ]
         reopened.close()

@@ -26,11 +26,11 @@ from repro.relational.faults import (
     FaultPlan,
     SimulatedCrash,
 )
-from repro.relational.journal import MemoryJournal
 from repro.workloads.figures import alternate_course_object, course_info_object
 from repro.workloads.university import populate_university, university_schema
 
 from tests.conftest import make_engine
+from tests.journal_harness import RecordingJournal
 
 BACKENDS = ["memory", "sqlite"]
 
@@ -46,7 +46,7 @@ def university(backend, wrap=None, journal=None):
         graph,
         engine=engine if wrap is None else wrap(engine),
         install=False,
-        journal=MemoryJournal() if journal is None else journal,
+        journal=RecordingJournal() if journal is None else journal,
         audit=MemoryAuditLog(),
     )
     session.register_object(course_info_object(session.graph))
@@ -186,7 +186,7 @@ def test_a_committed_block_is_one_journal_entry_and_one_audit_record(penguin):
     with penguin.transaction():
         one = penguin.delete("course_info", (first,))
         two = penguin.delete("course_info", (second,))
-    (entry,) = penguin.journal.entries()
+    (entry,) = penguin.journal.journaled()
     assert entry.state == journal_states.COMMITTED
     (record,) = penguin.audit.records()
     assert (record.op, record.state, record.items) == ("transaction", COMMITTED, 2)
@@ -229,7 +229,7 @@ def test_an_aborted_or_empty_block_lands_nothing(penguin, how):
             if how == "selected nothing":
                 penguin.delete_where("course_info", "course_id = 'NO-SUCH'")
     assert snapshot(penguin.engine) == before
-    assert penguin.journal.entries() == []
+    assert penguin.journal.journaled() == []
     assert len(penguin.audit) == 0
 
 
@@ -251,7 +251,7 @@ def test_a_rejected_verb_is_audited_and_the_block_goes_on(penguin):
         ("insert", ROLLED_BACK), ("delete", ROLLED_BACK),
         ("transaction", COMMITTED),
     ]
-    assert len(penguin.journal.entries()) == 1
+    assert len(penguin.journal.journaled()) == 1
     assert penguin.engine.get("COURSES", (first,)) is None
     assert penguin.engine.get("COURSES", (second,)) is None
     assert penguin.replay_audit().ok
@@ -280,7 +280,7 @@ def test_a_nested_block_joins_the_outer_one(penguin):
         with penguin.transaction():
             penguin.delete("course_info", (second,))
         assert penguin.engine.get("COURSES", (second,)) is not None
-        assert penguin.journal.entries() == []
+        assert penguin.journal.journaled() == []
     assert penguin.engine.get("COURSES", (first,)) is None
     assert penguin.engine.get("COURSES", (second,)) is None
     (record,) = penguin.audit.records()
@@ -299,7 +299,7 @@ def test_the_exit_refuses_an_engine_that_moved(penguin):
                 row[:2] for row in penguin.engine.scan("GRADES")
             ))
     assert penguin.engine.get("COURSES", (first,)) is not None
-    assert penguin.journal.entries() == []
+    assert penguin.journal.journaled() == []
     assert len(penguin.audit) == 0
 
 
@@ -371,7 +371,7 @@ def test_a_crash_while_the_exit_lands_is_settled_by_recover(backend):
             delete_two_in_a_block(penguin)
         penguin.recover()
         assert snapshot(penguin.engine) == before, k
-        (entry,) = penguin.journal.entries()
+        (entry,) = penguin.journal.journaled()
         assert entry.state == journal_states.ABORTED
         (record,) = penguin.audit.records()
         assert record.state == ROLLED_BACK

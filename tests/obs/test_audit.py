@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import shutil
 
 import pytest
@@ -160,11 +161,15 @@ class TestAuditLogCore:
             "insert", "course_info", CRASHED, journal_entry=aborted_id
         )
         log.append("insert", "course_info", CRASHED)  # no journal entry
+        log.append("insert", "course_info", CRASHED, journal_entry=99)
+        # The journal dropped both entries; their verdicts outlive them.
+        assert journal.entries() == []
         assert log.reconcile(journal) == 2
         assert log.record(1).state == COMMITTED
         assert log.record(2).state == ROLLED_BACK
         assert log.record(2).error == "reverted by recovery"
         assert log.record(3).state == CRASHED  # nothing to settle against
+        assert log.record(4).state == CRASHED  # an id the journal never issued
         assert log.reconcile(journal) == 0  # idempotent
 
 
@@ -401,6 +406,43 @@ class TestAuditFileFormat:
         assert first.policy == session.translator("course_info")._policy_answers()
         assert all(r.policy is first.policy for r in rest)
         assert all(r.island is first.island for r in rest)
+
+    def test_inline_records_of_one_content_share_one_policy_and_island(
+        self, tmp_path
+    ):
+        path = tmp_path / "audit.jsonl"
+        shutil.copy(GOLDEN, path)
+        reopened = FileAuditLog(path)
+        records = reopened.records()
+        assert len(records) == 5
+        contents = {json.dumps([r.policy, r.island], sort_keys=True) for r in records}
+        assert len({id(r.policy) for r in records}) == len(contents) == 1
+        first, *rest = records
+        assert all(r.policy is first.policy for r in rest)
+        assert all(r.island is first.island for r in rest)
+        reopened.close()
+
+    def test_a_reopened_record_reads_its_payload_from_the_file(self, tmp_path):
+        """Reopened, a record reads its plan and images back by offset
+        while the log is open; closed, that read is an AuditError naming
+        the file. A record appended since keeps what it was handed."""
+        path = tmp_path / "audit.jsonl"
+        session = audited_session(FileAuditLog(path))
+        session.insert("course_info", new_course())
+        live = session.audit.record(1)
+        session.audit.close()
+        reopened = FileAuditLog(path)
+        session = restarted(session, reopened)
+        session.delete("course_info", COURSE_KEY)
+        filed, appended = reopened.records()
+        assert filed.as_dict() == live.as_dict()
+        assert appended.plan_records and appended.image_records
+        reopened.close()
+        for read in (filed.plan, filed.images):
+            with pytest.raises(AuditError, match=re.escape(f"{path}: ")):
+                read()
+        assert appended.plan().operations
+        reopened.close()  # closing twice is harmless
 
     def test_a_record_naming_an_unknown_translator_raises(self, tmp_path):
         path = tmp_path / "audit.jsonl"

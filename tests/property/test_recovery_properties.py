@@ -13,7 +13,6 @@ from repro.relational.faults import (  # noqa: E402
 )
 from repro.relational.journal import (  # noqa: E402
     ABORTED,
-    MemoryJournal,
     recover,
 )
 from repro.relational.memory_engine import MemoryEngine  # noqa: E402
@@ -23,7 +22,7 @@ from repro.relational.operations import (  # noqa: E402
     Replace,
     UpdatePlan,
 )
-from tests.journal_harness import apply_journaled  # noqa: E402
+from tests.journal_harness import RecordingJournal, apply_journaled  # noqa: E402
 
 pytestmark = pytest.mark.chaos
 
@@ -94,7 +93,7 @@ def test_crash_anywhere_recovers_to_all_reverted(plan_and_k):
     plan, k = plan_and_k
     engine = make_engine()
     before = snapshot(engine)
-    journal = MemoryJournal()
+    journal = RecordingJournal()
     faulty = FaultInjectingEngine(engine, FaultPlan().crash_at("mutation", at=k))
 
     with pytest.raises(SimulatedCrash):
@@ -102,7 +101,7 @@ def test_crash_anywhere_recovers_to_all_reverted(plan_and_k):
 
     report = recover(engine, journal)
     assert report.clean
-    statuses = {e.state for e in journal.entries()}
+    statuses = {e.state for e in journal.journaled()}
     assert len(statuses) == 1
     if statuses == {ABORTED}:
         assert snapshot(engine) == before
@@ -110,7 +109,7 @@ def test_crash_anywhere_recovers_to_all_reverted(plan_and_k):
         # A plan whose net effect is a no-op on every journaled cell
         # (insert X then delete X) legitimately resolves as COMMITTED:
         # every cell already shows its after-image.
-        entry = journal.entries()[0]
+        entry = journal.journaled()[0]
         for (name, key), (_, after) in entry.images().items():
             assert engine.get(name, key) == after
     # Idempotent: a second recovery finds nothing to do.
@@ -121,9 +120,10 @@ def test_crash_anywhere_recovers_to_all_reverted(plan_and_k):
 @given(plan=valid_plans())
 def test_uninterrupted_plan_reaches_after_images(plan):
     engine = make_engine()
-    journal = MemoryJournal()
+    journal = RecordingJournal()
     entry_id = apply_journaled(engine, journal, plan, atomic=False)
-    entry = journal.entry(entry_id)
+    (entry,) = journal.journaled()
+    assert entry.id == entry_id
     for (name, key), (_, after) in entry.images().items():
         assert engine.get(name, key) == after
     assert recover(engine, journal).pending_resolved == 0

@@ -109,13 +109,55 @@ class TestBackends:
         engine = make_engine()
         plan = sample_plan()
         entry_id = journal.begin(plan, plan_images(engine, plan))
-        assert journal.entry(entry_id).state == PENDING
+        assert journal.verdict(entry_id) == PENDING
         assert [e.id for e in journal.pending()] == [entry_id]
         journal.mark_committed(entry_id)
-        assert journal.entry(entry_id).state == COMMITTED
+        assert journal.verdict(entry_id) == COMMITTED
         assert journal.pending() == []
         with pytest.raises(JournalError):
             journal.mark_committed(999)
+
+    def test_a_verdict_outlives_its_entry(self):
+        """A resolved entry is dropped; its verdict is kept by the id
+        counter and the set of aborted ids."""
+        journal = MemoryJournal()
+        committed, aborted, pending = [
+            journal.begin(sample_plan(), {}) for _ in range(3)
+        ]
+        journal.mark_committed(committed)
+        journal.mark_aborted(aborted)
+        assert [e.id for e in journal.entries()] == [pending]
+        assert [journal.verdict(i) for i in (committed, aborted, pending)] == [
+            COMMITTED, ABORTED, PENDING,
+        ]
+        assert journal.verdict(0) is journal.verdict(4) is None
+        assert journal.counts() == {PENDING: 1, COMMITTED: 1, ABORTED: 1}
+        assert len(journal) == 3
+        with pytest.raises(JournalError, match="unknown"):
+            journal.mark_aborted(committed)
+
+    def test_a_resolved_two_phase_entry_leaves_a_stub(self):
+        journal = MemoryJournal()
+        entry_id = journal.begin(sample_plan(), {}, label="2pc:t1:2:0")
+        journal.mark_committed(entry_id)
+        (stub,) = journal.entries()
+        assert (stub.id, stub.label, stub.state) == (entry_id, "2pc:t1:2:0", COMMITTED)
+        assert stub.plan_records == stub.image_records == []
+
+    def test_committed_writes_leave_no_payload_held(self):
+        engine = make_engine()
+        journal = MemoryJournal()
+        plan = sample_plan()
+        images = plan_images(engine, plan)
+        tracemalloc.start()
+        try:
+            for _ in range(10_000):
+                journal.mark_committed(journal.begin(plan, images))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert journal.entries() == [] and len(journal) == 10_000
+        assert retained < 2**16
 
     def test_file_journal_reload_folds_markers(self, tmp_path):
         path = tmp_path / "plans.journal"
@@ -128,8 +170,8 @@ class TestBackends:
 
         reopened = FileJournal(path)
         assert len(reopened) == 2
-        assert reopened.entry(first).state == COMMITTED
-        assert reopened.entry(second).state == PENDING
+        assert reopened.verdict(first) == COMMITTED
+        assert reopened.verdict(second) == PENDING
         # Ids keep increasing after reload.
         third = reopened.begin(sample_plan(), {})
         assert third > second
@@ -162,7 +204,7 @@ class TestRecovery:
         engine.apply_batch(plan.operations)  # applied, but marker lost
         report = recover(engine, journal)
         assert report.replayed == [entry_id]
-        assert journal.entry(entry_id).state == COMMITTED
+        assert journal.verdict(entry_id) == COMMITTED
         assert engine.get("TAGS", (10,)) == (10, "new")
 
     def test_torn_plan_is_reverted(self):
@@ -175,7 +217,7 @@ class TestRecovery:
         plan.operations[1].apply(engine)
         report = recover(engine, journal)
         assert report.reverted == [entry_id]
-        assert journal.entry(entry_id).state == ABORTED
+        assert journal.verdict(entry_id) == ABORTED
         assert engine.get("ITEMS", (3,)) is None
         assert engine.get("TAGS", (10,)) == (10, "old")
         assert engine.get("ITEMS", (2,)) == (2, "two", None)
@@ -251,6 +293,7 @@ class JournalUnderTest:
     # a PENDING event without its plan
     incomplete = '{"event":"pending","id":1,"label":"t","images":[]}'
     numbered = '"id":%d,'
+    kept = 0  # bytes a reopened log retains per settled record
 
     @staticmethod
     def add(log):
@@ -263,6 +306,10 @@ class JournalUnderTest:
     @staticmethod
     def records(log):
         return log.entries()
+
+    @staticmethod
+    def verdicts(log):
+        return [(n, log.verdict(n)) for n in range(1, len(log) + 1)]
 
 
 class AuditUnderTest:
@@ -277,6 +324,7 @@ class AuditUnderTest:
         '"plan":[],"images":[]}'
     )
     numbered = '"asn":%d,'
+    kept = 300
 
     @staticmethod
     def add(log):
@@ -290,6 +338,10 @@ class AuditUnderTest:
     def records(log):
         return log.records()
 
+    @staticmethod
+    def verdicts(log):
+        return [(record.id, record.state) for record in log.records()]
+
 
 LOGS = pytest.mark.parametrize(
     "kind", [JournalUnderTest, AuditUnderTest], ids=lambda kind: kind.name
@@ -297,7 +349,7 @@ LOGS = pytest.mark.parametrize(
 
 
 def shape(kind, log):
-    return [(record.id, record.state) for record in kind.records(log)]
+    return kind.verdicts(log)
 
 
 @LOGS
@@ -460,6 +512,31 @@ class TestLogContract:
         assert [r.id for r in kind.records(reopened)] == list(range(1, count + 1))
         assert peak - retained < 2**20
         reopened.close()
+
+    def test_a_reopened_log_retains_only_what_it_must(self, kind, tmp_path):
+        """Reopened, a settled record costs the journal nothing and the
+        audit log its small fields: plans and images stay in the file,
+        whatever the record count."""
+        path = tmp_path / "log.jsonl"
+        log = kind.file(path)
+        kind.add(log)
+        log.close()
+        line = path.read_text()
+        for count in (2_000, 10_000):
+            with open(path, "w") as f:
+                for n in range(1, count + 1):
+                    f.write(line.replace(kind.numbered % 1, kind.numbered % n, 1))
+                    f.write(kind.marker % n + "\n")
+            tracemalloc.start()
+            try:
+                reopened = kind.file(path)
+                retained, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert shape(kind, reopened) == [(n, kind.settled) for n in range(1, count + 1)]
+            assert retained < kind.kept * count + 2**16, (count, retained)
+            reopened.close()
+        assert path.stat().st_size > 3 * 2**20
 
     def test_blank_lines_are_skipped(self, kind, tmp_path):
         path = tmp_path / "log.jsonl"

@@ -15,16 +15,18 @@ import repro.obs as obs
 from repro.errors import ReproError
 from repro.relational.faults import FaultHook, FaultPlan, SimulatedCrash
 from repro.relational.ddl import relation
-from repro.relational.journal import MemoryJournal, plan_images
+from repro.relational.journal import COMMITTED, FileJournal, MemoryJournal, plan_images
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.operations import Insert, Replace, UpdatePlan
 from repro.shard.twophase import (
     TwoPhaseRecoveryReport,
+    parse_twophase_label,
     recover_two_phase,
     twophase_label,
 )
 from repro.simulate import PRESETS
 from repro.workloads.hospital import hospital_session, new_chart, rehome, restarted
+from tests.journal_harness import RecordingJournal
 
 pytestmark = pytest.mark.chaos
 
@@ -230,6 +232,65 @@ def test_recovery_moves_a_cell_left_at_an_intermediate_value(declared, forward):
     assert shard.engine.get("TAGS", (30,)) == expected
 
 
+def test_a_committed_sibling_reopened_from_its_file_rolls_the_other_forward(
+    tmp_path,
+):
+    """The crash came between the two commit markers: shard 0's entry
+    is resolved, shard 1's is PENDING. Reopened, shard 0's journal keeps
+    the resolved entry's stub, and that is the proof the transaction
+    passed its commit point — alone, shard 1 would roll back."""
+    tags = relation("TAGS").integer("tag_id").text("name").key("tag_id").build()
+    plan = UpdatePlan()
+    plan.add(Insert("TAGS", (30, "landed")))
+    shards = {}
+    for shard_id in (0, 1):
+        engine = MemoryEngine()
+        engine.create_relation(tags)
+        journal = FileJournal(tmp_path / f"journal{shard_id}.log")
+        journal.begin(
+            plan, plan_images(engine, plan), label=twophase_label("t1", 2, shard_id)
+        )
+        plan.operations[0].apply(engine)  # phase 2 applied everywhere
+        shards[shard_id] = SimpleNamespace(engine=engine, journal=journal)
+    shards[0].journal.mark_committed(1)  # crash before shard 1's marker
+    for shard_id, shard in shards.items():
+        shard.journal.close()
+        shard.journal = FileJournal(tmp_path / f"journal{shard_id}.log")
+
+    (stub,) = shards[0].journal.entries()
+    assert (stub.state, stub.plan_records) == (COMMITTED, [])
+    report = recover_two_phase(shards)
+    assert (report.rolled_forward, report.rolled_back) == (["t1"], [])
+    assert shards[1].journal.verdict(1) == COMMITTED
+    assert shards[1].engine.get("TAGS", (30,)) == (30, "landed")
+
+
+def two_phase_txns(sharded):
+    return {
+        parse_twophase_label(entry.label)[0]
+        for shard in sharded.shards
+        for entry in shard.journal.entries()
+        if parse_twophase_label(entry.label) is not None
+    }
+
+
+def test_a_restart_over_settled_journals_takes_a_fresh_transaction_id():
+    """The journals hold only resolved entries, yet the next process
+    does not issue a transaction id a settled transaction used."""
+    sharded = build_sharded()
+    old_pid, new_pid = cross_shard_pair(sharded.router)
+    moved = rehome(sharded.get(OBJECT, (old_pid,)).to_dict(), new_pid)
+    sharded.replace(OBJECT, (old_pid,), moved)
+    settled = two_phase_txns(sharded)
+    assert len(settled) == 1
+    assert not any(shard.journal.pending() for shard in sharded.shards)
+
+    reborn = restarted(sharded)
+    back = rehome(reborn.get(OBJECT, (new_pid,)).to_dict(), old_pid)
+    reborn.replace(OBJECT, (new_pid,), back)
+    assert len(two_phase_txns(reborn) - settled) == 1
+
+
 def test_restart_with_clean_journals_is_a_noop():
     sharded = build_sharded()
     sharded.insert(OBJECT, fresh_chart(50_010))
@@ -313,13 +374,15 @@ def test_owner_audit_images_are_the_participants_journaled_images():
     journaled, in shard order (a replicated cell, journaled by every
     shard with identical images, appears once)."""
     sharded = build_sharded()
+    for shard in sharded.shards:
+        shard.penguin.journal = RecordingJournal()
     old_pid, new_pid = cross_shard_pair(sharded.router)
     moved = rehome(sharded.get(OBJECT, (old_pid,)).to_dict(), new_pid)
     sharded.replace(OBJECT, (old_pid,), moved)
 
     journaled = {}
     for shard in sharded.shards:  # in shard order
-        for entry in shard.journal.entries():
+        for entry in shard.journal.journaled():
             if entry.label.startswith("2pc:"):
                 for row in entry.image_records:
                     journaled.setdefault(json.dumps(row[:2]), row)
