@@ -62,22 +62,6 @@ class IslandAnalysis:
             if self.roles[node.node_id] is NodeRole.ISLAND
         ]
 
-    @property
-    def peninsula_nodes(self) -> List[str]:
-        return [
-            node.node_id
-            for node in self.view_object.tree.bfs()
-            if self.roles[node.node_id] is NodeRole.PENINSULA
-        ]
-
-    @property
-    def outside_nodes(self) -> List[str]:
-        return [
-            node.node_id
-            for node in self.view_object.tree.bfs()
-            if self.roles[node.node_id] is NodeRole.OUTSIDE
-        ]
-
     def role(self, node_id: str) -> NodeRole:
         return self.roles[node_id]
 

@@ -110,9 +110,6 @@ class RelevantSubgraph:
         self.connections = connections
         self.relevance = relevance
 
-    def has_connection(self, name: str) -> bool:
-        return any(c.name == name for c in self.connections)
-
     def incident(self, relation: str) -> List[Connection]:
         """Included edges touching ``relation``."""
         return [

@@ -41,10 +41,6 @@ class TreeNode:
         self.path = path
         self.children: List[str] = []
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent_id is None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TreeNode({self.node_id!r}, relation={self.relation!r})"
 

@@ -214,10 +214,6 @@ class MaterializedView:
             self.stats.stale_reads += 1
             return list(self._instances.values())
 
-    @property
-    def cached_keys(self) -> Tuple[PivotKey, ...]:
-        return tuple(self._instances)
-
     def __len__(self) -> int:
         return len(self._instances)
 

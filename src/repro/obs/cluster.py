@@ -462,17 +462,6 @@ class TraceAssembler:
         tracer = self._tracer if self._tracer is not None else obs.tracer()
         return tracer.roots()
 
-    def traces(self) -> List[AssembledTrace]:
-        """Every assembled trace, oldest first by first fragment."""
-        groups: Dict[str, List[Span]] = {}
-        for root in self._roots():
-            if root.trace_id is not None:
-                groups.setdefault(root.trace_id, []).append(root)
-        return sorted(
-            (AssembledTrace(tid, spans) for tid, spans in groups.items()),
-            key=lambda t: t.fragments[0].start,
-        )
-
     def assemble(
         self,
         trace_id: Optional[str] = None,

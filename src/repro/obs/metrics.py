@@ -265,30 +265,6 @@ class MetricsRegistry:
         """Total observations of one histogram family."""
         return sum(h.count for h in self.histograms(name))
 
-    def label_values(self, name: str, label: str) -> List[str]:
-        """Distinct values one label takes across a family, sorted.
-
-        The cardinality guard for per-shard serving series: a
-        deployment of N shards must never grow more than N distinct
-        ``shard`` values, no matter how long it serves — label values
-        must come from fixed topology, not per-request data.
-        """
-        with self._lock:
-            keys = (
-                list(self._counters)
-                + list(self._gauges)
-                + list(self._histograms)
-            )
-        return sorted(
-            {
-                value
-                for family, pairs in keys
-                if family == name
-                for pair_label, value in pairs
-                if pair_label == label
-            }
-        )
-
     # -- export --------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:

@@ -158,9 +158,6 @@ class Span:
         self.attributes.update(attributes)
         return self
 
-    def record_error(self, exc: BaseException) -> None:
-        self.error = f"{type(exc).__name__}: {exc}"
-
     # -- introspection -------------------------------------------------------
 
     @property
@@ -261,9 +258,6 @@ class _NoopSpan:
 
     def set(self, **attributes: Any) -> "_NoopSpan":
         return self
-
-    def record_error(self, exc: BaseException) -> None:
-        pass
 
 
 _NOOP_SPAN = _NoopSpan()

@@ -65,7 +65,6 @@ from repro.relational.operations import (
     Replace,
     UpdatePlan,
 )
-from repro.relational.row import Row
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.sqlite_engine import SqliteEngine
 from repro.relational.table import Table
@@ -73,7 +72,6 @@ from repro.relational.table import Table
 __all__ = [
     "Attribute",
     "RelationSchema",
-    "Row",
     "Table",
     "Engine",
     "MemoryEngine",

@@ -27,7 +27,6 @@ from typing import (
 from repro.errors import TransactionError
 from repro.relational.domains import DATE
 from repro.relational.expressions import Expression
-from repro.relational.row import Row
 from repro.relational.schema import RelationSchema
 
 __all__ = ["Engine"]
@@ -193,18 +192,6 @@ class Engine:
 
     def count(self, name: str) -> int:
         return sum(1 for _ in self.scan(name))
-
-    def rows(self, name: str) -> Iterator[Row]:
-        """Scan a relation yielding :class:`Row` objects."""
-        schema = self.schema(name)
-        for values in self.scan(name):
-            yield Row(schema, values)
-
-    def get_row(self, name: str, key: Sequence[Any]) -> Optional[Row]:
-        values = self.get(name, key)
-        if values is None:
-            return None
-        return Row(self.schema(name), values)
 
     # -- indexes -----------------------------------------------------------
 

@@ -8,8 +8,7 @@ small immutable AST that can be
   tuple positions (``bind``, what the engines filter a scan with) or to
   attribute names (``evaluate``),
 * compiled to a SQL fragment with bound parameters for the sqlite
-  backend (``to_sql``), and
-* inspected for the attributes it mentions (``attributes``).
+  backend (``to_sql``).
 
 Comparisons against ``None`` follow SQL semantics: any comparison with a
 null operand is false, except the explicit ``IsNull`` test. Each node's
@@ -25,7 +24,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     List,
     Mapping,
     Pattern,
@@ -109,10 +107,6 @@ class Expression:
         """The value of this expression on an attribute-name mapping."""
         return self.compile(_by_name)(row)
 
-    def attributes(self) -> FrozenSet[str]:
-        """Names of all attributes mentioned in this expression."""
-        raise NotImplementedError
-
     def to_sql(self) -> Tuple[str, List[Any]]:
         """A SQL fragment and its positional parameters."""
         raise NotImplementedError
@@ -149,9 +143,6 @@ class Attr(Expression):
     def compile(self, access: Access) -> Test:
         return access(self.name)
 
-    def attributes(self) -> FrozenSet[str]:
-        return frozenset((self.name,))
-
     def to_sql(self) -> Tuple[str, List[Any]]:
         return f'"{self.name}"', []
 
@@ -174,9 +165,6 @@ class Attr(Expression):
     def __ge__(self, other: Any) -> "Comparison":
         return Comparison(">=", self, _wrap(other))
 
-    def is_null(self) -> "IsNull":
-        return IsNull(self)
-
     def __hash__(self) -> int:
         return hash(("Attr", self.name))
 
@@ -195,9 +183,6 @@ class Const(Expression):
     def compile(self, access: Access) -> Test:
         value = self.value
         return lambda row: value
-
-    def attributes(self) -> FrozenSet[str]:
-        return frozenset()
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         return "?", [self.value]
@@ -244,9 +229,6 @@ class Comparison(Expression):
 
         return test
 
-    def attributes(self) -> FrozenSet[str]:
-        return self.left.attributes() | self.right.attributes()
-
     def to_sql(self) -> Tuple[str, List[Any]]:
         # COALESCE pins SQL's three-valued logic to our two-valued
         # semantics: a comparison with a null operand is *false*, so a
@@ -282,12 +264,6 @@ class And(Expression):
 
         return test
 
-    def attributes(self) -> FrozenSet[str]:
-        result: FrozenSet[str] = frozenset()
-        for part in self.parts:
-            result |= part.attributes()
-        return result
-
     def to_sql(self) -> Tuple[str, List[Any]]:
         if not self.parts:
             return "(1 = 1)", []
@@ -319,12 +295,6 @@ class Or(Expression):
 
         return test
 
-    def attributes(self) -> FrozenSet[str]:
-        result: FrozenSet[str] = frozenset()
-        for part in self.parts:
-            result |= part.attributes()
-        return result
-
     def to_sql(self) -> Tuple[str, List[Any]]:
         if not self.parts:
             return "(1 = 0)", []
@@ -349,9 +319,6 @@ class Not(Expression):
         part = self.part.compile(access)
         return lambda row: not part(row)
 
-    def attributes(self) -> FrozenSet[str]:
-        return self.part.attributes()
-
     def to_sql(self) -> Tuple[str, List[Any]]:
         sql, params = self.part.to_sql()
         return f"(NOT {sql})", params
@@ -371,9 +338,6 @@ class IsNull(Expression):
     def compile(self, access: Access) -> Test:
         part = self.part.compile(access)
         return lambda row: part(row) is None
-
-    def attributes(self) -> FrozenSet[str]:
-        return self.part.attributes()
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         sql, params = self.part.to_sql()
@@ -420,9 +384,6 @@ class Like(Expression):
 
         return test
 
-    def attributes(self) -> FrozenSet[str]:
-        return self.operand.attributes()
-
     def to_sql(self) -> Tuple[str, List[Any]]:
         sql, params = self.operand.to_sql()
         return f"(COALESCE(({sql} LIKE ?), 0))", params + [self.pattern]
@@ -449,9 +410,6 @@ class In(Expression):
             return value is not None and value in values
 
         return test
-
-    def attributes(self) -> FrozenSet[str]:
-        return self.operand.attributes()
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         sql, params = self.operand.to_sql()

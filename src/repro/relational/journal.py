@@ -626,10 +626,6 @@ class RecoveryReport:
         self.transactions_discarded = 0
 
     @property
-    def pending_resolved(self) -> int:
-        return len(self.replayed) + len(self.reverted)
-
-    @property
     def clean(self) -> bool:
         """True when recovery resolved everything without conflicts."""
         return not self.conflicts

@@ -49,16 +49,6 @@ class Table:
         self._indexes[names] = index
         return index
 
-    def drop_index(self, attribute_names: Sequence[str]) -> None:
-        self._indexes.pop(tuple(attribute_names), None)
-
-    def has_index(self, attribute_names: Sequence[str]) -> bool:
-        return tuple(attribute_names) in self._indexes
-
-    @property
-    def index_count(self) -> int:
-        return len(self._indexes)
-
     # -- mutation -------------------------------------------------------------
 
     def insert(self, values: Tuple[Any, ...]) -> Tuple[Any, ...]:

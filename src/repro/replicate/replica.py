@@ -73,7 +73,6 @@ class ReplicaStack:
         name: str,
         graph: Optional[StructuralSchema] = None,
         serving: Optional[ConcurrentPenguin] = None,
-        metric=None,
         engine_factory=None,
     ) -> None:
         if serving is None:
@@ -82,7 +81,6 @@ class ReplicaStack:
             penguin = Penguin(
                 graph,
                 engine=engine_factory() if engine_factory is not None else None,
-                metric=metric,
                 install=True,
                 audit=MemoryAuditLog(),
             )

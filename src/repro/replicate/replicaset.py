@@ -153,7 +153,6 @@ class ReplicaSet:
         primary_serving: ConcurrentPenguin,
         graph: StructuralSchema,
         config: Optional[ReplicationConfig] = None,
-        metric=None,
     ) -> None:
         self.shard_id = shard_id
         self.config = config or ReplicationConfig()
@@ -173,7 +172,6 @@ class ReplicaSet:
                 shard_id,
                 f"r{index + 1}",
                 graph=graph,
-                metric=metric,
                 engine_factory=self.config.engine_factory,
             )
             self._replicas.append(replica)
@@ -192,12 +190,6 @@ class ReplicaSet:
     @property
     def replicas(self) -> List[ReplicaStack]:
         return list(self._replicas)
-
-    def replica(self, name: str) -> ReplicaStack:
-        for replica in self._replicas:
-            if replica.name == name:
-                return replica
-        raise KeyError(name)
 
     def link(self, name: str) -> ShippingLink:
         return self._links[name]

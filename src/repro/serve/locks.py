@@ -120,11 +120,6 @@ class ReadWriteLock:
     # -- introspection (for tests) -----------------------------------------
 
     @property
-    def write_held(self) -> bool:
-        with self._cond:
-            return self._writer_owner is not None
-
-    @property
     def waiting_readers(self) -> int:
         """Threads parked in ``acquire_read`` (tests poll this instead
         of sleeping a fixed interval)."""

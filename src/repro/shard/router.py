@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import itertools
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import UpdateError
@@ -73,15 +72,6 @@ class Router:
 
     def describe(self) -> str:
         raise NotImplementedError
-
-    def key_on(self, shard_id: int, start: int = 0) -> int:
-        """The first integer key from ``start`` up that routes to
-        ``shard_id`` — how a test or a fault schedule aims a write at
-        one shard."""
-        return next(
-            key for key in itertools.count(start)
-            if self.shard_of((key,)) == shard_id
-        )
 
 
 class HashRouter(Router):

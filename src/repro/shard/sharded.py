@@ -64,7 +64,6 @@ from repro.relational.journal import (
 )
 from repro.relational.operations import UpdatePlan
 from repro.replicate import ReplicaSet, ReplicaStack, ReplicationConfig
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.concurrent import ConcurrentPenguin, ServedRead
 from repro.serve.locks import ReadWriteLock
 from repro.shard.router import HashRouter, Placement, Router, partition_plan
@@ -190,7 +189,7 @@ class ShardedPenguin(ViewObjectSession):
         Either a shard count (hash partitioning) or an explicit
         :class:`~repro.shard.router.Router`; the router's shard count
         wins when both are given.
-    engines / journals / audits / breakers:
+    engines / journals / audits:
         Optional per-shard components, mainly for restart-after-crash
         scenarios where existing engines and journals are re-attached.
         Defaults: fresh memory engines, :class:`MemoryJournal` and
@@ -218,12 +217,9 @@ class ShardedPenguin(ViewObjectSession):
         partition_by: str,
         num_shards: int = 4,
         router: Optional[Router] = None,
-        backend: str = "memory",
-        metric=None,
         engines: Optional[Sequence[Engine]] = None,
         journals: Optional[Sequence[PlanJournal]] = None,
         audits: Optional[Sequence[AuditLog]] = None,
-        breakers: Optional[Sequence[CircuitBreaker]] = None,
         install: Optional[bool] = None,
         replication: Optional[ReplicationConfig] = None,
     ) -> None:
@@ -235,7 +231,7 @@ class ShardedPenguin(ViewObjectSession):
             install = engines is None
         for name, given in (
             ("engines", engines), ("journals", journals),
-            ("audits", audits), ("breakers", breakers),
+            ("audits", audits),
         ):
             if given is not None and len(given) != self.num_shards:
                 raise ValueError(
@@ -247,8 +243,6 @@ class ShardedPenguin(ViewObjectSession):
             penguin = Penguin(
                 graph,
                 engine=engines[shard_id] if engines else None,
-                backend=backend,
-                metric=metric,
                 install=install,
                 audit=audits[shard_id] if audits else MemoryAuditLog(),
             )
@@ -259,16 +253,12 @@ class ShardedPenguin(ViewObjectSession):
             penguin.journal = (
                 journals[shard_id] if journals else MemoryJournal()
             )
-            serving = ConcurrentPenguin(
-                penguin,
-                breaker=breakers[shard_id] if breakers else CircuitBreaker(),
-            )
+            serving = ConcurrentPenguin(penguin)
             serving.metric_labels = {"shard": str(shard_id)}
             replica_set = None
             if replication is not None:
                 replica_set = ReplicaSet(
-                    shard_id, serving, graph, config=replication,
-                    metric=metric,
+                    shard_id, serving, graph, config=replication
                 )
             self._shards[shard_id] = Shard(
                 shard_id, serving, replica_set=replica_set
@@ -706,23 +696,6 @@ class ShardedPenguin(ViewObjectSession):
     def close(self) -> None:
         """Releases nothing: replicas apply on receipt, so a sharded
         deployment holds no thread of its own."""
-
-    def audit_outcomes(self) -> List[Tuple[str, str]]:
-        """Every shard's audited (op, outcome) pairs, sorted.
-
-        The equivalence oracle: on identical workloads this multiset
-        matches a single-engine session's, regardless of which shard
-        audited each update.
-        """
-        outcomes: List[Tuple[str, str]] = []
-        for shard in self.shards:
-            audit = shard.penguin.audit
-            if audit is None:
-                continue
-            outcomes.extend(
-                (record.op, record.state) for record in audit.records()
-            )
-        return sorted(outcomes)
 
     def attach_flight_recorder(self, recorder) -> None:
         """Register every stack's audit tail as a bundle section and

@@ -326,7 +326,7 @@ class _Session:
 
     def fingerprint(self) -> Tuple[Any, ...]:
         dump = tuple(
-            (name, tuple(sorted(map(repr, self.engine.rows(name)))))
+            (name, tuple(sorted(map(repr, self.engine.scan(name)))))
             for name in sorted(self.engine.relation_names())
         )
         cached = tuple(
@@ -902,12 +902,6 @@ def _law_key_rehome(session: _Session) -> LawResult:
             f"key rehome left {violations} integrity violation(s)",
         )
     return LawResult(law, HELD)
-
-
-def _build(session: _Session, payload: Dict[str, Any]):
-    from repro.core.instance import build_instance
-
-    return build_instance(session.view_object, payload)
 
 
 def _key_of(session: _Session, payload: Dict[str, Any]) -> Tuple[Any, ...]:

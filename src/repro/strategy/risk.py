@@ -155,9 +155,6 @@ class RiskReport:
     def at_least(self, level: RiskLevel) -> Tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.level >= level)
 
-    def codes(self) -> Tuple[str, ...]:
-        return tuple(f.code for f in self.findings)
-
     def __iter__(self) -> Iterator[Finding]:
         return iter(self.findings)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.information_metric import InformationMetric, MetricWeights
 from repro.core.view_object import ViewObjectDefinition, define_view_object
@@ -284,74 +284,23 @@ def random_chain_case(
     return graph, view_object, params
 
 
-class WorkloadOp:
-    """One operation of a generated multi-tenant stream.
-
-    ``rank`` indexes the key *population* (0 = hottest); a caller maps
-    it into its own key space. ``kind`` is one of ``"read"``,
-    ``"update"``, ``"insert"``, ``"delete"``.
-    """
-
-    __slots__ = ("kind", "tenant", "rank", "sequence")
-
-    def __init__(self, kind: str, tenant: int, rank: int, sequence: int) -> None:
-        self.kind = kind
-        self.tenant = tenant
-        self.rank = rank
-        self.sequence = sequence
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WorkloadOp({self.kind!r}, tenant={self.tenant}, "
-            f"rank={self.rank})"
-        )
-
-
 class ZipfianWorkload:
-    """A seeded zipfian, multi-tenant operation stream.
+    """A seeded zipfian rank sampler.
 
     Key popularity follows a zipf law: rank *r* is drawn with weight
     ``1 / (r + 1) ** skew``, so ``skew=0`` is uniform and larger values
     concentrate traffic on the head — the access pattern of a service
     "facing millions of users", where some records are far hotter than
-    others. Each op also carries a tenant id (round-robin-free, drawn
-    from the same seeded stream), so per-tenant behaviour is
-    reproducible.
-
-    Everything derives from ``seed``: two instances with the same
-    parameters produce identical streams, which is what lets the
-    simulation checker replay a run exactly.
+    others. Everything derives from ``seed``: two samplers with the same
+    parameters draw identical ranks, which is what lets the simulation
+    checker replay a run exactly.
     """
 
-    def __init__(
-        self,
-        population: int,
-        skew: float = 1.1,
-        seed: int = 7,
-        tenants: int = 4,
-        read_fraction: float = 0.8,
-        insert_fraction: float = 0.05,
-        delete_fraction: float = 0.0,
-    ) -> None:
+    def __init__(self, population: int, skew: float = 1.1, seed: int = 7) -> None:
         if population < 1:
             raise ValueError("population must be >= 1")
         if skew < 0:
             raise ValueError("skew must be >= 0")
-        if not 0.0 <= read_fraction <= 1.0:
-            raise ValueError("read_fraction must be in [0, 1]")
-        mutation = insert_fraction + delete_fraction
-        if mutation > 1.0 - read_fraction + 1e-9:
-            raise ValueError(
-                "insert_fraction + delete_fraction cannot exceed the "
-                "write budget (1 - read_fraction)"
-            )
-        self.population = population
-        self.skew = skew
-        self.seed = seed
-        self.tenants = max(1, tenants)
-        self.read_fraction = read_fraction
-        self.insert_fraction = insert_fraction
-        self.delete_fraction = delete_fraction
         self._rng = random.Random(seed)
         weights = [1.0 / (rank + 1) ** skew for rank in range(population)]
         total = sum(weights)
@@ -360,47 +309,10 @@ class ZipfianWorkload:
         for weight in weights:
             cumulative += weight
             self._cdf.append(cumulative / total)
-        self._sequence = 0
 
     def sample_rank(self) -> int:
         """One zipf-distributed rank (0 = hottest key)."""
         return bisect.bisect_left(self._cdf, self._rng.random())
-
-    def next_op(self) -> WorkloadOp:
-        """The next operation of the stream."""
-        roll = self._rng.random()
-        if roll < self.read_fraction:
-            kind = "read"
-        elif roll < self.read_fraction + self.insert_fraction:
-            kind = "insert"
-        elif roll < (
-            self.read_fraction + self.insert_fraction + self.delete_fraction
-        ):
-            kind = "delete"
-        else:
-            kind = "update"
-        op = WorkloadOp(
-            kind=kind,
-            tenant=self._rng.randrange(self.tenants),
-            rank=self.sample_rank(),
-            sequence=self._sequence,
-        )
-        self._sequence += 1
-        return op
-
-    def ops(self, count: int) -> Iterator[WorkloadOp]:
-        for _ in range(count):
-            yield self.next_op()
-
-    def hot_ranks(self, top: int = 10) -> List[int]:
-        """The ``top`` hottest ranks (by construction: 0..top-1)."""
-        return list(range(min(top, self.population)))
-
-    def describe(self) -> str:
-        return (
-            f"zipf(population={self.population}, skew={self.skew}, "
-            f"seed={self.seed}, tenants={self.tenants})"
-        )
 
 
 def chain_object(

@@ -1,7 +1,15 @@
 """Dependency islands and peninsulas (the Section 5 example)."""
 
-
 from repro.core.dependency_island import NodeRole, analyze_island
+
+
+def with_role(analysis, role):
+    """The nodes of ``role``, pivot first (breadth-first)."""
+    return [
+        node.node_id
+        for node in analysis.view_object.tree.bfs()
+        if analysis.role(node.node_id) is role
+    ]
 
 
 class TestPaperExample:
@@ -13,11 +21,11 @@ class TestPaperExample:
 
     def test_peninsula(self, omega):
         analysis = analyze_island(omega)
-        assert analysis.peninsula_nodes == ["CURRICULUM"]
+        assert with_role(analysis, NodeRole.PENINSULA) == ["CURRICULUM"]
 
     def test_outside(self, omega):
         analysis = analyze_island(omega)
-        assert set(analysis.outside_nodes) == {"DEPARTMENT", "STUDENT"}
+        assert set(with_role(analysis, NodeRole.OUTSIDE)) == {"DEPARTMENT", "STUDENT"}
 
     def test_island_relations(self, omega):
         analysis = analyze_island(omega)
@@ -45,7 +53,7 @@ class TestOmegaPrime:
 
     def test_no_peninsulas(self, omega_prime):
         analysis = analyze_island(omega_prime)
-        assert analysis.peninsula_nodes == []
+        assert with_role(analysis, NodeRole.PENINSULA) == []
 
     def test_collapsed_path_is_outside(self, omega_prime):
         analysis = analyze_island(omega_prime)
@@ -58,8 +66,8 @@ class TestDeepIslands:
         assert set(analysis.island_nodes) == {
             "PATIENT", "VISIT", "DIAGNOSIS", "PRESCRIPTION", "LAB_RESULT",
         }
-        assert set(analysis.outside_nodes) == {"PHYSICIAN", "MEDICATION"}
-        assert analysis.peninsula_nodes == []
+        assert set(with_role(analysis, NodeRole.OUTSIDE)) == {"PHYSICIAN", "MEDICATION"}
+        assert with_role(analysis, NodeRole.PENINSULA) == []
 
     def test_cad_island_includes_subset(self, bom):
         analysis = analyze_island(bom)

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from repro.core.dependency_island import analyze_island
+from repro.core.dependency_island import NodeRole, analyze_island
 from repro.core.instantiation import Instantiator
 from repro.core.updates.operations import (
     CompleteDeletion,
@@ -15,6 +15,7 @@ from repro.core.updates.policy import ReferenceRepair, RelationPolicy, Translato
 from repro.core.updates.translator import Translator
 from repro.core.view_object import define_view_object
 from repro.structural.integrity import IntegrityChecker
+from tests.core.test_dependency_island import with_role
 
 
 @pytest.fixture
@@ -64,7 +65,7 @@ class TestStructure:
         assert set(analysis.island_nodes) == {
             "PEOPLE", "STUDENT", "FACULTY", "STAFF", "GRADES",
         }
-        assert analysis.outside_nodes == ["DEPARTMENT"]
+        assert with_role(analysis, NodeRole.OUTSIDE) == ["DEPARTMENT"]
 
     def test_specializations_are_at_most_one(
         self, person_vo, university_engine

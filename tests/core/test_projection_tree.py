@@ -26,7 +26,7 @@ def tree():
 
 def test_root(tree):
     assert tree.root.relation == "A"
-    assert tree.root.is_root
+    assert tree.root.parent_id is None
 
 
 def test_children_order(tree):

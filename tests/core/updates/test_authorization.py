@@ -6,6 +6,7 @@ from repro.core.updates.operations import CompleteDeletion
 from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.errors import LocalValidationError
+from tests.journal_harness import audit_outcomes
 
 
 @pytest.fixture
@@ -208,4 +209,4 @@ def test_penguin_and_sharded_penguin_reject_alike():
     assert outcomes(single.audit) == [("insert", "rolled_back")]
     owner = sharded.shard(sharded.owner_of("patient_chart", (50_001,)))
     assert outcomes(owner.penguin.audit) == [("insert", "rolled_back")]
-    assert sharded.audit_outcomes() == [("insert", "rolled_back")]
+    assert audit_outcomes(sharded) == [("insert", "rolled_back")]

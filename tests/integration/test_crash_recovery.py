@@ -31,7 +31,7 @@ from repro.workloads.hospital import (
     patient_chart_object,
     populate_hospital,
 )
-from tests.journal_harness import RecordingJournal, apply_journaled
+from tests.journal_harness import RecordingJournal, apply_journaled, resolved
 
 pytestmark = pytest.mark.chaos
 
@@ -114,7 +114,7 @@ class TestNonAtomicCrashSweep:
         assert len(journal.pending()) == backlog == PATIENTS
         assert snapshot(engine) != before
         report = recover(engine, journal)
-        assert report.pending_resolved == backlog
+        assert resolved(report) == backlog
         assert report.clean
         assert journal.pending() == []
         assert snapshot(engine) == before
@@ -131,7 +131,7 @@ class TestNonAtomicCrashSweep:
         apply_journaled(faulty, journal, plan, atomic=False)
         assert {e.state for e in journal.journaled()} == {COMMITTED}
         assert engine.get("PATIENT", (PID,)) is None
-        assert recover(engine, journal).pending_resolved == 0
+        assert resolved(recover(engine, journal)) == 0
         assert not IntegrityChecker(graph).check(engine)
 
     def test_crash_during_atomic_commit_reverts(self):

@@ -30,7 +30,7 @@ from repro.workloads.figures import alternate_course_object, course_info_object
 from repro.workloads.university import populate_university, university_schema
 
 from tests.conftest import make_engine
-from tests.journal_harness import RecordingJournal
+from tests.journal_harness import RecordingJournal, resolved
 
 BACKENDS = ["memory", "sqlite"]
 
@@ -379,7 +379,7 @@ def test_a_crash_while_the_exit_lands_is_settled_by_recover(backend):
     penguin = crashing_university(backend, landing + 1)
     before = snapshot(penguin.engine)
     delete_two_in_a_block(penguin)
-    assert penguin.recover().pending_resolved == 0
+    assert resolved(penguin.recover()) == 0
     (record,) = penguin.audit.records()
     assert record.state == COMMITTED
     assert snapshot(penguin.engine) == snapshot(plain.engine) != before

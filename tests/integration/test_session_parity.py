@@ -68,6 +68,8 @@ from repro.errors import QueryError, ReproError, ViewObjectError
 from repro.obs.audit import MemoryAuditLog
 from repro.penguin import Penguin
 from repro.relational.journal import MemoryJournal
+from repro.relational.memory_engine import MemoryEngine
+from repro.relational.sqlite_engine import SqliteEngine
 from repro.replicate import ReplicationConfig
 from repro.serve.concurrent import ConcurrentPenguin
 from repro.shard import ShardedPenguin, sharded_loader
@@ -158,9 +160,13 @@ def sharded(num_shards, replicas=0, miss_threshold=3):
             replication = ReplicationConfig(
                 replicas=replicas, miss_threshold=miss_threshold
             )
+        engines = [
+            SqliteEngine() if backend == "sqlite" else MemoryEngine()
+            for _ in range(num_shards)
+        ]
         session = ShardedPenguin(
-            graph, "PATIENT", num_shards=num_shards, backend=backend,
-            replication=replication, **kwargs,
+            graph, "PATIENT", num_shards=num_shards, engines=engines,
+            install=True, replication=replication, **kwargs,
         )
         populate_hospital(
             sharded_loader(session), HospitalConfig(patients=PATIENTS)

@@ -422,11 +422,10 @@ def rehoming(session):
 
 def two_phase_target(kind, backend, closing, probe_interval):
     """A 2-shard session whose re-homing target shard is degraded."""
-    session = guarded(
-        kind, backend,
-        breakers=[CircuitBreaker(1, probe_interval) for _ in range(2)],
-    )
+    session = guarded(kind, backend)
     closing(session)
+    for shard in session.shards:
+        shard.serving.breaker = CircuitBreaker(1, probe_interval)
     target = session.shard(session.owner_of(OBJECT, (ELSEWHERE,)))
     target.serving.breaker.record_failure()
     assert target.serving.breaker.degraded

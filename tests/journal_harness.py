@@ -2,7 +2,7 @@
 journal protection, with or without multi-operation atomicity — and a
 journal that keeps what it was handed."""
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.relational.engine import Engine
 from repro.relational.journal import (
@@ -66,3 +66,20 @@ def apply_journaled(
             operation.apply(engine)
     journal.mark_committed(entry_id)
     return entry_id
+
+
+def audit_outcomes(sharded) -> List[Tuple[str, str]]:
+    """Every shard's audited ``(op, outcome)`` pairs, sorted: on
+    identical workloads this multiset matches a single-engine session's,
+    whichever shard audited each update."""
+    return sorted(
+        (record.op, record.state)
+        for shard in sharded.shards
+        if shard.penguin.audit is not None
+        for record in shard.penguin.audit.records()
+    )
+
+
+def resolved(report) -> int:
+    """How many pending entries a recovery report settled."""
+    return len(report.replayed) + len(report.reverted)

@@ -141,7 +141,7 @@ def _everything(graph, name, pivot):
     selections = {
         node.node_id: graph.relation(node.relation).attribute_names
         for node in maximal.nodes()
-        if node.is_root or node.relation != pivot
+        if node.parent_id is None or node.relation != pivot
     }
     return define_view_object(graph, name, pivot, selections, metric=metric)
 
@@ -272,7 +272,7 @@ def test_projection_still_names_the_pivot_after_an_owner_is_gone():
         engine.delete("VISIT", (patient_id, visit_no))
         engine.delete("PATIENT", (patient_id,))
         view.sync()
-        assert (patient_id,) not in view.cached_keys
+        assert (patient_id,) not in view._instances
         assert walk.pivots_for(engine, "DIAGNOSIS", diagnosis) == set()
         assert index.pivots_for(engine, "DIAGNOSIS", diagnosis) == {
             (patient_id,)

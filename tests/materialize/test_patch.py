@@ -7,6 +7,8 @@ patch site on the hospital objects, then the soundness points of the
 rule, each under its own name.
 """
 
+import random
+
 from repro.core.view_object import define_view_object
 from repro.materialize import LAZY, CacheStats
 from repro.materialize.dependency import DependencyIndex
@@ -109,7 +111,7 @@ def test_referenced_tuple_patches_every_chart_showing_it():
     attended = {v[0] for v in engine.scan("VISIT") if v[3] == physician_id}
     assert len(attended) > 1
     untouched = {
-        key: view.get(key) for key in view.cached_keys if key[0] not in attended
+        key: view.get(key) for key in tuple(view._instances) if key[0] not in attended
     }
     replace(engine, "PHYSICIAN", (physician_id,), name="Dr. Renamed")
     view.engine = recording = _Recording(engine)
@@ -192,7 +194,7 @@ def test_pruned_intermediate_relation_neither_patches_nor_evicts():
     graph, engine, _ = _hospital()
     view = warm(pruned_chart(graph), engine)
     assert view.dependencies.tracks("VISIT")
-    cached = {key: view.get(key) for key in view.cached_keys}
+    cached = {key: view.get(key) for key in tuple(view._instances)}
     visit = next(iter(engine.scan("VISIT")))
     replace(engine, "VISIT", visit[:2], reason="nobody shows this")
     replace(engine, "VISIT", visit[:2], physician_id=visit[3] + 1)
@@ -200,7 +202,7 @@ def test_pruned_intermediate_relation_neither_patches_nor_evicts():
     assert view.sync() == 2
     view.engine = engine
     assert counters(view) == (0, 0)
-    assert {key: view.get(key) for key in view.cached_keys} == cached
+    assert {key: view.get(key) for key in tuple(view._instances)} == cached
     assert all(view.get(key) is instance for key, instance in cached.items())
     # Deleting the visit cuts its diagnoses off the patient: that evicts.
     engine.delete("VISIT", visit[:2])
@@ -257,7 +259,7 @@ def test_rekey_and_relink_evict():
     replace(engine, "VISIT", visit[:2], physician_id=other)  # re-link
     view.sync()
     assert counters(view) == (0, 2)
-    assert (diagnosis[0],) not in view.cached_keys
+    assert (diagnosis[0],) not in view._instances
     assert_equals_recompute(view)
 
 
@@ -337,7 +339,7 @@ def test_records_apply_in_log_order_and_an_eviction_ends_the_round():
     engine.delete("DIAGNOSIS", second[:3])
     assert view.sync() == 2
     assert counters(view) == (1, 1)
-    assert key not in view.cached_keys
+    assert key not in view._instances
     assert_equals_recompute(view)
     # evict, then patch: the patch finds nothing cached
     view.get(key)
@@ -346,7 +348,7 @@ def test_records_apply_in_log_order_and_an_eviction_ends_the_round():
     replace(engine, "PATIENT", key, name="and the pivot")
     assert view.sync() == 3
     assert counters(view) == (1, 2)
-    assert key not in view.cached_keys
+    assert key not in view._instances
     assert_equals_recompute(view)
 
 
@@ -472,14 +474,13 @@ def test_update_heavy_replaces_are_patched():
     view = session.materialize(name, policy=LAZY)
     session.query(name)  # warm
     patients = sorted(v[0] for v in engine.scan("PATIENT"))
-    workload = ZipfianWorkload(
-        len(patients), skew=0.9, seed=7, read_fraction=0.65, insert_fraction=0.0
-    )
+    workload = ZipfianWorkload(len(patients), skew=0.9, seed=7)
+    kinds = random.Random(7)
     assembled, hits = view.stats.misses, view.stats.hits
     reads = writes = 0
-    for op in workload.ops(2000):
-        pid = patients[op.rank]
-        if op.kind == "read":
+    for sequence in range(2000):
+        pid = patients[workload.sample_rank()]
+        if kinds.random() < 0.65:
             assert session.get(name, (pid,)).key == (pid,)
             reads += 1
             continue
@@ -488,8 +489,8 @@ def test_update_heavy_replaces_are_patched():
             ("VISIT", (pid, 1), "reason"),
             ("DIAGNOSIS", (pid, 1, 1), "severity"),
             ("PHYSICIAN", (engine.get("VISIT", (pid, 1))[3],), "name"),
-        )[op.sequence % 4]
-        replace(engine, relation, key, **{attribute: f"changed {op.sequence}"})
+        )[sequence % 4]
+        replace(engine, relation, key, **{attribute: f"changed {sequence}"})
         writes += 1
     stats = view.stats
     assert writes and stats.patched >= writes

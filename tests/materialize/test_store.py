@@ -316,7 +316,7 @@ def test_datetime_keyed_get_follows_committed_changes(backend):
     penguin.engine.replace("EVENT", (day,), (day, "new"))
     for key in ((noon,), (day,)):
         assert penguin.get("event", key).root.values["title"] == "new"
-    assert view.cached_keys == ((day,),)
+    assert tuple(view._instances) == ((day,),)
 
 
 def test_commits_racing_reads_lose_no_record():

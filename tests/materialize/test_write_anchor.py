@@ -106,7 +106,7 @@ def raw_replace(session):
 
 
 def cache_state(session, view):
-    return view.cached_keys, session.cache_stats(), view.staleness()
+    return tuple(view._instances), session.cache_stats(), view.staleness()
 
 
 def measured(materialized, write, warm=True, before=None):
@@ -225,7 +225,7 @@ class Twin:
             return
         self.view.sync()
         instantiator = self.penguin.object(CHART).instantiator
-        for key in self.view.cached_keys:
+        for key in tuple(self.view._instances):
             assert self.view.get(key) == instantiator.by_key(
                 self.penguin.engine, key
             ), key

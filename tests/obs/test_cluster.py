@@ -17,17 +17,27 @@ from repro.obs.context import TraceContext, activate, attach
 from repro.obs.metrics import Histogram
 
 
+def label_values(registry, name, label):
+    """Distinct values ``label`` takes across one counter family, sorted."""
+    return sorted({
+        value
+        for counter in registry.counters(name)
+        for pair_label, value in counter.labels
+        if pair_label == label
+    })
+
+
 class TestOneRegistry:
     def test_label_values_across_shards_and_replicas(self):
         with obs.use() as hub:
             hub.metrics.counter("reads_total", shard="0").inc()
             hub.metrics.counter("reads_total", shard="1").inc()
             hub.metrics.counter("reads_total", shard="1", replica="r1").inc()
-            assert hub.metrics.label_values("reads_total", "shard") == [
+            assert label_values(hub.metrics, "reads_total", "shard") == [
                 "0",
                 "1",
             ]
-            assert hub.metrics.label_values("reads_total", "replica") == [
+            assert label_values(hub.metrics, "reads_total", "replica") == [
                 "r1"
             ]
             assert hub.metrics.counter_total("reads_total") == 3
@@ -188,7 +198,8 @@ class TestTraceAssembler:
                 with hub.tracer.span("http.request", request_id="req-other"):
                     pass
             assembler = TraceAssembler(hub.tracer)
-            assert len(assembler.traces()) == 2
+            other = assembler.assemble(request_id="req-other")
+            assert other.trace_id != ctx.trace_id and len(other.fragments) == 1
             assembled = assembler.assemble(request_id="req-asm")
             assert assembled.trace_id == ctx.trace_id
             assert len(assembled.fragments) == 2

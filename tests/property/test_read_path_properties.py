@@ -90,12 +90,12 @@ def view_objects(spanning):
     # Definition 3.2: only the pivot's projection may sit on the pivot
     # relation, so a circuit's copies of it stay out.
     eligible = [
-        n.node_id for n in maximal.nodes() if n.is_root or n.relation != pivot
+        n.node_id for n in maximal.nodes() if n.parent_id is None or n.relation != pivot
     ]
     leaves = [
         n.node_id
         for n in maximal.leaves()
-        if n.node_id in eligible and not n.is_root
+        if n.node_id in eligible and n.parent_id is not None
     ]
     return [
         spanning,

@@ -22,7 +22,7 @@ from repro.relational.operations import (  # noqa: E402
     Replace,
     UpdatePlan,
 )
-from tests.journal_harness import RecordingJournal, apply_journaled  # noqa: E402
+from tests.journal_harness import RecordingJournal, apply_journaled, resolved  # noqa: E402
 
 pytestmark = pytest.mark.chaos
 
@@ -113,7 +113,7 @@ def test_crash_anywhere_recovers_to_all_reverted(plan_and_k):
         for (name, key), (_, after) in entry.images().items():
             assert engine.get(name, key) == after
     # Idempotent: a second recovery finds nothing to do.
-    assert recover(engine, journal).pending_resolved == 0
+    assert resolved(recover(engine, journal)) == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -126,4 +126,4 @@ def test_uninterrupted_plan_reaches_after_images(plan):
     assert entry.id == entry_id
     for (name, key), (_, after) in entry.images().items():
         assert engine.get(name, key) == after
-    assert recover(engine, journal).pending_resolved == 0
+    assert resolved(recover(engine, journal)) == 0

@@ -207,7 +207,7 @@ class ReferenceDependencyIndex:
     ) -> Set[PivotKey]:
         tree = self.view_object.tree
         node = tree.node(node_id)
-        while frontier and not node.is_root:
+        while frontier and node.parent_id is not None:
             frontier = _follow(engine, self._up_paths[node.node_id], frontier)
             node = tree.node(node.parent_id)
         if not frontier:

@@ -60,6 +60,6 @@ def test_index_ablation_switch():
         relation("T").text("k").integer("n", nullable=True).key("k").build()
     )
     disabled.create_index("T", ("n",))  # silently skipped
-    assert disabled._table("T").index_count == 0
+    assert not disabled._table("T")._indexes
     disabled.insert("T", ("a", 1))
     assert len(disabled.find_by("T", ("n",), (1,))) == 1  # scan fallback

@@ -329,12 +329,6 @@ class TestReads:
         matched = engine.select("T", Attr("d") == day)
         assert len(matched) == 1
 
-    def test_rows_and_get_row(self, engine):
-        engine.insert("T", ("a", 7, None, None))
-        assert next(engine.rows("T"))["n"] == 7
-        assert engine.get_row("T", ("a",))["k"] == "a"
-        assert engine.get_row("T", ("x",)) is None
-
     def test_contains(self, engine):
         engine.insert("T", ("a", 1, None, None))
         assert engine.contains("T", ("a",))

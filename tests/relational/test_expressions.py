@@ -53,7 +53,7 @@ class TestEvaluation:
 
 class TestBinding:
     def test_bound_test_reads_tuple_positions(self):
-        test = ((Attr("units") > 3) & Attr("instructor").is_null()).bind(SCHEMA)
+        test = ((Attr("units") > 3) & IsNull(Attr("instructor"))).bind(SCHEMA)
         assert test(("graduate", 4, None))
         assert not test(("graduate", 4, "Keller"))
         assert not test(("graduate", 2, None))
@@ -74,11 +74,11 @@ class TestNullSemantics:
         assert not (Attr("instructor") != "Keller").evaluate(ROW)
 
     def test_is_null(self):
-        assert Attr("instructor").is_null().evaluate(ROW)
-        assert not Attr("units").is_null().evaluate(ROW)
+        assert IsNull(Attr("instructor")).evaluate(ROW)
+        assert not IsNull(Attr("units")).evaluate(ROW)
 
     def test_not_is_null(self):
-        assert Not(Attr("instructor").is_null()).evaluate(ROW) is False
+        assert Not(IsNull(Attr("instructor"))).evaluate(ROW) is False
 
 
 class TestSqlCompilation:
@@ -113,13 +113,6 @@ class TestSqlCompilation:
 
 
 class TestIntrospection:
-    def test_attributes(self):
-        p = ((Attr("a") == 1) & (Attr("b") == Attr("c"))) | IsNull(Attr("d"))
-        assert p.attributes() == frozenset({"a", "b", "c", "d"})
-
-    def test_const_has_no_attributes(self):
-        assert Const(5).attributes() == frozenset()
-
     def test_bad_operator_rejected(self):
         with pytest.raises(QueryError):
             Comparison("~", Attr("a"), Const(1))

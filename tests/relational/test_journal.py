@@ -27,7 +27,7 @@ from repro.relational.journal import (
 )
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.operations import Delete, Insert, Replace, UpdatePlan
-from tests.journal_harness import apply_journaled
+from tests.journal_harness import apply_journaled, resolved
 
 ITEMS = (
     relation("ITEMS")
@@ -193,7 +193,7 @@ class TestRecovery:
         journal = MemoryJournal()
         apply_journaled(engine, journal, sample_plan())
         report = recover(engine, journal)
-        assert report.pending_resolved == 0
+        assert resolved(report) == 0
         assert report.clean
 
     def test_completed_pending_entry_is_marked_committed(self):
@@ -228,9 +228,9 @@ class TestRecovery:
         plan = sample_plan()
         journal.begin(plan, plan_images(engine, plan))
         plan.operations[0].apply(engine)
-        assert recover(engine, journal).pending_resolved == 1
+        assert resolved(recover(engine, journal)) == 1
         again = recover(engine, journal)
-        assert again.pending_resolved == 0
+        assert resolved(again) == 0
         assert again.clean
 
     def test_intermediate_value_of_multi_touch_plan_is_reverted(self):

@@ -1,5 +1,7 @@
 """Per-shard replication: log shipping, quorum, failover, catch-up."""
 
+import itertools
+
 import pytest
 
 import repro.obs as obs
@@ -58,7 +60,11 @@ def build(replicas=2, quorum=1, miss_threshold=3, shards=2, patients=6,
         graph,
         "PATIENT",
         num_shards=shards,
-        backend=backend,
+        engines=[
+            SqliteEngine() if backend == "sqlite" else MemoryEngine()
+            for _ in range(shards)
+        ],
+        install=True,
         replication=ReplicationConfig(
             replicas=replicas,
             quorum=quorum,
@@ -72,7 +78,11 @@ def build(replicas=2, quorum=1, miss_threshold=3, shards=2, patients=6,
 
 
 def pid_on_shard(sharded, shard_id, start=90_000):
-    return sharded.router.key_on(shard_id, start)
+    """The first integer key from ``start`` up that routes to ``shard_id``."""
+    return next(
+        key for key in itertools.count(start)
+        if sharded.router.shard_of((key,)) == shard_id
+    )
 
 
 def chart_on_shard(sharded, shard_id, name="Replicated Patient", start=90_000):
@@ -558,7 +568,8 @@ class TestReplicaCaches:
         served = sharded.get_served(OBJECT, (chart["patient_id"],))
         assert served.stale and served.source.startswith("replica:")
         assert served.value.to_dict()["name"] == "from the engine"
-        answering = replica_set.replica(served.source.split(":", 1)[1])
+        name = served.source.split(":", 1)[1]
+        (answering,) = [r for r in replica_set.replicas if r.name == name]
         assert answering.penguin.materialized_names == ()
         sharded.close()
 

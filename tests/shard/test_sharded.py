@@ -23,6 +23,8 @@ from repro.workloads.hospital import (
     patient_chart_object,
     populate_hospital,
 )
+from tests.journal_harness import audit_outcomes
+from tests.obs.test_cluster import label_values
 
 OBJECT = "patient_chart"
 PATIENTS = 12
@@ -166,7 +168,7 @@ class TestEquivalence:
         single_outcomes = sorted(
             (record.op, record.state) for record in single.audit.records()
         )
-        assert sharded.audit_outcomes() == single_outcomes
+        assert audit_outcomes(sharded) == single_outcomes
         assert ("replace", "committed") in single_outcomes
         assert ("rolled_back" in {o for _, o in single_outcomes})
 
@@ -272,15 +274,9 @@ class TestMetricsLabels:
             run_workload(sharded, sharded.router)
             for _ in range(20):
                 sharded.query(OBJECT)
-            read_shards = hub.metrics.label_values(
-                "serve_reads_total", "shard"
-            )
-            write_shards = hub.metrics.label_values(
-                "serve_writes_total", "shard"
-            )
-            update_shards = hub.metrics.label_values(
-                "shard_updates_total", "shard"
-            )
+            read_shards = label_values(hub.metrics, "serve_reads_total", "shard")
+            write_shards = label_values(hub.metrics, "serve_writes_total", "shard")
+            update_shards = label_values(hub.metrics, "shard_updates_total", "shard")
             all_ids = {str(i) for i in range(sharded.num_shards)}
             assert set(read_shards) == all_ids  # queries scatter everywhere
             assert set(write_shards) <= all_ids and write_shards

@@ -26,7 +26,7 @@ from repro.shard.twophase import (
 )
 from repro.simulate import PRESETS
 from repro.workloads.hospital import hospital_session, new_chart, rehome, restarted
-from tests.journal_harness import RecordingJournal
+from tests.journal_harness import RecordingJournal, audit_outcomes
 
 pytestmark = pytest.mark.chaos
 
@@ -197,7 +197,7 @@ def test_inline_abort_reverts_applied_participants():
     assert after == before
     for shard in sharded.shards:
         assert shard.journal.pending() == []
-    assert ("replace", "rolled_back") in sharded.audit_outcomes()
+    assert ("replace", "rolled_back") in audit_outcomes(sharded)
     # Nothing left for recovery.
     assert sharded.recover().two_phase.resolved == 0
 

@@ -13,6 +13,7 @@ through the program as shipped and through
 
 import pytest
 
+from repro.core.instance import build_instance
 from repro.core.updates.operations import (
     CompleteDeletion,
     CompleteInsertion,
@@ -22,7 +23,6 @@ from repro.core.updates.policy import TranslatorPolicy
 from repro.errors import ReproError
 from repro.strategy.laws import (
     _Session,
-    _build,
     _mutable_pivot_attribute,
     chain_case,
     random_policy,
@@ -43,7 +43,7 @@ def requests_of(session):
     fresh = synthesize_fresh_instance(session)
     instance = session.first_instance()
     if fresh is not None:
-        requests.append(("insert", CompleteInsertion(_build(session, fresh))))
+        requests.append(("insert", CompleteInsertion(build_instance(session.view_object, fresh))))
     if instance is not None:
         requests.append(("delete", CompleteDeletion(instance)))
         attr = _mutable_pivot_attribute(session)
@@ -51,7 +51,7 @@ def requests_of(session):
             mutated = instance.to_dict()
             mutated[attr] = "strategy-law-mutation"
             requests.append(
-                ("replace", Replacement(instance, _build(session, mutated)))
+                ("replace", Replacement(instance, build_instance(session.view_object, mutated)))
             )
     return requests
 

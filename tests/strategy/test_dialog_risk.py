@@ -18,6 +18,7 @@ from repro.dialog.answers import CallableAnswers, ConstantAnswers, MappingAnswer
 from repro.penguin import Penguin
 from repro.strategy import RiskLevel, StrategyWarning
 from repro.workloads.hospital import hospital_schema, patient_chart_object
+from tests.strategy.test_checks import codes
 
 pytestmark = pytest.mark.strategy
 
@@ -105,7 +106,7 @@ class TestHospitalGoldenTranscripts:
     def test_high_all_yes_enables_merge_side_effects(self):
         report = dialog_report(ConstantAnswers(True))
         assert report.level is RiskLevel.HIGH
-        assert "replacement.merge-side-effects" in report.codes()
+        assert "replacement.merge-side-effects" in codes(report)
         check_golden("hospital_risk_high.txt", report.render())
 
     def test_high_key_replacement_without_db_support(self):
@@ -115,7 +116,7 @@ class TestHospitalGoldenTranscripts:
         )
         report = dialog_report(answers)
         assert report.level is RiskLevel.HIGH
-        assert "replacement.key-never-translatable" in report.codes()
+        assert "replacement.key-never-translatable" in codes(report)
 
     def test_critical_needs_a_programmatic_definition(self):
         # The dialog never offers a configuration the translator cannot
@@ -141,5 +142,5 @@ class TestHospitalGoldenTranscripts:
             )
         report = translator.risk()
         assert report.is_critical
-        assert "insertion.completer-dead-end" in report.codes()
+        assert "insertion.completer-dead-end" in codes(report)
         check_golden("hospital_risk_critical.txt", report.render())

@@ -112,13 +112,13 @@ class TestInstall:
         engine = MemoryEngine()
         graph.install(engine)
         table = engine._table("GRADES")
-        assert table.has_index(("course_id",))
-        assert table.has_index(("student_id",))
+        assert ("course_id",) in table._indexes
+        assert ("student_id",) in table._indexes
 
     def test_install_without_indexes(self, graph):
         engine = MemoryEngine()
         graph.install(engine, with_indexes=False)
-        assert engine._table("GRADES").index_count == 0
+        assert not engine._table("GRADES")._indexes
 
 
 def test_describe_mentions_all_connections(graph):

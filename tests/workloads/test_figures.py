@@ -1,7 +1,8 @@
 """Figure 2(c) and Figure 3 canonical objects."""
 
-from repro.core.dependency_island import analyze_island
+from repro.core.dependency_island import NodeRole, analyze_island
 from repro.workloads.figures import alternate_course_object, course_info_object
+from tests.core.test_dependency_island import with_role
 
 
 class TestOmega:
@@ -19,7 +20,7 @@ class TestOmega:
     def test_section5_island(self, university_graph):
         analysis = analyze_island(course_info_object(university_graph))
         assert analysis.island_nodes == ["COURSES", "GRADES"]
-        assert analysis.peninsula_nodes == ["CURRICULUM"]
+        assert with_role(analysis, NodeRole.PENINSULA) == ["CURRICULUM"]
 
 
 class TestOmegaPrime:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.dependency_island import analyze_island
+from repro.core.dependency_island import NodeRole, analyze_island
 from repro.core.updates.operations import CompleteDeletion
 from repro.relational.memory_engine import MemoryEngine
 from repro.structural.integrity import IntegrityChecker
@@ -11,6 +11,7 @@ from repro.workloads.synthetic import (
     chain_schema,
     populate_chain,
 )
+from tests.core.test_dependency_island import with_role
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4])
@@ -19,7 +20,7 @@ def test_island_size_tracks_depth(depth):
     view_object = chain_object(graph, depth)
     analysis = analyze_island(view_object)
     assert len(analysis.island_nodes) == depth + 1
-    assert analysis.peninsula_nodes == ["PENINSULA"]
+    assert with_role(analysis, NodeRole.PENINSULA) == ["PENINSULA"]
 
 
 def test_row_counts():

@@ -13,6 +13,15 @@ Usage::
     PYTHONPATH=src python tools/measure_coverage.py              # full suite
     PYTHONPATH=src python tools/measure_coverage.py tests/obs    # a subset
     PYTHONPATH=src python tools/measure_coverage.py --fail-under 80
+    PYTHONPATH=src python tools/measure_coverage.py --drivers    # no tests
+
+``--drivers`` is the census of what the system's own drivers reach:
+instead of the test suite it runs, in one process, every command line
+the CI runs outside pytest (read off ``ci.yml``), the examples, the
+CI's benchmark smokes and the four end-to-end workloads at the CI
+smoke's settings, then prints driver coverage and every ``src/repro``
+function (dunders aside) whose body no driver reached. DESIGN.md
+"Every line earns a run" says why each listed function stays.
 
 Tracing costs roughly a 2-4x slowdown; expect the full suite to take a
 few minutes.
@@ -21,12 +30,23 @@ few minutes.
 from __future__ import annotations
 
 import argparse
+import ast
+import contextlib
+import dis
+import io
 import os
+import runpy
+import shlex
 import sys
+import tempfile
 import threading
+import traceback
+from types import CodeType
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src", "repro")
+CI = os.path.join(REPO, ".github", "workflows", "ci.yml")
+EXAMPLES = os.path.join(REPO, "examples")
 
 
 def executable_lines(path: str) -> set:
@@ -37,15 +57,62 @@ def executable_lines(path: str) -> set:
     stack = [compile(source, path, "exec")]
     while stack:
         code = stack.pop()
-        for _, _, lineno in code.co_lines():
-            if lineno is not None:
-                lines.add(lineno)
-        for const in code.co_consts:
-            if hasattr(const, "co_lines"):
-                stack.append(const)
+        if hasattr(code, "co_lines"):
+            lines.update(lineno for _, _, lineno in code.co_lines())
+        else:  # Python 3.9
+            lines.update(lineno for _, lineno in dis.findlinestarts(code))
+        stack += [const for const in code.co_consts if isinstance(const, CodeType)]
     # the compiler attributes module setup to line 0 on some versions
     lines.discard(0)
+    lines.discard(None)
     return lines
+
+
+def function_lines(path: str) -> list:
+    """``(qualname, def line, body lines)`` for every function in ``path``.
+
+    A body line is an executable line between the function's first
+    statement after its docstring and its end; a nested function's
+    lines count for it and for every function around it (the outer one
+    ran to define it).
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    executable = executable_lines(path)
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                statements = child.body[1:] if ast.get_docstring(child) else child.body
+                first = statements[0].lineno if statements else child.end_lineno + 1
+                body = {n for n in executable if first <= n <= child.end_lineno}
+                found.append((name, child.lineno, body))
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def unreached_functions(path: str, hits: set) -> list:
+    """``(qualname, def line)`` of each non-dunder function in ``path``
+    none of whose body lines is in ``hits``, in source order. A function
+    whose body is a docstring alone has no line to reach and is not
+    listed."""
+    return [
+        (name, line)
+        for name, line, body in function_lines(path)
+        if body and not body & hits and not _dunder(name.rsplit(".", 1)[-1])
+    ]
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def source_files() -> list:
@@ -92,6 +159,126 @@ class LineCollector:
         threading.settrace(None)  # type: ignore[arg-type]
 
 
+def ci_commands(path: str = CI) -> list:
+    """Every shell command a ``run:`` step of the CI file runs, one
+    string each (a folded ``>-`` block joined, ``&&`` chains split)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    commands = []
+    for index, line in enumerate(lines):
+        stripped = line.strip()
+        if not stripped.startswith("run:"):
+            continue
+        value = stripped[len("run:"):].strip()
+        if value in (">-", ">", "|"):
+            indent = len(line) - len(line.lstrip())
+            block = []
+            for follow in lines[index + 1:]:
+                if follow.strip() and len(follow) - len(follow.lstrip()) <= indent:
+                    break
+                block.append(follow.strip())
+            value = " ".join(part for part in block if part)
+        commands += [part.strip() for part in value.split("&&")]
+    return commands
+
+
+def drivers(commands: list) -> list:
+    """The CI commands the census runs, as ``(kind, arguments)``:
+    ``repro`` (a ``python -m repro`` argv), ``bench`` (the benchmark
+    files a pytest step names) and ``e2e`` (``run.py``'s options). Test
+    suites, installs and lint are not drivers."""
+    found = []
+    for command in commands:
+        words = shlex.split(command)
+        while words and "=" in words[0]:  # leading VAR=value assignments
+            words = words[1:]
+        if words[:3] == ["python", "-m", "repro"]:
+            found.append(("repro", words[3:]))
+        elif words[:3] == ["python", "-m", "pytest"]:
+            benches = [w for w in words if w.startswith("benchmarks/bench_")]
+            if benches:
+                found.append(("bench", benches))
+        elif len(words) > 1 and words[1] == "benchmarks/e2e/run.py":
+            found.append(("e2e", words[2:]))
+    return found
+
+
+def run_drivers(workdir: str) -> list:
+    """Run every driver in this process with ``workdir`` as the current
+    directory; returns ``(label, ok)`` per driver."""
+    import pytest
+
+    from repro.__main__ import main as repro_main
+
+    if REPO not in sys.path:
+        sys.path.insert(0, REPO)
+    from benchmarks.e2e import workloads as e2e
+    from benchmarks.e2e.catalogue import WORKLOADS
+
+    e2e.OUT_DIR = os.path.join(workdir, "e2e-out")  # nothing under benchmarks/e2e/
+    runs = []
+    for kind, args in drivers(ci_commands()):
+        if kind == "repro":
+            runs.append((f"python -m repro {' '.join(args)}", lambda a=args: repro_main(a)))
+        elif kind == "bench":
+            paths = [os.path.join(REPO, a) for a in args]
+            runs.append((f"pytest {' '.join(args)}", lambda p=paths: pytest.main(
+                p + ["-q", "-p", "no:cacheprovider", "--benchmark-disable"])))
+        else:
+            runs += [
+                (f"e2e {name} {' '.join(args)}",
+                 lambda n=name, a=args: _e2e(e2e.run_workload, n, a))
+                for name, _ in WORKLOADS
+            ]
+    for name in sorted(os.listdir(EXAMPLES)):
+        if name.endswith(".py"):
+            path = os.path.join(EXAMPLES, name)
+            runs.append((f"examples/{name}", lambda p=path: _example(p)))
+    results = []
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for label, run in runs:
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                    status = run()
+            except SystemExit as stop:
+                status = stop.code
+            except Exception:  # a driver's failure is reported, not fatal
+                out.write(traceback.format_exc())
+                status = "raised"
+            ok = status in (0, None)
+            results.append((label, ok))
+            print(f"{'ok  ' if ok else 'FAIL'} {label}"
+                  + ("" if ok else f" ({status})"), flush=True)
+            if not ok:
+                for line in out.getvalue().splitlines()[-5:]:
+                    print(f"     {line}")
+    finally:
+        os.chdir(cwd)
+    return results
+
+
+def _example(path: str) -> int:
+    runpy.run_path(path, run_name="__main__")
+    return 0
+
+
+def _e2e(run_workload, name: str, args: list) -> int:
+    """One end-to-end workload at ``run.py``'s options, as it checks it."""
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=1.0)
+    parser.add_argument("--trace", type=int, default=0)
+    parser.add_argument("--ops-scale", type=float, default=1.0)
+    options = parser.parse_args(args)
+    result, _ = run_workload(name, options.seed, options.seconds,
+                             bool(options.trace), options.ops_scale,
+                             log=lambda _line: None)
+    return 0 if result["correct"] else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -112,19 +299,34 @@ def main(argv=None) -> int:
         action="store_true",
         help="print per-file coverage, worst first",
     )
+    parser.add_argument(
+        "--drivers",
+        action="store_true",
+        help="run the CI's drivers instead of the tests and list every "
+        "function they leave unreached",
+    )
     args = parser.parse_args(argv)
 
     import pytest
 
     collector = LineCollector()
-    collector.install()
-    try:
-        exit_code = pytest.main(list(args.pytest_args) + ["-q", "-p", "no:cacheprovider"])
-    finally:
-        collector.uninstall()
-    if exit_code != 0:
-        print(f"test run failed (exit {exit_code}); coverage not reported")
-        return int(exit_code)
+    failed = []
+    if args.drivers:
+        with tempfile.TemporaryDirectory(prefix="census-") as workdir:
+            collector.install()
+            try:
+                failed = [label for label, ok in run_drivers(workdir) if not ok]
+            finally:
+                collector.uninstall()
+    else:
+        collector.install()
+        try:
+            exit_code = pytest.main(list(args.pytest_args) + ["-q", "-p", "no:cacheprovider"])
+        finally:
+            collector.uninstall()
+        if exit_code != 0:
+            print(f"test run failed (exit {exit_code}); coverage not reported")
+            return int(exit_code)
 
     total_lines = 0
     total_hit = 0
@@ -138,6 +340,15 @@ def main(argv=None) -> int:
             rows.append((len(hit) / len(lines), path, len(hit), len(lines)))
 
     percent = 100.0 * total_hit / total_lines if total_lines else 100.0
+    if args.drivers:
+        unreached = [
+            (os.path.relpath(path, REPO), name, line)
+            for path in source_files()
+            for name, line in unreached_functions(path, collector.hits.get(path, set()))
+        ]
+        for rel, name, line in unreached:
+            print(f"unreached  {rel}:{line}  {name}")
+        print(f"{len(unreached)} functions no driver reached")
     if args.show_files:
         for ratio, path, hit, count in sorted(rows):
             rel = os.path.relpath(path, REPO)
@@ -145,7 +356,16 @@ def main(argv=None) -> int:
     print(
         f"TOTAL {percent:.1f}% line coverage "
         f"({total_hit}/{total_lines} lines, {len(rows)} files)"
+        + (" under the drivers" if args.drivers else "")
     )
+    timed = [label for label in failed if label.startswith("pytest ")]
+    if timed:
+        # A bench's timing bar measures the tracer, not the program.
+        print(f"not held under the tracer (timing bars): {', '.join(timed)}")
+    failed = [label for label in failed if label not in timed]
+    if failed:
+        print(f"FAIL: {len(failed)} drivers failed: {', '.join(failed)}")
+        return 1
     if args.fail_under is not None and percent < args.fail_under:
         print(f"FAIL: coverage {percent:.1f}% is under the floor {args.fail_under}%")
         return 2
