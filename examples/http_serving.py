@@ -51,7 +51,7 @@ def talk(port, *requests):
 def main() -> None:
     obs.configure()  # live metrics, as `python -m repro serve` does
     session = hospital_session(patients=6, shards=2)
-    handle = ServerHandle(PenguinServer(session, batch_window=0.0)).start()
+    handle = ServerHandle(PenguinServer(session)).start()
     try:
         port = handle.port
         print("topology:", session.describe())

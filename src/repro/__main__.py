@@ -66,6 +66,7 @@ from repro.core.information_metric import InformationMetric
 from repro.dialog.answers import ScriptedAnswers
 from repro.dialog.drivers import run_replacement_dialog
 from repro.dialog.transcript import Transcript
+from repro.errors import QueryError
 from repro.core.updates.policy import TranslatorPolicy
 from repro.penguin import Penguin
 from repro.relational.memory_engine import MemoryEngine
@@ -163,6 +164,16 @@ def cmd_dump(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     target = Path(args.directory)
+    missing = [
+        name for name in ("schema.json", "data.json")
+        if not (target / name).is_file()
+    ]
+    if missing:
+        print(
+            f"no dump in {str(target)!r}: missing {', '.join(missing)}",
+            file=sys.stderr,
+        )
+        return 2
     graph = graph_from_dict(
         json.loads((target / "schema.json").read_text())
     )
@@ -195,7 +206,11 @@ def cmd_query(args: argparse.Namespace) -> int:
         return 2
     graph, engine = _build(args.workload)
     view_object = factory(graph)
-    instances = execute_query(view_object, engine, args.text)
+    try:
+        instances = execute_query(view_object, engine, args.text)
+    except QueryError as exc:
+        print(f"query error: {exc}", file=sys.stderr)
+        return 2
     print(f"{len(instances)} instance(s)")
     for instance in instances:
         print(instance.describe())
@@ -360,7 +375,7 @@ def _trace_follow(args: argparse.Namespace) -> int:
     assembled = None
     try:
         sharded = _build_sharded_hospital(shards=2, patients=6, replicas=2)
-        server = PenguinServer(sharded, port=0, batch_window=0.002)
+        server = PenguinServer(sharded, port=0)
         handle = server.in_background()
         try:
             router = sharded.router
@@ -630,12 +645,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     sharded = _build_sharded_hospital(
         args.shards, args.patients, replicas=args.replicas
     )
-    server = PenguinServer(
-        sharded,
-        host=args.host,
-        port=args.port,
-        batch_window=args.batch_window,
-    )
+    server = PenguinServer(sharded, host=args.host, port=args.port)
 
     async def _serve_forever() -> None:
         await server.start()
@@ -932,10 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--patients", type=int, default=25,
         help="resident hospital population (patient charts loaded at start)",
-    )
-    serve.add_argument(
-        "--batch-window", type=float, default=0.005, metavar="SECONDS",
-        help="micro-batch window folding concurrent writes per object",
     )
 
     validate = commands.add_parser(

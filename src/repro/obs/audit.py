@@ -342,6 +342,10 @@ class _FiledRecord(UpdateRecord):
     def image_records(self) -> List[List[Any]]:
         return self._log._reread(self)["images"]
 
+    def _payloads(self) -> Tuple[List[Dict[str, Any]], List[List[Any]]]:
+        line = self._log._reread(self)  # one read for both
+        return line["plan"], line["images"]
+
 
 class FileAuditLog(AuditLog):
     """Durable audit log: append-only JSON lines, fsync'd per append.

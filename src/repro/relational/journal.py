@@ -255,16 +255,21 @@ class UpdateRecord:
     def images(self) -> Images:
         return decode_images(self.image_records)
 
+    def _payloads(self) -> Tuple[List[Dict[str, Any]], List[List[Any]]]:
+        """``(plan_records, image_records)``, read together."""
+        return self.plan_records, self.image_records
+
     def as_dict(self) -> Dict[str, Any]:
         """The record as the audit log writes and serves it."""
+        plan_records, image_records = self._payloads()
         out: Dict[str, Any] = {
             "asn": self.id,
             "op": self.op,
             "object": self.label,
             "outcome": self.state,
             "items": self.items,
-            "plan": self.plan_records,
-            "images": self.image_records,
+            "plan": plan_records,
+            "images": image_records,
             "island": list(self.island),
         }
         if self.policy is not None:
@@ -281,8 +286,9 @@ class UpdateRecord:
 
     def describe(self) -> str:
         """One human-readable line (the ``audit tail`` format)."""
+        plan_records, image_records = self._payloads()
         parts = [f"#{self.id}", f"{self.label}.{self.op}", self.state,
-                 f"ops={len(self.plan_records)}", f"cells={len(self.image_records)}"]
+                 f"ops={len(plan_records)}", f"cells={len(image_records)}"]
         if self.items != 1:
             parts.append(f"items={self.items}")
         if self.user is not None:

@@ -10,14 +10,15 @@ are CPU-bound tree walks), so the event loop never runs it inline:
 every session call is pushed to the default executor and the loop
 stays free to accept and parse connections.
 
-Writes additionally pass through a :class:`MicroBatcher`: concurrent
-requests arriving within one ``batch_window`` for the same view object
-are folded into a single ``apply_plan_batch`` call — one translation
-pass, one plan, one journal entry per owner shard — which is where
-the serving layer earns back the per-request overhead under zipfian
-contention on a hot object. A failed batch falls back to applying its
-requests individually so one bad request rejects alone instead of
-poisoning its whole window.
+Writes additionally pass through a :class:`MicroBatcher`, which keeps
+one batch per view object in flight: writes that arrive while it lands
+queue behind it and land together as the next batch — one
+``apply_plan_batch`` call, one translation pass, one plan, one journal
+entry per owner shard — which is where the serving layer earns back
+the per-request overhead under contention on a hot object. No timer
+holds a write: a lone one goes straight through. A failed batch falls
+back to applying its requests individually so one bad request rejects
+alone instead of poisoning its whole batch.
 
 Read responses carry the :class:`~repro.serve.concurrent.ServedRead`
 metadata (``stale``, ``shard``, ``staleness``), so a DEGRADED-mode
@@ -145,14 +146,23 @@ class _Deadline:
         return self.remaining <= 0.0
 
 
+#: A queued write: the request, the future its caller awaits, and the
+#: caller's trace context.
+_Queued = Tuple[UpdateRequest, asyncio.Future, Optional[TraceContext]]
+
+
 class MicroBatcher:
     """Fold concurrent writes per view object into one batch.
 
     Callers :meth:`submit` an :class:`UpdateRequest` and await the
-    returned future. The first request for an object opens a window
-    (``loop.call_later``); everything arriving before the timer fires —
-    or before the queue reaches ``max_batch`` — flushes together
-    through ``session.apply_plan_batch``, off-loop in the executor.
+    returned future. At most one batch per object is in flight. The
+    first request for an idle object starts its flight on the next loop
+    step (``loop.create_task`` schedules it with ``call_soon``), so
+    requests submitted in the same tick fold; requests that arrive
+    while a batch is landing queue behind it and flush, in order and at
+    most ``max_batch`` at a time, the moment it lands. There is no
+    timer: a lone write waits for nothing, and under load a batch is
+    whatever queued during the last one (group commit without a timer).
 
     Batch-level failure falls back to per-request application: each
     request is retried alone and only the genuinely bad ones get their
@@ -164,56 +174,49 @@ class MicroBatcher:
         self,
         session: Any,
         loop: asyncio.AbstractEventLoop,
-        window: float = 0.005,
         max_batch: int = 32,
     ) -> None:
         self.session = session
         self.loop = loop
-        self.window = window
         self.max_batch = max_batch
-        self._queues: Dict[
-            str,
-            List[Tuple[UpdateRequest, asyncio.Future, Optional[TraceContext]]],
-        ] = {}
-        self._timers: Dict[str, asyncio.TimerHandle] = {}
+        self._queues: Dict[str, List[_Queued]] = {}
+        self._flights: Dict[str, asyncio.Task] = {}
         self.batches_flushed = 0
         self.requests_batched = 0
 
     def submit(self, name: str, request: UpdateRequest) -> "asyncio.Future":
         future: asyncio.Future = self.loop.create_future()
-        queue = self._queues.setdefault(name, [])
+        queue = self._queues.get(name)
+        if queue is None:
+            queue = self._queues[name] = []
+            self._flights[name] = self.loop.create_task(self._fly(name, queue))
         # Capture the submitter's trace context: the executor thread
         # that applies the batch starts with an empty contextvars
         # context, so the handoff must be explicit.
         queue.append((request, future, current_context()))
-        if len(queue) >= self.max_batch:
-            self._flush(name)
-        elif name not in self._timers:
-            self._timers[name] = self.loop.call_later(
-                self.window, self._flush, name
-            )
         return future
 
-    def _flush(self, name: str) -> None:
-        timer = self._timers.pop(name, None)
-        if timer is not None:
-            timer.cancel()
-        queue = self._queues.pop(name, [])
-        if not queue:
-            return
-        self.batches_flushed += 1
-        self.requests_batched += len(queue)
-        asyncio.ensure_future(self._apply(name, queue), loop=self.loop)
+    async def _fly(self, name: str, queue: List[_Queued]) -> None:
+        """Land the object's queue one batch at a time until it is empty."""
+        batch: List[_Queued] = []
+        try:
+            while queue:
+                batch = queue[: self.max_batch]
+                del queue[: self.max_batch]
+                self.batches_flushed += 1
+                self.requests_batched += len(batch)
+                await self._apply(name, batch)
+        finally:
+            del self._queues[name], self._flights[name]
+            # Only an escape past _apply (a BaseException such as a
+            # simulated crash, or cancellation) leaves a future
+            # unresolved: cancel it rather than let its caller wait on.
+            for _, future, _ in batch + queue:
+                future.cancel()
 
-    async def _apply(
-        self,
-        name: str,
-        queue: List[
-            Tuple[UpdateRequest, asyncio.Future, Optional[TraceContext]]
-        ],
-    ) -> None:
-        requests = [request for request, _, _ in queue]
-        contexts = [ctx for _, _, ctx in queue if ctx is not None]
+    async def _apply(self, name: str, batch: List[_Queued]) -> None:
+        requests = [request for request, _, _ in batch]
+        contexts = [ctx for _, _, ctx in batch if ctx is not None]
         ctx = contexts[0] if contexts else None
         folded = sorted({c.trace_id for c in contexts})
 
@@ -234,33 +237,26 @@ class MicroBatcher:
         try:
             plan = await self.loop.run_in_executor(None, apply_batch)
         except Exception as exc:
-            if len(queue) == 1:
-                future = queue[0][1]
+            if len(batch) == 1:
+                future = batch[0][1]
                 if not future.done():
                     future.set_exception(exc)
                 return
-            # One bad request rejected the whole window: retry each
+            # One bad request rejected the whole batch: retry each
             # alone so the good ones still land.
-            for request, future, request_ctx in queue:
-                await self._apply(name, [(request, future, request_ctx)])
+            for queued in batch:
+                await self._apply(name, [queued])
             return
-        for _, future, _ in queue:
+        for _, future, _ in batch:
             if not future.done():
-                future.set_result((plan, len(queue)))
+                future.set_result((plan, len(batch)))
 
     async def drain(self) -> None:
-        """Flush every open window and wait for the flushes to land."""
-        for name in list(self._queues):
-            self._flush(name)
-        pending = [
-            future
-            for queue in self._queues.values()
-            for _, future, _ in queue
-        ]
-        if pending:  # pragma: no cover - _flush empties the queues
-            await asyncio.gather(*pending, return_exceptions=True)
-        # Give already-scheduled _apply tasks a chance to complete.
-        await asyncio.sleep(0)
+        """Wait until every queued write has landed."""
+        while self._flights:
+            await asyncio.gather(
+                *self._flights.values(), return_exceptions=True
+            )
 
 
 class ServerHandle:
@@ -368,7 +364,6 @@ class PenguinServer:
         session: Any,
         host: str = "127.0.0.1",
         port: int = 0,
-        batch_window: float = 0.005,
         max_batch: int = 32,
         default_deadline_ms: Optional[float] = None,
         max_in_flight: int = 64,
@@ -377,7 +372,6 @@ class PenguinServer:
         self.session = session
         self.host = host
         self.port = port
-        self.batch_window = batch_window
         self.max_batch = max_batch
         #: Per-request budget when the client sends no ``X-Deadline-Ms``;
         #: None serves without a deadline, matching the old behavior.
@@ -422,10 +416,7 @@ class PenguinServer:
 
     async def start(self) -> "PenguinServer":
         loop = asyncio.get_running_loop()
-        self.batcher = MicroBatcher(
-            self.session, loop,
-            window=self.batch_window, max_batch=self.max_batch,
-        )
+        self.batcher = MicroBatcher(self.session, loop, self.max_batch)
         self._draining = False
         self._active = 0
         self._idle = asyncio.Event()

@@ -77,6 +77,27 @@ def test_query_unknown_object(capsys):
     assert "assembly_bom" in err
 
 
+def test_query_unknown_attribute(capsys):
+    assert main(
+        [
+            "query", "--workload", "university", "--object", "course_info",
+            "bogus_attr = 1",
+        ]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("query error: ")
+    assert "bogus_attr" in err
+    assert "Traceback" not in err
+
+
+def test_check_without_a_dump(tmp_path, capsys):
+    target = tmp_path / "nonexistent"
+    assert main(["check", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err
+    assert "schema.json" in err
+
+
 @pytest.mark.parametrize("workload", ["university", "hospital", "cad"])
 def test_dump_all_workloads(tmp_path, workload):
     target = tmp_path / workload

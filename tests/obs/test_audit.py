@@ -444,6 +444,30 @@ class TestAuditFileFormat:
         assert appended.plan().operations
         reopened.close()  # closing twice is harmless
 
+    def test_a_reopened_record_reads_its_line_once_per_view(
+        self, tmp_path, monkeypatch
+    ):
+        """``as_dict()`` and ``describe()`` each want the plan and the
+        images: a reopened record reads and parses its line once for
+        both, and says the same as the live record."""
+        path = tmp_path / "audit.jsonl"
+        session = audited_session(FileAuditLog(path))
+        session.insert("course_info", new_course())
+        live = session.audit.record(1)
+        session.audit.close()
+        reopened = FileAuditLog(path)
+        (filed,) = reopened.records()
+        reads = []
+        reread = reopened._reread
+        monkeypatch.setattr(
+            reopened, "_reread", lambda record: reads.append(record.id) or reread(record)
+        )
+        assert filed.as_dict() == live.as_dict()
+        assert reads == [1]
+        assert filed.describe() == live.describe()
+        assert reads == [1, 1]
+        reopened.close()
+
     def test_a_record_naming_an_unknown_translator_raises(self, tmp_path):
         path = tmp_path / "audit.jsonl"
         path.write_text(

@@ -2,12 +2,14 @@
 
 import asyncio
 import json
+import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
 import repro.obs as obs
+from repro.relational.faults import SimulatedCrash
 from repro.serve.http import MicroBatcher, PenguinServer, parse_key
 from repro.shard import ShardedPenguin, sharded_loader
 from repro.workloads.hospital import (
@@ -77,7 +79,7 @@ def served():
         )
         sharded.register_object(patient_chart_object(graph))
         sharded.materialize(OBJECT, "lazy")
-        server = PenguinServer(sharded, port=0, batch_window=0.002)
+        server = PenguinServer(sharded, port=0)
         handle = server.in_background()
         yield sharded, handle.url
         handle.stop()
@@ -404,6 +406,24 @@ class TestMicroBatcher:
 
             return Plan()
 
+    class HeldSession(FakeSession):
+        """Holds its first batch until ``release`` is set, then lands it
+        or, given ``raises``, raises that instead."""
+
+        def __init__(self, raises=None):
+            super().__init__()
+            self.entered = threading.Event()
+            self.release = threading.Event()
+            self.raises = raises
+
+        def apply_plan_batch(self, name, requests):
+            if not self.entered.is_set():
+                self.entered.set()
+                assert self.release.wait(10), "the held batch was never released"
+                if self.raises is not None:
+                    raise self.raises
+            return super().apply_plan_batch(name, requests)
+
     def run(self, coro):
         loop = asyncio.new_event_loop()
         try:
@@ -416,7 +436,7 @@ class TestMicroBatcher:
 
         async def scenario():
             loop = asyncio.get_event_loop()
-            batcher = MicroBatcher(session, loop, window=0.01)
+            batcher = MicroBatcher(session, loop)
             futures = [
                 batcher.submit(OBJECT, f"req{i}") for i in range(5)
             ]
@@ -424,7 +444,7 @@ class TestMicroBatcher:
             return batcher, results
 
         batcher, results = self.run(scenario())
-        assert len(session.calls) == 1  # one flush for the window
+        assert len(session.calls) == 1  # submitted in one tick: one batch
         assert len(session.calls[0]) == 5
         assert all(batched == 5 for _, batched in results)
         assert batcher.batches_flushed == 1
@@ -435,23 +455,119 @@ class TestMicroBatcher:
 
         async def scenario():
             loop = asyncio.get_event_loop()
-            batcher = MicroBatcher(
-                session, loop, window=5.0, max_batch=3
-            )
+            batcher = MicroBatcher(session, loop, max_batch=3)
             futures = [
                 batcher.submit(OBJECT, f"req{i}") for i in range(3)
             ]
             await asyncio.gather(*futures)
 
-        self.run(scenario())  # window never fires; max_batch does
+        self.run(scenario())  # three fit one batch
         assert len(session.calls) == 1
+
+    def test_lone_write_lands_without_a_timer(self):
+        """Nothing waits on a clock: the loop refuses every timer and
+        the write still reaches the session."""
+        session = self.FakeSession()
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+
+            def no_timer(*args, **kwargs):
+                raise AssertionError("the batcher armed a timer")
+
+            loop.call_later = loop.call_at = no_timer
+            batcher = MicroBatcher(session, loop)
+            return await batcher.submit(OBJECT, "solo")
+
+        plan, batched = self.run(scenario())
+        assert session.calls == [["solo"]]
+        assert (plan.operations, batched) == (["solo"], 1)
+
+    def test_writes_behind_a_held_batch_land_together_in_order(self):
+        session = self.HeldSession()
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            batcher = MicroBatcher(session, loop)
+            first = batcher.submit(OBJECT, "first")
+            await loop.run_in_executor(None, session.entered.wait)
+            behind = []
+            for i in range(4):  # one per loop tick: no same-tick fold
+                behind.append(batcher.submit(OBJECT, f"req{i}"))
+                await asyncio.sleep(0)
+            assert batcher.batches_flushed == 1  # "first" still in flight
+            session.release.set()
+            results = await asyncio.wait_for(asyncio.gather(first, *behind), 10)
+            return batcher, results
+
+        batcher, results = self.run(scenario())
+        assert session.calls == [["first"], ["req0", "req1", "req2", "req3"]]
+        assert [batched for _, batched in results] == [1, 4, 4, 4, 4]
+        assert (batcher.batches_flushed, batcher.requests_batched) == (2, 5)
+
+    def test_backlog_past_max_batch_splits_in_order(self):
+        session = self.FakeSession()
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            batcher = MicroBatcher(session, loop, max_batch=3)
+            await asyncio.gather(
+                *(batcher.submit(OBJECT, f"req{i}") for i in range(7))
+            )
+
+        self.run(scenario())
+        assert session.calls == [
+            ["req0", "req1", "req2"], ["req3", "req4", "req5"], ["req6"],
+        ]
+
+    def test_a_crash_past_the_batch_strands_no_caller(self):
+        """A BaseException out of the session (a simulated crash)
+        cancels the in-flight and the queued futures instead of leaving
+        their callers waiting, and the next write starts a new flight."""
+        session = self.HeldSession(raises=SimulatedCrash("apply_plan_batch", 1))
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            batcher = MicroBatcher(session, loop)
+            held = batcher.submit(OBJECT, "held")
+            await loop.run_in_executor(None, session.entered.wait)
+            queued = batcher.submit(OBJECT, "queued")
+            session.release.set()
+            await asyncio.wait_for(
+                asyncio.gather(held, queued, return_exceptions=True), 10
+            )
+            assert held.cancelled() and queued.cancelled()
+            return await asyncio.wait_for(batcher.submit(OBJECT, "after"), 10)
+
+        self.run(scenario())
+        assert session.calls == [["after"]]
+
+    def test_drain_waits_for_the_flight_and_its_queue(self):
+        session = self.HeldSession()
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            batcher = MicroBatcher(session, loop)
+            futures = [batcher.submit(OBJECT, "first")]
+            await loop.run_in_executor(None, session.entered.wait)
+            futures += [batcher.submit(OBJECT, name) for name in ("a", "b")]
+            drain = asyncio.ensure_future(batcher.drain())
+            await asyncio.sleep(0.05)
+            assert not drain.done()  # the first batch is still held
+            assert not any(future.done() for future in futures)
+            session.release.set()
+            await asyncio.wait_for(drain, 10)
+            assert all(future.done() for future in futures)
+
+        self.run(scenario())
+        assert session.calls == [["first"], ["a", "b"]]
 
     def test_objects_batch_independently(self):
         session = self.FakeSession()
 
         async def scenario():
             loop = asyncio.get_event_loop()
-            batcher = MicroBatcher(session, loop, window=0.01)
+            batcher = MicroBatcher(session, loop)
             await asyncio.gather(
                 batcher.submit("alpha", "a1"),
                 batcher.submit("beta", "b1"),
@@ -465,7 +581,7 @@ class TestMicroBatcher:
 
         async def scenario():
             loop = asyncio.get_event_loop()
-            batcher = MicroBatcher(session, loop, window=0.01)
+            batcher = MicroBatcher(session, loop)
             futures = [
                 batcher.submit(OBJECT, req)
                 for req in ("good1", "bad", "good2")

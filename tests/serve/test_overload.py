@@ -71,6 +71,22 @@ def build_sharded(patients=6, shards=2):
     return sharded
 
 
+def hold_batches(session):
+    """Make ``session.apply_plan_batch`` block until the returned
+    ``gate`` is set, so a test controls when a write's batch lands;
+    ``entered`` is set once a batch is waiting on it."""
+    gate, entered = threading.Event(), threading.Event()
+    apply_plan_batch = session.apply_plan_batch
+
+    def held(name, requests, *args, **kwargs):
+        entered.set()
+        assert gate.wait(10), "the held batch was never released"
+        return apply_plan_batch(name, requests, *args, **kwargs)
+
+    session.apply_plan_batch = held
+    return gate, entered
+
+
 @pytest.fixture()
 def deployment():
     with obs.use():
@@ -156,9 +172,10 @@ class TestDeadlines:
             handle.stop()
 
     def test_committing_write_is_never_cancelled(self, deployment):
-        """A 504 that fires while the batch window is open reports the
-        truth — "may still apply" — and the write indeed lands."""
-        server = PenguinServer(deployment, port=0, batch_window=0.4)
+        """A 504 that fires while the batch is held mid-commit reports
+        the truth — "may still apply" — and the write indeed lands."""
+        gate, _ = hold_batches(deployment)
+        server = PenguinServer(deployment, port=0)
         handle = server.in_background()
         try:
             status, body, _ = request(
@@ -169,6 +186,7 @@ class TestDeadlines:
             )
             assert status == 504
             assert "not cancelled" in body["error"]
+            gate.set()
             deadline = time.time() + 5
             while deployment.get(OBJECT, (77_002,)) is None:
                 assert time.time() < deadline, "shielded write never landed"
@@ -212,10 +230,11 @@ class TestAdmissionGate:
 
 class TestGracefulDrain:
     def test_stop_waits_for_in_flight_writes(self, deployment):
-        """A write sitting in an open batch window when stop() begins
-        still gets its 201 — drain finishes in-flight work and flushes
-        the batcher before closing connections."""
-        server = PenguinServer(deployment, port=0, batch_window=0.3)
+        """A write held mid-batch when stop() begins still gets its 201
+        — drain finishes in-flight work and flushes the batcher before
+        closing connections."""
+        gate, entered = hold_batches(deployment)
+        server = PenguinServer(deployment, port=0)
         handle = server.in_background()
         outcome = {}
 
@@ -228,10 +247,17 @@ class TestGracefulDrain:
 
         thread = threading.Thread(target=client)
         thread.start()
-        time.sleep(0.1)  # let the write enter the batch window
-        handle.stop()
+        assert entered.wait(10), "the write never reached the batch"
+        stopper = threading.Thread(target=handle.stop)
+        stopper.start()
+        deadline = time.time() + 5
+        while not server._draining:
+            assert time.time() < deadline, "stop() never began draining"
+            time.sleep(0.01)
+        gate.set()  # the held batch lands only after stop() began
+        stopper.join(timeout=10)
         thread.join(timeout=10)
-        assert not thread.is_alive()
+        assert not stopper.is_alive() and not thread.is_alive()
         status, body, _ = outcome["result"]
         assert status == 201
         assert body["applied"] is True

@@ -94,7 +94,7 @@ def cluster():
         populate_hospital(sharded_loader(sharded), HospitalConfig(patients=6))
         sharded.register_object(patient_chart_object(graph))
         sharded.materialize(OBJECT, "lazy")
-        server = PenguinServer(sharded, port=0, batch_window=0.002)
+        server = PenguinServer(sharded, port=0)
         handle = server.in_background()
         yield hub, sharded, handle.url
         handle.stop()
@@ -263,9 +263,7 @@ class TestBatchFoldContinuity:
                     return {"applied": len(requests)}
 
         async def scenario(hub):
-            batcher = MicroBatcher(
-                FakeSession(), asyncio.get_running_loop(), window=0.01
-            )
+            batcher = MicroBatcher(FakeSession(), asyncio.get_running_loop())
             contexts = [TraceContext.new("req-f1"), TraceContext.new("req-f2")]
 
             async def submit(ctx):

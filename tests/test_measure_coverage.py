@@ -3,6 +3,7 @@ driver list it reads off the CI file, checked without running a driver."""
 
 import importlib.util
 import pathlib
+import sys
 import textwrap
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -93,3 +94,46 @@ def test_the_drivers_are_the_ci_commands_outside_the_test_suites():
     assert not [path for path in benches if not path.startswith("benchmarks/bench_")]
     e2e = [args for kind, args in drivers if kind == "e2e"]
     assert ["--trace", "1", "--ops-scale", "0.01", "--seconds", "1"] in e2e
+
+
+EXCLUDED = textwrap.dedent('''\
+    from typing import TYPE_CHECKING
+
+    if TYPE_CHECKING:
+        import os
+
+
+    class Engine:
+        def scan(self):
+            raise NotImplementedError
+
+        def __repr__(self):  # pragma: no cover
+            return "engine"
+
+        def count(self):
+            return 0
+    ''')
+
+
+def test_the_exclusions_are_read_from_pyproject(monkeypatch):
+    patterns = tool.exclude_patterns()
+    assert patterns == (
+        "pragma: no cover", "if TYPE_CHECKING:", "raise NotImplementedError",
+    )
+    # The reader for Pythons without tomllib finds the same list.
+    monkeypatch.setitem(sys.modules, "tomllib", None)
+    tool.exclude_patterns.cache_clear()
+    try:
+        assert tool.exclude_patterns() == patterns
+    finally:
+        tool.exclude_patterns.cache_clear()
+
+
+def test_excluded_lines_and_blocks_are_not_executable(tmp_path):
+    path = tmp_path / "fixture.py"
+    path.write_text(EXCLUDED, encoding="utf-8")
+    excluded = tool.excluded_lines(EXCLUDED, tool.exclude_patterns())
+    assert excluded == {3, 4, 9, 11, 12}
+    assert not tool.executable_lines(str(path)) & excluded
+    # A stub whose only line is excluded has no body left to reach.
+    assert tool.unreached_functions(str(path), set()) == [("Engine.count", 14)]

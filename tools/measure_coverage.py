@@ -6,7 +6,10 @@ but the offline container this reproduction targets has neither
 stdlib only: a ``sys.settrace`` hook records every executed line in
 ``src/repro`` while the test suite runs, and the denominator comes from
 compiling each source file and walking its code objects' ``co_lines``
-tables — the same definition of "executable line" coverage.py uses.
+tables — the same definition of "executable line" coverage.py uses —
+less the lines that ``pyproject.toml``'s ``[tool.coverage.report]
+exclude_lines`` patterns drop from CI's figure (a matched line that
+opens a block drops the block), so both readings share one definition.
 
 Usage::
 
@@ -33,8 +36,10 @@ import argparse
 import ast
 import contextlib
 import dis
+import functools
 import io
 import os
+import re
 import runpy
 import shlex
 import sys
@@ -46,11 +51,51 @@ from types import CodeType
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src", "repro")
 CI = os.path.join(REPO, ".github", "workflows", "ci.yml")
+PYPROJECT = os.path.join(REPO, "pyproject.toml")
 EXAMPLES = os.path.join(REPO, "examples")
 
 
+@functools.lru_cache(maxsize=None)
+def exclude_patterns(path: str = PYPROJECT) -> tuple:
+    """The ``[tool.coverage.report] exclude_lines`` regexes of ``path``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    try:
+        import tomllib
+    except ImportError:  # Python < 3.11: the array holds plain strings
+        section = text.split("[tool.coverage.report]", 1)[1]
+        array = re.search(r"^exclude_lines\s*=\s*(\[.*?\])", section, re.M | re.S)
+        return tuple(ast.literal_eval(array.group(1)))
+    return tuple(tomllib.loads(text)["tool"]["coverage"]["report"]["exclude_lines"])
+
+
+def excluded_lines(source: str, patterns: tuple) -> set:
+    """Lines a pattern matches, and the indented block under each
+    matched line that opens one (``if TYPE_CHECKING:`` and its body), as
+    coverage.py excludes them."""
+    if not patterns:
+        return set()
+    matcher = re.compile("|".join(f"(?:{pattern})" for pattern in patterns))
+    lines = source.splitlines()
+    excluded = set()
+    for number, text in enumerate(lines, start=1):
+        if number in excluded or not matcher.search(text):
+            continue
+        excluded.add(number)
+        if re.search(r":\s*(#.*)?$", text):
+            indent = len(text) - len(text.lstrip())
+            for after, line in enumerate(lines[number:], start=number + 1):
+                if not line.strip():
+                    continue
+                if len(line) - len(line.lstrip()) <= indent:
+                    break
+                excluded.add(after)
+    return excluded
+
+
 def executable_lines(path: str) -> set:
-    """Every line number the compiler can attribute bytecode to."""
+    """Every line number the compiler can attribute bytecode to, less
+    the lines ``pyproject.toml``'s ``exclude_lines`` drop."""
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
     lines = set()
@@ -65,7 +110,7 @@ def executable_lines(path: str) -> set:
     # the compiler attributes module setup to line 0 on some versions
     lines.discard(0)
     lines.discard(None)
-    return lines
+    return lines - excluded_lines(source, exclude_patterns())
 
 
 def function_lines(path: str) -> list:
