@@ -66,7 +66,7 @@ from repro.core.information_metric import InformationMetric
 from repro.dialog.answers import ScriptedAnswers
 from repro.dialog.drivers import run_replacement_dialog
 from repro.dialog.transcript import Transcript
-from repro.errors import QueryError
+from repro.errors import QueryError, UnknownRelationError
 from repro.core.updates.policy import TranslatorPolicy
 from repro.penguin import Penguin
 from repro.relational.memory_engine import MemoryEngine
@@ -371,7 +371,7 @@ def _trace_follow(args: argparse.Namespace) -> int:
     from repro.serve.http import PenguinServer
 
     request_id = args.follow
-    hub = obs.configure(slow_threshold=args.slow_threshold)
+    hub = obs.configure()
     assembled = None
     try:
         sharded = _build_sharded_hospital(shards=2, patients=6, replicas=2)
@@ -461,7 +461,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return _trace_follow(args)
 
     session = _observed_session()
-    hub = obs.configure(slow_threshold=args.slow_threshold)
+    hub = obs.configure()
     try:
         explain_text = _run_figure4_workload(session)
     finally:
@@ -470,14 +470,33 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(explain_text)
     print("\n=== span trees (Figure-4 workload) ===")
     print(hub.tracer.render(show_durations=not args.no_durations))
-    if hub.slow_log is not None and len(hub.slow_log):
+    slow = _slow_operations(hub.tracer.roots(), args.slow_threshold)
+    if slow:
         print("\n=== slow operations (threshold "
               f"{args.slow_threshold * 1000:.0f}ms) ===")
-        print(hub.slow_log.render())
+        print("\n".join(slow))
     if args.jsonl:
         written = hub.tracer.export_jsonl(args.jsonl)
         print(f"\nwrote {written} root span(s) to {args.jsonl}")
     return 0
+
+
+def _slow_operations(roots, threshold: float) -> list:
+    """One line per root span slower than ``threshold`` seconds (a span
+    exactly on the threshold is not slow): name, duration, attributes
+    and error."""
+    lines = []
+    for root in roots:
+        if root.duration <= threshold:
+            continue
+        attrs = " ".join(
+            f"{key}={root.attributes[key]}" for key in sorted(root.attributes)
+        )
+        error = f" error={root.error!r}" if root.error else ""
+        lines.append(
+            f"{root.name} {root.duration * 1000:.3f}ms {attrs}{error}".rstrip()
+        )
+    return lines
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -570,6 +589,14 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _non_negative_seconds(text: str) -> float:
+    """An argparse type: a duration, refused below zero at parse time."""
+    value = float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value:g}")
+    return value
+
+
 def _coerce_key(tokens) -> tuple:
     """CLI key tokens to tuple values (ints where they parse as ints)."""
     key = []
@@ -583,6 +610,14 @@ def _coerce_key(tokens) -> tuple:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     session = _run_audit_workload(args.ops, args.seed)
+    try:
+        return _audit(args, session)
+    except UnknownRelationError as exc:
+        print(f"audit {args.audit_command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _audit(args: argparse.Namespace, session: Penguin) -> int:
     log = session.audit
 
     if args.audit_command == "tail":
@@ -688,7 +723,7 @@ def cmd_flight(args: argparse.Namespace) -> int:
         sharded.insert("patient_chart", _audit_chart(pid, rng))
         replica_set = sharded.shard(0).replica_set
         replica_set.primary.kill()
-        for _ in range(replica_set.config.miss_threshold + 1):
+        for _ in range(replica_set.detector.MISS_THRESHOLD + 1):
             replica_set.probe()
         sharded.close()
     finally:
@@ -763,6 +798,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.simulate import PRESETS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Updating Relational Databases "
@@ -814,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
         "step checked against one in-memory Penguin",
     )
     simulate.add_argument(
-        "--preset", default="all",
+        "--preset", default="all", choices=[*PRESETS, "all"],
         help="crash, degraded, twophase, race, failover, quorum, or all",
     )
     simulate.add_argument("--seed", type=int, default=0)
@@ -835,10 +872,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--slow-threshold",
-        type=float,
+        type=_non_negative_seconds,
         default=0.05,
         metavar="SECONDS",
-        help="slow-log retention threshold (default 0.05s)",
+        help="list the root spans slower than this (default 0.05s)",
     )
     trace.add_argument(
         "--no-durations",

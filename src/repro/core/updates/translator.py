@@ -596,7 +596,7 @@ class Translator:
         shipped: Optional[UpdateRecord] = None,
     ) -> None:
         """The one commit step of every write path: write the PENDING
-        intent, land the plan, mark the entry, record the outcome.
+        intent, land the plan, record the outcome, mark the entry.
 
         ``land`` makes the effects durable and must be all-or-nothing
         for an ``Exception`` — ``engine.apply_batch`` for a plan
@@ -609,7 +609,11 @@ class Translator:
         A failed landing marks the entry ABORTED and audits the update
         as rolled back; a simulated crash — a ``BaseException`` — leaves
         the entry PENDING for recovery and audits the update as crashed,
-        to be reconciled once recovery settles its fate.
+        to be reconciled once recovery settles its fate. A landed plan is
+        audited ``committed`` *before* its entry is marked: a crash
+        between the two leaves a PENDING entry that recovery settles, and
+        the record is already there (an entry recovery aborts instead is
+        folded back by :meth:`~repro.obs.audit.AuditLog.reconcile`).
         """
         registry = obs.metrics()
         plan_records = image_records = None
@@ -641,10 +645,15 @@ class Translator:
             if audit is not None:
                 self.audit_update(audit, op, error=exc, **record)
             raise
+        if audit is not None:
+            try:
+                self.audit_update(audit, op, **record)
+            except Exception:
+                if entry_id is not None:
+                    journal.mark_committed(entry_id)
+                raise
         if entry_id is not None:
             journal.mark_committed(entry_id)
-        if audit is not None:
-            self.audit_update(audit, op, **record)
         registry.counter("translations_total", op=op).inc()
         registry.histogram("plan_ops", op=op).observe(len(plan))
 

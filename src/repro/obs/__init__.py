@@ -1,22 +1,21 @@
-"""Observability: tracing, metrics, and the slow-operation log.
+"""Observability: tracing and metrics.
 
 Keller's framework treats the chosen translation strategy as a
 first-class artifact; this package makes the *executions* of that
 strategy first-class too. One :class:`Observability` hub bundles
 
 * a :class:`~repro.obs.trace.Tracer` (hierarchical spans:
-  ``translate > validate > propagate > engine.apply > commit``),
+  ``translate > validate > propagate > engine.apply > commit``) and
 * a :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
-  fixed-bucket histograms for every layer), and
-* a :class:`~repro.obs.slowlog.SlowLog` (threshold-gated outliers),
+  fixed-bucket histograms for every layer),
 
 and the library's layers consult the *active* hub through the
-module-level accessors :func:`tracer` / :func:`metrics` (the slow log is
-``active().slow_log``). By default the hub is disabled: the accessors
-hand out shared no-op objects, so instrumented code paths cost one
-function call and nothing else. :func:`configure` swaps in a live hub;
-:func:`disable` restores the no-op one; :func:`use` scopes a hub to a
-``with`` block (tests, benchmarks, property-based equivalence checks).
+module-level accessors :func:`tracer` / :func:`metrics`. By default the
+hub is disabled: the accessors hand out shared no-op objects, so
+instrumented code paths cost one function call and nothing else.
+:func:`configure` swaps in a live hub; :func:`disable` restores the
+no-op one; :func:`use` scopes a hub to a ``with`` block (tests,
+benchmarks, property-based equivalence checks).
 
 >>> import repro.obs as obs
 >>> hub = obs.configure()
@@ -43,7 +42,6 @@ from repro.obs.context import (
     parse_traceparent,
 )
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.slowlog import SlowLog
 from repro.obs.trace import NOOP_TRACER, Span, Tracer
 
 __all__ = [
@@ -101,7 +99,6 @@ _LAZY_EXPORTS = {
     "replay": "repro.obs.history",
     "TraceAssembler": "repro.obs.cluster",
     "FlightRecorder": "repro.obs.cluster",
-    "SloTarget": "repro.obs.cluster",
     "SloTracker": "repro.obs.cluster",
 }
 
@@ -118,7 +115,7 @@ def __getattr__(name: str):
 
 
 class Observability:
-    """One tracer + one metrics registry + one slow log, as a unit.
+    """One tracer + one metrics registry, as a unit.
 
     The registry is the deployment's only one: every shard and replica
     records into it, its series told apart by ``shard=`` / ``replica=``
@@ -127,46 +124,26 @@ class Observability:
     triggers dump to.
     """
 
-    def __init__(
-        self,
-        tracer: Tracer,
-        metrics: MetricsRegistry,
-        slow_log: Optional[SlowLog] = None,
-    ) -> None:
+    def __init__(self, tracer: Tracer, metrics: MetricsRegistry) -> None:
         self.tracer = tracer
         self.metrics = metrics
-        self.slow_log = slow_log
         self.flight = None  # Optional[FlightRecorder], set via install
-        if slow_log is not None and tracer.enabled:
-            tracer.on_root.append(slow_log.consider)
 
     @classmethod
     def disabled(cls) -> "Observability":
         """The no-op hub: shared disabled tracer, null registry."""
-        return cls(NOOP_TRACER, NULL_REGISTRY, None)
+        return cls(NOOP_TRACER, NULL_REGISTRY)
 
     @classmethod
-    def enabled(
-        cls,
-        span_capacity: int = 256,
-        slow_threshold: Optional[float] = None,
-        clock=None,
-    ) -> "Observability":
-        tracer = Tracer(capacity=span_capacity)
-        if clock is not None:
-            tracer.clock = clock
-        slow = None if slow_threshold is None else SlowLog(slow_threshold)
-        return cls(tracer, MetricsRegistry(), slow)
+    def enabled(cls) -> "Observability":
+        return cls(Tracer(), MetricsRegistry())
 
     @property
     def is_enabled(self) -> bool:
         return self.tracer.enabled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Observability(enabled={self.is_enabled}, "
-            f"slow_log={self.slow_log is not None})"
-        )
+        return f"Observability(enabled={self.is_enabled})"
 
 
 _DISABLED = Observability.disabled()
@@ -199,23 +176,13 @@ def anomaly(kind: str, **detail) -> None:
     hub.metrics.counter("anomalies_total", kind=kind).inc()
     recorder = hub.flight
     if recorder is not None:
-        recorder.trigger(kind, detail, hub=hub)
+        recorder.trigger(kind, detail)
 
 
-def configure(
-    span_capacity: int = 256,
-    slow_threshold: Optional[float] = None,
-    clock=None,
-) -> Observability:
-    """Install (and return) a fresh live hub.
-
-    ``slow_threshold`` (seconds) turns on the slow-operation log;
-    ``clock`` injects a fake clock for deterministic tests.
-    """
+def configure() -> Observability:
+    """Install (and return) a fresh live hub."""
     global _active
-    _active = Observability.enabled(
-        span_capacity=span_capacity, slow_threshold=slow_threshold, clock=clock
-    )
+    _active = Observability.enabled()
     return _active
 
 
@@ -226,10 +193,9 @@ def disable() -> None:
 
 
 @contextlib.contextmanager
-def use(hub: Optional[Observability] = None) -> Iterator[Observability]:
-    """Scope a hub to a ``with`` block, restoring the previous one after.
-
-    With no argument, a fresh enabled hub is created for the block:
+def use() -> Iterator[Observability]:
+    """Scope a fresh enabled hub to a ``with`` block, restoring the
+    previous one after.
 
     >>> import repro.obs as obs
     >>> with obs.use() as hub:
@@ -237,7 +203,7 @@ def use(hub: Optional[Observability] = None) -> Iterator[Observability]:
     """
     global _active
     previous = _active
-    _active = hub if hub is not None else Observability.enabled()
+    _active = Observability.enabled()
     try:
         yield _active
     finally:

@@ -180,18 +180,23 @@ class AuditLog:
     def reconcile(self, journal: PlanJournal) -> int:
         """Settle every ``crashed`` record against the journal's verdict.
 
-        A crash between audit append and commit leaves the record
-        ``crashed`` and its journal entry PENDING; once
+        A crash while landing leaves the record ``crashed`` and its
+        journal entry PENDING; once
         :func:`~repro.relational.journal.recover` has marked the entry
         COMMITTED or ABORTED, this folds that verdict back so
-        ``replay``/``as_of`` see the truth. Idempotent; returns how many
-        records were resolved."""
+        ``replay``/``as_of`` see the truth. A ``committed`` record whose
+        entry recovery aborted (the crash came after the append, before
+        the COMMITTED marker, and the cells did not hold) is rolled back
+        the same way. Idempotent; returns how many records were
+        resolved."""
         settled = 0
         for record in self.records():
-            if record.state != CRASHED or record.journal_entry is None:
+            if record.journal_entry is None or record.state not in (
+                CRASHED, COMMITTED
+            ):
                 continue
             verdict = journal.verdict(record.journal_entry)
-            if verdict == JOURNAL_COMMITTED:
+            if verdict == JOURNAL_COMMITTED and record.state == CRASHED:
                 self.resolve(record.id, COMMITTED)
                 settled += 1
             elif verdict == JOURNAL_ABORTED:
@@ -275,14 +280,14 @@ class ShippingCursor:
     taken — the primary-side half of lag accounting (the replica-side
     half, received-but-unapplied, lives in the replica's inbox).
 
-    The cursor starts at the log's current head by default: replicas
-    attached to a primary with prior history receive their baseline via
-    seeding, not via replay from ASN 0.
+    The cursor starts at the log's current head: replicas attached to a
+    primary with prior history receive their baseline via seeding, not
+    via replay from ASN 0.
     """
 
-    def __init__(self, log: AuditLog, start_asn: Optional[int] = None) -> None:
+    def __init__(self, log: AuditLog) -> None:
         self.log = log
-        self.asn = log.head_asn() if start_asn is None else start_asn
+        self.asn = log.head_asn()
 
     def pending(self) -> List[UpdateRecord]:
         """Committed records not yet taken, in ASN order."""

@@ -8,9 +8,9 @@ module reads across what :mod:`repro.obs.context` correlates:
 
 * :func:`histogram_quantile` — Prometheus-style linear interpolation
   over the fixed buckets a histogram already keeps;
-* :class:`SloTarget` / :class:`SloTracker` — declared objectives (p95
-  write latency, availability) with multi-window burn rates computed
-  from counter/histogram deltas, surfaced on ``/health``;
+* :class:`SloTracker` — the server's two objectives (:data:`SLOS`: write
+  latency, availability) with multi-window burn rates computed from
+  counter/histogram deltas, surfaced on ``/health``;
 * :class:`TraceAssembler` — stitches the tracer's ring-buffer root
   spans (HTTP task, micro-batch executor thread, 2PC coordinator with
   its ships and replica applies) into one causal timeline per trace id;
@@ -47,7 +47,6 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Span, Tracer
 
 __all__ = [
-    "SloTarget",
     "SloTracker",
     "TraceAssembler",
     "FlightRecorder",
@@ -90,177 +89,77 @@ def histogram_quantile(histogram: Histogram, q: float) -> Optional[float]:
     return float(bounds[-1])
 
 
-class SloTarget:
-    """One declared objective over existing instrument families.
+#: The server's objectives over families it already records:
+#: ``(name, kind, family, objective)``. A ``latency`` objective counts an
+#: observation at or under :data:`WRITE_THRESHOLD_MS` as good; an
+#: ``availability`` one counts every increment whose ``status`` label
+#: is not a 5xx as good.
+SLOS = (
+    ("write_latency", "latency", "serve_write_ms", 0.95),
+    ("availability", "availability", "serve_http_requests_total", 0.999),
+)
+WRITE_THRESHOLD_MS = 250.0
 
-    Two kinds:
 
-    * ``latency`` — "fraction of ``family`` observations at or under
-      ``threshold`` must be ≥ ``objective``" (threshold in the
-      histogram's native unit, here milliseconds). ``quantile`` is
-      what :meth:`SloTracker.report` additionally estimates for
-      display (p95 by default).
-    * ``availability`` — "fraction of ``family`` counter increments
-      whose ``bad_label`` value does *not* start with a
-      ``bad_prefixes`` entry must be ≥ ``objective``" (5xx statuses by
-      default).
-    """
+def _folded(registry: MetricsRegistry, family: str) -> Optional[Histogram]:
+    """A latency family folded across its label sets (every shard and
+    replica observes into the same bounds), or None."""
+    parts = registry.histograms(family)
+    if not parts:
+        return None
+    folded = Histogram(family, buckets=parts[0].buckets)
+    for part in parts:
+        folded.merge(part)
+    return folded
 
-    __slots__ = (
-        "name",
-        "kind",
-        "objective",
-        "family",
-        "threshold",
-        "quantile",
-        "bad_label",
-        "bad_prefixes",
-        "description",
-    )
 
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        objective: float,
-        family: str,
-        threshold: Optional[float] = None,
-        quantile: float = 0.95,
-        bad_label: str = "status",
-        bad_prefixes: Tuple[str, ...] = ("5",),
-        description: str = "",
-    ) -> None:
-        if kind not in ("latency", "availability"):
-            raise ValueError(f"unknown SLO kind {kind!r}")
-        if not 0.0 < objective < 1.0:
-            raise ValueError("objective must be a ratio in (0, 1)")
-        if kind == "latency" and threshold is None:
-            raise ValueError("a latency SLO needs a threshold")
-        self.name = name
-        self.kind = kind
-        self.objective = objective
-        self.family = family
-        self.threshold = threshold
-        self.quantile = quantile
-        self.bad_label = bad_label
-        self.bad_prefixes = bad_prefixes
-        self.description = description
-
-    @classmethod
-    def latency(
-        cls,
-        name: str,
-        family: str,
-        threshold_ms: float,
-        objective: float = 0.95,
-        quantile: float = 0.95,
-        description: str = "",
-    ) -> "SloTarget":
-        return cls(
-            name,
-            "latency",
-            objective,
-            family,
-            threshold=threshold_ms,
-            quantile=quantile,
-            description=description,
-        )
-
-    @classmethod
-    def availability(
-        cls,
-        name: str,
-        family: str,
-        objective: float = 0.999,
-        bad_label: str = "status",
-        bad_prefixes: Tuple[str, ...] = ("5",),
-        description: str = "",
-    ) -> "SloTarget":
-        return cls(
-            name,
-            "availability",
-            objective,
-            family,
-            bad_label=bad_label,
-            bad_prefixes=bad_prefixes,
-            description=description,
-        )
-
-    def _folded(self, registry: MetricsRegistry) -> Optional[Histogram]:
-        """The latency family folded across its label sets (every shard
-        and replica observes into the same bounds), or None."""
-        parts = registry.histograms(self.family)
-        if not parts:
-            return None
-        folded = Histogram(self.family, buckets=parts[0].buckets)
-        for part in parts:
-            folded.merge(part)
-        return folded
-
-    def good_bad(self, registry: MetricsRegistry) -> Tuple[float, float]:
-        """Cumulative (good, bad) event counts for this objective."""
-        if self.kind == "latency":
-            folded = self._folded(registry)
-            if folded is None:
-                return 0.0, 0.0
-            counts = folded.bucket_counts()
-            good = sum(
-                counts[f"le={bound:g}"]
-                for bound in folded.buckets
-                if bound <= self.threshold
-            )
-            return float(good), float(folded.count - good)
-        good = bad = 0.0
-        for counter in registry.counters(self.family):
-            status = dict(counter.labels).get(self.bad_label, "")
-            if status.startswith(self.bad_prefixes):
-                bad += counter.value
-            else:
-                good += counter.value
-        return good, bad
-
-    def estimate(self, registry: MetricsRegistry) -> Optional[float]:
-        """The display estimate: latency quantile, or None."""
-        if self.kind != "latency":
-            return None
-        folded = self._folded(registry)
+def _good_bad(
+    registry: MetricsRegistry, kind: str, family: str
+) -> Tuple[float, float]:
+    """Cumulative (good, bad) event counts for one objective."""
+    if kind == "latency":
+        folded = _folded(registry, family)
         if folded is None:
-            return None
-        return histogram_quantile(folded, self.quantile)
+            return 0.0, 0.0
+        counts = folded.bucket_counts()
+        good = sum(
+            counts[f"le={bound:g}"]
+            for bound in folded.buckets
+            if bound <= WRITE_THRESHOLD_MS
+        )
+        return float(good), float(folded.count - good)
+    good = bad = 0.0
+    for counter in registry.counters(family):
+        if dict(counter.labels).get("status", "").startswith("5"):
+            bad += counter.value
+        else:
+            good += counter.value
+    return good, bad
 
 
 class SloTracker:
-    """Multi-window burn rates over cumulative good/bad counts.
+    """Multi-window burn rates of :data:`SLOS` over cumulative good/bad
+    counts.
 
     Burn rate is the classic definition: the error rate observed over
     a window, divided by the error budget ``1 - objective``. A burn
     of 1.0 spends the budget exactly at the objective's pace; 14.4
-    over an hour is Google's "page now" threshold, and :attr:`
-    fast_burn_threshold` defaults near it. Each :meth:`sample` appends
-    cumulative counts to a bounded deque, so the tracker costs O(1)
-    per health poll and nothing on the write path.
+    over an hour is Google's "page now" threshold, and
+    :attr:`FAST_BURN_THRESHOLD` sits near it. Each :meth:`sample`
+    appends cumulative counts to a bounded deque, so the tracker costs
+    O(1) per health poll and nothing on the write path.
     """
 
     MIN_WINDOW_EVENTS = 10  # don't alert on the first unlucky request
+    FAST_WINDOW = 60.0  # seconds
+    SLOW_WINDOW = 3600.0
+    FAST_BURN_THRESHOLD = 14.0
 
-    def __init__(
-        self,
-        targets: Sequence[SloTarget],
-        fast_window: float = 60.0,
-        slow_window: float = 3600.0,
-        fast_burn_threshold: float = 14.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.targets = list(targets)
-        self.fast_window = fast_window
-        self.slow_window = slow_window
-        self.fast_burn_threshold = fast_burn_threshold
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self.clock = clock
         self._lock = threading.Lock()
-        self._samples: Dict[str, deque] = {
-            t.name: deque() for t in self.targets
-        }
-        self._burning: Dict[str, bool] = {t.name: False for t in self.targets}
+        self._samples: Dict[str, deque] = {name: deque() for name, *_ in SLOS}
+        self._burning: Dict[str, bool] = {name: False for name, *_ in SLOS}
 
     def _window_rates(
         self, samples: deque, now: float
@@ -268,8 +167,8 @@ class SloTracker:
         """Error rate over each window, or None with too little data."""
         out: Dict[str, Optional[float]] = {}
         for label, window in (
-            ("fast", self.fast_window),
-            ("slow", self.slow_window),
+            ("fast", self.FAST_WINDOW),
+            ("slow", self.SLOW_WINDOW),
         ):
             base = None
             for t, good, bad in samples:
@@ -290,30 +189,27 @@ class SloTracker:
                 out[label] = bad_delta / total
         return out
 
-    def sample(
-        self, hub: Optional["obs.Observability"] = None
-    ) -> Dict[str, Any]:
-        """Take one sample and return the SLO report.
+    def sample(self) -> Dict[str, Any]:
+        """Take one sample of the active hub and return the SLO report.
 
         Also exports an ``slo_attainment{slo=}`` gauge and fires the
         ``slo_fast_burn`` anomaly on the *transition* into fast burn
         (so a long incident produces one flight bundle, not one per
         health poll).
         """
-        hub = hub if hub is not None else obs.active()
-        registry = hub.metrics
+        registry = obs.metrics()
         now = self.clock()
         report: Dict[str, Any] = {}
         fired: List[str] = []
         with self._lock:
-            for target in self.targets:
-                good, bad = target.good_bad(registry)
-                samples = self._samples[target.name]
+            for name, kind, family, objective in SLOS:
+                good, bad = _good_bad(registry, kind, family)
+                samples = self._samples[name]
                 samples.append((now, good, bad))
-                while samples and samples[0][0] < now - self.slow_window:
+                while samples and samples[0][0] < now - self.SLOW_WINDOW:
                     samples.popleft()
                 rates = self._window_rates(samples, now)
-                budget = 1.0 - target.objective
+                budget = 1.0 - objective
                 burn = {
                     label: (None if rate is None else rate / budget)
                     for label, rate in rates.items()
@@ -322,37 +218,34 @@ class SloTracker:
                 attainment = (good / total) if total else None
                 fast_burning = (
                     burn["fast"] is not None
-                    and burn["fast"] >= self.fast_burn_threshold
+                    and burn["fast"] >= self.FAST_BURN_THRESHOLD
                 )
-                if fast_burning and not self._burning[target.name]:
-                    fired.append(target.name)
-                self._burning[target.name] = fast_burning
+                if fast_burning and not self._burning[name]:
+                    fired.append(name)
+                self._burning[name] = fast_burning
                 entry: Dict[str, Any] = {
-                    "kind": target.kind,
-                    "objective": target.objective,
+                    "kind": kind,
+                    "objective": objective,
                     "attainment": attainment,
                     "good": good,
                     "bad": bad,
                     "burn": burn,
                     "fast_burn": fast_burning,
                 }
-                estimate = target.estimate(registry)
-                if estimate is not None:
-                    entry[f"p{int(target.quantile * 100)}_ms"] = round(
-                        estimate, 3
-                    )
-                    entry["threshold_ms"] = target.threshold
-                report[target.name] = entry
+                folded = _folded(registry, family) if kind == "latency" else None
+                p95 = None if folded is None else histogram_quantile(folded, 0.95)
+                if p95 is not None:
+                    entry["p95_ms"] = round(p95, 3)
+                    entry["threshold_ms"] = WRITE_THRESHOLD_MS
+                report[name] = entry
                 if attainment is not None:
-                    registry.gauge(
-                        "slo_attainment", slo=target.name
-                    ).set(attainment)
+                    registry.gauge("slo_attainment", slo=name).set(attainment)
         for name in fired:
             obs.anomaly(
                 "slo_fast_burn",
                 slo=name,
                 burn=report[name]["burn"]["fast"],
-                threshold=self.fast_burn_threshold,
+                threshold=self.FAST_BURN_THRESHOLD,
             )
         return report
 
@@ -455,33 +348,23 @@ class AssembledTrace:
 class TraceAssembler:
     """Groups a tracer's retained root spans by trace id."""
 
-    def __init__(self, tracer: Optional[Tracer] = None) -> None:
+    def __init__(self, tracer: Tracer) -> None:
         self._tracer = tracer
 
-    def _roots(self) -> Tuple[Span, ...]:
-        tracer = self._tracer if self._tracer is not None else obs.tracer()
-        return tracer.roots()
-
-    def assemble(
-        self,
-        trace_id: Optional[str] = None,
-        request_id: Optional[str] = None,
-    ) -> Optional[AssembledTrace]:
-        """One trace by id or by the request id riding in its spans."""
-        if trace_id is None and request_id is None:
-            raise ValueError("need a trace_id or a request_id")
+    def assemble(self, request_id: str) -> Optional[AssembledTrace]:
+        """The trace whose first root names ``request_id``, or None."""
+        roots = self._tracer.roots()
+        trace_id = next(
+            (
+                root.trace_id
+                for root in roots
+                if root.attributes.get("request_id") == request_id
+            ),
+            None,
+        )
         if trace_id is None:
-            for root in self._roots():
-                if root.attributes.get("request_id") == request_id:
-                    trace_id = root.trace_id
-                    break
-            if trace_id is None:
-                return None
-        fragments = [
-            root for root in self._roots() if root.trace_id == trace_id
-        ]
-        if not fragments:
             return None
+        fragments = [root for root in roots if root.trace_id == trace_id]
         return AssembledTrace(trace_id, fragments)
 
 
@@ -499,22 +382,15 @@ class FlightRecorder:
     timestamped JSONL bundle, written atomically (temp file +
     ``os.replace``) so a reader never sees a half bundle. Triggers for
     the same anomaly kind are rate-limited to one bundle per
-    ``min_interval`` seconds.
+    :attr:`MIN_INTERVAL` seconds.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        span_limit: int = 100,
-        audit_tail: int = 20,
-        min_interval: float = 5.0,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
+    SPAN_LIMIT = 100  # newest root spans per bundle
+    AUDIT_TAIL = 20  # newest records per audit section
+    MIN_INTERVAL = 5.0
+
+    def __init__(self, directory: str) -> None:
         self.directory = directory
-        self.span_limit = span_limit
-        self.audit_tail = audit_tail
-        self.min_interval = min_interval
-        self.clock = clock
         self.bundles: List[str] = []
         self.suppressed = 0
         self._sources: Dict[str, Callable[[], Any]] = {}
@@ -529,17 +405,17 @@ class FlightRecorder:
 
     def add_audit_source(self, name: str, audit_log: Any) -> None:
         """Convenience: a section with the log's last N record dicts."""
-        limit = self.audit_tail
+        limit = self.AUDIT_TAIL
 
         def tail() -> List[Dict[str, Any]]:
             return [record.as_dict() for record in audit_log.tail(limit)]
 
         self.add_source(name, tail)
 
-    def install(self, hub: Optional["obs.Observability"] = None) -> "FlightRecorder":
-        """Attach to a hub so :func:`repro.obs.anomaly` triggers dumps."""
-        hub = hub if hub is not None else obs.active()
-        hub.flight = self
+    def install(self) -> "FlightRecorder":
+        """Attach to the active hub so :func:`repro.obs.anomaly` triggers
+        dumps."""
+        obs.active().flight = self
         return self
 
     def latest(self) -> Optional[str]:
@@ -548,25 +424,22 @@ class FlightRecorder:
     # -- dumping -------------------------------------------------------------
 
     def trigger(
-        self,
-        kind: str,
-        detail: Optional[Dict[str, Any]] = None,
-        hub: Optional["obs.Observability"] = None,
+        self, kind: str, detail: Optional[Dict[str, Any]] = None
     ) -> Optional[str]:
-        """Dump a bundle for one anomaly; returns its path (or None
-        when rate-limited)."""
+        """Dump a bundle of the active hub for one anomaly; returns its
+        path (or None when rate-limited)."""
         now = time.monotonic()
         with self._lock:
             last = self._last.get(kind)
-            if last is not None and now - last < self.min_interval:
+            if last is not None and now - last < self.MIN_INTERVAL:
                 self.suppressed += 1
                 return None
             self._last[kind] = now
             self._seq += 1
             seq = self._seq
-        hub = hub if hub is not None else obs.active()
+        hub = obs.active()
         stamp = time.strftime(
-            "%Y%m%dT%H%M%S", time.gmtime(self.clock())
+            "%Y%m%dT%H%M%S", time.gmtime(time.time())
         )
         safe_kind = "".join(
             ch if ch.isalnum() or ch in "-_" else "-" for ch in kind
@@ -594,11 +467,11 @@ class FlightRecorder:
                 "record": "flight",
                 "anomaly": kind,
                 "detail": detail,
-                "unix_ts": self.clock(),
+                "unix_ts": time.time(),
                 "pid": os.getpid(),
             }
         ]
-        roots = hub.tracer.roots()[-self.span_limit:]
+        roots = hub.tracer.roots()[-self.SPAN_LIMIT:]
         lines.append(
             {
                 "section": "spans",

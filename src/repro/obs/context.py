@@ -112,15 +112,12 @@ class TraceContext:
         self.baggage: Dict[str, str] = dict(baggage) if baggage else {}
 
     @classmethod
-    def new(cls, request_id: Optional[str] = None) -> "TraceContext":
-        baggage = {"request_id": request_id} if request_id else {}
-        return cls(new_trace_id(), new_span_id(), baggage)
+    def new(cls, request_id: str) -> "TraceContext":
+        return cls(new_trace_id(), new_span_id(), {"request_id": request_id})
 
-    def child(self, span_id: Optional[str] = None) -> "TraceContext":
+    def child(self) -> "TraceContext":
         """The same trace continued under a new parent span id."""
-        return TraceContext(
-            self.trace_id, span_id or new_span_id(), self.baggage
-        )
+        return TraceContext(self.trace_id, new_span_id(), self.baggage)
 
     @property
     def request_id(self) -> Optional[str]:
@@ -198,11 +195,9 @@ def attach(ctx: Optional[TraceContext]) -> Iterator[Optional[TraceContext]]:
 
 @contextlib.contextmanager
 def activate(
-    trace_id: Optional[str] = None,
-    request_id: Optional[str] = None,
-    **baggage: str,
+    request_id: Optional[str] = None, **baggage: str
 ) -> Iterator[TraceContext]:
-    """Start (or continue) a trace for the block and return its context.
+    """Start a trace for the block and return its context.
 
     >>> from repro.obs.context import activate
     >>> with activate(request_id="req-1") as ctx:
@@ -211,7 +206,7 @@ def activate(
     bag = dict(baggage)
     if request_id:
         bag["request_id"] = request_id
-    ctx = TraceContext(trace_id or new_trace_id(), new_span_id(), bag)
+    ctx = TraceContext(new_trace_id(), new_span_id(), bag)
     with attach(ctx):
         yield ctx
 

@@ -180,16 +180,12 @@ class ReplayReport:
         )
 
 
-def replay(
-    log: AuditLog,
-    engine: Engine,
-    fresh_engine: Optional[Engine] = None,
-) -> ReplayReport:
+def replay(log: AuditLog, engine: Engine) -> ReplayReport:
     """Re-execute the audited plans on a fresh engine; compare final states.
 
     The fresh engine (a new
-    :class:`~repro.relational.memory_engine.MemoryEngine` unless one is
-    passed) gets the live engine's schemas, is seeded with
+    :class:`~repro.relational.memory_engine.MemoryEngine`) gets the live
+    engine's schemas, is seeded with
     ``as_of(0)`` — the reconstructed pre-audit state — and then applies
     every *committed* plan in ASN order. Every other outcome is skipped
     and reported. The returned report's :attr:`~ReplayReport.ok` is the
@@ -203,18 +199,16 @@ def replay(
     before its first record (:attr:`~repro.obs.audit.AuditLog.seed`)
     catches that one — a log with no digest is not checked.
     """
-    if fresh_engine is None:
-        from repro.relational.memory_engine import MemoryEngine
+    from repro.relational.memory_engine import MemoryEngine
 
-        fresh_engine = MemoryEngine()
+    fresh_engine = MemoryEngine()
     report = ReplayReport()
 
     initial = as_of(log, engine, 0, verify=False)
     if log.seed is not None:
         report.unvouched = state_digest(initial) != log.seed
     for name in engine.relation_names():
-        if name not in fresh_engine.relation_names():
-            fresh_engine.create_relation(engine.schema(name))
+        fresh_engine.create_relation(engine.schema(name))
         rows = initial.get(name, {})
         if rows:
             fresh_engine.insert_many(name, list(rows.values()))

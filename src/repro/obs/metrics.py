@@ -24,7 +24,7 @@ only taken when an instrument is first created (or enumerated).
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 __all__ = ["MetricsRegistry"]
 
@@ -230,18 +230,13 @@ class MetricsRegistry:
                 instrument = self._gauges.setdefault(key, Gauge(*key))
         return instrument
 
-    def histogram(
-        self,
-        name: str,
-        buckets: Optional[Sequence[float]] = None,
-        **labels: Any,
-    ) -> Histogram:
+    def histogram(self, name: str, **labels: Any) -> Histogram:
         key = (name, _label_pairs(labels))
         instrument = self._histograms.get(key)
         if instrument is None:
             with self._lock:
                 instrument = self._histograms.setdefault(
-                    key, Histogram(key[0], key[1], buckets or DEFAULT_BUCKETS)
+                    key, Histogram(key[0], key[1], DEFAULT_BUCKETS)
                 )
         return instrument
 
@@ -378,7 +373,7 @@ class _NullRegistry(MetricsRegistry):
     def gauge(self, name: str, **labels: Any):
         return _NULL_INSTRUMENT
 
-    def histogram(self, name: str, buckets=None, **labels: Any):
+    def histogram(self, name: str, **labels: Any):
         return _NULL_INSTRUMENT
 
 

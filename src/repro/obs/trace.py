@@ -23,12 +23,11 @@ Design constraints, in order:
   (Thread-locals, the previous scheme, interleaved spans across
   overlapping in-flight HTTP requests.)
 
-Finished *root* spans land in the ring buffer and are offered to any
-registered ``on_root`` callbacks (the slow-operation log hooks in
-there). A root opened while a :class:`~repro.obs.context.TraceContext`
-is ambient stamps its ``trace_id``/parent span id, which is how the
-cluster-wide :class:`~repro.obs.cluster.TraceAssembler` stitches
-fragments from different threads back into one causal timeline.
+Finished *root* spans land in the ring buffer. A root opened while a
+:class:`~repro.obs.context.TraceContext` is ambient stamps its
+``trace_id``/parent span id, which is how the cluster-wide
+:class:`~repro.obs.cluster.TraceAssembler` stitches fragments from
+different threads back into one causal timeline.
 """
 
 from __future__ import annotations
@@ -264,12 +263,11 @@ _NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
-    """Produces span trees and keeps the most recent roots.
+    """Produces span trees and keeps the :attr:`CAPACITY` most recent
+    roots.
 
     Parameters
     ----------
-    capacity:
-        Ring-buffer size: how many finished root spans are retained.
     clock:
         Injection point for tests (defaults to ``time.perf_counter``).
     enabled:
@@ -278,19 +276,17 @@ class Tracer:
         normally).
     """
 
+    #: Ring-buffer size: how many finished root spans are retained.
+    CAPACITY = 256
+
     def __init__(
         self,
-        capacity: int = 256,
         clock: Clock = time.perf_counter,
         enabled: bool = True,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
         self.clock = clock
         self.enabled = enabled
-        self.on_root: List[Callable[[Span], None]] = []
-        self._roots: deque = deque(maxlen=capacity)
+        self._roots: deque = deque(maxlen=self.CAPACITY)
         # The nesting stack: an immutable tuple per context. Tracers are
         # few and long-lived, so one ContextVar per tracer is fine (and
         # keeps independently `use()`d hubs from seeing each other's
@@ -316,8 +312,6 @@ class Tracer:
         if len(roots) == roots.maxlen:
             self.dropped += 1
         roots.append(span)
-        for callback in self.on_root:
-            callback(span)
 
     # -- introspection -------------------------------------------------------
 
@@ -374,8 +368,7 @@ class Tracer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Tracer(enabled={self.enabled}, roots={len(self._roots)}, "
-            f"capacity={self.capacity})"
+            f"Tracer(enabled={self.enabled}, roots={len(self._roots)})"
         )
 
 

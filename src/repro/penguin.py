@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optio
 
 import repro.obs as obs
 from repro.errors import TransactionError, ViewObjectError
-from repro.core.information_metric import InformationMetric
 from repro.core.instance import Instance, build_instance
 from repro.core.instantiation import object_key
 from repro.core.query import execute_query
@@ -196,8 +195,6 @@ class Penguin(ViewObjectSession):
         A storage engine; defaults to a fresh :class:`MemoryEngine`.
         Pass ``backend="sqlite"`` instead to get an in-memory sqlite
         engine.
-    metric:
-        The information metric used when defining objects.
     journal:
         An optional :class:`~repro.relational.journal.PlanJournal`.
         When set, every translated update plan is journaled as a
@@ -220,7 +217,6 @@ class Penguin(ViewObjectSession):
         graph: StructuralSchema,
         engine: Optional[Engine] = None,
         backend: str = "memory",
-        metric: Optional[InformationMetric] = None,
         install: bool = True,
         journal: Optional[PlanJournal] = None,
         audit: Optional[AuditLog] = None,
@@ -235,7 +231,6 @@ class Penguin(ViewObjectSession):
             else:
                 raise ValueError(f"unknown backend {backend!r}")
         self.engine = engine
-        self.metric = metric or InformationMetric()
         self.journal = journal
         self.audit = audit
         # Definition-time strategy validation ("off" / "warn" /
@@ -262,19 +257,11 @@ class Penguin(ViewObjectSession):
         name: str,
         pivot: str,
         selections: Mapping[str, Sequence[str]],
-        updatable: bool = True,
     ) -> ViewObjectDefinition:
         """Define a view object (Figure 2 pipeline) and register it."""
         if name in self._objects:
             raise ViewObjectError(f"view object {name!r} already defined")
-        view_object = define_view_object(
-            self.graph,
-            name,
-            pivot,
-            selections,
-            metric=self.metric,
-            updatable=updatable,
-        )
+        view_object = define_view_object(self.graph, name, pivot, selections)
         self._objects[name] = view_object
         return view_object
 
@@ -599,24 +586,34 @@ class Penguin(ViewObjectSession):
     def why(self, relation: str, key: Sequence[Any]) -> List[LineageLink]:
         """The provenance chain of the base tuple at ``(relation, key)``:
         every committed view update that produced or touched it, oldest
-        first, following key re-homing back to the originating update."""
+        first, following key re-homing back to the originating update.
+        A relation the schema does not have is an
+        :class:`~repro.errors.UnknownRelationError`, not an empty chain."""
+        self.graph.relation(relation)
         return self.lineage().why(relation, key)
 
     def tuple_history(
         self, relation: str, key: Sequence[Any]
     ) -> List[LineageLink]:
-        """The before/after image sequence of one exact cell."""
+        """The before/after image sequence of one exact cell (an
+        :class:`~repro.errors.UnknownRelationError` for a relation the
+        schema does not have)."""
+        self.graph.relation(relation)
         return self.lineage().history(relation, key)
 
     def as_of(self, asn: int, relation: Optional[str] = None):
         """The database (or one relation) reconstructed at a past ASN,
-        verified cell-by-cell against the live head."""
+        verified cell-by-cell against the live head (an
+        :class:`~repro.errors.UnknownRelationError` for a relation the
+        schema does not have)."""
+        if relation is not None:
+            self.graph.relation(relation)
         return as_of(self._require_audit(), self.engine, asn, relation=relation)
 
-    def replay_audit(self, fresh_engine: Optional[Engine] = None) -> ReplayReport:
+    def replay_audit(self) -> ReplayReport:
         """Re-execute the audited plans onto a fresh engine and compare
         final states byte-for-byte — the audit log as correctness oracle."""
-        return replay(self._require_audit(), self.engine, fresh_engine)
+        return replay(self._require_audit(), self.engine)
 
     # -- integrity ---------------------------------------------------------------------
 

@@ -50,59 +50,36 @@ def is_transient_error(exc: BaseException) -> bool:
 class RetryPolicy:
     """Exponential backoff with deterministic, seedable jitter.
 
+    At most :attr:`MAX_ATTEMPTS` tries, the first included. The nth
+    retry sleeps ``min(MAX_DELAY, BASE_DELAY * 2**n)`` scaled by jitter:
+    the sleep is drawn uniformly from ``[delay * (1 - JITTER), delay]``.
+
     Parameters
     ----------
-    max_attempts:
-        Total tries including the first; ``max_attempts=1`` disables
-        retrying while keeping the classification behaviour.
-    base_delay / max_delay:
-        The nth retry sleeps ``min(max_delay, base_delay * 2**n)``
-        scaled by jitter.
-    jitter:
-        Fraction of the delay randomized: the sleep is drawn uniformly
-        from ``[delay * (1 - jitter), delay]``. Zero makes backoff fully
-        deterministic.
     seed:
         Seeds the jitter source, for reproducible schedules in tests
         and the simulation checker.
-    classify:
-        Replacement for :func:`is_transient_error`.
     sleep:
         Injection point for tests; defaults to :func:`time.sleep`.
     """
 
+    MAX_ATTEMPTS = 5
+    BASE_DELAY = 0.002  # seconds
+    MAX_DELAY = 0.25
+    JITTER = 0.5
+
     def __init__(
         self,
-        max_attempts: int = 5,
-        base_delay: float = 0.002,
-        max_delay: float = 0.25,
-        jitter: float = 0.5,
         seed: Optional[int] = None,
-        classify: Optional[Callable[[BaseException], bool]] = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if not 0.0 <= jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
-        self.max_attempts = max_attempts
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self.jitter = jitter
-        self.classify = classify or is_transient_error
         self._sleep = sleep
         self._rng = random.Random(seed)
-        # Operational counters for stats/health endpoints.
-        self.retries = 0  # sleeps taken (attempts beyond the first)
-        self.absorbed = 0  # transient errors that a later attempt recovered
-        self.gave_up = 0  # transient errors re-raised after budget exhaustion
 
     def delay(self, retry_index: int) -> float:
         """Sleep before the Nth retry (0-based), jitter applied."""
-        raw = min(self.max_delay, self.base_delay * (2 ** retry_index))
-        if not self.jitter:
-            return raw
-        low = raw * (1.0 - self.jitter)
+        raw = min(self.MAX_DELAY, self.BASE_DELAY * (2 ** retry_index))
+        low = raw * (1.0 - self.JITTER)
         return low + (raw - low) * self._rng.random()
 
     def run(self, attempt: Callable[[], Any]) -> Any:
@@ -114,33 +91,14 @@ class RetryPolicy:
         failures = 0
         while True:
             try:
-                result = attempt()
+                return attempt()
             except Exception as exc:
-                if not self.classify(exc):
+                if not is_transient_error(exc):
                     raise
                 failures += 1
-                if failures >= self.max_attempts:
-                    self.gave_up += 1
+                if failures >= self.MAX_ATTEMPTS:
                     raise
-                self.retries += 1
                 span = obs.tracer().current
                 if span is not None:
                     span.set(retries=failures)
                 self._sleep(self.delay(failures - 1))
-                continue
-            if failures:
-                self.absorbed += failures
-            return result
-
-    def stats(self) -> dict:
-        return {
-            "retries": self.retries,
-            "absorbed": self.absorbed,
-            "gave_up": self.gave_up,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RetryPolicy(max_attempts={self.max_attempts}, "
-            f"base_delay={self.base_delay}, retries={self.retries})"
-        )

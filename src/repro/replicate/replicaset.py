@@ -10,7 +10,7 @@ The write path is *commit-then-ship with revert*: the plan commits on
 the primary (journal, audit, breaker — unchanged), the fresh committed
 audit records are taken off a :class:`~repro.obs.audit.ShippingCursor`
 and shipped to every link, and the client is acked only if at least
-``quorum`` replicas confirmed durable receipt. A write that cannot
+:attr:`ReplicationConfig.QUORUM` replicas confirmed durable receipt. A write that cannot
 reach quorum is **reverted** on the primary (cells forced back to
 before-images, audit resolved ``rolled_back``) and on any replica that
 did receive it, then refused with
@@ -23,7 +23,7 @@ Failover promotes the most-caught-up live replica: drain its inbox
 truncate the stream to the promoted prefix, and re-point everything —
 :class:`~repro.shard.sharded.Shard` resolves ``serving`` through
 ``replica_set.primary`` dynamically, so routing follows automatically.
-Because every acked write is on at least ``quorum ≥ 1`` replicas and
+Because every acked write is on at least ``QUORUM ≥ 1`` replicas and
 every replica holds a stream *prefix*, the promoted maximum contains
 the union of all replicated records: no committed-acked write is lost.
 """
@@ -66,14 +66,6 @@ class ReplicationConfig:
     ----------
     replicas:
         Replica stacks per shard.
-    quorum:
-        Durable receipts (replica acks) a write needs before the client
-        is acked; defaults to 1. ``0`` means best-effort asynchronous
-        shipping; must not exceed ``replicas``.
-    miss_threshold:
-        Consecutive missed probes/attempts before the failure detector
-        declares the primary down and failover runs. Count-based, like
-        the circuit breaker, so simulated runs are deterministic.
     engine_factory:
         Zero-argument callable producing the relational engine each
         fresh replica stack stores into (e.g. ``SqliteEngine``). A
@@ -81,46 +73,36 @@ class ReplicationConfig:
         primary does; ``None`` keeps the in-memory default.
     """
 
+    #: Durable receipts (replica acks) a write needs before the client
+    #: is acked.
+    QUORUM = 1
+
     def __init__(
         self,
         replicas: int = 1,
-        quorum: Optional[int] = None,
-        miss_threshold: int = 3,
         engine_factory: Optional[Callable[[], Any]] = None,
     ) -> None:
         if replicas < 1:
             raise ValueError("replication needs at least one replica")
-        if quorum is None:
-            quorum = 1
-        if not 0 <= quorum <= replicas:
-            raise ValueError(
-                f"quorum must be between 0 and {replicas}, got {quorum}"
-            )
-        if miss_threshold < 1:
-            raise ValueError("miss_threshold must be at least 1")
         self.replicas = replicas
-        self.quorum = quorum
-        self.miss_threshold = miss_threshold
         self.engine_factory = engine_factory
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ReplicationConfig(replicas={self.replicas}, "
-            f"quorum={self.quorum}, miss_threshold={self.miss_threshold})"
-        )
+        return f"ReplicationConfig(replicas={self.replicas})"
 
 
 class FailureDetector:
     """Count-based probe tracking, one per replica set.
 
     Deterministic on purpose (mirroring the circuit breaker's
-    count-based probing): ``miss_threshold`` consecutive misses —
+    count-based probing): :attr:`MISS_THRESHOLD` consecutive misses —
     failed writes against a dead primary, failed heartbeats — flip
     :attr:`down` and authorize failover; any success resets the count.
     """
 
-    def __init__(self, miss_threshold: int = 3) -> None:
-        self.miss_threshold = miss_threshold
+    MISS_THRESHOLD = 3
+
+    def __init__(self) -> None:
         self.misses = 0
         self.total_misses = 0
 
@@ -133,14 +115,14 @@ class FailureDetector:
 
     @property
     def down(self) -> bool:
-        return self.misses >= self.miss_threshold
+        return self.misses >= self.MISS_THRESHOLD
 
     def reset(self) -> None:
         self.misses = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"FailureDetector({self.misses}/{self.miss_threshold} missed)"
+            f"FailureDetector({self.misses}/{self.MISS_THRESHOLD} missed)"
         )
 
 
@@ -164,7 +146,7 @@ class ReplicaSet:
         #: it down), ticked with the point's name and ``shard=`` this id.
         self.failpoint: Optional[FaultHook] = None
         self.primary = ReplicaStack(shard_id, "primary", serving=primary_serving)
-        self.detector = FailureDetector(self.config.miss_threshold)
+        self.detector = FailureDetector()
         self._replicas: List[ReplicaStack] = []
         self._links: Dict[str, ShippingLink] = {}
         for index in range(self.config.replicas):
@@ -213,7 +195,7 @@ class ReplicaSet:
 
     def quorum_reachable(self) -> bool:
         """Whether enough replicas could plausibly ack a write now."""
-        return self._reachable() >= self.config.quorum
+        return self._reachable() >= self.config.QUORUM
 
     @property
     def queued(self) -> int:
@@ -267,13 +249,13 @@ class ReplicaSet:
         with self._mutex:
             self._ensure_primary_up()
             reachable = self._reachable()
-            if reachable < self.config.quorum:
+            if reachable < self.config.QUORUM:
                 self._count(
                     "replication_refused_total", reason="quorum_unreachable"
                 )
                 raise ReplicationQuorumError(
                     f"shard {self.shard_id}: only {reachable} replica "
-                    f"link(s) reachable, quorum is {self.config.quorum}; "
+                    f"link(s) reachable, quorum is {self.config.QUORUM}; "
                     f"write refused"
                 )
             with self.primary.serving.admitted(op, object_name):
@@ -377,7 +359,7 @@ class ReplicaSet:
             if not self.detector.down:
                 raise PrimaryDownError(
                     f"shard {self.shard_id}: primary unreachable "
-                    f"({self.detector.misses}/{self.detector.miss_threshold}"
+                    f"({self.detector.misses}/{self.detector.MISS_THRESHOLD}"
                     f" missed probes)"
                 )
             self._failover()
@@ -409,19 +391,19 @@ class ReplicaSet:
                     acks += 1
             self._checkpoint("post_ship")
             span.set(position=position, acks=acks)
-            if acks < self.config.quorum:
+            if acks < self.config.QUORUM:
                 self._retract(position, shipped)
                 self._count("replication_refused_total", reason="quorum_failed")
                 obs.anomaly(
                     "quorum_revert",
                     shard=self.shard_id,
                     acks=acks,
-                    quorum=self.config.quorum,
+                    quorum=self.config.QUORUM,
                     object=shipped.label,
                 )
                 raise ReplicationQuorumError(
                     f"shard {self.shard_id}: write reached {acks} "
-                    f"replica(s), quorum is {self.config.quorum}; reverted"
+                    f"replica(s), quorum is {self.config.QUORUM}; reverted"
                 )
 
     def _ship_backlog(self, link: ShippingLink) -> None:
@@ -623,7 +605,7 @@ class ReplicaSet:
             "failovers": self.failovers,
             "missed_probes": self.detector.misses,
             "stream": len(self._stream),
-            "quorum": self.config.quorum,
+            "quorum": self.config.QUORUM,
             "replicas": [
                 {
                     "name": replica.name,

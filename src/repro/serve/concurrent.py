@@ -26,7 +26,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Union,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence,
 )
 
 import repro.obs as obs
@@ -40,7 +40,6 @@ from repro.relational.operations import UpdatePlan
 from repro.relational.retry import is_transient_error
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.locks import ReadWriteLock
-from repro.structural.schema_graph import StructuralSchema
 
 __all__ = ["ConcurrentPenguin", "ServedRead"]
 
@@ -69,14 +68,13 @@ class ServedRead:
         shard: Optional[int] = None,
         staleness: Optional[int] = None,
         object_name: str = "",
-        source: Optional[str] = None,
     ) -> None:
         self.value = value
         self.stale = stale
         self.shard = shard
         self.staleness = staleness
         self.object_name = object_name
-        self.source = source
+        self.source: Optional[str] = None
 
     def meta(self) -> Dict[str, Any]:
         """The metadata alone, JSON-safe (threaded into HTTP responses)."""
@@ -129,11 +127,9 @@ _PASSTHROUGH: Dict[str, Optional[str]] = {
 class ConcurrentPenguin(ViewObjectSession):
     """Readers-writer concurrency control around a ``Penguin`` session.
 
-    Accepts an existing session, or a :class:`StructuralSchema` plus
-    ``Penguin`` keyword arguments to build one::
+    Wraps an existing session::
 
         serving = ConcurrentPenguin(penguin)
-        serving = ConcurrentPenguin(university_schema(), backend="sqlite")
 
     A :class:`~repro.serve.breaker.CircuitBreaker` tracks engine health.
     After ``breaker.failure_threshold`` consecutive engine faults the
@@ -145,20 +141,9 @@ class ConcurrentPenguin(ViewObjectSession):
     """
 
     def __init__(
-        self,
-        session: Union[Penguin, StructuralSchema],
-        breaker: Optional[CircuitBreaker] = None,
-        **penguin_kwargs: Any,
+        self, session: Penguin, breaker: Optional[CircuitBreaker] = None
     ) -> None:
-        if isinstance(session, Penguin):
-            if penguin_kwargs:
-                raise TypeError(
-                    "keyword arguments are only accepted when building a "
-                    "new session from a StructuralSchema"
-                )
-            self.penguin = session
-        else:
-            self.penguin = Penguin(session, **penguin_kwargs)
+        self.penguin = session
         self.lock = ReadWriteLock()
         self.breaker = breaker or CircuitBreaker()
         # The writer serialiser of :meth:`admitted` (only its exclusive

@@ -29,14 +29,13 @@ expiries 504, and every library error answers what the one table in
 faults 503 with a ``Retry-After`` hint, log and replication faults
 500); anything else is 500.
 
-Overload protection is explicit. Each request runs under a
-**deadline** — client-supplied via ``X-Deadline-Ms`` or the server's
-``default_deadline_ms`` — with partial-work safety: a write whose
-budget is spent is rejected *before* translation (504, nothing
-applied), and one that already entered the batcher is never cancelled
-mid-commit (the 504 says the write may still apply). An **admission
-gate** sheds load past ``max_in_flight`` concurrent requests with a
-503 + ``Retry-After`` before any session work happens. ``stop()``
+Overload protection is explicit. A request that sends
+``X-Deadline-Ms`` runs under that **deadline**, with partial-work
+safety: a write whose budget is spent is rejected *before* translation
+(504, nothing applied), and one that already entered the batcher is
+never cancelled mid-commit (the 504 says the write may still apply).
+An **admission gate** sheds load past ``MAX_IN_FLIGHT`` concurrent
+requests with a 503 + ``Retry-After`` before any session work happens. ``stop()``
 drains gracefully: the listener closes first, in-flight requests run
 to completion and get their responses, the batcher flushes, and only
 then do connections close.
@@ -51,7 +50,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import repro.obs as obs
-from repro.obs.cluster import SloTarget, SloTracker
+from repro.obs.cluster import SloTracker
 from repro.obs.context import (
     TraceContext,
     attach,
@@ -160,7 +159,7 @@ class MicroBatcher:
     step (``loop.create_task`` schedules it with ``call_soon``), so
     requests submitted in the same tick fold; requests that arrive
     while a batch is landing queue behind it and flush, in order and at
-    most ``max_batch`` at a time, the moment it lands. There is no
+    most :attr:`MAX_BATCH` at a time, the moment it lands. There is no
     timer: a lone write waits for nothing, and under load a batch is
     whatever queued during the last one (group commit without a timer).
 
@@ -170,15 +169,11 @@ class MicroBatcher:
     inserts) therefore costs one extra round instead of ten rejections.
     """
 
-    def __init__(
-        self,
-        session: Any,
-        loop: asyncio.AbstractEventLoop,
-        max_batch: int = 32,
-    ) -> None:
+    MAX_BATCH = 32  # requests per batch
+
+    def __init__(self, session: Any, loop: asyncio.AbstractEventLoop) -> None:
         self.session = session
         self.loop = loop
-        self.max_batch = max_batch
         self._queues: Dict[str, List[_Queued]] = {}
         self._flights: Dict[str, asyncio.Task] = {}
         self.batches_flushed = 0
@@ -201,8 +196,8 @@ class MicroBatcher:
         batch: List[_Queued] = []
         try:
             while queue:
-                batch = queue[: self.max_batch]
-                del queue[: self.max_batch]
+                batch = queue[: self.MAX_BATCH]
+                del queue[: self.MAX_BATCH]
                 self.batches_flushed += 1
                 self.requests_batched += len(batch)
                 await self._apply(name, batch)
@@ -359,45 +354,17 @@ class PenguinServer:
     :class:`~repro.serve.concurrent.ConcurrentPenguin`.
     """
 
+    #: Admission high-water mark: requests past it are shed with 503.
+    MAX_IN_FLIGHT = 64
+
     def __init__(
-        self,
-        session: Any,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_batch: int = 32,
-        default_deadline_ms: Optional[float] = None,
-        max_in_flight: int = 64,
-        slo_targets: Optional[List[SloTarget]] = None,
+        self, session: Any, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.session = session
         self.host = host
         self.port = port
-        self.max_batch = max_batch
-        #: Per-request budget when the client sends no ``X-Deadline-Ms``;
-        #: None serves without a deadline, matching the old behavior.
-        self.default_deadline_ms = default_deadline_ms
-        #: Admission high-water mark: requests past it are shed with 503.
-        self.max_in_flight = max_in_flight
-        if slo_targets is None:
-            slo_targets = [
-                SloTarget.latency(
-                    "write_latency",
-                    "serve_write_ms",
-                    threshold_ms=250.0,
-                    objective=0.95,
-                    description="p95 of write requests under 250ms",
-                ),
-                SloTarget.availability(
-                    "availability",
-                    "serve_http_requests_total",
-                    objective=0.999,
-                    description="non-5xx fraction of HTTP responses",
-                ),
-            ]
         #: Burn-rate tracker sampled on every ``/health`` poll.
-        self.slo: Optional[SloTracker] = (
-            SloTracker(slo_targets) if slo_targets else None
-        )
+        self.slo = SloTracker()
         self.batcher: Optional[MicroBatcher] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self.requests_served = 0
@@ -416,7 +383,7 @@ class PenguinServer:
 
     async def start(self) -> "PenguinServer":
         loop = asyncio.get_running_loop()
-        self.batcher = MicroBatcher(self.session, loop, self.max_batch)
+        self.batcher = MicroBatcher(self.session, loop)
         self._draining = False
         self._active = 0
         self._idle = asyncio.Event()
@@ -508,7 +475,7 @@ class PenguinServer:
                         close=True, request_id=request_id, trace=ctx,
                     )
                     break
-                if self._active >= self.max_in_flight:
+                if self._active >= self.MAX_IN_FLIGHT:
                     self.requests_shed += 1
                     obs.metrics().counter("serve_shed_total").inc()
                     await self._respond(
@@ -714,8 +681,7 @@ class PenguinServer:
 
     def _collect_health(self) -> Dict[str, Any]:
         payload = self.session.health()
-        if self.slo is not None:
-            payload["slo"] = self.slo.sample()
+        payload["slo"] = self.slo.sample()
         return payload
 
     @staticmethod
@@ -734,20 +700,17 @@ class PenguinServer:
     ) -> Optional[_Deadline]:
         raw = headers.get("x-deadline-ms")
         if raw is None:
-            millis = self.default_deadline_ms
-        else:
-            try:
-                millis = float(raw)
-            except ValueError:
-                raise _HttpError(
-                    400, f"X-Deadline-Ms must be a number, got {raw!r}"
-                ) from None
-            if millis <= 0:
-                raise _HttpError(
-                    400, f"X-Deadline-Ms must be positive, got {raw!r}"
-                )
-        if millis is None:
             return None
+        try:
+            millis = float(raw)
+        except ValueError:
+            raise _HttpError(
+                400, f"X-Deadline-Ms must be a number, got {raw!r}"
+            ) from None
+        if millis <= 0:
+            raise _HttpError(
+                400, f"X-Deadline-Ms must be positive, got {raw!r}"
+            )
         return _Deadline(asyncio.get_running_loop(), millis / 1000.0)
 
     async def _run(

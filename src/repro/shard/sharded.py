@@ -198,11 +198,11 @@ class ShardedPenguin(ViewObjectSession):
     replication:
         A :class:`~repro.replicate.ReplicationConfig` attaches a
         :class:`~repro.replicate.ReplicaSet` to every shard: writes ack
-        only after the configured quorum of replicas has durable
+        only after ``ReplicationConfig.QUORUM`` replicas have durable
         receipt of the shipped plan, reads fall back to the
         most-caught-up replica (marked stale) when the primary is dead
         or degraded, and the failure detector promotes a replica
-        automatically after ``miss_threshold`` missed probes. ``None``
+        automatically after ``FailureDetector.MISS_THRESHOLD`` missed probes. ``None``
         (the default) changes nothing. Replica stacks always use fresh
         memory engines.
 

@@ -74,7 +74,7 @@ VERBS = (
 #: Steps per fresh deployment and model (a killed stack stays dead; a
 #: two-phase commit's participants are exempt from audit replay).
 EPISODE = 16
-#: A client's attempts while it is told to come back (> ``miss_threshold``).
+#: A client's attempts while it is told to come back (> ``FailureDetector.MISS_THRESHOLD``).
 RETRIES = 4
 #: What a fault, not the translator, answers with.
 FAULTED = (DegradedServiceError, TransientEngineError, SimulatedCrash)
@@ -519,7 +519,7 @@ class Simulation:
         self.report.counts["retries"] += len(attempts) - 1
         for rs in self.replica_sets if last is None else ():
             acks = sum(rs.link(r.name).cursor >= rs.stream_length for r in rs.replicas)
-            if acks < rs.config.quorum:
+            if acks < rs.config.QUORUM:
                 raise Violation(f"acked with shard {rs.shard_id} below its quorum")
         self._settle(last is SimulatedCrash)
         self._fired(step, rules)
@@ -619,7 +619,7 @@ class Simulation:
                 replica_set.catch_up() or sends != sum(link.sends for link in links)
             ):
                 raise Violation("a killed stack shipped to its replicas")
-            for _ in range(4 * replica_set.config.miss_threshold):
+            for _ in range(4 * replica_set.detector.MISS_THRESHOLD):
                 if replica_set.health()["primary_up"]:
                     break
                 replica_set.probe()

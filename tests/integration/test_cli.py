@@ -176,6 +176,13 @@ def test_trace_command_slow_log(capsys):
     assert "=== slow operations" in out
 
 
+def test_trace_refuses_a_negative_slow_threshold(capsys):
+    with pytest.raises(SystemExit) as refused:
+        main(["trace", "--slow-threshold", "-1"])
+    assert refused.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 def test_metrics_command_text_exposition(capsys):
     assert main(["metrics"]) == 0
     out = capsys.readouterr().out
@@ -205,6 +212,13 @@ def test_simulate_command(capsys):
     assert "all held" in out
 
 
+def test_simulate_refuses_an_unknown_preset(capsys):
+    with pytest.raises(SystemExit) as refused:
+        main(["simulate", "--preset", "nope"])
+    assert refused.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
 def test_audit_tail_prints_the_newest_records(capsys):
     assert main(["audit", "--ops", "3", "--seed", "0", "tail", "-n", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -232,6 +246,18 @@ def test_audit_lineage_commands(capsys):
         "state as of ASN 2:",
         "  PATIENT        26 tuple(s)",
     ]
+
+
+@pytest.mark.parametrize("command", [
+    ["as-of", "2", "--relation", "NOPE"],
+    ["why", "--relation", "NOPE", "--key", "77001"],
+    ["history", "--relation", "NOPE", "--key", "77001", "1"],
+])
+def test_audit_refuses_a_relation_the_schema_lacks(capsys, command):
+    assert main(["audit", "--ops", "3", *command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"audit {command[0]}: unknown relation: 'NOPE'" in captured.err
 
 
 def test_materialize_query_text(capsys):

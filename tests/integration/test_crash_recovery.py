@@ -261,3 +261,50 @@ class TestTranslationCrash:
             (1, ABORTED), (2, COMMITTED),
         ]
         reopened.close()
+
+
+class TestCommitAuditWindow:
+    """A crash inside ``mark_committed`` -- before its COMMITTED marker is
+    written, or after it -- must not leave a landed update without its
+    audit record: the restarted session replays the trail to the live
+    state, and one ``committed`` record names the journal entry."""
+
+    @pytest.mark.parametrize("marker_written", [False, True])
+    def test_restart_audits_the_landed_update(self, tmp_path, marker_written):
+        from repro.obs.audit import COMMITTED as AUDIT_COMMITTED
+        from repro.obs.audit import FileAuditLog
+        from repro.relational.journal import FileJournal
+
+        class DyingJournal(FileJournal):
+            def mark_committed(self, entry_id):
+                if marker_written:
+                    super().mark_committed(entry_id)
+                raise SimulatedCrash("mark_committed", entry_id)
+
+        journal_path = tmp_path / "journal.log"
+        audit_path = tmp_path / "audit.log"
+        graph, engine, view_object = fresh_hospital()
+        session = Penguin(
+            graph, engine=engine, install=False,
+            journal=DyingJournal(journal_path), audit=FileAuditLog(audit_path),
+        )
+        session.register_object(view_object)
+        with pytest.raises(SimulatedCrash):
+            session.delete("patient_chart", (PID,))
+        session.journal.close()
+        session.audit.close()
+
+        restarted = Penguin(
+            graph, engine=engine, install=False,
+            journal=FileJournal(journal_path), audit=FileAuditLog(audit_path),
+        )
+        assert restarted.journal.pending() == []
+        assert restarted.replay_audit().ok
+        committed = [
+            record.journal_entry
+            for record in restarted.audit.records()
+            if record.state == AUDIT_COMMITTED
+        ]
+        assert committed == [1]
+        restarted.journal.close()
+        restarted.audit.close()

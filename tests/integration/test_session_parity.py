@@ -157,9 +157,7 @@ def sharded(num_shards, replicas=0, miss_threshold=3):
         graph = hospital_schema()
         replication = None
         if replicas:
-            replication = ReplicationConfig(
-                replicas=replicas, miss_threshold=miss_threshold
-            )
+            replication = ReplicationConfig(replicas=replicas)
         engines = [
             SqliteEngine() if backend == "sqlite" else MemoryEngine()
             for _ in range(num_shards)
@@ -168,6 +166,9 @@ def sharded(num_shards, replicas=0, miss_threshold=3):
             graph, "PATIENT", num_shards=num_shards, engines=engines,
             install=True, replication=replication, **kwargs,
         )
+        if replicas:
+            for shard in session.shards:
+                shard.replica_set.detector.MISS_THRESHOLD = miss_threshold
         populate_hospital(
             sharded_loader(session), HospitalConfig(patients=PATIENTS)
         )

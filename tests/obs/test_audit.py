@@ -172,6 +172,27 @@ class TestAuditLogCore:
         assert log.record(4).state == CRASHED  # an id the journal never issued
         assert log.reconcile(journal) == 0  # idempotent
 
+    def test_reconcile_rolls_back_a_committed_record_recovery_aborted(self):
+        """A landed plan is audited before its COMMITTED marker; if the
+        process dies between the two and recovery reverts the entry,
+        the record must say so."""
+        session = audited_session()
+        plan, images = sample_plan(session)
+        journal = MemoryJournal()
+        kept = journal.begin(plan, images)
+        journal.mark_committed(kept)
+        reverted = journal.begin(plan, images)
+        journal.mark_aborted(reverted)
+
+        log = MemoryAuditLog()
+        log.append("insert", "course_info", COMMITTED, journal_entry=kept)
+        log.append("insert", "course_info", COMMITTED, journal_entry=reverted)
+        assert log.reconcile(journal) == 1
+        assert log.record(1).state == COMMITTED
+        assert log.record(2).state == ROLLED_BACK
+        assert log.record(2).error == "reverted by recovery"
+        assert log.reconcile(journal) == 0  # idempotent
+
 
 def aged_log(log, seed=18, size=500):
     """A seeded log with every fate a record can meet: committed,

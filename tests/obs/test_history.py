@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import AuditError, UpdateError
 from repro.obs.audit import COMMITTED, CRASHED, MemoryAuditLog, ROLLED_BACK
-from repro.obs.history import as_of, replay, snapshot
+from repro.obs.history import as_of, snapshot
 from repro.penguin import Penguin
 from repro.relational.faults import (
     FaultInjectingEngine,
@@ -193,14 +193,6 @@ class TestReplay:
         relation, key, expected, got = report.mismatches[0]
         assert (relation, key) == ("COURSES", ("CS999",))
         assert "diverged" in str(expected)  # live state is the 'expected'
-
-    def test_replay_onto_caller_supplied_engine(self):
-        session = university_session()
-        session.insert("course_info", new_course())
-        fresh = MemoryEngine()
-        report = replay(session.audit, session.engine, fresh)
-        assert report.ok
-        assert fresh.get("COURSES", ("CS999",)) is not None
 
 
 class TestChaosReplay:

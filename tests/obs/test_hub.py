@@ -10,7 +10,6 @@ class TestDefaultState:
         obs.disable()
         assert obs.tracer() is NOOP_TRACER
         assert obs.metrics() is NULL_REGISTRY
-        assert obs.active().slow_log is None
         assert not obs.active().is_enabled
 
 
@@ -32,15 +31,6 @@ class TestConfigure:
         obs.disable()
         assert obs.tracer() is NOOP_TRACER
 
-    def test_slow_threshold_wires_slow_log(self):
-        hub = obs.configure(slow_threshold=0.0)
-        try:
-            with obs.tracer().span("watched"):
-                pass
-            assert [e.name for e in hub.slow_log.entries()] == ["watched"]
-        finally:
-            obs.disable()
-
 
 class TestUse:
     def test_use_scopes_and_restores(self):
@@ -59,11 +49,6 @@ class TestUse:
         except RuntimeError:
             pass
         assert obs.tracer() is NOOP_TRACER
-
-    def test_use_accepts_explicit_hub(self):
-        hub = obs.Observability.enabled()
-        with obs.use(hub) as active:
-            assert active is hub
 
     def test_nested_use(self):
         with obs.use() as outer:

@@ -10,8 +10,8 @@ them; a non-literal name anywhere else fails the scan.
 A metric family or anomaly kind needs a reader: an occurrence of its
 name, outside the call that emits it, in a test (this file excepted) or
 a golden file under ``tests/``, in the command line
-(``src/repro/__main__.py``, which also holds ``TRACE_LEGS``), in an SLO
-target (``SloTarget.latency`` / ``SloTarget.availability``), or in
+(``src/repro/__main__.py``, which also holds ``TRACE_LEGS``), in the
+server's SLO table (``SLOS`` in ``obs/cluster.py``), or in
 ``README.md``, ``docs/TUTORIAL.md`` or ``DESIGN.md``. A signal nothing
 reads is deleted with the code that emits it; it does not go on the
 allow-list.
@@ -93,19 +93,18 @@ def scan(root):
 
 
 def slo_families(root):
-    """The families SLO targets declared under ``root`` read."""
+    """The strings of every ``SLOS`` table declared under ``root``."""
     for path in sorted(root.rglob("*.py")):
-        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (
-                isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute)
-                and call.func.attr in ("latency", "availability")
-                and isinstance(call.func.value, ast.Name)
-                and call.func.value.id == "SloTarget"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "SLOS"
+                for target in node.targets
             ):
-                for argument in call.args:
-                    if isinstance(argument, ast.Constant):
-                        yield str(argument.value)
+                for constant in ast.walk(node.value):
+                    if isinstance(constant, ast.Constant) and isinstance(
+                        constant.value, str
+                    ):
+                        yield constant.value
 
 
 @lru_cache(maxsize=None)

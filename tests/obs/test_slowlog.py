@@ -1,94 +1,63 @@
-"""Unit tests for the threshold-gated slow-operation log."""
+"""The slow-operations report of ``python -m repro trace``: a filter over
+the tracer's retained root spans, applied when the report is printed."""
+
+import argparse
 
 import pytest
 
-from repro.obs.slowlog import SlowLog
+from repro.__main__ import _non_negative_seconds, _slow_operations
 from repro.obs.trace import Tracer
 from tests.obs.test_trace import FakeClock
 
 
-def finished_span(tracer):
-    (root,) = tracer.take()
-    return root
+def finished_roots(step, *names):
+    tracer = Tracer(clock=FakeClock(step=step))
+    for name in names:
+        with tracer.span(name):
+            pass
+    return tracer.roots()
 
 
 class TestSlowLog:
     def test_retains_only_slow_spans(self):
-        slow = SlowLog(threshold=5.0)
-        fast_tracer = Tracer(clock=FakeClock(step=1.0))
-        with fast_tracer.span("fast"):
-            pass
-        slow_tracer = Tracer(clock=FakeClock(step=10.0))
-        with slow_tracer.span("slow"):
-            pass
-        assert slow.consider(finished_span(fast_tracer)) is False
-        assert slow.consider(finished_span(slow_tracer)) is True
-        assert [entry.name for entry in slow.entries()] == ["slow"]
-        assert slow.observed == 2
-        assert slow.retained == 1
+        roots = finished_roots(1.0, "fast") + finished_roots(10.0, "slow")
+        assert [line.split()[0] for line in _slow_operations(roots, 5.0)] == [
+            "slow"
+        ]
 
     def test_exactly_at_threshold_is_not_logged(self):
         """The boundary is exclusive: "slower than", not "as slow as"."""
-        slow = SlowLog(threshold=1.0)
-        tracer = Tracer(clock=FakeClock(step=1.0))
-        with tracer.span("exact"):
-            pass
-        span = finished_span(tracer)
-        assert span.duration == 1.0  # precondition: exactly on the line
-        assert slow.consider(span) is False
-        assert slow.retained == 0
+        roots = finished_roots(1.0, "exact")
+        assert roots[0].duration == 1.0  # precondition: exactly on the line
+        assert _slow_operations(roots, 1.0) == []
 
     def test_epsilon_over_threshold_is_logged(self):
-        slow = SlowLog(threshold=1.0)
-        tracer = Tracer(clock=FakeClock(step=1.0 + 1e-6))
-        with tracer.span("barely"):
-            pass
-        span = finished_span(tracer)
-        assert span.duration > 1.0
-        assert slow.consider(span) is True
-        assert [entry.name for entry in slow.entries()] == ["barely"]
+        roots = finished_roots(1.0 + 1e-6, "barely")
+        assert roots[0].duration > 1.0
+        assert [line.split()[0] for line in _slow_operations(roots, 1.0)] == [
+            "barely"
+        ]
 
     def test_zero_threshold_retains_everything(self):
-        slow = SlowLog(threshold=0.0)
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("anything"):
-            pass
-        assert slow.consider(finished_span(tracer)) is True
+        roots = finished_roots(1.0, "anything")
+        assert len(_slow_operations(roots, 0.0)) == 1
 
     def test_capacity_is_a_ring(self):
-        slow = SlowLog(threshold=0.0, capacity=2)
-        tracer = Tracer(clock=FakeClock())
-        for index in range(3):
-            with tracer.span(f"s{index}"):
-                pass
-            slow.consider(finished_span(tracer))
-        assert [entry.name for entry in slow.entries()] == ["s1", "s2"]
-        assert slow.retained == 3  # lifetime counter keeps counting
+        """The report reads what the tracer still retains: its ring."""
+        names = [f"s{index}" for index in range(Tracer.CAPACITY + 2)]
+        lines = _slow_operations(finished_roots(1.0, *names), 0.0)
+        assert [line.split()[0] for line in lines] == names[2:]
 
     def test_entry_carries_attributes_and_error(self):
-        slow = SlowLog(threshold=0.0)
         tracer = Tracer(clock=FakeClock())
         with pytest.raises(RuntimeError):
             with tracer.span("broken", relation="COURSES"):
                 raise RuntimeError("disk on fire")
-        slow.consider(finished_span(tracer))
-        (entry,) = slow.entries()
-        assert entry.attributes == {"relation": "COURSES"}
-        assert "disk on fire" in entry.error
-        assert "relation=COURSES" in entry.describe()
-        assert entry.as_dict()["duration_ms"] == 1000.0
-
-    def test_wired_through_tracer_on_root(self):
-        tracer = Tracer(clock=FakeClock())
-        slow = SlowLog(threshold=0.0)
-        tracer.on_root.append(slow.consider)
-        with tracer.span("root"):
-            with tracer.span("child"):
-                pass
-        assert len(slow) == 1  # only the root is offered
+        (line,) = _slow_operations(tracer.roots(), 0.0)
+        assert line.startswith("broken 1000.000ms relation=COURSES")
+        assert "disk on fire" in line
 
     def test_validates_parameters(self):
-        with pytest.raises(ValueError):
-            SlowLog(threshold=-1)
-        with pytest.raises(ValueError):
-            SlowLog(capacity=0)
+        assert _non_negative_seconds("0") == 0.0
+        with pytest.raises(argparse.ArgumentTypeError):
+            _non_negative_seconds("-1")

@@ -24,7 +24,7 @@ class FakeClock:
 
 @pytest.fixture
 def tracer():
-    return Tracer(capacity=8, clock=FakeClock())
+    return Tracer(clock=FakeClock())
 
 
 class TestSpanTree:
@@ -85,11 +85,13 @@ class TestSpanTree:
 
 class TestRingBuffer:
     def test_capacity_evicts_oldest(self):
-        tracer = Tracer(capacity=2, clock=FakeClock())
-        for index in range(3):
+        tracer = Tracer(clock=FakeClock())
+        for index in range(Tracer.CAPACITY + 1):
             with tracer.span(f"span{index}"):
                 pass
-        assert [r.name for r in tracer.roots()] == ["span1", "span2"]
+        roots = tracer.roots()
+        assert len(roots) == Tracer.CAPACITY
+        assert [r.name for r in roots[:2]] == ["span1", "span2"]
         assert tracer.dropped == 1
 
     def test_take_drains(self, tracer):
@@ -97,14 +99,6 @@ class TestRingBuffer:
             pass
         assert len(tracer.take()) == 1
         assert tracer.roots() == ()
-
-    def test_on_root_fires_only_for_roots(self, tracer):
-        seen = []
-        tracer.on_root.append(lambda span: seen.append(span.name))
-        with tracer.span("root"):
-            with tracer.span("child"):
-                pass
-        assert seen == ["root"]
 
 
 class TestDisabled:
@@ -125,7 +119,7 @@ class TestDisabled:
 
 class TestThreads:
     def test_each_thread_gets_its_own_stack(self):
-        tracer = Tracer(capacity=16, clock=FakeClock())
+        tracer = Tracer(clock=FakeClock())
         barrier = threading.Barrier(4)
 
         def worker(index):

@@ -56,6 +56,8 @@ def fresh_chart(pid, name="Replicated Patient"):
 def build(replicas=2, quorum=1, miss_threshold=3, shards=2, patients=6,
           backend="memory", engine_factory=None):
     graph = hospital_schema()
+    replication = ReplicationConfig(replicas=replicas, engine_factory=engine_factory)
+    replication.QUORUM = quorum
     sharded = ShardedPenguin(
         graph,
         "PATIENT",
@@ -65,13 +67,10 @@ def build(replicas=2, quorum=1, miss_threshold=3, shards=2, patients=6,
             for _ in range(shards)
         ],
         install=True,
-        replication=ReplicationConfig(
-            replicas=replicas,
-            quorum=quorum,
-            miss_threshold=miss_threshold,
-            engine_factory=engine_factory,
-        ),
+        replication=replication,
     )
+    for shard in sharded.shards:
+        shard.replica_set.detector.MISS_THRESHOLD = miss_threshold
     populate_hospital(sharded_loader(sharded), HospitalConfig(patients=patients))
     sharded.register_object(patient_chart_object(graph))
     return sharded
@@ -93,12 +92,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ReplicationConfig(replicas=0)
-        with pytest.raises(ValueError):
-            ReplicationConfig(replicas=1, quorum=2)
-        with pytest.raises(ValueError):
-            ReplicationConfig(replicas=1, quorum=-1)
-        with pytest.raises(ValueError):
-            ReplicationConfig(miss_threshold=0)
 
     def test_replication_off_by_default(self):
         graph = hospital_schema()
@@ -286,7 +279,7 @@ class TestFailover:
             replica_set.primary.kill()
             # Writes miss until the detector trips, then fail over inline.
             post = chart_on_shard(sharded, 0, "post-kill", 92_000)
-            for _ in range(replica_set.config.miss_threshold):
+            for _ in range(replica_set.detector.MISS_THRESHOLD):
                 try:
                     sharded.insert(OBJECT, post)
                     break
@@ -325,7 +318,7 @@ class TestFailover:
         assert replica_set.link(chosen.name).cursor == replica_set.stream_length
         replica_set.primary.kill()
         # Heartbeats, not reads: a stale read would drain the inbox itself.
-        for _ in range(replica_set.config.miss_threshold):
+        for _ in range(replica_set.detector.MISS_THRESHOLD):
             replica_set.probe()
         assert replica_set.failovers == 1
         assert replica_set.primary is chosen
@@ -356,7 +349,7 @@ class TestFailover:
         stream = replica_set.stream_length
         old = replica_set.primary
         old.kill()
-        for _ in range(replica_set.config.miss_threshold - 1):
+        for _ in range(replica_set.detector.MISS_THRESHOLD - 1):
             replica_set.probe()
         with pytest.raises(PrimaryDownError) as refused:
             sharded.insert(OBJECT, chart_on_shard(sharded, 0, "later", 93_600))
@@ -383,7 +376,7 @@ class TestFailover:
         sharded.insert(OBJECT, chart)
         stream = replica_set.stream_length
         replica_set.primary.kill()
-        for _ in range(replica_set.config.miss_threshold):
+        for _ in range(replica_set.detector.MISS_THRESHOLD):
             replica_set.probe()
         assert replica_set.failovers == 1 and replica_set.primary is second
         assert second.received_count == second.applied_count == stream
@@ -407,7 +400,7 @@ class TestFailover:
         behind.killed = False  # back, one record short
         assert behind.received_count == longest.received_count - 1
         replica_set.primary.kill()
-        for _ in range(replica_set.config.miss_threshold - 1):
+        for _ in range(replica_set.detector.MISS_THRESHOLD - 1):
             replica_set.probe()
         with pytest.raises(PrimaryDownError) as refused:
             sharded.insert(OBJECT, chart_on_shard(sharded, 0, "later", 93_600))
@@ -441,7 +434,7 @@ class TestFailover:
 
         replica_set.failpoint = FaultHook(FaultPlan().call_at("post_drain", read))
         replica_set.primary.kill()
-        for _ in range(replica_set.config.miss_threshold):
+        for _ in range(replica_set.detector.MISS_THRESHOLD):
             try:
                 sharded.insert(OBJECT, chart_on_shard(sharded, 0, start=94_000))
                 break
@@ -510,7 +503,7 @@ class TestDivergence:
         # name, yet the failover promotes r2.
         assert r1.received_count == r2.received_count
         replica_set.primary.kill()
-        for _ in range(replica_set.config.miss_threshold):
+        for _ in range(replica_set.detector.MISS_THRESHOLD):
             replica_set.probe()
         assert replica_set.failovers == 1
         assert replica_set.primary is r2
@@ -580,7 +573,7 @@ class TestReplicaCaches:
         sharded.insert(OBJECT, chart)
         replica_set = sharded.shard(0).replica_set
         replica_set.primary.kill()
-        for _ in range(replica_set.config.miss_threshold):
+        for _ in range(replica_set.detector.MISS_THRESHOLD):
             replica_set.probe()
         promoted = replica_set.primary
         assert replica_set.failovers == 1
@@ -602,7 +595,7 @@ class TestFencing:
         sharded.insert(OBJECT, chart_on_shard(sharded, 0, start=96_000))
         old_epoch = replica_set.epoch
         replica_set.primary.kill()
-        for _ in range(replica_set.config.miss_threshold):
+        for _ in range(replica_set.detector.MISS_THRESHOLD):
             try:
                 sharded.insert(
                     OBJECT, chart_on_shard(sharded, 0, "fence", 96_500)

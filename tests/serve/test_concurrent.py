@@ -134,11 +134,9 @@ def build_server():
 
 
 class TestConcurrentPenguin:
-    def test_wraps_session_or_schema(self):
+    def test_wraps_a_session(self):
         server = build_server()
         assert isinstance(server.penguin, Penguin)
-        schema_server = ConcurrentPenguin(university_schema())
-        assert isinstance(schema_server.penguin, Penguin)
         with pytest.raises(TypeError):
             ConcurrentPenguin(server.penguin, install=False)
 

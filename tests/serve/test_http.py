@@ -455,7 +455,8 @@ class TestMicroBatcher:
 
         async def scenario():
             loop = asyncio.get_event_loop()
-            batcher = MicroBatcher(session, loop, max_batch=3)
+            batcher = MicroBatcher(session, loop)
+            batcher.MAX_BATCH = 3
             futures = [
                 batcher.submit(OBJECT, f"req{i}") for i in range(3)
             ]
@@ -510,7 +511,8 @@ class TestMicroBatcher:
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            batcher = MicroBatcher(session, loop, max_batch=3)
+            batcher = MicroBatcher(session, loop)
+            batcher.MAX_BATCH = 3
             await asyncio.gather(
                 *(batcher.submit(OBJECT, f"req{i}") for i in range(7))
             )

@@ -141,21 +141,6 @@ class TestDeadlines:
         finally:
             handle.stop()
 
-    def test_server_default_deadline_applies_without_header(self, deployment):
-        server = PenguinServer(deployment, port=0, default_deadline_ms=0.001)
-        handle = server.in_background()
-        try:
-            status, body, _ = request(f"{handle.url}/objects/{OBJECT}/100")
-            assert status == 504
-            # A client header overrides the tight server default.
-            status, _, _ = request(
-                f"{handle.url}/objects/{OBJECT}/100",
-                headers={"X-Deadline-Ms": "5000"},
-            )
-            assert status == 200
-        finally:
-            handle.stop()
-
     def test_expired_write_is_rejected_before_translation(self, deployment):
         server = PenguinServer(deployment, port=0)
         handle = server.in_background()
@@ -197,7 +182,8 @@ class TestDeadlines:
 
 class TestAdmissionGate:
     def test_requests_past_the_high_water_mark_are_shed(self, deployment):
-        server = PenguinServer(deployment, port=0, max_in_flight=0)
+        server = PenguinServer(deployment, port=0)
+        server.MAX_IN_FLIGHT = 0
         handle = server.in_background()
         try:
             status, body, headers = request(f"{handle.url}/objects/{OBJECT}/100")
@@ -207,18 +193,19 @@ class TestAdmissionGate:
             assert server.requests_shed >= 1
             # Raising the gate immediately restores service: shedding is
             # a per-request admission decision, not a latched state.
-            server.max_in_flight = 64
+            server.MAX_IN_FLIGHT = 64
             status, _, _ = request(f"{handle.url}/objects/{OBJECT}/100")
             assert status == 200
         finally:
             handle.stop()
 
     def test_shed_metric_is_exported(self, deployment):
-        server = PenguinServer(deployment, port=0, max_in_flight=0)
+        server = PenguinServer(deployment, port=0)
+        server.MAX_IN_FLIGHT = 0
         handle = server.in_background()
         try:
             request(f"{handle.url}/objects/{OBJECT}/100")
-            server.max_in_flight = 64
+            server.MAX_IN_FLIGHT = 64
             status, text, _ = (None, None, None)
             req = urllib.request.Request(f"{handle.url}/metrics")
             with urllib.request.urlopen(req, timeout=10) as response:

@@ -379,7 +379,7 @@ class TestFailoverFlightBundle:
                 graph,
                 "PATIENT",
                 num_shards=2,
-                replication=ReplicationConfig(replicas=2, miss_threshold=2),
+                replication=ReplicationConfig(replicas=2),
             )
             populate_hospital(
                 sharded_loader(sharded), HospitalConfig(patients=4)
@@ -390,7 +390,7 @@ class TestFailoverFlightBundle:
             sharded.insert(OBJECT, fresh_chart(pid_on_shard(sharded, 0)))
             replica_set = sharded.shard(0).replica_set
             replica_set.primary.kill()
-            for _ in range(replica_set.config.miss_threshold + 1):
+            for _ in range(replica_set.detector.MISS_THRESHOLD + 1):
                 replica_set.probe()
             path = recorder.latest()
             assert path is not None

@@ -16,6 +16,16 @@ its own definition, a package ``__init__`` re-export or a test:
 
 A name used only inside its own module leaves ``__all__``; it does not
 go on the allow-list.
+
+Settings are held the same way. In the modules :data:`SETTING_MODULES`
+names, every defaulted parameter of an ``__all__`` function, or of an
+``__all__`` class's constructor or public method, needs a caller outside
+the tests that passes it, by keyword or by position: a call reached
+through the caller's imports (a method call is matched by its name), or
+one that splats ``*args`` / ``**kwargs`` over it. A parameter only tests
+set becomes a constant; one nobody sets goes. The allow-list names the
+few that stay anyway: a deployment setting, a fake a test injects, or a
+name ``benchmarks/e2e/`` uses.
 """
 
 import argparse
@@ -302,3 +312,162 @@ def test_every_subcommand_and_flag_has_a_caller():
         if (path, flag) not in used
     ]
     assert missing == []
+
+
+# -- settings -------------------------------------------------------------------
+
+SETTING_MODULES = (
+    "repro.serve", "repro.obs", "repro.replicate", "repro.relational.retry",
+    "repro.penguin",
+)
+
+#: ``module.callable(parameter)`` -> why it stays without a caller.
+SETTINGS_ALLOWED = {
+    "repro.obs.cluster.SloTracker(clock)": "test fake: the burn-rate tests drive time",
+    "repro.obs.trace.Tracer(clock)": "test fake: span durations the tests fix",
+}
+
+
+def in_setting_scope(module):
+    return any(
+        module == prefix or module.startswith(prefix + ".")
+        for prefix in SETTING_MODULES
+    )
+
+
+def _defaulted(function, skip_first):
+    arguments = function.args
+    positional = arguments.posonlyargs + arguments.args
+    if skip_first:
+        positional = positional[1:]
+    first = len(positional) - len(arguments.defaults)
+    for index, argument in enumerate(positional):
+        if index >= first:
+            yield argument.arg, index
+    for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
+        if default is not None:
+            yield argument.arg, None
+
+
+def settings():
+    """``(module, callable, parameter, position)`` of every defaulted
+    parameter in scope; ``callable`` is ``Name`` for a function or a
+    constructor and ``Class.method`` for a method (position ``None``
+    for a keyword-only parameter)."""
+    for module, name in sorted(set(listings())):
+        if home(module, name) != module or not in_setting_scope(module):
+            continue
+        for node in top_level(parsed(MODULES[module])):
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                for parameter, index in _defaulted(node, False):
+                    yield module, name, parameter, index
+            elif isinstance(node, ast.ClassDef) and node.name == name:
+                for method in node.body:
+                    if not isinstance(method, ast.FunctionDef) or (
+                        method.name.startswith("_") and method.name != "__init__"
+                    ):
+                        continue
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in method.decorator_list
+                    )
+                    label = name if method.name == "__init__" else f"{name}.{method.name}"
+                    for parameter, index in _defaulted(method, not static):
+                        yield module, label, parameter, index
+
+
+def call_targets(tree, here):
+    """``(call, module, name)`` for each call whose callee resolves through
+    the tree's imports (or ``here``'s own top-level names) to ``module.name``;
+    a method call yields ``(call, None, method name)``."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    modules[alias.asname] = alias.name
+                else:
+                    modules[alias.name.split(".")[0]] = alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                names[alias.asname or alias.name] = (node.module, alias.name)
+                submodule = f"{node.module}.{alias.name}"
+                if submodule in MODULES:
+                    modules[alias.asname or alias.name] = submodule
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        chain = dotted(call.func)
+        if chain and len(chain) == 1:
+            if chain[0] in names:
+                yield (call, *names[chain[0]])
+            elif here is not None:
+                yield call, here, chain[0]
+            continue
+        if chain and chain[0] in modules:
+            module = ".".join([modules[chain[0]], *chain[1:-1]])
+            yield call, module, chain[-1]
+            continue
+        if chain and chain[0] in names and len(chain) == 2:
+            module, name = names[chain[0]]
+            yield call, module, f"{name}.{chain[1]}"
+        if isinstance(call.func, ast.Attribute):
+            yield call, None, call.func.attr
+
+
+@lru_cache(maxsize=None)
+def passed_settings():
+    """``(module, callable, parameter)`` every caller outside the tests passes."""
+    wanted = {}
+    for module, label, parameter, index in settings():
+        wanted.setdefault((module, label), []).append((parameter, index))
+    by_method = {}
+    for module, label in wanted:
+        if "." in label:
+            by_method.setdefault(label.split(".")[1], []).append((module, label))
+    sources = [
+        (module_name(path) if SRC in path.parents else None, [parsed(path)])
+        for root in CALLER_ROOTS
+        for path in sorted(root.rglob("*.py"))
+        if "tests" not in path.relative_to(REPO).parts
+    ] + [(None, doc_trees(doc.read_text(encoding="utf-8"))) for doc in DOCS]
+    found = set()
+    for here, trees in sources:
+        for tree in trees:
+            for call, module, name in call_targets(tree, here):
+                if module is None:
+                    keys = by_method.get(name, [])
+                else:
+                    defined = home(module, name.split(".")[0])
+                    if defined is None:
+                        continue
+                    keys = [(defined, name)]
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                keywords = {keyword.arg for keyword in call.keywords}
+                for key in keys:
+                    for parameter, index in wanted.get(key, ()):
+                        if (
+                            parameter in keywords
+                            or None in keywords
+                            or (index is not None and (starred or index < len(call.args)))
+                        ):
+                            found.add((*key, parameter))
+    return found
+
+
+def unset_settings():
+    return sorted({
+        f"{module}.{label}({parameter})"
+        for module, label, parameter, _ in settings()
+        if (module, label, parameter) not in passed_settings()
+    })
+
+
+def test_every_setting_has_a_caller_outside_the_tests():
+    assert [name for name in unset_settings() if name not in SETTINGS_ALLOWED] == []
+
+
+def test_the_settings_allow_list_is_short_and_every_entry_is_needed():
+    assert len(SETTINGS_ALLOWED) <= 5
+    assert all(reason for reason in SETTINGS_ALLOWED.values())
+    assert set(SETTINGS_ALLOWED) <= set(unset_settings())
