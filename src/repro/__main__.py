@@ -66,7 +66,7 @@ from repro.core.information_metric import InformationMetric
 from repro.dialog.answers import ScriptedAnswers
 from repro.dialog.drivers import run_replacement_dialog
 from repro.dialog.transcript import Transcript
-from repro.errors import QueryError, UnknownRelationError
+from repro.errors import AuditError, QueryError, SchemaError, UnknownRelationError
 from repro.core.updates.policy import TranslatorPolicy
 from repro.penguin import Penguin
 from repro.relational.memory_engine import MemoryEngine
@@ -476,7 +476,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
               f"{args.slow_threshold * 1000:.0f}ms) ===")
         print("\n".join(slow))
     if args.jsonl:
-        written = hub.tracer.export_jsonl(args.jsonl)
+        try:
+            written = hub.tracer.export_jsonl(args.jsonl)
+        except OSError as exc:
+            print(f"trace --jsonl: {exc}", file=sys.stderr)
+            return 2
         print(f"\nwrote {written} root span(s) to {args.jsonl}")
     return 0
 
@@ -581,20 +585,23 @@ def _run_audit_workload(ops: int, seed: int) -> Penguin:
     return session
 
 
-def _non_negative(text: str) -> int:
-    """An argparse type: a count, refused below zero at parse time."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
-    return value
+def _at_least(low, kind=int):
+    """An argparse type: a ``kind`` value, refused below ``low`` at
+    parse time."""
+
+    def parse(text: str):
+        value = kind(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low:g}, not {value:g}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: ..."
+    return parse
 
 
-def _non_negative_seconds(text: str) -> float:
-    """An argparse type: a duration, refused below zero at parse time."""
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, not {value:g}")
-    return value
+_non_negative = _at_least(0)  # a count
+_positive = _at_least(1)  # a count of at least one
+_non_negative_seconds = _at_least(0, float)  # a duration
 
 
 def _coerce_key(tokens) -> tuple:
@@ -612,7 +619,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     session = _run_audit_workload(args.ops, args.seed)
     try:
         return _audit(args, session)
-    except UnknownRelationError as exc:
+    except (UnknownRelationError, SchemaError, AuditError) as exc:
         print(f"audit {args.audit_command}: {exc}", file=sys.stderr)
         return 2
 
@@ -705,7 +712,11 @@ def cmd_flight(args: argparse.Namespace) -> int:
     from repro.obs.cluster import FlightRecorder
 
     if args.inspect:
-        print(FlightRecorder.inspect(args.inspect))
+        try:
+            print(FlightRecorder.inspect(args.inspect))
+        except OSError as exc:
+            print(f"flight --inspect: {exc}", file=sys.stderr)
+            return 2
         return 0
 
     # Demo: a replicated deployment with the recorder installed, a
@@ -856,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument(
-        "--steps", type=int, default=40, metavar="N",
+        "--steps", type=_positive, default=40, metavar="N",
         help="operations per preset",
     )
 
@@ -992,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
              "omit with --sweep to run the chain corpus",
     )
     validate.add_argument(
-        "--sweep", type=int, default=0, metavar="N",
+        "--sweep", type=_non_negative, default=0, metavar="N",
         help="validate N seeded random chain cases under seeded "
              "random policies and assert checker/law agreement",
     )

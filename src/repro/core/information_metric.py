@@ -44,42 +44,33 @@ class MetricWeights:
     entities are weaker context (0.65 inverse).
     """
 
-    def __init__(
-        self,
-        forward_ownership: float = 1.0,
-        inverse_ownership: float = 0.8,
-        forward_subset: float = 1.0,
-        inverse_subset: float = 0.9,
-        forward_reference: float = 0.9,
-        forward_nullable_reference: float = 0.5,
-        inverse_reference: float = 0.65,
-        hop_decay: float = 0.8,
-    ) -> None:
-        self.forward_ownership = forward_ownership
-        self.inverse_ownership = inverse_ownership
-        self.forward_subset = forward_subset
-        self.inverse_subset = inverse_subset
-        self.forward_reference = forward_reference
-        self.forward_nullable_reference = forward_nullable_reference
-        self.inverse_reference = inverse_reference
+    FORWARD_OWNERSHIP = 1.0
+    INVERSE_OWNERSHIP = 0.8
+    FORWARD_SUBSET = 1.0
+    INVERSE_SUBSET = 0.9
+    FORWARD_REFERENCE = 0.9
+    FORWARD_NULLABLE_REFERENCE = 0.5
+    INVERSE_REFERENCE = 0.65
+
+    def __init__(self, hop_decay: float = 0.8) -> None:
         self.hop_decay = hop_decay
 
     def weight(self, graph: StructuralSchema, traversal: Traversal) -> float:
         """The relevance multiplier for one traversal (includes decay)."""
         kind = traversal.kind
         if kind is ConnectionKind.OWNERSHIP:
-            base = self.forward_ownership if traversal.forward else self.inverse_ownership
+            base = self.FORWARD_OWNERSHIP if traversal.forward else self.INVERSE_OWNERSHIP
         elif kind is ConnectionKind.SUBSET:
-            base = self.forward_subset if traversal.forward else self.inverse_subset
+            base = self.FORWARD_SUBSET if traversal.forward else self.INVERSE_SUBSET
         else:
             if traversal.forward:
                 base = (
-                    self.forward_nullable_reference
+                    self.FORWARD_NULLABLE_REFERENCE
                     if self._reference_is_nullable(graph, traversal.connection)
-                    else self.forward_reference
+                    else self.FORWARD_REFERENCE
                 )
             else:
-                base = self.inverse_reference
+                base = self.INVERSE_REFERENCE
         return base * self.hop_decay
 
     @staticmethod

@@ -133,14 +133,6 @@ class ProjectionTree:
     def nodes_for_relation(self, relation: str) -> List[TreeNode]:
         return [n for n in self._nodes.values() if n.relation == relation]
 
-    def depth(self, node_id: str) -> int:
-        depth = 0
-        node = self.node(node_id)
-        while node.parent_id is not None:
-            node = self._nodes[node.parent_id]
-            depth += 1
-        return depth
-
     def path_to_root(self, node_id: str) -> List[TreeNode]:
         """Nodes from ``node_id`` up to (and including) the root."""
         trail = [self.node(node_id)]
@@ -166,9 +158,6 @@ class ProjectionTree:
             index += 1
             yield node
             queue.extend(node.children)
-
-    def leaves(self) -> List[TreeNode]:
-        return [n for n in self._nodes.values() if not n.children]
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -133,7 +133,9 @@ class TranslatorPolicy:
     ``relations`` maps relation names to :class:`RelationPolicy`;
     relations not listed use a permissive default. ``allow_insertion``,
     ``allow_deletion``, and ``allow_replacement`` gate whole operation
-    classes (the dialog's opening question per class).
+    classes (the dialog's opening question per class). ``completer``
+    starts as :func:`null_completer`; an application that needs another
+    assigns it on the policy.
     """
 
     def __init__(
@@ -142,14 +144,13 @@ class TranslatorPolicy:
         allow_deletion: bool = True,
         allow_replacement: bool = True,
         relations: Optional[Mapping[str, RelationPolicy]] = None,
-        completer: Completer = null_completer,
         authorized_users: Optional[Iterable[str]] = None,
     ) -> None:
         self.allow_insertion = allow_insertion
         self.allow_deletion = allow_deletion
         self.allow_replacement = allow_replacement
         self.relations: Dict[str, RelationPolicy] = dict(relations or {})
-        self.completer = completer
+        self.completer: Completer = null_completer
         # Step 1 of the paper checks "structural restrictions and user
         # authorizations": None means every user may update through the
         # object; otherwise only the listed users may.

@@ -118,7 +118,6 @@ class Translator:
         self,
         view_object: ViewObjectDefinition,
         policy: Optional[TranslatorPolicy] = None,
-        user: Optional[str] = None,
         journal: Optional[PlanJournal] = None,
         audit: Optional[AuditLog] = None,
         strictness: Optional[str] = None,
@@ -126,7 +125,7 @@ class Translator:
         self.view_object = view_object
         self.policy = policy or TranslatorPolicy.permissive()
         self.analysis = analyze_island(view_object)
-        self.user = user
+        self.user: Optional[str] = None
         self.journal = journal
         self.audit = audit
         self._policy_dict: Optional[Dict[str, Any]] = None

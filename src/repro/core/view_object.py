@@ -222,7 +222,6 @@ def define_view_object(
     pivot: str,
     selections: Mapping[str, Sequence[str]],
     metric: Optional[InformationMetric] = None,
-    updatable: bool = True,
 ) -> ViewObjectDefinition:
     """The full definition pipeline of Figure 2: metric → tree → pruning.
 
@@ -254,7 +253,6 @@ def define_view_object(
         graph,
         pruned,
         projections,
-        updatable=updatable,
         subgraph=subgraph,
         maximal_tree=maximal,
     )

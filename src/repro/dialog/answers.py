@@ -52,10 +52,6 @@ class ScriptedAnswers(AnswerSource):
         self._position += 1
         return bool(value)
 
-    @property
-    def remaining(self) -> int:
-        return len(self._answers) - self._position
-
 
 class MappingAnswers(AnswerSource):
     """Answers by question id, with a default for unlisted questions."""

@@ -33,13 +33,6 @@ class Transcript:
             lines.append(f"{question.text} <{'YES' if answer else 'NO'}>")
         return "\n".join(lines)
 
-    def questions_asked(self, section: str = None) -> List[str]:
-        return [
-            q.qid
-            for q, __ in self.entries
-            if section is None or q.section == section
-        ]
-
     def __len__(self) -> int:
         return len(self.entries)
 

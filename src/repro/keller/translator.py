@@ -10,7 +10,7 @@ to subsequent updates without further interaction.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Sequence
 
 from repro.errors import UpdateError, UpdateRejectedError
 from repro.keller.enumeration import contributing_rows
@@ -29,43 +29,22 @@ __all__ = ["KellerTranslator"]
 class KellerTranslator:
     """Applies the definition-time choices to flat-view updates.
 
-    Parameters
-    ----------
-    view:
-        The relational view.
-    delete_target:
-        The relation whose contributing tuple a view deletion removes
-        (Keller's algorithm defaults to the query-graph root).
-    insertable:
-        Relations allowed to receive insertions during view insertions.
-    join_change_side:
-        For changed join attributes, ``"left"``, ``"right"``, or
-        ``"both"`` — which side of the join absorbs the change.
+    The choices are attributes, set to Keller's defaults:
+
+    * ``delete_target`` — the relation whose contributing tuple a view
+      deletion removes: the query-graph root (the view's anchor);
+    * ``insertable`` — the relations allowed to receive insertions
+      during view insertions: all of them;
+    * ``join_change_side`` — for changed join attributes, which side of
+      the join absorbs the change: ``"left"`` (``"right"`` and
+      ``"both"`` are the other answers).
     """
 
-    def __init__(
-        self,
-        view: RelationalView,
-        delete_target: Optional[str] = None,
-        insertable: Optional[Sequence[str]] = None,
-        join_change_side: str = "left",
-    ) -> None:
+    def __init__(self, view: RelationalView) -> None:
         self.view = view
-        self.delete_target = delete_target or view.anchor
-        if self.delete_target not in view.relations:
-            raise UpdateError(
-                f"delete target {self.delete_target!r} is not part of view "
-                f"{view.name!r}"
-            )
-        self.insertable = (
-            set(insertable) if insertable is not None else set(view.relations)
-        )
-        if join_change_side not in ("left", "right", "both"):
-            raise UpdateError(
-                f"join_change_side must be left/right/both, got "
-                f"{join_change_side!r}"
-            )
-        self.join_change_side = join_change_side
+        self.delete_target = view.anchor
+        self.insertable = set(view.relations)
+        self.join_change_side = "left"
 
     # -- operations -----------------------------------------------------------
 

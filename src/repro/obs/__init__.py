@@ -138,12 +138,8 @@ class Observability:
     def enabled(cls) -> "Observability":
         return cls(Tracer(), MetricsRegistry())
 
-    @property
-    def is_enabled(self) -> bool:
-        return self.tracer.enabled
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Observability(enabled={self.is_enabled})"
+        return f"Observability(enabled={self.tracer.enabled})"
 
 
 _DISABLED = Observability.disabled()

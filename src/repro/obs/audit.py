@@ -204,6 +204,27 @@ class AuditLog:
                 settled += 1
         return settled
 
+    def adopt_rolled_forward(self, entries: Iterable[UpdateRecord]) -> int:
+        """Audit the journal entries recovery rolled forward that no
+        record names: the update landed, but the crash came inside the
+        audit append, before its line was durable. Each is recorded
+        ``committed`` under the op ``recovered`` (the journal does not
+        keep the view-level op), with the entry's own encoded plan and
+        images and ``journal_entry=`` its id. ``entries`` must be read
+        before recovery marks them, while the journal holds them whole.
+        Idempotent; returns how many records were appended."""
+        named = {record.journal_entry for record in self.records()}
+        adopted = 0
+        for entry in entries:
+            if entry.id not in named:
+                self.append(
+                    "recovered", entry.label, COMMITTED, journal_entry=entry.id,
+                    plan_records=entry.plan_records,
+                    image_records=entry.image_records, trace_id=entry.trace_id,
+                )
+                adopted += 1
+        return adopted
+
     # -- reading ------------------------------------------------------------
 
     def records(self) -> List[UpdateRecord]:
@@ -307,12 +328,8 @@ class ShippingCursor:
         owner's full record too would apply foreign sub-plans)."""
         self.asn = max(self.asn, asn)
 
-    def lag(self) -> int:
-        """How many committed records the consumer has not taken."""
-        return len(self.pending())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShippingCursor(asn={self.asn}, lag={self.lag()})"
+        return f"ShippingCursor(asn={self.asn}, lag={len(self.pending())})"
 
 
 class MemoryAuditLog(AuditLog):

@@ -79,10 +79,6 @@ class TranslationExplanation:
             kinds[op.kind] = kinds.get(op.kind, 0) + 1
         return kinds
 
-    @property
-    def raw_ops(self) -> int:
-        return len(self.plan)
-
     # -- export --------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -98,7 +94,7 @@ class TranslationExplanation:
             "op_kinds": self.op_kinds,
             "island_relations": list(self.island_relations),
             "connections": list(self.connections),
-            "raw_ops": self.raw_ops,
+            "raw_ops": len(self.plan),
             "risk": None if self.risk is None else self.risk.to_dict(),
         }
 
@@ -144,5 +140,5 @@ class TranslationExplanation:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TranslationExplanation({self.object_name!r}, {self.operation!r}, "
-            f"{self.raw_ops} ops)"
+            f"{len(self.plan)} ops)"
         )

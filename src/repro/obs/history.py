@@ -142,19 +142,6 @@ class ReplayReport:
         for and ended byte-identical to the live one."""
         return not self.mismatches and not self.unvouched
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "replayed": list(self.replayed),
-            "skipped": [list(pair) for pair in self.skipped],
-            "mismatches": [
-                [rel, list(key), repr(expected), repr(got)]
-                for rel, key, expected, got in self.mismatches
-            ],
-            "relations": self.relations,
-            **({"unvouched": True} if self.unvouched else {}),
-        }
-
     def summary(self) -> str:
         lines = [
             f"replayed  : {len(self.replayed)} committed record(s)",

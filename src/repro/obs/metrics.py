@@ -252,14 +252,6 @@ class MetricsRegistry:
         with self._lock:
             return [h for (n, _), h in self._histograms.items() if n == name]
 
-    def counter_total(self, name: str) -> float:
-        """Sum of one counter family across every label set."""
-        return sum(c.value for c in self.counters(name))
-
-    def histogram_total_count(self, name: str) -> int:
-        """Total observations of one histogram family."""
-        return sum(h.count for h in self.histograms(name))
-
     # -- export --------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
@@ -344,14 +336,8 @@ class _NullInstrument:
     def set(self, value: float) -> None:
         pass
 
-    def add(self, amount: float = 1.0) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
-
-    def bucket_counts(self) -> Dict[str, int]:
-        return {}
 
 
 _NULL_INSTRUMENT = _NullInstrument()

@@ -340,10 +340,6 @@ class Tracer:
             except IndexError:
                 return tuple(taken)
 
-    def clear(self) -> None:
-        self._roots.clear()
-        self.dropped = 0
-
     # -- export --------------------------------------------------------------
 
     def render(self, show_durations: bool = True) -> str:

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import repro.obs as obs
-from repro.errors import TransactionError, ViewObjectError
+from repro.errors import AuditError, SchemaError, TransactionError, ViewObjectError
 from repro.core.instance import Instance, build_instance
 from repro.core.instantiation import object_key
 from repro.core.query import execute_query
@@ -246,9 +246,7 @@ class Penguin(ViewObjectSession):
         if install:
             graph.install(engine)
         if journal is not None:
-            self.recovery_report = recover(engine, journal)
-            if audit is not None:
-                audit.reconcile(journal)
+            self.recovery_report = self._recover()
 
     # -- object definition ------------------------------------------------------
 
@@ -558,10 +556,21 @@ class Penguin(ViewObjectSession):
         reconciled against the journal's verdict afterwards."""
         if self.journal is None:
             raise ViewObjectError("this session has no plan journal")
-        self.recovery_report = recover(self.engine, self.journal)
+        self.recovery_report = self._recover()
+        return self.recovery_report
+
+    def _recover(self) -> RecoveryReport:
+        """Journal recovery, then the audit log settled against it. The
+        entries recovery rolls forward are read while the journal still
+        holds them whole, so one whose audit record died in the crash
+        gets it now."""
+        held = self.journal.pending()
+        report = recover(self.engine, self.journal)
         if self.audit is not None:
             self.audit.reconcile(self.journal)
-        return self.recovery_report
+            forward = set(report.replayed)
+            self.audit.adopt_rolled_forward([e for e in held if e.id in forward])
+        return report
 
     # -- audit & lineage ---------------------------------------------------------
 
@@ -588,8 +597,9 @@ class Penguin(ViewObjectSession):
         every committed view update that produced or touched it, oldest
         first, following key re-homing back to the originating update.
         A relation the schema does not have is an
-        :class:`~repro.errors.UnknownRelationError`, not an empty chain."""
-        self.graph.relation(relation)
+        :class:`~repro.errors.UnknownRelationError`, not an empty chain,
+        and a key of the wrong arity a :class:`~repro.errors.SchemaError`."""
+        self._check_key(relation, key)
         return self.lineage().why(relation, key)
 
     def tuple_history(
@@ -597,18 +607,33 @@ class Penguin(ViewObjectSession):
     ) -> List[LineageLink]:
         """The before/after image sequence of one exact cell (an
         :class:`~repro.errors.UnknownRelationError` for a relation the
-        schema does not have)."""
-        self.graph.relation(relation)
+        schema does not have, a :class:`~repro.errors.SchemaError` for a
+        key of the wrong arity)."""
+        self._check_key(relation, key)
         return self.lineage().history(relation, key)
+
+    def _check_key(self, relation: str, key: Sequence[Any]) -> None:
+        wanted = self.graph.relation(relation).key
+        if len(key) != len(wanted):
+            raise SchemaError(
+                f"relation {relation!r} has a {len(wanted)}-attribute key "
+                f"{wanted!r}; got {len(key)} value(s)"
+            )
 
     def as_of(self, asn: int, relation: Optional[str] = None):
         """The database (or one relation) reconstructed at a past ASN,
         verified cell-by-cell against the live head (an
         :class:`~repro.errors.UnknownRelationError` for a relation the
-        schema does not have)."""
+        schema does not have, an :class:`~repro.errors.AuditError` for an
+        ASN outside 0 to the log's head)."""
         if relation is not None:
             self.graph.relation(relation)
-        return as_of(self._require_audit(), self.engine, asn, relation=relation)
+        audit = self._require_audit()
+        if not 0 <= asn <= audit.head_asn():
+            raise AuditError(
+                f"no ASN {asn}: the log runs from 0 to {audit.head_asn()}"
+            )
+        return as_of(audit, self.engine, asn, relation=relation)
 
     def replay_audit(self) -> ReplayReport:
         """Re-execute the audited plans onto a fresh engine and compare

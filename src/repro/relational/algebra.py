@@ -73,21 +73,12 @@ def project(
     relation: DerivedRelation,
     names: Sequence[str],
     new_name: Optional[str] = None,
-    distinct: bool = True,
 ) -> DerivedRelation:
-    """Projection onto ``names`` with optional deduplication."""
+    """Projection onto ``names``, duplicates dropped (set semantics)."""
     schema = relation.schema.restricted_to(names, new_name=new_name)
     positions = relation.schema.positions(names)
-    seen = set()
-    result: List[Tuple[Any, ...]] = []
-    for t in relation.tuples:
-        projected = tuple(t[i] for i in positions)
-        if distinct:
-            if projected in seen:
-                continue
-            seen.add(projected)
-        result.append(projected)
-    return DerivedRelation(schema, result)
+    projected = (tuple(t[i] for i in positions) for t in relation.tuples)
+    return DerivedRelation(schema, list(dict.fromkeys(projected)))
 
 
 def rename(

@@ -22,14 +22,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.errors import SchemaError
-from repro.relational.domains import (
-    BOOLEAN,
-    DATE,
-    INTEGER,
-    REAL,
-    TEXT,
-    Domain,
-)
+from repro.relational.domains import INTEGER, REAL, TEXT, Domain
 from repro.relational.schema import Attribute, RelationSchema
 
 __all__ = ["SchemaBuilder", "relation"]
@@ -57,12 +50,6 @@ class SchemaBuilder:
 
     def real(self, name: str, nullable: bool = False) -> "SchemaBuilder":
         return self.attribute(name, REAL, nullable)
-
-    def boolean(self, name: str, nullable: bool = False) -> "SchemaBuilder":
-        return self.attribute(name, BOOLEAN, nullable)
-
-    def date(self, name: str, nullable: bool = False) -> "SchemaBuilder":
-        return self.attribute(name, DATE, nullable)
 
     def key(self, *names: str) -> "SchemaBuilder":
         if self._key is not None:

@@ -14,7 +14,7 @@ the sqlite backend.
 from __future__ import annotations
 
 import datetime
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import DomainError
 
@@ -42,11 +42,9 @@ class Domain:
         Function turning a string into a domain value (used by CSV I/O).
     sql_type:
         The sqlite column type used by the sqlite backend.
-    validate:
-        Optional extra predicate applied after the type check.
     """
 
-    __slots__ = ("name", "pytypes", "parse", "sql_type", "_validate", "exact_types")
+    __slots__ = ("name", "pytypes", "parse", "sql_type", "exact_types")
 
     def __init__(
         self,
@@ -54,18 +52,16 @@ class Domain:
         pytypes: tuple,
         parse: Callable[[str], Any],
         sql_type: str,
-        validate: Optional[Callable[[Any], bool]] = None,
     ) -> None:
         self.name = name
         self.pytypes = pytypes
         self.parse = parse
         self.sql_type = sql_type
-        self._validate = validate
         # The types every instance of which belongs, read off the type
         # alone: the domain's own, exactly (a subclass — a bool in
-        # INTEGER, a datetime in DATE — takes contains()), and none when
-        # a predicate has to see the value.
-        self.exact_types = frozenset(pytypes) if validate is None else frozenset()
+        # INTEGER, a datetime in DATE — takes contains()). A domain whose
+        # membership needs the value empties it.
+        self.exact_types = frozenset(pytypes)
 
     def contains(self, value: Any) -> bool:
         """Return True if ``value`` belongs to this domain.
@@ -78,11 +74,7 @@ class Domain:
         if isinstance(value, bool) and bool not in self.pytypes:
             # bool is a subclass of int; keep booleans out of INTEGER.
             return False
-        if not isinstance(value, self.pytypes):
-            return False
-        if self._validate is not None and not self._validate(value):
-            return False
-        return True
+        return isinstance(value, self.pytypes)
 
     def check(self, value: Any, context: str = "") -> Any:
         """Validate ``value``; raise :class:`DomainError` on mismatch."""

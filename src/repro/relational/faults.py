@@ -25,8 +25,8 @@ Four fault kinds are supported:
   ``BaseException`` so it sails *past* every ``except Exception``
   rollback handler, exactly as a ``kill -9`` would. Recovery is then
   the journal's job (:mod:`repro.relational.journal`).
-* ``latency`` — sleep before the call proceeds, for tail-latency and
-  timeout experiments.
+* ``latency`` — sleep the rule's ``delay`` before the call proceeds,
+  for tail-latency and timeout experiments.
 * ``call`` — run the rule's ``action(point, shard)`` and proceed: kill
   this primary, wedge these links, or (:class:`SecondOperation`) run a
   second client operation beside the one parked at the point.
@@ -104,24 +104,23 @@ class FaultRule:
     Parameters
     ----------
     kind:
-        ``"transient"``, ``"crash"``, or ``"latency"``.
+        ``"transient"``, ``"crash"``, ``"latency"`` or ``"call"``.
     operations:
         Operation names and/or group names this rule matches.
     at:
-        Fire on exactly the Nth matching call (1-based), once.
-    rate:
-        Fire on each matching call with this probability, drawn from
-        the plan's seeded generator (deterministic per seed).
-    times:
-        Cap on how many times this rule may fire; ``None`` = unlimited
-        (``at`` implies ``times=1``).
-    delay:
-        Sleep duration for ``latency`` rules, seconds.
+        Fire on exactly the Nth matching call (1-based), once. Without
+        it the rule fires on every matching call.
     action:
         What a ``call`` rule runs, as ``action(point, shard)``.
     shard:
         Match only ticks fired on this shard; ``None`` = any (engine
         calls carry no shard).
+
+    A rule also reads three attributes a chaos test may set on it:
+    ``rate``, the probability that a rule without ``at`` fires on each
+    matching call, drawn from the plan's seeded generator (1.0: every
+    call); ``times``, a cap on how often it fires (``None``: unlimited);
+    and ``delay``, what a ``latency`` rule sleeps, in seconds.
     """
 
     __slots__ = (
@@ -134,22 +133,17 @@ class FaultRule:
         kind: str,
         operations: Sequence[str] = ("mutation",),
         at: Optional[int] = None,
-        rate: Optional[float] = None,
-        times: Optional[int] = None,
-        delay: float = 0.0,
         action: Optional[Callable[[str, Optional[int]], None]] = None,
         shard: Optional[int] = None,
     ) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown fault kind {kind!r}")
-        if at is None and rate is None:
-            rate = 1.0  # fire on every matching call (subject to `times`)
         self.kind = kind
         self.operations = tuple(operations)
         self.at = at
-        self.rate = rate
-        self.times = 1 if (at is not None and times is None) else times
-        self.delay = delay
+        self.rate = 1.0
+        self.times = None if at is None else 1
+        self.delay = 0.0
         self.action = action
         self.shard = shard
         self.seen = 0  # matching calls observed
@@ -200,15 +194,11 @@ class FaultPlan:
     """A seeded, ordered set of :class:`FaultRule` to execute.
 
     The plan is deterministic: the same seed and the same sequence of
-    engine calls produce the same injections. Fluent constructors cover
-    the common shapes::
+    engine calls produce the same injections::
 
-        FaultPlan(seed=7).transient_at("insert", 3)      # 3rd insert fails once
-        FaultPlan(seed=7).transient_rate(0.1)            # 10% of mutations fail
-        FaultPlan(seed=7).transient_burst(5, ("read",))  # next 5 reads fail
-        FaultPlan(seed=7).crash_at("commit", 1)          # die inside commit
-        FaultPlan(seed=7).latency("get", 0.005)          # slow point reads
-        FaultPlan().call_at("post_apply", kill, shard=0) # run kill("post_apply", 0)
+        FaultPlan().add(FaultRule("transient", ("insert",), at=3))  # 3rd insert fails once
+        FaultPlan().add(FaultRule("crash", ("commit",), at=1))      # die inside commit
+        FaultPlan().call_at("post_apply", kill, shard=0)  # run kill("post_apply", 0)
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -216,35 +206,9 @@ class FaultPlan:
         self.rules: List[FaultRule] = []
         self._rng = random.Random(seed)
 
-    # -- fluent rule constructors ------------------------------------------
-
     def add(self, rule: FaultRule) -> "FaultPlan":
         self.rules.append(rule)
         return self
-
-    def transient_at(
-        self, operation: str, at: int, times: Optional[int] = None
-    ) -> "FaultPlan":
-        return self.add(FaultRule("transient", (operation,), at=at, times=times))
-
-    def transient_rate(
-        self,
-        rate: float,
-        operations: Sequence[str] = ("mutation",),
-        times: Optional[int] = None,
-    ) -> "FaultPlan":
-        return self.add(FaultRule("transient", operations, rate=rate, times=times))
-
-    def transient_burst(
-        self, count: int, operations: Sequence[str] = ("mutation",)
-    ) -> "FaultPlan":
-        """The next ``count`` matching calls all fail transiently."""
-        return self.add(FaultRule("transient", operations, rate=1.0, times=count))
-
-    def crash_at(
-        self, operation: str, at: int, shard: Optional[int] = None
-    ) -> "FaultPlan":
-        return self.add(FaultRule("crash", (operation,), at=at, shard=shard))
 
     def call_at(
         self,
@@ -256,17 +220,6 @@ class FaultPlan:
         """Run ``action(point, shard)`` on the ``at``-th matching tick."""
         return self.add(
             FaultRule("call", (operation,), at=at, action=action, shard=shard)
-        )
-
-    def latency(
-        self,
-        operation: str,
-        delay: float,
-        rate: float = 1.0,
-        times: Optional[int] = None,
-    ) -> "FaultPlan":
-        return self.add(
-            FaultRule("latency", (operation,), rate=rate, times=times, delay=delay)
         )
 
     # -- execution ----------------------------------------------------------
@@ -281,11 +234,6 @@ class FaultPlan:
             ):
                 return rule
         return None
-
-    @property
-    def exhausted(self) -> bool:
-        """True when no rule can ever fire again (all capped rules spent)."""
-        return all(rule.exhausted for rule in self.rules)
 
     def reset(self) -> None:
         """Rewind every rule and the seeded generator (same seed)."""

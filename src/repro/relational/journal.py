@@ -631,16 +631,6 @@ class RecoveryReport:
         self.conflicts: List[Tuple[int, str, Tuple[Any, ...]]] = []
         self.transactions_discarded = 0
 
-    @property
-    def clean(self) -> bool:
-        """True when recovery resolved everything without conflicts."""
-        return not self.conflicts
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"replayed": list(self.replayed), "reverted": list(self.reverted),
-                "conflicts": list(self.conflicts),
-                "transactions_discarded": self.transactions_discarded}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RecoveryReport(replayed={len(self.replayed)}, "
                 f"reverted={len(self.reverted)}, conflicts={len(self.conflicts)})")

@@ -169,10 +169,6 @@ class RelationSchema:
         key_set = set(self.key)
         return tuple(a.name for a in self.attributes if a.name not in key_set)
 
-    @property
-    def arity(self) -> int:
-        return len(self.attributes)
-
     def attribute(self, name: str) -> Attribute:
         """Return the attribute called ``name`` or raise."""
         try:

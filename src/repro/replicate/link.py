@@ -6,7 +6,7 @@ partition is *state* — :meth:`ShippingLink.wedge` makes every send fail
 with :class:`~repro.errors.TransientEngineError` until
 :meth:`ShippingLink.heal`. A flaky link is a *rule*: the replica set
 ticks its ``failpoint`` at ``"ship"`` before every send, in the rule
-language the engines use (``transient_rate``, ``call_at``, ...).
+language the engines use (``FaultRule``, ``call_at``, ...).
 
 A failed send does not lose the record: the primary's
 :class:`~repro.replicate.replicaset.ReplicaSet` keeps the stream and

@@ -373,7 +373,8 @@ class PenguinServer:
         self._draining = False
         self._active = 0
         self._idle: Optional[asyncio.Event] = None
-        self._writers: set = set()
+        #: Each open connection's writer -> the task handling it.
+        self._connections: Dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     @property
     def running(self) -> bool:
@@ -398,7 +399,8 @@ class PenguinServer:
         """Graceful drain, in order: stop accepting new connections,
         let every in-flight request finish and send its response, flush
         whatever the :class:`MicroBatcher` still holds, and only then
-        close the remaining (idle) connections."""
+        close the remaining (idle) connections and wait for their
+        handlers to return."""
         if self._server is None:
             return
         self._draining = True
@@ -407,8 +409,9 @@ class PenguinServer:
             await self._idle.wait()
         if self.batcher is not None:
             await self.batcher.drain()
-        for writer in list(self._writers):
+        for writer in list(self._connections):
             writer.close()
+        await asyncio.gather(*self._connections.values(), return_exceptions=True)
         await self._server.wait_closed()
         self._server = None
 
@@ -421,7 +424,7 @@ class PenguinServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._writers.add(writer)
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -534,7 +537,7 @@ class PenguinServer:
                 if not keep_alive:
                     break
         finally:
-            self._writers.discard(writer)
+            self._connections.pop(writer, None)
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.errors import UpdateError
 from repro.relational.operations import Delete, Insert, UpdatePlan
@@ -202,7 +202,6 @@ def partition_plan(
     plan: UpdatePlan,
     placement: Placement,
     router: Router,
-    num_shards: Optional[int] = None,
 ) -> Dict[int, UpdatePlan]:
     """Split a plan into per-shard sub-plans, each in plan order.
 
@@ -219,7 +218,7 @@ def partition_plan(
     single-key result means the plan is island-local and needs no
     cross-shard coordination.
     """
-    shard_count = num_shards if num_shards is not None else router.num_shards
+    shard_count = router.num_shards
     split: Dict[int, UpdatePlan] = {}
 
     def plan_for(shard_id: int) -> UpdatePlan:

@@ -163,15 +163,6 @@ class ShardedRecovery:
     def clean(self) -> bool:
         return self.two_phase.clean
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "two_phase": self.two_phase.as_dict(),
-            "shards": {
-                shard_id: getattr(report, "as_dict", lambda: report)()
-                for shard_id, report in self.shards.items()
-            },
-        }
-
 
 class ShardedPenguin(ViewObjectSession):
     """Horizontal partitioning of one structural schema across N shards.

@@ -193,13 +193,6 @@ class TwoPhaseRecoveryReport:
     def clean(self) -> bool:
         return not self.conflicts
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "rolled_forward": list(self.rolled_forward),
-            "rolled_back": list(self.rolled_back),
-            "conflicts": list(self.conflicts),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TwoPhaseRecoveryReport(forward={len(self.rolled_forward)}, "

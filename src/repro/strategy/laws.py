@@ -127,7 +127,7 @@ def chain_case(seed: int, adversarial: bool = False) -> StrategyCase:
     return StrategyCase(name, seed, build, params)
 
 
-def workload_case(workload: str, object_name: Optional[str] = None) -> StrategyCase:
+def workload_case(workload: str) -> StrategyCase:
     """A canonical workload (hospital / university / cad) as a law case."""
     if workload == "hospital":
         from repro.workloads.hospital import (
@@ -253,10 +253,6 @@ class LawReport:
     @property
     def falsified(self) -> List[LawResult]:
         return [r for r in self.results if r.status == FALSIFIED]
-
-    @property
-    def ok(self) -> bool:
-        return not self.falsified
 
     def to_dict(self) -> Dict[str, Any]:
         return {

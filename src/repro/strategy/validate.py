@@ -51,11 +51,10 @@ def validate_case(
     }
 
 
-def validate_workload(
-    workload: str, policy: Optional[TranslatorPolicy] = None
-) -> Dict[str, Any]:
-    """Validate one named workload's spanning object end to end."""
-    return validate_case(workload_case(workload), policy)
+def validate_workload(workload: str) -> Dict[str, Any]:
+    """Validate one named workload's object end to end under the
+    permissive policy."""
+    return validate_case(workload_case(workload))
 
 
 def sweep(

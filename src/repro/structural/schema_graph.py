@@ -9,7 +9,7 @@ tree builder and the update-propagation machinery.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConnectionError, StructuralError, UnknownRelationError
 from repro.relational.engine import Engine
@@ -119,9 +119,6 @@ class StructuralSchema:
         except KeyError:
             raise UnknownRelationError(name) from None
 
-    def has_relation(self, name: str) -> bool:
-        return name in self._relations
-
     @property
     def relation_names(self) -> Tuple[str, ...]:
         return tuple(self._relations)
@@ -158,34 +155,20 @@ class StructuralSchema:
             result = [c for c in result if c.kind is kind]
         return list(result)
 
-    def traversals_from(
-        self,
-        relation: str,
-        kinds: Optional[Iterable[ConnectionKind]] = None,
-        include_inverse: bool = True,
-    ) -> List[Traversal]:
-        """All edges leaving ``relation``, forward and (optionally) inverse.
+    def traversals_from(self, relation: str) -> List[Traversal]:
+        """All edges leaving ``relation``, forward and inverse.
 
         The view-object tree builder expands paths in both directions —
         "if there is a connection C from R1 to R2, there is an inverse
         connection C^-1 from R2 to R1".
         """
-        kind_set = set(kinds) if kinds is not None else None
-        traversals = []
-        for connection in self.connections_from(relation):
-            if kind_set is None or connection.kind in kind_set:
-                traversals.append(Traversal(connection, forward=True))
-        if include_inverse:
-            for connection in self.connections_to(relation):
-                if kind_set is None or connection.kind in kind_set:
-                    traversals.append(Traversal(connection, forward=False))
-        return traversals
-
-    def neighbors(self, relation: str) -> Set[str]:
-        """All relations one connection away (either direction)."""
-        result = {c.target for c in self.connections_from(relation)}
-        result |= {c.source for c in self.connections_to(relation)}
-        return result
+        return [
+            Traversal(connection, forward=True)
+            for connection in self.connections_from(relation)
+        ] + [
+            Traversal(connection, forward=False)
+            for connection in self.connections_to(relation)
+        ]
 
     def undirected_cycles_exist_within(self, relations: Iterable[str]) -> bool:
         """True if the subgraph induced by ``relations`` has a circuit.

@@ -17,9 +17,8 @@ mechanical assemblies:
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.core.information_metric import InformationMetric
 from repro.core.view_object import ViewObjectDefinition, define_view_object
 from repro.relational.ddl import relation
 from repro.relational.engine import Engine
@@ -42,9 +41,9 @@ _PART_NAMES = [
 ]
 
 
-def cad_schema(name: str = "cad") -> StructuralSchema:
+def cad_schema() -> StructuralSchema:
     """Build the CAD structural schema."""
-    graph = StructuralSchema(name)
+    graph = StructuralSchema("cad")
     graph.add_relation(
         relation("MATERIAL")
         .text("material_name")
@@ -117,28 +116,17 @@ def cad_schema(name: str = "cad") -> StructuralSchema:
     return graph
 
 
-class CadConfig:
-    """Sizing knobs for the deterministic generator."""
-
-    def __init__(
-        self,
-        assemblies: int = 12,
-        parts: int = 30,
-        components_per_assembly: int = 6,
-        released_fraction: float = 0.5,
-        seed: int = 2290,
-    ) -> None:
-        self.assemblies = assemblies
-        self.parts = parts
-        self.components_per_assembly = components_per_assembly
-        self.released_fraction = released_fraction
-        self.seed = seed
+#: The generator's sizing.
+ASSEMBLIES = 12
+PARTS = 30
+COMPONENTS_PER_ASSEMBLY = 6
+RELEASED_FRACTION = 0.5
+SEED = 2290
 
 
-def populate_cad(engine: Engine, config: Optional[CadConfig] = None) -> Dict[str, int]:
+def populate_cad(engine: Engine) -> Dict[str, int]:
     """Deterministically fill an installed CAD database."""
-    config = config or CadConfig()
-    rng = random.Random(config.seed)
+    rng = random.Random(SEED)
 
     for material_name, density in _MATERIALS:
         engine.insert(
@@ -149,7 +137,7 @@ def populate_cad(engine: Engine, config: Optional[CadConfig] = None) -> Dict[str
             "SUPPLIER", {"supplier_id": supplier, "city": "Palo Alto"}
         )
     part_ids = []
-    for index in range(config.parts):
+    for index in range(PARTS):
         part_id = f"P-{index:03d}"
         engine.insert(
             "PART",
@@ -163,7 +151,7 @@ def populate_cad(engine: Engine, config: Optional[CadConfig] = None) -> Dict[str
         )
         part_ids.append(part_id)
 
-    for index in range(config.assemblies):
+    for index in range(ASSEMBLIES):
         asm_id = f"ASM-{index:03d}"
         engine.insert(
             "ASSEMBLY",
@@ -173,7 +161,7 @@ def populate_cad(engine: Engine, config: Optional[CadConfig] = None) -> Dict[str
                 "project": rng.choice(["orion", "vega", "lyra"]),
             },
         )
-        if rng.random() < config.released_fraction:
+        if rng.random() < RELEASED_FRACTION:
             engine.insert(
                 "RELEASED_ASSEMBLY",
                 {
@@ -182,7 +170,7 @@ def populate_cad(engine: Engine, config: Optional[CadConfig] = None) -> Dict[str
                     "approved_by": "QA",
                 },
             )
-        for position in range(1, config.components_per_assembly + 1):
+        for position in range(1, COMPONENTS_PER_ASSEMBLY + 1):
             engine.insert(
                 "COMPONENT",
                 {
@@ -205,11 +193,7 @@ def populate_cad(engine: Engine, config: Optional[CadConfig] = None) -> Dict[str
     }
 
 
-def assembly_object(
-    graph: StructuralSchema,
-    metric: Optional[InformationMetric] = None,
-    name: str = "assembly_bom",
-) -> ViewObjectDefinition:
+def assembly_object(graph: StructuralSchema) -> ViewObjectDefinition:
     """The bill-of-materials view object.
 
     D_ω = {ASSEMBLY, COMPONENT, RELEASED_ASSEMBLY} (ownership + subset);
@@ -217,7 +201,7 @@ def assembly_object(
     """
     return define_view_object(
         graph,
-        name,
+        "assembly_bom",
         pivot="ASSEMBLY",
         selections={
             "ASSEMBLY": ("asm_id", "name", "project"),
@@ -226,5 +210,4 @@ def assembly_object(
             "PART": ("part_id", "name", "material_name", "mass_kg"),
             "MATERIAL": ("material_name", "density"),
         },
-        metric=metric,
     )

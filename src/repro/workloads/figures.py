@@ -10,24 +10,17 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.information_metric import InformationMetric
 from repro.core.view_object import ViewObjectDefinition, define_view_object
 from repro.structural.schema_graph import StructuralSchema
 
 __all__ = ["course_info_object", "alternate_course_object"]
 
 
-def course_info_object(
-    graph: StructuralSchema,
-    metric: Optional[InformationMetric] = None,
-    name: str = "course_info",
-) -> ViewObjectDefinition:
+def course_info_object(graph: StructuralSchema) -> ViewObjectDefinition:
     """ω of Figure 2(c)."""
     return define_view_object(
         graph,
-        name,
+        "course_info",
         pivot="COURSES",
         selections={
             "COURSES": (
@@ -38,19 +31,14 @@ def course_info_object(
             "GRADES": ("course_id", "student_id", "grade"),
             "STUDENT": ("person_id", "degree_program", "year"),
         },
-        metric=metric,
     )
 
 
-def alternate_course_object(
-    graph: StructuralSchema,
-    metric: Optional[InformationMetric] = None,
-    name: str = "course_staffing",
-) -> ViewObjectDefinition:
+def alternate_course_object(graph: StructuralSchema) -> ViewObjectDefinition:
     """ω′ of Figure 3."""
     return define_view_object(
         graph,
-        name,
+        "course_staffing",
         pivot="COURSES",
         selections={
             "COURSES": (
@@ -59,5 +47,4 @@ def alternate_course_object(
             "FACULTY": ("person_id", "rank", "office"),
             "STUDENT": ("person_id", "degree_program", "year"),
         },
-        metric=metric,
     )

@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.information_metric import InformationMetric
 from repro.core.view_object import ViewObjectDefinition, define_view_object
 from repro.relational.ddl import relation
 from repro.relational.engine import Engine
@@ -52,9 +51,9 @@ _MEDICATIONS = [
 _TESTS = ["CBC", "BMP", "lipid panel", "A1C", "urinalysis", "ECG"]
 
 
-def hospital_schema(name: str = "hospital") -> StructuralSchema:
+def hospital_schema() -> StructuralSchema:
     """Build the hospital structural schema."""
-    graph = StructuralSchema(name)
+    graph = StructuralSchema("hospital")
     graph.add_relation(
         relation("WARD")
         .text("ward_name")
@@ -158,19 +157,15 @@ def hospital_schema(name: str = "hospital") -> StructuralSchema:
 
 
 class HospitalConfig:
-    """Sizing knobs for the deterministic generator."""
+    """Sizing of the deterministic generator: the patient count is the
+    one knob; the rest are constants a test may set on one instance."""
 
-    def __init__(
-        self,
-        patients: int = 25,
-        physicians: int = 8,
-        visits_per_patient: int = 3,
-        seed: int = 4836,  # the NLM grant number's tail
-    ) -> None:
+    PHYSICIANS = 8
+    VISITS_PER_PATIENT = 3
+    SEED = 4836  # the NLM grant number's tail
+
+    def __init__(self, patients: int = 25) -> None:
         self.patients = patients
-        self.physicians = physicians
-        self.visits_per_patient = visits_per_patient
-        self.seed = seed
 
 
 def populate_hospital(
@@ -178,7 +173,7 @@ def populate_hospital(
 ) -> Dict[str, int]:
     """Deterministically fill an installed hospital database."""
     config = config or HospitalConfig()
-    rng = random.Random(config.seed)
+    rng = random.Random(config.SEED)
 
     for ward_name, floor in _WARDS:
         engine.insert("WARD", {"ward_name": ward_name, "floor": floor})
@@ -187,7 +182,7 @@ def populate_hospital(
             "MEDICATION", {"med_id": med_id, "name": name, "dose_mg": dose}
         )
     physician_ids = []
-    for index in range(config.physicians):
+    for index in range(config.PHYSICIANS):
         pid = 9000 + index
         engine.insert(
             "PHYSICIAN",
@@ -210,7 +205,7 @@ def populate_hospital(
                 "ward_name": rng.choice([w[0] for w in _WARDS] + [None]),
             },
         )
-        for visit_no in range(1, config.visits_per_patient + 1):
+        for visit_no in range(1, config.VISITS_PER_PATIENT + 1):
             engine.insert(
                 "VISIT",
                 {
@@ -270,11 +265,7 @@ def populate_hospital(
     }
 
 
-def patient_chart_object(
-    graph: StructuralSchema,
-    metric: Optional[InformationMetric] = None,
-    name: str = "patient_chart",
-) -> ViewObjectDefinition:
+def patient_chart_object(graph: StructuralSchema) -> ViewObjectDefinition:
     """The patient-chart view object: a three-level dependency island.
 
     D_ω = {PATIENT, VISIT, DIAGNOSIS, PRESCRIPTION, LAB_RESULT};
@@ -282,7 +273,7 @@ def patient_chart_object(
     """
     return define_view_object(
         graph,
-        name,
+        "patient_chart",
         pivot="PATIENT",
         selections={
             "PATIENT": ("patient_id", "name", "birth_year", "ward_name"),
@@ -302,7 +293,6 @@ def patient_chart_object(
             "PHYSICIAN": ("physician_id", "name", "specialty"),
             "MEDICATION": ("med_id", "name", "dose_mg"),
         },
-        metric=metric,
     )
 
 

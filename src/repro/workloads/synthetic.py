@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.information_metric import InformationMetric, MetricWeights
 from repro.core.view_object import ViewObjectDefinition, define_view_object
@@ -288,21 +288,21 @@ class ZipfianWorkload:
     """A seeded zipfian rank sampler.
 
     Key popularity follows a zipf law: rank *r* is drawn with weight
-    ``1 / (r + 1) ** skew``, so ``skew=0`` is uniform and larger values
-    concentrate traffic on the head — the access pattern of a service
-    "facing millions of users", where some records are far hotter than
-    others. Everything derives from ``seed``: two samplers with the same
-    parameters draw identical ranks, which is what lets the simulation
-    checker replay a run exactly.
+    ``1 / (r + 1) ** SKEW``, so a skew of 0 would be uniform and larger
+    values concentrate traffic on the head — the access pattern of a
+    service "facing millions of users", where some records are far
+    hotter than others. Everything derives from ``seed``: two samplers
+    with the same parameters draw identical ranks, which is what lets
+    the simulation checker replay a run exactly.
     """
 
-    def __init__(self, population: int, skew: float = 1.1, seed: int = 7) -> None:
+    SKEW = 1.1
+
+    def __init__(self, population: int, seed: int = 7) -> None:
         if population < 1:
             raise ValueError("population must be >= 1")
-        if skew < 0:
-            raise ValueError("skew must be >= 0")
         self._rng = random.Random(seed)
-        weights = [1.0 / (rank + 1) ** skew for rank in range(population)]
+        weights = [1.0 / (rank + 1) ** self.SKEW for rank in range(population)]
         total = sum(weights)
         cumulative = 0.0
         self._cdf: List[float] = []
@@ -320,7 +320,6 @@ def chain_object(
     depth: int,
     with_peninsula: bool = True,
     with_lookup: bool = True,
-    name: Optional[str] = None,
 ) -> ViewObjectDefinition:
     """The view object spanning the whole chain.
 
@@ -333,7 +332,7 @@ def chain_object(
     )
     return define_view_object(
         graph,
-        name or f"chain_object_{depth}",
+        f"chain_object_{depth}",
         pivot="R0",
         selections=chain_selections(depth, with_peninsula, with_lookup),
         metric=metric,

@@ -73,9 +73,9 @@ _GRADE_VALUES = ["A", "A-", "B+", "B", "B-", "C+", "C", "D", "F"]
 _DEGREES = ["BSCS", "MSCS", "PhDCS", "BSMath", "MSStat", "MD"]
 
 
-def university_schema(name: str = "university") -> StructuralSchema:
+def university_schema() -> StructuralSchema:
     """Build the structural schema of Figure 1."""
-    graph = StructuralSchema(name)
+    graph = StructuralSchema("university")
 
     graph.add_relation(
         relation("DEPARTMENT")
@@ -186,25 +186,24 @@ def university_schema(name: str = "university") -> StructuralSchema:
 
 
 class UniversityConfig:
-    """Sizing knobs for the deterministic data generator."""
+    """Sizing of the deterministic data generator: students, courses and
+    enrollments are knobs; the rest are constants a test may set on one
+    instance."""
+
+    FACULTY = 10
+    STAFF = 6
+    CURRICULUM_ENTRIES = 30
+    SEED = 1991
 
     def __init__(
         self,
         students: int = 40,
-        faculty: int = 10,
-        staff: int = 6,
         courses: int = 20,
         enrollments_per_student: int = 4,
-        curriculum_entries: int = 30,
-        seed: int = 1991,
     ) -> None:
         self.students = students
-        self.faculty = faculty
-        self.staff = staff
         self.courses = courses
         self.enrollments_per_student = enrollments_per_student
-        self.curriculum_entries = curriculum_entries
-        self.seed = seed
 
 
 def populate_university(
@@ -217,7 +216,7 @@ def populate_university(
     :meth:`StructuralSchema.install`).
     """
     config = config or UniversityConfig()
-    rng = random.Random(config.seed)
+    rng = random.Random(config.SEED)
 
     for dept_name, building, budget in _DEPARTMENTS:
         engine.insert(
@@ -245,7 +244,7 @@ def populate_university(
         )
         return person_id
 
-    for __ in range(config.faculty):
+    for __ in range(config.FACULTY):
         pid = add_person(rng.choice(dept_names))
         engine.insert(
             "FACULTY",
@@ -269,7 +268,7 @@ def populate_university(
         )
         student_ids.append(pid)
 
-    for __ in range(config.staff):
+    for __ in range(config.STAFF):
         pid = add_person(rng.choice(dept_names))
         engine.insert(
             "STAFF",
@@ -318,7 +317,7 @@ def populate_university(
 
     curriculum = set()
     attempts = 0
-    while len(curriculum) < config.curriculum_entries and attempts < 10000:
+    while len(curriculum) < config.CURRICULUM_ENTRIES and attempts < 10000:
         attempts += 1
         entry = (rng.choice(_DEGREES), rng.choice(course_ids))
         if entry in curriculum:

@@ -7,6 +7,10 @@ import time
 import pytest
 
 from repro.core.information_metric import InformationMetric
+from repro.core.tree_builder import build_maximal_tree, prune_tree
+from repro.core.updates.policy import TranslatorPolicy
+from repro.core.view_object import Projection, ViewObjectDefinition
+from repro.relational.faults import FaultRule
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.sqlite_engine import SqliteEngine
 from repro.workloads.cad import assembly_object, cad_schema, populate_cad
@@ -32,6 +36,61 @@ def wait_until(predicate, timeout=5.0):
             return
         time.sleep(0.001)
     raise AssertionError("condition not reached within timeout")
+
+
+def fault(kind, operations=("mutation",), rate=1.0, times=None, delay=0.0):
+    """A :class:`FaultRule` that fires on each matching call with
+    probability ``rate``, at most ``times`` times (``None``: unlimited);
+    a ``latency`` rule sleeps ``delay`` seconds."""
+    rule = FaultRule(kind, operations)
+    rule.rate, rule.times, rule.delay = rate, times, delay
+    return rule
+
+
+def counter_total(registry, name):
+    """Sum of one counter family across every label set."""
+    return sum(counter.value for counter in registry.counters(name))
+
+
+def histogram_total_count(registry, name):
+    """Total observations of one histogram family."""
+    return sum(histogram.count for histogram in registry.histograms(name))
+
+
+def asked(transcript, section=None):
+    """The ids of the questions a dialog transcript records, in order."""
+    return [
+        question.qid for question, _ in transcript.entries
+        if section is None or question.section == section
+    ]
+
+
+def sized(config, **constants):
+    """``config`` with generator constants set on this instance:
+    ``sized(UniversityConfig(), faculty=3)`` sets ``FACULTY``."""
+    for name, value in constants.items():
+        setattr(config, name.upper(), value)
+    return config
+
+
+def completing(completer):
+    """A permissive policy whose completer is ``completer``."""
+    policy = TranslatorPolicy()
+    policy.completer = completer
+    return policy
+
+
+def query_only(graph, name, pivot, selections):
+    """A view object that is not updatable, so its projections may drop
+    keys: ``define_view_object``'s pipeline with ``updatable=False``."""
+    metric = InformationMetric()
+    subgraph = metric.extract_subgraph(graph, pivot)
+    pruned = prune_tree(build_maximal_tree(graph, subgraph, metric.weights), selections)
+    projections = {
+        node_id: Projection(pruned.node(node_id).relation, attributes)
+        for node_id, attributes in selections.items()
+    }
+    return ViewObjectDefinition(name, graph, pruned, projections, updatable=False)
 
 
 def make_engine(backend: str):

@@ -26,6 +26,7 @@ from repro.core.updates.operations import (
 )
 from repro.core.updates.translator import Translator
 from repro.structural.integrity import IntegrityChecker
+from tests.conftest import completing
 
 
 @pytest.fixture
@@ -73,7 +74,6 @@ class TestInsertion:
         """ω' cannot express the GRADES linkage: inserting an instance
         with STUDENT components creates/verifies the student tuples but
         no enrollment rows."""
-        from repro.core.updates.policy import TranslatorPolicy
 
         def completer(relation, schema, partial):
             completed = dict(partial)
@@ -87,7 +87,7 @@ class TestInsertion:
 
         translator = Translator(
             omega_prime,
-            policy=TranslatorPolicy(completer=completer),
+            policy=completing(completer),
         )
         student = next(iter(university_engine.scan("STUDENT")))
         translator.apply(

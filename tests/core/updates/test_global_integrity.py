@@ -21,6 +21,7 @@ from repro.penguin import Penguin
 from repro.relational.operations import Insert, Replace
 from repro.structural.integrity import IntegrityChecker
 from repro.workloads.university import populate_university, university_schema
+from tests.conftest import completing
 
 
 @pytest.fixture
@@ -144,7 +145,7 @@ def lenient_ctx(omega, university_engine):
     return TranslationContext(
         omega,
         university_engine,
-        TranslatorPolicy(completer=lenient_completer),
+        completing(lenient_completer),
     )
 
 
@@ -243,7 +244,7 @@ class TestRecursionAfterReplacement:
         )
         for name in ("course_row", "curriculum_entry"):
             session.set_policy(
-                name, TranslatorPolicy(completer=lenient_completer)
+                name, completing(lenient_completer)
             )
         return session
 

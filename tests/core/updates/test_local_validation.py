@@ -11,7 +11,7 @@ from repro.core.updates.local_validation import (
     validate_insertion,
 )
 from repro.core.updates.policy import RelationPolicy, TranslatorPolicy
-from repro.core.view_object import define_view_object
+from tests.conftest import query_only
 
 
 def validate_replacement(ctx, old, new):
@@ -85,12 +85,11 @@ class TestObjectIdentity:
     def test_query_only_object_not_updatable(
         self, university_graph, university_engine
     ):
-        readonly = define_view_object(
+        readonly = query_only(
             university_graph,
             "ro",
             "COURSES",
             selections={"COURSES": ("course_id", "title")},
-            updatable=False,
         )
         ctx = ctx_for(readonly, university_engine)
         instance = build_instance(

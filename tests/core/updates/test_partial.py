@@ -11,6 +11,7 @@ from repro.core.updates.operations import (
 from repro.core.updates.policy import RelationPolicy, TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.structural.integrity import IntegrityChecker
+from tests.conftest import completing
 
 
 @pytest.fixture
@@ -101,7 +102,7 @@ class TestPartialInsertion:
 
         translator = Translator(
             omega,
-            policy=TranslatorPolicy(completer=completer),
+            policy=completing(completer),
         )
         cid = course_with_grades(university_engine)
         translator.apply(

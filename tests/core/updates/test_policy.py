@@ -11,6 +11,7 @@ from repro.core.updates.policy import (
     null_completer,
 )
 from repro.workloads.university import university_schema
+from tests.conftest import completing
 
 
 class TestRelationPolicy:
@@ -102,7 +103,7 @@ class TestCustomCompleter:
                         completed[attribute.name] = 0
             return completed
 
-        policy = TranslatorPolicy(completer=completer)
+        policy = completing(completer)
         translator = Translator(omega, policy=policy)
         translator.apply(
             university_engine,

@@ -21,7 +21,7 @@ def test_scripted_in_order():
     source = ScriptedAnswers([True, False, True])
     assert source.answer(Q) is True
     assert source.answer(Q) is False
-    assert source.remaining == 1
+    assert source.answer(Q) is True
 
 
 def test_scripted_exhaustion():

@@ -7,6 +7,7 @@ from repro.core.updates.policy import ReferenceRepair
 from repro.dialog.answers import ConstantAnswers, MappingAnswers
 from repro.dialog.drivers import choose_translator, run_definition_dialog
 from repro.errors import UpdateRejectedError
+from tests.conftest import asked
 
 
 class TestFullDialog:
@@ -22,7 +23,7 @@ class TestFullDialog:
 
     def test_deletion_section_covers_peninsula(self, omega):
         __, transcript = run_definition_dialog(omega, ConstantAnswers(True))
-        deletion_qids = transcript.questions_asked(section="deletion")
+        deletion_qids = asked(transcript, section="deletion")
         assert "deletion.allowed" in deletion_qids
         assert any("CURRICULUM" in qid for qid in deletion_qids)
 
@@ -49,7 +50,7 @@ class TestFullDialog:
         answers = MappingAnswers({"deletion.allowed": False}, default=True)
         policy, transcript = run_definition_dialog(omega, answers)
         assert not policy.allow_deletion
-        assert transcript.questions_asked(section="deletion") == [
+        assert asked(transcript, section="deletion") == [
             "deletion.allowed"
         ]
 
@@ -78,7 +79,7 @@ class TestNullifiableRepairQuestion:
             policy.for_relation("COURSES").on_reference_delete
             is ReferenceRepair.NULLIFY
         )
-        assert "deletion.COURSES.repair_nullify" in transcript.questions_asked()
+        assert "deletion.COURSES.repair_nullify" in asked(transcript)
 
 
 class TestChooseTranslator:

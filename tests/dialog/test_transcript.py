@@ -2,6 +2,7 @@
 
 from repro.dialog.questions import Question
 from repro.dialog.transcript import Transcript
+from tests.conftest import asked
 
 
 def test_render_format():
@@ -22,8 +23,8 @@ def test_questions_asked():
     transcript = Transcript()
     transcript.record(Question("a", "First?", section="s1"), True)
     transcript.record(Question("b", "Second?", section="s2"), False)
-    assert transcript.questions_asked() == ["a", "b"]
-    assert transcript.questions_asked(section="s1") == ["a"]
+    assert asked(transcript) == ["a", "b"]
+    assert asked(transcript, section="s1") == ["a"]
 
 
 def test_len():

@@ -260,6 +260,29 @@ def test_audit_refuses_a_relation_the_schema_lacks(capsys, command):
     assert f"audit {command[0]}: unknown relation: 'NOPE'" in captured.err
 
 
+@pytest.mark.parametrize("command, message", [
+    (["audit", "--ops", "3", "as-of", "-3"], "audit as-of: no ASN -3"),
+    (["audit", "--ops", "3", "as-of", "99999"], "audit as-of: no ASN 99999"),
+    (["audit", "--ops", "3", "history", "--relation", "VISIT", "--key", "77001", "1", "2", "3"],
+     "audit history: relation 'VISIT' has a 2-attribute key"),
+    (["audit", "--ops", "3", "why", "--relation", "VISIT", "--key", "77001", "1", "2", "3"],
+     "audit why: relation 'VISIT' has a 2-attribute key"),
+    (["simulate", "--preset", "crash", "--steps", "-1"], "must be >= 1, not -1"),
+    (["validate", "--sweep", "-2"], "must be >= 0, not -2"),
+    (["flight", "--inspect", "{missing}/bundle.jsonl"], "flight --inspect: "),
+    (["trace", "--jsonl", "{missing}/spans.jsonl"], "trace --jsonl: "),
+], ids=["as-of-negative", "as-of-past-head", "history-key-arity", "why-key-arity",
+        "simulate-steps", "validate-sweep", "flight-inspect", "trace-jsonl"])
+def test_the_cli_refuses_input_that_names_nothing(capsys, tmp_path, command, message):
+    missing = tmp_path / "missing"
+    try:
+        code = main([token.format(missing=missing) for token in command])
+    except SystemExit as exit:
+        code = exit.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_materialize_query_text(capsys):
     assert main(
         ["materialize", "--queries", "3", "--update-every", "0", "--text", "units >= 4"]

@@ -16,7 +16,7 @@ import pytest
 from repro.core.updates.operations import CompleteDeletion
 from repro.core.updates.translator import Translator
 from repro.penguin import Penguin
-from repro.relational.faults import FaultInjectingEngine, FaultPlan, SimulatedCrash
+from repro.relational.faults import FaultInjectingEngine, FaultPlan, FaultRule, SimulatedCrash
 from repro.relational.journal import (
     ABORTED,
     COMMITTED,
@@ -85,13 +85,13 @@ class TestNonAtomicCrashSweep:
         before = snapshot(engine)
         journal = RecordingJournal()
         faulty = FaultInjectingEngine(
-            engine, FaultPlan().crash_at("mutation", at=k)
+            engine, FaultPlan().add(FaultRule("crash", ("mutation",), at=k))
         )
         with pytest.raises(SimulatedCrash):
             apply_journaled(faulty, journal, plan, atomic=False)
 
         report = recover(engine, journal)
-        assert report.clean
+        assert report.conflicts == []
         assert snapshot(engine) == before
         assert {e.state for e in journal.journaled()} == {ABORTED}
         assert not IntegrityChecker(graph).check(engine)
@@ -106,7 +106,7 @@ class TestNonAtomicCrashSweep:
         for pid in sorted(row[0] for row in engine.scan("PATIENT")):
             plan = deletion_plan(view_object, engine, pid)
             faulty = FaultInjectingEngine(
-                engine, FaultPlan().crash_at("mutation", at=1 + backlog)
+                engine, FaultPlan().add(FaultRule("crash", ("mutation",), at=1 + backlog))
             )
             with pytest.raises(SimulatedCrash):
                 apply_journaled(faulty, journal, plan, atomic=False)
@@ -115,7 +115,7 @@ class TestNonAtomicCrashSweep:
         assert snapshot(engine) != before
         report = recover(engine, journal)
         assert resolved(report) == backlog
-        assert report.clean
+        assert report.conflicts == []
         assert journal.pending() == []
         assert snapshot(engine) == before
         assert not IntegrityChecker(graph).check(engine)
@@ -126,7 +126,7 @@ class TestNonAtomicCrashSweep:
         plan = deletion_plan(view_object, engine, PID)
         journal = RecordingJournal()
         faulty = FaultInjectingEngine(
-            engine, FaultPlan().crash_at("mutation", at=PLAN_LEN + 1)
+            engine, FaultPlan().add(FaultRule("crash", ("mutation",), at=PLAN_LEN + 1))
         )
         apply_journaled(faulty, journal, plan, atomic=False)
         assert {e.state for e in journal.journaled()} == {COMMITTED}
@@ -142,12 +142,12 @@ class TestNonAtomicCrashSweep:
         before = snapshot(engine)
         journal = RecordingJournal()
         faulty = FaultInjectingEngine(
-            engine, FaultPlan().crash_at("commit", at=1)
+            engine, FaultPlan().add(FaultRule("crash", ("commit",), at=1))
         )
         with pytest.raises(SimulatedCrash):
             apply_journaled(faulty, journal, plan, atomic=True)
         report = recover(engine, journal)
-        assert report.clean
+        assert report.conflicts == []
         assert snapshot(engine) == before
         assert {e.state for e in journal.journaled()} == {ABORTED}
 
@@ -159,7 +159,7 @@ class TestTranslationCrash:
     def test_session_recovers_after_mid_translation_crash(self, k):
         graph, engine, view_object = fresh_hospital()
         faulty = FaultInjectingEngine(
-            engine, FaultPlan().crash_at("mutation", at=k)
+            engine, FaultPlan().add(FaultRule("crash", ("mutation",), at=k))
         )
         session = Penguin(
             graph, engine=faulty, install=False, journal=MemoryJournal()
@@ -169,7 +169,7 @@ class TestTranslationCrash:
         with pytest.raises(SimulatedCrash):
             session.delete("patient_chart", (PID,))
         report = session.recover()
-        assert report.clean
+        assert report.conflicts == []
         assert report.transactions_discarded >= 1
         assert snapshot(engine) == before
         assert not IntegrityChecker(graph).check(engine)
@@ -184,7 +184,7 @@ class TestTranslationCrash:
         before = snapshot(engine)
         journal = FileJournal(path)
         faulty = FaultInjectingEngine(
-            engine, FaultPlan().crash_at("mutation", at=3)
+            engine, FaultPlan().add(FaultRule("crash", ("mutation",), at=3))
         )
         with pytest.raises(SimulatedCrash):
             apply_journaled(faulty, journal, plan, atomic=False)
@@ -216,7 +216,7 @@ class TestTranslationCrash:
         journal = FileJournal(journal_path)
         audit = FileAuditLog(audit_path)
         faulty = FaultInjectingEngine(
-            engine, FaultPlan().crash_at("mutation", at=3)
+            engine, FaultPlan().add(FaultRule("crash", ("mutation",), at=3))
         )
         with pytest.raises(SimulatedCrash):
             apply_journaled(faulty, journal, plan, atomic=False)
@@ -240,7 +240,7 @@ class TestTranslationCrash:
             install=False,
         )
         assert session.recovery_report.reverted == [1]
-        assert session.recovery_report.clean
+        assert session.recovery_report.conflicts == []
         assert session.journal.pending() == []
         assert snapshot(engine) == before
         assert [(r.id, r.state) for r in session.audit.records()] == [
@@ -306,5 +306,45 @@ class TestCommitAuditWindow:
             if record.state == AUDIT_COMMITTED
         ]
         assert committed == [1]
+        restarted.journal.close()
+        restarted.audit.close()
+
+    def test_restart_audits_an_update_whose_record_died(self, tmp_path):
+        """The crash comes inside the audit append, before the record's
+        line is durable: the update landed, its entry is PENDING and no
+        record names it. Recovery rolls the entry forward and audits it
+        from the entry's own plan and images."""
+        from repro.obs.audit import COMMITTED as AUDIT_COMMITTED
+        from repro.obs.audit import FileAuditLog
+        from repro.relational.journal import FileJournal
+
+        class DyingAudit(FileAuditLog):
+            def append(self, *args, **kwargs):
+                raise SimulatedCrash("audit append", 1)
+
+        journal_path = tmp_path / "journal.log"
+        audit_path = tmp_path / "audit.log"
+        graph, engine, view_object = fresh_hospital()
+        session = Penguin(
+            graph, engine=engine, install=False,
+            journal=FileJournal(journal_path), audit=DyingAudit(audit_path),
+        )
+        session.register_object(view_object)
+        with pytest.raises(SimulatedCrash):
+            session.delete("patient_chart", (PID,))
+        session.journal.close()
+        session.audit.close()
+
+        restarted = Penguin(
+            graph, engine=engine, install=False,
+            journal=FileJournal(journal_path), audit=FileAuditLog(audit_path),
+        )
+        assert restarted.journal.pending() == []
+        assert restarted.replay_audit().ok
+        records = restarted.audit.records()
+        assert [(r.state, r.op, r.journal_entry) for r in records] == [
+            (AUDIT_COMMITTED, "recovered", 1)
+        ]
+        assert records[0].plan().operations
         restarted.journal.close()
         restarted.audit.close()

@@ -16,7 +16,7 @@ from repro.core.updates.operations import (
 )
 from repro.core.updates.translator import Translator
 from repro.errors import TransientEngineError
-from repro.relational.faults import FaultInjectingEngine
+from repro.relational.faults import FaultInjectingEngine, FaultRule
 from repro.relational.memory_engine import MemoryEngine
 from repro.structural.integrity import IntegrityChecker
 from repro.workloads.figures import course_info_object
@@ -61,7 +61,7 @@ def run_at_every_fault_point(graph, engine, action, max_points=50):
     fault_points = 0
     for index in range(1, max_points + 1):
         del engine.plan.rules[:]
-        engine.plan.transient_at("mutation", index)
+        engine.plan.add(FaultRule("transient", ("mutation",), at=index))
         try:
             action()
         except TransientEngineError:

@@ -22,6 +22,7 @@ from repro.obs.history import snapshot
 from repro.penguin import Penguin
 from repro.relational import journal as journal_states
 from repro.relational.faults import (
+    FaultRule,
     FaultInjectingEngine,
     FaultPlan,
     SimulatedCrash,
@@ -342,7 +343,7 @@ def crashing_university(backend, k):
     return university(
         backend,
         wrap=lambda engine: FaultInjectingEngine(
-            engine, FaultPlan().crash_at("mutation", at=k)
+            engine, FaultPlan().add(FaultRule("crash", ("mutation",), at=k))
         ),
     )
 

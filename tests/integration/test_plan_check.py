@@ -43,7 +43,7 @@ from repro.workloads.university import (
     populate_university,
     university_schema,
 )
-from tests.conftest import make_engine
+from tests.conftest import counter_total, make_engine, sized
 
 BACKENDS = ["memory", "sqlite"]
 
@@ -160,7 +160,7 @@ def test_a_wrong_global_integrity_pass_is_refused(
             GlobalValidationError, match=f"connection '{connection}'"
         ):
             DOORS[door](translator, session.engine, request(session))
-        assert hub.metrics.counter_total("translation_failures_total") == 1
+        assert counter_total(hub.metrics, "translation_failures_total") == 1
     assert snapshot(session.engine) == before
     counts = session.journal.counts()
     assert counts[PENDING] == counts[COMMITTED] == 0
@@ -219,7 +219,7 @@ def university(engine):
     graph = university_schema()
     graph.install(engine)
     populate_university(
-        engine, UniversityConfig(students=12, courses=6, curriculum_entries=8)
+        engine, sized(UniversityConfig(students=12, courses=6), curriculum_entries=8)
     )
     return graph, course_info_object(graph), ("COURSES", "course_id")
 

@@ -82,6 +82,7 @@ from repro.workloads.hospital import (
     rehome,
 )
 from tests.shard.test_sharded import OBJECT, RELATIONS, fresh_chart
+from tests.conftest import counter_total, histogram_total_count
 
 PATIENTS = 8
 RESIDENTS = range(100, 100 + PATIENTS)
@@ -404,14 +405,10 @@ class Observed:
                     for root in hub.tracer.take()
                     for span in root.iter_spans()
                 )
-                self.translations = hub.metrics.counter_total(
-                    "translations_total"
-                )
-                self.failures = hub.metrics.counter_total(
-                    "translation_failures_total"
-                )
-                self.plan_ops = hub.metrics.histogram_total_count("plan_ops")
-                self.explains = hub.metrics.counter_total("explains_total")
+                self.translations = counter_total(hub.metrics, "translations_total")
+                self.failures = counter_total(hub.metrics, "translation_failures_total")
+                self.plan_ops = histogram_total_count(hub.metrics, "plan_ops")
+                self.explains = counter_total(hub.metrics, "explains_total")
                 # What the primaries' guards counted (a replica stack
                 # counts its own applies under its "replica" label).
                 self.admissions = sum(
@@ -617,7 +614,7 @@ def test_explain_and_preview_leave_no_trace_of_a_rejection():
         ):
             with pytest.raises(ReproError):
                 attempt()
-        assert hub.metrics.counter_total("translation_failures_total") == 0
+        assert counter_total(hub.metrics, "translation_failures_total") == 0
     assert tail.records() == []
 
 

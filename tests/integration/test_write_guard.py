@@ -317,7 +317,7 @@ def test_read_faults_in_the_translate_half_reach_the_breaker(backend, closing):
         session = guarded(kind, backend)
         closing(session)
         for engine in wrap_engines(session):
-            engine.plan.transient_rate(1.0, ("read",))
+            engine.plan.add(FaultRule("transient", ("read",)))
         errors = [
             outcome_of(
                 lambda s: s.insert_many(OBJECT, [fresh_chart(FRESH[0])]),
@@ -453,7 +453,7 @@ def test_a_failed_2pc_probe_keeps_its_breaker_open(kind, backend, closing):
     session, target = two_phase_target(kind, backend, closing, 1)
     before = rows(session)
     target.penguin.engine = FaultInjectingEngine(target.penguin.engine)
-    target.penguin.engine.plan.transient_rate(1.0, ("mutation",))
+    target.penguin.engine.plan.add(FaultRule("transient", ("mutation",)))
     with pytest.raises(TransientEngineError):
         rehoming(session)
     health = target.serving.breaker.as_dict()

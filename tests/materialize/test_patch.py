@@ -22,6 +22,7 @@ from repro.workloads.university import (
     university_schema,
 )
 from tests.materialize.test_dependency import _NoReads, _hospital
+from tests.conftest import counter_total, query_only
 
 
 def warm(view_object, engine):
@@ -214,7 +215,7 @@ def test_pruned_intermediate_relation_neither_patches_nor_evicts():
 def keyless_chart(graph):
     """Not updatable, so a node may drop part of its key: diagnoses
     per visit without their number."""
-    return define_view_object(
+    return query_only(
         graph,
         "codes",
         pivot="PATIENT",
@@ -223,7 +224,6 @@ def keyless_chart(graph):
             "VISIT": ("patient_id", "visit_no", "reason"),
             "DIAGNOSIS": ("patient_id", "visit_no", "code", "severity"),
         },
-        updatable=False,
     )
 
 
@@ -426,7 +426,7 @@ def test_sync_span_and_registry_report_patches_and_evictions():
             "view.sync",
             {"object": "patient_chart", "records": 2, "patched": 1, "evicted": 1},
         )
-        assert hub.metrics.counter_total("cache_patches_total") == 1
+        assert counter_total(hub.metrics, "cache_patches_total") == 1
     stats = view.stats.as_dict()
     assert (stats["patched"], stats["invalidations"]) == (1, 1)
     assert CacheStats().merge(view.stats).patched == 1
@@ -474,7 +474,7 @@ def test_update_heavy_replaces_are_patched():
     view = session.materialize(name, policy=LAZY)
     session.query(name)  # warm
     patients = sorted(v[0] for v in engine.scan("PATIENT"))
-    workload = ZipfianWorkload(len(patients), skew=0.9, seed=7)
+    workload = type("Skewed", (ZipfianWorkload,), {"SKEW": 0.9})(len(patients), seed=7)
     kinds = random.Random(7)
     assembled, hits = view.stats.misses, view.stats.hits
     reads = writes = 0

@@ -20,9 +20,10 @@ from repro.workloads.university import (
     populate_university,
     university_schema,
 )
-from tests.conftest import Heard
+from repro.relational.domains import DATE
+from tests.conftest import Heard, sized
 
-CONFIG = UniversityConfig(students=10, faculty=4, staff=2, courses=6)
+CONFIG = sized(UniversityConfig(students=10, courses=6), faculty=4, staff=2)
 
 
 def make_penguin(backend="memory"):
@@ -304,7 +305,7 @@ def test_datetime_keyed_get_follows_committed_changes(backend):
     reaches it whichever form the reader asked with."""
     graph = StructuralSchema("events")
     graph.add_relation(
-        relation("EVENT").date("day").text("title").key("day").build()
+        relation("EVENT").attribute("day", DATE).text("title").key("day").build()
     )
     penguin = Penguin(graph, backend=backend)
     penguin.define_object("event", "EVENT", {"EVENT": ["day", "title"]})

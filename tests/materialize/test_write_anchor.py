@@ -28,7 +28,7 @@ from repro.core.updates.operations import Replacement
 from repro.errors import ReproError
 from repro.obs.audit import FileAuditLog
 from repro.penguin import Penguin
-from repro.relational.faults import FaultInjectingEngine, FaultPlan, SimulatedCrash
+from repro.relational.faults import FaultInjectingEngine, FaultPlan, FaultRule, SimulatedCrash
 from repro.relational.journal import FileJournal
 from repro.relational.operations import UpdatePlan
 from repro.serve.concurrent import ConcurrentPenguin
@@ -398,7 +398,7 @@ def crashing_session(backend):
     """Loaded, then restarted on an engine that crashes at the second
     mutation from now."""
     base = materialized_session(backend).engine
-    faulty = FaultInjectingEngine(base, FaultPlan().crash_at("mutation", at=2))
+    faulty = FaultInjectingEngine(base, FaultPlan().add(FaultRule("crash", ("mutation",), at=2)))
     session = Penguin(hospital_schema(), engine=faulty, install=False)
     session.register_object(patient_chart_object(session.graph))
     session.materialize(CHART)

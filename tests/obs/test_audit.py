@@ -256,7 +256,7 @@ class TestReadsFromAPosition:
         log.append("insert", "x", COMMITTED)
         cursor = ShippingCursor(log)  # starts at the head: #1 is baseline
         crashed = log.append("insert", "x", CRASHED)
-        assert cursor.take() == [] and cursor.lag() == 0
+        assert cursor.take() == [] and cursor.pending() == []
         third = log.append("insert", "x", COMMITTED)
         skipped = log.append("insert", "x", COMMITTED)
         cursor.skip(skipped)
@@ -264,7 +264,7 @@ class TestReadsFromAPosition:
         log.resolve(crashed, COMMITTED)
         assert cursor.take() == []  # ...and a record resolved behind it
         fifth = log.append("insert", "x", CRASHED)
-        assert cursor.lag() == 0
+        assert cursor.pending() == []
         log.resolve(fifth, COMMITTED)  # resolved ahead of it: shippable now
         assert [r.id for r in cursor.take()] == [fifth]
         assert cursor.take() == [] and third < cursor.asn

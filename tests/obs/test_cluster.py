@@ -14,6 +14,7 @@ from repro.obs.cluster import (
 )
 from repro.obs.context import TraceContext, activate, attach
 from repro.obs.metrics import Histogram
+from tests.conftest import counter_total
 
 
 def label_values(registry, name, label):
@@ -39,7 +40,7 @@ class TestOneRegistry:
             assert label_values(hub.metrics, "reads_total", "replica") == [
                 "r1"
             ]
-            assert hub.metrics.counter_total("reads_total") == 3
+            assert counter_total(hub.metrics, "reads_total") == 3
 
     def test_merged_histogram_adds_buckets(self):
         with obs.use() as hub:

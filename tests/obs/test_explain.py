@@ -172,7 +172,6 @@ class TestExplainBatch:
         assert explanation.plan.operations == [
             op for plan in singles for op in plan.operations
         ]
-        assert explanation.raw_ops == len(explanation.plan)
         assert explanation.op_kinds.get("insert", 0) >= 3
 
     def test_later_requests_see_earlier_effects(
@@ -195,7 +194,7 @@ class TestExplainBatch:
     def test_empty_batch(self, translator, university_engine):
         explanation = translator.explain_batch(university_engine, [])
         assert explanation.operation == "empty"
-        assert explanation.raw_ops == 0
+        assert len(explanation.plan) == 0
         assert "no operations" in explanation.render()
 
 

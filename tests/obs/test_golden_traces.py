@@ -54,7 +54,7 @@ class TestGoldenTraces:
     def test_insert_span_tree(self, traced):
         translator, engine, hub = traced
         course = new_course(engine, student=existing_student(engine))
-        hub.tracer.clear()
+        hub.tracer.take()  # only the next update's root
         translator.apply(engine, CompleteInsertion(course))
         check_golden("figure4_insert_trace.txt", take_normalized(hub))
 
@@ -63,7 +63,7 @@ class TestGoldenTraces:
         course = new_course(engine, student=existing_student(engine))
         translator.apply(engine, CompleteInsertion(course))
         instance = translator.instantiate(engine, ("CS999",))
-        hub.tracer.clear()
+        hub.tracer.take()  # only the next update's root
         translator.apply(engine, CompleteDeletion(instance))
         check_golden("figure4_delete_trace.txt", take_normalized(hub))
 

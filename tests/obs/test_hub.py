@@ -10,7 +10,7 @@ class TestDefaultState:
         obs.disable()
         assert obs.tracer() is NOOP_TRACER
         assert obs.metrics() is NULL_REGISTRY
-        assert not obs.active().is_enabled
+        assert not obs.active().tracer.enabled
 
 
 class TestConfigure:
@@ -18,7 +18,7 @@ class TestConfigure:
         hub = obs.configure()
         try:
             assert obs.active() is hub
-            assert hub.is_enabled
+            assert hub.tracer.enabled
             with obs.tracer().span("probe"):
                 obs.metrics().counter("probes").inc()
             assert len(hub.tracer.roots()) == 1

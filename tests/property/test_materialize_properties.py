@@ -21,8 +21,9 @@ from repro.workloads.university import (
     populate_university,
     university_schema,
 )
+from tests.conftest import sized
 
-CONFIG = UniversityConfig(students=6, faculty=3, staff=1, courses=4)
+CONFIG = sized(UniversityConfig(students=6, courses=4), faculty=3, staff=1)
 
 # Replaces that keep the key and every connecting attribute, one per
 # kind of node: island leaves (GRADES, CURRICULUM), the pivot (a shown

@@ -80,9 +80,8 @@ def test_tree_node_count_equals_edges_plus_one(name, threshold):
 @settings(max_examples=40, deadline=None)
 def test_monotone_in_threshold(hop_decay, inverse_reference):
     graph = GRAPHS["university"]
-    weights = MetricWeights(
-        hop_decay=hop_decay, inverse_reference=inverse_reference
-    )
+    weights = MetricWeights(hop_decay=hop_decay)
+    weights.INVERSE_REFERENCE = inverse_reference
     loose = InformationMetric(weights=weights, threshold=0.2)
     tight = InformationMetric(weights=weights, threshold=0.6)
     for pivot in graph.relation_names:

@@ -94,8 +94,8 @@ def view_objects(spanning):
     ]
     leaves = [
         n.node_id
-        for n in maximal.leaves()
-        if n.node_id in eligible and n.parent_id is not None
+        for n in maximal.nodes()
+        if not n.children and n.node_id in eligible and n.parent_id is not None
     ]
     return [
         spanning,

@@ -23,6 +23,7 @@ from repro.relational.operations import (  # noqa: E402
     UpdatePlan,
 )
 from tests.journal_harness import RecordingJournal, apply_journaled, resolved  # noqa: E402
+from repro.relational.faults import FaultRule
 
 pytestmark = pytest.mark.chaos
 
@@ -94,13 +95,13 @@ def test_crash_anywhere_recovers_to_all_reverted(plan_and_k):
     engine = make_engine()
     before = snapshot(engine)
     journal = RecordingJournal()
-    faulty = FaultInjectingEngine(engine, FaultPlan().crash_at("mutation", at=k))
+    faulty = FaultInjectingEngine(engine, FaultPlan().add(FaultRule("crash", ("mutation",), at=k)))
 
     with pytest.raises(SimulatedCrash):
         apply_journaled(faulty, journal, plan, atomic=False)
 
     report = recover(engine, journal)
-    assert report.clean
+    assert report.conflicts == []
     statuses = {e.state for e in journal.journaled()}
     assert len(statuses) == 1
     if statuses == {ABORTED}:

@@ -20,6 +20,7 @@ from repro.workloads.university import (
     populate_university,
     university_schema,
 )
+from tests.conftest import sized
 
 GRAPH = university_schema()
 OMEGA = course_info_object(GRAPH)
@@ -30,7 +31,7 @@ def fresh_engine(seed=1991):
     GRAPH.install(engine)
     populate_university(
         engine,
-        UniversityConfig(students=8, faculty=3, staff=1, courses=6, seed=seed),
+        sized(UniversityConfig(students=8, courses=6), faculty=3, staff=1, seed=seed),
     )
     return engine
 

@@ -12,13 +12,16 @@ a drawn order into an indexed memory engine, an unindexed one and
 sqlite, every pivot key instantiates to the same dictionary.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.instantiation import Instantiator
 from repro.relational.memory_engine import MemoryEngine
-from repro.workloads.cad import CadConfig, assembly_object, cad_schema, populate_cad
+from repro.workloads import cad as cad_module
+from repro.workloads.cad import assembly_object, cad_schema, populate_cad
 from repro.workloads.figures import alternate_course_object, course_info_object
 from repro.workloads.hospital import (
     HospitalConfig,
@@ -32,14 +35,14 @@ from repro.workloads.university import (
     populate_university,
     university_schema,
 )
-from tests.conftest import make_engine
+from tests.conftest import make_engine, sized
 from tests.property.test_read_path_properties import view_objects
 
 
 def hospital(source, seed):
     graph = hospital_schema()
     graph.install(source)
-    populate_hospital(source, HospitalConfig(patients=8, seed=seed))
+    populate_hospital(source, sized(HospitalConfig(patients=8), seed=seed))
     return graph, [patient_chart_object(graph)]
 
 
@@ -47,7 +50,7 @@ def university(source, seed):
     graph = university_schema()
     graph.install(source)
     populate_university(
-        source, UniversityConfig(students=16, courses=8, seed=seed)
+        source, sized(UniversityConfig(students=16, courses=8), seed=seed)
     )
     return graph, [course_info_object(graph), alternate_course_object(graph)]
 
@@ -55,7 +58,8 @@ def university(source, seed):
 def cad(source, seed):
     graph = cad_schema()
     graph.install(source)
-    populate_cad(source, CadConfig(assemblies=4, parts=12, seed=seed))
+    with mock.patch.multiple(cad_module, ASSEMBLIES=4, PARTS=12, SEED=seed):
+        populate_cad(source)
     return graph, [assembly_object(graph)]
 
 

@@ -19,6 +19,7 @@ from repro.workloads.university import (
     populate_university,
     university_schema,
 )
+from tests.conftest import sized
 
 GRAPH = university_schema()
 OMEGA = course_info_object(GRAPH)
@@ -29,7 +30,7 @@ def fresh_engine():
     engine = MemoryEngine()
     GRAPH.install(engine)
     populate_university(
-        engine, UniversityConfig(students=8, faculty=3, staff=1, courses=5)
+        engine, sized(UniversityConfig(students=8, courses=5), faculty=3, staff=1)
     )
     return engine
 

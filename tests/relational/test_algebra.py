@@ -54,12 +54,6 @@ def test_project_dedupes(engine):
     assert sorted(projected.tuples) == [("cs",), ("math",)]
 
 
-def test_project_no_dedupe(engine):
-    rel = algebra.from_engine(engine, "COURSES")
-    projected = algebra.project(rel, ("dept",), distinct=False)
-    assert len(projected) == 3
-
-
 def test_project_key_preserved(engine):
     rel = algebra.from_engine(engine, "COURSES")
     projected = algebra.project(rel, ("course_id", "units"))

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import TransactionError
 from repro.relational.changelog import ChangeLog
 from repro.relational.ddl import relation
-from repro.relational.faults import FaultInjectingEngine, FaultPlan
+from repro.relational.faults import FaultInjectingEngine, FaultPlan, FaultRule
 from repro.relational.memory_engine import MemoryEngine
 from tests.conftest import Heard, make_engine
 
@@ -95,7 +95,7 @@ def test_a_failed_commit_delivers_nothing(base):
     ``_finish_commit`` rolls the transaction back."""
     inner = make_engine(base)
     inner.create_relation(SCHEMA)
-    engine = FaultInjectingEngine(inner, FaultPlan().transient_at("commit", 1))
+    engine = FaultInjectingEngine(inner, FaultPlan().add(FaultRule("transient", ("commit",), at=1)))
     heard = Heard(engine)
     with pytest.raises(TransactionError):
         with engine.transaction():

@@ -13,8 +13,8 @@ def test_builder_all_types():
         .text("a")
         .integer("b")
         .real("c", nullable=True)
-        .boolean("d", nullable=True)
-        .date("e", nullable=True)
+        .attribute("d", BOOLEAN, nullable=True)
+        .attribute("e", DATE, nullable=True)
         .key("a", "b")
         .build()
     )

@@ -14,6 +14,7 @@ from repro.relational.operations import (
     UpdatePlan,
 )
 from repro.relational.sqlite_engine import SqliteEngine
+from repro.relational.domains import DATE
 from tests.conftest import make_engine
 
 
@@ -24,7 +25,7 @@ def engine(backend):
         relation("T")
         .text("k")
         .integer("n", nullable=True)
-        .date("d", nullable=True)
+        .attribute("d", DATE, nullable=True)
         .key("k")
         .build()
     )
@@ -258,7 +259,7 @@ class TestDatetimeNarrowing:
     def test_date_key_lookup_accepts_datetime(self, backend):
         engine = make_engine(backend)
         engine.create_relation(
-            relation("E").date("day").integer("n", nullable=True).key("day").build()
+            relation("E").attribute("day", DATE).integer("n", nullable=True).key("day").build()
         )
         engine.insert("E", (self.NOON, 7))
         assert engine.get("E", (self.NOON,)) == (self.DAY, 7)

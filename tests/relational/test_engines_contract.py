@@ -31,14 +31,15 @@ from repro.relational.faults import FaultInjectingEngine, FaultPlan
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.sqlite_engine import SqliteEngine
 from repro.structural.schema_graph import StructuralSchema
+from repro.relational.domains import BOOLEAN, DATE
 from tests.conftest import make_engine
 
 CONTRACT_SCHEMA = (
     relation("T")
     .text("k")
     .integer("n", nullable=True)
-    .boolean("flag", nullable=True)
-    .date("d", nullable=True)
+    .attribute("flag", BOOLEAN, nullable=True)
+    .attribute("d", DATE, nullable=True)
     .key("k")
     .build()
 )
@@ -77,9 +78,9 @@ def engine(request):
 # A DATE inside a composite key: key lookups must convert it too.
 DATED_SCHEMA = (
     relation("E")
-    .date("day")
+    .attribute("day", DATE)
     .integer("seq")
-    .boolean("open", nullable=True)
+    .attribute("open", BOOLEAN, nullable=True)
     .text("note", nullable=True)
     .key("day", "seq")
     .build()
@@ -633,8 +634,8 @@ class TestRecreate:
         engine.drop_relation("T")
         engine.create_relation(
             relation("T")
-            .date("n")                       # was INTEGER, position 1 -> 0
-            .boolean("d", nullable=True)     # was DATE
+            .attribute("n", DATE)                       # was INTEGER, position 1 -> 0
+            .attribute("d", BOOLEAN, nullable=True)     # was DATE
             .text("flag", nullable=True)     # was BOOLEAN
             .integer("k")                    # was TEXT, the key, position 0
             .key("k", "n")

@@ -11,6 +11,7 @@ from repro.relational.faults import (
     SimulatedCrash,
 )
 from repro.relational.memory_engine import MemoryEngine
+from tests.conftest import fault
 
 pytestmark = pytest.mark.chaos
 
@@ -33,18 +34,18 @@ class TestFaultRules:
         assert FaultRule("transient", ("get",)).matches("get")
 
     def test_at_fires_once_on_nth_match(self):
-        plan = FaultPlan().transient_at("insert", 2)
+        plan = FaultPlan().add(FaultRule("transient", ("insert",), at=2))
         _, engine = make_engine(plan)
         engine.insert("ITEMS", (1, "a"))
         with pytest.raises(TransientEngineError):
             engine.insert("ITEMS", (2, "b"))
         engine.insert("ITEMS", (2, "b"))  # rule exhausted
-        assert plan.exhausted
+        assert all(rule.exhausted for rule in plan.rules)
         assert engine.injected["transient"] == 1
 
     def test_rate_is_deterministic_per_seed(self):
         def histories(seed):
-            plan = FaultPlan(seed).transient_rate(0.5, ("insert",))
+            plan = FaultPlan(seed).add(fault("transient", ("insert",), rate=0.5))
             _, engine = make_engine(plan)
             for i in range(40):
                 try:
@@ -57,13 +58,13 @@ class TestFaultRules:
         assert histories(3) != histories(4)
 
     def test_burst_caps_fires(self):
-        plan = FaultPlan().transient_burst(2, ("insert",))
+        plan = FaultPlan().add(fault("transient", ("insert",), times=2))
         _, engine = make_engine(plan)
         for i in range(2):
             with pytest.raises(TransientEngineError):
                 engine.insert("ITEMS", (i, "x"))
         engine.insert("ITEMS", (7, "x"))
-        assert plan.exhausted
+        assert all(rule.exhausted for rule in plan.rules)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -77,7 +78,7 @@ class TestSimulatedCrash:
 
     def test_crash_bypasses_rollback_handlers(self):
         """``except Exception`` cleanup must not swallow a crash."""
-        plan = FaultPlan().crash_at("insert", 2)
+        plan = FaultPlan().add(FaultRule("crash", ("insert",), at=2))
         base, engine = make_engine(plan)
         with pytest.raises(SimulatedCrash):
             engine.insert_many("ITEMS", [(1, "a"), (2, "b"), (3, "c")])
@@ -87,7 +88,7 @@ class TestSimulatedCrash:
         assert base.get("ITEMS", (1,)) is not None
 
     def test_crash_carries_location(self):
-        plan = FaultPlan().crash_at("delete", 1)
+        plan = FaultPlan().add(FaultRule("crash", ("delete",), at=1))
         base, engine = make_engine(plan)
         base.insert("ITEMS", (1, "a"))
         with pytest.raises(SimulatedCrash) as excinfo:
@@ -98,7 +99,7 @@ class TestSimulatedCrash:
 
 class TestLatency:
     def test_latency_sleeps_and_proceeds(self):
-        plan = FaultPlan().latency("insert", 0.01, times=1)
+        plan = FaultPlan().add(fault("latency", ("insert",), times=1, delay=0.01))
         _, engine = make_engine(plan)
         slept = []
         engine.hook._sleep = slept.append
@@ -110,7 +111,7 @@ class TestLatency:
 
 class TestWrapperTransparency:
     def test_rollback_is_never_ticked(self):
-        plan = FaultPlan().add(FaultRule("transient", ("*",), rate=1.0))
+        plan = FaultPlan().add(FaultRule("transient", ("*",)))
         base, engine = make_engine(plan)
         base.begin()
         engine.rollback()  # would raise if ticked
@@ -124,7 +125,7 @@ class TestWrapperTransparency:
         assert engine.operation_count("insert") == 1
 
     def test_plan_reset_replays_identically(self):
-        plan = FaultPlan(seed=5).transient_rate(0.3, ("insert",))
+        plan = FaultPlan(seed=5).add(fault("transient", ("insert",), rate=0.3))
         _, engine = make_engine(plan)
 
         def run():

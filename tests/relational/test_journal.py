@@ -27,13 +27,14 @@ from repro.relational.journal import (
 )
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.operations import Delete, Insert, Replace, UpdatePlan
+from repro.relational.domains import DATE
 from tests.journal_harness import apply_journaled, resolved
 
 ITEMS = (
     relation("ITEMS")
     .integer("item_id")
     .text("label")
-    .date("added", nullable=True)
+    .attribute("added", DATE, nullable=True)
     .key("item_id")
     .build()
 )
@@ -194,7 +195,7 @@ class TestRecovery:
         apply_journaled(engine, journal, sample_plan())
         report = recover(engine, journal)
         assert resolved(report) == 0
-        assert report.clean
+        assert report.conflicts == []
 
     def test_completed_pending_entry_is_marked_committed(self):
         engine = make_engine()
@@ -231,7 +232,7 @@ class TestRecovery:
         assert resolved(recover(engine, journal)) == 1
         again = recover(engine, journal)
         assert resolved(again) == 0
-        assert again.clean
+        assert again.conflicts == []
 
     def test_intermediate_value_of_multi_touch_plan_is_reverted(self):
         """Crash between two ops on the same cell: the live value
@@ -245,7 +246,7 @@ class TestRecovery:
         entry_id = journal.begin(plan, plan_images(engine, plan))
         plan.operations[0].apply(engine)  # crash before the replace
         report = recover(engine, journal)
-        assert report.clean
+        assert report.conflicts == []
         assert report.reverted == [entry_id]
         assert engine.get("TAGS", (30,)) is None
 
@@ -259,7 +260,7 @@ class TestRecovery:
         engine.replace("TAGS", (10,), (10, "foreign"))
         report = recover(engine, journal)
         assert report.conflicts == [(entry_id, "TAGS", (10,))]
-        assert not report.clean
+        assert report.conflicts
         assert engine.get("TAGS", (10,)) == (10, "foreign")
 
     def test_open_transaction_is_discarded_first(self):
@@ -275,8 +276,8 @@ class TestRecovery:
     def test_report_as_dict(self):
         report = RecoveryReport()
         report.replayed.append(1)
-        assert report.as_dict()["replayed"] == [1]
-        assert report.clean
+        assert report.replayed == [1]
+        assert report.conflicts == []
 
 
 # -- one log contract: {journal, audit} x {memory, file} ----------------------

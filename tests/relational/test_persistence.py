@@ -13,6 +13,7 @@ from repro.relational.persistence import (
     schema_from_dict,
     schema_to_dict,
 )
+from repro.relational.domains import BOOLEAN, DATE
 from tests.conftest import make_engine
 
 
@@ -23,8 +24,8 @@ def engine(backend):
         relation("T")
         .text("k")
         .integer("n", nullable=True)
-        .boolean("flag", nullable=True)
-        .date("d", nullable=True)
+        .attribute("flag", BOOLEAN, nullable=True)
+        .attribute("d", DATE, nullable=True)
         .key("k")
         .build()
     )

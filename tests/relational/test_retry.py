@@ -9,6 +9,7 @@ from repro.relational.ddl import relation
 from repro.relational.faults import FaultInjectingEngine, FaultPlan, SimulatedCrash
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.retry import RetryPolicy, is_transient_error
+from tests.conftest import fault
 
 ITEMS = relation("ITEMS").integer("item_id").text("label").key("item_id").build()
 
@@ -133,7 +134,7 @@ class TestEngineIntegration:
     def test_insert_many_survives_transients(self):
         slept = []
         base, engine = self.make_faulty(
-            FaultPlan(seed=2).transient_rate(0.3, ("insert",), times=5), slept
+            FaultPlan(seed=2).add(fault("transient", ("insert",), rate=0.3, times=5)), slept
         )
         rows = [(i, f"r{i}") for i in range(20)]
         keys = engine.insert_many("ITEMS", rows)
@@ -145,7 +146,7 @@ class TestEngineIntegration:
     def test_insert_many_gives_up_on_persistent_fault(self):
         slept = []
         base, engine = self.make_faulty(
-            FaultPlan().transient_burst(100, ("insert",)), slept
+            FaultPlan().add(fault("transient", ("insert",), times=100)), slept
         )
         with pytest.raises(TransientEngineError):
             engine.insert_many("ITEMS", [(1, "a")])

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import DomainError, SchemaError
 from repro.relational.ddl import relation
-from repro.relational.domains import Domain
+from repro.relational.domains import DATE, Domain
 from repro.relational.operations import Insert, Replace
 from repro.relational.schema import Attribute, RelationSchema
 from repro.workloads.hospital import hospital_session, new_chart
@@ -53,9 +53,23 @@ def test_eager_chart_rows_are_checked_at_the_engine_boundary(monkeypatch):
     assert "repro.relational.table" not in callers
 
 
-POSITIVE = Domain("positive", (int,), int, "INTEGER", validate=lambda v: v > 0)
+class Positive(Domain):
+    """A domain whose membership needs the value, not only its type."""
 
-ROWS = relation("T").text("k").integer("n", nullable=True).date("d", nullable=True).key("k").build()
+    def __init__(self):
+        super().__init__("positive", (int,), int, "INTEGER")
+        self.exact_types = frozenset()
+
+    def contains(self, value):
+        return super().contains(value) and value > 0
+
+
+POSITIVE = Positive()
+
+ROWS = (
+    relation("T").text("k").integer("n", nullable=True)
+    .attribute("d", DATE, nullable=True).key("k").build()
+)
 CHECKED = RelationSchema("P", [Attribute("k", ROWS.attribute("k").domain),
                                Attribute("p", POSITIVE)], key=("k",))
 STAMP = datetime.datetime(1991, 5, 29, 13, 45)

@@ -29,7 +29,7 @@ class TestConstruction:
         assert grades.nonkey_names == ("grade",)
 
     def test_arity(self, grades):
-        assert grades.arity == 3
+        assert len(grades.attributes) == 3
 
     def test_key_attributes_forced_non_nullable(self):
         schema = RelationSchema(

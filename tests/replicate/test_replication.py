@@ -27,6 +27,7 @@ from repro.workloads.hospital import (
     patient_chart_object,
     populate_hospital,
 )
+from tests.conftest import fault
 
 OBJECT = "patient_chart"
 
@@ -311,7 +312,7 @@ class TestFailover:
         ]
         for chart in charts[:-1]:
             sharded.insert(OBJECT, chart)
-        chosen.engine.hook.plan = FaultPlan().transient_burst(1)
+        chosen.engine.hook.plan = FaultPlan().add(fault("transient", times=1))
         sharded.insert(OBJECT, charts[-1])  # acked on receipt
         assert isinstance(chosen.apply_error, TransientEngineError)
         assert chosen.received_count == chosen.applied_count + 1
@@ -343,7 +344,7 @@ class TestFailover:
         chosen, other = replica_set.replicas
         chart = chart_on_shard(sharded, 0, "stuck", 93_500)
         # One failure for the receive's drain, one for the promotion's.
-        chosen.engine.hook.plan = FaultPlan().transient_burst(2)
+        chosen.engine.hook.plan = FaultPlan().add(fault("transient", times=2))
         sharded.insert(OBJECT, chart)
         other.kill()  # fully applied, but it cannot serve
         stream = replica_set.stream_length
@@ -372,7 +373,7 @@ class TestFailover:
         replica_set = sharded.shard(0).replica_set
         first, second = replica_set.replicas  # ties go by name
         chart = chart_on_shard(sharded, 0, "stuck", 93_500)
-        first.engine.hook.plan = FaultPlan().transient_burst(2)
+        first.engine.hook.plan = FaultPlan().add(fault("transient", times=2))
         sharded.insert(OBJECT, chart)
         stream = replica_set.stream_length
         replica_set.primary.kill()
@@ -395,7 +396,7 @@ class TestFailover:
         replica_set = sharded.shard(0).replica_set
         longest, behind = replica_set.replicas
         behind.kill()
-        longest.engine.hook.plan = FaultPlan().transient_burst(2)
+        longest.engine.hook.plan = FaultPlan().add(fault("transient", times=2))
         sharded.insert(OBJECT, chart_on_shard(sharded, 0, "missed", 93_500))
         behind.killed = False  # back, one record short
         assert behind.received_count == longest.received_count - 1

@@ -12,7 +12,7 @@ from repro.relational.memory_engine import MemoryEngine
 from repro.serve import CircuitBreaker, ConcurrentPenguin
 from repro.workloads.figures import course_info_object
 from repro.workloads.university import populate_university, university_schema
-from tests.conftest import wait_until
+from tests.conftest import fault, wait_until
 
 pytestmark = pytest.mark.audit
 
@@ -48,7 +48,7 @@ def audited_serving(fault_plan=None, **breaker_kwargs):
 
 def test_degraded_refusals_are_audited():
     serving = audited_serving(
-        fault_plan=FaultPlan().transient_burst(3, ("mutation",)),
+        fault_plan=FaultPlan().add(fault("transient", ("mutation",), times=3)),
         failure_threshold=3,
         probe_interval=100,
     )

@@ -20,6 +20,7 @@ from repro.workloads.hospital import (
     patient_chart_object,
     populate_hospital,
 )
+from tests.conftest import fault
 
 pytestmark = pytest.mark.chaos
 
@@ -98,7 +99,7 @@ def degraded_serving(burst, failure_threshold=3, probe_interval=3):
     graph.install(base)
     populate_hospital(base, HospitalConfig(patients=3))
     faulty = FaultInjectingEngine(
-        base, FaultPlan().transient_burst(burst, ("mutation",))
+        base, FaultPlan().add(fault("transient", ("mutation",), times=burst))
     )
     session = Penguin(graph, engine=faulty, install=False)
     session.register_object(patient_chart_object(graph))
@@ -175,7 +176,7 @@ class TestDegradedServing:
         base, serving = degraded_serving(burst=3, probe_interval=3)
         healthy_extent = len(serving.query(OBJECT))
         pids = trip(base, serving)
-        assert serving.engine.plan.exhausted
+        assert all(rule.exhausted for rule in serving.engine.plan.rules)
 
         reads = 0
         while serving.breaker.degraded:

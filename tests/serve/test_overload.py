@@ -1,6 +1,8 @@
 """Overload protection: deadlines, admission gate, graceful drain."""
 
+import asyncio
 import json
+import re
 import threading
 import time
 import urllib.error
@@ -250,6 +252,29 @@ class TestGracefulDrain:
         assert body["applied"] is True
         assert deployment.get(OBJECT, (77_003,)) is not None
         assert not server.running
+
+    def test_stop_awaits_every_connection_handler(self, deployment):
+        """An idle keep-alive connection's handler has returned when
+        ``stop()`` does, so a shutdown sweep finds none of the server's
+        tasks to cancel."""
+
+        async def scenario():
+            server = await PenguinServer(deployment, port=0).start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+            await reader.readexactly(length)
+            await server.stop()
+            handlers = [
+                task for task in asyncio.all_tasks()
+                if "_handle_connection" in task.get_coro().__qualname__
+                and not task.done()
+            ]
+            writer.close()
+            return handlers
+
+        assert asyncio.run(scenario()) == []
 
     def test_stop_is_idempotent(self, deployment):
         server = PenguinServer(deployment, port=0)

@@ -13,7 +13,7 @@ import pytest
 
 import repro.obs as obs
 from repro.errors import ReproError
-from repro.relational.faults import FaultHook, FaultPlan, SimulatedCrash
+from repro.relational.faults import FaultHook, FaultPlan, FaultRule, SimulatedCrash
 from repro.relational.ddl import relation
 from repro.relational.journal import COMMITTED, FileJournal, MemoryJournal, plan_images
 from repro.relational.memory_engine import MemoryEngine
@@ -27,6 +27,7 @@ from repro.shard.twophase import (
 from repro.simulate import PRESETS
 from repro.workloads.hospital import hospital_session, new_chart, rehome, restarted
 from tests.journal_harness import RecordingJournal, audit_outcomes
+from tests.conftest import counter_total
 
 pytestmark = pytest.mark.chaos
 
@@ -51,7 +52,7 @@ def cross_shard_pair(router):
 
 def crash_at(sharded, stage, nth):
     """A coordinator crash at the ``nth`` ``stage`` checkpoint."""
-    sharded.failpoint = FaultHook(FaultPlan().crash_at(stage, nth))
+    sharded.failpoint = FaultHook(FaultPlan().add(FaultRule("crash", (stage,), at=nth)))
 
 
 def patient_rows(sharded, pid):
@@ -363,7 +364,7 @@ def test_inline_abort_restores_through_restore_images(restore_directions):
         assert hub.metrics.counter(
             "translation_failures_total", op="replace"
         ).value == 1
-        assert hub.metrics.counter_total("translations_total") == 0
+        assert counter_total(hub.metrics, "translations_total") == 0
     assert restore_directions == [False]
     assert sharded.get(OBJECT, (old_pid,)) is not None
 

@@ -316,15 +316,16 @@ def test_every_subcommand_and_flag_has_a_caller():
 
 # -- settings -------------------------------------------------------------------
 
-SETTING_MODULES = (
-    "repro.serve", "repro.obs", "repro.replicate", "repro.relational.retry",
-    "repro.penguin",
-)
+SETTING_MODULES = ("repro",)
 
 #: ``module.callable(parameter)`` -> why it stays without a caller.
 SETTINGS_ALLOWED = {
     "repro.obs.cluster.SloTracker(clock)": "test fake: the burn-rate tests drive time",
     "repro.obs.trace.Tracer(clock)": "test fake: span durations the tests fix",
+    "repro.dialog.answers.InteractiveAnswers(input_stream)":
+        "test fake: the dialog tests type the answers",
+    "repro.dialog.answers.InteractiveAnswers(output_stream)":
+        "test fake: the dialog tests read the prompts",
 }
 
 

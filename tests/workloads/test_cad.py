@@ -3,7 +3,7 @@
 from repro.relational.memory_engine import MemoryEngine
 from repro.structural.connections import ConnectionKind
 from repro.structural.integrity import IntegrityChecker
-from repro.workloads.cad import CadConfig, cad_schema, populate_cad
+from repro.workloads.cad import cad_schema, populate_cad
 
 
 def test_subset_connection(cad_graph):
@@ -28,11 +28,9 @@ def test_generator_deterministic():
 def test_config_scales(cad_graph):
     engine = MemoryEngine()
     cad_graph.install(engine)
-    counts = populate_cad(
-        engine, CadConfig(assemblies=3, components_per_assembly=2)
-    )
-    assert counts["ASSEMBLY"] == 3
-    assert counts["COMPONENT"] == 6
+    counts = populate_cad(engine)
+    assert counts["ASSEMBLY"] == 12
+    assert counts["COMPONENT"] == 12 * 6
 
 
 def test_bom_object_shape(bom):

@@ -5,6 +5,7 @@ from repro.relational.memory_engine import MemoryEngine
 from repro.structural.connections import ConnectionKind
 from repro.structural.integrity import IntegrityChecker
 from repro.workloads.hospital import HospitalConfig, hospital_schema, populate_hospital
+from tests.conftest import sized
 
 
 def test_ownership_chain(hospital_graph):
@@ -39,7 +40,7 @@ def test_config_scales(hospital_graph):
     engine = MemoryEngine()
     hospital_graph.install(engine)
     counts = populate_hospital(
-        engine, HospitalConfig(patients=5, visits_per_patient=2)
+        engine, sized(HospitalConfig(patients=5), visits_per_patient=2)
     )
     assert counts["PATIENT"] == 5
     assert counts["VISIT"] == 10

@@ -10,6 +10,7 @@ from repro.workloads.university import (
     populate_university,
     university_schema,
 )
+from tests.conftest import sized
 
 
 @pytest.fixture
@@ -55,7 +56,7 @@ class TestGenerator:
         engine = MemoryEngine()
         graph.install(engine)
         counts = populate_university(
-            engine, UniversityConfig(students=10, faculty=3, staff=2, courses=5)
+            engine, sized(UniversityConfig(students=10, courses=5), faculty=3, staff=2)
         )
         assert counts["STUDENT"] == 10
         assert counts["FACULTY"] == 3
@@ -76,8 +77,8 @@ class TestGenerator:
         first, second = MemoryEngine(), MemoryEngine()
         university_schema().install(first)
         university_schema().install(second)
-        populate_university(first, UniversityConfig(seed=1))
-        populate_university(second, UniversityConfig(seed=2))
+        populate_university(first, sized(UniversityConfig(), seed=1))
+        populate_university(second, sized(UniversityConfig(), seed=2))
         assert sorted(first.scan("PEOPLE")) != sorted(second.scan("PEOPLE"))
 
     def test_generated_data_consistent(self, graph):
