@@ -221,7 +221,7 @@ class Translator:
             self.view_object, engine, self.policy, self.analysis
         )
         journal, audit = self.journal, self.audit
-        _vouch(audit, engine)
+        vouch(audit, engine)
         tracer = obs.tracer()
         registry = obs.metrics()
         with tracer.span(
@@ -341,7 +341,7 @@ class Translator:
         else:
             self._check_authorized()
         journal, audit = self.journal, self.audit
-        _vouch(audit, engine)
+        vouch(audit, engine)
         with obs.tracer().span(
             "apply_plan", object=self.view_object.name, op=op, ops=len(plan)
         ):
@@ -437,7 +437,7 @@ class Translator:
         tracer = obs.tracer()
         plan, mutations = UpdatePlan(), []
         if write:
-            _vouch(self.audit, engine)
+            vouch(self.audit, engine)
         try:
             self._check_authorized()
             buffered = BufferedEngine(engine)
@@ -697,7 +697,7 @@ _REQUESTS: Dict[type, Any] = {
 }
 
 
-def _vouch(audit: Optional[AuditLog], engine: Engine) -> None:
+def vouch(audit: Optional[AuditLog], engine: Engine) -> None:
     """Before an audit log's first record, the digest of the live state
     it starts from (:func:`~repro.obs.history.state_digest`), which
     ``replay`` holds ``as_of(0)`` to. Every write door calls this before

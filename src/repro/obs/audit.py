@@ -37,6 +37,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.errors import AuditError
 from repro.obs.context import current_trace_id
 from repro.relational.journal import (
+    TWO_PHASE_PREFIX,
     Images,
     JsonLinesFile,
     PlanJournal,
@@ -206,19 +207,24 @@ class AuditLog:
 
     def adopt_rolled_forward(self, entries: Iterable[UpdateRecord]) -> int:
         """Audit the journal entries recovery rolled forward that no
-        record names: the update landed, but the crash came inside the
-        audit append, before its line was durable. Each is recorded
-        ``committed`` under the op ``recovered`` (the journal does not
-        keep the view-level op), with the entry's own encoded plan and
-        images and ``journal_entry=`` its id. ``entries`` must be read
-        before recovery marks them, while the journal holds them whole.
-        Idempotent; returns how many records were appended."""
+        record names: the update landed, but the crash came before its
+        record was durable. Each is recorded ``committed`` under the op
+        ``recovered`` (the journal does not keep the view-level op),
+        with the entry's own encoded plan and images and
+        ``journal_entry=`` its id, under the object its label names (a
+        two-phase intent's ``2pc:<txn>:<n>:<shard>:<object>`` names it
+        last). ``entries`` must be read before recovery marks them,
+        while the journal holds them whole. Idempotent; returns how many
+        records were appended."""
         named = {record.journal_entry for record in self.records()}
         adopted = 0
         for entry in entries:
             if entry.id not in named:
+                label = entry.label
+                if label.startswith(TWO_PHASE_PREFIX):
+                    label = label.split(":", 4)[-1]
                 self.append(
-                    "recovered", entry.label, COMMITTED, journal_entry=entry.id,
+                    "recovered", label, COMMITTED, journal_entry=entry.id,
                     plan_records=entry.plan_records,
                     image_records=entry.image_records, trace_id=entry.trace_id,
                 )
@@ -320,13 +326,6 @@ class ShippingCursor:
         if fresh:
             self.asn = fresh[-1].id
         return fresh
-
-    def skip(self, asn: int) -> None:
-        """Advance past ``asn`` without shipping it: its effects went
-        by another channel (a cross-shard transaction ships each
-        participant's sub-plan during the two-phase commit; shipping the
-        owner's full record too would apply foreign sub-plans)."""
-        self.asn = max(self.asn, asn)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShippingCursor(asn={self.asn}, lag={len(self.pending())})"

@@ -75,7 +75,8 @@ __all__ = [
 PENDING = "pending"
 COMMITTED = "committed"
 ABORTED = "aborted"
-# The label prefix of a two-phase intent (repro.shard.twophase).
+# The label prefix of a two-phase intent (repro.shard.twophase), whose
+# label names its view object last: 2pc:<txn>:<participants>:<shard>:<object>.
 TWO_PHASE_PREFIX = "2pc:"
 
 Cell = Tuple[str, Tuple[Any, ...]]  # (relation, primary key)

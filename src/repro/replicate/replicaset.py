@@ -271,6 +271,16 @@ class ReplicaSet:
                 name, plan, op=op, items=items
             )
             self._checkpoint("post_apply")
+            self.ship_record()
+            return result
+
+    def ship_record(self) -> None:
+        """The one ship step — of a local write, or of this shard's part
+        of a two-phase commit: ship each committed record the primary
+        audited since the last ship. One short of the quorum is
+        retracted, reverted on the primary and refused
+        (:class:`~repro.errors.ReplicationQuorumError`)."""
+        with self._mutex:
             for record in self._cursor.take():
                 try:
                     self._append_and_ship(record)
@@ -278,39 +288,14 @@ class ReplicaSet:
                     self._revert_primary(record)
                     raise
             self._update_lag_metrics()
-            return result
 
-    def ship_record(self, record: UpdateRecord) -> None:
-        """Ship an externally built record (the 2PC sub-plan path).
-
-        Appends to the stream and requires the same quorum as a local
-        write; on failure the record is retracted everywhere and
-        :class:`~repro.errors.ReplicationQuorumError` propagates into
-        the caller's abort path.
-        """
+    def retract(self, record: UpdateRecord) -> None:
+        """Undo ``record`` on every replica holding it, if it is still the
+        stream's newest (a cross-shard abort; a refused ship already
+        took it off)."""
         with self._mutex:
-            self._ensure_primary_up()
-            self._append_and_ship(record)
-            self._update_lag_metrics()
-
-    def retract_last(self) -> None:
-        """Undo the newest shipped record everywhere (cross-shard abort)."""
-        with self._mutex:
-            if not self._stream:
-                return
-            self._retract(len(self._stream), self._stream[-1])
-
-    def skip_externally_shipped(self, asn: int) -> None:
-        """Mark a primary audit record as replicated by another channel.
-
-        The cross-shard path ships each participant its sub-plan during
-        the transaction, then audits the *full* plan on the
-        owner; the shipping cursor must skip that owner record or the
-        next local write would ship foreign sub-plans to this shard's
-        replicas.
-        """
-        with self._mutex:
-            self._cursor.skip(asn)
+            if self._stream and self._stream[-1] is record:
+                self._retract(len(self._stream), record)
 
     def catch_up(self) -> int:
         """Re-ship every backlog and drain every replica; returns ships.
@@ -518,6 +503,8 @@ class ReplicaSet:
             for replica in self._replicas:
                 link = self._links[replica.name]
                 link.cursor = min(link.cursor, replica.received_count)
+                if link.reachable:  # a wedged one learns it from a ship
+                    replica.epoch = self.epoch
             self._cursor = ShippingCursor(chosen.audit)
             self.detector.reset()
             self.failovers += 1

@@ -47,27 +47,19 @@ import repro.obs as obs
 from repro.core.instance import Instance
 from repro.core.instantiation import object_key
 from repro.core.updates.operations import UpdateRequest
+from repro.core.updates.translator import vouch
 from repro.materialize.maintainer import LAZY
-from repro.obs.audit import AuditLog, MemoryAuditLog
-from repro.obs.context import current_trace_id
+from repro.obs.audit import COMMITTED, ROLLED_BACK, AuditLog, MemoryAuditLog
 from repro.penguin import Penguin, ViewObjectSession
 from repro.relational.engine import Engine
 from repro.relational.faults import FaultHook
-from repro.relational.journal import (
-    COMMITTED,
-    Images,
-    MemoryJournal,
-    PlanJournal,
-    UpdateRecord,
-    encode_images,
-    encode_plan,
-)
+from repro.relational.journal import TWO_PHASE_PREFIX, Images, MemoryJournal, PlanJournal
 from repro.relational.operations import UpdatePlan
 from repro.replicate import ReplicaSet, ReplicaStack, ReplicationConfig
 from repro.serve.concurrent import ConcurrentPenguin, ServedRead
 from repro.serve.locks import ReadWriteLock
 from repro.shard.router import HashRouter, Placement, Router, partition_plan
-from repro.shard.twophase import recover_two_phase, two_phase_apply
+from repro.shard.twophase import parse_twophase_label, recover_two_phase, two_phase_apply
 from repro.structural.schema_graph import StructuralSchema
 
 __all__ = ["ShardedPenguin", "sharded_loader"]
@@ -578,69 +570,56 @@ class ShardedPenguin(ViewObjectSession):
         items: int,
     ) -> UpdatePlan:
         # One transaction at a time: the coordinator is held exclusively.
-        txn_id = next(self._txn_ids)
-        translator = owner.penguin.translator(name)
-        audit = owner.penguin.audit
+        # Each participant leaves the record a single-shard write leaves:
+        # its own sub-plan, audited committed and shipped to its replicas
+        # once every sub-plan has landed, before the commit markers.
         registry = obs.metrics()
+        recorded: List[Tuple[AuditLog, Optional[ReplicaSet], int]] = []
+        for shard_id in split:  # before anything lands, as every write door
+            shard = self._shards[shard_id]
+            vouch(shard.penguin.audit, shard.engine)
 
-        # With replication attached, each participant's replicas must
-        # receive exactly that participant's sub-plan — shipped after
-        # the apply phase, before the commit markers, so a quorum
-        # failure aborts through the ordinary 2PC inline-abort path.
-        post_apply = None
-        if self.replication is not None:
-
-            def post_apply(images_by_shard):
-                shipped: List[int] = []
-                try:
-                    for sid in sorted(split):
-                        # A fresh record per participant: each ships
-                        # its own sub-plan, the owner audits the whole.
-                        self._shards[sid].replica_set.ship_record(
-                            UpdateRecord(
-                                0, COMMITTED, encode_plan(split[sid]),
-                                encode_images(images_by_shard[sid]),
-                                op=op, label=name, items=items,
-                                trace_id=current_trace_id(),
-                            )
-                        )
-                        shipped.append(sid)
-                except Exception:
-                    for sid in shipped:
-                        self._shards[sid].replica_set.retract_last()
-                    raise
+        def record(shard_id: int, entry_id: int, images: Images) -> None:
+            shard = self._shards[shard_id]
+            audit = shard.penguin.audit
+            try:
+                if audit is not None:
+                    asn = shard.penguin.translator(name).audit_update(
+                        audit, op, plan=split[shard_id], images=images,
+                        items=items, journal_entry=entry_id,
+                    )
+                    recorded.append((audit, shard.replica_set, asn))
+                if shard.replica_set is not None:
+                    shard.replica_set.ship_record()
+            except Exception as exc:
+                # Undo every record so far, and take each off the replicas
+                # it reached — this one's too, if its primary died
+                # mid-ship; the inline abort then reverts the cells.
+                error = f"{type(exc).__name__}: {exc}"
+                for log, replica_set, asn in recorded:
+                    own = log.record(asn)
+                    if own.state == COMMITTED:  # (a refused ship resolved its own)
+                        log.resolve(asn, ROLLED_BACK, error=error)
+                    if replica_set is not None:
+                        replica_set.retract(own)
+                raise
 
         try:
-            images_by_shard = two_phase_apply(
-                self._shards, split, txn_id, failpoint=self.failpoint,
-                post_apply=post_apply,
+            two_phase_apply(
+                self._shards, split, next(self._txn_ids), name, record,
+                failpoint=self.failpoint,
             )
         except Exception as exc:
             registry.counter("translation_failures_total", op=op).inc()
-            if audit is not None:
-                translator.audit_update(
-                    audit, op, plan=plan, items=items, error=exc
+            if not recorded and owner.penguin.audit is not None:
+                owner.penguin.translator(name).audit_update(
+                    owner.penguin.audit, op, plan=plan, items=items, error=exc
                 )
             _count_update("aborted", owner.shard_id)
             raise
-        # The owner's committed record: count the write as every other
-        # commit step does (Translator._commit).
+        # Counted once, as every other commit step counts a write.
         registry.counter("translations_total", op=op).inc()
         registry.histogram("plan_ops", op=op).observe(len(plan))
-        if audit is not None:
-            # The images each participant journaled, in shard order
-            # (replicated cells appear once per shard with identical
-            # images, so the union is well defined).
-            images: Images = {}
-            for shard_images in images_by_shard.values():
-                images.update(shard_images)
-            asn = translator.audit_update(
-                audit, op, plan=plan, images=images, items=items
-            )
-            if self.replication is not None:
-                # The owner's replicas already got their sub-plan above;
-                # the full-plan owner audit record must not ship too.
-                owner.replica_set.skip_externally_shipped(asn)
         _count_update("cross_shard", owner.shard_id)
         return plan
 
@@ -651,9 +630,19 @@ class ShardedPenguin(ViewObjectSession):
 
         Idempotent; safe to call after a simulated crash left journals
         pending. The ordering is load-bearing — see
-        :func:`repro.shard.twophase.recover_two_phase`.
+        :func:`repro.shard.twophase.recover_two_phase`. As in
+        :meth:`Penguin.recover`, an intent rolled forward that no record
+        names is adopted; one rolled back is reconciled.
         """
+        held = {sid: shard.journal.pending() for sid, shard in self._shards.items()}
         two_phase = recover_two_phase(self._shards)
+        for shard_id, shard in self._shards.items():
+            if shard.penguin.audit is not None:
+                shard.penguin.audit.adopt_rolled_forward(
+                    entry for entry in held[shard_id]
+                    if entry.label.startswith(TWO_PHASE_PREFIX)
+                    and parse_twophase_label(entry.label)[0] in two_phase.rolled_forward
+                )
         shard_reports = {
             shard_id: shard.penguin.recover()
             for shard_id, shard in self._shards.items()

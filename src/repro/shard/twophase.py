@@ -12,9 +12,10 @@ shard* as its intent log, presumed-abort style:
 
 1. **prepare** — every participant's sub-plan and before/after images
    are journaled ``PENDING`` under the label
-   ``2pc:<txn>:<participants>:<shard>`` (nothing applied yet);
+   ``2pc:<txn>:<participants>:<shard>:<object>`` (nothing applied yet);
 2. **apply** — each sub-plan is applied through the shard engine's
-   batched transaction path;
+   batched transaction path, then each participant records it (its
+   audit record, shipped to its replicas) as a single-shard write does;
 3. **commit** — each entry is marked ``COMMITTED``.
 
 Crash recovery (:func:`recover_two_phase`) groups the surviving
@@ -55,20 +56,21 @@ from repro.relational.operations import UpdatePlan
 __all__ = ["two_phase_apply", "recover_two_phase"]
 
 
-def twophase_label(txn_id: str, participants: int, shard_id: int) -> str:
+def twophase_label(txn_id: str, participants: int, shard_id: int, object_name: str) -> str:
     if ":" in txn_id:
         raise ValueError(f"transaction id must not contain ':': {txn_id!r}")
-    return f"{TWO_PHASE_PREFIX}{txn_id}:{participants}:{shard_id}"
+    return f"{TWO_PHASE_PREFIX}{txn_id}:{participants}:{shard_id}:{object_name}"
 
 
 def parse_twophase_label(label: str) -> Optional[Tuple[str, int, int]]:
-    """(txn_id, participants, shard_id), or None for a non-2PC label."""
+    """(txn_id, participants, shard_id), or None for a non-2PC label
+    (the object's name follows them; an older label has none)."""
     if not label.startswith(TWO_PHASE_PREFIX):
         return None
-    parts = label[len(TWO_PHASE_PREFIX):].split(":")
-    if len(parts) != 3:
+    parts = label[len(TWO_PHASE_PREFIX):].split(":", 3)
+    if len(parts) < 3:
         raise JournalError(f"malformed two-phase label {label!r}")
-    txn_id, participants, shard_id = parts
+    txn_id, participants, shard_id = parts[:3]
     return txn_id, int(participants), int(shard_id)
 
 
@@ -76,33 +78,33 @@ def two_phase_apply(
     participants: Mapping[int, Any],
     split: Mapping[int, UpdatePlan],
     txn_id: str,
+    object_name: str,
+    record: Callable[[int, int, Images], None],
     failpoint: Optional[FaultHook] = None,
-    post_apply: Optional[Callable[[Dict[int, Images]], None]] = None,
-) -> Dict[int, Images]:
-    """Apply a partitioned plan atomically across its shards.
+) -> None:
+    """Apply a partitioned plan of ``object_name`` atomically across shards.
 
     ``participants`` maps shard id to an object exposing ``engine``,
     ``journal``, and a ``lock`` with ``write_locked()`` (the
     :class:`~repro.shard.sharded.Shard` wrapper); ``split`` maps the
-    same ids to their sub-plans. Returns, per shard in id order, the
-    before/after images its prepare phase read and journaled — the only
-    read of a participant's cells. The caller has been admitted by every participant's write
+    same ids to their sub-plans. The caller has been admitted by every participant's write
     guard; here the shard locks — the readers' exclusion — are taken in
     id order (a global order, so two coordinators can never deadlock)
     and held across all three phases.
 
-    ``failpoint`` is the deployment's one fault hook: ticked with
-    ``prepare`` / ``apply`` / ``commit`` and ``shard=`` the participant
-    immediately *before* each step (``replicate``, shard -1, before
-    ``post_apply``); a ``crash`` rule there is a coordinator crash at that
-    point (the crash-point sweep drives this).
+    ``record(shard_id, entry_id, images)`` runs per participant in id
+    order once every sub-plan has applied, *before* the commit markers
+    (land, record, mark, as the one commit step), with its ``2pc:``
+    entry id and the images its prepare read and journaled — the only
+    read of its cells. Raising from it aborts the transaction through
+    the inline-abort path (applied participants reverted, every entry
+    marked ABORTED): a lost replication quorum is an abort.
 
-    ``post_apply`` runs after every sub-plan has applied but *before*
-    the commit markers, with the per-shard before/after images; raising
-    from it aborts the transaction through the ordinary inline-abort
-    path (applied participants reverted, every entry marked ABORTED).
-    The replication layer uses it to ship each participant's sub-plan
-    and enforce "commit on the replication quorum or abort".
+    ``failpoint`` is the deployment's one fault hook: ticked with
+    ``prepare`` / ``apply`` / ``record`` / ``commit`` and ``shard=`` the
+    participant immediately *before* each step; a ``crash`` rule there
+    is a coordinator crash at that point (the crash-point sweep drives
+    this).
     """
     order = sorted(split)
 
@@ -110,9 +112,7 @@ def two_phase_apply(
         if failpoint is not None:
             failpoint.tick(point, shard=shard_id)
 
-    with obs.tracer().span(
-        "shard.two_phase", txn=txn_id, shards=len(order)
-    ) as span:
+    with obs.tracer().span("shard.two_phase", txn=txn_id, shards=len(order)):
         with ExitStack() as stack:
             for shard_id in order:
                 stack.enter_context(participants[shard_id].lock.write_locked())
@@ -131,13 +131,13 @@ def two_phase_apply(
                     entry_ids[shard_id] = shard.journal.begin(
                         split[shard_id],
                         images,
-                        label=twophase_label(txn_id, len(order), shard_id),
+                        label=twophase_label(txn_id, len(order), shard_id, object_name),
                     )
 
-            # Phase 2: apply. An ordinary failure aborts the whole
-            # transaction — applied participants are reverted via their
-            # journaled images; a BaseException (crash) leaves every
-            # entry PENDING for recover_two_phase.
+            # Phase 2: apply, then record. An ordinary failure aborts the
+            # whole transaction — applied participants are reverted via
+            # their journaled images; a BaseException (crash) leaves
+            # every entry PENDING for recover_two_phase.
             applied: List[int] = []
             try:
                 for shard_id in order:
@@ -151,9 +151,10 @@ def two_phase_apply(
                     ):
                         shard.engine.apply_batch(split[shard_id].operations)
                     applied.append(shard_id)
-                if post_apply is not None:
-                    checkpoint("replicate", -1)
-                    post_apply(images_by_shard)
+                for shard_id in order:
+                    checkpoint("record", shard_id)
+                    with obs.tracer().span("2pc.record", txn=txn_id, shard=shard_id):
+                        record(shard_id, entry_ids[shard_id], images_by_shard[shard_id])
             except Exception:
                 for shard_id in applied:
                     restore_images(
@@ -173,8 +174,6 @@ def two_phase_apply(
                 participants[shard_id].journal.mark_committed(
                     entry_ids[shard_id]
                 )
-        span.set(shards=len(order))
-    return images_by_shard
 
 
 class TwoPhaseRecoveryReport:

@@ -28,12 +28,12 @@ transaction — outcome class and after-state kept, then rolled back — and
 After settling (``catch_up`` — a dead primary ships nothing — probes to
 failover, heal, ``catch_up``; a crash: restart and ``recover()``)
 ``check_integrity() == []``, no journal entry is ``PENDING``, live replicas
-are byte-identical with lag 0 and ``replay_audit()`` is the live state, so
-no rejected write left a ``committed`` record (a two-phase commit's
-participants excepted). **An armed fault that does not fire fails the
-run.** A preset is data — a deployment and a fault menu; a failure prints
-seed, step, operation, fault and the steps of its episode up to it, which
-:func:`replay` re-runs. DESIGN.md "One fault surface, one checker".
+are byte-identical with lag 0 and ``replay_audit()`` is the live state on
+every shard, so no rejected write left a ``committed`` record. **An armed
+fault that does not fire fails the run.** A preset is data — a deployment
+and a fault menu; a failure prints seed, step, operation, fault and the
+steps of its episode up to it, which :func:`replay` re-runs. DESIGN.md
+"One fault surface, one checker".
 """
 
 from __future__ import annotations
@@ -71,8 +71,7 @@ VERBS = (
     ("insert", 3), ("replace", 3), ("delete", 2), ("rekey", 1),
     ("update_where", 1), ("delete_where", 1), ("get", 2), ("query", 1),
 )
-#: Steps per fresh deployment and model (a killed stack stays dead; a
-#: two-phase commit's participants are exempt from audit replay).
+#: Steps per fresh deployment and model (a killed stack stays dead).
 EPISODE = 16
 #: A client's attempts while it is told to come back (> ``FailureDetector.MISS_THRESHOLD``).
 RETRIES = 4
@@ -325,7 +324,6 @@ class Simulation:
         self.replica_sets = []
         if replication is not None:
             self.replica_sets = [shard.replica_set for shard in session.shards]
-        self.unaudited: set = set()  # shards whose trail misses a 2PC sub-plan
         self.trail: List[Step] = []
         self.left: Optional[int] = None  # steps until a killed stack is rebuilt
         self.report.counts["episodes"] += 1
@@ -502,9 +500,6 @@ class Simulation:
         op, calm = step.op, step.fault is None and not self._disturbed()
         if op.verb in ("get", "query"):
             return self._read(op, calm)
-        for each in (op, step.second):
-            if each is not None and each.verb == "rekey":  # both participants
-                self.unaudited |= {self._owner(each.key), self._owner(each.chart["patient_id"])}
         rules = self._arm(step) if step.fault else []
         if step.second is not None:
             return self._race(step, rules)
@@ -636,8 +631,7 @@ class Simulation:
         for shard_id, penguin in self._penguins():
             if penguin.journal.pending():
                 raise Violation(f"shard {shard_id}: a journal entry left PENDING")
-            # (a two-phase commit is audited whole, on its owner only)
-            if shard_id not in self.unaudited and not penguin.replay_audit().ok:
+            if not penguin.replay_audit().ok:
                 raise Violation(f"shard {shard_id}: audit replay is not the live state")
         for replica_set in self.replica_sets:
             for replica in replica_set.replicas:

@@ -22,9 +22,12 @@ one ``verify`` span per owner group.
 
 A plan that crosses shards is a row too (``replace`` re-homing its
 pivot to another shard's key): two-phase commit is a different protocol
-with its own markers, but the owner's commit is counted and audited like
-any other — one record, one ``translations_total``, one ``plan_ops``
-sample — and each participant's replicas land their own sub-plan.
+with its own markers, but the write is counted like any other — one
+``translations_total``, one ``plan_ops`` sample — and each participant
+records its own sub-plan as a single-shard write does: one committed
+record per participant, whose operations together are the reference's
+plan as the router splits it, and each participant's replicas land that
+record.
 
 A partial request (Section 5's node-local operations on a resident
 chart's ``VISIT``) is a row too: every session carries it through
@@ -73,7 +76,7 @@ from repro.relational.sqlite_engine import SqliteEngine
 from repro.replicate import ReplicationConfig
 from repro.serve.concurrent import ConcurrentPenguin
 from repro.shard import ShardedPenguin, sharded_loader
-from repro.shard.router import HashRouter
+from repro.shard.router import HashRouter, partition_plan
 from repro.workloads.hospital import (
     HospitalConfig,
     hospital_schema,
@@ -390,7 +393,7 @@ class Observed:
         tail = AuditTail(session)
         self.replicas = replicas_of(session)
         self.error = None
-        self.operations = []
+        self.operations = self.split = []
         try:
             with obs.use() as hub:
                 try:
@@ -398,6 +401,14 @@ class Observed:
                     self.operations = sorted(
                         op.describe() for op in plan.operations
                     )
+                    if isinstance(session, ShardedPenguin):
+                        self.split = sorted(
+                            op.describe()
+                            for sub in partition_plan(
+                                plan, session.placement, session.router
+                            ).values()
+                            for op in sub.operations
+                        )
                 except ReproError as exc:
                     self.error = (type(exc), str(exc))
                 self.verifies = sum(
@@ -420,6 +431,12 @@ class Observed:
             self.audit = sorted(
                 (record.op, record.state, record.items)
                 for record in tail.records()
+            )
+            self.recorded = sorted(
+                op.describe()
+                for record in tail.records()
+                if record.state == "committed"
+                for op in record.plan().operations
             )
             self.replica_commits = sum(
                 record.state == "committed"
@@ -459,8 +476,10 @@ def test_every_session_does_what_a_single_penguin_does(
         two_phase = scenario == CROSS_SHARD and not one_engine
         exact = one_shard or one_engine
         commits = [record for record in seen.audit if record[1] == "committed"]
+        if two_phase:  # one record per participant, its part of the plan
+            assert seen.recorded == seen.split, kind
         if exact:
-            assert seen.audit == reference.audit, kind
+            assert seen.audit == reference.audit * (2 if two_phase else 1), kind
             # A plan found to cross shards is translated again under the
             # exclusive coordinator lock before the two-phase commit.
             translated = 2 if two_phase else 1
@@ -473,7 +492,7 @@ def test_every_session_does_what_a_single_penguin_does(
         # two participants' sub-plans once per replica of that shard.
         shipped = 2 if two_phase else len(commits)
         assert seen.replica_commits == shipped * seen.replicas, kind
-        landed = len(commits) + seen.replica_commits
+        landed = (1 if two_phase else len(commits)) + seen.replica_commits
         assert seen.translations == seen.plan_ops == landed, kind
         # A write's translate half is not an explain; and the guard
         # counts a write once per admission: one per owner group (a

@@ -17,6 +17,7 @@ from repro.errors import (
 )
 from repro.obs.history import divergence
 from repro.relational.faults import FaultHook, FaultInjectingEngine, FaultPlan
+from repro.relational.journal import UpdateRecord
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.sqlite_engine import SqliteEngine
 from repro.replicate import ReplicationConfig, ShippingLink
@@ -24,6 +25,7 @@ from repro.shard import ShardedPenguin, sharded_loader
 from repro.workloads.hospital import (
     HospitalConfig,
     hospital_schema,
+    hospital_session,
     patient_chart_object,
     populate_hospital,
 )
@@ -617,6 +619,29 @@ class TestFencing:
         sharded.close()
 
 
+    def test_a_promotion_announces_its_epoch(self):
+        """Every surviving replica a link reaches learns the new epoch at
+        the promotion, so the fenced primary's next ship is refused even
+        before the new primary has shipped anything."""
+        sharded = hospital_session(
+            12, shards=2, replication=ReplicationConfig(replicas=2)
+        )
+        replica_set = sharded.shard(0).replica_set
+        replica_set.primary.kill()
+        for _ in range(replica_set.detector.MISS_THRESHOLD):
+            replica_set.probe()
+        assert replica_set.failovers == 1
+        (survivor,) = replica_set.replicas
+        assert survivor.epoch == replica_set.epoch == 2
+        with pytest.raises(FencedWriteError):
+            survivor.receive(
+                1, survivor.received_count + 1,
+                UpdateRecord(0, "committed", [], [], label=OBJECT),
+            )
+        assert survivor.fenced_ships == 1
+        sharded.close()
+
+
 class TestPartitionCatchUp:
     def test_replica_catches_up_after_a_partition(self):
         """Satellite: wedge, accumulate, heal — converge and lag -> 0."""
@@ -724,6 +749,54 @@ class TestCrossShard:
             shard.replica_set.catch_up()
             for replica in shard.replica_set.replicas:
                 assert divergence(shard.engine, replica.engine) == []
+        sharded.close()
+
+    def test_each_participant_ships_its_own_record(self):
+        """A participant's replicas land exactly that participant's
+        record: one each, with its primary's plan and images; no
+        cursor is left holding anything."""
+        sharded = build()
+        old, new = self.cross_pair(sharded)
+        logs = [
+            (shard.penguin.audit, replica.audit)
+            for shard in sharded.shards
+            for replica in shard.replicas
+        ]
+        marks = [(len(primary), len(replica)) for primary, replica in logs]
+        moved = self.rehome(sharded.get(OBJECT, (old,)).to_dict(), new)
+        sharded.replace(OBJECT, (old,), moved)
+        for (primary, replica), (at, seen) in zip(logs, marks):
+            (own,) = primary.records()[at:]
+            (landed,) = replica.records()[seen:]
+            assert (landed.label, landed.state) == (OBJECT, "committed")
+            assert landed.plan_records == own.plan_records
+            assert landed.image_records == own.image_records
+        for shard in sharded.shards:
+            assert shard.replica_set._cursor.pending() == []
+        sharded.close()
+
+    def test_a_participant_primary_dying_mid_ship_aborts_untorn(self):
+        """The target's primary dies after its record reached one
+        replica: the write is refused, and the record is taken off that
+        replica too, so the promotion that follows does not bring the
+        re-homed chart back beside the restored original."""
+        sharded = build()
+        old, new = self.cross_pair(sharded)
+        target = sharded.shard(sharded.router.shard_of((new,))).replica_set
+        sharded.failpoint = FaultHook(FaultPlan().call_at(
+            "pre_ship", lambda point, shard: target.primary.kill(),
+            at=2, shard=target.shard_id,
+        ))
+        moved = self.rehome(sharded.get(OBJECT, (old,)).to_dict(), new)
+        with pytest.raises(PrimaryDownError):
+            sharded.replace(OBJECT, (old,), moved)
+        sharded.failpoint = None
+        for _ in range(target.detector.MISS_THRESHOLD):
+            target.probe()
+        assert target.failovers == 1
+        assert sharded.get(OBJECT, (old,)) is not None
+        assert sharded.get(OBJECT, (new,)) is None
+        assert target.primary.penguin.replay_audit().ok
         sharded.close()
 
     def test_cross_shard_aborts_when_a_participant_quorum_is_down(self):

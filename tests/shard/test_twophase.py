@@ -13,6 +13,7 @@ import pytest
 
 import repro.obs as obs
 from repro.errors import ReproError
+from repro.obs.context import activate
 from repro.relational.faults import FaultHook, FaultPlan, FaultRule, SimulatedCrash
 from repro.relational.ddl import relation
 from repro.relational.journal import COMMITTED, FileJournal, MemoryJournal, plan_images
@@ -220,7 +221,7 @@ def test_recovery_moves_a_cell_left_at_an_intermediate_value(declared, forward):
     plan.add(Replace("TAGS", (30,), (30, "second")))
     shard.journal.begin(
         plan, plan_images(shard.engine, plan),
-        label=twophase_label("t1", declared, 0),
+        label=twophase_label("t1", declared, 0, "tags"),
     )
     plan.operations[0].apply(shard.engine)  # crash before the replace
 
@@ -249,7 +250,7 @@ def test_a_committed_sibling_reopened_from_its_file_rolls_the_other_forward(
         engine.create_relation(tags)
         journal = FileJournal(tmp_path / f"journal{shard_id}.log")
         journal.begin(
-            plan, plan_images(engine, plan), label=twophase_label("t1", 2, shard_id)
+            plan, plan_images(engine, plan), label=twophase_label("t1", 2, shard_id, "tags")
         )
         plan.operations[0].apply(engine)  # phase 2 applied everywhere
         shards[shard_id] = SimpleNamespace(engine=engine, journal=journal)
@@ -369,28 +370,68 @@ def test_inline_abort_restores_through_restore_images(restore_directions):
     assert sharded.get(OBJECT, (old_pid,)) is not None
 
 
-def test_owner_audit_images_are_the_participants_journaled_images():
-    """Each participant's cells are read once, in its prepare phase: the
-    owner's audit record carries exactly the images the participants
-    journaled, in shard order (a replicated cell, journaled by every
-    shard with identical images, appears once)."""
+def test_each_participant_audits_the_images_it_journaled():
+    """Each participant's cells are read once, in its prepare phase: its
+    own committed record carries exactly the plan and images it
+    journaled, names its ``2pc:`` entry, and shares the write's trace."""
     sharded = build_sharded()
     for shard in sharded.shards:
         shard.penguin.journal = RecordingJournal()
     old_pid, new_pid = cross_shard_pair(sharded.router)
     moved = rehome(sharded.get(OBJECT, (old_pid,)).to_dict(), new_pid)
-    sharded.replace(OBJECT, (old_pid,), moved)
+    with activate(request_id="req-rehome") as ctx:
+        sharded.replace(OBJECT, (old_pid,), moved)
 
-    journaled = {}
-    for shard in sharded.shards:  # in shard order
-        for entry in shard.journal.journaled():
-            if entry.label.startswith("2pc:"):
-                for row in entry.image_records:
-                    journaled.setdefault(json.dumps(row[:2]), row)
-    assert len({json.dumps(row[:2]) for row in journaled.values()}) > 1
-    owner = sharded.shards[sharded.owner_of(OBJECT, (old_pid,))]
-    record = owner.penguin.audit.records()[-1]
-    assert (record.op, record.state) == ("replace", "committed")
-    assert json.dumps(record.image_records) == json.dumps(
-        list(journaled.values())
-    )
+    participants = 0
+    for shard in sharded.shards:
+        intents = [
+            entry for entry in shard.journal.journaled()
+            if entry.label.startswith("2pc:")
+        ]
+        if not intents:
+            continue
+        participants += 1
+        (intent,) = intents
+        record = shard.penguin.audit.records()[-1]
+        assert (record.label, record.op, record.state) == (
+            OBJECT, "replace", "committed"
+        )
+        assert record.journal_entry == intent.id
+        assert record.trace_id == ctx.trace_id
+        assert json.dumps(record.plan_records) == json.dumps(intent.plan_records)
+        assert json.dumps(record.image_records) == json.dumps(
+            intent.image_records
+        )
+    assert participants == 2
+
+
+@pytest.mark.parametrize("point", ["apply", "record"])
+def test_a_crash_before_a_participant_recorded_is_adopted_by_recovery(point):
+    """A crash at the second ``apply`` (nothing recorded yet) or the
+    second ``record`` (the first participant recorded) leaves every
+    intent journaled, so recovery rolls the re-homing forward; each
+    participant then holds one committed record of it — its own, or
+    the one recovery adopted from its intent — and every trail replays
+    to its shard's live state."""
+    sharded = hospital_session(12, shards=2)
+    old_pid, new_pid = cross_shard_pair(sharded.router)
+    moved = rehome(sharded.get(OBJECT, (old_pid,)).to_dict(), new_pid)
+    crash_at(sharded, point, 2)
+    with pytest.raises(SimulatedCrash):
+        sharded.replace(OBJECT, (old_pid,), moved)
+
+    reborn = restarted(sharded)
+    reborn.recover()
+    assert reborn.get(OBJECT, (new_pid,)) is not None
+    assert reborn.get(OBJECT, (old_pid,)) is None
+    for shard in reborn.shards:
+        assert shard.penguin.replay_audit().ok, shard.shard_id
+        (intent,) = [
+            entry for entry in shard.journal.entries()
+            if entry.label.startswith("2pc:")
+        ]
+        named = [
+            record for record in shard.penguin.audit.records()
+            if record.journal_entry == intent.id
+        ]
+        assert [(r.label, r.state) for r in named] == [(OBJECT, "committed")]
