@@ -85,6 +85,19 @@ def execute_query(
     instances = instantiator.where(engine, plan.pushed)
     if plan.residual is not None:
         instances = [i for i in instances if evaluate(plan.residual, i)]
+    return order_and_limit(view_object, statement, instances)
+
+
+def order_and_limit(
+    view_object: ViewObjectDefinition,
+    statement: QueryStatement,
+    instances: List[Instance],
+) -> List[Instance]:
+    """A statement's ``order by`` (a stable sort) and ``limit`` over the
+    instances its condition selected. A sharded query runs it on every
+    shard and once more on the merged union: each shard's first ``N``
+    hold that shard's share of the union's first ``N``, up to how ties
+    at a shard's cut were broken."""
     if statement.order_by:
         for term in statement.order_by:
             validate_against(term.operand, view_object)

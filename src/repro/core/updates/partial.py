@@ -24,7 +24,7 @@ supply keys, projections and row building, its pre-resolved rules the
 global-integrity passes — and records into a
 :class:`TranslationContext`; the
 :class:`~repro.core.updates.translator.Translator` doors (``apply``,
-``apply_plan_batch``) add the transaction boundary.
+``explain_batch`` then ``apply_plan``) add the transaction boundary.
 """
 
 from __future__ import annotations

@@ -5,13 +5,14 @@ through the view object, which are then translated into database update
 operations." A :class:`Translator` binds a view object to a
 :class:`~repro.core.updates.policy.TranslatorPolicy` and takes Section
 5's update requests (:class:`~repro.core.updates.operations.UpdateRequest`)
-through four doors: :meth:`~Translator.apply` (one request, eager),
-:meth:`~Translator.apply_plan_batch` (a list, over an overlay),
-:meth:`~Translator.apply_plan` (a plan translated elsewhere) and
-:meth:`~Translator.explain_batch` (a list, nothing committed). The
-requests themselves are built by the session verbs
-(:class:`~repro.penguin.ViewObjectSession`). Every write is
-all-or-nothing: if any step rejects the update, nothing is left behind.
+through three doors: :meth:`~Translator.apply` (one request, eager),
+:meth:`~Translator.explain_batch` (a list, translated over an overlay,
+nothing committed) and :meth:`~Translator.apply_plan` (the commit of a
+plan the overlay half translated, or of a shipped record). A batch
+write is the last two composed by the session
+(:class:`~repro.penguin.ViewObjectSession`), which also builds the
+requests. Every write is all-or-nothing: if any step rejects the
+update, nothing is left behind.
 
 Each write returns the :class:`~repro.relational.operations.UpdatePlan`
 that was applied (the "set of database operations"), with a reason
@@ -21,7 +22,7 @@ attached to every operation for auditability.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import repro.obs as obs
 from repro.errors import (
@@ -57,14 +58,13 @@ from repro.obs.audit import CRASHED as AUDIT_CRASHED
 from repro.obs.audit import ROLLED_BACK as AUDIT_ROLLED_BACK
 from repro.obs.explain import TranslationExplanation
 from repro.obs.history import snapshot, state_digest
-from repro.relational.engine import Engine, _normalize_row_dates
+from repro.relational.engine import Engine
 from repro.relational.journal import (
-    Images,
     PlanJournal,
     UpdateRecord,
     encode_images,
     encode_plan,
-    plan_images,
+    fold_images,
 )
 from repro.relational.operations import UpdatePlan
 from repro.structural.integrity import IntegrityChecker
@@ -206,9 +206,9 @@ class Translator:
         statements, assembly-join hash indexes)."""
         return self.program
 
-    # -- the four doors: one request goes to the eager half (apply), a list
-    # to the overlay half (apply_plan_batch, explain_batch), a plan
-    # translated elsewhere straight to the commit (apply_plan)
+    # -- the three doors: one request goes to the eager half (apply), a
+    # list to the overlay half (explain_batch), whose plan — or a shipped
+    # record — goes to the commit half (apply_plan)
 
     def apply(self, engine: Engine, request: UpdateRequest, instantiator=None) -> UpdatePlan:
         """The eager half: translate one :class:`UpdateRequest` on the
@@ -249,66 +249,11 @@ class Translator:
                     self.audit_update(audit, op, plan=ctx.plan, error=exc)
                 raise
             span.set(ops=len(ctx.plan), journaled=journal is not None)
-            images = None
             if journal is not None or audit is not None:
-                images = _images(engine, ctx.mutations)
+                ctx.plan.images = fold_images(engine, ctx.mutations)
             with tracer.span("commit", ops=len(ctx.plan)):
-                self._commit(
-                    journal, audit, engine._finish_commit,
-                    ctx.plan, images, op,
-                )
+                self._commit(engine._finish_commit, ctx.plan, op)
         return ctx.plan
-
-    def apply_plan_batch(
-        self,
-        engine: Engine,
-        requests: Iterable[UpdateRequest],
-        op: str = "batch",
-    ) -> UpdatePlan:
-        """Translate a batch of :class:`UpdateRequest` objects and apply
-        their plans, concatenated in request order, atomically, labelled
-        ``op``.
-
-        Requests may mix kinds (insertions, deletions, replacements, and
-        the partial operations); each is translated in order over the
-        shared overlay (:meth:`_overlay`), so later requests see earlier
-        effects. Nothing touches the real engine until the plan is
-        complete; the flush is one :meth:`_commit`. The batch lands,
-        journals and audits exactly the operations its translations
-        emitted — the same plan :meth:`apply` would return for each
-        request in turn.
-
-        Section 5 maps an update to a *set of operations*, and the empty
-        list of requests asks for the empty set: that is no update, so
-        nothing is translated, journaled, audited, counted or traced and
-        the empty plan is returned. Every session's batch verbs — and a
-        query-driven verb whose select matched nothing — end here.
-        """
-        requests = list(requests)
-        if not requests:
-            return UpdatePlan()
-        tracer = obs.tracer()
-        with tracer.span(
-            "translate.batch",
-            object=self.view_object.name,
-            op=op,
-            items=len(requests),
-        ) as root:
-            plan, mutations = self._overlay(engine, requests, op, write=True)
-            journal, audit = self.journal, self.audit
-            root.set(ops=len(plan), journaled=journal is not None)
-            images = None
-            if journal is not None or audit is not None:
-                images = _images(engine, mutations)
-
-            def land() -> None:
-                with tracer.span("engine.apply", ops=len(plan)):
-                    engine.apply_batch(plan.operations)
-
-            self._commit(
-                journal, audit, land, plan, images, op, len(requests)
-            )
-            return plan
 
     def apply_plan(
         self,
@@ -317,23 +262,19 @@ class Translator:
         op: str = "update",
         items: int = 1,
     ) -> UpdatePlan:
-        """Journal, apply, and audit an already-translated plan.
-
-        The public face of :meth:`_commit`, for callers that produced
-        the plan elsewhere — :meth:`explain_batch` runs the full
-        translation pipeline over a buffer, and a shard
-        coordinator partitions the result before applying each piece on
-        its owning engine through this method. The base engine must be
-        in the same state translation observed (the plan's before-images
-        are read here, ahead of the first operation).
+        """The commit half: journal, land and audit a plan the overlay
+        half translated (:meth:`explain_batch` with ``op=``), through
+        :meth:`_commit`, on ``engine`` in the state the translation saw.
+        Its images ride on it, so nothing is read back; while a journal
+        or an audit log is active a plan without them is refused. (An
+        audit log with no seed digest yet reads one here: :func:`vouch`.)
 
         ``plan`` may also be the :class:`UpdateRecord` of a plan
         committed elsewhere (what a primary ships to its replicas). Its
         journal-encoded payloads are then journaled and audited
-        verbatim — no image reads, no re-encoding — and the audit record
-        carries no island, policy or user, because this translator
-        translated nothing (the user was authorized where the plan was
-        translated).
+        verbatim — no re-encoding — and the audit record carries no
+        island, policy or user, because this translator translated
+        nothing (the user was authorized where the plan was translated).
         """
         shipped = None
         if isinstance(plan, UpdateRecord):
@@ -341,17 +282,24 @@ class Translator:
         else:
             self._check_authorized()
         journal, audit = self.journal, self.audit
-        vouch(audit, engine)
+        if shipped is None and plan.images is None and (
+            journal is not None or audit is not None
+        ):
+            raise UpdateError(
+                f"view object {self.view_object.name!r}: the plan carries no "
+                f"images to journal or audit; land what a translate half "
+                f"returned (explain_batch with op=)"
+            )
+        if audit is not None and audit.seed is None:
+            # Not the log its translate half vouched for: a replica's
+            # first record, or a stack promoted between the halves.
+            vouch(audit, engine)
         with obs.tracer().span(
             "apply_plan", object=self.view_object.name, op=op, ops=len(plan)
         ):
-            images = None
-            if shipped is None and (journal is not None or audit is not None):
-                images = plan_images(engine, plan)
             self._commit(
-                journal, audit,
                 lambda: engine.apply_batch(plan.operations),
-                plan, images, op, items, shipped=shipped,
+                plan, op, items, shipped=shipped,
             )
         return plan
 
@@ -365,17 +313,18 @@ class Translator:
 
         The requests run through the real VO-CI / VO-CD / VO-R code over
         a :class:`BufferedEngine` overlay, so the reported operations,
-        relations and CASE reasons are exactly what :meth:`apply` /
-        :meth:`apply_plan_batch` would produce against the current
-        database — but the base engine is never touched. The counterpart
-        of :func:`repro.core.query.explain_query` for updates.
+        relations and CASE reasons are exactly what :meth:`apply` would
+        produce for each request in turn against the current database —
+        but the base engine is never touched. The counterpart of
+        :func:`repro.core.query.explain_query` for updates. A write's
+        plan carries its images while a log is active (:meth:`_overlay`).
 
-        ``op`` labels the translate half of a *write* whose flush half
-        is :meth:`apply_plan` (the sharded path: translate on the owner,
-        partition, land each piece): a rejection is then counted and
-        audited as that write's, exactly as :meth:`apply_plan_batch`
-        would, and ``explains_total`` is not bumped. Without it nothing
-        is recorded.
+        ``op`` labels the translate half of a *write* whose commit half
+        is :meth:`apply_plan` (every batch write: the session composes
+        the two, and a sharded one partitions the plan in between): a
+        rejection is then counted and audited as that write's, and
+        ``explains_total`` is not bumped. Without it nothing is
+        recorded.
         """
         requests = list(requests)
         operation = self._describe_requests(requests)
@@ -385,7 +334,7 @@ class Translator:
             op=operation,
             items=len(requests),
         ) as span:
-            plan, _ = self._overlay(
+            plan = self._overlay(
                 engine, requests, op or operation, write=op is not None
             )
             span.set(ops=len(plan))
@@ -420,19 +369,22 @@ class Translator:
         requests: List[UpdateRequest],
         op: str,
         write: bool = False,
-    ) -> Tuple[UpdatePlan, List[Any]]:
+    ) -> UpdatePlan:
         """The overlay translate half: the requests' plans, translated
         in order over one :class:`BufferedEngine` (so later requests see
         earlier effects and ``engine`` itself is never touched) and
-        concatenated; and their mutation records, end to end.
+        concatenated. A *write*'s plan, while a journal or an audit log
+        is active, carries the images folded from their mutation records
+        end to end (:func:`~repro.relational.journal.fold_images`), for
+        :meth:`apply_plan` to record without a read; an explain's
+        carries none, so :meth:`apply_plan` refuses to land it.
 
-        Every overlay translation runs here — a batch write, an explain,
-        and the sharded write (:meth:`explain_batch` with ``op=``, then
-        :meth:`apply_plan`) — so each gets step 1's authorization, one
-        ``translate`` span per request and the plan check
-        (:meth:`_verify`). A *write*'s rejection also bumps
-        ``translation_failures_total`` and leaves one ``rolled_back``
-        audit record; an explain's does not.
+        Every overlay translation runs here — a batch write, a write in
+        a transaction, a sharded write and an explain — so each gets
+        step 1's authorization, one ``translate`` span per request and
+        the plan check (:meth:`_verify`). A *write*'s rejection also
+        bumps ``translation_failures_total`` and leaves one
+        ``rolled_back`` audit record; an explain's does not.
         """
         tracer = obs.tracer()
         plan, mutations = UpdatePlan(), []
@@ -450,6 +402,8 @@ class Translator:
                 plan.extend(ctx.plan)
                 mutations += ctx.mutations
             self._verify(buffered, plan.operations)
+            if write and (self.journal is not None or self.audit is not None):
+                plan.images = fold_images(engine, mutations)
         except Exception as exc:
             if write:
                 obs.metrics().counter(
@@ -460,7 +414,7 @@ class Translator:
                         self.audit, op, items=len(requests), error=exc
                     )
             raise
-        return plan, mutations
+        return plan
 
     def _translate(
         self, ctx: TranslationContext, request: UpdateRequest, instantiator=None
@@ -585,11 +539,8 @@ class Translator:
 
     def _commit(
         self,
-        journal: Optional[PlanJournal],
-        audit: Optional[AuditLog],
         land: Callable[[], Any],
         plan: UpdatePlan,
-        images: Optional[Images],
         op: str,
         items: int = 1,
         shipped: Optional[UpdateRecord] = None,
@@ -601,9 +552,10 @@ class Translator:
         for an ``Exception`` — ``engine.apply_batch`` for a plan
         translated over an overlay, ``engine._finish_commit`` for the
         eager transaction whose effects are already applied (both roll
-        back on failure). ``images`` are the plan's before/after cells;
-        plan and images are encoded once here, or taken verbatim from
-        ``shipped``, and the same payloads go to journal and audit log.
+        back on failure). The plan and its images
+        (:attr:`UpdatePlan.images`) are encoded once here, or taken
+        verbatim from ``shipped``, and the same payloads go to journal
+        and audit log.
 
         A failed landing marks the entry ABORTED and audits the update
         as rolled back; a simulated crash — a ``BaseException`` — leaves
@@ -615,13 +567,14 @@ class Translator:
         folded back by :meth:`~repro.obs.audit.AuditLog.reconcile`).
         """
         registry = obs.metrics()
+        journal, audit = self.journal, self.audit
         plan_records = image_records = None
         if shipped is not None:
             plan_records = shipped.plan_records
             image_records = shipped.image_records
         elif journal is not None or audit is not None:
             plan_records = encode_plan(plan)
-            image_records = [] if images is None else encode_images(images)
+            image_records = encode_images(plan.images)
         entry_id = None
         if journal is not None:
             entry_id = journal.begin_encoded(
@@ -701,37 +654,13 @@ def vouch(audit: Optional[AuditLog], engine: Engine) -> None:
     """Before an audit log's first record, the digest of the live state
     it starts from (:func:`~repro.obs.history.state_digest`), which
     ``replay`` holds ``as_of(0)`` to. Every write door calls this before
-    it changes anything, so the live state is the state before the
-    update; an overlay's live state is its base's."""
+    it changes anything — a batch write in its translate half — so the
+    live state is the state before the update; an overlay's live state
+    is its base's."""
     if audit is not None and not len(audit):
         while isinstance(engine, BufferedEngine):
             engine = engine.base
         audit.vouch(state_digest(snapshot(engine)))
-
-
-def _images(engine: Engine, mutations: Iterable) -> Images:
-    """Net before/after images of a translation's record
-    (:attr:`TranslationContext.mutations`): a cell's first touch gives
-    its before-image, its last touch its after-image. A key-changing
-    replacement vacates the old key and occupies the new one. Dates are
-    narrowed and keys coerced here, as the engine stores them.
-    """
-    images: Images = {}
-    for relation, key, before, after in mutations:
-        if after is not None:
-            schema = engine.schema(relation)
-            after = _normalize_row_dates(schema, after)
-            new_key = schema.key_of(after)
-        if key is not None:
-            key = engine._coerce_key(relation, key)
-            if after is None or key != new_key:
-                cell = (relation, key)
-                images[cell] = (images[cell][0] if cell in images else before, None)
-                before = None
-        if after is not None:
-            cell = (relation, new_key)
-            images[cell] = (images[cell][0] if cell in images else before, after)
-    return images
 
 
 def _request_entry(request: UpdateRequest):

@@ -2,9 +2,9 @@
 
 A :class:`MaterializedView` memoizes the ``Instance`` tree of each pivot
 key and keeps itself consistent with the base tables: the engine's
-changelog hands it every committed transaction's records, and a
-:class:`~repro.materialize.maintainer.Maintainer` applies them on the
-next read. While the engine is inside a transaction a read assembles
+changelog hands it every committed transaction's records, and
+:meth:`MaterializedView.sync` applies them on the next read under the
+one maintenance policy, :data:`LAZY`. While the engine is inside a transaction a read assembles
 from the engine and leaves the cache alone, so a session reads its own
 uncommitted writes and a rollback never reaches the cache.
 A single translated write reads its key anchor through
@@ -34,15 +34,19 @@ from repro.core.instance import ComponentTuple, Instance
 from repro.core.instantiation import Getter
 from repro.core.view_object import ViewObjectDefinition
 from repro.materialize.dependency import DependencyIndex, PatchSite
-from repro.materialize.maintainer import Maintainer
 from repro.materialize.stats import CacheStats
 from repro.relational.changelog import ChangeRecord
 from repro.relational.engine import Engine
 from repro.relational.expressions import Expression, TRUE
 
-__all__ = ["MaterializedView", "MaterializedStore"]
+__all__ = ["MaterializedView", "MaterializedStore", "LAZY"]
 
 PivotKey = Tuple[Any, ...]
+
+#: The maintenance policy's name, the one value ``materialize`` accepts:
+#: an evicted pivot key stays out until the next request for it
+#: re-assembles it (pay-per-read).
+LAZY = "lazy"
 
 
 class MaterializedView:
@@ -61,7 +65,6 @@ class MaterializedView:
         self.instantiator = view_object.instantiator
         self.dependencies = DependencyIndex(view_object)
         self.stats = CacheStats()
-        self.maintainer = Maintainer(self)
         self._instances: Dict[PivotKey, Instance] = {}
         # Committed records handed over and not yet applied.
         self._pending: List[ChangeRecord] = []
@@ -89,10 +92,14 @@ class MaterializedView:
         return len(self._pending)
 
     def sync(self) -> int:
-        """Apply the committed records handed over since the last sync;
-        returns how many. Inside a transaction it applies nothing: a
-        record's pivots are resolved against the engine, whose
-        uncommitted state may still roll back."""
+        """Apply the committed records handed over since the last sync,
+        in commit order; returns how many. Inside a transaction it
+        applies nothing: a record's pivots are resolved against the
+        engine, whose uncommitted state may still roll back. A record
+        **patches** the cached instances under its pivots when
+        :meth:`DependencyIndex.patch_sites` says it may (an in-place
+        replace), does nothing on a pruned intermediate, and **evicts**
+        its pivots otherwise."""
         with self._lock:
             if not self._pending or self.changelog.depth:
                 return 0
@@ -102,14 +109,27 @@ class MaterializedView:
             with obs.tracer().span(
                 "view.sync", object=self.view_object.name
             ) as span:
-                applied = self.maintainer.sync(records)
+                stats.records_applied += len(records)
+                index = self.dependencies
+                for record in records:
+                    if not index.tracks(record.relation):
+                        continue
+                    sites = index.patch_sites(record)
+                    if sites is None:
+                        for pivot_key in index.affected_pivots(self.engine, record):
+                            self.evict(pivot_key)
+                    elif sites:
+                        for pivot_key in index.pivots_for(
+                            self.engine, record.relation, record.new_values
+                        ):
+                            self.patch(pivot_key, sites, record.new_values)
                 patched = stats.patched - patched
                 evicted = stats.invalidations - evicted
-                span.set(records=applied, patched=patched, evicted=evicted)
+                span.set(records=len(records), patched=patched, evicted=evicted)
             obs.metrics().counter(
                 "cache_patches_total", object=self.view_object.name
             ).inc(patched)
-            return applied
+            return len(records)
 
     def get(self, key: Sequence[Any]) -> Optional[Instance]:
         """The instance with pivot key ``key``, or None."""
@@ -217,7 +237,7 @@ class MaterializedView:
     def __len__(self) -> int:
         return len(self._instances)
 
-    # -- cache primitives (driven by the maintainer) ------------------------------
+    # -- cache primitives (driven by sync) ------------------------------
 
     def _assemble_into_cache(
         self, pivot_key: PivotKey, values: Tuple[Any, ...]

@@ -5,7 +5,7 @@ first-class artifact; this package makes the *executions* of that
 strategy first-class too. One :class:`Observability` hub bundles
 
 * a :class:`~repro.obs.trace.Tracer` (hierarchical spans:
-  ``translate > validate > propagate > engine.apply > commit``) and
+  ``translate > validate > propagate > verify > commit``) and
 * a :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
   fixed-bucket histograms for every layer),
 

@@ -3,8 +3,9 @@
 The paper treats a translated update as a derivation the DBA can audit
 ("the output is the set of database operations"); tracing extends that
 auditability to *time*. A :class:`Tracer` produces trees of
-:class:`Span` objects — ``translate > validate > propagate >
-engine.apply > commit`` — with attributes recorded along the way
+:class:`Span` objects — ``translate > validate > propagate > verify >
+commit`` for one request, ``translate.batch > explain > apply_plan``
+for a batch — with attributes recorded along the way
 (relation names, plan sizes, cache hits, retry counts).
 
 Design constraints, in order:

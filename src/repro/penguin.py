@@ -46,14 +46,13 @@ from repro.dialog.answers import (
 )
 from repro.dialog.drivers import choose_translator
 from repro.dialog.transcript import Transcript
-from repro.materialize.maintainer import LAZY
-from repro.materialize.store import MaterializedStore, MaterializedView
+from repro.materialize.store import LAZY, MaterializedStore, MaterializedView
 from repro.obs.audit import AuditLog
 from repro.obs.explain import TranslationExplanation
 from repro.obs.history import ReplayReport, as_of, replay
 from repro.obs.lineage import LineageIndex, LineageLink
 from repro.relational.engine import Engine
-from repro.relational.journal import PlanJournal, RecoveryReport, recover
+from repro.relational.journal import PlanJournal, RecoveryReport, merge_images, recover
 from repro.relational.memory_engine import MemoryEngine
 from repro.relational.operations import UpdatePlan
 from repro.relational.sqlite_engine import SqliteEngine
@@ -101,8 +100,7 @@ class ViewObjectSession:
         op: str,
     ) -> UpdatePlan:
         """A query-driven verb: select, then one labelled batch. A select
-        that matches nothing is an empty batch, which the translator
-        commits as no update (``Translator.apply_plan_batch``)."""
+        that matches nothing is an empty batch: no update."""
         matches = self.query(name, query)
         return self._apply(name, [request_of(i) for i in matches], op)
 
@@ -143,13 +141,13 @@ class ViewObjectSession:
         return self._apply(name, requests, "delete")
 
     def apply_plan_batch(
-        self, name: str, requests: Iterable[UpdateRequest], op: str = "batch"
+        self, name: str, requests: Iterable[UpdateRequest]
     ) -> UpdatePlan:
         """Translate a mixed batch of :class:`UpdateRequest` objects and
         apply their plans, concatenated in request order, atomically.
         (Sharded: atomic per owner shard; a request whose own plan
         crosses shards still goes through the two-phase coordinator.)"""
-        return self._apply(name, list(requests), op)
+        return self._apply(name, list(requests), "batch")
 
     def delete_where(self, name: str, query: str) -> UpdatePlan:
         """Complete deletion of every instance matching an object query,
@@ -361,7 +359,7 @@ class Penguin(ViewObjectSession):
         change — base updates and translated view updates alike — and
         a rolled-back one never reaches it. ``policy`` names the
         maintenance policy; ``"lazy"`` is the only one (see
-        :mod:`repro.materialize.maintainer`).
+        :meth:`MaterializedView.sync`).
         """
         if policy != LAZY:
             raise ViewObjectError(
@@ -437,22 +435,32 @@ class Penguin(ViewObjectSession):
     def _apply(
         self, name: str, requests: List[UpdateRequest], op: str
     ) -> UpdatePlan:
+        """The overlay translate half, then the commit half — or, in a
+        transaction, the block's overlay until the exit lands it. No
+        requests ask for the empty set of operations: no update."""
         block = self._block
-        if block is None:
-            return self.translator(name).apply_plan_batch(
-                self.engine, requests, op=op
-            )
-        # In a transaction: the sharded translate half, landed on the overlay.
-        if block.name not in (None, name):
+        if block is not None and block.name not in (None, name):
             raise ViewObjectError(f"this transaction writes {block.name!r}, not {name!r}")
         if not requests:
             return UpdatePlan()
-        plan = self.translator(name).explain_batch(block.overlay, requests, op=op).plan
-        block.overlay.apply_batch(plan.operations)
-        block.name = name
-        block.plan.extend(plan)
-        block.items += len(requests)
-        return plan
+        translator = self.translator(name)
+        if block is not None:
+            plan = translator.explain_batch(block.overlay, requests, op=op).plan
+            block.overlay.apply_batch(plan.operations)
+            block.name = name
+            block.plan.extend(plan)
+            if plan.images is not None:
+                merge_images(block.images, plan.images)
+            block.items += len(requests)
+            return plan
+        with obs.tracer().span(
+            "translate.batch", object=name, op=op, items=len(requests)
+        ) as root:
+            plan = translator.explain_batch(self.engine, requests, op=op).plan
+            root.set(ops=len(plan), journaled=translator.journal is not None)
+            return translator.apply_plan(
+                self.engine, plan, op=op, items=len(requests)
+            )
 
     def _apply_one(
         self, name: str, request: UpdateRequest, op: str
@@ -483,7 +491,9 @@ class Penguin(ViewObjectSession):
         """Several writes on one view object as one update (DESIGN.md "A
         transaction is a batch"): later verbs and every read in the block
         see earlier writes; a clean exit lands them as one journaled,
-        audited update, and an exception lands nothing.
+        audited update, and an exception lands nothing. The block folds
+        its writes' images (``journal.merge_images``), so the exit reads
+        nothing back.
 
         >>> # with penguin.transaction():
         >>> #     penguin.delete("course_info", ("CS101",))
@@ -501,6 +511,7 @@ class Penguin(ViewObjectSession):
             return
         if _counters(self.engine) != block.counters:
             raise TransactionError("the engine changed inside the transaction; nothing landed")
+        block.plan.images = block.images
         self.translator(block.name).apply_plan(
             self.engine, block.plan, op="transaction", items=block.items
         )
@@ -651,12 +662,13 @@ class Penguin(ViewObjectSession):
 
 class _Block:
     """An open :meth:`Penguin.transaction`: the overlay its verbs
-    translate over, the one object they write, their plan so far."""
+    translate over, the one object they write, their plan and its
+    images so far."""
 
     def __init__(self, engine: Engine) -> None:
         self.overlay = BufferedEngine(engine)
         self.name: Optional[str] = None
-        self.plan, self.items = UpdatePlan(), 0
+        self.plan, self.images, self.items = UpdatePlan(), {}, 0
         self.counters = _counters(engine)
 
 

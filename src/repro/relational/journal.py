@@ -28,11 +28,15 @@ ids (:meth:`PlanJournal.verdict`). Two backends: :class:`MemoryJournal`
 lines, ``fsync`` on every append, folded line by line on open).
 
 This module also owns what every log of updates shares: the JSON codec
-for plans and images, :class:`UpdateRecord` — the one record type the
-journal, the audit log and the replication stream all hold — the
-append-only file under both durable logs (:class:`JsonLinesFile`), and
-:func:`restore_images`, the one routine that drives cells back (or
-forward) to their journaled images.
+for plans and images; the image rule — a cell's first before-image and
+last after-image — over a translation's record (:func:`fold_images`),
+across plans (:func:`merge_images`) and for a plan read against an
+engine that did not translate it (:func:`plan_images`);
+:class:`UpdateRecord`, the one record type the journal, the audit log
+and the replication stream all hold; the append-only file under both
+durable logs (:class:`JsonLinesFile`); and :func:`restore_images`, the
+one routine that drives cells back (or forward) to their journaled
+images.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import repro.obs as obs
 from repro.errors import JournalError
 from repro.obs.context import current_trace_id
-from repro.relational.engine import Engine
+from repro.relational.engine import Engine, _normalize_row_dates
 from repro.relational.operations import (
     DatabaseOperation,
     Delete,
@@ -63,6 +67,8 @@ __all__ = [
     "PlanJournal",
     "MemoryJournal",
     "FileJournal",
+    "fold_images",
+    "merge_images",
     "plan_images",
     "restore_images",
     "JsonLinesFile",
@@ -192,13 +198,51 @@ def _cell_effects(engine: Engine, plan: UpdatePlan):
         yield (relation, new_key), values
 
 
+def fold_images(engine: Engine, mutations: Iterable) -> Images:
+    """Net before/after images of a translation's record
+    (``TranslationContext.mutations``, ``(relation, key, before, after)``
+    per mutation): a cell's first touch gives its before-image, its last
+    touch its after-image. A key-changing replacement vacates the old key
+    and occupies the new one. Dates are narrowed and keys coerced here,
+    as the engine stores them. Every translated write's images come from
+    here; nothing is read.
+    """
+    images: Images = {}
+    for relation, key, before, after in mutations:
+        if after is not None:
+            schema = engine.schema(relation)
+            after = _normalize_row_dates(schema, after)
+            new_key = schema.key_of(after)
+        if key is not None:
+            key = engine._coerce_key(relation, key)
+            if after is None or key != new_key:
+                _touch(images, (relation, key), before, None)
+                before = None
+        if after is not None:
+            _touch(images, (relation, new_key), before, after)
+    return images
+
+
+def merge_images(images: Images, later: Images) -> None:
+    """Fold ``later`` into ``images`` by the same rule (a
+    ``transaction()`` block's writes image as one)."""
+    for cell, (before, after) in later.items():
+        _touch(images, cell, before, after)
+
+
+def _touch(images: Images, cell: Cell, before, after) -> None:
+    """The one image rule: the first before-image, the last after-image."""
+    images[cell] = (images[cell][0] if cell in images else before, after)
+
+
 def plan_images(engine: Engine, plan: UpdatePlan) -> Images:
     """Net before/after images of every cell ``plan`` will touch.
 
     Must be called *before* the plan is applied: before-images are read
     from the engine. Only for a plan landing on an engine that did not
-    translate it (``Translator.apply_plan``, a two-phase participant's
-    prepare); a translated write folds its images from its own record.
+    translate it — a two-phase participant's prepare, whose sub-plan was
+    translated over the owner's engine; a translated write carries the
+    images folded from its own record (:func:`fold_images`).
     """
     images: Images = {}
     for cell, value in _cell_effects(engine, plan):

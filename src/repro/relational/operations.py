@@ -15,7 +15,7 @@ to be rolled back").
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DatabaseOperation",
@@ -159,11 +159,14 @@ class UpdatePlan:
     trail of *why* each operation was emitted (see ``reasons``).
     """
 
-    __slots__ = ("operations", "reasons")
+    __slots__ = ("operations", "reasons", "images")
 
     def __init__(self) -> None:
         self.operations: List[DatabaseOperation] = []
         self.reasons: List[str] = []
+        # The net before/after cell images of the translation that built
+        # this plan, while a log would record them (journal.fold_images).
+        self.images: Optional[Dict[Any, Any]] = None
 
     def add(self, operation: DatabaseOperation, reason: str = "") -> None:
         self.operations.append(operation)

@@ -118,10 +118,6 @@ class ReplicaStack:
         return self.serving.penguin.engine
 
     @property
-    def journal(self):
-        return self.serving.penguin.journal
-
-    @property
     def audit(self):
         return self.serving.penguin.audit
 
@@ -222,8 +218,8 @@ class ReplicaStack:
 
         ``ConcurrentPenguin.apply_plan`` takes the record itself, so the
         translator's commit step journals and audits the shipped
-        payloads verbatim instead of recomputing images and re-encoding
-        a plan it just decoded; the facade keeps the breaker and the
+        payloads verbatim instead of re-encoding a plan it just decoded;
+        the facade keeps the breaker and the
         write lock — stale reads never observe a half-applied record.
         """
         # Re-attach the originating request's trace context: a drain

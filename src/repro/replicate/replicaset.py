@@ -264,7 +264,13 @@ class ReplicaSet:
     def apply_plan(
         self, name: str, plan: UpdatePlan, op: str = "update", items: int = 1
     ) -> UpdatePlan:
-        """Commit on the primary, ship, ack only on quorum receipt."""
+        """Commit on the primary, ship, ack only on quorum receipt.
+
+        Re-entering the guard may promote a replica between the owner's
+        translation and this landing; the plan's images, folded on the
+        old primary, are then the promoted stack's cells too: it holds
+        every acked record, and a write that missed quorum was reverted.
+        """
         with self.admitted(op, name):
             self._checkpoint("pre_apply")
             result = self.primary.serving.apply_plan(

@@ -373,11 +373,12 @@ class ConcurrentPenguin(ViewObjectSession):
     ) -> UpdatePlan:
         """Apply an already-translated plan, journaled and audited.
 
-        The sharded write path translates on the owning shard via the
-        side-effect-free explain pipeline and then lands the plan here,
-        under this facade's breaker and write lock — the plan is not
-        re-translated. A replica stack lands each shipped record the
-        same way, passing the record in place of the plan.
+        The sharded write path translates on the owning shard
+        (``Translator.explain_batch`` with ``op=``) and then lands the
+        plan here, under this facade's breaker and write lock — neither
+        re-translated nor re-read: its images ride on it. A replica stack
+        lands each shipped record the same way, passing the record in
+        place of the plan.
         """
         return self._write(
             lambda: self.penguin.translator(name).apply_plan(
@@ -386,12 +387,9 @@ class ConcurrentPenguin(ViewObjectSession):
             op=op, object_name=name,
         )
 
-    def sync(self, name: Optional[str] = None) -> int:
-        """Bring one (or every) materialized cache up to date, exclusively."""
+    def sync(self) -> int:
+        """Bring every materialized cache up to date, exclusively."""
         with self.lock.write_locked():
-            if name is not None:
-                view = self.penguin.materialized(name)
-                return view.sync() if view is not None else 0
             return self.penguin._materialized.sync_all()
 
     def __getattr__(self, attr: str) -> Any:

@@ -44,11 +44,13 @@ import itertools
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import repro.obs as obs
-from repro.core.instance import Instance
+from repro.core.instance import Instance, in_key_order
 from repro.core.instantiation import object_key
+from repro.core.query import order_and_limit
+from repro.core.query.parser import parse_statement
 from repro.core.updates.operations import UpdateRequest
 from repro.core.updates.translator import vouch
-from repro.materialize.maintainer import LAZY
+from repro.materialize.store import LAZY
 from repro.obs.audit import COMMITTED, ROLLED_BACK, AuditLog, MemoryAuditLog
 from repro.penguin import Penguin, ViewObjectSession
 from repro.relational.engine import Engine
@@ -430,8 +432,13 @@ class ShardedPenguin(ViewObjectSession):
         """Scatter the query to every shard and merge, deterministically.
 
         Instances are rooted at pivot tuples, which are partitioned, so
-        per-shard results are disjoint; the merge sorts by object key.
-        The merged read is marked stale if *any* shard answered stale.
+        per-shard results are disjoint; the merge puts them in object
+        key order (the key's own order, :func:`in_key_order`), then runs
+        the statement's ``order by`` and ``limit`` once more over the
+        union (:func:`order_and_limit`). Under a total ``order by`` that
+        is what one engine answers; without one, or among ties, one
+        engine keeps insert order where the union keeps key order. The
+        merged read is marked stale if *any* shard answered stale.
         """
         merged: List[Instance] = []
         stale = False
@@ -443,7 +450,11 @@ class ShardedPenguin(ViewObjectSession):
                 stale = True
                 if served.staleness is not None:
                     staleness = max(staleness or 0, served.staleness)
-        merged.sort(key=lambda instance: repr(instance.key))
+        merged = in_key_order(merged, [instance.key for instance in merged])[0]
+        if text:
+            merged = order_and_limit(
+                self.object(name), parse_statement(text), merged
+            )
         return ServedRead(
             value=merged,
             stale=stale,

@@ -102,6 +102,14 @@ def make_engine(backend: str):
     raise ValueError(backend)
 
 
+def batch_write(translator, engine, requests, op="batch"):
+    """A batch write at the translator, as ``Penguin`` composes one: the
+    overlay translate half, then the commit half landing its plan."""
+    requests = list(requests)
+    plan = translator.explain_batch(engine, requests, op=op).plan
+    return translator.apply_plan(engine, plan, op=op, items=len(requests))
+
+
 class Heard:
     """A changelog subscriber that keeps what each commit hands it:
     ``batches`` is one list of records per delivery, in delivery order."""

@@ -6,6 +6,7 @@ from repro.core.updates.operations import CompleteDeletion
 from repro.core.updates.policy import TranslatorPolicy
 from repro.core.updates.translator import Translator
 from repro.errors import LocalValidationError
+from tests.conftest import batch_write
 from tests.journal_harness import audit_outcomes
 
 
@@ -109,8 +110,8 @@ ENTRY_POINTS = {
     "explain_batch": lambda t, engine, request: t.explain_batch(
         engine, [request, CompleteDeletion((last_course(engine),))]
     ),
-    "apply_plan_batch": lambda t, engine, request: t.apply_plan_batch(
-        engine, [request]
+    "apply_plan_batch": lambda t, engine, request: batch_write(
+        t, engine, [request]
     ),
 }
 

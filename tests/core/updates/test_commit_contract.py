@@ -7,9 +7,10 @@ status, the audit outcome, the translation counters, and the engine
 state. Each row is the request (or request batch) a session verb hands
 the translator. The eager door (``apply``: ``insert``, ``replace``)
 applies tuples while translating, so an ``Exception`` at the first
-mutation strikes before any intent is journaled; the overlay doors
-(``apply_plan_batch``, ``explain_batch`` + ``apply_plan``) touch the
-engine only inside the commit step.
+mutation strikes before any intent is journaled; a batch write (the
+overlay half ``explain_batch`` with ``op=``, then ``apply_plan``, as
+the session composes them) touches the engine only inside the commit
+step.
 """
 
 import pytest
@@ -33,6 +34,7 @@ from repro.relational.journal import (
 )
 from repro.relational.memory_engine import MemoryEngine
 from repro.workloads.university import populate_university
+from tests.conftest import batch_write
 from tests.journal_harness import RecordingJournal
 
 pytestmark = pytest.mark.audit
@@ -63,11 +65,12 @@ def run_replace(t, engine):
 
 def run_insert_many(t, engine):
     requests = [CompleteInsertion(course(c)) for c in ("CS990", "CS991")]
-    t.apply_plan_batch(engine, requests, op="insert")
+    batch_write(t, engine, requests, op="insert")
 
 
 def run_apply_plan_batch(t, engine):
-    t.apply_plan_batch(
+    batch_write(
+        t,
         engine,
         [
             CompleteInsertion(t._coerce_instance(course("CS990"))),
@@ -86,8 +89,8 @@ def run_apply_plan(t, engine):
 def run_delete_where(t, engine):
     # What the session's delete_where does: select, then one batch.
     matches = execute_query(t.view_object, engine, "title = 'View Objects'")
-    t.apply_plan_batch(
-        engine, [CompleteDeletion(i) for i in matches], op="delete_where"
+    batch_write(
+        t, engine, [CompleteDeletion(i) for i in matches], op="delete_where"
     )
 
 
@@ -261,8 +264,8 @@ def test_engine_without_changelog_is_journaled_with_images(
         omega, journal=RecordingJournal(), audit=MemoryAuditLog()
     )
     translator.apply(engine, CompleteInsertion(course("CS990")))
-    translator.apply_plan_batch(
-        engine, [CompleteInsertion(course("CS991"))], op="insert"
+    batch_write(
+        translator, engine, [CompleteInsertion(course("CS991"))], op="insert"
     )
     entries = translator.journal.journaled()
     records = translator.audit.records()

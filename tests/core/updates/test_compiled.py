@@ -54,7 +54,7 @@ from repro.workloads.synthetic import random_chain_case
 from repro.relational.domains import DATE
 from tests import reference_translate
 from tests.core.updates.test_global_integrity import lenient_completer
-from tests.conftest import completing
+from tests.conftest import batch_write, completing
 
 FRESH_ROOT = 4711
 DANGLING_ROOT = 4712
@@ -481,7 +481,8 @@ class TestCompiledEquivalence:
             lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(fresh)))
         )
         twins.same(
-            lambda t, e: t.apply_plan_batch(
+            lambda t, e: batch_write(
+                t,
                 e,
                 [
                     CompleteInsertion(rekey_ward(copy.deepcopy(fresh), ward))
@@ -522,8 +523,8 @@ class TestCompiledEquivalence:
             )
         )
         twins.same(
-            lambda t, e: t.apply_plan_batch(
-                e, [CompleteDeletion(k) for k in (("er2",), ("b1",))], op="delete"
+            lambda t, e: batch_write(
+                t, e, [CompleteDeletion(k) for k in (("er2",), ("b1",))], op="delete"
             )
         )
         twins.same(lambda t, e: t.apply(e, CompleteDeletion(("icu",))))
@@ -866,7 +867,7 @@ class TestFastPaths:
 
 
 class TestWhereBatchSemantics:
-    """delete_where / update_where ride the apply_plan_batch pipeline:
+    """delete_where / update_where ride the batch write pipeline:
     one plan, one journal intent, one audit record, all-or-nothing."""
 
     def build_session(self, journal=None, audit=None, engine=None):

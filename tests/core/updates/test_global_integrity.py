@@ -275,7 +275,6 @@ class TestRecursionAfterReplacement:
         plan = session.apply_plan_batch(
             "course_row",
             [PartialUpdate(row, "COURSES", row.to_dict(), new)],
-            op="partial_update",
         )
         assert plan.operations == self.expected(new)
         assert session.is_consistent()

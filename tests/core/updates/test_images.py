@@ -5,9 +5,9 @@ translation recorded (``TranslationContext.mutations``), not read from
 the engine's change log or re-read from the engine. The oracle here
 knows nothing of either: it snapshots the database before and after the
 write and reads each of the plan's cells off the two snapshots, in the
-order the plan first touches them. Both translate halves (``apply`` and
-``apply_plan_batch``), memory and sqlite, seeded ``random_chain_case``
-schemas and a DATE-keyed relation.
+order the plan first touches them. Both translate halves (``apply``, and
+``explain_batch`` with ``op=`` landed by ``apply_plan``), memory and
+sqlite, seeded ``random_chain_case`` schemas and a DATE-keyed relation.
 """
 
 import copy
@@ -25,7 +25,7 @@ from repro.errors import ReproError
 from repro.obs.audit import MemoryAuditLog
 from repro.relational.journal import encode_images
 from repro.workloads.synthetic import random_chain_case
-from tests.conftest import make_engine
+from tests.conftest import batch_write, make_engine
 from tests.journal_harness import RecordingJournal
 from tests.core.updates.test_compiled import (
     FRESH_ROOT,
@@ -103,7 +103,7 @@ class Logged:
         self.write(lambda t, e: t.apply(e, request))
 
     def batch(self, requests):
-        self.write(lambda t, e: t.apply_plan_batch(e, requests, op="batch"))
+        self.write(lambda t, e: batch_write(t, e, requests, op="batch"))
 
 
 def repay(node, text):
@@ -119,7 +119,7 @@ def repay(node, text):
 
 def chain_writes(logged, eager):
     """Insert, re-key, and delete — one request each (``apply``), or as
-    batches (``apply_plan_batch``): one rewrites the cells it inserted,
+    batches (``batch_write``): one rewrites the cells it inserted,
     one puts a cell back."""
     t, engine = logged.translator, logged.engine
     template = t.instantiate(engine, (0,)).to_dict()

@@ -2,8 +2,8 @@
 
 Section 5 maps a view update to the set of database operations that
 implement it. The eager half (``Translator.apply``) lands one request's
-set; the overlay half (``Translator.apply_plan_batch``) lands a list's
-sets, concatenated in request order, with nothing folded. So a batch
+set; the overlay half (``Translator.explain_batch``, landed by
+``apply_plan``) lands a list's sets, concatenated in request order, with nothing folded. So a batch
 returns — and journals — exactly what ``apply`` returns for the same
 requests one by one on an equal database: the same operations, in the
 same order, with the same reasons, and the same images once the
@@ -23,7 +23,7 @@ from repro.core.updates.operations import (
 from repro.core.updates.translator import Translator
 from repro.relational.journal import encode_images
 from repro.workloads.synthetic import random_chain_case
-from tests.conftest import make_engine
+from tests.conftest import batch_write, make_engine
 from tests.journal_harness import RecordingJournal
 from tests.core.updates.test_compiled import FRESH_ROOT, REHOMED_ROOT, rekey, snapshot
 
@@ -71,8 +71,8 @@ def test_a_batch_lands_what_apply_lands_one_by_one(seed, backend):
     requests = chain_requests(eager, eager_engine)
 
     plans = [eager.apply(eager_engine, request) for request in requests]
-    combined = batch.apply_plan_batch(
-        batch_engine, copy.deepcopy(requests), op="batch"
+    combined = batch_write(
+        batch, batch_engine, copy.deepcopy(requests), op="batch"
     )
 
     assert combined.operations == [op for p in plans for op in p.operations]

@@ -1,7 +1,7 @@
 """Previews (plan without side effects) and request-object dispatch.
 
 A preview is ``Translator.explain_batch``: the would-be plan of the same
-requests ``apply`` / ``apply_plan_batch`` take, the database untouched."""
+requests ``apply`` / a batch write take, the database untouched."""
 
 import copy
 
@@ -17,6 +17,7 @@ from repro.core.updates.operations import (
 )
 from repro.core.updates.translator import Translator
 from repro.errors import UpdateError
+from tests.conftest import batch_write
 
 
 @pytest.fixture
@@ -104,8 +105,8 @@ class TestMissingKey:
         [
             lambda t, engine: t.apply(engine, CompleteDeletion(None)),
             lambda t, engine: t.explain_batch(engine, [CompleteDeletion(None)]),
-            lambda t, engine: t.apply_plan_batch(
-                engine, [CompleteDeletion(None)], op="delete"
+            lambda t, engine: batch_write(
+                t, engine, [CompleteDeletion(None)], op="delete"
             ),
         ],
         ids=["delete", "preview_delete", "delete_many"],

@@ -43,7 +43,7 @@ from repro.workloads.hospital import (
 )
 from repro.workloads.synthetic import chain_object, chain_schema, populate_chain
 from repro.workloads.university import populate_university, university_schema
-from tests.conftest import make_engine
+from tests.conftest import batch_write, make_engine
 from tests.journal_harness import RecordingJournal
 from tests.core.updates.test_compiled import rearranged
 
@@ -617,12 +617,14 @@ LOGGED_WRITES = {
         ),
     ),
     "delete": lambda t, e: t.apply(e, CompleteDeletion((PATIENT,))),
-    "insert_many": lambda t, e: t.apply_plan_batch(
+    "insert_many": lambda t, e: batch_write(
+        t,
         e,
         [CompleteInsertion(deep_chart(PATIENT + n)) for n in (2, 3, 4)],
         op="insert",
     ),
-    "delete_many": lambda t, e: t.apply_plan_batch(
+    "delete_many": lambda t, e: batch_write(
+        t,
         e,
         [CompleteDeletion((PATIENT + n,)) for n in (0, 1)],
         op="delete",

@@ -5,7 +5,8 @@ Two tables, on memory and sqlite:
 * **mutations.** A translator whose global-integrity pass is wrong — one
   cascade, one skeleton insert or one reference nullify dropped from
   the compiled program's rule tables by a test-only patch — is refused
-  through both translate halves (``apply`` and ``apply_plan_batch``)
+  through both translate halves (``apply``, and the overlay half a batch
+  write lands)
   with ``GlobalValidationError``: nothing lands, no journal entry is
   pending or committed, one ``rolled_back`` audit record is written and
   ``translation_failures_total`` goes up by one.
@@ -43,7 +44,7 @@ from repro.workloads.university import (
     populate_university,
     university_schema,
 )
-from tests.conftest import counter_total, make_engine, sized
+from tests.conftest import batch_write, counter_total, make_engine, sized
 
 BACKENDS = ["memory", "sqlite"]
 
@@ -92,8 +93,8 @@ MUTATIONS = {
 
 DOORS = {
     "apply": lambda t, engine, request: t.apply(engine, request),
-    "apply_plan_batch": lambda t, engine, request: t.apply_plan_batch(
-        engine, [request]
+    "apply_plan_batch": lambda t, engine, request: batch_write(
+        t, engine, [request]
     ),
 }
 

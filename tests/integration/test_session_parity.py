@@ -85,7 +85,7 @@ from repro.workloads.hospital import (
     rehome,
 )
 from tests.shard.test_sharded import OBJECT, RELATIONS, fresh_chart
-from tests.conftest import counter_total, histogram_total_count
+from tests.conftest import batch_write, counter_total, histogram_total_count
 
 PATIENTS = 8
 RESIDENTS = range(100, 100 + PATIENTS)
@@ -605,12 +605,12 @@ def test_rejection_counted_and_audited_on_the_owner_shard():
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @pytest.mark.parametrize("verb", sorted(PARTIALS))
 def test_a_partial_request_plans_alike_eager_and_batched(verb, backend):
-    """``translator.apply`` (the eager half) and ``apply_plan_batch`` of
+    """``translator.apply`` (the eager half) and a batch write of
     that one request emit the same plan and leave the same database."""
     seen = []
     for door in (
         lambda t, engine, request: t.apply(engine, request),
-        lambda t, engine, request: t.apply_plan_batch(engine, [request]),
+        lambda t, engine, request: batch_write(t, engine, [request]),
     ):
         session = prepared("penguin", backend, None)
         plan = door(session.translator(OBJECT), session.engine, PARTIALS[verb]())

@@ -8,7 +8,7 @@ from repro.errors import (
     TransientEngineError,
     UpdateError,
 )
-from repro.materialize.maintainer import LAZY
+from repro.materialize import LAZY
 from repro.penguin import Penguin
 from repro.relational.faults import FaultInjectingEngine, FaultPlan
 from repro.relational.memory_engine import MemoryEngine

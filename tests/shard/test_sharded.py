@@ -20,6 +20,7 @@ from repro.shard import ShardedPenguin, sharded_loader
 from repro.workloads.hospital import (
     HospitalConfig,
     hospital_schema,
+    hospital_session,
     patient_chart_object,
     populate_hospital,
 )
@@ -179,10 +180,8 @@ class TestEquivalence:
         single, sharded = pair
         run_workload(single, sharded.router)
         run_workload(sharded, sharded.router)
-        single_keys = sorted(
-            repr(i.key) for i in single.query(OBJECT)
-        )
-        sharded_keys = [repr(i.key) for i in sharded.query(OBJECT)]
+        single_keys = sorted(i.key for i in single.query(OBJECT))
+        sharded_keys = [i.key for i in sharded.query(OBJECT)]
         assert sharded_keys == single_keys
         # Point reads agree too.
         for pid in (50_001, 103, 105):
@@ -213,6 +212,49 @@ class TestEquivalence:
             assert not any(
                 row[0] == old_pid for row in shard.engine.scan("PATIENT")
             )
+
+
+class TestMergedQueries:
+    """The statement's ``order by`` and ``limit`` hold over the merged
+    union, which follows the key's own order. Where the ``order by`` is
+    total, a sharded query answers what one engine answers whatever the
+    insert order. Without one (or among ties) one engine keeps insert
+    order and the sharded union key order, so the two agree only while
+    keys went in ascending, as in a freshly loaded session."""
+
+    @pytest.mark.parametrize("text", [
+        "birth_year > 0 order by birth_year desc limit 3",
+        "birth_year > 0 limit 4",
+        "birth_year > 0 order by birth_year",
+        "birth_year > 1960 order by count(VISIT) desc, name limit 5",
+    ])
+    def test_order_by_and_limit_hold_over_the_union(self, text):
+        single = hospital_session(30)
+        sharded = hospital_session(30, shards=2)
+        expected = [i.key for i in single.query(OBJECT, text)]
+        assert [i.key for i in sharded.query(OBJECT, text)] == expected
+        assert [i.key for i in sharded.query_served(OBJECT, text).value] == expected
+
+    def test_a_total_order_by_agrees_after_an_out_of_order_insert(self):
+        single = hospital_session(30)
+        sharded = hospital_session(30, shards=2)
+        for session in (single, sharded):
+            for pid in (99, 1000, 98):
+                session.insert(OBJECT, fresh_chart(pid))
+        for text in (
+            "birth_year > 0 order by birth_year desc, patient_id limit 4",
+            "birth_year > 0 order by patient_id limit 3",
+        ):
+            expected = [i.key for i in single.query(OBJECT, text)]
+            assert [i.key for i in sharded.query(OBJECT, text)] == expected
+
+    def test_the_merge_follows_the_key_not_its_repr(self):
+        sharded = hospital_session(30, shards=2)
+        for pid in (99, 1000):
+            sharded.insert(OBJECT, fresh_chart(pid))
+        keys = [i.key for i in sharded.query(OBJECT)]
+        assert (99,) in keys and (1000,) in keys
+        assert keys == sorted(keys)
 
 
 class TestInvariants:

@@ -131,16 +131,17 @@ def test_a_write_verb_is_declared_on_the_session_and_nowhere_else():
     )
 
 
-def test_the_translator_takes_requests_through_four_doors():
-    """``apply`` (eager), ``apply_plan_batch`` (overlay, then commit),
-    ``apply_plan`` (commit only), ``explain_batch`` (overlay, nothing
-    committed) — plus the definition-time accessors; no verb of its own."""
+def test_the_translator_takes_requests_through_three_doors():
+    """``apply`` (eager), ``explain_batch`` (the overlay translate half,
+    nothing committed) and ``apply_plan`` (the commit half) — plus the
+    definition-time accessors; no verb of its own. A batch write is the
+    last two, composed by the session."""
     public = {
         name for name, value in vars(Translator).items()
         if not name.startswith("_") and callable(value)
     }
     assert public == {
-        "apply", "apply_plan_batch", "apply_plan", "explain_batch",
+        "apply", "apply_plan", "explain_batch",
         "compiled", "risk", "for_user", "instantiate", "audit_update",
     }
     # explains_total is the one "what would this do" counter.
