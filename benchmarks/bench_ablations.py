@@ -46,7 +46,7 @@ def test_bench_deletion_index_ablation(benchmark, with_indexes):
         return (engine,), {}
 
     def run(engine):
-        return translator.apply(engine, CompleteDeletion((course_id,)))
+        return translator.apply(engine, CompleteDeletion((course_id,)), "delete")
 
     plan = benchmark.pedantic(run, setup=setup, rounds=3)
     assert plan.count("delete") >= 1
@@ -65,7 +65,7 @@ def test_bench_backend_ablation(benchmark, backend):
         return (engine,), {}
 
     def run(engine):
-        return translator.apply(engine, CompleteDeletion((course_id,)))
+        return translator.apply(engine, CompleteDeletion((course_id,)), "delete")
 
     plan = benchmark.pedantic(run, setup=setup, rounds=3)
     assert plan.count("delete") >= 1

@@ -74,7 +74,7 @@ def test_amortization_updates_after_dialog(benchmark, omega):
         return (engine, old, new), {}
 
     def run(engine, old, new):
-        return translator.apply(engine, Replacement(old, new))
+        return translator.apply(engine, Replacement(old, new), "replace")
 
     plan = benchmark.pedantic(run, setup=setup, rounds=10)
     assert plan.count("replace") == 1
@@ -111,7 +111,7 @@ def test_restrictive_translator_rejects_ees_example(benchmark, omega):
 
     def run(engine, old, new):
         try:
-            translator.apply(engine, Replacement(old, new))
+            translator.apply(engine, Replacement(old, new), "replace")
             return False
         except UpdateRejectedError:
             return True

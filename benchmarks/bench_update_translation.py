@@ -72,7 +72,7 @@ def test_bench_complete_insertion(benchmark):
 
     def run(engine):
         return translator.apply(
-            engine, CompleteInsertion(copy.deepcopy(instance))
+            engine, CompleteInsertion(copy.deepcopy(instance)), "insert"
         )
 
     plan = benchmark.pedantic(run, setup=setup, rounds=10)
@@ -92,7 +92,7 @@ def test_bench_complete_deletion(benchmark):
         return (engine,), {}
 
     def run(engine):
-        return translator.apply(engine, CompleteDeletion((course_id,)))
+        return translator.apply(engine, CompleteDeletion((course_id,)), "delete")
 
     plan = benchmark.pedantic(run, setup=setup, rounds=10)
     print(f"VO-CD: {len(plan)} operations ({plan.count('delete')} deletes)")
@@ -114,7 +114,7 @@ def test_bench_replacement_nonkey(benchmark):
         return (engine, old, new), {}
 
     def run(engine, old, new):
-        return translator.apply(engine, Replacement(old, new))
+        return translator.apply(engine, Replacement(old, new), "replace")
 
     plan = benchmark.pedantic(run, setup=setup, rounds=10)
     print(f"VO-R (nonkey): {len(plan)} operations")
@@ -140,7 +140,7 @@ def test_bench_replacement_key_change(benchmark):
         return (engine, old, new), {}
 
     def run(engine, old, new):
-        return translator.apply(engine, Replacement(old, new))
+        return translator.apply(engine, Replacement(old, new), "replace")
 
     plan = benchmark.pedantic(run, setup=setup, rounds=10)
     print(f"VO-R (key change): {len(plan)} operations")
@@ -181,7 +181,7 @@ def test_bench_deletion_vs_island_depth(benchmark, depth):
         return (engine,), {}
 
     def run(engine):
-        return translator.apply(engine, CompleteDeletion((0,)))
+        return translator.apply(engine, CompleteDeletion((0,)), "delete")
 
     plan = benchmark.pedantic(run, setup=setup, rounds=5)
     expected_island = sum(FANOUT ** level for level in range(depth + 1))
@@ -209,7 +209,7 @@ def test_bench_rekey_vs_island_depth(benchmark, depth):
         return (engine, old, new), {}
 
     def run(engine, old, new):
-        return translator.apply(engine, Replacement(old, new))
+        return translator.apply(engine, Replacement(old, new), "replace")
 
     plan = benchmark.pedantic(run, setup=setup, rounds=5)
     expected_island = sum(FANOUT ** level for level in range(depth + 1))
@@ -267,7 +267,7 @@ def test_bench_leaf_edit_vs_island_depth(benchmark, depth):
         return (engine, old, new), {}
 
     def run(engine, old, new):
-        return translator.apply(engine, Replacement(old, new)), engine.probes
+        return translator.apply(engine, Replacement(old, new), "replace"), engine.probes
 
     plan, probes = benchmark.pedantic(run, setup=setup, rounds=5)
     island = sum(FANOUT ** level for level in range(depth + 1))

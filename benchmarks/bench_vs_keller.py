@@ -93,7 +93,7 @@ def test_bench_retitle_view_object(benchmark):
         return (engine, old, new), {}
 
     def run(engine, old, new):
-        return translator.apply(engine, Replacement(old, new))
+        return translator.apply(engine, Replacement(old, new), "replace")
 
     plan = benchmark.pedantic(run, setup=setup, rounds=10)
     print(f"view-object retitle: {len(plan)} operations")
@@ -147,7 +147,7 @@ def test_bench_delete_view_object_consistent(benchmark):
         return (engine,), {}
 
     def run(engine):
-        return translator.apply(engine, CompleteDeletion((course_id,)))
+        return translator.apply(engine, CompleteDeletion((course_id,)), "delete")
 
     plan = benchmark.pedantic(run, setup=setup, rounds=5)
     engine = observed["engine"]

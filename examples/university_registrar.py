@@ -58,7 +58,7 @@ def main() -> None:
         (course_id,),
         "GRADES",
         {"course_id": course_id, "student_id": student[0], "grade": "B"},
-    ))
+    ), "partial_insert")
     print(f"\nenrolled student {student[0]}:")
     print(plan.describe())
 
@@ -68,7 +68,7 @@ def main() -> None:
         "GRADES",
         {"course_id": course_id, "student_id": student[0], "grade": "B"},
         {"course_id": course_id, "student_id": student[0], "grade": "A"},
-    ))
+    ), "partial_update")
     print(f"\ncorrected the grade:")
     print(plan.describe())
 
@@ -77,7 +77,7 @@ def main() -> None:
         (course_id,),
         "GRADES",
         {"course_id": course_id, "student_id": student[0], "grade": "A"},
-    ))
+    ), "partial_delete")
     print(f"\nwithdrew student {student[0]}:")
     print(plan.describe())
 

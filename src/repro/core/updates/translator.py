@@ -8,11 +8,10 @@ operations." A :class:`Translator` binds a view object to a
 through three doors: :meth:`~Translator.apply` (one request, eager),
 :meth:`~Translator.explain_batch` (a list, translated over an overlay,
 nothing committed) and :meth:`~Translator.apply_plan` (the commit of a
-plan the overlay half translated, or of a shipped record). A batch
-write is the last two composed by the session
-(:class:`~repro.penguin.ViewObjectSession`), which also builds the
-requests. Every write is all-or-nothing: if any step rejects the
-update, nothing is left behind.
+plan the overlay half translated, or of a shipped record). The session
+(:class:`~repro.penguin.ViewObjectSession`) builds the requests, and
+``Penguin._apply`` picks a half by their count. Every write is
+all-or-nothing: if any step rejects the update, nothing is left behind.
 
 Each write returns the :class:`~repro.relational.operations.UpdatePlan`
 that was applied (the "set of database operations"), with a reason
@@ -206,24 +205,25 @@ class Translator:
         statements, assembly-join hash indexes)."""
         return self.program
 
-    # -- the three doors: one request goes to the eager half (apply), a
-    # list to the overlay half (explain_batch), whose plan — or a shipped
-    # record — goes to the commit half (apply_plan)
+    # -- the three doors: the eager half (apply), the overlay half
+    # (explain_batch), whose plan — or a shipped record — goes to the
+    # commit half (apply_plan); Penguin._apply picks a half by count
 
-    def apply(self, engine: Engine, request: UpdateRequest, instantiator=None) -> UpdatePlan:
+    def apply(
+        self, engine: Engine, request: UpdateRequest, op: str, instantiator=None
+    ) -> UpdatePlan:
         """The eager half: translate one :class:`UpdateRequest` on the
-        live engine inside one transaction, then :meth:`_commit` it.
+        live engine inside one transaction, then :meth:`_commit` it as
+        the write labelled ``op``.
 
         A key anchor is read through ``instantiator``: the session's
         :class:`~repro.materialize.store.MaterializedView`, if any."""
-        op = _request_entry(request)[0]
         ctx = TranslationContext(
             self.view_object, engine, self.policy, self.analysis
         )
         journal, audit = self.journal, self.audit
         vouch(audit, engine)
         tracer = obs.tracer()
-        registry = obs.metrics()
         with tracer.span(
             "translate", object=self.view_object.name, op=op
         ) as span:
@@ -232,19 +232,16 @@ class Translator:
                 self._check_authorized()
                 self._translate(ctx, request, instantiator)
                 self._verify(engine, ctx.plan.operations)
+            except Exception as exc:
+                # A rejection: roll back, nothing is left behind.
+                engine.rollback()
+                self._refused(op, 1, exc)
+                raise
             except BaseException as exc:
-                # An Exception rejects the update: roll back, nothing is
-                # left behind. Anything else is a (simulated) crash
-                # mid-translation: no rollback — the state is left torn
-                # for recovery, and the audit record says so. No journal
-                # entry exists yet, so that record stays ``crashed``
-                # (recovery discards the transaction, reverting the
-                # effects; replay rightly excludes it).
-                if isinstance(exc, Exception):
-                    engine.rollback()
-                    registry.counter(
-                        "translation_failures_total", op=op
-                    ).inc()
+                # A (simulated) crash: no rollback — the state is left
+                # torn for recovery, and the ``crashed`` record keeps the
+                # partial plan. No journal entry exists yet, so recovery
+                # discards the transaction and replay excludes it.
                 if audit is not None:
                     self.audit_update(audit, op, plan=ctx.plan, error=exc)
                 raise
@@ -382,9 +379,8 @@ class Translator:
         Every overlay translation runs here — a batch write, a write in
         a transaction, a sharded write and an explain — so each gets
         step 1's authorization, one ``translate`` span per request and
-        the plan check (:meth:`_verify`). A *write*'s rejection also
-        bumps ``translation_failures_total`` and leaves one
-        ``rolled_back`` audit record; an explain's does not.
+        the plan check (:meth:`_verify`). A *write*'s rejection is
+        also :meth:`_refused`; an explain's is not.
         """
         tracer = obs.tracer()
         plan, mutations = UpdatePlan(), []
@@ -406,15 +402,16 @@ class Translator:
                 plan.images = fold_images(engine, mutations)
         except Exception as exc:
             if write:
-                obs.metrics().counter(
-                    "translation_failures_total", op=op
-                ).inc()
-                if self.audit is not None:
-                    self.audit_update(
-                        self.audit, op, items=len(requests), error=exc
-                    )
+                self._refused(op, len(requests), exc)
             raise
         return plan
+
+    def _refused(self, op: str, items: int, error: Exception) -> None:
+        """Either translate half's refusal of a write: counted, and
+        audited ``rolled_back`` with no plan, since nothing landed."""
+        obs.metrics().counter("translation_failures_total", op=op).inc()
+        if self.audit is not None:
+            self.audit_update(self.audit, op, items=items, error=error)
 
     def _translate(
         self, ctx: TranslationContext, request: UpdateRequest, instantiator=None
@@ -422,12 +419,11 @@ class Translator:
         """Translate one request against an in-flight context; its anchor
         is resolved against ``ctx.engine``, so inside a batch the effects
         of earlier requests are visible."""
+        translate = _request_entry(request)[1]
         anchor = request.anchor
         if not isinstance(anchor, (Instance, Mapping)):
             anchor = self.instantiate(ctx.engine, anchor, instantiator)
-        _request_entry(request)[1](
-            self, ctx, self._coerce_instance(anchor), request
-        )
+        translate(self, ctx, self._coerce_instance(anchor), request)
 
     # -- helpers -----------------------------------------------------------------
 

@@ -76,9 +76,9 @@ class ViewObjectSession:
     write is counted and audited under — over what a session
     (:class:`Penguin`, ``ConcurrentPenguin``, ``ShardedPenguin``) really
     differs in: ``object(name)`` / ``query(name, text)`` (how reads are
-    served), :meth:`_apply` (how a labelled request list is applied),
-    and :meth:`_apply_one` / :meth:`_select_apply` where one request or
-    a select-then-apply is more than that. DESIGN.md "One surface".
+    served), :meth:`_apply` (how a labelled request list is applied;
+    a single verb's is a list of one) and :meth:`_select_apply` where
+    a select-then-apply is more. DESIGN.md "One surface".
     """
 
     def _apply(
@@ -87,10 +87,9 @@ class ViewObjectSession:
         """Apply ``requests`` as the write labelled ``op``."""
         raise NotImplementedError
 
-    def _apply_one(
-        self, name: str, request: UpdateRequest, op: str
-    ) -> UpdatePlan:
-        return self._apply(name, [request], op)
+    def _route_request(self, name: str, request: UpdateRequest) -> int:
+        """The shard that translates ``request``: here, the only one."""
+        return 0
 
     def _select_apply(
         self,
@@ -112,16 +111,16 @@ class ViewObjectSession:
 
     def insert(self, name: str, instance: InstanceLike) -> UpdatePlan:
         request = CompleteInsertion(self.coerce(name, instance))
-        return self._apply_one(name, request, "insert")
+        return self._apply(name, [request], "insert")
 
     def delete(self, name: str, key_or_instance: KeyOrInstance) -> UpdatePlan:
-        return self._apply_one(name, CompleteDeletion(key_or_instance), "delete")
+        return self._apply(name, [CompleteDeletion(key_or_instance)], "delete")
 
     def replace(
         self, name: str, old: KeyOrInstance, new: InstanceLike
     ) -> UpdatePlan:
         request = Replacement(old, self.coerce(name, new))
-        return self._apply_one(name, request, "replace")
+        return self._apply(name, [request], "replace")
 
     def insert_many(
         self, name: str, instances: Iterable[InstanceLike]
@@ -435,9 +434,10 @@ class Penguin(ViewObjectSession):
     def _apply(
         self, name: str, requests: List[UpdateRequest], op: str
     ) -> UpdatePlan:
-        """The overlay translate half, then the commit half — or, in a
-        transaction, the block's overlay until the exit lands it. No
-        requests ask for the empty set of operations: no update."""
+        """The one place a write picks its translate half (DESIGN.md "Three
+        doors"): in a transaction, the block's overlay until the exit
+        lands it; one request, the eager half; more, the overlay half,
+        then the commit half. No requests: no update."""
         block = self._block
         if block is not None and block.name not in (None, name):
             raise ViewObjectError(f"this transaction writes {block.name!r}, not {name!r}")
@@ -453,6 +453,11 @@ class Penguin(ViewObjectSession):
                 merge_images(block.images, plan.images)
             block.items += len(requests)
             return plan
+        if len(requests) == 1:
+            # A batch of one would validate and apply every tuple twice;
+            # its key anchor may come from the cache (MaterializedView.by_key).
+            view = self._materialized.view(name)
+            return translator.apply(self.engine, requests[0], op, instantiator=view)
         with obs.tracer().span(
             "translate.batch", object=name, op=op, items=len(requests)
         ) as root:
@@ -461,20 +466,6 @@ class Penguin(ViewObjectSession):
             return translator.apply_plan(
                 self.engine, plan, op=op, items=len(requests)
             )
-
-    def _apply_one(
-        self, name: str, request: UpdateRequest, op: str
-    ) -> UpdatePlan:
-        if self._block is not None:
-            return self._apply(name, [request], op)
-        # One request translates eagerly on the live engine: a batch of
-        # one would validate and apply every tuple twice (DESIGN.md
-        # "Write path"). The translator reads the label off the request,
-        # and a key anchor's instance off the object's materialized view
-        # while that holds the committed state (MaterializedView.by_key).
-        return self.translator(name).apply(
-            self.engine, request, instantiator=self._materialized.view(name)
-        )
 
     def explain_update(self, name: str, request) -> TranslationExplanation:
         """The would-be plan of one update request, without executing it.

@@ -353,13 +353,6 @@ class ConcurrentPenguin(ViewObjectSession):
             lambda: self.penguin._apply(name, requests, op), op, name
         )
 
-    def _apply_one(
-        self, name: str, request: UpdateRequest, op: str
-    ) -> UpdatePlan:
-        return self._write(
-            lambda: self.penguin._apply_one(name, request, op), op, name
-        )
-
     def _select_apply(
         self, name: str, query: str, request_of: Callable, op: str
     ) -> UpdatePlan:

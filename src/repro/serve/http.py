@@ -154,12 +154,15 @@ class MicroBatcher:
     """Fold concurrent writes per view object into one batch.
 
     Callers :meth:`submit` an :class:`UpdateRequest` and await the
-    returned future. At most one batch per object is in flight. The
-    first request for an idle object starts its flight on the next loop
-    step (``loop.create_task`` schedules it with ``call_soon``), so
-    requests submitted in the same tick fold; requests that arrive
-    while a batch is landing queue behind it and flush, in order and at
-    most :attr:`MAX_BATCH` at a time, the moment it lands. There is no
+    returned future. At most one batch per object is in flight, and it
+    lands as one ``apply_plan_batch`` call per owner shard
+    (``session._route_request``), each an atomic unit of the session.
+    The first request for an idle object starts its flight on the
+    next loop step (``loop.create_task`` schedules it with
+    ``call_soon``), so requests submitted in the same tick fold;
+    requests that arrive while a batch is landing queue behind it and
+    flush, in order and at most :attr:`MAX_BATCH` at a time, the moment
+    it lands. There is no
     timer: a lone write waits for nothing, and under load a batch is
     whatever queued during the last one (group commit without a timer).
 
@@ -200,7 +203,14 @@ class MicroBatcher:
                 del queue[: self.MAX_BATCH]
                 self.batches_flushed += 1
                 self.requests_batched += len(batch)
-                await self._apply(name, batch)
+                # Two owners' requests land as two units: one may commit
+                # while the other is refused, and a retry would refuse it.
+                owners: Dict[int, List[_Queued]] = {}
+                for queued in batch:
+                    owner = self.session._route_request(name, queued[0])
+                    owners.setdefault(owner, []).append(queued)
+                for owner in sorted(owners):
+                    await self._apply(name, owners[owner])
         finally:
             del self._queues[name], self._flights[name]
             # Only an escape past _apply (a BaseException such as a
@@ -390,7 +400,7 @@ class PenguinServer:
         self._idle = asyncio.Event()
         self._idle.set()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._accept, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -421,10 +431,17 @@ class PenguinServer:
 
     # -- connection handling -------------------------------------------------
 
+    def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """Handle the connection on a task of the server's own: asyncio
+        logs a traceback for a handler task *it* started that the loop's
+        teardown cancels (a connection still open as the server stops)."""
+        self._connections[writer] = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer)
+        )
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 try:

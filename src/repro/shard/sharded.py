@@ -188,8 +188,9 @@ class ShardedPenguin(ViewObjectSession):
         most-caught-up replica (marked stale) when the primary is dead
         or degraded, and the failure detector promotes a replica
         automatically after ``FailureDetector.MISS_THRESHOLD`` missed probes. ``None``
-        (the default) changes nothing. Replica stacks always use fresh
-        memory engines.
+        (the default) changes nothing. Each replica stack stores into
+        a fresh engine from ``ReplicationConfig.engine_factory`` (memory
+        by default), with an in-memory journal and audit log.
 
     Startup always runs recovery — the cross-shard two-phase pass
     first, then each shard's standard journal recovery — and keeps the

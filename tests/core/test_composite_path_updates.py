@@ -46,7 +46,7 @@ class TestDeletion:
         self, translator, university_engine
     ):
         cid = course_with_students(university_engine)
-        translator.apply(university_engine, CompleteDeletion((cid,)))
+        translator.apply(university_engine, CompleteDeletion((cid,)), "delete")
         assert university_engine.get("COURSES", (cid,)) is None
         # GRADES go via the global ownership cascade even though GRADES
         # is not part of ω'.
@@ -62,7 +62,7 @@ class TestDeletion:
                 "GRADES", ("course_id",), (cid,)
             )
         }
-        translator.apply(university_engine, CompleteDeletion((cid,)))
+        translator.apply(university_engine, CompleteDeletion((cid,)), "delete")
         for sid in students:
             assert university_engine.get("STUDENT", (sid,)) is not None
 
@@ -108,7 +108,7 @@ class TestInsertion:
                         }
                     ],
                 },
-            ),
+            ), "insert",
         )
         assert university_engine.get("COURSES", ("OP1",)) is not None
         assert (
@@ -134,7 +134,7 @@ class TestReplacement:
         )
         new = copy.deepcopy(old.to_dict())
         new["title"] = "Through Omega Prime"
-        translator.apply(university_engine, Replacement(old, new))
+        translator.apply(university_engine, Replacement(old, new), "replace")
         assert (
             university_engine.get("COURSES", (cid,))[1]
             == "Through Omega Prime"
@@ -156,7 +156,7 @@ class TestReplacement:
         new["FACULTY"] = [
             {"person_id": values[0], "rank": values[1], "office": values[2]}
         ]
-        translator.apply(university_engine, Replacement(old, new))
+        translator.apply(university_engine, Replacement(old, new), "replace")
         assert university_engine.get("COURSES", (cid,))[5] == other_faculty
 
     def test_rekey_propagates_to_elided_grades(
@@ -173,7 +173,7 @@ class TestReplacement:
         )
         new = copy.deepcopy(old.to_dict())
         new["course_id"] = "OPKEY"
-        translator.apply(university_engine, Replacement(old, new))
+        translator.apply(university_engine, Replacement(old, new), "replace")
         migrated = university_engine.find_by(
             "GRADES", ("course_id",), ("OPKEY",)
         )

@@ -92,7 +92,7 @@ class TestDeletion:
     ):
         sid = find_person(university_engine, "STUDENT")
         assert university_engine.find_by("GRADES", ("student_id",), (sid,))
-        translator.apply(university_engine, CompleteDeletion((sid,)))
+        translator.apply(university_engine, CompleteDeletion((sid,)), "delete")
         assert university_engine.get("PEOPLE", (sid,)) is None
         assert university_engine.get("STUDENT", (sid,)) is None
         assert university_engine.find_by("GRADES", ("student_id",), (sid,)) == []
@@ -107,7 +107,7 @@ class TestDeletion:
             v for v in university_engine.scan("COURSES") if v[5] is not None
         )
         instructor = course[5]
-        translator.apply(university_engine, CompleteDeletion((instructor,)))
+        translator.apply(university_engine, CompleteDeletion((instructor,)), "delete")
         assert university_engine.get("FACULTY", (instructor,)) is None
         assert university_engine.get("COURSES", (course[0],))[5] is None
 
@@ -121,7 +121,7 @@ class TestDeletion:
                 "GRADES", ("student_id",), (sid,)
             )
         ]
-        translator.apply(university_engine, CompleteDeletion((sid,)))
+        translator.apply(university_engine, CompleteDeletion((sid,)), "delete")
         for cid in courses:
             assert university_engine.get("COURSES", (cid,)) is not None
 
@@ -147,7 +147,7 @@ class TestRekey:
                         rekey(child)
             return node
 
-        translator.apply(university_engine, Replacement(old, rekey(new)))
+        translator.apply(university_engine, Replacement(old, rekey(new)), "replace")
         assert university_engine.get("PEOPLE", (sid,)) is None
         assert university_engine.get("PEOPLE", (555555,)) is not None
         assert university_engine.get("STUDENT", (555555,)) is not None
@@ -182,7 +182,7 @@ class TestInsertion:
                     "FACULTY": [],
                     "DEPARTMENT": [],
                 },
-            ),
+            ), "insert",
         )
         assert university_engine.get("PEOPLE", (777001,)) is not None
         assert university_engine.get("STAFF", (777001,)) is not None

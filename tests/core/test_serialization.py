@@ -68,7 +68,7 @@ class TestViewObjectRoundTrip:
         populate_university(engine)
         translator = Translator(rebuilt)
         cid = next(iter(engine.scan("COURSES")))[0]
-        translator.apply(engine, CompleteDeletion((cid,)))
+        translator.apply(engine, CompleteDeletion((cid,)), "delete")
         assert engine.get("COURSES", (cid,)) is None
 
 

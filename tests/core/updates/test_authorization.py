@@ -23,7 +23,7 @@ def any_course(engine):
 def test_open_policy_allows_anonymous(omega, university_engine):
     translator = Translator(omega)
     translator.apply(
-        university_engine, CompleteDeletion((any_course(university_engine),))
+        university_engine, CompleteDeletion((any_course(university_engine),)), "delete"
     )
 
 
@@ -31,7 +31,7 @@ def test_unbound_user_rejected(restricted, university_engine):
     with pytest.raises(LocalValidationError, match="not authorized"):
         restricted.apply(
             university_engine,
-            CompleteDeletion((any_course(university_engine),)),
+            CompleteDeletion((any_course(university_engine),)), "delete",
         )
 
 
@@ -40,14 +40,14 @@ def test_unauthorized_user_rejected(restricted, university_engine):
     with pytest.raises(LocalValidationError, match="'eve'"):
         eve.apply(
             university_engine,
-            CompleteDeletion((any_course(university_engine),)),
+            CompleteDeletion((any_course(university_engine),)), "delete",
         )
 
 
 def test_authorized_user_allowed(restricted, university_engine):
     registrar = restricted.for_user("registrar")
     cid = any_course(university_engine)
-    registrar.apply(university_engine, CompleteDeletion((cid,)))
+    registrar.apply(university_engine, CompleteDeletion((cid,)), "delete")
     assert university_engine.get("COURSES", (cid,)) is None
 
 
@@ -61,7 +61,7 @@ def test_rejection_happens_before_any_mutation(
     with pytest.raises(LocalValidationError):
         restricted.for_user("eve").apply(
             university_engine,
-            CompleteDeletion((any_course(university_engine),)),
+            CompleteDeletion((any_course(university_engine),)), "delete",
         )
     after = {
         name: sorted(university_engine.scan(name))

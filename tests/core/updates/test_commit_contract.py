@@ -56,11 +56,11 @@ def course(course_id, title="View Objects"):
 
 
 def run_insert(t, engine):
-    t.apply(engine, CompleteInsertion(course("CS999")))
+    t.apply(engine, CompleteInsertion(course("CS999")), "insert")
 
 
 def run_replace(t, engine):
-    t.apply(engine, Replacement(("CS901",), course("CS901", title="Replaced")))
+    t.apply(engine, Replacement(("CS901",), course("CS901", title="Replaced")), "replace")
 
 
 def run_insert_many(t, engine):
@@ -134,7 +134,7 @@ def stack(omega, university_engine):
     seeded (fault-free, unlogged) with the rows the entry points use."""
     seeder = Translator(omega)
     for course_id in SEEDED:
-        seeder.apply(university_engine, CompleteInsertion(course(course_id)))
+        seeder.apply(university_engine, CompleteInsertion(course(course_id)), "insert")
     plan = FaultPlan(seed=1)
     engine = FaultInjectingEngine(university_engine, plan)
     translator = Translator(
@@ -263,7 +263,7 @@ def test_engine_without_changelog_is_journaled_with_images(
     translator = Translator(
         omega, journal=RecordingJournal(), audit=MemoryAuditLog()
     )
-    translator.apply(engine, CompleteInsertion(course("CS990")))
+    translator.apply(engine, CompleteInsertion(course("CS990")), "insert")
     batch_write(
         translator, engine, [CompleteInsertion(course("CS991"))], op="insert"
     )

@@ -130,12 +130,12 @@ def run_complete_operations(twins):
 
     # Re-inserting a resident island instance is CASE 1 on both.
     twins.same(
-        lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(template)))
+        lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(template)), "insert")
     )
 
     # Fresh insert: the resident instance re-keyed to a new root.
     fresh = rekey(copy.deepcopy(template), FRESH_ROOT)
-    twins.same(lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(fresh))))
+    twins.same(lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(fresh)), "insert"))
 
     # A referenced tuple nobody supplied: global integrity fabricates
     # the skeleton (or the completer refuses), identically.
@@ -144,14 +144,14 @@ def run_complete_operations(twins):
         dangling["lookup_id"] = 31337
         dangling["LOOKUP"] = []
     twins.same(
-        lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(dangling)))
+        lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(dangling)), "insert")
     )
 
     # Nonkey replacement at the pivot (CASE R-2).
     renamed = dict(copy.deepcopy(fresh), payload="compiled check")
     twins.same(
         lambda t, e: t.apply(
-            e, Replacement((FRESH_ROOT,), copy.deepcopy(renamed))
+            e, Replacement((FRESH_ROOT,), copy.deepcopy(renamed)), "replace"
         )
     )
 
@@ -159,12 +159,12 @@ def run_complete_operations(twins):
     # dragging the owned subtree and peninsula repairs along.
     rehomed = rekey(copy.deepcopy(template), REHOMED_ROOT)
     twins.same(
-        lambda t, e: t.apply(e, Replacement((0,), copy.deepcopy(rehomed)))
+        lambda t, e: t.apply(e, Replacement((0,), copy.deepcopy(rehomed)), "replace")
     )
 
     # Deletion of the re-homed instance (island + peninsula repair); an
     # UpdateError on both sides when the re-homing was rejected.
-    twins.same(lambda t, e: t.apply(e, CompleteDeletion((REHOMED_ROOT,))))
+    twins.same(lambda t, e: t.apply(e, CompleteDeletion((REHOMED_ROOT,)), "delete"))
     twins.same_databases()
 
 
@@ -281,7 +281,7 @@ def run_replacement_variants(twins, seed):
     if deepest is not None:
         twins.same(
             lambda t, e: t.apply(
-                e, Replacement((0,), copy.deepcopy(edits[deepest]))
+                e, Replacement((0,), copy.deepcopy(edits[deepest])), "replace"
             )
         )
         for _, new in payloads:
@@ -299,7 +299,7 @@ def run_replacement_variants(twins, seed):
     rehomed = shuffled(payloads[-2][1], rng)
     twins.same(
         lambda t, e: t.apply(
-            e, Replacement(copy.deepcopy(template), copy.deepcopy(rehomed))
+            e, Replacement(copy.deepcopy(template), copy.deepcopy(rehomed)), "replace"
         )
     )
     twins.same_databases()
@@ -337,7 +337,7 @@ def run_partial_operations(twins):
         for variant in variants:
             twins.same(
                 lambda t, e: t.apply(
-                    e, PartialInsertion(root, node_id, dict(variant))
+                    e, PartialInsertion(root, node_id, dict(variant)), "partial_insert"
                 )
             )
         if nonkey is not None:
@@ -349,23 +349,23 @@ def run_partial_operations(twins):
                         node_id,
                         dict(values),
                         dict(values, **{nonkey: "updated"}),
-                    ),
+                    ), "partial_update",
                 )
             )
         # A key-changing partial update is refused at step 1.
         twins.same(
             lambda t, e: t.apply(
-                e, PartialUpdate(root, node_id, dict(values), dict(fresh))
+                e, PartialUpdate(root, node_id, dict(values), dict(fresh)), "partial_update"
             )
         )
         twins.same(
             lambda t, e: t.apply(
-                e, PartialDeletion(root, node_id, dict(values))
+                e, PartialDeletion(root, node_id, dict(values)), "partial_delete"
             )
         )
         twins.same(
             lambda t, e: t.apply(
-                e, PartialDeletion(root, node_id, dict(fresh))
+                e, PartialDeletion(root, node_id, dict(fresh)), "partial_delete"
             )
         )
     twins.same_databases()
@@ -475,10 +475,10 @@ class TestCompiledEquivalence:
             ],
         }
         twins.same(
-            lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(fresh)))
+            lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(fresh)), "insert")
         )
         twins.same(
-            lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(fresh)))
+            lambda t, e: t.apply(e, CompleteInsertion(copy.deepcopy(fresh)), "insert")
         )
         twins.same(
             lambda t, e: batch_write(
@@ -496,7 +496,7 @@ class TestCompiledEquivalence:
                 e,
                 PartialInsertion(
                     ("er",), "STAY", {"day": day(2021, 3, 7), "note": "late"}
-                ),
+                ), "partial_insert",
             )
         )
         twins.same(
@@ -507,19 +507,19 @@ class TestCompiledEquivalence:
                     "STAY",
                     {"ward": "er", "day": day(2021, 3, 5), "note": "a"},
                     {"ward": "er", "day": day(2021, 3, 5), "note": "b"},
-                ),
+                ), "partial_update",
             )
         )
         moved = rekey_ward(copy.deepcopy(fresh), "er2")
         twins.same(
-            lambda t, e: t.apply(e, Replacement(("er",), copy.deepcopy(moved)))
+            lambda t, e: t.apply(e, Replacement(("er",), copy.deepcopy(moved)), "replace")
         )
         twins.same(
             lambda t, e: t.apply(
                 e,
                 PartialDeletion(
                     ("er2",), "STAY", {"ward": "er2", "day": day(2021, 3, 6)}
-                ),
+                ), "partial_delete",
             )
         )
         twins.same(
@@ -527,7 +527,7 @@ class TestCompiledEquivalence:
                 t, e, [CompleteDeletion(k) for k in (("er2",), ("b1",))], op="delete"
             )
         )
-        twins.same(lambda t, e: t.apply(e, CompleteDeletion(("icu",))))
+        twins.same(lambda t, e: t.apply(e, CompleteDeletion(("icu",)), "delete"))
         twins.same_databases()
 
     @given(seed=st.integers(min_value=0, max_value=100_000))
@@ -613,7 +613,7 @@ class TestCompiledOnHospital:
         assert engine._sql_cache  # statements were built eagerly
         prepared = comp.explain_batch(engine, [CompleteDeletion((100,))]).plan
         assert baseline.operations == prepared.operations
-        applied = comp.apply(engine, CompleteDeletion((100,)))
+        applied = comp.apply(engine, CompleteDeletion((100,)), "delete")
         assert applied.operations == baseline.operations
         assert engine.get("PATIENT", (100,)) is None
 
@@ -655,7 +655,7 @@ class TestCompiledCacheSharing:
             assert bound.program is translator.program
             bound.explain_batch(engine, [CompleteDeletion((0,))])
             bound.compiled().describe()
-        translator.apply(engine, CompleteDeletion((0,)))
+        translator.apply(engine, CompleteDeletion((0,)), "delete")
         assert builds == [view_object.name]
 
     def test_concurrent_penguin_serves_compiled_updates(self):

@@ -34,12 +34,12 @@ def pick_course(engine, with_curriculum=True):
 class TestIslandDeletion:
     def test_pivot_tuple_deleted(self, translator, university_engine):
         course_id = pick_course(university_engine)
-        translator.apply(university_engine, CompleteDeletion((course_id,)))
+        translator.apply(university_engine, CompleteDeletion((course_id,)), "delete")
         assert university_engine.get("COURSES", (course_id,)) is None
 
     def test_island_grades_deleted(self, translator, university_engine):
         course_id = pick_course(university_engine)
-        translator.apply(university_engine, CompleteDeletion((course_id,)))
+        translator.apply(university_engine, CompleteDeletion((course_id,)), "delete")
         assert (
             university_engine.find_by("GRADES", ("course_id",), (course_id,))
             == []
@@ -53,14 +53,14 @@ class TestIslandDeletion:
                 "GRADES", ("course_id",), (course_id,)
             )
         ]
-        translator.apply(university_engine, CompleteDeletion((course_id,)))
+        translator.apply(university_engine, CompleteDeletion((course_id,)), "delete")
         for sid in sids:
             assert university_engine.get("STUDENT", (sid,)) is not None
 
     def test_department_survives(self, translator, university_engine):
         course_id = pick_course(university_engine)
         dept = university_engine.get("COURSES", (course_id,))[4]
-        translator.apply(university_engine, CompleteDeletion((course_id,)))
+        translator.apply(university_engine, CompleteDeletion((course_id,)), "delete")
         assert university_engine.get("DEPARTMENT", (dept,)) is not None
 
     def test_plan_contents(self, translator, university_engine):
@@ -74,7 +74,7 @@ class TestIslandDeletion:
             )
         )
         plan = translator.apply(
-            university_engine, CompleteDeletion((course_id,))
+            university_engine, CompleteDeletion((course_id,)), "delete"
         )
         # pivot + grades + curriculum repairs (AUTO resolves to DELETE
         # because course_id sits in CURRICULUM's key).
@@ -84,7 +84,7 @@ class TestIslandDeletion:
         self, translator, university_engine, university_graph
     ):
         course_id = pick_course(university_engine)
-        translator.apply(university_engine, CompleteDeletion((course_id,)))
+        translator.apply(university_engine, CompleteDeletion((course_id,)), "delete")
         assert IntegrityChecker(university_graph).is_consistent(
             university_engine
         )
@@ -93,7 +93,7 @@ class TestIslandDeletion:
 class TestPeninsulaRepair:
     def test_curriculum_rows_removed(self, translator, university_engine):
         course_id = pick_course(university_engine, with_curriculum=True)
-        translator.apply(university_engine, CompleteDeletion((course_id,)))
+        translator.apply(university_engine, CompleteDeletion((course_id,)), "delete")
         assert (
             university_engine.find_by(
                 "CURRICULUM", ("course_id",), (course_id,)
@@ -111,7 +111,7 @@ class TestPeninsulaRepair:
         course_id = pick_course(university_engine, with_curriculum=True)
         before = university_engine.count("COURSES")
         with pytest.raises(UpdateRejectedError):
-            translator.apply(university_engine, CompleteDeletion((course_id,)))
+            translator.apply(university_engine, CompleteDeletion((course_id,)), "delete")
         # "the transaction cannot be completed and has to be rolled back"
         assert university_engine.count("COURSES") == before
         assert university_engine.get("COURSES", (course_id,)) is not None
@@ -139,7 +139,7 @@ class TestPeninsulaRepair:
             v for v in university_engine.scan("COURSES") if v[5] is not None
         )
         instructor = course[5]
-        translator.apply(university_engine, CompleteDeletion((instructor,)))
+        translator.apply(university_engine, CompleteDeletion((instructor,)), "delete")
         refreshed = university_engine.get("COURSES", (course[0],))
         assert refreshed[5] is None
 
@@ -151,7 +151,7 @@ class TestPeninsulaRepair:
         )
         translator = Translator(omega, policy=policy)
         course_id = pick_course(university_engine, with_curriculum=True)
-        translator.apply(university_engine, CompleteDeletion((course_id,)))
+        translator.apply(university_engine, CompleteDeletion((course_id,)), "delete")
         assert (
             university_engine.find_by(
                 "CURRICULUM", ("course_id",), (course_id,)
@@ -169,23 +169,23 @@ class TestGateAndErrors:
         )
         course_id = pick_course(university_engine)
         with pytest.raises(LocalValidationError):
-            translator.apply(university_engine, CompleteDeletion((course_id,)))
+            translator.apply(university_engine, CompleteDeletion((course_id,)), "delete")
 
     def test_missing_instance(self, translator, university_engine):
         with pytest.raises(UpdateError):
-            translator.apply(university_engine, CompleteDeletion(("GHOST",)))
+            translator.apply(university_engine, CompleteDeletion(("GHOST",)), "delete")
 
     def test_delete_by_instance(self, translator, university_engine):
         course_id = pick_course(university_engine)
         instance = translator.instantiate(university_engine, (course_id,))
-        translator.apply(university_engine, CompleteDeletion(instance))
+        translator.apply(university_engine, CompleteDeletion(instance), "delete")
         assert university_engine.get("COURSES", (course_id,)) is None
 
 
 class TestCascadesDeep:
     def test_hospital_chart_deletion(self, chart, hospital_engine, hospital_graph):
         translator = Translator(chart)
-        plan = translator.apply(hospital_engine, CompleteDeletion((100,)))
+        plan = translator.apply(hospital_engine, CompleteDeletion((100,)), "delete")
         assert hospital_engine.get("PATIENT", (100,)) is None
         assert (
             hospital_engine.find_by("VISIT", ("patient_id",), (100,)) == []
@@ -206,7 +206,7 @@ class TestCascadesDeep:
     def test_cad_deletion_cascades_subset(self, bom, cad_engine):
         translator = Translator(bom)
         released = next(iter(cad_engine.scan("RELEASED_ASSEMBLY")))[0]
-        translator.apply(cad_engine, CompleteDeletion((released,)))
+        translator.apply(cad_engine, CompleteDeletion((released,)), "delete")
         assert cad_engine.get("ASSEMBLY", (released,)) is None
         assert cad_engine.get("RELEASED_ASSEMBLY", (released,)) is None
         assert cad_engine.find_by("COMPONENT", ("asm_id",), (released,)) == []

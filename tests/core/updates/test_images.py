@@ -100,7 +100,7 @@ class Logged:
         self.checked += 1
 
     def apply(self, request):
-        self.write(lambda t, e: t.apply(e, request))
+        self.write(lambda t, e: t.apply(e, request, "update"))
 
     def batch(self, requests):
         self.write(lambda t, e: batch_write(t, e, requests, op="batch"))

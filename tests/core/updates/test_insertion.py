@@ -58,7 +58,7 @@ def new_course(engine, course_id="CS999", student=None, dept="Computer Science")
 class TestCase2Insertions:
     def test_pivot_inserted(self, translator, university_engine):
         translator.apply(
-            university_engine, CompleteInsertion(new_course(university_engine))
+            university_engine, CompleteInsertion(new_course(university_engine)), "insert"
         )
         assert university_engine.get("COURSES", ("CS999",)) is not None
 
@@ -66,7 +66,7 @@ class TestCase2Insertions:
         student = existing_student(university_engine)
         translator.apply(
             university_engine,
-            CompleteInsertion(new_course(university_engine, student=student)),
+            CompleteInsertion(new_course(university_engine, student=student)), "insert",
         )
         assert (
             university_engine.get("GRADES", ("CS999", student[0]))
@@ -77,7 +77,7 @@ class TestCase2Insertions:
         self, translator, university_engine
     ):
         translator.apply(
-            university_engine, CompleteInsertion(new_course(university_engine))
+            university_engine, CompleteInsertion(new_course(university_engine)), "insert"
         )
         # instructor_id was projected out of ω: completed with null.
         assert university_engine.get("COURSES", ("CS999",))[5] is None
@@ -86,7 +86,7 @@ class TestCase2Insertions:
         student = existing_student(university_engine)
         translator.apply(
             university_engine,
-            CompleteInsertion(new_course(university_engine, student=student)),
+            CompleteInsertion(new_course(university_engine, student=student)), "insert",
         )
         assert IntegrityChecker(university_graph).is_consistent(
             university_engine
@@ -96,9 +96,9 @@ class TestCase2Insertions:
 class TestCase1Rejections:
     def test_identical_pivot_rejected(self, translator, university_engine):
         data = new_course(university_engine)
-        translator.apply(university_engine, CompleteInsertion(data))
+        translator.apply(university_engine, CompleteInsertion(data), "insert")
         with pytest.raises(UpdateRejectedError, match="CASE 1"):
-            translator.apply(university_engine, CompleteInsertion(data))
+            translator.apply(university_engine, CompleteInsertion(data), "insert")
 
     def test_identical_outside_tuple_is_noop(
         self, translator, university_engine
@@ -106,7 +106,7 @@ class TestCase1Rejections:
         # DEPARTMENT already exists identically: CASE 1 outside island.
         before = university_engine.count("DEPARTMENT")
         plan = translator.apply(
-            university_engine, CompleteInsertion(new_course(university_engine))
+            university_engine, CompleteInsertion(new_course(university_engine)), "insert"
         )
         assert university_engine.count("DEPARTMENT") == before
         assert all(op.relation != "DEPARTMENT" for op in plan)
@@ -115,17 +115,17 @@ class TestCase1Rejections:
 class TestCase3:
     def test_island_conflict_rejected(self, translator, university_engine):
         data = new_course(university_engine)
-        translator.apply(university_engine, CompleteInsertion(data))
+        translator.apply(university_engine, CompleteInsertion(data), "insert")
         data["title"] = "Different Title"
         with pytest.raises(UpdateRejectedError, match="CASE 3"):
-            translator.apply(university_engine, CompleteInsertion(data))
+            translator.apply(university_engine, CompleteInsertion(data), "insert")
 
     def test_outside_conflict_replaces(self, translator, university_engine):
         data = new_course(university_engine)
         data["DEPARTMENT"] = [
             {"dept_name": "Computer Science", "building": "New Gates"}
         ]
-        plan = translator.apply(university_engine, CompleteInsertion(data))
+        plan = translator.apply(university_engine, CompleteInsertion(data), "insert")
         assert university_engine.get(
             "DEPARTMENT", ("Computer Science",)
         )[1] == "New Gates"
@@ -142,7 +142,7 @@ class TestCase3:
             {"dept_name": "Computer Science", "building": "New Gates"}
         ]
         with pytest.raises(UpdateRejectedError):
-            translator.apply(university_engine, CompleteInsertion(data))
+            translator.apply(university_engine, CompleteInsertion(data), "insert")
         assert university_engine.get("COURSES", ("CS999",)) is None  # rollback
 
 
@@ -151,7 +151,7 @@ class TestGlobalIntegrityInsertions:
         data = new_course(
             university_engine, dept="Engineering Economic Systems"
         )
-        translator.apply(university_engine, CompleteInsertion(data))
+        translator.apply(university_engine, CompleteInsertion(data), "insert")
         assert (
             university_engine.get(
                 "DEPARTMENT", ("Engineering Economic Systems",)
@@ -167,7 +167,7 @@ class TestGlobalIntegrityInsertions:
         data = new_course(
             university_engine, student=(424242, "MSCS", 1)
         )
-        translator.apply(university_engine, CompleteInsertion(data))
+        translator.apply(university_engine, CompleteInsertion(data), "insert")
         assert university_engine.get("STUDENT", (424242,)) is not None
         assert university_engine.get("PEOPLE", (424242,)) is not None
         assert IntegrityChecker(university_graph).is_consistent(
@@ -180,7 +180,7 @@ class TestGlobalIntegrityInsertions:
         translator = Translator(omega, policy=policy)
         data = new_course(university_engine, student=(424242, "MSCS", 1))
         with pytest.raises(UpdateRejectedError, match="PEOPLE"):
-            translator.apply(university_engine, CompleteInsertion(data))
+            translator.apply(university_engine, CompleteInsertion(data), "insert")
         assert university_engine.get("STUDENT", (424242,)) is None
 
 
@@ -192,7 +192,7 @@ class TestPolicyGates:
         with pytest.raises(LocalValidationError):
             translator.apply(
                 university_engine,
-                CompleteInsertion(new_course(university_engine)),
+                CompleteInsertion(new_course(university_engine)), "insert",
             )
 
     def test_outside_insert_blocked(self, omega, university_engine):
@@ -201,7 +201,7 @@ class TestPolicyGates:
         translator = Translator(omega, policy=policy)
         data = new_course(university_engine, dept="Brand New Dept")
         with pytest.raises(UpdateRejectedError):
-            translator.apply(university_engine, CompleteInsertion(data))
+            translator.apply(university_engine, CompleteInsertion(data), "insert")
 
     def test_can_modify_gate_blocks_insert(self, omega, university_engine):
         policy = TranslatorPolicy()
@@ -209,4 +209,4 @@ class TestPolicyGates:
         translator = Translator(omega, policy=policy)
         data = new_course(university_engine, dept="Brand New Dept")
         with pytest.raises(UpdateRejectedError):
-            translator.apply(university_engine, CompleteInsertion(data))
+            translator.apply(university_engine, CompleteInsertion(data), "insert")

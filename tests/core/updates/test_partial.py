@@ -44,7 +44,7 @@ class TestPartialInsertion:
                 (cid,),
                 "GRADES",
                 {"course_id": cid, "student_id": student[0], "grade": "A"},
-            ),
+            ), "partial_insert",
         )
         assert university_engine.get("GRADES", (cid, student[0])) is not None
         assert plan.count("insert") == 1
@@ -62,7 +62,7 @@ class TestPartialInsertion:
                 (cid,),
                 "GRADES",
                 {"course_id": "IGNORED", "student_id": student[0], "grade": "B"},
-            ),
+            ), "partial_insert",
         )
         assert university_engine.get("GRADES", (cid, student[0])) is not None
 
@@ -82,7 +82,7 @@ class TestPartialInsertion:
                         "student_id": grade[1],
                         "grade": grade[2],
                     },
-                ),
+                ), "partial_insert",
             )
 
     def test_partial_insert_triggers_global_integrity(
@@ -111,7 +111,7 @@ class TestPartialInsertion:
                 (cid,),
                 "GRADES",
                 {"course_id": cid, "student_id": 888888, "grade": "C"},
-            ),
+            ), "partial_insert",
         )
         assert university_engine.get("STUDENT", (888888,)) is not None
         assert university_engine.get("PEOPLE", (888888,)) is not None
@@ -124,7 +124,7 @@ class TestPartialInsertion:
         with pytest.raises(LocalValidationError, match="complete insertion"):
             translator.apply(
                 university_engine,
-                PartialInsertion((cid,), "COURSES", {"course_id": "X"}),
+                PartialInsertion((cid,), "COURSES", {"course_id": "X"}), "partial_insert",
             )
 
 
@@ -138,7 +138,7 @@ class TestPartialDeletion:
                 (cid,),
                 "GRADES",
                 {"course_id": cid, "student_id": grade[1], "grade": grade[2]},
-            ),
+            ), "partial_delete",
         )
         assert university_engine.get("GRADES", (cid, grade[1])) is None
         # The student survives (outside the island).
@@ -177,7 +177,7 @@ class TestPartialDeletion:
                     "rank": faculty[1],
                     "office": faculty[2],
                 },
-            ),
+            ), "partial_delete",
         )
         assert university_engine.get("COURSES", (course[0],))[5] is None
         assert university_engine.get("FACULTY", (faculty[0],)) is not None
@@ -199,7 +199,7 @@ class TestPartialDeletion:
                         "degree_program": student[1],
                         "year": student[2],
                     },
-                ),
+                ), "partial_delete",
             )
 
 
@@ -214,7 +214,7 @@ class TestPartialUpdate:
                 "GRADES",
                 {"course_id": cid, "student_id": grade[1], "grade": grade[2]},
                 {"course_id": cid, "student_id": grade[1], "grade": "A+"},
-            ),
+            ), "partial_update",
         )
         assert university_engine.get("GRADES", (cid, grade[1]))[2] == "A+"
 
@@ -229,7 +229,7 @@ class TestPartialUpdate:
                     "GRADES",
                     {"course_id": cid, "student_id": grade[1], "grade": grade[2]},
                     {"course_id": cid, "student_id": 999, "grade": grade[2]},
-                ),
+                ), "partial_update",
             )
 
     def test_outside_update_respects_policy(self, omega, university_engine):
@@ -257,7 +257,7 @@ class TestPartialUpdate:
                         "degree_program": "CHANGED",
                         "year": student[2],
                     },
-                ),
+                ), "partial_update",
             )
 
     def test_composite_path_component_rejected(
@@ -273,5 +273,5 @@ class TestPartialUpdate:
                     "STUDENT",
                     {"person_id": 1, "degree_program": "a", "year": 1},
                     {"person_id": 1, "degree_program": "b", "year": 1},
-                ),
+                ), "partial_update",
             )

@@ -70,7 +70,9 @@ def test_a_batch_lands_what_apply_lands_one_by_one(seed, backend):
     batch, batch_engine = journaled(backend, seed)
     requests = chain_requests(eager, eager_engine)
 
-    plans = [eager.apply(eager_engine, request) for request in requests]
+    plans = [
+        eager.apply(eager_engine, request, "update") for request in requests
+    ]
     combined = batch_write(
         batch, batch_engine, copy.deepcopy(requests), op="batch"
     )

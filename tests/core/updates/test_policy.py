@@ -115,7 +115,7 @@ class TestCustomCompleter:
                     "level": "graduate",
                     "dept_name": "Never Seen Before",
                 },
-            ),
+            ), "insert",
         )
         skeleton = university_engine.get(
             "DEPARTMENT", ("Never Seen Before",)

@@ -53,7 +53,7 @@ class TestPreviews:
         previewed = translator.explain_batch(
             university_engine, [CompleteDeletion((cid,))]
         ).plan
-        applied = translator.apply(university_engine, CompleteDeletion((cid,)))
+        applied = translator.apply(university_engine, CompleteDeletion((cid,)), "delete")
         # Rollback re-inserts rows in reverse, permuting scan order, so
         # compare the plans as operation multisets.
         assert sorted(op.describe() for op in previewed) == sorted(
@@ -103,7 +103,7 @@ class TestMissingKey:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda t, engine: t.apply(engine, CompleteDeletion(None)),
+            lambda t, engine: t.apply(engine, CompleteDeletion(None), "delete"),
             lambda t, engine: t.explain_batch(engine, [CompleteDeletion(None)]),
             lambda t, engine: batch_write(
                 t, engine, [CompleteDeletion(None)], op="delete"
@@ -135,14 +135,14 @@ class TestRequestDispatch:
                 "dept_name": "Physics",
             },
         )
-        plan = translator.apply(university_engine, CompleteInsertion(instance))
+        plan = translator.apply(university_engine, CompleteInsertion(instance), "insert")
         assert university_engine.get("COURSES", ("REQ1",)) is not None
         assert plan.count("insert") >= 1
 
     def test_complete_deletion_request(self, translator, university_engine):
         cid = any_course(university_engine)
         instance = translator.instantiate(university_engine, (cid,))
-        translator.apply(university_engine, CompleteDeletion(instance))
+        translator.apply(university_engine, CompleteDeletion(instance), "delete")
         assert university_engine.get("COURSES", (cid,)) is None
 
     def test_replacement_request(self, translator, university_engine):
@@ -152,7 +152,7 @@ class TestRequestDispatch:
             old.view_object,
             {**copy.deepcopy(old.to_dict()), "title": "Via Request"},
         )
-        translator.apply(university_engine, Replacement(old, new_instance))
+        translator.apply(university_engine, Replacement(old, new_instance), "replace")
         assert university_engine.get("COURSES", (cid,))[1] == "Via Request"
 
     def test_partial_requests(self, translator, university_engine):
@@ -169,7 +169,7 @@ class TestRequestDispatch:
                 instance,
                 "GRADES",
                 {"course_id": cid, "student_id": student[0], "grade": "C"},
-            ),
+            ), "partial_insert",
         )
         assert university_engine.get("GRADES", (cid, student[0])) is not None
         translator.apply(
@@ -179,7 +179,7 @@ class TestRequestDispatch:
                 "GRADES",
                 {"course_id": cid, "student_id": student[0], "grade": "C"},
                 {"course_id": cid, "student_id": student[0], "grade": "B"},
-            ),
+            ), "partial_update",
         )
         assert (
             university_engine.get("GRADES", (cid, student[0]))[2] == "B"
@@ -187,7 +187,7 @@ class TestRequestDispatch:
 
     def test_unknown_request(self, translator, university_engine):
         with pytest.raises(UpdateError):
-            translator.apply(university_engine, object())
+            translator.apply(university_engine, object(), "update")
 
     def test_request_reprs(self, translator, omega, university_engine):
         cid = any_course(university_engine)

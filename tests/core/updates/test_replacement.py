@@ -46,7 +46,7 @@ class TestCaseR1R2:
         cid = course_with_everything(university_engine)
         old = translator.instantiate(university_engine, (cid,))
         plan = translator.apply(
-            university_engine, Replacement(old, old.to_dict())
+            university_engine, Replacement(old, old.to_dict()), "replace"
         )
         assert len(plan) == 0
 
@@ -55,7 +55,7 @@ class TestCaseR1R2:
         old = translator.instantiate(university_engine, (cid,))
         new = old.to_dict()
         new["title"] = "Renamed Title"
-        plan = translator.apply(university_engine, Replacement(old, new))
+        plan = translator.apply(university_engine, Replacement(old, new), "replace")
         assert plan.count("replace") == 1
         assert plan.count("insert") == plan.count("delete") == 0
         assert university_engine.get("COURSES", (cid,))[1] == "Renamed Title"
@@ -66,7 +66,7 @@ class TestCaseR1R2:
         new = old.to_dict()
         new["GRADES"][0]["grade"] = "A+"
         sid = new["GRADES"][0]["student_id"]
-        translator.apply(university_engine, Replacement(old, new))
+        translator.apply(university_engine, Replacement(old, new), "replace")
         assert university_engine.get("GRADES", (cid, sid))[2] == "A+"
 
 
@@ -81,7 +81,7 @@ class TestCaseR3KeyChange:
         new = renamed(
             old.to_dict(), "EES345", new_dept="Engineering Economic Systems"
         )
-        plan = translator.apply(university_engine, Replacement(old, new))
+        plan = translator.apply(university_engine, Replacement(old, new), "replace")
         assert university_engine.get("COURSES", (cid,)) is None
         assert university_engine.get("COURSES", ("EES345",)) is not None
         assert (
@@ -103,7 +103,7 @@ class TestCaseR3KeyChange:
         )
         old = translator.instantiate(university_engine, (cid,))
         translator.apply(
-            university_engine, Replacement(old, renamed(old.to_dict(), "NEW1"))
+            university_engine, Replacement(old, renamed(old.to_dict(), "NEW1")), "replace"
         )
         assert university_engine.find_by("GRADES", ("course_id",), (cid,)) == []
         migrated = university_engine.find_by(
@@ -120,7 +120,7 @@ class TestCaseR3KeyChange:
         )
         old = translator.instantiate(university_engine, (cid,))
         translator.apply(
-            university_engine, Replacement(old, renamed(old.to_dict(), "NEW2"))
+            university_engine, Replacement(old, renamed(old.to_dict(), "NEW2")), "replace"
         )
         assert (
             university_engine.find_by("CURRICULUM", ("course_id",), (cid,))
@@ -144,7 +144,7 @@ class TestCaseR3KeyChange:
             Replacement(
                 old,
                 renamed(old.to_dict(), "NEW3", new_dept="Engineering Economic Systems"),
-            ),
+            ), "replace",
         )
         assert university_engine.get("DEPARTMENT", (old_dept,)) is not None
 
@@ -159,7 +159,7 @@ class TestCaseR3KeyChange:
         with pytest.raises(LocalValidationError, match="key"):
             translator.apply(
                 university_engine,
-                Replacement(old, renamed(old.to_dict(), "NEW4")),
+                Replacement(old, renamed(old.to_dict(), "NEW4")), "replace",
             )
         assert university_engine.get("COURSES", (cid,)) is not None
 
@@ -177,7 +177,7 @@ class TestCaseR3KeyChange:
         with pytest.raises(UpdateRejectedError, match="database key"):
             translator.apply(
                 university_engine,
-                Replacement(old, renamed(old.to_dict(), "NEW5")),
+                Replacement(old, renamed(old.to_dict(), "NEW5")), "replace",
             )
 
     def test_merge_on_conflict_requires_permission(
@@ -193,7 +193,7 @@ class TestCaseR3KeyChange:
         with pytest.raises(UpdateRejectedError, match="merge"):
             translator.apply(
                 university_engine,
-                Replacement(old, renamed(old.to_dict(), target)),
+                Replacement(old, renamed(old.to_dict(), target)), "replace",
             )
 
     def test_merge_on_conflict_when_allowed(self, omega, university_engine):
@@ -209,7 +209,7 @@ class TestCaseR3KeyChange:
         target, victim = ids[0], ids[1]
         old = translator.instantiate(university_engine, (victim,))
         new = renamed(old.to_dict(), target)
-        translator.apply(university_engine, Replacement(old, new))
+        translator.apply(university_engine, Replacement(old, new), "replace")
         assert university_engine.get("COURSES", (victim,)) is None
         merged = university_engine.get("COURSES", (target,))
         assert merged[1] == old.root.values["title"]
@@ -227,7 +227,7 @@ class TestPropagation:
         new["course_id"] = "PROP1"  # GRADES entries still carry old id
         for entry in new.get("CURRICULUM", []):
             entry["course_id"] = "PROP1"
-        translator.apply(university_engine, Replacement(old, new))
+        translator.apply(university_engine, Replacement(old, new), "replace")
         assert university_engine.find_by("GRADES", ("course_id",), (cid,)) == []
         assert university_engine.find_by(
             "GRADES", ("course_id",), ("PROP1",)
@@ -253,7 +253,7 @@ class TestStateI:
             {"dept_name": other_values[0], "building": other_values[1]}
         ]
         before = university_engine.count("DEPARTMENT")
-        plan = translator.apply(university_engine, Replacement(old, new))
+        plan = translator.apply(university_engine, Replacement(old, new), "replace")
         assert university_engine.count("DEPARTMENT") == before
         assert all(op.relation != "DEPARTMENT" for op in plan)
         assert university_engine.get("COURSES", (cid,))[4] == other
@@ -263,7 +263,7 @@ class TestStateI:
         old = translator.instantiate(university_engine, (cid,))
         new = old.to_dict()
         new["DEPARTMENT"][0]["building"] = "Relocated Hall"
-        plan = translator.apply(university_engine, Replacement(old, new))
+        plan = translator.apply(university_engine, Replacement(old, new), "replace")
         dept = new["DEPARTMENT"][0]["dept_name"]
         assert university_engine.get("DEPARTMENT", (dept,))[1] == "Relocated Hall"
 
@@ -272,7 +272,7 @@ class TestStateI:
         old = translator.instantiate(university_engine, (cid,))
         new = old.to_dict()
         removed = new["GRADES"].pop()
-        translator.apply(university_engine, Replacement(old, new))
+        translator.apply(university_engine, Replacement(old, new), "replace")
         assert (
             university_engine.get(
                 "GRADES", (cid, removed["student_id"])
@@ -303,7 +303,7 @@ class TestStateI:
                 ],
             }
         )
-        translator.apply(university_engine, Replacement(old, new))
+        translator.apply(university_engine, Replacement(old, new), "replace")
         assert (
             university_engine.get("GRADES", (cid, student[0]))
             is not None
@@ -319,7 +319,7 @@ class TestGatesAndGuards:
         old = translator.instantiate(university_engine, (cid,))
         with pytest.raises(LocalValidationError):
             translator.apply(
-                university_engine, Replacement(old, old.to_dict())
+                university_engine, Replacement(old, old.to_dict()), "replace"
             )
 
     def test_peninsula_key_change_prohibited(
@@ -332,7 +332,7 @@ class TestGatesAndGuards:
         new = old.to_dict()
         new["CURRICULUM"][0]["degree"] = "BRANDNEW"
         with pytest.raises(LocalValidationError, match="peninsula"):
-            translator.apply(university_engine, Replacement(old, new))
+            translator.apply(university_engine, Replacement(old, new), "replace")
 
     def test_rejection_rolls_everything_back(self, omega, university_engine):
         policy = TranslatorPolicy()
@@ -347,6 +347,6 @@ class TestGatesAndGuards:
                 Replacement(
                     old,
                     renamed(old.to_dict(), "ROLLBACK1", new_dept="No Such Dept"),
-                ),
+                ), "replace",
             )
         assert sorted(university_engine.scan("COURSES")) == snapshot

@@ -140,7 +140,7 @@ def hospital(engine=None, policy=None):
     graph.install(engine)
     populate_hospital(engine, HospitalConfig(patients=1))
     translator = Translator(patient_chart_object(graph), policy=policy)
-    translator.apply(engine, CompleteInsertion(deep_chart()))
+    translator.apply(engine, CompleteInsertion(deep_chart()), "insert")
     return translator, engine
 
 
@@ -150,7 +150,7 @@ def chain():
     graph.install(engine)
     populate_chain(engine, depth=CHAIN_DEPTH, roots=0)
     translator = Translator(chain_object(graph, CHAIN_DEPTH))
-    translator.apply(engine, CompleteInsertion(deep_chain()))
+    translator.apply(engine, CompleteInsertion(deep_chain()), "insert")
     return translator, engine
 
 
@@ -213,12 +213,12 @@ class TestSiblingOrderIsNotAKeyChange:
         translator, engine = hospital(make_engine(backend), policy)
         payload = deep_chart(visits=3, leaves=1)
         translator.apply(
-            engine, Replacement((PATIENT,), copy.deepcopy(payload))
+            engine, Replacement((PATIENT,), copy.deepcopy(payload)), "replace"
         )
         stored = translator.instantiate(engine, (PATIENT,)).to_dict()
         renamed = dict(copy.deepcopy(stored), name="Renamed")
         renamed["VISIT"] = [renamed["VISIT"][at] for at in order]
-        plan = translator.apply(engine, Replacement((PATIENT,), renamed))
+        plan = translator.apply(engine, Replacement((PATIENT,), renamed), "replace")
         assert steps(plan) == [
             (
                 Replace("PATIENT", (PATIENT,), (PATIENT, "Renamed", 1970, None)),
@@ -243,7 +243,7 @@ class TestSiblingOrderIsNotAKeyChange:
         stored = translator.instantiate(engine, course[:1]).to_dict()
         renamed = dict(copy.deepcopy(stored), title="Renamed")
         renamed["CURRICULUM"] = [renamed["CURRICULUM"][at] for at in order]
-        plan = translator.apply(engine, Replacement(course[:1], renamed))
+        plan = translator.apply(engine, Replacement(course[:1], renamed), "replace")
         assert steps(plan) == [
             (
                 Replace("COURSES", course[:1], course[:1] + ("Renamed",) + course[2:]),
@@ -263,7 +263,7 @@ class TestSiblingOrderIsNotAKeyChange:
             for leaf in moved[leaf_kind]:
                 leaf["visit_no"] = 9
         with pytest.raises(LocalValidationError, match=r"\(5000, 2\) -> \(5000, 9\)"):
-            translator.apply(engine, Replacement(old, renumbered))
+            translator.apply(engine, Replacement(old, renumbered), "replace")
 
 
 class TestLeafEdit:
@@ -311,7 +311,7 @@ class TestLeafEdit:
         new = deep_chart()
         new["VISIT"][0]["LAB_RESULT"][2]["value"] = 9.5
         engine.reads.clear()
-        translator.apply(engine, Replacement(old, new))
+        translator.apply(engine, Replacement(old, new), "replace")
         assert set(engine.reads) == {("get", "LAB_RESULT", (PATIENT, 1, 3))}
         assert engine.get("LAB_RESULT", (PATIENT, 1, 3))[-1] == 9.5
 
@@ -385,7 +385,7 @@ class TestWhatIsNotSkipped:
         translator, engine = hospital()
         old = translator.instantiate(engine, (PATIENT,))
         plan = translator.apply(
-            engine, Replacement(old, rekey_chart(deep_chart(), 6000))
+            engine, Replacement(old, rekey_chart(deep_chart(), 6000)), "replace"
         )
         assert plan.count("replace") == len(plan) == 61
         assert translator.instantiate(engine, (6000,)).count_at("LAB_RESULT") == 18
@@ -403,7 +403,7 @@ class TestWhatIsNotSkipped:
             translator, engine = hospital()
             old = build_instance(translator.view_object, deep_chart())
             plans.append(steps(translator.apply(
-                engine, Replacement(old, payload)
+                engine, Replacement(old, payload), "replace"
             )))
         assert plans[0] == plans[1]
         assert {reason.split(" at ")[0] for _, reason in plans[0]} == {
@@ -416,7 +416,7 @@ class TestWhatIsNotSkipped:
         old = translator.instantiate(engine, (PATIENT,))
         new = deep_chart()
         del new["VISIT"][2]
-        plan = translator.apply(engine, Replacement(old, new))
+        plan = translator.apply(engine, Replacement(old, new), "replace")
         assert plan.count("delete") == len(plan) == 10
         assert plan.operations[0].relation == "VISIT"
 
@@ -424,7 +424,7 @@ class TestWhatIsNotSkipped:
         translator, engine = hospital()
         old = translator.instantiate(engine, (PATIENT,))
         new = deep_chart(visits=7)
-        plan = translator.apply(engine, Replacement(old, new))
+        plan = translator.apply(engine, Replacement(old, new), "replace")
         assert plan.count("insert") == len(plan) == 10
 
     def test_added_subtree_inherits_the_parents_key(self):
@@ -434,7 +434,7 @@ class TestWhatIsNotSkipped:
         new = deep_chart(visits=7)
         for leaf in new["VISIT"][6]["DIAGNOSIS"]:
             leaf["visit_no"] = 99  # stale: the visit is number 7
-        translator.apply(engine, Replacement(old, new))
+        translator.apply(engine, Replacement(old, new), "replace")
         assert len(engine.find_by("DIAGNOSIS", ("visit_no",), (7,))) == 3
 
     def test_changed_reference_outside_the_island_is_visited(self):
@@ -442,7 +442,7 @@ class TestWhatIsNotSkipped:
         old = translator.instantiate(engine, (PATIENT,))
         new = old.to_dict()
         new["VISIT"][1]["PHYSICIAN"][0]["specialty"] = "rewritten"
-        plan = translator.apply(engine, Replacement(old, new))
+        plan = translator.apply(engine, Replacement(old, new), "replace")
         assert [reason for _, reason in steps(plan)] == [
             "CASE I-1 nonkey replacement at node 'PHYSICIAN' (VO-R)"
         ]
@@ -453,7 +453,7 @@ class TestWhatIsNotSkipped:
         physicians = engine.count("PHYSICIAN")
         assert old.count_at("PHYSICIAN") == 6
         plan = translator.apply(
-            engine, Replacement(old, dict(deep_chart(), name="Kept"))
+            engine, Replacement(old, dict(deep_chart(), name="Kept")), "replace"
         )
         assert len(plan) == 1
         assert engine.count("PHYSICIAN") == physicians
@@ -465,7 +465,7 @@ class TestWhatIsNotSkipped:
             translator.view_object, dict(deep_chart(), patient_id=6000)
         )
         sent = copy.deepcopy(stale.to_dict())
-        translator.apply(engine, Replacement(old, stale))
+        translator.apply(engine, Replacement(old, stale), "replace")
         assert stale.to_dict() == sent
 
 
@@ -482,7 +482,7 @@ class TestMalformedInstances:
             broken = old if side == "old" else new
             del broken.tuples_at("DIAGNOSIS")[4].values["diag_no"]
             with pytest.raises(UpdateRejectedError) as rejection:
-                translator.apply(engine, Replacement(old, new))
+                translator.apply(engine, Replacement(old, new), "replace")
             assert str(rejection.value) == message
 
     @pytest.mark.parametrize("value,error", [
@@ -501,7 +501,7 @@ class TestMalformedInstances:
         new = deep_chart(visits=7)
         new["VISIT"][0]["visit_no"] = value
         with pytest.raises(ReproError, match=error):
-            translator.apply(engine, Replacement(old, new))
+            translator.apply(engine, Replacement(old, new), "replace")
 
     def test_duplicate_sibling_key_in_new(self):
         """The first duplicate pairs with the old tuple; the second has
@@ -549,7 +549,7 @@ class TestReadsPerRequest:
         graph.install(engine)
         populate_hospital(engine, HospitalConfig(patients=1))
         translator = Translator(patient_chart_object(graph))
-        translator.apply(engine, CompleteInsertion(deep_chart()))
+        translator.apply(engine, CompleteInsertion(deep_chart()), "insert")
         reads = collections.Counter(read[:2] for read in engine.reads)
         assert len(engine.reads) == 80
         # One dependency probe per distinct parent: 6 visits, the patient,
@@ -568,7 +568,7 @@ class TestReadsPerRequest:
             visit["physician_id"] = 9001
             visit["reason"] = "follow-up"
         engine.reads.clear()
-        plan = translator.apply(engine, Replacement(old, new))
+        plan = translator.apply(engine, Replacement(old, new), "replace")
         assert len(plan) == 7
         assert engine.reads == (
             # CASE R-2 probes of the pivot and the six visits, each row
@@ -584,7 +584,7 @@ class TestReadsPerRequest:
     def test_delete(self):
         translator, engine = hospital()
         engine.reads.clear()
-        plan = translator.apply(engine, CompleteDeletion((PATIENT,)))
+        plan = translator.apply(engine, CompleteDeletion((PATIENT,)), "delete")
         assert len(plan) == 61
         island_gets = [
             read
@@ -604,19 +604,19 @@ def _rename(chart):
 # PATIENT + 1 (the session verb each stands for, through its door).
 LOGGED_WRITES = {
     "insert": lambda t, e: t.apply(
-        e, CompleteInsertion(deep_chart(PATIENT + 2))
+        e, CompleteInsertion(deep_chart(PATIENT + 2)), "insert"
     ),
     "replace": lambda t, e: t.apply(
         e,
-        Replacement(t.instantiate(e, (PATIENT,)), _rename(deep_chart())),
+        Replacement(t.instantiate(e, (PATIENT,)), _rename(deep_chart())), "replace",
     ),
     "re-key": lambda t, e: t.apply(
         e,
         Replacement(
             t.instantiate(e, (PATIENT,)), rekey_chart(deep_chart(), PATIENT + 9)
-        ),
+        ), "replace",
     ),
-    "delete": lambda t, e: t.apply(e, CompleteDeletion((PATIENT,))),
+    "delete": lambda t, e: t.apply(e, CompleteDeletion((PATIENT,)), "delete"),
     "insert_many": lambda t, e: batch_write(
         t,
         e,
@@ -652,7 +652,7 @@ def logged_write_reads(write, audited_before):
             patient_chart_object(graph)
         )
         for pid in (PATIENT, PATIENT + 1):
-            seeder.apply(engine, CompleteInsertion(deep_chart(pid)))
+            seeder.apply(engine, CompleteInsertion(deep_chart(pid)), "insert")
         engine.reads.clear()
         LOGGED_WRITES[write](translator, engine)
         reads[logged] = engine.reads

@@ -31,7 +31,7 @@ def test_identical_pair_with_vanished_row_is_noop(omega, university_engine):
     sid = _vanish_student(university_engine, old)
     new = copy.deepcopy(old.to_dict())
     new["title"] = "Changed"
-    plan = translator.apply(university_engine, Replacement(old, new))
+    plan = translator.apply(university_engine, Replacement(old, new), "replace")
     assert university_engine.get("STUDENT", (sid,)) is None
     assert all(op.relation != "STUDENT" for op in plan)
 
@@ -50,7 +50,7 @@ def test_changed_pair_with_vanished_row_is_reinserted(
         for student in grade["STUDENT"]:
             if student["person_id"] == sid:
                 student["year"] = 9
-    plan = translator.apply(university_engine, Replacement(old, new))
+    plan = translator.apply(university_engine, Replacement(old, new), "replace")
     revived = university_engine.get("STUDENT", (sid,))
     assert revived is not None and revived[2] == 9
     inserted = {op.relation for op in plan if op.kind == "insert"}
@@ -66,7 +66,7 @@ def test_removed_outside_component_is_noop(omega, university_engine):
     dept = old.root.values["dept_name"]
     new = copy.deepcopy(old.to_dict())
     new["DEPARTMENT"] = []
-    plan = translator.apply(university_engine, Replacement(old, new))
+    plan = translator.apply(university_engine, Replacement(old, new), "replace")
     assert university_engine.get("DEPARTMENT", (dept,)) is not None
     assert all(op.relation != "DEPARTMENT" for op in plan)
 

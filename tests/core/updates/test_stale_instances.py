@@ -35,7 +35,7 @@ def test_deletion_with_already_deleted_grade(translator, university_engine):
     # Someone else removes one grade between instantiation and deletion.
     grade = university_engine.find_by("GRADES", ("course_id",), (cid,))[0]
     university_engine.delete("GRADES", (grade[0], grade[1]))
-    translator.apply(university_engine, CompleteDeletion(instance))
+    translator.apply(university_engine, CompleteDeletion(instance), "delete")
     assert university_engine.get("COURSES", (cid,)) is None
 
 
@@ -51,7 +51,7 @@ def test_deletion_of_vanished_pivot_rejected(translator, university_engine):
     ):
         university_engine.delete("CURRICULUM", (entry[0], entry[1]))
     with pytest.raises(UpdateRejectedError, match="does not exist"):
-        translator.apply(university_engine, CompleteDeletion(instance))
+        translator.apply(university_engine, CompleteDeletion(instance), "delete")
 
 
 def test_replacement_of_vanished_island_tuple_rejected(
@@ -65,7 +65,7 @@ def test_replacement_of_vanished_island_tuple_rejected(
     for entry in new["GRADES"]:
         entry["grade"] = "A+"
     with pytest.raises(UpdateRejectedError, match="no longer exists"):
-        translator.apply(university_engine, Replacement(old, new))
+        translator.apply(university_engine, Replacement(old, new), "replace")
     # All-or-nothing: the grades that were still present are untouched.
     remaining = university_engine.find_by("GRADES", ("course_id",), (cid,))
     assert all(values[2] != "A+" for values in remaining)
@@ -108,7 +108,7 @@ def test_preexisting_corruption_surfaces_in_verify_mode(
     new["title"] = "Survivor"
     new["DEPARTMENT"] = []
     with pytest.raises(GlobalValidationError, match="missing DEPARTMENT"):
-        translator.apply(university_engine, Replacement(old, new))
+        translator.apply(university_engine, Replacement(old, new), "replace")
     # Rolled back: the title change did not land.
     assert university_engine.get("COURSES", (cid,))[1] == old.root.values["title"]
 
@@ -132,6 +132,6 @@ def test_changed_reference_to_vanished_tuple_reinserts(
     new = copy.deepcopy(old.to_dict())
     new["dept_name"] = "Rebuilt Department"
     new["DEPARTMENT"] = []
-    translator.apply(university_engine, Replacement(old, new))
+    translator.apply(university_engine, Replacement(old, new), "replace")
     assert university_engine.get("DEPARTMENT", ("Rebuilt Department",)) is not None
     assert IntegrityChecker(university_graph).is_consistent(university_engine)

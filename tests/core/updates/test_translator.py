@@ -20,14 +20,14 @@ class TestPlans:
     def test_plan_has_reasons(self, omega, university_engine):
         translator = Translator(omega)
         cid = any_course(university_engine)
-        plan = translator.apply(university_engine, CompleteDeletion((cid,)))
+        plan = translator.apply(university_engine, CompleteDeletion((cid,)), "delete")
         assert len(plan.reasons) == len(plan.operations)
         assert any("VO-CD" in reason for reason in plan.reasons)
 
     def test_plan_relations_touched(self, omega, university_engine):
         translator = Translator(omega)
         cid = any_course(university_engine)
-        plan = translator.apply(university_engine, CompleteDeletion((cid,)))
+        plan = translator.apply(university_engine, CompleteDeletion((cid,)), "delete")
         assert plan.relations_touched()[0] == "COURSES"
 
 
@@ -38,7 +38,7 @@ class TestTransactionBoundary:
         translator = Translator(omega)
         translator.apply(
             university_engine,
-            CompleteDeletion((any_course(university_engine),)),
+            CompleteDeletion((any_course(university_engine),)), "delete",
         )
         assert not university_engine.in_transaction
 
@@ -47,7 +47,7 @@ class TestTransactionBoundary:
     ):
         translator = Translator(omega)
         with pytest.raises(UpdateError):
-            translator.apply(university_engine, CompleteDeletion(("GHOST",)))
+            translator.apply(university_engine, CompleteDeletion(("GHOST",)), "delete")
         assert not university_engine.in_transaction
 
 
@@ -70,7 +70,7 @@ class TestSqliteBackend:
     def test_delete_on_sqlite(self, omega, university_sqlite, university_graph):
         translator = Translator(omega)
         cid = any_course(university_sqlite)
-        translator.apply(university_sqlite, CompleteDeletion((cid,)))
+        translator.apply(university_sqlite, CompleteDeletion((cid,)), "delete")
         assert university_sqlite.get("COURSES", (cid,)) is None
         assert IntegrityChecker(university_graph).is_consistent(
             university_sqlite
@@ -82,7 +82,7 @@ class TestSqliteBackend:
         old = translator.instantiate(university_sqlite, (cid,))
         new = copy.deepcopy(old.to_dict())
         new["title"] = "Changed on sqlite"
-        translator.apply(university_sqlite, Replacement(old, new))
+        translator.apply(university_sqlite, Replacement(old, new), "replace")
         assert university_sqlite.get("COURSES", (cid,))[1] == "Changed on sqlite"
 
     def test_rejection_rolls_back_on_sqlite(self, omega, university_sqlite):
@@ -96,7 +96,7 @@ class TestSqliteBackend:
         for dept in new.get("DEPARTMENT", []):
             dept["dept_name"] = "No Such Dept"
         with pytest.raises(UpdateRejectedError):
-            translator.apply(university_sqlite, Replacement(old, new))
+            translator.apply(university_sqlite, Replacement(old, new), "replace")
         assert university_sqlite.get("COURSES", (cid,)) is not None
         assert university_sqlite.get("DEPARTMENT", ("No Such Dept",)) is None
 
@@ -109,10 +109,10 @@ class TestSqliteBackend:
         translator = Translator(omega)
         cid = any_course(university_engine)
         plan_memory = translator.apply(
-            university_engine, CompleteDeletion((cid,))
+            university_engine, CompleteDeletion((cid,)), "delete"
         )
         plan_sqlite = translator.apply(
-            university_sqlite, CompleteDeletion((cid,))
+            university_sqlite, CompleteDeletion((cid,)), "delete"
         )
         assert sorted(op.describe() for op in plan_memory) == sorted(
             op.describe() for op in plan_sqlite

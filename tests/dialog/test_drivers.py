@@ -103,7 +103,7 @@ class TestChooseTranslator:
             }
         ]
         with pytest.raises(UpdateRejectedError):
-            translator.apply(university_engine, Replacement(old, new))
+            translator.apply(university_engine, Replacement(old, new), "replace")
         assert (
             university_engine.get(
                 "DEPARTMENT", ("Engineering Economic Systems",)
@@ -117,7 +117,7 @@ class TestChooseTranslator:
         old = translator.instantiate(university_engine, (course_id,))
         new = old.to_dict()
         new["title"] = "After Dialog"
-        translator.apply(university_engine, Replacement(old, new))
+        translator.apply(university_engine, Replacement(old, new), "replace")
         assert university_engine.get("COURSES", (course_id,))[1] == "After Dialog"
 
     def test_amortization(self, omega, university_engine):
@@ -129,5 +129,5 @@ class TestChooseTranslator:
             old = translator.instantiate(university_engine, (values[0],))
             new = old.to_dict()
             new["units"] = (new["units"] % 5) + 1
-            translator.apply(university_engine, Replacement(old, new))
+            translator.apply(university_engine, Replacement(old, new), "replace")
         assert len(transcript) == asked_before

@@ -59,7 +59,7 @@ class TestHospitalScenario:
                         }
                     ],
                 },
-            ),
+            ), "insert",
         )
         assert hospital_engine.get("PATIENT", (9001,)) is not None
         assert checker.is_consistent(hospital_engine)
@@ -77,7 +77,7 @@ class TestHospitalScenario:
                     "med_id": "MED-01",
                     "days": 10,
                 },
-            ),
+            ), "partial_insert",
         )
         assert hospital_engine.get("PRESCRIPTION", (9001, 1, 1)) is not None
 
@@ -97,12 +97,12 @@ class TestHospitalScenario:
                 "PHYSICIAN": [],
             }
         )
-        translator.apply(hospital_engine, Replacement(old, new))
+        translator.apply(hospital_engine, Replacement(old, new), "replace")
         assert hospital_engine.get("VISIT", (9001, 2)) is not None
         assert checker.is_consistent(hospital_engine)
 
         # 4. Discharge: complete deletion cascades the whole chart.
-        translator.apply(hospital_engine, CompleteDeletion((9001,)))
+        translator.apply(hospital_engine, CompleteDeletion((9001,)), "delete")
         assert hospital_engine.get("PATIENT", (9001,)) is None
         assert hospital_engine.find_by("VISIT", ("patient_id",), (9001,)) == []
         assert checker.is_consistent(hospital_engine)
@@ -121,7 +121,7 @@ class TestCadScenario:
             component["asm_id"] = "ASM-RENAMED"
         for release in new.get("RELEASED_ASSEMBLY", []):
             release["asm_id"] = "ASM-RENAMED"
-        translator.apply(cad_engine, Replacement(old, new))
+        translator.apply(cad_engine, Replacement(old, new), "replace")
         assert cad_engine.get("ASSEMBLY", (released,)) is None
         assert cad_engine.get("ASSEMBLY", ("ASM-RENAMED",)) is not None
         assert cad_engine.get("RELEASED_ASSEMBLY", ("ASM-RENAMED",)) is not None
@@ -134,7 +134,7 @@ class TestCadScenario:
         old = translator.instantiate(cad_engine, (asm,))
         new = copy.deepcopy(old.to_dict())
         new["project"] = "renamed-project"
-        translator.apply(cad_engine, Replacement(old, new))
+        translator.apply(cad_engine, Replacement(old, new), "replace")
         assert cad_engine.get("ASSEMBLY", (asm,))[2] == "renamed-project"
 
 
@@ -153,7 +153,7 @@ class TestCrossBackendEquivalence:
             old = translator.instantiate(engine, (cid,))
             new = copy.deepcopy(old.to_dict())
             new["title"] = "Cross Backend"
-            translator.apply(engine, Replacement(old, new))
+            translator.apply(engine, Replacement(old, new), "replace")
             translator.apply(
                 engine,
                 CompleteInsertion(
@@ -164,13 +164,13 @@ class TestCrossBackendEquivalence:
                         "level": "graduate",
                         "dept_name": "Physics",
                     },
-                ),
+                ), "insert",
             )
             translator.apply(
                 engine,
                 CompleteDeletion(
                     (sorted(v[0] for v in engine.scan("COURSES"))[1],)
-                ),
+                ), "delete",
             )
         for relation in university_graph.relation_names:
             assert sorted(university_engine.scan(relation)) == sorted(

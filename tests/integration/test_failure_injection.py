@@ -85,7 +85,7 @@ def test_deletion_atomic_under_faults(setup):
     cid = connected_course(engine)
     points = run_at_every_fault_point(
         graph, engine, lambda: translator.apply(
-            engine, CompleteDeletion((cid,))
+            engine, CompleteDeletion((cid,)), "delete"
         )
     )
     assert points >= 2  # deletion is genuinely multi-operation
@@ -120,7 +120,7 @@ def test_insertion_atomic_under_faults(setup):
         graph,
         engine,
         lambda: translator.apply(
-            engine, CompleteInsertion(copy.deepcopy(instance))
+            engine, CompleteInsertion(copy.deepcopy(instance)), "insert"
         ),
     )
     assert points >= 2
@@ -139,7 +139,7 @@ def test_replacement_atomic_under_faults(setup):
             grade["course_id"] = "FAULTKEY"
         for entry in new.get("CURRICULUM", []):
             entry["course_id"] = "FAULTKEY"
-        translator.apply(engine, Replacement(old, new))
+        translator.apply(engine, Replacement(old, new), "replace")
 
     points = run_at_every_fault_point(graph, engine, action)
     assert points >= 2

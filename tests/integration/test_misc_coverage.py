@@ -90,6 +90,6 @@ def test_partial_deletion_request_dispatch(omega, university_engine):
                 "student_id": grade[1],
                 "grade": grade[2],
             },
-        ),
+        ), "partial_delete",
     )
     assert university_engine.get("GRADES", (grade[0], grade[1])) is None

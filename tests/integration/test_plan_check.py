@@ -92,7 +92,7 @@ MUTATIONS = {
 }
 
 DOORS = {
-    "apply": lambda t, engine, request: t.apply(engine, request),
+    "apply": lambda t, engine, request: t.apply(engine, request, "update"),
     "apply_plan_batch": lambda t, engine, request: batch_write(
         t, engine, [request]
     ),

@@ -609,7 +609,7 @@ def test_a_partial_request_plans_alike_eager_and_batched(verb, backend):
     that one request emit the same plan and leave the same database."""
     seen = []
     for door in (
-        lambda t, engine, request: t.apply(engine, request),
+        lambda t, engine, request: t.apply(engine, request, "update"),
         lambda t, engine, request: batch_write(t, engine, [request]),
     ):
         session = prepared("penguin", backend, None)

@@ -1,11 +1,12 @@
 """A single write reads its key anchor from the materialized view.
 
 Section 5's VO-R and VO-CD start from the object's current instance.
-When a session has materialized the object, ``Penguin._apply_one`` hands
-its :class:`~repro.materialize.store.MaterializedView` to
-``Translator.apply``, and the view answers the anchor from its cache —
-only while nothing is pending, the one open transaction is the write's
-own and nothing has been written in it yet. These tests pin:
+When a session has materialized the object, ``Penguin._apply`` hands a
+write of one request, whichever verb carried it, to ``Translator.apply``
+with its :class:`~repro.materialize.store.MaterializedView`, and the
+view answers the anchor from its cache — only while nothing is pending,
+the one open transaction is the write's own and nothing has been
+written in it yet. These tests pin:
 
 * the mechanism, in engine reads: the cached, synced case saves exactly
   one assembly; every other case reads what the unmaterialized twin
@@ -98,6 +99,16 @@ def write_batch(session):
     return session.apply_plan_batch(CHART, [Replacement(KEY, new)])
 
 
+def write_batch_of_two(session):
+    """Two requests take the overlay half: the second's anchor must
+    show the first's effect, so neither reads the cache."""
+    first = session.coerce(CHART, renamed(deep_chart(), "First"))
+    second = session.coerce(CHART, renamed(deep_chart(), "Second"))
+    return session.apply_plan_batch(
+        CHART, [Replacement(KEY, first), Replacement(KEY, second)]
+    )
+
+
 def raw_replace(session):
     """A base write outside any translation: one pending record."""
     row = list(session.engine.get("PATIENT", KEY))
@@ -128,13 +139,14 @@ def measured(materialized, write, warm=True, before=None):
 SAVES = {
     "replace": (write_replace, True, None),
     "delete": (write_delete, True, None),
+    "apply_plan_batch": (write_batch, True, None),
 }
 SAME = {
     "pending-record": (write_replace, True, raw_replace),
     "inside-a-transaction": (write_in_transaction, True, None),
     "uncached-key": (write_replace, False, None),
     "uncached-delete": (write_delete, False, None),
-    "apply_plan_batch": (write_batch, True, None),
+    "apply_plan_batch-of-two": (write_batch_of_two, True, None),
 }
 
 

@@ -621,7 +621,7 @@ class TestTranslatorRecording:
         translator = session.translator("course_info").for_user("keller")
         plan = UpdatePlan()  # reuse the session's engine directly
         del plan
-        translator.apply(session.engine, CompleteInsertion(new_course()))
+        translator.apply(session.engine, CompleteInsertion(new_course()), "insert")
         assert session.audit.record(1).user == "keller"
 
 

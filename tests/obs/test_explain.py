@@ -45,27 +45,27 @@ class TestExplainAgreesWithExecution:
         explanation = translator.explain_batch(
             university_engine, [CompleteInsertion(data)]
         )
-        executed = translator.apply(university_engine, CompleteInsertion(data))
+        executed = translator.apply(university_engine, CompleteInsertion(data), "insert")
         assert explanation.relations_touched == executed.relations_touched()
         assert explanation.op_kinds == kinds_of(executed)
 
     def test_delete(self, translator, university_engine):
         translator.apply(
-            university_engine, CompleteInsertion(new_course(university_engine))
+            university_engine, CompleteInsertion(new_course(university_engine)), "insert"
         )
         instance = translator.instantiate(university_engine, ("CS999",))
         explanation = translator.explain_batch(
             university_engine, [CompleteDeletion(instance)]
         )
         executed = translator.apply(
-            university_engine, CompleteDeletion(instance)
+            university_engine, CompleteDeletion(instance), "delete"
         )
         assert explanation.relations_touched == executed.relations_touched()
         assert explanation.op_kinds == kinds_of(executed)
 
     def test_replace(self, translator, university_engine):
         translator.apply(
-            university_engine, CompleteInsertion(new_course(university_engine))
+            university_engine, CompleteInsertion(new_course(university_engine)), "insert"
         )
         old = translator.instantiate(university_engine, ("CS999",))
         new = old.to_dict()
@@ -73,7 +73,7 @@ class TestExplainAgreesWithExecution:
         explanation = translator.explain_batch(
             university_engine, [Replacement(old, new)]
         )
-        executed = translator.apply(university_engine, Replacement(old, new))
+        executed = translator.apply(university_engine, Replacement(old, new), "replace")
         assert explanation.relations_touched == executed.relations_touched()
         assert explanation.op_kinds == kinds_of(executed)
 
@@ -103,7 +103,7 @@ class TestExplainIsSideEffectFree:
         from repro.errors import UpdateRejectedError
 
         translator.apply(
-            university_engine, CompleteInsertion(new_course(university_engine))
+            university_engine, CompleteInsertion(new_course(university_engine)), "insert"
         )
         before = snapshot(university_engine)
         with pytest.raises(UpdateRejectedError):

@@ -55,16 +55,16 @@ class TestGoldenTraces:
         translator, engine, hub = traced
         course = new_course(engine, student=existing_student(engine))
         hub.tracer.take()  # only the next update's root
-        translator.apply(engine, CompleteInsertion(course))
+        translator.apply(engine, CompleteInsertion(course), "insert")
         check_golden("figure4_insert_trace.txt", take_normalized(hub))
 
     def test_delete_span_tree(self, traced):
         translator, engine, hub = traced
         course = new_course(engine, student=existing_student(engine))
-        translator.apply(engine, CompleteInsertion(course))
+        translator.apply(engine, CompleteInsertion(course), "insert")
         instance = translator.instantiate(engine, ("CS999",))
         hub.tracer.take()  # only the next update's root
-        translator.apply(engine, CompleteDeletion(instance))
+        translator.apply(engine, CompleteDeletion(instance), "delete")
         check_golden("figure4_delete_trace.txt", take_normalized(hub))
 
     def test_insert_explain_text(self, traced):
@@ -78,7 +78,7 @@ class TestGoldenTraces:
     def test_delete_explain_text(self, traced):
         translator, engine, hub = traced
         course = new_course(engine, student=existing_student(engine))
-        translator.apply(engine, CompleteInsertion(course))
+        translator.apply(engine, CompleteInsertion(course), "insert")
         instance = translator.instantiate(engine, ("CS999",))
         explanation = translator.explain_batch(
             engine, [CompleteDeletion(instance)]

@@ -99,7 +99,7 @@ def test_rekeying_replacement_has_an_order_invariant_effect(case):
     for shape in shapes:
         translator, engine = build(seed, adversarial, restricted)
         try:
-            translator.apply(engine, Replacement((0,), copy.deepcopy(shape)))
+            translator.apply(engine, Replacement((0,), copy.deepcopy(shape)), "replace")
         except ReproError as rejection:
             effects.append(type(rejection).__name__)
         else:

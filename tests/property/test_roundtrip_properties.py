@@ -62,9 +62,9 @@ def test_replacement_is_invertible(seed):
     new = copy.deepcopy(old.to_dict())
     new["title"] = "Temporarily Different"
     new["units"] = (new["units"] % 5) + 1
-    translator.apply(engine, Replacement(old, new))
+    translator.apply(engine, Replacement(old, new), "replace")
     current = translator.instantiate(engine, (cid,))
-    translator.apply(engine, Replacement(current, old.to_dict()))
+    translator.apply(engine, Replacement(current, old.to_dict()), "replace")
     after = {
         name: sorted(engine.scan(name)) for name in GRAPH.relation_names
     }
@@ -92,9 +92,9 @@ def test_key_change_round_trip(seed):
         return data
 
     old = translator.instantiate(engine, (cid,))
-    translator.apply(engine, Replacement(old, rekey(old.to_dict(), "TMPKEY")))
+    translator.apply(engine, Replacement(old, rekey(old.to_dict(), "TMPKEY")), "replace")
     temp = translator.instantiate(engine, ("TMPKEY",))
-    translator.apply(engine, Replacement(temp, rekey(temp.to_dict(), cid)))
+    translator.apply(engine, Replacement(temp, rekey(temp.to_dict(), cid)), "replace")
     after = {name: sorted(engine.scan(name)) for name in watched}
     assert after == before
 

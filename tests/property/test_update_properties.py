@@ -89,7 +89,7 @@ def test_insert_keeps_integrity(course_id, units, level, grades):
     try:
         translator.apply(
             engine,
-            CompleteInsertion(instance_for(course_id, units, level, grades)),
+            CompleteInsertion(instance_for(course_id, units, level, grades)), "insert",
         )
     except ReproError:
         return  # rejected updates are covered by the rollback property
@@ -113,11 +113,11 @@ def test_insert_then_delete_roundtrip(course_id, units, grades):
             engine,
             CompleteInsertion(
                 instance_for(course_id, units, "graduate", grades)
-            ),
+            ), "insert",
         )
     except ReproError:
         return
-    translator.apply(engine, CompleteDeletion((course_id,)))
+    translator.apply(engine, CompleteDeletion((course_id,)), "delete")
     # Inserted STUDENT/PEOPLE skeletons survive deletion of the course
     # (they are outside the island), so compare island relations plus
     # the peninsulas only.
@@ -145,7 +145,7 @@ def test_rejected_update_leaves_no_trace(course_id, grades):
     try:
         translator.apply(
             engine,
-            CompleteInsertion(instance_for(course_id, 3, "graduate", grades)),
+            CompleteInsertion(instance_for(course_id, 3, "graduate", grades)), "insert",
         )
     except ReproError:
         after = {

@@ -395,6 +395,9 @@ class TestMicroBatcher:
             self.calls = []
             self.fail_on = fail_on or set()
 
+        def _route_request(self, name, request):
+            return 0
+
         def apply_plan_batch(self, name, requests):
             self.calls.append(list(requests))
             failing = [r for r in requests if r in self.fail_on]
@@ -578,6 +581,48 @@ class TestMicroBatcher:
         self.run(scenario())
         assert sorted(map(len, session.calls)) == [1, 1]
 
+    def test_a_batch_never_spans_two_owner_shards(self):
+        """A sharded session lands each owner's group as its own unit, so
+        a batch folding two owners could commit one group, have the other
+        refused, and retry — and refuse — the write it already landed.
+        The batcher folds per owner: the valid insert lands once."""
+        from repro.core.updates.operations import CompleteInsertion
+        from repro.errors import ReproError
+        from repro.workloads.hospital import hospital_session, new_chart
+
+        session = hospital_session(20, shards=2)
+        owned = {
+            shard_id: [
+                pid for pid in range(90000, 90100)
+                if session.router.shard_of((pid,)) == shard_id
+            ]
+            for shard_id in (0, 1)
+        }
+        resident = next(
+            instance for instance in session.query(OBJECT)
+            if session.router.shard_of(instance.key) == 1
+        )
+        fresh = session.coerce(
+            OBJECT, new_chart(owned[0][0], "Batched", 1970, "http")
+        )
+        audit = session.shards[0].penguin.audit
+        before = len(audit.records())
+
+        async def scenario():
+            batcher = MicroBatcher(session, asyncio.get_running_loop())
+            return await asyncio.gather(
+                batcher.submit(OBJECT, CompleteInsertion(fresh)),
+                batcher.submit(OBJECT, CompleteInsertion(resident)),
+                return_exceptions=True,
+            )
+
+        landed, refused = asyncio.run(scenario())
+        assert not isinstance(landed, BaseException), landed
+        assert isinstance(refused, ReproError)
+        assert session.get(OBJECT, fresh.key) is not None
+        records = audit.records()[before:]
+        assert [(r.op, r.state) for r in records] == [("batch", "committed")]
+
     def test_one_bad_request_fails_alone(self):
         session = self.FakeSession(fail_on={"bad"})
 
@@ -628,6 +673,38 @@ class TestKeepAlive:
         finally:
             loop.close()
         assert statuses == [200] * 5
+
+
+class TestQuietStop:
+    def test_stopping_with_connections_open_logs_nothing(self, caplog):
+        """A connection the client just closed, and one accepted but
+        never read from, are both open as the server stops. A handler
+        the loop's teardown cancels makes asyncio log a traceback from
+        its done-callback; stop must close and await every handler
+        first."""
+        import logging
+        import socket
+
+        from repro.penguin import Penguin
+        from repro.serve.concurrent import ConcurrentPenguin
+
+        penguin = Penguin(hospital_schema())
+        populate_hospital(penguin.engine, HospitalConfig(patients=2))
+        penguin.register_object(patient_chart_object(penguin.graph))
+        session = ConcurrentPenguin(penguin)
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        for _ in range(100):
+            handle = PenguinServer(session).in_background()
+            address = ("127.0.0.1", handle.port)
+            with socket.create_connection(address) as served:
+                served.sendall(
+                    b"GET /health HTTP/1.1\r\nHost: x\r\n"
+                    b"Connection: keep-alive\r\n\r\n"
+                )
+                assert served.recv(65536).startswith(b"HTTP/1.1 200")
+            with socket.create_connection(address):
+                handle.stop()
+        assert [record.getMessage() for record in caplog.records] == []
 
 
 class TestUrlUnquote:

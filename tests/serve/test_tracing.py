@@ -258,6 +258,9 @@ class TestBatchFoldContinuity:
         ones, so neither write goes dark."""
 
         class FakeSession:
+            def _route_request(self, name, request):
+                return 0
+
             def apply_plan_batch(self, name, requests):
                 with obs.tracer().span("translate", object=name):
                     return {"applied": len(requests)}
